@@ -31,6 +31,7 @@ from typing import Any
 
 from repro import Cluster, ClusterConfig, Decision, DistObject, entry
 from repro.bench.harness import Table
+from repro.threads.thread import KIND_SURROGATE
 
 CHAOS_EVENT = "CHAOS"
 
@@ -585,12 +586,12 @@ def run_chaos(spec: ChaosSpec) -> ChaosReport:
          for row in kernel.store.recovery_log),
         key=lambda row: (row["at"], row["node"]))
     # A handler execution still in progress after the settle window is a
-    # hang the supervision layer failed to bound: a live surrogate stuck
-    # in its handler frame, or an object-event thread wedged mid-serve.
+    # hang the supervision layer failed to bound: a live surrogate (stuck
+    # in a handler frame, or never retired by its chain), or an
+    # object-event thread wedged mid-serve.
     hung_handlers = sum(
         1 for t in cluster.live_threads.values()
-        if t.alive and t.frames
-        and t.frames[0].entry.startswith("handler:"))
+        if t.alive and t.kind == KIND_SURROGATE)
     hung_handlers += sum(kernel.objects.serving
                          for kernel in cluster.kernels.values())
     report = ChaosReport(

@@ -101,6 +101,23 @@ RETRYABLE_INVOKE_ERRORS = (NodeCrashedError, UndeliverableError, RpcTimeout,
                            BuddyUnavailableError)
 
 
+def _procedure_frame(ctx, fn, current_obj, block):
+    """Surrogate frame: per-thread-memory handler in the current
+    object's context."""
+    ctx._activation.obj = current_obj
+    ctx._activation.event_block = block
+    result = yield from fn(ctx, block)
+    return result
+
+
+def _invoke_frame(ctx, cap, fn_name, block):
+    """Surrogate frame: attaching-object / buddy handler via
+    unscheduled invocation."""
+    result = yield sc.Invoke(cap=cap, entry=fn_name, args=(block,),
+                             as_handler=True, handler_block=block)
+    return result
+
+
 class EventManager:
     """Cluster-wide event facility (per-node state lives in the kernels)."""
 
@@ -654,6 +671,7 @@ class EventManager:
                    errors: int = 0,
                    last_error: BaseException | None = None) -> None:
         if not thread.alive:
+            self._retire_surrogate(thread)
             self._complete_sync(block, None,
                                 DeadThreadError(f"{thread.tid} died"),
                                 from_node=thread.current_node)
@@ -706,6 +724,8 @@ class EventManager:
                                      event=block.event, tid=str(thread.tid),
                                      attempt=count)
             delay = self.cluster.config.handler_backoff * (2 ** (count - 1))
+            # No surrogate sits parked through the backoff.
+            self._retire_surrogate(thread)
             self.cluster.sim.call_after(delay, self._retry_chain, thread,
                                         block)
             return True
@@ -747,6 +767,7 @@ class EventManager:
         # Handling concluded: the block is no longer at risk of dying
         # with the thread, and its poison tally (if any) is forgiven.
         self.supervisor.clear_failures(block)
+        self._retire_surrogate(thread)
         thread.delivering_block = None
         if block.durable_id is not None:
             # The chain ran to a decision: acknowledge to the origin's
@@ -787,11 +808,10 @@ class EventManager:
             except HandlerContextError as exc:
                 done(Decision.PROPAGATE, None, exc)
                 return
-            current_obj = thread.current_object
             self.cluster.sim.call_after(
-                cfg.surrogate_cost, self._run_procedure_surrogate, thread,
-                fn, current_obj, block, node, done,
-                self.supervisor.effective_deadline(registration))
+                cfg.surrogate_cost, self._run_on_surrogate, thread, block,
+                node, done, self.supervisor.effective_deadline(registration),
+                _procedure_frame, fn, thread.current_object, block)
             return
         # ATTACHING / BUDDY: unscheduled invocation of a handler method,
         # supervised (breaker admission, fast-fail, retry with backoff).
@@ -844,9 +864,9 @@ class EventManager:
             done(decision, value, error)
 
         self.cluster.sim.call_after(
-            cfg.surrogate_cost, self._run_invoke_surrogate, thread, obj,
-            registration.fn_name, block, node, on_done,
-            self.supervisor.effective_deadline(registration))
+            cfg.surrogate_cost, self._run_on_surrogate, thread, block, node,
+            on_done, self.supervisor.effective_deadline(registration),
+            _invoke_frame, obj.cap, registration.fn_name, block)
 
     def _invoke_failed(self, thread: DThread,
                        registration: HandlerRegistration, block: EventBlock,
@@ -870,65 +890,64 @@ class EventManager:
             return
         done(Decision.PROPAGATE, None, error)
 
-    def _run_procedure_surrogate(self, thread: DThread, fn, current_obj,
-                                 block: EventBlock, node: int, done,
-                                 deadline: float | None = None) -> None:
-        """Per-thread-memory handler in the current object's context."""
+    def _run_on_surrogate(self, thread: DThread, block: EventBlock,
+                          node: int, done, deadline: float | None,
+                          frame_fn, *frame_args: Any) -> None:
+        """Run one handler as the next frame of the notice's surrogate.
 
-        def body(ctx):
-            ctx._activation.obj = current_obj
-            ctx._activation.event_block = block
-            result = yield from fn(ctx, block)
-            return result
+        One surrogate serves the whole chain of a delivered notice (§7's
+        argument for the master handler thread — do not pay a thread
+        creation per handler run — applied to §6.1); it is created when
+        the first handler is due and replaced only if it died (watchdog,
+        crash). ``surrogate_cost`` is charged per handler by the caller.
+        """
+        invoker = self.cluster.invoker
+        name = f"handler:{block.event}"
+        surrogate = thread.chain_surrogate
+        if surrogate is None or not surrogate.alive:
+            surrogate = thread.chain_surrogate = invoker.create_loop_thread(
+                node, name, KIND_SURROGATE, attributes=thread.attributes,
+                impersonate=thread.tid)
+        watchdog = self._watch_surrogate(surrogate, thread, block, deadline)
 
-        surrogate = self.cluster.invoker.adopt_loop_thread(
-            node, body, f"handler:{block.event}", KIND_SURROGATE,
-            attributes=thread.attributes, impersonate=thread.tid)
-        self._watch_surrogate(surrogate, thread, block, deadline)
-        surrogate.completion.add_done_callback(
-            lambda fut: self._surrogate_done(fut, done, thread, block))
+        def exited(value: Any, error: BaseException | None) -> None:
+            # A watchdog outliving its run could destroy the surrogate
+            # under a later handler of the chain.
+            if watchdog is not None:
+                watchdog.cancel()
+            self._handler_exited(value, error, done, thread, block)
 
-    def _run_invoke_surrogate(self, thread: DThread, obj: "DistObject",
-                              fn_name: str, block: EventBlock, node: int,
-                              done, deadline: float | None = None) -> None:
-        """Attaching-object / buddy handler via unscheduled invocation."""
+        invoker.run_frame(surrogate, frame_fn, name, *frame_args,
+                          on_exit=exited)
 
-        def body(ctx):
-            result = yield sc.Invoke(cap=obj.cap, entry=fn_name,
-                                     args=(block,), as_handler=True,
-                                     handler_block=block)
-            return result
-
-        surrogate = self.cluster.invoker.adopt_loop_thread(
-            node, body, f"handler:{block.event}", KIND_SURROGATE,
-            attributes=thread.attributes, impersonate=thread.tid)
-        self._watch_surrogate(surrogate, thread, block, deadline)
-        surrogate.completion.add_done_callback(
-            lambda fut: self._surrogate_done(fut, done, thread, block))
+    def _retire_surrogate(self, thread: DThread) -> None:
+        """The chain is over (or pausing for a backoff): end its surrogate."""
+        surrogate, thread.chain_surrogate = thread.chain_surrogate, None
+        if surrogate is not None:
+            self.cluster.invoker.retire_loop_thread(surrogate)
 
     def _watch_surrogate(self, surrogate: DThread, thread: DThread,
-                         block: EventBlock,
-                         deadline: float | None) -> None:
-        """Arm the watchdog on one surrogate handler run."""
+                         block: EventBlock, deadline: float | None):
+        """Arm the watchdog on one surrogate handler run; the caller
+        cancels the returned handle (None: unsupervised) when it ends."""
         if deadline is None:
-            return
+            return None
 
         def expire() -> None:
-            if surrogate.completion.done or not surrogate.alive:
-                return
             self.supervisor.counters["handler_timeouts"] += 1
             self.cluster.tracer.emit("supervise", "handler-timeout",
                                      event=block.event,
                                      tid=str(thread.tid), deadline=deadline)
-            # Cancelling the surrogate fails its completion future with
-            # the timeout; _surrogate_done turns that into PROPAGATE so
-            # the chain falls through (LIFO order preserved).
+            # Queue the notice first: destroying the surrogate exits its
+            # frame with the timeout, which _handler_exited turns into
+            # PROPAGATE, and the chain falls through (LIFO order
+            # preserved) before this returns.
+            self._raise_handler_timeout(thread, block, deadline)
             self.cluster.invoker.destroy_thread_abrupt(
                 surrogate, HandlerTimeout(
                     f"handler for {block.event} exceeded {deadline}s"))
-            self._raise_handler_timeout(thread, block, deadline)
 
-        self.cluster.sim.call_after(deadline, expire)
+        return self.cluster.sim.call_after(deadline, expire)
 
     def _raise_handler_timeout(self, thread: DThread, block: EventBlock,
                                deadline: float) -> None:
@@ -950,22 +969,32 @@ class EventManager:
     def _surrogate_done(self, fut: SimFuture[Any], done,
                         thread: DThread | None = None,
                         block: EventBlock | None = None) -> None:
+        """:meth:`_handler_exited` for a handler run that settles a
+        future (an object's own handler, on the master thread)."""
         if fut.failed or fut.cancelled:
             try:
                 fut.result()
             except BaseException as exc:  # noqa: BLE001
-                if not isinstance(exc, HandlerTimeout):
-                    # Timeouts have their own counter/trace; everything
-                    # else is a handler failure worth surfacing.
-                    self.handler_failures += 1
-                    self.cluster.tracer.emit(
-                        "event", "handler-error",
-                        event=block.event if block is not None else None,
-                        tid=str(thread.tid) if thread is not None else None,
-                        error=repr(exc))
-                done(Decision.PROPAGATE, None, exc)
+                self._handler_exited(None, exc, done, thread, block)
             return
-        decision, value = self._parse_decision(fut.result())
+        self._handler_exited(fut.result(), None, done, thread, block)
+
+    def _handler_exited(self, result: Any, error: BaseException | None,
+                        done, thread: DThread | None = None,
+                        block: EventBlock | None = None) -> None:
+        if error is not None:
+            if not isinstance(error, HandlerTimeout):
+                # Timeouts have their own counter/trace; everything
+                # else is a handler failure worth surfacing.
+                self.handler_failures += 1
+                self.cluster.tracer.emit(
+                    "event", "handler-error",
+                    event=block.event if block is not None else None,
+                    tid=str(thread.tid) if thread is not None else None,
+                    error=repr(error))
+            done(Decision.PROPAGATE, None, error)
+            return
+        decision, value = self._parse_decision(result)
         done(decision, value, None)
 
     @staticmethod
@@ -1410,6 +1439,7 @@ class EventManager:
                                  node=frame.node)
 
         def finish(decision: Decision, value: Any) -> None:
+            self._retire_surrogate(thread)
             thread.suspended_by_event = False
             if decision is Decision.RESUME:
                 # Levin-style repair: the faulted invocation returns the
@@ -1519,11 +1549,12 @@ class EventManager:
         # The node's own "it is here" hint is now stale; the TCB
         # forwarding pointer (set right after this hook) takes over.
         self.cluster.kernels[node].location_hints.invalidate(thread.tid)
-        for spec_id in list(thread.armed_timers):
-            armed_node, timer_id = thread.armed_timers[spec_id]
-            if armed_node == node:
-                self.cluster.kernels[node].timers.cancel(timer_id)
-                del thread.armed_timers[spec_id]
+        if thread.armed_timers:
+            for spec_id in list(thread.armed_timers):
+                armed_node, timer_id = thread.armed_timers[spec_id]
+                if armed_node == node:
+                    self.cluster.kernels[node].timers.cancel(timer_id)
+                    del thread.armed_timers[spec_id]
 
     def thread_left_for_good(self, thread: DThread, node: int) -> None:
         """No frames of the thread remain on ``node``."""
@@ -1538,15 +1569,19 @@ class EventManager:
 
     def thread_gone(self, thread: DThread) -> None:
         """The thread finished or was terminated; final cleanup."""
-        for spec_id in list(thread.armed_timers):
-            node, timer_id = thread.armed_timers.pop(spec_id)
-            self.cluster.kernels[node].timers.cancel(timer_id)
+        kernels = self.cluster.kernels
+        if thread.armed_timers:
+            for spec_id in list(thread.armed_timers):
+                node, timer_id = thread.armed_timers.pop(spec_id)
+                kernels[node].timers.cancel(timer_id)
         self.cluster.fabric.multicast_groups.dissolve(
             thread.tid.multicast_group)
         # Dead threads must not linger in any node's location cache: a
         # post must miss everywhere and reach §7.2 dead-target detection.
-        for kernel in self.cluster.kernels.values():
-            kernel.location_hints.invalidate(thread.tid)
+        holders = self.cluster.hint_holders.get(thread.tid)
+        if holders:
+            for node in sorted(holders):
+                kernels[node].location_hints.invalidate(thread.tid)
         # Notices still queued — or mid-delivery — die with the thread;
         # every raiser, synchronous or not, gets the §7.2 notification
         # instead of silence.

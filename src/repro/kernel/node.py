@@ -58,7 +58,8 @@ class Kernel:
         self.timers = TimerService(cluster.sim, node_id)
         self.thread_table = ThreadTable(node_id)
         self.location_hints = LocationHintTable(
-            node_id, capacity=cluster.config.location_hint_capacity)
+            node_id, capacity=cluster.config.location_hint_capacity,
+            holders=cluster.hint_holders)
         # The journal lives in the *cluster* store: it is the simulated
         # durable medium, so crash() must not be able to touch it.
         self.store = NodeStore(self, cluster.store.journal(node_id))

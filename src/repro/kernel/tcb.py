@@ -63,7 +63,9 @@ class ThreadTable:
 
     def thread_arrived(self, tid: object) -> Tcb:
         """A frame of ``tid`` starts executing on this node (push)."""
-        tcb = self._tcbs.setdefault(tid, Tcb(tid=tid))
+        tcb = self._tcbs.get(tid)
+        if tcb is None:
+            tcb = self._tcbs[tid] = Tcb(tid=tid)
         tcb.frames += 1
         tcb.innermost = True
         tcb.next_node = None
@@ -121,12 +123,18 @@ class LocationHintTable:
     lookup that points at a node no longer holding the thread costs one
     wasted message, after which the chase falls back on TCB forwarding
     pointers and ultimately the configured base strategy.
+
+    ``holders`` is the reverse index ``tid -> {nodes holding a hint}``
+    the tables of one cluster share, so a thread's exit invalidates its
+    hints on the nodes that have one instead of asking every node.
     """
 
-    def __init__(self, node_id: int, capacity: int = 1024) -> None:
+    def __init__(self, node_id: int, capacity: int = 1024,
+                 holders: dict[object, set[int]] | None = None) -> None:
         self.node_id = node_id
         self.capacity = capacity
         self._hints: OrderedDict[object, int] = OrderedDict()
+        self._holders = holders if holders is not None else {}
         #: counters surfaced by :meth:`stats` for benchmarks/diagnostics
         self.hits = 0
         self.misses = 0
@@ -157,23 +165,40 @@ class LocationHintTable:
     def install(self, tid: object, node: int) -> None:
         """Record that ``tid`` was last observed executing on ``node``."""
         self.installs += 1
-        if tid in self._hints:
-            self._hints.move_to_end(tid)
-        self._hints[tid] = node
-        while len(self._hints) > self.capacity:
-            self._hints.popitem(last=False)
+        hints = self._hints
+        if tid in hints:
+            hints.move_to_end(tid)
+        else:
+            nodes = self._holders.get(tid)
+            if nodes is None:
+                self._holders[tid] = {self.node_id}
+            else:
+                nodes.add(self.node_id)
+        hints[tid] = node
+        while len(hints) > self.capacity:
+            self._release(hints.popitem(last=False)[0])
             self.evictions += 1
 
     def invalidate(self, tid: object) -> bool:
         """Drop the hint for ``tid``. True if one was present."""
         if self._hints.pop(tid, None) is not None:
+            self._release(tid)
             self.invalidations += 1
             return True
         return False
 
     def clear(self) -> None:
         """Forget every hint (the node crashed; hints were volatile)."""
+        for tid in self._hints:
+            self._release(tid)
         self._hints.clear()
+
+    def _release(self, tid: object) -> None:
+        """This table no longer holds a hint for ``tid``."""
+        nodes = self._holders[tid]
+        nodes.discard(self.node_id)
+        if not nodes:
+            del self._holders[tid]
 
     def stats(self) -> dict[str, int]:
         return {

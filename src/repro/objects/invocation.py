@@ -98,15 +98,16 @@ class InvocationEngine:
         thread.state = RUNNING
         self.invoke(thread, sc.Invoke(cap=cap, entry=entry, args=args))
 
-    def adopt_loop_thread(self, node: int, gen_fn: Any, name: str,
-                          kind: str, *gen_args: Any,
-                          attributes: ThreadAttributes | None = None,
-                          impersonate: Any = None) -> DThread:
-        """Create a thread running a bare generator frame on ``node``.
+    def create_loop_thread(self, node: int, name: str, kind: str,
+                           attributes: ThreadAttributes | None = None,
+                           impersonate: Any = None) -> DThread:
+        """Create a thread on ``node`` that runs bare generator frames.
 
         Used for kernel service threads (the master handler thread of §7)
         and for surrogate threads, which "take on the attributes of the
-        suspended thread" (§6.1) via the ``attributes`` argument.
+        suspended thread" (§6.1) via the ``attributes`` argument. The
+        thread is findable cluster-wide from here on; it has no frame
+        until :meth:`run_frame` gives it one.
         """
         cluster = self.cluster
         kernel = cluster.kernels[node]
@@ -117,13 +118,43 @@ class InvocationEngine:
         cluster.live_threads[tid] = thread
         kernel.thread_table.thread_arrived(tid)
         cluster.events.thread_entered_node(thread, node, created=True)
-        act = Activation(obj=None, entry=name, gen=None, node=node)
-        thread.push_frame(act)
-        act.gen = gen_fn(act.ctx, *gen_args)
         cluster.tracer.emit("thread", "create", tid=str(tid), node=node,
                             kind=kind, entry=name)
+        return thread
+
+    def run_frame(self, thread: DThread, gen_fn: Any, name: str,
+                  *gen_args: Any, on_exit: Any) -> None:
+        """Run ``gen_fn(ctx, *gen_args)`` as the only frame of a loop
+        thread, starting inside the running callback.
+
+        When the frame leaves — or the thread dies under it —
+        ``on_exit(value, error)`` gets the outcome; a surviving thread
+        stays alive for its next frame or :meth:`retire_loop_thread`.
+        """
+        self._push_bare_frame(thread, gen_fn, name, gen_args)
+        thread.frame_exit = on_exit
+        thread.step_now()
+
+    def retire_loop_thread(self, thread: DThread) -> None:
+        """End a loop thread that is between frames."""
+        if thread.alive:
+            self._finalize(thread, None, None)
+
+    def adopt_loop_thread(self, node: int, gen_fn: Any, name: str,
+                          kind: str, *gen_args: Any) -> DThread:
+        """Create a loop thread whose life is the one frame ``gen_fn``,
+        first stepped after the work already queued for this instant."""
+        thread = self.create_loop_thread(node, name, kind)
+        self._push_bare_frame(thread, gen_fn, name, gen_args)
         thread.schedule_step(None, None)
         return thread
+
+    def _push_bare_frame(self, thread: DThread, gen_fn: Any, name: str,
+                         gen_args: tuple) -> None:
+        act = Activation(obj=None, entry=name, gen=None,
+                         node=thread.current_node)
+        thread.push_frame(act)
+        act.gen = gen_fn(act.ctx, *gen_args)
 
     # ------------------------------------------------------------------
     # synchronous invocation
@@ -237,7 +268,12 @@ class InvocationEngine:
             tid=str(thread.tid), entry=frame.entry, node=frame.node,
             oid=frame.obj.oid if frame.obj is not None else -1)
         if not thread.frames:
-            self._complete_thread(thread, frame.node, value, error)
+            on_exit = thread.frame_exit
+            if on_exit is None:
+                self._complete_thread(thread, frame.node, value, error)
+            else:
+                thread.frame_exit = None
+                on_exit(value, error)
             return
         self._resume_or_fail_frame(thread, value, error, frame.is_remote,
                                    frame.node, frame.caller_node)
@@ -321,6 +357,11 @@ class InvocationEngine:
         cluster.tracer.emit("thread", "exit", tid=str(thread.tid),
                             state=state)
         thread.finish(value, error, state=state)
+        on_exit = thread.frame_exit
+        if on_exit is not None:
+            # Died with a frame running: whoever ran it learns the fate.
+            thread.frame_exit = None
+            on_exit(None, error)
 
     # ------------------------------------------------------------------
     # asynchronous invocation (spawn)
@@ -499,8 +540,8 @@ class InvocationEngine:
         Unlike :meth:`terminate_thread` there is no orderly frame-by-frame
         unwind and no ABORT notifications: the machine holding the stack
         is gone. Generators are closed locally (a simulation artefact —
-        Python would otherwise warn about un-collected frames), every
-        node's TCB entry for the thread is purged, and the completion
+        Python would otherwise warn about un-collected frames), its TCB
+        on every node holding a frame is purged, and the completion
         future fails with ``error`` so waiters learn the fate in bounded
         time. Raisers with events queued on the thread get dead-target
         notices via the usual ``thread_gone`` path.
@@ -510,6 +551,7 @@ class InvocationEngine:
         thread.cancel_wait()
         thread.cancel_pending_steps()
         thread.state = TERMINATING
+        kernels = self.cluster.kernels
         for frame in reversed(thread.frames):
             gen = frame.gen
             if gen is not None:
@@ -517,9 +559,10 @@ class InvocationEngine:
                     gen.close()
                 except BaseException:  # noqa: BLE001 - cleanup crash moot
                     pass
+            # TCBs exist only where the thread has frames (and at its
+            # root, which _finalize purges).
+            kernels[frame.node].thread_table.purge(thread.tid)
         thread.frames.clear()
-        for kernel in self.cluster.kernels.values():
-            kernel.thread_table.purge(thread.tid)
         self.cluster.tracer.emit("thread", "destroy", tid=str(thread.tid),
                                  error=repr(error))
         self._finalize(thread, None, error, state=TERMINATED)

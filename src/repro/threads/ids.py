@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import ThreadError
 
@@ -24,6 +24,16 @@ class ThreadId:
 
     root: int
     seq: int
+    #: ids key every per-thread table, so the hash is computed once
+    _hash: int = field(init=False, repr=False, compare=False)
+    _group: str | None = field(default=None, init=False, repr=False,
+                               compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.root, self.seq)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"T{self.root}.{self.seq}"
@@ -38,7 +48,11 @@ class ThreadId:
     @property
     def multicast_group(self) -> str:
         """Name of this thread's multicast group (§7.1 third strategy)."""
-        return f"thread:{self}"
+        group = self._group
+        if group is None:
+            group = f"thread:{self}"
+            object.__setattr__(self, "_group", group)
+        return group
 
 
 @dataclass(frozen=True, order=True)
@@ -47,6 +61,13 @@ class GroupId:
 
     root: int
     seq: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.root, self.seq)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"G{self.root}.{self.seq}"

@@ -103,6 +103,11 @@ class DThread:
         #: for surrogates: the suspended thread this one acts for (its
         #: tid is what user code sees via ctx.tid)
         self.impersonates = None
+        #: for a thread kept across bare frames (a handler chain's
+        #: surrogate): called with ``(value, error)`` when its stack
+        #: empties, or when it dies with a frame running, in place of
+        #: completing the thread
+        self.frame_exit: Any = None
         self.state = NEW
         self.frames: list[Activation] = []
         self.completion: SimFuture[Any] = SimFuture(cluster.sim)
@@ -126,6 +131,10 @@ class DThread:
         #: the block whose handler chain is running (surfaced as a
         #: dead-target notice if the thread dies mid-delivery)
         self.delivering_block: Any = None
+        #: the surrogate running the handler chain of the notice (or
+        #: exception) being delivered; one per chain, see
+        #: ``EventManager._run_on_surrogate``
+        self.chain_surrogate: "DThread | None" = None
         #: block ids already accepted, bounded FIFO (suppresses network
         #: duplicates so handlers run exactly once)
         self._seen_blocks: set[int] = set()
@@ -212,6 +221,11 @@ class DThread:
         """Arrange for the driver to resume the innermost frame."""
         self.state = RUNNING
         self.sim.call_soon(self._step, value, error, self._step_epoch)
+
+    def step_now(self) -> None:
+        """Start the innermost frame inside the running callback."""
+        self.state = RUNNING
+        self._step(None, None)
 
     def schedule_step_after(self, delay: float, value: Any = None,
                             error: BaseException | None = None) -> None:

@@ -411,3 +411,79 @@ class TestSyncResumeFromHandler:
         assert future.result() == "early-value"
         # the raiser was resumed long before the handler's 5s tail
         assert cluster.now >= start + 5.0  # tail ran to completion
+
+
+class TestChainSurrogateTrace:
+    """The thread-based path's trace contract: one ``thread/create``
+    (``kind=surrogate entry=handler:<event>``) and one ``thread/exit``
+    per chain, whichever path (notice or exception) walks it."""
+
+    def _surrogate_lifecycle(self, cluster):
+        created = cluster.tracer.select("thread", "create", kind="surrogate")
+        tids = [r.get("tid") for r in created]
+        exits = [r.get("tid") for r in cluster.tracer.select("thread", "exit")
+                 if r.get("tid") in tids]
+        return created, exits
+
+    def test_mixed_context_chain_creates_and_exits_once(self):
+        cluster = _rig()
+        log = Logger()
+        buddy = cluster.create_object(HandlerHost, log, node=3)
+
+        class App(HandlerHost):
+            @entry
+            def work(self, ctx, buddy_cap):
+                def current(hctx, block):
+                    log.add("current", hctx.node, str(hctx.real_tid))
+                    yield hctx.compute(1e-5)
+                    return Decision.RESUME
+
+                yield ctx.attach_handler("EVT", current)
+                yield ctx.attach_handler("EVT", "propagate_handler")
+                yield ctx.attach_handler("EVT", "propagate_handler",
+                                         buddy=buddy_cap)
+                yield ctx.sleep(100.0)
+
+        app = cluster.create_object(App, log, node=1)
+        thread = cluster.spawn(app, "work", buddy, at=1)
+        cluster.run(until=0.05)
+        cluster.raise_event("EVT", thread.tid, from_node=0)
+        cluster.run(until=0.5)
+        created, exits = self._surrogate_lifecycle(cluster)
+        assert [e[:2] for e in log.entries] == [
+            ("propagate_handler", 3), ("propagate_handler", 1),
+            ("current", 1)]
+        assert [(r.get("entry"), r.get("node")) for r in created] \
+            == [("handler:EVT", 1)]
+        assert exits == [created[0].get("tid")] == [log.entries[2][2]]
+
+    def test_exception_chain_shares_and_retires_its_surrogate(self):
+        cluster = make_cluster(n_nodes=2)
+        ran = []
+
+        class App(DistObject):
+            @entry
+            def guarded(self, ctx):
+                def passes(hctx, block):
+                    ran.append(("passes", hctx.real_tid))
+                    yield hctx.compute(0)
+                    return Decision.PROPAGATE
+
+                def repairs(hctx, block):
+                    ran.append(("repairs", hctx.real_tid))
+                    yield hctx.compute(0)
+                    return (Decision.RESUME, "repaired")
+
+                yield ctx.attach_handler("DIV_ZERO", repairs)
+                yield ctx.attach_handler("DIV_ZERO", passes)
+                return 1 / 0
+
+        app = cluster.create_object(App, node=0)
+        thread = cluster.spawn(app, "guarded", at=0)
+        cluster.run()
+        assert thread.completion.result() == "repaired"
+        assert [name for name, _ in ran] == ["passes", "repairs"]
+        assert ran[0][1] == ran[1][1] != thread.tid
+        created, exits = self._surrogate_lifecycle(cluster)
+        assert len(created) == 1 and exits == [str(ran[0][1])]
+        assert cluster.live_threads == {}

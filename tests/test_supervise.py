@@ -203,6 +203,78 @@ class TestWatchdog:
         assert hits == [0, 1]
         assert cluster.supervision_stats()["handler_timeouts"] >= 1
 
+class TimedChainApp(DistObject):
+    """A chain whose handler *i* sleeps ``steps[i][0]`` under deadline
+    ``steps[i][1]``; all PROPAGATE."""
+
+    @entry
+    def work(self, ctx, steps, log, seen):
+        def watch(hctx, block):
+            seen.append(block.user_data)
+            yield hctx.compute(0)
+            return Decision.RESUME
+
+        def step(pos, seconds):
+            def handler(hctx, block):
+                log.append((pos, "start", hctx.real_tid))
+                yield hctx.sleep(seconds)
+                log.append((pos, "end", hctx.real_tid))
+                return Decision.PROPAGATE
+            return handler
+
+        yield ctx.attach_handler("HANDLER_TIMEOUT", watch)
+        for pos in reversed(range(len(steps))):  # LIFO: 0 runs first
+            seconds, deadline = steps[pos]
+            yield ctx.attach_handler("EVT", step(pos, seconds),
+                                     deadline=deadline)
+        yield ctx.sleep(100.0)
+
+
+class TestResidentSurrogateWatchdog:
+    """The chain's handlers share one surrogate, so a watchdog must die
+    with the handler run it was armed for."""
+
+    def _run(self, steps):
+        cluster = _rig(n_nodes=2)
+        log, seen = [], []
+        app = cluster.create_object(TimedChainApp, node=0)
+        thread = cluster.spawn(app, "work", steps, log, seen, at=0)
+        cluster.run(until=0.1)
+        cancelled = cluster.sim.stats()["cancellations"]
+        cluster.raise_event("EVT", thread.tid, from_node=1)
+        cluster.run(until=cluster.now + 1.0)
+        cancelled = cluster.sim.stats()["cancellations"] - cancelled
+        return cluster, thread, log, seen, cancelled
+
+    def test_timeout_mid_chain_replaces_the_surrogate(self):
+        cluster, thread, log, seen, _ = self._run(
+            [(1e-3, None), (1e9, 0.05), (1e-3, None)])
+        assert [(pos, what) for pos, what, _ in log] == [
+            (0, "start"), (0, "end"), (1, "start"),
+            (2, "start"), (2, "end")]
+        first, hung, fresh = log[0][2], log[2][2], log[3][2]
+        assert first == hung != fresh
+        assert cluster.supervision_stats()["handler_timeouts"] == 1
+        assert seen == [{"event": "EVT", "deadline": 0.05}]  # raised once
+        destroyed = cluster.tracer.select("thread", "destroy")
+        assert [r.get("tid") for r in destroyed] == [str(hung)]
+        assert thread.state == "blocked"
+        assert [t for t in cluster.live_threads.values()
+                if t.kind == "surrogate"] == []
+
+    def test_finished_handlers_watchdog_never_fires_into_the_next(self):
+        # Handler 0's deadline (armed at t, due t+0.05) falls inside
+        # handler 1's run (t+0.03 .. t+0.07, own deadline t+0.08).
+        cluster, thread, log, seen, cancelled = self._run(
+            [(0.03, 0.05), (0.04, 0.05)])
+        assert [(pos, what) for pos, what, _ in log] == [
+            (0, "start"), (0, "end"), (1, "start"), (1, "end")]
+        assert len({real for _, _, real in log}) == 1
+        assert cluster.supervision_stats()["handler_timeouts"] == 0
+        assert seen == []
+        assert cancelled == 2  # both watchdogs disarmed at handler exit
+        assert thread.state == "blocked"
+
 
 # ======================================================================
 # buddy retry / breaker / fast-fail
@@ -624,6 +696,7 @@ class TestChaosWithHandlerFaults:
         assert sum(report.handler_fault_counts.values()) > 0
         assert report.violations == []
         assert report.accounted_rate == 1.0
+        # counts every live surrogate, running a handler or parked
         assert report.hung_handlers == 0
 
     def test_supervised_durable_chaos_exactly_once_or_quarantined(self):
