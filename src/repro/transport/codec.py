@@ -70,25 +70,35 @@ def _append_uvarint(out: bytearray, value: int) -> None:
 
 def _append_varint(out: bytearray, value: int) -> None:
     # zigzag works for arbitrary-precision ints: no 64-bit clamp
-    _append_uvarint(out, (value << 1) if value >= 0 else ((-value << 1) - 1))
+    value = (value << 1) if value >= 0 else ((-value << 1) - 1)
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
 
+
+# Readers index past a truncated buffer's end freely: the IndexError
+# becomes a CodecError in _decoding, once per frame instead of per byte.
 
 def _read_uvarint(buf: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
+    byte = buf[pos]
+    if byte < 0x80:  # nearly every id, tag and length is one byte
+        return byte, pos + 1
+    result = byte & 0x7F
+    shift = 7
     while True:
-        try:
-            byte = buf[pos]
-        except IndexError:
-            raise CodecError("truncated varint") from None
         pos += 1
+        byte = buf[pos]
         result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
+        if byte < 0x80:
+            return result, pos + 1
         shift += 7
 
 
 def _read_varint(buf: bytes, pos: int) -> tuple[int, int]:
+    raw = buf[pos]
+    if raw < 0x80:
+        return (raw >> 1) ^ -(raw & 1), pos + 1
     raw, pos = _read_uvarint(buf, pos)
     return (raw >> 1) ^ -(raw & 1), pos
 
@@ -137,190 +147,220 @@ def _append_str(out: bytearray, text: str) -> None:
 
 
 def _read_str(buf: bytes, pos: int) -> tuple[str, int]:
-    length, pos = _read_uvarint(buf, pos)
+    length = buf[pos]
+    if length < 0x80:
+        pos += 1
+    else:
+        length, pos = _read_uvarint(buf, pos)
     end = pos + length
     if end > len(buf):
         raise CodecError("truncated string")
     return buf[pos:end].decode("utf-8"), end
 
 
+def _read_raw(buf: bytes, pos: int) -> tuple[bytes, int]:
+    length, pos = _read_uvarint(buf, pos)
+    end = pos + length
+    if end > len(buf):
+        raise CodecError("truncated bytes")
+    return buf[pos:end], end
+
+
 def _append_value(out: bytearray, value: Any) -> None:
-    if value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif type(value) is int:
-        out.append(_T_INT)
+    """Dispatch on ``type(value)``, never isinstance: a subclass may
+    carry extra state a shape encoding would drop, so subclasses (and
+    every unregistered type) take the pickle fallback and lose nothing."""
+    _WRITERS.get(type(value), _append_pickle)(out, value)
+
+
+def _append_bool(out: bytearray, value: bool) -> None:
+    out.append(_T_TRUE if value else _T_FALSE)
+
+
+def _append_int(out: bytearray, value: int) -> None:
+    out.append(_T_INT)
+    if 0 <= value < 0x40:
+        out.append(value << 1)
+    else:
         _append_varint(out, value)
-    elif type(value) is float:
-        out.append(_T_FLOAT)
-        out += _DOUBLE.pack(value)
-    elif type(value) is str:
-        out.append(_T_STR)
-        _append_str(out, value)
-    elif type(value) is bytes:
-        out.append(_T_BYTES)
-        _append_uvarint(out, len(value))
-        out += value
-    elif type(value) is tuple:
-        out.append(_T_TUPLE)
-        _append_uvarint(out, len(value))
-        for item in value:
-            _append_value(out, item)
-    elif type(value) is list:
-        out.append(_T_LIST)
-        _append_uvarint(out, len(value))
-        for item in value:
-            _append_value(out, item)
-    elif type(value) is dict:
-        out.append(_T_DICT)
-        _append_uvarint(out, len(value))
-        for key, item in value.items():
-            _append_value(out, key)
-            _append_value(out, item)
-    else:
-        _append_shape(out, value)
 
 
-def _append_shape(out: bytearray, value: Any) -> None:
-    """Registry of common payload shapes; pickle for everything else.
+def _append_float(out: bytearray, value: float) -> None:
+    out.append(_T_FLOAT)
+    out += _DOUBLE.pack(value)
 
-    ``type() is`` checks, not isinstance: a subclass may carry extra
-    state the shape encoding would drop, so subclasses take the pickle
-    fallback and lose nothing.
-    """
-    from repro.events.block import EventBlock, FrameInfo, ThreadSnapshot
-    from repro.objects.capability import Capability
-    from repro.threads.ids import GroupId, ThreadId
-    kind = type(value)
-    if kind is Capability:
-        out.append(_T_CAPABILITY)
-        _append_varint(out, value.oid)
-        _append_varint(out, value.home)
-        _append_str(out, value.transport)
-        _append_str(out, value.cls_name)
-    elif kind is ThreadId:
-        out.append(_T_THREAD_ID)
-        _append_varint(out, value.root)
-        _append_varint(out, value.seq)
-    elif kind is GroupId:
-        out.append(_T_GROUP_ID)
-        _append_varint(out, value.root)
-        _append_varint(out, value.seq)
-    elif kind is FrameInfo:
-        out.append(_T_FRAME_INFO)
-        _append_varint(out, value.oid)
-        _append_str(out, value.entry)
-        _append_varint(out, value.node)
-        _append_varint(out, value.steps)
-    elif kind is ThreadSnapshot:
-        out.append(_T_SNAPSHOT)
-        _append_value(out, value.tid)
-        _append_str(out, value.state)
-        _append_value(out, value.node)
-        _append_value(out, value.frames)
-    elif kind is EventBlock:
-        out.append(_T_EVENT_BLOCK)
-        for slot in EventBlock.__slots__:
-            _append_value(out, getattr(value, slot))
-    else:
-        raw = pickle.dumps(value)
-        out.append(_T_PICKLE)
-        _append_uvarint(out, len(raw))
-        out += raw
+
+def _append_text(out: bytearray, value: str) -> None:
+    raw = value.encode("utf-8")
+    out.append(_T_STR)
+    _append_uvarint(out, len(raw))
+    out += raw
+
+
+def _append_bytes(out: bytearray, value: bytes, tag: int = _T_BYTES) -> None:
+    out.append(tag)
+    _append_uvarint(out, len(value))
+    out += value
+
+
+def _append_items(out: bytearray, value: Any) -> None:
+    out.append(_T_TUPLE if type(value) is tuple else _T_LIST)
+    _append_uvarint(out, len(value))
+    for item in value:
+        _WRITERS.get(type(item), _append_pickle)(out, item)
+
+
+def _append_dict(out: bytearray, value: dict) -> None:
+    out.append(_T_DICT)
+    _append_uvarint(out, len(value))
+    for key, item in value.items():
+        _WRITERS.get(type(key), _append_pickle)(out, key)
+        _WRITERS.get(type(item), _append_pickle)(out, item)
+
+
+def _append_pickle(out: bytearray, value: Any) -> None:
+    _append_bytes(out, pickle.dumps(value), _T_PICKLE)
+
+
+#: ``type(value)`` -> writer; the shape classes join in _register_shapes
+_WRITERS: dict[type, Any] = {
+    type(None): lambda out, value: out.append(_T_NONE),
+    bool: _append_bool, int: _append_int, float: _append_float,
+    str: _append_text, bytes: _append_bytes, tuple: _append_items,
+    list: _append_items, dict: _append_dict,
+}
 
 
 def _read_value(buf: bytes, pos: int) -> tuple[Any, int]:
-    try:
-        tag = buf[pos]
-    except IndexError:
-        raise CodecError("truncated value") from None
-    pos += 1
-    if tag == _T_NONE:
-        return None, pos
-    if tag == _T_TRUE:
-        return True, pos
-    if tag == _T_FALSE:
-        return False, pos
-    if tag == _T_INT:
-        return _read_varint(buf, pos)
-    if tag == _T_FLOAT:
-        end = pos + _DOUBLE.size
-        if end > len(buf):
-            raise CodecError("truncated float")
-        return _DOUBLE.unpack_from(buf, pos)[0], end
-    if tag == _T_STR:
-        return _read_str(buf, pos)
-    if tag == _T_BYTES:
-        length, pos = _read_uvarint(buf, pos)
-        end = pos + length
-        if end > len(buf):
-            raise CodecError("truncated bytes")
-        return buf[pos:end], end
-    if tag == _T_TUPLE or tag == _T_LIST:
-        count, pos = _read_uvarint(buf, pos)
-        items = []
-        for _ in range(count):
-            item, pos = _read_value(buf, pos)
-            items.append(item)
-        return (tuple(items) if tag == _T_TUPLE else items), pos
-    if tag == _T_DICT:
-        count, pos = _read_uvarint(buf, pos)
-        data = {}
-        for _ in range(count):
-            key, pos = _read_value(buf, pos)
-            item, pos = _read_value(buf, pos)
-            data[key] = item
-        return data, pos
-    return _read_shape(tag, buf, pos)
+    tag = buf[pos]
+    if tag <= _T_FALSE:
+        return _SINGLETONS[tag], pos + 1
+    if tag > _T_PICKLE:
+        raise CodecError(f"unknown value tag {tag} (codec version {VERSION})")
+    return _READERS[tag](buf, pos + 1)
 
 
-def _read_shape(tag: int, buf: bytes, pos: int) -> tuple[Any, int]:
+def _read_float(buf: bytes, pos: int) -> tuple[float, int]:
+    end = pos + _DOUBLE.size
+    if end > len(buf):
+        raise CodecError("truncated float")
+    return _DOUBLE.unpack_from(buf, pos)[0], end
+
+
+def _read_list(buf: bytes, pos: int) -> tuple[list, int]:
+    count, pos = _read_uvarint(buf, pos)
+    items = []
+    for _ in range(count):
+        item, pos = _read_value(buf, pos)
+        items.append(item)
+    return items, pos
+
+
+def _read_tuple(buf: bytes, pos: int) -> tuple[tuple, int]:
+    items, pos = _read_list(buf, pos)
+    return tuple(items), pos
+
+
+def _read_dict(buf: bytes, pos: int) -> tuple[dict, int]:
+    count, pos = _read_uvarint(buf, pos)
+    data = {}
+    for _ in range(count):
+        key, pos = _read_value(buf, pos)
+        data[key], pos = _read_value(buf, pos)
+    return data, pos
+
+
+def _read_pickle(buf: bytes, pos: int) -> tuple[Any, int]:
+    raw, pos = _read_raw(buf, pos)
+    return pickle.loads(raw), pos
+
+
+_SINGLETONS = (None, True, False)
+#: value tag -> reader, in ``_T_*`` order: the singletons have none, the
+#: shapes get theirs in _register_shapes
+_READERS = [None, None, None, _read_varint, _read_float, _read_str,
+            _read_raw, _read_tuple, _read_list, _read_dict,
+            None, None, None, None, None, None, _read_pickle]
+
+_Message: Any = None  # resolved, with the shape classes, on first use
+
+
+def _register_shapes() -> None:
+    """Resolve ``Message`` and the registry of common payload shapes,
+    once per process and on first use (importing them with this module
+    would pull the event and thread layers into every process that only
+    frames bytes).  A dataclass shape is a tag, a class and a field plan
+    run by one generic writer and reader; EventBlock has its own pair."""
+    global _Message
+    from operator import attrgetter
+
     from repro.events.block import EventBlock, FrameInfo, ThreadSnapshot
+    from repro.net.message import Message
     from repro.objects.capability import Capability
     from repro.threads.ids import GroupId, ThreadId
-    if tag == _T_CAPABILITY:
-        oid, pos = _read_varint(buf, pos)
-        home, pos = _read_varint(buf, pos)
-        transport, pos = _read_str(buf, pos)
-        cls_name, pos = _read_str(buf, pos)
-        return Capability(oid=oid, home=home, transport=transport,
-                          cls_name=cls_name), pos
-    if tag == _T_THREAD_ID or tag == _T_GROUP_ID:
-        root, pos = _read_varint(buf, pos)
-        seq, pos = _read_varint(buf, pos)
-        cls = ThreadId if tag == _T_THREAD_ID else GroupId
-        return cls(root=root, seq=seq), pos
-    if tag == _T_FRAME_INFO:
-        oid, pos = _read_varint(buf, pos)
-        entry, pos = _read_str(buf, pos)
-        node, pos = _read_varint(buf, pos)
-        steps, pos = _read_varint(buf, pos)
-        return FrameInfo(oid=oid, entry=entry, node=node, steps=steps), pos
-    if tag == _T_SNAPSHOT:
-        tid, pos = _read_value(buf, pos)
-        state, pos = _read_str(buf, pos)
-        node, pos = _read_value(buf, pos)
-        frames, pos = _read_value(buf, pos)
-        return ThreadSnapshot(tid=tid, state=state, node=node,
-                              frames=frames), pos
-    if tag == _T_EVENT_BLOCK:
+    i = (_append_varint, _read_varint)
+    s = (_append_str, _read_str)
+    v = (_append_value, _read_value)
+    for tag, cls, plan in (
+            (_T_CAPABILITY, Capability,
+             (("oid", i), ("home", i), ("transport", s), ("cls_name", s))),
+            (_T_THREAD_ID, ThreadId, (("root", i), ("seq", i))),
+            (_T_GROUP_ID, GroupId, (("root", i), ("seq", i))),
+            (_T_FRAME_INFO, FrameInfo,
+             (("oid", i), ("entry", s), ("node", i), ("steps", i))),
+            (_T_SNAPSHOT, ThreadSnapshot,
+             (("tid", v), ("state", s), ("node", v), ("frames", v)))):
+        _WRITERS[cls] = _shape_writer(
+            tag, attrgetter(*(name for name, _ in plan)),
+            [append for _, (append, _) in plan])
+        _READERS[tag] = _shape_reader(cls, [read for _, (_, read) in plan])
+    _WRITERS[EventBlock], _READERS[_T_EVENT_BLOCK] = _block_codec(
+        EventBlock, attrgetter(*EventBlock.__slots__))
+    _Message = Message
+
+
+def _shape_writer(tag: int, fields: Any, appends: list) -> Any:
+    def write(out: bytearray, value: Any) -> None:
+        out.append(tag)
+        for append, item in zip(appends, fields(value)):
+            append(out, item)
+    return write
+
+
+def _shape_reader(cls: type, reads: list) -> Any:
+    def read(buf: bytes, pos: int) -> tuple[Any, int]:
+        values = []
+        for read_field in reads:
+            value, pos = read_field(buf, pos)
+            values.append(value)
+        return cls(*values), pos  # field order = plan order
+    return read
+
+
+def _block_codec(cls: type, slot_values: Any) -> tuple[Any, Any]:
+    """The one shape on every post: each slot is a value, dispatched
+    here without a call in between, and most slots hold a singleton."""
+    def write(out: bytearray, block: Any) -> None:
+        out.append(_T_EVENT_BLOCK)
+        for item in slot_values(block):
+            if item is None:
+                out.append(_T_NONE)
+            else:
+                _WRITERS.get(type(item), _append_pickle)(out, item)
+
+    def read(buf: bytes, pos: int) -> tuple[Any, int]:
         # __new__ + setattr, like unpickling: the receiver's module
         # counter must not tick and block_id arrives verbatim
-        block = EventBlock.__new__(EventBlock)
-        for slot in EventBlock.__slots__:
-            value, pos = _read_value(buf, pos)
+        block = cls.__new__(cls)
+        for slot in cls.__slots__:
+            if buf[pos] <= _T_FALSE:
+                value = _SINGLETONS[buf[pos]]
+                pos += 1
+            else:
+                value, pos = _read_value(buf, pos)
             setattr(block, slot, value)
         return block, pos
-    if tag == _T_PICKLE:
-        length, pos = _read_uvarint(buf, pos)
-        end = pos + length
-        if end > len(buf):
-            raise CodecError("truncated pickle fallback")
-        return pickle.loads(buf[pos:end]), end
-    raise CodecError(f"unknown value tag {tag} (codec version {VERSION})")
+    return write, read
 
 
 # ----------------------------------------------------------------------
@@ -368,13 +408,8 @@ def _append_message(out: bytearray, message: Any) -> None:
 
 
 def _read_message(buf: bytes, pos: int) -> tuple[Any, int]:
-    from repro.net.message import Message
-    try:
-        flags = buf[pos]
-    except IndexError:
-        raise CodecError("truncated envelope") from None
-    pos += 1
-    src, pos = _read_varint(buf, pos)
+    flags = buf[pos]
+    src, pos = _read_varint(buf, pos + 1)
     if flags & _F_DST_STR:
         dst, pos = _read_str(buf, pos)
     else:
@@ -399,7 +434,7 @@ def _read_message(buf: bytes, pos: int) -> tuple[Any, int]:
         ack, pos = _read_varint(buf, pos)
     if flags & _F_GOSSIP:
         gossip, pos = _read_value(buf, pos)
-    message = Message.__new__(Message)
+    message = _Message.__new__(_Message)
     message.src = src
     message.dst = dst
     message.mtype = mtype
@@ -412,23 +447,40 @@ def _read_message(buf: bytes, pos: int) -> tuple[Any, int]:
     return message, pos
 
 
+def _decoding(read: Any, buf: bytes) -> Any:
+    """Run one top-level decode: check the version byte, and turn
+    whatever malformed bytes provoke below — a bad utf-8 run, an
+    unhashable dict key, a shape constructor's own validation, pickle —
+    into the one error type callers are promised."""
+    if not buf:
+        raise CodecError("empty frame")
+    if buf[0] != VERSION:
+        raise CodecError(f"unknown codec version {buf[0]} "
+                         f"(this build speaks {VERSION})")
+    if _Message is None:
+        _register_shapes()
+    try:
+        return read(buf, 1)
+    except CodecError:
+        raise
+    except IndexError:
+        raise CodecError("truncated frame") from None
+    except Exception as exc:  # noqa: BLE001 - hostile bytes, any failure
+        raise CodecError(f"malformed frame: {exc!r}") from exc
+
+
 def encode_message(message: Any) -> bytes:
     """One envelope to bytes (self-delimiting)."""
-    out = bytearray()
-    out.append(VERSION)
+    if _Message is None:
+        _register_shapes()
+    out = bytearray((VERSION,))
     _append_message(out, message)
     return bytes(out)
 
 
 def decode_message(buf: bytes) -> Any:
     """Inverse of :func:`encode_message`."""
-    if not buf:
-        raise CodecError("empty frame")
-    if buf[0] != VERSION:
-        raise CodecError(f"unknown codec version {buf[0]} "
-                         f"(this build speaks {VERSION})")
-    message, _pos = _read_message(buf, 1)
-    return message
+    return _decoding(_read_message, buf)[0]
 
 
 # ----------------------------------------------------------------------
@@ -442,8 +494,9 @@ def encode_batch(records: list[tuple[float, int, Any, int]]) -> bytes:
     message on the barrier pipes; the parent routes blobs by counting,
     never decoding.
     """
-    out = bytearray()
-    out.append(VERSION)
+    if _Message is None:
+        _register_shapes()
+    out = bytearray((VERSION,))
     _append_uvarint(out, len(records))
     for deliver_at, seq, message, dst in records:
         out += _DOUBLE.pack(deliver_at)
@@ -453,22 +506,18 @@ def encode_batch(records: list[tuple[float, int, Any, int]]) -> bytes:
     return bytes(out)
 
 
-def decode_batch(blob: bytes) -> list[tuple[float, int, Any, int]]:
-    """Inverse of :func:`encode_batch`."""
-    if not blob:
-        raise CodecError("empty batch")
-    if blob[0] != VERSION:
-        raise CodecError(f"unknown codec version {blob[0]} "
-                         f"(this build speaks {VERSION})")
-    count, pos = _read_uvarint(blob, 1)
+def _read_batch(blob: bytes, pos: int) -> list[tuple[float, int, Any, int]]:
+    count, pos = _read_uvarint(blob, pos)
     records = []
     for _ in range(count):
-        end = pos + _DOUBLE.size
-        if end > len(blob):
-            raise CodecError("truncated batch record")
-        deliver_at = _DOUBLE.unpack_from(blob, pos)[0]
-        seq, pos = _read_uvarint(blob, end)
+        deliver_at, pos = _read_float(blob, pos)
+        seq, pos = _read_uvarint(blob, pos)
         dst, pos = _read_varint(blob, pos)
         message, pos = _read_message(blob, pos)
         records.append((deliver_at, seq, message, dst))
     return records
+
+
+def decode_batch(blob: bytes) -> list[tuple[float, int, Any, int]]:
+    """Inverse of :func:`encode_batch`."""
+    return _decoding(_read_batch, blob)

@@ -11,10 +11,21 @@ hook on arrival.
 
 Wire format — length-prefixed frames::
 
-    4-byte big-endian frame length
+    4-byte big-endian frame length (at most MAX_FRAME)
     1-byte format:     0 = codec | 1 = pickle | 2 = token
     uvarint dst node
     body:              codec-encoded or pickled Message | OOB token
+
+A frame is appended to its connection's outgoing buffer, and the frames
+a scheduler turn produces for a connection leave in a single ``write``
+when the turn ends; the receiver walks whatever one ``recv`` carried
+with a moving offset and hands every decoded message to the scheduler,
+so delivery stays a scheduler callback (order and the idle hook depend
+on it).  A frame that is too long, names no known format or
+does not decode is *rejected*: counted in ``frames_rejected`` and raised
+as a :class:`~repro.errors.NetworkError` from the scheduler's ``run()``
+— never swallowed by asyncio's exception handler.  An over-long frame
+also costs its connection, whose stream cannot be re-synchronised.
 
 Envelopes normally travel through the compact wire codec
 (:mod:`repro.transport.codec` — the same format the sharded backend
@@ -57,10 +68,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: frame length prefix: 4-byte unsigned big-endian
 _LEN = struct.Struct(">I")
 
+#: longest frame (format byte + dst + body) either side accepts; a
+#: length prefix beyond it is garbage, not something worth buffering for
+MAX_FRAME = 1 << 24
+
 #: frame body formats (first byte after the length prefix)
 _FMT_CODEC = 0
 _FMT_PICKLE = 1
 _FMT_TOKEN = 2
+
+
+def _raise(error: BaseException) -> None:
+    raise error
 
 
 class _FrameReceiver:
@@ -68,7 +87,7 @@ class _FrameReceiver:
 
     def __init__(self, owner: "AsyncioTransport") -> None:
         self._owner = owner
-        self._buf = bytearray()
+        self._buf = b""  # the incomplete frame a recv ended in
 
     # asyncio.Protocol interface (duck-typed; BaseProtocol methods that
     # we do not need are omitted and asyncio tolerates that only on
@@ -77,7 +96,8 @@ class _FrameReceiver:
         self._transport = transport
 
     def connection_lost(self, exc: Exception | None) -> None:
-        pass
+        if self._buf:  # the peer went away mid-frame
+            self._owner._frames_rejected += 1
 
     def pause_writing(self) -> None:  # pragma: no cover - backpressure
         pass
@@ -89,16 +109,25 @@ class _FrameReceiver:
         return False
 
     def data_received(self, data: bytes) -> None:
-        buf = self._buf
-        buf += data
-        while len(buf) >= _LEN.size:
-            (length,) = _LEN.unpack_from(buf)
-            end = _LEN.size + length
-            if len(buf) < end:
+        if self._buf:
+            data = self._buf + data
+        pos = 0
+        size = len(data)
+        while size - pos >= _LEN.size:
+            (length,) = _LEN.unpack_from(data, pos)
+            if length > MAX_FRAME:
+                self._owner._reject(self._transport, NetworkError(
+                    f"tcp frame of {length} bytes exceeds MAX_FRAME"))
+                self._transport.close()
+                pos = size
                 break
-            frame = bytes(buf[_LEN.size:end])
-            del buf[:end]
-            self._owner._on_frame(frame)
+            start = pos + _LEN.size
+            end = start + length
+            if end > size:
+                break
+            self._owner._on_frame(self._transport, data, start, end)
+            pos = end
+        self._buf = data[pos:]
 
 
 class AsyncioTransport(Transport):
@@ -134,10 +163,13 @@ class AsyncioTransport(Transport):
         self.addresses: dict[int, tuple[str, int]] = {}
         #: node -> client connection (one per destination)
         self._conns: dict[int, Any] = {}
+        #: dst -> frames of the current turn, written when it ends
+        self._outgoing: dict[int, bytearray] = {}
         self._in_flight = 0
         self._posted = 0
         self._frames_sent = 0
         self._frames_received = 0
+        self._frames_rejected = 0
         self._bytes_sent = 0
         #: unpicklable payload fallback: token -> live message
         self._oob: dict[int, "Message"] = {}
@@ -224,25 +256,52 @@ class AsyncioTransport(Transport):
                 fmt = _FMT_TOKEN
         head = bytearray((fmt,))
         _append_uvarint(head, dst)
-        payload = bytes(head) + body
-        conn.write(_LEN.pack(len(payload)) + payload)
+        length = len(head) + len(body)
+        if length > MAX_FRAME:
+            self._in_flight -= 1
+            raise NetworkError(
+                f"tcp frame of {length} bytes exceeds MAX_FRAME")
+        out = self._outgoing.get(dst)
+        if out is None:
+            if not self._outgoing:
+                self.scheduler.loop.call_soon(self._flush)
+            out = self._outgoing[dst] = bytearray()
+        out += _LEN.pack(length)
+        out += head
+        out += body
         self._frames_sent += 1
-        self._bytes_sent += _LEN.size + len(payload)
+        self._bytes_sent += _LEN.size + length
+
+    def _flush(self) -> None:
+        """One ``write`` per connection for everything a turn framed.
+        The buffer is handed over (asyncio may keep a view of it)."""
+        outgoing, self._outgoing = self._outgoing, {}
+        for dst, out in outgoing.items():
+            conn = self._conns.get(dst)
+            if conn is not None:  # else close() beat the flush
+                conn.write(out)
 
     # -- receive path ---------------------------------------------------
 
-    def _on_frame(self, frame: bytes) -> None:
-        fmt = frame[0]
-        dst, pos = _read_uvarint(frame, 1)
-        body = frame[pos:]
-        if fmt == _FMT_CODEC:
-            message = codec.decode_message(body)
-        elif fmt == _FMT_PICKLE:
-            message = pickle.loads(body)
-        elif fmt == _FMT_TOKEN:
-            message = self._oob.pop(int(body))
-        else:
-            raise NetworkError(f"unknown tcp frame format {fmt}")
+    def _on_frame(self, source: Any, data: bytes, start: int,
+                  end: int) -> None:
+        try:
+            fmt = data[start]
+            dst, pos = _read_uvarint(data, start + 1)
+            body = data[pos:end]
+            if fmt == _FMT_CODEC:
+                message = codec.decode_message(body)
+            elif fmt == _FMT_PICKLE:
+                message = pickle.loads(body)
+            elif fmt == _FMT_TOKEN:
+                message = self._oob.pop(int(body))
+            else:
+                raise NetworkError(f"unknown tcp frame format {fmt}")
+        except Exception as exc:  # noqa: BLE001 - hostile bytes, any failure
+            if not isinstance(exc, NetworkError):
+                exc = NetworkError(f"undecodable tcp frame: {exc!r}")
+            self._reject(source, exc)
+            return
         self._frames_received += 1
         # hop back onto the scheduler so delivery order/stats match the
         # timer path and the idle hook sees the decrement
@@ -256,6 +315,17 @@ class AsyncioTransport(Transport):
         finally:
             self._in_flight -= 1
 
+    def _reject(self, source: Any, error: NetworkError) -> None:
+        """A frame arrived that cannot be delivered: raise ``error``
+        from the scheduler's ``run()``.  Only a frame one of this
+        cluster's own connections carried was ever counted in flight."""
+        self._frames_rejected += 1
+        peer = source.get_extra_info("peername")
+        if any(conn.get_extra_info("sockname") == peer
+               for conn in self._conns.values()):
+            self._in_flight -= 1
+        self.scheduler.call_soon(_raise, error)
+
     # -- stats ----------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
@@ -264,6 +334,7 @@ class AsyncioTransport(Transport):
             posted=self._posted,
             frames_sent=self._frames_sent,
             frames_received=self._frames_received,
+            frames_rejected=self._frames_rejected,
             bytes_sent=self._bytes_sent,
             in_flight=self._in_flight,
             oob_tokens=self._oob_sent,

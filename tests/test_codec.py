@@ -11,6 +11,7 @@ different codec revision fail loudly with :class:`CodecError`.
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -256,3 +257,184 @@ class TestBatch:
             [(0.5, 1, Message(src=0, dst=1, mtype="x"), 1)])
         with pytest.raises(CodecError):
             decode_batch(blob[:len(blob) - 2])
+
+
+# ----------------------------------------------------------------------
+# the wire format is frozen: golden vectors and a decode fuzzer
+# ----------------------------------------------------------------------
+
+def _golden_block() -> EventBlock:
+    block = EventBlock("USER_PING", raiser_tid=ThreadId(2, 9), raiser_node=2,
+                       target=Capability(oid=12, home=1, transport="rpc",
+                                         cls_name="Sink"),
+                       synchronous=True, user_data={"post": 41, "w": 0.25},
+                       snapshot=ThreadSnapshot(
+                           tid=ThreadId(0, 3), state="blocked", node=None,
+                           frames=(FrameInfo(5, "work", 1, 17),)),
+                       raised_at=1.5, delivered_at=None)
+    block.block_id = 77
+    block.durable_id = (2, 300)
+    block.degraded = True
+    block._admission = (0, 1)
+    return block
+
+
+def golden_messages() -> dict[str, Message]:
+    def msg(payload=None, **kw):
+        fields = dict(src=0, dst=1, mtype="event.post-object", size=64,
+                      msg_id=1000)
+        fields.update(kw)
+        return Message(payload=payload, **fields)
+    return {
+        "capability": msg(Capability(oid=7, home=2, transport="dsm",
+                                     cls_name="Counter")),
+        "thread_id": msg(ThreadId(3, 130)),
+        "group_id": msg(GroupId(1, 4)),
+        "frame_info": msg(FrameInfo(oid=9, entry="run", node=0, steps=300)),
+        "snapshot": msg(ThreadSnapshot(
+            tid=ThreadId(1, 2), state="running", node=3,
+            frames=(FrameInfo(1, "a", 0, 1), FrameInfo(2, "b", 1, 2)))),
+        "event_block": msg(_golden_block(), size=256),
+        "scalars": msg((None, True, False, -1, 1 << 70, 2.5, "h\u00e9",
+                        b"\x00\xff", [1, [2]], {"k": (3,)})),
+        "rel": msg("x", rel=(0, 129), msg_id=128),
+        "ack": msg(None, mtype="rel.ack", ack=4000),
+        "rel_ack_gossip": msg(5, rel=(2, 1), ack=0,
+                              gossip=((1, "suspect", 3), (2, "alive", 0))),
+        "string_dst": msg(None, src=-1, dst="mcast:grp",
+                          mtype="locate.mcast"),
+        "inline_mtype": msg([1], mtype="t.unregistered"),
+        # complex is no registered shape: pickled per value (the bytes
+        # are pickle protocol 4's, the default of every supported python)
+        "pickle_fallback": msg(complex(1.5, -2.0)),
+    }
+
+
+def golden_batch() -> list:
+    messages = golden_messages()
+    return [(0.005, 0, messages["event_block"], 1),
+            (0.0075, 1, messages["rel"], 300),
+            (1e-3, 200, messages["string_dst"], 0)]
+
+
+#: encode_message() of golden_messages() at the commit before the codec
+#: was rebuilt for speed (PR 12) — the rebuilt encoder must emit these
+#: bytes exactly, and so must every later one while VERSION stays 1
+GOLDEN = {
+    "capability": "01000002010a0e040364736d07436f756e7465728001d00f",
+    "thread_id": "01000002010b0684028001d00f",
+    "group_id": "01000002010c02088001d00f",
+    "frame_info": "01000002010d120372756e00d8048001d00f",
+    "snapshot": "01000002010e0b02040772756e6e696e67030607020d020161000"
+                "20d04016202048001d00f",
+    "event_block": "01000002010f0509555345525f50494e470b041203040a18020"
+                   "37270630453696e6b0109020504706f73740352050177043fd0"
+                   "0000000000000e0b000607626c6f636b65640007010d0a04776"
+                   "f726b0222043ff800000000000000039a010702030403d80400"
+                   "010702030003028004d00f",
+    "scalars": "0100000201070a000102030103808080808080808080800204400400"
+               "0000000000050368c3a9060200ff0802030208010304090105016b07"
+               "0103068001d00f",
+    "rel": "010200020105017880018002008202",
+    "ack": "0104000203008001d00fc03e",
+    "rel_ack_gossip": "010e000201030a8001d00f04020007020703030205077375"
+                      "73706563740306070303040505616c6976650300",
+    "string_dst": "010101096d636173743a6772700c008001d00f",
+    "inline_mtype": "01000002000e742e756e72656769737465726564080103028001"
+                    "d00f",
+    "pickle_fallback": "010000020110398004952e000000000000008c086275696c"
+                       "74696e73948c07636f6d706c6578949394473ff800000000"
+                       "000047c000000000000000869452942e8001d00f",
+}
+GOLDEN_BATCH = (
+    "01033f747ae147ae147b0002000002010f0509555345525f50494e470b04120304"
+    "0a1802037270630453696e6b0109020504706f73740352050177043fd000000000"
+    "00000e0b000607626c6f636b65640007010d0a04776f726b0222043ff800000000"
+    "000000039a010702030403d80400010702030003028004d00f3f7eb851eb851eb8"
+    "01d80402000201050178800180020082023f50624dd2f1a9fcc801000101096d63"
+    "6173743a6772700c008001d00f")
+
+
+class TestGoldenVectors:
+    def test_every_case_has_a_vector(self):
+        assert set(golden_messages()) == set(GOLDEN)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_encoder_emits_the_frozen_bytes(self, name):
+        assert encode_message(golden_messages()[name]).hex() == GOLDEN[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_frozen_bytes_decode_to_the_message(self, name):
+        expected = golden_messages()[name]
+        decoded = decode_message(bytes.fromhex(GOLDEN[name]))
+        assert type(decoded.payload) is type(expected.payload)
+        assert decoded.gossip == expected.gossip
+        if name == "event_block":
+            for slot in EventBlock.__slots__:
+                assert (getattr(decoded.payload, slot)
+                        == getattr(expected.payload, slot)), slot
+            decoded.payload = expected.payload = None
+        assert_messages_equal(decoded, expected)
+
+    def test_batch_blob_is_frozen_both_ways(self):
+        assert encode_batch(golden_batch()).hex() == GOLDEN_BATCH
+        decoded = decode_batch(bytes.fromhex(GOLDEN_BATCH))
+        assert [(at, seq, dst) for at, seq, _m, dst in decoded] \
+            == [(at, seq, dst) for at, seq, _m, dst in golden_batch()]
+        # re-encoding what was decoded closes the loop on every field
+        assert encode_batch(decoded).hex() == GOLDEN_BATCH
+
+
+class TestDecodeFuzz:
+    """Malformed input raises CodecError and nothing else.  Inputs are
+    short, so a decode that fails to terminate would be a loop that
+    stopped consuming bytes — every case here finishes in microseconds."""
+
+    def _mutants(self):
+        rng = random.Random(20260929)
+        vectors = [bytes.fromhex(h) for h in GOLDEN.values()]
+        vectors.append(bytes.fromhex(GOLDEN_BATCH))
+        for _ in range(1500):
+            yield bytes([VERSION]) + rng.randbytes(rng.randrange(0, 48))
+            yield rng.randbytes(rng.randrange(0, 48))
+        for vector in vectors:
+            for cut in range(len(vector)):
+                yield vector[:cut]
+            for _ in range(300):
+                mutant = bytearray(vector)
+                for _ in range(rng.randrange(1, 4)):
+                    mutant[rng.randrange(1, len(mutant))] ^= \
+                        1 << rng.randrange(8)
+                yield bytes(mutant)
+
+    def test_only_codec_error_escapes(self):
+        decoded = rejected = 0
+        for data in self._mutants():
+            for decode in (decode_message, decode_batch):
+                try:
+                    decode(data)
+                    decoded += 1
+                except CodecError:
+                    rejected += 1
+        assert rejected > 5000
+        assert decoded > 0  # some flips land in a value and still parse
+
+    def test_nesting_past_the_recursion_limit_is_a_codec_error(self):
+        # flags, src, dst, mtype tag 1, then 5 000 one-element tuples
+        frame = bytes([VERSION, 0, 0, 2, 1]) + bytes([7, 1]) * 5000
+        with pytest.raises(CodecError):
+            decode_message(frame)
+
+    def test_constructor_and_unicode_failures_are_codec_errors(self):
+        capability = bytearray.fromhex(GOLDEN["capability"])
+        at = capability.index(b"dsm")
+        capability[at:at + 3] = b"xyz"  # Capability() rejects transport
+        with pytest.raises(CodecError):
+            decode_message(bytes(capability))
+        capability[at:at + 3] = b"\xff\xfe\xfd"  # not utf-8
+        with pytest.raises(CodecError):
+            decode_message(bytes(capability))
+        # a list as a dict key (unhashable): tag 9, count 1, key [ ]
+        frame = bytes([VERSION, 0, 0, 2, 1, 9, 1, 8, 0, 0, 128, 1, 2])
+        with pytest.raises(CodecError):
+            decode_message(frame)

@@ -11,6 +11,8 @@ degraded overload path sizes its dedup window with.
 from __future__ import annotations
 
 import pickle
+import socket
+import struct
 
 import pytest
 
@@ -28,6 +30,8 @@ from repro.transport.base import (
 from repro.transport.realtime import RealtimeScheduler
 from repro.transport.sharded import ShardSimTransport, sharded_config
 from repro.transport.simlocal import SimTransport
+from repro.transport import tcp
+from repro.transport.codec import CodecError
 from repro.transport.tcp import AsyncioTransport
 
 from .conftest import make_cluster
@@ -364,18 +368,20 @@ class TestRealtimeScheduler:
 # TCP loopback transport
 # ----------------------------------------------------------------------
 
-class TestAsyncioTransport:
-    def _loopback(self, nodes=2):
-        tp = AsyncioTransport()
-        inboxes = {n: [] for n in range(nodes)}
-        for n in range(nodes):
-            tp.attach(n, inboxes[n].append)
-        tp.set_delivery_hook(lambda m, dst: tp.endpoint(dst)(m))
-        tp.start()
-        return tp, inboxes
+def _loopback(nodes=2):
+    """A started bare tcp transport and one inbox list per node."""
+    tp = AsyncioTransport()
+    inboxes = {n: [] for n in range(nodes)}
+    for n in range(nodes):
+        tp.attach(n, inboxes[n].append)
+    tp.set_delivery_hook(lambda m, dst: tp.endpoint(dst)(m))
+    tp.start()
+    return tp, inboxes
 
+
+class TestAsyncioTransport:
     def test_frames_cross_real_sockets(self):
-        tp, inboxes = self._loopback()
+        tp, inboxes = _loopback()
         try:
             tp.post(Message(src=0, dst=1, mtype="t.wire", payload=[1, 2]),
                     1, 0.0)
@@ -395,7 +401,7 @@ class TestAsyncioTransport:
             tp.close()
 
     def test_unpicklable_payload_takes_oob_path(self):
-        tp, inboxes = self._loopback()
+        tp, inboxes = _loopback()
         try:
             marker = lambda: None  # noqa: E731 - locals don't pickle
             with pytest.raises(Exception):
@@ -410,7 +416,7 @@ class TestAsyncioTransport:
             tp.close()
 
     def test_post_to_closed_destination_is_swallowed(self):
-        tp, inboxes = self._loopback()
+        tp, inboxes = _loopback()
         try:
             tp._conns[1].close()
             tp.post(Message(src=0, dst=1, mtype="t.void"), 1, 0.0)
@@ -421,7 +427,7 @@ class TestAsyncioTransport:
             tp.close()
 
     def test_close_is_idempotent(self):
-        tp, _ = self._loopback()
+        tp, _ = _loopback()
         tp.close()
         tp.close()
 
@@ -457,6 +463,163 @@ class TestAsyncioTransport:
             assert cluster.transport_stats()["backend"] == "tcp"
         finally:
             cluster.close()
+
+
+# ----------------------------------------------------------------------
+# frames that cannot be delivered (ROADMAP 5d, first slice)
+# ----------------------------------------------------------------------
+
+def _explode():
+    raise RuntimeError("payload refuses to load")
+
+
+class Unloadable:
+    """Pickles fine, fails to unpickle: a frame a node really posted
+    that the receiver cannot decode."""
+
+    def __reduce__(self):
+        return (_explode, ())
+
+
+def _frame(body: bytes, fmt: int = 0, dst: int = 1) -> bytes:
+    payload = bytes([fmt, dst]) + body
+    return struct.pack(">I", len(payload)) + payload
+
+
+class TestRejectedFrames:
+    def test_undecodable_own_frame_raises_and_settles_in_flight(self):
+        tp, inboxes = _loopback()
+        try:
+            tp.post(Message(src=0, dst=1, mtype="t.bad",
+                            payload=Unloadable()), 1, 0.0)
+            tp.post(Message(src=0, dst=1, mtype="t.good"), 1, 0.0)
+            with pytest.raises(NetworkError, match="refuses to load"):
+                tp.scheduler.run(until=tp.scheduler.now + 2.0)
+            tp.scheduler.run()  # goes idle: nothing is left in flight
+            assert [m.mtype for m in inboxes[1]] == ["t.good"]
+            stats = tp.stats()
+            assert stats["frames_rejected"] == 1
+            assert stats["frames_received"] == 1
+            assert stats["in_flight"] == 0
+        finally:
+            tp.close()
+
+    def test_frame_too_long_to_send_raises_at_the_sender(self, monkeypatch):
+        monkeypatch.setattr(tcp, "MAX_FRAME", 64)
+        tp, inboxes = _loopback()
+        try:
+            tp.post(Message(src=0, dst=1, mtype="t.big",
+                            payload=b"x" * 100), 1, 0.0)
+            with pytest.raises(NetworkError, match="MAX_FRAME"):
+                tp.scheduler.run(until=tp.scheduler.now + 2.0)
+            tp.post(Message(src=0, dst=1, mtype="t.small"), 1, 0.0)
+            tp.scheduler.run()
+            assert [m.mtype for m in inboxes[1]] == ["t.small"]
+            assert tp.stats()["frames_sent"] == 1
+            assert tp.stats()["in_flight"] == 0
+        finally:
+            tp.close()
+
+
+class TestHostileSockets:
+    """A stranger dials a node's port on a live 2-node tcp cluster."""
+
+    @pytest.fixture
+    def cluster(self):
+        from repro.objects.base import DistObject, on_event
+
+        class Sink(DistObject):
+            def __init__(self):
+                super().__init__()
+                self.seen = 0
+
+            @on_event("TCP_TEST")
+            def on_ping(self, ctx, block):
+                self.seen += 1
+                yield ctx.compute(0)
+
+        cluster = Cluster(ClusterConfig(n_nodes=2, transport="tcp",
+                                        reliable_delivery=True,
+                                        link_latency=1e-4,
+                                        trace_net=False))
+        cluster.register_event("TCP_TEST")
+        cluster.sink_cap = cluster.create_object(Sink, node=1)
+        yield cluster
+        cluster.close()
+
+    def _attack(self, cluster, data: bytes, then_close: bool = False):
+        stranger = socket.create_connection(cluster.transport.addresses[1])
+        stranger.sendall(data)
+        if then_close:
+            stranger.close()
+        return stranger
+
+    def _still_works(self, cluster):
+        """Honest traffic flows and the cluster goes idle afterwards."""
+        before = cluster.get_object(cluster.sink_cap).seen
+        for _ in range(3):
+            cluster.raise_event("TCP_TEST", cluster.sink_cap, from_node=0)
+        deadline = cluster.now + 10.0
+        while (cluster.get_object(cluster.sink_cap).seen < before + 3
+               and cluster.now < deadline):
+            cluster.run(until=cluster.now + 0.05)
+        assert cluster.get_object(cluster.sink_cap).seen == before + 3
+        cluster.run()  # no deadline: returns only if in_flight settles
+        assert cluster.transport_stats()["in_flight"] == 0
+
+    def test_bad_version_byte(self, cluster):
+        stranger = self._attack(cluster, _frame(b"\x63\x00\x00\x02\x01\x00"))
+        try:
+            with pytest.raises(CodecError, match="version"):
+                cluster.run(until=cluster.now + 2.0)
+            assert cluster.transport_stats()["frames_rejected"] == 1
+            self._still_works(cluster)
+        finally:
+            stranger.close()
+
+    def test_bad_format_byte(self, cluster):
+        stranger = self._attack(cluster, _frame(b"whatever", fmt=9))
+        try:
+            with pytest.raises(NetworkError, match="frame format 9"):
+                cluster.run(until=cluster.now + 2.0)
+            assert cluster.transport_stats()["frames_rejected"] == 1
+            self._still_works(cluster)
+        finally:
+            stranger.close()
+
+    def test_oversize_length_prefix_is_not_buffered_for(self, cluster):
+        stranger = self._attack(cluster, b"\xff\xff\xff\xf0" + b"junk" * 8)
+        try:
+            with pytest.raises(NetworkError, match="MAX_FRAME"):
+                cluster.run(until=cluster.now + 2.0)
+            assert cluster.transport_stats()["frames_rejected"] == 1
+            # the stream cannot be re-synchronised: the node hung up
+            stranger.settimeout(2.0)
+            assert stranger.recv(16) == b""
+            self._still_works(cluster)
+        finally:
+            stranger.close()
+
+    def test_half_a_frame_then_close(self, cluster):
+        self._attack(cluster, _frame(b"x" * 100)[:20], then_close=True)
+        cluster.run(until=cluster.now + 0.1)  # nothing to raise
+        assert cluster.transport_stats()["frames_rejected"] == 1
+        self._still_works(cluster)
+
+    def test_garbage_between_honest_frames_of_one_recv(self, cluster):
+        # a good frame shape around a body that does not decode, then a
+        # second bad frame in the same segment: both rejected, in order
+        stranger = self._attack(
+            cluster, _frame(b"\x01\xff") + _frame(b"", fmt=2))
+        try:
+            with pytest.raises(NetworkError):
+                cluster.run(until=cluster.now + 2.0)
+            with pytest.raises(NetworkError):
+                cluster.run(until=cluster.now + 2.0)
+            assert cluster.transport_stats()["frames_rejected"] == 2
+            self._still_works(cluster)
+        finally:
+            stranger.close()
 
 
 # ----------------------------------------------------------------------
