@@ -14,7 +14,7 @@ Asserts the SWIM membership guarantees in a few seconds of wall-clock:
   flat as the cluster grows while the all-pairs heartbeat's grows
   with n;
 * the acceptance-size (64-node) churn run's message throughput stays
-  within ``CHURN_SMOKE_MIN_FRACTION`` (default 0.5) of the committed
+  within ``SMOKE_MIN_FRACTION`` (default ``MIN_FRACTION``) of the committed
   ``BENCH_membership.json`` baseline, so a hot-path regression in the
   membership layer fails CI instead of landing silently.
 
@@ -34,6 +34,8 @@ from repro.bench.membership import (  # noqa: E402
     run_churn_sharded,
     run_detection_row,
 )
+
+MIN_FRACTION = 0.5
 
 
 def main() -> None:
@@ -66,7 +68,7 @@ def main() -> None:
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
     base_row = next(r for r in baseline["rows"]["churn"]
                     if r["nodes"] == 64 and r["scheduler"] == "heap")
-    min_fraction = float(os.environ.get("CHURN_SMOKE_MIN_FRACTION", "0.5"))
+    min_fraction = float(os.environ.get("SMOKE_MIN_FRACTION", MIN_FRACTION))
     floor = base_row["msgs_per_sec"] * min_fraction
     row = run_churn_row(64)
     assert row["digest"] == base_row["digest"], (

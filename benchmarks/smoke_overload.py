@@ -9,8 +9,8 @@ outbox drained, bounded p99 against the uncontrolled contrast — checks
 same-seed determinism of the deterministic columns, and fails if goodput
 at 2x falls below a fraction of the committed ``BENCH_overload.json``
 baseline. Goodput here is deterministic (virtual-time executions over
-capacity), so ``OVERLOAD_SMOKE_MIN_FRACTION`` (default 0.9) only absorbs
-the scaled-down window's edge effects, not runner speed.
+capacity), so ``SMOKE_MIN_FRACTION`` (default ``MIN_FRACTION``) only
+absorbs the scaled-down window's edge effects, not runner speed.
 
 Run:  PYTHONPATH=src python benchmarks/smoke_overload.py
 """
@@ -30,14 +30,14 @@ from repro.bench.overload import (  # noqa: E402
 )
 
 SMOKE_DURATION = 0.5
+MIN_FRACTION = 0.9
 
 
 def main() -> None:
     baseline_path = REPO_ROOT / "BENCH_overload.json"
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
     base_goodput = baseline["knee"]["x2.0"]["on"]["goodput_frac"]
-    min_fraction = float(os.environ.get("OVERLOAD_SMOKE_MIN_FRACTION",
-                                        "0.9"))
+    min_fraction = float(os.environ.get("SMOKE_MIN_FRACTION", MIN_FRACTION))
     floor = base_goodput * min_fraction
 
     spec = OverloadSpec(duration=SMOKE_DURATION, offered_x=2.0,

@@ -7,8 +7,8 @@ drained — run_soak's phases raise on violation), checks same-seed
 determinism of the deterministic columns, and fails on a >20% burst
 throughput regression against the committed ``BENCH_soak.json``
 baseline. The committed baseline was measured on the dev machine;
-``SOAK_SMOKE_MIN_FRACTION`` (default 0.8) scales the floor for slower
-CI runners without disabling the regression gate.
+``SMOKE_MIN_FRACTION`` (default ``MIN_FRACTION``) scales the floor for
+slower CI runners without disabling the regression gate.
 
 Run:  PYTHONPATH=src python benchmarks/smoke_soak.py
 """
@@ -27,13 +27,14 @@ from repro.bench.soak import (  # noqa: E402
 )
 
 SMOKE_POSTS = 20_000
+MIN_FRACTION = 0.8
 
 
 def main() -> None:
     baseline_path = REPO_ROOT / "BENCH_soak.json"
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
     baseline_burst = baseline["phases"]["burst"]["wall_posts_per_sec"]
-    min_fraction = float(os.environ.get("SOAK_SMOKE_MIN_FRACTION", "0.8"))
+    min_fraction = float(os.environ.get("SMOKE_MIN_FRACTION", MIN_FRACTION))
     floor = baseline_burst * min_fraction
 
     spec = SoakSpec(posts=SMOKE_POSTS, scheduler="wheel")

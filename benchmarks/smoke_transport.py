@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Transport-backend smoke check for CI (the ``transport-smoke`` job).
+"""Transport-backend smoke check for CI (``smoke (transport)``).
 
 Three quick proofs that the transport port holds its contract:
 

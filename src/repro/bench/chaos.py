@@ -180,11 +180,9 @@ class ChaosSpec:
     checkpoint_interval: int | None = 64
     outbox_flush_interval: float | None = 0.25
     replay_cost: float = 2e-5
-    #: transport fast path knobs (E10): same guarantees on or off, only
-    #: envelope/commit counts change — the invariants must hold either way
+    #: ack coalescing window (0 = ack every arrival immediately); the
+    #: invariants must hold at any value
     ack_delay: float = 1e-3
-    ack_piggyback: bool = True
-    journal_group_commit: bool = True
     #: handler-fault injection rates by kind ("hang" / "raise" /
     #: "poison"); None = healthy handlers, the pre-supervision behaviour
     handler_faults: dict[str, float] | None = None
@@ -367,8 +365,7 @@ def run_chaos(spec: ChaosSpec) -> ChaosReport:
         checkpoint_interval=spec.checkpoint_interval,
         outbox_flush_interval=spec.outbox_flush_interval,
         replay_cost=spec.replay_cost,
-        ack_delay=spec.ack_delay, ack_piggyback=spec.ack_piggyback,
-        journal_group_commit=spec.journal_group_commit,
+        ack_delay=spec.ack_delay,
         handler_deadline=spec.handler_deadline,
         handler_retries=spec.handler_retries,
         breaker_threshold=spec.breaker_threshold,

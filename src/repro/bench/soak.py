@@ -42,8 +42,8 @@ from repro.bench.workloads import EventSink
 
 SOAK_EVENT = "SOAK"
 
-#: burst wall_posts/s of the committed BENCH_fastpath.json baseline this
-#: campaign is measured against (PR 4's reliable-channel burst ceiling)
+#: burst wall_posts/s of PR 4's reliable-channel burst ceiling, the
+#: baseline this campaign is measured against (EXPERIMENTS.md, E10)
 FASTPATH_BASELINE_POSTS_PER_SEC = 11723.7
 
 #: trace categories muted for soak runs — a million posts would other-
@@ -323,7 +323,7 @@ def run_soak(spec: SoakSpec | None = None) -> tuple[Table, dict[str, Any]]:
     burst_rate = rows["burst"]["wall_posts_per_sec"]
     speedup = round(burst_rate / FASTPATH_BASELINE_POSTS_PER_SEC, 2)
     table.note(f"overall {total_posts} posts at {overall} posts/s wall; "
-               f"burst is {speedup}x the BENCH_fastpath burst baseline "
+               f"burst is {speedup}x the E10 burst baseline "
                f"({FASTPATH_BASELINE_POSTS_PER_SEC} posts/s)")
     table.note("burst: local object posts (no fabric); fanout: group "
                "multicast counted in member deliveries; durable: "

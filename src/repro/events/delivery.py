@@ -1138,20 +1138,15 @@ class EventManager:
         the reliable channel cannot suppress fabric duplicates, so the
         manager remembers recent degraded block ids per node.
 
-        The window is sized by ``degrade_dedup_window`` when set,
-        falling back to the channel's ``dedup_window``: degraded
-        traffic is shed precisely when the system is drowning, so an
-        operator may want a *larger* receiver-side memory there than
-        the per-peer reliable window (an undersized window re-admits a
-        late fabric duplicate as a fresh post)."""
+        The window is the channel's ``dedup_window`` (an undersized
+        window re-admits a late fabric duplicate as a fresh post)."""
         seen = self._degraded_seen.get(node)
         if seen is None:
             seen = self._degraded_seen[node] = OrderedDict()
         if block.block_id in seen:
             return False
         seen[block.block_id] = None
-        config = self.cluster.config
-        window = config.degrade_dedup_window or config.dedup_window
+        window = self.cluster.config.dedup_window
         while len(seen) > window:
             seen.popitem(last=False)
         return True

@@ -174,23 +174,16 @@ class ClusterConfig:
     retransmit_backoff: float = 2.0
     #: Retransmission budget before a reliable send gives up.
     max_retransmits: int = 10
-    #: Per-sender bound on remembered out-of-order sequence numbers.
+    #: Per-sender bound on remembered out-of-order sequence numbers;
+    #: also sizes each node's memory of recent *degraded* block ids.
     dedup_window: int = 1024
-    #: Transport fast path (all default on; semantics are identical
-    #: either way, only envelope and simulator-heap counts change).
     #: Coalescing window for cumulative acks (virtual seconds): arrivals
-    #: from one peer within the window share a single ack. 0 = ack every
+    #: from one peer within the window share a single ack, which rides
+    #: any reverse-direction data message sent inside it. 0 = ack every
     #: arrival immediately (still cumulative). Keep well below
     #: ``retransmit_base`` minus a round trip or delayed acks trigger
     #: spurious retransmissions.
     ack_delay: float = 1e-3
-    #: Ride a pending cumulative ack on any reverse-direction data
-    #: message instead of a dedicated ``rel.ack`` envelope.
-    ack_piggyback: bool = True
-    #: Journal group-target posts as one batch commit
-    #: (:meth:`repro.store.journal.NodeJournal.append_batch`) instead of
-    #: one commit per member record.
-    journal_group_commit: bool = True
     #: Default timeout for RPC requests made without an explicit one
     #: (None = wait forever, the seed behaviour).
     rpc_default_timeout: float | None = None
@@ -328,38 +321,11 @@ class ClusterConfig:
     #: (`take_outbound` raises on any violation). None = the fixed
     #: model's ``link_latency`` is the lookahead.
     cross_shard_latency: float | None = None
-    #: Encode cross-process envelopes with the compact wire codec
-    #: (:mod:`repro.transport.codec`) instead of per-message pickle, on
-    #: both the sharded barrier pipes and TCP frames. Decoding rebuilds
-    #: objects exactly like unpickling (no id counters advance), so
-    #: same-seed digests are bit-identical either way.
-    wire_codec: bool = True
-    #: Ship one encoded blob per (shard, window) across the barrier
-    #: pipes instead of one pickle per message, and sort/merge arrivals
-    #: worker-side. Injection order is unchanged, so digests are
-    #: bit-identical; off = the PR 8 per-message protocol.
-    shard_window_batching: bool = True
-    #: Elide barrier rounds for quiescent windows: when no cross-shard
-    #: message is in flight, jump the window counter to the earliest
-    #: shard-reported next-event time (conservative: a skipped window
-    #: provably carried no traffic). Executed events and digests are
-    #: identical; only the number of barrier round-trips changes.
-    shard_quiescent_skip: bool = True
-    #: multiprocessing start method for sharded workers: ``fork`` skips
-    #: the ~0.2 s/worker interpreter re-import (workers reset module id
-    #: counters so runs stay bit-identical with ``spawn``); None =
-    #: ``fork`` where the platform offers it, else ``spawn``.
-    shard_start_method: str | None = None
     #: Bind host for the ``tcp`` backend's per-node listening sockets.
     tcp_host: str = "127.0.0.1"
     #: First listening port for the ``tcp`` backend (node i binds
     #: ``tcp_base_port + i``); 0 = ephemeral ports chosen by the OS.
     tcp_base_port: int = 0
-    #: Receiver-side dedup window for *degraded* (fire-and-forget)
-    #: posts: how many recent degraded block ids each node remembers per
-    #: peer to suppress fabric duplicates that carry no rel header.
-    #: None = follow ``dedup_window`` (the PR 7 behaviour).
-    degrade_dedup_window: int | None = None
     #: Discrete-event scheduler backend: ``heap`` (the bit-identical
     #: reference, default) or ``wheel`` (timing wheel / calendar queue;
     #: same execution order — the differential tests hold both to
@@ -374,7 +340,6 @@ class ClusterConfig:
     #: drains to them (ignored by the heap backend).
     wheel_slots: int = 4096
     trace_net: bool = True
-    extra: dict = field(default_factory=dict)
 
     # -- transport helpers ---------------------------------------------
 
@@ -486,16 +451,8 @@ class ClusterConfig:
                 "shard_window (the lookahead) must not exceed the "
                 "minimum cross-shard latency: a cross-shard message "
                 "could arrive inside the window that sent it")
-        if self.shard_start_method not in (None, "fork", "spawn",
-                                           "forkserver"):
-            raise KernelError(
-                f"unknown shard_start_method {self.shard_start_method!r}; "
-                f"choose fork, spawn, forkserver or None")
         if not (0 <= self.tcp_base_port <= 65535):
             raise KernelError("tcp_base_port must be within [0, 65535]")
-        if (self.degrade_dedup_window is not None
-                and self.degrade_dedup_window < 1):
-            raise KernelError("degrade_dedup_window must be >= 1 or None")
         if self.wheel_tick <= 0:
             raise KernelError("wheel_tick must be positive")
         if self.wheel_slots < 2:

@@ -124,9 +124,7 @@ class FailureDetector:
 
     def suspected(self) -> list[int]:
         if self._swim_active:
-            membership = self.kernel.membership
-            return sorted(n for n in membership._status
-                          if membership.is_failed(n))
+            return self.kernel.membership.failed()
         return sorted(self._suspected)
 
     def on_crash(self) -> None:

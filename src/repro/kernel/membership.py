@@ -222,6 +222,11 @@ class Membership:
             out.append(self.kernel.node_id)
         return sorted(out)
 
+    def failed(self) -> list[int]:
+        """Peers suspected or confirmed dead (see :meth:`is_failed`)."""
+        return sorted(n for n, (state, _inc) in self._status.items()
+                      if state != ALIVE)
+
     def is_alive(self, node: int) -> bool:
         if node == self.kernel.node_id:
             return not self.kernel.crashed

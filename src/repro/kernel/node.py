@@ -52,7 +52,6 @@ class Kernel:
             max_retransmits=cluster.config.max_retransmits,
             dedup_window=cluster.config.dedup_window,
             ack_delay=cluster.config.ack_delay,
-            ack_piggyback=cluster.config.ack_piggyback,
             flow_credits=cluster.config.flow_credits)
         self.crashed = False
         self.timers = TimerService(cluster.sim, node_id)

@@ -41,10 +41,8 @@ transport):
 
 Combined with the per-thread event-block dedup window this yields
 exactly-once *handler execution* even though the wire is at-least-once.
-Delivery semantics are identical with coalescing on or off — only the
-number of envelopes and heap entries changes — and all scheduling runs
-on the deterministic simulator clock, so same-seed runs stay
-bit-identical.
+All scheduling runs on the deterministic simulator clock, so same-seed
+runs stay bit-identical.
 """
 
 from __future__ import annotations
@@ -126,9 +124,6 @@ class ReliableChannel:
         first of them. ``0`` acknowledges every arrival immediately
         (still cumulatively). Must stay well below ``rto_base`` plus the
         link round trip or delayed acks cause spurious retransmissions.
-    ack_piggyback:
-        Ride a pending cumulative ack on any reverse-direction data
-        message instead of sending the dedicated ack envelope.
     flow_credits:
         Credit-based flow control: at most this many unacked messages
         outstanding per peer. Excess sends park in submission order and
@@ -142,7 +137,6 @@ class ReliableChannel:
                  rto_base: float = 4e-3, backoff: float = 2.0,
                  max_retransmits: int = 10, dedup_window: int = 1024,
                  ack_delay: float = 1e-3,
-                 ack_piggyback: bool = True,
                  flow_credits: int | None = None) -> None:
         self.sim = sim
         self.fabric = fabric
@@ -152,7 +146,6 @@ class ReliableChannel:
         self.max_retransmits = int(max_retransmits)
         self.dedup_window = int(dedup_window)
         self.ack_delay = float(ack_delay)
-        self.ack_piggyback = bool(ack_piggyback)
         self.flow_credits = (None if flow_credits is None
                              else int(flow_credits))
         self._peers: dict[int, _Peer] = {}
@@ -241,7 +234,7 @@ class ReliableChannel:
         are outstanding, the peer needs the selective summary too, and
         that travels in the dedicated envelope only.
         """
-        if not self.ack_piggyback or dst not in self._ack_timer:
+        if dst not in self._ack_timer:
             return
         if self._seen.get(dst):
             return

@@ -146,15 +146,7 @@ class NodeStore:
     def journal_post_batch(
             self, posts: list[tuple["EventBlock", str, int | None]],
     ) -> list[OutboxEntry]:
-        """Write-ahead a fan-out of posts as one group commit.
-
-        Falls back to per-post :meth:`journal_post` when
-        ``config.journal_group_commit`` is off — identical records and
-        LSNs either way, only the commit count differs.
-        """
-        if not self.kernel.config.journal_group_commit:
-            return [self.journal_post(block, kind, dst)
-                    for block, kind, dst in posts]
+        """Write-ahead a fan-out of posts as one group commit."""
         entries = self.outbox.record_batch(posts, self.sim.now)
         for (block, _, _), entry in zip(posts, entries):
             block.durable_id = entry.entry_id

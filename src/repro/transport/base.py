@@ -187,8 +187,7 @@ def make_transport(config: Any) -> Transport:
     if name == TRANSPORT_TCP:
         from repro.transport.tcp import AsyncioTransport
         return AsyncioTransport(host=config.tcp_host,
-                                base_port=config.tcp_base_port,
-                                wire_codec=config.wire_codec)
+                                base_port=config.tcp_base_port)
     raise NetworkError(
         f"unknown transport backend {name!r}; "
         f"choose from {TRANSPORT_BACKEND_NAMES}")

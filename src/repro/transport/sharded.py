@@ -23,17 +23,17 @@ time-window** protocol:
 
 Messages cross the process boundary over multiprocessing pipes (the
 parent is the hub), encoded by the compact wire codec
-(:mod:`repro.transport.codec`, ``wire_codec=True``) or per-message
-pickle.  With ``shard_window_batching`` (default on) a whole window's
-traffic to one destination shard travels as **one** encoded blob that
-the parent routes without decoding; the destination worker merges all
-source blobs in ``(deliver_time, source_shard, send_seq)`` order, so
-injection order — hence every digest — is identical to the per-message
-protocol.  With ``shard_quiescent_skip`` (default on) barrier rounds
-for provably-empty windows are elided: when nothing is in flight the
-parent jumps the window counter to the earliest shard-reported
-next-event time, which is conservative because an idle shard cannot
-originate traffic before its next pending callback.  Everything
+(:mod:`repro.transport.codec`).  A whole window's traffic to one
+destination shard travels as **one** encoded blob that the parent
+routes without decoding; the destination worker merges all source
+blobs in ``(deliver_time, source_shard, send_seq)`` order.  Barrier
+rounds for provably-empty windows are elided: when nothing is in
+flight the parent jumps the window counter to the earliest
+shard-reported next-event time, which is conservative because an idle
+shard cannot originate traffic before its next pending callback.
+Workers are forked where the platform offers it (no interpreter
+re-import; module id counters are reset so a run is bit-identical to a
+spawned one) and spawned where it does not.  Everything
 *above* the transport is the stock stack: reliable channels retransmit
 across shards, durable posts ack back to their origin shard,
 supervision quarantines remotely — none of those layers can tell the
@@ -53,7 +53,6 @@ internally.
 from __future__ import annotations
 
 import itertools
-import pickle
 import time
 import traceback
 from dataclasses import dataclass, field, fields, replace
@@ -207,16 +206,14 @@ def _config_kwargs(config: ClusterConfig) -> dict:
     return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
-def _start_method(config: ClusterConfig) -> str:
-    """Worker start method: the knob, else fork where the OS offers it.
+def _start_method() -> str:
+    """Worker start method: fork where the OS offers it, else spawn.
 
     ``spawn`` re-imports the interpreter per worker (~0.2 s each, the
     dominant cost of small sharded runs); ``fork`` inherits the loaded
     modules.  :func:`_reset_process_counters` makes the two
     bit-identical.
     """
-    if config.shard_start_method is not None:
-        return config.shard_start_method
     import multiprocessing as mp
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
@@ -250,16 +247,6 @@ def _reset_process_counters() -> None:
         setattr(import_module(module_name), counter, itertools.count(1))
 
 
-def _encode_records(records: list, wire_codec: bool) -> bytes:
-    return (codec.encode_batch(records) if wire_codec
-            else pickle.dumps(records))
-
-
-def _decode_records(blob: bytes, wire_codec: bool) -> list:
-    return (codec.decode_batch(blob) if wire_codec
-            else pickle.loads(blob))
-
-
 def _shard_worker(conn: Any, config_kwargs: dict, shard_index: int,
                   scenario_path: str, scenario_args: dict) -> None:
     """Worker main: build one shard's cluster, obey barrier commands."""
@@ -276,24 +263,21 @@ def _shard_worker(conn: Any, config_kwargs: dict, shard_index: int,
                            local_nodes=config.local_node_ids(),
                            args=dict(scenario_args))
         finish = resolve_scenario(scenario_path)(ctx)
-        batching = config.shard_window_batching
-        wire = config.wire_codec
         owner_of = shard_owner_map(config.n_nodes, config.shard_count)
         sim = cluster.sim
         while True:
             cmd = conn.recv()
             tag = cmd[0]
-            if tag == "win" and batching:
+            if tag == "win":
                 _, window_end, blobs = cmd
                 # One blob per source shard; merge every source's
                 # records in (deliver_time, src shard, send seq) order —
                 # injection order decides the destination simulator's
-                # sequence numbers, hence determinism, and is identical
-                # to the per-message protocol's pre-sorted stream.
+                # sequence numbers, hence determinism.
                 merged = []
                 for src_shard, blob in blobs:
-                    for deliver_at, seq, message, dst in _decode_records(
-                            blob, wire):
+                    for deliver_at, seq, message, dst in codec.decode_batch(
+                            blob):
                         merged.append(
                             (deliver_at, src_shard, seq, message, dst))
                 merged.sort(key=lambda rec: (rec[0], rec[1], rec[2]))
@@ -305,26 +289,8 @@ def _shard_worker(conn: Any, config_kwargs: dict, shard_index: int,
                     by_dst_shard.setdefault(
                         owner_of[record[3]], []).append(record)
                 outbound = {
-                    dst_shard: (len(records),
-                                _encode_records(records, wire))
+                    dst_shard: (len(records), codec.encode_batch(records))
                     for dst_shard, records in by_dst_shard.items()}
-                conn.send(("done", outbound, sim.pending,
-                           sim.peek_next()))
-            elif tag == "win":
-                _, window_end, inbound = cmd
-                # Legacy per-message protocol: arrivals come pre-sorted
-                # by (deliver_time, src shard, send seq).
-                for deliver_at, blob, dst in inbound:
-                    message = (codec.decode_message(blob) if wire
-                               else pickle.loads(blob))
-                    transport.inject(message, dst, deliver_at)
-                cluster.run(until=window_end)
-                outbound = [
-                    (deliver_at, seq,
-                     codec.encode_message(message) if wire
-                     else pickle.dumps(message), dst)
-                    for deliver_at, seq, message, dst
-                    in transport.take_outbound(window_end)]
                 conn.send(("done", outbound, sim.pending,
                            sim.peek_next()))
             elif tag == "finish":
@@ -397,10 +363,8 @@ def run_sharded(config: ClusterConfig, scenario: str,
         raise NetworkError("leave shard_index unset; the runner assigns it")
     window = config.effective_shard_window()
     shard_count = config.shard_count
-    batching = config.shard_window_batching
-    skip = config.shard_quiescent_skip
     kwargs = _config_kwargs(config)
-    ctx = mp.get_context(_start_method(config))
+    ctx = mp.get_context(_start_method())
     conns, workers = [], []
     started = time.perf_counter()
 
@@ -445,12 +409,10 @@ def run_sharded(config: ClusterConfig, scenario: str,
             conns.append(parent_conn)
             workers.append(worker)
 
-        owner_of = shard_owner_map(config.n_nodes, shard_count)
         final_index = (None if until is None
                        else math.ceil(until / window - 1e-12))
 
-        #: per destination shard: (src_shard, blob) batched, or
-        #: (deliver_at, src_shard, seq, blob, dst) per-message
+        #: per destination shard: one (src_shard, blob) per source
         inbound: list[list] = [[] for _ in range(shard_count)]
         windows = 0
         window_index = 0
@@ -463,16 +425,8 @@ def run_sharded(config: ClusterConfig, scenario: str,
                     f"(livelock, or raise the cap for long runs)")
             window_index += 1
             window_end = window_index * window
-            if batching:
-                for shard in range(shard_count):
-                    send(shard, ("win", window_end, inbound[shard]))
-            else:
-                for shard in range(shard_count):
-                    batch = sorted(inbound[shard],
-                                   key=lambda rec: (rec[0], rec[1], rec[2]))
-                    send(shard, ("win", window_end,
-                                 [(t, blob, dst) for t, _s, _q, blob, dst
-                                  in batch]))
+            for shard in range(shard_count):
+                send(shard, ("win", window_end, inbound[shard]))
             inbound = [[] for _ in range(shard_count)]
             in_flight = 0
             pending_total = 0
@@ -482,21 +436,15 @@ def run_sharded(config: ClusterConfig, scenario: str,
                 pending_total += pending
                 if next_time is not None:
                     next_times.append(next_time)
-                if batching:
-                    for dst_shard, (count, blob) in outbound.items():
-                        inbound[dst_shard].append((shard, blob))
-                        in_flight += count
-                else:
-                    for deliver_at, seq, blob, dst in outbound:
-                        inbound[owner_of[dst]].append(
-                            (deliver_at, shard, seq, blob, dst))
-                        in_flight += 1
+                for dst_shard, (count, blob) in outbound.items():
+                    inbound[dst_shard].append((shard, blob))
+                    in_flight += count
             virtual_time = window_end
             if until is not None and window_end >= until:
                 break
             if until is None and in_flight == 0 and pending_total == 0:
                 break
-            if skip and in_flight == 0:
+            if in_flight == 0:
                 # Quiescent skip-ahead: with nothing in flight, no shard
                 # can execute (or send) anything before the earliest
                 # pending callback at min(next_times) = E.  Jumping to
@@ -504,8 +452,7 @@ def run_sharded(config: ClusterConfig, scenario: str,
                 # every event the jump target window runs is at time
                 # > (k-1)*W, so its cross-shard sends deliver after
                 # k*W.  Barrier rounds for the skipped windows carried
-                # provably zero traffic — executions and digests are
-                # bit-identical, only round-trip count changes.
+                # provably zero traffic.
                 if next_times:
                     target = math.ceil(min(next_times) / window - 1e-12)
                     if target > window_index + 1:

@@ -4,8 +4,8 @@
 port over the in-process discrete-event :class:`~repro.sim.scheduler.
 Simulator`: delivery after ``delay`` is exactly one ``call_after`` on the
 shared virtual clock, so the port refactor costs nothing — same-seed runs
-are bit-identical to the pre-port tree (the transport-smoke CI job holds
-the chaos/durable/fastpath digests to the frozen reference values).
+are bit-identical to the pre-port tree (``benchmarks/smoke_transport.py``
+holds the chaos/durable/fastpath digests to the frozen reference values).
 """
 
 from __future__ import annotations

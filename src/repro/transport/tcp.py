@@ -12,9 +12,9 @@ hook on arrival.
 Wire format — length-prefixed frames::
 
     4-byte big-endian frame length (at most MAX_FRAME)
-    1-byte format:     0 = codec | 1 = pickle | 2 = token
+    1-byte format:     0 = codec | 2 = token
     uvarint dst node
-    body:              codec-encoded or pickled Message | OOB token
+    body:              codec-encoded Message | OOB token
 
 A frame is appended to its connection's outgoing buffer, and the frames
 a scheduler turn produces for a connection leave in a single ``write``
@@ -27,19 +27,17 @@ as a :class:`~repro.errors.NetworkError` from the scheduler's ``run()``
 — never swallowed by asyncio's exception handler.  An over-long frame
 also costs its connection, whose stream cannot be re-synchronised.
 
-Envelopes normally travel through the compact wire codec
+Envelopes travel through the compact wire codec
 (:mod:`repro.transport.codec` — the same format the sharded backend
 batches over its pipes), a real serialization boundary: the receiver
-gets a deep copy.  A message the codec cannot express (which implies
-pickle inside the codec failed too) falls back to plain pickle, and a
-message whose user payload refuses to pickle entirely falls back to an
-out-of-band token table — the frame carries a token, the object stays
-in process.  That last fallback is what makes this a *loopback
-cluster* backend: all nodes live in one process and real distribution
-across machines would require every payload to serialize.  The smoke
-bench and example keep payloads plain, so their frames are honest
-bytes.  ``wire_codec=False`` (the ``ClusterConfig.wire_codec`` knob)
-restores the always-pickle framing.
+gets a deep copy.  A message the codec cannot express (its per-value
+pickle fallback failed too: a live thread in ``invoke.request``, a
+lambda in a user payload) falls back to an out-of-band token table —
+the frame carries a token, the object stays in process.  That fallback
+is what makes this a *loopback cluster* backend: all nodes live in one
+process and real distribution across machines would require every
+payload to serialize.  The smoke bench and example keep payloads plain,
+so their frames are honest bytes.
 
 Known limits, stated plainly: wall-clock runs are not seed
 reproducible (use the sim backends for determinism), and fault
@@ -50,7 +48,6 @@ in real seconds here.
 from __future__ import annotations
 
 import itertools
-import pickle
 import struct
 from typing import TYPE_CHECKING, Any
 
@@ -72,9 +69,9 @@ _LEN = struct.Struct(">I")
 #: length prefix beyond it is garbage, not something worth buffering for
 MAX_FRAME = 1 << 24
 
-#: frame body formats (first byte after the length prefix)
+#: frame body formats (first byte after the length prefix); 1 is
+#: retired, not reusable: it is rejected like any unknown byte
 _FMT_CODEC = 0
-_FMT_PICKLE = 1
 _FMT_TOKEN = 2
 
 
@@ -143,17 +140,13 @@ class AsyncioTransport(Transport):
         ``base_port + i``.
     poll:
         Run-loop exit poll period handed to the scheduler.
-    wire_codec:
-        Encode envelopes with the compact wire codec (default); False
-        restores the always-pickle framing.
     """
 
     BACKEND = "tcp"
 
     def __init__(self, host: str = "127.0.0.1", base_port: int = 0,
-                 poll: float = 0.005, wire_codec: bool = True) -> None:
+                 poll: float = 0.005) -> None:
         super().__init__()
-        self._wire_codec = wire_codec
         self.scheduler = RealtimeScheduler(poll=poll)
         self.scheduler.add_idle_hook(lambda: self._in_flight == 0)
         self._host = host
@@ -171,7 +164,7 @@ class AsyncioTransport(Transport):
         self._frames_received = 0
         self._frames_rejected = 0
         self._bytes_sent = 0
-        #: unpicklable payload fallback: token -> live message
+        #: unencodable payload fallback: token -> live message
         self._oob: dict[int, "Message"] = {}
         self._oob_sent = 0
         self._token = itertools.count(1)
@@ -236,24 +229,15 @@ class AsyncioTransport(Transport):
             # above the port by the fabric/kernel.
             self._in_flight -= 1
             return
-        body = None
-        fmt = _FMT_PICKLE
-        if self._wire_codec:
-            try:
-                body = codec.encode_message(message)
-                fmt = _FMT_CODEC
-            except Exception:  # noqa: BLE001 - unencodable payload
-                body = None
-        if body is None:
-            try:
-                body = pickle.dumps(message)
-                fmt = _FMT_PICKLE
-            except Exception:  # noqa: BLE001 - unpicklable user payload
-                token = next(self._token)
-                self._oob[token] = message
-                self._oob_sent += 1
-                body = str(token).encode("ascii")
-                fmt = _FMT_TOKEN
+        try:
+            body = codec.encode_message(message)
+            fmt = _FMT_CODEC
+        except Exception:  # noqa: BLE001 - unencodable payload
+            token = next(self._token)
+            self._oob[token] = message
+            self._oob_sent += 1
+            body = str(token).encode("ascii")
+            fmt = _FMT_TOKEN
         head = bytearray((fmt,))
         _append_uvarint(head, dst)
         length = len(head) + len(body)
@@ -291,8 +275,6 @@ class AsyncioTransport(Transport):
             body = data[pos:end]
             if fmt == _FMT_CODEC:
                 message = codec.decode_message(body)
-            elif fmt == _FMT_PICKLE:
-                message = pickle.loads(body)
             elif fmt == _FMT_TOKEN:
                 message = self._oob.pop(int(body))
             else:

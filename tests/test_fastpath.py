@@ -1,7 +1,6 @@
 """Transport fast-path tests: cumulative/coalesced/piggybacked acks,
 per-peer retransmit timers, journal group-commit, scheduler heap
-compaction — and the invariants that must hold with the fast path on
-*and* off (identical delivery semantics, only envelope counts change)."""
+compaction — and the chaos invariants that must hold on top of them."""
 
 import gc
 import weakref
@@ -21,8 +20,6 @@ from repro.store.journal import (
     REC_CHECKPOINT,
     REC_POST,
 )
-
-FAST_OFF = {"ack_delay": 0.0, "ack_piggyback": False}
 
 
 def make_pair(plan=None, drop_acks_at=(), **channel_kw):
@@ -73,7 +70,7 @@ class TestCumulativeAcks:
         assert channels[0].stats()["retransmits"] == 0
 
     def test_ack_delay_zero_acks_every_arrival(self):
-        sim, fabric, channels, delivered, _ = make_pair(**FAST_OFF)
+        sim, fabric, channels, delivered, _ = make_pair(ack_delay=0.0)
         for i in range(4):
             channels[0].send(Message(src=0, dst=1, mtype="x", payload=i))
         sim.run()
@@ -145,11 +142,11 @@ class TestPiggyback:
         # forward traffic, which rides the retransmitted envelope.
         sim, fabric, channels, delivered, acked_data = make_pair(
             drop_acks_at={1: 1}, rto_base=6e-3, ack_delay=3e-3)
-        # keep node 0's own sends plain so the only piggyback
-        # opportunity is node 1's retransmission
-        channels[0].ack_piggyback = False
         channels[1].send(Message(src=1, dst=0, mtype="x", payload="rev"))
-        sim.call_at(3e-3, channels[0].send,
+        # node 0 sends after its own dedicated ack for "rev" left (4e-3),
+        # so "fwd" goes out plain and the only piggyback opportunity is
+        # node 1's retransmission at 6e-3
+        sim.call_at(4.5e-3, channels[0].send,
                     Message(src=0, dst=1, mtype="x", payload="fwd"))
         sim.run()
         assert sorted(p for _, p in delivered) == ["fwd", "rev"]
@@ -159,19 +156,6 @@ class TestPiggyback:
         assert (0, "rev", 1) in acked_data
         assert channels[0].stats()["pending"] == 0
         assert channels[1].stats()["pending"] == 0
-
-    def test_piggyback_disabled_uses_dedicated_envelopes(self):
-        sim, fabric, channels, delivered, acked_data = make_pair(
-            ack_delay=3e-3, ack_piggyback=False, rto_base=0.05)
-        channels[0].send(Message(src=0, dst=1, mtype="x", payload="fwd"))
-        sim.call_at(2e-3, channels[1].send,
-                    Message(src=1, dst=0, mtype="x", payload="rev"))
-        sim.run()
-        assert sorted(p for _, p in delivered) == ["fwd", "rev"]
-        assert channels[1].stats()["acks_piggybacked"] == 0
-        assert channels[1].stats()["acks_sent"] == 1
-        assert acked_data == []
-        assert channels[0].stats()["pending"] == 0
 
 
 class TestAckValidation:
@@ -322,9 +306,9 @@ class TestJournalGroupCommit:
 
 
 class TestChaosWithFastPath:
-    """The PR's contract: the fast path changes envelope and commit
-    counts, never delivery semantics — the chaos invariants must hold
-    identically with it on and off."""
+    """The fast path changes envelope and commit counts, never delivery
+    semantics — the chaos invariants hold on top of it, with acks
+    coalesced or sent per arrival."""
 
     BASE = ChaosSpec(seed=13, posts=60, drop_rate=0.1, duplicate_rate=0.05,
                      crash_period=0.6, down_time=0.4, settle=10.0)
@@ -334,22 +318,13 @@ class TestChaosWithFastPath:
         assert report.violations == []
         assert report.accounted_rate == 1.0
 
-    def test_chaos_invariants_fastpath_off(self):
-        spec = replace(self.BASE, ack_delay=0.0, ack_piggyback=False,
-                       journal_group_commit=False)
-        report = run_chaos(spec)
-        assert report.violations == []
-        assert report.accounted_rate == 1.0
-
     def test_durable_chaos_invariants_both_ways(self):
         base = replace(self.BASE, durable=True, posts=40,
                        checkpoint_interval=16)
-        for off in (False, True):
-            spec = base if not off else replace(
-                base, ack_delay=0.0, ack_piggyback=False,
-                journal_group_commit=False)
-            report = run_chaos(spec)
-            assert report.violations == [], (off, report.violations[:3])
+        for ack_delay in (base.ack_delay, 0.0):
+            report = run_chaos(replace(base, ack_delay=ack_delay))
+            assert report.violations == [], (ack_delay,
+                                             report.violations[:3])
             assert report.durability["pending"] == 0
 
     def test_same_seed_determinism_with_fast_path(self):

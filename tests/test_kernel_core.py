@@ -1,5 +1,7 @@
 """Unit tests for kernel-layer services: config, TCBs, RPC, timers, names."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import (
@@ -48,6 +50,20 @@ class TestClusterConfig:
     def test_rejects_bad_page_size(self):
         with pytest.raises(KernelError):
             ClusterConfig(page_size=0)
+
+    def test_field_budget(self):
+        count = len(dataclasses.fields(ClusterConfig))
+        assert count <= 63, (
+            f"ClusterConfig has {count} fields, budget is 63 — ROADMAP: "
+            "a PR that adds a knob names the one it retires")
+
+    @pytest.mark.parametrize("name", [
+        "wire_codec", "shard_window_batching", "shard_quiescent_skip",
+        "shard_start_method", "journal_group_commit", "ack_piggyback",
+        "degrade_dedup_window", "extra"])
+    def test_retired_names_rejected(self, name):
+        with pytest.raises(TypeError, match=name):
+            ClusterConfig(**{name: None})
 
 
 class TestThreadTable:

@@ -1,26 +1,31 @@
-"""Tests for the sharded speed campaign: barrier batching, quiescent
-skip-ahead, the owner-map routing helper, the new config knobs, and
+"""Tests for the sharded barrier: batched windows with quiescent
+skip-ahead, the owner-map routing helper, the window config knobs, and
 worker teardown diagnostics.
 
-The load-bearing property throughout is *observational purity*: every
-optimisation knob (wire codec, window batching, skip-ahead, fork start
-method) must leave same-seed run digests bit-identical to the legacy
-per-message/spawn protocol — only wall-clock and round-trip counts may
-change.
+The load-bearing property is *observational purity*: what a sharded run
+delivers, node by node and source by source, is what the single-process
+``sim`` backend delivers for the same scenario — the barrier may only
+change wall-clock and round-trip counts.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 import multiprocessing
 import os
+from dataclasses import replace
 
 import pytest
 
-from repro.bench.scale import ScaleSpec
-from repro.bench.shardspeed import (
-    LEGACY_KNOBS,
-    run_sharded_with,
-    sparse_spec,
+from repro.bench.scale import (
+    ScaleSpec,
+    _scenario_args,
+    combine_digest,
+    posts_scenario,
+    run_scale_local,
+    run_scale_sharded,
+    sink_cap,
 )
 from repro.errors import KernelError, NetworkError
 from repro.kernel.config import (
@@ -28,12 +33,36 @@ from repro.kernel.config import (
     shard_bounds,
     shard_owner_map,
 )
+from repro.transport import sharded
 from repro.transport.sharded import ShardContext, run_sharded
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
 #: small enough to keep each multi-process run under a second
 SMALL = ScaleSpec(n_nodes=8, shard_count=2, posts_per_node=15)
+
+#: posts 20 windows apart: most conservative windows are quiescent
+SPARSE = ScaleSpec(n_nodes=8, shard_count=2, posts_per_node=10,
+                   interval=0.1, link_latency=5e-3)
+
+
+def outcome_scenario(ctx):
+    """``posts_scenario`` that also reports each local sink's exact
+    ``(node, seen, by_source)`` row, so shards can be merged into the
+    single-process digest material."""
+    finish = posts_scenario(ctx)
+
+    def outcome():
+        result = finish()
+        result["outcome"] = []
+        for node in ctx.local_nodes:
+            sink = ctx.cluster.get_object(
+                sink_cap(ctx.n_nodes, ctx.shard_count, node))
+            result["outcome"].append(
+                (node, sink.seen, sorted(sink.by_source.items())))
+        return result
+
+    return outcome
 
 
 def dying_scenario(ctx):
@@ -81,10 +110,8 @@ class TestOwnerMap:
 class TestConfigKnobs:
     def test_defaults(self):
         config = ClusterConfig(n_nodes=2)
-        assert config.wire_codec is True
-        assert config.shard_window_batching is True
-        assert config.shard_quiescent_skip is True
-        assert config.shard_start_method is None
+        assert config.shard_window is None
+        assert config.cross_shard_latency is None
 
     def test_window_precedence(self):
         base = dict(n_nodes=4, link_latency=1e-3)
@@ -119,44 +146,48 @@ class TestConfigKnobs:
                                shard_window=4e-3)
         assert config.effective_shard_window() == 4e-3
 
-    def test_unknown_start_method_rejected(self):
-        with pytest.raises(KernelError, match="shard_start_method"):
-            ClusterConfig(n_nodes=4, shard_start_method="thread")
-
 
 # ----------------------------------------------------------------------
-# observational purity of the fast paths (multi-process)
+# observational purity of the barrier (multi-process)
 # ----------------------------------------------------------------------
 
 class TestBarrierDeterminism:
-    def test_defaults_vs_legacy_digest_identical(self):
-        fast = run_sharded_with(SMALL)
-        slow = run_sharded_with(SMALL, **LEGACY_KNOBS)
-        assert fast["digest"] == slow["digest"]
-        assert fast["executed"] == slow["executed"] == SMALL.total_posts
-        # batching/skip change round-trips and encoding, never traffic
-        assert fast["cross_shard"] == slow["cross_shard"]
-
-    def test_codec_vs_pickle_digest_identical(self):
-        with_codec = run_sharded_with(SMALL, wire_codec=True)
-        with_pickle = run_sharded_with(SMALL, wire_codec=False)
-        assert with_codec["digest"] == with_pickle["digest"]
-
-    def test_skip_ahead_elides_quiescent_windows(self):
-        spec = sparse_spec(quick=True)
-        skip = run_sharded_with(spec, shard_quiescent_skip=True)
-        dense = run_sharded_with(spec, shard_quiescent_skip=False)
-        assert skip["digest"] == dense["digest"]
-        assert skip["executed"] == dense["executed"] == spec.total_posts
-        assert skip["windows"] < dense["windows"]
+    @pytest.mark.skipif(not FORK_AVAILABLE,
+                        reason="outcome_scenario needs the inherited module")
+    @pytest.mark.parametrize("spec", [SMALL, SPARSE],
+                             ids=["dense", "sparse"])
+    def test_sharded_equals_sim_reference(self, spec):
+        report = run_sharded(
+            spec.config(transport="sharded", shard_count=spec.shard_count),
+            "tests.test_shardspeed:outcome_scenario",
+            scenario_args=_scenario_args(spec))
+        reference = run_scale_local(replace(spec, shard_count=1))
+        # the per-node rows of every shard, merged, are exactly the
+        # material the one-process run hashes
+        merged = sorted(row for result in report.shard_results
+                        for row in result["outcome"])
+        sha = hashlib.sha256(repr(merged).encode()).hexdigest()
+        assert combine_digest([{"sha": sha}]) == reference["digest"]
+        assert (sum(r["executed"] for r in report.shard_results)
+                == reference["executed"] == spec.total_posts)
+        every_window = math.ceil(
+            report.virtual_time / spec.link_latency - 1e-9)
+        assert report.windows <= every_window
+        if spec is SPARSE:
+            # quiescent windows were skipped, not barriered
+            assert report.windows < every_window
 
     @pytest.mark.skipif(not FORK_AVAILABLE,
                         reason="fork start method unavailable")
-    def test_fork_vs_spawn_digest_identical(self):
-        forked = run_sharded_with(SMALL, shard_start_method="fork")
-        spawned = run_sharded_with(SMALL, shard_start_method="spawn")
-        assert forked["digest"] == spawned["digest"]
-        assert forked["windows"] == spawned["windows"]
+    def test_fork_vs_spawn_digest_identical(self, monkeypatch):
+        # _start_method guards _reset_process_counters: a forked worker
+        # must allocate the ids a freshly imported one does
+        runs = {}
+        for method in ("fork", "spawn"):
+            monkeypatch.setattr(sharded, "_start_method", lambda m=method: m)
+            runs[method] = run_scale_sharded(SMALL)
+        assert runs["fork"]["digest"] == runs["spawn"]["digest"]
+        assert runs["fork"]["windows"] == runs["spawn"]["windows"]
 
 
 # ----------------------------------------------------------------------
@@ -168,8 +199,7 @@ class TestWorkerTeardown:
                         reason="dying_scenario needs the inherited module")
     def test_dead_worker_raises_clear_error(self):
         config = ClusterConfig(n_nodes=4, transport="sharded",
-                               shard_count=2, trace_net=False,
-                               shard_start_method="fork")
+                               shard_count=2, trace_net=False)
         with pytest.raises(NetworkError,
                            match=r"shard 1 .*(died|failed|exited)"):
             run_sharded(config, "tests.test_shardspeed:dying_scenario",

@@ -4,8 +4,8 @@ Covers the narrow :class:`~repro.transport.base.Transport` protocol
 (endpoint registry, factory, config knobs), the sharded backend's
 conservative-window buffering, the wall-clock
 :class:`~repro.transport.realtime.RealtimeScheduler`, the TCP loopback
-transport, and the ``degrade_dedup_window`` receiver-memory knob the
-degraded overload path sizes its dedup window with.
+transport, and the receiver-side dedup memory of the degraded overload
+path (sized by ``dedup_window``).
 """
 
 from __future__ import annotations
@@ -149,9 +149,9 @@ class TestTransportConfig:
     def test_tcp_and_dedup_knobs_validated(self):
         with pytest.raises(KernelError, match="tcp_base_port"):
             ClusterConfig(n_nodes=2, tcp_base_port=70000)
-        with pytest.raises(KernelError, match="degrade_dedup_window"):
-            ClusterConfig(n_nodes=2, degrade_dedup_window=0)
-        ClusterConfig(n_nodes=2, degrade_dedup_window=1)
+        with pytest.raises(KernelError, match="dedup_window"):
+            ClusterConfig(n_nodes=2, dedup_window=0)
+        ClusterConfig(n_nodes=2, dedup_window=1)
 
     def test_shard_bounds_partition_nodes(self):
         # every (n, k) partition covers 0..n-1 exactly once, contiguously,
@@ -578,14 +578,22 @@ class TestHostileSockets:
             stranger.close()
 
     def test_bad_format_byte(self, cluster):
-        stranger = self._attack(cluster, _frame(b"whatever", fmt=9))
-        try:
-            with pytest.raises(NetworkError, match="frame format 9"):
-                cluster.run(until=cluster.now + 2.0)
-            assert cluster.transport_stats()["frames_rejected"] == 1
-            self._still_works(cluster)
-        finally:
-            stranger.close()
+        frames = [
+            (9, b"whatever"),
+            # the retired whole-message pickle format: never unpickled
+            (1, pickle.dumps(Message(src=0, dst=1, mtype="t.pickled"))),
+        ]
+        for rejected, (fmt, body) in enumerate(frames, start=1):
+            stranger = self._attack(cluster, _frame(body, fmt=fmt))
+            try:
+                with pytest.raises(NetworkError,
+                                   match=f"frame format {fmt}"):
+                    cluster.run(until=cluster.now + 2.0)
+                assert (cluster.transport_stats()["frames_rejected"]
+                        == rejected)
+                self._still_works(cluster)
+            finally:
+                stranger.close()
 
     def test_oversize_length_prefix_is_not_buffered_for(self, cluster):
         stranger = self._attack(cluster, b"\xff\xff\xff\xf0" + b"junk" * 8)
@@ -623,7 +631,7 @@ class TestHostileSockets:
 
 
 # ----------------------------------------------------------------------
-# degrade_dedup_window sizing (satellite: receiver-side dedup memory)
+# degraded-post dedup memory, sized by dedup_window
 # ----------------------------------------------------------------------
 
 class _FakeBlock:
@@ -633,10 +641,10 @@ class _FakeBlock:
 
 class TestDegradeDedupWindow:
     def test_undersized_window_readmits_late_duplicate(self):
-        # The sizing hazard the knob exists for: with only 2 slots of
-        # receiver memory, two fresh posts evict a block id and a late
-        # fabric duplicate of it is re-admitted as a fresh post.
-        cluster = make_cluster(n_nodes=2, degrade_dedup_window=2)
+        # The sizing hazard: with only 2 slots of receiver memory, two
+        # fresh posts evict a block id and a late fabric duplicate of it
+        # is re-admitted as a fresh post.
+        cluster = make_cluster(n_nodes=2, dedup_window=2)
         events = cluster.events
         assert events._accept_degraded(1, _FakeBlock("a"))
         assert not events._accept_degraded(1, _FakeBlock("a"))  # prompt dup
@@ -645,7 +653,7 @@ class TestDegradeDedupWindow:
         assert events._accept_degraded(1, _FakeBlock("a"))  # re-admitted!
 
     def test_sized_window_rejects_late_duplicate(self):
-        cluster = make_cluster(n_nodes=2, degrade_dedup_window=10)
+        cluster = make_cluster(n_nodes=2, dedup_window=10)
         events = cluster.events
         assert events._accept_degraded(1, _FakeBlock("a"))
         assert events._accept_degraded(1, _FakeBlock("b"))
@@ -653,27 +661,9 @@ class TestDegradeDedupWindow:
         assert not events._accept_degraded(1, _FakeBlock("a"))  # remembered
 
     def test_window_is_per_node(self):
-        cluster = make_cluster(n_nodes=3, degrade_dedup_window=4)
+        cluster = make_cluster(n_nodes=3, dedup_window=4)
         events = cluster.events
         assert events._accept_degraded(1, _FakeBlock("a"))
         # the same block id arriving at another node is that node's
         # first sighting — dedup memory is per receiver
         assert events._accept_degraded(2, _FakeBlock("a"))
-
-    def test_default_follows_dedup_window(self):
-        cluster = make_cluster(n_nodes=2, dedup_window=3)
-        assert cluster.config.degrade_dedup_window is None
-        events = cluster.events
-        for bid in "abcd":
-            assert events._accept_degraded(1, _FakeBlock(bid))
-        # "a" was evicted once the 4th id overflowed the 3-slot window
-        assert events._accept_degraded(1, _FakeBlock("a"))
-
-    def test_knob_overrides_channel_window(self):
-        # same traffic, wider degrade window: the late duplicate now hits
-        cluster = make_cluster(n_nodes=2, dedup_window=3,
-                               degrade_dedup_window=8)
-        events = cluster.events
-        for bid in "abcd":
-            assert events._accept_degraded(1, _FakeBlock(bid))
-        assert not events._accept_degraded(1, _FakeBlock("a"))

@@ -5,8 +5,9 @@ identical to the heap reference for everything the kernel can see —
 execution order, clock advance, cancellation semantics — with the only
 allowed divergences documented (``Handle.cancelled`` may read True after
 an entry has *fired* on the wheel, because fired entries are recycled
-through the slab pool). The differential tests run full chaos and
-fastpath scenarios on both backends and require bit-identical results.
+through the slab pool). The differential tests run full chaos scenarios
+and the soak burst phase on both backends and require bit-identical
+results.
 """
 
 import random
@@ -14,7 +15,7 @@ import random
 import pytest
 
 from repro.bench.chaos import ChaosSpec, run_chaos
-from repro.bench.fastpath import FastpathSpec, deterministic_view, run_burst
+from repro.bench.soak import SoakSpec, deterministic_view, run_burst_phase
 from repro.errors import KernelError, SimulationError
 from repro.kernel.config import ClusterConfig
 from repro.sim import Simulator, WheelSimulator, make_simulator
@@ -247,9 +248,7 @@ def test_durable_chaos_digest_identical_heap_vs_wheel():
 
 
 def test_fastpath_burst_identical_heap_vs_wheel():
-    base = dict(seed=5, posts=80, burst=4)
-    heap = run_burst(FastpathSpec(scheduler="heap", **base), fastpath=True,
-                     bidirectional=True)
-    wheel = run_burst(FastpathSpec(scheduler="wheel", **base), fastpath=True,
-                      bidirectional=True)
+    base = dict(seed=5, burst=4)
+    heap = run_burst_phase(SoakSpec(scheduler="heap", **base), 80).row()
+    wheel = run_burst_phase(SoakSpec(scheduler="wheel", **base), 80).row()
     assert deterministic_view(heap) == deterministic_view(wheel)
