@@ -25,7 +25,7 @@ def _rows(table):
 def assert_chaos_shape(table, reports):
     """The delivery guarantees, checked on every swept cell.
 
-    Shared with the CI smoke runner (``benchmarks/smoke_chaos.py``),
+    Shared with the CI smoke runner (``benchmarks/smoke.py chaos``),
     which calls it on a reduced sweep.
     """
     for report in reports:

@@ -29,7 +29,7 @@ def _rows(table):
 def assert_durability_shape(table, reports, overhead):
     """The durability guarantees, checked on every swept cell.
 
-    Shared with the CI smoke runner (``benchmarks/smoke_durability.py``),
+    Shared with the CI smoke runner (``benchmarks/smoke.py durability``),
     which calls it on a reduced sweep.
     """
     for report in reports:

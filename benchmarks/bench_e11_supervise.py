@@ -1,5 +1,5 @@
 """E11: handler supervision — watchdog deadlines, buddy circuit
-breakers, dead-letter quarantine, heartbeat failure detector.
+breakers, dead-letter quarantine, SWIM failure detector.
 
 Runs the three E11 workloads (handler-faults, durable-poison,
 buddy-breaker) with supervision on and off, asserts the
@@ -48,7 +48,7 @@ def assert_supervise_shape(results):
         # fallback engages, never whether posts are handled.
         assert (row["buddy_served"] + row["fallback_handled"]
                 == row["posts"]), row
-    assert buddy_on["suspicions"] > 0, buddy_on
+    assert buddy_on["membership_suspicions"] > 0, buddy_on
     assert buddy_on["fast_fails"] > 0, buddy_on
     assert buddy_on["breaker_opens"] > 0, buddy_on
     assert buddy_on["breaker_skips"] > 0, buddy_on

@@ -1,12 +1,12 @@
 """E16: SWIM gossip membership — detection latency and load vs size.
 
-Runs the E16 sweep (detection rows for SWIM at 4..256 nodes vs the
-all-pairs heartbeat at 4..64, a 10%-correlated-failure convergence row,
-churn chaos rows at 64/128 nodes on the sim backend, and sharded churn
-rows at 64/4 and 128/8), asserts the membership acceptance bars — SWIM
-per-node detection load flat while the heartbeat's grows O(n), every
-churned post executed-once/noticed/quarantined, sharded views converged
-with zero lost posts — and emits ``BENCH_membership.json``.
+Runs the E16 sweep (detection rows for SWIM at 4..256 nodes, a
+10%-correlated-failure convergence row, churn chaos rows at 64/128
+nodes on the sim backend, and sharded churn rows at 64/4 and 128/8),
+asserts the membership acceptance bars — SWIM per-node detection load
+flat in n, every churned post executed-once/noticed/quarantined,
+sharded views converged with zero lost posts — and emits
+``BENCH_membership.json``.
 """
 
 import pathlib
@@ -32,7 +32,7 @@ def test_e16_membership(benchmark, record):
               experiment="e16-membership", quick=False, rows=rows)
 
     # the sweep reaches the acceptance sizes on both backends
-    swim = [r for r in rows["detection"] if r["mode"] == "swim"]
+    swim = rows["detection"]
     assert max(r["nodes"] for r in swim) >= 256
     assert max(r["nodes"] for r in rows["churn"]) >= 128
     assert max(r["nodes"] for r in rows["sharded"]) >= 128

@@ -16,7 +16,7 @@ def _rows(table):
 def assert_e2_shape(table):
     """The paper's cost curves plus the cached locator's amortised win.
 
-    Shared with the CI smoke runner (``benchmarks/smoke_e2.py``), which
+    Shared with the CI smoke runner (``benchmarks/smoke.py e2``), which
     calls it on a reduced sweep.
     """
     rows = _rows(table)

@@ -191,7 +191,6 @@ class ChaosSpec:
     handler_retries: int = 0
     breaker_threshold: int | None = None
     poison_threshold: int | None = None
-    heartbeat_interval: float | None = None
     #: scheduler backend under test ("heap" | "wheel"); the differential
     #: tests run the same spec on both and require identical digests
     scheduler: str = "heap"
@@ -204,11 +203,8 @@ class ChaosSpec:
     admission_low: int | None = None
     overload_policy: str = "drop"
     flow_credits: int | None = None
-    #: SWIM gossip membership knobs (E16); all-defaults = membership off
+    #: SWIM gossip membership / failure detection (E11, E16); None = off
     swim_interval: float | None = None
-    swim_ping_timeout: float | None = None
-    swim_suspect_timeout: float | None = None
-    swim_piggyback: bool = True
     #: scheduled join/leave/crash/recover churn (None = no churn; the
     #: schedule is drawn from the same seeded stream, and only when set,
     #: so churn-off digests are unchanged)
@@ -370,16 +366,12 @@ def run_chaos(spec: ChaosSpec) -> ChaosReport:
         handler_retries=spec.handler_retries,
         breaker_threshold=spec.breaker_threshold,
         poison_threshold=spec.poison_threshold,
-        heartbeat_interval=spec.heartbeat_interval,
         scheduler=spec.scheduler,
         admission_high=spec.admission_high,
         admission_low=spec.admission_low,
         overload_policy=spec.overload_policy,
         flow_credits=spec.flow_credits,
         swim_interval=spec.swim_interval,
-        swim_ping_timeout=spec.swim_ping_timeout,
-        swim_suspect_timeout=spec.swim_suspect_timeout,
-        swim_piggyback=spec.swim_piggyback,
         rpc_default_timeout=0.5, trace_net=False))
     cluster.register_event(CHAOS_EVENT)
     sim, faults = cluster.sim, cluster.fabric.faults

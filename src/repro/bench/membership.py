@@ -1,17 +1,16 @@
 """E16 — gossip membership: detection latency and load vs cluster size.
 
-The SWIM layer's whole argument is a scaling one: the all-pairs
-heartbeat detector costs every node O(n) messages per period, while
-SWIM's one-probe-per-period plus piggybacked gossip costs O(1) — with
-detection latency that stays flat as the cluster grows. This experiment
-measures the claim directly:
+The SWIM layer's whole argument is a scaling one: an all-pairs
+heartbeat costs every node n - 1 messages per period by construction
+(the retired detector's rows are a closed section of EXPERIMENTS.md),
+while SWIM's one-probe-per-period plus piggybacked gossip costs O(1) —
+with detection latency that stays flat as the cluster grows. This
+experiment measures the claim directly:
 
 * **detection rows** — crash one node in an otherwise idle cluster and
   measure, per live observer, how long until the victim is suspected
-  (and, for SWIM, confirmed dead), plus the steady-state failure-
-  detection message load per node per protocol period. SWIM is swept
-  to 256 nodes; the heartbeat contrast stops at 64 (its all-pairs
-  traffic is the point being made);
+  and confirmed dead, plus the steady-state failure-detection message
+  load per node per protocol period, swept to 256 nodes;
 * **convergence row** — crash 10% of the cluster in the same instant
   (correlated failure) and measure how long until every surviving
   node's view marks every victim dead;
@@ -47,42 +46,33 @@ MEMBER_EVENT = "SCALE"  # reuse the ScaleSink handler event
 
 #: trace categories muted for membership runs
 MUTED_CATEGORIES = ("event", "object", "thread", "net", "store",
-                    "supervise", "invoke", "dsm", "rpc", "membership",
-                    "failure")
+                    "supervise", "invoke", "dsm", "rpc", "membership")
 
 
 # ----------------------------------------------------------------------
 # detection latency and per-node load (single-process sim)
 # ----------------------------------------------------------------------
 
-def _idle_cluster(n_nodes: int, mode: str, interval: float,
-                  seed: int) -> Cluster:
-    kwargs: dict[str, Any] = dict(n_nodes=n_nodes, seed=seed,
-                                  trace_net=False)
-    if mode == "swim":
-        kwargs["swim_interval"] = interval
-    else:
-        kwargs["heartbeat_interval"] = interval
-        kwargs["suspect_after"] = 3
-    cluster = Cluster(ClusterConfig(**kwargs))
+def _idle_cluster(n_nodes: int, interval: float, seed: int) -> Cluster:
+    cluster = Cluster(ClusterConfig(n_nodes=n_nodes, seed=seed,
+                                    swim_interval=interval,
+                                    trace_net=False))
     cluster.tracer.mute(*MUTED_CATEGORIES)
     return cluster
 
 
-def run_detection_row(n_nodes: int, mode: str, interval: float = 0.1,
+def run_detection_row(n_nodes: int, interval: float = 0.1,
                       seed: int = 0, warm: float = 2.0,
                       window: float = 2.0,
                       budget_periods: int = 60) -> dict:
     """Crash one node; measure observer detection latency and the
     steady-state failure-detection load per node per period."""
-    cluster = _idle_cluster(n_nodes, mode, interval, seed)
-    stats = cluster.fabric.stats
-    prefix = "swim." if mode == "swim" else "fd.beat"
-    count = (stats.count_prefix if mode == "swim" else stats.count)
+    cluster = _idle_cluster(n_nodes, interval, seed)
+    count = cluster.fabric.stats.count_prefix
     cluster.run(until=warm)
-    before = count(prefix)
+    before = count("swim.")
     cluster.run(until=cluster.now + window)
-    load = ((count(prefix) - before)
+    load = ((count("swim.") - before)
             / n_nodes / (window / interval))
 
     victim = n_nodes - 1
@@ -95,44 +85,31 @@ def run_detection_row(n_nodes: int, mode: str, interval: float = 0.1,
 
     suspect_lat: list[float] = []
     confirm_lat: list[float] = []
-    if mode == "swim":
-        while cluster.now < deadline:
-            cluster.run(until=cluster.now + step)
-            if all(k.membership.is_dead(victim) for k in observers):
-                break
-        for kernel in observers:
-            first: dict[str, float] = {}
-            for t, peer, state, _inc in kernel.membership.transitions:
-                if peer == victim and t >= t_crash and state not in first:
-                    first[state] = t
-            if "suspect" in first:
-                suspect_lat.append(first["suspect"] - t_crash)
-            if "dead" in first:
-                confirm_lat.append(first["dead"] - t_crash)
-        detected = sum(1 for k in observers
-                       if k.membership.is_dead(victim))
-    else:
-        seen: dict[int, float] = {}
-        while cluster.now < deadline and len(seen) < len(observers):
-            cluster.run(until=cluster.now + step)
-            for kernel in observers:
-                if (kernel.node_id not in seen
-                        and kernel.failure.is_suspected(victim)):
-                    seen[kernel.node_id] = cluster.now
-        suspect_lat = [t - t_crash for t in seen.values()]
-        detected = len(seen)
+    while cluster.now < deadline:
+        cluster.run(until=cluster.now + step)
+        if all(k.membership.is_dead(victim) for k in observers):
+            break
+    for kernel in observers:
+        first: dict[str, float] = {}
+        for t, peer, state, _inc in kernel.membership.transitions:
+            if peer == victim and t >= t_crash and state not in first:
+                first[state] = t
+        if "suspect" in first:
+            suspect_lat.append(first["suspect"] - t_crash)
+        if "dead" in first:
+            confirm_lat.append(first["dead"] - t_crash)
+    detected = sum(1 for k in observers if k.membership.is_dead(victim))
 
     assert detected == len(observers), (
-        f"{mode} n={n_nodes}: only {detected}/{len(observers)} observers "
+        f"swim n={n_nodes}: only {detected}/{len(observers)} observers "
         f"detected the crash within {budget_periods} periods")
     return {
-        "mode": mode, "nodes": n_nodes, "interval": interval,
+        "mode": "swim", "nodes": n_nodes, "interval": interval,
         "msgs_per_node_per_period": load,
         "suspect_p50": statistics.median(suspect_lat),
         "suspect_max": max(suspect_lat),
-        "confirm_p50": (statistics.median(confirm_lat)
-                        if confirm_lat else None),
-        "confirm_max": max(confirm_lat) if confirm_lat else None,
+        "confirm_p50": statistics.median(confirm_lat),
+        "confirm_max": max(confirm_lat),
         "observers": len(observers),
     }
 
@@ -143,7 +120,7 @@ def run_convergence_row(n_nodes: int, fail_fraction: float = 0.1,
                         budget_periods: int = 80) -> dict:
     """Crash ``fail_fraction`` of the cluster in the same instant;
     measure how long until every survivor marks every victim dead."""
-    cluster = _idle_cluster(n_nodes, "swim", interval, seed)
+    cluster = _idle_cluster(n_nodes, interval, seed)
     cluster.run(until=warm)
     k = max(1, int(n_nodes * fail_fraction))
     victims = list(range(n_nodes - k, n_nodes))
@@ -392,12 +369,8 @@ def run_churn_sharded(n_nodes: int, shard_count: int, seed: int = 7,
 # ----------------------------------------------------------------------
 
 def check_scaling(rows: list[dict]) -> None:
-    """The headline claim: SWIM's per-node load is flat while the
-    heartbeat's grows with n."""
-    swim = sorted((r for r in rows if r["mode"] == "swim"),
-                  key=lambda r: r["nodes"])
-    beat = sorted((r for r in rows if r["mode"] == "heartbeat"),
-                  key=lambda r: r["nodes"])
+    """The headline claim: SWIM's per-node load is flat in n."""
+    swim = sorted(rows, key=lambda r: r["nodes"])
     if len(swim) >= 2:
         lo, hi = swim[0], swim[-1]
         growth = (hi["msgs_per_node_per_period"]
@@ -405,47 +378,33 @@ def check_scaling(rows: list[dict]) -> None:
         assert growth <= 3.0, (
             f"swim per-node load grew {growth:.2f}x from n={lo['nodes']} "
             f"to n={hi['nodes']} (expected O(1))")
-    if len(beat) >= 2:
-        lo, hi = beat[0], beat[-1]
-        node_ratio = hi["nodes"] / lo["nodes"]
-        growth = (hi["msgs_per_node_per_period"]
-                  / max(lo["msgs_per_node_per_period"], 1e-9))
-        assert growth >= node_ratio / 2.0, (
-            f"heartbeat per-node load grew only {growth:.2f}x over a "
-            f"{node_ratio:.0f}x node range (expected O(n))")
 
 
 def run_e16(quick: bool = False, sharded: bool = True) -> tuple[Table, dict]:
     if quick:
         swim_nodes = (4, 16, 32)
-        beat_nodes = (4, 16)
         converge_nodes = (32,)
         churn_nodes = (16,)
         sharded_rows = ((16, 2),)
     else:
         swim_nodes = (4, 16, 64, 128, 256)
-        beat_nodes = (4, 16, 64)
         converge_nodes = (64,)
         churn_nodes = (64, 128)
         sharded_rows = ((64, 4), (128, 8))
     table = Table(
-        title="E16: SWIM gossip membership vs all-pairs heartbeat",
+        title="E16: SWIM gossip membership",
         columns=["kind", "mode", "nodes", "shards", "msgs/node/period",
                  "suspect_p50", "confirm_max", "converge", "accounted",
                  "digest[:12]"])
     rows: dict[str, Any] = {"detection": [], "convergence": [],
                             "churn": [], "sharded": []}
-    for mode, node_list in (("swim", swim_nodes),
-                            ("heartbeat", beat_nodes)):
-        for n in node_list:
-            row = run_detection_row(n, mode)
-            rows["detection"].append(row)
-            table.add("detect", mode, n, 1,
-                      round(row["msgs_per_node_per_period"], 2),
-                      round(row["suspect_p50"], 3),
-                      (round(row["confirm_max"], 3)
-                       if row["confirm_max"] is not None else "-"),
-                      "-", "-", "-")
+    for n in swim_nodes:
+        row = run_detection_row(n)
+        rows["detection"].append(row)
+        table.add("detect", "swim", n, 1,
+                  round(row["msgs_per_node_per_period"], 2),
+                  round(row["suspect_p50"], 3),
+                  round(row["confirm_max"], 3), "-", "-", "-")
     check_scaling(rows["detection"])
     for n in converge_nodes:
         row = run_convergence_row(n)
@@ -463,10 +422,10 @@ def run_e16(quick: bool = False, sharded: bool = True) -> tuple[Table, dict]:
             rows["sharded"].append(row)
             table.add("churn", "sharded", n, shards, "-", "-", "-",
                       "-", 1.0, row["digest"][:12])
-    table.note("msgs/node/period: failure-detection sends only (swim.* "
-               "vs fd.beat) over a 2s steady-state window")
-    table.note("swim per-node load is O(1) vs heartbeat O(n); "
-               "check_scaling asserts both slopes")
+    table.note("msgs/node/period: failure-detection sends only (swim.*) "
+               "over a 2s steady-state window")
+    table.note("swim per-node load is O(1) (an all-pairs heartbeat is "
+               "n-1 by construction); check_scaling asserts the slope")
     table.note("churn accounted = every post executed exactly once, "
                "noticed, or quarantined under drops + leave/crash/rejoin")
     return table, rows

@@ -1,10 +1,10 @@
 """Handler supervision bench (E11): what the watchdog, the buddy
-circuit breaker, the dead-letter quarantine and the heartbeat failure
+circuit breaker, the dead-letter quarantine and the SWIM failure
 detector buy under injected handler faults.
 
 Three workloads, each run with supervision **on** (``handler_deadline``,
 ``handler_retries``, ``breaker_threshold``, ``poison_threshold``,
-``heartbeat_interval`` set) and **off** (all defaults — the pre-PR 5
+``swim_interval`` set) and **off** (all defaults — the pre-PR 5
 behaviour):
 
 * ``handler-faults`` — the chaos harness with hang / transient-raise /
@@ -18,7 +18,7 @@ behaviour):
   dead-letter queue, never silently lost, even across crashes.
 * ``buddy-breaker`` — a central monitor object serving buddy handlers
   while its node crashes and recovers. Supervised runs suspect the dead
-  node via heartbeats, fail buddy invocations fast, open the breaker
+  node via SWIM probes, fail buddy invocations fast, open the breaker
   and fall through to the local fallback handler; unsupervised runs
   wait out a full RPC timeout per post. Delivery totals are asserted
   identical — only the counters and the virtual completion time differ.
@@ -42,11 +42,11 @@ from repro.bench.workloads import build_cluster
 #: the supervision knob set the "on" rows run with
 SUPERVISED = {"handler_deadline": 0.05, "handler_retries": 2,
               "breaker_threshold": 3, "poison_threshold": 3,
-              "heartbeat_interval": 0.02}
+              "swim_interval": 0.02}
 #: all defaults — the pre-supervision behaviour
 UNSUPERVISED = {"handler_deadline": None, "handler_retries": 0,
                 "breaker_threshold": None, "poison_threshold": None,
-                "heartbeat_interval": None}
+                "swim_interval": None}
 
 
 @dataclass
@@ -164,7 +164,7 @@ def run_buddy_breaker(spec: SuperviseSpec,
     # Reliable delivery is what bounds the *unsupervised* failure path:
     # a buddy invocation shipped into the dead node fails when the
     # channel's retransmission budget gives up. Supervision gets there
-    # orders of magnitude sooner via heartbeat suspicion + the breaker.
+    # orders of magnitude sooner via SWIM suspicion + the breaker.
     cluster = build_cluster(n_nodes=3, seed=spec.seed,
                             reliable_delivery=True, max_retransmits=5,
                             rpc_default_timeout=spec.rpc_timeout, **knobs)
@@ -208,7 +208,7 @@ def run_buddy_breaker(spec: SuperviseSpec,
         "breaker_opens": sup.get("breaker_opens", 0),
         "breaker_skips": sup.get("breaker_skips", 0),
         "breaker_closes": sup.get("breaker_closes", 0),
-        "suspicions": sup.get("suspicions", 0),
+        "membership_suspicions": sup.get("membership_suspicions", 0),
         # virtual post->handled latency: the stall supervision removes
         "mean_latency": round(sum(latencies) / len(latencies), 6),
         "max_latency": round(max(latencies), 6),

@@ -169,8 +169,8 @@ class HandlerTimeout(EventError):
 class BuddyUnavailableError(EventError):
     """A buddy invocation was failed fast by the failure detector.
 
-    The buddy object's home node has missed ``suspect_after``
-    consecutive heartbeats; rather than waiting out the full
+    The raiser's SWIM membership view holds the buddy object's home
+    node suspected or confirmed dead; rather than waiting out the full
     retransmission give-up, the invocation fails immediately and feeds
     the circuit breaker / retry policy.
     """

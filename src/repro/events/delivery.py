@@ -181,9 +181,11 @@ class EventManager:
         config = cluster.config
         if config.admission_high is not None:
             self.admission: dict[int, AdmissionGate] | None = {
-                node: AdmissionGate(node, config.admission_high,
-                                    config.admission_low,
-                                    config.tenant_weights)
+                node: AdmissionGate(
+                    node, config.admission_high,
+                    config.admission_low
+                    or max(1, config.admission_high // 2),
+                    config.tenant_weights)
                 for node in cluster.kernels}
         else:
             self.admission = None
@@ -198,8 +200,7 @@ class EventManager:
         self._degraded_seen: dict[int, "OrderedDict[int, None]"] = {}
         #: per-delivery (event, raise->deliver virtual latency) samples —
         #: a bounded reservoir so long runs stop accumulating memory
-        self.delivery_latencies = LatencyReservoir(
-            cluster.config.latency_reservoir_capacity)
+        self.delivery_latencies = LatencyReservoir()
 
     def base_locator(self, name: str) -> Any:
         """One of the three paper strategies, by config name (shared
@@ -841,7 +842,7 @@ class EventManager:
             return
         kernel = self.cluster.kernels.get(node)
         if (kernel is not None and obj.cap.home != node
-                and kernel.failure.is_suspected(obj.cap.home)):
+                and kernel.membership.is_failed(obj.cap.home)):
             # Suspected buddy node: fail fast instead of waiting out the
             # reliable channel's give-up; feeds the retry/breaker policy.
             self.supervisor.counters["fast_fails"] += 1

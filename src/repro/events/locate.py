@@ -23,7 +23,7 @@ one interface:
   successful delivery, piggy-backed on existing replies) and a post goes
   straight to the hinted node with a single message. On a stale hint the
   receiving kernel chases its TCB ``next_node`` forwarding pointer with
-  the notice itself, bounded by ``locate_retries`` forwards; only on
+  the notice itself, bounded by :data:`LOCATE_RETRIES` forwards; only on
   exhaustion does the post fall back to the configured base strategy
   (``cache_fallback``: path, broadcast or multicast). Steady-state posts
   to a stationary thread cost one message regardless of cluster size and
@@ -57,6 +57,11 @@ MSG_BCAST_REPLY = "locate.bcast-reply"
 MSG_MCAST_POST = "locate.mcast"
 MSG_MCAST_REPLY = "locate.mcast-reply"
 MSG_CACHED_POST = "locate.cached"
+
+#: re-locate attempts (and cached-hint forwards) before a thread that
+#: keeps moving is declared dead, and the virtual pause between them
+LOCATE_RETRIES = 8
+LOCATE_RETRY_DELAY = 2e-3
 
 #: Result callback: (delivered, hops) — hops is the count of routing
 #: messages this post consumed (broadcast counts fan-out copies).
@@ -114,8 +119,7 @@ class BaseLocator:
         return self.manager.enqueue_for_thread(node, tid, block)
 
     def _retry_later(self, fn: Callable[[], None]) -> None:
-        self.cluster.sim.call_after(
-            self.cluster.config.locate_retry_delay, fn)
+        self.cluster.sim.call_after(LOCATE_RETRY_DELAY, fn)
 
     def _transmit(self, message: Message,
                   on_give_up: Callable[[Message], None] | None = None) -> None:
@@ -137,7 +141,7 @@ class PathLocator(BaseLocator):
 
     def post(self, from_node: int, tid: ThreadId, block: EventBlock,
              on_result: PostResult) -> None:
-        state = {"hops": 0, "retries": self.cluster.config.locate_retries}
+        state = {"hops": 0, "retries": LOCATE_RETRIES}
         self._hop(from_node, tid.root, tid, block, state, on_result)
 
     def _hop(self, from_node: int, to_node: int, tid: ThreadId,
@@ -205,7 +209,7 @@ class BroadcastLocator(BaseLocator):
              on_result: PostResult) -> None:
         state = {
             "hops": 0,
-            "retries": self.cluster.config.locate_retries,
+            "retries": LOCATE_RETRIES,
             "from_node": from_node,
         }
         self._round(tid, block, state, on_result)
@@ -281,7 +285,7 @@ class MulticastLocator(BaseLocator):
              on_result: PostResult) -> None:
         state = {
             "hops": 0,
-            "retries": self.cluster.config.locate_retries,
+            "retries": LOCATE_RETRIES,
             "from_node": from_node,
         }
         self._round(tid, block, state, on_result)
@@ -364,7 +368,7 @@ class CachedLocator(BaseLocator):
     1. **hit fast path** — one direct message to the hinted node;
     2. **stale hint** — the receiving kernel forwards the notice along
        its TCB ``next_node`` pointer (or its own fresher hint), bounded
-       by ``locate_retries`` forwards;
+       by :data:`LOCATE_RETRIES` forwards;
     3. **fallback** — no hint, dead pointer chain or exhausted budget:
        the configured base strategy (``cache_fallback``) takes over and
        also performs §7.2 dead-target detection.
@@ -380,7 +384,7 @@ class CachedLocator(BaseLocator):
     def post(self, from_node: int, tid: ThreadId, block: EventBlock,
              on_result: PostResult) -> None:
         state = {"hops": 0,
-                 "forwards": self.cluster.config.locate_retries,
+                 "forwards": LOCATE_RETRIES,
                  "from_node": from_node}
         hint = self.cluster.kernels[from_node].location_hints.get(tid)
         if hint is None or hint == from_node:

@@ -98,12 +98,10 @@ class Cluster:
             node.kernel.invoker = self.invoker
             node.kernel.events = self.events
             node.kernel.dsm = self.dsm
-        # Failure detection (inert unless a knob is set; arming happens
-        # after wiring so beats/pings can dispatch). SWIM membership
-        # subsumes the heartbeat detector when both are enabled.
+        # Failure detection (inert unless ``swim_interval`` is set;
+        # arming happens after wiring so pings can dispatch).
         for node in self.nodes:
             node.kernel.membership.start()
-            node.kernel.failure.start()
         # Bring the medium up last: endpoints are all registered by now.
         # A no-op for the in-process simulator; binds listening sockets
         # for tcp and declares remote shard peers for sharded workers.
@@ -225,8 +223,6 @@ class Cluster:
         sums and the admission gate's shed/defer/depth counters."""
         totals = dict(self.events.supervisor.stats())
         for kernel in self.kernels.values():
-            for key, value in kernel.failure.stats().items():
-                totals[key] = totals.get(key, 0) + value
             if kernel.membership.enabled:
                 for key, value in kernel.membership.stats().items():
                     key = f"membership_{key}"

@@ -150,15 +150,9 @@ class ClusterConfig:
     #: Fail a raise_and_wait raiser after this many virtual seconds if no
     #: resume arrived (None = wait forever). Guards against message loss.
     sync_raise_timeout: float | None = None
-    locate_retries: int = 8
-    locate_retry_delay: float = 2e-3
     #: Base strategy the ``cached`` locator falls back to when it has no
     #: hint or exhausted its forwarding budget.
     cache_fallback: str = LOCATE_PATH
-    #: Per-node capacity of the tid -> node location-hint table (LRU).
-    location_hint_capacity: int = 1024
-    #: Retained samples in the event manager's delivery-latency reservoir.
-    latency_reservoir_capacity: int = 4096
     #: Post an ABORT event to each object a terminating thread unwinds out
     #: of, so "all of the objects get a chance to perform appropriate
     #: cleanup operations" (§6.3).
@@ -170,8 +164,6 @@ class ClusterConfig:
     reliable_delivery: bool = False
     #: First retransmission timeout (virtual seconds).
     retransmit_base: float = 4e-3
-    #: Backoff multiplier applied per retransmission.
-    retransmit_backoff: float = 2.0
     #: Retransmission budget before a reliable send gives up.
     max_retransmits: int = 10
     #: Per-sender bound on remembered out-of-order sequence numbers;
@@ -232,39 +224,16 @@ class ClusterConfig:
     #: Times an event's *entire* chain may fail before the block is
     #: moved to the node's dead-letter queue. None = never quarantine.
     poison_threshold: int | None = None
-    #: Failure-detector heartbeat period (virtual seconds); None
-    #: disables the detector (no heartbeat traffic at all). Subsumed by
-    #: SWIM when ``swim_interval`` is set: the heartbeat machinery stays
-    #: inert and :class:`~repro.kernel.failure.FailureDetector` becomes
-    #: a thin adapter over gossip suspicion.
-    heartbeat_interval: float | None = None
-    #: Missed heartbeats before a peer is suspected; suspicion fails
-    #: buddy posts fast instead of waiting out retransmission give-up.
-    suspect_after: int = 3
-    #: SWIM gossip membership (:mod:`repro.kernel.membership`; all
-    #: default off: no timers, no messages, no state transitions, and
-    #: bit-identical same-seed digests).
-    #: Protocol period (virtual seconds): once per period each node
-    #: pings one member chosen by randomized round-robin — O(1) failure
-    #: detection load per node per period regardless of cluster size.
-    #: None disables membership entirely.
+    #: SWIM gossip membership (:mod:`repro.kernel.membership`), the one
+    #: failure detector: its suspicion fails buddy posts fast and gates
+    #: outbox flushes. Protocol period (virtual seconds): once per
+    #: period each node pings one member chosen by randomized
+    #: round-robin — O(1) failure detection load per node per period
+    #: regardless of cluster size; the ping timeout is a third of it and
+    #: the refutation window three times it. None (the default) disables
+    #: the layer: no timers, no messages, no state transitions, and
+    #: bit-identical same-seed digests.
     swim_interval: float | None = None
-    #: Direct-ack wait before falling back to indirect ping-req probes;
-    #: None = ``swim_interval / 3``.
-    swim_ping_timeout: float | None = None
-    #: How long a suspected member may stay silent before it is
-    #: confirmed dead (the refutation window); None =
-    #: ``3 * swim_interval``.
-    swim_suspect_timeout: float | None = None
-    #: Proxies asked to ping an unresponsive target on the prober's
-    #: behalf (the SWIM k parameter). 0 = direct pings only.
-    swim_indirect_probes: int = 3
-    #: Maximum membership updates piggybacked on one outbound message.
-    swim_gossip_max: int = 6
-    #: Disseminate join/alive/suspect/confirm updates by piggybacking
-    #: them on *existing* outbound traffic (the ``Message.gossip``
-    #: field) in addition to SWIM's own probes.
-    swim_piggyback: bool = True
     #: Overload control (all default off: zero behaviour change and
     #: bit-identical same-seed runs unless a knob is enabled).
     #: Credit-based flow control: per-peer in-flight window on the
@@ -281,7 +250,7 @@ class ClusterConfig:
     #: ``admission_low``. None disables admission control.
     admission_high: int | None = None
     #: Admission-control low watermark (hysteresis): shedding stops once
-    #: depth falls back to this. Defaults to half of ``admission_high``.
+    #: depth falls back to this. None = half of ``admission_high``.
     admission_low: int | None = None
     #: What to do with a post shed by admission control: ``drop``
     #: (undeliverable notice, §7.2), ``degrade`` (reliable →
@@ -308,19 +277,6 @@ class ClusterConfig:
     #: Which shard this Cluster instance hosts (set by the sharded
     #: runner inside each worker; None everywhere else).
     shard_index: int | None = None
-    #: Conservative synchronization window (virtual seconds) for the
-    #: sharded backend; must not exceed the minimum cross-shard link
-    #: latency (the lookahead). None = use ``cross_shard_latency`` when
-    #: declared, else ``link_latency``.
-    shard_window: float | None = None
-    #: Declared minimum *cross-shard* latency (virtual seconds) when a
-    #: custom latency model guarantees inter-shard messages are slower
-    #: than ``link_latency`` — the window may then stretch up to it,
-    #: cutting barrier rounds. The declaration is trusted at window
-    #: sizing time and still enforced per message at the barrier
-    #: (`take_outbound` raises on any violation). None = the fixed
-    #: model's ``link_latency`` is the lookahead.
-    cross_shard_latency: float | None = None
     #: Bind host for the ``tcp`` backend's per-node listening sockets.
     tcp_host: str = "127.0.0.1"
     #: First listening port for the ``tcp`` backend (node i binds
@@ -356,33 +312,6 @@ class ClusterConfig:
             return range(lo, hi)
         return range(self.n_nodes)
 
-    def effective_shard_window(self) -> float:
-        """Lookahead window for conservative shard synchronization."""
-        if self.shard_window is not None:
-            return self.shard_window
-        if self.cross_shard_latency is not None:
-            return self.cross_shard_latency
-        return self.link_latency
-
-    def effective_swim_ping_timeout(self) -> float:
-        """Direct-ack wait before indirect probes (requires SWIM on)."""
-        if self.swim_ping_timeout is not None:
-            return self.swim_ping_timeout
-        return self.swim_interval / 3.0
-
-    def effective_swim_suspect_timeout(self) -> float:
-        """Refutation window before a suspect is confirmed dead."""
-        if self.swim_suspect_timeout is not None:
-            return self.swim_suspect_timeout
-        return 3.0 * self.swim_interval
-
-    def effective_cross_shard_latency(self) -> float:
-        """The lookahead bound: declared cross-shard minimum latency,
-        or the fixed model's ``link_latency``."""
-        if self.cross_shard_latency is not None:
-            return self.cross_shard_latency
-        return self.link_latency
-
     def __post_init__(self) -> None:
         if self.durable_delivery:
             # Redelivery rides the reliable channel; durable without
@@ -404,10 +333,6 @@ class ClusterConfig:
             raise KernelError(
                 f"unknown cache_fallback {self.cache_fallback!r}; "
                 f"choose from {BASE_LOCATOR_NAMES}")
-        if self.location_hint_capacity < 1:
-            raise KernelError("location_hint_capacity must be >= 1")
-        if self.latency_reservoir_capacity < 1:
-            raise KernelError("latency_reservoir_capacity must be >= 1")
         if self.default_transport not in TRANSPORT_NAMES:
             raise KernelError(
                 f"unknown transport {self.default_transport!r}; "
@@ -434,23 +359,6 @@ class ClusterConfig:
             raise KernelError(
                 f"shard_index {self.shard_index} out of range for "
                 f"shard_count {self.shard_count}")
-        if self.shard_window is not None and self.shard_window <= 0:
-            raise KernelError("shard_window must be positive or None")
-        if (self.cross_shard_latency is not None
-                and self.cross_shard_latency <= 0):
-            raise KernelError("cross_shard_latency must be positive or None")
-        if (self.cross_shard_latency is not None
-                and self.cross_shard_latency < self.link_latency):
-            raise KernelError(
-                "cross_shard_latency declares a *minimum* for messages "
-                "between shards and cannot be below link_latency")
-        if (self.transport == TRANSPORT_BACKEND_SHARDED
-                and self.effective_shard_window()
-                > self.effective_cross_shard_latency()):
-            raise KernelError(
-                "shard_window (the lookahead) must not exceed the "
-                "minimum cross-shard latency: a cross-shard message "
-                "could arrive inside the window that sent it")
         if not (0 <= self.tcp_base_port <= 65535):
             raise KernelError("tcp_base_port must be within [0, 65535]")
         if self.wheel_tick <= 0:
@@ -459,26 +367,18 @@ class ClusterConfig:
             raise KernelError("wheel_slots must be >= 2")
         for name in ("link_latency", "thread_create_cost", "surrogate_cost",
                      "context_switch_cost", "attach_cost", "locate_timeout",
-                     "locate_retry_delay", "retransmit_base", "ack_delay"):
+                     "retransmit_base", "ack_delay"):
             if getattr(self, name) < 0:
                 raise KernelError(f"{name} must be non-negative")
-        if self.retransmit_backoff < 1.0:
-            raise KernelError("retransmit_backoff must be >= 1")
         if self.max_retransmits < 0 or self.rpc_retries < 0:
             raise KernelError("max_retransmits and rpc_retries must be >= 0")
         if self.dedup_window < 1:
             raise KernelError("dedup_window must be >= 1")
         for name in ("rpc_default_timeout", "post_deadline",
-                     "handler_deadline", "heartbeat_interval",
-                     "breaker_reset", "swim_interval", "swim_ping_timeout",
-                     "swim_suspect_timeout"):
+                     "handler_deadline", "breaker_reset", "swim_interval"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise KernelError(f"{name} must be positive or None")
-        if self.swim_indirect_probes < 0:
-            raise KernelError("swim_indirect_probes must be >= 0")
-        if self.swim_gossip_max < 1:
-            raise KernelError("swim_gossip_max must be >= 1")
         for name in ("breaker_threshold", "poison_threshold"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -487,16 +387,13 @@ class ClusterConfig:
             raise KernelError("handler_retries must be >= 0")
         if self.handler_backoff < 0:
             raise KernelError("handler_backoff must be non-negative")
-        if self.suspect_after < 1:
-            raise KernelError("suspect_after must be >= 1")
         if self.flow_credits is not None and self.flow_credits < 1:
             raise KernelError("flow_credits must be >= 1 or None")
         if self.admission_high is not None:
             if self.admission_high < 1:
                 raise KernelError("admission_high must be >= 1 or None")
-            if self.admission_low is None:
-                self.admission_low = max(1, self.admission_high // 2)
-            if not 1 <= self.admission_low <= self.admission_high:
+            if (self.admission_low is not None
+                    and not 1 <= self.admission_low <= self.admission_high):
                 raise KernelError(
                     "admission_low must satisfy "
                     "1 <= admission_low <= admission_high")

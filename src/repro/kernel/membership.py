@@ -3,17 +3,17 @@
 Every node with ``swim_interval`` set runs the SWIM protocol
 (Das/Gupta/Motivala): once per protocol period it pings **one** member
 chosen by randomized round-robin, falling back to ``ping-req`` through
-``swim_indirect_probes`` proxies when the direct ack misses the
-``swim_ping_timeout``. A member that answers neither by the end of the
-period is *suspected* and the suspicion is gossiped; unless the accused
-node refutes it — by gossiping an ``alive`` update under a **higher
-incarnation number** — within ``swim_suspect_timeout``, the suspicion is
+:data:`INDIRECT_PROBES` proxies when the direct ack misses a third of
+the period. A member that answers neither by the end of the period is
+*suspected* and the suspicion is gossiped; unless the accused node
+refutes it — by gossiping an ``alive`` update under a **higher
+incarnation number** — within three periods, the suspicion is
 confirmed and the member is declared *dead* cluster-wide. Updates spread
 by piggybacking on existing outbound traffic (the ``Message.gossip``
 field, stamped by the fabric's per-source hook) plus SWIM's own probes,
 each update carrying an O(log n) retransmit budget — so failure
-detection costs O(1) messages per node per period where the heartbeat
-detector costs O(n), and dissemination still completes in O(log n)
+detection costs O(1) messages per node per period where an all-pairs
+heartbeat costs O(n), and dissemination still completes in O(log n)
 periods with high probability.
 
 Update ordering (the reason duplicates and stale retransmissions are
@@ -40,7 +40,7 @@ same-seed digests are bit-identical to a build without it.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.net.message import Message
 
@@ -57,6 +57,12 @@ ALIVE = 0
 SUSPECT = 1
 DEAD = 2
 STATE_NAMES = {ALIVE: "alive", SUSPECT: "suspect", DEAD: "dead"}
+
+#: proxies asked to ping an unresponsive target (the SWIM k parameter);
+#: also the fan-out of a join/leave announcement
+INDIRECT_PROBES = 3
+#: most membership updates piggybacked on one outbound message
+GOSSIP_MAX = 6
 
 
 class Membership:
@@ -94,7 +100,6 @@ class Membership:
         self._timer: int | None = None
         self._rng = None
         self._gossip_budget = 1
-        self._listeners: list[Callable[[], None]] = []
         #: (virtual time, peer, state name, incarnation) per local view
         #: transition — how the E16 bench measures detection latency
         self.transitions: list[tuple[float, int, str, int]] = []
@@ -138,8 +143,7 @@ class Membership:
         if self._timer is None and cfg.n_nodes > 1:
             self._timer = self.kernel.timers.set(
                 cfg.swim_interval, self._tick, recurring=True)
-        if cfg.swim_piggyback:
-            self.kernel.fabric.set_gossip_hook(me, self._piggyback)
+        self.kernel.fabric.set_gossip_hook(me, self._piggyback)
 
     def on_crash(self) -> None:
         """Volatile protocol state dies with the node; the incarnation
@@ -194,9 +198,8 @@ class Membership:
         update = ((me, state, inc),)
         peers = [n for n in sorted(self._status)
                  if self._status[n][0] == ALIVE]
-        fanout = max(3, self.kernel.config.swim_indirect_probes)
-        if len(peers) > fanout:
-            peers = self._rng.sample(peers, fanout)
+        if len(peers) > INDIRECT_PROBES:
+            peers = self._rng.sample(peers, INDIRECT_PROBES)
         for peer in peers:
             self.gossip_sent += 1
             self.kernel.send(peer, MSG_SWIM_GOSSIP, {"updates": update},
@@ -253,10 +256,6 @@ class Membership:
         state, _inc = self._status.get(node, (ALIVE, 0))
         return state != ALIVE
 
-    def add_view_listener(self, fn: Callable[[], None]) -> None:
-        """Call ``fn`` whenever the member set (non-dead) changes."""
-        self._listeners.append(fn)
-
     # ------------------------------------------------------------------
     # protocol period
     # ------------------------------------------------------------------
@@ -282,9 +281,8 @@ class Membership:
         self.kernel.send(target, MSG_SWIM_PING,
                          {"seq": self._seq, "origin": self.kernel.node_id,
                           "target": target}, size=16)
-        self.sim.call_after(
-            self.kernel.config.effective_swim_ping_timeout(),
-            self._ping_timeout, target, self._seq)
+        self.sim.call_after(self.kernel.config.swim_interval / 3.0,
+                            self._ping_timeout, target, self._seq)
 
     def _next_target(self) -> int | None:
         """Randomized round-robin: shuffle the member list, probe it to
@@ -306,18 +304,15 @@ class Membership:
             self._probe_queue = members
 
     def _ping_timeout(self, target: int, seq: int) -> None:
-        """Direct ack missed: ask k alive proxies to ping on our behalf
+        """Direct ack missed: ask a few alive proxies to ping on our behalf
         (disambiguates a dead target from a lossy/slow direct link)."""
         if (self.kernel.crashed or self._probe != (target, seq)
                 or self._probe_acked):
             return
-        k = self.kernel.config.swim_indirect_probes
-        if k <= 0:
-            return
         candidates = [n for n in sorted(self._status)
                       if self._status[n][0] == ALIVE and n != target]
-        proxies = (self._rng.sample(candidates, k)
-                   if len(candidates) > k else candidates)
+        proxies = (self._rng.sample(candidates, INDIRECT_PROBES)
+                   if len(candidates) > INDIRECT_PROBES else candidates)
         for proxy in proxies:
             self.ping_reqs_sent += 1
             self.kernel.send(proxy, MSG_SWIM_PING_REQ,
@@ -351,9 +346,9 @@ class Membership:
                              dict(payload), size=16)
 
     def on_gossip_msg(self, message: Message) -> None:
-        """Dedicated gossip carrier (joins/leaves and piggyback-off
-        dissemination); the updates themselves may ride either the
-        payload or the envelope's gossip field."""
+        """Dedicated gossip carrier (joins, leaves, refutations); the
+        updates themselves may ride either the payload or the
+        envelope's gossip field."""
         payload = message.payload
         if payload and payload.get("updates"):
             self.on_gossip(payload["updates"], message.src)
@@ -427,16 +422,13 @@ class Membership:
             (self.sim.now, node, STATE_NAMES[state], inc))
         self.kernel.tracer.emit("membership", STATE_NAMES[state], node=me,
                                 peer=node, incarnation=inc)
-        if (cur_state == DEAD) != (state == DEAD):
-            for fn in self._listeners:
-                fn()
         return True
 
     def _arm_suspect_timer(self, node: int) -> None:
         if node in self._suspect_timers:
             return
         self._suspect_timers[node] = self.kernel.timers.set(
-            self.kernel.config.effective_swim_suspect_timeout(),
+            3.0 * self.kernel.config.swim_interval,
             self._suspect_expired, node)
 
     def _suspect_expired(self, node: int) -> None:
@@ -465,9 +457,8 @@ class Membership:
         if (dst == self.kernel.node_id or self.kernel.crashed
                 or not self._updates):
             return None
-        limit = self.kernel.config.swim_gossip_max
         picked = sorted(self._updates.items(),
-                        key=lambda kv: (-kv[1][2], kv[0]))[:limit]
+                        key=lambda kv: (-kv[1][2], kv[0]))[:GOSSIP_MAX]
         out = []
         for node, (state, inc, budget) in picked:
             out.append((node, state, inc))

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import KernelError, NodeCrashedError
 from repro.events.supervise import DeadLetterQueue
-from repro.kernel.failure import MSG_HEARTBEAT, FailureDetector
 from repro.kernel.membership import (
     MSG_SWIM_ACK,
     MSG_SWIM_GOSSIP,
@@ -48,7 +47,6 @@ class Kernel:
         self.reliable = ReliableChannel(
             cluster.sim, cluster.fabric, node_id,
             rto_base=cluster.config.retransmit_base,
-            backoff=cluster.config.retransmit_backoff,
             max_retransmits=cluster.config.max_retransmits,
             dedup_window=cluster.config.dedup_window,
             ack_delay=cluster.config.ack_delay,
@@ -57,16 +55,11 @@ class Kernel:
         self.timers = TimerService(cluster.sim, node_id)
         self.thread_table = ThreadTable(node_id)
         self.location_hints = LocationHintTable(
-            node_id, capacity=cluster.config.location_hint_capacity,
-            holders=cluster.hint_holders)
+            node_id, holders=cluster.hint_holders)
         # The journal lives in the *cluster* store: it is the simulated
         # durable medium, so crash() must not be able to touch it.
         self.store = NodeStore(self, cluster.store.journal(node_id))
         self.membership = Membership(self)
-        self.failure = FailureDetector(self)
-        # A membership view change invalidates the heartbeat detector's
-        # cached peer list (inert unless both layers are enabled).
-        self.membership.add_view_listener(self.failure.invalidate_peers)
         self.dead_letters = DeadLetterQueue(self)
         # Attached by the cluster builder:
         self.objects: Any = None   # repro.objects.manager.ObjectManager
@@ -79,7 +72,6 @@ class Kernel:
             MSG_REPLY: self.rpc.on_reply,
             MSG_REL_ACK: self.reliable.on_ack,
             MSG_STORE_ACK: self.store.on_store_ack,
-            MSG_HEARTBEAT: self.failure.on_beat,
             MSG_SWIM_PING: self.membership.on_ping,
             MSG_SWIM_ACK: self.membership.on_ack,
             MSG_SWIM_PING_REQ: self.membership.on_ping_req,
@@ -199,7 +191,6 @@ class Kernel:
         self.objects.on_crash()
         self.store.on_crash()
         self.membership.on_crash()
-        self.failure.on_crash()
         self.dead_letters.on_crash()
         self.rpc.fail_all(error)
         # Survivors observe the crash (fail-fast for calls in flight).
@@ -228,7 +219,6 @@ class Kernel:
         if self.config.durable_delivery:
             self.store.schedule_redelivery(replay_time)
         self.membership.rejoin()
-        self.failure.start()
 
 
 class Node:

@@ -60,6 +60,10 @@ MSG_REL_ACK = "rel.ack"
 #: go first so the sender's oldest pending entries retire soonest.
 SEL_ACK_LIMIT = 256
 
+#: Timeout multiplier per retransmission (attempt k waits
+#: ``rto_base * RETRANSMIT_BACKOFF ** (k - 1)``).
+RETRANSMIT_BACKOFF = 2.0
+
 GiveUpFn = Callable[[Message], None]
 
 
@@ -111,8 +115,6 @@ class ReliableChannel:
         The node's simulator, fabric, and identity.
     rto_base:
         First retransmission timeout (virtual seconds).
-    backoff:
-        Multiplier applied to the timeout after each retransmission.
     max_retransmits:
         Retransmission budget before :meth:`send` gives up and calls the
         caller's ``on_give_up`` hook.
@@ -134,15 +136,13 @@ class ReliableChannel:
     """
 
     def __init__(self, sim: Simulator, fabric: Fabric, node_id: int, *,
-                 rto_base: float = 4e-3, backoff: float = 2.0,
-                 max_retransmits: int = 10, dedup_window: int = 1024,
-                 ack_delay: float = 1e-3,
+                 rto_base: float = 4e-3, max_retransmits: int = 10,
+                 dedup_window: int = 1024, ack_delay: float = 1e-3,
                  flow_credits: int | None = None) -> None:
         self.sim = sim
         self.fabric = fabric
         self.node_id = node_id
         self.rto_base = float(rto_base)
-        self.backoff = float(backoff)
         self.max_retransmits = int(max_retransmits)
         self.dedup_window = int(dedup_window)
         self.ack_delay = float(ack_delay)
@@ -278,7 +278,7 @@ class ReliableChannel:
         # the envelope is harmless either way — acks are monotonic).
         self._maybe_piggyback(pending.message, dst)
         self.fabric.send(pending.message)
-        delay = self.rto_base * (self.backoff ** (pending.attempts - 1))
+        delay = self.rto_base * (RETRANSMIT_BACKOFF ** (pending.attempts - 1))
         peer.timer = self.sim.call_after(delay, self._peer_timeout, dst)
 
     @staticmethod
@@ -352,7 +352,7 @@ class ReliableChannel:
                 if peer.timer is not None:
                     peer.timer.cancel()
                 attempts = next(iter(peer.pending.values())).attempts
-                delay = self.rto_base * (self.backoff ** (attempts - 1))
+                delay = self.rto_base * (RETRANSMIT_BACKOFF ** (attempts - 1))
                 peer.timer = self.sim.call_after(
                     delay, self._peer_timeout, src)
         if peer.window is not None:

@@ -455,14 +455,14 @@ class NodeStore:
         if self.kernel.crashed:
             return
         skipped = False
-        failure = self.kernel.failure
+        membership = self.kernel.membership
         for entry in self.outbox.parked():
             # Futile-retransmit guard: re-dispatching toward a peer the
             # failure detector currently suspects would burn the full
             # max_retransmits budget against a dead node every flush
             # period. Skip it and re-arm; the recovery announcement (or
             # the suspicion clearing before the next tick) delivers.
-            if entry.dst is not None and failure.is_suspected(entry.dst):
+            if entry.dst is not None and membership.is_failed(entry.dst):
                 self.outbox.flush_skips += 1
                 skipped = True
                 continue

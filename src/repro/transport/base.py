@@ -183,7 +183,7 @@ def make_transport(config: Any) -> Transport:
                            wheel_slots=config.wheel_slots),
             local_nodes=config.local_node_ids(),
             all_nodes=range(config.n_nodes),
-            lookahead=config.effective_shard_window())
+            lookahead=config.link_latency)
     if name == TRANSPORT_TCP:
         from repro.transport.tcp import AsyncioTransport
         return AsyncioTransport(host=config.tcp_host,

@@ -127,7 +127,8 @@ _T_PICKLE = 16
 
 #: message types observed on the fabric, in registry order — the wire
 #: carries ``index + 1`` (0 = inline string follows). Append only;
-#: reordering is a VERSION bump.
+#: reordering is a VERSION bump. ``fd.beat`` (the retired heartbeat) is
+#: a reserved slot: tags are positional, so it keeps every later tag.
 MTYPE_REGISTRY = (
     "event.post-object", "event.resume", "rel.ack", "store.ack",
     "rpc.request", "rpc.reply", "invoke.request", "invoke.reply",

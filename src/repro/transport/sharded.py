@@ -6,10 +6,10 @@ kernel/event/durability stack per shard in its own worker process, and
 synchronizes the shards' virtual clocks with the classic **conservative
 time-window** protocol:
 
-* the *lookahead* ``L`` is the minimum cross-shard link latency — a
-  message sent at virtual time ``t`` cannot affect another shard before
-  ``t + L``;
-* all shards advance in lockstep windows of width ``W <= L``.  Within a
+* the *lookahead* ``L`` is the minimum cross-shard link latency
+  (``link_latency``) — a message sent at virtual time ``t`` cannot
+  affect another shard before ``t + L``;
+* all shards advance in lockstep windows of width ``W = L``.  Within a
   window each shard simulates independently (in parallel, on its own
   core); any message addressed to a node owned by another shard is
   buffered with its computed delivery time ``t_send + latency >=
@@ -361,7 +361,7 @@ def run_sharded(config: ClusterConfig, scenario: str,
         raise NetworkError("run_sharded needs config.transport='sharded'")
     if config.shard_index is not None:
         raise NetworkError("leave shard_index unset; the runner assigns it")
-    window = config.effective_shard_window()
+    window = config.link_latency
     shard_count = config.shard_count
     kwargs = _config_kwargs(config)
     ctx = mp.get_context(_start_method())

@@ -4,7 +4,7 @@
 port over the in-process discrete-event :class:`~repro.sim.scheduler.
 Simulator`: delivery after ``delay`` is exactly one ``call_after`` on the
 shared virtual clock, so the port refactor costs nothing — same-seed runs
-are bit-identical to the pre-port tree (``benchmarks/smoke_transport.py``
+are bit-identical to the pre-port tree (``benchmarks/smoke.py transport``
 holds the chaos/durable/fastpath digests to the frozen reference values).
 """
 

@@ -53,14 +53,20 @@ class TestClusterConfig:
 
     def test_field_budget(self):
         count = len(dataclasses.fields(ClusterConfig))
-        assert count <= 63, (
-            f"ClusterConfig has {count} fields, budget is 63 — ROADMAP: "
+        assert count <= 49, (
+            f"ClusterConfig has {count} fields, budget is 49 — ROADMAP: "
             "a PR that adds a knob names the one it retires")
 
     @pytest.mark.parametrize("name", [
         "wire_codec", "shard_window_batching", "shard_quiescent_skip",
         "shard_start_method", "journal_group_commit", "ack_piggyback",
-        "degrade_dedup_window", "extra"])
+        "degrade_dedup_window", "extra",
+        "heartbeat_interval", "suspect_after", "swim_piggyback",
+        "swim_ping_timeout", "swim_suspect_timeout", "swim_indirect_probes",
+        "swim_gossip_max", "retransmit_backoff", "locate_retries",
+        "locate_retry_delay", "location_hint_capacity",
+        "latency_reservoir_capacity", "shard_window",
+        "cross_shard_latency"])
     def test_retired_names_rejected(self, name):
         with pytest.raises(TypeError, match=name):
             ClusterConfig(**{name: None})

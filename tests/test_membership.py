@@ -1,11 +1,10 @@
-"""SWIM gossip membership: protocol, views, adapter, churn property.
+"""SWIM gossip membership: protocol, views, churn property.
 
-Covers the PR 10 tentpole (detection / refutation / rejoin / piggyback
-dissemination, locator dead-skip, heartbeat-detector subsumption) plus
-the satellites: the FailureDetector lifecycle regressions (no beat from
-a crashed node, no stale suspicion surviving recovery, cached peer
-list) and the hypothesis churn property (randomized join/leave/crash/
-recover schedules with drops never lose a durable post and never
+Covers detection / refutation / rejoin / piggyback dissemination and
+locator dead-skip, the detector lifecycle regressions (no probe from a
+crashed node, no stale suspicion surviving a crash or a recovery) and
+the hypothesis churn property (randomized join/leave/crash/recover
+schedules with drops never lose a durable post and never
 double-execute, on both scheduler backends).
 """
 
@@ -53,23 +52,38 @@ def run_periods(cluster, periods):
 
 class TestConfig:
     def test_swim_knob_validation(self):
-        for bad in (dict(swim_interval=0.0), dict(swim_interval=-1.0),
-                    dict(swim_interval=0.1, swim_ping_timeout=0.0),
-                    dict(swim_interval=0.1, swim_suspect_timeout=-2.0),
-                    dict(swim_indirect_probes=-1),
-                    dict(swim_gossip_max=0)):
+        for bad in (0.0, -1.0):
             with pytest.raises(KernelError):
-                ClusterConfig(n_nodes=2, **bad)
+                ClusterConfig(n_nodes=2, swim_interval=bad)
 
     def test_effective_timeouts_default_from_interval(self):
-        config = ClusterConfig(n_nodes=2, swim_interval=0.3)
-        assert config.effective_swim_ping_timeout() == pytest.approx(0.1)
-        assert config.effective_swim_suspect_timeout() == pytest.approx(0.9)
-        explicit = ClusterConfig(n_nodes=2, swim_interval=0.3,
-                                 swim_ping_timeout=0.05,
-                                 swim_suspect_timeout=2.0)
-        assert explicit.effective_swim_ping_timeout() == 0.05
-        assert explicit.effective_swim_suspect_timeout() == 2.0
+        """Indirect probes go out a third of a period after the direct
+        ping; a suspect is confirmed dead three periods later."""
+        cluster = make_cluster(n_nodes=3, swim_interval=0.3)
+        kernel = cluster.kernels[0]
+        sent = []
+        original = kernel.send
+
+        def spy(dst, mtype, payload=None, size=64):
+            sent.append((cluster.now, mtype, dst))
+            original(dst, mtype, payload, size)
+
+        kernel.send = spy
+        cluster.crash_node(2)
+        cluster.run(until=3.0)
+        ping = next(t for t, m, dst in sent
+                    if m == "swim.ping" and dst == 2)
+        ping_req = next(t for t, m, _dst in sent if m == "swim.ping-req")
+        assert ping_req - ping == pytest.approx(0.1)
+        # the first observer to suspect is the first to confirm
+        times = {"suspect": [], "dead": []}
+        for node in (0, 1):
+            for t, peer, state, _inc in (
+                    cluster.kernels[node].membership.transitions):
+                if peer == 2:
+                    times[state].append(t)
+        assert min(times["dead"]) - min(times["suspect"]) \
+            == pytest.approx(0.9)
 
 
 # ======================================================================
@@ -214,15 +228,6 @@ class TestPiggyback:
         assert carried, "no membership update rode an application message"
         assert cluster.membership_stats()["updates_piggybacked"] > 0
 
-    def test_piggyback_off_still_detects(self):
-        cluster = swim_cluster(swim_piggyback=False)
-        run_periods(cluster, 10)
-        cluster.crash_node(3)
-        run_periods(cluster, 60)
-        assert all(cluster.kernels[n].membership.is_dead(3)
-                   for n in (0, 1, 2))
-        assert cluster.membership_stats()["updates_piggybacked"] == 0
-
     def test_indirect_probes_cover_a_severed_direct_link(self):
         cluster = swim_cluster(n_nodes=4)
         run_periods(cluster, 4)
@@ -277,82 +282,55 @@ class TestLocatorViewPruning:
 
 
 # ======================================================================
-# heartbeat detector: subsumption + lifecycle satellites
+# detector lifecycle across crash and recovery
 # ======================================================================
-
-class TestDetectorSubsumption:
-    def test_swim_disarms_heartbeat_machinery(self):
-        cluster = swim_cluster(heartbeat_interval=0.02)
-        run_periods(cluster, 20)
-        assert cluster.fabric.stats.count("fd.beat") == 0
-        for kernel in cluster.kernels.values():
-            assert not kernel.failure.enabled
-            assert kernel.failure.beats_sent == 0
-
-    def test_adapter_reports_swim_suspicion(self):
-        cluster = swim_cluster(heartbeat_interval=0.02)
-        run_periods(cluster, 10)
-        cluster.crash_node(3)
-        run_periods(cluster, 40)
-        fd = cluster.kernels[0].failure
-        assert fd.is_suspected(3)
-        assert fd.suspected() == [3]
-        assert not fd.is_suspected(1)
-
-    def test_view_change_invalidates_cached_peer_list(self):
-        cluster = swim_cluster()
-        fd = cluster.kernels[0].failure
-        first = fd._peers()
-        assert fd._peers() is first  # cached, not rebuilt per tick
-        run_periods(cluster, 10)
-        cluster.crash_node(3)
-        run_periods(cluster, 40)  # confirm-dead fires the view listener
-        assert fd._peer_list is None
-        rebuilt = fd._peers()
-        assert rebuilt is not first and rebuilt == first
-
 
 class TestHeartbeatLifecycle:
     def test_no_beat_fires_from_a_crashed_node(self):
-        cluster = make_cluster(n_nodes=3, heartbeat_interval=0.02)
+        cluster = make_cluster(n_nodes=3, swim_interval=0.02)
         cluster.run(until=0.2)
-        fd = cluster.kernels[1].failure
-        assert fd.beats_sent > 0
+        membership = cluster.kernels[1].membership
+        assert membership.pings_sent > 0
         cluster.crash_node(1)
-        assert fd._timer is None
-        frozen = fd.beats_sent
+        assert membership._timer is None
+        frozen = (membership.pings_sent, membership.ping_reqs_sent,
+                  membership.suspicions)
         cluster.run(until=cluster.now + 0.5)
-        assert fd.beats_sent == frozen
+        assert (membership.pings_sent, membership.ping_reqs_sent,
+                membership.suspicions) == frozen
+        assert membership.failed() == []
 
     def test_stale_suspicion_does_not_survive_recovery(self):
-        cluster = make_cluster(n_nodes=3, heartbeat_interval=0.02,
-                               suspect_after=3)
+        cluster = make_cluster(n_nodes=3, swim_interval=0.02)
         cluster.run(until=0.2)
         cluster.crash_node(2)
-        cluster.run(until=1.0)  # node 0/1 suspect 2; 2's clock is stale
-        assert cluster.kernels[0].failure.is_suspected(2)
+        cluster.run(until=1.0)  # node 0/1 give up on 2; 2's view is stale
+        assert cluster.kernels[0].membership.is_failed(2)
         cluster.recover_node(2)
-        fd = cluster.kernels[2].failure
-        # Fresh grace stamps: nothing suspected on the first post-recover
-        # tick even though the node was down for many intervals.
+        membership = cluster.kernels[2].membership
+        # A fresh all-alive view: nothing suspected on the first
+        # post-recover period even though the node was down for many.
         cluster.run(until=cluster.now + 0.03)
-        assert fd.suspected() == []
-        assert fd._last_heard and all(
-            t >= 1.0 for t in fd._last_heard.values())
+        assert membership.failed() == []
         cluster.run(until=cluster.now + 1.0)
-        assert fd.suspected() == []
+        assert membership.failed() == []
+        # and the bumped incarnation overrides the peers' verdict
+        assert not cluster.kernels[0].membership.is_failed(2)
+        assert not cluster.kernels[1].membership.is_failed(2)
 
     def test_crash_clears_detector_state(self):
-        cluster = make_cluster(n_nodes=3, heartbeat_interval=0.02,
-                               suspect_after=3)
+        cluster = make_cluster(n_nodes=3, swim_interval=0.02)
         cluster.run(until=0.2)
         cluster.crash_node(2)
         cluster.run(until=1.0)
-        fd = cluster.kernels[0].failure
-        assert fd.is_suspected(2)
+        membership = cluster.kernels[0].membership
+        assert membership.is_failed(2)
         cluster.crash_node(0)
-        assert fd._last_heard == {} and fd.suspected() == []
-        assert fd._peer_list is None
+        assert membership._status == {} and membership.failed() == []
+        assert membership._suspect_timers == {}
+        # recovery starts from the optimistic view, not the old verdict
+        cluster.recover_node(0)
+        assert membership.failed() == []
 
 
 # ======================================================================

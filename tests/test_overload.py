@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import DistObject, on_event
+from repro import Cluster, DistObject, on_event
 from repro.bench.chaos import ChaosSpec, run_chaos
 from repro.bench.workload import (
     FANOUT,
@@ -79,8 +79,16 @@ class TestConfigValidation:
             ClusterConfig(admission_high=4, admission_low=5)
 
     def test_admission_low_defaults_to_half_high(self):
-        config = ClusterConfig(admission_high=10)
-        assert config.admission_low == 5
+        cluster = _rig(admission_high=10)
+        assert cluster.events.admission[0].low == 5
+
+    def test_replace_rederives_admission_low(self):
+        # the derived default is not written back into the field, so a
+        # lower high watermark does not trip over a stale low one
+        config = replace(ClusterConfig(admission_high=10), admission_high=2)
+        assert config.admission_low is None
+        cluster = Cluster(config)
+        assert cluster.events.admission[0].low == 1
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(KernelError):
@@ -300,7 +308,7 @@ class TestSheddingPolicies:
 class TestFlushGating:
     def test_flush_skips_suspected_peer(self):
         cluster = _rig(n_nodes=3, durable_delivery=True,
-                       heartbeat_interval=0.05,
+                       swim_interval=0.05,
                        outbox_flush_interval=0.1, max_retransmits=2,
                        retransmit_base=0.02)
         cap = cluster.create_object(SlowSink, 1e-4, node=1)
@@ -313,7 +321,7 @@ class TestFlushGating:
         store = cluster.durability_stats()
         assert store["pending"] == 1
         assert store["flush_skips"] > 0
-        assert cluster.kernels[0].failure.is_suspected(1)
+        assert cluster.kernels[0].membership.is_failed(1)
         cluster.recover_node(1)
         cluster.run(until=cluster.now + 2.0)
         assert cluster.get_object(cap).seen == 1

@@ -1,6 +1,6 @@
 """Tests for the sharded barrier: batched windows with quiescent
-skip-ahead, the owner-map routing helper, the window config knobs, and
-worker teardown diagnostics.
+skip-ahead, the owner-map routing helper and worker teardown
+diagnostics.
 
 The load-bearing property is *observational purity*: what a sharded run
 delivers, node by node and source by source, is what the single-process
@@ -27,7 +27,7 @@ from repro.bench.scale import (
     run_scale_sharded,
     sink_cap,
 )
-from repro.errors import KernelError, NetworkError
+from repro.errors import NetworkError
 from repro.kernel.config import (
     ClusterConfig,
     shard_bounds,
@@ -101,50 +101,6 @@ class TestOwnerMap:
                            n_nodes=8, local_nodes=range(0, 4))
         with pytest.raises(NetworkError, match="outside the cluster"):
             ctx.owner_shard(8)
-
-
-# ----------------------------------------------------------------------
-# config knobs
-# ----------------------------------------------------------------------
-
-class TestConfigKnobs:
-    def test_defaults(self):
-        config = ClusterConfig(n_nodes=2)
-        assert config.shard_window is None
-        assert config.cross_shard_latency is None
-
-    def test_window_precedence(self):
-        base = dict(n_nodes=4, link_latency=1e-3)
-        assert ClusterConfig(**base).effective_shard_window() == 1e-3
-        assert ClusterConfig(
-            **base, cross_shard_latency=5e-3
-        ).effective_shard_window() == 5e-3
-        assert ClusterConfig(
-            **base, cross_shard_latency=5e-3, shard_window=2e-3
-        ).effective_shard_window() == 2e-3
-
-    def test_cross_shard_latency_below_link_latency_rejected(self):
-        with pytest.raises(KernelError, match="cannot be below"):
-            ClusterConfig(n_nodes=4, link_latency=5e-3,
-                          cross_shard_latency=1e-3)
-
-    def test_cross_shard_latency_must_be_positive(self):
-        with pytest.raises(KernelError, match="positive"):
-            ClusterConfig(n_nodes=4, cross_shard_latency=0.0)
-
-    def test_window_beyond_lookahead_rejected(self):
-        with pytest.raises(KernelError, match="lookahead"):
-            ClusterConfig(n_nodes=4, transport="sharded", shard_count=2,
-                          shard_index=0, link_latency=1e-3,
-                          shard_window=2e-3)
-
-    def test_window_may_stretch_to_declared_latency(self):
-        config = ClusterConfig(n_nodes=4, transport="sharded",
-                               shard_count=2, shard_index=0,
-                               link_latency=1e-3,
-                               cross_shard_latency=4e-3,
-                               shard_window=4e-3)
-        assert config.effective_shard_window() == 4e-3
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Tests for handler supervision: watchdog deadlines, buddy circuit
-breakers, dead-letter quarantine, the heartbeat failure detector — and
+breakers, dead-letter quarantine, the SWIM failure detector — and
 the knobs-off guarantee that none of it perturbs unsupervised runs."""
 
 from dataclasses import replace
@@ -355,8 +355,7 @@ class TestBuddySupervision:
         assert cluster.get_object(buddy).served == [3]
 
     def test_suspected_buddy_node_fails_fast(self):
-        cluster, buddy, thread, handled = _buddy_rig(
-            heartbeat_interval=0.02, suspect_after=3)
+        cluster, buddy, thread, handled = _buddy_rig(swim_interval=0.02)
         cluster.crash_node(1)
         cluster.run(until=cluster.now + 0.5)  # suspicion forms
         start = cluster.now
@@ -390,35 +389,37 @@ class TestBuddySupervision:
 
 
 # ======================================================================
-# heartbeat failure detector
+# failure detector (SWIM membership suspicion)
 # ======================================================================
 
 class TestFailureDetector:
     def test_crash_suspect_recover_trust(self):
-        cluster = make_cluster(n_nodes=3, heartbeat_interval=0.02,
-                               suspect_after=3)
+        cluster = make_cluster(n_nodes=3, swim_interval=0.02)
         cluster.run(until=0.3)
-        assert cluster.supervision_stats()["suspicions"] == 0
+        assert cluster.supervision_stats()["membership_suspicions"] == 0
         cluster.crash_node(1)
         cluster.run(until=0.8)
-        assert cluster.kernels[0].failure.is_suspected(1)
-        assert cluster.kernels[2].failure.is_suspected(1)
+        assert cluster.kernels[0].membership.is_failed(1)
+        assert cluster.kernels[2].membership.is_failed(1)
         stats = cluster.supervision_stats()
-        assert stats["suspicions"] >= 2
-        assert stats["suspected"] >= 2
+        assert stats["membership_suspicions"] >= 2
+        assert (stats["membership_view_suspect"]
+                + stats["membership_view_dead"]) >= 2
         cluster.recover_node(1)
         cluster.run(until=1.5)
-        assert not cluster.kernels[0].failure.is_suspected(1)
+        assert not cluster.kernels[0].membership.is_failed(1)
+        assert not cluster.kernels[2].membership.is_failed(1)
         stats = cluster.supervision_stats()
-        assert stats["trusts"] >= 2
-        assert stats["suspected"] == 0
+        assert stats["membership_resurrections"] >= 2
+        assert (stats["membership_view_suspect"]
+                + stats["membership_view_dead"]) == 0
 
     def test_disabled_detector_sends_nothing(self):
         cluster = make_cluster(n_nodes=3)
         cluster.run(until=0.5)
-        stats = cluster.supervision_stats()
-        assert stats["beats_sent"] == 0
-        assert stats["beats_received"] == 0
+        assert cluster.fabric.stats.count_prefix("swim.") == 0
+        assert not any(key.startswith("membership_")
+                       for key in cluster.supervision_stats())
 
 
 # ======================================================================
@@ -688,7 +689,7 @@ class TestChaosWithHandlerFaults:
     FAULTS = {"hang": 0.06, "raise": 0.06, "poison": 0.05}
     KNOBS = dict(handler_deadline=0.05, handler_retries=2,
                  breaker_threshold=3, poison_threshold=3,
-                 heartbeat_interval=0.02)
+                 swim_interval=0.02)
 
     def test_supervised_chaos_accounts_every_post(self):
         spec = replace(self.BASE, handler_faults=self.FAULTS, **self.KNOBS)
@@ -743,7 +744,8 @@ class TestKnobsOffUnchanged:
         for counter in ("handler_timeouts", "handler_retries",
                         "breaker_opens", "breaker_skips", "fast_fails",
                         "chain_retries", "quarantined", "requeued",
-                        "beats_sent", "suspicions",
                         "dead_letters_quarantined"):
             assert sup[counter] == 0, (counter, sup)
+        # the detector is off: it reports nothing at all
+        assert not any(key.startswith("membership_") for key in sup)
         assert report.quarantined == set()

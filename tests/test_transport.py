@@ -137,14 +137,6 @@ class TestTransportConfig:
             ClusterConfig(n_nodes=2, shard_count=3)
         with pytest.raises(KernelError, match="out of range"):
             ClusterConfig(n_nodes=4, shard_count=2, shard_index=2)
-        with pytest.raises(KernelError, match="shard_window"):
-            ClusterConfig(n_nodes=4, shard_window=0.0)
-        # the conservative bound: lookahead must not exceed the minimum
-        # cross-shard latency or a message could land inside its own window
-        with pytest.raises(KernelError, match="lookahead"):
-            ClusterConfig(n_nodes=4, transport="sharded", shard_count=2,
-                          shard_index=0, link_latency=1e-3,
-                          shard_window=2e-3)
 
     def test_tcp_and_dedup_knobs_validated(self):
         with pytest.raises(KernelError, match="tcp_base_port"):
@@ -177,11 +169,10 @@ class TestTransportConfig:
         assert list(shard.local_node_ids()) == list(range(lo, hi))
 
     def test_effective_shard_window_defaults_to_link_latency(self):
-        config = ClusterConfig(n_nodes=4, link_latency=3e-3)
-        assert config.effective_shard_window() == 3e-3
         config = ClusterConfig(n_nodes=4, link_latency=3e-3,
-                               shard_window=1e-3)
-        assert config.effective_shard_window() == 1e-3
+                               transport="sharded", shard_count=2,
+                               shard_index=0)
+        assert make_transport(config).lookahead == 3e-3
 
     def test_sharded_config_helper(self):
         base = ClusterConfig(n_nodes=2, locator="cached")
