@@ -438,7 +438,7 @@ def check_workload_app() -> None:
     """
     from repro import Cluster, ClusterConfig
     from repro.apps.pager_app import PagedRegion
-    from repro.bench.workload import (
+    from repro.bench.workloads import (
         FANOUT,
         WorkloadSpec,
         build_schedule,

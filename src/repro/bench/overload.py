@@ -1,6 +1,6 @@
 """E13: overload control — latency-vs-offered-load to the knee and past it.
 
-Drives the open-loop generator (:mod:`repro.bench.workload`) against a
+Drives the open-loop generator (:mod:`repro.bench.workloads`) against a
 cluster of service objects whose master handler threads charge a fixed
 ``service_time`` per post, so the cluster has a hard service capacity of
 ``(n_nodes - 1) / service_time`` posts per virtual second. Two question
@@ -37,7 +37,7 @@ from typing import Any
 from repro import Cluster, ClusterConfig, Decision, DistObject, entry, on_event
 from repro.bench.harness import Table, emit_json
 from repro.bench.soak import MUTED_CATEGORIES
-from repro.bench.workload import (
+from repro.bench.workloads import (
     FANOUT,
     WorkloadSpec,
     build_schedule,

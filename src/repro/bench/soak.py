@@ -241,7 +241,7 @@ def run_fanout_phase(spec: SoakSpec, deliveries: int) -> PhaseResult:
     delivered = cluster.tracer.count("event", "deliver")
     assert delivered >= raises * group, \
         f"fanout phase lost deliveries: {delivered}/{raises * group}"
-    latency = cluster.events.delivery_latency_summary()
+    latency = cluster.events.delivery_latencies.summary()
     return PhaseResult(
         phase="fanout", posts=raises * group, elapsed=elapsed,
         sim_events=cluster.sim.events_processed,

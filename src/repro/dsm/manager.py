@@ -270,7 +270,7 @@ class DsmManager:
         self.cluster.tracer.emit("dsm", "vm-fault", node=node, oid=obj.oid,
                                  page=page.page_id, field=name,
                                  tid=str(thread.tid))
-        self.cluster.events.enqueue_for_thread(node, thread.tid, block)
+        self.cluster.events.post.enqueue_for_thread(node, thread.tid, block)
 
     def install_page(self, oid: int, page_id: int, values: dict,
                      private_for: int | None = None) -> None:

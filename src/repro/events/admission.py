@@ -42,6 +42,10 @@ tables use.
 
 from __future__ import annotations
 
+from typing import Any
+
+from repro.kernel.config import OVERLOAD_DEGRADE
+
 ADMIT = "admit"
 DROP = "drop"
 DEGRADE = "degrade"
@@ -143,5 +147,79 @@ class AdmissionGate:
                 "shedding": int(self.shedding)}
 
 
+class Admission(dict):
+    """Every node's gate, by node id, and the rules one raise is judged
+    by (built only while ``admission_high`` is set: zero bookkeeping
+    otherwise)."""
+
+    def __init__(self, config: Any, nodes: Any) -> None:
+        low = config.admission_low or max(1, config.admission_high // 2)
+        super().__init__((node, AdmissionGate(
+            node, config.admission_high, low, config.tenant_weights))
+            for node in nodes)
+        self._degrades = config.overload_policy == OVERLOAD_DEGRADE
+
+    def verdict(self, gate_node: int, tenant: int, n: int, durable: bool,
+                to_object: bool) -> str:
+        """Gate one raise of ``n`` recipient blocks.
+
+        The gate charged is the *admission node's*: the target object's
+        home for object posts (the node whose handler queue the post
+        occupies), the raiser's node otherwise. Tenant identity is the
+        raiser node, so weighted-fair shares apply across the raisers
+        feeding one hot node.
+        """
+        gate = self.get(gate_node)
+        if gate is None or n == 0 or gate.admit(tenant, n):
+            return ADMIT
+        if durable:
+            # Durable posts are never dropped: the journal already
+            # guarantees them, so shedding degrades to deferral.
+            gate.counters["shed_deferred"] += n
+            return DEFER
+        if self._degrades and to_object:
+            # Only non-durable object posts degrade: the reliable
+            # retransmit loop is replaced by one datagram plus a
+            # deadline backstop.
+            gate.counters["shed_degraded"] += n
+            return DEGRADE
+        # drop policy, defer policy on a non-durable post, or degrade of
+        # a thread-targeted post (the locate handshake *is* the delivery
+        # guarantee for threads — nothing to degrade to): shed outright.
+        gate.counters["shed_dropped"] += n
+        return DROP
+
+    def charge(self, gate_node: int, block: Any) -> None:
+        """Occupy one unit of ``gate_node``'s depth until the block
+        concludes (settle hands the token back to :meth:`release`)."""
+        gate = self.get(gate_node)
+        if gate is None:
+            return
+        tenant = (block.raiser_node if block.raiser_node is not None
+                  else gate_node)
+        gate.charge(tenant)
+        block._admission = (gate_node, tenant)
+
+    def release(self, charge: tuple[int, int]) -> None:
+        gate = self.get(charge[0])
+        if gate is not None:
+            gate.release(charge[1])
+
+
+def admission_stats(admission: Admission | None) -> dict[str, int]:
+    """Cluster-wide admission counters plus live/high-water depth
+    (zeros when the gate is off; aggregated by
+    :meth:`Cluster.supervision_stats`)."""
+    totals = dict.fromkeys(
+        GATE_COUNTERS + ("gate_depth", "gate_depth_hwm", "shed_windows"), 0)
+    for gate in admission.values() if admission is not None else ():
+        for name in GATE_COUNTERS:
+            totals[name] += gate.counters[name]
+        totals["gate_depth"] += gate.depth
+        totals["gate_depth_hwm"] += gate.depth_hwm
+        totals["shed_windows"] += gate.shed_windows
+    return totals
+
+
 __all__ = ["ADMIT", "DROP", "DEGRADE", "DEFER", "GATE_COUNTERS",
-           "AdmissionGate"]
+           "Admission", "AdmissionGate", "admission_stats"]

@@ -21,6 +21,11 @@ from typing import Any
 
 _block_ids = itertools.count(1)
 
+#: ``EventBlock._admission`` once the settle stage concluded the block:
+#: like the ``None`` it replaces, a value the wire codec has a one-byte
+#: tag for (the slot travels with the block).
+SETTLED = False
+
 
 @dataclass(frozen=True)
 class FrameInfo:
@@ -123,21 +128,16 @@ class EventBlock:
         #: policy); the post then rides a single datagram with a
         #: deadline backstop instead of retransmit-until-acked.
         self.degraded: bool = False
-        #: Admission charge token ``(gate node, tenant)`` while the post
-        #: occupies gate depth; cleared (idempotently) at conclusion.
-        self._admission: tuple[int, int] | None = None
+        #: Settlement state: None in flight and uncharged, the admission
+        #: charge token ``(gate node, tenant)`` while the post occupies
+        #: gate depth, :data:`SETTLED` once concluded (the charge went
+        #: back in the same step, so a block concludes exactly once).
+        self._admission: tuple[int, int] | bool | None = None
 
     def __repr__(self) -> str:
-        return (f"EventBlock(event={self.event!r}, "
-                f"raiser_tid={self.raiser_tid!r}, "
-                f"raiser_node={self.raiser_node!r}, "
-                f"target={self.target!r}, "
-                f"synchronous={self.synchronous!r}, "
-                f"user_data={self.user_data!r}, "
-                f"snapshot={self.snapshot!r}, "
-                f"raised_at={self.raised_at!r}, "
-                f"delivered_at={self.delivered_at!r}, "
-                f"block_id={self.block_id!r})")
+        # the documented attributes: every slot up to ``block_id``
+        return "EventBlock(%s)" % ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__[:10])
 
     def with_event(self, event: str, user_data: Any = None) -> "EventBlock":
         """Derive a transformed block for re-raising up a chain (§4.2:

@@ -1,0 +1,474 @@
+"""Execute: run a delivered notice's LIFO handler chain (§4–§6.1).
+
+The target thread is suspended at its next interruption point, each
+handler of its chain runs in its declared context (current object /
+attaching object / buddy) on a *surrogate thread* that takes on the
+suspended thread's attributes, and the final decision resumes or
+terminates the thread. The same walker serves §6.1, where a faulting
+frame's exception is offered to the object's handler, then the chain.
+Supervision verdicts come from the ``HandlerSupervisor``.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+from typing import TYPE_CHECKING, Any
+
+from repro.errors import (
+    BuddyUnavailableError,
+    HandlerContextError,
+    HandlerTimeout,
+    InvocationAborted,
+    NodeCrashedError,
+    RpcTimeout,
+    ThreadTerminated,
+    UndeliverableError,
+    UnknownObjectError,
+)
+from repro.events import defaults, names
+from repro.events.block import EventBlock
+from repro.events.handlers import Decision, HandlerContext, HandlerRegistration
+from repro.events.settle import EXECUTED, Settler
+from repro.events.supervise import HandlerSupervisor
+from repro.net.stats import LatencyReservoir
+from repro.sim.primitives import SimFuture
+from repro.threads import syscalls as sc
+from repro.threads.thread import (
+    DThread,
+    KIND_SURROGATE,
+    KIND_USER,
+    TERMINATING,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.kernel.boot import Cluster
+    from repro.threads.thread import Activation
+
+#: buddy-invocation failures worth retrying / feeding the breaker: the
+#: handler object's node crashed, the reliable send gave up, an RPC leg
+#: timed out, or the failure detector failed the call fast
+RETRYABLE_INVOKE_ERRORS = (NodeCrashedError, UndeliverableError, RpcTimeout,
+                           BuddyUnavailableError)
+
+
+def _procedure_frame(ctx, fn, current_obj, block):
+    """Surrogate frame: per-thread-memory handler in the current
+    object's context."""
+    ctx._activation.obj = current_obj
+    ctx._activation.event_block = block
+    result = yield from fn(ctx, block)
+    return result
+
+
+def _invoke_frame(ctx, cap, fn_name, block):
+    """Surrogate frame: attaching-object / buddy handler via
+    unscheduled invocation."""
+    result = yield sc.Invoke(cap=cap, entry=fn_name, args=(block,),
+                             as_handler=True, handler_block=block)
+    return result
+
+
+def parse_decision(result: Any) -> tuple[Decision, Any]:
+    """A handler's return value as ``(decision, value)``."""
+    if result is None:
+        return Decision.RESUME, None
+    if isinstance(result, Decision):
+        return result, None
+    if (isinstance(result, tuple) and len(result) == 2
+            and isinstance(result[0], Decision)):
+        return result
+    return Decision.RESUME, result
+
+
+class Executor:
+    """Handler chains for notices and frame exceptions (a delivery's
+    state lives on the suspended thread, not here)."""
+
+    def __init__(self, cluster: "Cluster", supervisor: HandlerSupervisor,
+                 settle: Settler, enqueue: Any) -> None:
+        self.cluster = cluster
+        self.sim = cluster.sim
+        self.tracer = cluster.tracer
+        self.kernels = cluster.kernels
+        self.invoker = cluster.invoker
+        self.supervisor = supervisor
+        self.settle = settle
+        #: ``post.enqueue_for_thread``, for the HANDLER_TIMEOUT notice
+        self.enqueue = enqueue
+        config = cluster.config
+        self.context_switch_cost = config.context_switch_cost
+        self.surrogate_cost = config.surrogate_cost
+        self.handler_retries = config.handler_retries
+        self.handler_backoff = config.handler_backoff
+        #: notices whose handling began
+        self.delivered = 0
+        #: handler surrogates that raised (folded into PROPAGATE)
+        self.handler_failures = 0
+        #: per-delivery (event, raise->deliver virtual latency) samples —
+        #: a bounded reservoir so long runs stop accumulating memory
+        self.delivery_latencies = LatencyReservoir()
+
+    # ==================================================================
+    # suspension and the notice queue
+    # ==================================================================
+
+    def start_delivery(self, thread: DThread) -> None:
+        """Suspend the thread and begin draining its notice queue."""
+        if (thread.suspended_by_event or not thread.alive
+                or thread.state == TERMINATING):
+            return
+        thread.suspended_by_event = True
+        self.sim.call_after(self.context_switch_cost, self._next_notice,
+                            thread)
+
+    def _next_notice(self, thread: DThread) -> None:
+        if not thread.alive or thread.state == TERMINATING:
+            thread.suspended_by_event = False
+            return
+        if not thread.pending_notices:
+            self._end_suspension(thread)
+            return
+        block = thread.pending_notices.popleft()
+        thread.delivering_event = block.event
+        thread.delivering_block = block
+        block.delivered_at = self.sim.now
+        block.snapshot = thread.snapshot()
+        self.delivered += 1
+        self.delivery_latencies.record(
+            block.event, block.delivered_at - block.raised_at)
+        self.tracer.emit("event", "deliver", event=block.event,
+                         tid=str(thread.tid), node=thread.current_node)
+        self._walk(thread, block, thread.attributes.handlers_for(block.event))
+
+    def _end_suspension(self, thread: DThread) -> None:
+        thread.suspended_by_event = False
+        thread.delivering_event = None
+        thread.delivering_block = None
+        if not thread.alive:
+            return
+        if thread.pending_notices:
+            self.start_delivery(thread)
+            return
+        stash = thread.take_stash()
+        if stash is not None:
+            thread.schedule_step(*stash)
+        # else: the thread keeps waiting for whatever it was blocked on.
+
+    # ==================================================================
+    # the chain walker
+    # ==================================================================
+
+    def _walk(self, thread: DThread, block: EventBlock,
+              chain: list[HandlerRegistration], index: int = 0,
+              finish: Any = None, errors: int = 0,
+              last_error: BaseException | None = None) -> None:
+        """Offer ``block`` to ``chain[index:]``, newest handler first;
+        the first decision other than PROPAGATE ends the walk.
+
+        ``finish`` is None for a delivered notice: the decision is
+        applied to the suspended thread, a chain that runs out falls to
+        the event's default, and one in which *every* handler failed is
+        a poison candidate. A frame exception (§6.1) passes its own
+        ``finish(thread, block, decision, value)`` and sees PROPAGATE
+        when the chain runs out.
+        """
+        if finish is None and not thread.alive:
+            # thread_gone has already concluded the block as a §7.2
+            # notice; only the chain's surrogate is left to end.
+            self._retire_surrogate(thread)
+            return
+        if index >= len(chain):
+            if finish is not None:
+                finish(thread, block, Decision.PROPAGATE, None)
+                return
+            if chain and errors >= len(chain):
+                # Poison policy: an *entire* chain of failures (every
+                # handler raised — watchdog timeouts excluded, since a
+                # cancelled handler may have half-executed and a re-run
+                # would double its side effects). Deliberate PROPAGATE
+                # decisions and breaker skips are not failures. No
+                # surrogate sits parked through a backoff.
+                self._retire_surrogate(thread)
+                if self.supervisor.poisoned(
+                        block, last_error, thread.current_node,
+                        self._retry_chain, thread, block,
+                        tid=str(thread.tid)) == "retry":
+                    return
+            self._apply_decision(thread, block,
+                                 defaults.thread_default(block.event), None)
+            return
+        registration = chain[index]
+
+        def done(decision: Decision, value: Any,
+                 error: BaseException | None) -> None:
+            self.tracer.emit(
+                "event", "handler-done", event=block.event,
+                tid=str(thread.tid), context=registration.context.value,
+                decision=decision.value,
+                error=repr(error) if error else None)
+            if decision is Decision.PROPAGATE:
+                failed = errors + (1 if error is not None and not
+                                   isinstance(error, HandlerTimeout) else 0)
+                self._walk(thread, block, chain, index + 1, finish, failed,
+                           error if error is not None else last_error)
+            else:
+                (finish or self._apply_decision)(thread, block, decision,
+                                                 value)
+
+        self._execute_registration(thread, registration, block, done)
+
+    def _retry_chain(self, thread: DThread, block: EventBlock) -> None:
+        if not thread.alive or thread.delivering_block is not block:
+            # The thread died while the retry was pending (thread_gone
+            # already issued the §7.2 notice) or handling moved on.
+            return
+        self._walk(thread, block, thread.attributes.handlers_for(block.event))
+
+    def _apply_decision(self, thread: DThread, block: EventBlock,
+                        decision: Decision, value: Any) -> None:
+        # Handling concluded: the block is no longer at risk of dying
+        # with the thread, and its poison tally (if any) is forgiven.
+        self.supervisor.clear_failures(block)
+        self._retire_surrogate(thread)
+        thread.delivering_block = None
+        # The synchronous raiser is resumed when handling concludes,
+        # whatever the fate of the target thread. (A no-op when the
+        # block was quarantined, or noticed because the thread died.)
+        self.settle.conclude(block, EXECUTED, value, None,
+                             thread.current_node)
+        if decision is Decision.TERMINATE:
+            thread.suspended_by_event = False
+            self.invoker.terminate_thread(thread,
+                                          reason=f"event {block.event}")
+        elif thread.pending_notices:
+            self._next_notice(thread)
+        else:
+            self._end_suspension(thread)
+
+    # ==================================================================
+    # executing one thread-based handler (§4.1 contexts)
+    # ==================================================================
+
+    def _execute_registration(self, thread: DThread,
+                              registration: HandlerRegistration,
+                              block: EventBlock, done) -> None:
+        node = thread.current_node
+        if registration.context is HandlerContext.CURRENT:
+            try:
+                fn = thread.attributes.per_thread_memory.procedure(
+                    registration.procedure)
+            except HandlerContextError as exc:
+                done(Decision.PROPAGATE, None, exc)
+                return
+            self.sim.call_after(
+                self.surrogate_cost, self._run_on_surrogate, thread, block,
+                node, done, self.supervisor.effective_deadline(registration),
+                _procedure_frame, fn, thread.current_object, block)
+            return
+        # ATTACHING / BUDDY: unscheduled invocation of a handler method,
+        # supervised (breaker admission, fast-fail, retry with backoff).
+        self._execute_invoke(thread, registration, block, node, done, 0)
+
+    def _execute_invoke(self, thread: DThread,
+                        registration: HandlerRegistration,
+                        block: EventBlock, node: int, done,
+                        attempt: int) -> None:
+        oid = registration.target_oid
+        if not self.supervisor.breaker_allows(oid, block.event):
+            # Open breaker: skip this registration, fall down the chain.
+            done(Decision.PROPAGATE, None, None)
+            return
+        obj = self.cluster.find_object(oid)
+        if obj is None:
+            done(Decision.PROPAGATE, None, UnknownObjectError(
+                f"handler object {oid} is gone"))
+            return
+        try:
+            obj.handler_fn(registration.fn_name)
+        except BaseException as exc:  # noqa: BLE001 - bad registration
+            done(Decision.PROPAGATE, None, exc)
+            return
+        kernel = self.kernels.get(node)
+        if (kernel is not None and obj.cap.home != node
+                and kernel.membership.is_failed(obj.cap.home)):
+            # Suspected buddy node: fail fast instead of waiting out the
+            # reliable channel's give-up; feeds the retry/breaker policy.
+            self.supervisor.counters["fast_fails"] += 1
+            self.tracer.emit("supervise", "fast-fail", oid=oid,
+                             event=block.event, home=obj.cap.home)
+            self._invoke_failed(thread, registration, block, node, done,
+                                attempt, BuddyUnavailableError(
+                                    f"node {obj.cap.home} is suspected"))
+            return
+
+        def on_done(decision: Decision, value: Any,
+                    error: BaseException | None) -> None:
+            if error is not None and isinstance(error,
+                                                RETRYABLE_INVOKE_ERRORS):
+                self._invoke_failed(thread, registration, block, node,
+                                    done, attempt, error)
+                return
+            if error is None:
+                self.supervisor.invoke_succeeded(oid, block.event)
+            done(decision, value, error)
+
+        self.sim.call_after(
+            self.surrogate_cost, self._run_on_surrogate, thread, block, node,
+            on_done, self.supervisor.effective_deadline(registration),
+            _invoke_frame, obj.cap, registration.fn_name, block)
+
+    def _invoke_failed(self, thread: DThread,
+                       registration: HandlerRegistration, block: EventBlock,
+                       node: int, done, attempt: int,
+                       error: BaseException) -> None:
+        """A buddy invocation failed with a retryable error."""
+        self.supervisor.invoke_failed(registration.target_oid, block.event)
+        if attempt < self.handler_retries:
+            self.supervisor.counters["handler_retries"] += 1
+            self.tracer.emit("supervise", "handler-retry",
+                             oid=registration.target_oid,
+                             event=block.event, attempt=attempt + 1,
+                             error=repr(error))
+            self.sim.call_after(self.handler_backoff * (2 ** attempt),
+                                self._execute_invoke, thread, registration,
+                                block, node, done, attempt + 1)
+            return
+        done(Decision.PROPAGATE, None, error)
+
+    def _run_on_surrogate(self, thread: DThread, block: EventBlock,
+                          node: int, done, deadline: float | None,
+                          frame_fn, *frame_args: Any) -> None:
+        """Run one handler as the next frame of the notice's surrogate.
+
+        One surrogate serves the whole chain of a delivered notice (§7's
+        argument for the master handler thread — do not pay a thread
+        creation per handler run — applied to §6.1); it is created when
+        the first handler is due and replaced only if it died (watchdog,
+        crash). ``surrogate_cost`` is charged per handler by the caller.
+        """
+        invoker = self.invoker
+        name = f"handler:{block.event}"
+        surrogate = thread.chain_surrogate
+        if surrogate is None or not surrogate.alive:
+            surrogate = thread.chain_surrogate = invoker.create_loop_thread(
+                node, name, KIND_SURROGATE, attributes=thread.attributes,
+                impersonate=thread.tid)
+        watchdog = (None if deadline is None else self.sim.call_after(
+            deadline, self._handler_timed_out, surrogate, thread, block,
+            deadline))
+
+        invoker.run_frame(surrogate, frame_fn, name, *frame_args,
+                          on_exit=partial(self._handler_exited, done=done,
+                                          thread=thread, block=block,
+                                          watchdog=watchdog))
+
+    def _retire_surrogate(self, thread: DThread) -> None:
+        """The chain is over (or pausing for a backoff): end its surrogate."""
+        surrogate, thread.chain_surrogate = thread.chain_surrogate, None
+        if surrogate is not None:
+            self.invoker.retire_loop_thread(surrogate)
+
+    def _handler_timed_out(self, surrogate: DThread, thread: DThread,
+                           block: EventBlock, deadline: float) -> None:
+        """The watchdog on one surrogate handler run expired."""
+        self.supervisor.counters["handler_timeouts"] += 1
+        self.tracer.emit("supervise", "handler-timeout", event=block.event,
+                         tid=str(thread.tid), deadline=deadline)
+        # Raise HANDLER_TIMEOUT on the owning thread (only when it
+        # subscribed — mirrors the TARGET_DEAD gating, so unsupervised
+        # runs see zero extra notices). Queue it first: destroying the
+        # surrogate exits its frame with the timeout, which
+        # _handler_exited turns into PROPAGATE, and the chain falls
+        # through (LIFO order preserved) before this returns.
+        if (thread.alive and block.event != names.HANDLER_TIMEOUT
+                and thread.attributes.handlers_for(names.HANDLER_TIMEOUT)):
+            node = thread.current_node
+            self.enqueue(node, thread.tid, EventBlock(
+                event=names.HANDLER_TIMEOUT, raiser_tid=None,
+                raiser_node=node, target=thread.tid,
+                user_data={"event": block.event, "deadline": deadline},
+                raised_at=self.sim.now))
+        self.invoker.destroy_thread_abrupt(surrogate, HandlerTimeout(
+            f"handler for {block.event} exceeded {deadline}s"))
+
+    def _handler_exited(self, result: Any, error: BaseException | None,
+                        done, thread: DThread, block: EventBlock,
+                        watchdog: Any = None) -> None:
+        if watchdog is not None:
+            # Outliving its run, it could destroy the surrogate under a
+            # later handler of the chain.
+            watchdog.cancel()
+        if error is not None:
+            if not isinstance(error, HandlerTimeout):
+                # Timeouts have their own counter/trace; everything
+                # else is a handler failure worth surfacing.
+                self.handler_failures += 1
+                self.tracer.emit("event", "handler-error", event=block.event,
+                                 tid=str(thread.tid), error=repr(error))
+            done(Decision.PROPAGATE, None, error)
+            return
+        decision, value = parse_decision(result)
+        done(decision, value, None)
+
+    # ==================================================================
+    # exceptions as events (§3, §6.1)
+    # ==================================================================
+
+    def on_frame_exception(self, thread: DThread, frame: "Activation",
+                           exc: BaseException) -> None:
+        """An activation's generator raised; decide events vs propagation."""
+        invoker = self.invoker
+        event = (None if isinstance(exc, (ThreadTerminated, InvocationAborted))
+                 else defaults.event_for_exception(exc))
+        if event is None or thread.kind != KIND_USER:
+            invoker.frame_failed(thread, exc)
+            return
+        objects = self.kernels[frame.node].objects
+        obj_handler = (objects.object_handler_fn(frame.obj, event)
+                       if frame.obj is not None else None)
+        chain = thread.attributes.handlers_for(event)
+        if obj_handler is None and not chain:
+            invoker.frame_failed(thread, exc)
+            return
+        block = EventBlock(event=event, raiser_tid=None,
+                           raiser_node=frame.node, target=thread.tid,
+                           user_data=exc, raised_at=self.sim.now)
+        block.snapshot = thread.snapshot()
+        block.delivered_at = self.sim.now
+        thread.suspended_by_event = True
+        self.tracer.emit("event", "exception", event=event,
+                         tid=str(thread.tid), error=repr(exc),
+                         node=frame.node)
+        if obj_handler is None:
+            self._walk(thread, block, chain, finish=self._finish_exception)
+            return
+
+        def after_object_handler(decision: Decision, value: Any,
+                                 error: BaseException | None) -> None:
+            if decision is Decision.PROPAGATE:
+                self._walk(thread, block, chain, finish=self._finish_exception)
+            else:
+                self._finish_exception(thread, block, decision, value)
+
+        # §6.1: the object's handler gets called first, on a surrogate
+        # thread that takes on the suspended thread's attributes.
+        ran: SimFuture[Any] = SimFuture(self.sim)
+        objects.run_object_handler(frame.obj, obj_handler, block, ran)
+        ran.add_done_callback(lambda fut: self._handler_exited(
+            *fut.outcome(), after_object_handler, thread, block))
+
+    def _finish_exception(self, thread: DThread, block: EventBlock,
+                          decision: Decision, value: Any) -> None:
+        """The faulted frame's fate (``block.user_data`` is its
+        exception)."""
+        self._retire_surrogate(thread)
+        thread.suspended_by_event = False
+        if decision is Decision.RESUME:
+            # Levin-style repair: the faulted invocation returns the
+            # handler's recovery value to its caller.
+            self.invoker.frame_returned(thread, value)
+        elif decision is Decision.TERMINATE:
+            self.invoker.terminate_thread(
+                thread, reason=f"unhandled {block.event}")
+        else:
+            self.invoker.frame_failed(thread, block.user_data)

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import EventError
+from repro.errors import EventError, UnknownObjectError
 
 
 class HandlerContext(enum.Enum):
@@ -50,6 +50,8 @@ class Decision(enum.Enum):
 
 
 _reg_ids = itertools.count(1)
+#: names per-thread-memory procedures installed by ``attach``
+_proc_names = itertools.count(1)
 
 
 @dataclass
@@ -99,6 +101,57 @@ class HandlerRegistration:
                 raise EventError(
                     f"{self.context.value}-context handler needs a target "
                     f"object and method name")
+
+
+def attach_from_thread(cluster: Any, thread: Any, frame: Any,
+                       syscall: Any) -> None:
+    """A running thread executed ``attach_handler`` (§5.2)."""
+    try:
+        cluster.names.require_event(syscall.event)
+        registration = _build_registration(cluster, thread, frame, syscall)
+    except BaseException as exc:  # noqa: BLE001 - reported to caller
+        thread.schedule_step(None, exc)
+        return
+    thread.attributes.attach(registration)
+    cluster.tracer.emit(
+        "event", "attach", event=syscall.event, tid=str(thread.tid),
+        context=registration.context.value, node=frame.node)
+    thread.schedule_step_after(cluster.config.attach_cost,
+                               registration.reg_id, None)
+
+
+def _build_registration(cluster: Any, thread: Any, frame: Any,
+                        syscall: Any) -> HandlerRegistration:
+    context = syscall.context
+    where = dict(attached_in_oid=(frame.obj.oid if frame.obj else None),
+                 attached_at_node=frame.node, deadline=syscall.deadline)
+    if context is HandlerContext.CURRENT:
+        procedure = syscall.procedure
+        if callable(procedure) and not isinstance(procedure, str):
+            name = getattr(procedure, "__name__", "proc")
+            key = f"{name}#{next(_proc_names)}"
+            thread.attributes.per_thread_memory.install_procedure(
+                key, procedure)
+            procedure = key
+        return HandlerRegistration(event=syscall.event, context=context,
+                                   procedure=procedure, **where)
+    if context is HandlerContext.BUDDY:
+        if syscall.target is None:
+            raise EventError("buddy handler needs a target capability")
+        target_oid = syscall.target.oid
+    else:  # ATTACHING
+        if frame.obj is None:
+            raise EventError(
+                "attaching-context handler requires the thread to be "
+                "executing inside an object")
+        target_oid = frame.obj.oid
+    obj = cluster.find_object(target_oid)
+    if obj is None:
+        raise UnknownObjectError(f"no object {target_oid}")
+    obj.handler_fn(syscall.fn_name)  # validate now, not at delivery
+    return HandlerRegistration(event=syscall.event, context=context,
+                               fn_name=syscall.fn_name,
+                               target_oid=target_oid, **where)
 
 
 class HandlerChain:

@@ -35,7 +35,7 @@ retries a bounded number of times before declaring the thread dead.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Any, Callable
 
 from repro.errors import KernelError
 from repro.events.block import EventBlock
@@ -47,9 +47,6 @@ from repro.kernel.config import (
 )
 from repro.net.message import Message
 from repro.threads.ids import ThreadId
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.events.delivery import EventManager
 
 MSG_PATH_POST = "locate.path"
 MSG_BCAST_POST = "locate.bcast"
@@ -72,10 +69,19 @@ class BaseLocator:
     """Shared plumbing for the three strategies."""
 
     name = "?"
+    #: message types this strategy answers (``on_message``/``on_reply``)
+    POST: str = "?"
+    REPLY: str | None = None
 
-    def __init__(self, manager: "EventManager") -> None:
-        self.manager = manager
-        self.cluster = manager.cluster
+    def __init__(self, cluster: Any,
+                 enqueue: Callable[[int, ThreadId, EventBlock], bool]) -> None:
+        self.cluster = cluster
+        #: the post stage's hand-over: ``enqueue(node, tid, block)``
+        self.enqueue = enqueue
+        for kernel in cluster.kernels.values():
+            kernel.register_message_handler(self.POST, self.on_message)
+            if self.REPLY is not None:
+                kernel.register_message_handler(self.REPLY, self.on_reply)
 
     def post(self, from_node: int, tid: ThreadId, block: EventBlock,
              on_result: PostResult) -> None:
@@ -109,35 +115,44 @@ class BaseLocator:
             return nodes
         return [n for n in nodes if not membership.is_dead(n)]
 
-    def _innermost_here(self, node: int, tid: ThreadId) -> bool:
-        return self.cluster.kernels[node].thread_table.innermost_here(tid)
-
     def _accept(self, node: int, tid: ThreadId, block: EventBlock) -> bool:
         """Hand the notice to the thread if its innermost frame is here."""
-        if not self._innermost_here(node, tid):
+        if not self.cluster.kernels[node].thread_table.innermost_here(tid):
             return False
-        return self.manager.enqueue_for_thread(node, tid, block)
+        return self.enqueue(node, tid, block)
 
-    def _retry_later(self, fn: Callable[[], None]) -> None:
-        self.cluster.sim.call_after(LOCATE_RETRY_DELAY, fn)
+    def _forward(self, from_node: int, to_node: int, tid: ThreadId,
+                 block: EventBlock, state: dict, on_result: PostResult,
+                 lost: Callable[[Message | None], None]) -> None:
+        """Send the notice itself one hop on (the pointer-chasing
+        strategies); ``lost`` runs if ``to_node`` is unreachable."""
+        if from_node == to_node:
+            self._arrived(to_node, tid, block, state, on_result)
+            return
+        membership = self._membership(from_node)
+        if membership is not None and membership.is_dead(to_node):
+            # Confirmed dead by gossip: do not spend a message on a node
+            # the whole cluster agrees is gone.
+            lost(None)
+            return
+        state["hops"] += 1
+        self.cluster.transmit(Message(
+            src=from_node, dst=to_node, mtype=self.POST, size=128,
+            payload={"tid": tid, "block": block, "state": state,
+                     "on_result": on_result}), lost)
 
-    def _transmit(self, message: Message,
-                  on_give_up: Callable[[Message], None] | None = None) -> None:
-        """Send via the source kernel's (possibly reliable) channel.
-
-        ``on_give_up`` fires if the reliable channel exhausts its
-        retransmission budget — the destination crashed or is partitioned
-        away — letting the strategy reroute or report a dead target
-        instead of hanging. With reliability off it never fires (the
-        seed's fire-and-forget behaviour).
-        """
-        self.cluster.transmit(message, on_give_up)
+    def on_message(self, message: Message) -> None:
+        """A forwarded notice arrived."""
+        body = message.payload
+        self._arrived(int(message.dst), body["tid"], body["block"],
+                      body["state"], body["on_result"])
 
 
 class PathLocator(BaseLocator):
     """Walk TCB forwarding pointers from the thread's root node."""
 
     name = LOCATE_PATH
+    POST = MSG_PATH_POST
 
     def post(self, from_node: int, tid: ThreadId, block: EventBlock,
              on_result: PostResult) -> None:
@@ -146,39 +161,12 @@ class PathLocator(BaseLocator):
 
     def _hop(self, from_node: int, to_node: int, tid: ThreadId,
              block: EventBlock, state: dict, on_result: PostResult) -> None:
-        if from_node == to_node:
-            self._arrived(to_node, tid, block, state, on_result)
-            return
-
-        def hop_lost(message: Message | None) -> None:
-            # The next node in the chain is unreachable (crashed): treat
-            # it like a stale pointer and restart from the root. If the
-            # thread died with that node the liveness check fails and the
-            # raiser gets its §7.2 notice.
-            if state["retries"] > 0 and tid in self.cluster.live_threads:
-                state["retries"] -= 1
-                self._retry_later(
-                    lambda: self._hop(from_node, tid.root, tid, block,
-                                      state, on_result))
-                return
-            on_result(False, state["hops"])
-
-        membership = self._membership(from_node)
-        if membership is not None and membership.is_dead(to_node):
-            # Confirmed dead by gossip: fail the hop without spending a
-            # message on a node the whole cluster agrees is gone.
-            hop_lost(None)
-            return
-        state["hops"] += 1
-        self._transmit(Message(
-            src=from_node, dst=to_node, mtype=MSG_PATH_POST, size=128,
-            payload={"tid": tid, "block": block, "state": state,
-                     "on_result": on_result}), hop_lost)
-
-    def on_message(self, message: Message) -> None:
-        body = message.payload
-        self._arrived(int(message.dst), body["tid"], body["block"],
-                      body["state"], body["on_result"])
+        # An unreachable next node (crashed) is treated like a stale
+        # pointer. If the thread died with that node the liveness check
+        # fails and the raiser gets its §7.2 notice.
+        self._forward(from_node, to_node, tid, block, state, on_result,
+                      lambda m: self._restart(from_node, tid, block, state,
+                                              on_result))
 
     def _arrived(self, node: int, tid: ThreadId, block: EventBlock,
                  state: dict, on_result: PostResult) -> None:
@@ -189,141 +177,75 @@ class PathLocator(BaseLocator):
         if tcb is not None and tcb.next_node is not None:
             self._hop(node, tcb.next_node, tid, block, state, on_result)
             return
-        # Stale pointer or mid-flight thread: restart from the root a
-        # bounded number of times before giving up.
+        self._restart(node, tid, block, state, on_result)
+
+    def _restart(self, node: int, tid: ThreadId, block: EventBlock,
+                 state: dict, on_result: PostResult) -> None:
+        """Stale pointer or mid-flight thread: restart from the root a
+        bounded number of times before giving up."""
         if state["retries"] > 0 and tid in self.cluster.live_threads:
             state["retries"] -= 1
-            self._retry_later(
-                lambda: self._hop(node, tid.root, tid, block, state,
-                                  on_result))
+            self.cluster.sim.call_after(
+                LOCATE_RETRY_DELAY, self._hop, node, tid.root, tid, block,
+                state, on_result)
             return
         on_result(False, state["hops"])
 
 
-class BroadcastLocator(BaseLocator):
-    """Broadcast the event request to every node."""
+class _ProbeLocator(BaseLocator):
+    """Rounds shared by the two fan-out strategies: probe every
+    candidate node, collect its found / not-found reply, and start a
+    fresh round while the thread lives and the retry budget lasts."""
 
-    name = LOCATE_BROADCAST
+    #: with nobody to probe: retry (membership may be mid-change), or
+    #: report the thread dead at once
+    RETRY_EMPTY_ROUND = True
+
+    def _candidates(self, tid: ThreadId) -> list[int]:
+        """Nodes that may hold the thread, in probe order."""
+        raise NotImplementedError
 
     def post(self, from_node: int, tid: ThreadId, block: EventBlock,
              on_result: PostResult) -> None:
-        state = {
-            "hops": 0,
-            "retries": LOCATE_RETRIES,
-            "from_node": from_node,
-        }
-        self._round(tid, block, state, on_result)
+        self._round(tid, block, {"hops": 0, "retries": LOCATE_RETRIES,
+                                 "from_node": from_node}, on_result)
 
     def _round(self, tid: ThreadId, block: EventBlock, state: dict,
                on_result: PostResult) -> None:
         from_node = state["from_node"]
-        others = self._drop_dead(
-            from_node, [n for n in self.cluster.kernels if n != from_node])
-        if self._accept(from_node, tid, block):
-            on_result(True, state["hops"])
-            return
-        if not others:
-            on_result(False, state["hops"])
-            return
-        pending = {"found": False, "replies": 0, "expected": len(others)}
-        state["hops"] += len(others)
-        for node in others:
-            payload = {"tid": tid, "block": block, "state": state,
-                       "pending": pending, "on_result": on_result}
-            self._transmit(Message(
-                src=from_node, dst=node, mtype=MSG_BCAST_POST, size=128,
-                payload=payload),
-                lambda m, p=payload: self._probe_lost(p))
-
-    def _probe_lost(self, body: dict) -> None:
-        """A probe (or its reply) is undeliverable: count a not-found."""
-        self.on_reply(Message(src=-1, dst=-1, mtype=MSG_BCAST_REPLY,
-                              payload={**body, "found": False}))
-
-    def on_message(self, message: Message) -> None:
-        body = message.payload
-        node = int(message.dst)
-        found = self._accept(node, body["tid"], body["block"])
-        body["state"]["hops"] += 1  # the reply
-        payload = {"found": found, "tid": body["tid"],
-                   "block": body["block"], "state": body["state"],
-                   "pending": body["pending"],
-                   "on_result": body["on_result"]}
-        self._transmit(Message(
-            src=node, dst=body["state"]["from_node"],
-            mtype=MSG_BCAST_REPLY, size=64, payload=payload),
-            lambda m, p=payload: self.on_reply(
-                Message(src=-1, dst=-1, mtype=MSG_BCAST_REPLY, payload=p)))
-
-    def on_reply(self, message: Message) -> None:
-        body = message.payload
-        pending, state = body["pending"], body["state"]
-        pending["replies"] += 1
-        if body["found"]:
-            pending["found"] = True
-        if pending["replies"] < pending["expected"]:
-            return
-        if pending["found"]:
-            body["on_result"](True, state["hops"])
-            return
-        tid = body["tid"]
-        if state["retries"] > 0 and tid in self.cluster.live_threads:
-            state["retries"] -= 1
-            self._retry_later(
-                lambda: self._round(tid, body["block"], state,
-                                    body["on_result"]))
-            return
-        body["on_result"](False, state["hops"])
-
-
-class MulticastLocator(BaseLocator):
-    """Multicast the notice to the thread's member-maintained group."""
-
-    name = LOCATE_MULTICAST
-
-    def post(self, from_node: int, tid: ThreadId, block: EventBlock,
-             on_result: PostResult) -> None:
-        state = {
-            "hops": 0,
-            "retries": LOCATE_RETRIES,
-            "from_node": from_node,
-        }
-        self._round(tid, block, state, on_result)
-
-    def _round(self, tid: ThreadId, block: EventBlock, state: dict,
-               on_result: PostResult) -> None:
-        from_node = state["from_node"]
-        groups = self.cluster.fabric.multicast_groups
-        members = sorted(groups.members(tid.multicast_group))
-        if from_node in members and self._accept(from_node, tid, block):
+        candidates = self._candidates(tid)
+        if from_node in candidates and self._accept(from_node, tid, block):
             on_result(True, state["hops"])
             return
         targets = self._drop_dead(
-            from_node, [n for n in members if n != from_node])
+            from_node, [n for n in candidates if n != from_node])
         if not targets:
-            self._retry_or_fail(tid, block, state, on_result)
+            if self.RETRY_EMPTY_ROUND:
+                self._retry_or_fail(tid, block, state, on_result)
+            else:
+                on_result(False, state["hops"])
             return
         pending = {"found": False, "replies": 0, "expected": len(targets)}
         state["hops"] += len(targets)
         for node in targets:
             payload = {"tid": tid, "block": block, "state": state,
                        "pending": pending, "on_result": on_result}
-            self._transmit(Message(
-                src=from_node, dst=node, mtype=MSG_MCAST_POST, size=128,
+            self.cluster.transmit(Message(
+                src=from_node, dst=node, mtype=self.POST, size=128,
                 payload=payload),
                 lambda m, p=payload: self._probe_lost(p))
 
     def _probe_lost(self, body: dict) -> None:
         """A probe (or its reply) is undeliverable: count a not-found."""
-        self.on_reply(Message(src=-1, dst=-1, mtype=MSG_MCAST_REPLY,
+        self.on_reply(Message(src=-1, dst=-1, mtype=self.REPLY,
                               payload={**body, "found": False}))
 
     def _retry_or_fail(self, tid: ThreadId, block: EventBlock, state: dict,
                        on_result: PostResult) -> None:
         if state["retries"] > 0 and tid in self.cluster.live_threads:
             state["retries"] -= 1
-            self._retry_later(
-                lambda: self._round(tid, block, state, on_result))
+            self.cluster.sim.call_after(LOCATE_RETRY_DELAY, self._round, tid,
+                                        block, state, on_result)
             return
         on_result(False, state["hops"])
 
@@ -336,11 +258,11 @@ class MulticastLocator(BaseLocator):
                    "block": body["block"], "state": body["state"],
                    "pending": body["pending"],
                    "on_result": body["on_result"]}
-        self._transmit(Message(
+        self.cluster.transmit(Message(
             src=node, dst=body["state"]["from_node"],
-            mtype=MSG_MCAST_REPLY, size=64, payload=payload),
+            mtype=self.REPLY, size=64, payload=payload),
             lambda m, p=payload: self.on_reply(
-                Message(src=-1, dst=-1, mtype=MSG_MCAST_REPLY, payload=p)))
+                Message(src=-1, dst=-1, mtype=self.REPLY, payload=p)))
 
     def on_reply(self, message: Message) -> None:
         body = message.payload
@@ -355,6 +277,30 @@ class MulticastLocator(BaseLocator):
             return
         self._retry_or_fail(body["tid"], body["block"], state,
                             body["on_result"])
+
+
+class BroadcastLocator(_ProbeLocator):
+    """Broadcast the event request to every node."""
+
+    name = LOCATE_BROADCAST
+    POST, REPLY = MSG_BCAST_POST, MSG_BCAST_REPLY
+    RETRY_EMPTY_ROUND = False
+    post = _ProbeLocator.post  # E17's tracer wraps vars(cls)["post"]
+
+    def _candidates(self, tid: ThreadId) -> list[int]:
+        return list(self.cluster.kernels)
+
+
+class MulticastLocator(_ProbeLocator):
+    """Multicast the notice to the thread's member-maintained group."""
+
+    name = LOCATE_MULTICAST
+    POST, REPLY = MSG_MCAST_POST, MSG_MCAST_REPLY
+    post = _ProbeLocator.post  # E17's tracer wraps vars(cls)["post"]
+
+    def _candidates(self, tid: ThreadId) -> list[int]:
+        groups = self.cluster.fabric.multicast_groups
+        return sorted(groups.members(tid.multicast_group))
 
 
 class CachedLocator(BaseLocator):
@@ -375,11 +321,13 @@ class CachedLocator(BaseLocator):
     """
 
     name = LOCATE_CACHED
+    POST = MSG_CACHED_POST
 
-    @property
-    def base(self) -> BaseLocator:
-        """The fallback strategy instance (shared with the manager)."""
-        return self.manager.base_locator(self.cluster.config.cache_fallback)
+    def __init__(self, cluster: Any, enqueue: Any) -> None:
+        super().__init__(cluster, enqueue)
+        #: the fallback strategy (``cache_fallback``: one of the three)
+        self.base = make_locator(cluster.config.cache_fallback, cluster,
+                                 enqueue)
 
     def post(self, from_node: int, tid: ThreadId, block: EventBlock,
              on_result: PostResult) -> None:
@@ -396,35 +344,10 @@ class CachedLocator(BaseLocator):
 
     def _send(self, from_node: int, to_node: int, tid: ThreadId,
               block: EventBlock, state: dict, on_result: PostResult) -> None:
-        if from_node == to_node:
-            self._arrived(to_node, tid, block, state, on_result)
-            return
-
-        def hint_dead(message: Message | None) -> None:
-            # The hinted (or forwarded-to) node is unreachable — most
-            # likely crashed. The hint is worse than stale: drop it at
-            # the origin and let the base strategy find the thread or
-            # declare it dead (§7.2).
-            self.cluster.kernels[state["from_node"]] \
-                .location_hints.invalidate(tid)
-            self._fallback(tid, block, state, on_result)
-
-        membership = self._membership(from_node)
-        if membership is not None and membership.is_dead(to_node):
-            # Confirmed dead by gossip: skip the doomed direct send and
-            # go straight to the fallback strategy.
-            hint_dead(None)
-            return
-        state["hops"] += 1
-        self._transmit(Message(
-            src=from_node, dst=to_node, mtype=MSG_CACHED_POST, size=128,
-            payload={"tid": tid, "block": block, "state": state,
-                     "on_result": on_result}), hint_dead)
-
-    def on_message(self, message: Message) -> None:
-        body = message.payload
-        self._arrived(int(message.dst), body["tid"], body["block"],
-                      body["state"], body["on_result"])
+        # An unreachable hinted (or forwarded-to) node most likely
+        # crashed: the hint is worse than stale.
+        self._forward(from_node, to_node, tid, block, state, on_result,
+                      lambda m: self._give_up(tid, block, state, on_result))
 
     def _arrived(self, node: int, tid: ThreadId, block: EventBlock,
                  state: dict, on_result: PostResult) -> None:
@@ -448,9 +371,14 @@ class CachedLocator(BaseLocator):
             kernel.location_hints.install(tid, next_node)
             self._send(node, next_node, tid, block, state, on_result)
             return
-        # Exhausted or dead end: drop the origin's hint so the next post
-        # does not repeat the wasted message, then let the base strategy
-        # find the thread (or declare it dead, §7.2).
+        self._give_up(tid, block, state, on_result)
+
+    def _give_up(self, tid: ThreadId, block: EventBlock, state: dict,
+                 on_result: PostResult) -> None:
+        """The hint chain is exhausted, dead or unreachable: drop the
+        origin's hint so the next post does not repeat the wasted
+        message, then let the base strategy find the thread (or declare
+        it dead, §7.2)."""
         self.cluster.kernels[state["from_node"]].location_hints.invalidate(
             tid)
         self._fallback(tid, block, state, on_result)
@@ -465,14 +393,12 @@ class CachedLocator(BaseLocator):
         self.base.post(state["from_node"], tid, block, relay)
 
 
-def make_locator(name: str, manager: "EventManager") -> BaseLocator:
-    """Instantiate the configured strategy."""
-    if name == LOCATE_PATH:
-        return PathLocator(manager)
-    if name == LOCATE_BROADCAST:
-        return BroadcastLocator(manager)
-    if name == LOCATE_MULTICAST:
-        return MulticastLocator(manager)
-    if name == LOCATE_CACHED:
-        return CachedLocator(manager)
-    raise KernelError(f"unknown locator {name!r}")
+def make_locator(name: str, cluster: Any, enqueue: Any) -> BaseLocator:
+    """Instantiate the configured strategy (which registers the message
+    types it answers with every kernel)."""
+    strategies = {LOCATE_PATH: PathLocator, LOCATE_BROADCAST: BroadcastLocator,
+                  LOCATE_MULTICAST: MulticastLocator,
+                  LOCATE_CACHED: CachedLocator}
+    if name not in strategies:
+        raise KernelError(f"unknown locator {name!r}")
+    return strategies[name](cluster, enqueue)

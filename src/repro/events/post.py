@@ -1,0 +1,348 @@
+"""Post: carry one recipient's block to where it is handled.
+
+* **Threads** (§7.1): find the thread — local fast path, else the
+  configured location strategy — and queue the notice on it; the
+  execute stage takes over at the thread's next interruption point. A
+  thread that cannot be found, or dies with notices queued, turns each
+  of them into §7.2's dead-target notice.
+* **Passive objects** (§4.3, §7): send the block to the object's home
+  node, suppress duplicates there, and run the object's handler (or the
+  kernel's default action) on the node's master handler thread.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+from typing import TYPE_CHECKING, Any
+
+from repro.errors import (
+    DeadThreadError,
+    HandlerTimeout,
+    NoHandlerError,
+    UndeliverableError,
+    UnknownObjectError,
+)
+from repro.events import defaults, names
+from repro.events.block import SETTLED, EventBlock
+from repro.events.locate import make_locator
+from repro.events.settle import EXECUTED, NOTICED, Settler
+from repro.events.supervise import HandlerSupervisor
+from repro.net.message import Message
+from repro.objects.capability import Capability
+from repro.sim.primitives import SimFuture
+from repro.threads.ids import ThreadId
+from repro.threads.thread import DThread, TERMINATING
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.kernel.boot import Cluster
+    from repro.objects.base import DistObject
+    from repro.store.outbox import OutboxEntry
+
+MSG_POST_OBJECT = "event.post-object"
+
+
+class Poster:
+    """Thread and object posting for the whole cluster."""
+
+    def __init__(self, cluster: "Cluster", supervisor: HandlerSupervisor,
+                 settle: Settler) -> None:
+        self.sim = cluster.sim
+        self.tracer = cluster.tracer
+        self.kernels = cluster.kernels
+        self.live_threads = cluster.live_threads
+        self.transmit = cluster.transmit
+        self.require_event = cluster.names.require_event
+        self.supervisor = supervisor
+        self.settle = settle
+        config = cluster.config
+        self.locator = make_locator(config.locator, cluster,
+                                    self.enqueue_for_thread)
+        self.post_deadline = config.post_deadline  # positive, or None
+        self.degrade_deadline = config.post_deadline or config.locate_timeout
+        self.dedup_window = config.dedup_window
+        #: posts that ended in §7.2's dead-target notice
+        self.dead_targets = 0
+        #: receiver-side dedup for degraded (fire-and-forget) object
+        #: posts, per node: without a rel header the channel cannot
+        #: suppress fabric duplicates, so recent degraded block ids are
+        #: remembered here instead (bounded by ``dedup_window``)
+        self._degraded_seen: dict[int, "OrderedDict[int, None]"] = {
+            node: OrderedDict() for node in cluster.kernels}
+        for kernel in cluster.kernels.values():
+            kernel.register_message_handler(MSG_POST_OBJECT,
+                                            self._on_post_object)
+
+    # ==================================================================
+    # thread-targeted posts
+    # ==================================================================
+
+    def post_thread(self, from_node: int, tid: ThreadId,
+                    block: EventBlock) -> None:
+        # Local fast path: if the target's innermost activation is on the
+        # raising node, the kernel hands the notice over directly — no
+        # location protocol, no messages. This also makes raise-to-self
+        # land at the raiser's next yield point (breakpoints, the
+        # QUIT -> TERMINATE re-raise of the ^C protocol, ...).
+        if self.kernels[from_node].thread_table.innermost_here(tid):
+            if self.enqueue_for_thread(from_node, tid, block):
+                self.tracer.emit("event", "routed", event=block.event,
+                                 tid=str(tid), hops=0)
+                return
+
+        # Once-guard: under loss and retransmission a locator may report
+        # twice (e.g. a retried probe succeeds after the backstop already
+        # declared failure); only the first verdict counts.
+        state = {"done": False}
+
+        def on_result(delivered: bool, hops: int,
+                      expired: bool = False) -> None:
+            if state["done"]:
+                return
+            state["done"] = True
+            self.tracer.emit(
+                "event", "routed" if delivered else "dead-target",
+                event=block.event, tid=str(tid), hops=hops)
+            if not delivered:
+                self.dead_target(block, tid, expired)
+
+        if self.post_deadline is not None:
+            # Backstop: no verdict by the deadline counts as a dead
+            # target (and as undeliverable).
+            self.sim.call_after(self.post_deadline, on_result, False, -1,
+                                True)
+        self.locator.post(from_node, tid, block, on_result)
+
+    def dead_target(self, block: EventBlock, tid: Any,
+                    expired: bool = False) -> None:
+        """§7.2: the sender of an event to a destroyed thread is notified."""
+        self.dead_targets += 1
+        node = block.raiser_node or 0
+        first = self.settle.conclude(
+            block, NOTICED, None, DeadThreadError(f"thread {tid} is dead"),
+            node, target=tid, undeliverable=expired)
+        if block.synchronous or not first:
+            return
+        raiser = self.live_threads.get(block.raiser_tid)
+        if raiser is not None and raiser.attributes.handlers_for(
+                names.TARGET_DEAD):
+            notice = EventBlock(event=names.TARGET_DEAD, raiser_tid=None,
+                                raiser_node=block.raiser_node,
+                                target=raiser.tid,
+                                user_data={"event": block.event,
+                                           "dead_tid": tid},
+                                raised_at=self.sim.now)
+            self.post_thread(node, raiser.tid, notice)
+
+    def enqueue_for_thread(self, node: int, tid: ThreadId,
+                           block: EventBlock) -> bool:
+        """A notice reached the node holding the thread's innermost frame."""
+        thread = self.live_threads.get(tid)
+        if thread is None or not thread.alive or thread.state == TERMINATING:
+            return False
+        if not thread.accept_block(block.block_id):
+            # Duplicate arrival (second locate path, late retransmission):
+            # report success — the first copy was accepted — but do not
+            # queue a second handler run.
+            return True
+        thread.pending_notices.append(block)
+        # Location hints (§7.1 cached locator): the delivering node knows
+        # the thread is here, and the raiser learns it from the delivery
+        # acknowledgement it already receives — no extra round trips.
+        kernels = self.kernels
+        kernels[node].location_hints.install(tid, node)
+        origin = block.raiser_node
+        if origin is not None and origin != node and origin in kernels:
+            kernels[origin].location_hints.install(tid, node)
+        self.tracer.emit("event", "enqueue", event=block.event,
+                         tid=str(tid), node=node)
+        thread.notice_arrived()
+        return True
+
+    # ==================================================================
+    # object-targeted posts (§4.3)
+    # ==================================================================
+
+    def post_object(self, from_node: int, block: EventBlock) -> None:
+        cap = block.target
+        if from_node == cap.home:
+            self.sim.call_soon(self._handle_object_post, cap.home, block,
+                               cap.oid)
+            return
+        message = Message(src=from_node, dst=cap.home, mtype=MSG_POST_OBJECT,
+                          size=128, payload={"block": block, "oid": cap.oid})
+        if block.degraded:
+            # Shed to fire-and-forget: one datagram, no retransmission —
+            # overload must not amplify traffic. The deadline turns a
+            # lost datagram into a bounded-time notice instead of a
+            # silent loss.
+            self.kernels[from_node].transmit_unreliable(message)
+            self.sim.call_after(self.degrade_deadline, self._degrade_expired,
+                                block)
+            return
+        self.transmit(message,
+                      on_give_up=lambda m: self._object_post_failed(block,
+                                                                    cap))
+
+    def _degrade_expired(self, block: EventBlock) -> None:
+        if block._admission is not SETTLED:  # nothing concluded it in time
+            self.settle.conclude(block, NOTICED, None, UndeliverableError(
+                f"degraded {block.event} to object {block.target.oid} "
+                f"unresolved after {self.degrade_deadline}s"),
+                block.raiser_node or 0)
+
+    def _object_post_failed(self, block: EventBlock, cap: Capability) -> None:
+        """A reliable object post exhausted its retransmission budget."""
+        if block.durable_id is not None:
+            # Durable posts to persistent objects don't fail — they park
+            # in the origin's outbox and the flush timer / the target's
+            # recovery announcement redelivers them.
+            origin = self.kernels.get(block.durable_id[0])
+            if origin is not None:
+                self.tracer.emit("store", "park", event=block.event,
+                                 oid=cap.oid, node=origin.node_id)
+                origin.store.on_give_up(block.durable_id)
+                return
+        self.settle.conclude(block, NOTICED, None, UndeliverableError(
+            f"{block.event} to object {cap.oid} on node {cap.home} "
+            f"undeliverable"), block.raiser_node or 0, dead_letter=True)
+
+    def lost_in_crash(self, block: EventBlock) -> None:
+        """Its home node crashed with ``block`` queued for (or inside)
+        the object's handler. Durable posts stay silent: the origin's
+        outbox redelivers them and that run concludes them. A §6.1
+        exception block (thread-targeted) died with its thread. Every
+        other post is noticed from the raiser's node."""
+        cap = block.target
+        if block.durable_id is None and isinstance(cap, Capability):
+            self.settle.conclude(block, NOTICED, None, UndeliverableError(
+                f"{block.event} to object {cap.oid} lost in the crash of "
+                f"node {cap.home}"), block.raiser_node or 0)
+
+    def _on_post_object(self, message: Message) -> None:
+        body = message.payload
+        self._handle_object_post(int(message.dst), body["block"],
+                                 body["oid"])
+
+    def redeliver_entry(self, node: int, entry: "OutboxEntry") -> None:
+        """Re-dispatch a pending outbox entry from its origin ``node``.
+
+        Object posts are re-sent toward the object's home (objects are
+        persistent, so the post eventually lands). Thread posts cannot
+        be redelivered — the target thread died with whatever crash or
+        give-up stranded the entry, and a respawn is a different thread
+        — so they resolve through the §7.2 dead-target notice instead.
+        """
+        block = entry.block
+        self.tracer.emit("store", "redeliver", event=block.event,
+                         kind=entry.kind, node=node,
+                         entry=str(entry.entry_id))
+        if entry.kind == "object":
+            self.post_object(node, block)
+            return
+        if block._admission is SETTLED:
+            # Whatever concluded this copy before never reached the
+            # journal (the entry is still pending): conclude it again.
+            block._admission = None
+        self.dead_target(block, block.target)
+
+    def post_abort_notification(self, obj: "DistObject", thread: DThread,
+                                node: int) -> None:
+        """Unwind-time ABORT notification to an object (§6.3)."""
+        block = EventBlock(event=names.ABORT, raiser_tid=thread.tid,
+                           raiser_node=node, target=obj.cap,
+                           user_data={"tid": thread.tid},
+                           raised_at=self.sim.now)
+        self.post_object(node, block)
+
+    def _handle_object_post(self, node: int, block: EventBlock,
+                            oid: int) -> None:
+        kernel = self.kernels[node]
+        if kernel.crashed:
+            return  # arrived in the delivery window of a crashing node
+        if (block.durable_id is not None
+                and not kernel.store.accept_post(block.durable_id)):
+            # Redelivered duplicate: already executed here (the applied
+            # set re-acked it) or already queued for execution.
+            return
+        if block.degraded and not self._accept_degraded(node, block):
+            return  # fabric-duplicated fire-and-forget datagram
+        self.tracer.emit("event", "deliver-object", event=block.event,
+                         oid=oid, node=node)
+        self._run_object_post(node, block, oid)
+
+    def _accept_degraded(self, node: int, block: EventBlock) -> bool:
+        """Receiver-side dedup for degraded posts: no rel header means
+        the reliable channel cannot suppress fabric duplicates, so
+        recent degraded block ids are remembered per node.
+
+        The window is the channel's ``dedup_window`` (an undersized
+        window re-admits a late fabric duplicate as a fresh post)."""
+        seen = self._degraded_seen[node]
+        if block.block_id in seen:
+            return False
+        seen[block.block_id] = None
+        while len(seen) > self.dedup_window:
+            seen.popitem(last=False)
+        return True
+
+    def _run_object_post(self, node: int, block: EventBlock,
+                         oid: int) -> None:
+        """Execute one accepted object post (also the poison-retry
+        entry: a retry re-runs from here, past dedup)."""
+        kernel = self.kernels[node]
+        if kernel.crashed:
+            return  # crashed between acceptance and a scheduled retry
+        obj = kernel.objects.get(oid)
+        if obj is None:
+            # The object is gone for good (destroyed): the post is
+            # definitively processed — the ack stops the origin retrying.
+            self.settle.conclude(block, EXECUTED, None, UnknownObjectError(
+                f"object {oid} no longer exists"), node)
+            return
+        fn = kernel.objects.object_handler_fn(obj, block.event)
+        if fn is None:
+            self._object_default(node, obj, block)
+            return
+        done: SimFuture[Any] = SimFuture(self.sim)
+        kernel.objects.run_object_handler(obj, fn, block, done)
+
+        def finished(fut: SimFuture[Any]) -> None:
+            value, error = fut.outcome()
+            if error is None:
+                self.supervisor.clear_failures(block)
+                if block.event == names.DELETE:
+                    kernel.objects.destroy(oid)
+            elif isinstance(error, GeneratorExit):
+                # The node crashed mid-run — not a handler bug, so no
+                # poison tally. A durable post concludes as before (the
+                # applied marker suppresses its redelivery).
+                if block.durable_id is None:
+                    self.lost_in_crash(block)
+                    return
+            elif not isinstance(error, HandlerTimeout):
+                # Poison policy for object handlers. Timeouts excluded:
+                # the cancelled handler may have half-executed, so a
+                # re-run could double its side effects. Retrying: no ack
+                # yet, the post is still in flight.
+                if self.supervisor.poisoned(block, error, node,
+                                            self._run_object_post, node,
+                                            block, oid, oid=oid):
+                    return
+            self.settle.conclude(block, EXECUTED, value, error, node)
+
+        done.add_done_callback(finished)
+
+    def _object_default(self, node: int, obj: "DistObject",
+                        block: EventBlock) -> None:
+        """No handler is declared: the kernel-defined default (§7)."""
+        info = self.require_event(block.event)
+        action = defaults.object_default(block.event, info["system"])
+        error = None
+        if action == defaults.OBJ_DESTROY:
+            self.kernels[node].objects.destroy(obj.oid)
+        elif action != defaults.OBJ_IGNORE:
+            self.tracer.emit("event", "object-reject", event=block.event,
+                             oid=obj.oid)
+            error = NoHandlerError(
+                f"object {obj.oid} has no handler for {block.event}")
+        self.settle.conclude(block, EXECUTED, None, error, node)

@@ -1,0 +1,127 @@
+"""Presence: what the facility keeps current as a thread moves (§6.2, §7.1).
+
+The invocation engine reports every arrival, departure and exit of a
+logical thread; this stage re-arms its attribute timers where it now
+runs, keeps its multicast location group and the kernels' location
+hints in step, and turns the notices a dead thread still held into
+§7.2 dead-target notices.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro.events.block import EventBlock
+from repro.events.post import Poster
+from repro.threads.attributes import TimerSpec
+from repro.threads.thread import DThread, KIND_USER
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.kernel.boot import Cluster
+
+
+class Presence:
+    """Thread-attribute timers and the ``thread_*_node`` hooks."""
+
+    def __init__(self, cluster: "Cluster", post: Poster) -> None:
+        self.sim = cluster.sim
+        self.tracer = cluster.tracer
+        self.kernels = cluster.kernels
+        self.multicast_groups = cluster.fabric.multicast_groups
+        self.hint_holders = cluster.hint_holders
+        self.post = post
+
+    # -- thread-attribute timers (§6.2) --
+
+    def add_thread_timer(self, thread: DThread, spec: TimerSpec) -> None:
+        thread.attributes.add_timer(spec)
+        if thread.alive:
+            self._arm(thread, spec, thread.current_node)
+
+    def remove_thread_timer(self, thread: DThread, spec_id: int) -> bool:
+        armed = thread.armed_timers.pop(spec_id, None)
+        if armed is not None:
+            node, timer_id = armed
+            self.kernels[node].timers.cancel(timer_id)
+        return thread.attributes.remove_timer(spec_id)
+
+    def _arm(self, thread: DThread, spec: TimerSpec, node: int) -> None:
+        timer_id = self.kernels[node].timers.set(
+            spec.interval, self._timer_fired, thread, spec, node,
+            recurring=spec.recurring)
+        thread.armed_timers[spec.spec_id] = (node, timer_id)
+
+    def _timer_fired(self, thread: DThread, spec: TimerSpec,
+                     node: int) -> None:
+        if not thread.alive or thread.current_node != node:
+            return  # stale: the thread moved and was re-armed elsewhere
+        if not spec.recurring:
+            thread.armed_timers.pop(spec.spec_id, None)
+            thread.attributes.remove_timer(spec.spec_id)
+        block = EventBlock(event=spec.event, raiser_tid=None,
+                           raiser_node=node, target=thread.tid,
+                           user_data=spec.user_data, raised_at=self.sim.now)
+        self.tracer.emit("timer", "fire", event=spec.event,
+                         tid=str(thread.tid), node=node)
+        self.post.enqueue_for_thread(node, thread.tid, block)
+
+    # -- migration hooks (called by the invocation engine) --
+
+    def thread_entered_node(self, thread: DThread, node: int) -> None:
+        """The thread starts executing on a node: re-create its event
+        registration there (§6.2: timers are re-armed from the attribute
+        list) and maintain the multicast location group (§7.1)."""
+        self.multicast_groups.join(thread.tid.multicast_group, node)
+        self.kernels[node].location_hints.install(thread.tid, node)
+        if thread.kind == KIND_USER:
+            for spec in thread.attributes.timers:
+                if spec.spec_id not in thread.armed_timers:
+                    self._arm(thread, spec, node)
+
+    def _disarm(self, thread: DThread, node: int | None = None) -> None:
+        """Cancel the thread's timers armed on ``node`` (None: anywhere)."""
+        for spec_id, (armed_node, timer_id) in list(
+                thread.armed_timers.items()):
+            if node is None or armed_node == node:
+                self.kernels[armed_node].timers.cancel(timer_id)
+                del thread.armed_timers[spec_id]
+
+    def thread_leaving_node(self, thread: DThread, node: int) -> None:
+        """The thread's innermost frame is departing ``node``."""
+        # The node's own "it is here" hint is now stale; the TCB
+        # forwarding pointer (set right after this hook) takes over.
+        self.kernels[node].location_hints.invalidate(thread.tid)
+        if thread.armed_timers:
+            self._disarm(thread, node)
+
+    def thread_left_for_good(self, thread: DThread, node: int) -> None:
+        """No frames of the thread remain on ``node``."""
+        if node != thread.tid.root:
+            self.multicast_groups.leave(thread.tid.multicast_group, node)
+        # The TCB is gone too; leave a forwarding hint so cached posts
+        # chasing a stale pointer still make progress toward the thread.
+        if thread.alive and thread.current_node != node:
+            self.kernels[node].location_hints.install(
+                thread.tid, thread.current_node)
+
+    def thread_gone(self, thread: DThread) -> None:
+        """The thread finished or was terminated; final cleanup."""
+        if thread.armed_timers:
+            self._disarm(thread)
+        self.multicast_groups.dissolve(thread.tid.multicast_group)
+        # Dead threads must not linger in any node's location cache: a
+        # post must miss everywhere and reach §7.2 dead-target detection.
+        holders = self.hint_holders.get(thread.tid)
+        if holders:
+            for node in sorted(holders):
+                self.kernels[node].location_hints.invalidate(thread.tid)
+        # Notices still queued — or mid-delivery — die with the thread;
+        # every raiser, synchronous or not, gets the §7.2 notification
+        # instead of silence.
+        dead_target = self.post.dead_target
+        if thread.delivering_block is not None:
+            block = thread.delivering_block
+            thread.delivering_block = None
+            dead_target(block, thread.tid)
+        while thread.pending_notices:
+            dead_target(thread.pending_notices.popleft(), thread.tid)

@@ -1,0 +1,228 @@
+"""Settle: every post ends here, exactly once, with one of three outcomes.
+
+* **executed** — a handler chain, an object's handler or the kernel's
+  default action ran to a decision;
+* **noticed** — it could not be handled and the raiser learns so in
+  bounded time (§7.2 dead target, give-up, deadline, shed, crash loss);
+* **quarantined** — every handler failed ``poison_threshold`` times and
+  the block moved to a dead-letter queue.
+
+:meth:`Settler.conclude` is the one funnel the other stages call: it
+alone acks the origin's outbox, returns the admission charge, counts
+and reports undeliverable posts, dead-letters, and resumes a
+``raise_and_wait`` raiser (whose wait table and resume message live
+here too).
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Any, Callable
+
+from repro.errors import (
+    EventQuarantinedError,
+    RpcTimeout,
+    UndeliverableError,
+)
+from repro.events.block import SETTLED, EventBlock
+from repro.net.message import Message
+from repro.store.outbox import NOTICED as ENTRY_NOTICED
+from repro.threads.ids import GroupId
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.events.delivery import EventManager
+    from repro.kernel.boot import Cluster
+
+MSG_RESUME = "event.resume"
+
+EXECUTED = "executed"
+NOTICED = "noticed"
+QUARANTINED = "quarantined"
+
+
+class SyncWait:
+    """One blocked ``raise_and_wait`` raiser. ``complete(value, error)``
+    resumes the thread or settles an external raiser's future: a plain
+    callable, since a future's callbacks cost a scheduler event each."""
+
+    __slots__ = ("complete", "node", "group", "remaining", "values",
+                 "error")
+
+    def __init__(self, complete: Callable[[Any, Any], None], node: int,
+                 group: bool) -> None:
+        self.complete = complete
+        self.node = node
+        #: a group raise resumes with the list of every member's value
+        self.group = group
+        self.remaining = 1
+        self.values: list[Any] = []
+        self.error: BaseException | None = None
+
+
+class Settler:
+    """Conclusion funnel plus the synchronous-raise wait table."""
+
+    def __init__(self, cluster: "Cluster", events: "EventManager") -> None:
+        #: the coordinator: its observer hooks are read at call time
+        self.events = events
+        self.cluster = cluster
+        self.sim = cluster.sim
+        self.tracer = cluster.tracer
+        self.kernels = cluster.kernels
+        self.admission = events.admission
+        self.sync_raise_timeout = cluster.config.sync_raise_timeout
+        #: block id of the raise -> its blocked raiser
+        self.waits: dict[int, SyncWait] = {}
+        #: posts that failed with a give-up, deadline, shed or crash loss
+        self.undeliverable = 0
+        for kernel in cluster.kernels.values():
+            kernel.register_message_handler(MSG_RESUME, self._on_resume)
+
+    # -- the funnel --
+
+    def conclude(self, block: EventBlock, outcome: str, value: Any = None,
+                 error: BaseException | None = None, node: int = 0, *,
+                 target: Any = None, undeliverable: bool = True,
+                 dead_letter: bool = False) -> bool:
+        """Record the fate of ``block``, observed on ``node``; False if
+        it had concluded already (the first conclusion wins: a thread
+        that died mid-handler is not concluded again when its surrogate
+        returns, nor a post by a deadline that fires after execution).
+
+        ``EXECUTED``: the handler's ``value``/``error``. ``QUARANTINED``:
+        ``value`` is the failure count, ``error`` the last failure, and
+        ``node`` keeps the dead letter. ``NOTICED``: ``error`` is what
+        the raiser (on ``node``) is told; ``target`` narrows the hook's
+        recipient to one group member, ``undeliverable=False`` is the
+        plain §7.2 dead target (the post stage counts those), and
+        ``dead_letter`` keeps the block inspectable on ``node``.
+        """
+        charge = block._admission
+        if charge is SETTLED:
+            return False
+        block._admission = SETTLED
+        if charge is not None:
+            self.admission.release(charge)
+        durable_id = block.durable_id
+        if outcome == EXECUTED:
+            if durable_id is not None:
+                kernel = self.kernels.get(node)
+                if kernel is not None:
+                    kernel.store.post_executed(durable_id)
+        elif outcome == QUARANTINED:
+            kernel = self.kernels[node]
+            self.events.supervisor.counters["quarantined"] += 1
+            kernel.dead_letters.add(block, "poison", error=error,
+                                    failures=value)
+            if durable_id is not None:
+                # Resolves the origin's outbox as quarantined, not
+                # delivered.
+                kernel.store.post_quarantined(durable_id)
+            value, error = None, EventQuarantinedError(
+                f"{block.event} -> {block.target} quarantined after "
+                f"{value} failures")
+        else:
+            if durable_id is not None:
+                # Only thread posts get here journaled (threads are
+                # volatile: a durable post to a dead thread resolves by
+                # this notice, never by redelivery); undeliverable
+                # durable object posts park in the outbox instead.
+                origin = self.kernels.get(durable_id[0])
+                if origin is not None:
+                    origin.store.resolve(durable_id, ENTRY_NOTICED)
+            if undeliverable:
+                self.undeliverable += 1
+            kernel = self.kernels.get(node) if dead_letter else None
+            if kernel is not None:
+                cap = block.target
+                self.events.supervisor.counters[
+                    "dead_letter_undeliverable"] += 1
+                kernel.dead_letters.add(
+                    block, "undeliverable", journal=False,
+                    error=f"object {cap.oid} on node {cap.home} unreachable")
+            hook = self.events.on_undeliverable
+            if hook is not None:
+                hook(block, block.target if target is None else target)
+        if block.synchronous or error is not None:
+            self._resume(block, value, error, node)
+        return True
+
+    # -- blocked raisers --
+
+    def open_wait(self, block: EventBlock,
+                  complete: Callable[[Any, Any], None]) -> SyncWait:
+        """Register the raiser of a synchronous ``block`` before it is
+        routed; the caller sets ``remaining`` to the recipient count."""
+        wait = self.waits[block.block_id] = SyncWait(
+            complete, block.raiser_node, isinstance(block.target, GroupId))
+        return wait
+
+    def arm_timeout(self, block: EventBlock) -> None:
+        """Guard a raise_and_wait against lost resumes (config knob)."""
+        if self.sync_raise_timeout is not None:
+            self.sim.call_after(self.sync_raise_timeout, self._expire,
+                                block.block_id, block.event)
+
+    def _expire(self, token: int, event: str) -> None:
+        wait = self.waits.pop(token, None)
+        if wait is None:
+            return
+        self.tracer.emit("event", "sync-timeout", event=event)
+        wait.complete(None, RpcTimeout(
+            f"raise_and_wait({event}) saw no resume within "
+            f"{self.sync_raise_timeout}s"))
+
+    def resume_raiser(self, block: EventBlock, value: Any) -> None:
+        """Handler-initiated early resume of a blocked raiser (§5.3).
+
+        Not a conclusion: the chain is still running, and its end acks
+        the store and returns the admission charge as usual."""
+        # The handler runs somewhere in the cluster; charge the resume
+        # from the raise's delivery node when known.
+        node = (block.snapshot.node if block.snapshot is not None
+                else block.raiser_node or 0)
+        self._resume(block, value, None, node)
+        # Mark so the chain's conclusion does not resume a second time.
+        block.synchronous = False
+
+    def _resume(self, block: EventBlock, value: Any,
+                error: BaseException | None, node: int) -> None:
+        if not block.synchronous:
+            if error is not None:
+                self.tracer.emit("event", "async-error", event=block.event,
+                                 error=repr(error))
+            return
+        token = block._resume_token or block.block_id
+        wait = self.waits.get(token)
+        if wait is None:
+            return
+        if node == wait.node:
+            self.sim.call_soon(self._arrive, token, value, error)
+            return
+        self.cluster.transmit(Message(
+            src=node, dst=wait.node, mtype=MSG_RESUME, size=96,
+            payload={"token": token, "value": value, "error": error}),
+            on_give_up=lambda m: self._arrive(
+                token, None, UndeliverableError(
+                    f"resume for {block.event} undeliverable to "
+                    f"node {wait.node}")))
+
+    def _on_resume(self, message: Message) -> None:
+        self._arrive(**message.payload)
+
+    def _arrive(self, token: int, value: Any,
+                error: BaseException | None) -> None:
+        wait = self.waits.get(token)
+        if wait is None:
+            return
+        wait.values.append(value)
+        wait.remaining -= 1
+        if error is not None:
+            wait.error = error
+        if wait.remaining > 0:
+            return
+        del self.waits[token]
+        if wait.error is not None:
+            wait.complete(None, wait.error)
+        else:
+            wait.complete(wait.values if wait.group else wait.values[0],
+                          None)

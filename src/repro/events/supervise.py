@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Iterable
 
+from repro.events.settle import QUARANTINED, Settler
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.events.block import EventBlock
     from repro.events.handlers import HandlerRegistration
@@ -102,9 +104,12 @@ class HandlerSupervisor:
                 "fast_fails", "chain_retries", "quarantined", "requeued",
                 "dead_letter_undeliverable")
 
-    def __init__(self, cluster) -> None:
-        self.cluster = cluster
+    def __init__(self, cluster, settle: "Settler") -> None:
+        self.sim = cluster.sim
+        self.tracer = cluster.tracer
+        self.kernels = cluster.kernels
         self.config = cluster.config
+        self.settle = settle
         self._breakers: dict[tuple[int, str], CircuitBreaker] = {}
         #: chain-failure tallies for the poison policy, keyed by the
         #: block's durable id (stable across redelivery) or block id
@@ -114,9 +119,9 @@ class HandlerSupervisor:
     # -- watchdog -----------------------------------------------------
 
     def effective_deadline(
-            self, registration: "HandlerRegistration | None") -> float | None:
+            self, registration: "HandlerRegistration") -> float | None:
         """The watchdog deadline for one registration (None = no watchdog)."""
-        if registration is not None and registration.deadline is not None:
+        if registration.deadline is not None:
             return registration.deadline
         return self.config.handler_deadline
 
@@ -136,56 +141,74 @@ class HandlerSupervisor:
         breaker = self._breakers.get((oid, event))
         return breaker.state if breaker is not None else CLOSED
 
-    def breaker_allows(self, tracer, oid: int, event: str,
-                       now: float) -> bool:
+    def breaker_allows(self, oid: int, event: str) -> bool:
         """Admission check; emits skip / half-open traces."""
         breaker = self.breaker_for(oid, event)
         if breaker is None:
             return True
-        admitted, probe = breaker.allow(now)
+        admitted, probe = breaker.allow(self.sim.now)
         if probe:
             self.counters["breaker_half_opens"] += 1
-            tracer.emit("supervise", "breaker-half-open", oid=oid,
+            self.tracer.emit("supervise", "breaker-half-open", oid=oid,
                         event=event)
         if not admitted:
             self.counters["breaker_skips"] += 1
-            tracer.emit("supervise", "breaker-skip", oid=oid, event=event)
+            self.tracer.emit("supervise", "breaker-skip", oid=oid,
+                             event=event)
         return admitted
 
-    def invoke_succeeded(self, tracer, oid: int, event: str) -> None:
+    def invoke_succeeded(self, oid: int, event: str) -> None:
         breaker = self._breakers.get((oid, event))
         if breaker is not None and breaker.record_success():
             self.counters["breaker_closes"] += 1
-            tracer.emit("supervise", "breaker-close", oid=oid, event=event)
+            self.tracer.emit("supervise", "breaker-close", oid=oid,
+                             event=event)
 
-    def invoke_failed(self, tracer, oid: int, event: str,
-                      now: float) -> None:
+    def invoke_failed(self, oid: int, event: str) -> None:
         breaker = self.breaker_for(oid, event)
-        if breaker is not None and breaker.record_failure(now):
+        if breaker is not None and breaker.record_failure(self.sim.now):
             self.counters["breaker_opens"] += 1
-            tracer.emit("supervise", "breaker-open", oid=oid, event=event,
-                        failures=breaker.failures)
+            self.tracer.emit("supervise", "breaker-open", oid=oid,
+                             event=event, failures=breaker.failures)
 
     # -- poison / dead-letter policy ----------------------------------
 
-    def chain_failed(self, block: "EventBlock") -> tuple[str | None, int]:
-        """An entire chain run failed; what now?
+    def poisoned(self, block: "EventBlock", error: BaseException | None,
+                 node: int, rerun: Any, *rerun_args: Any,
+                 **who: Any) -> str | None:
+        """Every handler of one run of ``block`` on ``node`` failed (a
+        thread's whole chain, or an object's handler); what now?
 
-        Returns ``(None, 0)`` when the poison policy is off,
-        ``("retry", n)`` while the block is below ``poison_threshold``
-        total chain failures, and ``("quarantine", n)`` when it hit the
-        threshold (the tally is dropped — the block leaves delivery).
+        Returns None when the poison policy is off, ``"retry"`` —
+        ``rerun(*rerun_args)`` is scheduled behind an exponential
+        backoff — while the block is below ``poison_threshold`` total
+        failures, and ``"quarantine"`` when it hit the threshold and was
+        concluded into ``node``'s dead-letter queue (the tally is
+        dropped — the block leaves delivery). ``who`` labels the retry
+        trace (``tid=`` or ``oid=``).
         """
         threshold = self.config.poison_threshold
         if threshold is None:
-            return None, 0
+            return None
         key = block.durable_id or block.block_id
         count = self._chain_failures.get(key, 0) + 1
         if count >= threshold:
             self._chain_failures.pop(key, None)
-            return "quarantine", count
+            self.settle.conclude(block, QUARANTINED, count, error, node)
+            return "quarantine"
         self._chain_failures[key] = count
-        return "retry", count
+        self.counters["chain_retries"] += 1
+        self.tracer.emit("supervise", "chain-retry", event=block.event,
+                         **who, attempt=count)
+        if block.durable_id is not None:
+            # Retract the applied marker an object handler's run
+            # journaled (thread posts never set one): if the node dies
+            # during the backoff, the origin's redelivery must re-run
+            # the handler, not be suppressed.
+            self.kernels[node].store.unmark_applied(block.durable_id)
+        self.sim.call_after(self.config.handler_backoff * (2 ** (count - 1)),
+                            rerun, *rerun_args)
+        return "retry"
 
     def clear_failures(self, block: "EventBlock") -> None:
         """A chain run succeeded: forget the block's failure tally."""

@@ -13,6 +13,7 @@ import itertools
 from typing import Any
 
 from repro.errors import KernelError, UnknownThreadError
+from repro.events.admission import admission_stats
 from repro.events.delivery import EventManager
 from repro.events.names import seed_system_events
 from repro.kernel.config import ClusterConfig
@@ -215,7 +216,7 @@ class Cluster:
         dead = kernel.dead_letters.take(dl_id)
         if dead is None:
             return False
-        self.events.requeue(node, dead)
+        self.events.route.requeue(node, dead)
         return True
 
     def supervision_stats(self) -> dict[str, int]:
@@ -230,7 +231,7 @@ class Cluster:
             for key, value in kernel.dead_letters.stats().items():
                 key = f"dead_letters_{key}"
                 totals[key] = totals.get(key, 0) + value
-        for key, value in self.events.admission_stats().items():
+        for key, value in admission_stats(self.events.admission).items():
             totals[f"admission_{key}"] = totals.get(
                 f"admission_{key}", 0) + value
         return totals

@@ -83,7 +83,7 @@ class InvocationEngine:
                          attributes or ThreadAttributes(), kind=kind)
         cluster.live_threads[tid] = thread
         kernel.thread_table.thread_arrived(tid)
-        cluster.events.thread_entered_node(thread, root_node, created=True)
+        cluster.events.presence.thread_entered_node(thread, root_node)
         cluster.tracer.emit("thread", "create", tid=str(tid), node=root_node,
                             kind=kind, entry=entry)
         delay = cluster.config.thread_create_cost if charge_create else 0.0
@@ -117,7 +117,7 @@ class InvocationEngine:
         thread.impersonates = impersonate
         cluster.live_threads[tid] = thread
         kernel.thread_table.thread_arrived(tid)
-        cluster.events.thread_entered_node(thread, node, created=True)
+        cluster.events.presence.thread_entered_node(thread, node)
         cluster.tracer.emit("thread", "create", tid=str(tid), node=node,
                             kind=kind, entry=name)
         return thread
@@ -211,7 +211,7 @@ class InvocationEngine:
     def _migrate_out(self, thread: DThread, obj: Any, syscall: sc.Invoke,
                      src: int, dst: int) -> None:
         cluster = self.cluster
-        cluster.events.thread_leaving_node(thread, src, frames_remain=True)
+        cluster.events.presence.thread_leaving_node(thread, src)
         cluster.kernels[src].thread_table.thread_departed(thread.tid, dst)
         thread.state = RUNNING  # continuation arrives with the message
         cluster.tracer.emit("thread", "migrate", tid=str(thread.tid),
@@ -243,7 +243,7 @@ class InvocationEngine:
         if not thread.alive or thread.state == TERMINATING:
             return  # terminated while the request was in flight
         thread.cluster.kernels[node].thread_table.thread_arrived(thread.tid)
-        self.cluster.events.thread_entered_node(thread, node)
+        self.cluster.events.presence.thread_entered_node(thread, node)
         act = self._make_activation(thread, body["obj"], body["syscall"],
                                     node, is_remote=True,
                                     caller_node=body["caller_node"])
@@ -286,20 +286,15 @@ class InvocationEngine:
             thread.schedule_step(value, error)
             return
         cluster = self.cluster
-        cluster.events.thread_leaving_node(
-            thread, from_node,
-            frames_remain=self._frames_remain(thread, from_node))
+        cluster.events.presence.thread_leaving_node(thread, from_node)
         remaining = cluster.kernels[from_node].thread_table.frame_popped(
             thread.tid)
         if remaining is None:
-            cluster.events.thread_left_for_good(thread, from_node)
+            cluster.events.presence.thread_left_for_good(thread, from_node)
         self._ship(Message(
             src=from_node, dst=caller_node, mtype=MSG_REPLY, size=128,
             payload={"thread": thread, "value": value, "error": error}),
             thread)
-
-    def _frames_remain(self, thread: DThread, node: int) -> bool:
-        return any(f.node == node for f in thread.frames)
 
     def _on_reply(self, message: Message) -> None:
         body = message.payload
@@ -309,7 +304,7 @@ class InvocationEngine:
             return
         thread.cluster.kernels[node].thread_table.thread_returned_here(
             thread.tid)
-        self.cluster.events.thread_entered_node(thread, node, returned=True)
+        self.cluster.events.presence.thread_entered_node(thread, node)
         thread.schedule_step(body["value"], body["error"])
 
     def thread_result_with_no_frames(self, thread: DThread, value: Any,
@@ -322,14 +317,13 @@ class InvocationEngine:
                          error: BaseException | None) -> None:
         """The outermost frame finished; clean up back at the root."""
         cluster = self.cluster
-        cluster.events.thread_leaving_node(thread, last_node,
-                                           frames_remain=False)
+        cluster.events.presence.thread_leaving_node(thread, last_node)
         root = thread.tid.root
         if last_node != root:
             kernel = cluster.kernels[last_node]
             if thread.tid in kernel.thread_table:
                 kernel.thread_table.frame_popped(thread.tid)
-            cluster.events.thread_left_for_good(thread, last_node)
+            cluster.events.presence.thread_left_for_good(thread, last_node)
             self._ship(Message(
                 src=last_node, dst=root, mtype=MSG_COMPLETE, size=128,
                 payload={"thread": thread, "value": value, "error": error}),
@@ -347,7 +341,7 @@ class InvocationEngine:
         cluster = self.cluster
         root = thread.tid.root
         cluster.kernels[root].thread_table.purge(thread.tid)
-        cluster.events.thread_gone(thread)
+        cluster.events.presence.thread_gone(thread)
         cluster.live_threads.pop(thread.tid, None)
         gid = thread.attributes.group
         if gid is not None:
@@ -472,16 +466,16 @@ class InvocationEngine:
         if (obj is not None and cluster.config.notify_abort_on_unwind
                 and obj.oid not in notified):
             notified.add(obj.oid)
-            cluster.events.post_abort_notification(obj, thread, frame.node)
+            cluster.events.post.post_abort_notification(obj, thread,
+                                                        frame.node)
         if frame.is_remote and frame.caller_node is not None \
                 and frame.caller_node != frame.node:
-            cluster.events.thread_leaving_node(
-                thread, frame.node,
-                frames_remain=self._frames_remain(thread, frame.node))
+            cluster.events.presence.thread_leaving_node(thread, frame.node)
             kernel = cluster.kernels[frame.node]
             if thread.tid in kernel.thread_table:
                 if kernel.thread_table.frame_popped(thread.tid) is None:
-                    cluster.events.thread_left_for_good(thread, frame.node)
+                    cluster.events.presence.thread_left_for_good(
+                        thread, frame.node)
             self._ship(Message(
                 src=frame.node, dst=frame.caller_node, mtype=MSG_UNWIND,
                 size=96, payload={"thread": thread, "reason": reason,
@@ -581,16 +575,16 @@ class InvocationEngine:
         if (obj is not None and cluster.config.notify_abort_on_unwind
                 and obj.oid not in notified):
             notified.add(obj.oid)
-            cluster.events.post_abort_notification(obj, thread, frame.node)
+            cluster.events.post.post_abort_notification(obj, thread,
+                                                        frame.node)
         if frame.is_remote and frame.caller_node is not None \
                 and frame.caller_node != frame.node:
-            cluster.events.thread_leaving_node(
-                thread, frame.node,
-                frames_remain=self._frames_remain(thread, frame.node))
+            cluster.events.presence.thread_leaving_node(thread, frame.node)
             kernel = cluster.kernels[frame.node]
             if thread.tid in kernel.thread_table:
                 if kernel.thread_table.frame_popped(thread.tid) is None:
-                    cluster.events.thread_left_for_good(thread, frame.node)
+                    cluster.events.presence.thread_left_for_good(
+                        thread, frame.node)
             self._ship(Message(
                 src=frame.node, dst=frame.caller_node, mtype=MSG_UNWIND,
                 size=96, payload={"thread": thread, "reason": reason,

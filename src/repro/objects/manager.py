@@ -183,8 +183,9 @@ class ObjectManager:
         The hosted objects persist (§2), but the event queue and the
         dynamic handler registry are kernel memory. Durable posts lost
         from the queue here are exactly what the origin's outbox
-        redelivers on recovery; the registry is replayed from the
-        journal when durable_delivery is on.
+        redelivers on recovery, every other lost post is noticed to its
+        raiser; the registry is replayed from the journal when
+        durable_delivery is on.
         """
         # reset (not drain): the dead master's pending recv future must
         # not swallow the first post enqueued after recovery
@@ -193,6 +194,7 @@ class ObjectManager:
             block = work[2]
             self.kernel.tracer.emit("event", "queue-lost",
                                     event=block.event, node=self.node_id)
+            self.kernel.events.post.lost_in_crash(block)
         self._master = None
         self.serving = 0
         self.handlers.clear()

@@ -74,6 +74,17 @@ class SimFuture(Generic[T]):
             raise self._error
         return self._value  # type: ignore[return-value]
 
+    def settle(self, value: T = None,
+               error: BaseException | None = None) -> None:
+        """Fail with ``error`` or resolve with ``value``; ignored once done."""
+        if self._state == _PENDING:
+            self._complete(_RESOLVED if error is None else _FAILED,
+                           value=value, error=error)
+
+    def outcome(self) -> tuple[T | None, BaseException | None]:
+        """``(value, error)`` of a completed future, without raising."""
+        return self._value, self._error
+
     def add_done_callback(self, fn: Callable[["SimFuture[T]"], None]) -> None:
         """Run ``fn(self)`` once the future completes (soon, if already done)."""
         if self.done:

@@ -440,7 +440,7 @@ class NodeStore:
 
     def _dispatch(self, entry: OutboxEntry) -> None:
         self.outbox.mark_dispatched(entry)
-        self.kernel.events.redeliver_entry(self.kernel.node_id, entry)
+        self.kernel.events.post.redeliver_entry(self.kernel.node_id, entry)
 
     def _arm_flush(self) -> None:
         interval = self.kernel.config.outbox_flush_interval

@@ -29,6 +29,7 @@ from repro.errors import (
     ThreadTerminated,
 )
 from repro.events.block import EventBlock, FrameInfo, ThreadSnapshot
+from repro.events.handlers import attach_from_thread
 from repro.sim.primitives import SimFuture
 from repro.threads import syscalls as sc
 from repro.threads.attributes import ThreadAttributes
@@ -133,7 +134,7 @@ class DThread:
         self.delivering_block: Any = None
         #: the surrogate running the handler chain of the notice (or
         #: exception) being delivered; one per chain, see
-        #: ``EventManager._run_on_surrogate``
+        #: ``events.execute.Executor._run_on_surrogate``
         self.chain_surrogate: "DThread | None" = None
         #: block ids already accepted, bounded FIFO (suppresses network
         #: duplicates so handlers run exactly once)
@@ -296,7 +297,7 @@ class DThread:
             return
         if self.pending_notices:
             self._set_stash(value, error)
-            self.cluster.events.start_delivery(self)
+            self.cluster.events.execute.start_delivery(self)
             return
         if not self.frames:
             # The first invocation failed before any activation existed
@@ -315,7 +316,7 @@ class DThread:
             self.cluster.invoker.frame_returned(self, stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - user code may fail
-            self.cluster.events.on_frame_exception(self, frame, exc)
+            self.cluster.events.execute.on_frame_exception(self, frame, exc)
             return
         frame.steps += 1
         self._dispatch(frame, syscall)
@@ -346,7 +347,7 @@ class DThread:
         elif isinstance(syscall, sc.CreateObject):
             cluster.invoker.create_object_from_thread(self, syscall)
         elif isinstance(syscall, sc.AttachHandler):
-            cluster.events.attach_from_thread(self, frame, syscall)
+            attach_from_thread(cluster, self, frame, syscall)
         elif isinstance(syscall, sc.DetachHandler):
             detached = (self.attributes.detach(syscall.event, syscall.reg_id)
                         if syscall.reg_id is not None
@@ -358,13 +359,14 @@ class DThread:
         elif isinstance(syscall, sc.Raise):
             cluster.events.raise_from_thread(self, syscall)
         elif isinstance(syscall, sc.ResumeRaiser):
-            cluster.events.resume_raiser(syscall.block, syscall.value)
+            cluster.events.settle.resume_raiser(syscall.block, syscall.value)
             self.schedule_step(None, None)
         elif isinstance(syscall, sc.SetThreadTimer):
-            cluster.events.add_thread_timer(self, syscall.spec)
+            cluster.events.presence.add_thread_timer(self, syscall.spec)
             self.schedule_step(syscall.spec.spec_id, None)
         elif isinstance(syscall, sc.CancelThreadTimer):
-            removed = cluster.events.remove_thread_timer(self, syscall.spec_id)
+            removed = cluster.events.presence.remove_thread_timer(
+                self, syscall.spec_id)
             self.schedule_step(removed, None)
         elif isinstance(syscall, sc.ReadField):
             cluster.dsm.field_access(self, frame, syscall.name, None, False)
@@ -487,7 +489,7 @@ class DThread:
             return  # current delivery will drain the queue
         if self.state == BLOCKED:
             # Suspended at its wait point immediately.
-            self.cluster.events.start_delivery(self)
+            self.cluster.events.execute.start_delivery(self)
         # RUNNING / NEW: the next _step checks pending_notices.
 
     def finish(self, value: Any = None, error: BaseException | None = None,

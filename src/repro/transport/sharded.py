@@ -231,19 +231,19 @@ def _reset_process_counters() -> None:
     # import_module, not ``import a.b as c``: repro/__init__ rebinds the
     # ``events`` attribute (``names as events``), breaking getattr-chain
     # binding for repro.events.* submodules
-    counters = {
-        "repro.net.message": "_msg_ids",
-        "repro.objects.base": "_oids",
-        "repro.events.handlers": "_reg_ids",
-        "repro.events.block": "_block_ids",
-        "repro.events.delivery": "_proc_names",
-        "repro.threads.attributes": "_timer_spec_ids",
-        "repro.threads.thread": "_activation_ids",
-        "repro.dsm.manager": "_segment_ids",
-        "repro.baselines.unix_signals": "_pids",
-        "repro.baselines.mach_exceptions": "_task_ids",
-    }
-    for module_name, counter in counters.items():
+    counters = (
+        ("repro.net.message", "_msg_ids"),
+        ("repro.objects.base", "_oids"),
+        ("repro.events.handlers", "_reg_ids"),
+        ("repro.events.handlers", "_proc_names"),
+        ("repro.events.block", "_block_ids"),
+        ("repro.threads.attributes", "_timer_spec_ids"),
+        ("repro.threads.thread", "_activation_ids"),
+        ("repro.dsm.manager", "_segment_ids"),
+        ("repro.baselines.unix_signals", "_pids"),
+        ("repro.baselines.mach_exceptions", "_task_ids"),
+    )
+    for module_name, counter in counters:
         setattr(import_module(module_name), counter, itertools.count(1))
 
 

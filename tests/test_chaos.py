@@ -1,9 +1,13 @@
 """Chaos-harness tests: delivery guarantees across all four locators
 under seeded drops, duplicates, partitions and crash/recover cycles."""
 
+from collections import Counter
+
 import pytest
 
 from repro.bench.chaos import ChaosSpec, run_chaos
+from repro.events.route import Router
+from repro.events.settle import Settler
 
 LOCATORS = ["path", "broadcast", "multicast", "cached"]
 
@@ -114,6 +118,51 @@ class TestDeterminism:
         a = run_chaos(ChaosSpec(seed=1, posts=40, drop_rate=0.15))
         b = run_chaos(ChaosSpec(seed=2, posts=40, drop_rate=0.15))
         assert a.digest != b.digest
+
+
+class TestOneConclusionPerPost:
+    """The standing invariant, counted at the settle stage's funnel:
+    every raised block concludes exactly once, with one outcome."""
+
+    BASE = dict(posts=60, drop_rate=0.1, duplicate_rate=0.05,
+                crash_period=0.6, down_time=0.4, settle=10.0)
+    SPECS = {
+        "default": ChaosSpec(seed=9, **BASE),
+        "durable": ChaosSpec(seed=3, durable=True, **BASE),
+        "supervised": ChaosSpec(
+            seed=13, handler_faults={"hang": 0.06, "raise": 0.06,
+                                     "poison": 0.05},
+            handler_deadline=0.05, handler_retries=2, breaker_threshold=3,
+            poison_threshold=3, swim_interval=0.02, **BASE),
+        "overload": ChaosSpec(
+            seed=0, overload=2.0, admission_high=8, flow_credits=8,
+            overload_policy="drop", **{**BASE, "crash_period": 0.3}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_every_raised_block_concludes_once(self, name, monkeypatch):
+        raised, outcomes = [], Counter()
+        route, conclude = Router.route, Settler.conclude
+
+        def counting_route(self, block):
+            raised.append(block.block_id)
+            return route(self, block)
+
+        def counting_conclude(self, block, outcome, *args, **kwargs):
+            concluded = conclude(self, block, outcome, *args, **kwargs)
+            if concluded:
+                outcomes[block.block_id, outcome] += 1
+            return concluded
+
+        monkeypatch.setattr(Router, "route", counting_route)
+        monkeypatch.setattr(Settler, "conclude", counting_conclude)
+        report = run_chaos(self.SPECS[name])
+        assert report.violations == []
+        assert len(raised) >= self.SPECS[name].posts
+        per_block = Counter(block_id for block_id, _ in outcomes)
+        assert set(outcomes.values()) == {1}, "a block concluded twice"
+        assert set(per_block.values()) == {1}, "a block has two outcomes"
+        assert set(raised) <= set(per_block), "a raised block never concluded"
 
 
 class TestReportShape:

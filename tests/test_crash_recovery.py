@@ -3,8 +3,13 @@ RPC fail-fast, and rejoining the cluster with empty volatile state."""
 
 import pytest
 
-from repro import Decision, DistObject, entry
-from repro.errors import DeadThreadError, KernelError, NodeCrashedError
+from repro import Decision, DistObject, entry, on_event
+from repro.errors import (
+    DeadThreadError,
+    KernelError,
+    NodeCrashedError,
+    UndeliverableError,
+)
 from tests.conftest import Echo, Sleeper, make_cluster
 
 
@@ -12,15 +17,24 @@ class Sink(DistObject):
     """Thread body with a user-event handler, for locator-path tests."""
 
     @entry
-    def absorb(self, ctx, seen, hold):
+    def absorb(self, ctx, seen, hold, work=1e-6):
         def on_ping(hctx, block):
             seen.append(block.user_data)
-            yield hctx.compute(1e-6)
+            yield hctx.compute(work)
             return Decision.RESUME
 
         yield ctx.attach_handler("PING", on_ping)
         yield ctx.sleep(hold)
         return "done"
+
+
+class SlowObject(DistObject):
+    """Passive object whose PING handler takes 50 ms."""
+
+    @on_event("PING")
+    def on_ping(self, ctx, block):
+        yield ctx.compute(0.05)
+        return block.user_data
 
 
 def reliable_cluster(**overrides):
@@ -197,6 +211,54 @@ class TestDeadTargetNotices:
         cluster.run(until=cluster.now + 1.0)
         assert seen == []
         assert set(noticed) == {0, 1, 2}
+
+    def test_sync_group_raise_outlives_a_member_crashing_mid_handler(self):
+        """The crashed member's block concludes once (thread_gone's
+        notice); the chain walker finding the thread dead afterwards
+        must not resume the raiser while the live member still runs."""
+        cluster = reliable_cluster()
+        cluster.register_event("PING")
+        seen = []
+        gid = cluster.new_group()
+        for node, work in ((2, 0.5), (3, 5.0)):
+            sink = cluster.create_object(Sink, node=node)
+            cluster.spawn(sink, "absorb", seen, 1000.0, work, at=node,
+                          group=gid)
+        cluster.run(until=0.5)
+        t0 = cluster.now
+        fut = cluster.raise_and_wait("PING", gid, from_node=1)
+        resumed_at = []
+        fut.add_done_callback(lambda f: resumed_at.append(cluster.now))
+        cluster.run(until=t0 + 0.1)
+        cluster.crash_node(2)
+        cluster.run(until=t0 + 20.0)
+        assert resumed_at and resumed_at[0] >= t0 + 5.0
+        with pytest.raises(DeadThreadError):
+            fut.result()
+        assert cluster.events.settle.waits == {}
+
+    def test_sync_raisers_of_a_crashed_object_queue_are_noticed(self):
+        """Non-durable object posts queued (or mid-handler) on a node
+        that crashes conclude as noticed instead of hanging."""
+        cluster = reliable_cluster()
+        cluster.register_event("PING")
+        noticed = []
+        cluster.events.on_undeliverable = \
+            lambda block, target: noticed.append(block.user_data)
+        slow = cluster.create_object(SlowObject, node=1)
+        futures = [cluster.raise_and_wait("PING", slow, from_node=0,
+                                          user_data=i) for i in range(4)]
+        cluster.run(until=0.03)  # first handler mid-run, three queued
+        cluster.crash_node(1)
+        cluster.recover_node(1)
+        cluster.run(until=cluster.now + 100.0)
+        assert all(fut.done for fut in futures)
+        for fut in futures:
+            with pytest.raises(UndeliverableError):
+                fut.result()
+        assert sorted(noticed) == [0, 1, 2, 3]
+        assert cluster.events.undeliverable == 4
+        assert cluster.events.settle.waits == {}
 
 
 class TestRecovery:

@@ -42,7 +42,7 @@ def _cached_locator_fingerprint(seed):
                   for node, kernel in cluster.kernels.items()}
     return (cluster.now, cluster.fabric.stats.snapshot(),
             cluster.tracer.signature(), hint_stats,
-            cluster.events.delivery_latency_summary())
+            cluster.events.delivery_latencies.summary())
 
 
 def _pager_fingerprint(seed):

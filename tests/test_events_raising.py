@@ -37,15 +37,18 @@ class Target(DistObject):
     def __init__(self):
         super().__init__()
         self.deliveries = []
+        #: (label, virtual time) of every handler run that returned
+        self.handled = []
 
     @entry
-    def wait_for_events(self, ctx, label):
-        record = self.deliveries
+    def wait_for_events(self, ctx, label, work=1e-5):
+        record, handled = self.deliveries, self.handled
 
         def on_user_event(hctx, block):
             record.append((label, block.event, block.user_data,
                            str(hctx.tid)))
-            yield hctx.compute(1e-5)
+            yield hctx.compute(work)
+            handled.append((label, hctx.now))
             return (Decision.RESUME, f"{label}-handled")
 
         yield ctx.attach_handler("USER_EVENT", on_user_event)
@@ -190,6 +193,31 @@ class TestRaiseToGroup:
         cluster.run(until=0.5)
         assert sorted(thread.completion.result()) == [
             "m0-handled", "m1-handled", "m2-handled"]
+
+    def test_sync_group_raise_outlives_a_member_dying_mid_handler(self, rig):
+        """A member terminated mid-handler concludes once, as the §7.2
+        notice; its surrogate's handler returning later must not
+        conclude it a second time and resume the raiser before the live
+        member has handled."""
+        cluster, target_obj, _ = rig
+        gid = cluster.new_group()
+        fast = cluster.spawn(target_obj, "wait_for_events", "fast", 0.5,
+                             at=2, group=gid)
+        cluster.spawn(target_obj, "wait_for_events", "slow", 5.0, at=3,
+                      group=gid)
+        cluster.run(until=0.05)
+        t0 = cluster.now
+        future = cluster.raise_and_wait("USER_EVENT", gid, from_node=1)
+        resumed_at = []
+        future.add_done_callback(lambda fut: resumed_at.append(cluster.now))
+        cluster.run(until=t0 + 0.1)
+        cluster.invoker.terminate_thread(fast, reason="test")
+        cluster.run(until=t0 + 20.0)
+        handled = dict(cluster.get_object(target_obj).handled)
+        assert t0 + 5.0 <= handled["slow"] <= resumed_at[0]
+        with pytest.raises(DeadThreadError):
+            future.result()
+        assert cluster.events.settle.waits == {}
 
     def test_raise_to_empty_group(self, rig):
         cluster, target_obj, raiser = rig

@@ -1,9 +1,11 @@
 """Unit tests for kernel-layer services: config, TCBs, RPC, timers, names."""
 
 import dataclasses
+import pathlib
 
 import pytest
 
+import repro
 from repro.errors import (
     EventNameInUseError,
     KernelError,
@@ -56,6 +58,16 @@ class TestClusterConfig:
         assert count <= 49, (
             f"ClusterConfig has {count} fields, budget is 49 — ROADMAP: "
             "a PR that adds a knob names the one it retires")
+
+    def test_events_module_budget(self):
+        # the delivery pipeline has one owner per stage; a module past
+        # the budget is a stage (or a second copy of a policy) growing
+        # back into somebody else's
+        events = pathlib.Path(repro.__file__).parent / "events"
+        sizes = {path.name: len(path.read_text().splitlines())
+                 for path in events.glob("*.py")}
+        assert len(sizes) > 5
+        assert {name: n for name, n in sizes.items() if n > 500} == {}
 
     @pytest.mark.parametrize("name", [
         "wire_codec", "shard_window_batching", "shard_quiescent_skip",

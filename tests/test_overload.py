@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Cluster, DistObject, on_event
 from repro.bench.chaos import ChaosSpec, run_chaos
-from repro.bench.workload import (
+from repro.bench.workloads import (
     FANOUT,
     WorkloadSpec,
     build_schedule,
@@ -277,6 +277,31 @@ class TestSheddingPolicies:
         assert store["deferred"] > 0
         assert store["redelivered"] >= store["deferred"]
         assert cluster.supervision_stats()["admission_shed_deferred"] > 0
+
+    def test_crash_returns_the_charge_of_queued_posts(self):
+        """Posts queued behind a slow handler on a node that crashes
+        conclude (noticed) and hand their admission charge back; the
+        gate must not stay half full with nothing in flight."""
+        cluster = _rig(admission_high=8)
+        noticed = _notices(cluster)
+        cap = cluster.create_object(SlowSink, 50e-3, node=1)
+        for pid in range(6):
+            cluster.events.raise_external(EVT, cap, from_node=0,
+                                          user_data=pid)
+        cluster.run(until=0.06)  # one executed, one mid-run, four queued
+        cluster.crash_node(1)
+        cluster.recover_node(1)
+        cluster.run(until=cluster.now + 5.0)
+        sink = cluster.get_object(cap)
+        assert sink.seen == 1 and noticed == {1, 2, 3, 4, 5}
+        assert cluster.supervision_stats()["admission_gate_depth"] == 0
+        for pid in range(10, 20):  # paced: two or three in flight
+            cluster.events.raise_external(EVT, cap, from_node=0,
+                                          user_data=pid)
+            cluster.run(until=cluster.now + 0.02)
+        cluster.run()
+        assert sink.seen == 11  # none of the ten was shed
+        assert noticed == {1, 2, 3, 4, 5}
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**16),

@@ -474,7 +474,7 @@ class TestDeadLetterQuarantine:
         assert future.done and future.failed
         with pytest.raises(EventQuarantinedError):
             future.result()
-        assert cluster.events._sync_waits == {}
+        assert cluster.events.settle.waits == {}
 
     def test_requeue_reposts_as_a_fresh_block(self):
         cluster, thread, healthy, handled = self._poisoned()
@@ -627,13 +627,13 @@ class TestSyncRaiseTimeout:
         # The timeout fired first: the raiser is failed and the token
         # is gone.
         assert future.done and future.failed
-        assert cluster.events._sync_waits == {}
+        assert cluster.events.settle.waits == {}
         # The handler finishes later; its resume must be a no-op.
         cluster.run(until=start + 1.0)
         assert future.failed
         with pytest.raises(RpcTimeout):
             future.result()
-        assert cluster.events._sync_waits == {}
+        assert cluster.events.settle.waits == {}
         assert thread.state == "blocked"  # target thread resumed normally
 
 

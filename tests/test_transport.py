@@ -636,25 +636,25 @@ class TestDegradeDedupWindow:
         # fresh posts evict a block id and a late fabric duplicate of it
         # is re-admitted as a fresh post.
         cluster = make_cluster(n_nodes=2, dedup_window=2)
-        events = cluster.events
-        assert events._accept_degraded(1, _FakeBlock("a"))
-        assert not events._accept_degraded(1, _FakeBlock("a"))  # prompt dup
-        assert events._accept_degraded(1, _FakeBlock("b"))
-        assert events._accept_degraded(1, _FakeBlock("c"))  # evicts "a"
-        assert events._accept_degraded(1, _FakeBlock("a"))  # re-admitted!
+        post = cluster.events.post
+        assert post._accept_degraded(1, _FakeBlock("a"))
+        assert not post._accept_degraded(1, _FakeBlock("a"))  # prompt dup
+        assert post._accept_degraded(1, _FakeBlock("b"))
+        assert post._accept_degraded(1, _FakeBlock("c"))  # evicts "a"
+        assert post._accept_degraded(1, _FakeBlock("a"))  # re-admitted!
 
     def test_sized_window_rejects_late_duplicate(self):
         cluster = make_cluster(n_nodes=2, dedup_window=10)
-        events = cluster.events
-        assert events._accept_degraded(1, _FakeBlock("a"))
-        assert events._accept_degraded(1, _FakeBlock("b"))
-        assert events._accept_degraded(1, _FakeBlock("c"))
-        assert not events._accept_degraded(1, _FakeBlock("a"))  # remembered
+        post = cluster.events.post
+        assert post._accept_degraded(1, _FakeBlock("a"))
+        assert post._accept_degraded(1, _FakeBlock("b"))
+        assert post._accept_degraded(1, _FakeBlock("c"))
+        assert not post._accept_degraded(1, _FakeBlock("a"))  # remembered
 
     def test_window_is_per_node(self):
         cluster = make_cluster(n_nodes=3, dedup_window=4)
-        events = cluster.events
-        assert events._accept_degraded(1, _FakeBlock("a"))
+        post = cluster.events.post
+        assert post._accept_degraded(1, _FakeBlock("a"))
         # the same block id arriving at another node is that node's
         # first sighting — dedup memory is per receiver
-        assert events._accept_degraded(2, _FakeBlock("a"))
+        assert post._accept_degraded(2, _FakeBlock("a"))
