@@ -1,6 +1,7 @@
-"""Benchmark harness: workloads, experiment definitions, result tables."""
+"""Benchmark harness: workloads, the experiment registry, the ledger."""
 
-from repro.bench.experiments import ALL_EXPERIMENTS, run_everything
-from repro.bench.harness import Table, ratio, sweep
+from repro.bench.experiments import ALL_EXPERIMENTS
+from repro.bench.harness import Experiment, Result, Table, run_experiment
 
-__all__ = ["ALL_EXPERIMENTS", "Table", "ratio", "run_everything", "sweep"]
+__all__ = ["ALL_EXPERIMENTS", "Experiment", "Result", "Table",
+           "run_experiment"]

@@ -26,14 +26,20 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro import Cluster, ClusterConfig, Decision, DistObject, entry
-from repro.bench.harness import Table
+from repro.bench.harness import Result, Table
 from repro.threads.thread import KIND_SURROGATE
 
 CHAOS_EVENT = "CHAOS"
+
+#: what every chaos cluster runs with unless ``ChaosSpec.config`` says
+#: otherwise; ``post_deadline`` is the §7.2 backstop (a post unresolved
+#: after this long is undeliverable)
+BASE_CONFIG = {"reliable_delivery": True, "post_deadline": 1.5,
+               "rpc_default_timeout": 0.5, "trace_net": False}
 
 
 class ChaosHandlerFault(Exception):
@@ -170,41 +176,20 @@ class ChaosSpec:
     #: virtual seconds to keep running after the last post so retransmits,
     #: give-ups and the post deadline all resolve
     settle: float = 20.0
-    #: §7.2 backstop: a post unresolved after this long is undeliverable
-    post_deadline: float = 1.5
-    max_retransmits: int = 10
-    retransmit_base: float = 4e-3
     #: durable mode: journal posts write-ahead, target persistent objects
     #: instead of threads, and require zero lost posts (no notices)
     durable: bool = False
-    checkpoint_interval: int | None = 64
-    outbox_flush_interval: float | None = 0.25
-    replay_cost: float = 2e-5
-    #: ack coalescing window (0 = ack every arrival immediately); the
-    #: invariants must hold at any value
-    ack_delay: float = 1e-3
     #: handler-fault injection rates by kind ("hang" / "raise" /
     #: "poison"); None = healthy handlers, the pre-supervision behaviour
     handler_faults: dict[str, float] | None = None
-    #: supervision knobs (E11); all-defaults = supervision off
-    handler_deadline: float | None = None
-    handler_retries: int = 0
-    breaker_threshold: int | None = None
-    poison_threshold: int | None = None
-    #: scheduler backend under test ("heap" | "wheel"); the differential
-    #: tests run the same spec on both and require identical digests
-    scheduler: str = "heap"
-    #: overload-control knobs (E13). ``overload`` multiplies the offered
-    #: rate by compressing the post interval (2.0 = the same posts in
-    #: half the time); the admission/flow knobs default off, so default
-    #: specs stay digest-identical to pre-overload runs
+    #: ``overload`` multiplies the offered rate by compressing the post
+    #: interval (2.0 = the same posts in half the time)
     overload: float = 1.0
-    admission_high: int | None = None
-    admission_low: int | None = None
-    overload_policy: str = "drop"
-    flow_credits: int | None = None
-    #: SWIM gossip membership / failure detection (E11, E16); None = off
-    swim_interval: float | None = None
+    #: :class:`~repro.ClusterConfig` overrides laid over
+    #: :data:`BASE_CONFIG` (supervision, overload-control, SWIM, journal
+    #: and scheduler knobs all default off, so an empty dict keeps
+    #: same-seed digests identical to runs that predate each knob)
+    config: dict[str, Any] = field(default_factory=dict)
     #: scheduled join/leave/crash/recover churn (None = no churn; the
     #: schedule is drawn from the same seeded stream, and only when set,
     #: so churn-off digests are unchanged)
@@ -352,27 +337,10 @@ def _check_invariants(spec: ChaosSpec, executions: dict[int, int],
 
 def run_chaos(spec: ChaosSpec) -> ChaosReport:
     """Run one seeded chaos scenario and return the checked report."""
-    cluster = Cluster(ClusterConfig(
-        n_nodes=spec.n_nodes, seed=spec.seed, locator=spec.locator,
-        reliable_delivery=True, post_deadline=spec.post_deadline,
-        max_retransmits=spec.max_retransmits,
-        retransmit_base=spec.retransmit_base,
-        durable_delivery=spec.durable,
-        checkpoint_interval=spec.checkpoint_interval,
-        outbox_flush_interval=spec.outbox_flush_interval,
-        replay_cost=spec.replay_cost,
-        ack_delay=spec.ack_delay,
-        handler_deadline=spec.handler_deadline,
-        handler_retries=spec.handler_retries,
-        breaker_threshold=spec.breaker_threshold,
-        poison_threshold=spec.poison_threshold,
-        scheduler=spec.scheduler,
-        admission_high=spec.admission_high,
-        admission_low=spec.admission_low,
-        overload_policy=spec.overload_policy,
-        flow_credits=spec.flow_credits,
-        swim_interval=spec.swim_interval,
-        rpc_default_timeout=0.5, trace_net=False))
+    cluster = Cluster(ClusterConfig(**{
+        **BASE_CONFIG, "n_nodes": spec.n_nodes, "seed": spec.seed,
+        "locator": spec.locator, "durable_delivery": spec.durable,
+        **spec.config}))
     cluster.register_event(CHAOS_EVENT)
     sim, faults = cluster.sim, cluster.fabric.faults
 
@@ -598,7 +566,7 @@ def run_chaos(spec: ChaosSpec) -> ChaosReport:
         handler_fault_counts=dict(fault_counts),
         churn_events=churn_events,
         membership=(cluster.membership_stats()
-                    if spec.swim_interval is not None else {}))
+                    if cluster.config.swim_interval is not None else {}))
     report.violations = _check_invariants(
         spec, executions, notices, probe_executions, len(target_nodes),
         durability, quarantined, hung_handlers)
@@ -606,31 +574,56 @@ def run_chaos(spec: ChaosSpec) -> ChaosReport:
 
 
 def run_chaos_sweep(drop_rates: list[float], locators: list[str],
-                    base: ChaosSpec | None = None) -> tuple[Table, list[ChaosReport]]:
-    """Sweep drop rate x locator; returns the BENCH table and reports."""
-    base = base or ChaosSpec()
-    table = Table(
+                    **base: Any) -> Result:
+    """C1: sweep drop rate x locator over ``ChaosSpec(**base)``."""
+    spec = ChaosSpec(**base)
+    result = Result(Table(
         title="Chaos: delivery guarantees vs drop rate "
-              f"({base.posts} posts, {base.n_nodes} nodes, "
-              f"crash_period={base.crash_period})",
+              f"({spec.posts} posts, {spec.n_nodes} nodes, "
+              f"crash_period={spec.crash_period})",
         columns=["locator", "drop_rate", "posts", "executed_once",
                  "noticed", "success_rate", "accounted", "retransmits/post",
-                 "dup_suppressed", "p99_latency"])
-    reports = []
+                 "dup_suppressed", "p99_latency"]),
+        detail={"violations": []})
     for locator in locators:
         for rate in drop_rates:
-            spec = ChaosSpec(**{**base.__dict__, "locator": locator,
-                                "drop_rate": rate})
-            report = run_chaos(spec)
-            reports.append(report)
-            table.add(locator, rate, spec.posts, report.executed_once,
-                      len(report.notices), round(report.success_rate, 4),
-                      round(report.accounted_rate, 4),
-                      round(report.retransmits_per_post, 3),
-                      report.reliability.get("duplicates_suppressed", 0),
-                      round(report.p99_latency, 6))
-    table.note("accounted = executed exactly once OR raiser noticed "
-               "(1.0 = zero lost-or-hung posts)")
-    table.note("duplicates suppressed by the channel dedup window; "
-               "handler executions are exactly-once by construction")
-    return table, reports
+            report = run_chaos(replace(spec, locator=locator, drop_rate=rate))
+            result.digests[f"{locator}@{rate}"] = report.digest
+            result.detail["violations"] += [
+                f"{locator}@{rate}: {v}" for v in report.violations]
+            result.table.add(
+                locator, rate, spec.posts, report.executed_once,
+                len(report.notices), round(report.success_rate, 4),
+                round(report.accounted_rate, 4),
+                round(report.retransmits_per_post, 3),
+                report.reliability.get("duplicates_suppressed", 0),
+                round(report.p99_latency, 6))
+    result.table.note("accounted = executed exactly once OR raiser noticed "
+                      "(1.0 = zero lost-or-hung posts)")
+    result.table.note("duplicates suppressed by the channel dedup window; "
+                      "handler executions are exactly-once by construction")
+    return result
+
+
+def check_chaos(result: Result) -> None:
+    """The delivery guarantees, on every swept cell."""
+    assert not result.detail["violations"], result.detail["violations"][:3]
+    rows = result.table.dicts()
+    for row in rows:
+        # Zero hangs, zero losses: every post executed exactly once or
+        # surfaced a dead-target/undeliverable notice to the raiser.
+        assert row["accounted"] == 1.0, row
+        # Exactly-once: executed_once counts handler runs == 1; any
+        # duplicate run is a violation caught above.
+        assert row["executed_once"] + row["noticed"] >= row["posts"], row
+    cell = {(row["locator"], row["drop_rate"]): row for row in rows}
+    for locator in {row["locator"] for row in rows}:
+        # No network faults -> the channel never needs to retransmit for
+        # loss; only crash windows cost deliveries.
+        assert cell[locator, 0.0]["retransmits/post"] < \
+            cell[locator, 0.2]["retransmits/post"]
+        # Retransmission keeps delivery useful even at 20% loss, and at
+        # the acceptance point (drop=0.1 with periodic crash/recover)
+        # most posts still execute exactly once.
+        assert cell[locator, 0.2]["success_rate"] >= 0.7
+        assert cell[locator, 0.1]["success_rate"] >= 0.8

@@ -1,18 +1,30 @@
-"""Benchmark harness utilities: result tables and parameter sweeps.
+"""Benchmark harness: result tables, the one :class:`Result` shape every
+experiment returns, the registry entry, and the one ledger.
 
-Each experiment in :mod:`repro.bench.experiments` returns a
-:class:`Table`; the ``benchmarks/`` pytest-benchmark files print it and
-time the underlying runs. EXPERIMENTS.md records the printed rows.
+An experiment is declared once, as an :class:`Experiment` in
+:data:`repro.bench.experiments.ALL_EXPERIMENTS`: one ``run`` returning a
+:class:`Result`, one ``check`` asserting the claim on it, one full and
+one quick parameter set. ``python -m repro.bench`` and
+``tests/test_experiments.py`` both go through :func:`run_experiment`;
+``benchmarks/results/<name>.json`` is written by :func:`write_ledger`
+and nothing else.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+import platform
+import subprocess
+import time
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable
 
 from repro.errors import BenchmarkError
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
+RESULTS_DIR = REPO_ROOT / "benchmarks" / "results"
 
 
 @dataclass
@@ -42,6 +54,10 @@ class Table:
                 f"{self.title}: no column {name!r}") from None
         return [row[index] for row in self.rows]
 
+    def dicts(self) -> list[dict[str, Any]]:
+        """The rows as column-name -> value dicts."""
+        return [dict(zip(self.columns, row)) for row in self.rows]
+
     def render(self) -> str:
         def fmt(value: Any) -> str:
             if isinstance(value, float):
@@ -63,27 +79,142 @@ class Table:
             lines.append(f"  note: {note}")
         return "\n".join(lines)
 
+
+@dataclass
+class Result:
+    """What every experiment's ``run`` returns.
+
+    ``table``, ``detail`` and ``digests`` are functions of the parameters
+    and the seed only; anything read off the host's clock goes in
+    ``wall``, which is never compared and never hashed.
+    """
+
+    table: Table
+    #: deterministic, JSON-able figures beyond the table
+    detail: dict[str, Any] = field(default_factory=dict)
+    #: label -> same-seed outcome digest of one run inside the experiment
+    digests: dict[str, str] = field(default_factory=dict)
+    wall: dict[str, Any] = field(default_factory=dict)
+
+    def take(self, label: str, row: dict[str, Any]) -> dict[str, Any]:
+        """File one run's row: its ``"wall"`` sub-dict moves into
+        :attr:`wall` as ``<label>.<key>`` and its digest, if it has one,
+        into :attr:`digests`; returns the row, now deterministic."""
+        for key, value in row.pop("wall").items():
+            self.wall[f"{label}.{key}"] = value
+        if "digest" in row:
+            self.digests[label] = row["digest"]
+        return row
+
+    def view(self, params: dict[str, Any], wall: bool = False) -> dict:
+        """One ledger section, as JSON reads it back (tuples are lists,
+        keys are strings) so it compares equal to a committed one."""
+        body = {"params": params, "table": asdict(self.table),
+                "detail": self.detail, "digests": self.digests}
+        if wall:
+            body["wall"] = self.wall
+        return json.loads(json.dumps(body))
+
     def show(self) -> None:
         print()
-        print(self.render())
+        print(self.table.render())
+        if self.wall:
+            print(f"  wall: {json.dumps(self.wall)}")
 
 
-def emit_json(table: Table, path: str | pathlib.Path,
-              experiment: str, **extra: Any) -> dict:
-    """Write a table as machine-readable JSON so successive PRs can track
-    the perf trajectory. Returns the payload that was written."""
-    payload: dict[str, Any] = {
-        "experiment": experiment,
-        "title": table.title,
-        "columns": table.columns,
-        "rows": table.rows,
-        "notes": table.notes,
-        **extra,
+@dataclass(frozen=True)
+class Experiment:
+    """One registry entry: everything about an experiment, declared once."""
+
+    run: Callable[..., Result]
+    #: asserts the experiment's claim on a result of either size
+    check: Callable[[Result], None]
+    full: dict[str, Any]
+    quick: dict[str, Any]
+    #: ``(key in Result.wall, fraction)``: a run's figure must reach that
+    #: share of the committed full-size one (:func:`check_floor`)
+    floor: tuple[str, float] | None = None
+
+    def params(self, quick: bool) -> dict[str, Any]:
+        return self.quick if quick else self.full
+
+
+def run_experiment(exp: Experiment, quick: bool = False,
+                   profile: bool = False) -> Result:
+    """Run one registry entry at the chosen size and apply its check."""
+    params = exp.params(quick)
+    started = time.perf_counter()
+    if profile:
+        result = profile_call(exp.run, **params)
+    else:
+        result = exp.run(**params)
+    result.wall["seconds"] = round(time.perf_counter() - started, 3)
+    exp.check(result)
+    return result
+
+
+def read_ledger(name: str) -> dict[str, Any]:
+    """The committed ``benchmarks/results/<name>.json``."""
+    path = RESULTS_DIR / f"{name}.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def write_ledger(name: str, exp: Experiment, full: Result,
+                 quick: Result) -> pathlib.Path:
+    """Rewrite ``benchmarks/results/<name>.json`` — the single writer."""
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=REPO_ROOT,
+            capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = "unknown"
+    payload = {
+        "experiment": name,
+        "commit": commit,
+        "host": {"cpus": os.cpu_count(),
+                 "python": platform.python_version(),
+                 "platform": platform.platform()},
+        "full": full.view(exp.full, wall=True),
+        "quick": quick.view(exp.quick),
     }
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2,
-                                             sort_keys=False) + "\n",
-                                  encoding="utf-8")
-    return payload
+    path = RESULTS_DIR / f"{name}.json"
+    path.write_text(json.dumps(payload, indent=1, ensure_ascii=False) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+def check_ledger(name: str, exp: Experiment, result: Result,
+                 quick: bool = False) -> None:
+    """The result's deterministic view must equal the committed section
+    of the same size — stricter than any floor and host-independent."""
+    section = "quick" if quick else "full"
+    committed = read_ledger(name)[section]
+    view = result.view(exp.params(quick))
+    moved = [key for key in view if view[key] != committed[key]]
+    assert not moved, (
+        f"{name}: {section} {', '.join(moved)} differ from "
+        f"benchmarks/results/{name}.json — same seed, same parameters, so "
+        f"behaviour changed (`python -m repro.bench {name} --write` "
+        f"re-baselines; `git diff` then shows what moved)")
+
+
+def check_floor(name: str, exp: Experiment, result: Result) -> None:
+    """Wall-clock regression floor against the committed full-size run.
+
+    ``SMOKE_MIN_FRACTION`` overrides the fraction for slower hosts
+    without disabling the gate.
+    """
+    if exp.floor is None:
+        return
+    key, fraction = exp.floor
+    fraction = float(os.environ.get("SMOKE_MIN_FRACTION", fraction))
+    committed = read_ledger(name)["full"]["wall"][key]
+    measured = result.wall[key]
+    assert measured >= committed * fraction, (
+        f"{name}: {key} regression: {measured:.1f} is below "
+        f"{fraction:.0%} of the committed {committed:.1f}")
+    print(f"  floor OK: {key} {measured:.1f} >= {fraction:.0%} of "
+          f"committed {committed:.1f}")
 
 
 def profile_call(fn: Callable[..., Any], *args: Any, top: int = 20,
@@ -92,9 +223,8 @@ def profile_call(fn: Callable[..., Any], *args: Any, top: int = 20,
     hotspots, so perf work is profile-driven rather than guessed.
 
     Prints the ``top`` entries sorted by ``sort`` (default cumulative
-    time) to stdout and returns whatever ``fn`` returned. Used by the
-    ``--profile`` flags of ``python -m repro.bench`` and
-    ``python -m repro.bench.soak``.
+    time) to stdout and returns whatever ``fn`` returned. Used by
+    ``python -m repro.bench --profile``.
     """
     import cProfile
     import pstats
@@ -104,11 +234,6 @@ def profile_call(fn: Callable[..., Any], *args: Any, top: int = 20,
     print(f"\n== cProfile: top {top} by {sort} ==")
     pstats.Stats(profiler).sort_stats(sort).print_stats(top)
     return result
-
-
-def sweep(values: Iterable[Any], fn: Callable[[Any], Any]) -> list[Any]:
-    """Run ``fn`` once per value; returns results in order."""
-    return [fn(value) for value in values]
 
 
 def ratio(a: float, b: float) -> float:

@@ -21,32 +21,23 @@ experiment measures the claim directly:
   multi-process sharded transport: stable-half nodes exchange posts
   while the other half churns, with zero lost posts and every
   survivor's view converged (no suspects, no deads) once churn ends.
-
-Run::
-
-    PYTHONPATH=src python -m repro.bench.membership          # full sweep
-    PYTHONPATH=src python -m repro.bench.membership --quick
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import random
 import statistics
 import time
-from typing import Any, Callable
+from typing import Callable
 
 from repro import Cluster, ClusterConfig
 from repro.bench.chaos import ChaosSpec, ChurnSpec, run_chaos
-from repro.bench.harness import Table, emit_json
+from repro.bench.harness import Result, Table
 from repro.bench.scale import ScaleSink, sink_cap
+from repro.bench.workloads import MUTED_CATEGORIES
 
 MEMBER_EVENT = "SCALE"  # reuse the ScaleSink handler event
-
-#: trace categories muted for membership runs
-MUTED_CATEGORIES = ("event", "object", "thread", "net", "store",
-                    "supervise", "invoke", "dsm", "rpc", "membership")
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +154,8 @@ def churn_spec(n_nodes: int, seed: int = 7,
     churn at ``n_nodes`` with SWIM membership on."""
     return ChaosSpec(
         seed=seed, n_nodes=n_nodes, posts=150, drop_rate=0.05,
-        crash_period=None, swim_interval=0.05, scheduler=scheduler,
+        crash_period=None,
+        config={"swim_interval": 0.05, "scheduler": scheduler},
         churn=ChurnSpec(period=0.25, down_time=0.4,
                         max_down=max(2, n_nodes // 16)),
         settle=12.0)
@@ -181,8 +173,8 @@ def run_churn_row(n_nodes: int, seed: int = 7,
         "nodes": n_nodes, "seed": seed, "scheduler": scheduler,
         "posts": report.spec.posts,
         "messages": messages,
-        "wall": wall,
-        "msgs_per_sec": messages / wall if wall else 0.0,
+        "wall": {"seconds": wall,
+                 "msgs_per_sec": messages / wall if wall else 0.0},
         "executed_once": report.executed_once,
         "noticed": len(report.notices),
         "accounted": report.accounted_rate,
@@ -359,7 +351,7 @@ def run_churn_sharded(n_nodes: int, shard_count: int, seed: int = 7,
         "converged": True,
         "cross_shard": report.cross_shard_messages,
         "windows": report.windows,
-        "wall": wall,
+        "wall": {"seconds": wall},
         "digest": digest,
     }
 
@@ -368,36 +360,19 @@ def run_churn_sharded(n_nodes: int, shard_count: int, seed: int = 7,
 # the E16 sweep
 # ----------------------------------------------------------------------
 
-def check_scaling(rows: list[dict]) -> None:
-    """The headline claim: SWIM's per-node load is flat in n."""
-    swim = sorted(rows, key=lambda r: r["nodes"])
-    if len(swim) >= 2:
-        lo, hi = swim[0], swim[-1]
-        growth = (hi["msgs_per_node_per_period"]
-                  / max(lo["msgs_per_node_per_period"], 1e-9))
-        assert growth <= 3.0, (
-            f"swim per-node load grew {growth:.2f}x from n={lo['nodes']} "
-            f"to n={hi['nodes']} (expected O(1))")
-
-
-def run_e16(quick: bool = False, sharded: bool = True) -> tuple[Table, dict]:
-    if quick:
-        swim_nodes = (4, 16, 32)
-        converge_nodes = (32,)
-        churn_nodes = (16,)
-        sharded_rows = ((16, 2),)
-    else:
-        swim_nodes = (4, 16, 64, 128, 256)
-        converge_nodes = (64,)
-        churn_nodes = (64, 128)
-        sharded_rows = ((64, 4), (128, 8))
-    table = Table(
+def run_e16(swim_nodes=(4, 16, 64, 128, 256), converge_nodes=(64,),
+            churn_nodes=(16, 64, 128),
+            sharded=((64, 4), (128, 8))) -> Result:
+    """E16: detection, convergence, churn and sharded-churn rows; the
+    smallest churn run is repeated on the wheel scheduler."""
+    result = Result(Table(
         title="E16: SWIM gossip membership",
         columns=["kind", "mode", "nodes", "shards", "msgs/node/period",
                  "suspect_p50", "confirm_max", "converge", "accounted",
-                 "digest[:12]"])
-    rows: dict[str, Any] = {"detection": [], "convergence": [],
-                            "churn": [], "sharded": []}
+                 "digest[:12]"]),
+        detail={"detection": [], "convergence": [], "churn": [],
+                "sharded": []})
+    table, rows = result.table, result.detail
     for n in swim_nodes:
         row = run_detection_row(n)
         rows["detection"].append(row)
@@ -405,44 +380,62 @@ def run_e16(quick: bool = False, sharded: bool = True) -> tuple[Table, dict]:
                   round(row["msgs_per_node_per_period"], 2),
                   round(row["suspect_p50"], 3),
                   round(row["confirm_max"], 3), "-", "-", "-")
-    check_scaling(rows["detection"])
     for n in converge_nodes:
         row = run_convergence_row(n)
         rows["convergence"].append(row)
         table.add("converge-10%", "swim", n, 1, "-", "-", "-",
                   round(row["convergence_time"], 3), "-", "-")
-    for n in churn_nodes:
-        row = run_churn_row(n)
+    for n, scheduler in ([(n, "heap") for n in churn_nodes]
+                         + [(min(churn_nodes), "wheel")]):
+        row = result.take(f"churn-{n}-{scheduler}",
+                          run_churn_row(n, scheduler=scheduler))
         rows["churn"].append(row)
-        table.add("churn", "sim", n, 1, "-", "-", "-", "-",
+        table.add("churn", f"sim-{scheduler}", n, 1, "-", "-", "-", "-",
                   round(row["accounted"], 4), row["digest"][:12])
-    if sharded:
-        for n, shards in sharded_rows:
-            row = run_churn_sharded(n, shards)
-            rows["sharded"].append(row)
-            table.add("churn", "sharded", n, shards, "-", "-", "-",
-                      "-", 1.0, row["digest"][:12])
+    for n, shards in sharded:
+        row = result.take(f"sharded-{n}/{shards}",
+                          run_churn_sharded(n, shards))
+        rows["sharded"].append(row)
+        table.add("churn", "sharded", n, shards, "-", "-", "-",
+                  "-", 1.0, row["digest"][:12])
     table.note("msgs/node/period: failure-detection sends only (swim.*) "
                "over a 2s steady-state window")
     table.note("swim per-node load is O(1) (an all-pairs heartbeat is "
-               "n-1 by construction); check_scaling asserts the slope")
+               "n-1 by construction)")
     table.note("churn accounted = every post executed exactly once, "
                "noticed, or quarantined under drops + leave/crash/rejoin")
-    return table, rows
+    return result
 
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description="E16 membership bench")
-    parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--no-sharded", action="store_true")
-    parser.add_argument("--json", default="BENCH_membership.json")
-    args = parser.parse_args(argv)
-    table, rows = run_e16(quick=args.quick, sharded=not args.no_sharded)
-    print(table.render())
-    if args.json and args.json != "/dev/null":
-        emit_json(table, args.json, experiment="e16-membership",
-                  quick=args.quick, rows=rows)
-
-
-if __name__ == "__main__":
-    main()
+def check_e16(result: Result) -> None:
+    """The membership acceptance bars."""
+    rows = result.detail
+    # The headline claim: SWIM's per-node load is flat in n — the
+    # largest cluster costs no more than 3x the smallest.
+    swim = sorted(rows["detection"], key=lambda r: r["nodes"])
+    lo, hi = swim[0], swim[-1]
+    assert hi["nodes"] > lo["nodes"], "sweep needs two cluster sizes"
+    growth = (hi["msgs_per_node_per_period"]
+              / max(lo["msgs_per_node_per_period"], 1e-9))
+    assert growth <= 3.0, (
+        f"swim per-node load grew {growth:.2f}x from n={lo['nodes']} "
+        f"to n={hi['nodes']} (expected O(1))")
+    # detection latency stays bounded as the cluster grows
+    worst = max(r["confirm_max"] for r in swim)
+    assert worst <= 15 * lo["interval"], (
+        f"confirm latency {worst} exceeds 15 protocol periods")
+    # churn accounted for every post, with churn genuinely injected
+    for row in rows["churn"]:
+        assert row["accounted"] == 1.0, row
+        assert row["churn_events"] > 0 and row["rejoins"] > 0, row
+    # heap == wheel: the same churn run on either scheduler backend
+    heap = {r["nodes"]: r["digest"] for r in rows["churn"]
+            if r["scheduler"] == "heap"}
+    for row in rows["churn"]:
+        if row["scheduler"] == "wheel":
+            assert row["digest"] == heap[row["nodes"]], (
+                f"heap vs wheel churn digests diverged at "
+                f"n={row['nodes']}")
+    for row in rows["sharded"]:
+        assert row["executed"] == row["raised"] and row["converged"], row
+        assert row["cross_shard"] > 0, "churn run never crossed a shard"

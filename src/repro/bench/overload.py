@@ -20,31 +20,32 @@ sets:
 Every run keeps chaos-grade accounting: per-post execution and notice
 maps prove each offered post is **executed, noticed, shed-with-notice,
 or deferred-then-executed — never silently lost** (the PR 5 invariant
-extended to load shedding).
-
-Run it::
-
-    PYTHONPATH=src python -m repro.bench.overload
-    PYTHONPATH=src python -m repro.bench.overload --duration 1.0 --json /dev/null
+extended to load shedding). Goodput and latency are virtual-time, so
+every figure is a function of the seed alone. For a custom size call
+``run_overload(OverloadSpec(...))``.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 from repro import Cluster, ClusterConfig, Decision, DistObject, entry, on_event
-from repro.bench.harness import Table, emit_json
-from repro.bench.soak import MUTED_CATEGORIES
+from repro.bench.harness import Result, Table
 from repro.bench.workloads import (
     FANOUT,
+    MUTED_CATEGORIES,
     WorkloadSpec,
     build_schedule,
     drive,
     summarize,
 )
+
 OVERLOAD_EVENT = "OVERLOAD"
+
+#: what every overload cluster runs with unless ``OverloadSpec.config``
+#: says otherwise
+BASE_CONFIG = {"reliable_delivery": True, "trace_net": False}
 
 #: offered-load multiples for the knee sweep (1.0 = service capacity)
 KNEE_MULTIPLES = (0.5, 0.8, 1.2, 2.0, 3.0)
@@ -81,11 +82,11 @@ class OverloadSpec:
     admission_low: int | None = None
     tenant_weights: dict = field(default_factory=dict)
     durable: bool = False
-    #: degrade runs set this past the worst queueing delay so the
-    #: datagram-loss backstop (which falls back to ``locate_timeout``)
-    #: does not fire §7.2 notices for posts that are merely queued deep
-    post_deadline: float | None = None
-    link_latency: float = 1e-3
+    #: :class:`~repro.ClusterConfig` overrides laid over
+    #: :data:`BASE_CONFIG`. Degrade runs set ``post_deadline`` past the
+    #: worst queueing delay so the datagram-loss backstop does not fire
+    #: §7.2 notices for posts that are merely queued deep
+    config: dict[str, Any] = field(default_factory=dict)
     #: extra virtual time after the arrival window for fan-out scenarios
     #: (sink threads sleep forever, so those runs cannot idle out)
     settle: float = 4.0
@@ -152,17 +153,15 @@ def _percentile(samples: list, frac: float) -> float:
 
 def _build(spec: OverloadSpec, control: bool) -> Cluster:
     knobs: dict[str, Any] = dict(
-        seed=spec.seed, n_nodes=spec.n_nodes,
-        link_latency=spec.link_latency, reliable_delivery=True,
-        durable_delivery=spec.durable, post_deadline=spec.post_deadline,
-        trace_net=False)
+        BASE_CONFIG, seed=spec.seed, n_nodes=spec.n_nodes,
+        durable_delivery=spec.durable)
     if control:
         knobs.update(flow_credits=spec.flow_credits,
                      admission_high=spec.admission_high,
                      admission_low=spec.admission_low,
                      overload_policy=spec.policy,
                      tenant_weights=dict(spec.tenant_weights))
-    cluster = Cluster(ClusterConfig(**knobs))
+    cluster = Cluster(ClusterConfig(**{**knobs, **spec.config}))
     cluster.tracer.mute(*MUTED_CATEGORIES)
     cluster.register_event(OVERLOAD_EVENT)
     return cluster
@@ -224,14 +223,12 @@ def run_overload(spec: OverloadSpec, control: bool = True) -> dict[str, Any]:
 
     t0 = drive(cluster, schedule, fire)
     state["window_end"] = t0 + spec.duration
-    wall = time.perf_counter()
     if gid is not None:
         # sink threads sleep ~forever; run a fixed drain window instead
         cluster.run(until=t0 + spec.duration + spec.settle,
                     max_events=None)
     else:
         cluster.run(max_events=None)  # to quiescence: full drain
-    elapsed = time.perf_counter() - wall
     # time to drain the backlog, measured to the *last execution* (the
     # simulator may idle further while no-op backstop timers expire)
     drain = max(0.0, state["last_done"] - (t0 + spec.duration))
@@ -271,7 +268,6 @@ def run_overload(spec: OverloadSpec, control: bool = True) -> dict[str, Any]:
         "lost": len(lost), "overdelivered": len(overdelivered),
         "per_tenant_executed": dict(sorted(state["by_tenant"].items())),
         "workload": summarize(schedule, spec.duration),
-        "wall_secs": round(elapsed, 3),
     }
     assert not lost, (
         f"posts silently lost (no execution, no notice): "
@@ -304,11 +300,11 @@ def _check_accounting(spec: OverloadSpec, schedule: list,
     return lost, overdelivered
 
 
-def run_overload_sweep(spec: OverloadSpec | None = None
-                       ) -> tuple[Table, dict[str, Any]]:
-    """The committed E13 campaign: knee sweep + policy matrix at 2x."""
-    spec = spec or OverloadSpec()
-    results: dict[str, Any] = {"knee": {}, "policies": {}}
+def run_overload_sweep(**spec: Any) -> Result:
+    """E13: knee sweep + policy matrix at 2x over ``OverloadSpec(**spec)``."""
+    spec = OverloadSpec(**spec)
+    knee: dict[str, Any] = {}
+    policies: dict[str, Any] = {}
     table = Table(
         title=f"Overload (E13): capacity {spec.capacity():.0f} posts/s, "
               f"{spec.duration}s window, Zipf(s={spec.zipf_s}) over "
@@ -318,7 +314,6 @@ def run_overload_sweep(spec: OverloadSpec | None = None
                  "p50", "p99", "drain", "shed", "notices", "lost"])
 
     def record(scenario: str, row: dict[str, Any]) -> None:
-        row = dict(row, scenario=scenario)
         shed = (row["shed_dropped"] + row["shed_degraded"]
                 + row["shed_deferred"])
         table.add(scenario, "on" if row["control"] else "off",
@@ -329,16 +324,16 @@ def run_overload_sweep(spec: OverloadSpec | None = None
 
     for mult in KNEE_MULTIPLES:
         point = replace(spec, offered_x=mult, policy="drop")
-        results["knee"][f"x{mult}"] = {
-            "off": run_overload(point, control=False),
-            "on": run_overload(point, control=True)}
-        record(f"knee-x{mult}", results["knee"][f"x{mult}"]["off"])
-        record(f"knee-x{mult}", results["knee"][f"x{mult}"]["on"])
+        knee[f"x{mult}"] = {"off": run_overload(point, control=False),
+                            "on": run_overload(point, control=True)}
+        record(f"knee-x{mult}", knee[f"x{mult}"]["off"])
+        record(f"knee-x{mult}", knee[f"x{mult}"]["on"])
 
     two_x = replace(spec, offered_x=2.0)
     scenarios = {
         "drop": replace(two_x, policy="drop"),
-        "degrade": replace(two_x, policy="degrade", post_deadline=30.0),
+        "degrade": replace(two_x, policy="degrade",
+                           config={**spec.config, "post_deadline": 30.0}),
         "defer": replace(two_x, policy="defer", durable=True),
         "storm": replace(two_x, policy="drop", arrival="bursty",
                          fanout_every=5),
@@ -347,9 +342,8 @@ def run_overload_sweep(spec: OverloadSpec | None = None
                         tenant_weights={0: 1.0, 1: 1.0}),
     }
     for name, scenario_spec in scenarios.items():
-        results["policies"][name] = run_overload(scenario_spec,
-                                                 control=True)
-        record(name, results["policies"][name])
+        policies[name] = run_overload(scenario_spec, control=True)
+        record(name, policies[name])
 
     table.note("knee: drop policy, control off vs on; goodput is "
                "executed-in-window / min(offered, capacity) posts")
@@ -358,24 +352,14 @@ def run_overload_sweep(spec: OverloadSpec | None = None
                "the outbox and drains after the storm")
     table.note("p50/p99 are virtual raise->deliver seconds over "
                "delivered posts; lost must be 0 everywhere")
-    results["spec"] = {
-        "seed": spec.seed, "n_nodes": spec.n_nodes,
-        "duration": spec.duration, "service_time": spec.service_time,
-        "n_objects": spec.n_objects, "zipf_s": spec.zipf_s,
-        "capacity": spec.capacity(), "flow_credits": spec.flow_credits,
-        "admission_high": spec.admission_high,
-        "group_size": spec.group_size,
-    }
-    return table, results
+    return Result(table, detail={
+        "knee": knee, "policies": policies,
+        "spec": dict(asdict(spec), capacity=spec.capacity())})
 
 
-def deterministic_view(row: dict[str, Any]) -> dict[str, Any]:
-    """The same-seed-comparable subset of a result row."""
-    return {k: v for k, v in row.items() if not k.startswith("wall_")}
-
-
-def assert_overload_shape(results: dict[str, Any]) -> None:
-    """The E13 acceptance bars, checked by bench and CI smoke alike."""
+def check_overload(result: Result) -> None:
+    """The E13 acceptance bars."""
+    results = result.detail
     knee_on_2x = results["knee"]["x2.0"]["on"]
     knee_off_2x = results["knee"]["x2.0"]["off"]
     # Nothing silently lost anywhere (run_overload already asserts
@@ -413,38 +397,3 @@ def assert_overload_shape(results: dict[str, Any]) -> None:
     hot = per_tenant.get(0, 0) / max(1, offered.get(0, 1))
     light = per_tenant.get(1, 0) / max(1, offered.get(1, 1))
     assert light > hot, (per_tenant, offered)
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.overload", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--duration", type=float, default=2.0,
-                        help="arrival window, virtual seconds "
-                             "(default: 2.0)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", default="BENCH_overload.json",
-                        help="output path (default: BENCH_overload.json)")
-    args = parser.parse_args(argv)
-
-    spec = OverloadSpec(seed=args.seed, duration=args.duration)
-    table, results = run_overload_sweep(spec)
-    table.show()
-    assert_overload_shape(results)
-    payload = {
-        "knee": {x: {mode: deterministic_view(row)
-                     for mode, row in modes.items()}
-                 for x, modes in results["knee"].items()},
-        "policies": {name: deterministic_view(row)
-                     for name, row in results["policies"].items()},
-        "spec": results["spec"],
-    }
-    emit_json(table, args.json, "overload", **payload)
-    print(f"\nwrote {args.json}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -17,31 +17,31 @@ simulator behind.  This experiment measures three things:
 * a **tcp loopback smoke** row proving the reliable+durable stack runs
   end to end on real sockets with wall-clock timers.
 
-Run::
-
-    PYTHONPATH=src python -m repro.bench.scale            # full sweep
-    PYTHONPATH=src python -m repro.bench.scale --quick
+Each row function returns its deterministic figures with the host's
+clock readings apart under one ``"wall"`` key; :func:`run_e14` moves
+those into the result's ``wall`` dict (``Result.take``).
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro import Cluster, ClusterConfig, DistObject, on_event
-from repro.bench.harness import Table, emit_json
+from repro.bench.harness import Result, Table
+from repro.bench.workloads import (
+    MUTED_CATEGORIES,
+    build_cluster,
+    deep_thread,
+    measure_posts,
+)
 from repro.kernel.config import shard_bounds
 from repro.objects.capability import Capability
 
 SCALE_EVENT = "SCALE"
-
-#: trace categories muted for scale runs (same list as the E12 soak)
-MUTED_CATEGORIES = ("event", "object", "thread", "net", "store",
-                    "supervise", "invoke", "dsm", "rpc")
 
 
 class ScaleSink(DistObject):
@@ -91,24 +91,20 @@ class ScaleSpec:
     interval: float = 2e-3
     #: fraction of posts aimed at a uniformly-random *other* node
     remote_fraction: float = 0.3
-    #: cross-node latency; doubles as the sharded lookahead window
-    link_latency: float = 5e-3
-    reliable: bool = False
-    durable: bool = False
+    #: :class:`~repro.ClusterConfig` overrides laid over the scale base:
+    #: ``link_latency=5e-3`` (the cross-node latency doubles as the
+    #: sharded lookahead window) and ``trace_net=False``
+    config: dict[str, Any] = field(default_factory=dict)
 
     @property
     def total_posts(self) -> int:
         return self.n_nodes * self.posts_per_node
 
-    def config(self, **overrides: Any) -> ClusterConfig:
-        kwargs = dict(
-            n_nodes=self.n_nodes, seed=self.seed,
-            link_latency=self.link_latency,
-            reliable_delivery=self.reliable,
-            durable_delivery=self.durable,
-            trace_net=False)
-        kwargs.update(overrides)
-        return ClusterConfig(**kwargs)
+    def cluster_config(self, **backend: Any) -> ClusterConfig:
+        return ClusterConfig(**{
+            "n_nodes": self.n_nodes, "seed": self.seed,
+            "link_latency": 5e-3, "trace_net": False,
+            **backend, **self.config})
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +197,7 @@ def _scenario_args(spec: ScaleSpec) -> dict:
 def run_scale_local(spec: ScaleSpec) -> dict:
     """The workload on the single-process ``sim`` backend."""
     from repro.transport.sharded import ShardContext
-    cluster = Cluster(spec.config())
+    cluster = Cluster(spec.cluster_config())
     ctx = ShardContext(cluster=cluster, shard_index=0, shard_count=1,
                        n_nodes=spec.n_nodes,
                        local_nodes=range(spec.n_nodes),
@@ -214,18 +210,18 @@ def run_scale_local(spec: ScaleSpec) -> dict:
     return {
         "backend": "sim", "nodes": spec.n_nodes, "shards": 1,
         "raised": result["raised"], "executed": result["executed"],
-        "wall": wall,
-        "posts_per_sec": result["raised"] / wall if wall else 0.0,
         "digest": combine_digest([result]),
         "virtual_time": cluster.now,
+        "wall": {"seconds": wall,
+                 "posts_per_sec": result["raised"] / wall if wall else 0.0},
     }
 
 
 def run_scale_sharded(spec: ScaleSpec) -> dict:
     """The workload partitioned across ``spec.shard_count`` workers."""
     from repro.transport.sharded import run_sharded
-    config = spec.config(transport="sharded",
-                         shard_count=spec.shard_count)
+    config = spec.cluster_config(transport="sharded",
+                                 shard_count=spec.shard_count)
     report = run_sharded(config, "repro.bench.scale:posts_scenario",
                          scenario_args=_scenario_args(spec))
     raised = sum(r["raised"] for r in report.shard_results)
@@ -238,13 +234,13 @@ def run_scale_sharded(spec: ScaleSpec) -> dict:
         "backend": "sharded", "nodes": spec.n_nodes,
         "shards": spec.shard_count,
         "raised": raised, "executed": executed,
-        "wall": report.wall_time,
-        "posts_per_sec": raised / report.wall_time
-        if report.wall_time else 0.0,
         "digest": combine_digest(report.shard_results),
         "virtual_time": report.virtual_time,
         "windows": report.windows,
         "cross_shard": report.cross_shard_messages,
+        "wall": {"seconds": report.wall_time,
+                 "posts_per_sec": raised / report.wall_time
+                 if report.wall_time else 0.0},
     }
 
 
@@ -252,8 +248,6 @@ def run_locator_rows(node_counts=(4, 16, 64, 128), posts: int = 10,
                      locators=("broadcast", "path", "cached"),
                      depth: int = 2) -> list[dict]:
     """§7.1 locate messages per post as the cluster grows."""
-    from repro.bench.experiments import _measure_posts
-    from repro.bench.workloads import build_cluster, deep_thread
     rows = []
     for locator in locators:
         for n in node_counts:
@@ -261,8 +255,7 @@ def run_locator_rows(node_counts=(4, 16, 64, 128), posts: int = 10,
                 continue
             cluster = build_cluster(n_nodes=n, locator=locator)
             thread = deep_thread(cluster, depth=depth)
-            msgs, latency = _measure_posts(cluster, thread, posts,
-                                           warmup=2)
+            msgs, latency = measure_posts(cluster, thread, posts, warmup=2)
             rows.append({"locator": locator, "nodes": n,
                          "locate_msgs_per_post": msgs,
                          "latency_ms": latency * 1e3})
@@ -292,12 +285,15 @@ def run_tcp_smoke(n_nodes: int = 3, posts: int = 30,
             cluster.run(until=cluster.now + 0.25)
         executed = sum(s.seen for s in sinks)
         wall = time.perf_counter() - started
+        # frame and retransmit counts ride wall-clock timers on real
+        # sockets, so only the post accounting is deterministic
         return {
             "backend": "tcp", "nodes": n_nodes, "shards": 1,
-            "raised": posts, "executed": executed, "wall": wall,
-            "posts_per_sec": executed / wall if wall else 0.0,
-            "transport": cluster.transport_stats(),
-            "durability": cluster.durability_stats(),
+            "raised": posts, "executed": executed,
+            "wall": {"seconds": wall,
+                     "posts_per_sec": executed / wall if wall else 0.0,
+                     "transport": cluster.transport_stats(),
+                     "durability": cluster.durability_stats()},
         }
     finally:
         cluster.close()
@@ -307,68 +303,57 @@ def run_tcp_smoke(n_nodes: int = 3, posts: int = 30,
 # the E14 sweep
 # ----------------------------------------------------------------------
 
-def run_e14(sim_nodes=(4, 16, 64, 128), sharded=( (16, 2), (64, 4),
-                                                  (128, 8)),
-            posts_per_node: int = 200, quick: bool = False,
-            tcp: bool = True) -> tuple[Table, dict]:
-    if quick:
-        sim_nodes = (4, 16)
-        sharded = ((16, 2), (16, 4))
-        posts_per_node = 60
-    table = Table(
-        title="E14: posts/s and locator cost vs node count",
+def run_e14(sim_nodes=(4, 16, 64, 128),
+            sharded=((16, 2), (64, 4), (128, 8)), posts_per_node: int = 200,
+            locator_nodes=(4, 16, 64, 128), locator_posts: int = 10,
+            tcp_posts: int = 30) -> Result:
+    result = Result(Table(
+        title="E14: posts and locator cost vs node count",
         columns=["backend", "nodes", "shards", "posts", "executed",
-                 "posts/s (wall)", "digest[:12]"])
-    rows: dict[str, Any] = {"sim": [], "sharded": [], "locator": [],
-                            "tcp": None}
-    for n in sim_nodes:
-        spec = ScaleSpec(n_nodes=n, posts_per_node=posts_per_node)
-        row = run_scale_local(spec)
-        _check_row(row)
-        rows["sim"].append(row)
-        table.add("sim", n, 1, row["raised"], row["executed"],
-                  round(row["posts_per_sec"], 1), row["digest"][:12])
-    for n, shards in sharded:
-        spec = ScaleSpec(n_nodes=n, shard_count=shards,
-                         posts_per_node=posts_per_node)
-        row = run_scale_sharded(spec)
-        _check_row(row)
-        rows["sharded"].append(row)
-        table.add("sharded", n, shards, row["raised"], row["executed"],
-                  round(row["posts_per_sec"], 1), row["digest"][:12])
-    rows["locator"] = run_locator_rows(
-        node_counts=(4, 16) if quick else (4, 16, 64, 128),
-        posts=5 if quick else 10)
-    if tcp:
-        row = run_tcp_smoke(posts=10 if quick else 30)
-        assert row["executed"] == row["raised"], (
-            f"tcp smoke lost posts: {row['executed']}/{row['raised']}")
-        rows["tcp"] = row
-        table.add("tcp", row["nodes"], 1, row["raised"],
-                  row["executed"], round(row["posts_per_sec"], 1), "-")
-    table.note("sharded digests are seed-reproducible; sim rows use the "
-               "identical scenario for apples-to-apples posts/s")
-    return table, rows
+                 "digest[:12]"]))
+
+    def record(row: dict) -> dict:
+        result.take(f"{row['backend']}-{row['nodes']}/{row['shards']}", row)
+        row.pop("per_node", None)  # hashed by the digest
+        result.table.add(row["backend"], row["nodes"], row["shards"],
+                         row["raised"], row["executed"],
+                         row.get("digest", "-")[:12])
+        return row
+
+    result.detail = {
+        "sim": [record(run_scale_local(ScaleSpec(
+            n_nodes=n, posts_per_node=posts_per_node))) for n in sim_nodes],
+        "sharded": [record(run_scale_sharded(ScaleSpec(
+            n_nodes=n, shard_count=shards, posts_per_node=posts_per_node)))
+            for n, shards in sharded],
+        "locator": run_locator_rows(node_counts=locator_nodes,
+                                    posts=locator_posts),
+        "tcp": record(run_tcp_smoke(posts=tcp_posts)),
+    }
+    result.table.note("sharded digests are seed-reproducible; sim rows use "
+                      "the identical scenario for apples-to-apples posts/s "
+                      "(in wall)")
+    return result
 
 
-def _check_row(row: dict) -> None:
-    assert row["executed"] == row["raised"], (
-        f"{row['backend']} n={row['nodes']}: lost posts "
-        f"({row['executed']}/{row['raised']})")
-
-
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description="E14 scale bench")
-    parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--no-tcp", action="store_true")
-    parser.add_argument("--json", default="BENCH_scale.json")
-    args = parser.parse_args(argv)
-    table, rows = run_e14(quick=args.quick, tcp=not args.no_tcp)
-    print(table.render())
-    if args.json and args.json != "/dev/null":
-        emit_json(table, args.json, experiment="e14-scale",
-                  quick=args.quick, rows=rows)
-
-
-if __name__ == "__main__":
-    main()
+def check_e14(result: Result) -> None:
+    """The scale acceptance bars."""
+    rows = result.detail
+    # zero losses on every backend
+    for row in rows["sim"] + rows["sharded"] + [rows["tcp"]]:
+        assert row["executed"] == row["raised"], row
+    assert all(row["cross_shard"] > 0 for row in rows["sharded"]), \
+        "workload never crossed a shard"
+    # sim and sharded ran the same node counts up to the same size
+    assert max(r["nodes"] for r in rows["sim"]) == \
+        max(r["nodes"] for r in rows["sharded"])
+    # §7.1 shape: broadcast locate cost grows with n, path/cached do not
+    by_locator: dict[str, list[dict]] = {}
+    for row in rows["locator"]:
+        by_locator.setdefault(row["locator"], []).append(row)
+    bcast = sorted(by_locator["broadcast"], key=lambda r: r["nodes"])
+    assert bcast[-1]["locate_msgs_per_post"] > \
+        bcast[0]["locate_msgs_per_post"]
+    for flat in ("path", "cached"):
+        costs = [r["locate_msgs_per_post"] for r in by_locator[flat]]
+        assert max(costs) - min(costs) <= 2.0, (flat, by_locator[flat])

@@ -16,40 +16,31 @@ way they do in real event systems:
   origin, sent over the reliable channel, acked and resolved through the
   outbox. The expensive end of the spectrum.
 
-Wall-clock throughput and virtual-time p99 delivery latency per phase
-land in ``BENCH_soak.json`` so every future PR can check the speed
-trajectory; everything deterministic (post/delivery counts, simulator
-events, scheduler stats) is reported separately from wall-clock so
-same-seed runs compare bit-for-bit across backends.
-
-Run it::
-
-    PYTHONPATH=src python -m repro.bench.soak --posts 1000000
-    PYTHONPATH=src python -m repro.bench.soak --posts 20000 --json /dev/null
-    PYTHONPATH=src python -m repro.bench.soak --profile   # cProfile top-20
+Wall-clock throughput per phase lands in the result's ``wall`` dict so
+every future PR can check the speed trajectory; everything deterministic
+(post/delivery counts, simulator events, scheduler stats, virtual-time
+p99 delivery latency) is in the phase rows, which same-seed runs
+reproduce bit-for-bit across scheduler backends. For a custom size call
+``run_soak(posts=..., config={...})``.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro import Cluster, ClusterConfig, DistObject, on_event
-from repro.bench.harness import Table, emit_json
-from repro.bench.workloads import EventSink
+from repro.bench.harness import Result, Table
+from repro.bench.workloads import MUTED_CATEGORIES, EventSink
 
 SOAK_EVENT = "SOAK"
 
-#: burst wall_posts/s of PR 4's reliable-channel burst ceiling, the
-#: baseline this campaign is measured against (EXPERIMENTS.md, E10)
-FASTPATH_BASELINE_POSTS_PER_SEC = 11723.7
-
-#: trace categories muted for soak runs — a million posts would other-
-#: wise accumulate gigabytes of TraceRecords; counts are still kept
-MUTED_CATEGORIES = ("event", "object", "thread", "net", "store",
-                    "supervise", "invoke", "dsm", "rpc")
+#: what every soak cluster runs with unless ``SoakSpec.config`` says
+#: otherwise: the acceptance criterion is stated for the wheel + slab +
+#: batched-routing path
+BASE_CONFIG = {"scheduler": "wheel", "trace_net": False}
 
 
 @dataclass
@@ -58,7 +49,7 @@ class SoakSpec:
 
     seed: int = 0
     #: total post budget across all three phases (the committed
-    #: BENCH_soak.json run uses >= 1M)
+    #: full-size run uses 1M)
     posts: int = 1_000_000
     burst_frac: float = 0.80
     fanout_frac: float = 0.15  # durable gets the remainder
@@ -71,14 +62,11 @@ class SoakSpec:
     gap: float = 2e-3
     #: members per fan-out group (fanout throughput counts deliveries)
     group_size: int = 4
-    link_latency: float = 1e-3
-    #: scheduler backend for the measured run; the acceptance criterion
-    #: is stated for the wheel + slab + batched-routing path
-    scheduler: str = "wheel"
-    wheel_tick: float = 1e-3
-    wheel_slots: int = 4096
     #: retained latency samples per phase (drop-oldest, deterministic)
     latency_window: int = 4096
+    #: :class:`~repro.ClusterConfig` overrides laid over
+    #: :data:`BASE_CONFIG`
+    config: dict[str, Any] = field(default_factory=dict)
 
     def phase_budget(self) -> dict[str, int]:
         burst = int(self.posts * self.burst_frac)
@@ -107,7 +95,8 @@ class SoakSink(DistObject):
 
 @dataclass
 class PhaseResult:
-    """One phase's figures (wall-clock separated from deterministic)."""
+    """One phase's figures: :meth:`row` is deterministic, ``elapsed``
+    and :attr:`posts_per_sec` are the host's wall clock."""
 
     phase: str
     posts: int
@@ -126,7 +115,6 @@ class PhaseResult:
         data = {
             "phase": self.phase,
             "posts": self.posts,
-            "wall_posts_per_sec": round(self.posts_per_sec, 1),
             "sim_events_per_post": round(self.sim_events / self.posts, 2),
             "msgs_per_post": round(self.messages / self.posts, 4),
             "p99_latency": round(self.p99_latency, 6),
@@ -139,10 +127,6 @@ class PhaseResult:
         data.update(self.extra)
         return data
 
-def deterministic_view(row: dict[str, Any]) -> dict[str, Any]:
-    """The same-seed-comparable subset of a phase row."""
-    return {k: v for k, v in row.items() if k != "wall_posts_per_sec"}
-
 
 def _p99(samples: deque) -> float:
     if not samples:
@@ -151,13 +135,9 @@ def _p99(samples: deque) -> float:
     return ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
 
 
-def _build(spec: SoakSpec, **overrides: Any) -> Cluster:
-    knobs: dict[str, Any] = dict(
-        seed=spec.seed, link_latency=spec.link_latency,
-        scheduler=spec.scheduler, wheel_tick=spec.wheel_tick,
-        wheel_slots=spec.wheel_slots, trace_net=False)
-    knobs.update(overrides)
-    cluster = Cluster(ClusterConfig(**knobs))
+def _build(spec: SoakSpec, **phase: Any) -> Cluster:
+    cluster = Cluster(ClusterConfig(**{
+        **BASE_CONFIG, "seed": spec.seed, **phase, **spec.config}))
     cluster.tracer.mute(*MUTED_CATEGORIES)
     cluster.register_event(SOAK_EVENT)
     return cluster
@@ -293,91 +273,52 @@ def run_durable_phase(spec: SoakSpec, posts: int) -> PhaseResult:
                "journal_appends": store.get("appends", 0)})
 
 
-def run_soak(spec: SoakSpec | None = None) -> tuple[Table, dict[str, Any]]:
-    """Run all three phases; returns (table, results payload)."""
-    spec = spec or SoakSpec()
+def run_soak(**spec: Any) -> Result:
+    """E12: run all three phases of ``SoakSpec(**spec)``."""
+    spec = SoakSpec(**spec)
     budget = spec.phase_budget()
-    table = Table(
-        title=f"Soak (E12): {spec.posts} posts, scheduler={spec.scheduler}, "
-              f"{spec.objects} Zipf(s={spec.zipf_s}) objects, "
-              f"burst={spec.burst}",
-        columns=["phase", "posts", "wall_posts/s", "sim_ev/post",
-                 "msgs/post", "p99_lat", "spills", "migrations",
-                 "compactions"])
-    rows: dict[str, dict[str, Any]] = {}
+    result = Result(Table(
+        title=f"Soak (E12): {spec.posts} posts, {spec.objects} "
+              f"Zipf(s={spec.zipf_s}) objects, burst={spec.burst}",
+        columns=["phase", "posts", "sim_ev/post", "msgs/post", "p99_lat",
+                 "spills", "migrations", "compactions"]),
+        detail={"phases": {}, "spec": asdict(spec)})
     runners = [("burst", run_burst_phase), ("fanout", run_fanout_phase),
                ("durable", run_durable_phase)]
-    total_posts = 0
     total_elapsed = 0.0
     for phase, runner in runners:
-        result = runner(spec, budget[phase])
-        row = result.row()
-        rows[phase] = row
-        total_posts += result.posts
-        total_elapsed += result.elapsed
-        table.add(phase, row["posts"], row["wall_posts_per_sec"],
-                  row["sim_events_per_post"], row["msgs_per_post"],
-                  row["p99_latency"], row["wheel_spills"],
-                  row["wheel_migrations"], row["compactions"])
-    overall = round(total_posts / total_elapsed, 1) if total_elapsed else 0.0
-    burst_rate = rows["burst"]["wall_posts_per_sec"]
-    speedup = round(burst_rate / FASTPATH_BASELINE_POSTS_PER_SEC, 2)
-    table.note(f"overall {total_posts} posts at {overall} posts/s wall; "
-               f"burst is {speedup}x the E10 burst baseline "
-               f"({FASTPATH_BASELINE_POSTS_PER_SEC} posts/s)")
-    table.note("burst: local object posts (no fabric); fanout: group "
-               "multicast counted in member deliveries; durable: "
-               "journaled remote posts over the reliable channel")
-    table.note("p99_lat is virtual raise->deliver seconds; wall_posts/s "
-               "is host wall-clock, all other columns deterministic")
-    payload = {
-        "phases": rows,
-        "total_posts": total_posts,
-        "overall_posts_per_sec": overall,
-        "burst_speedup_vs_fastpath_baseline": speedup,
-        "fastpath_baseline_posts_per_sec": FASTPATH_BASELINE_POSTS_PER_SEC,
-        "spec": {
-            "seed": spec.seed, "posts": spec.posts,
-            "burst_frac": spec.burst_frac, "fanout_frac": spec.fanout_frac,
-            "objects": spec.objects, "zipf_s": spec.zipf_s,
-            "burst": spec.burst, "gap": spec.gap,
-            "group_size": spec.group_size, "scheduler": spec.scheduler,
-            "wheel_tick": spec.wheel_tick, "wheel_slots": spec.wheel_slots,
-        },
-    }
-    return table, payload
+        outcome = runner(spec, budget[phase])
+        row = outcome.row()
+        result.detail["phases"][phase] = row
+        result.wall[f"{phase}_posts_per_sec"] = round(outcome.posts_per_sec, 1)
+        total_elapsed += outcome.elapsed
+        result.table.add(phase, row["posts"], row["sim_events_per_post"],
+                         row["msgs_per_post"], row["p99_latency"],
+                         row["wheel_spills"], row["wheel_migrations"],
+                         row["compactions"])
+    result.wall["overall_posts_per_sec"] = (
+        round(spec.posts / total_elapsed, 1) if total_elapsed else 0.0)
+    result.table.note("burst: local object posts (no fabric); fanout: group "
+                      "multicast counted in member deliveries; durable: "
+                      "journaled remote posts over the reliable channel")
+    result.table.note("p99_lat is virtual raise->deliver seconds; every "
+                      "column is deterministic, posts/s is in wall")
+    return result
 
 
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.soak", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--posts", type=int, default=1_000_000,
-                        help="total post budget (default: 1000000)")
-    parser.add_argument("--scheduler", choices=("heap", "wheel"),
-                        default="wheel")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", default="BENCH_soak.json",
-                        help="output path (default: BENCH_soak.json)")
-    parser.add_argument("--profile", action="store_true",
-                        help="run under cProfile; print top-20 cumulative "
-                             "hotspots")
-    args = parser.parse_args(argv)
-
-    spec = SoakSpec(posts=args.posts, scheduler=args.scheduler,
-                    seed=args.seed)
-    if args.profile:
-        from repro.bench.harness import profile_call
-        table, payload = profile_call(run_soak, spec)
-    else:
-        table, payload = run_soak(spec)
-    table.show()
-    emit_json(table, args.json, "soak", **payload)
-    print(f"\nwrote {args.json}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+def check_soak(result: Result) -> None:
+    """The phase invariants beyond what each phase asserts while it
+    runs (no lost posts, outbox drained)."""
+    phases = result.detail["phases"]
+    # every budgeted post ran in some phase
+    assert sum(row["posts"] for row in phases.values()) == \
+        result.detail["spec"]["posts"]
+    # burst is the home-node fast path: no locator, no fabric
+    assert phases["burst"]["msgs_per_post"] == 0.0, phases["burst"]
+    assert phases["burst"]["pending_at_end"] == 0, phases["burst"]
+    # one fabric message per member delivery, none per raise
+    assert phases["fanout"]["msgs_per_post"] == 1.0, phases["fanout"]
+    durable = phases["durable"]
+    # POST + ACK at the origin and APPLIED at the executing node
+    assert durable["journal_appends"] >= 3 * durable["posts"], durable
+    assert durable["pending_at_end"] == 0, durable

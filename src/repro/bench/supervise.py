@@ -23,30 +23,25 @@ behaviour):
   wait out a full RPC timeout per post. Delivery totals are asserted
   identical — only the counters and the virtual completion time differ.
 
-Everything deterministic is returned separately from the wall-clock
-figures so same-seed runs compare bit-for-bit. Results go to
-``BENCH_supervise.json``.
+Every figure is virtual-time or a count, so same-seed runs compare
+bit-for-bit.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any
 
 from repro import Decision, DistObject, entry, handler_entry
 from repro.bench.chaos import ChaosSpec, run_chaos
-from repro.bench.harness import Table
+from repro.bench.harness import Result, Table
 from repro.bench.workloads import build_cluster
 
-#: the supervision knob set the "on" rows run with
+#: the ``ClusterConfig`` overrides the "on" rows run with; the "off"
+#: rows run with none (all defaults — the pre-supervision behaviour)
 SUPERVISED = {"handler_deadline": 0.05, "handler_retries": 2,
               "breaker_threshold": 3, "poison_threshold": 3,
               "swim_interval": 0.02}
-#: all defaults — the pre-supervision behaviour
-UNSUPERVISED = {"handler_deadline": None, "handler_retries": 0,
-                "breaker_threshold": None, "poison_threshold": None,
-                "swim_interval": None}
 
 
 @dataclass
@@ -70,7 +65,6 @@ class SuperviseSpec:
 
 def _chaos_spec(spec: SuperviseSpec, supervised: bool,
                 durable: bool) -> ChaosSpec:
-    knobs = SUPERVISED if supervised else UNSUPERVISED
     return ChaosSpec(
         seed=spec.seed, posts=spec.posts, durable=durable,
         drop_rate=spec.drop_rate, duplicate_rate=0.05,
@@ -78,15 +72,13 @@ def _chaos_spec(spec: SuperviseSpec, supervised: bool,
         settle=10.0,
         handler_faults={"hang": spec.hang_rate, "raise": spec.raise_rate,
                         "poison": spec.poison_rate},
-        **knobs)
+        config=SUPERVISED if supervised else {})
 
 
 def run_handler_faults(spec: SuperviseSpec, supervised: bool,
                        durable: bool = False) -> dict[str, Any]:
     """Chaos with injected handler faults; supervised or bare."""
-    wall = time.perf_counter()
     report = run_chaos(_chaos_spec(spec, supervised, durable))
-    elapsed = time.perf_counter() - wall
     sup = report.supervision
     executed_once = sum(1 for n in report.executions.values() if n == 1)
     return {
@@ -102,8 +94,6 @@ def run_handler_faults(spec: SuperviseSpec, supervised: bool,
         "chain_retries": sup.get("chain_retries", 0),
         "dead_letters_held": sup.get("dead_letters_held", 0),
         "virtual_time": round(report.virtual_time, 6),
-        "wall_posts_per_sec": round(report.spec.posts / elapsed, 1)
-        if elapsed else 0.0,
     }
 
 
@@ -159,8 +149,8 @@ def run_buddy_breaker(spec: SuperviseSpec,
     engages (fast-fail + breaker skip vs a full RPC timeout per post),
     never *whether* posts are handled.
     """
-    knobs = SUPERVISED if supervised else UNSUPERVISED
-    knobs = {**knobs, "poison_threshold": None}  # fall through, not DLQ
+    knobs = dict(SUPERVISED if supervised else {},
+                 poison_threshold=None)  # fall through, not DLQ
     # Reliable delivery is what bounds the *unsupervised* failure path:
     # a buddy invocation shipped into the dead node fails when the
     # channel's retransmission budget gives up. Supervision gets there
@@ -185,9 +175,7 @@ def run_buddy_breaker(spec: SuperviseSpec,
     # The monitor's node dies mid-stream and comes back near the end.
     sim.call_at(t0 + 0.3 * span, cluster.crash_node, 1)
     sim.call_at(t0 + 0.8 * span, cluster.recover_node, 1)
-    wall = time.perf_counter()
     cluster.run(until=t0 + span + 30.0)
-    elapsed = time.perf_counter() - wall
 
     served = cluster.get_object(monitor).served
     fellback = sum(handled.values())
@@ -212,48 +200,36 @@ def run_buddy_breaker(spec: SuperviseSpec,
         # virtual post->handled latency: the stall supervision removes
         "mean_latency": round(sum(latencies) / len(latencies), 6),
         "max_latency": round(max(latencies), 6),
-        "wall_posts_per_sec": round(spec.buddy_posts / elapsed, 1)
-        if elapsed else 0.0,
     }
 
 
-def deterministic_view(result: dict[str, Any]) -> dict[str, Any]:
-    """The same-seed-comparable subset (wall-clock stripped)."""
-    return {k: v for k, v in result.items() if k != "wall_posts_per_sec"}
+def run_supervise_sweep(**spec: Any) -> Result:
+    """E11: run every workload supervised and bare over
+    ``SuperviseSpec(**spec)``.
 
-
-WORKLOADS = ["handler-faults", "durable-poison", "buddy-breaker"]
-
-
-def run_supervise_sweep(
-        spec: SuperviseSpec | None = None,
-        workloads: list[str] | None = None,
-) -> tuple[Table, dict[str, dict[str, dict[str, Any]]]]:
-    """Run every workload supervised and bare; returns (table, results).
-
-    ``results[workload]["on"|"off"]`` holds the raw counter dicts the
-    smoke assertions and EXPERIMENTS.md numbers come from.
+    ``detail[workload]["on"|"off"]`` holds the raw counter dicts the
+    check and EXPERIMENTS.md numbers come from.
     """
-    spec = spec or SuperviseSpec()
-    table = Table(
+    spec = SuperviseSpec(**spec)
+    result = Result(Table(
         title="Handler supervision: watchdog + breaker + dead letters + "
               f"failure detector ({spec.posts} chaos posts, "
               f"{spec.buddy_posts} buddy posts)",
         columns=["workload", "supervised", "posts", "exec=1", "noticed/"
                  "buddy", "quarantined/fallback", "hung", "accounted",
-                 "violations", "virt_time"])
+                 "violations", "virt_time"]))
+    table = result.table
     runners = {
         "handler-faults": lambda on: run_handler_faults(spec, on),
         "durable-poison": lambda on: run_handler_faults(spec, on,
                                                         durable=True),
         "buddy-breaker": lambda on: run_buddy_breaker(spec, on),
     }
-    results: dict[str, dict[str, dict[str, Any]]] = {}
-    for workload in workloads or WORKLOADS:
-        results[workload] = {}
+    for workload, runner in runners.items():
+        result.detail[workload] = {}
         for mode, on in (("on", True), ("off", False)):
-            row = runners[workload](on)
-            results[workload][mode] = row
+            row = runner(on)
+            result.detail[workload][mode] = row
             if workload == "buddy-breaker":
                 table.add(workload, mode, row["posts"], row["buddy_served"],
                           row["buddy_served"], row["fallback_handled"],
@@ -270,4 +246,44 @@ def run_supervise_sweep(
                "noticed, or quarantined) with zero wedged handlers; "
                "buddy-breaker delivery totals are asserted identical "
                "on/off")
-    return table, results
+    return result
+
+
+def check_supervise(result: Result) -> None:
+    """The E11 acceptance bars."""
+    results = result.detail
+    for workload in ("handler-faults", "durable-poison"):
+        on, off = results[workload]["on"], results[workload]["off"]
+        # Supervised: every post executed once, noticed, or quarantined;
+        # nothing hung, nothing lost — with faults genuinely injected.
+        assert on["violations"] == 0, (workload, on)
+        assert on["accounted_rate"] == 1.0, (workload, on)
+        assert on["hung_handlers"] == 0, (workload, on)
+        assert sum(on["faults_injected"].values()) > 0, (workload, on)
+        assert on["quarantined"] > 0, (workload, on)
+        assert on["handler_timeouts"] > 0, (workload, on)
+        # Unsupervised contrast: the same faults wedge handlers and
+        # lose posts (that gap is what the subsystem exists to close).
+        assert off["hung_handlers"] > 0, (workload, off)
+        assert off["accounted_rate"] < 1.0, (workload, off)
+        assert off["violations"] > 0, (workload, off)
+    on = results["durable-poison"]["on"]
+    # The durable bar is exactly-once-or-quarantined, no notice escape.
+    assert on["executed_once"] + on["quarantined"] == on["posts"], on
+    assert on["noticed"] == 0, on
+    buddy_on = results["buddy-breaker"]["on"]
+    buddy_off = results["buddy-breaker"]["off"]
+    for row in (buddy_on, buddy_off):
+        # Delivery totals identical: supervision changes how fast the
+        # fallback engages, never whether posts are handled.
+        assert (row["buddy_served"] + row["fallback_handled"]
+                == row["posts"]), row
+    assert buddy_on["membership_suspicions"] > 0, buddy_on
+    assert buddy_on["fast_fails"] > 0, buddy_on
+    assert buddy_on["breaker_opens"] > 0, buddy_on
+    assert buddy_on["breaker_skips"] > 0, buddy_on
+    assert buddy_off["fast_fails"] == buddy_off["breaker_opens"] == 0, \
+        buddy_off
+    # Failing fast + skipping the dead buddy must cut the mean stall.
+    assert buddy_on["mean_latency"] <= 0.5 * buddy_off["mean_latency"], \
+        (buddy_on, buddy_off)

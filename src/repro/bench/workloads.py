@@ -48,6 +48,13 @@ from repro.errors import BenchmarkError
 from repro.locks import LockManager
 
 
+#: trace categories muted for big runs (soak, overload, scale,
+#: membership) — a million posts would otherwise accumulate gigabytes of
+#: TraceRecords; counts are still kept
+MUTED_CATEGORIES = ("event", "object", "thread", "net", "store",
+                    "supervise", "invoke", "dsm", "rpc", "membership")
+
+
 def build_cluster(**overrides: Any) -> Cluster:
     overrides.setdefault("trace_net", False)
     return Cluster(ClusterConfig(**overrides))
@@ -79,6 +86,30 @@ def deep_thread(cluster: Cluster, depth: int, hold: float = 1e6):
     thread = cluster.spawn(caps[0], "hop_and_hold", caps[1:], hold, at=0)
     cluster.run(until=cluster.now + max(1.0, depth * 0.01))
     return thread
+
+
+def measure_posts(cluster: Cluster, thread, posts: int,
+                  warmup: int = 0) -> tuple[float, float]:
+    """Post INTERRUPT ``posts`` times; returns (msgs/post, latency/post).
+
+    ``warmup`` posts run (and are excluded) first, so steady-state
+    strategies like the hint cache are measured hot. Only ``locate.*``
+    messages are counted, so a target that keeps migrating during the
+    measurement is not charged for its own invoke/reply traffic.
+    """
+    for _ in range(warmup):
+        cluster.raise_event("INTERRUPT", thread.tid, from_node=0)
+        cluster.run(until=cluster.now + 0.2)
+    before_msgs = cluster.fabric.stats.count_prefix("locate.")
+    for _ in range(posts):
+        cluster.raise_event("INTERRUPT", thread.tid, from_node=0)
+        cluster.run(until=cluster.now + 0.2)
+    assert thread.alive, "posting must not kill the target"
+    msgs = (cluster.fabric.stats.count_prefix("locate.")
+            - before_msgs) / posts
+    samples = cluster.events.delivery_latencies.last(posts)
+    latency = sum(lat for _, lat in samples) / max(1, len(samples))
+    return msgs, latency
 
 
 class Bouncer(DistObject):

@@ -50,6 +50,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 RETRYABLE_INVOKE_ERRORS = (NodeCrashedError, UndeliverableError, RpcTimeout,
                            BuddyUnavailableError)
 
+#: virtual seconds to suspend/resume a thread at event delivery,
+#: charged once per notice
+CONTEXT_SWITCH_COST = 1e-5
+#: virtual seconds to set up the surrogate for a thread-based handler,
+#: charged once per handler run
+SURROGATE_COST = 5e-5
+
 
 def _procedure_frame(ctx, fn, current_obj, block):
     """Surrogate frame: per-thread-memory handler in the current
@@ -95,11 +102,8 @@ class Executor:
         self.settle = settle
         #: ``post.enqueue_for_thread``, for the HANDLER_TIMEOUT notice
         self.enqueue = enqueue
-        config = cluster.config
-        self.context_switch_cost = config.context_switch_cost
-        self.surrogate_cost = config.surrogate_cost
-        self.handler_retries = config.handler_retries
-        self.handler_backoff = config.handler_backoff
+        self.handler_retries = cluster.config.handler_retries
+        self.handler_backoff = cluster.config.handler_backoff
         #: notices whose handling began
         self.delivered = 0
         #: handler surrogates that raised (folded into PROPAGATE)
@@ -118,8 +122,7 @@ class Executor:
                 or thread.state == TERMINATING):
             return
         thread.suspended_by_event = True
-        self.sim.call_after(self.context_switch_cost, self._next_notice,
-                            thread)
+        self.sim.call_after(CONTEXT_SWITCH_COST, self._next_notice, thread)
 
     def _next_notice(self, thread: DThread) -> None:
         if not thread.alive or thread.state == TERMINATING:
@@ -261,7 +264,7 @@ class Executor:
                 done(Decision.PROPAGATE, None, exc)
                 return
             self.sim.call_after(
-                self.surrogate_cost, self._run_on_surrogate, thread, block,
+                SURROGATE_COST, self._run_on_surrogate, thread, block,
                 node, done, self.supervisor.effective_deadline(registration),
                 _procedure_frame, fn, thread.current_object, block)
             return
@@ -313,7 +316,7 @@ class Executor:
             done(decision, value, error)
 
         self.sim.call_after(
-            self.surrogate_cost, self._run_on_surrogate, thread, block, node,
+            SURROGATE_COST, self._run_on_surrogate, thread, block, node,
             on_done, self.supervisor.effective_deadline(registration),
             _invoke_frame, obj.cap, registration.fn_name, block)
 
@@ -344,7 +347,7 @@ class Executor:
         argument for the master handler thread — do not pay a thread
         creation per handler run — applied to §6.1); it is created when
         the first handler is due and replaced only if it died (watchdog,
-        crash). ``surrogate_cost`` is charged per handler by the caller.
+        crash). ``SURROGATE_COST`` is charged per handler by the caller.
         """
         invoker = self.invoker
         name = f"handler:{block.event}"

@@ -24,6 +24,9 @@ from typing import Any, Callable
 
 from repro.errors import EventError, UnknownObjectError
 
+#: virtual seconds of attach_handler bookkeeping
+ATTACH_COST = 1e-6
+
 
 class HandlerContext(enum.Enum):
     """Where a thread-based handler executes (§4.1)."""
@@ -116,8 +119,7 @@ def attach_from_thread(cluster: Any, thread: Any, frame: Any,
     cluster.tracer.emit(
         "event", "attach", event=syscall.event, tid=str(thread.tid),
         context=registration.context.value, node=frame.node)
-    thread.schedule_step_after(cluster.config.attach_cost,
-                               registration.reg_id, None)
+    thread.schedule_step_after(ATTACH_COST, registration.reg_id, None)
 
 
 def _build_registration(cluster: Any, thread: Any, frame: Any,

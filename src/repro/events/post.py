@@ -40,6 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 MSG_POST_OBJECT = "event.post-object"
 
+#: virtual seconds a degraded (fire-and-forget) post may stay unresolved
+#: before its raiser gets the §7.2 notice, when no ``post_deadline`` is set
+LOCATE_TIMEOUT = 1.0
+
 
 class Poster:
     """Thread and object posting for the whole cluster."""
@@ -58,7 +62,7 @@ class Poster:
         self.locator = make_locator(config.locator, cluster,
                                     self.enqueue_for_thread)
         self.post_deadline = config.post_deadline  # positive, or None
-        self.degrade_deadline = config.post_deadline or config.locate_timeout
+        self.degrade_deadline = config.post_deadline or LOCATE_TIMEOUT
         self.dedup_window = config.dedup_window
         #: posts that ended in §7.2's dead-target notice
         self.dead_targets = 0

@@ -108,28 +108,16 @@ class ClusterConfig:
         custom model is installed on the fabric afterwards).
     locator:
         Thread-location strategy for event posting.
-    default_transport:
-        How invocations reach remote objects by default.
     object_event_mode:
         Whether object-based events are served by a per-node master
         handler thread or by a freshly created thread per event.
     thread_create_cost:
         Virtual seconds to create a thread (charged for spawned threads
         and per-event handler threads).
-    surrogate_cost:
-        Virtual seconds to set up a surrogate thread for a thread-based
-        handler.
-    context_switch_cost:
-        Virtual seconds to suspend/resume a thread at event delivery.
-    attach_cost:
-        Virtual seconds for attach_handler bookkeeping.
     page_size:
         Bytes per DSM page.
     dsm_fields_per_page:
         How many object fields share one DSM page (false sharing knob).
-    locate_timeout:
-        Virtual seconds a broadcast locate waits before concluding the
-        thread is dead.
     trace_net:
         Store per-message trace records (muted for big benchmarks).
     """
@@ -138,15 +126,10 @@ class ClusterConfig:
     seed: int = 0
     link_latency: float = 1e-3
     locator: str = LOCATE_PATH
-    default_transport: str = TRANSPORT_RPC
     object_event_mode: str = OBJ_EVENTS_MASTER
     thread_create_cost: float = 2e-4
-    surrogate_cost: float = 5e-5
-    context_switch_cost: float = 1e-5
-    attach_cost: float = 1e-6
     page_size: int = 4096
     dsm_fields_per_page: int = 1
-    locate_timeout: float = 1.0
     #: Fail a raise_and_wait raiser after this many virtual seconds if no
     #: resume arrived (None = wait forever). Guards against message loss.
     sync_raise_timeout: float | None = None
@@ -179,9 +162,6 @@ class ClusterConfig:
     #: Default timeout for RPC requests made without an explicit one
     #: (None = wait forever, the seed behaviour).
     rpc_default_timeout: float | None = None
-    #: Times an idempotent RPC request is re-issued after a timeout
-    #: before the caller sees RpcTimeout.
-    rpc_retries: int = 0
     #: Backstop deadline (virtual seconds) for an asynchronous post: if
     #: neither success nor failure has been reported by then, the raiser
     #: gets an undeliverable notice (None = no backstop).
@@ -333,10 +313,6 @@ class ClusterConfig:
             raise KernelError(
                 f"unknown cache_fallback {self.cache_fallback!r}; "
                 f"choose from {BASE_LOCATOR_NAMES}")
-        if self.default_transport not in TRANSPORT_NAMES:
-            raise KernelError(
-                f"unknown transport {self.default_transport!r}; "
-                f"choose from {TRANSPORT_NAMES}")
         if self.object_event_mode not in (OBJ_EVENTS_MASTER, OBJ_EVENTS_PER_EVENT):
             raise KernelError(
                 f"unknown object_event_mode {self.object_event_mode!r}")
@@ -365,13 +341,12 @@ class ClusterConfig:
             raise KernelError("wheel_tick must be positive")
         if self.wheel_slots < 2:
             raise KernelError("wheel_slots must be >= 2")
-        for name in ("link_latency", "thread_create_cost", "surrogate_cost",
-                     "context_switch_cost", "attach_cost", "locate_timeout",
-                     "retransmit_base", "ack_delay"):
+        for name in ("link_latency", "thread_create_cost", "retransmit_base",
+                     "ack_delay"):
             if getattr(self, name) < 0:
                 raise KernelError(f"{name} must be non-negative")
-        if self.max_retransmits < 0 or self.rpc_retries < 0:
-            raise KernelError("max_retransmits and rpc_retries must be >= 0")
+        if self.max_retransmits < 0:
+            raise KernelError("max_retransmits must be >= 0")
         if self.dedup_window < 1:
             raise KernelError("dedup_window must be >= 1")
         for name in ("rpc_default_timeout", "post_deadline",

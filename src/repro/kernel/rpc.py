@@ -30,6 +30,10 @@ from repro.sim.scheduler import Simulator
 MSG_REQUEST = "rpc.request"
 MSG_REPLY = "rpc.reply"
 
+#: times a request is re-issued after a timeout unless the caller says
+#: otherwise (only idempotent services may ask for more)
+RPC_RETRIES = 0
+
 ServiceFn = Callable[[Any, Message], Any]
 
 
@@ -110,7 +114,7 @@ class RpcEngine:
 
     def request(self, dst: int, service: str, payload: Any = None,
                 size: int = 64, timeout: float | None = None,
-                retries: int | None = None) -> SimFuture[Any]:
+                retries: int = RPC_RETRIES) -> SimFuture[Any]:
         """Send a request; the returned future resolves with the reply.
 
         A service exception on the peer fails the future with that
@@ -118,14 +122,11 @@ class RpcEngine:
         :class:`RpcTimeout` — used by locators to detect dead threads.
         When omitted, ``config.rpc_default_timeout`` applies. ``retries``
         re-issues the request that many times after timeouts before
-        failing; only safe for idempotent services. Defaults to
-        ``config.rpc_retries``.
+        failing; only safe for idempotent services.
         """
         config = self.kernel.config if self.kernel is not None else None
         if timeout is None and config is not None:
             timeout = config.rpc_default_timeout
-        if retries is None:
-            retries = config.rpc_retries if config is not None else 0
         call_id = next(self._call_ids)
         fut: SimFuture[Any] = SimFuture(self.sim)
         envelope = Message(

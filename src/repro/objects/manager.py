@@ -25,6 +25,7 @@ from repro.events.handlers import ObjectHandlerRegistry
 from repro.kernel.config import (
     OBJ_EVENTS_MASTER,
     TRANSPORT_DSM,
+    TRANSPORT_RPC,
 )
 from repro.objects.base import DistObject
 from repro.objects.capability import Capability
@@ -69,7 +70,7 @@ class ObjectManager:
         """Instantiate ``cls`` on this node and return its capability."""
         if not (isinstance(cls, type) and issubclass(cls, DistObject)):
             raise ObjectError(f"{cls!r} is not a DistObject subclass")
-        transport = transport or self.kernel.config.default_transport
+        transport = transport or TRANSPORT_RPC
         obj = cls(*args, **kwargs)
         if obj._home is not None:
             raise ObjectError(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import Table, ratio, sweep
+from repro.bench.harness import Table, ratio
 from repro.bench.workloads import (
     build_cluster,
     ctrl_c_app,
@@ -47,10 +47,14 @@ class TestTable:
         table = Table(title="empty", columns=["only"])
         assert "only" in table.render()
 
-    def test_sweep_and_ratio(self):
-        assert sweep([1, 2, 3], lambda x: x * 2) == [2, 4, 6]
+    def test_ratio(self):
         assert ratio(6, 3) == 2
         assert ratio(1, 0) == float("inf")
+
+    def test_dicts(self):
+        table = Table(title="t", columns=["a", "b"])
+        table.add(1, "x")
+        assert table.dicts() == [{"a": 1, "b": "x"}]
 
 
 class TestWorkloadBuilders:
@@ -130,65 +134,8 @@ class TestMatrixLatency:
 
 
 class TestExperimentSmoke:
-    """Tiny-parameter runs of each experiment: they complete and keep
-    their basic invariants. The real assertions live in benchmarks/."""
-
-    def test_table1(self):
-        from repro.bench.experiments import run_table1
-
-        table = run_table1()
-        assert len(table.rows) == 6
-
-    def test_e2(self):
-        from repro.bench.experiments import run_e2
-
-        table = run_e2(cluster_sizes=(2, 4), depths=(1,), posts=3)
-        # 3 paper locators x 2 sizes, cached hot+cold x 2 sizes, and one
-        # cached migrating-target row (needs >= 3 nodes)
-        assert len(table.rows) == 11
-
-    def test_e3(self):
-        from repro.bench.experiments import run_e3
-
-        table = run_e3(event_counts=(5,))
-        assert len(table.rows) == 2
-
-    def test_e4(self):
-        from repro.bench.experiments import run_e4
-
-        table = run_e4(lock_counts=(2,))
-        assert table.column("released %") == [100.0]
-
-    def test_e5(self):
-        from repro.bench.experiments import run_e5
-
-        table = run_e5(worker_counts=(2,), n_nodes=4)
-        assert table.column("survivors") == [0]
-
-    def test_e6(self):
-        from repro.bench.experiments import run_e6
-
-        table = run_e6(faulter_counts=(1,), n_nodes=3)
-        assert len(table.rows) == 2
-
-    def test_e7(self):
-        from repro.bench.experiments import run_e7
-
-        table = run_e7(workers=2, rounds=2)
-        assert table.column("per-thread handler traces equal") == \
-            ["yes", "yes"]
-
-    def test_e8(self):
-        from repro.bench.experiments import run_e8
-
-        table = run_e8(seeds=range(2))
-        assert table.rows[-1][0] == "OVERALL"
-
-    def test_e9(self):
-        from repro.bench.experiments import run_e9
-
-        table = run_e9(service_times=(0.0,))
-        assert table.column("async window (ms)") == [0.0]
+    """The ``python -m repro.bench`` CLI end to end; the experiments
+    themselves are run and checked by ``tests/test_experiments.py``."""
 
     def test_main_module_subset(self, capsys):
         from repro.bench.__main__ import main
@@ -196,3 +143,5 @@ class TestExperimentSmoke:
         assert main(["e4"]) == 0
         assert "TERMINATE-chained" in capsys.readouterr().out
         assert main(["nope"]) == 2
+        assert main(["report", "e4"]) == 0
+        assert "measured at" in capsys.readouterr().out

@@ -83,7 +83,7 @@ class TestDurableChaos:
     def test_durable_run_is_deterministic(self):
         spec = ChaosSpec(seed=17, durable=True, posts=60, drop_rate=0.15,
                          crash_period=0.6, down_time=0.4,
-                         checkpoint_interval=16)
+                         config={"checkpoint_interval": 16})
         first, second = run_chaos(spec), run_chaos(spec)
         assert first.digest == second.digest
         assert first.durability == second.durability
@@ -132,11 +132,14 @@ class TestOneConclusionPerPost:
         "supervised": ChaosSpec(
             seed=13, handler_faults={"hang": 0.06, "raise": 0.06,
                                      "poison": 0.05},
-            handler_deadline=0.05, handler_retries=2, breaker_threshold=3,
-            poison_threshold=3, swim_interval=0.02, **BASE),
+            config=dict(handler_deadline=0.05, handler_retries=2,
+                        breaker_threshold=3, poison_threshold=3,
+                        swim_interval=0.02), **BASE),
         "overload": ChaosSpec(
-            seed=0, overload=2.0, admission_high=8, flow_credits=8,
-            overload_policy="drop", **{**BASE, "crash_period": 0.3}),
+            seed=0, overload=2.0,
+            config=dict(admission_high=8, flow_credits=8,
+                        overload_policy="drop"),
+            **{**BASE, "crash_period": 0.3}),
     }
 
     @pytest.mark.parametrize("name", sorted(SPECS))

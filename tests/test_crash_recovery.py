@@ -113,22 +113,21 @@ class TestRpcFailFast:
 
     def test_default_timeout_and_retries_from_config(self):
         cluster = make_cluster(n_nodes=2, rpc_default_timeout=0.1,
-                               rpc_retries=2, reliable_delivery=False)
+                               reliable_delivery=False)
         from repro.errors import RpcTimeout
         cluster.fabric.faults.partition({0}, {1})
-        fut = cluster.kernels[0].rpc.request(1, "ping")
+        fut = cluster.kernels[0].rpc.request(1, "ping", retries=2)
         cluster.run(until=2.0)
         with pytest.raises(RpcTimeout):
             fut.result()
         assert cluster.kernels[0].rpc.retries_sent == 2
 
     def test_retry_succeeds_after_heal(self):
-        cluster = make_cluster(n_nodes=2, rpc_default_timeout=0.2,
-                               rpc_retries=3)
+        cluster = make_cluster(n_nodes=2, rpc_default_timeout=0.2)
         cluster.kernels[1].rpc.serve("ping", lambda payload, msg: "pong")
         plan = cluster.fabric.faults
         plan.partition({0}, {1})
-        fut = cluster.kernels[0].rpc.request(1, "ping")
+        fut = cluster.kernels[0].rpc.request(1, "ping", retries=3)
         cluster.run(until=0.3)
         assert not fut.done
         plan.heal()

@@ -86,6 +86,6 @@ class TestDeterminism:
     def test_experiment_tables_reproducible(self):
         from repro.bench.experiments import run_e4
 
-        first = run_e4(lock_counts=(1, 4)).rows
-        second = run_e4(lock_counts=(1, 4)).rows
+        first = run_e4(lock_counts=(1, 4)).table.rows
+        second = run_e4(lock_counts=(1, 4)).table.rows
         assert first == second

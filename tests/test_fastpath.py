@@ -6,6 +6,7 @@ import gc
 import weakref
 from dataclasses import replace
 
+from repro import ClusterConfig
 from repro.bench.chaos import ChaosSpec, run_chaos
 from repro.net.fabric import Fabric
 from repro.net.faults import FaultPlan
@@ -319,10 +320,10 @@ class TestChaosWithFastPath:
         assert report.accounted_rate == 1.0
 
     def test_durable_chaos_invariants_both_ways(self):
-        base = replace(self.BASE, durable=True, posts=40,
-                       checkpoint_interval=16)
-        for ack_delay in (base.ack_delay, 0.0):
-            report = run_chaos(replace(base, ack_delay=ack_delay))
+        base = replace(self.BASE, durable=True, posts=40)
+        for ack_delay in (ClusterConfig.ack_delay, 0.0):
+            report = run_chaos(replace(base, config={
+                "checkpoint_interval": 16, "ack_delay": ack_delay}))
             assert report.violations == [], (ack_delay,
                                              report.violations[:3])
             assert report.durability["pending"] == 0

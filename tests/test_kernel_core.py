@@ -6,10 +6,12 @@ import pathlib
 import pytest
 
 import repro
+from repro import Cluster, DistObject
 from repro.errors import (
     EventNameInUseError,
     KernelError,
     NameServiceError,
+    ObjectError,
     RpcError,
     RpcTimeout,
     UnknownEventError,
@@ -38,8 +40,11 @@ class TestClusterConfig:
             ClusterConfig(locator="teleport")
 
     def test_rejects_unknown_transport(self):
-        with pytest.raises(KernelError):
-            ClusterConfig(default_transport="carrier-pigeon")
+        # the invocation transport is chosen per create_object
+        cluster = Cluster(ClusterConfig(n_nodes=1))
+        with pytest.raises(ObjectError, match="carrier-pigeon"):
+            cluster.create_object(DistObject, node=0,
+                                  transport="carrier-pigeon")
 
     def test_rejects_unknown_event_mode(self):
         with pytest.raises(KernelError):
@@ -55,8 +60,8 @@ class TestClusterConfig:
 
     def test_field_budget(self):
         count = len(dataclasses.fields(ClusterConfig))
-        assert count <= 49, (
-            f"ClusterConfig has {count} fields, budget is 49 — ROADMAP: "
+        assert count <= 43, (
+            f"ClusterConfig has {count} fields, budget is 43 — ROADMAP: "
             "a PR that adds a knob names the one it retires")
 
     def test_events_module_budget(self):
@@ -78,7 +83,9 @@ class TestClusterConfig:
         "swim_gossip_max", "retransmit_backoff", "locate_retries",
         "locate_retry_delay", "location_hint_capacity",
         "latency_reservoir_capacity", "shard_window",
-        "cross_shard_latency"])
+        "cross_shard_latency",
+        "surrogate_cost", "context_switch_cost", "attach_cost",
+        "locate_timeout", "default_transport", "rpc_retries"])
     def test_retired_names_rejected(self, name):
         with pytest.raises(TypeError, match=name):
             ClusterConfig(**{name: None})

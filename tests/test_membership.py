@@ -376,7 +376,8 @@ class TestKnobsOffUnchanged:
         assert first.churn_events == []
         # Adding the *fields* at their defaults draws nothing extra from
         # the seeded stream: digest identical.
-        again = run_chaos(replace(spec, churn=None, swim_interval=None))
+        again = run_chaos(replace(spec, churn=None,
+                                  config={"swim_interval": None}))
         assert first.digest == again.digest
 
 
@@ -390,7 +391,8 @@ CHURN = ChurnSpec(period=0.3, down_time=0.4, max_down=2)
 class TestChurnChaos:
     def test_churn_invariant_and_determinism(self):
         spec = ChaosSpec(seed=7, n_nodes=8, posts=60, drop_rate=0.05,
-                         crash_period=None, swim_interval=INTERVAL,
+                         crash_period=None,
+                         config={"swim_interval": INTERVAL},
                          churn=CHURN, settle=12.0)
         report = run_chaos(spec)
         assert report.violations == []
@@ -401,8 +403,8 @@ class TestChurnChaos:
 
     def test_churn_off_leaves_no_trace(self):
         spec = ChaosSpec(seed=7, n_nodes=8, posts=60, drop_rate=0.05,
-                         crash_period=None, swim_interval=INTERVAL,
-                         settle=12.0)
+                         crash_period=None,
+                         config={"swim_interval": INTERVAL}, settle=12.0)
         report = run_chaos(spec)
         assert report.churn_events == []
         assert report.violations == []
@@ -419,8 +421,8 @@ class TestChurnChaos:
         doubled — on both scheduler backends."""
         spec = ChaosSpec(
             seed=seed, n_nodes=6, posts=30, drop_rate=drop_rate,
-            crash_period=None, durable=True, swim_interval=INTERVAL,
-            scheduler=scheduler,
+            crash_period=None, durable=True,
+            config={"swim_interval": INTERVAL, "scheduler": scheduler},
             churn=ChurnSpec(period=0.35, down_time=0.45, max_down=2,
                             leave_fraction=leave_fraction),
             settle=15.0)

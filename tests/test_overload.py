@@ -429,12 +429,13 @@ class TestChaosOverload:
     def test_knobs_off_digest_unchanged(self):
         base = ChaosSpec(posts=40, settle=5.0)
         explicit = ChaosSpec(posts=40, settle=5.0, overload=1.0,
-                             overload_policy="drop")
+                             config={"overload_policy": "drop"})
         assert run_chaos(base).digest == run_chaos(explicit).digest
 
     def test_overload_with_crashes_keeps_invariants(self):
-        spec = ChaosSpec(posts=80, overload=2.0, admission_high=8,
-                         flow_credits=8, overload_policy="drop",
+        spec = ChaosSpec(posts=80, overload=2.0,
+                         config=dict(admission_high=8, flow_credits=8,
+                                     overload_policy="drop"),
                          crash_period=0.3, settle=10.0)
         report = run_chaos(spec)
         assert report.violations == []
@@ -444,17 +445,18 @@ class TestChaosOverload:
 
     def test_durable_overload_with_crashes_loses_nothing(self):
         spec = ChaosSpec(posts=80, overload=2.0, durable=True,
-                         admission_high=8, flow_credits=8,
-                         overload_policy="defer", crash_period=0.3,
-                         settle=10.0)
+                         config=dict(admission_high=8, flow_credits=8,
+                                     overload_policy="defer"),
+                         crash_period=0.3, settle=10.0)
         report = run_chaos(spec)
         assert report.violations == []
         assert report.executed_once == spec.posts
         assert report.durability["pending"] == 0
 
     def test_overload_run_deterministic(self):
-        spec = ChaosSpec(posts=50, overload=2.0, admission_high=8,
-                         flow_credits=4, overload_policy="drop",
+        spec = ChaosSpec(posts=50, overload=2.0,
+                         config=dict(admission_high=8, flow_credits=4,
+                                     overload_policy="drop"),
                          settle=8.0)
         assert run_chaos(spec).digest == run_chaos(spec).digest
 

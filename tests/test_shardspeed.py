@@ -43,7 +43,7 @@ SMALL = ScaleSpec(n_nodes=8, shard_count=2, posts_per_node=15)
 
 #: posts 20 windows apart: most conservative windows are quiescent
 SPARSE = ScaleSpec(n_nodes=8, shard_count=2, posts_per_node=10,
-                   interval=0.1, link_latency=5e-3)
+                   interval=0.1)
 
 
 def outcome_scenario(ctx):
@@ -114,7 +114,8 @@ class TestBarrierDeterminism:
                              ids=["dense", "sparse"])
     def test_sharded_equals_sim_reference(self, spec):
         report = run_sharded(
-            spec.config(transport="sharded", shard_count=spec.shard_count),
+            spec.cluster_config(transport="sharded",
+                                shard_count=spec.shard_count),
             "tests.test_shardspeed:outcome_scenario",
             scenario_args=_scenario_args(spec))
         reference = run_scale_local(replace(spec, shard_count=1))
@@ -127,7 +128,8 @@ class TestBarrierDeterminism:
         assert (sum(r["executed"] for r in report.shard_results)
                 == reference["executed"] == spec.total_posts)
         every_window = math.ceil(
-            report.virtual_time / spec.link_latency - 1e-9)
+            report.virtual_time
+            / spec.cluster_config().link_latency - 1e-9)
         assert report.windows <= every_window
         if spec is SPARSE:
             # quiescent windows were skipped, not barriered

@@ -692,7 +692,8 @@ class TestChaosWithHandlerFaults:
                  swim_interval=0.02)
 
     def test_supervised_chaos_accounts_every_post(self):
-        spec = replace(self.BASE, handler_faults=self.FAULTS, **self.KNOBS)
+        spec = replace(self.BASE, handler_faults=self.FAULTS,
+                       config=self.KNOBS)
         report = run_chaos(spec)
         assert sum(report.handler_fault_counts.values()) > 0
         assert report.violations == []
@@ -702,7 +703,7 @@ class TestChaosWithHandlerFaults:
 
     def test_supervised_durable_chaos_exactly_once_or_quarantined(self):
         spec = replace(self.BASE, posts=40, durable=True,
-                       handler_faults=self.FAULTS, **self.KNOBS)
+                       handler_faults=self.FAULTS, config=self.KNOBS)
         report = run_chaos(spec)
         assert report.violations == []
         assert report.hung_handlers == 0
@@ -713,7 +714,7 @@ class TestChaosWithHandlerFaults:
 
     def test_same_seed_determinism_with_supervision(self):
         spec = replace(self.BASE, posts=40, handler_faults=self.FAULTS,
-                       **self.KNOBS)
+                       config=self.KNOBS)
         assert run_chaos(spec).digest == run_chaos(spec).digest
 
 

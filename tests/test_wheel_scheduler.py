@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.bench.chaos import ChaosSpec, run_chaos
-from repro.bench.soak import SoakSpec, deterministic_view, run_burst_phase
+from repro.bench.soak import SoakSpec, run_burst_phase
 from repro.errors import KernelError, SimulationError
 from repro.kernel.config import ClusterConfig
 from repro.sim import Simulator, WheelSimulator, make_simulator
@@ -233,22 +233,24 @@ def test_wheel_matches_heap_firing_order(ops_seed):
 
 def test_chaos_digest_identical_heap_vs_wheel():
     base = dict(seed=11, posts=40, settle=8.0)
-    heap = run_chaos(ChaosSpec(scheduler="heap", **base))
-    wheel = run_chaos(ChaosSpec(scheduler="wheel", **base))
+    heap = run_chaos(ChaosSpec(config={"scheduler": "heap"}, **base))
+    wheel = run_chaos(ChaosSpec(config={"scheduler": "wheel"}, **base))
     assert heap.violations == [] and wheel.violations == []
     assert heap.digest == wheel.digest
 
 
 def test_durable_chaos_digest_identical_heap_vs_wheel():
     base = dict(seed=7, posts=30, settle=8.0, durable=True)
-    heap = run_chaos(ChaosSpec(scheduler="heap", **base))
-    wheel = run_chaos(ChaosSpec(scheduler="wheel", **base))
+    heap = run_chaos(ChaosSpec(config={"scheduler": "heap"}, **base))
+    wheel = run_chaos(ChaosSpec(config={"scheduler": "wheel"}, **base))
     assert heap.violations == [] and wheel.violations == []
     assert heap.digest == wheel.digest
 
 
 def test_fastpath_burst_identical_heap_vs_wheel():
     base = dict(seed=5, burst=4)
-    heap = run_burst_phase(SoakSpec(scheduler="heap", **base), 80).row()
-    wheel = run_burst_phase(SoakSpec(scheduler="wheel", **base), 80).row()
-    assert deterministic_view(heap) == deterministic_view(wheel)
+    heap = run_burst_phase(
+        SoakSpec(config={"scheduler": "heap"}, **base), 80).row()
+    wheel = run_burst_phase(
+        SoakSpec(config={"scheduler": "wheel"}, **base), 80).row()
+    assert heap == wheel
