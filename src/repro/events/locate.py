@@ -31,6 +31,13 @@ one interface:
 
 Because threads keep moving while notices are in flight, every strategy
 retries a bounded number of times before declaring the thread dead.
+
+On the wire a locate message is the ``tid`` and the notice, both
+registered shapes.  The origin's side of the exchange — the verdict
+callback, the hop count and retry budget, a probe round's tally — is
+kept by the locator under the notice's block id (``_open``) and the
+message names it, because the verdict returns to the raiser by a call,
+not by a message the paper's protocols do not have.
 """
 
 from __future__ import annotations
@@ -78,6 +85,10 @@ class BaseLocator:
         self.cluster = cluster
         #: the post stage's hand-over: ``enqueue(node, tid, block)``
         self.enqueue = enqueue
+        #: block id -> the origin's side of a locate that has a message
+        #: out: ``(state, on_result)`` while a forwarded notice travels,
+        #: ``(state, pending, on_result, tid, block)`` for a probe round
+        self._open: dict[int, tuple] = {}
         for kernel in cluster.kernels.values():
             kernel.register_message_handler(self.POST, self.on_message)
             if self.REPLY is not None:
@@ -130,22 +141,27 @@ class BaseLocator:
             self._arrived(to_node, tid, block, state, on_result)
             return
         membership = self._membership(from_node)
-        if membership is not None and membership.is_dead(to_node):
-            # Confirmed dead by gossip: do not spend a message on a node
-            # the whole cluster agrees is gone.
+        if (to_node not in self.cluster.kernels
+                or membership is not None and membership.is_dead(to_node)):
+            # Another shard's node — threads, and the origin's side of
+            # this locate, live in one process — or confirmed dead by
+            # gossip: do not spend a message the verdict cannot follow.
             lost(None)
             return
         state["hops"] += 1
+        self._open[block.block_id] = (state, on_result)
         self.cluster.transmit(Message(
             src=from_node, dst=to_node, mtype=self.POST, size=128,
-            payload={"tid": tid, "block": block, "state": state,
-                     "on_result": on_result}), lost)
+            payload={"tid": tid, "block": block}), lost)
 
     def on_message(self, message: Message) -> None:
-        """A forwarded notice arrived."""
+        """A forwarded notice arrived (once: a network duplicate finds
+        the walk has moved on)."""
         body = message.payload
-        self._arrived(int(message.dst), body["tid"], body["block"],
-                      body["state"], body["on_result"])
+        block = body["block"]
+        walk = self._open.pop(block.block_id, None)
+        if walk is not None:
+            self._arrived(int(message.dst), body["tid"], block, *walk)
 
 
 class PathLocator(BaseLocator):
@@ -227,18 +243,14 @@ class _ProbeLocator(BaseLocator):
             return
         pending = {"found": False, "replies": 0, "expected": len(targets)}
         state["hops"] += len(targets)
+        key, round_ = block.block_id, state["retries"]
+        self._open[key] = (state, pending, on_result, tid, block)
         for node in targets:
-            payload = {"tid": tid, "block": block, "state": state,
-                       "pending": pending, "on_result": on_result}
+            # an undeliverable probe counts as a not-found
             self.cluster.transmit(Message(
                 src=from_node, dst=node, mtype=self.POST, size=128,
-                payload=payload),
-                lambda m, p=payload: self._probe_lost(p))
-
-    def _probe_lost(self, body: dict) -> None:
-        """A probe (or its reply) is undeliverable: count a not-found."""
-        self.on_reply(Message(src=-1, dst=-1, mtype=self.REPLY,
-                              payload={**body, "found": False}))
+                payload={"tid": tid, "block": block, "round": round_}),
+                lambda m: self._tally(key, round_, False))
 
     def _retry_or_fail(self, tid: ThreadId, block: EventBlock, state: dict,
                        on_result: PostResult) -> None:
@@ -252,31 +264,39 @@ class _ProbeLocator(BaseLocator):
     def on_message(self, message: Message) -> None:
         body = message.payload
         node = int(message.dst)
-        found = self._accept(node, body["tid"], body["block"])
-        body["state"]["hops"] += 1  # the reply
-        payload = {"found": found, "tid": body["tid"],
-                   "block": body["block"], "state": body["state"],
-                   "pending": body["pending"],
-                   "on_result": body["on_result"]}
+        block = body["block"]
+        key, round_ = block.block_id, body["round"]
+        found = self._accept(node, body["tid"], block)
+        # the answer stands even if the reply is undeliverable
         self.cluster.transmit(Message(
-            src=node, dst=body["state"]["from_node"],
-            mtype=self.REPLY, size=64, payload=payload),
-            lambda m, p=payload: self.on_reply(
-                Message(src=-1, dst=-1, mtype=self.REPLY, payload=p)))
+            src=node, dst=message.src, mtype=self.REPLY, size=64,
+            payload={"id": key, "round": round_, "found": found}),
+            lambda m: self._tally(key, round_, found, replied=True))
 
     def on_reply(self, message: Message) -> None:
         body = message.payload
-        pending, state = body["pending"], body["state"]
+        self._tally(body["id"], body["round"], body["found"], replied=True)
+
+    def _tally(self, key: int, round_: int, found: bool,
+               replied: bool = False) -> None:
+        """Count one probe's answer at the origin; the last one of the
+        round gives the verdict or starts the next round."""
+        probe = self._open.get(key)
+        if probe is None or probe[0]["retries"] != round_:
+            return  # an answer to a round that is over
+        state, pending, on_result, tid, block = probe
+        if replied:
+            state["hops"] += 1
         pending["replies"] += 1
-        if body["found"]:
+        if found:
             pending["found"] = True
         if pending["replies"] < pending["expected"]:
             return
+        del self._open[key]
         if pending["found"]:
-            body["on_result"](True, state["hops"])
+            on_result(True, state["hops"])
             return
-        self._retry_or_fail(body["tid"], body["block"], state,
-                            body["on_result"])
+        self._retry_or_fail(tid, block, state, on_result)
 
 
 class BroadcastLocator(_ProbeLocator):

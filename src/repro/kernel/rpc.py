@@ -10,10 +10,10 @@ immediately or asynchronously by returning a future themselves.
 Robustness: every call records its destination, so a node crash can fail
 the calls targeting it immediately (:meth:`RpcEngine.fail_calls_to`)
 instead of leaking parked futures. Calls without an explicit timeout
-inherit ``config.rpc_default_timeout``, and idempotent services can opt
-into ``retries`` — the same call id is re-issued after each timeout, so a
-late reply to any attempt resolves the one future and stragglers are
-ignored as duplicates.
+inherit ``config.rpc_default_timeout``. A request is sent once: lost
+messages are the reliable channel's to retransmit
+(``reliable_delivery``), and a duplicate or post-timeout reply finds no
+outstanding call and is ignored.
 """
 
 from __future__ import annotations
@@ -30,20 +30,7 @@ from repro.sim.scheduler import Simulator
 MSG_REQUEST = "rpc.request"
 MSG_REPLY = "rpc.reply"
 
-#: times a request is re-issued after a timeout unless the caller says
-#: otherwise (only idempotent services may ask for more)
-RPC_RETRIES = 0
-
 ServiceFn = Callable[[Any, Message], Any]
-
-
-class _RemoteFailure:
-    """Wire representation of a service exception."""
-
-    __slots__ = ("error",)
-
-    def __init__(self, error: BaseException) -> None:
-        self.error = error
 
 
 class SizedReply:
@@ -63,19 +50,14 @@ class SizedReply:
 class _Call:
     """Sender-side record of one outstanding request."""
 
-    __slots__ = ("fut", "dst", "service", "envelope", "timeout",
-                 "retries_left", "attempts")
+    __slots__ = ("fut", "dst", "service", "timeout")
 
     def __init__(self, fut: SimFuture[Any], dst: int, service: str,
-                 envelope: Message, timeout: float | None,
-                 retries_left: int) -> None:
+                 timeout: float | None) -> None:
         self.fut = fut
         self.dst = dst
         self.service = service
-        self.envelope = envelope
         self.timeout = timeout
-        self.retries_left = retries_left
-        self.attempts = 1
 
 
 class RpcEngine:
@@ -97,7 +79,6 @@ class RpcEngine:
         self._outstanding: dict[int, _Call] = {}
         self._call_ids = itertools.count(1)
         self.timeouts = 0
-        self.retries_sent = 0
         self.failed_by_crash = 0
 
     def serve(self, service: str, fn: ServiceFn) -> None:
@@ -113,33 +94,27 @@ class RpcEngine:
         return len(self._outstanding)
 
     def request(self, dst: int, service: str, payload: Any = None,
-                size: int = 64, timeout: float | None = None,
-                retries: int = RPC_RETRIES) -> SimFuture[Any]:
+                size: int = 64,
+                timeout: float | None = None) -> SimFuture[Any]:
         """Send a request; the returned future resolves with the reply.
 
         A service exception on the peer fails the future with that
         exception. ``timeout`` (virtual seconds) fails it with
         :class:`RpcTimeout` — used by locators to detect dead threads.
-        When omitted, ``config.rpc_default_timeout`` applies. ``retries``
-        re-issues the request that many times after timeouts before
-        failing; only safe for idempotent services.
+        When omitted, ``config.rpc_default_timeout`` applies.
         """
         config = self.kernel.config if self.kernel is not None else None
         if timeout is None and config is not None:
             timeout = config.rpc_default_timeout
         call_id = next(self._call_ids)
         fut: SimFuture[Any] = SimFuture(self.sim)
-        envelope = Message(
+        self._outstanding[call_id] = _Call(fut, dst, service, timeout)
+        self._send(Message(
             src=self.node_id, dst=dst, mtype=MSG_REQUEST, size=size,
             payload={"call_id": call_id, "service": service,
-                     "payload": payload, "reply_to": self.node_id})
-        # retries without a timeout would never fire
-        call = _Call(fut, dst, service, envelope, timeout,
-                     retries if timeout is not None else 0)
-        self._outstanding[call_id] = call
-        self._send(envelope)
+                     "payload": payload, "reply_to": self.node_id}))
         if timeout is not None:
-            self.sim.call_after(timeout, self._expire, call_id, call.attempts)
+            self.sim.call_after(timeout, self._expire, call_id)
         return fut
 
     def _send(self, envelope: Message) -> None:
@@ -148,26 +123,10 @@ class RpcEngine:
         else:
             self.fabric.send(envelope)
 
-    def _expire(self, call_id: int, attempt: int) -> None:
-        call = self._outstanding.get(call_id)
-        if call is None or call.attempts != attempt:
-            return  # answered, failed, or superseded by a newer attempt
-        if call.retries_left > 0:
-            call.retries_left -= 1
-            call.attempts += 1
-            self.retries_sent += 1
-            # Fresh envelope: a retry is a new wire message (new rel seq),
-            # but the same call_id, so any attempt's reply settles it.
-            retry = Message(src=call.envelope.src, dst=call.envelope.dst,
-                            mtype=call.envelope.mtype,
-                            payload=call.envelope.payload,
-                            size=call.envelope.size)
-            call.envelope = retry
-            self._send(retry)
-            self.sim.call_after(call.timeout, self._expire, call_id,
-                                call.attempts)
-            return
-        del self._outstanding[call_id]
+    def _expire(self, call_id: int) -> None:
+        call = self._outstanding.pop(call_id, None)
+        if call is None:
+            return  # answered or failed meanwhile
         self.timeouts += 1
         if not call.fut.done:
             call.fut.fail(RpcTimeout(
@@ -208,13 +167,13 @@ class RpcEngine:
         service = body["service"]
         fn = self._services.get(service)
         if fn is None:
-            self._reply(body, _RemoteFailure(
-                RpcError(f"node {self.node_id} has no service {service!r}")))
+            self._reply(body, error=RpcError(
+                f"node {self.node_id} has no service {service!r}"))
             return
         try:
             result = fn(body["payload"], message)
         except BaseException as exc:  # noqa: BLE001 - shipped to caller
-            self._reply(body, _RemoteFailure(exc))
+            self._reply(body, error=exc)
             return
         if isinstance(result, SimFuture):
             result.add_done_callback(
@@ -224,27 +183,33 @@ class RpcEngine:
 
     def _reply_from_future(self, body: dict, fut: SimFuture[Any]) -> None:
         try:
-            self._reply(body, fut.result())
+            result = fut.result()
         except BaseException as exc:  # noqa: BLE001
-            self._reply(body, _RemoteFailure(exc))
+            self._reply(body, error=exc)
+            return
+        self._reply(body, result)
 
-    def _reply(self, body: dict, result: Any) -> None:
+    def _reply(self, body: dict, result: Any = None,
+               error: BaseException | None = None) -> None:
+        """Answer with ``result``, or with ``error`` (which crosses a
+        wire as the codec's error shape) when the service failed."""
         size = 64
         if isinstance(result, SizedReply):
             size = result.size
             result = result.value
+        outcome = ({"result": result} if error is None
+                   else {"error": error})
         self._send(Message(
             src=self.node_id, dst=body["reply_to"], mtype=MSG_REPLY,
-            size=size,
-            payload={"call_id": body["call_id"], "result": result}))
+            size=size, payload={"call_id": body["call_id"], **outcome}))
 
     def on_reply(self, message: Message) -> None:
         body = message.payload
         call = self._outstanding.pop(body["call_id"], None)
         if call is None or call.fut.done:
             return  # duplicate or post-timeout reply
-        result = body["result"]
-        if isinstance(result, _RemoteFailure):
-            call.fut.fail(result.error)
+        error = body.get("error")
+        if error is not None:
+            call.fut.fail(error)
         else:
-            call.fut.resolve(result)
+            call.fut.resolve(body["result"])

@@ -7,6 +7,15 @@ all — to the callee's home node, maintaining the per-node TCB forwarding
 chain the path locator walks; under the **DSM transport** the entry runs
 on the caller's node and the object's pages are faulted in on access.
 
+The four messages that move a thread (``invoke.request``,
+``invoke.reply``, ``thread.complete``, ``thread.unwind``) carry names
+and plain fields only: the ``tid``, resolved through
+``cluster.live_threads`` on receipt, the thread's ``hop`` number, an
+``oid`` the callee's home node looks up.  What no name can stand for —
+the call's arguments, a return value or exception — waits on the
+thread object (``DThread.carried``), because the continuation it feeds
+is a Python generator that never leaves the process.
+
 The engine also owns thread lifecycle bookkeeping that is inseparable
 from migration: spawning (asynchronous invocations, §5.3/§7.1), normal
 completion, exception propagation across frames, invocation aborts, and
@@ -24,7 +33,7 @@ from repro.errors import (
     UndeliverableError,
     UnknownObjectError,
 )
-from repro.kernel.config import TRANSPORT_DSM
+from repro.kernel.config import TRANSPORT_BACKEND_SIM, TRANSPORT_DSM
 from repro.net.message import Message
 from repro.objects.capability import Capability
 from repro.threads import syscalls as sc
@@ -37,6 +46,7 @@ from repro.threads.thread import (
     TERMINATED,
     TERMINATING,
 )
+from repro.transport.codec import CodecError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.boot import Cluster
@@ -54,11 +64,15 @@ class InvocationEngine:
 
     def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
+        #: what each thread-moving message does once :meth:`_land` has
+        #: resolved its thread: ``(thread, carried, body, node)``
+        self._landed = {MSG_INVOKE: self._invoke_landed,
+                        MSG_REPLY: self._reply_landed,
+                        MSG_UNWIND: self._unwind_landed,
+                        MSG_COMPLETE: self._complete_landed}
         for kernel in cluster.kernels.values():
-            kernel.register_message_handler(MSG_INVOKE, self._on_invoke)
-            kernel.register_message_handler(MSG_REPLY, self._on_reply)
-            kernel.register_message_handler(MSG_UNWIND, self._on_unwind)
-            kernel.register_message_handler(MSG_COMPLETE, self._on_complete)
+            for mtype in self._landed:
+                kernel.register_message_handler(mtype, self._land)
             kernel.rpc.serve(SVC_CREATE_OBJECT, self._svc_create_object)
 
     # ------------------------------------------------------------------
@@ -186,6 +200,9 @@ class InvocationEngine:
                          event_block=syscall.handler_block)
         thread.push_frame(act)
         try:
+            if obj is None:  # destroyed while the request was in flight
+                raise UnknownObjectError(
+                    f"node {node} hosts no object {syscall.cap.oid}")
             if syscall.as_handler:
                 fn = obj.handler_fn(syscall.entry)
             else:
@@ -217,35 +234,49 @@ class InvocationEngine:
         cluster.tracer.emit("thread", "migrate", tid=str(thread.tid),
                             src=src, dst=dst, oid=obj.oid,
                             entry=syscall.entry)
-        size = 256 + thread.attributes.nominal_size
-        self._ship(Message(
-            src=src, dst=dst, mtype=MSG_INVOKE, size=size,
-            payload={"thread": thread, "obj": obj, "syscall": syscall,
-                     "caller_node": src}), thread)
+        self._ship(thread, src, dst, MSG_INVOKE,
+                   256 + thread.attributes.nominal_size, syscall,
+                   oid=obj.oid, entry=syscall.entry, caller_node=src)
 
-    def _ship(self, message: Message, thread: DThread) -> None:
-        """Send a thread-carrying control message (reliably when enabled).
+    def _ship(self, thread: DThread, src: int, dst: int, mtype: str,
+              size: int, carried: Any, **fields: Any) -> None:
+        """Send a message that moves ``thread`` (reliably when enabled).
 
-        If the reliable channel gives up — the peer crashed and never
-        recovered within the retransmission budget — the thread inside
-        the message is gone for good; destroy it so waiters get a
-        bounded-time failure instead of a hang.
+        The message names the thread and numbers the hop; ``carried``
+        waits on the thread object until it lands.  If the reliable
+        channel gives up — the peer crashed and never recovered within
+        the retransmission budget — the thread is gone for good; destroy
+        it so waiters get a bounded-time failure instead of a hang.
         """
-        self.cluster.transmit(message, on_give_up=lambda m: \
-            self.destroy_thread_abrupt(thread, UndeliverableError(
-                f"{message.mtype} for {thread.tid} undeliverable to "
-                f"node {message.dst}")))
+        thread.hop += 1
+        thread.carried = carried
+        self.cluster.transmit(
+            Message(src=src, dst=dst, mtype=mtype, size=size,
+                    payload={"tid": thread.tid, "hop": thread.hop, **fields}),
+            on_give_up=lambda m: self.destroy_thread_abrupt(
+                thread, UndeliverableError(
+                    f"{mtype} for {thread.tid} undeliverable to node {dst}")))
 
-    def _on_invoke(self, message: Message) -> None:
+    def _land(self, message: Message) -> None:
+        """A thread-moving message arrived: resolve the thread it names
+        and hand over what it carried — unless the thread finished
+        meanwhile or the message is not the one in flight (a network
+        duplicate, or one an unwind overtook)."""
         body = message.payload
-        thread: DThread = body["thread"]
-        node = int(message.dst)
-        if not thread.alive or thread.state == TERMINATING:
-            return  # terminated while the request was in flight
-        thread.cluster.kernels[node].thread_table.thread_arrived(thread.tid)
+        thread = self.cluster.live_threads.get(body["tid"])
+        if thread is None or thread.hop != body["hop"]:
+            return
+        thread.hop += 1
+        carried, thread.carried = thread.carried, None
+        self._landed[message.mtype](thread, carried, body, int(message.dst))
+
+    def _invoke_landed(self, thread: DThread, syscall: sc.Invoke,
+                       body: dict, node: int) -> None:
+        kernel = self.cluster.kernels[node]
+        kernel.thread_table.thread_arrived(thread.tid)
         self.cluster.events.presence.thread_entered_node(thread, node)
-        act = self._make_activation(thread, body["obj"], body["syscall"],
-                                    node, is_remote=True,
+        act = self._make_activation(thread, kernel.objects.get(body["oid"]),
+                                    syscall, node, is_remote=True,
                                     caller_node=body["caller_node"])
         if act is not None:
             thread.schedule_step(None, None)
@@ -291,21 +322,15 @@ class InvocationEngine:
             thread.tid)
         if remaining is None:
             cluster.events.presence.thread_left_for_good(thread, from_node)
-        self._ship(Message(
-            src=from_node, dst=caller_node, mtype=MSG_REPLY, size=128,
-            payload={"thread": thread, "value": value, "error": error}),
-            thread)
+        self._ship(thread, from_node, caller_node, MSG_REPLY, 128,
+                   (value, error))
 
-    def _on_reply(self, message: Message) -> None:
-        body = message.payload
-        thread: DThread = body["thread"]
-        node = int(message.dst)
-        if not thread.alive or thread.state == TERMINATING:
-            return
-        thread.cluster.kernels[node].thread_table.thread_returned_here(
+    def _reply_landed(self, thread: DThread, outcome: tuple, body: dict,
+                      node: int) -> None:
+        self.cluster.kernels[node].thread_table.thread_returned_here(
             thread.tid)
         self.cluster.events.presence.thread_entered_node(thread, node)
-        thread.schedule_step(body["value"], body["error"])
+        thread.schedule_step(*outcome)
 
     def thread_result_with_no_frames(self, thread: DThread, value: Any,
                                      error: BaseException | None) -> None:
@@ -324,16 +349,14 @@ class InvocationEngine:
             if thread.tid in kernel.thread_table:
                 kernel.thread_table.frame_popped(thread.tid)
             cluster.events.presence.thread_left_for_good(thread, last_node)
-            self._ship(Message(
-                src=last_node, dst=root, mtype=MSG_COMPLETE, size=128,
-                payload={"thread": thread, "value": value, "error": error}),
-                thread)
+            self._ship(thread, last_node, root, MSG_COMPLETE, 128,
+                       (value, error))
             return
         self._finalize(thread, value, error)
 
-    def _on_complete(self, message: Message) -> None:
-        body = message.payload
-        self._finalize(body["thread"], body["value"], body["error"])
+    def _complete_landed(self, thread: DThread, outcome: tuple, body: dict,
+                         node: int) -> None:
+        self._finalize(thread, *outcome)
 
     def _finalize(self, thread: DThread, value: Any,
                   error: BaseException | None,
@@ -404,6 +427,15 @@ class InvocationEngine:
                 return
             thread.schedule_step(cap, None)
             return
+        if cluster.config.transport != TRANSPORT_BACKEND_SIM:
+            # The request names a class, and a class is not a codec
+            # value (DESIGN.md §6): tell the creator here rather than
+            # let the wire raise it out of run().
+            thread.schedule_step(None, CodecError(
+                f"rpc.request: no wire shape for the class "
+                f"{syscall.cls.__qualname__}; creating an object on "
+                f"another node needs transport='sim'"))
+            return
         epoch = thread.block("create")
         fut = cluster.kernels[here].rpc.request(
             target, SVC_CREATE_OBJECT,
@@ -446,15 +478,26 @@ class InvocationEngine:
         thread.cancel_pending_steps()
         self.cluster.tracer.emit("thread", "terminate", tid=str(thread.tid),
                                  reason=reason, node=thread.current_node)
-        self._unwind_next(thread, reason, notified=set())
+        self._unwind(thread, 0, reason, notified=set())
 
-    def _unwind_next(self, thread: DThread, reason: str,
-                     notified: set[int]) -> None:
+    def _unwind(self, thread: DThread, depth: int, reason: str,
+                notified: set[int]) -> None:
+        """Unwind innermost first until ``depth`` frames are left.
+
+        Depth 0 is a termination: nothing is left and the thread is
+        finalized.  Any other depth is an aborted invocation: the frame
+        now on top observes :class:`~repro.errors.InvocationAborted`.
+        """
         cluster = self.cluster
-        if not thread.frames:
-            self._finalize(thread, None,
-                           ThreadTerminated(reason or f"{thread.tid} killed"),
-                           state=TERMINATED)
+        if len(thread.frames) <= depth:
+            if depth:
+                thread.resume_with(None, InvocationAborted(
+                    reason or "invocation aborted"))
+            else:
+                self._finalize(
+                    thread, None,
+                    ThreadTerminated(reason or f"{thread.tid} killed"),
+                    state=TERMINATED)
             return
         frame = thread.frames[-1]
         crash = thread.unwind_close(frame)
@@ -476,26 +519,17 @@ class InvocationEngine:
                 if kernel.thread_table.frame_popped(thread.tid) is None:
                     cluster.events.presence.thread_left_for_good(
                         thread, frame.node)
-            self._ship(Message(
-                src=frame.node, dst=frame.caller_node, mtype=MSG_UNWIND,
-                size=96, payload={"thread": thread, "reason": reason,
-                                  "notified": notified,
-                                  "mode": "terminate", "depth": 0}), thread)
+            self._ship(thread, frame.node, frame.caller_node, MSG_UNWIND,
+                       96, notified, reason=reason, depth=depth)
             return
-        cluster.sim.call_soon(self._unwind_next, thread, reason, notified)
+        cluster.sim.call_soon(self._unwind, thread, depth, reason, notified)
 
-    def _on_unwind(self, message: Message) -> None:
-        body = message.payload
-        thread: DThread = body["thread"]
-        node = int(message.dst)
+    def _unwind_landed(self, thread: DThread, notified: set[int],
+                       body: dict, node: int) -> None:
         kernel = self.cluster.kernels[node]
         if thread.tid in kernel.thread_table:
             kernel.thread_table.thread_returned_here(thread.tid)
-        if body.get("mode") == "abort":
-            self._abort_down_to(thread, body["depth"], body["reason"],
-                                body["notified"])
-        else:
-            self._unwind_next(thread, body["reason"], body["notified"])
+        self._unwind(thread, body["depth"], body["reason"], notified)
 
     def abort_invocation(self, thread: DThread, oid: int,
                          reason: str = "") -> bool:
@@ -504,7 +538,8 @@ class InvocationEngine:
         Frames above and including the innermost frame executing in
         ``oid`` are unwound; the frame below observes
         :class:`~repro.errors.InvocationAborted` (which it may catch).
-        Returns False if the thread has no frame in that object.
+        Returns False if the thread has no frame in that object, or is
+        being terminated and so unwinds out of it anyway.
 
         This is the action §6.3 assigns to the ABORT handler: "the
         handler must abort the invocation in progress for the thread
@@ -516,7 +551,7 @@ class InvocationEngine:
             if obj is not None and obj.oid == oid:
                 depth = i
                 break
-        if depth is None or not thread.alive:
+        if depth is None or not thread.alive or thread.state == TERMINATING:
             return False
         if depth == 0:
             # Aborting the top-level invocation terminates the thread.
@@ -524,7 +559,7 @@ class InvocationEngine:
             return True
         thread.cancel_wait()
         thread.cancel_pending_steps()
-        self._abort_down_to(thread, depth, reason, notified=set())
+        self._unwind(thread, depth, reason, notified=set())
         return True
 
     def destroy_thread_abrupt(self, thread: DThread,
@@ -560,36 +595,3 @@ class InvocationEngine:
         self.cluster.tracer.emit("thread", "destroy", tid=str(thread.tid),
                                  error=repr(error))
         self._finalize(thread, None, error, state=TERMINATED)
-
-    def _abort_down_to(self, thread: DThread, depth: int, reason: str,
-                       notified: set[int]) -> None:
-        cluster = self.cluster
-        if len(thread.frames) <= depth:
-            error = InvocationAborted(reason or "invocation aborted")
-            thread.resume_with(None, error)
-            return
-        frame = thread.frames[-1]
-        thread.unwind_close(frame)
-        thread.pop_frame()
-        obj = frame.obj
-        if (obj is not None and cluster.config.notify_abort_on_unwind
-                and obj.oid not in notified):
-            notified.add(obj.oid)
-            cluster.events.post.post_abort_notification(obj, thread,
-                                                        frame.node)
-        if frame.is_remote and frame.caller_node is not None \
-                and frame.caller_node != frame.node:
-            cluster.events.presence.thread_leaving_node(thread, frame.node)
-            kernel = cluster.kernels[frame.node]
-            if thread.tid in kernel.thread_table:
-                if kernel.thread_table.frame_popped(thread.tid) is None:
-                    cluster.events.presence.thread_left_for_good(
-                        thread, frame.node)
-            self._ship(Message(
-                src=frame.node, dst=frame.caller_node, mtype=MSG_UNWIND,
-                size=96, payload={"thread": thread, "reason": reason,
-                                  "notified": notified,
-                                  "mode": "abort", "depth": depth}), thread)
-            return
-        cluster.sim.call_soon(self._abort_down_to, thread, depth, reason,
-                              notified)

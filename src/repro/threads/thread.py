@@ -125,6 +125,14 @@ class DThread:
         self._wait_epoch = 0
         #: epoch guard for scheduled driver steps (bumped on abort/terminate)
         self._step_epoch = 0
+        #: number of the thread-carrying message in flight; it moves when
+        #: one leaves and again when it lands, so a duplicate or a message
+        #: overtaken by an unwind names a hop that is already past
+        self.hop = 0
+        #: what that message cannot name and the continuation needs on
+        #: arrival: the Invoke syscall, a (value, error) outcome, or the
+        #: unwinder's set of already-notified oids
+        self.carried: Any = None
         #: timers armed on the current node: spec_id -> (node, timer_id)
         self.armed_timers: dict[int, tuple[int, int]] = {}
         #: event currently being delivered to this thread (None otherwise)
@@ -235,8 +243,10 @@ class DThread:
         self.sim.call_after(delay, self._step, value, error, self._step_epoch)
 
     def cancel_pending_steps(self) -> None:
-        """Invalidate any scheduled driver steps (used by abort/terminate)."""
+        """Invalidate the continuation wherever it waits — a scheduled
+        driver step or a thread message in flight (abort/terminate)."""
         self._step_epoch += 1
+        self.hop += 1
 
     def resume_with(self, value: Any = None,
                     error: BaseException | None = None,

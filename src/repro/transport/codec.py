@@ -1,25 +1,24 @@
 """Compact wire codec for cross-process message envelopes.
 
-The sharded backend used to ship every cross-shard
-:class:`~repro.net.message.Message` as one ``pickle.dumps`` call, and
-the TCP backend framed pickles behind a JSON header. Pickle is general
-but pays for that generality on every envelope: module-path strings,
-memo tables, and the full reduce protocol for what is almost always
-the same handful of shapes. This codec replaces it with a struct-packed
-envelope encoder plus a **shape registry** for the payload types that
-actually cross the wire (capabilities, thread/group ids, event blocks,
-thread snapshots), falling back to pickle *per value* for anything it
-does not recognise — so arbitrary user payloads still travel, they just
-skip the fast path.
+Every envelope the sharded backend batches over its pipes and the TCP
+backend frames onto a socket goes through this module: a struct-packed
+envelope, plain scalars and containers, and a **shape registry** for
+the kernel values that cross the wire (capabilities, thread and group
+ids, event blocks, thread snapshots, exceptions).  That is the whole
+contract: names and registered shapes only.  A value of any other type
+— a subclass of a shape included, since its extra state would be
+dropped — is refused at *encode* with a :class:`CodecError` naming the
+message type and the Python type, and nothing a peer sends is ever
+executed or imported: an exception crosses as its class *name* plus
+codec-valued args, looked up in two fixed namespaces (``repro.errors``
+and the builtin exceptions); a name from anywhere else arrives as
+``RpcError("<qualname>: <message>")``.
 
-Determinism contract (the part that lets the sharded backend default to
-this codec): decoding reconstructs objects with ``__new__`` + attribute
-assignment, exactly like unpickling, so the receiving process's
-module-level id counters (``Message.msg_id``, ``EventBlock.block_id``)
-are **not** advanced and every id survives the hop verbatim. A decoded
-envelope is indistinguishable from an unpickled one, which is why
-same-seed sharded digests are bit-identical with the codec on or off
-(asserted by the differential tests and the E15 bench).
+Determinism contract (what lets the sharded backend run on this codec):
+decoding reconstructs objects with ``__new__`` + attribute assignment,
+so the receiving process's module-level id counters
+(``Message.msg_id``, ``EventBlock.block_id``) are **not** advanced and
+every id survives the hop verbatim.
 
 Wire format, all integers as zigzag varints and floats as IEEE-754
 doubles (bit-exact — virtual timestamps must survive the hop)::
@@ -36,19 +35,21 @@ revision fails loudly instead of mis-decoding.
 
 from __future__ import annotations
 
-import pickle
+import builtins
 import struct
 from typing import Any
 
-from repro.errors import NetworkError
+from repro import errors
+from repro.errors import NetworkError, RpcError
 
 __all__ = [
     "CodecError", "encode_message", "decode_message",
     "encode_batch", "decode_batch",
 ]
 
-#: bump on any incompatible wire-format change
-VERSION = 1
+#: bump on any incompatible wire-format change (2: value tag 16, the
+#: per-value fallback to a general serializer, is retired)
+VERSION = 2
 
 _DOUBLE = struct.Struct(">d")
 
@@ -123,7 +124,8 @@ _T_GROUP_ID = 12
 _T_FRAME_INFO = 13
 _T_SNAPSHOT = 14
 _T_EVENT_BLOCK = 15
-_T_PICKLE = 16
+_T_RETIRED = 16  # positional like the mtype tags: kept, and rejected
+_T_ERROR = 17
 
 #: message types observed on the fabric, in registry order — the wire
 #: carries ``index + 1`` (0 = inline string follows). Append only;
@@ -170,8 +172,8 @@ def _read_raw(buf: bytes, pos: int) -> tuple[bytes, int]:
 def _append_value(out: bytearray, value: Any) -> None:
     """Dispatch on ``type(value)``, never isinstance: a subclass may
     carry extra state a shape encoding would drop, so subclasses (and
-    every unregistered type) take the pickle fallback and lose nothing."""
-    _WRITERS.get(type(value), _append_pickle)(out, value)
+    every unregistered type) are refused rather than truncated."""
+    _WRITERS.get(type(value), _append_other)(out, value)
 
 
 def _append_bool(out: bytearray, value: bool) -> None:
@@ -208,19 +210,43 @@ def _append_items(out: bytearray, value: Any) -> None:
     out.append(_T_TUPLE if type(value) is tuple else _T_LIST)
     _append_uvarint(out, len(value))
     for item in value:
-        _WRITERS.get(type(item), _append_pickle)(out, item)
+        _WRITERS.get(type(item), _append_other)(out, item)
 
 
 def _append_dict(out: bytearray, value: dict) -> None:
     out.append(_T_DICT)
     _append_uvarint(out, len(value))
     for key, item in value.items():
-        _WRITERS.get(type(key), _append_pickle)(out, key)
-        _WRITERS.get(type(item), _append_pickle)(out, item)
+        _WRITERS.get(type(key), _append_other)(out, key)
+        _WRITERS.get(type(item), _append_other)(out, item)
 
 
-def _append_pickle(out: bytearray, value: Any) -> None:
-    _append_bytes(out, pickle.dumps(value), _T_PICKLE)
+#: the classes an error frame may name: never an import, so a peer's
+#: bytes choose among these and nothing else
+_ERROR_CLASSES = {
+    name: cls for namespace in (builtins, errors)
+    for name, cls in vars(namespace).items()
+    if isinstance(cls, type) and issubclass(cls, Exception)}
+
+
+def _append_other(out: bytearray, value: Any) -> None:
+    """No writer is registered for ``type(value)``: an exception travels
+    as the error shape, anything else does not travel."""
+    cls = type(value)
+    if not isinstance(value, BaseException):
+        raise CodecError(f"no wire shape for a value of type "
+                         f"{cls.__module__}.{cls.__qualname__}")
+    out.append(_T_ERROR)
+    if _ERROR_CLASSES.get(cls.__name__) is cls:
+        mark = len(out)
+        try:
+            _append_str(out, cls.__name__)
+            _append_items(out, value.args)
+            return
+        except CodecError:  # an arg with no shape: send the message only
+            del out[mark:]
+    _append_str(out, cls.__qualname__)
+    _append_items(out, (str(value),))
 
 
 #: ``type(value)`` -> writer; the shape classes join in _register_shapes
@@ -236,7 +262,7 @@ def _read_value(buf: bytes, pos: int) -> tuple[Any, int]:
     tag = buf[pos]
     if tag <= _T_FALSE:
         return _SINGLETONS[tag], pos + 1
-    if tag > _T_PICKLE:
+    if tag > _T_ERROR:
         raise CodecError(f"unknown value tag {tag} (codec version {VERSION})")
     return _READERS[tag](buf, pos + 1)
 
@@ -271,9 +297,18 @@ def _read_dict(buf: bytes, pos: int) -> tuple[dict, int]:
     return data, pos
 
 
-def _read_pickle(buf: bytes, pos: int) -> tuple[Any, int]:
-    raw, pos = _read_raw(buf, pos)
-    return pickle.loads(raw), pos
+def _read_retired(buf: bytes, pos: int) -> tuple[Any, int]:
+    raise CodecError(f"unknown value tag {_T_RETIRED} (retired in "
+                     f"codec version 2; this build speaks {VERSION})")
+
+
+def _read_error(buf: bytes, pos: int) -> tuple[BaseException, int]:
+    name, pos = _read_str(buf, pos)
+    args, pos = _read_value(buf, pos)
+    cls = _ERROR_CLASSES.get(name)
+    if cls is None:
+        return RpcError(f"{name}: {', '.join(map(str, args))}"), pos
+    return cls(*args), pos
 
 
 _SINGLETONS = (None, True, False)
@@ -281,7 +316,7 @@ _SINGLETONS = (None, True, False)
 #: shapes get theirs in _register_shapes
 _READERS = [None, None, None, _read_varint, _read_float, _read_str,
             _read_raw, _read_tuple, _read_list, _read_dict,
-            None, None, None, None, None, None, _read_pickle]
+            None, None, None, None, None, None, _read_retired, _read_error]
 
 _Message: Any = None  # resolved, with the shape classes, on first use
 
@@ -347,10 +382,10 @@ def _block_codec(cls: type, slot_values: Any) -> tuple[Any, Any]:
             if item is None:
                 out.append(_T_NONE)
             else:
-                _WRITERS.get(type(item), _append_pickle)(out, item)
+                _WRITERS.get(type(item), _append_other)(out, item)
 
     def read(buf: bytes, pos: int) -> tuple[Any, int]:
-        # __new__ + setattr, like unpickling: the receiver's module
+        # __new__ + setattr, never __init__: the receiver's module
         # counter must not tick and block_id arrives verbatim
         block = cls.__new__(cls)
         for slot in cls.__slots__:
@@ -396,16 +431,19 @@ def _append_message(out: bytearray, message: Any) -> None:
     _append_uvarint(out, tag)
     if not tag:
         _append_str(out, message.mtype)
-    _append_value(out, message.payload)
-    _append_varint(out, message.size)
-    _append_varint(out, message.msg_id)
-    if flags & _F_REL:
-        _append_varint(out, message.rel[0])
-        _append_varint(out, message.rel[1])
-    if flags & _F_ACK:
-        _append_varint(out, message.ack)
-    if flags & _F_GOSSIP:
-        _append_value(out, message.gossip)
+    try:
+        _append_value(out, message.payload)
+        _append_varint(out, message.size)
+        _append_varint(out, message.msg_id)
+        if flags & _F_REL:
+            _append_varint(out, message.rel[0])
+            _append_varint(out, message.rel[1])
+        if flags & _F_ACK:
+            _append_varint(out, message.ack)
+        if flags & _F_GOSSIP:
+            _append_value(out, message.gossip)
+    except CodecError as exc:
+        raise CodecError(f"{message.mtype}: {exc}") from None
 
 
 def _read_message(buf: bytes, pos: int) -> tuple[Any, int]:
@@ -451,8 +489,8 @@ def _read_message(buf: bytes, pos: int) -> tuple[Any, int]:
 def _decoding(read: Any, buf: bytes) -> Any:
     """Run one top-level decode: check the version byte, and turn
     whatever malformed bytes provoke below — a bad utf-8 run, an
-    unhashable dict key, a shape constructor's own validation, pickle —
-    into the one error type callers are promised."""
+    unhashable dict key, a shape or exception constructor's own
+    validation — into the one error type callers are promised."""
     if not buf:
         raise CodecError("empty frame")
     if buf[0] != VERSION:
@@ -491,9 +529,8 @@ def decode_message(buf: bytes) -> Any:
 def encode_batch(records: list[tuple[float, int, Any, int]]) -> bytes:
     """Pack ``(deliver_at, seq, message, dst)`` records into one blob.
 
-    One blob per (destination shard, window) replaces one pickle per
-    message on the barrier pipes; the parent routes blobs by counting,
-    never decoding.
+    One blob per (destination shard, window) on the barrier pipes; the
+    parent routes blobs by counting, never decoding.
     """
     if _Message is None:
         _register_shapes()

@@ -12,9 +12,9 @@ hook on arrival.
 Wire format — length-prefixed frames::
 
     4-byte big-endian frame length (at most MAX_FRAME)
-    1-byte format:     0 = codec | 2 = token
+    1-byte format:     0 (the only one; 1 and 2 are retired)
     uvarint dst node
-    body:              codec-encoded Message | OOB token
+    body:              codec-encoded Message
 
 A frame is appended to its connection's outgoing buffer, and the frames
 a scheduler turn produces for a connection leave in a single ``write``
@@ -30,14 +30,11 @@ also costs its connection, whose stream cannot be re-synchronised.
 Envelopes travel through the compact wire codec
 (:mod:`repro.transport.codec` — the same format the sharded backend
 batches over its pipes), a real serialization boundary: the receiver
-gets a deep copy.  A message the codec cannot express (its per-value
-pickle fallback failed too: a live thread in ``invoke.request``, a
-lambda in a user payload) falls back to an out-of-band token table —
-the frame carries a token, the object stays in process.  That fallback
-is what makes this a *loopback cluster* backend: all nodes live in one
-process and real distribution across machines would require every
-payload to serialize.  The smoke bench and example keep payloads plain,
-so their frames are honest bytes.
+gets a deep copy, and a payload the codec has no shape for is refused
+at the sender like a frame that is too long.  All nodes still live in
+one process, for one reason: a thread's continuation is a Python
+generator and never leaves the process, so invocation messages name it
+(``tid``); events — the paper's subject — cross as bytes.
 
 Known limits, stated plainly: wall-clock runs are not seed
 reproducible (use the sim backends for determinism), and fault
@@ -47,7 +44,6 @@ in real seconds here.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from typing import TYPE_CHECKING, Any
 
@@ -69,10 +65,9 @@ _LEN = struct.Struct(">I")
 #: length prefix beyond it is garbage, not something worth buffering for
 MAX_FRAME = 1 << 24
 
-#: frame body formats (first byte after the length prefix); 1 is
-#: retired, not reusable: it is rejected like any unknown byte
+#: frame body format (first byte after the length prefix); 1 and 2 are
+#: retired, not reusable: they are rejected like any unknown byte
 _FMT_CODEC = 0
-_FMT_TOKEN = 2
 
 
 def _raise(error: BaseException) -> None:
@@ -164,10 +159,6 @@ class AsyncioTransport(Transport):
         self._frames_received = 0
         self._frames_rejected = 0
         self._bytes_sent = 0
-        #: unencodable payload fallback: token -> live message
-        self._oob: dict[int, "Message"] = {}
-        self._oob_sent = 0
-        self._token = itertools.count(1)
         self._started = False
 
     # -- lifecycle ------------------------------------------------------
@@ -211,7 +202,6 @@ class AsyncioTransport(Transport):
 
         loop.run_until_complete(shut_down())
         self._servers.clear()
-        self._oob.clear()
         self.scheduler.close()
 
     # -- timed movement -------------------------------------------------
@@ -229,22 +219,17 @@ class AsyncioTransport(Transport):
             # above the port by the fabric/kernel.
             self._in_flight -= 1
             return
+        head = bytearray((_FMT_CODEC,))
+        _append_uvarint(head, dst)
         try:
             body = codec.encode_message(message)
-            fmt = _FMT_CODEC
-        except Exception:  # noqa: BLE001 - unencodable payload
-            token = next(self._token)
-            self._oob[token] = message
-            self._oob_sent += 1
-            body = str(token).encode("ascii")
-            fmt = _FMT_TOKEN
-        head = bytearray((fmt,))
-        _append_uvarint(head, dst)
-        length = len(head) + len(body)
-        if length > MAX_FRAME:
+            length = len(head) + len(body)
+            if length > MAX_FRAME:
+                raise NetworkError(
+                    f"tcp frame of {length} bytes exceeds MAX_FRAME")
+        except Exception:  # nothing leaves; run() raises it, no hang
             self._in_flight -= 1
-            raise NetworkError(
-                f"tcp frame of {length} bytes exceeds MAX_FRAME")
+            raise
         out = self._outgoing.get(dst)
         if out is None:
             if not self._outgoing:
@@ -273,12 +258,9 @@ class AsyncioTransport(Transport):
             fmt = data[start]
             dst, pos = _read_uvarint(data, start + 1)
             body = data[pos:end]
-            if fmt == _FMT_CODEC:
-                message = codec.decode_message(body)
-            elif fmt == _FMT_TOKEN:
-                message = self._oob.pop(int(body))
-            else:
+            if fmt != _FMT_CODEC:
                 raise NetworkError(f"unknown tcp frame format {fmt}")
+            message = codec.decode_message(body)
         except Exception as exc:  # noqa: BLE001 - hostile bytes, any failure
             if not isinstance(exc, NetworkError):
                 exc = NetworkError(f"undecodable tcp frame: {exc!r}")
@@ -319,6 +301,5 @@ class AsyncioTransport(Transport):
             frames_rejected=self._frames_rejected,
             bytes_sent=self._bytes_sent,
             in_flight=self._in_flight,
-            oob_tokens=self._oob_sent,
         )
         return data

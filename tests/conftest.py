@@ -17,6 +17,19 @@ def make_cluster(**overrides) -> Cluster:
     return Cluster(ClusterConfig(**overrides))
 
 
+@pytest.fixture()
+def serializing_wire(monkeypatch):
+    """Every message a sim cluster moves arrives as the decoded copy of
+    its own encoding: the tcp and sharded boundary, in virtual time. A
+    payload the codec has no shape for raises from the sender's call."""
+    from repro.transport.codec import decode_message, encode_message
+    from repro.transport.simlocal import SimTransport
+    post = SimTransport.post
+    monkeypatch.setattr(
+        SimTransport, "post", lambda self, message, dst, delay: post(
+            self, decode_message(encode_message(message)), dst, delay))
+
+
 class Echo(DistObject):
     """Minimal entry-point object."""
 

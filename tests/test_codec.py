@@ -4,7 +4,7 @@ The codec's contract is strict: every :class:`~repro.net.message.Message`
 field survives the hop verbatim (ids included — decoding must not tick
 the receiver's module counters, or same-seed sharded digests would
 drift), common payload shapes round-trip through the shape registry,
-anything else falls back to pickle per value, and frames from a
+a value of any other type is refused at encode, and frames from a
 different codec revision fail loudly with :class:`CodecError`.
 """
 
@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, RpcError, UndeliverableError
 from repro.events.block import EventBlock, FrameInfo, ThreadSnapshot
 from repro.net.message import Message
 from repro.objects.capability import Capability
@@ -42,18 +42,15 @@ def assert_messages_equal(a: Message, b: Message) -> None:
 
 
 class WiderId(ThreadId):
-    """ThreadId subclass: must take the pickle fallback, not the shape."""
+    """ThreadId subclass: the shape would drop whatever it adds."""
 
 
 class PayloadOnlyThisTest:
-    """A payload type the shape registry does not know (pickle path)."""
+    """A payload type the shape registry does not know."""
 
-    def __init__(self, value):
-        self.value = value
 
-    def __eq__(self, other):
-        return (type(other) is PayloadOnlyThisTest
-                and other.value == self.value)
+class ForeignError(Exception):
+    """An exception class from outside the two fixed namespaces."""
 
 
 # ----------------------------------------------------------------------
@@ -129,10 +126,21 @@ class TestValues:
                 math.copysign(1.0, value)
             assert out.payload.hex() == value.hex()
 
-    def test_pickle_fallback_for_unknown_type(self):
-        payload = PayloadOnlyThisTest({"deep": [1, 2]})
-        out = roundtrip(Message(src=0, dst=1, mtype="x", payload=payload))
-        assert out.payload == payload
+    def test_unknown_type_is_refused_at_encode(self):
+        # wherever it sits in the payload, and in a batch as well
+        for value, type_name in [
+                (PayloadOnlyThisTest(), "PayloadOnlyThisTest"),
+                (complex(1.5, -2.0), "builtins.complex"),
+                (lambda: None, "builtins.function"),
+                (PayloadOnlyThisTest, "builtins.type")]:
+            for payload in (value, {"deep": [1, (value,)]}, {value: 1}):
+                message = Message(src=0, dst=1, mtype="rpc.request",
+                                  payload=payload)
+                with pytest.raises(CodecError,
+                                   match=f"rpc.request: .*{type_name}"):
+                    encode_message(message)
+                with pytest.raises(CodecError, match=type_name):
+                    encode_batch([(0.5, 1, message, 1)])
 
 
 # ----------------------------------------------------------------------
@@ -176,11 +184,48 @@ class TestShapes:
         follower = EventBlock("SCALE")
         assert follower.block_id == block.block_id + 1
 
-    def test_shape_subclass_takes_pickle_fallback(self):
-        payload = WiderId(root=1, seq=2)
-        out = roundtrip(Message(src=0, dst=1, mtype="x", payload=payload))
-        assert type(out.payload) is WiderId
-        assert out.payload == payload
+    def test_shape_subclass_is_refused_not_truncated(self):
+        message = Message(src=0, dst=1, mtype="x",
+                          payload=WiderId(root=1, seq=2))
+        with pytest.raises(CodecError, match="x: .*WiderId"):
+            encode_message(message)
+
+    @pytest.mark.parametrize("error", [
+        UndeliverableError("resume for PING undeliverable to node 2"),
+        KeyError("missing"),
+        ValueError(3, ("nested", None), 2.5),
+        OSError(2, "No such file"),
+    ])
+    def test_error_of_a_known_class_roundtrips(self, error):
+        out = roundtrip(Message(src=0, dst=1, mtype="event.resume",
+                                payload={"token": 7, "error": error}))
+        assert type(out.payload["error"]) is type(error)
+        assert out.payload["error"].args == error.args
+
+    def test_error_args_without_a_shape_travel_as_the_message(self):
+        out = roundtrip(Message(src=0, dst=1, mtype="rpc.reply",
+                                payload=RuntimeError(complex(1, 2))))
+        assert type(out.payload) is RuntimeError
+        assert out.payload.args == ("(1+2j)",)
+
+    @pytest.mark.parametrize("error, text", [
+        (ForeignError("boom", 3), "ForeignError: ('boom', 3)"),
+        (CodecError("not in repro.errors"),
+         "CodecError: not in repro.errors"),
+        (KeyboardInterrupt(), "KeyboardInterrupt: "),  # not an Exception
+    ])
+    def test_foreign_error_arrives_as_rpc_error(self, error, text):
+        out = roundtrip(Message(src=0, dst=1, mtype="rpc.reply",
+                                payload={"call_id": 1, "error": error}))
+        assert type(out.payload["error"]) is RpcError
+        assert str(out.payload["error"]) == text
+
+    def test_error_frame_never_names_its_way_to_an_import(self):
+        # tag 17, then a dotted path where a class name belongs
+        frame = (bytes([VERSION, 0, 0, 2, 1, 17, 9]) + b"os.system"
+                 + bytes([7, 1, 5, 2]) + b"id" + bytes([128, 1, 2]))
+        error = decode_message(frame).payload
+        assert type(error) is RpcError and str(error) == "os.system: id"
 
 
 # ----------------------------------------------------------------------
@@ -213,9 +258,10 @@ class TestErrors:
             decode_message(frame)
 
     def test_unknown_value_tag_rejected(self):
-        frame = bytes([VERSION, 0, 0, 2, 1, 200])  # payload tag 200
-        with pytest.raises(CodecError, match="value tag"):
-            decode_message(frame)
+        for tag in (16, 18, 200):  # 16 is retired: a length-prefixed blob
+            frame = bytes([VERSION, 0, 0, 2, 1, tag, 3, 1, 2, 3, 128, 1, 2])
+            with pytest.raises(CodecError, match=f"value tag {tag}"):
+                decode_message(frame)
 
     def test_truncated_frame_rejected(self):
         frame = encode_message(Message(
@@ -304,9 +350,10 @@ def golden_messages() -> dict[str, Message]:
         "string_dst": msg(None, src=-1, dst="mcast:grp",
                           mtype="locate.mcast"),
         "inline_mtype": msg([1], mtype="t.unregistered"),
-        # complex is no registered shape: pickled per value (the bytes
-        # are pickle protocol 4's, the default of every supported python)
-        "pickle_fallback": msg(complex(1.5, -2.0)),
+        "error_shape": msg({"token": 77, "value": None,
+                            "error": UndeliverableError(
+                                "resume undeliverable to node 2", 2)},
+                           mtype="event.resume", size=96),
     }
 
 
@@ -319,35 +366,38 @@ def golden_batch() -> list:
 
 #: encode_message() of golden_messages() at the commit before the codec
 #: was rebuilt for speed (PR 12) — the rebuilt encoder must emit these
-#: bytes exactly, and so must every later one while VERSION stays 1
+#: bytes exactly, and so must every later one while VERSION stays 2
+#: (VERSION 1 -> 2 changed the leading byte of each vector and nothing
+#: else; ``error_shape`` joined then, in place of the retired tag 16's)
 GOLDEN = {
-    "capability": "01000002010a0e040364736d07436f756e7465728001d00f",
-    "thread_id": "01000002010b0684028001d00f",
-    "group_id": "01000002010c02088001d00f",
-    "frame_info": "01000002010d120372756e00d8048001d00f",
-    "snapshot": "01000002010e0b02040772756e6e696e67030607020d020161000"
+    "capability": "02000002010a0e040364736d07436f756e7465728001d00f",
+    "thread_id": "02000002010b0684028001d00f",
+    "group_id": "02000002010c02088001d00f",
+    "frame_info": "02000002010d120372756e00d8048001d00f",
+    "snapshot": "02000002010e0b02040772756e6e696e67030607020d020161000"
                 "20d04016202048001d00f",
-    "event_block": "01000002010f0509555345525f50494e470b041203040a18020"
+    "event_block": "02000002010f0509555345525f50494e470b041203040a18020"
                    "37270630453696e6b0109020504706f73740352050177043fd0"
                    "0000000000000e0b000607626c6f636b65640007010d0a04776"
                    "f726b0222043ff800000000000000039a010702030403d80400"
                    "010702030003028004d00f",
-    "scalars": "0100000201070a000102030103808080808080808080800204400400"
+    "scalars": "0200000201070a000102030103808080808080808080800204400400"
                "0000000000050368c3a9060200ff0802030208010304090105016b07"
                "0103068001d00f",
-    "rel": "010200020105017880018002008202",
-    "ack": "0104000203008001d00fc03e",
-    "rel_ack_gossip": "010e000201030a8001d00f04020007020703030205077375"
+    "rel": "020200020105017880018002008202",
+    "ack": "0204000203008001d00fc03e",
+    "rel_ack_gossip": "020e000201030a8001d00f04020007020703030205077375"
                       "73706563740306070303040505616c6976650300",
-    "string_dst": "010101096d636173743a6772700c008001d00f",
-    "inline_mtype": "01000002000e742e756e72656769737465726564080103028001"
+    "string_dst": "020101096d636173743a6772700c008001d00f",
+    "inline_mtype": "02000002000e742e756e72656769737465726564080103028001"
                     "d00f",
-    "pickle_fallback": "010000020110398004952e000000000000008c086275696c"
-                       "74696e73948c07636f6d706c6578949394473ff800000000"
-                       "000047c000000000000000869452942e8001d00f",
+    "error_shape": "020000020209030505746f6b656e039a01050576616c756500"
+                   "05056572726f721112556e64656c6976657261626c654572726f"
+                   "720702051e726573756d6520756e64656c6976657261626c6520"
+                   "746f206e6f646520320304c001d00f",
 }
 GOLDEN_BATCH = (
-    "01033f747ae147ae147b0002000002010f0509555345525f50494e470b04120304"
+    "02033f747ae147ae147b0002000002010f0509555345525f50494e470b04120304"
     "0a1802037270630453696e6b0109020504706f73740352050177043fd000000000"
     "00000e0b000607626c6f636b65640007010d0a04776f726b0222043ff800000000"
     "000000039a010702030403d80400010702030003028004d00f3f7eb851eb851eb8"
@@ -374,6 +424,10 @@ class TestGoldenVectors:
                 assert (getattr(decoded.payload, slot)
                         == getattr(expected.payload, slot)), slot
             decoded.payload = expected.payload = None
+        if name == "error_shape":  # exceptions compare by identity
+            got = decoded.payload.pop("error")
+            want = expected.payload.pop("error")
+            assert type(got) is type(want) and got.args == want.args
         assert_messages_equal(decoded, expected)
 
     def test_batch_blob_is_frozen_both_ways(self):

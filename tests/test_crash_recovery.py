@@ -111,28 +111,37 @@ class TestRpcFailFast:
         with pytest.raises(NodeCrashedError):
             fut.result()
 
-    def test_default_timeout_and_retries_from_config(self):
+    def test_default_timeout_from_config(self):
         cluster = make_cluster(n_nodes=2, rpc_default_timeout=0.1,
                                reliable_delivery=False)
         from repro.errors import RpcTimeout
         cluster.fabric.faults.partition({0}, {1})
-        fut = cluster.kernels[0].rpc.request(1, "ping", retries=2)
+        fut = cluster.kernels[0].rpc.request(1, "ping")
+        cluster.run(until=0.09)
+        assert not fut.done
         cluster.run(until=2.0)
         with pytest.raises(RpcTimeout):
             fut.result()
-        assert cluster.kernels[0].rpc.retries_sent == 2
+        assert cluster.kernels[0].rpc.timeouts == 1
+        # sent once, never re-issued
+        assert cluster.message_stats()["type:rpc.request"] == 1
 
-    def test_retry_succeeds_after_heal(self):
-        cluster = make_cluster(n_nodes=2, rpc_default_timeout=0.2)
+    def test_request_outlives_a_partition_on_the_reliable_channel(self):
+        # still one request: what crosses after the heal is the channel
+        # retransmitting that envelope, not the engine re-issuing the call
+        cluster = make_cluster(n_nodes=2, rpc_default_timeout=3.0,
+                               reliable_delivery=True)
         cluster.kernels[1].rpc.serve("ping", lambda payload, msg: "pong")
         plan = cluster.fabric.faults
         plan.partition({0}, {1})
-        fut = cluster.kernels[0].rpc.request(1, "ping", retries=3)
+        fut = cluster.kernels[0].rpc.request(1, "ping")
         cluster.run(until=0.3)
         assert not fut.done
         plan.heal()
         cluster.run(until=3.0)
         assert fut.result() == "pong"
+        assert cluster.kernels[0].reliable.stats()["retransmits"] >= 1
+        assert cluster.kernels[0].rpc.timeouts == 0
 
 
 class TestDeadTargetNotices:

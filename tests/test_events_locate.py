@@ -74,6 +74,47 @@ class TestAllLocators:
         assert thread.state == "terminated"
 
 
+    def test_same_chase_through_the_codec(self, locator, request):
+        """A locate message names the thread and carries the notice; the
+        origin's side of the exchange stays at the origin, so delivering
+        decoded copies changes nothing — not even the message counts."""
+        def chase():
+            cluster = make_cluster(n_nodes=5, locator=locator)
+            thread = _deep_thread(cluster, depth=3)
+            live = cluster.raise_and_wait("TERMINATE", thread.tid,
+                                          from_node=0)
+            cluster.run()
+            dead = cluster.raise_and_wait("TERMINATE", thread.tid,
+                                          from_node=4)
+            cluster.run()
+            assert thread.state == "terminated" and live.done
+            with pytest.raises(DeadThreadError):
+                dead.result()
+            assert not cluster.events.post.locator._open
+            return cluster.now, cluster.message_stats()
+
+        plain = chase()
+        request.getfixturevalue("serializing_wire")
+        assert chase() == plain
+
+
+@pytest.mark.parametrize("locator", ["path", "cached"])
+def test_tid_rooted_on_another_shard_is_a_dead_target(locator):
+    """Threads are per process: one shard of a sharded run answers a
+    raise at a tid rooted on another shard with the §7.2 notice instead
+    of sending a walk whose verdict could never come back."""
+    from repro.threads.ids import ThreadId
+    cluster = make_cluster(n_nodes=4, transport="sharded", shard_count=2,
+                           shard_index=0, locator=locator)
+    assert sorted(cluster.kernels) == [0, 1]
+    future = cluster.raise_and_wait("TERMINATE", ThreadId(root=3, seq=1),
+                                    from_node=0)
+    cluster.run()
+    with pytest.raises(DeadThreadError):
+        future.result()
+    assert cluster.transport_stats()["cross_sent"] == 0
+
+
 class TestMessageCosts:
     def _posting_cost(self, locator, n_nodes, depth):
         cluster = make_cluster(n_nodes=n_nodes, locator=locator)

@@ -344,6 +344,141 @@ class TestAbortInvocation:
         assert cluster.invoker.abort_invocation(thread, other.oid) is False
 
 
+class Teller(DistObject):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    @entry
+    def say(self, ctx, word):
+        self.calls += 1
+        yield ctx.compute(1e-5)
+        return word
+
+
+class Asker(DistObject):
+    @entry
+    def ask(self, ctx, a, b):
+        x = yield ctx.invoke(a, "say", "first")
+        y = yield ctx.invoke(b, "say", "second")
+        z = yield ctx.invoke(a, "say", "third")
+        return (x, y, z)
+
+
+class Deep(DistObject):
+    """``dive`` through ``caps``, sleep at the bottom; every level
+    counts its cleanups and the top one reports an abort below it."""
+
+    def __init__(self):
+        super().__init__()
+        self.cleanups = 0
+
+    @entry
+    def dive(self, ctx, caps):
+        try:
+            if caps:
+                yield ctx.invoke(caps[0], "dive", caps[1:])
+            else:
+                yield ctx.sleep(100.0)
+        except InvocationAborted:
+            return "aborted-observed"
+        finally:
+            self.cleanups += 1
+
+
+@pytest.mark.parametrize("reliable", [False, True], ids=["raw", "reliable"])
+@pytest.mark.parametrize("mtype", ["invoke.request", "invoke.reply",
+                                   "thread.complete", "thread.unwind"])
+class TestDuplicatedThreadMessages:
+    """A message that moves a thread numbers its hop, so the second copy
+    a faulty network delivers is a no-op — whether or not the reliable
+    channel's own dedup sits in front."""
+
+    def _cluster(self, mtype, reliable):
+        cluster = make_cluster(n_nodes=4, reliable_delivery=reliable)
+        plan = cluster.fabric.faults
+        plan.duplicate_rate = 1.0
+        copies = plan.copies
+        plan.copies = lambda m: copies(m) if m.mtype == mtype else 1
+        return cluster
+
+    def _assert_gone_exactly_once(self, cluster, thread):
+        assert thread.tid not in cluster.live_threads
+        assert len(cluster.tracer.select("thread", "exit",
+                                         tid=str(thread.tid))) == 1
+        for kernel in cluster.kernels.values():
+            assert thread.tid not in kernel.thread_table, kernel.node_id
+
+    def test_three_calls_return_in_order(self, mtype, reliable):
+        cluster = self._cluster(mtype, reliable)
+        asker = cluster.create_object(Asker, node=1)
+        a = cluster.create_object(Teller, node=2)
+        b = cluster.create_object(Teller, node=3)
+        thread = cluster.spawn(asker, "ask", a, b, at=0)
+        assert run_to_result(cluster, thread) == ("first", "second", "third")
+        assert cluster.get_object(a).calls == 2
+        assert cluster.get_object(b).calls == 1
+        self._assert_gone_exactly_once(cluster, thread)
+        if mtype != "thread.unwind":  # nothing unwinds here
+            assert cluster.fabric.faults.duplicated_by_type[mtype] >= 1
+
+    @pytest.mark.parametrize("depth", [0, 1], ids=["terminate", "abort"])
+    def test_unwind_runs_every_cleanup_once(self, mtype, reliable, depth):
+        cluster = self._cluster(mtype, reliable)
+        caps = [cluster.create_object(Deep, node=n) for n in (1, 2, 3)]
+        thread = cluster.spawn(caps[0], "dive", caps[1:], at=0)
+        cluster.run(until=1.0)
+        if depth:
+            assert cluster.invoker.abort_invocation(thread, caps[1].oid)
+            cluster.run()
+            assert thread.completion.result() == "aborted-observed"
+        else:
+            cluster.invoker.terminate_thread(thread, "test")
+            cluster.run()
+            assert thread.state == "terminated"
+            with pytest.raises(ThreadTerminated):
+                thread.completion.result()
+        assert [cluster.get_object(c).cleanups for c in caps] == [1, 1, 1]
+        self._assert_gone_exactly_once(cluster, thread)
+        if mtype in ("invoke.request", "thread.unwind"):
+            assert cluster.fabric.faults.duplicated_by_type[mtype] >= 1
+
+
+class TestSerializingWire:
+    """The four thread-moving messages carry names and plain fields, so
+    a run whose every message is a decoded copy is the same run."""
+
+    def _run(self):
+        cluster = make_cluster(n_nodes=4)
+        asker = cluster.create_object(Asker, node=1)
+        tellers = [cluster.create_object(Teller, node=n) for n in (2, 3)]
+        deep = [cluster.create_object(Deep, node=n) for n in (1, 2, 3)]
+        caller = cluster.spawn(asker, "ask", *tellers, at=0)
+        killed = cluster.spawn(deep[0], "dive", deep[1:], at=0)
+        aborted = cluster.spawn(deep[0], "dive", deep[1:], at=0)
+        failing = cluster.spawn(
+            cluster.create_object(Relay, node=1), "call",
+            cluster.create_object(Echo, node=2), "fail", KeyError("k"), at=0)
+        cluster.run(until=1.0)
+        cluster.invoker.terminate_thread(killed, "test")
+        cluster.invoker.abort_invocation(aborted, deep[1].oid)
+        cluster.run()
+        assert caller.completion.result() == ("first", "second", "third")
+        assert killed.state == "terminated"
+        assert aborted.completion.result() == "aborted-observed"
+        with pytest.raises(KeyError):
+            failing.completion.result()
+        assert [cluster.get_object(c).cleanups for c in deep] == [2, 2, 2]
+        assert not cluster.live_threads
+        return cluster.now, cluster.message_stats()
+
+    def test_same_run_through_the_codec(self, request):
+        plain = self._run()
+        request.getfixturevalue("serializing_wire")
+        assert self._run() == plain
+        assert plain[1]["type:thread.unwind"] == 5
+
+
 class TestThreadFacilities:
     def test_io_channel_shared_across_objects_and_nodes(self, cluster):
         from repro import IoChannel

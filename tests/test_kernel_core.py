@@ -2,6 +2,7 @@
 
 import dataclasses
 import pathlib
+import re
 
 import pytest
 
@@ -73,6 +74,17 @@ class TestClusterConfig:
                  for path in events.glob("*.py")}
         assert len(sizes) > 5
         assert {name: n for name, n in sizes.items() if n > 500} == {}
+
+    def test_wire_layers_name_no_general_serializer(self):
+        # what crosses a wire is a codec value or a registered shape;
+        # the same check runs in CI's lint job as a grep
+        src = pathlib.Path(repro.__file__).parent
+        files = [*(src / "transport").glob("*.py"),
+                 *(src / "net").glob("*.py"),
+                 src / "objects" / "invocation.py"]
+        assert len(files) > 12
+        assert [path.name for path in files
+                if re.search(r"\bpickle\b", path.read_text())] == []
 
     @pytest.mark.parametrize("name", [
         "wire_codec", "shard_window_batching", "shard_quiescent_skip",
@@ -183,6 +195,36 @@ class TestRpc:
         sim.run()
         with pytest.raises(ValueError, match="remote boom"):
             fut.result()
+
+    def test_service_failure_is_an_error_field_that_survives_the_codec(self):
+        from repro.transport.codec import decode_message, encode_message
+        sim, engines = _rpc_pair()
+        replies = []
+        on_reply = engines[0].on_reply
+
+        def through_the_codec(message):
+            replies.append(message.payload)
+            on_reply(decode_message(encode_message(message)))
+
+        engines[0].on_reply = through_the_codec
+
+        def boom(payload, msg):
+            raise RpcTimeout("inner call timed out")
+
+        engines[1].serve("boom", boom)
+        engines[1].serve("fine", lambda payload, msg: (1, "two"))
+        boomed = engines[0].request(1, "boom")
+        missing = engines[0].request(1, "nope")
+        fine = engines[0].request(1, "fine")
+        sim.run()
+        with pytest.raises(RpcTimeout, match="inner call timed out"):
+            boomed.result()
+        with pytest.raises(RpcError, match="no service 'nope'"):
+            missing.result()
+        assert fine.result() == (1, "two")
+        assert [sorted(body) for body in replies] == [
+            ["call_id", "error"], ["call_id", "error"],
+            ["call_id", "result"]]
 
     def test_async_service_via_future(self):
         sim, engines = _rpc_pair()

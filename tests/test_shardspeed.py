@@ -72,6 +72,16 @@ def dying_scenario(ctx):
     return lambda: {"raised": 0, "executed": 0, "per_node": {}, "sha": "0"}
 
 
+def unencodable_scenario(ctx):
+    """Shard 0 sends a payload the codec has no shape for to a node of
+    shard 1: the window's batch cannot be encoded."""
+    if ctx.shard_index == 0:
+        from repro.net.message import Message
+        ctx.cluster.fabric.send(Message(
+            src=0, dst=ctx.n_nodes - 1, mtype="t.cross", payload={1j: 2}))
+    return lambda: {}
+
+
 # ----------------------------------------------------------------------
 # owner map
 # ----------------------------------------------------------------------
@@ -161,4 +171,18 @@ class TestWorkerTeardown:
         with pytest.raises(NetworkError,
                            match=r"shard 1 .*(died|failed|exited)"):
             run_sharded(config, "tests.test_shardspeed:dying_scenario",
+                        scenario_args={})
+
+    @pytest.mark.skipif(not FORK_AVAILABLE,
+                        reason="unencodable_scenario needs the inherited "
+                               "module")
+    def test_unencodable_cross_shard_payload_fails_the_run(self):
+        config = ClusterConfig(n_nodes=4, transport="sharded",
+                               shard_count=2, trace_net=False)
+        with pytest.raises(
+                NetworkError,
+                match=r"(?s)shard 0 failed.*CodecError: t\.cross: "
+                      r".*builtins\.complex"):
+            run_sharded(config,
+                        "tests.test_shardspeed:unencodable_scenario",
                         scenario_args={})

@@ -11,7 +11,6 @@ path (sized by ``dedup_window``).
 from __future__ import annotations
 
 import pathlib
-import pickle
 import socket
 import struct
 import subprocess
@@ -460,25 +459,56 @@ class TestAsyncioTransport:
             assert stats["frames_sent"] == stats["frames_received"] == 2
             assert stats["in_flight"] == 0
             assert stats["bytes_sent"] > 0
-            assert stats["oob_tokens"] == 0
             assert len(tp.addresses) == 2
         finally:
             tp.close()
 
-    def test_unpicklable_payload_takes_oob_path(self):
+    def test_unencodable_payload_is_refused_at_the_sender(self):
         tp, inboxes = _loopback()
         try:
-            marker = lambda: None  # noqa: E731 - locals don't pickle
-            with pytest.raises(Exception):
-                pickle.dumps(marker)
-            message = Message(src=0, dst=1, mtype="t.oob", payload=marker)
-            tp.post(message, 1, 0.0)
-            tp.scheduler.run()
-            assert inboxes[1] == [message]  # the very same live object
-            assert tp.stats()["oob_tokens"] == 1
-            assert not tp._oob  # token table drained on receipt
+            tp.post(Message(src=0, dst=1, mtype="t.live",
+                            payload={"fn": lambda: None}), 1, 0.0)
+            tp.post(Message(src=0, dst=1, mtype="t.plain"), 1, 0.0)
+            with pytest.raises(CodecError,
+                               match=r"t\.live: .*builtins\.function"):
+                tp.scheduler.run(until=tp.scheduler.now + 2.0)
+            tp.scheduler.run()  # goes idle: the refused post was settled
+            assert [m.mtype for m in inboxes[1]] == ["t.plain"]
+            stats = tp.stats()
+            assert stats["frames_sent"] == stats["frames_received"] == 1
+            assert stats["frames_rejected"] == 0  # nothing left the node
+            assert stats["in_flight"] == 0
         finally:
             tp.close()
+
+    def test_unencodable_reliable_post_gives_up_and_drains(self):
+        # the reliable channel retransmits what the wire keeps refusing,
+        # then gives up: every attempt raises, none is left in flight
+        cluster = Cluster(ClusterConfig(n_nodes=2, transport="tcp",
+                                        reliable_delivery=True,
+                                        retransmit_base=1e-3,
+                                        max_retransmits=3,
+                                        link_latency=1e-4,
+                                        trace_net=False))
+        try:
+            gave_up = []
+            cluster.transmit(Message(src=0, dst=1, mtype="t.live",
+                                     payload=(object(),)),
+                             on_give_up=gave_up.append)
+            refused = 0
+            deadline = cluster.now + 10.0
+            while not gave_up and cluster.now < deadline:
+                try:
+                    cluster.run(until=cluster.now + 0.05)
+                except CodecError as exc:
+                    assert "t.live" in str(exc) and "object" in str(exc)
+                    refused += 1
+            assert gave_up and refused >= 2
+            cluster.run()  # no deadline: returns only once drained
+            assert cluster.transport_stats()["in_flight"] == 0
+            assert cluster.transport_stats()["frames_rejected"] == 0
+        finally:
+            cluster.close()
 
     def test_post_to_closed_destination_is_swallowed(self):
         tp, inboxes = _loopback()
@@ -531,20 +561,162 @@ class TestAsyncioTransport:
 
 
 # ----------------------------------------------------------------------
-# frames that cannot be delivered (ROADMAP 5d, first slice)
+# the closed wire: every message of the stock stack is honest bytes
 # ----------------------------------------------------------------------
 
-def _explode():
-    raise RuntimeError("payload refuses to load")
+class ForeignError(Exception):
+    """Not in ``repro.errors``, not a builtin."""
 
 
-class Unloadable:
-    """Pickles fine, fails to unpickle: a frame a node really posted
-    that the receiver cannot decode."""
+def _tcp_cluster(**knobs):
+    return Cluster(ClusterConfig(n_nodes=3, transport="tcp",
+                                 reliable_delivery=True, link_latency=1e-3,
+                                 trace_net=False, **knobs))
 
-    def __reduce__(self):
-        return (_explode, ())
 
+def _settle(cluster, *futures, budget=10.0):
+    deadline = cluster.now + budget
+    while not all(f.done for f in futures) and cluster.now < deadline:
+        cluster.run(until=cluster.now + 0.05)
+    assert all(f.done for f in futures)
+
+
+class TestClosedWire:
+    @pytest.mark.parametrize("locator",
+                             ["path", "broadcast", "multicast", "cached"])
+    def test_thread_raise_crosses_nodes_live_and_dead(self, locator):
+        # the notice chases a thread two invocations deep; afterwards
+        # the same raise at the finished thread is a §7.2 dead target
+        from repro.errors import DeadThreadError
+        from repro.objects.base import DistObject, entry
+
+        class Holder(DistObject):
+            @entry
+            def hold(self, ctx, caps):
+                def on_ping(hctx, block):
+                    yield hctx.compute(0)
+                    return ("pong", block.user_data, hctx.node)
+
+                yield ctx.attach_handler("TCP_PING", on_ping)
+                if caps:
+                    return (yield ctx.invoke(caps[0], "hold", caps[1:]))
+                yield ctx.sleep(0.3)
+                return "held"
+
+        cluster = _tcp_cluster(locator=locator)
+        try:
+            cluster.register_event("TCP_PING")
+            caps = [cluster.create_object(Holder, node=n) for n in (1, 2)]
+            thread = cluster.spawn(caps[0], "hold", caps[1:], at=1)
+            cluster.run(until=cluster.now + 0.1)
+            live = cluster.raise_and_wait("TCP_PING", thread.tid,
+                                          from_node=0, user_data=7)
+            _settle(cluster, live)
+            assert live.result() == ("pong", 7, 2)
+            _settle(cluster, thread.completion)
+            assert thread.completion.result() == "held"
+            dead = cluster.raise_and_wait("TCP_PING", thread.tid,
+                                          from_node=0)
+            _settle(cluster, dead)
+            with pytest.raises(DeadThreadError):
+                dead.result()
+            assert cluster.transport_stats()["frames_rejected"] == 0
+        finally:
+            cluster.close()
+
+    def test_handler_failure_crosses_as_the_error_shape(self):
+        from repro.errors import RpcError
+        from repro.objects.base import DistObject, on_event
+
+        class Picky(DistObject):
+            @on_event("TCP_PICK")
+            def on_pick(self, ctx, block):
+                yield ctx.compute(0)
+                if block.user_data == "builtin":
+                    raise ValueError("bad pick", 3)
+                if block.user_data == "foreign":
+                    raise ForeignError("who?")
+                return "fine"
+
+        cluster = _tcp_cluster()
+        try:
+            cluster.register_event("TCP_PICK")
+            cap = cluster.create_object(Picky, node=1)
+            fine, builtin, foreign = (
+                cluster.raise_and_wait("TCP_PICK", cap, from_node=0,
+                                       user_data=which)
+                for which in ("fine", "builtin", "foreign"))
+            _settle(cluster, fine, builtin, foreign)
+            assert fine.result() == "fine"
+            with pytest.raises(ValueError) as caught:
+                builtin.result()
+            assert caught.value.args == ("bad pick", 3)
+            with pytest.raises(RpcError, match="ForeignError: who?"):
+                foreign.result()
+        finally:
+            cluster.close()
+
+    def test_remote_create_object_fails_the_creating_thread(self):
+        # a class is not a codec value: the creator is told, run() is not
+        from repro.objects.base import DistObject, entry
+
+        class Factory(DistObject):
+            @entry
+            def build(self, ctx):
+                local = yield ctx.create(Factory)
+                try:
+                    yield ctx.create(Factory, node=2)
+                except CodecError as exc:
+                    return (local.home, str(exc))
+
+        cluster = _tcp_cluster()
+        try:
+            factory = cluster.create_object(Factory, node=1)
+            thread = cluster.spawn(factory, "build", at=1)
+            _settle(cluster, thread.completion)
+            home, error = thread.completion.result()
+            assert home == 1
+            assert "rpc.request" in error and "Factory" in error
+            cluster.run()
+            assert cluster.transport_stats()["in_flight"] == 0
+        finally:
+            cluster.close()
+
+    def test_example_invocation_names_the_thread(self, monkeypatch, capsys):
+        # every frame of examples/tcp_cluster.py, captured at the encoder
+        import runpy
+
+        from repro.threads.ids import ThreadId
+        bodies = []
+        encode = tcp.codec.encode_message
+
+        def recording(message):
+            bodies.append(encode(message))
+            return bodies[-1]
+
+        monkeypatch.setattr(tcp.codec, "encode_message", recording)
+        root = pathlib.Path(__file__).resolve().parent.parent
+        runpy.run_path(str(root / "examples" / "tcp_cluster.py"),
+                       run_name="__main__")
+        assert "counter lives on node 2" in capsys.readouterr().out
+        decoded = [tcp.codec.decode_message(body) for body in bodies]
+        requests = [m.payload for m in decoded
+                    if m.mtype == "invoke.request"]
+        assert requests, sorted({m.mtype for m in decoded})
+        for payload in requests:
+            assert sorted(payload) == ["caller_node", "entry", "hop",
+                                       "oid", "tid"]
+            assert type(payload.pop("tid")) is ThreadId
+            assert payload.pop("entry") == "describe"
+            assert all(type(v) is int for v in payload.values()), payload
+        moved = {m.mtype: sorted(m.payload) for m in decoded
+                 if m.mtype in ("invoke.reply", "thread.complete")}
+        assert moved == {"thread.complete": ["hop", "tid"]}
+
+
+# ----------------------------------------------------------------------
+# frames that cannot be delivered (ROADMAP 5d, first slice)
+# ----------------------------------------------------------------------
 
 def _frame(body: bytes, fmt: int = 0, dst: int = 1) -> bytes:
     payload = bytes([fmt, dst]) + body
@@ -552,13 +724,25 @@ def _frame(body: bytes, fmt: int = 0, dst: int = 1) -> bytes:
 
 
 class TestRejectedFrames:
-    def test_undecodable_own_frame_raises_and_settles_in_flight(self):
+    def test_undecodable_own_frame_raises_and_settles_in_flight(
+            self, monkeypatch):
+        # a frame a node really posted, corrupted on the way out: the
+        # payload's value tag becomes one no codec revision ever had
+        encode = tcp.codec.encode_message
+
+        def corrupting(message):
+            body = bytearray(encode(message))
+            if message.mtype == "t.bad":
+                body[body.index(b"\x05\x03bad")] = 0xC8
+            return bytes(body)
+
+        monkeypatch.setattr(tcp.codec, "encode_message", corrupting)
         tp, inboxes = _loopback()
         try:
-            tp.post(Message(src=0, dst=1, mtype="t.bad",
-                            payload=Unloadable()), 1, 0.0)
+            tp.post(Message(src=0, dst=1, mtype="t.bad", payload="bad"),
+                    1, 0.0)
             tp.post(Message(src=0, dst=1, mtype="t.good"), 1, 0.0)
-            with pytest.raises(NetworkError, match="refuses to load"):
+            with pytest.raises(NetworkError, match="value tag 200"):
                 tp.scheduler.run(until=tp.scheduler.now + 2.0)
             tp.scheduler.run()  # goes idle: nothing is left in flight
             assert [m.mtype for m in inboxes[1]] == ["t.good"]
@@ -645,8 +829,10 @@ class TestHostileSockets:
     def test_bad_format_byte(self, cluster):
         frames = [
             (9, b"whatever"),
-            # the retired whole-message pickle format: never unpickled
-            (1, pickle.dumps(Message(src=0, dst=1, mtype="t.pickled"))),
+            # the two retired formats (a whole-message serializer's
+            # bytes; a token into an in-process table): never read
+            (1, b"\x80\x04whatever."),
+            (2, b"1"),
         ]
         for rejected, (fmt, body) in enumerate(frames, start=1):
             stranger = self._attack(cluster, _frame(body, fmt=fmt))
