@@ -13,33 +13,51 @@ Ordering guarantees (both backends):
   (FIFO), which keeps traces deterministic without relying on object
   identity or hash order.
 
-Two backends implement that contract:
+That is ``(when, seq)`` order, ``seq`` counting every callback ever
+scheduled. Each backend keeps it with two lanes behind one
+:class:`Handle`:
 
-* :class:`Simulator` — a single binary heap with lazy cancellation and
-  amortised compaction. The reference: bit-identical to the seed
-  behaviour, and the default.
-* :class:`WheelSimulator` — a hierarchical timing wheel (calendar
-  queue): near-future callbacks hash into per-tick buckets drained in
-  tick order, each bucket a tiny heap, so the common push/pop touches a
+* the **instant lane** — a FIFO of the callbacks scheduled for the
+  instant they were scheduled in (``call_soon``, ``call_after(0)``,
+  ``call_at(now)``: most of what a post costs, since "delivery
+  asynchronous, handling synchronous" makes every hand-off a callback
+  at the same virtual instant). They never touch the timed structure;
+* the **timed lane** — everything later than ``now``:
+  :class:`Simulator` keeps one binary heap (the reference, and the
+  default), :class:`WheelSimulator` a timing wheel (calendar queue):
+  near-future callbacks hash into per-tick buckets drained in tick
+  order, each bucket a tiny heap, so the common push/pop touches a
   handful of entries instead of a log of the whole schedule. Entries
   past the wheel horizon *spill* to an overflow heap (far-future
   retransmit/watchdog timers live there) and *migrate* onto the wheel
-  when the near window drains to them. Entry lists and bucket lists are
-  recycled through free pools (slab allocation) so a steady-state
-  workload stops allocating.
+  once the near window and the instant lane have both drained.
 
-Both backends order strictly by ``(when, seq)`` with a shared sequence
-counter, so a run executes the same callbacks in the same order at the
-same virtual times on either one — :func:`make_simulator` picks by name
-and the differential tests in ``tests/test_wheel_scheduler.py`` hold the
-two to identical traces.
+One loop (:meth:`Simulator._drain`, behind ``run`` and ``step`` on both
+backends) picks *timed entries due at ``now``, then the lane front to
+back, then the next timed entry, which moves the clock*. That is
+``(when, seq)`` order exactly: a timed entry with ``when == now`` was
+scheduled while the clock was earlier, so its ``seq`` is lower than
+anything in the lane; nothing scheduled during the instant can land in
+the timed lane at ``now``; and the clock never moves back, so every
+lane entry is at ``now``. The wall-clock ``RealtimeScheduler``
+(:mod:`repro.transport.realtime`) has the same shape — timer heap plus
+ready list — and the same rule.
+
+Cancellation is lazy in both lanes (the entry stays queued with its
+callback nulled, and both are rebuilt once the dead outnumber the
+live); the loop nulls an entry's callback as it pops it, so cancelling
+a handle that already fired is a no-op on every backend. A run executes
+the same callbacks in the same order at the same virtual times on
+either backend — :func:`make_simulator` picks by name,
+``tests/test_wheel_scheduler.py`` holds the two to identical traces and
+``tests/test_scheduler_model.py`` holds both to a sorted-list model.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from math import floor
+from collections import deque
+from math import floor, inf
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -74,12 +92,13 @@ class Handle:
         retransmit timer's cancelled entry used to keep its whole message
         alive until its virtual deadline drained past).
 
-        The wheel backend recycles entry lists once they fire; the
-        sequence-number guard makes a stale handle's ``cancel`` a no-op
-        instead of cancelling whatever callback now occupies the slot.
+        The drain loop marks an entry spent (callback nulled) as it pops
+        it, so cancelling a handle whose callback already fired — a
+        watchdog cancelled from inside its own expiry, say — is a no-op
+        that moves no counter.
         """
         entry = self._entry
-        if entry[1] != self.seq or entry[3] is None:
+        if entry[3] is None:
             return
         entry[3] = None
         entry[2] = ()
@@ -88,11 +107,11 @@ class Handle:
 
     @property
     def cancelled(self) -> bool:
-        entry = self._entry
-        return entry[1] != self.seq or entry[3] is None
+        """True once the callback can no longer run: cancelled, or fired."""
+        return self._entry[3] is None
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostic only
-        state = "cancelled" if self.cancelled else "pending"
+        state = "spent" if self.cancelled else "pending"
         return f"Handle(when={self.when!r}, seq={self.seq}, {state})"
 
 
@@ -125,11 +144,17 @@ class Simulator:
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
+        #: timed lane: heap of ``[when, seq, args, fn]`` entries later
+        #: than the instant they were scheduled in
         self._queue: list[list] = []
-        self._seq = itertools.count()
+        #: instant lane: entries scheduled for the instant they were
+        #: scheduled in, FIFO — every one of them is at ``now``
+        self._ready: deque[list] = deque()
         self._running = False
         self._events_processed = 0
+        #: callbacks ever scheduled; the next entry's sequence number
         self._scheduled = 0
+        #: cancelled entries still queued in either lane
         self._cancelled = 0
         self._cancels_total = 0
         self._compactions = 0
@@ -146,8 +171,8 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of scheduled (non-cancelled) callbacks."""
-        return len(self._queue) - self._cancelled
+        """Number of scheduled (non-cancelled) callbacks, both lanes."""
+        return self._scheduled - self._events_processed - self._cancels_total
 
     @property
     def compactions(self) -> int:
@@ -176,19 +201,23 @@ class Simulator:
     def _note_cancel(self) -> None:
         """A handle was cancelled; compact once dead entries dominate.
 
-        Lazy cancellation leaves the entry in the heap, which is fine
-        while live work drains past it — but a workload that schedules
-        and cancels far into the future (per-send retransmit timers were
-        the worst offender) can grow the heap without bound. Rebuilding
-        once the dead fraction passes one half keeps total compaction
-        work O(1) amortised per cancellation.
+        Lazy cancellation leaves the entry queued, which is fine while
+        live work drains past it — but a workload that schedules and
+        cancels far into the future (per-send retransmit timers were the
+        worst offender) can grow the queue without bound. Rebuilding
+        once the dead outnumber the live keeps total compaction work
+        O(1) amortised per cancellation.
         """
         self._cancelled += 1
         self._cancels_total += 1
-        if (len(self._queue) > self.COMPACT_MIN
-                and self._cancelled * 2 > len(self._queue)):
-            self._queue = [e for e in self._queue if e[3] is not None]
-            heapq.heapify(self._queue)
+        dead, live = self._cancelled, self.pending
+        if dead > live and dead + live > self.COMPACT_MIN:
+            # In place: the drain loop holds the lane across callbacks.
+            ready = self._ready
+            kept = [e for e in ready if e[3] is not None]
+            ready.clear()
+            ready.extend(kept)
+            self._compact_timed()
             self._cancelled = 0
             self._compactions += 1
 
@@ -198,14 +227,20 @@ class Simulator:
         ``when`` must not be in the past. Returns a :class:`Handle` that can
         cancel the callback before it fires.
         """
-        if when < self._now:
+        now = self._now
+        if when < now:
             raise SimulationError(
-                f"cannot schedule at {when!r}; virtual time is already {self._now!r}"
+                f"cannot schedule at {when!r}; virtual time is already {now!r}"
             )
-        self._scheduled += 1
-        entry = [float(when), next(self._seq), args, fn]
-        heapq.heappush(self._queue, entry)
-        return Handle(entry[0], entry[1], entry, self)
+        seq = self._scheduled
+        self._scheduled = seq + 1
+        if when == now:
+            entry = [now, seq, args, fn]
+            self._ready.append(entry)
+        else:
+            entry = [float(when), seq, args, fn]
+            heapq.heappush(self._queue, entry)
+        return Handle(entry[0], seq, entry, self)
 
     def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Handle:
         """Schedule ``fn(*args)`` after ``delay`` seconds of virtual time."""
@@ -217,18 +252,34 @@ class Simulator:
         """Schedule ``fn(*args)`` at the current instant, after queued work."""
         return self.call_at(self._now, fn, *args)
 
+    # -- per-backend view of the timed lane ------------------------------
+
+    def _pop_timed(self, limit: float) -> list | None:
+        """Remove and return the earliest timed entry, live or cancelled,
+        unless it is later than ``limit`` (then None)."""
+        queue = self._queue
+        if queue and queue[0][0] <= limit:
+            return heapq.heappop(queue)
+        return None
+
+    def _timed_head(self) -> list | None:
+        """The earliest timed entry, live or cancelled, left in place."""
+        return self._queue[0] if self._queue else None
+
+    def _compact_timed(self) -> None:
+        """Drop cancelled entries from the timed lane, in place."""
+        queue = self._queue
+        queue[:] = [e for e in queue if e[3] is not None]
+        heapq.heapify(queue)
+
+    # -- running ---------------------------------------------------------
+
     def step(self) -> bool:
-        """Run the single next callback. Returns False when queue is empty."""
-        while self._queue:
-            when, _seq, args, fn = heapq.heappop(self._queue)
-            if fn is None:
-                self._cancelled -= 1
-                continue
-            self._now = when
-            self._events_processed += 1
-            fn(*args)
-            return True
-        return False
+        """Run the single next callback. Returns False when queue is empty.
+
+        Shares :meth:`run`'s loop, and its re-entrancy guard.
+        """
+        return self._drain(None, 1)
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run callbacks until the queue drains.
@@ -237,43 +288,78 @@ class Simulator:
         ----------
         until:
             Stop once virtual time would exceed this bound; the clock is
-            then advanced exactly to ``until``.
+            then advanced exactly to ``until``. A bound already in the
+            past returns at once: the clock never moves back.
         max_events:
             Safety valve — raise :class:`SimulationError` after this many
             callbacks, which catches accidental livelock in tests.
         """
+        # a bound below 1 has always meant "raise after the first callback"
+        budget = -1 if max_events is None else max(max_events, 1)
+        if self._drain(until, budget):
+            raise SimulationError(
+                f"run() exceeded max_events={max_events} (livelock?)"
+            )
+
+    def _drain(self, until: float | None, budget: int) -> bool:
+        """The one loop behind :meth:`run` and :meth:`step`.
+
+        Pops in ``(when, seq)`` order: timed entries due at ``now``, then
+        the instant lane front to back, then the next timed entry, which
+        moves the clock. Returns True when it stopped because ``budget``
+        callbacks ran (negative: no bound), False when nothing up to
+        ``until`` was left.
+        """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
+        if until is None:
+            limit = inf
+        elif until < self._now:
+            return False
+        else:
+            limit = until
         self._running = True
         try:
+            ready = self._ready
+            pop_timed = self._pop_timed
+            now = self._now
             processed = 0
+            # Timed entries at `now` were scheduled while the clock was
+            # earlier, so they precede the whole lane; none can be added
+            # during the instant, so one miss settles it until the clock
+            # moves.
+            due = True
             while True:
-                when = self._next_time()
-                if when is None:
-                    break
-                if until is not None and when > until:
-                    self._now = float(until)
-                    return
-                if not self.step():
-                    break
+                if due:
+                    entry = pop_timed(now)
+                    if entry is None:
+                        due = False
+                        continue
+                elif ready:
+                    entry = ready.popleft()
+                else:
+                    entry = pop_timed(limit)
+                    if entry is None:
+                        break
+                    if entry[3] is not None:
+                        now = self._now = entry[0]
+                        due = True
+                fn = entry[3]
+                if fn is None:
+                    self._cancelled -= 1
+                    continue
+                entry[3] = None  # spent: a late Handle.cancel() is a no-op
+                self._events_processed += 1
+                fn(*entry[2])
                 processed += 1
-                if max_events is not None and processed >= max_events:
-                    raise SimulationError(
-                        f"run() exceeded max_events={max_events} (livelock?)"
-                    )
-            if until is not None and self._now < until:
+                if processed == budget:
+                    return True
+            self.peek_next()  # shed cancelled heads past `until` as well
+            if until is not None and now < until:
                 self._now = float(until)
+            return False
         finally:
             self._running = False
-
-    def _next_time(self) -> float | None:
-        """Virtual time of the next live callback, or None."""
-        while self._queue and self._queue[0][3] is None:
-            heapq.heappop(self._queue)
-            self._cancelled -= 1
-        if not self._queue:
-            return None
-        return self._queue[0][0]
 
     def peek_next(self) -> float | None:
         """Virtual time of the next live callback without running it.
@@ -281,23 +367,37 @@ class Simulator:
         The sharded runner's quiescent skip-ahead uses this: when no
         cross-shard traffic is in flight, every shard's earliest
         pending time bounds how far the window counter may jump while
-        staying conservative. Works on both backends (each overrides
-        :meth:`_next_time`); cancelled entries are lazily purged, so
-        repeated peeks are cheap.
+        staying conservative. Follows the drain loop's selection rule
+        on both backends; cancelled entries it meets on the way are
+        purged, so repeated peeks are cheap.
         """
-        return self._next_time()
+        ready = self._ready
+        while True:
+            head = self._timed_head()
+            from_lane = bool(ready) and (head is None or head[0] > self._now)
+            if from_lane:
+                head = ready[0]
+            if head is None:
+                return None
+            if head[3] is not None:
+                return head[0]
+            if from_lane:
+                ready.popleft()
+            else:
+                self._pop_timed(head[0])
+            self._cancelled -= 1
 
 
 class WheelSimulator(Simulator):
     """Timing-wheel / calendar-queue scheduler backend.
 
-    Near-future callbacks go into per-tick buckets (``floor(when/tick)``)
-    drained in tick order; each bucket is a small heap ordered by the
-    same ``(when, seq)`` key as the reference heap, so the global
-    execution order is identical. Callbacks at or past the horizon —
-    ``slots`` ticks ahead of the earliest pending work — spill to an
-    overflow heap and migrate onto the wheel when the near window drains
-    down to them.
+    Callbacks later than the current instant go into per-tick buckets
+    (``floor(when/tick)``) drained in tick order; each bucket is a small
+    heap ordered by the same ``(when, seq)`` key as the reference heap,
+    so the global execution order is identical. Callbacks at or past the
+    horizon — ``slots`` ticks ahead of the earliest pending work — spill
+    to an overflow heap and migrate onto the wheel when the near window
+    and the instant lane have both drained down to them.
 
     Parameters
     ----------
@@ -312,9 +412,6 @@ class WheelSimulator(Simulator):
     """
 
     backend = SCHEDULER_WHEEL
-
-    #: bound on the recycled entry/bucket pools (slab caches)
-    POOL_MAX = 2048
 
     def __init__(self, start: float = 0.0, tick: float = 1e-3,
                  slots: int = 4096) -> None:
@@ -334,19 +431,10 @@ class WheelSimulator(Simulator):
         #: absolute virtual time of the overflow boundary
         self._horizon = (floor(self._now / self._tick)
                          + self._slots) * self._tick
-        #: entries currently on the wheel (live + cancelled)
-        self._size = 0
         self._spills = 0
         self._migrations = 0
-        #: slab pools: spent 4-slot entry lists / emptied bucket lists
-        self._entry_pool: list[list] = []
-        self._bucket_pool: list[list] = []
 
     # -- observability --------------------------------------------------
-
-    @property
-    def pending(self) -> int:
-        return self._size + len(self._overflow) - self._cancelled
 
     def stats(self) -> dict[str, Any]:
         data = super().stats()
@@ -359,53 +447,36 @@ class WheelSimulator(Simulator):
     # -- scheduling ------------------------------------------------------
 
     def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Handle:
-        if when < self._now:
+        now = self._now
+        if when < now:
             raise SimulationError(
-                f"cannot schedule at {when!r}; virtual time is already {self._now!r}"
+                f"cannot schedule at {when!r}; virtual time is already {now!r}"
             )
-        self._scheduled += 1
-        when = float(when)
-        pool = self._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = when
-            entry[1] = next(self._seq)
-            entry[2] = args
-            entry[3] = fn
-        else:
-            entry = [when, next(self._seq), args, fn]
+        seq = self._scheduled
+        self._scheduled = seq + 1
+        # The horizon test comes first: after run(until=...) has jumped
+        # the clock past it, an entry at `now` spills like any other, so
+        # whatever is in the lane is earlier than all of the overflow.
         if when >= self._horizon:
+            entry = [float(when), seq, args, fn]
             heapq.heappush(self._overflow, entry)
             self._spills += 1
+        elif when == now:
+            entry = [now, seq, args, fn]
+            self._ready.append(entry)
         else:
-            key = floor(when / self._tick)
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                bucket = self._bucket_pool.pop() if self._bucket_pool else []
-                self._buckets[key] = bucket
-                heapq.heappush(self._tick_heap, key)
-            heapq.heappush(bucket, entry)
-            self._size += 1
-        return Handle(when, entry[1], entry, self)
+            entry = [float(when), seq, args, fn]
+            self._place(entry)
+        return Handle(entry[0], seq, entry, self)
 
-    def _recycle(self, entry: list) -> None:
-        """Return a spent entry list to the slab pool.
-
-        The sequence number is left in place until the slot is reused:
-        a stale :class:`Handle` checks it and no-ops.
-        """
-        entry[2] = ()
-        entry[3] = None
-        pool = self._entry_pool
-        if len(pool) < self.POOL_MAX:
-            pool.append(entry)
-
-    def _retire_bucket(self, key: int, bucket: list) -> None:
-        """Drop an emptied bucket; keep the list for reuse."""
-        del self._buckets[key]
-        heapq.heappop(self._tick_heap)
-        if len(self._bucket_pool) < self.POOL_MAX:
-            self._bucket_pool.append(bucket)
+    def _place(self, entry: list) -> None:
+        """Push an entry earlier than the horizon into its tick bucket."""
+        key = floor(entry[0] / self._tick)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = []
+            heapq.heappush(self._tick_heap, key)
+        heapq.heappush(bucket, entry)
 
     def _advance_horizon(self) -> None:
         """The wheel drained to the overflow heap: move the window.
@@ -415,106 +486,61 @@ class WheelSimulator(Simulator):
         make progress: the new horizon sits ``slots`` ticks past the
         earliest entry.
         """
-        base = floor(self._overflow[0][0] / self._tick)
-        self._horizon = (base + self._slots) * self._tick
         overflow = self._overflow
+        base = floor(overflow[0][0] / self._tick)
+        self._horizon = (base + self._slots) * self._tick
         while overflow and overflow[0][0] < self._horizon:
             entry = heapq.heappop(overflow)
             if entry[3] is None:
                 self._cancelled -= 1
-                self._recycle(entry)
                 continue
-            key = floor(entry[0] / self._tick)
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                bucket = self._bucket_pool.pop() if self._bucket_pool else []
-                self._buckets[key] = bucket
-                heapq.heappush(self._tick_heap, key)
-            heapq.heappush(bucket, entry)
-            self._size += 1
+            self._place(entry)
             self._migrations += 1
 
-    def _pop_entry(self) -> list | None:
-        """Remove and return the globally-next entry (live or dead)."""
-        tick_heap = self._tick_heap
-        while True:
-            if tick_heap:
-                key = tick_heap[0]
-                bucket = self._buckets[key]
-                entry = heapq.heappop(bucket)
-                if not bucket:
-                    self._retire_bucket(key, bucket)
-                self._size -= 1
-                return entry
-            if self._overflow:
-                # All wheel entries precede the horizon; all overflow
-                # entries are at or past it — safe to re-base now.
-                self._advance_horizon()
-                continue
-            return None
-
-    def step(self) -> bool:
-        while True:
-            entry = self._pop_entry()
-            if entry is None:
-                return False
-            fn = entry[3]
-            if fn is None:
-                self._cancelled -= 1
-                self._recycle(entry)
-                continue
-            args = entry[2]
-            self._now = entry[0]
-            self._events_processed += 1
-            self._recycle(entry)
-            fn(*args)
-            return True
-
-    def _next_time(self) -> float | None:
+    def _timed_head(self) -> list | None:
         while True:
             if self._tick_heap:
-                key = self._tick_heap[0]
-                bucket = self._buckets[key]
-                entry = bucket[0]
-                if entry[3] is not None:
-                    return entry[0]
-                heapq.heappop(bucket)
-                if not bucket:
-                    self._retire_bucket(key, bucket)
-                self._size -= 1
-                self._cancelled -= 1
-                self._recycle(entry)
-                continue
+                return self._buckets[self._tick_heap[0]][0]
             overflow = self._overflow
-            if overflow:
-                if overflow[0][3] is None:
-                    self._recycle(heapq.heappop(overflow))
-                    self._cancelled -= 1
-                    continue
+            if self._ready or not overflow:
+                return None
+            # Wheel and lane are both empty: everything left is at or
+            # past the horizon — re-base now, and only now, or a timer a
+            # lane callback arms would land on the wheel without spilling.
+            if overflow[0][3] is None:
+                heapq.heappop(overflow)
+                self._cancelled -= 1
+            else:
                 self._advance_horizon()
-                continue
-            return None
 
-    def _note_cancel(self) -> None:
-        """Lazy cancel with a whole-structure sweep once dead dominates."""
-        self._cancelled += 1
-        self._cancels_total += 1
-        total = self._size + len(self._overflow)
-        if total <= self.COMPACT_MIN or self._cancelled * 2 <= total:
-            return
-        for key in list(self._buckets):
-            bucket = [e for e in self._buckets[key] if e[3] is not None]
+    def _pop_timed(self, limit: float) -> list | None:
+        tick_heap = self._tick_heap
+        # an empty wheel gets its chance to re-base on the overflow first
+        if not tick_heap and self._timed_head() is None:
+            return None
+        key = tick_heap[0]
+        bucket = self._buckets[key]
+        if bucket[0][0] > limit:
+            return None
+        entry = heapq.heappop(bucket)
+        if not bucket:
+            del self._buckets[key]
+            heapq.heappop(tick_heap)
+        return entry
+
+    def _compact_timed(self) -> None:
+        buckets = self._buckets
+        for key in list(buckets):
+            bucket = buckets[key]
+            bucket[:] = [e for e in bucket if e[3] is not None]
             if bucket:
                 heapq.heapify(bucket)
-                self._buckets[key] = bucket
             else:
-                del self._buckets[key]
-        self._tick_heap = sorted(self._buckets)
-        self._overflow = [e for e in self._overflow if e[3] is not None]
-        heapq.heapify(self._overflow)
-        self._size = sum(len(b) for b in self._buckets.values())
-        self._cancelled = 0
-        self._compactions += 1
+                del buckets[key]
+        self._tick_heap[:] = sorted(buckets)
+        overflow = self._overflow
+        overflow[:] = [e for e in overflow if e[3] is not None]
+        heapq.heapify(overflow)
 
 
 def make_simulator(scheduler: str = SCHEDULER_HEAP, start: float = 0.0,

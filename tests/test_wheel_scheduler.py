@@ -2,12 +2,11 @@
 
 The wheel (:class:`repro.sim.WheelSimulator`) must be observationally
 identical to the heap reference for everything the kernel can see —
-execution order, clock advance, cancellation semantics — with the only
-allowed divergences documented (``Handle.cancelled`` may read True after
-an entry has *fired* on the wheel, because fired entries are recycled
-through the slab pool). The differential tests run full chaos scenarios
-and the soak burst phase on both backends and require bit-identical
-results.
+execution order, clock advance, cancellation semantics
+(``Handle.cancelled`` included: spent reads True on both). The
+differential tests run full chaos scenarios and the soak burst phase on
+both backends and require bit-identical results; random programs against
+a sorted-list model are in ``tests/test_scheduler_model.py``.
 """
 
 import random
@@ -63,15 +62,15 @@ def test_wheel_cancel_is_idempotent():
 
 
 def test_wheel_stale_cancel_after_pool_reuse_is_noop():
-    # Fire an entry (recycling its slab list), schedule a new entry that
-    # reuses the list, then cancel the *old* handle: the seq guard must
-    # protect the new entry.
+    # Fire an entry, schedule a new one, then cancel the *old* handle:
+    # a handle only ever reaches its own entry (entry lists used to be
+    # recycled through a pool, which is where the name comes from).
     sim = WheelSimulator()
     fired = []
     stale = sim.call_after(0.001, lambda: None)
     sim.run()
     fresh = sim.call_after(0.001, fired.append, "keep")
-    stale.cancel()  # must not kill `fresh`, even if its list was reused
+    stale.cancel()  # must not kill `fresh`
     sim.run()
     assert fired == ["keep"]
     assert not fresh.cancelled or fired  # fresh executed regardless
