@@ -70,7 +70,10 @@ def main() -> None:
         for i in range(posts):
             cluster.raise_event(PING, counters[i % 3], from_node=(i + 1) % 3)
         objs = [cluster.get_object(cap) for cap in counters]
-        run_until(cluster, lambda: sum(o.pings for o in objs) >= posts)
+        # every handler ran *and* every origin heard so: the acks of a
+        # burst travel together, one ack window after the last handler
+        run_until(cluster, lambda: sum(o.pings for o in objs) >= posts
+                  and cluster.durability_stats()["pending"] == 0)
         print(f"delivered {sum(o.pings for o in objs)} durable pings: "
               f"{[o.pings for o in objs]} per node")
 

@@ -296,6 +296,12 @@ class DeadLetterQueue:
     def get(self, dl_id: int) -> DeadLetter | None:
         return self._entries.get(dl_id)
 
+    def holds(self, durable_id: tuple[int, int]) -> bool:
+        """Is the durable post ``durable_id`` quarantined here? (What a
+        redelivered duplicate of it must be re-acked as.)"""
+        return any(dead.block.durable_id == durable_id
+                   for dead in self._entries.values())
+
     def entries(self) -> list[DeadLetter]:
         """All quarantined blocks, oldest first."""
         return [self._entries[k] for k in sorted(self._entries)]

@@ -152,12 +152,15 @@ class ClusterConfig:
     #: Per-sender bound on remembered out-of-order sequence numbers;
     #: also sizes each node's memory of recent *degraded* block ids.
     dedup_window: int = 1024
-    #: Coalescing window for cumulative acks (virtual seconds): arrivals
-    #: from one peer within the window share a single ack, which rides
-    #: any reverse-direction data message sent inside it. 0 = ack every
-    #: arrival immediately (still cumulative). Keep well below
-    #: ``retransmit_base`` minus a round trip or delayed acks trigger
-    #: spurious retransmissions.
+    #: Acknowledgement window (virtual seconds) of both ack layers.
+    #: Transport: arrivals from one peer within the window share a
+    #: single cumulative ack, which rides any reverse-direction data
+    #: message sent inside it; 0 = ack every arrival immediately (still
+    #: cumulative). Durable delivery: the ``store.ack``s a node owes one
+    #: origin share one message, sent this long after the first became
+    #: due; 0 = behind the work already queued for the instant. Keep
+    #: well below ``retransmit_base`` minus a round trip or delayed
+    #: acks trigger spurious retransmissions.
     ack_delay: float = 1e-3
     #: Default timeout for RPC requests made without an explicit one
     #: (None = wait forever, the seed behaviour).

@@ -10,7 +10,9 @@ outbox and the checkpoint protocol into the delivery path:
 * **receiver side** — durable posts are deduplicated against the
   journaled ``applied`` set (:meth:`accept_post`), marked applied
   atomically with the start of the handler run (:meth:`mark_applied`),
-  and acknowledged to the origin after the handler completes.
+  and acknowledged to the origin after the handler completes: the acks
+  a node owes one origin share a single ``store.ack`` per ``ack_delay``
+  window, which the origin journals as one commit.
 * **recovery** — :meth:`recover` loads the newest checkpoint, replays
   the journal tail (outbox, applied set, object-handler registry,
   missing objects), and reports the replay length so the kernel can
@@ -23,7 +25,7 @@ their exact message counts.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.net.message import Message
 from repro.store.checkpoint import (
@@ -43,6 +45,7 @@ from repro.store.journal import (
     REC_UNREG,
 )
 from repro.store.outbox import (
+    Ack,
     DELIVERED,
     NOTICED,
     Outbox,
@@ -53,6 +56,7 @@ from repro.store.outbox import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.events.block import EventBlock
     from repro.kernel.node import Kernel
+    from repro.sim.scheduler import Handle
 
 MSG_STORE_ACK = "store.ack"
 
@@ -123,6 +127,13 @@ class NodeStore:
         #: receiver-side, volatile: durable posts sitting in the object
         #: event queue right now (suppresses concurrent duplicates)
         self._enqueued: set[tuple[int, int]] = set()
+        #: receiver-side, volatile: ``(entry_id, status)`` acks owed to
+        #: each origin and not yet handed to the channel. A crash loses
+        #: them; the origin redelivers, ``applied`` dedups, and the
+        #: duplicate is re-acked.
+        self._owed: dict[int, list[Ack]] = {}
+        #: origins with an ack window open (its flush is scheduled)
+        self._ack_windows: dict[int, "Handle"] = {}
         self._flush_timer: int | None = None
         #: one row per recovery replay, reported by bench_durability
         self.recovery_log: list[dict[str, Any]] = []
@@ -155,10 +166,15 @@ class NodeStore:
 
     def resolve(self, entry_id: tuple[int, int], status: str) -> bool:
         """Handler-side ack (``delivered``) or §7.2 notice (``noticed``)."""
-        if self.outbox.resolve(entry_id, status):
-            self._after_append()
-            return True
-        return False
+        return self.resolve_batch(((entry_id, status),)) == 1
+
+    def resolve_batch(self, acks: Iterable[Ack]) -> int:
+        """Retire every still-pending ``(entry_id, status)`` of ``acks``
+        as one journal commit; returns how many that was."""
+        retired = self.outbox.resolve_batch(acks)
+        if retired:
+            self._after_append(retired)
+        return retired
 
     def on_give_up(self, entry_id: tuple[int, int]) -> None:
         """The reliable channel exhausted its budget: park for redelivery."""
@@ -176,8 +192,7 @@ class NodeStore:
 
     def on_store_ack(self, message: Message) -> None:
         """Kernel dispatch entry for :data:`MSG_STORE_ACK`."""
-        self.resolve(message.payload["entry_id"],
-                     message.payload.get("status", DELIVERED))
+        self.resolve_batch(message.payload["acks"])
 
     # ==================================================================
     # receiver side (applied-set dedup + acknowledgement)
@@ -186,11 +201,14 @@ class NodeStore:
     def accept_post(self, entry_id: tuple[int, int]) -> bool:
         """Should an arriving durable post be executed here?
 
-        False for duplicates: already executed (re-ack, in case the
-        first ack was lost) or currently queued for execution.
+        False for duplicates: already concluded here (re-ack with the
+        outcome this node recorded, in case the first ack was lost: its
+        dead-letter queue still holds a quarantined post, until someone
+        requeues it) or currently queued for execution.
         """
         if entry_id in self.applied:
-            self._send_ack(entry_id)
+            quarantined = self.kernel.dead_letters.holds(entry_id)
+            self._owe_ack(entry_id, QUARANTINED if quarantined else DELIVERED)
             return False
         if entry_id in self._enqueued:
             return False
@@ -235,7 +253,7 @@ class NodeStore:
     def post_executed(self, entry_id: tuple[int, int]) -> None:
         """The handler run completed: acknowledge to the origin."""
         self._enqueued.discard(entry_id)
-        self._send_ack(entry_id)
+        self._owe_ack(entry_id, DELIVERED)
 
     def post_quarantined(self, entry_id: tuple[int, int]) -> None:
         """The post was dead-lettered here: ack so the origin stops
@@ -255,19 +273,42 @@ class NodeStore:
             self.journal.append(REC_APPLIED, entry_id=entry_id)
             self._after_append()
         self._enqueued.discard(entry_id)
-        self._send_ack(entry_id, QUARANTINED)
+        self._owe_ack(entry_id, QUARANTINED)
 
-    def _send_ack(self, entry_id: tuple[int, int],
-                  status: str = DELIVERED) -> None:
+    def _owe_ack(self, entry_id: tuple[int, int], status: str) -> None:
+        """Put one ack on its origin's list; the first of a window
+        schedules the flush ``ack_delay`` later (0: this instant)."""
         origin = entry_id[0]
         if origin == self.kernel.node_id:
             self.resolve(entry_id, status)
             return
+        self._owed.setdefault(origin, []).append((entry_id, status))
+        if origin not in self._ack_windows:
+            self._ack_windows[origin] = self.sim.call_after(
+                self.kernel.config.ack_delay, self._flush_acks, origin)
+
+    def _flush_acks(self, origin: int) -> None:
+        """Send everything owed to ``origin`` as one ``store.ack``."""
+        window = self._ack_windows.pop(origin, None)
+        if window is not None:
+            window.cancel()
+        acks = self._owed.pop(origin, None)
+        if not acks:
+            return
+        # A lost batch heals by itself only while the origin still
+        # redelivers (applied-set dedup, re-ack); once its posts were
+        # transport-acked nothing else would, hence the give-up hook.
         self.kernel.transmit(Message(
             src=self.kernel.node_id, dst=origin, mtype=MSG_STORE_ACK,
-            size=48, payload={"entry_id": entry_id, "status": status}))
-        # A lost ack is self-healing: the origin redelivers, the applied
-        # set suppresses re-execution, and the duplicate is re-acked.
+            size=32 + 16 * len(acks), payload={"acks": acks}),
+            on_give_up=self._acks_gave_up)
+
+    def _acks_gave_up(self, message: Message) -> None:
+        """The channel spent its budget on a batch: the acks are owed
+        again and wait for the flush timer, a recovery announcement from
+        the origin, or the next window toward it."""
+        self._owed.setdefault(message.dst, [])[:0] = message.payload["acks"]
+        self._arm_flush()
 
     # ==================================================================
     # persistent object-handler registry (journal hooks)
@@ -344,6 +385,10 @@ class NodeStore:
             self.kernel.timers.cancel(self._flush_timer)
             self._flush_timer = None
         self._enqueued.clear()
+        self._owed.clear()
+        for window in self._ack_windows.values():
+            window.cancel()
+        self._ack_windows.clear()
         self.applied.clear()
         self._applied_base = None
         self._applied_added.clear()
@@ -432,10 +477,12 @@ class NodeStore:
 
     def flush_to(self, dst: int) -> int:
         """A peer recovered: re-dispatch every pending entry bound for it
-        (in-flight ones included — anything queued there died with it)."""
+        (in-flight ones included — anything queued there died with it)
+        and send the acks owed to it."""
         entries = self.outbox.pending_for(dst)
         for entry in entries:
             self._dispatch(entry)
+        self._flush_acks(dst)
         return len(entries)
 
     def _dispatch(self, entry: OutboxEntry) -> None:
@@ -467,6 +514,14 @@ class NodeStore:
                 skipped = True
                 continue
             self._dispatch(entry)
+        for origin in sorted(self._owed):
+            if origin in self._ack_windows:
+                continue  # goes out with its window
+            if membership.is_failed(origin):
+                self.outbox.flush_skips += 1
+                skipped = True
+                continue
+            self._flush_acks(origin)
         if skipped:
             self._arm_flush()
         # Otherwise no immediate re-arm: a later give-up parks and
@@ -478,10 +533,16 @@ class NodeStore:
     # ==================================================================
 
     def stats(self) -> dict[str, int]:
-        return {**self.journal.stats(), **self.outbox.stats(),
-                "checkpoints": self.checkpoints.taken,
-                "applied": len(self.applied),
-                "recoveries": len(self.recovery_log)}
+        stats = {**self.journal.stats(), **self.outbox.stats(),
+                 "checkpoints": self.checkpoints.taken,
+                 "applied": len(self.applied),
+                 "recoveries": len(self.recovery_log)}
+        acks_owed = sum(len(acks) for acks in self._owed.values())
+        if acks_owed:
+            # Nonzero-gated like the outbox's ``parked``: a run read
+            # inside an ack window says why ``pending`` is not 0 yet.
+            stats["acks_owed"] = acks_owed
+        return stats
 
 
 __all__ = ["MSG_STORE_ACK", "NodeStore", "DELIVERED", "NOTICED",

@@ -14,7 +14,7 @@ the per-thread block window) makes redelivery exactly-once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.store.journal import NodeJournal, REC_ACK, REC_POST
 
@@ -29,6 +29,9 @@ PARKED = "parked"
 DELIVERED = "delivered"
 NOTICED = "noticed"
 QUARANTINED = "quarantined"
+
+#: one acknowledgement: ``(entry_id, resolved status)``
+Ack = tuple[tuple[int, int], str]
 
 
 @dataclass(slots=True)
@@ -144,20 +147,29 @@ class Outbox:
             self.recorded += 1
         return entries
 
-    def resolve(self, entry_id: tuple[int, int], status: str) -> bool:
-        """Journal the ack and retire the entry; False if not pending."""
-        entry = self._pending.pop(entry_id, None)
-        if entry is None:
-            return False
-        entry.status = status
-        self.journal.append(REC_ACK, entry_id=entry_id, status=status)
-        if status == DELIVERED:
-            self.delivered += 1
-        elif status == QUARANTINED:
-            self.quarantined += 1
-        else:
-            self.noticed += 1
-        return True
+    def resolve_batch(self, acks: Iterable[Ack]) -> int:
+        """Journal the ``(entry_id, status)`` acks of entries still
+        pending as **one commit unit** and retire them; returns how many.
+
+        Acks of entries already retired (a re-ack that crossed the first
+        one, a fabric duplicate) are skipped: each entry's ``ack`` record
+        is journaled once.
+        """
+        ops = []
+        for entry_id, status in acks:
+            entry = self._pending.pop(entry_id, None)
+            if entry is None:
+                continue
+            entry.status = status
+            ops.append((REC_ACK, {"entry_id": entry_id, "status": status}))
+            if status == DELIVERED:
+                self.delivered += 1
+            elif status == QUARANTINED:
+                self.quarantined += 1
+            else:
+                self.noticed += 1
+        self.journal.append_batch(ops)
+        return len(ops)
 
     def park(self, entry_id: tuple[int, int]) -> bool:
         """The reliable send gave up; hold the entry for redelivery."""

@@ -10,7 +10,15 @@ from repro.errors import (
     NodeCrashedError,
     UndeliverableError,
 )
+from repro.store import MSG_STORE_ACK
 from tests.conftest import Echo, Sleeper, make_cluster
+from tests.test_durability import (
+    Counter,
+    Flaky,
+    ack_records,
+    durable_cluster,
+    intercept,
+)
 
 
 class Sink(DistObject):
@@ -349,3 +357,106 @@ class TestRecovery:
         cluster.raise_event("PING", thread.tid, from_node=0, user_data="hi")
         cluster.run(until=cluster.now + 0.5)
         assert seen == ["hi"]
+
+
+class TestStoreAcksAcrossCrashes:
+    """The acks a node owes are volatile, the outcomes they report are
+    not: a crash loses the batch, redelivery + ``applied`` dedup + re-ack
+    restores it, with the outcome the node journaled."""
+
+    def durable(self, **overrides):
+        cluster = durable_cluster(n_nodes=2, **overrides)
+        cluster.register_event("PING")
+        return cluster
+
+    def test_receiver_crash_inside_the_ack_window(self):
+        cluster = self.durable()
+        counter = cluster.create_object(Counter, node=1)
+        for i in range(5):
+            cluster.raise_event("PING", counter, from_node=0, user_data=i)
+        config = cluster.config
+        cluster.run(until=config.link_latency + config.ack_delay / 2)
+        obj = cluster.get_object(counter)
+        assert len(obj.seen) == 5
+        assert cluster.durability_stats()["acks_owed"] == 5
+        cluster.crash_node(1)
+        stats = cluster.durability_stats()
+        assert "acks_owed" not in stats and stats["pending"] == 5
+        cluster.run(until=cluster.now + 0.2)
+        assert cluster.durability_stats()["pending"] == 5  # nobody acks
+        cluster.recover_node(1)
+        cluster.run(until=cluster.now + 1.0)
+        # announcement -> redelivery -> dedup -> re-ack, no second run
+        assert sorted(obj.seen) == list(range(5))
+        stats = cluster.durability_stats()
+        assert stats["pending"] == 0 and stats["delivered"] == 5
+        assert stats["redelivered"] == 5
+        assert sorted(ack_records(cluster)) == [(0, i) for i in range(1, 6)]
+
+    def quarantined_with_ack_lost(self, **overrides):
+        cluster = self.durable(poison_threshold=2, handler_backoff=1e-3,
+                               **overrides)
+        cap = cluster.create_object(Flaky, poison={"bad"}, node=1)
+        cluster.raise_event("PING", cap, from_node=0, user_data="bad")
+        heal, _ = intercept(cluster, MSG_STORE_ACK, lambda m: 0)
+        return cluster, cluster.get_object(cap), heal
+
+    def assert_quarantined_once(self, cluster, obj):
+        stats = cluster.durability_stats()
+        assert stats["pending"] == 0
+        assert stats["delivered"] == 0 and stats["quarantined"] == 1
+        statuses = [r.data["status"] for r in cluster.store.journal(0)
+                    if r.rtype == "ack"]
+        assert statuses == ["quarantined"]
+        (dead,) = cluster.dead_letters(1)
+        assert dead.block.durable_id == (0, 1)
+        assert obj.seen == []
+
+    def test_quarantined_post_is_re_acked_quarantined(self):
+        """Ack lost for good, then the origin redelivers."""
+        cluster, obj, heal = self.quarantined_with_ack_lost(
+            max_retransmits=3, outbox_flush_interval=None)
+        cluster.run(until=1.0)
+        assert cluster.reliability_stats()["gave_up"] == 1
+        heal()
+        cluster.crash_node(0)
+        cluster.recover_node(0)  # replays the pending entry, re-sends it
+        cluster.run(until=cluster.now + 1.0)
+        self.assert_quarantined_once(cluster, obj)
+
+    def test_quarantine_re_ack_survives_the_receivers_crash(self):
+        """Receiver crashed and recovered between the quarantine and the
+        redelivery: the outcome comes back from its journal."""
+        cluster, obj, heal = self.quarantined_with_ack_lost()
+        cluster.run(until=0.1)
+        assert len(cluster.dead_letters(1)) == 1
+        cluster.crash_node(1)  # the unsent ack and its retransmits die
+        heal()
+        cluster.run(until=cluster.now + 0.1)
+        cluster.recover_node(1)
+        cluster.run(until=cluster.now + 1.0)
+        self.assert_quarantined_once(cluster, obj)
+
+    def test_acks_owed_to_a_failed_origin_wait_for_its_recovery(self):
+        cluster = self.durable(swim_interval=0.05, max_retransmits=2,
+                               retransmit_base=0.02,
+                               outbox_flush_interval=0.1)
+        counter = cluster.create_object(Counter, node=1)
+        cluster.run(until=0.3)  # detector warms up
+        cluster.raise_event("PING", counter, from_node=0, user_data="x")
+        cluster.run(until=cluster.now + cluster.config.link_latency * 1.5)
+        obj = cluster.get_object(counter)
+        assert obj.seen == ["x"]
+        cluster.crash_node(0)  # before the ack window closes
+        cluster.run(until=cluster.now + 2.0)
+        # the batch gave up, and the flush timer holds it back instead
+        # of burning retransmits against a suspected node
+        assert cluster.kernels[1].membership.is_failed(0)
+        assert cluster.kernels[1].store.stats()["acks_owed"] == 1
+        assert cluster.kernels[1].store.stats()["flush_skips"] > 0
+        cluster.recover_node(0)
+        cluster.run(until=cluster.now + 2.0)
+        stats = cluster.durability_stats()
+        assert stats["pending"] == 0 and stats["delivered"] == 1
+        assert "acks_owed" not in stats
+        assert obj.seen == ["x"]

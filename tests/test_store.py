@@ -90,8 +90,9 @@ class TestOutbox:
     def test_resolve_journals_ack_and_retires(self):
         outbox = Outbox(make_journal())
         entry = outbox.record(make_block(), "object", dst=1, now=0.0)
-        assert outbox.resolve(entry.entry_id, DELIVERED)
-        assert not outbox.resolve(entry.entry_id, DELIVERED)  # idempotent
+        ack = (entry.entry_id, DELIVERED)
+        assert outbox.resolve_batch([ack]) == 1
+        assert outbox.resolve_batch([ack]) == 0  # idempotent
         assert outbox.pending() == []
         assert entry.resolved
         assert [r.rtype for r in outbox.journal] == [REC_POST, REC_ACK]
@@ -100,7 +101,7 @@ class TestOutbox:
     def test_noticed_counts_separately(self):
         outbox = Outbox(make_journal())
         entry = outbox.record(make_block(), "thread", dst=None, now=0.0)
-        outbox.resolve(entry.entry_id, NOTICED)
+        outbox.resolve_batch([(entry.entry_id, NOTICED)])
         assert outbox.noticed == 1 and outbox.delivered == 0
 
     def test_park_and_redispatch_cycle(self):
@@ -127,7 +128,7 @@ class TestOutbox:
         outbox = Outbox(journal)
         kept = outbox.record(make_block(), "object", dst=1, now=0.0)
         gone = outbox.record(make_block(), "object", dst=2, now=0.0)
-        outbox.resolve(gone.entry_id, DELIVERED)
+        outbox.resolve_batch([(gone.entry_id, DELIVERED)])
         rebuilt = Outbox(journal)
         for record in journal:
             rebuilt.apply_record(record)

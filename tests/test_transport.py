@@ -682,11 +682,11 @@ class TestClosedWire:
         finally:
             cluster.close()
 
-    def test_example_invocation_names_the_thread(self, monkeypatch, capsys):
-        # every frame of examples/tcp_cluster.py, captured at the encoder
+    @staticmethod
+    def _example_frames(monkeypatch, capsys):
+        """Every frame of examples/tcp_cluster.py, captured at the
+        encoder and decoded again."""
         import runpy
-
-        from repro.threads.ids import ThreadId
         bodies = []
         encode = tcp.codec.encode_message
 
@@ -699,7 +699,11 @@ class TestClosedWire:
         runpy.run_path(str(root / "examples" / "tcp_cluster.py"),
                        run_name="__main__")
         assert "counter lives on node 2" in capsys.readouterr().out
-        decoded = [tcp.codec.decode_message(body) for body in bodies]
+        return [tcp.codec.decode_message(body) for body in bodies]
+
+    def test_example_invocation_names_the_thread(self, monkeypatch, capsys):
+        from repro.threads.ids import ThreadId
+        decoded = self._example_frames(monkeypatch, capsys)
         requests = [m.payload for m in decoded
                     if m.mtype == "invoke.request"]
         assert requests, sorted({m.mtype for m in decoded})
@@ -712,6 +716,20 @@ class TestClosedWire:
         moved = {m.mtype: sorted(m.payload) for m in decoded
                  if m.mtype in ("invoke.reply", "thread.complete")}
         assert moved == {"thread.complete": ["hop", "tid"]}
+
+    def test_example_store_acks_cross_as_batches(self, monkeypatch, capsys):
+        decoded = self._example_frames(monkeypatch, capsys)
+        batches = {(m.src, m.rel): m.payload for m in decoded
+                   if m.mtype == "store.ack"}  # retransmits collapse
+        assert all(sorted(payload) == ["acks"]
+                   for payload in batches.values())
+        acks = [ack for payload in batches.values()
+                for ack in payload["acks"]]
+        # 30 posts, ten from each origin, every one acked delivered
+        assert {entry_id for entry_id, _ in acks} == {
+            (origin, seq) for origin in range(3) for seq in range(1, 11)}
+        assert {status for _, status in acks} == {"delivered"}
+        assert len(batches) < 30
 
 
 # ----------------------------------------------------------------------
