@@ -31,7 +31,6 @@ from repro.events.handlers import Decision, HandlerContext, HandlerRegistration
 from repro.events.settle import EXECUTED, Settler
 from repro.events.supervise import HandlerSupervisor
 from repro.net.stats import LatencyReservoir
-from repro.sim.primitives import SimFuture
 from repro.threads import syscalls as sc
 from repro.threads.thread import (
     DThread,
@@ -455,10 +454,10 @@ class Executor:
 
         # §6.1: the object's handler gets called first, on a surrogate
         # thread that takes on the suspended thread's attributes.
-        ran: SimFuture[Any] = SimFuture(self.sim)
-        objects.run_object_handler(frame.obj, obj_handler, block, ran)
-        ran.add_done_callback(lambda fut: self._handler_exited(
-            *fut.outcome(), after_object_handler, thread, block))
+        objects.run_object_handler(
+            frame.obj, obj_handler, block,
+            partial(self._handler_exited, done=after_object_handler,
+                    thread=thread, block=block))
 
     def _finish_exception(self, thread: DThread, block: EventBlock,
                           decision: Decision, value: Any) -> None:

@@ -29,7 +29,6 @@ from repro.events.settle import EXECUTED, NOTICED, Settler
 from repro.events.supervise import HandlerSupervisor
 from repro.net.message import Message
 from repro.objects.capability import Capability
-from repro.sim.primitives import SimFuture
 from repro.threads.ids import ThreadId
 from repro.threads.thread import DThread, TERMINATING
 
@@ -169,6 +168,10 @@ class Poster:
     def post_object(self, from_node: int, block: EventBlock) -> None:
         cap = block.target
         if from_node == cap.home:
+            # A hop, not a call: a post may conclude inside
+            # _handle_object_post (no handler, object gone), and
+            # EventManager._raise sets wait.remaining only after route()
+            # returns — no post may conclude inside its own raise.
             self.sim.call_soon(self._handle_object_post, cap.home, block,
                                cap.oid)
             return
@@ -307,11 +310,8 @@ class Poster:
         if fn is None:
             self._object_default(node, obj, block)
             return
-        done: SimFuture[Any] = SimFuture(self.sim)
-        kernel.objects.run_object_handler(obj, fn, block, done)
 
-        def finished(fut: SimFuture[Any]) -> None:
-            value, error = fut.outcome()
+        def finished(value: Any, error: BaseException | None) -> None:
             if error is None:
                 self.supervisor.clear_failures(block)
                 if block.event == names.DELETE:
@@ -334,7 +334,7 @@ class Poster:
                     return
             self.settle.conclude(block, EXECUTED, value, error, node)
 
-        done.add_done_callback(finished)
+        kernel.objects.run_object_handler(obj, fn, block, finished)
 
     def _object_default(self, node: int, obj: "DistObject",
                         block: EventBlock) -> None:

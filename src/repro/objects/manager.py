@@ -29,7 +29,7 @@ from repro.kernel.config import (
 )
 from repro.objects.base import DistObject
 from repro.objects.capability import Capability
-from repro.sim.primitives import Channel, SimFuture
+from repro.sim.primitives import Channel
 from repro.threads.thread import DThread, KIND_KERNEL
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -188,8 +188,8 @@ class ObjectManager:
         raiser; the registry is replayed from the journal when
         durable_delivery is on.
         """
-        # reset (not drain): the dead master's pending recv future must
-        # not swallow the first post enqueued after recovery
+        # reset (not drain): nothing that waited on the queue before the
+        # crash may be offered the first post enqueued after recovery
         dropped = self._queue.reset()
         for work in dropped:
             block = work[2]
@@ -207,18 +207,22 @@ class ObjectManager:
 
     def run_object_handler(self, obj: DistObject, fn: Callable,
                            block: EventBlock,
-                           done: SimFuture[Any]) -> None:
+                           on_exit: Callable[[Any, Any], None]) -> None:
         """Execute an object's handler for an event posted to it.
 
         ``fn`` is the bound handler method (a generator function taking
-        ``(ctx, event_block)``); ``done`` resolves with its return value.
+        ``(ctx, event_block)``). ``on_exit(value, error)`` is called
+        exactly once, inside the run's last step, so the post concludes
+        before the next handler starts: with the return value, the
+        exception raised, ``GeneratorExit`` (the node crashed) or the
+        watchdog's :class:`~repro.errors.HandlerTimeout`.
         """
         mode = self.kernel.config.object_event_mode
         if mode == OBJ_EVENTS_MASTER:
-            self._queue.put((obj, fn, block, done))
+            self._queue.put((obj, fn, block, on_exit))
             self._ensure_master()
         else:
-            self._spawn_per_event_thread(obj, fn, block, done)
+            self._spawn_per_event_thread(obj, fn, block, on_exit)
 
     def _ensure_master(self) -> None:
         if self._master is not None and self._master.alive:
@@ -237,12 +241,12 @@ class ObjectManager:
 
     def _spawn_per_event_thread(self, obj: DistObject, fn: Callable,
                                 block: EventBlock,
-                                done: SimFuture[Any]) -> None:
+                                on_exit: Callable[[Any, Any], None]) -> None:
         self.handler_threads_created += 1
 
         def one_shot(ctx):
             # Creation cost is charged by spawn machinery below.
-            yield from self._serve(ctx, (obj, fn, block, done))
+            yield from self._serve(ctx, (obj, fn, block, on_exit))
 
         def create() -> None:
             self.kernel.invoker.adopt_loop_thread(
@@ -254,7 +258,7 @@ class ObjectManager:
 
     def _serve(self, ctx, work):
         """Run one handler within the object's context (shared by modes)."""
-        obj, fn, block, done = work
+        obj, fn, block, on_exit = work
         activation = ctx._activation
         activation.obj = obj
         previous_block, activation.event_block = activation.event_block, block
@@ -268,39 +272,41 @@ class ObjectManager:
         self.kernel.tracer.emit("event", "object-handler", oid=obj.oid,
                                 event=block.event, node=self.node_id)
         self.serving += 1
-        watchdog = self._arm_watchdog(ctx._thread, obj, block, done)
+        # Whoever ends the run — this frame or its watchdog — takes the
+        # exit out of the cell, so it is reported once.
+        exit_cell = [on_exit]
+        watchdog = self._arm_watchdog(ctx._thread, obj, block, exit_cell)
+        value = error = None
         try:
-            result = yield from fn(ctx, block)
+            value = yield from fn(ctx, block)
         except BaseException as exc:  # noqa: BLE001 - handler crash is data
-            if not done.done:
-                done.fail(exc)
-        else:
-            if not done.done:
-                done.resolve(result)
+            error = exc
         finally:
             if watchdog is not None:
                 watchdog.cancel()
             self.serving -= 1
         activation.obj = None
         activation.event_block = previous_block
+        if exit_cell:
+            exit_cell.pop()(value, error)
 
     def _arm_watchdog(self, thread: DThread, obj: DistObject,
-                      block: EventBlock, done: SimFuture[Any]):
+                      block: EventBlock, exit_cell: list):
         """Watchdog over one object-handler run (``handler_deadline``).
 
         A hung handler would otherwise wedge the node's master handler
         thread, starving every later post to objects homed here. On
-        expiry the executing thread is destroyed, ``done`` fails with
-        :class:`~repro.errors.HandlerTimeout`, and a fresh master is
-        spawned if work is waiting. Returns the timer handle (None when
-        the knob is off — no timer, no extra simulator event).
+        expiry the executing thread is destroyed, a fresh master is
+        spawned if work is waiting, and the run exits with
+        :class:`~repro.errors.HandlerTimeout`. Returns the timer handle
+        (None when the knob is off — no timer, no extra simulator event).
         """
         deadline = self.kernel.config.handler_deadline
         if deadline is None:
             return None
 
         def expire() -> None:
-            if done.done or not thread.alive:
+            if not exit_cell or not thread.alive:
                 return
             supervisor = self.kernel.events.supervisor
             supervisor.counters["handler_timeouts"] += 1
@@ -310,9 +316,9 @@ class ObjectManager:
             error = HandlerTimeout(
                 f"object handler for {block.event} on oid {obj.oid} "
                 f"exceeded {deadline}s")
-            # Fail the delivery future first: the destroy below unwinds
-            # the generator, whose error path must see done as settled.
-            done.fail(error)
+            # Take the exit first: the destroy below unwinds the
+            # generator, whose own exit must find the cell empty.
+            on_exit = exit_cell.pop()
             self.kernel.invoker.destroy_thread_abrupt(thread, error)
             if self._master is thread:
                 # The master died with the hung handler; respawn it if
@@ -320,5 +326,6 @@ class ObjectManager:
                 self._master = None
                 if len(self._queue):
                     self._ensure_master()
+            on_exit(None, error)
 
         return self.kernel.sim.call_after(deadline, expire)

@@ -75,15 +75,14 @@ class SimFuture(Generic[T]):
         return self._value  # type: ignore[return-value]
 
     def settle(self, value: T = None,
-               error: BaseException | None = None) -> None:
-        """Fail with ``error`` or resolve with ``value``; ignored once done."""
-        if self._state == _PENDING:
-            self._complete(_RESOLVED if error is None else _FAILED,
-                           value=value, error=error)
-
-    def outcome(self) -> tuple[T | None, BaseException | None]:
-        """``(value, error)`` of a completed future, without raising."""
-        return self._value, self._error
+               error: BaseException | None = None) -> bool:
+        """Fail with ``error`` or resolve with ``value``; False (and no
+        effect) once done."""
+        if self._state != _PENDING:
+            return False
+        self._complete(_RESOLVED if error is None else _FAILED,
+                       value=value, error=error)
+        return True
 
     def add_done_callback(self, fn: Callable[["SimFuture[T]"], None]) -> None:
         """Run ``fn(self)`` once the future completes (soon, if already done)."""
@@ -185,23 +184,25 @@ class Semaphore:
 class Channel(Generic[T]):
     """An unbounded FIFO channel between simulated producers and consumers.
 
-    ``get()`` returns a future resolved with the next item; items are
-    delivered in FIFO order to getters in FIFO order.
+    Items go in FIFO order to waiters in FIFO order. A waiter is a
+    callable ``take(item) -> bool`` that accepts the item or says it no
+    longer waits: the ``settle`` of a ``get()`` future, or what a
+    consumer passed to :meth:`park` (the thread driver parks its
+    ``resume_with``).
     """
 
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim
         self._items: deque[T] = deque()
-        self._getters: deque[SimFuture[T]] = deque()
+        self._waiters: deque[Callable[[T], bool]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item: T) -> None:
-        while self._getters:
-            fut = self._getters.popleft()
-            if not fut.done:
-                fut.resolve(item)
+        waiters = self._waiters
+        while waiters:
+            if waiters.popleft()(item):
                 return
         self._items.append(item)
 
@@ -210,8 +211,23 @@ class Channel(Generic[T]):
         if self._items:
             fut.resolve(self._items.popleft())
         else:
-            self._getters.append(fut)
+            self._waiters.append(fut.settle)
         return fut
+
+    def pop(self) -> T:
+        """Take the head item now; the channel must not be empty."""
+        return self._items.popleft()
+
+    def park(self, take: Callable[[T], bool]) -> None:
+        """Queue ``take`` behind the waiters already here (the channel is
+        empty): the next ``put`` not accepted by one of them calls it."""
+        self._waiters.append(take)
+
+    def unpark(self, take: Callable[[T], bool]) -> None:
+        """Forget a parked ``take`` (a no-op once it was offered an item
+        or swept by ``reset()``)."""
+        if take in self._waiters:
+            self._waiters.remove(take)
 
     def drain(self) -> list[T]:
         """Remove and return all queued items without waiting."""
@@ -220,12 +236,12 @@ class Channel(Generic[T]):
         return items
 
     def reset(self) -> list[T]:
-        """Drain all items AND forget all waiting getters.
+        """Drain all items AND forget all waiters.
 
         For consumer death (e.g. a node crash killing the thread parked
-        in ``get()``): a dead consumer's future must not swallow the
-        next ``put()``, which would silently lose the item.
+        here): a dead consumer must not swallow the next ``put()``,
+        which would silently lose the item.
         """
         items = self.drain()
-        self._getters.clear()
+        self._waiters.clear()
         return items

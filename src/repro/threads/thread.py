@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import (
@@ -250,21 +251,24 @@ class DThread:
 
     def resume_with(self, value: Any = None,
                     error: BaseException | None = None,
-                    epoch: int | None = None) -> None:
-        """External completion path (replies, sleeps, resumes, pages).
+                    epoch: int | None = None) -> bool:
+        """External completion path (replies, sleeps, resumes, pages,
+        channel hand-offs).
 
         ``epoch`` (when provided) must match the wait epoch the completion
         was issued for; stale completions of cancelled waits are dropped.
+        Returns whether the thread took the completion.
         """
         if not self.alive:
-            return
+            return False
         if epoch is not None and epoch != self._wait_epoch:
-            return
+            return False
         self._wait = None
         if self.suspended_by_event or self.state == TERMINATING:
             self._set_stash(value, error)
-            return
-        self.schedule_step(value, error)
+        else:
+            self.schedule_step(value, error)
+        return True
 
     def _set_stash(self, value: Any, error: BaseException | None) -> None:
         if self._stash is not None:
@@ -349,7 +353,19 @@ class DThread:
         elif isinstance(syscall, sc.WaitFor):
             self._wait_on_future(syscall.future)
         elif isinstance(syscall, sc.Recv):
-            self._wait_on_future(syscall.channel.get())
+            channel = syscall.channel
+            if len(channel):
+                # One hop, not zero: the next _step sees pending notices
+                # and the Python stack stays flat over a long queue.
+                self.schedule_step(channel.pop(), None)
+            else:
+                # Parked: put() hands the item straight to resume_with,
+                # which declines it (the next waiter is served) once this
+                # wait is over; termination unparks.
+                epoch = self.block("recv")
+                take = partial(self.resume_with, error=None, epoch=epoch)
+                self._wait["cancel"] = partial(channel.unpark, take)
+                channel.park(take)
         elif isinstance(syscall, sc.Invoke):
             cluster.invoker.invoke(self, syscall)
         elif isinstance(syscall, sc.InvokeAsync):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro import Cluster, ClusterConfig, Decision, DistObject, entry, handler_entry, on_event
@@ -28,6 +30,73 @@ def serializing_wire(monkeypatch):
     monkeypatch.setattr(
         SimTransport, "post", lambda self, message, dst, delay: post(
             self, decode_message(encode_message(message)), dst, delay))
+
+
+class Conclusions:
+    """What ``Router.route`` opened and ``Settler.conclude`` closed."""
+
+    def __init__(self):
+        self.raised: list[int] = []
+        #: (block id, outcome) -> how often that conclusion was recorded
+        self.outcomes: Counter = Counter()
+
+    def count(self, outcome: str) -> int:
+        return sum(1 for _, seen in self.outcomes if seen == outcome)
+
+    def check(self) -> None:
+        """The standing invariant: every raised block concluded exactly
+        once — executed, noticed or quarantined, never two, never none."""
+        per_block = Counter(block_id for block_id, _ in self.outcomes)
+        assert set(self.outcomes.values()) <= {1}, "a block concluded twice"
+        assert set(per_block.values()) <= {1}, "a block has two outcomes"
+        assert set(self.raised) <= set(per_block), \
+            "a raised block never concluded"
+
+
+@pytest.fixture()
+def conclusions(monkeypatch):
+    """Count conclusions at the settle stage's funnel, from outside."""
+    from repro.events.route import Router
+    from repro.events.settle import Settler
+    seen = Conclusions()
+    route, conclude = Router.route, Settler.conclude
+
+    def counting_route(self, block):
+        seen.raised.append(block.block_id)
+        return route(self, block)
+
+    def counting_conclude(self, block, outcome, *args, **kwargs):
+        concluded = conclude(self, block, outcome, *args, **kwargs)
+        if concluded:
+            seen.outcomes[block.block_id, outcome] += 1
+        return concluded
+
+    monkeypatch.setattr(Router, "route", counting_route)
+    monkeypatch.setattr(Settler, "conclude", counting_conclude)
+    return seen
+
+
+@pytest.fixture()
+def handler_exits(monkeypatch):
+    """Every ``ObjectManager.run_object_handler`` call in order, as
+    ``(block, exits)``: ``exits`` collects the ``(value, error)`` pairs
+    its ``on_exit`` was called with — exactly one, once the run is over."""
+    from repro.objects.manager import ObjectManager
+    run = ObjectManager.run_object_handler
+    runs = []
+
+    def recording(self, obj, fn, block, on_exit):
+        exits = []
+        runs.append((block, exits))
+
+        def recorded(value, error):
+            exits.append((value, error))
+            on_exit(value, error)
+
+        run(self, obj, fn, block, recorded)
+
+    monkeypatch.setattr(ObjectManager, "run_object_handler", recording)
+    return runs
 
 
 class Echo(DistObject):

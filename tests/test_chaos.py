@@ -1,13 +1,9 @@
 """Chaos-harness tests: delivery guarantees across all four locators
 under seeded drops, duplicates, partitions and crash/recover cycles."""
 
-from collections import Counter
-
 import pytest
 
 from repro.bench.chaos import ChaosSpec, run_chaos
-from repro.events.route import Router
-from repro.events.settle import Settler
 
 LOCATORS = ["path", "broadcast", "multicast", "cached"]
 
@@ -143,29 +139,11 @@ class TestOneConclusionPerPost:
     }
 
     @pytest.mark.parametrize("name", sorted(SPECS))
-    def test_every_raised_block_concludes_once(self, name, monkeypatch):
-        raised, outcomes = [], Counter()
-        route, conclude = Router.route, Settler.conclude
-
-        def counting_route(self, block):
-            raised.append(block.block_id)
-            return route(self, block)
-
-        def counting_conclude(self, block, outcome, *args, **kwargs):
-            concluded = conclude(self, block, outcome, *args, **kwargs)
-            if concluded:
-                outcomes[block.block_id, outcome] += 1
-            return concluded
-
-        monkeypatch.setattr(Router, "route", counting_route)
-        monkeypatch.setattr(Settler, "conclude", counting_conclude)
+    def test_every_raised_block_concludes_once(self, name, conclusions):
         report = run_chaos(self.SPECS[name])
         assert report.violations == []
-        assert len(raised) >= self.SPECS[name].posts
-        per_block = Counter(block_id for block_id, _ in outcomes)
-        assert set(outcomes.values()) == {1}, "a block concluded twice"
-        assert set(per_block.values()) == {1}, "a block has two outcomes"
-        assert set(raised) <= set(per_block), "a raised block never concluded"
+        assert len(conclusions.raised) >= self.SPECS[name].posts
+        conclusions.check()
 
 
 class TestReportShape:

@@ -277,6 +277,57 @@ class TestDeadTargetNotices:
         assert cluster.events.settle.waits == {}
 
 
+class TestCrashMidObjectHandler:
+    """A node crash unwinds the running object handler: its exit is
+    reported once, as ``GeneratorExit``, from inside the crash."""
+
+    def crash_mid_handler(self, cluster, handler_exits):
+        cluster.register_event("PING")
+        noticed = []
+        cluster.events.on_undeliverable = \
+            lambda block, target: noticed.append(block.user_data)
+        slow = cluster.create_object(SlowObject, node=1)
+        cluster.raise_event("PING", slow, from_node=0, user_data="mid")
+        cluster.run(until=0.03)  # 50 ms handler, started at ~1 ms
+        assert cluster.kernels[1].objects.serving == 1
+        cluster.crash_node(1)
+        (block, exits), = handler_exits
+        assert [(value, type(error)) for value, error in exits] == [
+            (None, GeneratorExit)]
+        assert cluster.kernels[1].objects.serving == 0
+        return noticed
+
+    def test_non_durable_post_is_noticed_once(self, handler_exits,
+                                              conclusions):
+        cluster = reliable_cluster()
+        noticed = self.crash_mid_handler(cluster, handler_exits)
+        assert noticed == ["mid"]  # already, inside crash_node()
+        cluster.recover_node(1)
+        cluster.run(until=cluster.now + 5.0)
+        assert noticed == ["mid"] and cluster.events.undeliverable == 1
+        assert len(handler_exits) == 1  # nothing re-ran it
+        assert conclusions.count("noticed") == 1
+        conclusions.check()
+
+    def test_durable_post_is_silent_redelivered_and_ran_once(
+            self, handler_exits, conclusions):
+        cluster = durable_cluster(n_nodes=2)
+        noticed = self.crash_mid_handler(cluster, handler_exits)
+        # the ack the exit owed died with the node's memory
+        stats = cluster.durability_stats()
+        assert "acks_owed" not in stats and stats["pending"] == 1
+        cluster.run(until=cluster.now + 0.2)
+        cluster.recover_node(1)
+        cluster.run(until=cluster.now + 1.0)
+        # redelivery meets the applied marker: re-acked, not re-run
+        stats = cluster.durability_stats()
+        assert stats["redelivered"] == 1
+        assert stats["pending"] == 0 and stats["delivered"] == 1
+        assert len(handler_exits) == 1
+        assert noticed == [] and cluster.events.undeliverable == 0
+        conclusions.check()
+
+
 class TestRecovery:
     def test_recovered_node_serves_again(self):
         cluster = make_cluster(n_nodes=3)

@@ -1,7 +1,17 @@
 """Tests for thread-based handler mechanics: the three execution contexts
 (§4.1), LIFO chaining and propagation (§4.2), decisions, detachment."""
 
-from repro import Decision, DistObject, HandlerContext, entry, handler_entry
+import pytest
+
+from repro import (
+    Decision,
+    DistObject,
+    HandlerContext,
+    entry,
+    handler_entry,
+    on_event,
+)
+from repro.errors import ThreadTerminated
 from repro.events.handlers import HandlerRegistration
 from tests.conftest import make_cluster
 
@@ -487,3 +497,86 @@ class TestChainSurrogateTrace:
         created, exits = self._surrogate_lifecycle(cluster)
         assert len(created) == 1 and exits == [str(ran[0][1])]
         assert cluster.live_threads == {}
+
+
+class Faulty(DistObject):
+    """§6.1: the object's DIV_ZERO handler is offered a faulting frame's
+    exception first; ``verdict`` is what it returns."""
+
+    def __init__(self, verdict, log):
+        super().__init__()
+        self.verdict = verdict
+        self.log = log
+
+    @on_event("DIV_ZERO")
+    def on_div_zero(self, ctx, block):
+        self.log.append(("object-handler", str(ctx.real_tid)))
+        yield ctx.compute(1e-5)
+        if isinstance(self.verdict, BaseException):
+            raise self.verdict
+        return self.verdict
+
+    @on_event("PING")
+    def on_ping(self, ctx, block):
+        self.log.append(("ping", str(ctx.real_tid)))
+        yield ctx.compute(1e-5)
+
+    @entry
+    def guarded(self, ctx):
+        def chained(hctx, block):
+            self.log.append(("chain-handler", str(hctx.real_tid)))
+            yield hctx.compute(0)
+            return (Decision.RESUME, "chain repaired")
+
+        yield ctx.attach_handler("DIV_ZERO", chained)
+        yield ctx.compute(1e-5)
+        return 1 / 0
+
+
+class TestFrameExceptionObjectHandler:
+    """The §6.1 object handler runs on the node's master handler thread
+    and reports its exit once, inside its last step; the decision is
+    applied to the faulted thread from there."""
+
+    VERDICTS = {
+        "resume": (Decision.RESUME, "object repaired"),
+        "propagate": Decision.PROPAGATE,
+        "terminate": Decision.TERMINATE,
+        "raises": RuntimeError("handler bug"),  # folded into PROPAGATE
+    }
+
+    @pytest.mark.parametrize("verdict", sorted(VERDICTS))
+    def test_one_exit_then_the_decision(self, verdict, handler_exits):
+        cluster = make_cluster(n_nodes=1)
+        cluster.register_event("PING")
+        log = []
+        cap = cluster.create_object(Faulty, self.VERDICTS[verdict], log,
+                                    node=0)
+        thread = cluster.spawn(cap, "guarded", at=0)
+        cluster.raise_event("PING", cap, from_node=0)  # served first
+        cluster.run(until=1.0)
+        # ping + the exception's object handler: one exit each, in order
+        assert [(block.event, len(exits)) for block, exits in handler_exits] \
+            == [("PING", 1), ("DIV_ZERO", 1)]
+        steps = [step for step, _ in log]
+        if verdict == "resume":
+            assert steps == ["ping", "object-handler"]
+            assert thread.completion.result() == "object repaired"
+        elif verdict == "terminate":
+            assert steps == ["ping", "object-handler"]
+            assert thread.state == "terminated"
+            with pytest.raises(ThreadTerminated):
+                thread.completion.result()
+        else:
+            assert steps == ["ping", "object-handler", "chain-handler"]
+            assert thread.completion.result() == "chain repaired"
+        # one master served both and is parked for the next post
+        objects = cluster.kernels[0].objects
+        assert objects.handler_threads_created == 1
+        assert log[0][1] == log[1][1] == str(objects._master.tid)
+        assert objects._master.wait_kind == "recv" and objects.serving == 0
+        assert cluster.events.handler_failures == (verdict == "raises")
+        cluster.raise_event("PING", cap, from_node=0)
+        cluster.run(until=2.0)
+        assert [step for step, _ in log][-1] == "ping"
+        assert cluster.quiescent()

@@ -1,8 +1,10 @@
 """Property-based tests for the simulation substrate."""
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro import DistObject, entry
 from repro.sim import Channel, RngRegistry, Semaphore, Simulator
+from tests.conftest import make_cluster
 
 delays = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -75,15 +77,82 @@ class TestRngProperties:
         assert registry.stream(names[-1]).random() == solo
 
 
+class _Receiver(DistObject):
+    @entry
+    def take(self, ctx, chan, received, waiter):
+        received[waiter] = yield ctx.recv(chan)
+
+
+#: one step of a channel program; ``drop`` names a waiter by arrival
+#: number (modulo how many there are) that stops waiting: its future is
+#: cancelled, its thread terminated
+channel_ops = st.one_of(
+    st.just(("put",)), st.just(("get",)), st.just(("recv",)),
+    st.tuples(st.just("drop"), st.integers(min_value=0, max_value=40)),
+    st.just(("reset",)))
+
+
 class TestPrimitiveProperties:
-    @given(st.lists(st.integers(), max_size=30))
-    def test_channel_is_fifo(self, items):
-        sim = Simulator()
-        chan = Channel(sim)
-        for item in items:
-            chan.put(item)
-        out = [chan.get().result() for _ in items]
-        assert out == items
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(channel_ops, max_size=40))
+    @example([("recv",), ("drop", 0), ("put",), ("get",)])  # lost "x"
+    @example([("get",), ("recv",), ("get",), ("drop", 0), ("reset",),
+              ("put",), ("recv",)])
+    def test_channel_is_fifo(self, program):
+        """Items go out in FIFO order to the waiters still waiting, in
+        arrival order — ``get()`` futures and threads parked in
+        ``ctx.recv`` alike; each item is received exactly once, never by
+        a cancelled future or a dead thread, and ``reset()`` forgets
+        items and both kinds of waiter."""
+        cluster = make_cluster(n_nodes=1)
+        cap = cluster.create_object(_Receiver, node=0)
+        chan = Channel(cluster.sim)
+        received = {}  # waiter number -> item, as the threads saw it
+        waiters = []  # arrival order: a SimFuture or a DThread
+        # the model: what each waiter must end up with
+        waiting, queued, expected, items = [], [], {}, iter(range(1000))
+
+        def settle():
+            cluster.run(until=cluster.now + 0.01)
+
+        for op in program:
+            if op[0] == "put":
+                item = next(items)
+                if waiting:
+                    expected[waiting.pop(0)] = item
+                else:
+                    queued.append(item)
+                chan.put(item)
+            elif op[0] in ("get", "recv"):
+                number = len(waiters)
+                if queued:
+                    expected[number] = queued.pop(0)
+                else:
+                    waiting.append(number)
+                waiters.append(
+                    chan.get() if op[0] == "get" else
+                    cluster.spawn(cap, "take", chan, received, number, at=0))
+            elif op[0] == "drop" and waiters:
+                number = op[1] % len(waiters)
+                waiter = waiters[number]
+                if number in waiting:
+                    waiting.remove(number)
+                if hasattr(waiter, "cancel"):
+                    waiter.cancel()  # False once resolved: a no-op
+                else:
+                    cluster.invoker.terminate_thread(waiter, reason="drop")
+            elif op[0] == "reset":
+                assert chan.reset() == queued
+                queued.clear()
+                waiting.clear()  # forgotten: never served
+            settle()  # threads reach their recv / take their item
+        settle()
+        for number, waiter in enumerate(waiters):
+            if hasattr(waiter, "cancel"):
+                if waiter.done and not waiter.cancelled:
+                    received[number] = waiter.result()
+        assert received == expected
+        assert chan.drain() == queued
 
     @given(st.integers(min_value=0, max_value=10),
            st.integers(min_value=0, max_value=30))

@@ -8,7 +8,12 @@ import pytest
 
 from repro import Decision, DistObject, entry, handler_entry, on_event
 from repro.bench.chaos import ChaosSpec, run_chaos
-from repro.errors import EventError, EventQuarantinedError, RpcTimeout
+from repro.errors import (
+    EventError,
+    EventQuarantinedError,
+    HandlerTimeout,
+    RpcTimeout,
+)
 from repro.events.handlers import (
     HandlerChain,
     HandlerContext,
@@ -202,6 +207,144 @@ class TestWatchdog:
         # Post 0 hung and was killed at the deadline; post 1 still ran.
         assert hits == [0, 1]
         assert cluster.supervision_stats()["handler_timeouts"] >= 1
+
+class Slow(DistObject):
+    """EVT handler that runs for ``user_data`` virtual seconds."""
+
+    def __init__(self, hits):
+        super().__init__()
+        self.hits = hits
+
+    @on_event("EVT")
+    def on_evt(self, ctx, block):
+        self.hits.append(block.user_data)
+        yield ctx.sleep(block.user_data)
+        return f"slept {block.user_data}"
+
+
+class FailsOnce(DistObject):
+    def __init__(self, runs):
+        super().__init__()
+        self.runs = runs
+
+    @on_event("EVT")
+    def on_evt(self, ctx, block):
+        self.runs.append(block.user_data)
+        yield ctx.compute(1e-4)
+        if self.runs.count(block.user_data) == 1 and block.user_data == "flaky":
+            raise RuntimeError("first run fails")
+        return block.user_data
+
+
+class TestObjectHandlerExitsOnce:
+    """``run_object_handler(on_exit=)``: whichever way a handler run
+    ends, its post hears of it exactly once, and the node keeps one
+    master handler thread serving the queue."""
+
+    def _exits(self, handler_exits):
+        return [[type(error).__name__ if error else value
+                 for value, error in exits] for _, exits in handler_exits]
+
+    @pytest.mark.parametrize("backoff", [0.0, 1e-3])
+    def test_poison_retry_queues_behind_the_posts_already_waiting(
+            self, backoff, handler_exits, conclusions):
+        cluster = _rig(n_nodes=1, poison_threshold=3, handler_backoff=backoff)
+        runs = []
+        cap = cluster.create_object(FailsOnce, runs, node=0)
+        futures = [cluster.raise_and_wait("EVT", cap, from_node=0,
+                                          user_data=data)
+                   for data in ("flaky", 1, 2)]
+        cluster.run(until=1.0)
+        # the failed run is retried on the same master, behind the queue
+        assert runs == ["flaky", 1, 2, "flaky"]
+        assert self._exits(handler_exits) == [
+            ["RuntimeError"], [1], [2], ["flaky"]]
+        assert [f.result() for f in futures] == ["flaky", 1, 2]
+        assert cluster.kernels[0].objects.handler_threads_created == 1
+        assert cluster.supervision_stats()["chain_retries"] == 1
+        assert conclusions.count("executed") == 3
+        conclusions.check()
+
+    def test_deadline_expiry_with_work_waiting_respawns_the_master(
+            self, handler_exits, conclusions):
+        cluster = _rig(n_nodes=1, handler_deadline=0.05)
+        hits = []
+        cap = cluster.create_object(Slow, hits, node=0)
+        futures = [cluster.raise_and_wait("EVT", cap, from_node=0,
+                                          user_data=seconds)
+                   for seconds in (1e9, 0.01, 0.02)]
+        cluster.run(until=1.0)
+        assert hits == [1e9, 0.01, 0.02]
+        assert self._exits(handler_exits) == [
+            ["HandlerTimeout"], ["slept 0.01"], ["slept 0.02"]]
+        with pytest.raises(HandlerTimeout):
+            futures[0].result()
+        assert [f.result() for f in futures[1:]] == ["slept 0.01",
+                                                     "slept 0.02"]
+        objects = cluster.kernels[0].objects
+        assert objects.handler_threads_created == 2 and objects.serving == 0
+        assert cluster.supervision_stats()["handler_timeouts"] == 1
+        conclusions.check()
+        assert cluster.quiescent()
+
+    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+    def test_handler_due_back_on_the_deadline_loses_the_tie_once(
+            self, scheduler, handler_exits, conclusions):
+        """The handler's wake-up and its watchdog share an instant; the
+        watchdog was armed first, so it fires first and the wake-up
+        finds its thread gone: one exit, the timeout's."""
+        cluster = _rig(n_nodes=1, handler_deadline=0.05, scheduler=scheduler)
+        hits = []
+        cap = cluster.create_object(Slow, hits, node=0)
+        tied = cluster.raise_and_wait("EVT", cap, from_node=0, user_data=0.05)
+        after = cluster.raise_and_wait("EVT", cap, from_node=0,
+                                       user_data=0.01)
+        cluster.run(until=1.0)
+        assert self._exits(handler_exits) == [["HandlerTimeout"],
+                                             ["slept 0.01"]]
+        with pytest.raises(HandlerTimeout):
+            tied.result()
+        assert after.result() == "slept 0.01"
+        assert cluster.supervision_stats()["handler_timeouts"] == 1
+        conclusions.check()
+
+    def test_watchdog_firing_behind_the_exit_in_one_instant_is_a_no_op(
+            self, handler_exits, conclusions):
+        """The other order of that tie cannot be scheduled today (the
+        exit cancels its watchdog), so it is driven by hand: the
+        watchdog's callback, called in the instant the handler returned,
+        finds the exit taken."""
+        cluster = _rig(n_nodes=1, handler_deadline=0.05)
+        sim, watchdogs = cluster.sim, []
+        call_after = sim.call_after
+
+        def spying(delay, fn, *args):
+            if fn.__name__ == "expire":
+                watchdogs.append(fn)
+            return call_after(delay, fn, *args)
+
+        sim.call_after = spying
+        late = []
+
+        class Done(DistObject):
+            @on_event("EVT")
+            def on_evt(self, ctx, block):
+                yield ctx.compute(0.01)
+                # queued behind this very step, in the same instant
+                sim.call_soon(lambda: (watchdogs[0](),
+                                       late.append(sim.now)))
+                return "returned"
+
+        cap = cluster.create_object(Done, node=0)
+        future = cluster.raise_and_wait("EVT", cap, from_node=0)
+        cluster.run(until=1.0)
+        assert late == [0.01] and future.result() == "returned"
+        assert self._exits(handler_exits) == [["returned"]]
+        assert cluster.supervision_stats()["handler_timeouts"] == 0
+        master = cluster.kernels[0].objects._master
+        assert master.alive and master.wait_kind == "recv"
+        conclusions.check()
+
 
 class TimedChainApp(DistObject):
     """A chain whose handler *i* sleeps ``steps[i][0]`` under deadline
