@@ -50,7 +50,7 @@ from repro.locks import LockManager
 
 #: trace categories muted for big runs (soak, overload, scale,
 #: membership) — a million posts would otherwise accumulate gigabytes of
-#: TraceRecords; counts are still kept
+#: TraceRecords; a muted site builds nothing and counts nothing
 MUTED_CATEGORIES = ("event", "object", "thread", "net", "store",
                     "supervise", "invoke", "dsm", "rpc", "membership")
 

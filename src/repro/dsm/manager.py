@@ -97,8 +97,9 @@ class DsmManager:
         for page in segment.pages:
             self._directory[(segment.segment_id, page.page_id)] = \
                 DirectoryEntry(segment.segment_id, page.page_id)
-        self.cluster.tracer.emit("dsm", "segment", oid=obj.oid,
-                                 pages=segment.n_pages, pageable=pageable)
+        if "dsm" not in self.cluster.tracer.muted:
+            self.cluster.tracer.emit("dsm", "segment", oid=obj.oid,
+                                     pages=segment.n_pages, pageable=pageable)
         return segment
 
     def segment_of(self, oid: int) -> Segment:
@@ -183,9 +184,10 @@ class DsmManager:
             return
         # Miss: ask the directory at the segment's home node.
         self.faults += 1
-        self.cluster.tracer.emit("dsm", "miss", node=node,
-                                 segment=segment.segment_id,
-                                 page=page.page_id, write=is_write)
+        if "dsm" not in self.cluster.tracer.muted:
+            self.cluster.tracer.emit("dsm", "miss", node=node,
+                                     segment=segment.segment_id,
+                                     page=page.page_id, write=is_write)
         fut = self.cluster.kernels[node].rpc.request(
             segment.home, SVC_PAGE,
             {"segment": segment.segment_id, "page": page.page_id,
@@ -267,9 +269,10 @@ class DsmManager:
                        "page": page.page_id, "field": name,
                        "write": is_write, "node": node, "tid": thread.tid},
             raised_at=self.cluster.sim.now)
-        self.cluster.tracer.emit("dsm", "vm-fault", node=node, oid=obj.oid,
-                                 page=page.page_id, field=name,
-                                 tid=str(thread.tid))
+        if "dsm" not in self.cluster.tracer.muted:
+            self.cluster.tracer.emit("dsm", "vm-fault", node=node, oid=obj.oid,
+                                     page=page.page_id, field=name,
+                                     tid=str(thread.tid))
         self.cluster.events.post.enqueue_for_thread(node, thread.tid, block)
 
     def install_page(self, oid: int, page_id: int, values: dict,
@@ -288,8 +291,9 @@ class DsmManager:
             page.values.update(values)
             page.materialized = True
         self.page_transfers += 1
-        self.cluster.tracer.emit("dsm", "install", oid=oid, page=page_id,
-                                 private=private_for)
+        if "dsm" not in self.cluster.tracer.muted:
+            self.cluster.tracer.emit("dsm", "install", oid=oid, page=page_id,
+                                     private=private_for)
         self._retry_faults(segment, page)
 
     def merge_pages(self, oid: int, page_id: int) -> dict:
@@ -308,7 +312,8 @@ class DsmManager:
             page.values.update(page.private_copies[node])
         page.private_copies.clear()
         page.materialized = True
-        self.cluster.tracer.emit("dsm", "merge", oid=oid, page=page_id)
+        if "dsm" not in self.cluster.tracer.muted:
+            self.cluster.tracer.emit("dsm", "merge", oid=oid, page=page_id)
         self._retry_faults(segment, page)
         return dict(page.values)
 

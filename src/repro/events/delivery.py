@@ -127,10 +127,11 @@ class EventManager:
         """Validate one raise and build its event block."""
         self.require_event(event)
         target = self.route.normalize_target(target)
-        self.tracer.emit(
-            "event", "raise", event=event,
-            tid="<ext>" if raiser_tid is None else str(raiser_tid),
-            target=str(target), sync=synchronous, node=node)
+        if "event" not in self.tracer.muted:
+            self.tracer.emit(
+                "event", "raise", event=event,
+                tid="<ext>" if raiser_tid is None else str(raiser_tid),
+                target=str(target), sync=synchronous, node=node)
         return EventBlock(event=event, raiser_tid=raiser_tid,
                           raiser_node=node, target=target,
                           synchronous=synchronous, user_data=user_data,

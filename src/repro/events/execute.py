@@ -138,8 +138,9 @@ class Executor:
         self.delivered += 1
         self.delivery_latencies.record(
             block.event, block.delivered_at - block.raised_at)
-        self.tracer.emit("event", "deliver", event=block.event,
-                         tid=str(thread.tid), node=thread.current_node)
+        if "event" not in self.tracer.muted:
+            self.tracer.emit("event", "deliver", event=block.event,
+                             tid=str(thread.tid), node=thread.current_node)
         self._walk(thread, block, thread.attributes.handlers_for(block.event))
 
     def _end_suspension(self, thread: DThread) -> None:
@@ -203,11 +204,12 @@ class Executor:
 
         def done(decision: Decision, value: Any,
                  error: BaseException | None) -> None:
-            self.tracer.emit(
-                "event", "handler-done", event=block.event,
-                tid=str(thread.tid), context=registration.context.value,
-                decision=decision.value,
-                error=repr(error) if error else None)
+            if "event" not in self.tracer.muted:
+                self.tracer.emit(
+                    "event", "handler-done", event=block.event,
+                    tid=str(thread.tid), context=registration.context.value,
+                    decision=decision.value,
+                    error=repr(error) if error else None)
             if decision is Decision.PROPAGATE:
                 failed = errors + (1 if error is not None and not
                                    isinstance(error, HandlerTimeout) else 0)
@@ -296,8 +298,9 @@ class Executor:
             # Suspected buddy node: fail fast instead of waiting out the
             # reliable channel's give-up; feeds the retry/breaker policy.
             self.supervisor.counters["fast_fails"] += 1
-            self.tracer.emit("supervise", "fast-fail", oid=oid,
-                             event=block.event, home=obj.cap.home)
+            if "supervise" not in self.tracer.muted:
+                self.tracer.emit("supervise", "fast-fail", oid=oid,
+                                 event=block.event, home=obj.cap.home)
             self._invoke_failed(thread, registration, block, node, done,
                                 attempt, BuddyUnavailableError(
                                     f"node {obj.cap.home} is suspected"))
@@ -327,10 +330,11 @@ class Executor:
         self.supervisor.invoke_failed(registration.target_oid, block.event)
         if attempt < self.handler_retries:
             self.supervisor.counters["handler_retries"] += 1
-            self.tracer.emit("supervise", "handler-retry",
-                             oid=registration.target_oid,
-                             event=block.event, attempt=attempt + 1,
-                             error=repr(error))
+            if "supervise" not in self.tracer.muted:
+                self.tracer.emit("supervise", "handler-retry",
+                                 oid=registration.target_oid,
+                                 event=block.event, attempt=attempt + 1,
+                                 error=repr(error))
             self.sim.call_after(self.handler_backoff * (2 ** attempt),
                                 self._execute_invoke, thread, registration,
                                 block, node, done, attempt + 1)
@@ -374,8 +378,9 @@ class Executor:
                            block: EventBlock, deadline: float) -> None:
         """The watchdog on one surrogate handler run expired."""
         self.supervisor.counters["handler_timeouts"] += 1
-        self.tracer.emit("supervise", "handler-timeout", event=block.event,
-                         tid=str(thread.tid), deadline=deadline)
+        if "supervise" not in self.tracer.muted:
+            self.tracer.emit("supervise", "handler-timeout", event=block.event,
+                             tid=str(thread.tid), deadline=deadline)
         # Raise HANDLER_TIMEOUT on the owning thread (only when it
         # subscribed — mirrors the TARGET_DEAD gating, so unsupervised
         # runs see zero extra notices). Queue it first: destroying the
@@ -405,8 +410,10 @@ class Executor:
                 # Timeouts have their own counter/trace; everything
                 # else is a handler failure worth surfacing.
                 self.handler_failures += 1
-                self.tracer.emit("event", "handler-error", event=block.event,
-                                 tid=str(thread.tid), error=repr(error))
+                if "event" not in self.tracer.muted:
+                    self.tracer.emit("event", "handler-error",
+                                     event=block.event, tid=str(thread.tid),
+                                     error=repr(error))
             done(Decision.PROPAGATE, None, error)
             return
         decision, value = parse_decision(result)
@@ -438,9 +445,10 @@ class Executor:
         block.snapshot = thread.snapshot()
         block.delivered_at = self.sim.now
         thread.suspended_by_event = True
-        self.tracer.emit("event", "exception", event=event,
-                         tid=str(thread.tid), error=repr(exc),
-                         node=frame.node)
+        if "event" not in self.tracer.muted:
+            self.tracer.emit("event", "exception", event=event,
+                             tid=str(thread.tid), error=repr(exc),
+                             node=frame.node)
         if obj_handler is None:
             self._walk(thread, block, chain, finish=self._finish_exception)
             return

@@ -116,9 +116,10 @@ def attach_from_thread(cluster: Any, thread: Any, frame: Any,
         thread.schedule_step(None, exc)
         return
     thread.attributes.attach(registration)
-    cluster.tracer.emit(
-        "event", "attach", event=syscall.event, tid=str(thread.tid),
-        context=registration.context.value, node=frame.node)
+    if "event" not in cluster.tracer.muted:
+        cluster.tracer.emit(
+            "event", "attach", event=syscall.event, tid=str(thread.tid),
+            context=registration.context.value, node=frame.node)
     thread.schedule_step_after(ATTACH_COST, registration.reg_id, None)
 
 

@@ -88,8 +88,9 @@ class Poster:
         # QUIT -> TERMINATE re-raise of the ^C protocol, ...).
         if self.kernels[from_node].thread_table.innermost_here(tid):
             if self.enqueue_for_thread(from_node, tid, block):
-                self.tracer.emit("event", "routed", event=block.event,
-                                 tid=str(tid), hops=0)
+                if "event" not in self.tracer.muted:
+                    self.tracer.emit("event", "routed", event=block.event,
+                                     tid=str(tid), hops=0)
                 return
 
         # Once-guard: under loss and retransmission a locator may report
@@ -102,9 +103,10 @@ class Poster:
             if state["done"]:
                 return
             state["done"] = True
-            self.tracer.emit(
-                "event", "routed" if delivered else "dead-target",
-                event=block.event, tid=str(tid), hops=hops)
+            if "event" not in self.tracer.muted:
+                self.tracer.emit(
+                    "event", "routed" if delivered else "dead-target",
+                    event=block.event, tid=str(tid), hops=hops)
             if not delivered:
                 self.dead_target(block, tid, expired)
 
@@ -156,8 +158,9 @@ class Poster:
         origin = block.raiser_node
         if origin is not None and origin != node and origin in kernels:
             kernels[origin].location_hints.install(tid, node)
-        self.tracer.emit("event", "enqueue", event=block.event,
-                         tid=str(tid), node=node)
+        if "event" not in self.tracer.muted:
+            self.tracer.emit("event", "enqueue", event=block.event,
+                             tid=str(tid), node=node)
         thread.notice_arrived()
         return True
 
@@ -205,8 +208,9 @@ class Poster:
             # recovery announcement redelivers them.
             origin = self.kernels.get(block.durable_id[0])
             if origin is not None:
-                self.tracer.emit("store", "park", event=block.event,
-                                 oid=cap.oid, node=origin.node_id)
+                if "store" not in self.tracer.muted:
+                    self.tracer.emit("store", "park", event=block.event,
+                                     oid=cap.oid, node=origin.node_id)
                 origin.store.on_give_up(block.durable_id)
                 return
         self.settle.conclude(block, NOTICED, None, UndeliverableError(
@@ -240,9 +244,10 @@ class Poster:
         — so they resolve through the §7.2 dead-target notice instead.
         """
         block = entry.block
-        self.tracer.emit("store", "redeliver", event=block.event,
-                         kind=entry.kind, node=node,
-                         entry=str(entry.entry_id))
+        if "store" not in self.tracer.muted:
+            self.tracer.emit("store", "redeliver", event=block.event,
+                             kind=entry.kind, node=node,
+                             entry=str(entry.entry_id))
         if entry.kind == "object":
             self.post_object(node, block)
             return
@@ -273,8 +278,9 @@ class Poster:
             return
         if block.degraded and not self._accept_degraded(node, block):
             return  # fabric-duplicated fire-and-forget datagram
-        self.tracer.emit("event", "deliver-object", event=block.event,
-                         oid=oid, node=node)
+        if "event" not in self.tracer.muted:
+            self.tracer.emit("event", "deliver-object", event=block.event,
+                             oid=oid, node=node)
         self._run_object_post(node, block, oid)
 
     def _accept_degraded(self, node: int, block: EventBlock) -> bool:
@@ -345,8 +351,9 @@ class Poster:
         if action == defaults.OBJ_DESTROY:
             self.kernels[node].objects.destroy(obj.oid)
         elif action != defaults.OBJ_IGNORE:
-            self.tracer.emit("event", "object-reject", event=block.event,
-                             oid=obj.oid)
+            if "event" not in self.tracer.muted:
+                self.tracer.emit("event", "object-reject", event=block.event,
+                                 oid=obj.oid)
             error = NoHandlerError(
                 f"object {obj.oid} has no handler for {block.event}")
         self.settle.conclude(block, EXECUTED, None, error, node)

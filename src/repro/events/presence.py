@@ -61,8 +61,9 @@ class Presence:
         block = EventBlock(event=spec.event, raiser_tid=None,
                            raiser_node=node, target=thread.tid,
                            user_data=spec.user_data, raised_at=self.sim.now)
-        self.tracer.emit("timer", "fire", event=spec.event,
-                         tid=str(thread.tid), node=node)
+        if "timer" not in self.tracer.muted:
+            self.tracer.emit("timer", "fire", event=spec.event,
+                             tid=str(thread.tid), node=node)
         self.post.enqueue_for_thread(node, thread.tid, block)
 
     # -- migration hooks (called by the invocation engine) --

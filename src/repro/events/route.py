@@ -82,9 +82,10 @@ class Router:
                 gate_node, from_node, 1 if members is None else len(members),
                 store is not None, to_object)
             if verdict == DROP or verdict == DEFER:
-                self.tracer.emit("event", "shed", event=block.event,
-                                 target=str(target), action=verdict,
-                                 node=from_node)
+                if "event" not in self.tracer.muted:
+                    self.tracer.emit("event", "shed", event=block.event,
+                                     target=str(target), action=verdict,
+                                     node=from_node)
                 if self.events.on_shed is not None:
                     self.events.on_shed(block, target, verdict)
             if verdict == DROP:
@@ -162,7 +163,8 @@ class Router:
                            synchronous=False, user_data=old.user_data,
                            raised_at=self.sim.now)
         self.events.supervisor.counters["requeued"] += 1
-        self.tracer.emit("supervise", "requeue", event=old.event,
-                         node=node, dl_id=dead.dl_id)
+        if "supervise" not in self.tracer.muted:
+            self.tracer.emit("supervise", "requeue", event=old.event,
+                             node=node, dl_id=dead.dl_id)
         self.route(fresh)
         return fresh

@@ -166,7 +166,8 @@ class Settler:
         wait = self.waits.pop(token, None)
         if wait is None:
             return
-        self.tracer.emit("event", "sync-timeout", event=event)
+        if "event" not in self.tracer.muted:
+            self.tracer.emit("event", "sync-timeout", event=event)
         wait.complete(None, RpcTimeout(
             f"raise_and_wait({event}) saw no resume within "
             f"{self.sync_raise_timeout}s"))
@@ -188,8 +189,9 @@ class Settler:
                 error: BaseException | None, node: int) -> None:
         if not block.synchronous:
             if error is not None:
-                self.tracer.emit("event", "async-error", event=block.event,
-                                 error=repr(error))
+                if "event" not in self.tracer.muted:
+                    self.tracer.emit("event", "async-error", event=block.event,
+                                     error=repr(error))
             return
         token = block._resume_token or block.block_id
         wait = self.waits.get(token)

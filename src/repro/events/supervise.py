@@ -149,27 +149,31 @@ class HandlerSupervisor:
         admitted, probe = breaker.allow(self.sim.now)
         if probe:
             self.counters["breaker_half_opens"] += 1
-            self.tracer.emit("supervise", "breaker-half-open", oid=oid,
-                        event=event)
+            if "supervise" not in self.tracer.muted:
+                self.tracer.emit("supervise", "breaker-half-open", oid=oid,
+                                 event=event)
         if not admitted:
             self.counters["breaker_skips"] += 1
-            self.tracer.emit("supervise", "breaker-skip", oid=oid,
-                             event=event)
+            if "supervise" not in self.tracer.muted:
+                self.tracer.emit("supervise", "breaker-skip", oid=oid,
+                                 event=event)
         return admitted
 
     def invoke_succeeded(self, oid: int, event: str) -> None:
         breaker = self._breakers.get((oid, event))
         if breaker is not None and breaker.record_success():
             self.counters["breaker_closes"] += 1
-            self.tracer.emit("supervise", "breaker-close", oid=oid,
-                             event=event)
+            if "supervise" not in self.tracer.muted:
+                self.tracer.emit("supervise", "breaker-close", oid=oid,
+                                 event=event)
 
     def invoke_failed(self, oid: int, event: str) -> None:
         breaker = self.breaker_for(oid, event)
         if breaker is not None and breaker.record_failure(self.sim.now):
             self.counters["breaker_opens"] += 1
-            self.tracer.emit("supervise", "breaker-open", oid=oid,
-                             event=event, failures=breaker.failures)
+            if "supervise" not in self.tracer.muted:
+                self.tracer.emit("supervise", "breaker-open", oid=oid,
+                                 event=event, failures=breaker.failures)
 
     # -- poison / dead-letter policy ----------------------------------
 
@@ -198,8 +202,9 @@ class HandlerSupervisor:
             return "quarantine"
         self._chain_failures[key] = count
         self.counters["chain_retries"] += 1
-        self.tracer.emit("supervise", "chain-retry", event=block.event,
-                         **who, attempt=count)
+        if "supervise" not in self.tracer.muted:
+            self.tracer.emit("supervise", "chain-retry", event=block.event,
+                             **who, attempt=count)
         if block.durable_id is not None:
             # Retract the applied marker an object handler's run
             # journaled (thread posts never set one): if the node dies
@@ -272,10 +277,11 @@ class DeadLetterQueue:
                           failures=failures, at=self.kernel.sim.now)
         self._entries[dead.dl_id] = dead
         self.quarantined += 1
-        self.kernel.tracer.emit("supervise", "dead-letter",
-                                node=self.kernel.node_id, dl_id=dead.dl_id,
-                                event=block.event, reason=reason,
-                                error=dead.error)
+        if "supervise" not in self.kernel.tracer.muted:
+            self.kernel.tracer.emit("supervise", "dead-letter",
+                                    node=self.kernel.node_id, dl_id=dead.dl_id,
+                                    event=block.event, reason=reason,
+                                    error=dead.error)
         if journal and self.kernel.store.enabled:
             self.kernel.store.journal_dead_letter(dead)
         hook = self.kernel.cluster.events.on_quarantine

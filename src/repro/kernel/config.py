@@ -119,7 +119,8 @@ class ClusterConfig:
     dsm_fields_per_page:
         How many object fields share one DSM page (false sharing knob).
     trace_net:
-        Store per-message trace records (muted for big benchmarks).
+        False starts the cluster with ``tracer.mute("net")`` (no
+        per-message trace records) and nothing more.
     """
 
     n_nodes: int = 4

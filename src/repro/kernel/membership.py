@@ -172,9 +172,10 @@ class Membership:
         self.start()
         self._queue_update(self.kernel.node_id, ALIVE, self.incarnation)
         self._announce()
-        self.kernel.tracer.emit("membership", "rejoin",
-                                node=self.kernel.node_id,
-                                incarnation=self.incarnation)
+        if "membership" not in self.kernel.tracer.muted:
+            self.kernel.tracer.emit("membership", "rejoin",
+                                    node=self.kernel.node_id,
+                                    incarnation=self.incarnation)
 
     def leave(self) -> None:
         """Graceful departure: tell a few peers we are dead *now*, so
@@ -186,9 +187,10 @@ class Membership:
         self.leaves += 1
         self._queue_update(self.kernel.node_id, DEAD, self.incarnation)
         self._announce()
-        self.kernel.tracer.emit("membership", "leave",
-                                node=self.kernel.node_id,
-                                incarnation=self.incarnation)
+        if "membership" not in self.kernel.tracer.muted:
+            self.kernel.tracer.emit("membership", "leave",
+                                    node=self.kernel.node_id,
+                                    incarnation=self.incarnation)
 
     def _announce(self) -> None:
         """Push the queued self-update directly to a handful of alive
@@ -398,8 +400,9 @@ class Membership:
                 self.incarnation = inc + 1
                 self.refutations += 1
                 self._queue_update(me, ALIVE, self.incarnation)
-                self.kernel.tracer.emit("membership", "refute", node=me,
-                                        incarnation=self.incarnation)
+                if "membership" not in self.kernel.tracer.muted:
+                    self.kernel.tracer.emit("membership", "refute", node=me,
+                                            incarnation=self.incarnation)
                 return True
             return False
         cur_state, cur_inc = self._status.get(node, (ALIVE, 0))
@@ -420,8 +423,9 @@ class Membership:
                 self.resurrections += 1
         self.transitions.append(
             (self.sim.now, node, STATE_NAMES[state], inc))
-        self.kernel.tracer.emit("membership", STATE_NAMES[state], node=me,
-                                peer=node, incarnation=inc)
+        if "membership" not in self.kernel.tracer.muted:
+            self.kernel.tracer.emit("membership", STATE_NAMES[state], node=me,
+                                    peer=node, incarnation=inc)
         return True
 
     def _arm_suspect_timer(self, node: int) -> None:

@@ -156,7 +156,7 @@ class Fabric:
 
     def _fan_out(self, template: Message, targets: list[int],
                  kind: str) -> None:
-        if self.tracer is not None:
+        if self.tracer is not None and "net" not in self.tracer.muted:
             self.tracer.emit("net", kind, src=template.src,
                              mtype=template.mtype, fanout=len(targets))
         for node_id in targets:
@@ -179,7 +179,7 @@ class Fabric:
                     message.gossip = updates
                     message.size += 6 * len(updates)
         self.stats.record_send(message.src, message.mtype, message.size)
-        if self.tracer is not None:
+        if self.tracer is not None and "net" not in self.tracer.muted:
             self.tracer.emit("net", "send", src=message.src, dst=dst,
                              mtype=message.mtype, msg_id=message.msg_id)
         if not self.transport.routable(dst):
@@ -214,7 +214,7 @@ class Fabric:
 
     def _drop(self, message: Message, dst: int) -> None:
         self.stats.record_drop()
-        if self.tracer is not None:
+        if self.tracer is not None and "net" not in self.tracer.muted:
             self.tracer.emit("net", "drop", src=message.src, dst=dst,
                              mtype=message.mtype, msg_id=message.msg_id)
 
@@ -227,7 +227,7 @@ class Fabric:
             self.stats.record_drop()
             return
         self.stats.record_delivery(message.src, dst)
-        if self.tracer is not None:
+        if self.tracer is not None and "net" not in self.tracer.muted:
             self.tracer.emit("net", "deliver", src=message.src, dst=dst,
                              mtype=message.mtype, msg_id=message.msg_id)
         endpoint(message)

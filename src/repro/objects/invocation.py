@@ -98,8 +98,9 @@ class InvocationEngine:
         cluster.live_threads[tid] = thread
         kernel.thread_table.thread_arrived(tid)
         cluster.events.presence.thread_entered_node(thread, root_node)
-        cluster.tracer.emit("thread", "create", tid=str(tid), node=root_node,
-                            kind=kind, entry=entry)
+        if "thread" not in cluster.tracer.muted:
+            cluster.tracer.emit("thread", "create", tid=str(tid),
+                                node=root_node, kind=kind, entry=entry)
         delay = cluster.config.thread_create_cost if charge_create else 0.0
         cluster.sim.call_after(delay, self._first_invoke, thread, cap,
                                entry, args)
@@ -132,8 +133,9 @@ class InvocationEngine:
         cluster.live_threads[tid] = thread
         kernel.thread_table.thread_arrived(tid)
         cluster.events.presence.thread_entered_node(thread, node)
-        cluster.tracer.emit("thread", "create", tid=str(tid), node=node,
-                            kind=kind, entry=name)
+        if "thread" not in cluster.tracer.muted:
+            cluster.tracer.emit("thread", "create", tid=str(tid), node=node,
+                                kind=kind, entry=name)
         return thread
 
     def run_frame(self, thread: DThread, gen_fn: Any, name: str,
@@ -213,9 +215,11 @@ class InvocationEngine:
             self._resume_or_fail_frame(thread, None, exc, is_remote,
                                        node, caller_node)
             return None
-        self.cluster.tracer.emit(
-            "invoke", "remote" if is_remote else "local", tid=str(thread.tid),
-            oid=obj.oid, entry=syscall.entry, node=node)
+        if "invoke" not in self.cluster.tracer.muted:
+            self.cluster.tracer.emit(
+                "invoke", "remote" if is_remote else "local",
+                tid=str(thread.tid), oid=obj.oid, entry=syscall.entry,
+                node=node)
         return act
 
     def _enter_local(self, thread: DThread, obj: Any, syscall: sc.Invoke,
@@ -231,9 +235,10 @@ class InvocationEngine:
         cluster.events.presence.thread_leaving_node(thread, src)
         cluster.kernels[src].thread_table.thread_departed(thread.tid, dst)
         thread.state = RUNNING  # continuation arrives with the message
-        cluster.tracer.emit("thread", "migrate", tid=str(thread.tid),
-                            src=src, dst=dst, oid=obj.oid,
-                            entry=syscall.entry)
+        if "thread" not in cluster.tracer.muted:
+            cluster.tracer.emit("thread", "migrate", tid=str(thread.tid),
+                                src=src, dst=dst, oid=obj.oid,
+                                entry=syscall.entry)
         self._ship(thread, src, dst, MSG_INVOKE,
                    256 + thread.attributes.nominal_size, syscall,
                    oid=obj.oid, entry=syscall.entry, caller_node=src)
@@ -294,10 +299,11 @@ class InvocationEngine:
     def _leave_frame(self, thread: DThread, value: Any,
                      error: BaseException | None) -> None:
         frame = thread.pop_frame()
-        self.cluster.tracer.emit(
-            "invoke", "return" if error is None else "raise",
-            tid=str(thread.tid), entry=frame.entry, node=frame.node,
-            oid=frame.obj.oid if frame.obj is not None else -1)
+        if "invoke" not in self.cluster.tracer.muted:
+            self.cluster.tracer.emit(
+                "invoke", "return" if error is None else "raise",
+                tid=str(thread.tid), entry=frame.entry, node=frame.node,
+                oid=frame.obj.oid if frame.obj is not None else -1)
         if not thread.frames:
             on_exit = thread.frame_exit
             if on_exit is None:
@@ -371,8 +377,9 @@ class InvocationEngine:
             cluster.groups.remove(gid, thread.tid)
         if state is None:
             state = "done" if error is None else "failed"
-        cluster.tracer.emit("thread", "exit", tid=str(thread.tid),
-                            state=state)
+        if "thread" not in cluster.tracer.muted:
+            cluster.tracer.emit("thread", "exit", tid=str(thread.tid),
+                                state=state)
         thread.finish(value, error, state=state)
         on_exit = thread.frame_exit
         if on_exit is not None:
@@ -476,8 +483,10 @@ class InvocationEngine:
         thread.state = TERMINATING
         thread.cancel_wait()
         thread.cancel_pending_steps()
-        self.cluster.tracer.emit("thread", "terminate", tid=str(thread.tid),
-                                 reason=reason, node=thread.current_node)
+        if "thread" not in self.cluster.tracer.muted:
+            self.cluster.tracer.emit(
+                "thread", "terminate", tid=str(thread.tid), reason=reason,
+                node=thread.current_node)
         self._unwind(thread, 0, reason, notified=set())
 
     def _unwind(self, thread: DThread, depth: int, reason: str,
@@ -502,8 +511,10 @@ class InvocationEngine:
         frame = thread.frames[-1]
         crash = thread.unwind_close(frame)
         if crash is not None:
-            cluster.tracer.emit("thread", "unwind-crash", tid=str(thread.tid),
-                                entry=frame.entry, error=repr(crash))
+            if "thread" not in cluster.tracer.muted:
+                cluster.tracer.emit("thread", "unwind-crash",
+                                    tid=str(thread.tid), entry=frame.entry,
+                                    error=repr(crash))
         thread.pop_frame()
         obj = frame.obj
         if (obj is not None and cluster.config.notify_abort_on_unwind
@@ -592,6 +603,7 @@ class InvocationEngine:
             # root, which _finalize purges).
             kernels[frame.node].thread_table.purge(thread.tid)
         thread.frames.clear()
-        self.cluster.tracer.emit("thread", "destroy", tid=str(thread.tid),
-                                 error=repr(error))
+        if "thread" not in self.cluster.tracer.muted:
+            self.cluster.tracer.emit("thread", "destroy", tid=str(thread.tid),
+                                     error=repr(error))
         self._finalize(thread, None, error, state=TERMINATED)

@@ -82,9 +82,10 @@ class ObjectManager:
         self.kernel.cluster.object_directory[obj.oid] = obj
         if transport == TRANSPORT_DSM:
             self.kernel.cluster.dsm.register_object(obj)
-        self.kernel.tracer.emit("object", "create", oid=obj.oid,
-                                cls=cls.__name__, node=self.node_id,
-                                transport=transport)
+        if "object" not in self.kernel.tracer.muted:
+            self.kernel.tracer.emit("object", "create", oid=obj.oid,
+                                    cls=cls.__name__, node=self.node_id,
+                                    transport=transport)
         return obj.cap
 
     def get(self, oid: int) -> DistObject | None:
@@ -111,8 +112,9 @@ class ObjectManager:
         self._invalidate_routes(obj.oid)
         self._objects[obj.oid] = obj
         self.kernel.cluster.object_directory[obj.oid] = obj
-        self.kernel.tracer.emit("object", "restore", oid=obj.oid,
-                                node=self.node_id)
+        if "object" not in self.kernel.tracer.muted:
+            self.kernel.tracer.emit("object", "restore", oid=obj.oid,
+                                    node=self.node_id)
 
     def destroy(self, oid: int) -> bool:
         """Remove an object from the node (the DELETE default action)."""
@@ -122,8 +124,9 @@ class ObjectManager:
         self.kernel.cluster.object_directory.pop(oid, None)
         self.handlers.drop_object(oid)
         self._invalidate_routes(oid)
-        self.kernel.tracer.emit("object", "destroy", oid=oid,
-                                node=self.node_id)
+        if "object" not in self.kernel.tracer.muted:
+            self.kernel.tracer.emit("object", "destroy", oid=oid,
+                                    node=self.node_id)
         return True
 
     def oids(self) -> list[int]:
@@ -148,8 +151,9 @@ class ObjectManager:
         self._handler_cache.pop((oid, event), None)
         if self.kernel.config.durable_delivery:
             self.kernel.store.journal_registration(oid, event, fn_name)
-        self.kernel.tracer.emit("event", "register-object-handler",
-                                oid=oid, event=event, node=self.node_id)
+        if "event" not in self.kernel.tracer.muted:
+            self.kernel.tracer.emit("event", "register-object-handler",
+                                    oid=oid, event=event, node=self.node_id)
 
     def unregister_object_handler(self, oid: int, event: str) -> bool:
         removed = self.handlers.unregister(oid, event)
@@ -193,8 +197,9 @@ class ObjectManager:
         dropped = self._queue.reset()
         for work in dropped:
             block = work[2]
-            self.kernel.tracer.emit("event", "queue-lost",
-                                    event=block.event, node=self.node_id)
+            if "event" not in self.kernel.tracer.muted:
+                self.kernel.tracer.emit("event", "queue-lost",
+                                        event=block.event, node=self.node_id)
             self.kernel.events.post.lost_in_crash(block)
         self._master = None
         self.serving = 0
@@ -269,8 +274,9 @@ class ObjectManager:
             # here and fn's first statement): a crash earlier redelivers,
             # a crash later suppresses — exactly-once either way.
             self.kernel.store.mark_applied(block.durable_id)
-        self.kernel.tracer.emit("event", "object-handler", oid=obj.oid,
-                                event=block.event, node=self.node_id)
+        if "event" not in self.kernel.tracer.muted:
+            self.kernel.tracer.emit("event", "object-handler", oid=obj.oid,
+                                    event=block.event, node=self.node_id)
         self.serving += 1
         # Whoever ends the run — this frame or its watchdog — takes the
         # exit out of the cell, so it is reported once.
@@ -310,9 +316,10 @@ class ObjectManager:
                 return
             supervisor = self.kernel.events.supervisor
             supervisor.counters["handler_timeouts"] += 1
-            self.kernel.tracer.emit("supervise", "handler-timeout",
-                                    event=block.event, oid=obj.oid,
-                                    node=self.node_id, deadline=deadline)
+            if "supervise" not in self.kernel.tracer.muted:
+                self.kernel.tracer.emit("supervise", "handler-timeout",
+                                        event=block.event, oid=obj.oid,
+                                        node=self.node_id, deadline=deadline)
             error = HandlerTimeout(
                 f"object handler for {block.event} on oid {obj.oid} "
                 f"exceeded {deadline}s")

@@ -11,8 +11,8 @@ recorded as a :class:`TraceRecord`. Traces serve three purposes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from dataclasses import dataclass
+from typing import Any, Iterator
 
 from repro.sim.scheduler import Simulator
 
@@ -42,48 +42,48 @@ class TraceRecord:
         return f"[{self.time:10.6f}] {self.category}/{self.name} {kv}"
 
 
-@dataclass
 class Tracer:
     """Collects :class:`TraceRecord` entries against a simulator clock.
 
-    Categories can be muted wholesale with :meth:`mute` to keep long
-    benchmark runs light; records in muted categories are counted but not
-    stored.
+    A category muted with :meth:`mute` is *off*: every emit site in the
+    library tests :attr:`muted` before it builds its record's fields, ::
+
+        if "event" not in tracer.muted:
+            tracer.emit("event", "deliver", tid=str(thread.tid), ...)
+
+    so a muted category costs one attribute load and one set test per
+    site reached — no call, no ``str()``, nothing stored, nothing
+    counted. The set is read at the site on every pass: muting or
+    unmuting mid-run takes effect at the next site reached.
     """
 
-    sim: Simulator
-    records: list[TraceRecord] = field(default_factory=list)
-    counts: dict[str, int] = field(default_factory=dict)
-    _muted: set[str] = field(default_factory=set)
-    _listeners: list[Callable[[TraceRecord], None]] = field(default_factory=list)
+    __slots__ = ("sim", "records", "muted")
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self.records: list[TraceRecord] = []
+        #: categories switched off; maintained by :meth:`mute` /
+        #: :meth:`unmute`, read (never copied) by the emit sites
+        self.muted: set[str] = set()
+
+    def __repr__(self) -> str:
+        return (f"<Tracer {len(self.records)} records, "
+                f"muted={sorted(self.muted)}>")
 
     def emit(self, category: str, name: str, **fields: Any) -> None:
         """Record an event at the current virtual time."""
-        key = f"{category}/{name}"
-        counts = self.counts
-        counts[key] = counts.get(key, 0) + 1
-        if category in self._muted and not self._listeners:
-            # Muted and nobody listening: the record would be built only
-            # to be thrown away. Counting alone keeps big benchmark runs
-            # from paying a TraceRecord + sorted-tuple per emit.
-            return
-        record = TraceRecord(self.sim.now, category, name,
-                             tuple(sorted(fields.items())))
-        if category not in self._muted:
-            self.records.append(record)
-        for listener in self._listeners:
-            listener(record)
+        if category in self.muted:
+            return  # a caller that skipped the site guard
+        self.records.append(TraceRecord(self.sim.now, category, name,
+                                        tuple(sorted(fields.items()))))
 
     def mute(self, *categories: str) -> None:
-        """Stop storing records for the given categories (still counted)."""
-        self._muted.update(categories)
+        """Switch the given categories off: nothing emitted, nothing
+        stored, until :meth:`unmute`."""
+        self.muted.update(categories)
 
     def unmute(self, *categories: str) -> None:
-        self._muted.difference_update(categories)
-
-    def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Invoke ``listener`` synchronously for every emitted record."""
-        self._listeners.append(listener)
+        self.muted.difference_update(categories)
 
     def select(self, category: str | None = None,
                name: str | None = None, **fields: Any) -> list[TraceRecord]:
@@ -102,17 +102,8 @@ class Tracer:
                 continue
             yield record
 
-    def count(self, category: str, name: str | None = None) -> int:
-        """Count emitted records (including muted) by category and name."""
-        if name is not None:
-            return self.counts.get(f"{category}/{name}", 0)
-        prefix = f"{category}/"
-        return sum(n for key, n in self.counts.items()
-                   if key.startswith(prefix))
-
     def clear(self) -> None:
         self.records.clear()
-        self.counts.clear()
 
     def signature(self) -> tuple[tuple[float, str, str, tuple], ...]:
         """A hashable summary of the stored trace, for determinism checks."""
@@ -135,11 +126,3 @@ class Tracer:
                 fh.write(json.dumps(record.as_dict(), default=default))
                 fh.write("\n")
         return len(self.records)
-
-    def summary(self) -> dict[str, int]:
-        """Emitted-record counts per category (including muted)."""
-        totals: dict[str, int] = {}
-        for key, count in self.counts.items():
-            category = key.split("/", 1)[0]
-            totals[category] = totals.get(category, 0) + count
-        return totals

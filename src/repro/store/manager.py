@@ -350,8 +350,9 @@ class NodeStore:
     def checkpoint(self) -> int:
         """Snapshot durable state, journal it, truncate the prefix."""
         dropped = self.checkpoints.take(self._collect_state())
-        self.kernel.tracer.emit("store", "checkpoint",
-                                node=self.kernel.node_id, dropped=dropped)
+        if "store" not in self.kernel.tracer.muted:
+            self.kernel.tracer.emit("store", "checkpoint",
+                                    node=self.kernel.node_id, dropped=dropped)
         return dropped
 
     def _collect_state(self) -> dict[str, Any]:

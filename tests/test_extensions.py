@@ -140,13 +140,12 @@ class TestTraceExport:
         first = json.loads(lines[0])
         assert {"time", "category", "name"} <= set(first)
 
-    def test_summary_counts_categories(self):
+    def test_select_finds_every_category(self):
         cluster = make_cluster(n_nodes=2)
         from tests.conftest import Echo
 
         cap = cluster.create_object(Echo, node=1)
         cluster.spawn(cap, "echo", 1, at=0)
         cluster.run()
-        summary = cluster.tracer.summary()
-        assert summary.get("thread", 0) > 0
-        assert summary.get("net", 0) > 0
+        assert len(cluster.tracer.select("thread")) > 0
+        assert len(cluster.tracer.select("net")) > 0

@@ -61,14 +61,13 @@ class TestTracer:
         assert len(tracer.select("net", "send")) == 2
         assert len(tracer.select("net", "send", src=1)) == 1
 
-    def test_count_includes_muted(self):
+    def test_muted_category_stores_nothing(self):
         sim, tracer = self._tracer()
         tracer.mute("net")
+        assert tracer.muted == {"net"}
         tracer.emit("net", "send")
-        tracer.emit("net", "send")
-        assert tracer.records == []
-        assert tracer.count("net", "send") == 2
-        assert tracer.count("net") == 2
+        tracer.emit("other", "x")
+        assert [r.category for r in tracer.records] == ["other"]
 
     def test_unmute_restores_storage(self):
         sim, tracer = self._tracer()
@@ -76,6 +75,7 @@ class TestTracer:
         tracer.emit("net", "send")
         tracer.unmute("net")
         tracer.emit("net", "send")
+        assert tracer.muted == set()
         assert len(tracer.records) == 1
 
     def test_record_get_and_as_dict(self):
@@ -85,14 +85,6 @@ class TestTracer:
         assert rec.get("event") == "TERMINATE"
         assert rec.get("missing", "dflt") == "dflt"
         assert rec.as_dict()["tid"] == 4
-
-    def test_subscribe_listener_sees_muted(self):
-        sim, tracer = self._tracer()
-        seen = []
-        tracer.subscribe(lambda r: seen.append(r.name))
-        tracer.mute("net")
-        tracer.emit("net", "send")
-        assert seen == ["send"]
 
     def test_signature_equality_for_identical_runs(self):
         def run():
@@ -107,7 +99,15 @@ class TestTracer:
 
     def test_clear(self):
         sim, tracer = self._tracer()
+        tracer.mute("b")
         tracer.emit("a", "x")
         tracer.clear()
         assert tracer.records == []
-        assert tracer.count("a") == 0
+        assert tracer.muted == {"b"}  # clear drops records, not switches
+
+    def test_repr_is_short(self):
+        sim, tracer = self._tracer()
+        tracer.mute("net", "event")
+        tracer.emit("a", "x")
+        tracer.emit("a", "y")
+        assert repr(tracer) == "<Tracer 2 records, muted=['event', 'net']>"
