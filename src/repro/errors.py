@@ -17,18 +17,11 @@ class SimulationError(ReproError):
 
 
 class ProcessError(SimulationError):
-    """A simulated process performed an illegal operation."""
+    """A logical-thread frame performed an illegal operation.
 
-
-class Interrupted(ReproError):
-    """Raised inside a simulated process when it is interrupted.
-
-    The ``cause`` attribute carries the value passed to ``interrupt()``.
+    Raised by the thread driver (:mod:`repro.threads`) for a negative
+    ``compute`` / ``sleep`` and for a yielded value that is not a syscall.
     """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class NetworkError(ReproError):

@@ -10,7 +10,7 @@ time.
 from __future__ import annotations
 
 import itertools
-from typing import Any
+from typing import Any, Iterable
 
 from repro.errors import KernelError, UnknownThreadError
 from repro.events.admission import admission_stats
@@ -18,7 +18,7 @@ from repro.events.delivery import EventManager
 from repro.events.names import seed_system_events
 from repro.kernel.config import ClusterConfig
 from repro.kernel.names import NameService
-from repro.kernel.node import Node
+from repro.kernel.node import Kernel, Node
 from repro.net.fabric import Fabric
 from repro.net.faults import FaultPlan
 from repro.net.latency import FixedLatency, LatencyModel
@@ -35,6 +35,16 @@ from repro.threads.attributes import IoChannel, ThreadAttributes
 from repro.threads.groups import GroupRegistry
 from repro.threads.ids import GroupId, IdAllocator, ThreadId
 from repro.threads.thread import DThread
+
+
+def _sum_into(totals: dict[str, int], counters: Iterable[dict[str, int]],
+              prefix: str = "") -> dict[str, int]:
+    """Add every dict of ``counters`` into ``totals``, key by key."""
+    for stats in counters:
+        for key, value in stats.items():
+            key = prefix + key
+            totals[key] = totals.get(key, 0) + value
+    return totals
 
 
 class Cluster:
@@ -128,46 +138,38 @@ class Cluster:
     # crash / recovery
     # ------------------------------------------------------------------
 
-    def crash_node(self, node: int) -> None:
-        """Fail-stop ``node`` (see :meth:`repro.kernel.node.Kernel.crash`)."""
+    def _kernel(self, node: int) -> Kernel:
         kernel = self.kernels.get(node)
         if kernel is None:
             raise KernelError(f"no node {node} in this cluster")
-        kernel.crash()
+        return kernel
+
+    def crash_node(self, node: int) -> None:
+        """Fail-stop ``node`` (see :meth:`repro.kernel.node.Kernel.crash`)."""
+        self._kernel(node).crash()
 
     def recover_node(self, node: int) -> None:
         """Bring a crashed ``node`` back with empty volatile state."""
-        kernel = self.kernels.get(node)
-        if kernel is None:
-            raise KernelError(f"no node {node} in this cluster")
-        kernel.recover()
+        self._kernel(node).recover()
 
     def leave_node(self, node: int) -> None:
         """Graceful departure: announce death through gossip membership
         (a no-op without ``swim_interval``), then fail-stop. Views
         converge immediately instead of waiting out a suspicion cycle;
         :meth:`recover_node` later rejoins with a bumped incarnation."""
-        kernel = self.kernels.get(node)
-        if kernel is None:
-            raise KernelError(f"no node {node} in this cluster")
+        kernel = self._kernel(node)
         kernel.membership.leave()
         kernel.crash()
 
     def membership_stats(self) -> dict[str, int]:
         """Cluster-wide sums of the per-node SWIM membership counters."""
-        totals: dict[str, int] = {}
-        for kernel in self.kernels.values():
-            for key, value in kernel.membership.stats().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        return _sum_into({}, (kernel.membership.stats()
+                              for kernel in self.kernels.values()))
 
     def reliability_stats(self) -> dict[str, int]:
         """Cluster-wide sums of the per-node reliable-channel counters."""
-        totals: dict[str, int] = {}
-        for kernel in self.kernels.values():
-            for key, value in kernel.reliable.stats().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        return _sum_into({}, (kernel.reliable.stats()
+                              for kernel in self.kernels.values()))
 
     def node_recovered(self, node: int) -> None:
         """A node finished recovery replay: surviving peers re-dispatch
@@ -179,11 +181,8 @@ class Cluster:
 
     def durability_stats(self) -> dict[str, int]:
         """Cluster-wide sums of the per-node store counters."""
-        totals: dict[str, int] = {}
-        for kernel in self.kernels.values():
-            for key, value in kernel.store.stats().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        return _sum_into({}, (kernel.store.stats()
+                              for kernel in self.kernels.values()))
 
     # ------------------------------------------------------------------
     # handler supervision (dead letters, breakers, failure detection)
@@ -193,10 +192,7 @@ class Cluster:
         """Quarantined event blocks: one node's, or the whole cluster's
         in (node, dl_id) order."""
         if node is not None:
-            kernel = self.kernels.get(node)
-            if kernel is None:
-                raise KernelError(f"no node {node} in this cluster")
-            return kernel.dead_letters.entries()
+            return self._kernel(node).dead_letters.entries()
         out: list[Any] = []
         for node_id in sorted(self.kernels):
             out.extend(self.kernels[node_id].dead_letters.entries())
@@ -210,9 +206,7 @@ class Cluster:
         saw the original — cannot swallow the retry. Returns False when
         the id is unknown.
         """
-        kernel = self.kernels.get(node)
-        if kernel is None:
-            raise KernelError(f"no node {node} in this cluster")
+        kernel = self._kernel(node)
         dead = kernel.dead_letters.take(dl_id)
         if dead is None:
             return False
@@ -223,18 +217,13 @@ class Cluster:
         """Supervisor counters plus cluster-wide detector / dead-letter
         sums and the admission gate's shed/defer/depth counters."""
         totals = dict(self.events.supervisor.stats())
-        for kernel in self.kernels.values():
-            if kernel.membership.enabled:
-                for key, value in kernel.membership.stats().items():
-                    key = f"membership_{key}"
-                    totals[key] = totals.get(key, 0) + value
-            for key, value in kernel.dead_letters.stats().items():
-                key = f"dead_letters_{key}"
-                totals[key] = totals.get(key, 0) + value
-        for key, value in admission_stats(self.events.admission).items():
-            totals[f"admission_{key}"] = totals.get(
-                f"admission_{key}", 0) + value
-        return totals
+        kernels = self.kernels.values()
+        _sum_into(totals, (kernel.membership.stats() for kernel in kernels
+                           if kernel.membership.enabled), "membership_")
+        _sum_into(totals, (kernel.dead_letters.stats() for kernel in kernels),
+                  "dead_letters_")
+        return _sum_into(totals, [admission_stats(self.events.admission)],
+                         "admission_")
 
     def scheduler_stats(self) -> dict[str, Any]:
         """Scheduler internals (:meth:`repro.sim.scheduler.Simulator.stats`)
@@ -282,11 +271,8 @@ class Cluster:
                       name: str | None = None, **kwargs: Any) -> Capability:
         """Create an object on ``node``; optionally bind it in the name
         service under ``name``."""
-        kernel = self.kernels.get(node)
-        if kernel is None:
-            raise KernelError(f"no node {node} in this cluster")
-        cap = kernel.objects.create(cls, *args, transport=transport,
-                                    **kwargs)
+        cap = self._kernel(node).objects.create(
+            cls, *args, transport=transport, **kwargs)
         if name is not None:
             self.names.register(name, cap)
         return cap

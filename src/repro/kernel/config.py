@@ -271,14 +271,6 @@ class ClusterConfig:
     #: same execution order — the differential tests hold both to
     #: identical traces — different push/pop cost profile).
     scheduler: str = SCHEDULER_HEAP
-    #: Wheel bucket width in virtual seconds; callbacks within one tick
-    #: share a bucket. Pick near the workload's natural event spacing
-    #: (ignored by the heap backend).
-    wheel_tick: float = 1e-3
-    #: Near-window width in ticks; entries ``wheel_slots * wheel_tick``
-    #: past the window base spill to the overflow heap until the wheel
-    #: drains to them (ignored by the heap backend).
-    wheel_slots: int = 4096
     trace_net: bool = True
 
     # -- transport helpers ---------------------------------------------
@@ -341,10 +333,6 @@ class ClusterConfig:
                 f"shard_count {self.shard_count}")
         if not (0 <= self.tcp_base_port <= 65535):
             raise KernelError("tcp_base_port must be within [0, 65535]")
-        if self.wheel_tick <= 0:
-            raise KernelError("wheel_tick must be positive")
-        if self.wheel_slots < 2:
-            raise KernelError("wheel_slots must be >= 2")
         for name in ("link_latency", "thread_create_cost", "retransmit_base",
                      "ack_delay"):
             if getattr(self, name) < 0:

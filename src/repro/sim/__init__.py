@@ -2,21 +2,13 @@
 
 This package provides the virtual-time execution environment that every
 other subsystem of the library runs on: a scheduler
-(:class:`~repro.sim.scheduler.Simulator`), generator-based processes
-(:class:`~repro.sim.process.Process`), synchronisation primitives, seeded
-random streams, and structured tracing.
+(:class:`~repro.sim.scheduler.Simulator`, heap or wheel), a one-shot
+future and a FIFO channel, seeded random streams, and structured tracing.
+The one generator driver is the logical thread's,
+:class:`repro.threads.thread.DThread`.
 """
 
-from repro.sim.primitives import Channel, Condition, Semaphore, SimFuture
-from repro.sim.process import (
-    Checkpoint,
-    Process,
-    Sleep,
-    Syscall,
-    Wait,
-    WaitAll,
-    spawn,
-)
+from repro.sim.primitives import Channel, SimFuture
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import (
     Handle,
@@ -28,21 +20,12 @@ from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "Channel",
-    "Checkpoint",
-    "Condition",
     "Handle",
-    "Process",
     "RngRegistry",
-    "Semaphore",
     "SimFuture",
     "Simulator",
-    "Sleep",
-    "Syscall",
     "TraceRecord",
     "Tracer",
-    "Wait",
-    "WaitAll",
     "WheelSimulator",
     "make_simulator",
-    "spawn",
 ]

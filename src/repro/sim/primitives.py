@@ -1,16 +1,16 @@
 """Synchronisation primitives for simulated code.
 
-These mirror the familiar concurrency toolbox — futures, conditions,
-semaphores, FIFO channels — but are driven entirely by the virtual clock of
-a :class:`~repro.sim.scheduler.Simulator`. They are used both by simulated
-kernel services (written as :class:`~repro.sim.process.Process` generators)
-and by the thread driver in :mod:`repro.threads`.
+A one-shot future and a FIFO channel, both driven entirely by the virtual
+clock of a :class:`~repro.sim.scheduler.Simulator`. Kernel services hand
+out :class:`SimFuture` completions (RPC replies, thread completions, lock
+grants, page fetches); the thread driver in :mod:`repro.threads` waits on
+them and parks threads in a :class:`Channel`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Generic, TypeVar
+from typing import Callable, Generic, TypeVar
 
 from repro.errors import SimulationError
 from repro.sim.scheduler import Simulator
@@ -101,84 +101,6 @@ class SimFuture(Generic[T]):
         callbacks, self._callbacks = self._callbacks, []
         for fn in callbacks:
             self._sim.call_soon(fn, self)
-
-
-class Condition:
-    """A broadcast/signal wait-point over sim futures.
-
-    ``wait()`` hands back a fresh :class:`SimFuture`; ``signal()`` resolves
-    the oldest waiter, ``broadcast()`` resolves all of them.
-    """
-
-    def __init__(self, sim: Simulator) -> None:
-        self._sim = sim
-        self._waiters: deque[SimFuture[Any]] = deque()
-
-    @property
-    def waiting(self) -> int:
-        return sum(1 for w in self._waiters if not w.done)
-
-    def wait(self) -> SimFuture[Any]:
-        fut: SimFuture[Any] = SimFuture(self._sim)
-        self._waiters.append(fut)
-        return fut
-
-    def signal(self, value: Any = None) -> bool:
-        """Wake the oldest live waiter. Returns False if none was waiting."""
-        while self._waiters:
-            fut = self._waiters.popleft()
-            if not fut.done:
-                fut.resolve(value)
-                return True
-        return False
-
-    def broadcast(self, value: Any = None) -> int:
-        """Wake every live waiter; returns how many were woken."""
-        woken = 0
-        while self._waiters:
-            fut = self._waiters.popleft()
-            if not fut.done:
-                fut.resolve(value)
-                woken += 1
-        return woken
-
-
-class Semaphore:
-    """A counting semaphore whose ``acquire`` returns a :class:`SimFuture`."""
-
-    def __init__(self, sim: Simulator, value: int = 1) -> None:
-        if value < 0:
-            raise SimulationError(f"semaphore initial value {value} < 0")
-        self._sim = sim
-        self._value = value
-        self._waiters: deque[SimFuture[None]] = deque()
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def acquire(self) -> SimFuture[None]:
-        fut: SimFuture[None] = SimFuture(self._sim)
-        if self._value > 0:
-            self._value -= 1
-            fut.resolve(None)
-        else:
-            self._waiters.append(fut)
-        return fut
-
-    def try_acquire(self) -> bool:
-        if self._value > 0:
-            self._value -= 1
-            return True
-        return False
-
-    def release(self) -> None:
-        while self._waiters:
-            fut = self._waiters.popleft()
-            if not fut.done:
-                fut.resolve(None)
-                return
-        self._value += 1
 
 
 class Channel(Generic[T]):

@@ -543,14 +543,13 @@ class WheelSimulator(Simulator):
         heapq.heapify(overflow)
 
 
-def make_simulator(scheduler: str = SCHEDULER_HEAP, start: float = 0.0,
-                   wheel_tick: float = 1e-3,
-                   wheel_slots: int = 4096) -> Simulator:
+def make_simulator(scheduler: str = SCHEDULER_HEAP,
+                   start: float = 0.0) -> Simulator:
     """Build a scheduler backend by name (``"heap"`` or ``"wheel"``)."""
     if scheduler == SCHEDULER_HEAP:
         return Simulator(start)
     if scheduler == SCHEDULER_WHEEL:
-        return WheelSimulator(start, tick=wheel_tick, slots=wheel_slots)
+        return WheelSimulator(start)
     raise SimulationError(
         f"unknown scheduler backend {scheduler!r}; "
         f"choose from {SCHEDULER_NAMES}")

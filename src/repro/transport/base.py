@@ -167,9 +167,7 @@ def make_transport(config: Any) -> Transport:
     if name == TRANSPORT_SIM:
         from repro.sim.scheduler import make_simulator
         from repro.transport.simlocal import SimTransport
-        return SimTransport(make_simulator(
-            config.scheduler, wheel_tick=config.wheel_tick,
-            wheel_slots=config.wheel_slots))
+        return SimTransport(make_simulator(config.scheduler))
     if name == TRANSPORT_SHARDED:
         from repro.sim.scheduler import make_simulator
         from repro.transport.sharded import ShardSimTransport
@@ -179,8 +177,7 @@ def make_transport(config: Any) -> Transport:
                 "run and needs shard_index; drive whole clusters through "
                 "repro.transport.sharded.run_sharded(...)")
         return ShardSimTransport(
-            make_simulator(config.scheduler, wheel_tick=config.wheel_tick,
-                           wheel_slots=config.wheel_slots),
+            make_simulator(config.scheduler),
             local_nodes=config.local_node_ids(),
             all_nodes=range(config.n_nodes),
             lookahead=config.link_latency)

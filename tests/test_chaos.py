@@ -1,8 +1,11 @@
 """Chaos-harness tests: delivery guarantees across all four locators
 under seeded drops, duplicates, partitions and crash/recover cycles."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro import ClusterConfig
 from repro.bench.chaos import ChaosSpec, run_chaos
 
 LOCATORS = ["path", "broadcast", "multicast", "cached"]
@@ -114,6 +117,33 @@ class TestDeterminism:
         a = run_chaos(ChaosSpec(seed=1, posts=40, drop_rate=0.15))
         b = run_chaos(ChaosSpec(seed=2, posts=40, drop_rate=0.15))
         assert a.digest != b.digest
+
+
+class TestChaosWithAckCoalescing:
+    """Cumulative acks and group commit change envelope and commit
+    counts, never delivery semantics — the chaos invariants hold on top
+    of them, with acks coalesced or sent per arrival."""
+
+    BASE = ChaosSpec(seed=13, posts=60, drop_rate=0.1, duplicate_rate=0.05,
+                     crash_period=0.6, down_time=0.4, settle=10.0)
+
+    def test_chaos_invariants_with_acks_coalesced(self):
+        report = run_chaos(self.BASE)
+        assert report.violations == []
+        assert report.accounted_rate == 1.0
+
+    def test_durable_chaos_invariants_both_ways(self):
+        base = replace(self.BASE, durable=True, posts=40)
+        for ack_delay in (ClusterConfig.ack_delay, 0.0):
+            report = run_chaos(replace(base, config={
+                "checkpoint_interval": 16, "ack_delay": ack_delay}))
+            assert report.violations == [], (ack_delay,
+                                             report.violations[:3])
+            assert report.durability["pending"] == 0
+
+    def test_same_seed_determinism_with_acks_coalesced(self):
+        spec = replace(self.BASE, posts=40)
+        assert run_chaos(spec).digest == run_chaos(spec).digest
 
 
 class TestOneConclusionPerPost:

@@ -7,7 +7,6 @@ from repro.errors import (
     DeadThreadError,
     DsmError,
     EventError,
-    Interrupted,
     KernelError,
     LockError,
     NetworkError,
@@ -41,10 +40,6 @@ class TestHierarchy:
     def test_one_catch_all_suffices(self):
         with pytest.raises(ReproError):
             raise DeadThreadError("gone")
-
-    def test_interrupted_carries_cause(self):
-        exc = Interrupted(cause={"why": "wakeup"})
-        assert exc.cause == {"why": "wakeup"}
 
     def test_families_are_disjoint_where_it_matters(self):
         # a lock error is never a thread error and vice versa: catch

@@ -7,6 +7,7 @@ from repro import DistObject, entry
 from repro.errors import (
     InvocationAborted,
     NoSuchEntryError,
+    ProcessError,
     ThreadTerminated,
     UnknownObjectError,
 )
@@ -199,6 +200,26 @@ class TestExceptionPropagation:
         assert thread.state == "failed"
         with pytest.raises(RuntimeError, match="boom"):
             thread.completion.result()
+
+    @pytest.mark.parametrize("bad", ["not a syscall", "compute", "sleep"])
+    def test_illegal_yield_is_a_process_error_inside_the_frame(
+            self, cluster, bad):
+        class Careless(DistObject):
+            @entry
+            def go(self, ctx):
+                try:
+                    if bad == "compute":
+                        yield ctx.compute(-1.0)
+                    elif bad == "sleep":
+                        yield ctx.sleep(-1.0)
+                    else:
+                        yield bad
+                except ProcessError as exc:
+                    return f"caught: {exc}"
+
+        obj = cluster.create_object(Careless, node=0)
+        thread = cluster.spawn(obj, "go", at=0)
+        assert "caught" in run_to_result(cluster, thread)
 
     def test_finally_blocks_run_during_failure(self, cluster):
         log = []

@@ -1,6 +1,8 @@
 """Unit tests for kernel-layer services: config, TCBs, RPC, timers, names."""
 
+import ast
 import dataclasses
+import importlib.util
 import pathlib
 import re
 
@@ -61,8 +63,8 @@ class TestClusterConfig:
 
     def test_field_budget(self):
         count = len(dataclasses.fields(ClusterConfig))
-        assert count <= 43, (
-            f"ClusterConfig has {count} fields, budget is 43 — ROADMAP: "
+        assert count <= 41, (
+            f"ClusterConfig has {count} fields, budget is 41 — ROADMAP: "
             "a PR that adds a knob names the one it retires")
 
     def test_events_module_budget(self):
@@ -74,6 +76,33 @@ class TestClusterConfig:
                  for path in events.glob("*.py")}
         assert len(sizes) > 5
         assert {name: n for name, n in sizes.items() if n > 500} == {}
+
+    def test_sim_surface_budget(self):
+        rule = ("repro.sim is what the stack above it uses: a tenth name "
+                "or a new module arrives with its first user under src/, "
+                "not with its own test file")
+        assert set(repro.sim.__all__) == {
+            "Channel", "Handle", "RngRegistry", "SimFuture", "Simulator",
+            "TraceRecord", "Tracer", "WheelSimulator",
+            "make_simulator"}, rule
+        src = pathlib.Path(repro.__file__).parent
+        imported = set()
+        for path in src.rglob("*.py"):
+            if path.parent == src / "sim":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    imported.add(node.module)
+                    imported.update(f"{node.module}.{alias.name}"
+                                    for alias in node.names)
+        modules = {f"repro.sim.{path.stem}"
+                   for path in (src / "sim").glob("*.py")
+                   if path.name != "__init__.py"}
+        assert len(modules) >= 4
+        assert modules - imported == set(), rule
+        assert importlib.util.find_spec("repro.sim.process") is None
 
     def test_wire_layers_name_no_general_serializer(self):
         # what crosses a wire is a codec value or a registered shape;
@@ -97,7 +126,8 @@ class TestClusterConfig:
         "latency_reservoir_capacity", "shard_window",
         "cross_shard_latency",
         "surrogate_cost", "context_switch_cost", "attach_cost",
-        "locate_timeout", "default_transport", "rpc_retries"])
+        "locate_timeout", "default_transport", "rpc_retries",
+        "wheel_tick", "wheel_slots"])
     def test_retired_names_rejected(self, name):
         with pytest.raises(TypeError, match=name):
             ClusterConfig(**{name: None})

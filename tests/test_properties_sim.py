@@ -3,7 +3,7 @@
 from hypothesis import example, given, settings, strategies as st
 
 from repro import DistObject, entry
-from repro.sim import Channel, RngRegistry, Semaphore, Simulator
+from repro.sim import Channel, RngRegistry, Simulator
 from tests.conftest import make_cluster
 
 delays = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
@@ -153,11 +153,3 @@ class TestPrimitiveProperties:
                     received[number] = waiter.result()
         assert received == expected
         assert chan.drain() == queued
-
-    @given(st.integers(min_value=0, max_value=10),
-           st.integers(min_value=0, max_value=30))
-    def test_semaphore_never_overgrants(self, capacity, requests):
-        sim = Simulator()
-        sem = Semaphore(sim, value=capacity)
-        grants = sum(1 for _ in range(requests) if sem.acquire().done)
-        assert grants == min(capacity, requests)

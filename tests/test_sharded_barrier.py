@@ -126,7 +126,7 @@ class TestBarrierDeterminism:
         report = run_sharded(
             spec.cluster_config(transport="sharded",
                                 shard_count=spec.shard_count),
-            "tests.test_shardspeed:outcome_scenario",
+            "tests.test_sharded_barrier:outcome_scenario",
             scenario_args=_scenario_args(spec))
         reference = run_scale_local(replace(spec, shard_count=1))
         # the per-node rows of every shard, merged, are exactly the
@@ -170,7 +170,7 @@ class TestWorkerTeardown:
                                shard_count=2, trace_net=False)
         with pytest.raises(NetworkError,
                            match=r"shard 1 .*(died|failed|exited)"):
-            run_sharded(config, "tests.test_shardspeed:dying_scenario",
+            run_sharded(config, "tests.test_sharded_barrier:dying_scenario",
                         scenario_args={})
 
     @pytest.mark.skipif(not FORK_AVAILABLE,
@@ -184,5 +184,5 @@ class TestWorkerTeardown:
                 match=r"(?s)shard 0 failed.*CodecError: t\.cross: "
                       r".*builtins\.complex"):
             run_sharded(config,
-                        "tests.test_shardspeed:unencodable_scenario",
+                        "tests.test_sharded_barrier:unencodable_scenario",
                         scenario_args={})

@@ -1,10 +1,10 @@
-"""Unit tests for sim futures, conditions, semaphores and channels."""
+"""Unit tests for sim futures and channels."""
 
 import pytest
 
 from repro import DistObject, entry
-from repro.errors import NodeCrashedError, SimulationError
-from repro.sim import Channel, Condition, Semaphore, SimFuture, Simulator
+from repro.errors import InvocationAborted, NodeCrashedError, SimulationError
+from repro.sim import Channel, SimFuture, Simulator
 from tests.conftest import make_cluster
 
 
@@ -77,68 +77,6 @@ class TestSimFuture:
         fut.resolve(None)
         sim.run()
         assert seen == ["a", "b"]
-
-
-class TestCondition:
-    def test_signal_wakes_oldest(self, sim):
-        cond = Condition(sim)
-        w1, w2 = cond.wait(), cond.wait()
-        assert cond.waiting == 2
-        assert cond.signal("x") is True
-        assert w1.done and not w2.done
-        assert w1.result() == "x"
-
-    def test_signal_with_no_waiters(self, sim):
-        cond = Condition(sim)
-        assert cond.signal() is False
-
-    def test_broadcast_wakes_all(self, sim):
-        cond = Condition(sim)
-        waiters = [cond.wait() for _ in range(3)]
-        assert cond.broadcast("go") == 3
-        assert all(w.result() == "go" for w in waiters)
-
-    def test_signal_skips_cancelled_waiters(self, sim):
-        cond = Condition(sim)
-        w1, w2 = cond.wait(), cond.wait()
-        w1.cancel()
-        assert cond.signal("y") is True
-        assert w2.result() == "y"
-
-
-class TestSemaphore:
-    def test_initial_acquires_succeed(self, sim):
-        sem = Semaphore(sim, value=2)
-        assert sem.acquire().done
-        assert sem.acquire().done
-        assert not sem.acquire().done
-
-    def test_release_wakes_waiter(self, sim):
-        sem = Semaphore(sim, value=1)
-        sem.acquire()
-        waiter = sem.acquire()
-        assert not waiter.done
-        sem.release()
-        assert waiter.done
-
-    def test_release_without_waiters_increments(self, sim):
-        sem = Semaphore(sim, value=0)
-        sem.release()
-        assert sem.value == 1
-        assert sem.try_acquire() is True
-        assert sem.try_acquire() is False
-
-    def test_negative_initial_value_rejected(self, sim):
-        with pytest.raises(SimulationError):
-            Semaphore(sim, value=-1)
-
-    def test_release_skips_cancelled_waiter(self, sim):
-        sem = Semaphore(sim, value=0)
-        w1 = sem.acquire()
-        w2 = sem.acquire()
-        w1.cancel()
-        sem.release()
-        assert w2.done
 
 
 class TestChannel:
@@ -276,6 +214,65 @@ class _Consumer(DistObject):
         yield ctx.attach_handler("EVT", on_evt)
         item = yield ctx.recv(chan)
         got.append((str(ctx.tid), item, ctx.now))
+
+    @entry
+    def await_future(self, ctx, fut, log):
+        try:
+            yield ctx.wait(fut)
+        except ValueError as exc:
+            log.append(("caught", str(exc), ctx.now))
+        finally:
+            log.append("cleanup")
+        yield ctx.compute(1e-3)
+        return "survived"
+
+    @entry
+    def call_then_wait(self, ctx, inner, stale, fresh, log):
+        try:
+            yield ctx.invoke(inner, "await_future", stale, log)
+        except InvocationAborted:
+            log.append("aborted")
+        return (yield ctx.wait(fresh))
+
+
+class TestCtxWait:
+    """``ctx.wait``: the future's outcome reaches the frame at its wait
+    point, once, and a wait the thread abandoned takes nothing."""
+
+    def _rig(self):
+        cluster = make_cluster(n_nodes=1)
+        cap = cluster.create_object(_Consumer, node=0)
+        return cluster, cap, SimFuture(cluster.sim), []
+
+    def test_failed_future_is_raised_inside_the_frame_at_its_wait(self):
+        cluster, cap, fut, log = self._rig()
+        thread = cluster.spawn(cap, "await_future", fut, log, at=0)
+        cluster.run(until=0.1)
+        assert (thread.state, thread.wait_kind) == ("blocked", "future")
+        cluster.sim.call_after(0.15, fut.fail, ValueError("nope"))
+        cluster.run(until=1.0)
+        assert log == [("caught", "nope", 0.25), "cleanup"]
+        assert thread.completion.result() == "survived"
+
+    def test_aborted_wait_drops_its_stale_completion(self):
+        """The aborted frame's future completes after the caller has
+        moved on to another wait: the caller must not be resumed by it."""
+        cluster, cap, stale, log = self._rig()
+        fresh = SimFuture(cluster.sim)
+        inner = cluster.create_object(_Consumer, node=0)
+        thread = cluster.spawn(cap, "call_then_wait", inner, stale, fresh,
+                               log, at=0)
+        cluster.run(until=0.1)
+        assert cluster.invoker.abort_invocation(thread, inner.oid) is True
+        cluster.run(until=0.2)
+        assert log == ["cleanup", "aborted"]
+        assert (thread.state, thread.wait_kind) == ("blocked", "future")
+        stale.resolve("stale")
+        cluster.run(until=0.3)
+        assert thread.state == "blocked"
+        fresh.resolve("fresh")
+        cluster.run(until=0.4)
+        assert thread.completion.result() == "fresh"
 
 
 class TestCtxRecv:

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event scheduler."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
@@ -166,3 +169,44 @@ def test_callback_args_passed_through():
     sim.call_soon(lambda a, b: seen.append((a, b)), 1, "two")
     sim.run()
     assert seen == [(1, "two")]
+
+
+class TestCancelledEntries:
+    def test_cancel_releases_closure_and_args(self):
+        class Payload:
+            pass
+
+        sim = Simulator()
+        payload = Payload()
+        ref = weakref.ref(payload)
+        handle = sim.call_after(100.0, lambda p: None, payload)
+        handle.cancel()
+        handle.cancel()  # idempotent
+        del payload
+        gc.collect()
+        # the cancelled entry is still queued, but pins nothing
+        assert ref() is None
+        assert handle.cancelled
+
+    def test_compaction_purges_dead_entries(self):
+        sim = Simulator()
+        handles = [sim.call_after(1000.0 + i, lambda: None)
+                   for i in range(200)]
+        for handle in handles[:150]:
+            handle.cancel()
+        assert sim.compactions >= 1
+        assert sim.pending == 50
+        # the physical heap shrank too — dead entries were purged, not
+        # merely counted
+        assert len(sim._queue) <= 100
+        fired = []
+        sim.call_after(1.0, fired.append, "live")
+        sim.run(until=2.0)
+        assert fired == ["live"]
+
+    def test_pending_excludes_cancelled(self):
+        sim = Simulator()
+        handles = [sim.call_after(10.0, lambda: None) for _ in range(5)]
+        handles[0].cancel()
+        handles[3].cancel()
+        assert sim.pending == 3

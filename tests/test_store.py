@@ -77,6 +77,40 @@ class TestNodeJournal:
         assert journal.append(REC_POST, entry_id=(0, 9)).lsn == 6
 
 
+class TestJournalGroupCommit:
+    def test_append_batch_is_one_commit(self):
+        journal = NodeJournal(0)
+        records = journal.append_batch(
+            [(REC_POST, {"entry_id": (0, i)}) for i in range(1, 4)])
+        assert [r.lsn for r in records] == [1, 2, 3]
+        assert journal.appends == 3
+        assert journal.commits == 1
+        journal.append(REC_ACK, entry_id=(0, 1))
+        assert journal.appends == 4
+        assert journal.commits == 2
+        assert journal.append_batch([]) == []
+        assert journal.commits == 2
+        assert journal.stats()["commits"] == 2
+
+    def test_indexed_latest_checkpoint_and_o1_truncate(self):
+        journal = NodeJournal(0)
+        for i in range(5):
+            journal.append(REC_POST, entry_id=(0, i))
+        assert journal.latest_checkpoint() is None
+        ckpt = journal.append(REC_CHECKPOINT, state={"n": 5})
+        assert journal.latest_checkpoint() is ckpt
+        dropped = journal.truncate_before(ckpt.lsn)
+        assert dropped == 5
+        assert journal.records_truncated == 5
+        assert [r.lsn for r in journal] == [ckpt.lsn]
+        assert journal.latest_checkpoint() is ckpt
+        assert journal.tail() == []
+        later = journal.append(REC_POST, entry_id=(0, 9))
+        assert journal.tail() == [later]
+        newer = journal.append(REC_CHECKPOINT, state={"n": 6})
+        assert journal.latest_checkpoint() is newer
+
+
 class TestOutbox:
     def test_record_is_write_ahead_and_pending(self):
         journal = make_journal()
