@@ -294,7 +294,7 @@ def _check_invariants(spec: ChaosSpec, executions: dict[int, int],
                       n_probes: int,
                       durability: dict[str, int] | None = None,
                       quarantined: frozenset | set = frozenset(),
-                      hung_handlers: int = 0) -> list[str]:
+                      hung: list[str] | tuple = ()) -> list[str]:
     violations = []
     for pid in range(spec.posts):
         ran = executions.get(pid, 0)
@@ -328,11 +328,36 @@ def _check_invariants(spec: ChaosSpec, executions: dict[int, int],
             violations.append(
                 f"outbox not drained: {durability['pending']} journaled "
                 f"posts still pending at end of run")
-    if hung_handlers:
+    if hung:
         violations.append(
-            f"{hung_handlers} handler execution(s) still wedged at end "
-            f"of run")
+            f"{len(hung)} handler execution(s) still wedged at end of run: "
+            + "; ".join(hung))
     return violations
+
+
+def hung_handlers(cluster: Cluster) -> list[str]:
+    """Handler executions in progress on a cluster that should be idle,
+    one line each: a surrogate that still has a frame (stuck in a
+    handler), an orphaned one (alive, but not parked with a live owner
+    on its node — a surrogate between notices is parked and is *not* a
+    hang), or an object-event thread wedged mid-serve."""
+    hung = []
+    for thread in cluster.live_threads.values():
+        if thread.kind != KIND_SURROGATE or not thread.alive:
+            continue
+        owner = cluster.live_threads.get(thread.impersonates)
+        if thread.frames:
+            what = f"in {thread.frames[0].entry}"
+        elif (owner is None or owner.chain_surrogate is not thread
+              or owner.current_node != thread.current_node):
+            what = "orphaned"
+        else:
+            continue
+        hung.append(f"surrogate {thread.tid} of {thread.impersonates} {what}")
+    hung += [f"object handler mid-serve on node {kernel.node_id}"
+             for kernel in cluster.kernels.values()
+             for _ in range(kernel.objects.serving)]
+    return hung
 
 
 def run_chaos(spec: ChaosSpec) -> ChaosReport:
@@ -543,14 +568,8 @@ def run_chaos(spec: ChaosSpec) -> ChaosReport:
          for row in kernel.store.recovery_log),
         key=lambda row: (row["at"], row["node"]))
     # A handler execution still in progress after the settle window is a
-    # hang the supervision layer failed to bound: a live surrogate (stuck
-    # in a handler frame, or never retired by its chain), or an
-    # object-event thread wedged mid-serve.
-    hung_handlers = sum(
-        1 for t in cluster.live_threads.values()
-        if t.alive and t.kind == KIND_SURROGATE)
-    hung_handlers += sum(kernel.objects.serving
-                         for kernel in cluster.kernels.values())
+    # hang the supervision layer failed to bound.
+    hung = hung_handlers(cluster)
     report = ChaosReport(
         spec=spec, executions=executions, notices=notices,
         probe_executions=probe_executions, crashes=crashes,
@@ -561,7 +580,7 @@ def run_chaos(spec: ChaosSpec) -> ChaosReport:
         undeliverable=cluster.events.undeliverable,
         p99_latency=p99, virtual_time=cluster.now,
         durability=durability, recoveries=recoveries,
-        quarantined=quarantined, hung_handlers=hung_handlers,
+        quarantined=quarantined, hung_handlers=len(hung),
         supervision=cluster.supervision_stats(),
         handler_fault_counts=dict(fault_counts),
         churn_events=churn_events,
@@ -569,7 +588,7 @@ def run_chaos(spec: ChaosSpec) -> ChaosReport:
                     if cluster.config.swim_interval is not None else {}))
     report.violations = _check_invariants(
         spec, executions, notices, probe_executions, len(target_nodes),
-        durability, quarantined, hung_handlers)
+        durability, quarantined, hung)
     return report
 
 

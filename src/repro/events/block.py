@@ -16,8 +16,7 @@ application of §6.2 samples).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 _block_ids = itertools.count(1)
 
@@ -27,9 +26,10 @@ _block_ids = itertools.count(1)
 SETTLED = False
 
 
-@dataclass(frozen=True)
-class FrameInfo:
-    """One activation record in a thread snapshot."""
+class FrameInfo(NamedTuple):
+    """One activation record in a thread snapshot (a named tuple, like
+    :class:`ThreadSnapshot`: one is built per frame per notice, and a
+    tuple is built in C)."""
 
     oid: int
     entry: str
@@ -37,8 +37,7 @@ class FrameInfo:
     steps: int
 
 
-@dataclass(frozen=True)
-class ThreadSnapshot:
+class ThreadSnapshot(NamedTuple):
     """Register-file analogue: the suspended thread's visible state."""
 
     tid: object

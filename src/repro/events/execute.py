@@ -177,8 +177,7 @@ class Executor:
         """
         if finish is None and not thread.alive:
             # thread_gone has already concluded the block as a §7.2
-            # notice; only the chain's surrogate is left to end.
-            self._retire_surrogate(thread)
+            # notice (and the surrogate went with its owner).
             return
         if index >= len(chain):
             if finish is not None:
@@ -189,9 +188,7 @@ class Executor:
                 # handler raised — watchdog timeouts excluded, since a
                 # cancelled handler may have half-executed and a re-run
                 # would double its side effects). Deliberate PROPAGATE
-                # decisions and breaker skips are not failures. No
-                # surrogate sits parked through a backoff.
-                self._retire_surrogate(thread)
+                # decisions and breaker skips are not failures.
                 if self.supervisor.poisoned(
                         block, last_error, thread.current_node,
                         self._retry_chain, thread, block,
@@ -233,7 +230,6 @@ class Executor:
         # Handling concluded: the block is no longer at risk of dying
         # with the thread, and its poison tally (if any) is forgiven.
         self.supervisor.clear_failures(block)
-        self._retire_surrogate(thread)
         thread.delivering_block = None
         # The synchronous raiser is resumed when handling concludes,
         # whatever the fate of the target thread. (A no-op when the
@@ -344,13 +340,15 @@ class Executor:
     def _run_on_surrogate(self, thread: DThread, block: EventBlock,
                           node: int, done, deadline: float | None,
                           frame_fn, *frame_args: Any) -> None:
-        """Run one handler as the next frame of the notice's surrogate.
+        """Run one handler as the next frame of the thread's surrogate.
 
-        One surrogate serves the whole chain of a delivered notice (§7's
-        argument for the master handler thread — do not pay a thread
-        creation per handler run — applied to §6.1); it is created when
-        the first handler is due and replaced only if it died (watchdog,
-        crash). ``SURROGATE_COST`` is charged per handler by the caller.
+        One surrogate serves every handler the thread runs while it
+        stays on this node (§7's argument for the master handler thread
+        — do not pay a thread creation per handler run — applied to
+        §6.1): it is created when the first handler is due, parked
+        between frames, retired when its owner leaves the node or ends
+        (``Presence``) and replaced only if it died (watchdog, crash).
+        ``SURROGATE_COST`` is charged per handler by the caller.
         """
         invoker = self.invoker
         name = f"handler:{block.event}"
@@ -367,12 +365,6 @@ class Executor:
                           on_exit=partial(self._handler_exited, done=done,
                                           thread=thread, block=block,
                                           watchdog=watchdog))
-
-    def _retire_surrogate(self, thread: DThread) -> None:
-        """The chain is over (or pausing for a backoff): end its surrogate."""
-        surrogate, thread.chain_surrogate = thread.chain_surrogate, None
-        if surrogate is not None:
-            self.invoker.retire_loop_thread(surrogate)
 
     def _handler_timed_out(self, surrogate: DThread, thread: DThread,
                            block: EventBlock, deadline: float) -> None:
@@ -405,6 +397,9 @@ class Executor:
             # Outliving its run, it could destroy the surrogate under a
             # later handler of the chain.
             watchdog.cancel()
+        if not thread.alive:
+            # The owner died under this frame: nobody is left to park with.
+            self.invoker.retire_surrogate(thread)
         if error is not None:
             if not isinstance(error, HandlerTimeout):
                 # Timeouts have their own counter/trace; everything
@@ -471,7 +466,8 @@ class Executor:
                           decision: Decision, value: Any) -> None:
         """The faulted frame's fate (``block.user_data`` is its
         exception)."""
-        self._retire_surrogate(thread)
+        if not thread.alive or thread.state == TERMINATING:
+            return  # terminated under its handlers: no frame is left to fix
         thread.suspended_by_event = False
         if decision is Decision.RESUME:
             # Levin-style repair: the faulted invocation returns the

@@ -30,7 +30,7 @@ from repro.events.supervise import HandlerSupervisor
 from repro.net.message import Message
 from repro.objects.capability import Capability
 from repro.threads.ids import ThreadId
-from repro.threads.thread import DThread, TERMINATING
+from repro.threads.thread import DThread, KIND_SURROGATE, TERMINATING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.boot import Cluster
@@ -142,7 +142,10 @@ class Poster:
                            block: EventBlock) -> bool:
         """A notice reached the node holding the thread's innermost frame."""
         thread = self.live_threads.get(tid)
-        if thread is None or not thread.alive or thread.state == TERMINATING:
+        if (thread is None or not thread.alive or thread.state == TERMINATING
+                or thread.kind == KIND_SURROGATE):
+            # dead, dying, or a handler surrogate: no event target, so
+            # the raiser gets §7.2's notice
             return False
         if not thread.accept_block(block.block_id):
             # Duplicate arrival (second locate path, late retransmission):

@@ -29,6 +29,7 @@ class Presence:
         self.kernels = cluster.kernels
         self.multicast_groups = cluster.fabric.multicast_groups
         self.hint_holders = cluster.hint_holders
+        self.retire_surrogate = cluster.invoker.retire_surrogate
         self.post = post
 
     # -- thread-attribute timers (§6.2) --
@@ -88,7 +89,9 @@ class Presence:
                 del thread.armed_timers[spec_id]
 
     def thread_leaving_node(self, thread: DThread, node: int) -> None:
-        """The thread's innermost frame is departing ``node``."""
+        """The thread's innermost frame is departing ``node``; its
+        parked handler surrogate does not travel."""
+        self.retire_surrogate(thread)
         # The node's own "it is here" hint is now stale; the TCB
         # forwarding pointer (set right after this hook) takes over.
         self.kernels[node].location_hints.invalidate(thread.tid)
@@ -107,6 +110,7 @@ class Presence:
 
     def thread_gone(self, thread: DThread) -> None:
         """The thread finished or was terminated; final cleanup."""
+        self.retire_surrogate(thread)
         if thread.armed_timers:
             self._disarm(thread)
         self.multicast_groups.dissolve(thread.tid.multicast_group)

@@ -355,8 +355,10 @@ class Cluster:
     def ps(self, kinds: tuple[str, ...] = ("user",)) -> list[dict]:
         """Snapshot of live threads (like `ps` on the simulated cluster).
 
-        Each row: tid, kind, state, current node, group, call-stack
-        summary (object class / entry per frame).
+        Each row: tid, kind, state, what a blocked thread waits on,
+        current node, group, call-stack summary (object class / entry
+        per frame). A handler surrogate between notices reads
+        ``blocked`` on ``"parked"`` with an empty stack.
         """
         rows = []
         for tid in sorted(self.live_threads):
@@ -370,6 +372,7 @@ class Cluster:
                 "tid": str(tid),
                 "kind": thread.kind,
                 "state": thread.state,
+                "wait": thread.wait_kind,
                 "node": thread.current_node,
                 "group": str(thread.attributes.group)
                 if thread.attributes.group else None,

@@ -145,16 +145,21 @@ class InvocationEngine:
 
         When the frame leaves — or the thread dies under it —
         ``on_exit(value, error)`` gets the outcome; a surviving thread
-        stays alive for its next frame or :meth:`retire_loop_thread`.
+        is parked (``blocked`` on ``"parked"``, no frame) for its next
+        frame or :meth:`retire_surrogate`.
         """
         self._push_bare_frame(thread, gen_fn, name, gen_args)
         thread.frame_exit = on_exit
         thread.step_now()
 
-    def retire_loop_thread(self, thread: DThread) -> None:
-        """End a loop thread that is between frames."""
-        if thread.alive:
-            self._finalize(thread, None, None)
+    def retire_surrogate(self, owner: DThread) -> None:
+        """End the handler surrogate parked with ``owner``. One with a
+        handler frame still running stays: ``on_exit`` retires it."""
+        surrogate = owner.chain_surrogate
+        if surrogate is not None and not surrogate.frames:
+            owner.chain_surrogate = None
+            if surrogate.alive:
+                self._finalize(surrogate, None, None)
 
     def adopt_loop_thread(self, node: int, gen_fn: Any, name: str,
                           kind: str, *gen_args: Any) -> DThread:
@@ -310,6 +315,7 @@ class InvocationEngine:
                 self._complete_thread(thread, frame.node, value, error)
             else:
                 thread.frame_exit = None
+                thread.block("parked")
                 on_exit(value, error)
             return
         self._resume_or_fail_frame(thread, value, error, frame.is_remote,
@@ -599,6 +605,7 @@ class InvocationEngine:
                     gen.close()
                 except BaseException:  # noqa: BLE001 - cleanup crash moot
                     pass
+            frame.ctx = None  # as pop_frame does
             # TCBs exist only where the thread has frames (and at its
             # root, which _finalize purges).
             kernels[frame.node].thread_table.purge(thread.tid)

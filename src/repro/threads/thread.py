@@ -141,8 +141,9 @@ class DThread:
         #: the block whose handler chain is running (surfaced as a
         #: dead-target notice if the thread dies mid-delivery)
         self.delivering_block: Any = None
-        #: the surrogate running the handler chain of the notice (or
-        #: exception) being delivered; one per chain, see
+        #: the surrogate this thread's handlers run on while it stays on
+        #: its current node: parked between notices, retired when the
+        #: thread leaves the node or ends, see
         #: ``events.execute.Executor._run_on_surrogate``
         self.chain_surrogate: "DThread | None" = None
         #: block ids already accepted, bounded FIFO (suppresses network
@@ -202,12 +203,14 @@ class DThread:
 
     def snapshot(self) -> ThreadSnapshot:
         """The "registers" put into event blocks (§4.1)."""
-        frames = tuple(
-            FrameInfo(oid=f.obj.oid if f.obj is not None else -1,
-                      entry=f.entry, node=f.node, steps=f.steps)
-            for f in self.frames)
-        return ThreadSnapshot(tid=self.tid, state=self.state,
-                              node=self.current_node, frames=frames)
+        # One per notice: tuple.__new__ is what the named tuples' own
+        # generated __new__ calls, minus a Python frame per shape.
+        new = tuple.__new__
+        return new(ThreadSnapshot, (
+            self.tid, self.state, self.current_node,
+            tuple([new(FrameInfo, (-1 if f.obj is None else f.obj.oid,
+                                   f.entry, f.node, f.steps))
+                   for f in self.frames])))
 
     # ------------------------------------------------------------------
     # frame management (used by the invocation engine)
@@ -220,7 +223,12 @@ class DThread:
     def pop_frame(self) -> Activation:
         if not self.frames:
             raise ThreadError(f"{self.tid}: pop from empty frame stack")
-        return self.frames.pop()
+        activation = self.frames.pop()
+        # Its generator is finished or closed, so this was the last link
+        # of the Activation <-> Ctx cycle: the frame dies by reference
+        # count, not in the cycle collector.
+        activation.ctx = None
+        return activation
 
     # ------------------------------------------------------------------
     # driver
@@ -233,8 +241,10 @@ class DThread:
         self.sim.call_soon(self._step, value, error, self._step_epoch)
 
     def step_now(self) -> None:
-        """Start the innermost frame inside the running callback."""
+        """Start the innermost frame inside the running callback (a
+        parked loop thread stops being parked)."""
         self.state = RUNNING
+        self._wait = None
         self._step(None, None)
 
     def schedule_step_after(self, delay: float, value: Any = None,

@@ -5,8 +5,16 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import settings
 
 from repro import Cluster, ClusterConfig, Decision, DistObject, entry, handler_entry, on_event
+
+
+# Example budgets for the properties that do not fix their own: `default`
+# is hypothesis's (100 examples), `ci` spends ten times that. Select one
+# with hypothesis's own `--hypothesis-profile=<name>`.
+settings.register_profile("default", max_examples=100)
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture()

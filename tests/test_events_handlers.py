@@ -425,8 +425,9 @@ class TestSyncResumeFromHandler:
 
 class TestChainSurrogateTrace:
     """The thread-based path's trace contract: one ``thread/create``
-    (``kind=surrogate entry=handler:<event>``) and one ``thread/exit``
-    per chain, whichever path (notice or exception) walks it."""
+    (``kind=surrogate entry=handler:<event>``, the first event handled)
+    and one ``thread/exit`` per thread per node residency, whichever
+    path (notice or exception) walks its chains."""
 
     def _surrogate_lifecycle(self, cluster):
         created = cluster.tracer.select("thread", "create", kind="surrogate")
@@ -465,7 +466,16 @@ class TestChainSurrogateTrace:
             ("current", 1)]
         assert [(r.get("entry"), r.get("node")) for r in created] \
             == [("handler:EVT", 1)]
-        assert exits == [created[0].get("tid")] == [log.entries[2][2]]
+        assert exits == [] and created[0].get("tid") == log.entries[2][2]
+        # a second chain adds no record; the owner's end adds the exit
+        cluster.raise_event("EVT", thread.tid, from_node=0)
+        cluster.run(until=1.0)
+        assert len(log.entries) == 6
+        assert self._surrogate_lifecycle(cluster) == (created, [])
+        cluster.invoker.terminate_thread(thread, reason="test")
+        cluster.run(until=1.5)
+        assert self._surrogate_lifecycle(cluster) \
+            == (created, [created[0].get("tid")])
 
     def test_exception_chain_shares_and_retires_its_surrogate(self):
         cluster = make_cluster(n_nodes=2)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro import Decision, DistObject, entry, handler_entry, on_event
-from repro.bench.chaos import ChaosSpec, run_chaos
+from repro.bench.chaos import ChaosSpec, hung_handlers, run_chaos
 from repro.errors import (
     EventError,
     EventQuarantinedError,
@@ -402,8 +402,15 @@ class TestResidentSurrogateWatchdog:
         destroyed = cluster.tracer.select("thread", "destroy")
         assert [r.get("tid") for r in destroyed] == [str(hung)]
         assert thread.state == "blocked"
-        assert [t for t in cluster.live_threads.values()
-                if t.kind == "surrogate"] == []
+        # the replacement, not the destroyed one, stays parked with the
+        # thread and serves its next notice
+        [parked] = [t for t in cluster.live_threads.values()
+                    if t.kind == "surrogate"]
+        assert parked.tid == fresh and parked is thread.chain_surrogate
+        assert (parked.wait_kind, parked.frames) == ("parked", [])
+        cluster.raise_event("EVT", thread.tid, from_node=1)
+        cluster.run(until=cluster.now + 0.01)
+        assert log[5][:2] == (0, "start") and log[5][2] == fresh
 
     def test_finished_handlers_watchdog_never_fires_into_the_next(self):
         # Handler 0's deadline (armed at t, due t+0.05) falls inside
@@ -841,7 +848,7 @@ class TestChaosWithHandlerFaults:
         assert sum(report.handler_fault_counts.values()) > 0
         assert report.violations == []
         assert report.accounted_rate == 1.0
-        # counts every live surrogate, running a handler or parked
+        # every surrogate left is parked with a live owner on its node
         assert report.hung_handlers == 0
 
     def test_supervised_durable_chaos_exactly_once_or_quarantined(self):
@@ -859,6 +866,44 @@ class TestChaosWithHandlerFaults:
         spec = replace(self.BASE, posts=40, handler_faults=self.FAULTS,
                        config=self.KNOBS)
         assert run_chaos(spec).digest == run_chaos(spec).digest
+
+    def test_a_hang_with_no_deadline_is_still_reported(self):
+        """Parked surrogates are not hangs; one stuck in a frame is,
+        and the violation says whose handler for which event."""
+        report = run_chaos(replace(self.BASE, crash_period=None,
+                                   handler_faults={"hang": 0.1}))
+        assert report.handler_fault_counts["hang"] == report.hung_handlers > 0
+        [wedged] = [v for v in report.violations if "wedged" in v]
+        assert wedged.startswith(f"{report.hung_handlers} handler execution")
+        assert wedged.count("surrogate T") == report.hung_handlers
+        assert wedged.count(" in handler:CHAOS") == report.hung_handlers
+
+    def test_a_leaked_surrogate_is_reported_as_an_orphan(self):
+        cluster = _rig(n_nodes=2)
+        log, seen = [], []
+        app = cluster.create_object(TimedChainApp, node=0)
+        thread = cluster.spawn(app, "work", [(1e-3, None)], log, seen, at=0)
+        cluster.run(until=0.1)
+        cluster.raise_event("EVT", thread.tid, from_node=1)
+        cluster.run(until=0.2)
+        parked = thread.chain_surrogate
+        assert parked.wait_kind == "parked" and hung_handlers(cluster) == []
+        # leaked: the owner forgets it ...
+        thread.chain_surrogate = None
+        leak = f"surrogate {parked.tid} of {thread.tid} orphaned"
+        assert hung_handlers(cluster) == [leak]
+        # ... or a second one sits where the owner is not
+        thread.chain_surrogate = parked
+        stray = cluster.invoker.create_loop_thread(
+            1, "handler:EVT", "surrogate", impersonate=thread.tid)
+        assert hung_handlers(cluster) == [
+            f"surrogate {stray.tid} of {thread.tid} orphaned"]
+        # ... or it outlives its owner
+        cluster.invoker.destroy_thread_abrupt(stray, RuntimeError("test"))
+        thread.chain_surrogate = None
+        cluster.invoker.terminate_thread(thread, reason="test")
+        cluster.run(until=0.3)
+        assert not thread.alive and hung_handlers(cluster) == [leak]
 
 
 class TestKnobsOffUnchanged:

@@ -1,7 +1,8 @@
-"""One resident surrogate per delivered notice (§6.1 + §7's thread-creation
-argument): every handler of a chain runs as a successive frame on the same
-surrogate thread, which is replaced only when it dies and retired at every
-chain exit."""
+"""One resident surrogate per thread per node residency (§6.1 + §7's
+thread-creation argument): every handler a thread runs while it stays on
+one node is a successive frame on the same surrogate thread, which is
+parked between notices, retired when its owner leaves the node or ends,
+and replaced only when it dies."""
 
 import pickle
 from functools import partial
@@ -101,6 +102,17 @@ def _live_surrogates(cluster):
             if t.kind == KIND_SURROGATE]
 
 
+def _parked_with(cluster, thread):
+    """The one live surrogate, which must be ``thread``'s, parked."""
+    [surrogate] = _live_surrogates(cluster)
+    assert surrogate is thread.chain_surrogate
+    assert surrogate.impersonates == thread.tid
+    assert (surrogate.state, surrogate.wait_kind) == ("blocked", "parked")
+    assert surrogate.frames == []
+    assert surrogate.current_node == thread.current_node
+    return surrogate
+
+
 def _held_by_tables(cluster):
     held = {}
     for kernel in cluster.kernels.values():
@@ -131,11 +143,24 @@ class TestOneSurrogatePerChain:
         created, exits = _surrogate_lifecycle(cluster)
         assert [(r.get("tid"), r.get("entry")) for r in created] \
             == [(str(real.pop()), "handler:EVT")]
-        assert exits == [created[0].get("tid")]
-        assert _live_surrogates(cluster) == []
-        # thread T0.1 + one surrogate T0.2: the chain consumed one tid
-        assert _next_seq(cluster) == 3
+        # the chain is over and its surrogate stays, parked with its owner
+        assert exits == []
+        surrogate = _parked_with(cluster, thread)
         assert thread.state == "blocked"  # default decision: resumed
+        # the next notice's chain runs on it too
+        cluster.raise_event("EVT", thread.tid, from_node=2)
+        cluster.run(until=2.0)
+        assert [pos for pos, *_ in log] == [0, 1, 2] * 2
+        assert {real for _, _, real, _ in log} == {surrogate.tid}
+        assert _parked_with(cluster, thread) is surrogate
+        # it ends with its owner, and not before
+        cluster.invoker.terminate_thread(thread, reason="test")
+        cluster.run(until=3.0)
+        created, exits = _surrogate_lifecycle(cluster)
+        assert len(created) == 1 and exits == [str(surrogate.tid)]
+        assert _live_surrogates(cluster) == []
+        # thread T0.1 + one surrogate T0.2: the residency consumed one tid
+        assert _next_seq(cluster) == 3
 
     def test_resume_mid_chain_stops_it(self, context):
         cluster, thread, log = _rig(context, {1: Decision.RESUME})
@@ -143,7 +168,7 @@ class TestOneSurrogatePerChain:
         cluster.run(until=1.0)
         assert [pos for pos, *_ in log] == [0, 1]
         assert thread.state == "blocked"
-        assert _live_surrogates(cluster) == []
+        _parked_with(cluster, thread)  # frameless: handler 2 never began
 
     def test_terminate_decision(self, context):
         cluster, thread, log = _rig(context, {2: Decision.TERMINATE})
@@ -174,10 +199,9 @@ class TestOneSurrogatePerChain:
         assert thread.state == "blocked"
 
 
-def test_depth1_chains_allocate_tids_as_before():
-    """Golden sequence recorded on the per-handler-surrogate commit: a
-    depth-1 chain costs exactly one tid, so same-seed traces of depth-1
-    workloads name the same threads."""
+def test_depth1_chains_allocate_one_tid_per_residency():
+    """Three notices to a thread that stays put name one surrogate (one
+    tid each on the per-notice-surrogate commit: T0.2, T0.3, T0.4)."""
     created = []
     for context in CONTEXTS:
         cluster, thread, log = _rig(context, {0: Decision.RESUME}, depth=1)
@@ -187,9 +211,7 @@ def test_depth1_chains_allocate_tids_as_before():
         created.append([(r.get("tid"), r.get("kind"), r.get("entry"))
                         for r in cluster.tracer.select("thread", "create")])
     golden = [("T0.1", "user", "work"),
-              ("T0.2", "surrogate", "handler:EVT"),
-              ("T0.3", "surrogate", "handler:EVT"),
-              ("T0.4", "surrogate", "handler:EVT")]
+              ("T0.2", "surrogate", "handler:EVT")]
     assert created == [golden, golden, golden]
 
 
@@ -209,13 +231,22 @@ class TestOwnerDiesMidChain:
     @pytest.mark.parametrize("context", CONTEXTS)
     def test_owner_terminated(self, context):
         cluster, thread, future = self._mid_chain(context)
+        [surrogate] = _live_surrogates(cluster)
         cluster.invoker.terminate_thread(thread, reason="test")
-        cluster.run(until=cluster.now + 1.0)
+        cluster.run(until=cluster.now + 1e-4)
+        # the owner is gone; the handler it left running is not cut short
         assert thread.state == "terminated"
+        assert surrogate.alive and surrogate.frames
+        cluster.run(until=cluster.now + 1.0)
         assert cluster.events.dead_targets == 1
         with pytest.raises(DeadThreadError):
             future.result()
-        assert _live_surrogates(cluster) == []
+        # ... and its surrogate retires when that frame exits, with no
+        # owner left to park with; handler 2 never runs
+        assert _live_surrogates(cluster) == [] and not surrogate.alive
+        exits = [r.get("tid") for r in cluster.tracer.select("thread", "exit")]
+        assert exits == [str(thread.tid), str(surrogate.tid)]
+        assert cluster.tracer.select("thread", "exit")[1].time >= 0.1 + 2e-3
 
     @pytest.mark.parametrize("context", CONTEXTS)
     def test_owner_node_crashed(self, context):
@@ -232,20 +263,108 @@ class TestOwnerDiesMidChain:
         assert thread.tid not in cluster.hint_holders
 
 
-def test_chain_retry_backoff_holds_no_parked_surrogate():
+def test_owner_terminated_inside_an_exception_chain():
+    """§6.1: the faulted frame is unwound with the rest, so the repair
+    its handler returns has nowhere to go (it popped an empty stack and
+    raised out of ``run`` before) and the surrogate ends with the frame."""
+    cluster = make_cluster(n_nodes=2)
+
+    class Guarded(DistObject):
+        @entry
+        def work(self, ctx):
+            def repairs(hctx, block):
+                yield hctx.compute(1e-2)
+                return (Decision.RESUME, "repaired")
+
+            yield ctx.attach_handler("DIV_ZERO", repairs)
+            return 1 / 0
+
+    thread = cluster.spawn(cluster.create_object(Guarded, node=0), "work",
+                           at=0)
+    cluster.run(until=5e-3)  # inside the handler's 10 ms
+    [surrogate] = _live_surrogates(cluster)
+    cluster.invoker.terminate_thread(thread, reason="test")
+    cluster.run(until=1.0)
+    assert thread.state == "terminated" and not surrogate.alive
+    assert cluster.live_threads == {}
+
+
+def test_chain_retries_share_the_parked_surrogate():
     cluster, thread, log = _rig("current", {0: "raise"}, depth=1,
                                 poison_threshold=3, handler_backoff=0.05)
     cluster.raise_event("EVT", thread.tid, from_node=1)
     cluster.run(until=cluster.now + 0.03)  # inside the first backoff
     assert cluster.supervision_stats()["chain_retries"] == 1
     assert thread.delivering_block is not None
-    assert _live_surrogates(cluster) == []
+    surrogate = _parked_with(cluster, thread)  # parked through the backoff
     cluster.run(until=cluster.now + 1.0)
     assert [pos for pos, *_ in log] == [0, 0, 0]
-    # every attempt ran on its own surrogate, as before
-    assert len({real for _, _, real, _ in log}) == 3
+    # every attempt ran on it (each on its own surrogate before)
+    assert {real for _, _, real, _ in log} == {surrogate.tid}
     assert cluster.supervision_stats()["quarantined"] == 1
-    assert _live_surrogates(cluster) == []
+    assert _parked_with(cluster, thread) is surrogate
+
+
+def test_chain_retry_replaces_a_surrogate_that_died_in_the_backoff():
+    cluster, thread, log = _rig("current", {0: "raise"}, depth=1,
+                                poison_threshold=3, handler_backoff=0.05)
+    cluster.raise_event("EVT", thread.tid, from_node=1)
+    cluster.run(until=cluster.now + 0.03)
+    first = _parked_with(cluster, thread)
+    cluster.invoker.destroy_thread_abrupt(first, RuntimeError("lost"))
+    cluster.run(until=cluster.now + 1.0)
+    assert [pos for pos, *_ in log] == [0, 0, 0]
+    second = _parked_with(cluster, thread)
+    assert [real for _, _, real, _ in log] == [first.tid, second.tid,
+                                               second.tid]
+
+
+# ======================================================================
+# what a parked surrogate looks like from outside
+# ======================================================================
+
+def test_ps_shows_it_parked_not_running():
+    cluster, thread, log = _rig("current")
+    cluster.raise_event("EVT", thread.tid, from_node=1)
+    while len(log) < 2:  # inside the second handler
+        cluster.run(until=cluster.now + 2e-4)
+    [row] = cluster.ps(kinds=("surrogate",))
+    assert (row["state"], row["wait"]) == ("running", None)
+    assert row["stack"] == ["Worker.handler:EVT@0"]  # the current object
+    cluster.run(until=1.0)
+    assert cluster.ps(kinds=("surrogate",)) == [{
+        "tid": str(log[0][2]), "kind": "surrogate", "state": "blocked",
+        "wait": "parked", "node": 0, "group": None, "stack": [],
+        "pending_events": 0}]
+    assert [row["tid"] for row in cluster.ps()] == [str(thread.tid)]
+
+
+@pytest.mark.parametrize("locator",
+                         ["path", "broadcast", "multicast", "cached"])
+@pytest.mark.parametrize("parked", [True, False],
+                         ids=["parked", "mid-chain"])
+def test_post_to_a_surrogates_own_tid_is_a_dead_target(locator, parked,
+                                                       conclusions):
+    """A surrogate is nobody's event target, retired or not: the raiser
+    gets §7.2's notice, nothing is queued on it, no handler runs."""
+    cluster, thread, log = _rig("current", locator=locator)
+    cluster.raise_event("EVT", thread.tid, from_node=1)
+    cluster.run(until=cluster.now + (1.0 if parked else 1.2e-3))
+    [surrogate] = _live_surrogates(cluster)
+    assert bool(surrogate.frames) is not parked
+    ran = 3 if parked else 1
+    assert len(log) == ran
+    asynchronous = cluster.raise_event("EVT", surrogate.tid, from_node=2)
+    waited = cluster.raise_and_wait("EVT", surrogate.tid, from_node=0)
+    cluster.run(until=cluster.now + 1.0)
+    assert asynchronous.result() == 1  # routed to one recipient ...
+    with pytest.raises(DeadThreadError):  # ... who is not there
+        waited.result()
+    assert cluster.events.dead_targets == 2
+    assert len(log) == 3 and not surrogate.pending_notices
+    assert _parked_with(cluster, thread) is surrogate
+    conclusions.check()
+    assert conclusions.count("noticed") == 2
 
 
 # ======================================================================
