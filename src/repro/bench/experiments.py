@@ -159,10 +159,10 @@ def run_e2(cluster_sizes=(2, 4, 8, 16, 32), depths=(1, 4),
                     continue
                 cluster = build_cluster(n_nodes=n, locator=locator)
                 thread = deep_thread(cluster, depth=depth)
-                joins = cluster.fabric.multicast_groups.joins
+                joins = (cluster.events.locator.groups.joins
+                         if locator == "multicast" else 0)
                 msgs, latency = measure_posts(cluster, thread, posts)
-                table.add(locator, n, depth, msgs, latency * 1e3,
-                          joins if locator == "multicast" else 0)
+                table.add(locator, n, depth, msgs, latency * 1e3, joins)
     # The fourth locator: hint-cached direct posting. Three cases — a
     # warm cache posting to a located thread (the steady state the cache
     # buys), a cold cache (first post ever: pure fallback cost), and an

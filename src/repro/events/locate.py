@@ -19,10 +19,10 @@ one interface:
   multicast group" — the notice is multicast to the thread's group and
   only the node holding the innermost activation accepts it.
 * :class:`CachedLocator` — the optimisation the paper leaves on the
-  table: each kernel caches ``tid -> node`` hints (installed by every
+  table: each node caches ``tid -> node`` hints (installed by every
   successful delivery, piggy-backed on existing replies) and a post goes
   straight to the hinted node with a single message. On a stale hint the
-  receiving kernel chases its TCB ``next_node`` forwarding pointer with
+  receiving node chases its TCB ``next_node`` forwarding pointer with
   the notice itself, bounded by :data:`LOCATE_RETRIES` forwards; only on
   exhaustion does the post fall back to the configured base strategy
   (``cache_fallback``: path, broadcast or multicast). Steady-state posts
@@ -31,6 +31,10 @@ one interface:
 
 Because threads keep moving while notices are in flight, every strategy
 retries a bounded number of times before declaring the thread dead.
+
+Each strategy keeps the location state it reads (thread groups, hint
+tables) through the :class:`BaseLocator` bookkeeping hooks; path and
+broadcast keep none.
 
 On the wire a locate message is the ``tid`` and the notice, both
 registered shapes.  The origin's side of the exchange — the verdict
@@ -42,7 +46,7 @@ not by a message the paper's protocols do not have.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import KernelError
 from repro.events.block import EventBlock
@@ -52,8 +56,13 @@ from repro.kernel.config import (
     LOCATE_MULTICAST,
     LOCATE_PATH,
 )
+from repro.kernel.tcb import LocationHintTable
 from repro.net.message import Message
+from repro.net.multicast import MulticastRegistry
 from repro.threads.ids import ThreadId
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.threads.thread import DThread
 
 MSG_PATH_POST = "locate.path"
 MSG_BCAST_POST = "locate.bcast"
@@ -102,6 +111,27 @@ class BaseLocator:
         ``delivered=False`` only when the thread cannot be found (dead).
         """
         raise NotImplementedError
+
+    # -- bookkeeping hooks: no-ops for a strategy that keeps no state --
+
+    def thread_entered(self, thread: DThread, node: int) -> None:
+        """``thread`` starts executing on ``node``."""
+
+    def thread_leaving(self, thread: DThread, node: int) -> None:
+        """``thread``'s innermost frame is departing ``node``."""
+
+    def thread_left_for_good(self, thread: DThread, node: int) -> None:
+        """No frames of ``thread`` remain on ``node``."""
+
+    def thread_gone(self, thread: DThread) -> None:
+        """``thread`` finished or was terminated."""
+
+    def notice_accepted(self, tid: ThreadId, node: int,
+                        origin: int | None) -> None:
+        """A notice from ``origin`` was queued on ``tid`` at ``node``."""
+
+    def node_crashed(self, node: int) -> None:
+        """``node`` crashed: what it knew about locations was volatile."""
 
     # -- helpers ---------------------------------------------------------
 
@@ -318,18 +348,35 @@ class MulticastLocator(_ProbeLocator):
     POST, REPLY = MSG_MCAST_POST, MSG_MCAST_REPLY
     post = _ProbeLocator.post  # E17's tracer wraps vars(cls)["post"]
 
+    def __init__(self, cluster: Any, enqueue: Any) -> None:
+        super().__init__(cluster, enqueue)
+        #: one group per thread, keyed by its id
+        self.groups = MulticastRegistry()
+
     def _candidates(self, tid: ThreadId) -> list[int]:
-        groups = self.cluster.fabric.multicast_groups
-        return sorted(groups.members(tid.multicast_group))
+        return sorted(self.groups.members(tid))
+
+    def thread_entered(self, thread: DThread, node: int) -> None:
+        self.groups.join(thread.tid, node)
+
+    def thread_left_for_good(self, thread: DThread, node: int) -> None:
+        if node != thread.tid.root:
+            self.groups.leave(thread.tid, node)
+
+    def thread_gone(self, thread: DThread) -> None:
+        self.groups.dissolve(thread.tid)
+
+    def node_crashed(self, node: int) -> None:
+        # a dead node is no thread's location, now or after recovery
+        for tid in self.groups.groups_of(node):
+            self.groups.leave(tid, node)
 
 
 class CachedLocator(BaseLocator):
     """Post to the hinted node directly; chase TCB pointers on a miss.
 
-    The per-node hint tables live in the kernels
-    (:class:`repro.kernel.tcb.LocationHintTable`) and are maintained by
-    the event manager's delivery/migration hooks, so hints stay warm
-    without any extra round trips. A post is then:
+    The bookkeeping hooks keep the per-node :attr:`hints` warm with no
+    extra round trips, and reach the base strategy too. A post is then:
 
     1. **hit fast path** — one direct message to the hinted node;
     2. **stale hint** — the receiving kernel forwards the notice along
@@ -348,13 +395,49 @@ class CachedLocator(BaseLocator):
         #: the fallback strategy (``cache_fallback``: one of the three)
         self.base = make_locator(cluster.config.cache_fallback, cluster,
                                  enqueue)
+        #: tid -> nodes whose table holds a hint for it, so a thread's
+        #: exit invalidates its hints without asking every node
+        self.holders: dict[ThreadId, set[int]] = {}
+        #: node -> its volatile ``tid -> node`` hint cache
+        self.hints = {node: LocationHintTable(node, holders=self.holders)
+                      for node in cluster.kernels}
+
+    def thread_entered(self, thread: DThread, node: int) -> None:
+        self.base.thread_entered(thread, node)
+        self.hints[node].install(thread.tid, node)
+
+    def thread_leaving(self, thread: DThread, node: int) -> None:
+        self.base.thread_leaving(thread, node)
+        # stale now: the TCB forwarding pointer set next takes over
+        self.hints[node].invalidate(thread.tid)
+
+    def thread_left_for_good(self, thread: DThread, node: int) -> None:
+        self.base.thread_left_for_good(thread, node)
+        # the TCB is gone too: a forwarding hint keeps a chase moving
+        if thread.alive and thread.current_node != node:
+            self.hints[node].install(thread.tid, thread.current_node)
+
+    def thread_gone(self, thread: DThread) -> None:
+        self.base.thread_gone(thread)
+        # a dead thread must miss everywhere: §7.2 detection decides
+        for node in sorted(self.holders.get(thread.tid, ())):
+            self.hints[node].invalidate(thread.tid)
+
+    def notice_accepted(self, tid: ThreadId, node: int,
+                        origin: int | None) -> None:
+        self.base.notice_accepted(tid, node, origin)
+        self.hints[node].install(tid, node)
+        if origin is not None and origin != node and origin in self.hints:
+            self.hints[origin].install(tid, node)
+
+    def node_crashed(self, node: int) -> None:
+        self.base.node_crashed(node)
+        self.hints[node].clear()
 
     def post(self, from_node: int, tid: ThreadId, block: EventBlock,
              on_result: PostResult) -> None:
-        state = {"hops": 0,
-                 "forwards": LOCATE_RETRIES,
-                 "from_node": from_node}
-        hint = self.cluster.kernels[from_node].location_hints.get(tid)
+        state = {"hops": 0, "forwards": LOCATE_RETRIES, "from_node": from_node}
+        hint = self.hints[from_node].get(tid)
         if hint is None or hint == from_node:
             # Cold cache (or a useless self-hint: the local fast path
             # already failed upstream): straight to the base strategy.
@@ -364,8 +447,7 @@ class CachedLocator(BaseLocator):
 
     def _send(self, from_node: int, to_node: int, tid: ThreadId,
               block: EventBlock, state: dict, on_result: PostResult) -> None:
-        # An unreachable hinted (or forwarded-to) node most likely
-        # crashed: the hint is worse than stale.
+        # an unreachable hinted node most likely crashed: worse than stale
         self._forward(from_node, to_node, tid, block, state, on_result,
                       lambda m: self._give_up(tid, block, state, on_result))
 
@@ -374,33 +456,27 @@ class CachedLocator(BaseLocator):
         if self._accept(node, tid, block):
             on_result(True, state["hops"])
             return
-        # Stale hint: chase the TCB forwarding pointer with the notice
-        # itself — the thread invoked onward and this kernel knows where.
-        kernel = self.cluster.kernels[node]
-        tcb = kernel.thread_table.get(tid)
+        # Stale hint: chase the TCB forwarding pointer with the notice.
+        tcb = self.cluster.kernels[node].thread_table.get(tid)
         next_node = tcb.next_node if tcb is not None else None
         if next_node is None:
-            # No TCB (the thread returned past this node): this kernel's
-            # own hint table may know where it went.
-            fresher = kernel.location_hints.peek(tid)
+            # no TCB (it returned past here): a hint may know where it went
+            fresher = self.hints[node].peek(tid)
             if fresher is not None and fresher != node:
                 next_node = fresher
         if (next_node is not None and state["forwards"] > 0
                 and tid in self.cluster.live_threads):
             state["forwards"] -= 1
-            kernel.location_hints.install(tid, next_node)
+            self.hints[node].install(tid, next_node)
             self._send(node, next_node, tid, block, state, on_result)
             return
         self._give_up(tid, block, state, on_result)
 
     def _give_up(self, tid: ThreadId, block: EventBlock, state: dict,
                  on_result: PostResult) -> None:
-        """The hint chain is exhausted, dead or unreachable: drop the
-        origin's hint so the next post does not repeat the wasted
-        message, then let the base strategy find the thread (or declare
-        it dead, §7.2)."""
-        self.cluster.kernels[state["from_node"]].location_hints.invalidate(
-            tid)
+        """The hint led nowhere: drop it at the origin so the next post
+        skips the wasted message, and fall back to the base strategy."""
+        self.hints[state["from_node"]].invalidate(tid)
         self._fallback(tid, block, state, on_result)
 
     def _fallback(self, tid: ThreadId, block: EventBlock, state: dict,

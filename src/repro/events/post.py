@@ -153,14 +153,7 @@ class Poster:
             # queue a second handler run.
             return True
         thread.pending_notices.append(block)
-        # Location hints (§7.1 cached locator): the delivering node knows
-        # the thread is here, and the raiser learns it from the delivery
-        # acknowledgement it already receives — no extra round trips.
-        kernels = self.kernels
-        kernels[node].location_hints.install(tid, node)
-        origin = block.raiser_node
-        if origin is not None and origin != node and origin in kernels:
-            kernels[origin].location_hints.install(tid, node)
+        self.locator.notice_accepted(tid, node, block.raiser_node)
         if "event" not in self.tracer.muted:
             self.tracer.emit("event", "enqueue", event=block.event,
                              tid=str(tid), node=node)

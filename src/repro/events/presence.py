@@ -2,9 +2,10 @@
 
 The invocation engine reports every arrival, departure and exit of a
 logical thread; this stage re-arms its attribute timers where it now
-runs, keeps its multicast location group and the kernels' location
-hints in step, and turns the notices a dead thread still held into
-§7.2 dead-target notices.
+runs, retires its parked handler surrogate, passes each move on to the
+configured §7.1 locator (which keeps whatever location state it reads)
+and turns the notices a dead thread still held into §7.2 dead-target
+notices.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ class Presence:
         self.sim = cluster.sim
         self.tracer = cluster.tracer
         self.kernels = cluster.kernels
-        self.multicast_groups = cluster.fabric.multicast_groups
-        self.hint_holders = cluster.hint_holders
+        self.locator = post.locator
         self.retire_surrogate = cluster.invoker.retire_surrogate
         self.post = post
 
@@ -72,9 +72,8 @@ class Presence:
     def thread_entered_node(self, thread: DThread, node: int) -> None:
         """The thread starts executing on a node: re-create its event
         registration there (§6.2: timers are re-armed from the attribute
-        list) and maintain the multicast location group (§7.1)."""
-        self.multicast_groups.join(thread.tid.multicast_group, node)
-        self.kernels[node].location_hints.install(thread.tid, node)
+        list) and tell the locator (§7.1)."""
+        self.locator.thread_entered(thread, node)
         if thread.kind == KIND_USER:
             for spec in thread.attributes.timers:
                 if spec.spec_id not in thread.armed_timers:
@@ -92,34 +91,21 @@ class Presence:
         """The thread's innermost frame is departing ``node``; its
         parked handler surrogate does not travel."""
         self.retire_surrogate(thread)
-        # The node's own "it is here" hint is now stale; the TCB
-        # forwarding pointer (set right after this hook) takes over.
-        self.kernels[node].location_hints.invalidate(thread.tid)
+        self.locator.thread_leaving(thread, node)
         if thread.armed_timers:
             self._disarm(thread, node)
 
     def thread_left_for_good(self, thread: DThread, node: int) -> None:
         """No frames of the thread remain on ``node``."""
-        if node != thread.tid.root:
-            self.multicast_groups.leave(thread.tid.multicast_group, node)
-        # The TCB is gone too; leave a forwarding hint so cached posts
-        # chasing a stale pointer still make progress toward the thread.
-        if thread.alive and thread.current_node != node:
-            self.kernels[node].location_hints.install(
-                thread.tid, thread.current_node)
+        self.locator.thread_left_for_good(thread, node)
 
     def thread_gone(self, thread: DThread) -> None:
         """The thread finished or was terminated; final cleanup."""
         self.retire_surrogate(thread)
         if thread.armed_timers:
             self._disarm(thread)
-        self.multicast_groups.dissolve(thread.tid.multicast_group)
-        # Dead threads must not linger in any node's location cache: a
-        # post must miss everywhere and reach §7.2 dead-target detection.
-        holders = self.hint_holders.get(thread.tid)
-        if holders:
-            for node in sorted(holders):
-                self.kernels[node].location_hints.invalidate(thread.tid)
+        # before the notices below: a TARGET_DEAD post must not find it
+        self.locator.thread_gone(thread)
         # Notices still queued — or mid-delivery — die with the thread;
         # every raiser, synchronous or not, gets the §7.2 notification
         # instead of silence.

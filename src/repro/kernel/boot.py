@@ -80,9 +80,6 @@ class Cluster:
         self.groups = GroupRegistry()
         #: all live logical threads, by tid
         self.live_threads: dict[ThreadId, DThread] = {}
-        #: tid -> nodes whose location-hint table holds a hint for it
-        #: (maintained by the tables; read when a thread exits)
-        self.hint_holders: dict[ThreadId, set[int]] = {}
         #: global oid -> object map (location transparency for lookups;
         #: message costs are charged by the engines, not by this map)
         self.object_directory: dict[int, Any] = {}

@@ -22,7 +22,7 @@ from repro.kernel.membership import (
     Membership,
 )
 from repro.kernel.rpc import MSG_REPLY, MSG_REQUEST, RpcEngine
-from repro.kernel.tcb import LocationHintTable, ThreadTable
+from repro.kernel.tcb import ThreadTable
 from repro.kernel.timers import TimerService
 from repro.net.message import Message
 from repro.net.reliable import MSG_REL_ACK, ReliableChannel
@@ -54,8 +54,6 @@ class Kernel:
         self.crashed = False
         self.timers = TimerService(cluster.sim, node_id)
         self.thread_table = ThreadTable(node_id)
-        self.location_hints = LocationHintTable(
-            node_id, holders=cluster.hint_holders)
         # The journal lives in the *cluster* store: it is the simulated
         # durable medium, so crash() must not be able to touch it.
         self.store = NodeStore(self, cluster.store.journal(node_id))
@@ -177,15 +175,9 @@ class Kernel:
         error = NodeCrashedError(f"node {self.node_id} crashed")
         for thread in victims:
             self.cluster.invoker.destroy_thread_abrupt(thread, error)
-        # A dead node is no thread's location: leave every multicast
-        # group it still belongs to, or multicast locates keep offering
-        # it as a candidate after recovery.
-        groups = self.fabric.multicast_groups
-        for group in sorted(groups.groups_of(self.node_id)):
-            groups.leave(group, self.node_id)
-        # Volatile kernel state is gone.
+        # Volatile kernel state is gone, §7.1 location state included.
+        self.cluster.events.locator.node_crashed(self.node_id)
         self.thread_table.clear()
-        self.location_hints.clear()
         self.timers.cancel_all()
         self.reliable.reset()
         self.objects.on_crash()

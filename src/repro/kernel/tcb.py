@@ -1,4 +1,4 @@
-"""Per-node thread-control blocks and location-hint tables.
+"""Per-node thread-control blocks, and the location-hint table type.
 
 Each node's kernel keeps a :class:`ThreadTable` recording, for every
 logical thread that currently has activations on the node, how many frames
@@ -10,11 +10,12 @@ The chain ``root → next_node → … → innermost`` is exactly the path the
 paper describes walking "starting with the root node … using information
 in the system's thread-control blocks".
 
-The kernel also keeps a :class:`LocationHintTable`: a bounded LRU cache
-of ``tid -> node`` *hints* recording where each thread was last observed.
-Hints are best-effort (they may be stale the moment a thread migrates)
-and are consumed by the ``cached`` locator, which posts directly to the
-hinted node and chases TCB forwarding pointers on a miss.
+:class:`LocationHintTable` is a bounded LRU cache of ``tid -> node``
+*hints* recording where a thread was last observed. Hints are best-effort
+(they may be stale the moment a thread migrates); the kernel keeps none.
+The ``cached`` locator (:mod:`repro.events.locate`) owns one table per
+node, posts directly to the hinted node and chases TCB forwarding
+pointers on a miss.
 """
 
 from __future__ import annotations
@@ -118,14 +119,14 @@ class ThreadTable:
 class LocationHintTable:
     """Bounded LRU cache of ``tid -> node`` last-known-location hints.
 
-    Installed by successful deliveries, locate replies and the migration
-    hooks; consumed by the ``cached`` locator. A hint is advisory: a
+    Installed and consumed by the ``cached`` locator, on successful
+    deliveries, hint chases and the thread's moves. A hint is advisory: a
     lookup that points at a node no longer holding the thread costs one
     wasted message, after which the chase falls back on TCB forwarding
     pointers and ultimately the configured base strategy.
 
     ``holders`` is the reverse index ``tid -> {nodes holding a hint}``
-    the tables of one cluster share, so a thread's exit invalidates its
+    the tables of one locator share, so a thread's exit invalidates its
     hints on the nodes that have one instead of asking every node.
     """
 

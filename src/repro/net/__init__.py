@@ -1,4 +1,8 @@
-"""Simulated message fabric: links, latency, multicast, faults, stats."""
+"""Simulated message fabric: point-to-point links, latency, faults, stats.
+
+:class:`MulticastRegistry` is the group-membership table the §7.1
+multicast locator keeps; nothing here sends to a group.
+"""
 
 from repro.net.fabric import Fabric
 from repro.net.faults import FaultPlan
@@ -10,18 +14,11 @@ from repro.net.latency import (
     MatrixLatency,
     UniformLatency,
 )
-from repro.net.message import (
-    BROADCAST,
-    Message,
-    is_multicast,
-    multicast_address,
-    multicast_group,
-)
+from repro.net.message import Message
 from repro.net.multicast import MulticastRegistry
 from repro.net.stats import TrafficStats
 
 __all__ = [
-    "BROADCAST",
     "BandwidthLatency",
     "Fabric",
     "FaultPlan",
@@ -33,7 +30,4 @@ __all__ = [
     "MulticastRegistry",
     "TrafficStats",
     "UniformLatency",
-    "is_multicast",
-    "multicast_address",
-    "multicast_group",
 ]

@@ -2,17 +2,16 @@
 
 The fabric is the cluster's network: nodes register a delivery callback,
 and anything in the system sends :class:`~repro.net.message.Message`
-envelopes through :meth:`Fabric.send`, :meth:`Fabric.broadcast` or
-:meth:`Fabric.multicast`. Delivery is asynchronous, with the delay chosen
-by a pluggable latency model and delivery fate decided by a fault plan.
-All traffic is counted and traced.
+envelopes point to point through :meth:`Fabric.send`. Delivery is
+asynchronous, with the delay chosen by a pluggable latency model and
+delivery fate decided by a fault plan. All traffic is counted and traced.
 
 Since the transport port extraction, the fabric no longer owns the
 medium: endpoint registration and timed message movement live behind a
 :class:`~repro.transport.base.Transport` (deterministic simulator,
 sharded multi-process simulator, or real TCP).  The fabric keeps
-everything semantic — fan-out, latency charging, fault injection,
-statistics, tracing — so those behave identically on every backend.
+everything semantic — latency charging, fault injection, statistics,
+tracing — so those behave identically on every backend.
 """
 
 from __future__ import annotations
@@ -23,14 +22,7 @@ from typing import Any, Callable
 from repro.errors import UnknownNodeError
 from repro.net.faults import FaultPlan
 from repro.net.latency import FixedLatency, LatencyModel
-from repro.net.message import (
-    BROADCAST,
-    Message,
-    is_multicast,
-    multicast_address,
-    multicast_group,
-)
-from repro.net.multicast import MulticastRegistry
+from repro.net.message import Message
 from repro.net.stats import TrafficStats
 from repro.sim.trace import Tracer
 from repro.transport.base import Transport
@@ -39,7 +31,7 @@ DeliveryFn = Callable[[Message], None]
 
 
 class Fabric:
-    """A network of point-to-point links plus group delivery.
+    """A network of point-to-point links.
 
     Parameters
     ----------
@@ -72,7 +64,6 @@ class Fabric:
         self.faults = faults or FaultPlan()
         self.tracer = tracer
         self.stats = TrafficStats()
-        self.multicast_groups = MulticastRegistry()
         transport.set_delivery_hook(self._deliver)
         # per-fabric message ids keep traces deterministic across runs
         self._msg_ids = itertools.count(1)
@@ -86,8 +77,8 @@ class Fabric:
         """Install (or clear, with ``None``) a node's piggyback hook.
 
         The hook is consulted once per outbound envelope from
-        ``node_id`` (including each fan-out copy) and may return a tuple
-        of membership updates to ride in :attr:`Message.gossip`.
+        ``node_id`` and may return a tuple of membership updates to ride
+        in :attr:`Message.gossip`.
         """
         if hook is None:
             self._gossip_hooks.pop(node_id, None)
@@ -105,10 +96,6 @@ class Fabric:
     def detach(self, node_id: int) -> None:
         self.transport.detach(node_id)
 
-    @property
-    def node_ids(self) -> list[int]:
-        return self.transport.node_ids
-
     def __contains__(self, node_id: int) -> bool:
         return node_id in self.transport
 
@@ -119,51 +106,13 @@ class Fabric:
     def send(self, message: Message) -> None:
         """Send a point-to-point message (asynchronously, in virtual time)."""
         dst = message.dst
-        if dst == BROADCAST:
-            self._fan_out(message, [n for n in self.node_ids
-                                    if n != message.src], "broadcast")
-            return
-        if is_multicast(dst):
-            group = multicast_group(dst)
-            members = self.multicast_groups.members(group)
-            self._fan_out(message, sorted(members), "multicast")
-            return
         if not self.transport.routable(dst) and not self.transport.known(dst):
             raise UnknownNodeError(f"no node {dst!r} attached to fabric")
         self._transmit(message, int(dst))
 
-    def broadcast(self, src: int, mtype: str, payload: Any = None,
-                  size: int = 64) -> int:
-        """Send to every node except the sender; returns copies sent."""
-        targets = [n for n in self.node_ids if n != src]
-        self._fan_out(Message(src=src, dst=BROADCAST, mtype=mtype,
-                              payload=payload, size=size), targets,
-                      "broadcast")
-        return len(targets)
-
-    def multicast(self, src: int, group: str, mtype: str, payload: Any = None,
-                  size: int = 64) -> int:
-        """Send to every current member of ``group``; returns copies sent."""
-        members = sorted(self.multicast_groups.members(group))
-        self._fan_out(Message(src=src, dst=multicast_address(group),
-                              mtype=mtype, payload=payload, size=size),
-                      members, "multicast")
-        return len(members)
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-
-    def _fan_out(self, template: Message, targets: list[int],
-                 kind: str) -> None:
-        if self.tracer is not None and "net" not in self.tracer.muted:
-            self.tracer.emit("net", kind, src=template.src,
-                             mtype=template.mtype, fanout=len(targets))
-        for node_id in targets:
-            copy = Message(src=template.src, dst=node_id,
-                           mtype=template.mtype, payload=template.payload,
-                           size=template.size)
-            self._transmit(copy, node_id)
 
     def _transmit(self, message: Message, dst: int) -> None:
         message.msg_id = next(self._msg_ids)

@@ -4,7 +4,8 @@ All inter-kernel communication — invocation requests, event notices, page
 transfers, locate probes — travels as :class:`Message` envelopes. The
 ``mtype`` string doubles as the key for per-type statistics, so every
 subsystem defines its message types as module-level constants (see e.g.
-:mod:`repro.kernel.rpc`).
+:mod:`repro.kernel.rpc`). An envelope has one destination node: the §7.1
+broadcast and multicast locators send one probe per candidate.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ class Message:
     Attributes
     ----------
     src, dst:
-        Node ids. ``dst`` may be :data:`BROADCAST` or a multicast group
-        name prefixed with ``mcast:`` when sent through the fabric's
-        broadcast/multicast entry points.
+        Node ids: every envelope is point to point.
     mtype:
         Message type tag (e.g. ``"rpc.request"``, ``"event.post"``).
     payload:
@@ -82,22 +81,3 @@ class Message:
             raise ValueError(f"cannot reply to non-node source {self.src!r}")
         return Message(src=int(self.dst) if isinstance(self.dst, int) else -1,
                        dst=self.src, mtype=mtype, payload=payload, size=size)
-
-
-BROADCAST = "*"
-
-
-def multicast_address(group: str) -> str:
-    """Fabric address for a multicast group."""
-    return f"mcast:{group}"
-
-
-def is_multicast(dst: int | str) -> bool:
-    return isinstance(dst, str) and dst.startswith("mcast:")
-
-
-def multicast_group(dst: str) -> str:
-    """Extract the group name from a multicast address."""
-    if not is_multicast(dst):
-        raise ValueError(f"{dst!r} is not a multicast address")
-    return dst[len("mcast:"):]

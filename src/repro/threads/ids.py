@@ -26,8 +26,6 @@ class ThreadId:
     seq: int
     #: ids key every per-thread table, so the hash is computed once
     _hash: int = field(init=False, repr=False, compare=False)
-    _group: str | None = field(default=None, init=False, repr=False,
-                               compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.root, self.seq)))
@@ -44,15 +42,6 @@ class ThreadId:
         if match is None:
             raise ThreadError(f"malformed thread id {text!r}")
         return cls(root=int(match.group(1)), seq=int(match.group(2)))
-
-    @property
-    def multicast_group(self) -> str:
-        """Name of this thread's multicast group (§7.1 third strategy)."""
-        group = self._group
-        if group is None:
-            group = f"thread:{self}"
-            object.__setattr__(self, "_group", group)
-        return group
 
 
 @dataclass(frozen=True, order=True)

@@ -27,6 +27,18 @@ def make_cluster(**overrides) -> Cluster:
     return Cluster(ClusterConfig(**overrides))
 
 
+def location_state(cluster, tid) -> dict[str, list[int]]:
+    """Where the configured §7.1 locator still files ``tid``: the members
+    of its multicast group and the nodes holding a hint for it (a
+    ``cached`` locator's base strategy counted in)."""
+    locator = cluster.events.locator
+    strategies = [locator, getattr(locator, "base", None)]
+    groups = [s.groups.members(tid) for s in strategies if hasattr(s, "groups")]
+    hints = [s.holders.get(tid, ()) for s in strategies if hasattr(s, "holders")]
+    return {"multicast": sorted(set().union(*groups)),
+            "hints": sorted(set().union(*hints))}
+
+
 @pytest.fixture()
 def serializing_wire(monkeypatch):
     """Every message a sim cluster moves arrives as the decoded copy of

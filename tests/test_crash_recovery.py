@@ -200,14 +200,14 @@ class TestDeadTargetNotices:
         cluster.raise_event("PING", thread.tid, from_node=0, user_data="warm")
         cluster.run(until=cluster.now + 0.5)
         assert seen == ["warm"]
-        assert cluster.kernels[0].location_hints.peek(thread.tid) == 2
+        assert cluster.events.locator.hints[0].peek(thread.tid) == 2
         cluster.crash_node(2)
         cluster.raise_event("PING", thread.tid, from_node=0, user_data="lost")
         cluster.run()
         assert "lost" in noticed
         assert seen == ["warm"]
         # the stale hint was invalidated on the failed direct send
-        assert cluster.kernels[0].location_hints.peek(thread.tid) is None
+        assert cluster.events.locator.hints[0].peek(thread.tid) is None
 
     def test_pending_notices_drain_on_crash(self):
         """Posts queued at a thread that dies with its node surface as
@@ -356,7 +356,7 @@ class TestRecovery:
         must leave every group, keeping the registry's join/leave
         accounting balanced and dead nodes out of member sets."""
         cluster = reliable_cluster(locator="multicast")
-        groups = cluster.fabric.multicast_groups
+        groups = cluster.events.locator.groups
         sleeper = cluster.create_object(Sleeper, node=2)
         cluster.spawn(sleeper, "hold", 1000.0, at=2)
         cluster.run(until=0.5)

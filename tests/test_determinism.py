@@ -38,8 +38,8 @@ def _cached_locator_fingerprint(seed):
         cluster.run(until=cluster.now + 0.03)
     cluster.raise_event("TERMINATE", thread.tid, from_node=3)
     cluster.run()
-    hint_stats = {node: kernel.location_hints.stats()
-                  for node, kernel in cluster.kernels.items()}
+    hint_stats = {node: table.stats()
+                  for node, table in cluster.events.locator.hints.items()}
     return (cluster.now, cluster.fabric.stats.snapshot(),
             cluster.tracer.signature(), hint_stats,
             cluster.events.delivery_latencies.summary())

@@ -57,21 +57,6 @@ class TestMessageEnvelope:
         reply = msg.reply_envelope("y")
         assert (reply.src, reply.dst) == (1, 0)
 
-    def test_multicast_helpers(self):
-        from repro.net.message import (
-            is_multicast,
-            multicast_address,
-            multicast_group,
-        )
-
-        address = multicast_address("g1")
-        assert is_multicast(address)
-        assert multicast_group(address) == "g1"
-        assert not is_multicast(7)
-        assert not is_multicast("plain")
-        with pytest.raises(ValueError):
-            multicast_group("plain")
-
 
 class TestTrafficStats:
     def test_by_link_counts(self):

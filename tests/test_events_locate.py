@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro import DistObject, entry
+from repro import Decision, DistObject, entry
 from repro.errors import DeadThreadError
-from tests.conftest import Sleeper, make_cluster
+from repro.threads.ids import ThreadId
+from tests.conftest import Sleeper, location_state, make_cluster
 
 
 def _deep_thread(cluster, depth):
@@ -185,18 +186,95 @@ class TestMulticastMaintenance:
     def test_membership_tracks_location(self):
         cluster = make_cluster(n_nodes=4, locator="multicast")
         thread = _deep_thread(cluster, depth=2)
-        group = thread.tid.multicast_group
-        members = cluster.fabric.multicast_groups.members(group)
+        members = cluster.events.locator.groups.members(thread.tid)
         assert 0 in members  # root
         assert thread.current_node in members
 
     def test_group_dissolved_on_termination(self):
         cluster = make_cluster(n_nodes=4, locator="multicast")
         thread = _deep_thread(cluster, depth=2)
-        group = thread.tid.multicast_group
         cluster.raise_event("TERMINATE", thread.tid, from_node=0)
         cluster.run()
-        assert cluster.fabric.multicast_groups.members(group) == frozenset()
+        groups = cluster.events.locator.groups
+        assert groups.members(thread.tid) == frozenset()
+        assert groups.joins == groups.leaves
+
+
+class Wanderer(DistObject):
+    """Attaches a handler, then keeps invoking between two objects."""
+
+    @entry
+    def wander(self, ctx, other, dwell):
+        def on_ping(hctx, block):
+            yield hctx.compute(1e-4)
+            return Decision.RESUME
+
+        yield ctx.attach_handler("PING", on_ping)
+        while True:
+            yield ctx.invoke(other, "stay", dwell)
+            yield ctx.sleep(dwell)
+
+    @entry
+    def stay(self, ctx, dwell):
+        yield ctx.sleep(dwell)
+
+
+def _wander(locator, **cfg):
+    """A thread rooted at node 0 migrates 1 <-> 2 and handles notices
+    raised on every node, then is terminated. Returns the cluster, every
+    thread id the run created (surrogates included) and the thread's
+    location state after each notice."""
+    cluster = make_cluster(n_nodes=4, locator=locator, **cfg)
+    cluster.register_event("PING")
+    a = cluster.create_object(Wanderer, node=1)
+    b = cluster.create_object(Wanderer, node=2)
+    thread = cluster.spawn(a, "wander", b, 0.05, at=0)
+    cluster.run(until=0.02)
+    during = []
+    for i in range(12):
+        cluster.raise_event("PING", thread.tid, from_node=i % 4)
+        cluster.run(until=cluster.now + 0.03)
+        during.append(location_state(cluster, thread.tid))
+    cluster.raise_event("TERMINATE", thread.tid, from_node=3)
+    cluster.run()
+    assert thread.state == "terminated"
+    assert cluster.events.delivered == 13  # twelve PINGs, one TERMINATE
+    tids = {ThreadId.parse(r.get("tid"))
+            for r in cluster.tracer.select("thread", "create")}
+    assert len(tids) > 2  # the thread and its surrogates
+    return cluster, tids, during
+
+
+_NOWHERE = {"multicast": [], "hints": []}
+
+
+class TestLocationStateOwner:
+    """Only a strategy that reads location state keeps any (§7.1)."""
+
+    @pytest.mark.parametrize("locator", ["path", "broadcast"])
+    def test_stateless_strategies_keep_nothing(self, locator):
+        cluster, tids, during = _wander(locator)
+        assert set(vars(cluster.events.locator)) == {
+            "cluster", "enqueue", "_open"}
+        assert during == [_NOWHERE] * len(during)
+
+    @pytest.mark.parametrize("locator, cfg, keeps", [
+        ("multicast", {}, {"multicast"}),
+        ("cached", {}, {"hints"}),
+        ("cached", {"cache_fallback": "multicast"}, {"multicast", "hints"}),
+    ], ids=["multicast", "cached", "cached-multicast"])
+    def test_stateful_strategies_keep_and_clear_their_own(self, locator,
+                                                          cfg, keeps):
+        cluster, tids, during = _wander(locator, **cfg)
+        assert {kind for state in during for kind, nodes in state.items()
+                if nodes} == keeps
+        if "multicast" in keeps:  # the root is a member for life
+            assert all(0 in state["multicast"] for state in during)
+        assert all(location_state(cluster, tid) == _NOWHERE for tid in tids)
+        locator = cluster.events.locator
+        groups = getattr(getattr(locator, "base", locator), "groups", None)
+        if groups is not None:
+            assert groups.joins == groups.leaves
 
 
 class TwoStage(DistObject):
@@ -225,13 +303,13 @@ class TestCachedLocator:
     def test_hint_installed_on_delivery(self):
         cluster = make_cluster(n_nodes=4, locator="cached")
         thread = self._held_thread(cluster, node=2)
-        assert cluster.kernels[0].location_hints.peek(thread.tid) is None
+        assert cluster.events.locator.hints[0].peek(thread.tid) is None
         cluster.raise_event("INTERRUPT", thread.tid, from_node=0)
         cluster.run(until=cluster.now + 0.2)
         # The posting kernel learned the thread's location from the
         # delivery; the delivering kernel knows it trivially.
-        assert cluster.kernels[0].location_hints.peek(thread.tid) == 2
-        assert cluster.kernels[2].location_hints.peek(thread.tid) == 2
+        assert cluster.events.locator.hints[0].peek(thread.tid) == 2
+        assert cluster.events.locator.hints[2].peek(thread.tid) == 2
 
     def test_hit_fast_path_costs_one_message(self):
         cluster = make_cluster(n_nodes=8, locator="cached")
@@ -266,7 +344,7 @@ class TestCachedLocator:
         cluster.run(until=0.2)
         cluster.raise_event("INTERRUPT", thread.tid, from_node=0)
         cluster.run(until=cluster.now + 0.1)
-        assert cluster.kernels[0].location_hints.peek(thread.tid) == 1
+        assert cluster.events.locator.hints[0].peek(thread.tid) == 1
         cluster.run(until=1.0)  # the thread migrates 1 -> 2
         assert thread.current_node == 2
         before = cluster.fabric.stats.snapshot()
@@ -279,14 +357,14 @@ class TestCachedLocator:
         assert delta.get("type:locate.path", 0) == 0
         assert cluster.events.delivered == 2
         # The chase refreshed the hints at origin and at the stale node.
-        assert cluster.kernels[0].location_hints.peek(thread.tid) == 2
-        assert cluster.kernels[1].location_hints.peek(thread.tid) == 2
+        assert cluster.events.locator.hints[0].peek(thread.tid) == 2
+        assert cluster.events.locator.hints[1].peek(thread.tid) == 2
 
     def test_fallback_base_strategy_is_configurable(self):
         cluster = make_cluster(n_nodes=6, locator="cached",
                                cache_fallback="broadcast")
         thread = self._held_thread(cluster, node=3)
-        cluster.kernels[0].location_hints.invalidate(thread.tid)
+        cluster.events.locator.hints[0].invalidate(thread.tid)
         before = cluster.fabric.stats.snapshot()
         cluster.raise_event("INTERRUPT", thread.tid, from_node=0)
         cluster.run(until=cluster.now + 0.5)
@@ -306,8 +384,8 @@ class TestCachedLocator:
         cluster.raise_event("TERMINATE", victim.tid, from_node=0)
         cluster.run()
         assert victim.state == "terminated"
-        for kernel in cluster.kernels.values():
-            assert kernel.location_hints.peek(victim.tid) is None
+        for table in cluster.events.locator.hints.values():
+            assert table.peek(victim.tid) is None
         future = cluster.raise_and_wait("INTERRUPT", victim.tid,
                                         from_node=1)
         cluster.run()

@@ -104,6 +104,32 @@ class TestClusterConfig:
         assert modules - imported == set(), rule
         assert importlib.util.find_spec("repro.sim.process") is None
 
+    def test_location_state_has_one_owner(self):
+        rule = ("§7.1 location state belongs to the locator that reads it: "
+                "only events/locate.py builds hint tables or multicast "
+                "groups, and nothing else names them")
+        src = pathlib.Path(repro.__file__).parent
+        built = {"LocationHintTable", "MulticastRegistry"}
+        named = {"location_hints", "hint_holders", "multicast_groups"}
+        found = []
+        for path in src.rglob("*.py"):
+            if path == src / "events" / "locate.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    fn = node.func
+                    name = getattr(fn, "id", getattr(fn, "attr", None))
+                    if name in built:
+                        found.append((path.name, node.lineno, name))
+                name = getattr(node, "id", None) or (
+                    node.attr if isinstance(node, ast.Attribute) else None)
+                if name in named:
+                    found.append((path.name, node.lineno, name))
+        assert found == [], rule
+        # the fabric is point to point: no group addresses are exported
+        assert not {"BROADCAST", "is_multicast", "multicast_address",
+                    "multicast_group"} & set(repro.net.__all__)
+
     def test_wire_layers_name_no_general_serializer(self):
         # what crosses a wire is a codec value or a registered shape;
         # the same check runs in CI's lint job as a grep

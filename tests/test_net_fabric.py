@@ -12,7 +12,6 @@ from repro.net import (
     Message,
     MulticastRegistry,
     UniformLatency,
-    multicast_address,
 )
 from repro.sim import RngRegistry, Simulator, Tracer
 
@@ -74,140 +73,6 @@ class TestPointToPoint:
         assert [m.payload for m in inboxes[1]] == list(range(5))
 
 
-class TestBroadcast:
-    def test_broadcast_reaches_all_but_sender(self):
-        sim, fabric, inboxes = make_cluster(n=4)
-        count = fabric.broadcast(src=1, mtype="hello")
-        sim.run()
-        assert count == 3
-        assert len(inboxes[0]) == 1
-        assert len(inboxes[1]) == 0
-        assert len(inboxes[2]) == 1
-        assert len(inboxes[3]) == 1
-
-    def test_broadcast_counts_per_copy(self):
-        sim, fabric, _ = make_cluster(n=5)
-        fabric.broadcast(src=0, mtype="b")
-        sim.run()
-        assert fabric.stats.count("b") == 4
-
-
-class TestMulticast:
-    def test_multicast_reaches_members_only(self):
-        sim, fabric, inboxes = make_cluster(n=4)
-        fabric.multicast_groups.join("g", 1)
-        fabric.multicast_groups.join("g", 3)
-        sent = fabric.multicast(src=0, group="g", mtype="m")
-        sim.run()
-        assert sent == 2
-        assert len(inboxes[1]) == 1
-        assert len(inboxes[3]) == 1
-        assert len(inboxes[2]) == 0
-
-    def test_multicast_to_empty_group_sends_nothing(self):
-        sim, fabric, inboxes = make_cluster()
-        assert fabric.multicast(src=0, group="none", mtype="m") == 0
-        sim.run()
-        assert all(not msgs for msgs in inboxes.values())
-
-    def test_send_to_multicast_address(self):
-        sim, fabric, inboxes = make_cluster()
-        fabric.multicast_groups.join("g", 2)
-        fabric.send(Message(src=0, dst=multicast_address("g"), mtype="m"))
-        sim.run()
-        assert len(inboxes[2]) == 1
-
-
-class TestFanOutUnderFaults:
-    """Broadcast/multicast against one-way partitions and crashed
-    members: fan-out charges every copy, the faulty links eat theirs."""
-
-    def test_broadcast_under_one_way_partition(self):
-        plan = FaultPlan()
-        plan.partition({0}, {2}, one_way=True)
-        sim, fabric, inboxes = make_cluster(n=4, faults=plan)
-        count = fabric.broadcast(src=0, mtype="gossip")
-        sim.run()
-        # the copy toward the cut direction is charged then eaten
-        assert count == 3
-        assert len(inboxes[1]) == 1
-        assert len(inboxes[2]) == 0
-        assert len(inboxes[3]) == 1
-        assert fabric.stats.dropped == 1
-        # the healthy reverse direction still works
-        fabric.send(Message(src=2, dst=0, mtype="reply"))
-        sim.run()
-        assert len(inboxes[0]) == 1
-
-    def test_broadcast_skips_crashed_member(self):
-        sim, fabric, inboxes = make_cluster(n=4)
-        fabric.detach(2)  # fail-stop: endpoint gone, id still known
-        count = fabric.broadcast(src=0, mtype="gossip")
-        sim.run()
-        # a crashed node is not a broadcast target at all — the fan-out
-        # enumerates live endpoints, so no copy is charged or dropped
-        assert count == 2
-        assert len(inboxes[1]) == 1
-        assert inboxes[2] == []
-        assert len(inboxes[3]) == 1
-        assert fabric.stats.dropped == 0
-
-    def test_broadcast_drops_copy_to_node_crashing_in_flight(self):
-        sim, fabric, inboxes = make_cluster(n=3)
-        fabric.broadcast(src=0, mtype="gossip")
-        fabric.detach(1)  # crashes while the copies are on the wire
-        sim.run()
-        assert inboxes[1] == []
-        assert len(inboxes[2]) == 1
-        assert fabric.stats.dropped == 1
-
-    def test_multicast_under_one_way_partition(self):
-        plan = FaultPlan()
-        plan.partition({0}, {3}, one_way=True)
-        sim, fabric, inboxes = make_cluster(n=4, faults=plan)
-        for member in (1, 2, 3):
-            fabric.multicast_groups.join("g", member)
-        sent = fabric.multicast(src=0, group="g", mtype="m")
-        sim.run()
-        assert sent == 3  # membership decides the charge, not the cuts
-        assert len(inboxes[1]) == 1
-        assert len(inboxes[2]) == 1
-        assert len(inboxes[3]) == 0
-        assert fabric.stats.dropped == 1
-        # members behind the cut can still talk *to* the sender's side
-        fabric.send(Message(src=3, dst=0, mtype="m"))
-        sim.run()
-        assert len(inboxes[0]) == 1
-
-    def test_multicast_with_crashed_member(self):
-        sim, fabric, inboxes = make_cluster(n=4)
-        for member in (1, 2, 3):
-            fabric.multicast_groups.join("g", member)
-        fabric.detach(2)  # crashed but never left the group
-        sent = fabric.multicast(src=0, group="g", mtype="m")
-        sim.run()
-        # the group keeps its membership; the crashed member's copy is
-        # charged and swallowed by the wire (reliability lives above)
-        assert sent == 3
-        assert len(inboxes[1]) == 1
-        assert inboxes[2] == []
-        assert len(inboxes[3]) == 1
-        assert fabric.stats.dropped == 1
-
-    def test_one_way_heal_restores_multicast(self):
-        plan = FaultPlan()
-        plan.partition({0}, {1}, one_way=True)
-        sim, fabric, inboxes = make_cluster(n=3, faults=plan)
-        fabric.multicast_groups.join("g", 1)
-        fabric.multicast(src=0, group="g", mtype="m")
-        sim.run()
-        assert inboxes[1] == []
-        plan.heal({0}, {1})
-        fabric.multicast(src=0, group="g", mtype="m")
-        sim.run()
-        assert len(inboxes[1]) == 1
-
-
 class TestMulticastRegistry:
     def test_join_leave(self):
         reg = MulticastRegistry()
@@ -257,11 +122,6 @@ class TestMulticastRegistry:
         live = sum(len(reg.members(g)) for g in ("a", "b"))
         assert reg.joins - reg.leaves == live == 1
 
-    def test_require_members_raises_when_empty(self):
-        reg = MulticastRegistry()
-        with pytest.raises(NetworkError):
-            reg.require_members("g")
-
 
 class TestFaults:
     def test_drop_rate_one_drops_everything(self):
@@ -305,6 +165,46 @@ class TestFaults:
         fabric.send(Message(src=0, dst=1, mtype="x"))
         sim.run()
         assert len(inboxes[1]) == 1
+
+    def test_one_way_partition_drops_the_cut_direction(self):
+        plan = FaultPlan()
+        plan.partition({0}, {2}, one_way=True)
+        sim, fabric, inboxes = make_cluster(n=4, faults=plan)
+        for dst in (1, 2, 3):
+            fabric.send(Message(src=0, dst=dst, mtype="m"))
+        sim.run()
+        # the message into the cut is charged, then eaten by the wire
+        assert fabric.stats.sent == 3 and fabric.stats.dropped == 1
+        assert [len(inboxes[n]) for n in (1, 2, 3)] == [1, 0, 1]
+
+    def test_one_way_partition_keeps_the_reverse_direction(self):
+        plan = FaultPlan()
+        plan.partition({0}, {2}, one_way=True)
+        sim, fabric, inboxes = make_cluster(n=4, faults=plan)
+        fabric.send(Message(src=2, dst=0, mtype="reply"))
+        sim.run()
+        assert len(inboxes[0]) == 1 and fabric.stats.dropped == 0
+
+    def test_one_way_heal_restores_delivery(self):
+        plan = FaultPlan()
+        plan.partition({0}, {1}, one_way=True)
+        sim, fabric, inboxes = make_cluster(faults=plan)
+        fabric.send(Message(src=0, dst=1, mtype="m"))
+        sim.run()
+        assert inboxes[1] == []
+        plan.heal({0}, {1})
+        fabric.send(Message(src=0, dst=1, mtype="m"))
+        sim.run()
+        assert len(inboxes[1]) == 1
+
+    def test_send_to_crashed_node_is_charged_and_dropped(self):
+        sim, fabric, inboxes = make_cluster(n=4)
+        fabric.detach(2)  # fail-stop: endpoint gone, id still known
+        fabric.send(Message(src=0, dst=2, mtype="m"))
+        sim.run()
+        # reliability lives above: the wire swallows the message
+        assert inboxes[2] == []
+        assert fabric.stats.sent == 1 and fabric.stats.dropped == 1
 
 
 class TestLatencyModels:

@@ -113,11 +113,11 @@ def _parked_with(cluster, thread):
     return surrogate
 
 
-def _held_by_tables(cluster):
+def _held_by_tables(locator):
     held = {}
-    for kernel in cluster.kernels.values():
-        for tid in kernel.location_hints._hints:
-            held.setdefault(tid, set()).add(kernel.node_id)
+    for node, table in locator.hints.items():
+        for tid in table._hints:
+            held.setdefault(tid, set()).add(node)
     return held
 
 
@@ -220,8 +220,8 @@ def test_depth1_chains_allocate_one_tid_per_residency():
 # ======================================================================
 
 class TestOwnerDiesMidChain:
-    def _mid_chain(self, context):
-        cluster, thread, log = _rig(context)
+    def _mid_chain(self, context, **cfg):
+        cluster, thread, log = _rig(context, **cfg)
         future = cluster.raise_and_wait("EVT", thread.tid, from_node=1)
         while len(log) < 2:  # stop inside the second handler's 1 ms
             cluster.run(until=cluster.now + 2e-4)
@@ -250,7 +250,9 @@ class TestOwnerDiesMidChain:
 
     @pytest.mark.parametrize("context", CONTEXTS)
     def test_owner_node_crashed(self, context):
-        cluster, thread, future = self._mid_chain(context)
+        cluster, thread, future = self._mid_chain(context, locator="cached")
+        locator = cluster.events.locator
+        assert thread.tid in locator.hints[0]
         cluster.crash_node(0)
         cluster.run(until=cluster.now + 1.0)
         assert not thread.alive
@@ -259,8 +261,9 @@ class TestOwnerDiesMidChain:
             future.result()
         assert _live_surrogates(cluster) == []
         # the crash cleared node 0's table through the shared index
-        assert cluster.hint_holders == _held_by_tables(cluster)
-        assert thread.tid not in cluster.hint_holders
+        assert len(locator.hints[0]) == 0
+        assert locator.holders == _held_by_tables(locator)
+        assert thread.tid not in locator.holders
 
 
 def test_owner_terminated_inside_an_exception_chain():
@@ -408,17 +411,18 @@ def test_holder_index_equals_union_of_tables(ops):
 
 
 def test_thread_exit_invalidates_exactly_the_holders():
-    cluster, thread, log = _rig("current", {0: Decision.TERMINATE}, depth=1)
-    assert cluster.hint_holders[thread.tid] == {0}
+    cluster, thread, log = _rig("current", {0: Decision.TERMINATE}, depth=1,
+                                locator="cached")
+    locator = cluster.events.locator
+    assert locator.holders[thread.tid] == {0}
     cluster.raise_event("EVT", thread.tid, from_node=1)
     cluster.run(until=1.0)
     assert thread.state == "terminated"
-    assert cluster.hint_holders == {}
-    assert all(thread.tid not in k.location_hints
-               for k in cluster.kernels.values())
+    assert locator.holders == {}
+    assert all(thread.tid not in table for table in locator.hints.values())
     # node 0 held it from birth, node 1 learned it from the delivery
-    assert [k.location_hints.invalidations
-            for k in cluster.kernels.values()][:2] == [2, 1]
+    assert [table.invalidations
+            for table in locator.hints.values()][:2] == [2, 1]
 
 
 # ======================================================================
@@ -444,4 +448,3 @@ def test_id_hash_eq_order_pickle_codec(cls):
 
 def test_thread_id_and_group_id_stay_distinct():
     assert ThreadId(1, 1) != GroupId(1, 1)
-    assert ThreadId(3, 4).multicast_group == "thread:T3.4"

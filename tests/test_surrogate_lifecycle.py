@@ -6,7 +6,9 @@ step the cluster is quiescent and must look the same way: each live user
 thread has at most one live surrogate — its own, on its node, parked,
 frameless — finished owners have none, nothing reads as hung, and no
 table still names a dead surrogate. The handler log is exactly-once and
-LIFO per notice, and two same-seed runs of one program are equal.
+LIFO per notice, and two same-seed runs of one program are equal. The
+locator is drawn from all four (``cached`` falls back to ``multicast``,
+so that draw keeps hints and groups both).
 
 The example budget is the hypothesis profile's (``tests/conftest.py``):
 CI runs this file again under ``--hypothesis-profile=ci``.
@@ -20,7 +22,7 @@ from repro import Decision, DistObject, entry, handler_entry
 from repro.bench.chaos import hung_handlers
 from repro.sim import Channel
 from repro.threads.thread import KIND_SURROGATE, KIND_USER
-from tests.conftest import make_cluster
+from tests.conftest import location_state, make_cluster
 
 CONTEXTS = ("current", "attaching", "buddy")
 DEPTH = 2
@@ -95,13 +97,15 @@ _steps = st.lists(st.tuples(
                      "finish", "terminate", "terminate-mid-chain", "crash"]),
     st.integers(0, len(CONTEXTS) - 1), st.sampled_from(sorted(ACTS))),
     min_size=1, max_size=10)
+_locators = st.sampled_from(["path", "broadcast", "multicast", "cached"])
 
 
 class Program:
-    def __init__(self):
+    def __init__(self, locator):
         self.cluster = cluster = make_cluster(
             n_nodes=4, poison_threshold=POISON_THRESHOLD,
-            handler_backoff=1e-3)
+            handler_backoff=1e-3, locator=locator,
+            cache_fallback="multicast")
         cluster.register_event("EVT")
         self.log = []
         self.gid = cluster.new_group()
@@ -183,9 +187,8 @@ class Program:
         known = {t.tid for t in self.threads} | {
             tid for _, _, _, tid in self.log}
         for tid in known - alive:
-            assert tid not in cluster.hint_holders
-            assert not cluster.fabric.multicast_groups.members(
-                tid.multicast_group)
+            assert location_state(cluster, tid) == {"multicast": [],
+                                                    "hints": []}
             assert all(tid not in k.thread_table
                        for k in cluster.kernels.values())
 
@@ -217,8 +220,8 @@ class Program:
                 [t.state for t in self.threads])
 
 
-def _run(steps):
-    program = Program()
+def _run(steps, locator):
+    program = Program(locator)
     for step in steps:
         program.step(*step)
     program.check_log()
@@ -226,6 +229,6 @@ def _run(steps):
 
 
 @settings(deadline=None)
-@given(steps=_steps)
-def test_lifecycle_holds_under_any_program(steps):
-    assert _run(steps) == _run(steps)
+@given(steps=_steps, locator=_locators)
+def test_lifecycle_holds_under_any_program(steps, locator):
+    assert _run(steps, locator) == _run(steps, locator)

@@ -19,7 +19,7 @@ import pytest
 from repro import Decision, entry
 from repro.sim import Channel
 from repro.threads.thread import KIND_SURROGATE
-from tests.conftest import make_cluster
+from tests.conftest import location_state, make_cluster
 from tests.test_surrogate_chain import CONTEXTS, Steps, _step
 
 N = 16
@@ -76,8 +76,8 @@ class Rig:
     created by a warm-up notice. ``cluster.run()`` returns when nothing
     is scheduled, so ``now`` is the instant of the last event."""
 
-    def __init__(self, context):
-        self.cluster = cluster = make_cluster(n_nodes=3)
+    def __init__(self, context, **cfg):
+        self.cluster = cluster = make_cluster(n_nodes=3, **cfg)
         cluster.register_event("EVT")
         self.seen = []
         self.inbox = Channel(cluster.sim)
@@ -153,9 +153,7 @@ def _names(cluster, tid):
         "live_threads": tid in cluster.live_threads,
         "tcb": [k.node_id for k in cluster.kernels.values()
                 if tid in k.thread_table],
-        "multicast": sorted(cluster.fabric.multicast_groups.members(
-            tid.multicast_group)),
-        "hints": sorted(cluster.hint_holders.get(tid, ())),
+        **location_state(cluster, tid),
     }
 
 
@@ -164,7 +162,8 @@ _NOWHERE = {"live_threads": False, "tcb": [], "multicast": [], "hints": []}
 
 @pytest.mark.parametrize("context", CONTEXTS)
 def test_a_surrogate_does_not_travel(context):
-    rig = Rig(context)
+    # the one locator that keeps both hints and groups
+    rig = Rig(context, locator="cached", cache_fallback="multicast")
     cluster, thread = rig.cluster, rig.thread
     [home] = rig.surrogates()
     assert _names(cluster, home.tid) == {

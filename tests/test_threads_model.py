@@ -34,9 +34,6 @@ class TestIds:
         assert str(gid) == "G1.2"
         assert GroupId.parse("G1.2") == gid
 
-    def test_multicast_group_name(self):
-        assert ThreadId(0, 1).multicast_group == "thread:T0.1"
-
     def test_allocator_monotonic_per_node(self):
         alloc = IdAllocator(5)
         t1, t2 = alloc.new_tid(), alloc.new_tid()

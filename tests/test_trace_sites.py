@@ -214,10 +214,7 @@ def test_muted_run_evaluates_no_record(scenario, monkeypatch):
 
     def spy_str(self):
         caller = sys._getframe(1).f_code
-        # the one caller that is not a trace field: the thread's
-        # multicast group name, formatted once per id
-        if caller.co_name != "multicast_group":
-            strs.append(f"{caller.co_filename}:{caller.co_name}")
+        strs.append(f"{caller.co_filename}:{caller.co_name}")
         return tid_str(self)
 
     monkeypatch.setattr(Tracer, "emit", spy_emit)
