@@ -69,6 +69,17 @@ class OverloadShedError(UndeliverableError):
     """
 
 
+class UnconfirmedError(UndeliverableError):
+    """A degraded (fire-and-forget) post got no confirmation in time.
+
+    The ``degrade`` overload policy sends an object post as one datagram
+    and its home node answers with one best-effort ``degrade.done``; the
+    origin cannot tell a lost post from a lost answer. So this notice
+    means *unconfirmed*, not *not executed*: the post ran at most once,
+    possibly once.
+    """
+
+
 class NameServiceError(KernelError):
     """A name lookup or registration failed."""
 

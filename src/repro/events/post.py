@@ -13,12 +13,14 @@
 from __future__ import annotations
 
 from collections import OrderedDict
+from copy import copy
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import (
     DeadThreadError,
     HandlerTimeout,
     NoHandlerError,
+    UnconfirmedError,
     UndeliverableError,
     UnknownObjectError,
 )
@@ -167,34 +169,41 @@ class Poster:
     def post_object(self, from_node: int, block: EventBlock) -> None:
         cap = block.target
         if from_node == cap.home:
-            # A hop, not a call: a post may conclude inside
-            # _handle_object_post (no handler, object gone), and
-            # EventManager._raise sets wait.remaining only after route()
-            # returns — no post may conclude inside its own raise.
-            self.sim.call_soon(self._handle_object_post, cap.home, block,
-                               cap.oid)
+            # Arrives inside the raise: the master's FIFO queue orders it
+            # against every other post, so waking a parked master is the
+            # one hop it needs (_run_object_post keeps the one a post
+            # that concludes on arrival needs).
+            self._handle_object_post(cap.home, block, cap.oid, raising=True)
             return
-        message = Message(src=from_node, dst=cap.home, mtype=MSG_POST_OBJECT,
-                          size=128, payload={"block": block, "oid": cap.oid})
         if block.degraded:
             # Shed to fire-and-forget: one datagram, no retransmission —
-            # overload must not amplify traffic. The deadline turns a
-            # lost datagram into a bounded-time notice instead of a
-            # silent loss.
-            self.kernels[from_node].transmit_unreliable(message)
+            # overload must not amplify traffic. It carries a copy, as
+            # any wire does; the origin keeps the block and its admission
+            # charge until the home node's one best-effort degrade.done
+            # confirms it, or the deadline notices it as unconfirmed.
+            sent = copy(block)
+            sent._admission = None
+            self.settle.unconfirmed[block.block_id] = block
+            self.kernels[from_node].transmit_unreliable(Message(
+                src=from_node, dst=cap.home, mtype=MSG_POST_OBJECT, size=128,
+                payload={"block": sent, "oid": cap.oid}))
             self.sim.call_after(self.degrade_deadline, self._degrade_expired,
                                 block)
             return
+        message = Message(src=from_node, dst=cap.home, mtype=MSG_POST_OBJECT,
+                          size=128, payload={"block": block, "oid": cap.oid})
         self.transmit(message,
                       on_give_up=lambda m: self._object_post_failed(block,
                                                                     cap))
 
     def _degrade_expired(self, block: EventBlock) -> None:
-        if block._admission is not SETTLED:  # nothing concluded it in time
-            self.settle.conclude(block, NOTICED, None, UndeliverableError(
+        if self.settle.unconfirmed.pop(block.block_id, None) is None:
+            return  # confirmed in time
+        if self.settle.conclude(block, NOTICED, None, UnconfirmedError(
                 f"degraded {block.event} to object {block.target.oid} "
-                f"unresolved after {self.degrade_deadline}s"),
-                block.raiser_node or 0)
+                f"unconfirmed after {self.degrade_deadline}s"),
+                block.raiser_node or 0):
+            self.supervisor.counters["degrade_unconfirmed"] += 1
 
     def _object_post_failed(self, block: EventBlock, cap: Capability) -> None:
         """A reliable object post exhausted its retransmission budget."""
@@ -220,6 +229,8 @@ class Poster:
         exception block (thread-targeted) died with its thread. Every
         other post is noticed from the raiser's node."""
         cap = block.target
+        if block.degraded and block.raiser_node != cap.home:
+            return  # a datagram's copy: the origin's deadline notices it
         if block.durable_id is None and isinstance(cap, Capability):
             self.settle.conclude(block, NOTICED, None, UndeliverableError(
                 f"{block.event} to object {cap.oid} lost in the crash of "
@@ -262,8 +273,10 @@ class Poster:
                            raised_at=self.sim.now)
         self.post_object(node, block)
 
-    def _handle_object_post(self, node: int, block: EventBlock,
-                            oid: int) -> None:
+    def _handle_object_post(self, node: int, block: EventBlock, oid: int,
+                            raising: bool = False) -> None:
+        """A post reached its object's home ``node``: by message, or
+        ``raising`` there (inside its own raise)."""
         kernel = self.kernels[node]
         if kernel.crashed:
             return  # arrived in the delivery window of a crashing node
@@ -277,7 +290,7 @@ class Poster:
         if "event" not in self.tracer.muted:
             self.tracer.emit("event", "deliver-object", event=block.event,
                              oid=oid, node=node)
-        self._run_object_post(node, block, oid)
+        self._run_object_post(node, block, oid, raising)
 
     def _accept_degraded(self, node: int, block: EventBlock) -> bool:
         """Receiver-side dedup for degraded posts: no rel header means
@@ -294,21 +307,29 @@ class Poster:
             seen.popitem(last=False)
         return True
 
-    def _run_object_post(self, node: int, block: EventBlock,
-                         oid: int) -> None:
+    def _run_object_post(self, node: int, block: EventBlock, oid: int,
+                         raising: bool = False) -> None:
         """Execute one accepted object post (also the poison-retry
         entry: a retry re-runs from here, past dedup)."""
         kernel = self.kernels[node]
         if kernel.crashed:
             return  # crashed between acceptance and a scheduled retry
         obj = kernel.objects.get(oid)
+        fn = (None if obj is None
+              else kernel.objects.object_handler_fn(obj, block.event))
+        if fn is None and raising:
+            # A hop, not a call: this post concludes on arrival, and
+            # EventManager._raise sets wait.remaining only after route()
+            # returns — no post may conclude inside its own raise. The
+            # hop re-runs this lookup at the same instant.
+            self.sim.call_soon(self._run_object_post, node, block, oid)
+            return
         if obj is None:
             # The object is gone for good (destroyed): the post is
             # definitively processed — the ack stops the origin retrying.
             self.settle.conclude(block, EXECUTED, None, UnknownObjectError(
                 f"object {oid} no longer exists"), node)
             return
-        fn = kernel.objects.object_handler_fn(obj, block.event)
         if fn is None:
             self._object_default(node, obj, block)
             return

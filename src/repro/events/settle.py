@@ -11,7 +11,8 @@
 alone acks the origin's outbox, returns the admission charge, counts
 and reports undeliverable posts, dead-letters, and resumes a
 ``raise_and_wait`` raiser (whose wait table and resume message live
-here too).
+here too), and confirms a degraded post back to its origin (the
+origin's table of posts awaiting that confirmation lives here as well).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.boot import Cluster
 
 MSG_RESUME = "event.resume"
+MSG_DEGRADE_DONE = "degrade.done"
 
 EXECUTED = "executed"
 NOTICED = "noticed"
@@ -72,10 +74,15 @@ class Settler:
         self.sync_raise_timeout = cluster.config.sync_raise_timeout
         #: block id of the raise -> its blocked raiser
         self.waits: dict[int, SyncWait] = {}
+        #: block id -> a degraded post sent from here, until its home
+        #: node's ``degrade.done`` confirms it or its deadline notices it
+        self.unconfirmed: dict[int, EventBlock] = {}
         #: posts that failed with a give-up, deadline, shed or crash loss
         self.undeliverable = 0
         for kernel in cluster.kernels.values():
             kernel.register_message_handler(MSG_RESUME, self._on_resume)
+            kernel.register_message_handler(MSG_DEGRADE_DONE,
+                                            self._on_degrade_done)
 
     # -- the funnel --
 
@@ -142,9 +149,25 @@ class Settler:
             hook = self.events.on_undeliverable
             if hook is not None:
                 hook(block, block.target if target is None else target)
+        if block.degraded and outcome != NOTICED and node != block.raiser_node:
+            # The home node's copy of a fire-and-forget post: one
+            # best-effort datagram back, unreliable like the post.
+            self.kernels[node].transmit_unreliable(Message(
+                src=node, dst=block.raiser_node, mtype=MSG_DEGRADE_DONE,
+                size=32, payload={"block": block.block_id}))
         if block.synchronous or error is not None:
             self._resume(block, value, error, node)
         return True
+
+    def _on_degrade_done(self, message: Message) -> None:
+        """A degraded post was concluded at its home: its deadline will
+        not notice it, and the admission charge the origin kept for it
+        goes back now."""
+        block = self.unconfirmed.pop(message.payload["block"], None)
+        if block is not None:
+            charge, block._admission = block._admission, SETTLED
+            if charge is not None:
+                self.admission.release(charge)
 
     # -- blocked raisers --
 

@@ -102,7 +102,7 @@ class HandlerSupervisor:
     COUNTERS = ("handler_timeouts", "handler_retries", "breaker_opens",
                 "breaker_half_opens", "breaker_closes", "breaker_skips",
                 "fast_fails", "chain_retries", "quarantined", "requeued",
-                "dead_letter_undeliverable")
+                "dead_letter_undeliverable", "degrade_unconfirmed")
 
     def __init__(self, cluster, settle: "Settler") -> None:
         self.sim = cluster.sim

@@ -10,11 +10,8 @@ broadcast and multicast locators send one probe per candidate.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
-
-_msg_ids = itertools.count(1)
 
 
 @dataclass(slots=True)
@@ -37,8 +34,8 @@ class Message:
         Nominal size in bytes; used by bandwidth-aware latency models and
         traffic statistics. Defaults to 64 (a small control message).
     msg_id:
-        Unique id assigned at construction, useful for request/reply
-        correlation and trace matching.
+        Assigned by the fabric as the envelope goes out (0 until then):
+        unique per fabric, for trace matching.
     rel:
         Reliability header, or ``None`` for fire-and-forget traffic. Set
         by :class:`~repro.net.reliable.ReliableChannel` to the
@@ -69,7 +66,7 @@ class Message:
     mtype: str
     payload: Any = None
     size: int = 64
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
+    msg_id: int = 0
     rel: tuple[int, int] | None = None
     ack: int | None = None
     gossip: tuple | None = None

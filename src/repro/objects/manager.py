@@ -221,6 +221,11 @@ class ObjectManager:
         before the next handler starts: with the return value, the
         exception raised, ``GeneratorExit`` (the node crashed) or the
         watchdog's :class:`~repro.errors.HandlerTimeout`.
+
+        A home-node post calls this inside its own raise. Nothing runs
+        here: the post joins the master's queue, and a parked master is
+        woken by one scheduled step (a busy one takes it, in FIFO
+        order, in the step that finishes the run before it).
         """
         mode = self.kernel.config.object_event_mode
         if mode == OBJ_EVENTS_MASTER:

@@ -41,7 +41,11 @@ anything in the lane; nothing scheduled during the instant can land in
 the timed lane at ``now``; and the clock never moves back, so every
 lane entry is at ``now``. The wall-clock ``RealtimeScheduler``
 (:mod:`repro.transport.realtime`) has the same shape — timer heap plus
-ready list — and the same rule.
+ready list — and the same rule. :meth:`Simulator.nothing_due_now`
+reads that rule without popping: when no other live entry is due at
+``now``, a same-instant hop the running callback would schedule to
+itself is the next callback either way, so the thread driver does its
+work inline (the realtime scheduler never says so).
 
 Cancellation is lazy in both lanes (the entry stays queued with its
 callback nulled, and both are rebuilt once the dead outnumber the
@@ -266,11 +270,31 @@ class Simulator:
         """The earliest timed entry, live or cancelled, left in place."""
         return self._queue[0] if self._queue else None
 
+    def _timed_due_now(self) -> bool:
+        """Whether a live timed entry is due at ``now`` (nothing moves)."""
+        return _live_at(self._queue, self._now)
+
     def _compact_timed(self) -> None:
         """Drop cancelled entries from the timed lane, in place."""
         queue = self._queue
         queue[:] = [e for e in queue if e[3] is not None]
         heapq.heapify(queue)
+
+    def nothing_due_now(self) -> bool:
+        """True when no live callback other than the running one is due
+        at the current instant.
+
+        A callback about to schedule a same-instant hop to itself asks
+        this: when nothing else is due, that hop would be the very next
+        callback to run, so doing its work inline runs the same
+        callbacks in the same order, minus the hop. A pure query — it
+        sheds no cancelled entry and re-bases no wheel, so every counter
+        in :meth:`stats` other than the hops saved reads as before.
+        """
+        ready = self._ready
+        if ready and any(entry[3] is not None for entry in ready):
+            return False
+        return not self._timed_due_now()
 
     # -- running ---------------------------------------------------------
 
@@ -528,6 +552,16 @@ class WheelSimulator(Simulator):
             heapq.heappop(tick_heap)
         return entry
 
+    def _timed_due_now(self) -> bool:
+        # Everything earlier than `now` has been popped, so the first
+        # tick bucket holds every wheel entry at `now`; after run(until)
+        # jumped the clock past the horizon, entries at `now` spill.
+        now = self._now
+        tick_heap = self._tick_heap
+        if tick_heap and _live_at(self._buckets[tick_heap[0]], now):
+            return True
+        return _live_at(self._overflow, now)
+
     def _compact_timed(self) -> None:
         buckets = self._buckets
         for key in list(buckets):
@@ -541,6 +575,15 @@ class WheelSimulator(Simulator):
         overflow = self._overflow
         overflow[:] = [e for e in overflow if e[3] is not None]
         heapq.heapify(overflow)
+
+
+def _live_at(heap: list, now: float) -> bool:
+    """Whether a ``(when, seq)`` heap of entries holds a live one due at
+    ``now`` — one comparison unless a cancelled entry heads it."""
+    if not heap or heap[0][0] > now:
+        return False
+    return heap[0][3] is not None or any(
+        entry[3] is not None for entry in heap if entry[0] <= now)
 
 
 def make_simulator(scheduler: str = SCHEDULER_HEAP,

@@ -65,6 +65,9 @@ KIND_KERNEL = "kernel"
 
 _activation_ids = itertools.count(1)
 
+#: channel items one scheduled driver step may take inline (see _step)
+RECV_FOLDS = 64
+
 
 class Activation:
     """One frame of a distributed thread's stack."""
@@ -314,36 +317,54 @@ class DThread:
               step_epoch: int | None = None) -> None:
         if step_epoch is not None and step_epoch != self._step_epoch:
             return
-        if not self.alive or self.state == TERMINATING:
+        # Only a step the scheduler runs (it carries its epoch) is the
+        # whole callback, so only it may fold its own next hop.
+        folds = 0 if step_epoch is not None else RECV_FOLDS
+        while True:
+            if not self.alive or self.state == TERMINATING:
+                return
+            if self.suspended_by_event:
+                self._set_stash(value, error)
+                return
+            if self.pending_notices:
+                self._set_stash(value, error)
+                self.cluster.events.execute.start_delivery(self)
+                return
+            if not self.frames:
+                # The first invocation failed before any activation
+                # existed (unknown object/entry, bad arity): the error is
+                # the thread's outcome.
+                self.cluster.invoker.thread_result_with_no_frames(
+                    self, value, error)
+                return
+            frame = self.frames[-1]
+            try:
+                if error is not None:
+                    syscall = frame.gen.throw(error)
+                else:
+                    syscall = frame.gen.send(value)
+            except StopIteration as stop:
+                self.cluster.invoker.frame_returned(self, stop.value)
+                return
+            except BaseException as exc:  # noqa: BLE001 - user code may fail
+                self.cluster.events.execute.on_frame_exception(self, frame,
+                                                               exc)
+                return
+            frame.steps += 1
+            # Folded, not hopped: a recv that finds an item would
+            # schedule this driver again at this instant; with nothing
+            # else due, that hop is the next callback anyway, so the
+            # loop takes the item here and re-checks what the hop's step
+            # would have checked. Bounded, so run(max_events=…) still
+            # catches a thread that feeds its own channel.
+            if (folds < RECV_FOLDS and isinstance(syscall, sc.Recv)
+                    and len(syscall.channel) and not self.pending_notices
+                    and self.state == RUNNING and self.sim.nothing_due_now()):
+                folds += 1
+                value, error = syscall.channel.pop(), None
+                continue
+            self._dispatch(frame, syscall)
             return
-        if self.suspended_by_event:
-            self._set_stash(value, error)
-            return
-        if self.pending_notices:
-            self._set_stash(value, error)
-            self.cluster.events.execute.start_delivery(self)
-            return
-        if not self.frames:
-            # The first invocation failed before any activation existed
-            # (unknown object/entry, bad arity): the error is the
-            # thread's outcome.
-            self.cluster.invoker.thread_result_with_no_frames(self, value,
-                                                              error)
-            return
-        frame = self.frames[-1]
-        try:
-            if error is not None:
-                syscall = frame.gen.throw(error)
-            else:
-                syscall = frame.gen.send(value)
-        except StopIteration as stop:
-            self.cluster.invoker.frame_returned(self, stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - user code may fail
-            self.cluster.events.execute.on_frame_exception(self, frame, exc)
-            return
-        frame.steps += 1
-        self._dispatch(frame, syscall)
 
     # ------------------------------------------------------------------
     # syscall dispatch
@@ -365,8 +386,9 @@ class DThread:
         elif isinstance(syscall, sc.Recv):
             channel = syscall.channel
             if len(channel):
-                # One hop, not zero: the next _step sees pending notices
-                # and the Python stack stays flat over a long queue.
+                # A hop, where _step could not fold one: other work is
+                # due at this instant, a notice is pending, the step runs
+                # inside another callback, or its fold budget is spent.
                 self.schedule_step(channel.pop(), None)
             else:
                 # Parked: put() hands the item straight to resume_with,

@@ -16,9 +16,9 @@ and the builtin exceptions); a name from anywhere else arrives as
 
 Determinism contract (what lets the sharded backend run on this codec):
 decoding reconstructs objects with ``__new__`` + attribute assignment,
-so the receiving process's module-level id counters
-(``Message.msg_id``, ``EventBlock.block_id``) are **not** advanced and
-every id survives the hop verbatim.
+so the receiving process's module-level id counters (the one behind
+``EventBlock.block_id``) are **not** advanced and every id — the
+fabric-assigned ``Message.msg_id`` too — survives the hop verbatim.
 
 Wire format, all integers as zigzag varints and floats as IEEE-754
 doubles (bit-exact — virtual timestamps must survive the hop)::
@@ -139,6 +139,7 @@ MTYPE_REGISTRY = (
     "thread.complete", "thread.unwind", "fd.beat",
     "dsm.installed", "dsm.inval", "dsm.page", "dsm.yield",
     "swim.ping", "swim.ack", "swim.ping-req", "swim.gossip",
+    "degrade.done",
 )
 _MTYPE_TAG = {name: i + 1 for i, name in enumerate(MTYPE_REGISTRY)}
 

@@ -2,8 +2,9 @@
 
 Every subsystem in the library schedules against the ``Simulator``
 surface — ``now`` / ``call_at`` / ``call_after`` / ``call_soon`` /
-``run`` / ``pending`` / ``stats``.  :class:`RealtimeScheduler`
-implements that surface with real time: ``now`` is seconds of
+``run`` / ``pending`` / ``stats`` / ``nothing_due_now``.
+:class:`RealtimeScheduler` implements that surface with real time:
+``now`` is seconds of
 wall-clock since the scheduler was built, and :meth:`run` actually
 *blocks* the calling thread while the asyncio loop turns.
 
@@ -157,6 +158,11 @@ class RealtimeScheduler:
         if not self._armed:
             self._rearm()
         return Handle(entry[0], seq, entry, self)
+
+    def nothing_due_now(self) -> bool:
+        """Always False: a frame may arrive at any wall instant, so no
+        hop can be known to be the next callback."""
+        return False
 
     def _note_cancel(self) -> None:
         """A :class:`Handle` was cancelled (the entry stays queued, its

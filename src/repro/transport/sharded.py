@@ -222,7 +222,7 @@ def _reset_process_counters() -> None:
     """Reset every module-level id counter to its import-time state.
 
     A forked worker inherits the parent's already-advanced counters
-    (message ids, oids, block ids, ...), which would shift every id the
+    (oids, block ids, activation ids, ...), which would shift every id the
     shard allocates and break both the per-shard digests and
     :func:`repro.bench.scale.sink_cap`'s oid arithmetic.  Resetting
     them reproduces exactly what a spawned (freshly imported) worker
@@ -232,7 +232,6 @@ def _reset_process_counters() -> None:
     # ``events`` attribute (``names as events``), breaking getattr-chain
     # binding for repro.events.* submodules
     counters = (
-        ("repro.net.message", "_msg_ids"),
         ("repro.objects.base", "_oids"),
         ("repro.events.handlers", "_reg_ids"),
         ("repro.events.handlers", "_proc_names"),

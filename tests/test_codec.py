@@ -93,14 +93,20 @@ class TestEnvelope:
         assert roundtrip(message).mtype == "custom.not-in-registry"
 
     def test_msg_id_verbatim_and_counter_not_ticked(self):
-        message = Message(src=0, dst=1, mtype="event.resume")
-        assert roundtrip(message).msg_id == message.msg_id
-        # decoding ten envelopes must not advance the module counter:
-        # the next locally-minted id is exactly one past the last one
+        block = EventBlock("PING")
+        message = Message(src=0, dst=1, mtype="event.post-object",
+                          payload={"block": block}, msg_id=41)
+        assert roundtrip(message).msg_id == 41
+        assert roundtrip(message).payload["block"].block_id == block.block_id
+        # decoding ten envelopes must not advance the block-id counter:
+        # the next locally-built block is exactly one past the last one
         for _ in range(10):
             roundtrip(message)
-        follower = Message(src=0, dst=1, mtype="event.resume")
-        assert follower.msg_id == message.msg_id + 1
+        assert EventBlock("PING").block_id == block.block_id + 1
+
+    def test_msg_id_is_the_fabrics_to_assign(self):
+        # an envelope mints nothing; the fabric numbers what it sends
+        assert Message(src=0, dst=1, mtype="x").msg_id == 0
 
 
 # ----------------------------------------------------------------------

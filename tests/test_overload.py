@@ -239,6 +239,86 @@ class TestSheddingPolicies:
         assert not noticed
         assert cluster.supervision_stats()["admission_shed_degraded"] > 0
 
+    def test_degraded_post_on_a_real_wire_is_confirmed_not_noticed(
+            self, serializing_wire, conclusions):
+        """On tcp and sharded the home node executes a decoded copy, so
+        only a message can tell the origin: each executed degraded post
+        is confirmed by one degrade.done, concluded once, never noticed."""
+        cluster = _rig(admission_high=2, overload_policy="degrade",
+                       post_deadline=0.5)
+        noticed = _notices(cluster)
+        cap = cluster.create_object(SlowSink, 5e-3, node=1)
+        for pid in range(12):
+            cluster.events.raise_external(EVT, cap, from_node=0,
+                                          user_data=pid)
+        cluster.run()
+        sup = cluster.supervision_stats()
+        assert sup["admission_shed_degraded"] > 0
+        assert cluster.get_object(cap).seen == 12
+        assert not noticed
+        assert sup["degrade_unconfirmed"] == 0
+        assert sup["admission_gate_depth"] == 0  # every charge went back
+        assert (cluster.message_stats()["type:degrade.done"]
+                == sup["admission_shed_degraded"])
+        conclusions.check()
+
+    @pytest.mark.parametrize("wire", ["shared", "serializing"])
+    def test_lost_confirmation_is_noticed_as_unconfirmed(self, wire,
+                                                         request):
+        """A degrade.done lost after execution: the post ran once and is
+        noticed as unconfirmed — the one outcome fire-and-forget cannot
+        rule out — on shared objects and on decoded copies alike."""
+        if wire == "serializing":
+            request.getfixturevalue("serializing_wire")
+        cluster = _rig(admission_high=2, overload_policy="degrade",
+                       post_deadline=0.5)
+        faults = cluster.fabric.faults
+        copies = faults.copies
+        faults.copies = lambda message: (
+            0 if message.mtype == "degrade.done" else copies(message))
+        errors = []
+        cluster.events.on_undeliverable = (
+            lambda block, target: errors.append(block.user_data))
+        cap = cluster.create_object(SlowSink, 5e-3, node=1)
+        futures = [cluster.events.raise_external(
+            EVT, cap, from_node=0, user_data=pid, synchronous=pid == 5)
+            for pid in range(8)]
+        cluster.run()
+        sup = cluster.supervision_stats()
+        degraded = sup["admission_shed_degraded"]
+        assert degraded > 0
+        assert cluster.get_object(cap).seen == 8  # every post ran once
+        assert len(errors) == sup["degrade_unconfirmed"] == degraded
+        assert sup["admission_gate_depth"] == 0  # released by the notice
+        sync = futures[5]
+        assert sync.done and not sync.failed  # resumed by the handler
+
+    def test_degraded_copy_lost_in_a_crash_is_noticed_once(self,
+                                                            conclusions):
+        """The home node crashes with degraded copies queued: the origin's
+        deadline notices each of them, and nothing notices one twice."""
+        cluster = _rig(admission_high=2, overload_policy="degrade",
+                       post_deadline=0.5)
+        told = []
+        cluster.events.on_undeliverable = (
+            lambda block, target: told.append(block.user_data))
+        cap = cluster.create_object(SlowSink, 50e-3, node=1)
+        for pid in range(8):
+            cluster.events.raise_external(EVT, cap, from_node=0,
+                                          user_data=pid)
+        cluster.run(until=0.06)  # one executed, one mid-run, six queued
+        cluster.crash_node(1)
+        cluster.recover_node(1)
+        cluster.run()
+        sup = cluster.supervision_stats()
+        degraded = sup["admission_shed_degraded"]
+        assert degraded > 0
+        assert cluster.get_object(cap).seen == 1
+        assert sorted(told) == list(range(1, 8))  # each once
+        assert sup["degrade_unconfirmed"] == degraded
+        assert sup["admission_gate_depth"] == 0
+        conclusions.check()
+
     def test_post_deadline_fires_for_shed_posts(self):
         # Total loss: admitted posts retransmit against the void with a
         # generous budget; *degraded* posts have no retransmission, so
