@@ -70,11 +70,6 @@ class DeliveryOutcome:
     thread: UnixThread | None = None
     reason: str = ""
 
-    @property
-    def correct_for(self) -> Callable[[UnixThread], bool]:
-        return lambda intended: (self.delivered
-                                 and self.thread is intended)
-
 
 class UnixSignalModel:
     """The machine-wide signal facility."""

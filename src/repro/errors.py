@@ -189,10 +189,6 @@ class EventQuarantinedError(EventError):
     """
 
 
-class LocateError(EventError):
-    """A thread-location strategy failed to find the target thread."""
-
-
 class DsmError(ReproError):
     """A distributed-shared-memory operation failed."""
 

@@ -57,33 +57,21 @@ CONTEXT_SWITCH_COST = 1e-5
 SURROGATE_COST = 5e-5
 
 
-def _procedure_frame(ctx, fn, current_obj, block):
-    """Surrogate frame: per-thread-memory handler in the current
-    object's context."""
-    ctx._activation.obj = current_obj
-    ctx._activation.event_block = block
-    result = yield from fn(ctx, block)
-    return result
+class ChainWalk:
+    """A thread's handler-chain walk, kept on it (``thread.walk``) for
+    every later walk: ``block`` offered down ``chain`` from position
+    ``at``, the failures and last error so far, and the running
+    handler's node, invocation attempt and watchdog."""
+
+    __slots__ = ("chain", "block", "finish", "entry", "at", "failures",
+                 "error", "node", "attempt", "watchdog")
 
 
 def _invoke_frame(ctx, cap, fn_name, block):
     """Surrogate frame: attaching-object / buddy handler via
     unscheduled invocation."""
-    result = yield sc.Invoke(cap=cap, entry=fn_name, args=(block,),
-                             as_handler=True, handler_block=block)
-    return result
-
-
-def parse_decision(result: Any) -> tuple[Decision, Any]:
-    """A handler's return value as ``(decision, value)``."""
-    if result is None:
-        return Decision.RESUME, None
-    if isinstance(result, Decision):
-        return result, None
-    if (isinstance(result, tuple) and len(result) == 2
-            and isinstance(result[0], Decision)):
-        return result
-    return Decision.RESUME, result
+    return (yield sc.Invoke(cap=cap, entry=fn_name, args=(block,),
+                            as_handler=True, handler_block=block))
 
 
 class Executor:
@@ -162,11 +150,9 @@ class Executor:
     # ==================================================================
 
     def _walk(self, thread: DThread, block: EventBlock,
-              chain: list[HandlerRegistration], index: int = 0,
-              finish: Any = None, errors: int = 0,
-              last_error: BaseException | None = None) -> None:
-        """Offer ``block`` to ``chain[index:]``, newest handler first;
-        the first decision other than PROPAGATE ends the walk.
+              chain: list[HandlerRegistration], finish: Any = None) -> None:
+        """Offer ``block`` to ``chain``, newest handler first; the first
+        decision other than PROPAGATE ends the walk.
 
         ``finish`` is None for a delivered notice: the decision is
         applied to the suspended thread, a chain that runs out falls to
@@ -175,48 +161,66 @@ class Executor:
         ``finish(thread, block, decision, value)`` and sees PROPAGATE
         when the chain runs out.
         """
+        walk = thread.walk
+        if walk is None:
+            walk = thread.walk = ChainWalk()
+        walk.chain, walk.block, walk.finish = chain, block, finish
+        walk.entry = f"handler:{block.event}"
+        walk.at = walk.failures = 0
+        walk.error = walk.watchdog = None
+        self._offer(thread, walk)
+
+    def _offer(self, thread: DThread, walk: ChainWalk) -> None:
+        """Run the handler at ``walk.at``, or end a walk past the last."""
+        finish = walk.finish
         if finish is None and not thread.alive:
             # thread_gone has already concluded the block as a §7.2
             # notice (and the surrogate went with its owner).
+            walk.block = walk.error = None
             return
-        if index >= len(chain):
-            if finish is not None:
-                finish(thread, block, Decision.PROPAGATE, None)
+        chain = walk.chain
+        if walk.at < len(chain):
+            self._execute_registration(thread, walk, chain[walk.at])
+            return
+        block, last_error = walk.block, walk.error
+        walk.block = walk.error = None
+        if finish is not None:
+            finish(thread, block, Decision.PROPAGATE, None)
+            return
+        if chain and walk.failures >= len(chain):
+            # Poison policy: an *entire* chain of failures (every
+            # handler raised — watchdog timeouts excluded, since a
+            # cancelled handler may have half-executed and a re-run
+            # would double its side effects). Deliberate PROPAGATE
+            # decisions and breaker skips are not failures.
+            if self.supervisor.poisoned(
+                    block, last_error, thread.current_node,
+                    self._retry_chain, thread, block,
+                    tid=str(thread.tid)) == "retry":
                 return
-            if chain and errors >= len(chain):
-                # Poison policy: an *entire* chain of failures (every
-                # handler raised — watchdog timeouts excluded, since a
-                # cancelled handler may have half-executed and a re-run
-                # would double its side effects). Deliberate PROPAGATE
-                # decisions and breaker skips are not failures.
-                if self.supervisor.poisoned(
-                        block, last_error, thread.current_node,
-                        self._retry_chain, thread, block,
-                        tid=str(thread.tid)) == "retry":
-                    return
-            self._apply_decision(thread, block,
-                                 defaults.thread_default(block.event), None)
-            return
-        registration = chain[index]
+        self._apply_decision(thread, block,
+                             defaults.thread_default(block.event), None)
 
-        def done(decision: Decision, value: Any,
+    def _decided(self, thread: DThread, decision: Decision, value: Any,
                  error: BaseException | None) -> None:
-            if "event" not in self.tracer.muted:
-                self.tracer.emit(
-                    "event", "handler-done", event=block.event,
-                    tid=str(thread.tid), context=registration.context.value,
-                    decision=decision.value,
-                    error=repr(error) if error else None)
-            if decision is Decision.PROPAGATE:
-                failed = errors + (1 if error is not None and not
-                                   isinstance(error, HandlerTimeout) else 0)
-                self._walk(thread, block, chain, index + 1, finish, failed,
-                           error if error is not None else last_error)
-            else:
-                (finish or self._apply_decision)(thread, block, decision,
-                                                 value)
-
-        self._execute_registration(thread, registration, block, done)
+        """The running handler's decision: PROPAGATE falls through."""
+        walk = thread.walk
+        if "event" not in self.tracer.muted:
+            self.tracer.emit(
+                "event", "handler-done", event=walk.block.event,
+                tid=str(thread.tid), context=walk.chain[walk.at].context.value,
+                decision=decision.value, error=repr(error) if error else None)
+        if decision is Decision.PROPAGATE:
+            if error is not None:
+                if not isinstance(error, HandlerTimeout):
+                    walk.failures += 1
+                walk.error = error
+            walk.at += 1
+            self._offer(thread, walk)
+            return
+        block = walk.block
+        walk.block = walk.error = None
+        (walk.finish or self._apply_decision)(thread, block, decision, value)
 
     def _retry_chain(self, thread: DThread, block: EventBlock) -> None:
         if not thread.alive or thread.delivering_block is not block:
@@ -249,44 +253,44 @@ class Executor:
     # executing one thread-based handler (§4.1 contexts)
     # ==================================================================
 
-    def _execute_registration(self, thread: DThread,
-                              registration: HandlerRegistration,
-                              block: EventBlock, done) -> None:
-        node = thread.current_node
+    def _execute_registration(self, thread: DThread, walk: ChainWalk,
+                              registration: HandlerRegistration) -> None:
+        walk.node = node = thread.current_node
+        block = walk.block
         if registration.context is HandlerContext.CURRENT:
             try:
                 fn = thread.attributes.per_thread_memory.procedure(
                     registration.procedure)
             except HandlerContextError as exc:
-                done(Decision.PROPAGATE, None, exc)
+                self._decided(thread, Decision.PROPAGATE, None, exc)
                 return
             self.sim.call_after(
-                SURROGATE_COST, self._run_on_surrogate, thread, block,
-                node, done, self.supervisor.effective_deadline(registration),
-                _procedure_frame, fn, thread.current_object, block)
+                SURROGATE_COST, self._run_on_surrogate, thread, block, node,
+                self.supervisor.effective_deadline(registration),
+                thread.current_object, block, fn, block)
             return
         # ATTACHING / BUDDY: unscheduled invocation of a handler method,
         # supervised (breaker admission, fast-fail, retry with backoff).
-        self._execute_invoke(thread, registration, block, node, done, 0)
+        self._execute_invoke(thread, 0)
 
-    def _execute_invoke(self, thread: DThread,
-                        registration: HandlerRegistration,
-                        block: EventBlock, node: int, done,
-                        attempt: int) -> None:
+    def _execute_invoke(self, thread: DThread, attempt: int) -> None:
+        walk = thread.walk
+        node, block, walk.attempt = walk.node, walk.block, attempt
+        registration = walk.chain[walk.at]
         oid = registration.target_oid
         if not self.supervisor.breaker_allows(oid, block.event):
             # Open breaker: skip this registration, fall down the chain.
-            done(Decision.PROPAGATE, None, None)
+            self._decided(thread, Decision.PROPAGATE, None, None)
             return
         obj = self.cluster.find_object(oid)
         if obj is None:
-            done(Decision.PROPAGATE, None, UnknownObjectError(
+            self._decided(thread, Decision.PROPAGATE, None, UnknownObjectError(
                 f"handler object {oid} is gone"))
             return
         try:
             obj.handler_fn(registration.fn_name)
         except BaseException as exc:  # noqa: BLE001 - bad registration
-            done(Decision.PROPAGATE, None, exc)
+            self._decided(thread, Decision.PROPAGATE, None, exc)
             return
         kernel = self.kernels.get(node)
         if (kernel is not None and obj.cap.home != node
@@ -297,74 +301,61 @@ class Executor:
             if "supervise" not in self.tracer.muted:
                 self.tracer.emit("supervise", "fast-fail", oid=oid,
                                  event=block.event, home=obj.cap.home)
-            self._invoke_failed(thread, registration, block, node, done,
-                                attempt, BuddyUnavailableError(
-                                    f"node {obj.cap.home} is suspected"))
+            self._invoke_failed(thread, BuddyUnavailableError(
+                f"node {obj.cap.home} is suspected"))
             return
-
-        def on_done(decision: Decision, value: Any,
-                    error: BaseException | None) -> None:
-            if error is not None and isinstance(error,
-                                                RETRYABLE_INVOKE_ERRORS):
-                self._invoke_failed(thread, registration, block, node,
-                                    done, attempt, error)
-                return
-            if error is None:
-                self.supervisor.invoke_succeeded(oid, block.event)
-            done(decision, value, error)
-
         self.sim.call_after(
             SURROGATE_COST, self._run_on_surrogate, thread, block, node,
-            on_done, self.supervisor.effective_deadline(registration),
+            self.supervisor.effective_deadline(registration), None, None,
             _invoke_frame, obj.cap, registration.fn_name, block)
 
-    def _invoke_failed(self, thread: DThread,
-                       registration: HandlerRegistration, block: EventBlock,
-                       node: int, done, attempt: int,
-                       error: BaseException) -> None:
+    def _invoke_failed(self, thread: DThread, error: BaseException) -> None:
         """A buddy invocation failed with a retryable error."""
-        self.supervisor.invoke_failed(registration.target_oid, block.event)
+        walk = thread.walk
+        attempt, oid = walk.attempt, walk.chain[walk.at].target_oid
+        self.supervisor.invoke_failed(oid, walk.block.event)
         if attempt < self.handler_retries:
             self.supervisor.counters["handler_retries"] += 1
             if "supervise" not in self.tracer.muted:
-                self.tracer.emit("supervise", "handler-retry",
-                                 oid=registration.target_oid,
-                                 event=block.event, attempt=attempt + 1,
+                self.tracer.emit("supervise", "handler-retry", oid=oid,
+                                 event=walk.block.event, attempt=attempt + 1,
                                  error=repr(error))
             self.sim.call_after(self.handler_backoff * (2 ** attempt),
-                                self._execute_invoke, thread, registration,
-                                block, node, done, attempt + 1)
+                                self._execute_invoke, thread, attempt + 1)
             return
-        done(Decision.PROPAGATE, None, error)
+        self._decided(thread, Decision.PROPAGATE, None, error)
 
     def _run_on_surrogate(self, thread: DThread, block: EventBlock,
-                          node: int, done, deadline: float | None,
-                          frame_fn, *frame_args: Any) -> None:
+                          node: int, deadline: float | None, obj: Any,
+                          event_block: EventBlock | None, frame_fn,
+                          *frame_args: Any) -> None:
         """Run one handler as the next frame of the thread's surrogate.
 
         One surrogate serves every handler the thread runs while it
         stays on this node (§7's argument for the master handler thread
-        — do not pay a thread creation per handler run — applied to
-        §6.1): it is created when the first handler is due, parked
-        between frames, retired when its owner leaves the node or ends
-        (``Presence``) and replaced only if it died (watchdog, crash).
-        ``SURROGATE_COST`` is charged per handler by the caller.
+        — pay no set-up per handler run — applied to §6.1): created when
+        the first handler is due, parked between frames, retired when
+        its owner leaves the node or ends (``Presence``), replaced only
+        if it died (watchdog, crash). A frame is one new generator on
+        its kept activation (``InvocationEngine.run_frame``): the
+        per-thread-memory handler's own, or ``_invoke_frame``. Its exit
+        comes back through ``frame_exit``, bound once per surrogate, to
+        the owner's walk. The caller charges ``SURROGATE_COST``.
         """
-        invoker = self.invoker
-        name = f"handler:{block.event}"
+        entry = thread.walk.entry
         surrogate = thread.chain_surrogate
         if surrogate is None or not surrogate.alive:
-            surrogate = thread.chain_surrogate = invoker.create_loop_thread(
-                node, name, KIND_SURROGATE, attributes=thread.attributes,
-                impersonate=thread.tid)
-        watchdog = (None if deadline is None else self.sim.call_after(
-            deadline, self._handler_timed_out, surrogate, thread, block,
-            deadline))
-
-        invoker.run_frame(surrogate, frame_fn, name, *frame_args,
-                          on_exit=partial(self._handler_exited, done=done,
-                                          thread=thread, block=block,
-                                          watchdog=watchdog))
+            surrogate = thread.chain_surrogate = (
+                self.invoker.create_loop_thread(
+                    node, entry, KIND_SURROGATE, attributes=thread.attributes,
+                    impersonate=thread.tid))
+            surrogate.frame_exit = partial(self._handler_exited, thread)
+        if deadline is not None:
+            thread.walk.watchdog = self.sim.call_after(
+                deadline, self._handler_timed_out, surrogate, thread, block,
+                deadline)
+        self.invoker.run_frame(surrogate, entry, obj, event_block, frame_fn,
+                               *frame_args)
 
     def _handler_timed_out(self, surrogate: DThread, thread: DThread,
                            block: EventBlock, deadline: float) -> None:
@@ -390,29 +381,49 @@ class Executor:
         self.invoker.destroy_thread_abrupt(surrogate, HandlerTimeout(
             f"handler for {block.event} exceeded {deadline}s"))
 
-    def _handler_exited(self, result: Any, error: BaseException | None,
-                        done, thread: DThread, block: EventBlock,
-                        watchdog: Any = None) -> None:
+    def _handler_exited(self, thread: DThread, result: Any,
+                        error: BaseException | None) -> None:
+        """A handler run on ``thread``'s surrogate ended."""
+        walk = thread.walk
+        watchdog = walk.watchdog
         if watchdog is not None:
             # Outliving its run, it could destroy the surrogate under a
             # later handler of the chain.
+            walk.watchdog = None
             watchdog.cancel()
         if not thread.alive:
             # The owner died under this frame: nobody is left to park with.
             self.invoker.retire_surrogate(thread)
+        block = walk.block
+        decision, value = self._outcome(thread, block, result, error)
+        registration = walk.chain[walk.at]
+        if registration.context is not HandlerContext.CURRENT:
+            if isinstance(error, RETRYABLE_INVOKE_ERRORS):
+                self._invoke_failed(thread, error)
+                return
+            if error is None:
+                self.supervisor.invoke_succeeded(registration.target_oid,
+                                                 block.event)
+        self._decided(thread, decision, value, error)
+
+    def _outcome(self, thread: DThread, block: EventBlock, result: Any,
+                 error: BaseException | None) -> tuple[Decision, Any]:
+        """A run's end as ``(decision, value)``: a failure PROPAGATEs,
+        counted unless it is a watchdog timeout (counted apart)."""
         if error is not None:
             if not isinstance(error, HandlerTimeout):
-                # Timeouts have their own counter/trace; everything
-                # else is a handler failure worth surfacing.
                 self.handler_failures += 1
                 if "event" not in self.tracer.muted:
                     self.tracer.emit("event", "handler-error",
                                      event=block.event, tid=str(thread.tid),
                                      error=repr(error))
-            done(Decision.PROPAGATE, None, error)
-            return
-        decision, value = parse_decision(result)
-        done(decision, value, None)
+            return Decision.PROPAGATE, None
+        if isinstance(result, Decision):
+            return result, None
+        if (isinstance(result, tuple) and len(result) == 2
+                and isinstance(result[0], Decision)):
+            return result
+        return Decision.RESUME, result
 
     # ==================================================================
     # exceptions as events (§3, §6.1)
@@ -445,22 +456,20 @@ class Executor:
                              tid=str(thread.tid), error=repr(exc),
                              node=frame.node)
         if obj_handler is None:
-            self._walk(thread, block, chain, finish=self._finish_exception)
+            self._walk(thread, block, chain, self._finish_exception)
             return
 
-        def after_object_handler(decision: Decision, value: Any,
-                                 error: BaseException | None) -> None:
+        def after_object_handler(result: Any, error: Any) -> None:
+            decision, value = self._outcome(thread, block, result, error)
             if decision is Decision.PROPAGATE:
-                self._walk(thread, block, chain, finish=self._finish_exception)
+                self._walk(thread, block, chain, self._finish_exception)
             else:
                 self._finish_exception(thread, block, decision, value)
 
         # §6.1: the object's handler gets called first, on a surrogate
         # thread that takes on the suspended thread's attributes.
-        objects.run_object_handler(
-            frame.obj, obj_handler, block,
-            partial(self._handler_exited, done=after_object_handler,
-                    thread=thread, block=block))
+        objects.run_object_handler(frame.obj, obj_handler, block,
+                                   after_object_handler)
 
     def _finish_exception(self, thread: DThread, block: EventBlock,
                           decision: Decision, value: Any) -> None:

@@ -236,9 +236,6 @@ class ObjectHandlerRegistry:
         """The dynamically bound handler method name, or None."""
         return self._handlers.get((oid, event))
 
-    def events_for(self, oid: int) -> list[str]:
-        return sorted(e for (o, e) in self._handlers if o == oid)
-
     def drop_object(self, oid: int) -> int:
         """Remove every registration of a destroyed object."""
         stale = [key for key in self._handlers if key[0] == oid]

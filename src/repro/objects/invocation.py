@@ -138,23 +138,34 @@ class InvocationEngine:
                                 kind=kind, entry=name)
         return thread
 
-    def run_frame(self, thread: DThread, gen_fn: Any, name: str,
-                  *gen_args: Any, on_exit: Any) -> None:
+    def run_frame(self, thread: DThread, entry: str, obj: Any,
+                  event_block: Any, gen_fn: Any, *gen_args: Any) -> None:
         """Run ``gen_fn(ctx, *gen_args)`` as the only frame of a loop
-        thread, starting inside the running callback.
+        thread, on the activation (and ``Ctx``) it keeps for every
+        frame, starting inside the running callback.
 
         When the frame leaves — or the thread dies under it —
-        ``on_exit(value, error)`` gets the outcome; a surviving thread
-        is parked (``blocked`` on ``"parked"``, no frame) for its next
-        frame or :meth:`retire_surrogate`.
+        ``thread.frame_exit(value, error)`` gets the outcome; a
+        surviving thread is parked (``blocked`` on ``"parked"``, no
+        frame, the activation holding no generator, object or block).
         """
-        self._push_bare_frame(thread, gen_fn, name, gen_args)
-        thread.frame_exit = on_exit
+        act = thread.kept
+        if act is None:
+            act = thread.kept = Activation(None, entry, None,
+                                           thread.current_node)
+        act.entry, act.obj, act.event_block, act.steps = (
+            entry, obj, event_block, 0)
+        thread.push_frame(act)
+        try:
+            act.gen = gen_fn(act.ctx, *gen_args)
+        except BaseException as exc:  # noqa: BLE001 - as its first step would
+            self.frame_failed(thread, exc)
+            return
         thread.step_now()
 
     def retire_surrogate(self, owner: DThread) -> None:
         """End the handler surrogate parked with ``owner``. One with a
-        handler frame still running stays: ``on_exit`` retires it."""
+        handler frame still running stays: its ``frame_exit`` retires it."""
         surrogate = owner.chain_surrogate
         if surrogate is not None and not surrogate.frames:
             owner.chain_surrogate = None
@@ -166,16 +177,11 @@ class InvocationEngine:
         """Create a loop thread whose life is the one frame ``gen_fn``,
         first stepped after the work already queued for this instant."""
         thread = self.create_loop_thread(node, name, kind)
-        self._push_bare_frame(thread, gen_fn, name, gen_args)
-        thread.schedule_step(None, None)
-        return thread
-
-    def _push_bare_frame(self, thread: DThread, gen_fn: Any, name: str,
-                         gen_args: tuple) -> None:
-        act = Activation(obj=None, entry=name, gen=None,
-                         node=thread.current_node)
+        act = Activation(obj=None, entry=name, gen=None, node=node)
         thread.push_frame(act)
         act.gen = gen_fn(act.ctx, *gen_args)
+        thread.schedule_step(None, None)
+        return thread
 
     # ------------------------------------------------------------------
     # synchronous invocation
@@ -310,13 +316,12 @@ class InvocationEngine:
                 tid=str(thread.tid), entry=frame.entry, node=frame.node,
                 oid=frame.obj.oid if frame.obj is not None else -1)
         if not thread.frames:
-            on_exit = thread.frame_exit
-            if on_exit is None:
+            if frame is not thread.kept:
                 self._complete_thread(thread, frame.node, value, error)
             else:
-                thread.frame_exit = None
+                frame.gen = frame.obj = frame.event_block = None
                 thread.block("parked")
-                on_exit(value, error)
+                thread.frame_exit(value, error)
             return
         self._resume_or_fail_frame(thread, value, error, frame.is_remote,
                                    frame.node, frame.caller_node)
@@ -387,11 +392,12 @@ class InvocationEngine:
             cluster.tracer.emit("thread", "exit", tid=str(thread.tid),
                                 state=state)
         thread.finish(value, error, state=state)
-        on_exit = thread.frame_exit
-        if on_exit is not None:
-            # Died with a frame running: whoever ran it learns the fate.
-            thread.frame_exit = None
-            on_exit(None, error)
+        kept, thread.kept = thread.kept, None
+        if kept is not None:
+            on_exit = thread.frame_exit
+            kept.ctx = thread.frame_exit = None  # both name the thread back
+            if kept.gen is not None:  # died with a frame running: tell it
+                on_exit(None, error)
 
     # ------------------------------------------------------------------
     # asynchronous invocation (spawn)

@@ -18,7 +18,6 @@ stopped at the point of delivery", §3).
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from functools import partial
 from typing import TYPE_CHECKING, Any
@@ -63,8 +62,6 @@ KIND_SURROGATE = "surrogate"
 #: Kernel threads serve object-based events (§7's master handler thread).
 KIND_KERNEL = "kernel"
 
-_activation_ids = itertools.count(1)
-
 #: channel items one scheduled driver step may take inline (see _step)
 RECV_FOLDS = 64
 
@@ -73,7 +70,7 @@ class Activation:
     """One frame of a distributed thread's stack."""
 
     __slots__ = ("obj", "entry", "gen", "node", "steps", "event_block",
-                 "is_remote", "caller_node", "act_id", "ctx")
+                 "is_remote", "caller_node", "ctx")
 
     def __init__(self, obj: "DistObject | None", entry: str, gen: Any,
                  node: int, is_remote: bool = False,
@@ -87,7 +84,6 @@ class Activation:
         self.event_block = event_block
         self.is_remote = is_remote
         self.caller_node = caller_node
-        self.act_id = next(_activation_ids)
         self.ctx: Ctx | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostic only
@@ -109,9 +105,10 @@ class DThread:
         #: tid is what user code sees via ctx.tid)
         self.impersonates = None
         #: for a thread kept across bare frames (a handler chain's
-        #: surrogate): called with ``(value, error)`` when its stack
-        #: empties, or when it dies with a frame running, in place of
-        #: completing the thread
+        #: surrogate): the activation each frame runs on (``run_frame``),
+        #: and what gets ``(value, error)`` when its stack empties, or
+        #: when it dies with a frame running, in place of completing it
+        self.kept: Activation | None = None
         self.frame_exit: Any = None
         self.state = NEW
         self.frames: list[Activation] = []
@@ -149,6 +146,8 @@ class DThread:
         #: thread leaves the node or ends, see
         #: ``events.execute.Executor._run_on_surrogate``
         self.chain_surrogate: "DThread | None" = None
+        #: its handler-chain walk, reused (``events.execute.ChainWalk``)
+        self.walk: Any = None
         #: block ids already accepted, bounded FIFO (suppresses network
         #: duplicates so handlers run exactly once)
         self._seen_blocks: set[int] = set()
@@ -220,17 +219,18 @@ class DThread:
     # ------------------------------------------------------------------
 
     def push_frame(self, activation: Activation) -> None:
-        activation.ctx = Ctx(self, activation)
+        if activation.ctx is None:  # the kept activation keeps its own
+            activation.ctx = Ctx(self, activation)
         self.frames.append(activation)
 
     def pop_frame(self) -> Activation:
         if not self.frames:
             raise ThreadError(f"{self.tid}: pop from empty frame stack")
         activation = self.frames.pop()
-        # Its generator is finished or closed, so this was the last link
-        # of the Activation <-> Ctx cycle: the frame dies by reference
-        # count, not in the cycle collector.
-        activation.ctx = None
+        if activation is not self.kept:
+            # Its generator is done, so this is the last link of the
+            # Activation <-> Ctx cycle: the frame dies by reference count.
+            activation.ctx = None
         return activation
 
     # ------------------------------------------------------------------

@@ -275,10 +275,6 @@ class RealtimeScheduler:
         """Register an extra idleness condition (frames in flight)."""
         self._idle_hooks.append(hook)
 
-    def run_coroutine(self, coro: Any) -> Any:
-        """Run one coroutine to completion (transport setup/teardown)."""
-        return self._loop.run_until_complete(coro)
-
     @property
     def loop(self) -> asyncio.AbstractEventLoop:
         return self._loop

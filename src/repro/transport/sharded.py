@@ -222,7 +222,7 @@ def _reset_process_counters() -> None:
     """Reset every module-level id counter to its import-time state.
 
     A forked worker inherits the parent's already-advanced counters
-    (oids, block ids, activation ids, ...), which would shift every id the
+    (oids, block ids, timer spec ids, ...), which would shift every id the
     shard allocates and break both the per-shard digests and
     :func:`repro.bench.scale.sink_cap`'s oid arithmetic.  Resetting
     them reproduces exactly what a spawned (freshly imported) worker
@@ -237,7 +237,6 @@ def _reset_process_counters() -> None:
         ("repro.events.handlers", "_proc_names"),
         ("repro.events.block", "_block_ids"),
         ("repro.threads.attributes", "_timer_spec_ids"),
-        ("repro.threads.thread", "_activation_ids"),
         ("repro.dsm.manager", "_segment_ids"),
         ("repro.baselines.unix_signals", "_pids"),
         ("repro.baselines.mach_exceptions", "_task_ids"),

@@ -215,6 +215,30 @@ def test_depth1_chains_allocate_one_tid_per_residency():
     assert created == [golden, golden, golden]
 
 
+def _chains(context):
+    """A notice and a synchronous raise through chains that fall through,
+    stop mid-chain, survive a raising handler and resume the raiser."""
+    runs = []
+    for script in ({}, {1: Decision.RESUME}, {1: "raise", 2: Decision.RESUME},
+                   {2: "resume_raiser"}):
+        cluster, thread, log = _rig(context, script)
+        future = cluster.raise_and_wait("EVT", thread.tid, from_node=1)
+        cluster.raise_event("EVT", thread.tid, from_node=2)
+        cluster.run()
+        runs.append((log, future.result(), thread.completion.result(),
+                     cluster.now, cluster.message_stats()))
+    return runs
+
+
+@pytest.mark.parametrize("context", CONTEXTS)
+def test_wire_copies_run_the_same_chains(context, request):
+    """Every message a decoded copy of its encoding (the tcp / sharded
+    boundary): the same handler logs, time and message counts."""
+    shared = _chains(context)
+    request.getfixturevalue("serializing_wire")
+    assert _chains(context) == shared
+
+
 # ======================================================================
 # the owning thread dies mid-chain
 # ======================================================================

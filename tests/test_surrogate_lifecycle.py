@@ -1,10 +1,11 @@
 """The handler surrogate's lifecycle as a property.
 
 A drawn program of notices, migrations, deaths, crashes and handler
-faults runs against three threads, one per handler context; after every
-step the cluster is quiescent and must look the same way: each live user
-thread has at most one live surrogate — its own, on its node, parked,
-frameless — finished owners have none, nothing reads as hung, and no
+faults (raises, watchdog expiries) runs against three threads, one per
+handler context; after every step the cluster is quiescent and must look
+the same way: each live user thread has at most one live surrogate — its
+own, on its node, parked, frameless, its kept activation holding no
+generator, object or block — finished owners have none, nothing reads as hung, and no
 table still names a dead surrogate. The handler log is exactly-once and
 LIFO per notice, and two same-seed runs of one program are equal. The
 locator is drawn from all four (``cached`` falls back to ``multicast``,
@@ -31,7 +32,10 @@ POISON_THRESHOLD = 2
 AWAY, BUDDY_NODE = 2, 3
 #: what the handlers of one notice do, and the positions that then run
 ACTS = {"chain": [0, 1], "resume": [0], "sync": [0, 1], "overrun": [0, 1],
+        "raise": [0, 1], "overrun-raise": [0, 1],
         "poison": [0, 1] * POISON_THRESHOLD}
+#: acts whose handler at position ``pos`` raises
+RAISES = {"poison": (0, 1), "raise": (0,), "overrun-raise": (DEPTH - 1,)}
 
 
 def _handle(log, pos, hctx, block):
@@ -40,9 +44,9 @@ def _handle(log, pos, hctx, block):
     nid, act = block.user_data
     log.append((nid, pos, hctx.tid, hctx.real_tid))
     yield hctx.compute(1e-3)
-    if act == "poison":
+    if pos in RAISES.get(act, ()):
         raise RuntimeError(f"notice {nid}: handler {pos} crashed")
-    if act == "overrun" and pos == 0:
+    if act in ("overrun", "overrun-raise") and pos == 0:
         yield hctx.sleep(1e9)  # the watchdog's 50 ms come first
     if act == "resume" or pos == DEPTH - 1:
         if act == "sync":
@@ -180,6 +184,11 @@ class Program:
                 assert surrogate.current_node == thread.current_node
                 assert surrogate.frames == []
                 assert surrogate.wait_kind == "parked"
+                # the activation it keeps for the next run pins nothing
+                kept = surrogate.kept
+                assert kept.ctx is not None
+                assert (kept.gen, kept.obj, kept.event_block) == (
+                    None, None, None)
                 assert not surrogate.pending_notices
         assert hung_handlers(cluster) == []
         # no table names a surrogate that is gone

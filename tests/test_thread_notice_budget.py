@@ -17,8 +17,11 @@ from functools import partial
 import pytest
 
 from repro import Decision, entry
+from repro.events.block import EventBlock
+from repro.events.settle import Settler
 from repro.sim import Channel
-from repro.threads.thread import KIND_SURROGATE
+from repro.threads.context import Ctx
+from repro.threads.thread import KIND_SURROGATE, Activation
 from tests.conftest import location_state, make_cluster
 from tests.test_surrogate_chain import CONTEXTS, Steps, _step
 
@@ -109,6 +112,17 @@ class Rig:
 
 @pytest.mark.parametrize("context", CONTEXTS)
 def test_sixteen_notices_to_a_resident_thread(context):
+    _sixteen_notices(context)
+
+
+@pytest.mark.parametrize("context", CONTEXTS)
+def test_sixteen_notices_cost_the_same_on_wire_copies(context,
+                                                      serializing_wire):
+    """Every message a decoded copy of its encoding: the same literals."""
+    _sixteen_notices(context)
+
+
+def _sixteen_notices(context):
     rig = Rig(context)
     cluster = rig.cluster
     [surrogate] = rig.surrogates()
@@ -199,3 +213,75 @@ def test_a_surrogate_does_not_travel(context):
     assert thread.completion.done and cluster.live_threads == {}
     assert _names(cluster, back.tid) == _NOWHERE
     assert rig.lifecycle_records() == (4, 4)
+
+
+class Allocations:
+    """``Activation`` and ``Ctx`` constructions, counted from outside."""
+
+    def __init__(self, monkeypatch):
+        self.counts = {Activation: 0, Ctx: 0}
+        for cls in self.counts:
+            monkeypatch.setattr(cls, "__init__", self._counting(cls))
+
+    def _counting(self, cls):
+        init = cls.__init__
+
+        def counting(instance, *args, **kwargs):
+            self.counts[cls] += 1
+            init(instance, *args, **kwargs)
+        return counting
+
+    def taken(self):
+        counts = dict(self.counts)
+        self.counts.update(dict.fromkeys(counts, 0))
+        return counts[Activation], counts[Ctx]
+
+
+@pytest.mark.parametrize("wire", ["shared", "wire"])
+def test_current_handler_runs_allocate_no_frame(wire, request, monkeypatch):
+    """After the warm-up notice, N notices x DEPTH per-thread-memory
+    handler runs build no ``Activation`` and no ``Ctx``: each run is a
+    generator on the surrogate's kept activation. No cycle is left for
+    the collector, on the node or after the owner leaves and ends, and
+    the kept activation pins no notice's block once its chain is over."""
+    if wire == "wire":
+        request.getfixturevalue("serializing_wire")
+    rig = Rig("current")
+    allocations = Allocations(monkeypatch)
+    # EventBlock has no __weakref__ slot: a finalizer marks its death
+    concluded, live = [], set()
+    conclude = Settler.conclude
+
+    def concluding(self, block, *args, **kwargs):
+        concluded.append(block.block_id)
+        live.add(id(block))
+        return conclude(self, block, *args, **kwargs)
+
+    monkeypatch.setattr(Settler, "conclude", concluding)
+    monkeypatch.setattr(EventBlock, "__del__",
+                        lambda block: live.discard(id(block)), raising=False)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(N):
+            rig.notices(1)
+            assert live == set()
+        assert allocations.taken() == (0, 0)
+        assert len(concluded) == N and len(rig.seen) == DEPTH * (N + 1)
+        [surrogate] = rig.surrogates()
+        kept = surrogate.kept
+        assert (kept.gen, kept.obj, kept.event_block) == (None, None, None)
+        assert gc.collect() == 0
+        rig.inbox.put("visit")  # the owner leaves node 0 ...
+        rig.cluster.run()
+        assert kept.ctx is None and rig.surrogates() == []
+        assert gc.collect() == 0
+        rig.notices(2)  # ... is noticed on node 1, comes back and ends
+        rig.inbox.put("return")
+        rig.inbox.put("finish")
+        rig.cluster.run()
+        assert rig.thread.completion.done and rig.cluster.live_threads == {}
+        assert gc.collect() == 0
+        assert len(concluded) == N + 2 and live == set()
+    finally:
+        gc.enable()
