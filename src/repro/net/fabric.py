@@ -64,6 +64,9 @@ class Fabric:
         self.faults = faults or FaultPlan()
         self.tracer = tracer
         self.stats = TrafficStats()
+        # the transport's endpoint registry itself: one dict probe per
+        # arrival, no accessor frame
+        self._endpoints = transport._endpoints
         transport.set_delivery_hook(self._deliver)
         # per-fabric message ids keep traces deterministic across runs
         self._msg_ids = itertools.count(1)
@@ -104,17 +107,17 @@ class Fabric:
     # ------------------------------------------------------------------
 
     def send(self, message: Message) -> None:
-        """Send a point-to-point message (asynchronously, in virtual time)."""
+        """Send a point-to-point message (asynchronously, in virtual time).
+
+        One function from the caller to the wire: every envelope pays
+        this path, so it is not split into relays.
+        """
         dst = message.dst
-        if not self.transport.routable(dst) and not self.transport.known(dst):
+        transport = self.transport
+        routable = transport.routable(dst)
+        if not routable and not transport.known(dst):
             raise UnknownNodeError(f"no node {dst!r} attached to fabric")
-        self._transmit(message, int(dst))
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-
-    def _transmit(self, message: Message, dst: int) -> None:
+        dst = int(dst)
         message.msg_id = next(self._msg_ids)
         if self._gossip_hooks and message.gossip is None:
             hook = self._gossip_hooks.get(message.src)
@@ -127,11 +130,16 @@ class Fabric:
                     # ordering makes harmless.
                     message.gossip = updates
                     message.size += 6 * len(updates)
-        self.stats.record_send(message.src, message.mtype, message.size)
-        if self.tracer is not None and "net" not in self.tracer.muted:
-            self.tracer.emit("net", "send", src=message.src, dst=dst,
-                             mtype=message.mtype, msg_id=message.msg_id)
-        if not self.transport.routable(dst):
+        stats = self.stats
+        stats.sent += 1
+        stats.bytes_sent += message.size
+        by_type = stats.by_type
+        by_type[message.mtype] = by_type.get(message.mtype, 0) + 1
+        tracer = self.tracer
+        if tracer is not None and "net" not in tracer.muted:
+            tracer.emit("net", "send", src=message.src, dst=dst,
+                        mtype=message.mtype, msg_id=message.msg_id)
+        if not routable:
             # Known-but-detached destination: the node crashed. The wire
             # swallows the message; reliable channels retransmit until
             # the node recovers or the budget runs out.
@@ -141,14 +149,19 @@ class Fabric:
         if copies == 0:
             self._drop(message, dst)
             return
-        for i in range(copies):
+        latency = self.latency
+        transport.post(message, dst, latency.delay(message.src, dst, message))
+        for _ in range(copies - 1):
             # Each duplicated copy is a distinct envelope with its own
             # msg_id and its own top-level payload dict: a receiver that
             # mutates the payload must not corrupt the other copy. The
             # reliability header is shared so dedup still collapses them.
-            copy = message if i == 0 else self._clone(message)
-            delay = self.latency.delay(copy.src, dst, copy)
-            self.transport.post(copy, dst, delay)
+            copy = self._clone(message)
+            transport.post(copy, dst, latency.delay(copy.src, dst, copy))
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
 
     def _clone(self, message: Message) -> Message:
         payload = message.payload
@@ -162,21 +175,24 @@ class Fabric:
         return clone
 
     def _drop(self, message: Message, dst: int) -> None:
-        self.stats.record_drop()
+        self.stats.dropped += 1
         if self.tracer is not None and "net" not in self.tracer.muted:
             self.tracer.emit("net", "drop", src=message.src, dst=dst,
                              mtype=message.mtype, msg_id=message.msg_id)
 
     def _deliver(self, message: Message, dst: int) -> None:
-        endpoint = self.transport.endpoint(dst)
+        """The transport's delivery hook: the sim wire schedules it as the
+        arrival callback itself."""
+        endpoint = self._endpoints.get(dst)
         if endpoint is None:
             # Node detached while the message was in flight; the paper's
             # model treats this as a silent loss (fault tolerance is out
             # of scope, section 7.2).
-            self.stats.record_drop()
+            self.stats.dropped += 1
             return
-        self.stats.record_delivery(message.src, dst)
-        if self.tracer is not None and "net" not in self.tracer.muted:
-            self.tracer.emit("net", "deliver", src=message.src, dst=dst,
-                             mtype=message.mtype, msg_id=message.msg_id)
+        self.stats.delivered += 1
+        tracer = self.tracer
+        if tracer is not None and "net" not in tracer.muted:
+            tracer.emit("net", "deliver", src=message.src, dst=dst,
+                        mtype=message.mtype, msg_id=message.msg_id)
         endpoint(message)

@@ -107,7 +107,8 @@ class FaultPlan:
         if isinstance(dst, int):
             if src == dst:
                 return 1
-            if self.is_cut(src, dst):
+            cuts = self._cuts
+            if cuts and (src, dst) in cuts:
                 self._count_drop(message.mtype)
                 return 0
         if self.drop_rate and self._stream.random() < self.drop_rate:

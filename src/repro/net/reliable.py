@@ -215,7 +215,8 @@ class ReliableChannel:
         if len(peer.pending) > peer.inflight_hwm:
             peer.inflight_hwm = len(peer.pending)
         self.sends += 1
-        self._maybe_piggyback(message, dst)
+        if dst in self._ack_timer:
+            self._maybe_piggyback(message, dst)
         self.fabric.send(message)
         if peer.timer is None:
             peer.timer = self.sim.call_after(
@@ -373,6 +374,12 @@ class ReliableChannel:
         """
         sender, seq = message.rel  # type: ignore[misc]
         floor = self._floor.get(sender, 0)
+        if seq == floor + 1 and not self._seen.get(sender):
+            # In order with nothing held above the floor: the floor moves
+            # by one and no out-of-order set is built or touched.
+            self._floor[sender] = seq
+            self._schedule_ack(sender)
+            return True
         seen = self._seen.setdefault(sender, set())
         if seq <= floor or seq in seen:
             self.duplicates_suppressed += 1

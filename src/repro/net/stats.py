@@ -14,27 +14,17 @@ from typing import Any
 
 @dataclass
 class TrafficStats:
-    """Counters over everything a fabric has carried."""
+    """Counters over everything a fabric has carried.
+
+    :class:`~repro.net.fabric.Fabric` updates the fields in place on its
+    send and delivery paths.
+    """
 
     sent: int = 0
     delivered: int = 0
     dropped: int = 0
     bytes_sent: int = 0
     by_type: dict[str, int] = field(default_factory=dict)
-    by_link: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def record_send(self, src: int, mtype: str, size: int) -> None:
-        self.sent += 1
-        self.bytes_sent += size
-        self.by_type[mtype] = self.by_type.get(mtype, 0) + 1
-
-    def record_delivery(self, src: int, dst: int) -> None:
-        self.delivered += 1
-        key = (src, dst)
-        self.by_link[key] = self.by_link.get(key, 0) + 1
-
-    def record_drop(self) -> None:
-        self.dropped += 1
 
     def count(self, mtype: str) -> int:
         """Messages sent with the given type tag."""
@@ -62,7 +52,6 @@ class TrafficStats:
     def reset(self) -> None:
         self.sent = self.delivered = self.dropped = self.bytes_sent = 0
         self.by_type.clear()
-        self.by_link.clear()
 
 
 class LatencyReservoir:

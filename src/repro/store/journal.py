@@ -74,9 +74,6 @@ RECORD_SIZES = {
 _RTYPE_INFO = {name: (sys.intern(name), size)
                for name, size in RECORD_SIZES.items()}
 
-#: pooled record slots a journal keeps per node (fed by truncation)
-_POOL_CAP = 512
-
 
 class JournalRecord:
     """One appended record: a log sequence number, a type, and data.
@@ -84,11 +81,8 @@ class JournalRecord:
     A ``__slots__`` class rather than a frozen dataclass: the durable
     path mints one of these per journaled operation (~3 per post), so
     the dataclass ``__init__`` indirection and per-instance dict were
-    measurable churn — the named hotspot in BENCH_soak.json's durable
-    row. Instances are also recycled through a per-journal free list
-    fed by checkpoint truncation (truncated records are unreachable by
-    contract: replay only ever reads the latest checkpoint and its
-    tail).
+    measurable churn on the durable path. A record is never reused: one
+    a caller still holds after truncation keeps its fields.
     """
 
     __slots__ = ("lsn", "rtype", "data", "size")
@@ -117,10 +111,9 @@ class NodeJournal:
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
-        # Append-only with prefix truncation: a deque gives O(1) appends
-        # AND O(1)-amortised popleft truncation (the old list rebuild
-        # made every checkpoint O(retained), hot under small
-        # checkpoint_interval).
+        # Append-only with prefix truncation: a deque gives O(1) appends,
+        # and a checkpoint keeps only the short suffix after its own
+        # record, so truncation copies little.
         self._records: deque[JournalRecord] = deque()
         self._next_lsn = 1
         #: the newest ``checkpoint`` record, indexed at append time so
@@ -129,8 +122,6 @@ class NodeJournal:
         #: records appended after the newest checkpoint, maintained at
         #: append time so :meth:`tail` never scans the retained log
         self._tail_len = 0
-        #: free list of recycled record slabs (fed by truncation)
-        self._pool: list[JournalRecord] = []
         self.appends = 0
         self.bytes_appended = 0
         #: commit units: one per :meth:`append`, one per whole
@@ -151,16 +142,7 @@ class NodeJournal:
         if info is None:
             raise KernelError(f"unknown journal record type {rtype!r}")
         rtype, size = info
-        pool = self._pool
-        if pool:
-            # pooled slab: overwrite every field (nothing survives)
-            record = pool.pop()
-            record.lsn = self._next_lsn
-            record.rtype = rtype
-            record.data = data
-            record.size = size
-        else:
-            record = JournalRecord(self._next_lsn, rtype, data, size)
+        record = JournalRecord(self._next_lsn, rtype, data, size)
         self._next_lsn += 1
         self._records.append(record)
         self.appends += 1
@@ -234,24 +216,14 @@ class NodeJournal:
 
         Returns how many records were dropped. Called by the checkpoint
         manager right after it appended the covering checkpoint record.
-        LSNs are appended in order, so the drop set is a prefix: popleft
-        until the head survives — O(dropped) amortised, not O(retained)
-        like the old list rebuild.
+        LSNs are consecutive, so the drop set is the first
+        ``lsn - head.lsn`` records, cut off in one slice.
         """
-        dropped = 0
         records = self._records
-        pool = self._pool
-        free = _POOL_CAP - len(pool)
-        while records and records[0].lsn < lsn:
-            record = records.popleft()
-            dropped += 1
-            if free > 0:
-                free -= 1
-                # recycle the slab; drop its payload reference so a
-                # truncated checkpoint's state snapshot is freed now
-                record.data = None
-                pool.append(record)
+        dropped = (max(0, min(len(records), lsn - records[0].lsn))
+                   if records else 0)
         if dropped:
+            self._records = deque(islice(records, dropped, None))
             self.truncations += 1
             self.records_truncated += dropped
         if (self._checkpoint_rec is not None

@@ -27,7 +27,8 @@ things:
    and delivers it to the destination endpoint that much later (virtual
    time on the simulators, wall-clock on TCP), through a single
    delivery hook the :class:`~repro.net.fabric.Fabric` installs so
-   stats/tracing/fault bookkeeping stay in one place;
+   stats/tracing/fault bookkeeping stay in one place (the simulators
+   schedule that hook as the arrival callback itself);
 3. **the clock** — :attr:`Transport.scheduler` exposes the
    ``Simulator``-shaped surface (``now``/``call_at``/``call_after``/
    ``call_soon``/``run``/``pending``/``stats``) every other subsystem
@@ -129,7 +130,9 @@ class Transport(ABC):
 
         Every arriving envelope is handed to ``hook(message, dst)``; the
         hook does the stats/trace bookkeeping and invokes the endpoint
-        (or records the drop when the node detached in flight).
+        (or records the drop when the node detached in flight). The sim
+        backends schedule the hook directly, so it must be installed
+        before the first :meth:`post`.
         """
         self._hook = hook
 

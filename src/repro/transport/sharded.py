@@ -137,7 +137,7 @@ class ShardSimTransport(SimTransport):
     def inject(self, message: "Message", dst: int, deliver_at: float) -> None:
         """Schedule an arrival merged in at the window barrier."""
         self.cross_received += 1
-        self.scheduler.call_at(deliver_at, self._dispatch, message, dst)
+        self.scheduler.call_at(deliver_at, self._hook, message, dst)
 
     def stats(self) -> dict[str, Any]:
         data = super().stats()

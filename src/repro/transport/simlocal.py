@@ -2,10 +2,12 @@
 
 :class:`SimTransport` realizes the :class:`~repro.transport.base.Transport`
 port over the in-process discrete-event :class:`~repro.sim.scheduler.
-Simulator`: delivery after ``delay`` is exactly one ``call_after`` on the
-shared virtual clock, so the port refactor costs nothing — same-seed runs
-are bit-identical to the pre-port tree (``benchmarks/smoke.py transport``
-holds the chaos/durable/fastpath digests to the frozen reference values).
+Simulator`: delivery after ``delay`` is exactly one ``call_at`` on the
+shared virtual clock, and the callback it schedules is the fabric's
+delivery hook itself — the wire adds no frame of its own on either end.
+Same-seed runs are bit-identical to the pre-port tree
+(``tests/test_transport.py::REFERENCE_DIGESTS`` holds the
+chaos/durable/fastpath digests to the frozen reference values).
 """
 
 from __future__ import annotations
@@ -39,14 +41,13 @@ class SimTransport(Transport):
         self._posted = 0
 
     def post(self, message: "Message", dst: int, delay: float) -> None:
-        self._posted += 1
-        self.scheduler.call_after(delay, self._dispatch, message, dst)
-
-    def _dispatch(self, message: "Message", dst: int) -> None:
         # The hook (Fabric._deliver) owns stats/tracing and handles the
         # detached-in-flight case; a hook is always installed by the
-        # time messages move.
-        self._hook(message, dst)
+        # time messages move. ``now + delay`` is the float ``call_after``
+        # would compute.
+        self._posted += 1
+        scheduler = self.scheduler
+        scheduler.call_at(scheduler.now + delay, self._hook, message, dst)
 
     def stats(self) -> dict[str, Any]:
         data = super().stats()

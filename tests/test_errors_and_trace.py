@@ -59,27 +59,38 @@ class TestMessageEnvelope:
 
 
 class TestTrafficStats:
-    def test_by_link_counts(self):
-        from repro.net import Fabric, Message
+    def test_counts_after_sends_a_crash_drop_and_a_duplicate(self):
+        from repro.net import Fabric, FaultPlan, Message
         from repro.sim import Simulator
 
         sim = Simulator()
-        fabric = Fabric(sim)
-        fabric.attach(0, lambda m: None)
-        fabric.attach(1, lambda m: None)
+        faults = FaultPlan()
+        fabric = Fabric(sim, faults=faults)
+        inbox = []
+        for node in range(3):
+            fabric.attach(node, inbox.append)
         for _ in range(3):
-            fabric.send(Message(src=0, dst=1, mtype="x"))
-        fabric.send(Message(src=1, dst=0, mtype="x"))
+            fabric.send(Message(src=0, dst=1, mtype="x", size=10))
+        fabric.send(Message(src=1, dst=0, mtype="y", size=20))
+        fabric.detach(2)  # crashed: known but not routable
+        fabric.send(Message(src=0, dst=2, mtype="x", size=10))
+        faults.duplicate_rate = 1.0
+        fabric.send(Message(src=0, dst=1, mtype="z", size=30))
         sim.run()
-        assert fabric.stats.by_link[(0, 1)] == 3
-        assert fabric.stats.by_link[(1, 0)] == 1
+        assert len(inbox) == 6
+        stats = fabric.stats
+        assert (stats.sent, stats.delivered, stats.dropped,
+                stats.bytes_sent) == (6, 6, 1, 90)
+        assert stats.by_type == {"x": 4, "y": 1, "z": 1}
+        assert stats.snapshot() == {
+            "sent": 6, "delivered": 6, "dropped": 1, "bytes_sent": 90,
+            "type:x": 4, "type:y": 1, "type:z": 1}
 
     def test_reset(self):
         from repro.net.stats import TrafficStats
 
-        stats = TrafficStats()
-        stats.record_send(0, "a", 10)
-        stats.record_delivery(0, 1)
+        stats = TrafficStats(sent=1, delivered=1, dropped=1, bytes_sent=10,
+                             by_type={"a": 1})
         stats.reset()
-        assert stats.snapshot()["sent"] == 0
-        assert stats.by_link == {}
+        assert stats.snapshot() == {"sent": 0, "delivered": 0, "dropped": 0,
+                                    "bytes_sent": 0}

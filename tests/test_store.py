@@ -75,6 +75,19 @@ class TestNodeJournal:
         assert journal.records_truncated == 3
         # lsn counter keeps climbing after truncation
         assert journal.append(REC_POST, entry_id=(0, 9)).lsn == 6
+        # below the head: nothing to drop, and no truncation counted
+        assert journal.truncate_before(4) == 0
+        assert journal.truncations == 1
+        assert [r.lsn for r in journal] == [4, 5, 6]
+
+    def test_truncated_record_keeps_its_fields(self):
+        journal = make_journal()
+        held = journal.append(REC_POST, entry_id=(0, 1))
+        journal.append(REC_CHECKPOINT, state={})
+        assert journal.truncate_before(2) == 1
+        journal.append(REC_ACK, entry_id=(0, 1), status="delivered")
+        assert (held.lsn, held.rtype, held.data) == (
+            1, REC_POST, {"entry_id": (0, 1)})
 
 
 class TestJournalGroupCommit:
