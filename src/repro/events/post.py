@@ -55,7 +55,6 @@ class Poster:
         self.tracer = cluster.tracer
         self.kernels = cluster.kernels
         self.live_threads = cluster.live_threads
-        self.transmit = cluster.transmit
         self.require_event = cluster.names.require_event
         self.supervisor = supervisor
         self.settle = settle
@@ -192,9 +191,8 @@ class Poster:
             return
         message = Message(src=from_node, dst=cap.home, mtype=MSG_POST_OBJECT,
                           size=128, payload={"block": block, "oid": cap.oid})
-        self.transmit(message,
-                      on_give_up=lambda m: self._object_post_failed(block,
-                                                                    cap))
+        self.kernels[from_node].transmit(
+            message, lambda m: self._object_post_failed(block, cap))
 
     def _degrade_expired(self, block: EventBlock) -> None:
         if self.settle.unconfirmed.pop(block.block_id, None) is None:

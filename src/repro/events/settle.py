@@ -223,7 +223,7 @@ class Settler:
         if node == wait.node:
             self.sim.call_soon(self._arrive, token, value, error)
             return
-        self.cluster.transmit(Message(
+        self.cluster.kernels[node].transmit(Message(
             src=node, dst=wait.node, mtype=MSG_RESUME, size=96,
             payload={"token": token, "value": value, "error": error}),
             on_give_up=lambda m: self._arrive(

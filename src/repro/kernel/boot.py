@@ -18,7 +18,7 @@ from repro.events.delivery import EventManager
 from repro.events.names import seed_system_events
 from repro.kernel.config import ClusterConfig
 from repro.kernel.names import NameService
-from repro.kernel.node import Kernel, Node
+from repro.kernel.node import Kernel
 from repro.net.fabric import Fabric
 from repro.net.faults import FaultPlan
 from repro.net.latency import FixedLatency, LatencyModel
@@ -94,42 +94,25 @@ class Cluster:
         #: them on the single-process backends, one contiguous shard
         #: block inside a sharded worker
         self.local_node_ids = list(self.config.local_node_ids())
-        self.nodes = [Node(self, i) for i in self.local_node_ids]
-        self.kernels = {node.node_id: node.kernel for node in self.nodes}
-        for node in self.nodes:
-            node.kernel.id_allocator = IdAllocator(node.node_id)
-            node.kernel.objects = ObjectManager(node.kernel)
+        self.kernels = {i: Kernel(self, i) for i in self.local_node_ids}
+        for kernel in self.kernels.values():
+            kernel.id_allocator = IdAllocator(kernel.node_id)
+            kernel.objects = ObjectManager(kernel)
         self.invoker = InvocationEngine(self)
         self.events = EventManager(self)
         self.dsm = DsmManager(self)
-        for node in self.nodes:
-            node.kernel.invoker = self.invoker
-            node.kernel.events = self.events
-            node.kernel.dsm = self.dsm
+        for kernel in self.kernels.values():
+            kernel.invoker = self.invoker
+            kernel.events = self.events
+            kernel.dsm = self.dsm
         # Failure detection (inert unless ``swim_interval`` is set;
         # arming happens after wiring so pings can dispatch).
-        for node in self.nodes:
-            node.kernel.membership.start()
+        for kernel in self.kernels.values():
+            kernel.membership.start()
         # Bring the medium up last: endpoints are all registered by now.
         # A no-op for the in-process simulator; binds listening sockets
         # for tcp and declares remote shard peers for sharded workers.
         self.transport.start()
-
-    # ------------------------------------------------------------------
-    # messaging
-    # ------------------------------------------------------------------
-
-    def transmit(self, message: Any, on_give_up: Any = None) -> None:
-        """Send through the source node's kernel (reliable when enabled).
-
-        Falls back to the raw fabric for sources that are not kernels
-        (e.g. external raisers using a pseudo node id).
-        """
-        kernel = self.kernels.get(message.src)
-        if kernel is not None:
-            kernel.transmit(message, on_give_up)
-        else:
-            self.fabric.send(message)
 
     # ------------------------------------------------------------------
     # crash / recovery

@@ -1,4 +1,4 @@
-"""A cluster node and its kernel.
+"""A cluster node's kernel.
 
 The :class:`Kernel` is a thin composition shell: it owns the node-local
 services (RPC endpoint, timer service, thread table) and a message
@@ -42,8 +42,7 @@ class Kernel:
         self.fabric = cluster.fabric
         self.config = cluster.config
         self.tracer = cluster.tracer
-        self.rpc = RpcEngine(cluster.sim, cluster.fabric, node_id)
-        self.rpc.kernel = self
+        self.rpc = RpcEngine(self)
         self.reliable = ReliableChannel(
             cluster.sim, cluster.fabric, node_id,
             rto_base=cluster.config.retransmit_base,
@@ -211,14 +210,3 @@ class Kernel:
         if self.config.durable_delivery:
             self.store.schedule_redelivery(replay_time)
         self.membership.rejoin()
-
-
-class Node:
-    """A machine in the simulated cluster."""
-
-    def __init__(self, cluster: "Cluster", node_id: int) -> None:
-        self.node_id = node_id
-        self.kernel = Kernel(cluster, node_id)
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostic only
-        return f"<Node {self.node_id}>"

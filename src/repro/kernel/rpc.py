@@ -22,10 +22,8 @@ import itertools
 from typing import Any, Callable
 
 from repro.errors import RpcError, RpcTimeout
-from repro.net.fabric import Fabric
 from repro.net.message import Message
 from repro.sim.primitives import SimFuture
-from repro.sim.scheduler import Simulator
 
 MSG_REQUEST = "rpc.request"
 MSG_REPLY = "rpc.reply"
@@ -63,18 +61,15 @@ class _Call:
 class RpcEngine:
     """Per-node request/reply endpoint.
 
-    One engine lives in each kernel; all engines share the fabric. The
-    engine owns the two message types above — the kernel routes them here.
-    The owning kernel assigns itself to :attr:`kernel` after construction
-    so requests can flow through its (possibly reliable) transmit path
-    and pick up config defaults.
+    One engine lives in each kernel and sends through the kernel's
+    (possibly reliable) transmit path. The engine owns the two message
+    types above — the kernel routes them here.
     """
 
-    def __init__(self, sim: Simulator, fabric: Fabric, node_id: int) -> None:
-        self.sim = sim
-        self.fabric = fabric
-        self.node_id = node_id
-        self.kernel: Any = None  # set by Kernel.__init__
+    def __init__(self, kernel: Any) -> None:
+        self.sim = kernel.sim
+        self.node_id = kernel.node_id
+        self.kernel = kernel
         self._services: dict[str, ServiceFn] = {}
         self._outstanding: dict[int, _Call] = {}
         self._call_ids = itertools.count(1)
@@ -103,25 +98,18 @@ class RpcEngine:
         :class:`RpcTimeout` — used by locators to detect dead threads.
         When omitted, ``config.rpc_default_timeout`` applies.
         """
-        config = self.kernel.config if self.kernel is not None else None
-        if timeout is None and config is not None:
-            timeout = config.rpc_default_timeout
+        if timeout is None:
+            timeout = self.kernel.config.rpc_default_timeout
         call_id = next(self._call_ids)
         fut: SimFuture[Any] = SimFuture(self.sim)
         self._outstanding[call_id] = _Call(fut, dst, service, timeout)
-        self._send(Message(
+        self.kernel.transmit(Message(
             src=self.node_id, dst=dst, mtype=MSG_REQUEST, size=size,
             payload={"call_id": call_id, "service": service,
                      "payload": payload, "reply_to": self.node_id}))
         if timeout is not None:
             self.sim.call_after(timeout, self._expire, call_id)
         return fut
-
-    def _send(self, envelope: Message) -> None:
-        if self.kernel is not None:
-            self.kernel.transmit(envelope)
-        else:
-            self.fabric.send(envelope)
 
     def _expire(self, call_id: int) -> None:
         call = self._outstanding.pop(call_id, None)
@@ -199,7 +187,7 @@ class RpcEngine:
             result = result.value
         outcome = ({"result": result} if error is None
                    else {"error": error})
-        self._send(Message(
+        self.kernel.transmit(Message(
             src=self.node_id, dst=body["reply_to"], mtype=MSG_REPLY,
             size=size, payload={"call_id": body["call_id"], **outcome}))
 

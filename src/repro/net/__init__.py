@@ -1,8 +1,4 @@
-"""Simulated message fabric: point-to-point links, latency, faults, stats.
-
-:class:`MulticastRegistry` is the group-membership table the §7.1
-multicast locator keeps; nothing here sends to a group.
-"""
+"""Simulated message fabric: point-to-point links, latency, faults, stats."""
 
 from repro.net.fabric import Fabric
 from repro.net.faults import FaultPlan
@@ -15,7 +11,6 @@ from repro.net.latency import (
     UniformLatency,
 )
 from repro.net.message import Message
-from repro.net.multicast import MulticastRegistry
 from repro.net.stats import TrafficStats
 
 __all__ = [
@@ -27,7 +22,6 @@ __all__ = [
     "LognormalLatency",
     "MatrixLatency",
     "Message",
-    "MulticastRegistry",
     "TrafficStats",
     "UniformLatency",
 ]

@@ -17,7 +17,7 @@ tracing — so those behave identically on every backend.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable
+from typing import Callable
 
 from repro.errors import UnknownNodeError
 from repro.net.faults import FaultPlan
@@ -36,10 +36,7 @@ class Fabric:
     Parameters
     ----------
     transport:
-        The medium: a :class:`~repro.transport.base.Transport`, or — for
-        backward compatibility with direct construction in tests — a
-        bare :class:`~repro.sim.scheduler.Simulator`, which is wrapped
-        in a :class:`~repro.transport.simlocal.SimTransport`.
+        The medium: a :class:`~repro.transport.base.Transport`.
     latency:
         Latency model (defaults to 1 ms fixed).
     faults:
@@ -49,13 +46,10 @@ class Fabric:
         under the ``net`` category.
     """
 
-    def __init__(self, transport: Transport | Any,
+    def __init__(self, transport: Transport,
                  latency: LatencyModel | None = None,
                  faults: FaultPlan | None = None,
                  tracer: Tracer | None = None) -> None:
-        if not isinstance(transport, Transport):
-            from repro.transport.simlocal import SimTransport
-            transport = SimTransport(transport)
         self.transport = transport
         #: the transport's clock — the same object every kernel
         #: schedules on (a Simulator on the sim backends)

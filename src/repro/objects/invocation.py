@@ -266,7 +266,7 @@ class InvocationEngine:
         """
         thread.hop += 1
         thread.carried = carried
-        self.cluster.transmit(
+        self.cluster.kernels[src].transmit(
             Message(src=src, dst=dst, mtype=mtype, size=size,
                     payload={"tid": thread.tid, "hop": thread.hop, **fields}),
             on_give_up=lambda m: self.destroy_thread_abrupt(

@@ -18,11 +18,8 @@ The sharded and tcp modules are imported lazily by the factory so the
 deterministic test path never pays for asyncio or multiprocessing.
 """
 
-from repro.transport.base import (
-    TRANSPORT_BACKEND_NAMES,
-    Transport,
-    make_transport,
-)
+from repro.kernel.config import TRANSPORT_BACKEND_NAMES
+from repro.transport.base import Transport, make_transport
 from repro.transport.simlocal import SimTransport
 
 __all__ = [

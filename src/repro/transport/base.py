@@ -48,6 +48,10 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import NetworkError
+from repro.kernel.config import (
+    TRANSPORT_BACKEND_SHARDED,
+    TRANSPORT_BACKEND_SIM,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.message import Message
@@ -56,12 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DeliveryFn = Callable[["Message"], None]
 #: hook the fabric installs: ``(message, dst)`` at delivery time
 DeliveryHook = Callable[["Message", int], None]
-
-#: transport backend names (`ClusterConfig.transport`)
-TRANSPORT_SIM = "sim"
-TRANSPORT_SHARDED = "sharded"
-TRANSPORT_TCP = "tcp"
-TRANSPORT_BACKEND_NAMES = (TRANSPORT_SIM, TRANSPORT_SHARDED, TRANSPORT_TCP)
 
 
 class Transport(ABC):
@@ -160,18 +158,19 @@ class Transport(ABC):
 
 
 def make_transport(config: Any) -> Transport:
-    """Build the transport named by ``config.transport``.
+    """Build the transport named by ``config.transport`` (``sim``,
+    ``sharded`` or ``tcp``: ``ClusterConfig`` rejects any other name).
 
     The import dance is deliberate: the TCP backend pulls in asyncio and
     the sharded backend pulls in multiprocessing, neither of which the
     deterministic test suite should pay for.
     """
-    name = getattr(config, "transport", TRANSPORT_SIM)
-    if name == TRANSPORT_SIM:
+    name = config.transport
+    if name == TRANSPORT_BACKEND_SIM:
         from repro.sim.scheduler import make_simulator
         from repro.transport.simlocal import SimTransport
         return SimTransport(make_simulator(config.scheduler))
-    if name == TRANSPORT_SHARDED:
+    if name == TRANSPORT_BACKEND_SHARDED:
         from repro.sim.scheduler import make_simulator
         from repro.transport.sharded import ShardSimTransport
         if config.shard_index is None:
@@ -184,10 +183,6 @@ def make_transport(config: Any) -> Transport:
             local_nodes=config.local_node_ids(),
             all_nodes=range(config.n_nodes),
             lookahead=config.link_latency)
-    if name == TRANSPORT_TCP:
-        from repro.transport.tcp import AsyncioTransport
-        return AsyncioTransport(host=config.tcp_host,
-                                base_port=config.tcp_base_port)
-    raise NetworkError(
-        f"unknown transport backend {name!r}; "
-        f"choose from {TRANSPORT_BACKEND_NAMES}")
+    from repro.transport.tcp import AsyncioTransport
+    return AsyncioTransport(host=config.tcp_host,
+                            base_port=config.tcp_base_port)

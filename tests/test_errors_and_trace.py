@@ -62,10 +62,11 @@ class TestTrafficStats:
     def test_counts_after_sends_a_crash_drop_and_a_duplicate(self):
         from repro.net import Fabric, FaultPlan, Message
         from repro.sim import Simulator
+        from repro.transport.simlocal import SimTransport
 
         sim = Simulator()
         faults = FaultPlan()
-        fabric = Fabric(sim, faults=faults)
+        fabric = Fabric(SimTransport(sim), faults=faults)
         inbox = []
         for node in range(3):
             fabric.attach(node, inbox.append)

@@ -1,5 +1,7 @@
 """Tests for the §7.1 thread-location strategies."""
 
+from importlib import import_module
+
 import pytest
 
 from repro import Decision, DistObject, entry
@@ -16,6 +18,15 @@ def _deep_thread(cluster, depth):
     thread = cluster.spawn(caps[0], "hop_and_hold", caps[1:], 1000.0, at=0)
     cluster.run(until=1.0)
     return thread
+
+
+@pytest.mark.parametrize("name", ["PathLocator", "BroadcastLocator",
+                                  "MulticastLocator", "CachedLocator"])
+def test_what_the_e17_tracer_needs_from_the_locators(name):
+    """``benchmarks/e17/trace.py`` looks each class up as an attribute of
+    ``repro.events.locate`` and wraps ``vars(cls)["post"]``: the class
+    body itself must bind ``post``, an inherited one is not wrapped."""
+    assert "post" in vars(getattr(import_module("repro.events.locate"), name))
 
 
 @pytest.mark.parametrize("locator", ["path", "broadcast", "multicast",
@@ -394,7 +405,7 @@ class TestCachedLocator:
         assert cluster.events.dead_targets >= 1
 
     def test_hint_table_is_bounded_lru(self):
-        from repro.kernel.tcb import LocationHintTable
+        from repro.events.locate import LocationHintTable
 
         table = LocationHintTable(node_id=0, capacity=2)
         table.install("t1", 1)

@@ -21,10 +21,9 @@ from repro.errors import (
 )
 from repro.kernel.config import ClusterConfig
 from repro.kernel.names import NameService
-from repro.kernel.rpc import RpcEngine, SizedReply
+from repro.kernel.rpc import SizedReply
 from repro.kernel.tcb import ThreadTable
 from repro.kernel.timers import TimerService
-from repro.net import Fabric
 from repro.sim import Simulator, SimFuture
 
 
@@ -72,9 +71,10 @@ class TestClusterConfig:
         # the budget is a stage (or a second copy of a policy) growing
         # back into somebody else's
         events = pathlib.Path(repro.__file__).parent / "events"
-        sizes = {path.name: len(path.read_text().splitlines())
-                 for path in events.glob("*.py")}
-        assert len(sizes) > 5
+        sizes = {str(path.relative_to(events)):
+                 len(path.read_text().splitlines())
+                 for path in events.rglob("*.py")}
+        assert len(sizes) > 5 and "locate/base.py" in sizes
         assert {name: n for name, n in sizes.items() if n > 500} == {}
 
     def test_sim_surface_budget(self):
@@ -106,14 +106,14 @@ class TestClusterConfig:
 
     def test_location_state_has_one_owner(self):
         rule = ("§7.1 location state belongs to the locator that reads it: "
-                "only events/locate.py builds hint tables or multicast "
-                "groups, and nothing else names them")
+                "only events/locate/ defines or builds hint tables or "
+                "multicast groups, and nothing else names them")
         src = pathlib.Path(repro.__file__).parent
         built = {"LocationHintTable", "MulticastRegistry"}
         named = {"location_hints", "hint_holders", "multicast_groups"}
         found = []
         for path in src.rglob("*.py"):
-            if path == src / "events" / "locate.py":
+            if path.parent == src / "events" / "locate":
                 continue
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Call):
@@ -121,6 +121,8 @@ class TestClusterConfig:
                     name = getattr(fn, "id", getattr(fn, "attr", None))
                     if name in built:
                         found.append((path.name, node.lineno, name))
+                if isinstance(node, ast.ClassDef) and node.name in built:
+                    found.append((path.name, node.lineno, node.name))
                 name = getattr(node, "id", None) or (
                     node.attr if isinstance(node, ast.Attribute) else None)
                 if name in named:
@@ -128,7 +130,11 @@ class TestClusterConfig:
         assert found == [], rule
         # the fabric is point to point: no group addresses are exported
         assert not {"BROADCAST", "is_multicast", "multicast_address",
-                    "multicast_group"} & set(repro.net.__all__)
+                    "multicast_group", "MulticastRegistry"} & set(
+                        repro.net.__all__)
+        assert not (src / "net" / "multicast.py").exists()
+        assert "LocationHintTable" not in vars(
+            importlib.import_module("repro.kernel.tcb"))
 
     def test_wire_layers_name_no_general_serializer(self):
         # what crosses a wire is a codec value or a registered shape;
@@ -214,15 +220,8 @@ class TestThreadTable:
 
 
 def _rpc_pair():
-    sim = Simulator()
-    fabric = Fabric(sim)
-    engines = {}
-    for node in (0, 1):
-        engine = RpcEngine(sim, fabric, node)
-        engines[node] = engine
-        fabric.attach(node, lambda m, e=engine: (
-            e.on_request(m) if m.mtype == "rpc.request" else e.on_reply(m)))
-    return sim, engines
+    cluster = Cluster(ClusterConfig(n_nodes=2))
+    return cluster.sim, {i: k.rpc for i, k in cluster.kernels.items()}
 
 
 class TestRpc:
@@ -256,13 +255,14 @@ class TestRpc:
         from repro.transport.codec import decode_message, encode_message
         sim, engines = _rpc_pair()
         replies = []
-        on_reply = engines[0].on_reply
+        dispatch = engines[0].kernel._dispatch
+        on_reply = dispatch["rpc.reply"]
 
         def through_the_codec(message):
             replies.append(message.payload)
             on_reply(decode_message(encode_message(message)))
 
-        engines[0].on_reply = through_the_codec
+        dispatch["rpc.reply"] = through_the_codec
 
         def boom(payload, msg):
             raise RpcTimeout("inner call timed out")
@@ -308,7 +308,7 @@ class TestRpc:
 
     def test_sized_reply_controls_wire_size(self):
         sim, engines = _rpc_pair()
-        fabric_stats = engines[0].fabric.stats
+        fabric_stats = engines[0].kernel.fabric.stats
         engines[1].serve("page", lambda p, m: SizedReply("data", 4096))
         fut = engines[0].request(1, "page")
         sim.run()

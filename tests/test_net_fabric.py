@@ -10,15 +10,16 @@ from repro.net import (
     FixedLatency,
     LognormalLatency,
     Message,
-    MulticastRegistry,
     UniformLatency,
 )
+from repro.events.locate import MulticastRegistry
 from repro.sim import RngRegistry, Simulator, Tracer
+from repro.transport.simlocal import SimTransport
 
 
 def make_cluster(n=3, **fabric_kwargs):
     sim = Simulator()
-    fabric = Fabric(sim, **fabric_kwargs)
+    fabric = Fabric(SimTransport(sim), **fabric_kwargs)
     inboxes = {i: [] for i in range(n)}
     for i in range(n):
         fabric.attach(i, (lambda i: lambda m: inboxes[i].append(m))(i))
@@ -293,7 +294,7 @@ class TestStatsAndTrace:
     def test_tracer_sees_send_and_deliver(self):
         sim = Simulator()
         tracer = Tracer(sim)
-        fabric = Fabric(sim, tracer=tracer)
+        fabric = Fabric(SimTransport(sim), tracer=tracer)
         got = []
         fabric.attach(0, got.append)
         fabric.attach(1, got.append)

@@ -12,6 +12,7 @@ from repro.net.message import Message
 from repro.net.reliable import MSG_REL_ACK, ReliableChannel
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Simulator
+from repro.transport.simlocal import SimTransport
 
 
 def make_pair(plan=None, drop_acks_at=(), **channel_kw):
@@ -19,7 +20,8 @@ def make_pair(plan=None, drop_acks_at=(), **channel_kw):
     per-node counts of leading ``rel.ack`` envelopes to swallow (lost
     acks, deterministically)."""
     sim = Simulator()
-    fabric = Fabric(sim, FixedLatency(1e-3), faults=plan or FaultPlan())
+    fabric = Fabric(SimTransport(sim), FixedLatency(1e-3),
+                    faults=plan or FaultPlan())
     channels = {}
     delivered = []
     acked_data = []  # data envelopes that carried a piggybacked ack
@@ -313,7 +315,7 @@ class TestDuplicateDeliveryAliasing:
         (the rel header alone is shared, for dedup)."""
         plan = FaultPlan(RngRegistry(0), duplicate_rate=1.0)
         sim = Simulator()
-        fabric = Fabric(sim, FixedLatency(1e-3), faults=plan)
+        fabric = Fabric(SimTransport(sim), FixedLatency(1e-3), faults=plan)
         received = []
 
         def deliver(msg):

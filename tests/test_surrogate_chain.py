@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Decision, DistObject, entry, handler_entry
 from repro.errors import DeadThreadError
-from repro.kernel.tcb import LocationHintTable
+from repro.events.locate import LocationHintTable
 from repro.net.message import Message
 from repro.threads.ids import GroupId, ThreadId
 from repro.threads.thread import KIND_SURROGATE

@@ -22,14 +22,9 @@ import pytest
 from repro import Cluster, ClusterConfig
 from repro.errors import KernelError, NetworkError, SimulationError
 from repro.kernel.config import shard_bounds
-from repro.net.fabric import Fabric
 from repro.net.message import Message
 from repro.sim.scheduler import Simulator
-from repro.transport.base import (
-    TRANSPORT_BACKEND_NAMES,
-    Transport,
-    make_transport,
-)
+from repro.transport import TRANSPORT_BACKEND_NAMES, Transport, make_transport
 from repro.transport.realtime import RealtimeScheduler
 from repro.transport.sharded import ShardSimTransport, sharded_config
 from repro.transport.simlocal import SimTransport
@@ -98,25 +93,6 @@ class TestTransportPort:
         assert isinstance(sharded, ShardSimTransport)
         assert sharded.backend_name() == "sharded"
 
-    def test_factory_rejects_unknown_backend(self):
-        class Fake:
-            transport = "carrier-pigeon"
-        with pytest.raises(NetworkError, match="carrier-pigeon"):
-            make_transport(Fake())
-
-    def test_fabric_wraps_bare_simulator(self):
-        # Back-compat: tests that build Fabric(Simulator()) directly
-        # get a SimTransport wrapped in transparently.
-        sim = Simulator()
-        fabric = Fabric(sim)
-        assert isinstance(fabric.transport, SimTransport)
-        assert fabric.sim is sim
-        inbox = []
-        fabric.attach(0, inbox.append)
-        fabric.attach(1, inbox.append)
-        fabric.send(Message(src=0, dst=1, mtype="t.ping"))
-        sim.run()
-        assert [m.mtype for m in inbox] == ["t.ping"]
 
 
 # ----------------------------------------------------------------------
@@ -492,9 +468,9 @@ class TestAsyncioTransport:
                                         trace_net=False))
         try:
             gave_up = []
-            cluster.transmit(Message(src=0, dst=1, mtype="t.live",
-                                     payload=(object(),)),
-                             on_give_up=gave_up.append)
+            cluster.kernels[0].transmit(Message(
+                src=0, dst=1, mtype="t.live", payload=(object(),)),
+                on_give_up=gave_up.append)
             refused = 0
             deadline = cluster.now + 10.0
             while not gave_up and cluster.now < deadline:
