@@ -390,7 +390,7 @@ class Executor:
             # Outliving its run, it could destroy the surrogate under a
             # later handler of the chain.
             walk.watchdog = None
-            watchdog.cancel()
+            self.sim.cancel(watchdog)
         if not thread.alive:
             # The owner died under this frame: nobody is left to park with.
             self.invoker.retire_surrogate(thread)

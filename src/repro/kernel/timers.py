@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import KernelError
-from repro.sim.scheduler import Handle, Simulator
+from repro.sim.scheduler import Simulator
 
 
 @dataclass
@@ -26,7 +26,7 @@ class TimerEntry:
     callback: Callable[..., Any]
     args: tuple
     recurring: bool
-    handle: Handle
+    handle: list
     fired: int = 0
     cancelled: bool = False
 
@@ -58,7 +58,7 @@ class TimerService:
         if entry is None or entry.cancelled:
             return False
         entry.cancelled = True
-        entry.handle.cancel()
+        self.sim.cancel(entry.handle)
         return True
 
     def cancel_all(self) -> int:

@@ -52,7 +52,7 @@ from typing import Callable
 
 from repro.net.fabric import Fabric
 from repro.net.message import Message
-from repro.sim.scheduler import Handle, Simulator
+from repro.sim.scheduler import Simulator
 
 MSG_REL_ACK = "rel.ack"
 
@@ -100,7 +100,7 @@ class _Peer:
     def __init__(self, window: int | None) -> None:
         self.next_seq = 0
         self.pending: OrderedDict[int, _Pending] = OrderedDict()
-        self.timer: Handle | None = None
+        self.timer: list | None = None
         self.window = window
         self.parked: deque[tuple[Message, GiveUpFn | None]] = deque()
         self.inflight_hwm = 0
@@ -154,7 +154,7 @@ class ReliableChannel:
         self._floor: dict[int, int] = {}
         self._seen: dict[int, set[int]] = {}
         #: per-sender handle of the scheduled coalesced ack, if any
-        self._ack_timer: dict[int, Handle] = {}
+        self._ack_timer: dict[int, list] = {}
         self.sends = 0
         self.retransmits = 0
         self.gave_up = 0
@@ -239,8 +239,7 @@ class ReliableChannel:
             return
         if self._seen.get(dst):
             return
-        timer = self._ack_timer.pop(dst)
-        timer.cancel()
+        self.sim.cancel(self._ack_timer.pop(dst))
         message.ack = self._floor.get(dst, 0)
         self.acks_piggybacked += 1
 
@@ -343,7 +342,7 @@ class ReliableChannel:
             peer.window += 1
         if not peer.pending:
             if peer.timer is not None:
-                peer.timer.cancel()
+                self.sim.cancel(peer.timer)
                 peer.timer = None
         else:
             oldest = next(iter(peer.pending))
@@ -351,7 +350,7 @@ class ReliableChannel:
                 # The timed entry retired; the new oldest inherits the
                 # timer at its own backoff.
                 if peer.timer is not None:
-                    peer.timer.cancel()
+                    self.sim.cancel(peer.timer)
                 attempts = next(iter(peer.pending.values())).attempts
                 delay = self.rto_base * (RETRANSMIT_BACKOFF ** (attempts - 1))
                 peer.timer = self.sim.call_after(
@@ -431,7 +430,7 @@ class ReliableChannel:
         """Send the cumulative ack now, collapsing any pending window."""
         timer = self._ack_timer.pop(sender, None)
         if timer is not None:
-            timer.cancel()
+            self.sim.cancel(timer)
         self._send_ack(sender)
 
     def _send_ack(self, sender: int) -> None:
@@ -455,7 +454,7 @@ class ReliableChannel:
         """Discard all volatile state (the node crashed)."""
         for peer in self._peers.values():
             if peer.timer is not None:
-                peer.timer.cancel()
+                self.sim.cancel(peer.timer)
                 peer.timer = None
             peer.pending.clear()
             # Parked sends die with the crash too (they were never on
@@ -467,7 +466,7 @@ class ReliableChannel:
             # recovered node's fresh sends are not mistaken for
             # duplicates (next_seq survives in the peer record).
         for timer in self._ack_timer.values():
-            timer.cancel()
+            self.sim.cancel(timer)
         self._ack_timer.clear()
         self._floor.clear()
         self._seen.clear()

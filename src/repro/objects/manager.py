@@ -294,7 +294,7 @@ class ObjectManager:
             error = exc
         finally:
             if watchdog is not None:
-                watchdog.cancel()
+                self.kernel.sim.cancel(watchdog)
             self.serving -= 1
         activation.obj = None
         activation.event_block = previous_block

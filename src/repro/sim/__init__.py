@@ -11,7 +11,6 @@ The one generator driver is the logical thread's,
 from repro.sim.primitives import Channel, SimFuture
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import (
-    Handle,
     Simulator,
     WheelSimulator,
     make_simulator,
@@ -20,7 +19,6 @@ from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "Channel",
-    "Handle",
     "RngRegistry",
     "SimFuture",
     "Simulator",

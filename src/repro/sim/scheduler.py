@@ -14,8 +14,10 @@ Ordering guarantees (both backends):
   identity or hash order.
 
 That is ``(when, seq)`` order, ``seq`` counting every callback ever
-scheduled. Each backend keeps it with two lanes behind one
-:class:`Handle`:
+scheduled. Each scheduled callback is one ``[when, seq, args, fn]``
+list, and that list is also what ``call_at`` returns: the handle
+:meth:`Simulator.cancel` takes. Each backend keeps the order with two
+lanes of such entries:
 
 * the **instant lane** — a FIFO of the callbacks scheduled for the
   instant they were scheduled in (``call_soon``, ``call_after(0)``,
@@ -39,7 +41,11 @@ back, then the next timed entry, which moves the clock*. That is
 scheduled while the clock was earlier, so its ``seq`` is lower than
 anything in the lane; nothing scheduled during the instant can land in
 the timed lane at ``now``; and the clock never moves back, so every
-lane entry is at ``now``. The wall-clock ``RealtimeScheduler``
+lane entry is at ``now``. Whether a timed entry is due at ``now`` is
+recorded by the heap's timed pop itself (is the next entry at the
+same instant?), so a clock move costs no miss pop; the wheel records
+"maybe" and pays the miss. ``now`` is a plain attribute that only the
+loop and ``run(until)`` move. The wall-clock ``RealtimeScheduler``
 (:mod:`repro.transport.realtime`) has the same shape — timer heap plus
 ready list — and the same rule. :meth:`Simulator.nothing_due_now`
 reads that rule without popping: when no other live entry is due at
@@ -47,10 +53,11 @@ reads that rule without popping: when no other live entry is due at
 itself is the next callback either way, so the thread driver does its
 work inline (the realtime scheduler never says so).
 
-Cancellation is lazy in both lanes (the entry stays queued with its
-callback nulled, and both are rebuilt once the dead outnumber the
-live); the loop nulls an entry's callback as it pops it, so cancelling
-a handle that already fired is a no-op on every backend. A run executes
+Cancellation — ``scheduler.cancel(handle)`` on every backend — is lazy
+in both lanes (the entry stays queued with its callback and arguments
+nulled, and both are rebuilt once the dead outnumber the live); the
+loop nulls an entry's callback as it pops it, so cancelling a handle
+that already fired is a no-op on every backend. A run executes
 the same callbacks in the same order at the same virtual times on
 either backend — :func:`make_simulator` picks by name,
 ``tests/test_wheel_scheduler.py`` holds the two to identical traces and
@@ -69,54 +76,6 @@ from repro.errors import SimulationError
 SCHEDULER_HEAP = "heap"
 SCHEDULER_WHEEL = "wheel"
 SCHEDULER_NAMES = (SCHEDULER_HEAP, SCHEDULER_WHEEL)
-
-
-class Handle:
-    """Cancellation handle returned by :meth:`Simulator.call_at`.
-
-    A plain ``__slots__`` class (not a dataclass): the simulator creates
-    one per scheduled callback, which makes construction cost part of
-    the hot path.
-    """
-
-    __slots__ = ("when", "seq", "_entry", "_sim")
-
-    def __init__(self, when: float, seq: int, entry: list,
-                 sim: "Simulator | None" = None) -> None:
-        self.when = when
-        self.seq = seq
-        self._entry = entry
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the callback from running. Idempotent.
-
-        Nulls out the callback *and its arguments* so a cancelled entry
-        pins no closures or payloads while it waits to be popped (a
-        retransmit timer's cancelled entry used to keep its whole message
-        alive until its virtual deadline drained past).
-
-        The drain loop marks an entry spent (callback nulled) as it pops
-        it, so cancelling a handle whose callback already fired — a
-        watchdog cancelled from inside its own expiry, say — is a no-op
-        that moves no counter.
-        """
-        entry = self._entry
-        if entry[3] is None:
-            return
-        entry[3] = None
-        entry[2] = ()
-        if self._sim is not None:
-            self._sim._note_cancel()
-
-    @property
-    def cancelled(self) -> bool:
-        """True once the callback can no longer run: cancelled, or fired."""
-        return self._entry[3] is None
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostic only
-        state = "spent" if self.cancelled else "pending"
-        return f"Handle(when={self.when!r}, seq={self.seq}, {state})"
 
 
 class Simulator:
@@ -147,7 +106,9 @@ class Simulator:
     COMPACT_MIN = 64
 
     def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+        #: current virtual time in seconds; only the drain loop and
+        #: ``run(until)`` move it
+        self.now = float(start)
         #: timed lane: heap of ``[when, seq, args, fn]`` entries later
         #: than the instant they were scheduled in
         self._queue: list[list] = []
@@ -162,11 +123,10 @@ class Simulator:
         self._cancelled = 0
         self._cancels_total = 0
         self._compactions = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
+        #: set by each timed pop: whether the next timed entry is at the
+        #: popped one's instant (the drain reads it instead of popping
+        #: to find out; False can be trusted, True may be a miss)
+        self._next_due = False
 
     @property
     def events_processed(self) -> int:
@@ -202,16 +162,27 @@ class Simulator:
             "overflow_pending": 0,
         }
 
-    def _note_cancel(self) -> None:
-        """A handle was cancelled; compact once dead entries dominate.
+    def cancel(self, handle: list) -> None:
+        """Stop the callback behind ``handle`` — the entry a ``call_*``
+        returned — from running. Idempotent.
 
-        Lazy cancellation leaves the entry queued, which is fine while
-        live work drains past it — but a workload that schedules and
-        cancels far into the future (per-send retransmit timers were the
-        worst offender) can grow the queue without bound. Rebuilding
-        once the dead outnumber the live keeps total compaction work
-        O(1) amortised per cancellation.
+        Nulls the callback *and its arguments*, so a cancelled entry pins
+        no closure or payload while it waits to be popped (a retransmit
+        timer's cancelled entry used to keep its whole message alive
+        until its virtual deadline drained past). The drain loop marks
+        an entry spent as it pops it, so cancelling one whose callback
+        already fired — a watchdog cancelled from inside its own expiry,
+        say — is a no-op that moves no counter.
+
+        The entry stays queued; a workload that schedules and cancels far
+        into the future could grow the queue without bound, so both lanes
+        are rebuilt once the dead outnumber the live, which keeps
+        compaction O(1) amortised per cancellation.
         """
+        if handle[3] is None:
+            return
+        handle[3] = None
+        handle[2] = ()
         self._cancelled += 1
         self._cancels_total += 1
         dead, live = self._cancelled, self.pending
@@ -225,13 +196,13 @@ class Simulator:
             self._cancelled = 0
             self._compactions += 1
 
-    def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Handle:
+    def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> list:
         """Schedule ``fn(*args)`` at virtual time ``when``.
 
-        ``when`` must not be in the past. Returns a :class:`Handle` that can
-        cancel the callback before it fires.
+        ``when`` must not be in the past. Returns the queued
+        ``[when, seq, args, fn]`` entry, the handle :meth:`cancel` takes.
         """
-        now = self._now
+        now = self.now
         if when < now:
             raise SimulationError(
                 f"cannot schedule at {when!r}; virtual time is already {now!r}"
@@ -244,26 +215,29 @@ class Simulator:
         else:
             entry = [float(when), seq, args, fn]
             heapq.heappush(self._queue, entry)
-        return Handle(entry[0], seq, entry, self)
+        return entry
 
-    def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Handle:
+    def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> list:
         """Schedule ``fn(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.call_at(self._now + delay, fn, *args)
+        return self.call_at(self.now + delay, fn, *args)
 
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> Handle:
+    def call_soon(self, fn: Callable[..., Any], *args: Any) -> list:
         """Schedule ``fn(*args)`` at the current instant, after queued work."""
-        return self.call_at(self._now, fn, *args)
+        return self.call_at(self.now, fn, *args)
 
     # -- per-backend view of the timed lane ------------------------------
 
     def _pop_timed(self, limit: float) -> list | None:
         """Remove and return the earliest timed entry, live or cancelled,
-        unless it is later than ``limit`` (then None)."""
+        unless it is later than ``limit`` (then None); record whether the
+        next one is at the same instant."""
         queue = self._queue
         if queue and queue[0][0] <= limit:
-            return heapq.heappop(queue)
+            entry = heapq.heappop(queue)
+            self._next_due = queue[0][0] == entry[0] if queue else False
+            return entry
         return None
 
     def _timed_head(self) -> list | None:
@@ -272,7 +246,7 @@ class Simulator:
 
     def _timed_due_now(self) -> bool:
         """Whether a live timed entry is due at ``now`` (nothing moves)."""
-        return _live_at(self._queue, self._now)
+        return _live_at(self._queue, self.now)
 
     def _compact_timed(self) -> None:
         """Drop cancelled entries from the timed lane, in place."""
@@ -338,7 +312,7 @@ class Simulator:
             raise SimulationError("simulator is already running (re-entrant run())")
         if until is None:
             limit = inf
-        elif until < self._now:
+        elif until < self.now:
             return False
         else:
             limit = until
@@ -346,19 +320,21 @@ class Simulator:
         try:
             ready = self._ready
             pop_timed = self._pop_timed
-            now = self._now
+            now = self.now
             processed = 0
             # Timed entries at `now` were scheduled while the clock was
             # earlier, so they precede the whole lane; none can be added
-            # during the instant, so one miss settles it until the clock
-            # moves.
-            due = True
+            # during the instant, so the record the last timed pop left
+            # (or one miss, where it says "maybe") settles it until the
+            # clock moves.
+            due = self._next_due
             while True:
                 if due:
                     entry = pop_timed(now)
                     if entry is None:
                         due = False
                         continue
+                    due = self._next_due
                 elif ready:
                     entry = ready.popleft()
                 else:
@@ -366,13 +342,13 @@ class Simulator:
                     if entry is None:
                         break
                     if entry[3] is not None:
-                        now = self._now = entry[0]
-                        due = True
+                        now = self.now = entry[0]
+                        due = self._next_due
                 fn = entry[3]
                 if fn is None:
                     self._cancelled -= 1
                     continue
-                entry[3] = None  # spent: a late Handle.cancel() is a no-op
+                entry[3] = None  # spent: a late cancel() is a no-op
                 self._events_processed += 1
                 fn(*entry[2])
                 processed += 1
@@ -380,7 +356,7 @@ class Simulator:
                     return True
             self.peek_next()  # shed cancelled heads past `until` as well
             if until is not None and now < until:
-                self._now = float(until)
+                self.now = float(until)
             return False
         finally:
             self._running = False
@@ -398,7 +374,7 @@ class Simulator:
         ready = self._ready
         while True:
             head = self._timed_head()
-            from_lane = bool(ready) and (head is None or head[0] > self._now)
+            from_lane = bool(ready) and (head is None or head[0] > self.now)
             if from_lane:
                 head = ready[0]
             if head is None:
@@ -453,10 +429,13 @@ class WheelSimulator(Simulator):
         #: entries at/past the horizon, ordered like the reference heap
         self._overflow: list[list] = []
         #: absolute virtual time of the overflow boundary
-        self._horizon = (floor(self._now / self._tick)
+        self._horizon = (floor(self.now / self._tick)
                          + self._slots) * self._tick
         self._spills = 0
         self._migrations = 0
+        #: the wheel never records: every clock move costs one miss pop,
+        #: whose re-base of the horizon the spill counters depend on
+        self._next_due = True
 
     # -- observability --------------------------------------------------
 
@@ -470,8 +449,8 @@ class WheelSimulator(Simulator):
 
     # -- scheduling ------------------------------------------------------
 
-    def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Handle:
-        now = self._now
+    def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> list:
+        now = self.now
         if when < now:
             raise SimulationError(
                 f"cannot schedule at {when!r}; virtual time is already {now!r}"
@@ -491,7 +470,7 @@ class WheelSimulator(Simulator):
         else:
             entry = [float(when), seq, args, fn]
             self._place(entry)
-        return Handle(entry[0], seq, entry, self)
+        return entry
 
     def _place(self, entry: list) -> None:
         """Push an entry earlier than the horizon into its tick bucket."""
@@ -556,7 +535,7 @@ class WheelSimulator(Simulator):
         # Everything earlier than `now` has been popped, so the first
         # tick bucket holds every wheel entry at `now`; after run(until)
         # jumped the clock past the horizon, entries at `now` spill.
-        now = self._now
+        now = self.now
         tick_heap = self._tick_heap
         if tick_heap and _live_at(self._buckets[tick_heap[0]], now):
             return True

@@ -56,7 +56,6 @@ from repro.store.outbox import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.events.block import EventBlock
     from repro.kernel.node import Kernel
-    from repro.sim.scheduler import Handle
 
 MSG_STORE_ACK = "store.ack"
 
@@ -133,7 +132,7 @@ class NodeStore:
         #: duplicate is re-acked.
         self._owed: dict[int, list[Ack]] = {}
         #: origins with an ack window open (its flush is scheduled)
-        self._ack_windows: dict[int, "Handle"] = {}
+        self._ack_windows: dict[int, list] = {}
         self._flush_timer: int | None = None
         #: one row per recovery replay, reported by bench_durability
         self.recovery_log: list[dict[str, Any]] = []
@@ -291,7 +290,7 @@ class NodeStore:
         """Send everything owed to ``origin`` as one ``store.ack``."""
         window = self._ack_windows.pop(origin, None)
         if window is not None:
-            window.cancel()
+            self.sim.cancel(window)
         acks = self._owed.pop(origin, None)
         if not acks:
             return
@@ -388,7 +387,7 @@ class NodeStore:
         self._enqueued.clear()
         self._owed.clear()
         for window in self._ack_windows.values():
-            window.cancel()
+            self.sim.cancel(window)
         self._ack_windows.clear()
         self.applied.clear()
         self._applied_base = None

@@ -52,8 +52,6 @@ DONE = "done"
 FAILED = "failed"
 TERMINATED = "terminated"
 
-_FINISHED = (DONE, FAILED, TERMINATED)
-
 #: Thread kinds.
 KIND_USER = "user"
 #: Surrogate threads execute thread-based handlers on behalf of a
@@ -98,6 +96,7 @@ class DThread:
                  attributes: ThreadAttributes,
                  kind: str = KIND_USER) -> None:
         self.cluster = cluster
+        self.sim = cluster.sim
         self.tid = tid
         self.attributes = attributes
         self.kind = kind
@@ -111,6 +110,9 @@ class DThread:
         self.kept: Activation | None = None
         self.frame_exit: Any = None
         self.state = NEW
+        #: False from :meth:`finish` on — the one way into DONE, FAILED
+        #: and TERMINATED
+        self.alive = True
         self.frames: list[Activation] = []
         self.completion: SimFuture[Any] = SimFuture(cluster.sim)
         #: pending event notices queued for this thread (FIFO; delivery
@@ -161,14 +163,6 @@ class DThread:
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostic only
         return f"<DThread {self.tid} {self.state} depth={len(self.frames)}>"
-
-    @property
-    def sim(self):
-        return self.cluster.sim
-
-    @property
-    def alive(self) -> bool:
-        return self.state not in _FINISHED
 
     @property
     def current_node(self) -> int:
@@ -380,7 +374,7 @@ class DThread:
             epoch = self.block("sleep")
             handle = self.sim.call_after(
                 syscall.seconds, self.resume_with, None, None, epoch)
-            self._wait["cancel"] = handle.cancel
+            self._wait["cancel"] = partial(self.sim.cancel, handle)
         elif isinstance(syscall, sc.WaitFor):
             self._wait_on_future(syscall.future)
         elif isinstance(syscall, sc.Recv):
@@ -555,6 +549,7 @@ class DThread:
         """Mark the thread finished and resolve its completion future."""
         if not self.alive:
             return
+        self.alive = False
         self.state = state
         self.exit_reason = repr(error) if error is not None else "returned"
         if error is not None:

@@ -2,7 +2,7 @@
 
 Every subsystem in the library schedules against the ``Simulator``
 surface — ``now`` / ``call_at`` / ``call_after`` / ``call_soon`` /
-``run`` / ``pending`` / ``stats`` / ``nothing_due_now``.
+``run`` / ``cancel`` / ``pending`` / ``stats`` / ``nothing_due_now``.
 :class:`RealtimeScheduler` implements that surface with real time:
 ``now`` is seconds of
 wall-clock since the scheduler was built, and :meth:`run` actually
@@ -11,7 +11,8 @@ wall-clock since the scheduler was built, and :meth:`run` actually
 The scheduler owns its queues; asyncio is only the clock and the
 selector.  Future callbacks sit in a ``(when, seq)`` heap, due ones in a
 FIFO ready list, both as the simulator's ``[when, seq, args, fn]``
-entries behind the simulator's :class:`~repro.sim.scheduler.Handle`.
+entries, and a ``call_*`` returns its entry as the handle
+:meth:`~RealtimeScheduler.cancel` takes.
 The loop sees one ``call_soon(self._turn)`` per **turn** and one
 ``call_at`` wake-up for the earliest future timer, however many
 callbacks are queued.  A turn moves the timers that came due ahead of
@@ -49,7 +50,7 @@ import heapq
 from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.sim.scheduler import Handle, Simulator
+from repro.sim.scheduler import Simulator
 
 SCHEDULER_REALTIME = "realtime"
 
@@ -132,20 +133,20 @@ class RealtimeScheduler:
     # delegation between them would be counted twice.
 
     def call_at(self, when: float, fn: Callable[..., Any],
-                *args: Any) -> Handle:
+                *args: Any) -> list:
         return self._push(when, self._time() - self._t0, fn, args)
 
     def call_after(self, delay: float, fn: Callable[..., Any],
-                   *args: Any) -> Handle:
+                   *args: Any) -> list:
         now = self._time() - self._t0
         return self._push(now + delay, now, fn, args)
 
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> Handle:
+    def call_soon(self, fn: Callable[..., Any], *args: Any) -> list:
         now = self._time() - self._t0
         return self._push(now, now, fn, args)
 
     def _push(self, when: float, now: float, fn: Callable[..., Any],
-              args: tuple) -> Handle:
+              args: tuple) -> list:
         if self._closed:
             raise SimulationError("scheduler is closed")
         self._scheduled = seq = self._scheduled + 1
@@ -157,17 +158,21 @@ class RealtimeScheduler:
             self._ready.append(entry)
         if not self._armed:
             self._rearm()
-        return Handle(entry[0], seq, entry, self)
+        return entry
 
     def nothing_due_now(self) -> bool:
         """Always False: a frame may arrive at any wall instant, so no
         hop can be known to be the next callback."""
         return False
 
-    def _note_cancel(self) -> None:
-        """A :class:`Handle` was cancelled (the entry stays queued, its
-        callback nulled); rebuild the heap once dead entries dominate,
-        as :meth:`Simulator._note_cancel` does."""
+    def cancel(self, handle: list) -> None:
+        """:meth:`Simulator.cancel`: null the entry's callback and
+        arguments (it stays queued; a fired one is a no-op), and rebuild
+        the heap once dead entries dominate."""
+        if handle[3] is None:
+            return
+        handle[3] = None
+        handle[2] = ()
         self._cancels += 1
         self._dead += 1
         timers = self._timers
@@ -228,7 +233,7 @@ class RealtimeScheduler:
                     continue
                 args = entry[2]
                 entry[2] = ()
-                entry[3] = None  # a late Handle.cancel() is a no-op
+                entry[3] = None  # a late cancel() is a no-op
                 self._events += 1
                 fn(*args)
         except BaseException as exc:  # noqa: BLE001 - re-raised in run

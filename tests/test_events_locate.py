@@ -6,6 +6,7 @@ import pytest
 
 from repro import Decision, DistObject, entry
 from repro.errors import DeadThreadError
+from repro.events.locate import MulticastRegistry
 from repro.threads.ids import ThreadId
 from tests.conftest import Sleeper, location_state, make_cluster
 
@@ -209,6 +210,56 @@ class TestMulticastMaintenance:
         groups = cluster.events.locator.groups
         assert groups.members(thread.tid) == frozenset()
         assert groups.joins == groups.leaves
+
+
+class TestMulticastRegistry:
+    def test_join_leave(self):
+        reg = MulticastRegistry()
+        assert reg.join("g", 1) is True
+        assert reg.join("g", 1) is False
+        assert reg.members("g") == frozenset({1})
+        assert reg.leave("g", 1) is True
+        assert reg.leave("g", 1) is False
+        assert reg.members("g") == frozenset()
+
+    def test_groups_of(self):
+        reg = MulticastRegistry()
+        reg.join("a", 1)
+        reg.join("b", 1)
+        reg.join("a", 2)
+        assert reg.groups_of(1) == frozenset({"a", "b"})
+
+    def test_dissolve(self):
+        reg = MulticastRegistry()
+        reg.join("g", 1)
+        reg.dissolve("g")
+        assert reg.members("g") == frozenset()
+
+    def test_dissolve_counts_each_member_as_a_leave(self):
+        reg = MulticastRegistry()
+        for node in (1, 2, 3):
+            reg.join("g", node)
+        reg.dissolve("g")
+        assert reg.leaves == 3
+        assert reg.joins - reg.leaves == 0
+
+    def test_dissolve_missing_or_empty_group_counts_nothing(self):
+        reg = MulticastRegistry()
+        reg.dissolve("ghost")
+        assert reg.leaves == 0
+
+    def test_join_leave_balance_invariant(self):
+        """joins - leaves must always equal the number of live
+        memberships, whichever mix of leave/dissolve removed them."""
+        reg = MulticastRegistry()
+        reg.join("a", 1)
+        reg.join("a", 2)
+        reg.join("b", 1)
+        reg.join("b", 3)
+        reg.leave("a", 2)
+        reg.dissolve("b")
+        live = sum(len(reg.members(g)) for g in ("a", "b"))
+        assert reg.joins - reg.leaves == live == 1
 
 
 class Wanderer(DistObject):

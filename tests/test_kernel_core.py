@@ -78,11 +78,11 @@ class TestClusterConfig:
         assert {name: n for name, n in sizes.items() if n > 500} == {}
 
     def test_sim_surface_budget(self):
-        rule = ("repro.sim is what the stack above it uses: a tenth name "
+        rule = ("repro.sim is what the stack above it uses: a ninth name "
                 "or a new module arrives with its first user under src/, "
                 "not with its own test file")
         assert set(repro.sim.__all__) == {
-            "Channel", "Handle", "RngRegistry", "SimFuture", "Simulator",
+            "Channel", "RngRegistry", "SimFuture", "Simulator",
             "TraceRecord", "Tracer", "WheelSimulator",
             "make_simulator"}, rule
         src = pathlib.Path(repro.__file__).parent

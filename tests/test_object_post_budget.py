@@ -141,7 +141,7 @@ class TestNothingDueNow:
         assert sim.nothing_due_now()
         handle = sim.call_soon(print)
         assert not sim.nothing_due_now()
-        handle.cancel()
+        sim.cancel(handle)
         assert sim.nothing_due_now()  # a cancelled entry is not due
 
     def test_timed_entries_at_this_instant(self, backend):
@@ -157,7 +157,7 @@ class TestNothingDueNow:
         cancelled = []
 
         def first():
-            cancelled[0].cancel()
+            sim.cancel(cancelled[0])
             seen.append(sim.nothing_due_now())
 
         sim.call_at(3.0, first)

@@ -42,7 +42,7 @@ class TestSchedulerProperties:
             st.integers(min_value=0, max_value=len(offsets) - 1),
             max_size=len(offsets)))
         for index in to_cancel:
-            handles[index].cancel()
+            sim.cancel(handles[index])
         sim.run()
         assert set(fired) == set(range(len(offsets))) - to_cancel
 

@@ -103,12 +103,11 @@ class TestCancel:
     def test_cancel_ready_entry_from_earlier_callback_same_turn(self, sched):
         fired = []
         victim = []
-        sched.call_soon(lambda: victim[0].cancel())
+        sched.call_soon(lambda: sched.cancel(victim[0]))
         victim.append(sched.call_soon(fired.append, "victim"))
         sched.call_soon(fired.append, "bystander")
         sched.run()
         assert fired == ["bystander"]
-        assert victim[0].cancelled
         assert sched.pending == 0
         assert sched.stats()["cancellations"] == 1
 
@@ -116,14 +115,14 @@ class TestCancel:
         fired = []
         head = sched.call_after(0.002, fired.append, "head")
         sched.call_after(0.004, fired.append, "next")
-        head.cancel()
+        sched.cancel(head)
         sched.run()
         assert fired == ["next"]
 
     def test_cancel_after_fire_is_a_noop(self, sched):
         handle = sched.call_soon(lambda: None)
         sched.run()
-        handle.cancel()
+        sched.cancel(handle)
         assert sched.pending == 0
         assert sched.stats()["cancellations"] == 0
 
@@ -131,7 +130,7 @@ class TestCancel:
         handles = [sched.call_after(30.0 + i, lambda: None)
                    for i in range(200)]
         for handle in handles[:150]:
-            handle.cancel()
+            sched.cancel(handle)
         assert sched.compactions >= 1
         assert sched.pending == 50
         assert len(sched._timers) < 200
@@ -270,7 +269,7 @@ class TestErrors:
 class TestStats:
     def test_simulator_key_names_with_real_counts(self, sched):
         keep = sched.call_after(30.0, lambda: None)
-        sched.call_after(30.0, lambda: None).cancel()
+        sched.cancel(sched.call_after(30.0, lambda: None))
         for _ in range(3):
             sched.call_soon(lambda: None)
         sched.run(until=sched.now + 0.01)
@@ -282,5 +281,5 @@ class TestStats:
         assert data["cancellations"] == 1
         assert data["pending"] == sched.pending == 1
         assert data["now"] >= 0.01
-        keep.cancel()
+        sched.cancel(keep)
         assert sched.pending == 0

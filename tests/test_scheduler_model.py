@@ -33,27 +33,10 @@ DELAYS = (0.0, 2e-4, 1e-3, 3.7e-3, 0.02, 0.5)
 
 # --------------------------------------------------------------- the model
 
-class _ModelHandle:
-    def __init__(self, model, when, seq, fn, args):
-        self.model, self.when, self.seq = model, when, seq
+class _ModelEntry:
+    def __init__(self, when, seq, fn, args):
+        self.when, self.seq = when, seq
         self.fn, self.args = fn, args
-
-    @property
-    def cancelled(self):
-        return self.fn is None
-
-    def cancel(self):
-        if self.fn is None:  # cancelled already, or fired
-            return
-        self.fn, self.args = None, ()
-        model = self.model
-        model.cancellations += 1
-        model.dead += 1
-        if (model.dead > model.pending
-                and len(model.entries) > Simulator.COMPACT_MIN):
-            model.entries = [e for e in model.entries if e.fn is not None]
-            model.dead = 0
-            model.compactions += 1
 
 
 class ListModel:
@@ -67,11 +50,23 @@ class ListModel:
 
     def call_at(self, when, fn, *args):
         assert when >= self.now
-        handle = _ModelHandle(self, float(when), self.scheduled, fn, args)
+        entry = _ModelEntry(float(when), self.scheduled, fn, args)
         self.scheduled += 1
-        self.entries.append(handle)
+        self.entries.append(entry)
         self.entries.sort(key=attrgetter("when", "seq"))
-        return handle
+        return entry
+
+    def cancel(self, entry):
+        if entry.fn is None:  # cancelled already, or fired
+            return
+        entry.fn, entry.args = None, ()
+        self.cancellations += 1
+        self.dead += 1
+        if (self.dead > self.pending
+                and len(self.entries) > Simulator.COMPACT_MIN):
+            self.entries = [e for e in self.entries if e.fn is not None]
+            self.dead = 0
+            self.compactions += 1
 
     def call_after(self, delay, fn, *args):
         return self.call_at(self.now + delay, fn, *args)
@@ -148,7 +143,7 @@ def execute(sim, program):
         if kind in ("at", "soon", "after"):
             schedule(*action)
         elif kind == "cancel" and handles:
-            handles[action[1] % len(handles)].cancel()
+            sim.cancel(handles[action[1] % len(handles)])
         elif kind == "flood":
             # enough cancelled timers to cross the compaction threshold,
             # with survivors on every side of the dead ones
@@ -157,7 +152,7 @@ def execute(sim, program):
                 schedule("after", DELAYS[i % len(DELAYS)], ())
             for i, handle in enumerate(handles[first:]):
                 if i % 4:
-                    handle.cancel()
+                    sim.cancel(handle)
         elif kind == "boom":
             raise Boom
 
@@ -199,7 +194,9 @@ def execute(sim, program):
             log.append(("boom",))
     observe("drained")
     assert sim.pending == 0 and sim.peek_next() is None
-    log.append(("cancelled", [handle.cancelled for handle in handles]))
+    for handle in handles:  # every one is spent: fired or cancelled
+        sim.cancel(handle)
+    observe("cancelled again")
     return log
 
 
@@ -247,7 +244,8 @@ _drivers = st.one_of(
 _programs = st.lists(st.one_of(_drivers, _action(_scripts)), max_size=14)
 
 
-@settings(max_examples=300, deadline=None)
+# 300 examples under the `default` profile, ten times that under `ci`
+@settings(max_examples=3 * settings.default.max_examples, deadline=None)
 @given(_programs)
 def test_heap_and_wheel_follow_the_list_model(program):
     model, heap, wheel = (execute(sim, program) for sim in (
@@ -316,8 +314,8 @@ def test_cancel_after_the_callback_fired_is_a_no_op(make):
     handle = sim.call_at(1, fired.append, "f")
     sim.call_at(2, fired.append, "g")
     sim.run(until=1.5)
-    handle.cancel()
-    assert handle.cancelled  # spent reads the same on both backends
+    sim.cancel(handle)
+    sim.cancel(handle)
     assert sim.pending == 1
     sim.run()
     assert fired == ["f", "g"]
@@ -333,7 +331,7 @@ class _Sleeper(DistObject):
 
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
 def test_watchdog_cancelled_inside_its_own_expiry(scheduler):
-    """``ObjectManager._serve``'s ``finally: watchdog.cancel()`` runs
+    """``ObjectManager._serve``'s ``finally: sim.cancel(watchdog)`` runs
     inside the watchdog's ``expire`` callback when the deadline fires;
     ``pending`` is what ``quiescent()`` and ``run_sharded`` read."""
     cluster = make_cluster(n_nodes=1, handler_deadline=0.01,

@@ -79,8 +79,8 @@ def test_cancel_prevents_execution():
     sim = Simulator()
     fired = []
     handle = sim.call_after(1.0, fired.append, "x")
-    handle.cancel()
-    assert handle.cancelled
+    sim.cancel(handle)
+    assert sim.pending == 0
     sim.run()
     assert fired == []
 
@@ -88,8 +88,9 @@ def test_cancel_prevents_execution():
 def test_cancel_is_idempotent():
     sim = Simulator()
     handle = sim.call_after(1.0, lambda: None)
-    handle.cancel()
-    handle.cancel()
+    sim.cancel(handle)
+    sim.cancel(handle)
+    assert sim.stats()["cancellations"] == 1
     sim.run()
 
 
@@ -98,7 +99,7 @@ def test_pending_excludes_cancelled():
     h1 = sim.call_after(1.0, lambda: None)
     sim.call_after(2.0, lambda: None)
     assert sim.pending == 2
-    h1.cancel()
+    sim.cancel(h1)
     assert sim.pending == 1
 
 
@@ -180,20 +181,20 @@ class TestCancelledEntries:
         payload = Payload()
         ref = weakref.ref(payload)
         handle = sim.call_after(100.0, lambda p: None, payload)
-        handle.cancel()
-        handle.cancel()  # idempotent
+        sim.cancel(handle)
+        sim.cancel(handle)  # idempotent
         del payload
         gc.collect()
         # the cancelled entry is still queued, but pins nothing
         assert ref() is None
-        assert handle.cancelled
+        assert sim.pending == 0 and sim.stats()["cancellations"] == 1
 
     def test_compaction_purges_dead_entries(self):
         sim = Simulator()
         handles = [sim.call_after(1000.0 + i, lambda: None)
                    for i in range(200)]
         for handle in handles[:150]:
-            handle.cancel()
+            sim.cancel(handle)
         assert sim.compactions >= 1
         assert sim.pending == 50
         # the physical heap shrank too — dead entries were purged, not
@@ -207,6 +208,6 @@ class TestCancelledEntries:
     def test_pending_excludes_cancelled(self):
         sim = Simulator()
         handles = [sim.call_after(10.0, lambda: None) for _ in range(5)]
-        handles[0].cancel()
-        handles[3].cancel()
+        sim.cancel(handles[0])
+        sim.cancel(handles[3])
         assert sim.pending == 3

@@ -336,9 +336,10 @@ class TestRealtimeScheduler:
             fired = []
             handle = sched.call_after(0.01, fired.append, "cancelled")
             sched.call_after(0.02, fired.append, "kept")
-            handle.cancel()
-            assert handle.cancelled
-            handle.cancel()  # idempotent
+            sched.cancel(handle)
+            assert sched.pending == 1
+            sched.cancel(handle)  # idempotent
+            assert sched.stats()["cancellations"] == 1
             sched.run()
             assert fired == ["kept"]
         finally:
