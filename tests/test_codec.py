@@ -10,8 +10,11 @@ different codec revision fail loudly with :class:`CodecError`.
 
 from __future__ import annotations
 
+import ast
+import inspect
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,7 @@ from repro.events.block import EventBlock, FrameInfo, ThreadSnapshot
 from repro.net.message import Message
 from repro.objects.capability import Capability
 from repro.threads.ids import GroupId, ThreadId
+from repro.transport import codec
 from repro.transport.codec import (
     MTYPE_REGISTRY,
     VERSION,
@@ -103,6 +107,23 @@ class TestEnvelope:
         for _ in range(10):
             roundtrip(message)
         assert EventBlock("PING").block_id == block.block_id + 1
+
+    def test_a_bytearray_frame_decodes(self):
+        # strings, a capability and an event block all read from a
+        # buffer that is not bytes; a bytes value comes back as a slice
+        # of the buffer, so it keeps the buffer's type
+        block = EventBlock("E17", target=Capability(
+            oid=7, home=2, transport="rpc", cls_name="Sink"), user_data=300)
+        message = Message(src=0, dst="group:1", mtype="custom.inline",
+                          payload={"block": block, "raw": b"\x00\xff"})
+        frame = encode_message(message)
+        out, expected = decode_message(bytearray(frame)), decode_message(frame)
+        assert (out.dst, out.mtype) == ("group:1", "custom.inline")
+        assert repr(out.payload["block"]) == repr(expected.payload["block"])
+        assert out.payload["raw"] == bytearray(b"\x00\xff")
+        records = [(0.5, 1, message, 2)]
+        assert [(at, seq, dst) for at, seq, _, dst in decode_batch(
+            bytearray(encode_batch(records)))] == [(0.5, 1, 2)]
 
     def test_msg_id_is_the_fabrics_to_assign(self):
         # an envelope mints nothing; the fabric numbers what it sends
@@ -277,6 +298,14 @@ class TestErrors:
             with pytest.raises(CodecError):
                 decode_message(frame[:cut])
 
+    def test_string_cut_at_the_end_of_the_frame_rejected(self):
+        # nothing is read after the gossip's last string, so only the
+        # string's own length check notices the missing bytes
+        frame = encode_message(Message(src=0, dst=1, mtype="x",
+                                       gossip=("a long enough tail",)))
+        with pytest.raises(CodecError, match="truncated string"):
+            decode_message(frame[:-1])
+
 
 # ----------------------------------------------------------------------
 # window batches
@@ -445,6 +474,31 @@ class TestGoldenVectors:
         assert encode_batch(decoded).hex() == GOLDEN_BATCH
 
 
+def _fuzz_post(i: int) -> Message:
+    """A journaled post whose ids all take two or three varint bytes."""
+    block = EventBlock("E17", raiser_node=1, target=Capability(
+        oid=300 + i, home=2, transport="rpc", cls_name="Sink"),
+        user_data=20_000 + i, raised_at=0.5 + i)
+    block.block_id = 70_000 + i
+    block.durable_id = (1, 9_000 + i)
+    return Message(src=1, dst=2, mtype="event.post-object", size=128,
+                   msg_id=150_000 + i, rel=(1, 9_000 + i), ack=300,
+                   payload={"block": block, "oid": 300 + i})
+
+
+#: the compiled codec's fast paths on the post path, for the fuzzer: a
+#: durable post with multi-byte ids, a store.ack and a 16-post batch
+FUZZ_VECTORS = (
+    encode_message(_fuzz_post(0)),
+    encode_message(Message(
+        src=2, dst=1, mtype="store.ack", size=64, msg_id=150_001,
+        rel=(2, 700), payload={"acks": [((1, 9_000), "delivered"),
+                                        ((1, 9_001), "noticed")]})),
+    encode_batch([(0.5 + i * 1e-3, 1_000 + i, _fuzz_post(i), 2)
+                  for i in range(16)]),
+)
+
+
 class TestDecodeFuzz:
     """Malformed input raises CodecError and nothing else.  Inputs are
     short, so a decode that fails to terminate would be a loop that
@@ -454,6 +508,7 @@ class TestDecodeFuzz:
         rng = random.Random(20260929)
         vectors = [bytes.fromhex(h) for h in GOLDEN.values()]
         vectors.append(bytes.fromhex(GOLDEN_BATCH))
+        vectors.extend(FUZZ_VECTORS)
         for _ in range(1500):
             yield bytes([VERSION]) + rng.randbytes(rng.randrange(0, 48))
             yield rng.randbytes(rng.randrange(0, 48))
@@ -498,3 +553,54 @@ class TestDecodeFuzz:
         frame = bytes([VERSION, 0, 0, 2, 1, 9, 1, 8, 0, 0, 128, 1, 2])
         with pytest.raises(CodecError):
             decode_message(frame)
+
+
+# ----------------------------------------------------------------------
+# the tracer contract
+# ----------------------------------------------------------------------
+
+PUBLIC = ("encode_message", "decode_message", "encode_batch", "decode_batch")
+
+
+def test_what_the_e17_tracer_needs_from_the_codec():
+    """``benchmarks/e17/trace.py`` wraps the four public functions by
+    module attribute (``vars(codec)[name]``) before the first encode, so
+    each must be a module-level function of ``repro.transport.codec``
+    that the first-use compile never rebinds, and the two backends must
+    look it up as ``codec.<name>`` at call time: a name bound by ``from
+    ... import`` would bypass the wrapper, and the traced run would stop
+    counting ``transport.codec`` without failing."""
+    here = Path(codec.__file__)
+    tree = ast.parse(here.read_text())
+    defined = [node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)]
+    for name in PUBLIC:
+        function = vars(codec)[name]
+        assert inspect.isfunction(function)
+        assert function.__module__ == codec.__name__
+        assert defined.count(name) == 1
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            assert not set(node.names) & set(PUBLIC)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            assert not {target.id for target in targets
+                        if isinstance(target, ast.Name)} & set(PUBLIC)
+    for backend, used in (
+            ("tcp.py", {"encode_message", "decode_message"}),
+            ("sharded.py", {"encode_batch", "decode_batch"})):
+        reached = set()
+        imports_module = False
+        for node in ast.walk(ast.parse((here.parent / backend).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                assert not names & set(PUBLIC), backend
+                imports_module |= (node.module == "repro.transport"
+                                   and "codec" in names)
+            elif isinstance(node, ast.Name):
+                assert node.id not in PUBLIC, backend
+            elif isinstance(node, ast.Attribute) and node.attr in PUBLIC:
+                assert isinstance(node.value, ast.Name), backend
+                assert node.value.id == "codec", backend
+                reached.add(node.attr)
+        assert imports_module and reached == used, backend
