@@ -18,7 +18,14 @@ default. Money is conserved.
 Run:  python examples/bank_transfers.py
 """
 
-from repro import Cluster, ClusterConfig, DistObject, TRANSPORT_DSM, entry, on_event
+from repro import (
+    TRANSPORT_DSM,
+    Cluster,
+    ClusterConfig,
+    DistObject,
+    entry,
+    on_event,
+)
 from repro.locks import LockManager
 
 ACCOUNTS = ["alice", "bob", "carol", "dave"]

@@ -55,7 +55,8 @@ def main() -> None:
     cluster.run(until=cluster.now + 1.0)        # let it settle into sleep
     cluster.raise_event("INTERRUPT", sleeper.tid, from_node=0)
     cluster.run()
-    print(f"sleeper woken by INTERRUPT at t={sleeper.completion.result():.3f}s "
+    woken = sleeper.completion.result()
+    print(f"sleeper woken by INTERRUPT at t={woken:.3f}s "
           f"(before its 5s nap ended: {cluster.now < 6.0})")
 
 

@@ -38,6 +38,7 @@ from repro.bench.workloads import (
     WorkloadSpec,
     build_schedule,
     drive,
+    percentile,
     summarize,
 )
 
@@ -144,13 +145,6 @@ class StormMember(DistObject):
         return "done"
 
 
-def _percentile(samples: list, frac: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(len(ordered) * frac))]
-
-
 def _build(spec: OverloadSpec, control: bool) -> Cluster:
     knobs: dict[str, Any] = dict(
         BASE_CONFIG, seed=spec.seed, n_nodes=spec.n_nodes,
@@ -252,8 +246,8 @@ def run_overload(spec: OverloadSpec, control: bool = True) -> dict[str, Any]:
         "executed": executed,
         "goodput_frac": round(
             state["in_window"] / max(1.0, min(offered, capacity_posts)), 4),
-        "p50_latency": round(_percentile(latency, 0.50), 6),
-        "p99_latency": round(_percentile(latency, 0.99), 6),
+        "p50_latency": round(percentile(latency, 0.50), 6),
+        "p99_latency": round(percentile(latency, 0.99), 6),
         "drain_time": round(drain, 4),
         "shed_dropped": sup.get("admission_shed_dropped", 0),
         "shed_degraded": sup.get("admission_shed_degraded", 0),

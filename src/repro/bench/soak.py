@@ -26,6 +26,7 @@ reproduce bit-for-bit across scheduler backends. For a custom size call
 
 from __future__ import annotations
 
+import random
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
@@ -33,7 +34,12 @@ from typing import Any
 
 from repro import Cluster, ClusterConfig, DistObject, on_event
 from repro.bench.harness import Result, Table
-from repro.bench.workloads import MUTED_CATEGORIES, EventSink
+from repro.bench.workloads import (
+    MUTED_CATEGORIES,
+    EventSink,
+    percentile,
+    zipf_weights,
+)
 
 SOAK_EVENT = "SOAK"
 
@@ -128,13 +134,6 @@ class PhaseResult:
         return data
 
 
-def _p99(samples: deque) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))]
-
-
 def _build(spec: SoakSpec, **phase: Any) -> Cluster:
     cluster = Cluster(ClusterConfig(**{
         **BASE_CONFIG, "seed": spec.seed, **phase, **spec.config}))
@@ -145,13 +144,12 @@ def _build(spec: SoakSpec, **phase: Any) -> Cluster:
 
 def _zipf_targets(spec: SoakSpec, count: int, stream: str) -> list[int]:
     """``count`` Zipf-skewed object indices from a dedicated rng stream."""
-    import random
-
     # seeding from a string hashes with sha512 inside Random — stable
     # across processes, unlike hash() of a str-containing tuple
     rng = random.Random(f"{spec.seed}:{stream}:{spec.objects}")
-    weights = [1.0 / (rank + 1) ** spec.zipf_s for rank in range(spec.objects)]
-    return rng.choices(range(spec.objects), weights=weights, k=count)
+    return rng.choices(range(spec.objects),
+                       weights=zipf_weights(spec.objects, spec.zipf_s),
+                       k=count)
 
 
 def run_burst_phase(spec: SoakSpec, posts: int) -> PhaseResult:
@@ -187,7 +185,7 @@ def run_burst_phase(spec: SoakSpec, posts: int) -> PhaseResult:
         phase="burst", posts=posts, elapsed=elapsed,
         sim_events=cluster.sim.events_processed,
         messages=cluster.message_stats()["sent"],
-        p99_latency=_p99(samples),
+        p99_latency=percentile(samples, 0.99),
         scheduler_stats=cluster.scheduler_stats())
 
 
@@ -267,7 +265,7 @@ def run_durable_phase(spec: SoakSpec, posts: int) -> PhaseResult:
         phase="durable", posts=posts, elapsed=elapsed,
         sim_events=cluster.sim.events_processed,
         messages=cluster.message_stats()["sent"],
-        p99_latency=_p99(samples),
+        p99_latency=percentile(samples, 0.99),
         scheduler_stats=cluster.scheduler_stats(),
         extra={"journal_commits": store.get("commits", 0),
                "journal_appends": store.get("appends", 0)})

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro import Cluster, ClusterConfig, Decision, DistObject, entry, on_event
 from repro.apps.termination import install_ctrl_c
@@ -413,6 +413,14 @@ class WorkloadSpec:
 def zipf_weights(n: int, s: float) -> list[float]:
     """Unnormalised Zipf(s) weights over ranks ``0..n-1``."""
     return [1.0 / (rank + 1) ** s for rank in range(n)]
+
+
+def percentile(samples: Iterable[float], frac: float) -> float:
+    """Nearest-rank ``frac`` quantile of ``samples`` (0.0 when empty)."""
+    ordered = sorted(samples)
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1, int(len(ordered) * frac))]
 
 
 def rate_at(spec: WorkloadSpec, t: float) -> float:

@@ -34,10 +34,11 @@ class Presence:
 
     # -- thread-attribute timers (§6.2) --
 
-    def add_thread_timer(self, thread: DThread, spec: TimerSpec) -> None:
+    def add_thread_timer(self, thread: DThread, spec: TimerSpec) -> int:
         thread.attributes.add_timer(spec)
         if thread.alive:
             self._arm(thread, spec, thread.current_node)
+        return spec.spec_id
 
     def remove_thread_timer(self, thread: DThread, spec_id: int) -> bool:
         armed = thread.armed_timers.pop(spec_id, None)

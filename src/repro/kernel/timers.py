@@ -21,14 +21,11 @@ from repro.sim.scheduler import Simulator
 class TimerEntry:
     """One armed timer on a node."""
 
-    timer_id: int
     interval: float
     callback: Callable[..., Any]
     args: tuple
     recurring: bool
     handle: list
-    fired: int = 0
-    cancelled: bool = False
 
 
 class TimerService:
@@ -48,16 +45,16 @@ class TimerService:
         timer_id = next(self._ids)
         handle = self.sim.call_after(interval, self._fire, timer_id)
         self._timers[timer_id] = TimerEntry(
-            timer_id=timer_id, interval=float(interval), callback=callback,
-            args=args, recurring=recurring, handle=handle)
+            interval=float(interval), callback=callback, args=args,
+            recurring=recurring, handle=handle)
         return timer_id
 
     def cancel(self, timer_id: int) -> bool:
-        """Disarm a timer. Returns False if unknown or already done."""
+        """Disarm a timer. Returns whether one was armed under that id
+        (a one-shot timer is gone once it fired)."""
         entry = self._timers.pop(timer_id, None)
-        if entry is None or entry.cancelled:
+        if entry is None:
             return False
-        entry.cancelled = True
         self.sim.cancel(entry.handle)
         return True
 
@@ -71,9 +68,8 @@ class TimerService:
 
     def _fire(self, timer_id: int) -> None:
         entry = self._timers.get(timer_id)
-        if entry is None or entry.cancelled:
+        if entry is None:
             return
-        entry.fired += 1
         if entry.recurring:
             entry.handle = self.sim.call_after(entry.interval, self._fire,
                                                timer_id)

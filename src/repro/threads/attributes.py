@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.errors import ProcessError
 from repro.events.handlers import HandlerChain, HandlerRegistration
 from repro.objects.perthread import PerThreadMemory
 
@@ -66,6 +67,11 @@ class TimerSpec:
     user_data: Any = None
     spec_id: int = field(default_factory=lambda: next(_timer_spec_ids))
 
+    def __post_init__(self) -> None:
+        if self.interval <= 0:
+            raise ProcessError(
+                f"timer interval must be positive, got {self.interval!r}")
+
 
 class ThreadAttributes:
     """Everything that travels with a logical thread."""
@@ -102,7 +108,11 @@ class ThreadAttributes:
             return None
         return chain.pop()
 
-    def detach(self, event: str, reg_id: int) -> bool:
+    def detach(self, event: str, reg_id: int | None = None) -> bool:
+        """Remove registration ``reg_id`` (None: the top of the chain);
+        False if there was none to remove."""
+        if reg_id is None:
+            return self.detach_top(event) is not None
         chain = self.handler_chains.get(event)
         return bool(chain and chain.remove(reg_id))
 

@@ -4,7 +4,11 @@ Every entry point, object handler and per-thread procedure receives a
 :class:`Ctx` as its first argument. It has two faces:
 
 * **syscall builders** — methods returning request objects to ``yield``
-  (``result = yield ctx.invoke(cap, "work", 1)``);
+  (``result = yield ctx.invoke(cap, "work", 1)``). A builder whose
+  operation is one kernel function call (detach, timers, pager, I/O,
+  groups, ...) returns a ``syscalls.Call`` of that function, bound to
+  ``_thread`` — the executing thread the driver dispatches on, never the
+  impersonated ``tid`` a surrogate shows user code;
 * **immediate accessors** — cheap reads of thread/cluster state that need
   no kernel involvement (``ctx.tid``, ``ctx.now``, ``ctx.lookup(name)``).
 """
@@ -150,12 +154,15 @@ class Ctx:
             context=context or HandlerContext.ATTACHING,
             fn_name=str(handler), deadline=deadline)
 
-    def detach_handler(self, event: str,
-                       reg_id: int | None = None) -> sc.DetachHandler:
-        return sc.DetachHandler(event=event, reg_id=reg_id)
+    def detach_handler(self, event: str, reg_id: int | None = None) -> sc.Call:
+        """Remove registration ``reg_id``, or the top of the event's chain;
+        yields whether one was removed."""
+        return sc.Call(self._thread.attributes.detach, (event, reg_id))
 
-    def register_event(self, name: str) -> sc.RegisterEvent:
-        return sc.RegisterEvent(name)
+    def register_event(self, name: str) -> sc.Call:
+        """Register a user event name with the operating system (§3)."""
+        thread = self._thread
+        return sc.Call(thread.cluster.names.register_event, (name, thread.tid))
 
     def raise_event(self, event: str, target: Any,
                     user_data: Any = None) -> sc.Raise:
@@ -169,42 +176,61 @@ class Ctx:
         return sc.Raise(event=event, target=target, user_data=user_data,
                         synchronous=True)
 
-    def resume_raiser(self, block: EventBlock,
-                      value: Any = None) -> sc.ResumeRaiser:
-        return sc.ResumeRaiser(block=block, value=value)
+    def resume_raiser(self, block: EventBlock, value: Any = None) -> sc.Call:
+        """Resume ``block``'s synchronously-blocked raiser with ``value`` now,
+        before further (possibly long) handler work — else the chain's end
+        resumes it."""
+        return sc.Call(self._thread.cluster.events.settle.resume_raiser,
+                       (block, value))
 
     def set_timer(self, interval: float, event: str = "TIMER",
-                  recurring: bool = True,
-                  user_data: Any = None) -> sc.SetThreadTimer:
-        return sc.SetThreadTimer(TimerSpec(event=event, interval=interval,
-                                           recurring=recurring,
-                                           user_data=user_data))
+                  recurring: bool = True, user_data: Any = None) -> sc.Call:
+        """Add a timer to the thread's attributes (§6.2), re-armed on every
+        node the thread enters; yields its spec id."""
+        thread = self._thread
+        spec = TimerSpec(event, interval, recurring, user_data)
+        return sc.Call(thread.cluster.events.presence.add_thread_timer,
+                       (thread, spec))
 
-    def cancel_timer(self, spec_id: int) -> sc.CancelThreadTimer:
-        return sc.CancelThreadTimer(spec_id)
+    def cancel_timer(self, spec_id: int) -> sc.Call:
+        """Remove an attribute timer; yields True if it was found."""
+        thread = self._thread
+        return sc.Call(thread.cluster.events.presence.remove_thread_timer,
+                       (thread, spec_id))
 
-    def read(self, name: str) -> sc.ReadField:
-        return sc.ReadField(name)
+    def read(self, name: str) -> sc.FieldAccess:
+        """Read a field of the current object (may page-fault under DSM)."""
+        return sc.FieldAccess(name)
 
-    def write(self, name: str, value: Any) -> sc.WriteField:
-        return sc.WriteField(name, value)
+    def write(self, name: str, value: Any) -> sc.FieldAccess:
+        """Write a field of the current object (may page-fault under DSM)."""
+        return sc.FieldAccess(name, value, True)
 
     def install_page(self, oid: int, page_id: int, values: dict,
-                     private_for: int | None = None) -> sc.InstallPage:
-        return sc.InstallPage(oid=oid, page_id=page_id, values=values,
-                              private_for=private_for)
+                     private_for: int | None = None) -> sc.Call:
+        """Pager API (§6.4): supply a faulted page's data, materialised
+        globally or as a weak copy private to node ``private_for``."""
+        return sc.Call(self._thread.cluster.dsm.install_page,
+                       (oid, page_id, values, private_for))
 
-    def merge_pages(self, oid: int, page_id: int) -> sc.MergePages:
-        return sc.MergePages(oid=oid, page_id=page_id)
+    def merge_pages(self, oid: int, page_id: int) -> sc.Call:
+        """Pager API (§6.4): fold a page's private copies back into it;
+        yields the merged values."""
+        return sc.Call(self._thread.cluster.dsm.merge_pages, (oid, page_id))
 
-    def io_write(self, text: str) -> sc.IoWrite:
-        return sc.IoWrite(text)
+    def io_write(self, text: str) -> sc.Call:
+        """Write a line to the thread's I/O channel attribute (§3.1)."""
+        return sc.Call(self._thread.io_write, (text,))
 
-    def new_group(self) -> sc.NewGroup:
-        return sc.NewGroup()
+    def new_group(self) -> sc.Call:
+        """Create a thread group and move this thread into it; yields its
+        id."""
+        return sc.Call(self._thread.new_group)
 
-    def join_group(self, gid) -> sc.JoinGroup:
-        return sc.JoinGroup(gid)
+    def join_group(self, gid: Any) -> sc.Call:
+        """Move this thread into the existing group ``gid`` (§5.3)."""
+        return sc.Call(self._thread.join_group, (gid,))
 
-    def leave_group(self) -> sc.LeaveGroup:
-        return sc.LeaveGroup()
+    def leave_group(self) -> sc.Call:
+        """Leave the current group; yields the old group id (or None)."""
+        return sc.Call(self._thread.leave_group)

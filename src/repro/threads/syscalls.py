@@ -7,21 +7,22 @@ latency) and resumes the generator with the result. Yield points are also
 the instants at which pending events are delivered — the paper's
 "the process is stopped at the point of delivery".
 
-User code normally builds these through the :class:`~repro.threads.context.Ctx`
-facade rather than instantiating them directly.
+A request has a type only where the driver does more than call the
+kernel and resume; every other operation is a :class:`Call` of the kernel
+function its :class:`~repro.threads.context.Ctx` builder bound, and user
+code builds all of them through that facade.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import ProcessError
 from repro.events.block import EventBlock
 from repro.events.handlers import HandlerContext
 from repro.objects.capability import Capability
 from repro.sim.primitives import SimFuture
-from repro.threads.attributes import TimerSpec
 
 
 class ThreadSyscall:
@@ -116,7 +117,7 @@ class CreateObject(ThreadSyscall):
 class AttachHandler(ThreadSyscall):
     """The ``attach_handler`` system call of §5.2.
 
-    Yields the registration id (usable with :class:`DetachHandler`).
+    Yields the registration id (usable with ``ctx.detach_handler``).
     """
 
     event: str
@@ -130,21 +131,6 @@ class AttachHandler(ThreadSyscall):
     procedure: Any = None
     #: Per-registration watchdog deadline overriding ``handler_deadline``
     deadline: float | None = None
-
-
-@dataclass(frozen=True)
-class DetachHandler(ThreadSyscall):
-    """Remove a handler registration (top of chain, or a specific one)."""
-
-    event: str
-    reg_id: int | None = None
-
-
-@dataclass(frozen=True)
-class RegisterEvent(ThreadSyscall):
-    """Register a user event name with the operating system (§3)."""
-
-    name: str
 
 
 @dataclass(frozen=True)
@@ -164,94 +150,14 @@ class Raise(ThreadSyscall):
 
 
 @dataclass(frozen=True)
-class ResumeRaiser(ThreadSyscall):
-    """Explicitly resume the synchronously-blocked raiser of an event.
+class FieldAccess(ThreadSyscall):
+    """Read a field of the current object, or with ``write`` set it to
+    ``value``; may page-fault under DSM transport. Yields the value read
+    (None for a write)."""
 
-    Handlers yield this before doing further (possibly long) work; if a
-    handler never does, the delivery engine resumes the raiser when the
-    chain completes.
-    """
-
-    block: EventBlock
+    name: str
     value: Any = None
-
-
-@dataclass(frozen=True)
-class SetThreadTimer(ThreadSyscall):
-    """Add a timer to the thread's attribute list (§6.2); yields spec id."""
-
-    spec: TimerSpec
-
-
-@dataclass(frozen=True)
-class CancelThreadTimer(ThreadSyscall):
-    """Remove an attribute timer; yields True if found."""
-
-    spec_id: int
-
-
-@dataclass(frozen=True)
-class ReadField(ThreadSyscall):
-    """Read a field of the current DSM-transport object (may page-fault)."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class WriteField(ThreadSyscall):
-    """Write a field of the current DSM-transport object (may page-fault)."""
-
-    name: str
-    value: Any
-
-
-@dataclass(frozen=True)
-class IoWrite(ThreadSyscall):
-    """Write a line to the thread's I/O channel attribute (§3.1)."""
-
-    text: str
-
-
-@dataclass(frozen=True)
-class InstallPage(ThreadSyscall):
-    """Pager API (§6.4): supply data for a faulted page of a DSM object.
-
-    With ``private_for`` the data becomes a weakly-consistent copy private
-    to that node ("the server can supply a copy of the page"); otherwise
-    the page is materialised globally.
-    """
-
-    oid: int
-    page_id: int
-    values: dict
-    private_for: int | None = None
-
-
-@dataclass(frozen=True)
-class MergePages(ThreadSyscall):
-    """Pager API (§6.4): "later merge the pages" — fold private copies
-    back into the authoritative page. Yields the merged values."""
-
-    oid: int
-    page_id: int
-
-
-@dataclass(frozen=True)
-class NewGroup(ThreadSyscall):
-    """Create a fresh thread group and move this thread into it."""
-
-
-@dataclass(frozen=True)
-class JoinGroup(ThreadSyscall):
-    """Move this thread into an existing group ("threads belonging to an
-    application can form a thread group", §5.3). Yields the group id."""
-
-    gid: Any
-
-
-@dataclass(frozen=True)
-class LeaveGroup(ThreadSyscall):
-    """Leave the current group (if any). Yields the old group id."""
+    write: bool = False
 
 
 @dataclass(frozen=True)
@@ -259,3 +165,16 @@ class Recv(ThreadSyscall):
     """Receive the next item from a sim channel (blocking, interruptible)."""
 
     channel: Any
+
+
+@dataclass(frozen=True)
+class Call(ThreadSyscall):
+    """Run ``fn(*args)`` in the kernel and resume with its value.
+
+    The driver makes the call when it takes the yield, then resumes the
+    frame one scheduler hop later with the return value — or throws the
+    call's exception into the frame at its yield.
+    """
+
+    fn: Callable[..., Any]
+    args: tuple = ()

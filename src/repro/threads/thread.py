@@ -8,12 +8,12 @@ location* — the thing the §7.1 locators hunt for.
 
 The driver resumes the innermost activation's generator with the result
 of its last syscall, receives the next syscall, and dispatches it —
-simple ones here, invocations to the cluster's invocation engine, event
-operations to the event manager. Each resumption is an *interruption
-point*: if event notices are pending, the thread is suspended and the
-delivery engine runs the handler chain before user code continues
-("if an event is delivered to an executing thread, the process is
-stopped at the point of delivery", §3).
+simple ones and kernel ``Call``s here, invocations to the cluster's
+invocation engine, event operations to the event manager. Each resumption
+is an *interruption point*: if event notices are pending, the thread is
+suspended and the delivery engine runs the handler chain before user code
+continues ("if an event is delivered to an executing thread, the process
+is stopped at the point of delivery", §3).
 """
 
 from __future__ import annotations
@@ -400,46 +400,18 @@ class DThread:
             cluster.invoker.create_object_from_thread(self, syscall)
         elif isinstance(syscall, sc.AttachHandler):
             attach_from_thread(cluster, self, frame, syscall)
-        elif isinstance(syscall, sc.DetachHandler):
-            detached = (self.attributes.detach(syscall.event, syscall.reg_id)
-                        if syscall.reg_id is not None
-                        else self.attributes.detach_top(syscall.event)
-                        is not None)
-            self.schedule_step(detached, None)
-        elif isinstance(syscall, sc.RegisterEvent):
-            self._register_event(syscall.name)
         elif isinstance(syscall, sc.Raise):
             cluster.events.raise_from_thread(self, syscall)
-        elif isinstance(syscall, sc.ResumeRaiser):
-            cluster.events.settle.resume_raiser(syscall.block, syscall.value)
-            self.schedule_step(None, None)
-        elif isinstance(syscall, sc.SetThreadTimer):
-            cluster.events.presence.add_thread_timer(self, syscall.spec)
-            self.schedule_step(syscall.spec.spec_id, None)
-        elif isinstance(syscall, sc.CancelThreadTimer):
-            removed = cluster.events.presence.remove_thread_timer(
-                self, syscall.spec_id)
-            self.schedule_step(removed, None)
-        elif isinstance(syscall, sc.ReadField):
-            cluster.dsm.field_access(self, frame, syscall.name, None, False)
-        elif isinstance(syscall, sc.WriteField):
-            cluster.dsm.field_access(self, frame, syscall.name,
-                                     syscall.value, True)
-        elif isinstance(syscall, sc.InstallPage):
-            self._pager_call(cluster.dsm.install_page, syscall.oid,
-                             syscall.page_id, syscall.values,
-                             syscall.private_for)
-        elif isinstance(syscall, sc.MergePages):
-            self._pager_call(cluster.dsm.merge_pages, syscall.oid,
-                             syscall.page_id)
-        elif isinstance(syscall, sc.IoWrite):
-            self._io_write(syscall.text)
-        elif isinstance(syscall, sc.NewGroup):
-            self._new_group()
-        elif isinstance(syscall, sc.JoinGroup):
-            self._join_group(syscall.gid)
-        elif isinstance(syscall, sc.LeaveGroup):
-            self._leave_group()
+        elif isinstance(syscall, sc.Call):
+            try:
+                value = syscall.fn(*syscall.args)
+            except Exception as exc:  # noqa: BLE001 - thrown into the frame
+                self.schedule_step(None, exc)
+            else:
+                self.schedule_step(value, None)
+        elif isinstance(syscall, sc.FieldAccess):
+            cluster.dsm.field_access(self, frame, syscall.name, syscall.value,
+                                     syscall.write)
         else:
             self.schedule_step(None, ProcessError(
                 f"{self.tid} yielded unsupported value {syscall!r}"))
@@ -458,60 +430,36 @@ class DThread:
 
         future.add_done_callback(done)
 
-    def _pager_call(self, fn: Any, *args: Any) -> None:
-        try:
-            result = fn(*args)
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            self.schedule_step(None, exc)
-            return
-        self.schedule_step(result, None)
+    # ------------------------------------------------------------------
+    # kernel calls the Ctx builders bind into sc.Call (documented there)
+    # ------------------------------------------------------------------
 
-    def _register_event(self, name: str) -> None:
-        try:
-            self.cluster.names.register_event(name, registrar=self.tid)
-        except BaseException as exc:  # noqa: BLE001
-            self.schedule_step(None, exc)
-            return
-        self.schedule_step(None, None)
-
-    def _io_write(self, text: str) -> None:
+    def io_write(self, text: str) -> None:
         channel = self.attributes.io_channel
         if channel is not None:
             channel.write(self.sim.now, self.tid, text)
-        self.schedule_step(None, None)
 
-    def _new_group(self) -> None:
-        cluster = self.cluster
-        kernel = cluster.kernels[self.current_node]
-        gid = kernel.id_allocator.new_gid()
-        cluster.groups.create(gid)
+    def new_group(self) -> Any:
+        gid = self.cluster.kernels[self.current_node].id_allocator.new_gid()
+        self.cluster.groups.create(gid)
+        return self.join_group(gid)
+
+    def join_group(self, gid: Any) -> Any:
+        groups = self.cluster.groups
+        groups.members(gid)  # validates existence
         old = self.attributes.group
         if old is not None:
-            cluster.groups.remove(old, self.tid)
-        cluster.groups.add(gid, self.tid)
+            groups.remove(old, self.tid)
+        groups.add(gid, self.tid)
         self.attributes.group = gid
-        self.schedule_step(gid, None)
+        return gid
 
-    def _join_group(self, gid: Any) -> None:
-        cluster = self.cluster
-        try:
-            cluster.groups.members(gid)  # validates existence
-            old = self.attributes.group
-            if old is not None:
-                cluster.groups.remove(old, self.tid)
-            cluster.groups.add(gid, self.tid)
-            self.attributes.group = gid
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            self.schedule_step(None, exc)
-            return
-        self.schedule_step(gid, None)
-
-    def _leave_group(self) -> None:
+    def leave_group(self) -> Any:
         old = self.attributes.group
         if old is not None:
             self.cluster.groups.remove(old, self.tid)
             self.attributes.group = None
-        self.schedule_step(old, None)
+        return old
 
     # ------------------------------------------------------------------
     # event integration

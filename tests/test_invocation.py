@@ -201,7 +201,8 @@ class TestExceptionPropagation:
         with pytest.raises(RuntimeError, match="boom"):
             thread.completion.result()
 
-    @pytest.mark.parametrize("bad", ["not a syscall", "compute", "sleep"])
+    @pytest.mark.parametrize("bad",
+                             ["not a syscall", "compute", "sleep", "timer"])
     def test_illegal_yield_is_a_process_error_inside_the_frame(
             self, cluster, bad):
         class Careless(DistObject):
@@ -212,6 +213,8 @@ class TestExceptionPropagation:
                         yield ctx.compute(-1.0)
                     elif bad == "sleep":
                         yield ctx.sleep(-1.0)
+                    elif bad == "timer":
+                        yield ctx.set_timer(0)
                     else:
                         yield bad
                 except ProcessError as exc:
@@ -220,6 +223,7 @@ class TestExceptionPropagation:
         obj = cluster.create_object(Careless, node=0)
         thread = cluster.spawn(obj, "go", at=0)
         assert "caught" in run_to_result(cluster, thread)
+        assert thread.attributes.timers == []
 
     def test_finally_blocks_run_during_failure(self, cluster):
         log = []

@@ -329,9 +329,12 @@ class TestTimers:
         sim = Simulator()
         timers = TimerService(sim, 0)
         fired = []
-        timers.set(1.0, fired.append, "x")
+        timer_id = timers.set(1.0, fired.append, "x")
         sim.run(until=5.0)
         assert fired == ["x"]
+        # fired and forgotten: nothing left to cancel
+        assert timers.active() == []
+        assert timers.cancel(timer_id) is False
 
     def test_recurring_fires_repeatedly(self):
         sim = Simulator()
