@@ -40,7 +40,7 @@ class TimerService:
     def set(self, interval: float, callback: Callable[..., Any], *args: Any,
             recurring: bool = False) -> int:
         """Arm a timer; returns its id for cancellation."""
-        if interval <= 0:
+        if not interval > 0:  # also refuses NaN
             raise KernelError(f"timer interval must be positive, got {interval!r}")
         timer_id = next(self._ids)
         handle = self.sim.call_after(interval, self._fire, timer_id)

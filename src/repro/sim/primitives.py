@@ -4,7 +4,9 @@ A one-shot future and a FIFO channel, both driven entirely by the virtual
 clock of a :class:`~repro.sim.scheduler.Simulator`. Kernel services hand
 out :class:`SimFuture` completions (RPC replies, thread completions, lock
 grants, page fetches); the thread driver in :mod:`repro.threads` waits on
-them and parks threads in a :class:`Channel`.
+them and parks threads in a :class:`Channel`. A future is built per
+external raise, RPC call and thread, so it is a plain ``__slots__``
+class and settling it costs one frame.
 """
 
 from __future__ import annotations
@@ -28,7 +30,13 @@ class SimFuture(Generic[T]):
 
     Callbacks added with :meth:`add_done_callback` run via ``call_soon`` so
     that resolution order never depends on Python stack depth.
+
+    :meth:`settle` is the one completion (``resolve``, ``fail`` and
+    ``cancel`` go through it): it sets the state inline and calls
+    ``call_soon`` only for a registered callback.
     """
+
+    __slots__ = ("_sim", "_state", "_value", "_error", "_callbacks")
 
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim
@@ -51,19 +59,22 @@ class SimFuture(Generic[T]):
 
     def resolve(self, value: T = None) -> None:
         """Complete the future successfully with ``value``."""
-        self._complete(_RESOLVED, value=value)
+        if not self.settle(value):
+            raise SimulationError(f"future already {self._state}")
 
     def fail(self, error: BaseException) -> None:
         """Complete the future with an exception."""
         if not isinstance(error, BaseException):
             raise SimulationError(f"fail() needs an exception, got {error!r}")
-        self._complete(_FAILED, error=error)
+        if not self.settle(None, error):
+            raise SimulationError(f"future already {self._state}")
 
     def cancel(self) -> bool:
         """Cancel the future if still pending. Returns True if cancelled."""
-        if self.done:
+        if not self.settle(None, SimulationError("future cancelled")):
             return False
-        self._complete(_CANCELLED, error=SimulationError("future cancelled"))
+        # the callbacks settle queued run later and read the final state
+        self._state = _CANCELLED
         return True
 
     def result(self) -> T:
@@ -80,27 +91,23 @@ class SimFuture(Generic[T]):
         effect) once done."""
         if self._state != _PENDING:
             return False
-        self._complete(_RESOLVED if error is None else _FAILED,
-                       value=value, error=error)
+        self._state = _RESOLVED if error is None else _FAILED
+        self._value = value
+        self._error = error
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            call_soon = self._sim.call_soon
+            for fn in callbacks:
+                call_soon(fn, self)
         return True
 
     def add_done_callback(self, fn: Callable[["SimFuture[T]"], None]) -> None:
         """Run ``fn(self)`` once the future completes (soon, if already done)."""
-        if self.done:
+        if self._state != _PENDING:
             self._sim.call_soon(fn, self)
         else:
             self._callbacks.append(fn)
-
-    def _complete(self, state: str, value: T | None = None,
-                  error: BaseException | None = None) -> None:
-        if self.done:
-            raise SimulationError(f"future already {self._state}")
-        self._state = state
-        self._value = value
-        self._error = error
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            self._sim.call_soon(fn, self)
 
 
 class Channel(Generic[T]):

@@ -203,7 +203,7 @@ class Simulator:
         ``[when, seq, args, fn]`` entry, the handle :meth:`cancel` takes.
         """
         now = self.now
-        if when < now:
+        if not when >= now:  # also refuses NaN, which orders nowhere
             raise SimulationError(
                 f"cannot schedule at {when!r}; virtual time is already {now!r}"
             )
@@ -219,8 +219,8 @@ class Simulator:
 
     def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> list:
         """Schedule ``fn(*args)`` after ``delay`` seconds of virtual time."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
         return self.call_at(self.now + delay, fn, *args)
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> list:
@@ -451,7 +451,7 @@ class WheelSimulator(Simulator):
 
     def call_at(self, when: float, fn: Callable[..., Any], *args: Any) -> list:
         now = self.now
-        if when < now:
+        if not when >= now:  # also refuses NaN, which orders nowhere
             raise SimulationError(
                 f"cannot schedule at {when!r}; virtual time is already {now!r}"
             )

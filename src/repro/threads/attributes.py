@@ -68,7 +68,7 @@ class TimerSpec:
     spec_id: int = field(default_factory=lambda: next(_timer_spec_ids))
 
     def __post_init__(self) -> None:
-        if self.interval <= 0:
+        if not self.interval > 0:  # also refuses NaN
             raise ProcessError(
                 f"timer interval must be positive, got {self.interval!r}")
 

@@ -15,12 +15,12 @@ Every entry point, object handler and per-thread procedure receives a
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.events.block import EventBlock
 from repro.events.handlers import HandlerContext
 from repro.objects.capability import Capability
-from repro.sim.primitives import SimFuture
 from repro.threads import syscalls as sc
 from repro.threads.attributes import ThreadAttributes, TimerSpec
 
@@ -60,10 +60,9 @@ class Ctx:
         """Node this activation executes on."""
         return self._activation.node
 
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._thread.cluster.sim.now
+    # a C-level getter: reading the clock costs no Python frame
+    now = property(attrgetter("_thread.sim.now"),
+                   doc="Current virtual time.")
 
     @property
     def current_object(self):
@@ -96,11 +95,12 @@ class Ctx:
     # syscall builders (yield the return value)
     # ------------------------------------------------------------------
 
-    def compute(self, seconds: float) -> sc.Compute:
-        return sc.Compute(seconds)
-
-    def sleep(self, seconds: float) -> sc.SleepFor:
-        return sc.SleepFor(seconds)
+    # A builder that only passes its argument on is the request class
+    # itself: the request's ``__init__`` is the one frame a yield builds.
+    compute = staticmethod(sc.Compute)
+    sleep = staticmethod(sc.SleepFor)
+    wait = staticmethod(sc.WaitFor)
+    recv = staticmethod(sc.Recv)
 
     def invoke(self, cap: Capability, entry: str, *args: Any) -> sc.Invoke:
         return sc.Invoke(cap=cap, entry=entry, args=args)
@@ -109,12 +109,6 @@ class Ctx:
                      claimable: bool = True) -> sc.InvokeAsync:
         return sc.InvokeAsync(cap=cap, entry=entry, args=args,
                               claimable=claimable)
-
-    def wait(self, future: SimFuture) -> sc.WaitFor:
-        return sc.WaitFor(future)
-
-    def recv(self, channel: Any) -> sc.Recv:
-        return sc.Recv(channel)
 
     def create(self, cls: type, *args: Any, node: int | None = None,
                transport: str | None = None, **kwargs: Any) -> sc.CreateObject:

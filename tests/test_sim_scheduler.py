@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
+from repro.sim.scheduler import make_simulator
 
 
 def test_starts_at_zero():
@@ -73,6 +74,26 @@ def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.call_after(-1.0, lambda: None)
+
+
+@pytest.mark.parametrize("backend", ["heap", "wheel"])
+def test_nan_time_is_refused_and_strands_nothing(backend):
+    """A NaN time compares False with everything, so a ``when < now``
+    check let it through: the heap queued it and stopped draining at it
+    (entries due later stayed pending), the wheel failed in ``floor``.
+    Both refuse it now, like a time in the past, and keep the rest."""
+    sim = make_simulator(backend)
+    fired = []
+    for when in (1.0, 2.0):
+        sim.call_at(when, fired.append, when)
+    with pytest.raises(SimulationError):
+        sim.call_at(float("nan"), fired.append, "nan")
+    with pytest.raises(SimulationError):
+        sim.call_after(float("nan"), fired.append, "nan")
+    sim.call_at(3.0, fired.append, 3.0)
+    sim.run()
+    assert fired == [1.0, 2.0, 3.0]
+    assert sim.pending == 0
 
 
 def test_cancel_prevents_execution():

@@ -1,0 +1,284 @@
+"""What a yield and an external raise cost in Python frames, and what
+the request objects they build are.
+
+A home-node object post builds one ``SimFuture`` (the external raise's
+answer) and two requests on the master handler thread (the handler's
+``compute`` and the master's next ``recv``), and reads the clock twice
+(the delivery stamp and the handler's own ``ctx.now``). Each request is a
+plain ``__slots__`` class built by its own ``__init__`` — a builder that
+only passes its argument on is the class itself — a future settles in
+one frame, and ``ctx.now`` is a C-level getter. These tests hold the
+frames per post on both scheduler backends, the absence of an instance
+``__dict__``, every type's keyword construction, defaults and ``repr``,
+and the NaN rule of the three time validators.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import sys
+from collections import Counter
+
+import pytest
+
+from repro import Capability, DistObject, entry, on_event
+from repro.errors import KernelError, ProcessError
+from repro.events.handlers import HandlerContext
+from repro.kernel.timers import TimerService
+from repro.sim import Channel, SimFuture, Simulator
+from repro.threads import syscalls as sc
+from repro.threads.attributes import TimerSpec
+from tests.conftest import make_cluster, run_to_result
+from tests.test_syscall_surface import SYSCALLS
+
+N = 256
+
+#: Python frames per home-node post, everything counted: raise_event →
+#: raise_external (one ``SimFuture.__init__``, one ``settle``) → open,
+#: route, post inside the raise; the master's step, the handler's two
+#: generator resumptions, ``Compute.__init__`` and ``Recv.__init__``; the
+#: wheel adds ``_place`` and its miss pop. 49 / 51 while the requests
+#: were frozen dataclasses (builder + generated ``__init__`` +
+#: ``__post_init__``), the future completed through ``settle`` →
+#: ``_complete`` → ``done`` and ``ctx.now`` was a property frame.
+FRAME_BUDGET = {"heap": 42, "wheel": 44}
+
+#: frames the old objects paid and the new ones must not
+GONE = {("syscalls.py", "__post_init__"), ("<string>", "__init__"),
+        ("primitives.py", "_complete"), ("primitives.py", "done"),
+        ("context.py", "now"), ("context.py", "compute"),
+        ("context.py", "recv")}
+
+
+class Sink(DistObject):
+    """E17's passive object: stamp the latency, burn a microsecond."""
+
+    def __init__(self):
+        super().__init__()
+        self.latencies = []
+
+    @on_event("POST")
+    def on_post(self, ctx, block):
+        self.latencies.append(ctx.now - block.raised_at)
+        yield ctx.compute(1e-6)
+
+
+def post_frames(scheduler: str) -> tuple[float, Counter]:
+    """Frames per post over N home-node posts after a warm-up post (it
+    creates the master handler thread), and their census by
+    ``(file, function)``."""
+    cluster = make_cluster(n_nodes=2, scheduler=scheduler)
+    cluster.tracer.mute("event", "object", "thread", "net", "store",
+                        "supervise", "invoke", "dsm", "rpc")
+    cluster.register_event("POST")
+    cap = cluster.create_object(Sink, node=0)
+    cluster.raise_event("POST", cap, from_node=0)
+    cluster.run(until=1.0)
+    frames: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            frames[code.co_filename.rpartition("/")[2], code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        for pid in range(N):
+            cluster.raise_event("POST", cap, from_node=0, user_data=pid)
+        cluster.run(until=2.0)
+    finally:
+        sys.setprofile(None)
+    assert len(cluster.get_object(cap).latencies) == N + 1
+    return sum(frames.values()) / N, frames
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+def test_home_node_post_frame_budget(scheduler):
+    per_post, frames = post_frames(scheduler)
+    # the run's tail (the master parking, run's own frames) is < 1 post
+    assert math.floor(per_post) == FRAME_BUDGET[scheduler], frames
+    assert not GONE & set(frames), frames
+
+
+# ----------------------------------------------------------------------
+# the request objects
+# ----------------------------------------------------------------------
+
+CAP = Capability(oid=7, home=1, transport="rpc")
+SIM = Simulator()
+FUTURE = SimFuture(SIM)
+CHANNEL = Channel(SIM)
+
+#: name -> (keywords given, every field after construction, repr)
+CONSTRUCTION = {
+    "Compute": ({"seconds": 1.5}, {"seconds": 1.5}, "Compute(seconds=1.5)"),
+    "SleepFor": ({"seconds": 0.0}, {"seconds": 0.0},
+                 "SleepFor(seconds=0.0)"),
+    "WaitFor": ({"future": FUTURE}, {"future": FUTURE},
+                f"WaitFor(future={FUTURE!r})"),
+    "Recv": ({"channel": CHANNEL}, {"channel": CHANNEL},
+             f"Recv(channel={CHANNEL!r})"),
+    "Invoke": ({"cap": CAP, "entry": "work"},
+               {"cap": CAP, "entry": "work", "args": (),
+                "as_handler": False, "handler_block": None},
+               f"Invoke(cap={CAP!r}, entry='work', args=(), "
+               "as_handler=False, handler_block=None)"),
+    "InvokeAsync": ({"cap": CAP, "entry": "work", "args": (1,)},
+                    {"cap": CAP, "entry": "work", "args": (1,),
+                     "claimable": True},
+                    f"InvokeAsync(cap={CAP!r}, entry='work', args=(1,), "
+                    "claimable=True)"),
+    "CreateObject": ({"cls": DistObject},
+                     {"cls": DistObject, "node": None, "args": (),
+                      "kwargs": {}, "transport": None},
+                     f"CreateObject(cls={DistObject!r}, node=None, args=(), "
+                     "kwargs={}, transport=None)"),
+    "AttachHandler": ({"event": "E", "context": HandlerContext.ATTACHING,
+                       "fn_name": "on_e"},
+                      {"event": "E", "context": HandlerContext.ATTACHING,
+                       "fn_name": "on_e", "target": None, "procedure": None,
+                       "deadline": None},
+                      f"AttachHandler(event='E', "
+                      f"context={HandlerContext.ATTACHING!r}, "
+                      "fn_name='on_e', target=None, procedure=None, "
+                      "deadline=None)"),
+    "Raise": ({"event": "E", "target": CAP},
+              {"event": "E", "target": CAP, "user_data": None,
+               "synchronous": False},
+              f"Raise(event='E', target={CAP!r}, user_data=None, "
+              "synchronous=False)"),
+    "FieldAccess": ({"name": "w"}, {"name": "w", "value": None,
+                                    "write": False},
+                    "FieldAccess(name='w', value=None, write=False)"),
+    "Call": ({"fn": len}, {"fn": len, "args": ()},
+             "Call(fn=<built-in function len>, args=())"),
+}
+
+
+def test_the_table_covers_every_syscall():
+    assert set(CONSTRUCTION) == SYSCALLS
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTION))
+def test_keyword_construction_defaults_and_repr(name):
+    cls = getattr(sc, name)
+    given, fields, text = CONSTRUCTION[name]
+    request = cls(**given)
+    assert {slot: getattr(request, slot) for slot in cls.__slots__} == fields
+    assert repr(request) == text
+    # positional construction in field order builds the same request
+    assert repr(cls(*fields.values())) == text
+    # identity, not field, equality: nothing compares or hashes requests
+    assert request != cls(**given)
+
+
+def test_create_object_kwargs_default_is_fresh():
+    first = sc.CreateObject(cls=DistObject)
+    second = sc.CreateObject(cls=DistObject)
+    assert first.kwargs == {} and first.kwargs is not second.kwargs
+
+
+def test_async_handle_is_slotted_with_fields_in_its_repr():
+    handle = sc.AsyncHandle(tid="t1", result=None)
+    assert not hasattr(handle, "__dict__")
+    assert repr(handle) == "AsyncHandle(tid='t1', result=None)"
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTION))
+def test_requests_have_no_instance_dict(name):
+    cls = getattr(sc, name)
+    request = cls(**CONSTRUCTION[name][0])
+    assert not hasattr(request, "__dict__")
+    assert not dataclasses.is_dataclass(cls)
+    with pytest.raises(AttributeError):
+        request.extra = 1
+
+
+def test_sim_future_has_no_instance_dict():
+    assert not hasattr(SimFuture(SIM), "__dict__")
+
+
+def test_builders_are_the_request_classes():
+    """The four one-argument builders build in the request's own
+    ``__init__``, with the builder's keyword."""
+    cluster = make_cluster(n_nodes=1)
+    seen = {}
+
+    class Probe(DistObject):
+        @entry
+        def go(self, ctx):
+            seen["now"] = ctx.now
+            seen["requests"] = (ctx.compute(seconds=0.5),
+                                ctx.sleep(seconds=0.25),
+                                ctx.wait(future=FUTURE),
+                                ctx.recv(channel=CHANNEL))
+            yield ctx.compute(0.5)
+            return ctx.now
+
+    cap = cluster.create_object(Probe, node=0)
+    thread = cluster.spawn(cap, "go", at=0)
+    assert run_to_result(cluster, thread) == seen["now"] + 0.5 == cluster.now
+    assert [type(r) for r in seen["requests"]] == [
+        sc.Compute, sc.SleepFor, sc.WaitFor, sc.Recv]
+
+
+# ----------------------------------------------------------------------
+# NaN is not a time
+# ----------------------------------------------------------------------
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sc.Compute(NAN), lambda: sc.SleepFor(NAN),
+    lambda: TimerSpec("TIMER", NAN), lambda: sc.Compute(-1.0),
+    lambda: sc.SleepFor(-1.0), lambda: TimerSpec("TIMER", 0.0)],
+    ids=["compute-nan", "sleep-nan", "timer-nan", "compute-neg",
+         "sleep-neg", "timer-zero"])
+def test_builders_refuse_nan_like_a_negative_time(build):
+    with pytest.raises(ProcessError):
+        build()
+
+
+def test_kernel_timer_refuses_nan_like_a_zero_interval():
+    timers = TimerService(Simulator(), 0)
+    for interval in (NAN, 0.0):
+        with pytest.raises(KernelError):
+            timers.set(interval, lambda: None)
+    assert timers.active() == []
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+@pytest.mark.parametrize("bad", ["compute", "sleep"])
+def test_nan_yield_strands_no_other_thread(scheduler, bad):
+    """A NaN time used to reach the scheduler: on the heap it stalled
+    ``run()`` with another thread's ``compute(1.0)`` still pending, on
+    the wheel it failed in ``floor``. It is a ``ProcessError`` thrown
+    into the frame at the builder now, as a negative time is."""
+    cluster = make_cluster(n_nodes=1, scheduler=scheduler)
+
+    class Worker(DistObject):
+        @entry
+        def careless(self, ctx):
+            yield ctx.compute(0.5)
+            try:
+                if bad == "compute":
+                    yield ctx.compute(NAN)
+                else:
+                    yield ctx.sleep(NAN)
+            except ProcessError:
+                return "refused"
+
+        @entry
+        def steady(self, ctx):
+            yield ctx.compute(1.0)
+            return ctx.now
+
+    cap = cluster.create_object(Worker, node=0)
+    careless = cluster.spawn(cap, "careless", at=0)
+    steady = cluster.spawn(cap, "steady", at=0)
+    cluster.run(max_events=10_000)
+    assert careless.completion.result() == "refused"
+    assert steady.completion.result() == pytest.approx(1.0, abs=1e-2)
+    assert cluster.sim.pending == 0
