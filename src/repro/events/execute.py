@@ -430,14 +430,14 @@ class Executor:
     # ==================================================================
 
     def on_frame_exception(self, thread: DThread, frame: "Activation",
-                           exc: BaseException) -> None:
-        """An activation's generator raised; decide events vs propagation."""
+                           exc: BaseException) -> Any:
+        """An activation's generator raised; decide events vs propagation
+        (a loop thread's frame: ``frame_failed``, whose answer it returns)."""
         invoker = self.invoker
         event = (None if isinstance(exc, (ThreadTerminated, InvocationAborted))
                  else defaults.event_for_exception(exc))
         if event is None or thread.kind != KIND_USER:
-            invoker.frame_failed(thread, exc)
-            return
+            return invoker.frame_failed(thread, exc)
         objects = self.kernels[frame.node].objects
         obj_handler = (objects.object_handler_fn(frame.obj, event)
                        if frame.obj is not None else None)

@@ -38,6 +38,7 @@ from repro.net.message import Message
 from repro.objects.capability import Capability
 from repro.threads import syscalls as sc
 from repro.threads.attributes import ThreadAttributes
+from repro.threads.context import Ctx
 from repro.threads.thread import (
     Activation,
     DThread,
@@ -118,11 +119,12 @@ class InvocationEngine:
                            impersonate: Any = None) -> DThread:
         """Create a thread on ``node`` that runs bare generator frames.
 
-        Used for kernel service threads (the master handler thread of §7)
-        and for surrogate threads, which "take on the attributes of the
-        suspended thread" (§6.1) via the ``attributes`` argument. The
-        thread is findable cluster-wide from here on; it has no frame
-        until :meth:`run_frame` gives it one.
+        Three kinds share this: the master handler thread of §7 and the
+        per-event thread (``objects.manager``), and surrogates, which
+        "take on the attributes of the suspended thread" (§6.1) via
+        ``attributes``. Findable cluster-wide from here on, the thread
+        has no frame, only ``thread.kept``: the activation (and ``Ctx``)
+        each frame runs on; its owner sets ``frame_exit`` (:meth:`run_frame`).
         """
         cluster = self.cluster
         kernel = cluster.kernels[node]
@@ -130,6 +132,8 @@ class InvocationEngine:
         thread = DThread(cluster, tid, attributes or ThreadAttributes(),
                          kind=kind)
         thread.impersonates = impersonate
+        thread.kept = act = Activation(None, name, None, node)
+        act.ctx = Ctx(thread, act)
         cluster.live_threads[tid] = thread
         kernel.thread_table.thread_arrived(tid)
         cluster.events.presence.thread_entered_node(thread, node)
@@ -141,18 +145,18 @@ class InvocationEngine:
     def run_frame(self, thread: DThread, entry: str, obj: Any,
                   event_block: Any, gen_fn: Any, *gen_args: Any) -> None:
         """Run ``gen_fn(ctx, *gen_args)`` as the only frame of a loop
-        thread, on the activation (and ``Ctx``) it keeps for every
-        frame, starting inside the running callback.
+        thread, on its kept activation, starting inside the running
+        callback.
 
         When the frame leaves — or the thread dies under it —
-        ``thread.frame_exit(value, error)`` gets the outcome; a
-        surviving thread is parked (``blocked`` on ``"parked"``, no
-        frame, the activation holding no generator, object or block).
+        ``thread.frame_exit(value, error)`` gets the outcome. It returns
+        True when it arranged the next frame: pushed (the driver steps it
+        at once) or a scheduled step, which finding no frame asks
+        ``frame_exit(None, None)`` for one. Otherwise a surviving thread
+        is parked (``blocked`` on ``"parked"``, no frame, the activation
+        holding no generator, object or block).
         """
         act = thread.kept
-        if act is None:
-            act = thread.kept = Activation(None, entry, None,
-                                           thread.current_node)
         act.entry, act.obj, act.event_block, act.steps = (
             entry, obj, event_block, 0)
         thread.push_frame(act)
@@ -171,17 +175,6 @@ class InvocationEngine:
             owner.chain_surrogate = None
             if surrogate.alive:
                 self._finalize(surrogate, None, None)
-
-    def adopt_loop_thread(self, node: int, gen_fn: Any, name: str,
-                          kind: str, *gen_args: Any) -> DThread:
-        """Create a loop thread whose life is the one frame ``gen_fn``,
-        first stepped after the work already queued for this instant."""
-        thread = self.create_loop_thread(node, name, kind)
-        act = Activation(obj=None, entry=name, gen=None, node=node)
-        thread.push_frame(act)
-        act.gen = gen_fn(act.ctx, *gen_args)
-        thread.schedule_step(None, None)
-        return thread
 
     # ------------------------------------------------------------------
     # synchronous invocation
@@ -301,14 +294,10 @@ class InvocationEngine:
     # returns and exception propagation
     # ------------------------------------------------------------------
 
-    def frame_returned(self, thread: DThread, value: Any) -> None:
-        self._leave_frame(thread, value, None)
-
-    def frame_failed(self, thread: DThread, error: BaseException) -> None:
-        self._leave_frame(thread, None, error)
-
-    def _leave_frame(self, thread: DThread, value: Any,
-                     error: BaseException | None) -> None:
+    def frame_returned(self, thread: DThread, value: Any,
+                       error: BaseException | None = None) -> Any:
+        """The innermost frame left with ``value`` (or ``error``); True
+        when a loop thread's ``frame_exit`` arranged its next frame."""
         frame = thread.pop_frame()
         if "invoke" not in self.cluster.tracer.muted:
             self.cluster.tracer.emit(
@@ -316,15 +305,21 @@ class InvocationEngine:
                 tid=str(thread.tid), entry=frame.entry, node=frame.node,
                 oid=frame.obj.oid if frame.obj is not None else -1)
         if not thread.frames:
-            if frame is not thread.kept:
-                self._complete_thread(thread, frame.node, value, error)
-            else:
+            if frame is thread.kept:
                 frame.gen = frame.obj = frame.event_block = None
-                thread.block("parked")
-                thread.frame_exit(value, error)
-            return
+                if thread.frame_exit(value, error):
+                    return True
+                if (thread.alive and not thread.frames
+                        and thread.state == RUNNING):  # not parked already
+                    thread.block("parked")
+                return False
+            self._complete_thread(thread, frame.node, value, error)
+            return None
         self._resume_or_fail_frame(thread, value, error, frame.is_remote,
                                    frame.node, frame.caller_node)
+
+    def frame_failed(self, thread: DThread, error: BaseException) -> Any:
+        return self.frame_returned(thread, None, error)
 
     def _resume_or_fail_frame(self, thread: DThread, value: Any,
                               error: BaseException | None, was_remote: bool,

@@ -5,19 +5,24 @@ handlers. Section 7 of the paper: "to support posting events to passive
 objects, a system thread needs to be employed. To reduce thread-creation
 costs, it is preferable to employ a master handler thread on behalf of a
 passive object." Both modes are implemented — the configured default is
-the master thread; experiment E3 compares them.
+the master thread; experiment E3 compares them. Both run each handler as
+a frame on a loop thread's kept activation, as a chain's surrogate does
+(``InvocationEngine.create_loop_thread``): at a post's ``frame_exit`` the
+master takes its queue's head as the next frame; a per-event thread ends.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
-
 import inspect
+from collections import deque
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import (
     HandlerTimeout,
     NoSuchEntryError,
     ObjectError,
+    ThreadTerminated,
     UnknownObjectError,
 )
 from repro.events.block import EventBlock
@@ -29,8 +34,7 @@ from repro.kernel.config import (
 )
 from repro.objects.base import DistObject
 from repro.objects.capability import Capability
-from repro.sim.primitives import Channel
-from repro.threads.thread import DThread, KIND_KERNEL
+from repro.threads.thread import DThread, KIND_KERNEL, RECV_FOLDS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.node import Kernel
@@ -52,8 +56,13 @@ class ObjectManager:
         #: memoisation — invalidated whenever the answer could change
         #: (registration changes, destroy, restore, crash).
         self._handler_cache: dict[tuple[int, str], Any] = {}
-        self._queue: Channel[Any] = Channel(kernel.sim)
+        #: posts waiting for the master, each until the master takes it
+        self._queue: deque[tuple] = deque()
         self._master: DThread | None = None
+        #: posts it started inline in this scheduler step (None before
+        #: its first step); parked: idle, so the next post wakes it
+        self._folds: int | None = None
+        self._parked = False
         #: handler runs in progress right now (0 when idle) — lets the
         #: chaos harness spot a wedged master / one-shot thread
         self.serving = 0
@@ -192,11 +201,11 @@ class ObjectManager:
         raiser; the registry is replayed from the journal when
         durable_delivery is on.
         """
-        # reset (not drain): nothing that waited on the queue before the
-        # crash may be offered the first post enqueued after recovery
-        dropped = self._queue.reset()
-        for work in dropped:
-            block = work[2]
+        # The master died first (Kernel.crash), so a post it was woken
+        # or hopped for is still here: lost to the crash, and noticed.
+        queue = self._queue
+        while queue:
+            block = queue.popleft()[2]
             if "event" not in self.kernel.tracer.muted:
                 self.kernel.tracer.emit("event", "queue-lost",
                                         event=block.event, node=self.node_id)
@@ -225,100 +234,126 @@ class ObjectManager:
         A home-node post calls this inside its own raise. Nothing runs
         here: the post joins the master's queue, and a parked master is
         woken by one scheduled step (a busy one takes it, in FIFO
-        order, in the step that finishes the run before it).
+        order, when the run before it ends).
         """
-        mode = self.kernel.config.object_event_mode
-        if mode == OBJ_EVENTS_MASTER:
-            self._queue.put((obj, fn, block, on_exit))
-            self._ensure_master()
-        else:
-            self._spawn_per_event_thread(obj, fn, block, on_exit)
-
-    def _ensure_master(self) -> None:
-        if self._master is not None and self._master.alive:
+        work = (obj, fn, block, on_exit)
+        if self.kernel.config.object_event_mode != OBJ_EVENTS_MASTER:
+            # Charge the thread-creation cost the master mode avoids.
+            self.handler_threads_created += 1
+            self.kernel.sim.call_after(
+                self.kernel.config.thread_create_cost, self._start_loop,
+                "obj-event-oneshot", deque((work,)))
             return
-        # The master is created once (its creation cost is paid once, at
-        # first use — the whole point of the optimisation).
+        self._queue.append(work)
+        master = self._master
+        if master is None or not master.alive:
+            self._new_master()
+        elif self._parked:
+            self._parked = False
+            master.resume_with()
+
+    def _new_master(self) -> None:
+        # Created at first use: its creation cost is paid once (§7).
         self.handler_threads_created += 1
-        self._master = self.kernel.invoker.adopt_loop_thread(
-            self.node_id, self._master_loop, "obj-event-master", KIND_KERNEL)
+        self._folds, self._parked = None, False
+        self._master = self._start_loop("obj-event-master", self._queue)
 
-    def _master_loop(self, ctx):
-        """Body of the per-node master handler thread."""
-        while True:
-            work = yield ctx.recv(self._queue)
-            yield from self._serve(ctx, work)
+    def _start_loop(self, name: str, queue: deque) -> DThread:
+        """A loop thread for ``queue``, stepped after this instant's work."""
+        thread = self.kernel.invoker.create_loop_thread(
+            self.node_id, name, KIND_KERNEL)
+        thread.frame_exit = partial(self._advance, thread, queue, [])
+        thread.schedule_step()
+        return thread
 
-    def _spawn_per_event_thread(self, obj: DistObject, fn: Callable,
-                                block: EventBlock,
-                                on_exit: Callable[[Any, Any], None]) -> None:
-        self.handler_threads_created += 1
-
-        def one_shot(ctx):
-            # Creation cost is charged by spawn machinery below.
-            yield from self._serve(ctx, (obj, fn, block, on_exit))
-
-        def create() -> None:
-            self.kernel.invoker.adopt_loop_thread(
-                self.node_id, one_shot, "obj-event-oneshot", KIND_KERNEL)
-
-        # Charge the thread-creation cost the master mode avoids.
-        self.kernel.sim.call_after(self.kernel.config.thread_create_cost,
-                                   create)
-
-    def _serve(self, ctx, work):
-        """Run one handler within the object's context (shared by modes)."""
-        obj, fn, block, on_exit = work
-        activation = ctx._activation
-        activation.obj = obj
-        previous_block, activation.event_block = activation.event_block, block
-        block.delivered_at = ctx.now
+    def _advance(self, thread: DThread, queue: deque, run: list,
+                 value: Any, error: BaseException | None) -> bool:
+        """A loop thread's ``frame_exit``: end the post ``run`` holds
+        (``[on_exit, watchdog]``, one list for the thread's life) when its
+        frame left or the thread died under it, then start the head of
+        ``queue`` as the next frame. An empty ``run`` is a start (a step
+        that creates, wakes or hops to the thread). True: the next frame
+        is pushed (the driver steps it) or a hop to it scheduled."""
+        kernel = self.kernel
+        if run:
+            on_exit, watchdog = run
+            run.clear()
+            if watchdog is not None:
+                kernel.sim.cancel(watchdog)
+            self.serving -= 1
+            if on_exit is not None:
+                if not (thread.alive or isinstance(error, ThreadTerminated)):
+                    error = GeneratorExit()  # its node crashed under it
+                on_exit(value, error)
+            if not thread.alive:
+                return False
+            if not queue:
+                if queue is self._queue:
+                    self._parked = True
+                else:  # a per-event thread ends with its one post
+                    kernel.invoker.thread_result_with_no_frames(
+                        thread, None, None)
+                return False
+            # The recv-fold rule of DThread._step: with nothing else due
+            # at this instant the hop would be the next callback anyway.
+            # A run that yielded ended the callback it started in.
+            if thread.kept.steps:
+                self._folds = 0
+            if not (self._folds < RECV_FOLDS and not thread.pending_notices
+                    and kernel.sim.nothing_due_now()):
+                thread.schedule_step()
+                return True
+            self._folds += 1
+        elif queue is self._queue:
+            first = self._folds is None
+            self._folds = 0
+            if first:  # the master's first step takes its post as a fold
+                if not kernel.sim.nothing_due_now():
+                    thread.schedule_step()
+                    return True
+                self._folds = 1
+        obj, fn, block, on_exit = queue.popleft()
+        act = thread.kept
+        act.obj, act.event_block, act.steps = obj, block, 0
+        thread.frames.append(act)  # push_frame: the kept one has its Ctx
+        block.delivered_at = kernel.sim.now
         self.events_served += 1
         if block.durable_id is not None:
-            # Atomic with the handler's first segment (no yield between
-            # here and fn's first statement): a crash earlier redelivers,
-            # a crash later suppresses — exactly-once either way.
-            self.kernel.store.mark_applied(block.durable_id)
-        if "event" not in self.kernel.tracer.muted:
-            self.kernel.tracer.emit("event", "object-handler", oid=obj.oid,
-                                    event=block.event, node=self.node_id)
+            # Atomic with the handler's first segment (the driver steps
+            # this frame next): a crash earlier redelivers, a crash
+            # later suppresses — exactly-once either way.
+            kernel.store.mark_applied(block.durable_id)
+        if "event" not in kernel.tracer.muted:
+            kernel.tracer.emit("event", "object-handler", oid=obj.oid,
+                               event=block.event, node=self.node_id)
         self.serving += 1
-        # Whoever ends the run — this frame or its watchdog — takes the
-        # exit out of the cell, so it is reported once.
-        exit_cell = [on_exit]
-        watchdog = self._arm_watchdog(ctx._thread, obj, block, exit_cell)
-        value = error = None
+        # Whoever ends the run — its frame's exit or its watchdog —
+        # takes ``on_exit`` out of it, so it is reported once.
+        run.extend((on_exit, None))
+        deadline = kernel.config.handler_deadline
+        if deadline is not None:
+            run[1] = self._arm_watchdog(thread, run, obj, block, deadline)
         try:
-            value = yield from fn(ctx, block)
-        except BaseException as exc:  # noqa: BLE001 - handler crash is data
-            error = exc
-        finally:
-            if watchdog is not None:
-                self.kernel.sim.cancel(watchdog)
-            self.serving -= 1
-        activation.obj = None
-        activation.event_block = previous_block
-        if exit_cell:
-            exit_cell.pop()(value, error)
+            act.gen = fn(act.ctx, block)
+        except BaseException as exc:  # noqa: BLE001 - as its first step would
+            return kernel.invoker.frame_failed(thread, exc)
+        return True
 
-    def _arm_watchdog(self, thread: DThread, obj: DistObject,
-                      block: EventBlock, exit_cell: list):
+    def _arm_watchdog(self, thread: DThread, run: list, obj: DistObject,
+                      block: EventBlock, deadline: float) -> list:
         """Watchdog over one object-handler run (``handler_deadline``).
 
         A hung handler would otherwise wedge the node's master handler
         thread, starving every later post to objects homed here. On
         expiry the executing thread is destroyed, a fresh master is
         spawned if work is waiting, and the run exits with
-        :class:`~repro.errors.HandlerTimeout`. Returns the timer handle
-        (None when the knob is off — no timer, no extra simulator event).
+        :class:`~repro.errors.HandlerTimeout`. Returns the timer handle.
         """
-        deadline = self.kernel.config.handler_deadline
-        if deadline is None:
-            return None
+        on_exit = run[0]
 
         def expire() -> None:
-            if not exit_cell or not thread.alive:
-                return
+            if not run or run[0] is not on_exit or not thread.alive:
+                return  # its run ended, or its exit was taken
             supervisor = self.kernel.events.supervisor
             supervisor.counters["handler_timeouts"] += 1
             if "supervise" not in self.kernel.tracer.muted:
@@ -328,16 +363,16 @@ class ObjectManager:
             error = HandlerTimeout(
                 f"object handler for {block.event} on oid {obj.oid} "
                 f"exceeded {deadline}s")
-            # Take the exit first: the destroy below unwinds the
-            # generator, whose own exit must find the cell empty.
-            on_exit = exit_cell.pop()
+            # Take the exit first: the destroy below ends the run, whose
+            # own exit must find it taken.
+            run[0] = None
             self.kernel.invoker.destroy_thread_abrupt(thread, error)
             if self._master is thread:
                 # The master died with the hung handler; respawn it if
                 # posts are waiting (otherwise first use re-creates it).
                 self._master = None
-                if len(self._queue):
-                    self._ensure_master()
+                if self._queue:
+                    self._new_master()
             on_exit(None, error)
 
         return self.kernel.sim.call_after(deadline, expire)

@@ -103,10 +103,10 @@ class DThread:
         #: for surrogates: the suspended thread this one acts for (its
         #: tid is what user code sees via ctx.tid)
         self.impersonates = None
-        #: for a thread kept across bare frames (a handler chain's
-        #: surrogate): the activation each frame runs on (``run_frame``),
-        #: and what gets ``(value, error)`` when its stack empties, or
-        #: when it dies with a frame running, in place of completing it
+        #: for a loop thread (surrogate, master, per-event thread): the
+        #: activation each frame runs on (``create_loop_thread``), and
+        #: what gets ``(value, error)`` when its stack empties, or when
+        #: it dies with a frame running, in place of completing it
         self.kept: Activation | None = None
         self.frame_exit: Any = None
         self.state = NEW
@@ -325,12 +325,16 @@ class DThread:
                 self.cluster.events.execute.start_delivery(self)
                 return
             if not self.frames:
-                # The first invocation failed before any activation
-                # existed (unknown object/entry, bad arity): the error is
-                # the thread's outcome.
-                self.cluster.invoker.thread_result_with_no_frames(
-                    self, value, error)
-                return
+                if self.kept is None:
+                    # The first invocation failed before any activation
+                    # existed (unknown object/entry, bad arity): the
+                    # error is the thread's outcome.
+                    self.cluster.invoker.thread_result_with_no_frames(
+                        self, value, error)
+                    return
+                # A loop thread's start (InvocationEngine.run_frame).
+                if not (self.frame_exit(value, error) and self.frames):
+                    return
             frame = self.frames[-1]
             try:
                 if error is not None:
@@ -338,27 +342,32 @@ class DThread:
                 else:
                     syscall = frame.gen.send(value)
             except StopIteration as stop:
-                self.cluster.invoker.frame_returned(self, stop.value)
-                return
+                more = self.cluster.invoker.frame_returned(self, stop.value)
             except BaseException as exc:  # noqa: BLE001 - user code may fail
-                self.cluster.events.execute.on_frame_exception(self, frame,
-                                                               exc)
+                more = self.cluster.events.execute.on_frame_exception(
+                    self, frame, exc)
+            else:
+                frame.steps += 1
+                # Folded, not hopped: a recv that finds an item would
+                # schedule this driver again at this instant; with
+                # nothing else due, that hop is the next callback
+                # anyway, so the loop takes the item here and re-checks
+                # what the hop's step would have checked. Bounded, so
+                # run(max_events=…) still catches a thread that feeds
+                # its own channel.
+                if (folds < RECV_FOLDS and isinstance(syscall, sc.Recv)
+                        and len(syscall.channel) and not self.pending_notices
+                        and self.state == RUNNING
+                        and self.sim.nothing_due_now()):
+                    folds += 1
+                    value, error = syscall.channel.pop(), None
+                    continue
+                self._dispatch(frame, syscall)
                 return
-            frame.steps += 1
-            # Folded, not hopped: a recv that finds an item would
-            # schedule this driver again at this instant; with nothing
-            # else due, that hop is the next callback anyway, so the
-            # loop takes the item here and re-checks what the hop's step
-            # would have checked. Bounded, so run(max_events=…) still
-            # catches a thread that feeds its own channel.
-            if (folds < RECV_FOLDS and isinstance(syscall, sc.Recv)
-                    and len(syscall.channel) and not self.pending_notices
-                    and self.state == RUNNING and self.sim.nothing_due_now()):
-                folds += 1
-                value, error = syscall.channel.pop(), None
-                continue
-            self._dispatch(frame, syscall)
-            return
+            # A loop thread's frame_exit pushed its next frame, or hops.
+            if not (more and self.frames):
+                return
+            value = error = None
 
     # ------------------------------------------------------------------
     # syscall dispatch

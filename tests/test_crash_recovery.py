@@ -328,6 +328,71 @@ class TestCrashMidObjectHandler:
         conclusions.check()
 
 
+class TestCrashBeforeTheMasterTakesThePost:
+    """A post that lands on a parked master's node in the instant the
+    node crashes, behind the master's wake: it stays in the queue until
+    the master takes it, so the crash finds it there — noticed, or
+    redelivered after recovery — instead of dropping it with the
+    master's stale step."""
+
+    def crash_on_arrival(self, cluster, warm):
+        cluster.register_event("POST")
+        runs = []
+
+        class Counting(DistObject):
+            @on_event("POST")
+            def on_post(self, ctx, block):
+                runs.append(block.user_data)
+                yield ctx.compute(1e-6)
+                return block.user_data
+
+        cap = cluster.create_object(Counting, node=1)
+        if warm:  # the master exists and is parked
+            cluster.raise_event("POST", cap, from_node=0, user_data="warm")
+            cluster.run()
+            assert cluster.kernels[1].objects._master.wait_kind \
+                == "parked"
+        t0 = cluster.now
+        future = cluster.raise_and_wait("POST", cap, from_node=0,
+                                        user_data="lost")
+        # the arrival and then the crash, both timed at this instant,
+        # run before the wake scheduled in between
+        cluster.sim.call_at(t0 + cluster.config.link_latency,
+                            cluster.crash_node, 1)
+        cluster.run(until=t0 + 0.5)
+        return future, runs
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["parked", "new"])
+    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+    def test_non_durable_raiser_is_noticed(self, scheduler, warm,
+                                           conclusions):
+        cluster = make_cluster(n_nodes=2, seed=1, scheduler=scheduler)
+        future, runs = self.crash_on_arrival(cluster, warm)
+        assert runs == ["warm"] * warm
+        with pytest.raises(UndeliverableError):
+            future.result()
+        assert cluster.events.undeliverable == 1 and cluster.quiescent()
+        assert conclusions.count("noticed") == 1
+        conclusions.check()
+
+    @pytest.mark.parametrize("warm", [True, False], ids=["parked", "new"])
+    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+    def test_durable_post_runs_once_after_recovery(self, scheduler, warm,
+                                                   conclusions):
+        cluster = make_cluster(n_nodes=2, seed=1, scheduler=scheduler,
+                               durable_delivery=True)
+        future, runs = self.crash_on_arrival(cluster, warm)
+        assert runs == ["warm"] * warm and not future.done
+        cluster.recover_node(1)
+        cluster.run(until=cluster.now + 5.0)
+        assert runs == ["warm"] * warm + ["lost"]
+        assert future.result() == "lost"
+        stats = cluster.durability_stats()
+        assert stats["pending"] == 0 and stats["redelivered"] == 1
+        assert cluster.events.undeliverable == 0
+        conclusions.check()
+
+
 class TestRecovery:
     def test_recovered_node_serves_again(self):
         cluster = make_cluster(n_nodes=3)

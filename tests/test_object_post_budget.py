@@ -99,6 +99,29 @@ class TestHomeNodePost:
         assert _object_posts("NOP", **per_event) == 2 * N
 
 
+@pytest.mark.parametrize("event, hops", [("WORK", 0), ("NOP", 2)])
+def test_the_fold_budget_is_one_scheduler_step(event, hops):
+    """The master takes at most ``RECV_FOLDS`` posts inline in one
+    scheduler step, so ``run(max_events=…)`` still bounds a callback;
+    a handler that yields ends the step it started in, so the count
+    starts over and a queue of computing handlers never hops."""
+    cluster = make_cluster(n_nodes=1)
+    for name in ("WORK", "NOP"):
+        cluster.register_event(name)
+    cap = cluster.create_object(Target, node=0)
+    cluster.raise_event(event, cap, from_node=0)
+    cluster.run(until=1.0)
+    before = _scheduled(cluster)
+    posts = 2 * (RECV_FOLDS + 1) + 1
+    for _ in range(posts):
+        cluster.raise_event(event, cap, from_node=0)
+    cluster.run(until=2.0)
+    assert cluster.get_object(cap).hits == posts + 1
+    computes = posts if event == "WORK" else 0
+    # the wake, the computes, and a hop per RECV_FOLDS + 1 posts taken
+    assert _scheduled(cluster) - before == 1 + computes + hops
+
+
 def test_remote_durable_post():
     """Sixteen journaled posts over the reliable channel, one instant:
     message transits, ack timers and one store.ack window for the batch,

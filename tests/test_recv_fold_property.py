@@ -1,7 +1,9 @@
 """Folding a recv hop changes the count of scheduler events and nothing
 else, as a property.
 
-``DThread._step`` takes a queued channel item inline only when
+The master handler thread starts its next queued post inline (its
+``frame_exit``, ``ObjectManager._advance``, as ``DThread._step`` takes a
+queued channel item for ``ctx.recv``) only when
 ``Simulator.nothing_due_now()`` says the hop it saves would be the next
 callback anyway. Patching that query to always answer no restores the
 hop path (a test device, not a knob). A drawn program of same-instant

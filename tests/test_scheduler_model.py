@@ -331,9 +331,10 @@ class _Sleeper(DistObject):
 
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
 def test_watchdog_cancelled_inside_its_own_expiry(scheduler):
-    """``ObjectManager._serve``'s ``finally: sim.cancel(watchdog)`` runs
-    inside the watchdog's ``expire`` callback when the deadline fires;
-    ``pending`` is what ``quiescent()`` and ``run_sharded`` read."""
+    """The master's exit (``ObjectManager._advance``) cancels the run's
+    watchdog inside the watchdog's ``expire`` callback when the deadline
+    fires; ``pending`` is what ``quiescent()`` and ``run_sharded``
+    read."""
     cluster = make_cluster(n_nodes=1, handler_deadline=0.01,
                            scheduler=scheduler)
     cluster.register_event("EVT")

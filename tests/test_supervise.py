@@ -342,7 +342,7 @@ class TestObjectHandlerExitsOnce:
         assert self._exits(handler_exits) == [["returned"]]
         assert cluster.supervision_stats()["handler_timeouts"] == 0
         master = cluster.kernels[0].objects._master
-        assert master.alive and master.wait_kind == "recv"
+        assert master.alive and master.wait_kind == "parked"
         conclusions.check()
 
 

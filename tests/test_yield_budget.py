@@ -2,13 +2,15 @@
 the request objects they build are.
 
 A home-node object post builds one ``SimFuture`` (the external raise's
-answer) and two requests on the master handler thread (the handler's
-``compute`` and the master's next ``recv``), and reads the clock twice
-(the delivery stamp and the handler's own ``ctx.now``). Each request is a
-plain ``__slots__`` class built by its own ``__init__`` — a builder that
-only passes its argument on is the class itself — a future settles in
-one frame, and ``ctx.now`` is a C-level getter. These tests hold the
-frames per post on both scheduler backends, the absence of an instance
+answer) and one request on the master handler thread (the handler's
+``compute``), and reads the clock twice (the delivery stamp and the
+handler's own ``ctx.now``). The handler's generator is the master's
+frame itself: when it ends, the master takes the next post in the same
+step. Each request is a plain ``__slots__`` class built by its own
+``__init__`` — a builder that only passes its argument on is the class
+itself — a future settles in one frame, and ``ctx.now`` is a C-level
+getter. These tests hold the frames per post on both scheduler backends
+(a busy master and a parked one), the absence of an instance
 ``__dict__``, every type's keyword construction, defaults and ``repr``,
 and the NaN rule of the three time validators.
 """
@@ -37,18 +39,28 @@ N = 256
 #: Python frames per home-node post, everything counted: raise_event →
 #: raise_external (one ``SimFuture.__init__``, one ``settle``) → open,
 #: route, post inside the raise; the master's step, the handler's two
-#: generator resumptions, ``Compute.__init__`` and ``Recv.__init__``; the
-#: wheel adds ``_place`` and its miss pop. 49 / 51 while the requests
-#: were frozen dataclasses (builder + generated ``__init__`` +
-#: ``__post_init__``), the future completed through ``settle`` →
-#: ``_complete`` → ``done`` and ``ctx.now`` was a property frame.
-FRAME_BUDGET = {"heap": 42, "wheel": 44}
+#: generator resumptions and ``Compute.__init__``; the frame's exit
+#: (``frame_returned``, ``pop_frame``, ``block``) and the master's
+#: ``frame_exit``, which concludes the post and starts the next; the
+#: wheel adds ``_place`` and its miss pop. 42 / 44 while every handler
+#: ran under ``_serve`` under ``_master_loop``, which took each post with
+#: a ``Recv``; 49 / 51 while the requests were frozen dataclasses
+#: (builder + generated ``__init__`` + ``__post_init__``), the future
+#: completed through ``settle`` → ``_complete`` → ``done`` and ``ctx.now``
+#: was a property frame.
+FRAME_BUDGET = {"heap": 35, "wheel": 37}
+
+#: the same, one post per millisecond, so each finds the master parked
+#: and wakes it with one scheduled step (the pump's own frame included):
+#: 49 / 52 with the ``Recv`` park and the channel hand-off
+PARKED_BUDGET = {"heap": 41, "wheel": 44}
 
 #: frames the old objects paid and the new ones must not
 GONE = {("syscalls.py", "__post_init__"), ("<string>", "__init__"),
         ("primitives.py", "_complete"), ("primitives.py", "done"),
         ("context.py", "now"), ("context.py", "compute"),
-        ("context.py", "recv")}
+        ("context.py", "recv"), ("manager.py", "_master_loop"),
+        ("manager.py", "_serve"), ("primitives.py", "__len__")}
 
 
 class Sink(DistObject):
@@ -64,10 +76,9 @@ class Sink(DistObject):
         yield ctx.compute(1e-6)
 
 
-def post_frames(scheduler: str) -> tuple[float, Counter]:
-    """Frames per post over N home-node posts after a warm-up post (it
-    creates the master handler thread), and their census by
-    ``(file, function)``."""
+def _warm_cluster(scheduler: str):
+    """A cluster with one ``Sink`` on node 0 whose master handler thread
+    one warm-up post has created."""
     cluster = make_cluster(n_nodes=2, scheduler=scheduler)
     cluster.tracer.mute("event", "object", "thread", "net", "store",
                         "supervise", "invoke", "dsm", "rpc")
@@ -75,6 +86,12 @@ def post_frames(scheduler: str) -> tuple[float, Counter]:
     cap = cluster.create_object(Sink, node=0)
     cluster.raise_event("POST", cap, from_node=0)
     cluster.run(until=1.0)
+    return cluster, cap
+
+
+def _count_frames(cluster, cap, load) -> tuple[float, Counter]:
+    """Frames per post of ``load()`` and a run to 2.0 s, and their
+    census by ``(file, function)``."""
     frames: Counter = Counter()
 
     def profile(frame, event, arg):
@@ -84,13 +101,36 @@ def post_frames(scheduler: str) -> tuple[float, Counter]:
 
     sys.setprofile(profile)
     try:
-        for pid in range(N):
-            cluster.raise_event("POST", cap, from_node=0, user_data=pid)
+        load()
         cluster.run(until=2.0)
     finally:
         sys.setprofile(None)
     assert len(cluster.get_object(cap).latencies) == N + 1
     return sum(frames.values()) / N, frames
+
+
+def post_frames(scheduler: str) -> tuple[float, Counter]:
+    """Frames per post over N home-node posts raised in one instant."""
+    cluster, cap = _warm_cluster(scheduler)
+
+    def load():
+        for pid in range(N):
+            cluster.raise_event("POST", cap, from_node=0, user_data=pid)
+
+    return _count_frames(cluster, cap, load)
+
+
+def parked_post_frames(scheduler: str) -> tuple[float, Counter]:
+    """Frames per post over N home-node posts one millisecond apart,
+    each raised by a pump callback scheduled beforehand."""
+    cluster, cap = _warm_cluster(scheduler)
+
+    def pump(pid):
+        cluster.raise_event("POST", cap, from_node=0, user_data=pid)
+
+    for pid in range(N):
+        cluster.sim.call_at(1.0 + 1e-3 * pid, pump, pid)
+    return _count_frames(cluster, cap, lambda: None)
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
@@ -99,6 +139,15 @@ def test_home_node_post_frame_budget(scheduler):
     # the run's tail (the master parking, run's own frames) is < 1 post
     assert math.floor(per_post) == FRAME_BUDGET[scheduler], frames
     assert not GONE & set(frames), frames
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+def test_parked_master_post_frame_budget(scheduler):
+    per_post, frames = parked_post_frames(scheduler)
+    assert math.floor(per_post) == PARKED_BUDGET[scheduler], frames
+    assert not GONE & set(frames), frames
+    # the wake is one scheduled step, the only instant hop of the post
+    assert frames["thread.py", "resume_with"] == N
 
 
 # ----------------------------------------------------------------------
