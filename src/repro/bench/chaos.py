@@ -337,26 +337,28 @@ def _check_invariants(spec: ChaosSpec, executions: dict[int, int],
 
 def hung_handlers(cluster: Cluster) -> list[str]:
     """Handler executions in progress on a cluster that should be idle,
-    one line each: a surrogate that still has a frame (stuck in a
-    handler), an orphaned one (alive, but not parked with a live owner
-    on its node — a surrogate between notices is parked and is *not* a
-    hang), or an object-event thread wedged mid-serve."""
+    one line each. A loop thread (master, per-event thread, surrogate)
+    with a frame is a run in progress: a surrogate stuck in a handler,
+    or an object-event thread wedged mid-serve. So is an orphaned
+    surrogate (alive, but not parked with a live owner on its node — a
+    surrogate between notices is parked and is *not* a hang)."""
     hung = []
     for thread in cluster.live_threads.values():
-        if thread.kind != KIND_SURROGATE or not thread.alive:
-            continue
+        if thread.kept is None:
+            continue  # not a loop thread
+        surrogate = thread.kind == KIND_SURROGATE
         owner = cluster.live_threads.get(thread.impersonates)
         if thread.frames:
             what = f"in {thread.frames[0].entry}"
-        elif (owner is None or owner.chain_surrogate is not thread
-              or owner.current_node != thread.current_node):
+        elif surrogate and (owner is None
+                            or owner.chain_surrogate is not thread
+                            or owner.current_node != thread.current_node):
             what = "orphaned"
         else:
             continue
-        hung.append(f"surrogate {thread.tid} of {thread.impersonates} {what}")
-    hung += [f"object handler mid-serve on node {kernel.node_id}"
-             for kernel in cluster.kernels.values()
-             for _ in range(kernel.objects.serving)]
+        hung.append(f"surrogate {thread.tid} of {thread.impersonates} {what}"
+                    if surrogate else
+                    f"object handler mid-serve on node {thread.current_node}")
     return hung
 
 

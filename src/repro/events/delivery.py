@@ -64,8 +64,7 @@ class EventManager:
         #: watchdog / breaker / dead-letter policy (inert at defaults)
         self.supervisor = HandlerSupervisor(cluster, self.settle)
         self.post = Poster(cluster, self.supervisor, self.settle)
-        self.execute = Executor(cluster, self.supervisor, self.settle,
-                                self.post.enqueue_for_thread)
+        self.execute = Executor(cluster, self.supervisor, self.settle)
         self.route = Router(cluster, self, self.settle, self.post)
         self.presence = Presence(cluster, self.post)
         #: the configured §7.1 location strategy

@@ -25,7 +25,7 @@ from repro.errors import (
     UndeliverableError,
     UnknownObjectError,
 )
-from repro.events import defaults, names
+from repro.events import defaults
 from repro.events.block import EventBlock
 from repro.events.handlers import Decision, HandlerContext, HandlerRegistration
 from repro.events.settle import EXECUTED, Settler
@@ -79,7 +79,7 @@ class Executor:
     state lives on the suspended thread, not here)."""
 
     def __init__(self, cluster: "Cluster", supervisor: HandlerSupervisor,
-                 settle: Settler, enqueue: Any) -> None:
+                 settle: Settler) -> None:
         self.cluster = cluster
         self.sim = cluster.sim
         self.tracer = cluster.tracer
@@ -87,8 +87,6 @@ class Executor:
         self.invoker = cluster.invoker
         self.supervisor = supervisor
         self.settle = settle
-        #: ``post.enqueue_for_thread``, for the HANDLER_TIMEOUT notice
-        self.enqueue = enqueue
         self.handler_retries = cluster.config.handler_retries
         self.handler_backoff = cluster.config.handler_backoff
         #: notices whose handling began
@@ -351,35 +349,10 @@ class Executor:
                     impersonate=thread.tid))
             surrogate.frame_exit = partial(self._handler_exited, thread)
         if deadline is not None:
-            thread.walk.watchdog = self.sim.call_after(
-                deadline, self._handler_timed_out, surrogate, thread, block,
-                deadline)
+            thread.walk.watchdog = self.supervisor.watch(
+                surrogate, deadline, block, owner=thread)
         self.invoker.run_frame(surrogate, entry, obj, event_block, frame_fn,
                                *frame_args)
-
-    def _handler_timed_out(self, surrogate: DThread, thread: DThread,
-                           block: EventBlock, deadline: float) -> None:
-        """The watchdog on one surrogate handler run expired."""
-        self.supervisor.counters["handler_timeouts"] += 1
-        if "supervise" not in self.tracer.muted:
-            self.tracer.emit("supervise", "handler-timeout", event=block.event,
-                             tid=str(thread.tid), deadline=deadline)
-        # Raise HANDLER_TIMEOUT on the owning thread (only when it
-        # subscribed — mirrors the TARGET_DEAD gating, so unsupervised
-        # runs see zero extra notices). Queue it first: destroying the
-        # surrogate exits its frame with the timeout, which
-        # _handler_exited turns into PROPAGATE, and the chain falls
-        # through (LIFO order preserved) before this returns.
-        if (thread.alive and block.event != names.HANDLER_TIMEOUT
-                and thread.attributes.handlers_for(names.HANDLER_TIMEOUT)):
-            node = thread.current_node
-            self.enqueue(node, thread.tid, EventBlock(
-                event=names.HANDLER_TIMEOUT, raiser_tid=None,
-                raiser_node=node, target=thread.tid,
-                user_data={"event": block.event, "deadline": deadline},
-                raised_at=self.sim.now))
-        self.invoker.destroy_thread_abrupt(surrogate, HandlerTimeout(
-            f"handler for {block.event} exceeded {deadline}s"))
 
     def _handler_exited(self, thread: DThread, result: Any,
                         error: BaseException | None) -> None:

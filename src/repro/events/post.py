@@ -339,8 +339,9 @@ class Poster:
                     kernel.objects.destroy(oid)
             elif isinstance(error, GeneratorExit):
                 # The node crashed mid-run — not a handler bug, so no
-                # poison tally. A durable post concludes as before (the
-                # applied marker suppresses its redelivery).
+                # poison tally. A durable post concludes executed (the
+                # applied marker suppresses its redelivery) and its
+                # raiser hears of the crash (Settler._resume).
                 if block.durable_id is None:
                     self.lost_in_crash(block)
                     return

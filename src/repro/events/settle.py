@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import (
     EventQuarantinedError,
+    NodeCrashedError,
     RpcTimeout,
     UndeliverableError,
 )
@@ -223,7 +224,15 @@ class Settler:
         if node == wait.node:
             self.sim.call_soon(self._arrive, token, value, error)
             return
-        self.cluster.kernels[node].transmit(Message(
+        sender = self.cluster.kernels[node]
+        if sender.crashed:
+            # A handler that died in its node's crash: that node sends
+            # nothing, so the raiser's node observes the crash, as an
+            # RPC caller's does (Kernel.crash), and the wait fails.
+            self.sim.call_soon(self._arrive, token, None, NodeCrashedError(
+                f"node {node} crashed under the handler of {block.event}"))
+            return
+        sender.transmit(Message(
             src=node, dst=wait.node, mtype=MSG_RESUME, size=96,
             payload={"token": token, "value": value, "error": error}),
             on_give_up=lambda m: self._arrive(

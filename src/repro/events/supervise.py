@@ -5,10 +5,12 @@ execution* crash-tolerant. The delivery engine consults one
 :class:`HandlerSupervisor` (cluster-wide, owned by the
 :class:`~repro.events.delivery.EventManager`) for three policies:
 
-* **watchdog deadlines** — every supervised surrogate run gets a
-  deadline (``handler_deadline``, overridable per registration); on
-  expiry the surrogate is cancelled, the chain falls through, and a
-  ``HANDLER_TIMEOUT`` system event is raised on the owning thread.
+* **watchdog deadlines** — every supervised handler run, an object
+  handler's or a chain's, gets a deadline (``handler_deadline``,
+  overridable per registration) from :meth:`HandlerSupervisor.watch`;
+  on expiry its loop thread is destroyed, so the run ends through
+  ``frame_exit`` with the timeout as every other end does, and a
+  ``HANDLER_TIMEOUT`` system event is raised on a surrogate's owner.
 * **retry + circuit breaking for buddy handlers** — invocations that
   fail with crash/give-up errors retry with exponential backoff
   (``handler_retries`` / ``handler_backoff``); a per-(buddy-oid, event)
@@ -30,12 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Iterable
 
+from repro.errors import HandlerTimeout
+from repro.events import names
+from repro.events.block import EventBlock
 from repro.events.settle import QUARANTINED, Settler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.events.block import EventBlock
     from repro.events.handlers import HandlerRegistration
     from repro.kernel.node import Kernel
+    from repro.threads.thread import DThread
 
 # -- circuit breaker ---------------------------------------------------------
 
@@ -105,6 +110,7 @@ class HandlerSupervisor:
                 "dead_letter_undeliverable", "degrade_unconfirmed")
 
     def __init__(self, cluster, settle: "Settler") -> None:
+        self.cluster = cluster
         self.sim = cluster.sim
         self.tracer = cluster.tracer
         self.kernels = cluster.kernels
@@ -124,6 +130,51 @@ class HandlerSupervisor:
         if registration.deadline is not None:
             return registration.deadline
         return self.config.handler_deadline
+
+    def watch(self, thread: "DThread", deadline: float, block: EventBlock,
+              owner: "DThread | None" = None, obj: Any = None) -> list:
+        """Arm the watchdog over one handler run of ``block`` on the loop
+        thread ``thread`` — an object handler's on ``obj``, or a chain
+        handler's on ``owner``'s surrogate — and return its timer (the
+        run's ``frame_exit`` cancels it). On expiry it counts, traces,
+        raises ``HANDLER_TIMEOUT`` on a subscribed ``owner`` and destroys
+        ``thread``: the run then ends through ``frame_exit``."""
+        return self.sim.call_after(deadline, self._expired, thread, deadline,
+                                   block, owner, obj)
+
+    def _expired(self, thread: "DThread", deadline: float,
+                 block: EventBlock, owner: "DThread | None",
+                 obj: Any) -> None:
+        if not (thread.alive and thread.frames):
+            return  # the run ended in this instant, ahead of its watchdog
+        self.counters["handler_timeouts"] += 1
+        what = f"handler for {block.event}"
+        if owner is None:
+            what = f"object {what} on oid {obj.oid}"
+            if "supervise" not in self.tracer.muted:
+                self.tracer.emit("supervise", "handler-timeout",
+                                 event=block.event, oid=obj.oid,
+                                 node=thread.current_node, deadline=deadline)
+        else:
+            if "supervise" not in self.tracer.muted:
+                self.tracer.emit("supervise", "handler-timeout",
+                                 event=block.event, tid=str(owner.tid),
+                                 deadline=deadline)
+            # Only a subscribed owner hears of it (as with TARGET_DEAD).
+            # Queued first: the destroy below ends the run, and the
+            # chain falls through (LIFO order kept) before it returns.
+            if (owner.alive and block.event != names.HANDLER_TIMEOUT
+                    and owner.attributes.handlers_for(names.HANDLER_TIMEOUT)):
+                node = owner.current_node
+                self.cluster.events.post.enqueue_for_thread(
+                    node, owner.tid, EventBlock(
+                        event=names.HANDLER_TIMEOUT, raiser_tid=None,
+                        raiser_node=node, target=owner.tid,
+                        user_data={"event": block.event,
+                                   "deadline": deadline},
+                        raised_at=self.sim.now))
+        self.cluster.invoker.destroy_thread_abrupt(
+            thread, HandlerTimeout(f"{what} exceeded {deadline}s"))
 
     # -- circuit breaker ----------------------------------------------
 

@@ -5,10 +5,13 @@ handlers. Section 7 of the paper: "to support posting events to passive
 objects, a system thread needs to be employed. To reduce thread-creation
 costs, it is preferable to employ a master handler thread on behalf of a
 passive object." Both modes are implemented — the configured default is
-the master thread; experiment E3 compares them. Both run each handler as
-a frame on a loop thread's kept activation, as a chain's surrogate does
-(``InvocationEngine.create_loop_thread``): at a post's ``frame_exit`` the
-master takes its queue's head as the next frame; a per-event thread ends.
+the master thread; experiment E3 compares them. Both put the post on the
+node's one FIFO queue and run each handler as a frame on a loop thread's
+kept activation, as a chain's surrogate does
+(``InvocationEngine.create_loop_thread``): the master takes the queue's
+head whenever a run ends; a per-event thread, made at post time, takes
+it once and ends. Every run, however it ends, reports through its
+thread's ``frame_exit`` (``ObjectManager._advance``).
 """
 
 from __future__ import annotations
@@ -18,13 +21,7 @@ from collections import deque
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.errors import (
-    HandlerTimeout,
-    NoSuchEntryError,
-    ObjectError,
-    ThreadTerminated,
-    UnknownObjectError,
-)
+from repro.errors import NoSuchEntryError, ObjectError, UnknownObjectError
 from repro.events.block import EventBlock
 from repro.events.handlers import ObjectHandlerRegistry
 from repro.kernel.config import (
@@ -56,16 +53,14 @@ class ObjectManager:
         #: memoisation — invalidated whenever the answer could change
         #: (registration changes, destroy, restore, crash).
         self._handler_cache: dict[tuple[int, str], Any] = {}
-        #: posts waiting for the master, each until the master takes it
+        #: posts waiting for a loop thread, each until one takes it: the
+        #: master, or in per-event mode the thread made for it
         self._queue: deque[tuple] = deque()
         self._master: DThread | None = None
         #: posts it started inline in this scheduler step (None before
         #: its first step); parked: idle, so the next post wakes it
         self._folds: int | None = None
         self._parked = False
-        #: handler runs in progress right now (0 when idle) — lets the
-        #: chaos harness spot a wedged master / one-shot thread
-        self.serving = 0
         #: counters reported by experiment E3
         self.events_served = 0
         self.handler_threads_created = 0
@@ -201,8 +196,9 @@ class ObjectManager:
         raiser; the registry is replayed from the journal when
         durable_delivery is on.
         """
-        # The master died first (Kernel.crash), so a post it was woken
-        # or hopped for is still here: lost to the crash, and noticed.
+        # The loop threads died first (Kernel.crash), a per-event one
+        # not yet started included, so a post one was made, woken or
+        # hopped for is still here: lost to the crash, and noticed.
         queue = self._queue
         while queue:
             block = queue.popleft()[2]
@@ -211,7 +207,6 @@ class ObjectManager:
                                         event=block.event, node=self.node_id)
             self.kernel.events.post.lost_in_crash(block)
         self._master = None
-        self.serving = 0
         self.handlers.clear()
         self._handler_cache.clear()
 
@@ -228,23 +223,23 @@ class ObjectManager:
         ``(ctx, event_block)``). ``on_exit(value, error)`` is called
         exactly once, inside the run's last step, so the post concludes
         before the next handler starts: with the return value, the
-        exception raised, ``GeneratorExit`` (the node crashed) or the
-        watchdog's :class:`~repro.errors.HandlerTimeout`.
+        exception raised, ``GeneratorExit`` (the node crashed),
+        ``ThreadTerminated`` or the watchdog's
+        :class:`~repro.errors.HandlerTimeout`.
 
         A home-node post calls this inside its own raise. Nothing runs
         here: the post joins the master's queue, and a parked master is
         woken by one scheduled step (a busy one takes it, in FIFO
-        order, when the run before it ends).
+        order, when the run before it ends). In per-event mode the post
+        gets a thread of its own, which pays the creation the master
+        mode avoids before it takes the queue's head.
         """
-        work = (obj, fn, block, on_exit)
-        if self.kernel.config.object_event_mode != OBJ_EVENTS_MASTER:
-            # Charge the thread-creation cost the master mode avoids.
-            self.handler_threads_created += 1
-            self.kernel.sim.call_after(
-                self.kernel.config.thread_create_cost, self._start_loop,
-                "obj-event-oneshot", deque((work,)))
+        self._queue.append((obj, fn, block, on_exit))
+        config = self.kernel.config
+        if config.object_event_mode != OBJ_EVENTS_MASTER:
+            self._start_loop("obj-event-oneshot").schedule_step_after(
+                config.thread_create_cost)
             return
-        self._queue.append(work)
         master = self._master
         if master is None or not master.alive:
             self._new_master()
@@ -254,45 +249,51 @@ class ObjectManager:
 
     def _new_master(self) -> None:
         # Created at first use: its creation cost is paid once (§7).
-        self.handler_threads_created += 1
         self._folds, self._parked = None, False
-        self._master = self._start_loop("obj-event-master", self._queue)
+        self._master = self._start_loop("obj-event-master")
+        self._master.schedule_step()
 
-    def _start_loop(self, name: str, queue: deque) -> DThread:
-        """A loop thread for ``queue``, stepped after this instant's work."""
+    def _start_loop(self, name: str) -> DThread:
+        """A loop thread serving this node's queue; its caller steps it."""
+        self.handler_threads_created += 1
         thread = self.kernel.invoker.create_loop_thread(
             self.node_id, name, KIND_KERNEL)
-        thread.frame_exit = partial(self._advance, thread, queue, [])
-        thread.schedule_step()
+        thread.frame_exit = partial(self._advance, thread, [])
         return thread
 
-    def _advance(self, thread: DThread, queue: deque, run: list,
-                 value: Any, error: BaseException | None) -> bool:
-        """A loop thread's ``frame_exit``: end the post ``run`` holds
-        (``[on_exit, watchdog]``, one list for the thread's life) when its
-        frame left or the thread died under it, then start the head of
-        ``queue`` as the next frame. An empty ``run`` is a start (a step
-        that creates, wakes or hops to the thread). True: the next frame
-        is pushed (the driver steps it) or a hop to it scheduled."""
+    def _advance(self, thread: DThread, run: list, value: Any,
+                 error: BaseException | None) -> bool:
+        """A loop thread's ``frame_exit``, the one way its runs end: end
+        the post ``run`` holds (``[on_exit, watchdog]``, one list for the
+        thread's life) when its frame left or the thread died under it,
+        then start the queue's head as the next frame. An empty ``run``
+        is a start (a step that creates, wakes or hops to the thread).
+        True: the next frame is pushed (the driver steps it) or a hop
+        to it scheduled."""
         kernel = self.kernel
+        queue = self._queue
+        master = thread is self._master
         if run:
             on_exit, watchdog = run
             run.clear()
             if watchdog is not None:
                 kernel.sim.cancel(watchdog)
-            self.serving -= 1
-            if on_exit is not None:
-                if not (thread.alive or isinstance(error, ThreadTerminated)):
+            if not thread.alive:
+                if kernel.crashed:
                     error = GeneratorExit()  # its node crashed under it
-                on_exit(value, error)
+                elif master and queue:
+                    # Its watchdog or a TERMINATE: the posts behind the
+                    # run get a new master before the run reports.
+                    self._new_master()
+            on_exit(value, error)
             if not thread.alive:
                 return False
+            if not master:  # a per-event thread ends with its one post
+                kernel.invoker.thread_result_with_no_frames(
+                    thread, None, None)
+                return False
             if not queue:
-                if queue is self._queue:
-                    self._parked = True
-                else:  # a per-event thread ends with its one post
-                    kernel.invoker.thread_result_with_no_frames(
-                        thread, None, None)
+                self._parked = True
                 return False
             # The recv-fold rule of DThread._step: with nothing else due
             # at this instant the hop would be the next callback anyway.
@@ -304,7 +305,7 @@ class ObjectManager:
                 thread.schedule_step()
                 return True
             self._folds += 1
-        elif queue is self._queue:
+        elif master:
             first = self._folds is None
             self._folds = 0
             if first:  # the master's first step takes its post as a fold
@@ -326,53 +327,13 @@ class ObjectManager:
         if "event" not in kernel.tracer.muted:
             kernel.tracer.emit("event", "object-handler", oid=obj.oid,
                                event=block.event, node=self.node_id)
-        self.serving += 1
-        # Whoever ends the run — its frame's exit or its watchdog —
-        # takes ``on_exit`` out of it, so it is reported once.
         run.extend((on_exit, None))
         deadline = kernel.config.handler_deadline
         if deadline is not None:
-            run[1] = self._arm_watchdog(thread, run, obj, block, deadline)
+            run[1] = kernel.events.supervisor.watch(thread, deadline, block,
+                                                    obj=obj)
         try:
             act.gen = fn(act.ctx, block)
         except BaseException as exc:  # noqa: BLE001 - as its first step would
             return kernel.invoker.frame_failed(thread, exc)
         return True
-
-    def _arm_watchdog(self, thread: DThread, run: list, obj: DistObject,
-                      block: EventBlock, deadline: float) -> list:
-        """Watchdog over one object-handler run (``handler_deadline``).
-
-        A hung handler would otherwise wedge the node's master handler
-        thread, starving every later post to objects homed here. On
-        expiry the executing thread is destroyed, a fresh master is
-        spawned if work is waiting, and the run exits with
-        :class:`~repro.errors.HandlerTimeout`. Returns the timer handle.
-        """
-        on_exit = run[0]
-
-        def expire() -> None:
-            if not run or run[0] is not on_exit or not thread.alive:
-                return  # its run ended, or its exit was taken
-            supervisor = self.kernel.events.supervisor
-            supervisor.counters["handler_timeouts"] += 1
-            if "supervise" not in self.kernel.tracer.muted:
-                self.kernel.tracer.emit("supervise", "handler-timeout",
-                                        event=block.event, oid=obj.oid,
-                                        node=self.node_id, deadline=deadline)
-            error = HandlerTimeout(
-                f"object handler for {block.event} on oid {obj.oid} "
-                f"exceeded {deadline}s")
-            # Take the exit first: the destroy below ends the run, whose
-            # own exit must find it taken.
-            run[0] = None
-            self.kernel.invoker.destroy_thread_abrupt(thread, error)
-            if self._master is thread:
-                # The master died with the hung handler; respawn it if
-                # posts are waiting (otherwise first use re-creates it).
-                self._master = None
-                if self._queue:
-                    self._new_master()
-            on_exit(None, error)
-
-        return self.kernel.sim.call_after(deadline, expire)

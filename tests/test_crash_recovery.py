@@ -289,12 +289,13 @@ class TestCrashMidObjectHandler:
         slow = cluster.create_object(SlowObject, node=1)
         cluster.raise_event("PING", slow, from_node=0, user_data="mid")
         cluster.run(until=0.03)  # 50 ms handler, started at ~1 ms
-        assert cluster.kernels[1].objects.serving == 1
+        master = cluster.kernels[1].objects._master
+        assert master.frames
         cluster.crash_node(1)
         (block, exits), = handler_exits
         assert [(value, type(error)) for value, error in exits] == [
             (None, GeneratorExit)]
-        assert cluster.kernels[1].objects.serving == 0
+        assert not (master.alive or master.frames)
         return noticed
 
     def test_non_durable_post_is_noticed_once(self, handler_exits,
@@ -325,6 +326,79 @@ class TestCrashMidObjectHandler:
         assert stats["pending"] == 0 and stats["delivered"] == 1
         assert len(handler_exits) == 1
         assert noticed == [] and cluster.events.undeliverable == 0
+        conclusions.check()
+
+    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+    def test_durable_raiser_fails_with_the_crash(self, scheduler,
+                                                 conclusions):
+        """The run concludes executed inside the crash (its applied
+        marker suppresses the redelivery), and the resume the dead node
+        owed its raiser becomes the crash, observed at the raiser's node
+        in that instant."""
+        cluster = make_cluster(n_nodes=2, seed=1, scheduler=scheduler,
+                               durable_delivery=True)
+        cluster.register_event("PING")
+        slow = cluster.create_object(SlowObject, node=1)
+        future = cluster.raise_and_wait("PING", slow, from_node=0)
+        cluster.sim.call_at(0.02, cluster.crash_node, 1)
+        cluster.sim.call_at(0.1, cluster.recover_node, 1)
+        cluster.run(until=0.021)  # told at the crash, not after recovery
+        with pytest.raises(NodeCrashedError, match="node 1 crashed"):
+            future.result()
+        cluster.run(until=3.0)
+        assert cluster.durability_stats()["pending"] == 0
+        assert conclusions.count("executed") == 1
+        conclusions.check()
+        assert cluster.quiescent()
+
+
+class TestCrashInsidePerEventCreation:
+    """Per-event mode makes the post's thread at post time, first
+    stepped ``thread_create_cost`` later: a crash inside that window
+    destroys the thread with its node and the post is lost to the
+    crash — noticed, or redelivered after recovery — never run on the
+    crashed node."""
+
+    def crash_in_creation(self, scheduler, durable):
+        cluster = make_cluster(n_nodes=2, seed=1, scheduler=scheduler,
+                               durable_delivery=durable,
+                               object_event_mode="per-event")
+        cluster.register_event("POST")
+        runs = []
+
+        class Counting(DistObject):
+            @on_event("POST")
+            def on_post(self, ctx, block):
+                runs.append(ctx.now)
+                yield ctx.compute(1e-6)
+                return "ok"
+
+        cap = cluster.create_object(Counting, node=1)
+        future = cluster.raise_and_wait("POST", cap, from_node=0)
+        # arrives at 1 ms, its thread's first step is due at 1.2 ms
+        cluster.sim.call_at(1.1e-3, cluster.crash_node, 1)
+        cluster.sim.call_at(5e-3, cluster.recover_node, 1)
+        cluster.run(until=3.0)
+        return cluster, future, runs
+
+    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+    def test_non_durable_post_is_noticed(self, scheduler, conclusions):
+        cluster, future, runs = self.crash_in_creation(scheduler, False)
+        with pytest.raises(UndeliverableError, match="lost in the crash"):
+            future.result()
+        assert runs == [] and cluster.events.undeliverable == 1
+        assert conclusions.count("noticed") == 1
+        conclusions.check()
+        assert cluster.quiescent()
+
+    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+    def test_durable_post_runs_once_after_recovery(self, scheduler,
+                                                   conclusions):
+        cluster, future, runs = self.crash_in_creation(scheduler, True)
+        assert future.result() == "ok"
+        # redelivered after the 5 ms recovery, run 1.2 ms after arrival
+        assert runs == [pytest.approx(6.2e-3)]
+        assert cluster.durability_stats()["pending"] == 0
         conclusions.check()
 
 

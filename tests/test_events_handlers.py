@@ -584,7 +584,8 @@ class TestFrameExceptionObjectHandler:
         objects = cluster.kernels[0].objects
         assert objects.handler_threads_created == 1
         assert log[0][1] == log[1][1] == str(objects._master.tid)
-        assert objects._master.wait_kind == "parked" and objects.serving == 0
+        assert objects._master.wait_kind == "parked"
+        assert not objects._master.frames
         assert cluster.events.handler_failures == (verdict == "raises")
         cluster.raise_event("PING", cap, from_node=0)
         cluster.run(until=2.0)

@@ -5,19 +5,21 @@ activation: the handler's generator is the frame, and when it ends the
 master's ``frame_exit`` concludes the post and takes the next one in the
 same step (or hops, or parks). The class below is the manager it
 replaced — ``run_object_handler``, ``_ensure_master``, ``_master_loop``,
-``_serve`` and ``_arm_watchdog`` over a ``Channel``, and the engine's
-``adopt_loop_thread`` — kept verbatim as the reference. Drawn
-same-instant programs of posts to one to three objects, whose handlers
-return, raise, compute, sleep or overrun a ``handler_deadline``, mixed
-with ``call_soon`` callbacks and timers due at the posts' instant, run on
-both, on the heap and the wheel: the handler history with virtual
-times, every conclusion, ``(now, scheduled, executed)`` and the
-``events_served`` count must be the same.
+``_spawn_per_event_thread``, ``_serve`` and ``_arm_watchdog`` over a
+``Channel``, and the engine's ``adopt_loop_thread`` — kept verbatim as
+the reference. Drawn same-instant programs of posts to one to three
+objects, whose handlers return, raise, compute, sleep or overrun a
+``handler_deadline``, mixed with ``call_soon`` callbacks and timers due
+at the posts' instant, run on both, on the heap and the wheel, in master
+and in per-event mode: the handler history with virtual times, every
+conclusion, ``(now, scheduled, executed)`` and the ``events_served``
+count must be the same (per-event mode: one scheduler event less per
+thread made, and one instant's records compared as a set).
 
-Crash draws run on the new manager only and are held to the standing
-invariant (every raised post concluded exactly once): the reference
-loses a post that lands on a woken master's node in the instant it
-crashes.
+Crash draws, in both modes, run on the new manager only and are held to
+the standing invariant (every raised post concluded exactly once): the
+reference loses a post that lands on a woken master's node in the
+instant it crashes.
 
 The example budget is the hypothesis profile's (``tests/conftest.py``):
 CI runs this file again under ``--hypothesis-profile=ci``.
@@ -37,7 +39,7 @@ from repro.events.block import EventBlock
 from repro.events.route import Router
 from repro.events.settle import Settler
 from repro.kernel import boot
-from repro.kernel.config import OBJ_EVENTS_MASTER
+from repro.kernel.config import OBJ_EVENTS_MASTER, OBJ_EVENTS_PER_EVENT
 from repro.objects.invocation import InvocationEngine
 from repro.objects.manager import ObjectManager
 from repro.sim.primitives import Channel
@@ -67,6 +69,8 @@ class ReferenceObjectManager(ObjectManager):
     def __init__(self, kernel) -> None:
         super().__init__(kernel)
         self._queue: Channel[Any] = Channel(kernel.sim)
+        #: handler runs in progress right now (0 when idle)
+        self.serving = 0
 
     def run_object_handler(self, obj: DistObject, fn: Callable,
                            block: EventBlock,
@@ -106,6 +110,23 @@ class ReferenceObjectManager(ObjectManager):
         while True:
             work = yield ctx.recv(self._queue)
             yield from self._serve(ctx, work)
+
+    def _spawn_per_event_thread(self, obj: DistObject, fn: Callable,
+                                block: EventBlock,
+                                on_exit: Callable[[Any, Any], None]) -> None:
+        self.handler_threads_created += 1
+
+        def one_shot(ctx):
+            # Creation cost is charged by spawn machinery below.
+            yield from self._serve(ctx, (obj, fn, block, on_exit))
+
+        def create() -> None:
+            self.kernel.invoker.adopt_loop_thread(
+                self.node_id, one_shot, "obj-event-oneshot", KIND_KERNEL)
+
+        # Charge the thread-creation cost the master mode avoids.
+        self.kernel.sim.call_after(self.kernel.config.thread_create_cost,
+                                   create)
 
     def _serve(self, ctx, work):
         """Run one handler within the object's context (shared by modes)."""
@@ -299,6 +320,8 @@ def _run(program, n_objects, deadline, scheduler, crash=None, **config):
         "clock": (cluster.now, stats["scheduled"], stats["executed"]),
         "served": [kernel.objects.events_served
                    for kernel in cluster.kernels.values()],
+        "created": sum(kernel.objects.handler_threads_created
+                       for kernel in cluster.kernels.values()),
     }, seen, cluster
 
 
@@ -317,13 +340,29 @@ programs = st.lists(step, max_size=20)
 @settings(deadline=None)
 @given(program=programs, n_objects=st.integers(1, 3),
        deadline=st.sampled_from([None, DEADLINE]),
-       scheduler=st.sampled_from(["heap", "wheel"]))
+       scheduler=st.sampled_from(["heap", "wheel"]),
+       mode=st.sampled_from([OBJ_EVENTS_MASTER, OBJ_EVENTS_PER_EVENT]))
 def test_the_master_serves_as_the_reference_did(program, n_objects,
-                                                deadline, scheduler):
-    new, seen, cluster = _run(program, n_objects, deadline, scheduler)
+                                                deadline, scheduler, mode):
+    new, seen, cluster = _run(program, n_objects, deadline, scheduler,
+                              object_event_mode=mode)
     with _reference():
-        old, _, reference = _run(program, n_objects, deadline, scheduler)
+        old, _, reference = _run(program, n_objects, deadline, scheduler,
+                                 object_event_mode=mode)
     assert isinstance(reference.kernels[0].objects, ReferenceObjectManager)
+    if mode == OBJ_EVENTS_PER_EVENT:
+        # A per-event thread is made at post time and first stepped
+        # after its creation cost: one scheduler event, where the
+        # reference's creation timer and first step were two. That step
+        # was scheduled at the post, so it runs in timer order at its
+        # instant, where the reference's ran behind every timer due
+        # then: the threads are concurrent, and the same records at the
+        # same virtual times may interleave differently in one instant.
+        now, scheduled, executed = old["clock"]
+        created = old["created"]
+        old["clock"] = (now, scheduled - created, executed - created)
+        for record in (new, old):
+            record["log"].sort(key=lambda entry: (entry[0], repr(entry)))
     assert new == old
     seen.check()
     assert cluster.quiescent()
@@ -333,18 +372,27 @@ def test_the_master_serves_as_the_reference_did(program, n_objects,
 @given(program=programs, n_objects=st.integers(1, 3),
        deadline=st.sampled_from([None, DEADLINE]),
        scheduler=st.sampled_from(["heap", "wheel"]),
-       durable=st.booleans(), crash=st.integers(0, 8))
+       durable=st.booleans(), crash=st.integers(0, 8),
+       mode=st.sampled_from([OBJ_EVENTS_MASTER, OBJ_EVENTS_PER_EVENT]))
 # the master parks after the first post; the second wakes it and the
 # crash, due in the same instant, runs before the wake's step
 @example(program=[("post", 0, "return", 0, False), ("later",),
                   ("post", 0, "return", 0, True)], n_objects=1,
-         deadline=None, scheduler="heap", durable=False, crash=2)
+         deadline=None, scheduler="heap", durable=False, crash=2,
+         mode=OBJ_EVENTS_MASTER)
+# a per-event thread made at 0.9 ms dies with its node at 1 ms, before
+# its first step at 1.1 ms
+@example(program=[("later",), ("later",), ("later",),
+                  ("post", 0, "return", 0, True)], n_objects=1,
+         deadline=None, scheduler="heap", durable=False, crash=1,
+         mode=OBJ_EVENTS_PER_EVENT)
 def test_a_crash_of_the_master_node_loses_no_post(program, n_objects,
                                                   deadline, scheduler,
-                                                  durable, crash):
+                                                  durable, crash, mode):
     # a message lost to the crash is retransmitted (the invariant's
     # premise); durable posts are journaled too
-    config = {"reliable_delivery": True, "durable_delivery": durable}
+    config = {"reliable_delivery": True, "durable_delivery": durable,
+              "object_event_mode": mode}
     # on the grid of the parts' instants and the link latency after them
     at = crash // 2 * GAP + crash % 2 * 1e-3
     _, seen, cluster = _run(program, n_objects, deadline, scheduler,

@@ -83,20 +83,21 @@ class TestHomeNodePost:
     def test_one_event_per_post_plus_one_wake(self, scheduler):
         assert _object_posts("WORK", scheduler=scheduler) == N + 1
 
-    def test_two_when_the_handler_yields_nothing(self, scheduler):
-        """Two per post is what a handler that yields nothing costs on a
-        thread made for it; the master handler thread spends the wake
-        alone on the whole batch."""
+    def test_one_per_post_when_the_handler_yields_nothing(self, scheduler):
+        """One per post, the first step of the thread made for it, is
+        what a handler that yields nothing costs in per-event mode; the
+        master handler thread spends the wake alone on the whole batch."""
         assert _object_posts("NOP", scheduler=scheduler) == 1
         per_event = dict(scheduler=scheduler, object_event_mode="per-event")
-        assert _object_posts("NOP", **per_event) == 2 * N
+        assert _object_posts("NOP", **per_event) == N
 
     def test_per_event_thread_pays_its_creation(self, scheduler):
-        """E3's other mode: the ``thread_create_cost`` timer and the
-        one-shot thread's first step, then the handler's compute."""
+        """E3's other mode: the one-shot thread, made at post time, is
+        first stepped ``thread_create_cost`` later, then the handler
+        computes."""
         per_event = dict(scheduler=scheduler, object_event_mode="per-event")
-        assert _object_posts("WORK", **per_event) == 3 * N
-        assert _object_posts("NOP", **per_event) == 2 * N
+        assert _object_posts("WORK", **per_event) == 2 * N
+        assert _object_posts("NOP", **per_event) == N
 
 
 @pytest.mark.parametrize("event, hops", [("WORK", 0), ("NOP", 2)])

@@ -3,6 +3,7 @@ breakers, dead-letter quarantine, the SWIM failure detector — and
 the knobs-off guarantee that none of it perturbs unsupervised runs."""
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.errors import (
     EventQuarantinedError,
     HandlerTimeout,
     RpcTimeout,
+    ThreadTerminated,
 )
 from repro.events.handlers import (
     HandlerChain,
@@ -282,8 +284,34 @@ class TestObjectHandlerExitsOnce:
         assert [f.result() for f in futures[1:]] == ["slept 0.01",
                                                      "slept 0.02"]
         objects = cluster.kernels[0].objects
-        assert objects.handler_threads_created == 2 and objects.serving == 0
+        assert objects.handler_threads_created == 2
+        assert not objects._master.frames
         assert cluster.supervision_stats()["handler_timeouts"] == 1
+        conclusions.check()
+        assert cluster.quiescent()
+
+    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+    def test_terminate_at_the_master_replaces_it_for_the_posts_behind(
+            self, scheduler, handler_exits, conclusions):
+        """A TERMINATE raised at the master's tid ends the run it was in
+        with ``ThreadTerminated``; the posts queued behind that run get
+        a new master before it reports, as after a watchdog expiry."""
+        cluster = _rig(n_nodes=1, seed=1, scheduler=scheduler)
+        cap = cluster.create_object(FailsOnce, [], node=0)
+        futures = [cluster.raise_and_wait("EVT", cap, from_node=0,
+                                          user_data=data)
+                   for data in (0, 1, 2)]
+        cluster.run(until=5e-5)  # inside the first run's compute
+        objects = cluster.kernels[0].objects
+        cluster.raise_event("TERMINATE", objects._master.tid)
+        cluster.run(until=1.0)
+        assert self._exits(handler_exits) == [["ThreadTerminated"], [1],
+                                             [2]]
+        with pytest.raises(ThreadTerminated):
+            futures[0].result()
+        assert [f.result() for f in futures[1:]] == [1, 2]
+        assert objects.handler_threads_created == 2
+        assert objects._master.wait_kind == "parked"
         conclusions.check()
         assert cluster.quiescent()
 
@@ -312,15 +340,16 @@ class TestObjectHandlerExitsOnce:
             self, handler_exits, conclusions):
         """The other order of that tie cannot be scheduled today (the
         exit cancels its watchdog), so it is driven by hand: the
-        watchdog's callback, called in the instant the handler returned,
-        finds the exit taken."""
+        supervisor's watchdog callback, called in the instant the
+        handler returned, finds the run over."""
         cluster = _rig(n_nodes=1, handler_deadline=0.05)
         sim, watchdogs = cluster.sim, []
         call_after = sim.call_after
+        supervisor = cluster.events.supervisor
 
         def spying(delay, fn, *args):
-            if fn.__name__ == "expire":
-                watchdogs.append(fn)
+            if fn == supervisor._expired:
+                watchdogs.append(partial(fn, *args))
             return call_after(delay, fn, *args)
 
         sim.call_after = spying
@@ -877,6 +906,23 @@ class TestChaosWithHandlerFaults:
         assert wedged.startswith(f"{report.hung_handlers} handler execution")
         assert wedged.count("surrogate T") == report.hung_handlers
         assert wedged.count(" in handler:CHAOS") == report.hung_handlers
+
+    @pytest.mark.parametrize("mode", ["master", "per-event"])
+    def test_a_wedged_object_handler_is_reported_by_the_one_rule(self,
+                                                                 mode):
+        """A loop thread with a frame is a run in progress, whichever
+        kind it is: a master or a per-event thread wedged in an object
+        handler with no deadline is reported, one whose run ended (a
+        parked master, a finished per-event thread) is not."""
+        cluster = _rig(n_nodes=2, object_event_mode=mode)
+        cap = cluster.create_object(Slow, [], node=1)
+        cluster.raise_event("EVT", cap, from_node=0, user_data=0.01)
+        cluster.run(until=1.0)
+        assert hung_handlers(cluster) == []
+        cluster.raise_event("EVT", cap, from_node=0, user_data=1e9)
+        cluster.run(until=2.0)
+        assert hung_handlers(cluster) == [
+            "object handler mid-serve on node 1"]
 
     def test_a_leaked_surrogate_is_reported_as_an_orphan(self):
         cluster = _rig(n_nodes=2)
