@@ -258,7 +258,8 @@ class DsmManager:
                         name: str, value: Any, is_write: bool) -> None:
         self.vm_faults_raised += 1
         key = (segment.segment_id, page.page_id)
-        self._pending_faults.setdefault(key, []).append({
+        pending = self._pending_faults.setdefault(key, [])
+        pending.append({
             "thread": thread, "epoch": epoch, "node": node, "obj": obj,
             "segment": segment, "page": page, "name": name, "value": value,
             "write": is_write})
@@ -273,7 +274,13 @@ class DsmManager:
             self.cluster.tracer.emit("dsm", "vm-fault", node=node, oid=obj.oid,
                                      page=page.page_id, field=name,
                                      tid=str(thread.tid))
-        self.cluster.events.post.enqueue_for_thread(node, thread.tid, block)
+        if not self.cluster.events.post.enqueue_for_thread(node, thread.tid,
+                                                           block):
+            # Only a user thread is an event target: a handler's loop
+            # thread fails the access, and its run ends with the error.
+            pending.pop()
+            thread.resume_with(None, PagerError(
+                f"VM_FAULT {obj.oid}/{page.page_id}: no event target"), epoch)
 
     def install_page(self, oid: int, page_id: int, values: dict,
                      private_for: int | None = None) -> None:

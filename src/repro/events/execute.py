@@ -439,8 +439,8 @@ class Executor:
             else:
                 self._finish_exception(thread, block, decision, value)
 
-        # §6.1: the object's handler gets called first, on a surrogate
-        # thread that takes on the suspended thread's attributes.
+        # §6.1: the object's handler gets called first, queued for the
+        # loop thread of the faulting frame's node, as any object post.
         objects.run_object_handler(frame.obj, obj_handler, block,
                                    after_object_handler)
 

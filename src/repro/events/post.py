@@ -12,7 +12,6 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from copy import copy
 from typing import TYPE_CHECKING, Any
 
@@ -32,7 +31,7 @@ from repro.events.supervise import HandlerSupervisor
 from repro.net.message import Message
 from repro.objects.capability import Capability
 from repro.threads.ids import ThreadId
-from repro.threads.thread import DThread, KIND_SURROGATE, TERMINATING
+from repro.threads.thread import DThread, KIND_USER, TERMINATING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.boot import Cluster
@@ -70,8 +69,8 @@ class Poster:
         #: posts, per node: without a rel header the channel cannot
         #: suppress fabric duplicates, so recent degraded block ids are
         #: remembered here instead (bounded by ``dedup_window``)
-        self._degraded_seen: dict[int, "OrderedDict[int, None]"] = {
-            node: OrderedDict() for node in cluster.kernels}
+        self._degraded_seen: dict[int, dict[int, None]] = {
+            node: {} for node in cluster.kernels}
         for kernel in cluster.kernels.values():
             kernel.register_message_handler(MSG_POST_OBJECT,
                                             self._on_post_object)
@@ -121,6 +120,11 @@ class Poster:
     def dead_target(self, block: EventBlock, tid: Any,
                     expired: bool = False) -> None:
         """§7.2: the sender of an event to a destroyed thread is notified."""
+        durable_id = block.durable_id
+        if durable_id is not None and self.kernels[durable_id[0]].crashed:
+            # The origin's crash emptied the outbox that records this
+            # notice; the journal's redelivery after recovery gives it.
+            return
         self.dead_targets += 1
         node = block.raiser_node or 0
         first = self.settle.conclude(
@@ -144,9 +148,9 @@ class Poster:
         """A notice reached the node holding the thread's innermost frame."""
         thread = self.live_threads.get(tid)
         if (thread is None or not thread.alive or thread.state == TERMINATING
-                or thread.kind == KIND_SURROGATE):
-            # dead, dying, or a handler surrogate: no event target, so
-            # the raiser gets §7.2's notice
+                or thread.kind != KIND_USER):
+            # dead, dying, or a loop thread (master, per-event thread,
+            # surrogate): no event target, so the raiser gets §7.2's notice
             return False
         if not thread.accept_block(block.block_id):
             # Duplicate arrival (second locate path, late retransmission):
@@ -301,8 +305,8 @@ class Poster:
         if block.block_id in seen:
             return False
         seen[block.block_id] = None
-        while len(seen) > self.dedup_window:
-            seen.popitem(last=False)
+        if len(seen) > self.dedup_window:
+            del seen[next(iter(seen))]
         return True
 
     def _run_object_post(self, node: int, block: EventBlock, oid: int,

@@ -66,6 +66,7 @@ class Presence:
         if "timer" not in self.tracer.muted:
             self.tracer.emit("timer", "fire", event=spec.event,
                              tid=str(thread.tid), node=node)
+        # refused on a loop thread, as any notice: nothing waits on it
         self.post.enqueue_for_thread(node, thread.tid, block)
 
     # -- migration hooks (called by the invocation engine) --

@@ -55,9 +55,6 @@ class NameService:
             raise NameServiceError(f"name {name!r} is not bound")
         del self._bindings[name]
 
-    def names(self) -> list[str]:
-        return sorted(self._bindings)
-
     # ------------------------------------------------------------------
     # event names (user events, §3 of the paper)
     # ------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.kernel.config import (
 )
 from repro.objects.base import DistObject
 from repro.objects.capability import Capability
-from repro.threads.thread import DThread, KIND_KERNEL, RECV_FOLDS
+from repro.threads.thread import BLOCKED, DThread, KIND_KERNEL, RECV_FOLDS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.node import Kernel
@@ -58,9 +58,8 @@ class ObjectManager:
         self._queue: deque[tuple] = deque()
         self._master: DThread | None = None
         #: posts it started inline in this scheduler step (None before
-        #: its first step); parked: idle, so the next post wakes it
+        #: its first step)
         self._folds: int | None = None
-        self._parked = False
         #: counters reported by experiment E3
         self.events_served = 0
         self.handler_threads_created = 0
@@ -206,7 +205,6 @@ class ObjectManager:
                 self.kernel.tracer.emit("event", "queue-lost",
                                         event=block.event, node=self.node_id)
             self.kernel.events.post.lost_in_crash(block)
-        self._master = None
         self.handlers.clear()
         self._handler_cache.clear()
 
@@ -224,8 +222,8 @@ class ObjectManager:
         exactly once, inside the run's last step, so the post concludes
         before the next handler starts: with the return value, the
         exception raised, ``GeneratorExit`` (the node crashed),
-        ``ThreadTerminated`` or the watchdog's
-        :class:`~repro.errors.HandlerTimeout`.
+        ``NodeCrashedError`` (a remote frame's node crashed) or the
+        watchdog's :class:`~repro.errors.HandlerTimeout`.
 
         A home-node post calls this inside its own raise. Nothing runs
         here: the post joins the master's queue, and a parked master is
@@ -243,13 +241,12 @@ class ObjectManager:
         master = self._master
         if master is None or not master.alive:
             self._new_master()
-        elif self._parked:
-            self._parked = False
-            master.resume_with()
+        elif master.state == BLOCKED and not master.frames:
+            master.resume_with()  # parked: between runs, with no hop
 
     def _new_master(self) -> None:
         # Created at first use: its creation cost is paid once (§7).
-        self._folds, self._parked = None, False
+        self._folds = None
         self._master = self._start_loop("obj-event-master")
         self._master.schedule_step()
 
@@ -282,8 +279,9 @@ class ObjectManager:
                 if kernel.crashed:
                     error = GeneratorExit()  # its node crashed under it
                 elif master and queue:
-                    # Its watchdog or a TERMINATE: the posts behind the
-                    # run get a new master before the run reports.
+                    # Its watchdog, or the crash of the node its remote
+                    # frame was on: the posts behind the run get a new
+                    # master before the run reports.
                     self._new_master()
             on_exit(value, error)
             if not thread.alive:
@@ -293,14 +291,13 @@ class ObjectManager:
                     thread, None, None)
                 return False
             if not queue:
-                self._parked = True
-                return False
+                return False  # InvocationEngine.frame_returned parks it
             # The recv-fold rule of DThread._step: with nothing else due
             # at this instant the hop would be the next callback anyway.
             # A run that yielded ended the callback it started in.
             if thread.kept.steps:
                 self._folds = 0
-            if not (self._folds < RECV_FOLDS and not thread.pending_notices
+            if not (self._folds < RECV_FOLDS
                     and kernel.sim.nothing_due_now()):
                 thread.schedule_step()
                 return True

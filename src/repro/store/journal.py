@@ -259,9 +259,6 @@ class ClusterStore:
             journal = self._journals[node_id] = NodeJournal(node_id)
         return journal
 
-    def journals(self) -> dict[int, NodeJournal]:
-        return dict(self._journals)
-
     def stats(self) -> dict[str, int]:
         """Cluster-wide sums of the per-journal counters."""
         totals: dict[str, int] = {}

@@ -70,6 +70,3 @@ class GroupRegistry:
             cached = tuple(sorted(self._members.get(gid, ())))
             self._sorted[gid] = cached
         return cached
-
-    def groups(self) -> list[GroupId]:
-        return sorted(self._members)

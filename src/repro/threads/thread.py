@@ -150,10 +150,9 @@ class DThread:
         self.chain_surrogate: "DThread | None" = None
         #: its handler-chain walk, reused (``events.execute.ChainWalk``)
         self.walk: Any = None
-        #: block ids already accepted, bounded FIFO (suppresses network
-        #: duplicates so handlers run exactly once)
-        self._seen_blocks: set[int] = set()
-        self._seen_order: deque[int] = deque()
+        #: block ids already accepted, oldest first, bounded (suppresses
+        #: network duplicates so handlers run exactly once)
+        self._seen_blocks: dict[int, None] = {}
         #: exit info for diagnostics
         self.exit_reason: str | None = None
 
@@ -482,12 +481,12 @@ class DThread:
         and a broadcast fallback both landing). This per-thread window is
         the last line of the exactly-once-execution guarantee.
         """
-        if block_id in self._seen_blocks:
+        seen = self._seen_blocks
+        if block_id in seen:
             return False
-        self._seen_blocks.add(block_id)
-        self._seen_order.append(block_id)
-        while len(self._seen_order) > window:
-            self._seen_blocks.discard(self._seen_order.popleft())
+        seen[block_id] = None
+        if len(seen) > window:
+            del seen[next(iter(seen))]
         return True
 
     def notice_arrived(self) -> None:

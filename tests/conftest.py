@@ -57,20 +57,30 @@ class Conclusions:
 
     def __init__(self):
         self.raised: list[int] = []
+        #: raised block id -> the recipients ``route`` targeted (1 when
+        #: not recorded)
+        self.recipients: dict[int, int] = {}
         #: (block id, outcome) -> how often that conclusion was recorded
         self.outcomes: Counter = Counter()
+        #: concluded block id -> the raise it answers, where that is
+        #: another block: a group raise's per-member copies
+        self.answers: dict[int, int] = {}
 
     def count(self, outcome: str) -> int:
         return sum(1 for _, seen in self.outcomes if seen == outcome)
 
     def check(self) -> None:
         """The standing invariant: every raised block concluded exactly
-        once — executed, noticed or quarantined, never two, never none."""
+        once — executed, noticed or quarantined, never two, never none;
+        a group raise once per member copy it targeted."""
         per_block = Counter(block_id for block_id, _ in self.outcomes)
         assert set(self.outcomes.values()) <= {1}, "a block concluded twice"
         assert set(per_block.values()) <= {1}, "a block has two outcomes"
-        assert set(self.raised) <= set(per_block), \
-            "a raised block never concluded"
+        answered = Counter(self.answers.get(block_id, block_id)
+                           for block_id in per_block)
+        for block_id in self.raised:
+            assert answered[block_id] == self.recipients.get(block_id, 1), \
+                "a raised block never concluded"
 
 
 @pytest.fixture()
@@ -83,12 +93,16 @@ def conclusions(monkeypatch):
 
     def counting_route(self, block):
         seen.raised.append(block.block_id)
-        return route(self, block)
+        seen.recipients[block.block_id] = targeted = route(self, block)
+        return targeted
 
     def counting_conclude(self, block, outcome, *args, **kwargs):
         concluded = conclude(self, block, outcome, *args, **kwargs)
         if concluded:
             seen.outcomes[block.block_id, outcome] += 1
+            token = block._resume_token
+            if token is not None and token != block.block_id:
+                seen.answers[block.block_id] = token
         return concluded
 
     monkeypatch.setattr(Router, "route", counting_route)

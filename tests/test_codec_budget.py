@@ -12,14 +12,13 @@ literal budget that is at most half of what the generic codec made for
 the same envelope.
 """
 
-import sys
-
 import pytest
 
 from repro.events.block import EventBlock
 from repro.net.message import Message
 from repro.objects.capability import Capability
 from repro.transport import codec
+from tests.frames import FrameCensus
 
 SINK = Capability(oid=21, home=20, transport="rpc", cls_name="Sink")
 
@@ -79,19 +78,9 @@ BUDGET = {
 
 
 def frames(fn, arg) -> int:
-    calls = 0
-
-    def profile(frame, event, _arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(profile)
-    try:
+    with FrameCensus() as census:
         fn(arg)
-    finally:
-        sys.setprofile(None)
-    return calls
+    return sum(census.values())
 
 
 def test_every_budget_is_at_most_half_the_generic_count():

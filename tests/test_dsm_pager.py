@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import DistObject, TRANSPORT_DSM, entry
+from repro import Decision, DistObject, TRANSPORT_DSM, entry, handler_entry
+from repro.bench.chaos import hung_handlers
 from repro.dsm import PagerServer, attach_pager
 from repro.errors import PagerError
 from tests.conftest import make_cluster
@@ -167,3 +168,54 @@ class TestPagerStats:
         stats = probe.completion.result()
         assert stats["faults_served"] == 1
         assert stats["pages_supplied"] == 1
+
+
+class PagedBuddy(DistObject):
+    """A pageable buddy handler that reads an unmaterialised field."""
+
+    dsm_pageable = True
+    dsm_pages = 4
+
+    def __init__(self):
+        super().__init__()
+        self.faults = []
+
+    @handler_entry
+    def on_usr(self, hctx, block):
+        try:
+            yield hctx.read("k")
+        except PagerError as exc:
+            self.faults.append(type(exc).__name__)
+        return Decision.RESUME
+
+
+class RaisesAtItself(DistObject):
+    @entry
+    def run(self, ctx, pager_cap, buddy_cap):
+        yield attach_pager(pager_cap)
+        yield ctx.attach_handler("USR", "on_usr", buddy=buddy_cap)
+        yield ctx.raise_event("USR", ctx.tid)
+        yield ctx.compute(1e-3)
+        return "done"
+
+
+class TestFaultInAHandler:
+    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+    def test_a_chain_handlers_fault_fails_its_access(self, scheduler):
+        """A handler runs on a loop thread (here the owner's surrogate),
+        which is no event target: its page fault is ``PagerError`` at
+        the access, the owner's pager notwithstanding, instead of a
+        VM_FAULT that reaches no one and leaves the surrogate blocked."""
+        cluster = make_cluster(n_nodes=2, seed=1, scheduler=scheduler)
+        cluster.register_event("USR")
+        pager = cluster.create_object(PagerServer, node=1)
+        buddy = cluster.create_object(PagedBuddy, node=0,
+                                      transport=TRANSPORT_DSM)
+        worker = cluster.create_object(RaisesAtItself, node=0)
+        thread = cluster.spawn(worker, "run", pager, buddy, at=0)
+        cluster.run(until=1.0)
+        assert thread.completion.result() == "done"
+        assert cluster.get_object(buddy).faults == ["PagerError"]
+        assert cluster.get_object(pager).faults_served == 0
+        assert hung_handlers(cluster) == []
+        assert cluster.quiescent()

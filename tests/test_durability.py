@@ -4,8 +4,8 @@ recovery, and exactly-once execution of durable posts."""
 
 import pytest
 
-from repro import ClusterConfig, DistObject, on_event
-from repro.errors import KernelError
+from repro import ClusterConfig, Decision, DistObject, entry, on_event
+from repro.errors import DeadThreadError, KernelError
 from repro.store import MSG_STORE_ACK
 from tests.conftest import Sleeper, make_cluster
 
@@ -578,3 +578,58 @@ class TestAckGiveUp:
         assert stats["pending"] == 0 and stats["delivered"] == 2
         # the lost send and its three retransmits, then one batch of two
         assert cluster.fabric.stats.count(MSG_STORE_ACK) == 4 + 1
+
+
+class Member(DistObject):
+    """A group member whose EVT handler computes 50 ms, then logs its
+    node in ``runs``."""
+
+    @entry
+    def serve(self, ctx, runs):
+        def handler(hctx, block):
+            yield hctx.compute(0.05)
+            runs.append(hctx.node)
+            return Decision.RESUME
+
+        yield ctx.attach_handler("EVT", handler)
+        yield ctx.sleep(100.0)
+
+
+class TestDurableGroupRaise:
+    """A durable group raise journals its members' posts as one batch
+    (``NodeStore.journal_post_batch``) and each resolves on its own."""
+
+    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+    @pytest.mark.parametrize("crash", [False, True],
+                             ids=["no-crash", "crash-mid-handler"])
+    @pytest.mark.parametrize("sync", [True, False], ids=["sync", "async"])
+    def test_one_commit_for_the_batch_and_every_post_resolves(
+            self, scheduler, crash, sync, conclusions):
+        cluster = durable_cluster(n_nodes=3, scheduler=scheduler)
+        cluster.register_event("EVT")
+        gid = cluster.new_group()
+        runs = []
+        for node in range(3):
+            cap = cluster.create_object(Member, node=node)
+            cluster.spawn(cap, "serve", runs, at=node, group=gid)
+        cluster.run(until=0.1)
+        journal = cluster.kernels[0].store.journal
+        assert journal.commits == 0
+        raise_ = cluster.raise_and_wait if sync else cluster.raise_event
+        future = raise_("EVT", gid, from_node=0)
+        assert journal.commits == 1  # three post records, one commit
+        if crash:  # node 2's member is mid-handler
+            cluster.sim.call_at(0.105, cluster.crash_node, 2)
+            cluster.sim.call_at(0.305, cluster.recover_node, 2)
+        cluster.run(until=2.0)
+        assert sorted(runs) == ([0, 1] if crash else [0, 1, 2])
+        if not sync:
+            assert future.result() == 3
+        elif crash:
+            with pytest.raises(DeadThreadError):
+                future.result()
+        else:
+            assert future.result() == [None, None, None]
+        stats = cluster.durability_stats()
+        assert stats["pending"] == 0 and stats["recorded"] == 3
+        conclusions.check()

@@ -19,7 +19,8 @@ thread made, and one instant's records compared as a set).
 Crash draws, in both modes, run on the new manager only and are held to
 the standing invariant (every raised post concluded exactly once): the
 reference loses a post that lands on a woken master's node in the
-instant it crashes.
+instant it crashes. Their programs also raise TERMINATE at node 0's
+loop threads, which are no event targets.
 
 The example budget is the hypothesis profile's (``tests/conftest.py``):
 CI runs this file again under ``--hypothesis-profile=ci``.
@@ -43,7 +44,7 @@ from repro.kernel.config import OBJ_EVENTS_MASTER, OBJ_EVENTS_PER_EVENT
 from repro.objects.invocation import InvocationEngine
 from repro.objects.manager import ObjectManager
 from repro.sim.primitives import Channel
-from repro.threads.thread import Activation, DThread, KIND_KERNEL
+from repro.threads.thread import Activation, DThread, KIND_KERNEL, KIND_USER
 from tests.conftest import Conclusions, make_cluster
 
 # ======================================================================
@@ -251,8 +252,10 @@ class Sink(DistObject):
 
 post = st.tuples(st.just("post"), st.integers(0, 2), st.sampled_from(KINDS),
                  st.integers(0, 1), st.booleans())
-step = st.one_of(post, post, st.tuples(st.just("soon")),
-                 st.tuples(st.just("timer")), st.tuples(st.just("later")))
+soon, timer, later, terminate = (
+    st.tuples(st.just(name)) for name in ("soon", "timer", "later",
+                                          "terminate"))
+step = st.one_of(post, post, soon, timer, later)
 
 
 def _run(program, n_objects, deadline, scheduler, crash=None, **config):
@@ -297,6 +300,12 @@ def _run(program, n_objects, deadline, scheduler, crash=None, **config):
         for pos, (kind, *args) in enumerate(part):
             if kind == "soon":
                 sim.call_soon(log.append, (sim.now, "soon", number, pos))
+            elif kind == "terminate":
+                # at every loop thread on node 0: none is an event target
+                for thread in list(cluster.live_threads.values()):
+                    if thread.kind != KIND_USER and thread.current_node == 0:
+                        cluster.raise_event("TERMINATE", thread.tid,
+                                            from_node=0)
             elif kind == "post" and not cluster.kernels[args[2]].crashed:
                 target, handler, node, sync = args
                 raise_ = cluster.raise_and_wait if sync \
@@ -335,6 +344,9 @@ def _outcome(future) -> Any:
 
 
 programs = st.lists(step, max_size=20)
+#: the crash property's programs also TERMINATE node 0's loop threads
+crash_programs = st.lists(st.one_of(post, post, soon, timer, later,
+                                    terminate), max_size=20)
 
 
 @settings(deadline=None)
@@ -369,7 +381,7 @@ def test_the_master_serves_as_the_reference_did(program, n_objects,
 
 
 @settings(deadline=None)
-@given(program=programs, n_objects=st.integers(1, 3),
+@given(program=crash_programs, n_objects=st.integers(1, 3),
        deadline=st.sampled_from([None, DEADLINE]),
        scheduler=st.sampled_from(["heap", "wheel"]),
        durable=st.booleans(), crash=st.integers(0, 8),
@@ -386,6 +398,15 @@ def test_the_master_serves_as_the_reference_did(program, n_objects,
                   ("post", 0, "return", 0, True)], n_objects=1,
          deadline=None, scheduler="heap", durable=False, crash=1,
          mode=OBJ_EVENTS_PER_EVENT)
+# after the crash at 0 and the recovery: the master parks after the
+# first post; the second wakes it, and a TERMINATE at it lands in that
+# hop, with no frame, ahead of the third (the master used to die there
+# and strand both)
+@example(program=[("later",)] * 6 + [
+    ("post", 0, "return", 0, False), ("later",),
+    ("post", 0, "return", 0, True), ("post", 0, "return", 0, True),
+    ("terminate",)], n_objects=1, deadline=None, scheduler="heap",
+    durable=False, crash=0, mode=OBJ_EVENTS_MASTER)
 def test_a_crash_of_the_master_node_loses_no_post(program, n_objects,
                                                   deadline, scheduler,
                                                   durable, crash, mode):

@@ -11,7 +11,6 @@ local path and under ``serializing_wire`` (whose codec frames are the
 fixture's, not the path's, and are not counted).
 """
 
-import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +20,7 @@ from repro.net import Fabric, FaultPlan, Message
 from repro.sim.scheduler import make_simulator
 from repro.transport.sharded import ShardSimTransport
 from repro.transport.simlocal import SimTransport
+from tests.frames import FrameCensus
 
 SRC = Path(repro.__file__).resolve().parent
 CODEC = str(SRC / "transport" / "codec.py")
@@ -87,28 +87,18 @@ def test_one_send_schedules_the_delivery_hook_once(wire):
 
 def test_python_frames_from_send_to_endpoint(wire):
     key, sim, fabric, _, _ = wire
-    frames = []
-
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if (event == "call" and code.co_filename.startswith(str(SRC))
-                and code.co_filename != CODEC):
-            frames.append(f"{Path(code.co_filename).name}:{code.co_name}")
-
-    def endpoint(message):
-        sys.setprofile(None)
-
+    census = FrameCensus(lambda code: code.co_filename.startswith(str(SRC))
+                         and code.co_filename != CODEC)
     fabric.detach(1)
-    fabric.attach(1, endpoint)
+    fabric.attach(1, census.stop)  # the endpoint
     message = Message(src=0, dst=1, mtype="t.frames")
-    sys.setprofile(profile)
-    try:
+    with census:
         fabric.send(message)
         sim.run()
-    finally:
-        sys.setprofile(None)
-    assert frames[0] == "fabric.py:send" and frames[-1] == "fabric.py:_deliver"
-    assert len(frames) <= FRAME_BUDGET[key], frames
+    first = next(iter(census))  # keys keep the order of first entry
+    assert (first == ("fabric.py", "send")
+            and census.last == ("fabric.py", "_deliver"))
+    assert sum(census.values()) <= FRAME_BUDGET[key], census
 
 
 def test_a_duplicate_is_two_envelopes_with_one_rel(wire):

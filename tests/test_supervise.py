@@ -7,14 +7,23 @@ from functools import partial
 
 import pytest
 
-from repro import Decision, DistObject, entry, handler_entry, on_event
+from repro import (
+    TRANSPORT_DSM,
+    Decision,
+    DistObject,
+    entry,
+    handler_entry,
+    on_event,
+)
 from repro.bench.chaos import ChaosSpec, hung_handlers, run_chaos
+from repro.dsm import PagerServer, attach_pager
 from repro.errors import (
+    DeadThreadError,
     EventError,
     EventQuarantinedError,
     HandlerTimeout,
+    PagerError,
     RpcTimeout,
-    ThreadTerminated,
 )
 from repro.events.handlers import (
     HandlerChain,
@@ -22,6 +31,7 @@ from repro.events.handlers import (
     HandlerRegistration,
 )
 from repro.events.supervise import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.threads.thread import KIND_KERNEL
 from tests.conftest import make_cluster
 
 
@@ -238,6 +248,54 @@ class FailsOnce(DistObject):
         return block.user_data
 
 
+class Computes(DistObject):
+    """EVT handler that computes 1 ms, calls ``after(user_data)`` if
+    given, and returns its ``user_data``."""
+
+    def __init__(self, after=None):
+        super().__init__()
+        self.after = after
+
+    @on_event("EVT")
+    def on_evt(self, ctx, block):
+        yield ctx.compute(1e-3)
+        if self.after is not None:
+            self.after(block.user_data)
+        return block.user_data
+
+
+class PagedOnEvent(DistObject):
+    """A pageable object whose EVT handler attaches a buddy pager and
+    reads an unmaterialised field for post 0 only."""
+
+    dsm_pageable = True
+    dsm_pages = 4
+
+    def __init__(self, pager):
+        super().__init__()
+        self.pager = pager
+
+    @on_event("EVT")
+    def on_evt(self, ctx, block):
+        if block.user_data == 0:
+            yield attach_pager(self.pager)
+            yield ctx.read("k")
+        yield ctx.compute(1e-3)
+        return block.user_data
+
+
+class SetsTimer(DistObject):
+    """EVT handler computing 1 ms; post 0 first sets a one-shot
+    TERMINATE timer due inside post 2's run."""
+
+    @on_event("EVT")
+    def on_evt(self, ctx, block):
+        if block.user_data == 0:
+            yield ctx.set_timer(2.5e-3, event="TERMINATE", recurring=False)
+        yield ctx.compute(1e-3)
+        return block.user_data
+
+
 class TestObjectHandlerExitsOnce:
     """``run_object_handler(on_exit=)``: whichever way a handler run
     ends, its post hears of it exactly once, and the node keeps one
@@ -291,11 +349,11 @@ class TestObjectHandlerExitsOnce:
         assert cluster.quiescent()
 
     @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-    def test_terminate_at_the_master_replaces_it_for_the_posts_behind(
+    def test_terminate_at_the_master_is_a_dead_target(
             self, scheduler, handler_exits, conclusions):
-        """A TERMINATE raised at the master's tid ends the run it was in
-        with ``ThreadTerminated``; the posts queued behind that run get
-        a new master before it reports, as after a watchdog expiry."""
+        """Only a user thread is an event target: a TERMINATE raised at
+        the master's tid mid-run is §7.2's dead-target notice, and the
+        run it hit and the posts behind it complete on the one master."""
         cluster = _rig(n_nodes=1, seed=1, scheduler=scheduler)
         cap = cluster.create_object(FailsOnce, [], node=0)
         futures = [cluster.raise_and_wait("EVT", cap, from_node=0,
@@ -303,15 +361,127 @@ class TestObjectHandlerExitsOnce:
                    for data in (0, 1, 2)]
         cluster.run(until=5e-5)  # inside the first run's compute
         objects = cluster.kernels[0].objects
-        cluster.raise_event("TERMINATE", objects._master.tid)
+        terminate = cluster.raise_and_wait("TERMINATE", objects._master.tid,
+                                           from_node=0)
         cluster.run(until=1.0)
-        assert self._exits(handler_exits) == [["ThreadTerminated"], [1],
-                                             [2]]
-        with pytest.raises(ThreadTerminated):
+        assert self._exits(handler_exits) == [[0], [1], [2]]
+        assert [f.result() for f in futures] == [0, 1, 2]
+        with pytest.raises(DeadThreadError):
+            terminate.result()
+        assert cluster.events.dead_targets == 1
+        assert objects.handler_threads_created == 1
+        assert objects._master.wait_kind == "parked"
+        assert not objects._master.frames
+        conclusions.check()
+        assert cluster.quiescent()
+
+    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+    def test_terminate_at_a_per_event_thread_before_its_first_step(
+            self, scheduler, handler_exits, conclusions):
+        """A per-event thread is made at post time and first stepped
+        ``thread_create_cost`` later. A TERMINATE at it inside that
+        window used to kill it with no frame, and the newest post then
+        waited in the queue for good; now the raiser is told the target
+        is dead and every post runs."""
+        cluster = _rig(n_nodes=1, seed=1, scheduler=scheduler,
+                       object_event_mode="per-event")
+        cap = cluster.create_object(Computes, node=0)
+        futures = [cluster.raise_and_wait("EVT", cap, from_node=0,
+                                          user_data=data)
+                   for data in (0, 1, 2)]
+        cluster.run(until=1e-4)  # inside thread_create_cost
+        oldest = next(thread for thread in cluster.live_threads.values()
+                      if thread.kind == KIND_KERNEL)
+        terminate = cluster.raise_and_wait("TERMINATE", oldest.tid,
+                                           from_node=0)
+        cluster.run(until=1.0)
+        assert [f.result() for f in futures] == [0, 1, 2]
+        with pytest.raises(DeadThreadError):
+            terminate.result()
+        assert self._exits(handler_exits) == [[0], [1], [2]]
+        assert cluster.events.dead_targets == 1
+        assert not cluster.kernels[0].objects._queue
+        conclusions.check()
+        assert cluster.quiescent()
+
+    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+    def test_terminate_reaching_the_master_in_its_hop(
+            self, scheduler, handler_exits, conclusions):
+        """The notice lands while the master hops between two runs, with
+        no frame: it used to die there and strand the posts behind the
+        run it had just ended. The raise queued by the first handler is
+        due at its exit, so the master hops, and the raise runs first."""
+        cluster = _rig(n_nodes=1, seed=1, scheduler=scheduler)
+        objects = cluster.kernels[0].objects
+
+        def terminate_the_master(data):
+            if data == 0:
+                cluster.sim.call_soon(cluster.raise_event, "TERMINATE",
+                                      objects._master.tid)
+
+        cap = cluster.create_object(Computes, terminate_the_master, node=0)
+        futures = [cluster.raise_and_wait("EVT", cap, from_node=0,
+                                          user_data=data)
+                   for data in (0, 1, 2)]
+        cluster.run(until=1.0)
+        assert [f.result() for f in futures] == [0, 1, 2]
+        assert self._exits(handler_exits) == [[0], [1], [2]]
+        assert cluster.events.dead_targets == 1
+        assert not objects._queue
+        assert objects.handler_threads_created == 1
+        assert objects._master.wait_kind == "parked"
+        conclusions.check()
+        assert cluster.quiescent()
+
+    @pytest.mark.parametrize("mode", ["master", "per-event"])
+    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+    def test_a_page_fault_in_an_object_handler_ends_its_run(
+            self, scheduler, mode, handler_exits, conclusions):
+        """VM_FAULT is a notice to the faulting thread, and a loop thread
+        is no event target: an object handler that touches an
+        unmaterialised page gets ``PagerError`` at the access (its buddy
+        pager attached or not), its run ends with it, and the posts
+        behind it run."""
+        cluster = _rig(n_nodes=2, seed=1, scheduler=scheduler,
+                       object_event_mode=mode)
+        pager = cluster.create_object(PagerServer, node=1)
+        cap = cluster.create_object(PagedOnEvent, pager, node=0,
+                                    transport=TRANSPORT_DSM)
+        futures = [cluster.raise_and_wait("EVT", cap, from_node=0,
+                                          user_data=data)
+                   for data in (0, 1, 2)]
+        cluster.run(until=1.0)
+        with pytest.raises(PagerError):
             futures[0].result()
         assert [f.result() for f in futures[1:]] == [1, 2]
-        assert objects.handler_threads_created == 2
-        assert objects._master.wait_kind == "parked"
+        assert self._exits(handler_exits) == [["PagerError"], [1], [2]]
+        objects = cluster.kernels[0].objects
+        assert not objects._queue
+        if mode == "master":
+            assert objects.handler_threads_created == 1
+            assert objects._master.wait_kind == "parked"
+        assert cluster.dsm.protocol_stats()["vm_faults"] == 1
+        assert cluster.get_object(pager).faults_served == 0
+        conclusions.check()
+        assert cluster.quiescent()
+
+    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+    def test_a_timer_set_in_an_object_handler_reaches_no_one(
+            self, scheduler, handler_exits, conclusions):
+        """A timer set by a handler is the master's, and its notice is
+        refused as any other: a TERMINATE timer firing in a later run
+        neither ends that run nor replaces the master."""
+        cluster = _rig(n_nodes=1, seed=1, scheduler=scheduler)
+        cap = cluster.create_object(SetsTimer, node=0)
+        futures = [cluster.raise_and_wait("EVT", cap, from_node=0,
+                                          user_data=data)
+                   for data in (0, 1, 2)]
+        cluster.run(until=1.0)
+        assert [f.result() for f in futures] == [0, 1, 2]
+        assert self._exits(handler_exits) == [[0], [1], [2]]
+        objects = cluster.kernels[0].objects
+        assert objects.handler_threads_created == 1
+        assert objects._master.alive and not objects._master.armed_timers
         conclusions.check()
         assert cluster.quiescent()
 

@@ -10,12 +10,12 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Decision, DistObject, entry, handler_entry
+from repro import Decision, DistObject, entry, handler_entry, on_event
 from repro.errors import DeadThreadError
 from repro.events.locate import LocationHintTable
 from repro.net.message import Message
 from repro.threads.ids import GroupId, ThreadId
-from repro.threads.thread import KIND_SURROGATE
+from repro.threads.thread import KIND_KERNEL, KIND_SURROGATE
 from repro.transport.codec import decode_message, encode_message
 from tests.conftest import make_cluster
 
@@ -390,6 +390,54 @@ def test_post_to_a_surrogates_own_tid_is_a_dead_target(locator, parked,
     assert cluster.events.dead_targets == 2
     assert len(log) == 3 and not surrogate.pending_notices
     assert _parked_with(cluster, thread) is surrogate
+    conclusions.check()
+    assert conclusions.count("noticed") == 2
+
+
+class Computes(DistObject):
+    """EVT handler that logs its ``user_data`` after computing 1 ms."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    @on_event("EVT")
+    def on_evt(self, ctx, block):
+        yield ctx.compute(1e-3)
+        self.log.append(block.user_data)
+
+
+@pytest.mark.parametrize("locator",
+                         ["path", "broadcast", "multicast", "cached"])
+@pytest.mark.parametrize("running", [False, True], ids=["idle", "mid-run"])
+@pytest.mark.parametrize("mode", ["master", "per-event"])
+def test_post_to_an_object_loop_threads_own_tid_is_a_dead_target(
+        locator, running, mode, conclusions):
+    """Neither is a chain surrogate: the master handler thread (idle:
+    parked between runs) and a per-event thread (idle: made, not yet
+    stepped) are no event target either, and their posts all run."""
+    cluster = make_cluster(n_nodes=3, locator=locator,
+                           object_event_mode=mode)
+    cluster.register_event("EVT")
+    log = []
+    cap = cluster.create_object(Computes, log, node=0)
+    cluster.raise_event("EVT", cap, from_node=0, user_data=0)
+    # mid-run: inside the handler's compute; per-event idle: inside the
+    # thread's creation cost
+    idle, mid_run = (0.1, 0.0) if mode == "master" else (1e-4, 3e-4)
+    cluster.run(until=mid_run if running else idle)
+    [loop] = [t for t in cluster.live_threads.values()
+              if t.kind == KIND_KERNEL]
+    assert bool(loop.frames) is running
+    asynchronous = cluster.raise_event("EVT", loop.tid, from_node=2)
+    waited = cluster.raise_and_wait("EVT", loop.tid, from_node=0)
+    cluster.raise_event("EVT", cap, from_node=1, user_data=1)
+    cluster.run(until=cluster.now + 1.0)
+    assert asynchronous.result() == 1
+    with pytest.raises(DeadThreadError):
+        waited.result()
+    assert cluster.events.dead_targets == 2
+    assert log == [0, 1] and not loop.pending_notices
     conclusions.check()
     assert conclusions.count("noticed") == 2
 

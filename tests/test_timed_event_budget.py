@@ -11,9 +11,7 @@ and the two ``DThread`` accessors that became attributes.
 """
 
 import gc
-import sys
 import weakref
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,6 +22,7 @@ from repro.sim import Simulator, WheelSimulator
 from repro.threads.thread import DONE, FAILED, TERMINATED, DThread
 from repro.transport.realtime import RealtimeScheduler
 from tests.conftest import Echo, Sleeper, make_cluster
+from tests.frames import FrameCensus
 
 SCHEDULER = str(Path(repro.sim.scheduler.__file__).resolve())
 
@@ -39,25 +38,12 @@ TIMES = (1.0, 2.0, 2.0, 3.0, 4.0)
 def scheduler_frames(sim, schedule):
     """Frames in ``scheduler.py`` from the first ``schedule(when, fn)``
     until the last of the :data:`TIMES` callbacks starts."""
-    frames = Counter()
-
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_filename == SCHEDULER:
-            frames[code.co_name] += 1
-
-    def last():
-        sys.setprofile(None)
-
-    sys.setprofile(profile)
-    try:
+    with FrameCensus(lambda code: code.co_filename == SCHEDULER) as census:
         for when in TIMES[:-1]:
             schedule(sim, when, lambda: None)
-        schedule(sim, TIMES[-1], last)
+        schedule(sim, TIMES[-1], census.stop)
         sim.run()
-    finally:
-        sys.setprofile(None)
-    return frames
+    return {name: count for (_, name), count in census.items()}
 
 
 def at(sim, when, fn):

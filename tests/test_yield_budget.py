@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from collections import Counter
 
 import pytest
@@ -32,6 +31,7 @@ from repro.sim import Channel, SimFuture, Simulator
 from repro.threads import syscalls as sc
 from repro.threads.attributes import TimerSpec
 from tests.conftest import make_cluster, run_to_result
+from tests.frames import FrameCensus
 from tests.test_syscall_surface import SYSCALLS
 
 N = 256
@@ -92,19 +92,9 @@ def _warm_cluster(scheduler: str):
 def _count_frames(cluster, cap, load) -> tuple[float, Counter]:
     """Frames per post of ``load()`` and a run to 2.0 s, and their
     census by ``(file, function)``."""
-    frames: Counter = Counter()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            frames[code.co_filename.rpartition("/")[2], code.co_name] += 1
-
-    sys.setprofile(profile)
-    try:
+    with FrameCensus() as frames:
         load()
         cluster.run(until=2.0)
-    finally:
-        sys.setprofile(None)
     assert len(cluster.get_object(cap).latencies) == N + 1
     return sum(frames.values()) / N, frames
 
