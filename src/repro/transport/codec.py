@@ -14,9 +14,19 @@ codec-valued args, looked up in two fixed namespaces (``repro.errors``
 and the builtin exceptions); a name from anywhere else arrives as
 ``RpcError("<qualname>: <message>")``.
 
-Straight-line code: the envelope, the batch record loop, the containers
-and every registered shape are *plan rows* (a field and its kind: int,
-str or value), and on first use :func:`_register_shapes` turns each row
+Fewer values on the wire: the message types of the post path each have
+a registered **payload shape** (:data:`PAYLOAD_SHAPES`), so a payload
+dict with exactly the shape's keys travels as its values in the shape's
+order, an optional key as a presence bit in the envelope flags, and
+decodes to a dict in the shape's key order; any other payload travels
+as a tagged value.  An event block is a presence bitmap and then only
+the slots that hold something other than their default, and a small
+fixed string set (a capability's transport, an ack's status) is a
+table tag.
+
+Straight-line code: the envelope, the batch record loop, the containers,
+every registered shape and every payload shape are *plan rows* (a field
+and its kind), and on first use :func:`_register_shapes` turns each row
 into inline Python and compiles it once per process, as
 :mod:`dataclasses` does for ``__init__``.  The source text comes from
 the rows alone; nothing derived from wire bytes is ever compiled.  A
@@ -33,17 +43,28 @@ so the receiving process's module-level id counters (the one behind
 ``EventBlock.block_id``) are **not** advanced and every id — the
 fabric-assigned ``Message.msg_id`` too — survives the hop verbatim.
 
-Wire format, all integers as zigzag varints and floats as IEEE-754
-doubles (bit-exact — virtual timestamps must survive the hop)::
+Wire format, all integers as zigzag varints (untagged where the plan
+says int, uvarint for counts, lengths and bitmaps) and floats as
+IEEE-754 doubles (bit-exact — virtual timestamps must survive the
+hop)::
 
     message   := VERSION flags src dst mtype payload size msg_id
                  [rel_node rel_seq] [ack] [gossip]
+    flags     := dst-is-str 1 | rel 2 | ack 4 | gossip 8 | shaped 16
+                 | optional-key presence bits 32 64 128
+    payload   := shaped ? { row }* in the mtype's shape order : value
+    row       := int | value | block | acks       (the row's kind)
+    block     := bitmap { slot }*    (the set slots, in row order)
+    slot      := its kind, untagged | value       (per its bitmap bit)
+    acks      := count { origin seq status }*
+    status    := 1..3 (a table tag) | 0 str
     batch     := VERSION count { deliver_at seq dst message }*
     value     := tag <tag-specific body>
 
-Unknown version bytes or value tags raise :class:`CodecError` (a
-:class:`~repro.errors.NetworkError`), so a frame from a different codec
-revision fails loudly instead of mis-decoding.
+Unknown version bytes, flags, value tags, table tags or bitmap bits
+raise :class:`CodecError` (a :class:`~repro.errors.NetworkError`), so a
+frame from a different codec revision fails loudly instead of
+mis-decoding.
 """
 
 from __future__ import annotations
@@ -64,8 +85,9 @@ __all__ = [
 ]
 
 #: bump on any incompatible wire-format change (2: value tag 16, the
-#: per-value fallback to a general serializer, is retired)
-VERSION = 2
+#: per-value fallback to a general serializer, is retired; 3: payload
+#: shapes, the event block bitmap and table tags)
+VERSION = 3
 
 _DOUBLE = struct.Struct(">d")
 
@@ -142,6 +164,52 @@ MTYPE_REGISTRY = (
     "degrade.done",
 )
 _MTYPE_TAG = {name: i + 1 for i, name in enumerate(MTYPE_REGISTRY)}
+
+#: mtype -> its payload's positional shape: ``(key, kind, optional)``
+#: rows in wire order.  A kind is ``int`` (an untagged varint), ``value``
+#: (a tagged value; ``rare``: one written through ``_append_value``, not
+#: in place), ``block`` (an untagged event block) or ``acks``
+#: (``store.ack``'s list of ``((origin, seq), status)``).  The post
+#: path's four types have one; any other type's payload, and a payload
+#: that does not fit its shape, travels as a tagged value.  At most
+#: three optional rows: their presence bits are the envelope flags'
+#: top three.
+PAYLOAD_SHAPES = {
+    "event.post-object": (("block", "block", False), ("oid", "int", False)),
+    "event.resume": (("token", "int", False), ("value", "rare", False),
+                     ("error", "rare", False)),
+    "rel.ack": (("cum", "int", False), ("sel", "rare", True)),
+    "store.ack": (("acks", "acks", False),),
+}
+
+#: the fixed string sets that travel as one-byte table tags; both are
+#: positional like the mtype tags (append only).  A capability's
+#: transport is always one of ``TRANSPORT_NAMES`` (its constructor
+#: checks), so that table has no escape; an ack status outside the
+#: outbox's three travels as tag 0 and the string.
+_ACK_STATUSES = ("delivered", "noticed", "quarantined")
+_ACK_STATUS_TAG = {name: i + 1 for i, name in enumerate(_ACK_STATUSES)}
+
+#: EventBlock slots in wire order, each with its kind and the default
+#: the bitmap leaves out.  Row ``i``'s bit is ``1 << i``: the slot
+#: follows as its kind, untagged, or as a tagged value for a ``value``
+#: row (``rare``: one written through ``_append_value``, not in place).
+#: A typed row has a second bit, past the rows' own, for a value of any
+#: other type, which then follows as a tagged value.  The slots every
+#: post sets come first, so a post's bitmap is one varint byte.
+#: ``delivered_at`` does not travel: the receiver sets it when delivery
+#: begins (``events/execute.py``, ``objects/manager.py``) and nothing
+#: reads it before, so a decoded block has it ``None`` (DESIGN.md,
+#: "Codec").
+_BLOCK_ROWS = (
+    ("event", "str", None), ("raiser_node", "int", None),
+    ("target", "Capability", None), ("user_data", "value", None),
+    ("raised_at", "float", None), ("block_id", "int", None),
+    ("durable_id", "pair", None), ("raiser_tid", "rare", None),
+    ("synchronous", "rare", False), ("snapshot", "rare", None),
+    ("_resume_token", "rare", None), ("degraded", "rare", False),
+    ("_admission", "rare", None))
+_BLOCK_RECEIVER_SLOTS = ("delivered_at",)
 
 
 def _read_str(buf: bytes, pos: int) -> tuple[str, int]:
@@ -222,6 +290,8 @@ def _read_error(buf: bytes, pos: int) -> tuple[BaseException, int]:
 _SINGLETONS = (None, True, False)
 #: a one-byte zigzag varint -> its int
 _UNZIGZAG = tuple((byte >> 1) ^ -(byte & 1) for byte in range(0x80))
+#: a ``dict.get`` default no payload value can be
+_ABSENT = object()
 
 #: ``type(value)`` -> writer, for the values the inline code hands on:
 #: bytes here, the containers and the shapes join in _register_shapes
@@ -245,12 +315,13 @@ _append_batch: Any = None
 _read_batch: Any = None
 _Message: Any = None
 
-# envelope flags: optional fields cost nothing when absent, so frames
-# with every knob off are the bytes the first codec revision sent
+# envelope flags: optional fields cost nothing when absent
 _F_DST_STR = 1
 _F_REL = 2
 _F_ACK = 4
 _F_GOSSIP = 8  # piggybacked SWIM gossip
+_F_SHAPED = 16  # the payload is its mtype's positional shape
+_F_OPTIONAL = 32  # the first optional row's presence bit; then 64, 128
 
 
 # ----------------------------------------------------------------------
@@ -260,9 +331,10 @@ _F_GOSSIP = 8  # piggybacked SWIM gossip
 # Each emitter returns the source lines that write or read one field in
 # place.  A writer appends through ``w`` (``out.append``) and holds the
 # varint it is writing in ``z``; a reader advances ``pos`` through
-# ``buf``.  A plan row is ``(field, kind)``: "int" is an untagged zigzag
-# varint, "str" untagged length-prefixed utf-8, "value" a tagged value
-# of any codec type.
+# ``buf``.  A shape's plan row is ``(field, kind)``: "int" is an
+# untagged zigzag varint, "str" untagged length-prefixed utf-8,
+# "transport" a capability transport's table tag, "value" a tagged
+# value of any codec type.
 
 def _indent(lines: list[str], depth: int = 1) -> list[str]:
     return ["    " * depth + line for line in lines]
@@ -295,6 +367,28 @@ def _put_str(expr: str) -> list[str]:
             "z = len(raw)",
             *_put_uvarint(),
             "out += raw"]
+
+
+def _put_transport(expr: str) -> list[str]:
+    return [f"z = _TRANSPORT_TAG.get({expr})",
+            "if z is None:",
+            f"    raise CodecError(f'no transport tag for {{{expr}!r}}')",
+            "w(z)"]
+
+
+def _put_fields(obj: str, rows: tuple) -> list[str]:
+    """Write the fields of the shape instance ``obj``: a run of value
+    rows in one loop (an iteration costs about what unrolling saves, and
+    the run's code is then written once), the rest in line."""
+    lines = []
+    for kind, run in groupby(rows, key=itemgetter(1)):
+        fields = [f"{obj}.{field}" for field, _ in run]
+        if kind == "value":
+            lines += _put_each("(" + "".join(f"{field}, " for field in fields)
+                               + ")")
+        else:
+            lines += [line for field in fields for line in _PUT[kind](field)]
+    return lines
 
 
 def _put_value(x: str) -> list[str]:
@@ -381,6 +475,49 @@ def _take_str(var: str) -> list[str]:
             "pos = end"]
 
 
+def _take_table(var: str, table: str, name: str,
+                escape: bool) -> list[str]:
+    """Read a ``name`` table tag into ``var``: 1.. index ``table``; 0 is a
+    string that follows when the table has an ``escape``, an error
+    otherwise."""
+    lines = ["n = buf[pos]",
+             "pos += 1",
+             f"if 0 < n <= len({table}):",
+             f"    {var} = {table}[n - 1]"]
+    if escape:
+        return lines + ["elif not n:", *_indent(_take_str(var)),
+                        "else:",
+                        f"    raise CodecError(f'unknown {name} tag {{n}}')"]
+    return lines + ["else:",
+                    f"    raise CodecError(f'unknown {name} tag {{n}}')"]
+
+
+def _take_transport(var: str) -> list[str]:
+    return _take_table(var, "_TRANSPORTS", "transport", escape=False)
+
+
+def _take_fields(rows: tuple, prefix: str = "f_") -> list[str]:
+    return [line for field, kind in rows
+            for line in _TAKE[kind](prefix + field)]
+
+
+def _build(name: str, build: str, rows: tuple, var: str,
+           prefix: str = "f_") -> list[str]:
+    """Make the shape instance ``var`` from the read fields.  ``call``
+    runs the constructor, ``tuple`` builds a named tuple in C, ``frozen``
+    fills a ``__new__`` instance (so no id counter ticks and no
+    validation reruns) through its ``__dict__``, past the frozen
+    dataclass's own ``__setattr__``."""
+    values = ", ".join(prefix + field for field, _ in rows)
+    if build == "call":
+        return [f"{var} = {name}({values})"]
+    if build == "tuple":
+        return [f"{var} = _tuple_new({name}, ({values},))"]
+    return [f"{var} = _new({name})",
+            "fields = " + var + ".__dict__",
+            *[f"fields['{field}'] = {prefix}{field}" for field, _ in rows]]
+
+
 def _take_value(var: str) -> list[str]:
     """Read the value at ``pos`` into ``var``: the scalars in place,
     every other tag through ``_READERS`` (which rejects unknown ones)."""
@@ -417,54 +554,220 @@ def _take_dict(var: str) -> list[str]:
             f"    {var}[key] = item"]
 
 
-_PUT = {"int": _put_int, "str": _put_str}
-_TAKE = {"int": _take_int, "str": _take_str, "value": _take_value}
+_PUT = {"int": _put_int, "str": _put_str, "transport": _put_transport}
+_TAKE = {"int": _take_int, "str": _take_str, "value": _take_value,
+         "transport": _take_transport}
+
+#: Capability's wire layout (the event block's ``target`` row writes it
+#: in place too)
+_CAPABILITY_ROWS = (("oid", "int"), ("home", "int"),
+                    ("transport", "transport"), ("cls_name", "str"))
 
 
 def _function(signature: str, body: list[str]) -> str:
     return "\n".join([f"def {signature}:", *_indent(body), ""])
 
 
-def _shape_source(name: str, tag: int, build: str, rows: tuple,
-                  checks: dict) -> list[str]:
-    """A writer and a reader for one registered shape.  The reader takes
-    every row in line; the writer walks a run of value rows in one loop
-    (an iteration costs about what unrolling saves, and the run's code
-    is then written once).  ``build`` says how the reader makes the
-    object: ``call`` runs the constructor, ``tuple`` builds a named
-    tuple in C, ``slots`` fills a ``__new__`` instance (so no id counter
-    ticks) once the class's own ``checks`` (field -> the values it may
-    take) passed, and ``frozen`` does the same through the instance's
-    ``__dict__``, past the frozen dataclass's own ``__setattr__``."""
-    write = ["w = out.append", f"w({tag})"]
-    for kind, run in groupby(rows, key=itemgetter(1)):
-        fields = [f"value.{field}" for field, _ in run]
-        if kind == "value":
-            write += _put_each("(" + "".join(f"{field}, " for field in fields)
-                               + ")")
-        else:
-            write += [line for field in fields for line in _PUT[kind](field)]
-    read = [line for field, kind in rows for line in _TAKE[kind](f"f_{field}")]
-    for field in checks:
-        read += [f"if f_{field} not in _valid_{name}_{field}:",
-                 f"    raise CodecError(f'{name}.{field} {{f_{field}!r}}"
-                 " is not a valid value')"]
-    values = ", ".join(f"f_{field}" for field, _ in rows)
-    if build == "call":
-        read += [f"return {name}({values}), pos"]
-    elif build == "tuple":
-        read += [f"return _tuple_new({name}, ({values},)), pos"]
-    elif build == "slots":
-        read += [f"obj = _new({name})",
-                 *[f"obj.{field} = f_{field}" for field, _ in rows],
-                 "return obj, pos"]
-    else:  # frozen: its own __setattr__ is shut
-        read += [f"obj = _new({name})",
-                 "fields = obj.__dict__",
-                 *[f"fields['{field}'] = f_{field}" for field, _ in rows],
-                 "return obj, pos"]
-    return [_function(f"_write_{name}(out, value)", write),
+def _shape_source(name: str, tag: int, build: str, rows: tuple) -> list[str]:
+    """A writer and a reader for one registered shape."""
+    read = [*_take_fields(rows), *_build(name, build, rows, "obj"),
+            "return obj, pos"]
+    return [_function(f"_write_{name}(out, value)",
+                      ["w = out.append", f"w({tag})",
+                       *_put_fields("value", rows)]),
             _function(f"_read_{name}(buf, pos)", read)]
+
+
+# -- the event block: a presence bitmap, then the set slots ------------
+
+#: typed row kind -> (the test a value of that kind passes, its untagged
+#: writer, its reader)
+_TYPED = {
+    "str": ("type({x}) is str", _put_str, _take_str),
+    "int": ("type({x}) is int", _put_int, _take_int),
+    "float": ("type({x}) is float",
+              lambda x: [f"out += _pack_double({x})"],
+              lambda var: [f"{var} = _unpack_double(buf, pos)[0]",
+                           "pos += 8"]),
+    "Capability": ("type({x}) is Capability",
+                   lambda x: _put_fields(x, _CAPABILITY_ROWS),
+                   lambda var: [*_take_fields(_CAPABILITY_ROWS, "c_"),
+                                *_build("Capability", "frozen",
+                                        _CAPABILITY_ROWS, var, "c_")]),
+    "pair": ("type({x}) is tuple and len({x}) == 2 and type({x}[0]) is int"
+             " and type({x}[1]) is int",
+             lambda x: [*_put_int(f"{x}[0]"), *_put_int(f"{x}[1]")],
+             lambda var: [*_take_int("p_0"), *_take_int("p_1"),
+                          f"{var} = (p_0, p_1)"]),
+}
+
+
+#: the block's value row kinds: a tagged value in place, or one call
+_UNTYPED = {"value": (_put_value, _take_value),
+            "rare": (lambda x: [f"_append_value(out, {x})"],
+                     lambda var: [f"{var}, pos = _read_value(buf, pos)"])}
+
+
+def _block_bits() -> list[tuple[int, int]]:
+    """Each block row's (bit, fallback bit): the fallback bit, 0 for a
+    value row, numbers the typed rows past the rows' own bits."""
+    bits, spare = [], len(_BLOCK_ROWS)
+    for row, (_, kind, _) in enumerate(_BLOCK_ROWS):
+        typed = kind in _TYPED
+        bits.append((1 << row, 1 << spare if typed else 0))
+        spare += typed
+    return bits
+
+
+def _put_block(obj: str) -> list[str]:
+    """Write the event block ``obj`` untagged.  One pass: a byte is kept
+    for the bitmap and filled in once the slots are written (a bitmap
+    past seven bits takes more bytes, inserted)."""
+    lines = ["at = len(out)", "w(0)", "bits = 0"]
+    for (slot, kind, default), (bit, other) in zip(_BLOCK_ROWS,
+                                                   _block_bits()):
+        lines.append(f"x = {obj}.{slot}")
+        if kind in _UNTYPED:
+            lines += [f"if x is not {default}:", f"    bits |= {bit}",
+                      *_indent(_UNTYPED[kind][0]("x"))]
+            continue
+        test, put, _ = _TYPED[kind]
+        lines += [f"if {test.format(x='x')}:", f"    bits |= {bit}",
+                  *_indent(put("x")),
+                  f"elif x is not {default}:", f"    bits |= {other}",
+                  "    _append_value(out, x)"]
+    return lines + ["if bits < 0x80:",
+                    "    out[at] = bits",
+                    "else:",
+                    "    del out[at]",
+                    "    wide = bytearray()",
+                    "    _append_uvarint(wide, bits)",
+                    "    out[at:at] = wide"]
+
+
+def _take_block(var: str) -> list[str]:
+    """Read an untagged event block into ``var``: ``__new__`` and slot
+    assignment, never ``__init__``, so the receiver's block counter does
+    not tick and ``block_id`` arrives verbatim."""
+    every = sum(bit | other for bit, other in _block_bits())
+    lines = [*_take_uvarint("bits"),
+             f"if bits & {~every}:",
+             "    raise CodecError(f'unknown event block slots in {bits:#x}')",
+             f"{var} = _new(EventBlock)"]
+    for (slot, kind, default), (bit, other) in zip(_BLOCK_ROWS,
+                                                   _block_bits()):
+        store = f"    {var}.{slot} = x"
+        take = _UNTYPED[kind][1] if kind in _UNTYPED else _TYPED[kind][2]
+        lines += [f"if bits & {bit}:", *_indent(take("x")), store]
+        if other:
+            lines += [f"elif bits & {other}:",
+                      "    x, pos = _read_value(buf, pos)", store]
+        lines += ["else:", f"    {var}.{slot} = {default}"]
+    return lines + [f"{var}.{slot} = None" for slot in _BLOCK_RECEIVER_SLOTS]
+
+
+# -- payload shapes ------------------------------------------------------
+
+def _put_acks(x: str) -> list[str]:
+    """``store.ack``'s list: a count, then each ``((origin, seq),
+    status)`` as two ints and a status tag.  Anything else in the list
+    does not fit the shape (``_Misfit``)."""
+    return [f"if type({x}) is not list:",
+            "    raise _Misfit",
+            f"z = len({x})",
+            *_put_uvarint(),
+            f"for entry in {x}:",
+            "    if type(entry) is not tuple or len(entry) != 2:",
+            "        raise _Misfit",
+            "    entry_id, status = entry",
+            "    if (type(entry_id) is not tuple or len(entry_id) != 2",
+            "            or type(status) is not str):",
+            "        raise _Misfit",
+            "    origin, seq = entry_id",
+            "    if type(origin) is not int or type(seq) is not int:",
+            "        raise _Misfit",
+            *_indent(_put_int("origin")),
+            *_indent(_put_int("seq")),
+            "    z = _ACK_STATUS_TAG.get(status, 0)",
+            "    w(z)",
+            "    if not z:",
+            *_indent(_put_str("status"), 2)]
+
+
+def _take_acks(var: str) -> list[str]:
+    return [*_take_uvarint("count"),
+            f"{var} = []",
+            "for _ in range(count):",
+            *_indent(_take_int("origin")),
+            *_indent(_take_int("seq")),
+            *_indent(_take_table("status", "_ACK_STATUSES", "status",
+                                      escape=True)),
+            f"    {var}.append(((origin, seq), status))"]
+
+
+#: payload row kind -> (the test a dict value must pass, its writer)
+_PAYLOAD_PUT = {
+    "int": _TYPED["int"][:2],
+    "value": ("{x} is not _ABSENT", _put_value),
+    "rare": ("{x} is not _ABSENT", _UNTYPED["rare"][0]),
+    "block": ("type({x}) is EventBlock", _put_block),
+    "acks": ("{x} is not _ABSENT", _put_acks),
+}
+_PAYLOAD_TAKE = {"int": _take_int, "value": _take_value,
+                 "rare": _UNTYPED["rare"][1],
+                 "block": _take_block, "acks": _take_acks}
+
+
+class _Misfit(Exception):
+    """Raised inside a compiled envelope writer when a payload dict does
+    not fit its mtype's shape; the writer drops what the shape wrote and
+    sends the dict as a tagged value."""
+
+
+def _payload_put(mtype: str, rows: tuple) -> list[str]:
+    """Write ``payload`` as ``mtype``'s positional shape and set the flag
+    bits it earned (``_F_SHAPED`` and the optional rows' presence bits)
+    in the envelope's flags byte at ``head``; raise ``_Misfit`` (before
+    writing, but for a list that turns out not to fit) when the dict is
+    not the shape's."""
+    optional_rows = [key for key, _, optional in rows if optional]
+    if len(optional_rows) > 3:
+        raise CodecError(f"{mtype}: more than three optional payload rows")
+    lines = [f"extra = {_F_SHAPED}"]
+    count = [str(len(rows) - len(optional_rows))]
+    for key, kind, optional in rows:
+        lines.append(f"p_{key} = payload.get({key!r}, _ABSENT)")
+        misfit = [f"if not {_PAYLOAD_PUT[kind][0].format(x=f'p_{key}')}:",
+                  "    raise _Misfit"]
+        if optional:
+            bit = _F_OPTIONAL << optional_rows.index(key)
+            lines += [f"if p_{key} is not _ABSENT:", *_indent(misfit),
+                      f"    extra |= {bit}"]
+            count.append(f"(p_{key} is not _ABSENT)")
+        else:
+            lines += misfit
+    lines += [f"if len(payload) != {' + '.join(count)}:", "    raise _Misfit"]
+    for key, kind, optional in rows:
+        body = _PAYLOAD_PUT[kind][1](f"p_{key}")
+        lines += ([f"if extra & {_F_OPTIONAL << optional_rows.index(key)}:",
+                   *_indent(body)] if optional else body)
+    return lines + ["out[head] = flags | extra"]
+
+
+def _payload_take(mtype: str, rows: tuple) -> list[str]:
+    """Read ``mtype``'s positional shape into the dict ``payload``, keys
+    in the shape's order."""
+    optional_rows = [key for key, _, optional in rows if optional]
+    lines = [f"if flags >= {_F_OPTIONAL << len(optional_rows)}:",
+             f"    raise CodecError(f'{mtype}: unknown payload rows in "
+             "flags {flags:#x}')",
+             "payload = {}"]
+    for key, kind, optional in rows:
+        body = [*_PAYLOAD_TAKE[kind](f"p_{key}"),
+                f"payload[{key!r}] = p_{key}"]
+        lines += ([f"if flags & {_F_OPTIONAL << optional_rows.index(key)}:",
+                   *_indent(body)] if optional else body)
+    return lines
 
 
 def _generic_source() -> list[str]:
@@ -486,12 +789,27 @@ def _generic_source() -> list[str]:
         _function("_append_dict(out, value)",
                   ["w = out.append", *_put_dict("value")]),
         _function("_read_dict(buf, pos)",
-                  [*_take_dict("data"), "return data, pos"])]
+                  [*_take_dict("data"), "return data, pos"]),
+        _function("_write_EventBlock(out, value)",
+                  ["w = out.append", f"w({_T_EVENT_BLOCK})",
+                   *_put_block("value")]),
+        _function("_read_EventBlock(buf, pos)",
+                  [*_take_block("block"), "return block, pos"])]
 
 
 def _envelope_source() -> list[str]:
-    """The envelope and the batch record loop around it.  A dict payload
-    (every post and ack) is written and read in place."""
+    """The envelope and the batch record loop around it.  A payload that
+    fits its mtype's shape, and any other dict, is written and read in
+    place."""
+    shaped_put, shaped_take = [], []
+    for mtype, rows in PAYLOAD_SHAPES.items():
+        test = f"{'el' if shaped_put else ''}if tag == {_MTYPE_TAG[mtype]}:"
+        shaped_put += [test, *_indent(_payload_put(mtype, rows))]
+        shaped_take += [test, *_indent(_payload_take(mtype, rows))]
+    shaped_put += ["else:", *_indent(_put_dict("payload"))]
+    shaped_take += ["else:",
+                    "    raise CodecError(f'shaped payload flag on {mtype}, "
+                    "which has no payload shape')"]
     write = ["w = out.append",
              "dst = message.dst",
              "rel = message.rel",
@@ -504,20 +822,26 @@ def _envelope_source() -> list[str]:
              f"    flags |= {_F_ACK}",
              "if gossip is not None:",
              f"    flags |= {_F_GOSSIP}",
+             "head = len(out)",
              "w(flags)",
              *_put_int("message.src"),
              f"if flags & {_F_DST_STR}:",
              *_indent(_put_str("dst")),
              "else:",
              *_indent(_put_int("dst")),
-             "z = _MTYPE_TAG.get(message.mtype, 0)",
+             "tag = z = _MTYPE_TAG.get(message.mtype, 0)",
              *_put_uvarint(),
-             "if not z:",
+             "if not tag:",
              *_indent(_put_str("message.mtype")),
              "try:",
              "    payload = message.payload",
              "    if type(payload) is dict:",
-             *_indent(_put_dict("payload"), 2),
+             "        mark = len(out)",
+             "        try:",
+             *_indent(shaped_put, 3),
+             "        except _Misfit:",
+             "            del out[mark:]",
+             "            _append_dict(out, payload)",
              "    else:",
              "        _append_value(out, payload)",
              *_indent(_put_int("message.size")),
@@ -533,6 +857,8 @@ def _envelope_source() -> list[str]:
              "    raise CodecError(f'{message.mtype}: {exc}') from None"]
     read = ["flags = buf[pos]",
             "pos += 1",
+            f"if flags >= {_F_OPTIONAL} and not flags & {_F_SHAPED}:",
+            "    raise CodecError(f'unknown envelope flags {flags:#x}')",
             *_take_int("src"),
             f"if flags & {_F_DST_STR}:",
             *_indent(_take_str("dst")),
@@ -546,7 +872,9 @@ def _envelope_source() -> list[str]:
             "    mtype = MTYPE_REGISTRY[tag - 1]",
             "else:",
             *_indent(_take_str("mtype")),
-            f"if buf[pos] == {_T_DICT}:",
+            f"if flags & {_F_SHAPED}:",
+            *_indent(shaped_take),
+            f"elif buf[pos] == {_T_DICT}:",
             "    pos += 1",
             *_indent(_take_dict("payload")),
             "else:",
@@ -604,39 +932,44 @@ def _register_shapes() -> None:
     from repro.kernel.config import TRANSPORT_NAMES
     from repro.net.message import Message
     from repro.objects.capability import Capability
+    from repro.store.outbox import DELIVERED, NOTICED, QUARANTINED
     from repro.threads.ids import GroupId, ThreadId
+    shipped = {slot for slot, _, _ in _BLOCK_ROWS}
+    if (shipped | set(_BLOCK_RECEIVER_SLOTS) != set(EventBlock.__slots__)
+            or len(shipped) != len(_BLOCK_ROWS)):
+        raise CodecError("EventBlock slots and the codec's block rows differ")
+    if _ACK_STATUSES != (DELIVERED, NOTICED, QUARANTINED):
+        raise CodecError("the outbox's ack statuses and the codec's differ")
     i, s, v = "int", "str", "value"
-    #: (tag, class, build, rows, checks): a shape's wire layout is its
-    #: rows in order; Capability's check is its __post_init__'s
+    #: (tag, class, build, rows): a shape's wire layout is its rows in
+    #: order; the event block is compiled on its own (_put_block)
     plans = (
-        (_T_CAPABILITY, Capability, "frozen",
-         (("oid", i), ("home", i), ("transport", s), ("cls_name", s)),
-         {"transport": TRANSPORT_NAMES}),
-        (_T_THREAD_ID, ThreadId, "call", (("root", i), ("seq", i)), {}),
-        (_T_GROUP_ID, GroupId, "call", (("root", i), ("seq", i)), {}),
+        (_T_CAPABILITY, Capability, "frozen", _CAPABILITY_ROWS),
+        (_T_THREAD_ID, ThreadId, "call", (("root", i), ("seq", i))),
+        (_T_GROUP_ID, GroupId, "call", (("root", i), ("seq", i))),
         (_T_FRAME_INFO, FrameInfo, "tuple",
-         (("oid", i), ("entry", s), ("node", i), ("steps", i)), {}),
+         (("oid", i), ("entry", s), ("node", i), ("steps", i))),
         (_T_SNAPSHOT, ThreadSnapshot, "tuple",
-         (("tid", v), ("state", s), ("node", v), ("frames", v)), {}),
-        (_T_EVENT_BLOCK, EventBlock, "slots",
-         tuple((slot, v) for slot in EventBlock.__slots__), {}))
+         (("tid", v), ("state", s), ("node", v), ("frames", v))))
     namespace = {
         "__name__": __name__, "CodecError": CodecError, "Message": Message,
+        "EventBlock": EventBlock,
         "MTYPE_REGISTRY": MTYPE_REGISTRY, "_MTYPE_TAG": _MTYPE_TAG,
-        "_WRITERS": _WRITERS, "_READERS": _READERS,
+        "_WRITERS": _WRITERS, "_READERS": _READERS, "_ABSENT": _ABSENT,
         "_SINGLETONS": _SINGLETONS, "_UNZIGZAG": _UNZIGZAG,
-        "_append_other": _append_other,
+        "_TRANSPORTS": TRANSPORT_NAMES,
+        "_TRANSPORT_TAG": {name: tag for tag, name in enumerate(
+            TRANSPORT_NAMES, start=1)},
+        "_ACK_STATUSES": _ACK_STATUSES, "_ACK_STATUS_TAG": _ACK_STATUS_TAG,
+        "_append_other": _append_other, "_Misfit": _Misfit,
         "_append_uvarint": _append_uvarint, "_read_uvarint": _read_uvarint,
         "_pack_double": _DOUBLE.pack, "_unpack_double": _DOUBLE.unpack_from,
         "_new": object.__new__,
         "_tuple_new": tuple.__new__}
     sources = _generic_source() + _envelope_source()
-    for tag, cls, build, rows, checks in plans:
-        name = cls.__name__
-        namespace[name] = cls
-        for field, allowed in checks.items():
-            namespace[f"_valid_{name}_{field}"] = allowed
-        sources += _shape_source(name, tag, build, rows, checks)
+    for tag, cls, build, rows in plans:
+        namespace[cls.__name__] = cls
+        sources += _shape_source(cls.__name__, tag, build, rows)
     for source in sources:
         # one compile per function keeps the parser's peak memory small
         filename = f"<codec {source[4:source.index('(')]}>"
@@ -649,7 +982,7 @@ def _register_shapes() -> None:
     _READERS[_T_TUPLE] = namespace["_read_tuple"]
     _READERS[_T_LIST] = namespace["_read_list"]
     _READERS[_T_DICT] = namespace["_read_dict"]
-    for tag, cls, *_ in plans:
+    for tag, cls, *_ in (*plans, (_T_EVENT_BLOCK, EventBlock)):
         _WRITERS[cls] = namespace[f"_write_{cls.__name__}"]
         _READERS[tag] = namespace[f"_read_{cls.__name__}"]
     _append_value = namespace["_append_value"]

@@ -14,18 +14,22 @@ Wire format — length-prefixed frames::
     4-byte big-endian frame length (at most MAX_FRAME)
     1-byte format:     0 (the only one; 1 and 2 are retired)
     uvarint dst node
-    body:              codec-encoded Message
+    body:              codec-encoded Message (codec VERSION 3)
 
 A frame is appended to its connection's outgoing buffer, and the frames
 a scheduler turn produces for a connection leave in a single ``write``
 when the turn ends; the receiver walks whatever one ``recv`` carried
 with a moving offset and hands every decoded message to the scheduler,
 so delivery stays a scheduler callback (order and the idle hook depend
-on it).  A frame that is too long, names no known format or
-does not decode is *rejected*: counted in ``frames_rejected`` and raised
-as a :class:`~repro.errors.NetworkError` from the scheduler's ``run()``
-— never swallowed by asyncio's exception handler.  An over-long frame
-also costs its connection, whose stream cannot be re-synchronised.
+on it); a frame that one recv ends in the middle of grows in one buffer
+until it is whole.  A frame that is too long, names no known format,
+does not decode or arrives on a connection this cluster did not dial
+(a stranger's, however well formed) is *rejected*: counted in
+``frames_rejected`` and raised as a :class:`~repro.errors.NetworkError`
+from the scheduler's ``run()`` — never swallowed by asyncio's exception
+handler, and never delivered, so ``in_flight`` counts exactly the
+frames this cluster posted.  An over-long frame also costs its
+connection, whose stream cannot be re-synchronised.
 
 Envelopes travel through the compact wire codec
 (:mod:`repro.transport.codec` — the same format the sharded backend
@@ -75,11 +79,22 @@ def _raise(error: BaseException) -> None:
 
 
 class _FrameReceiver:
-    """asyncio.Protocol reassembling length-prefixed frames."""
+    """asyncio.Protocol reassembling length-prefixed frames.
+
+    A recv's frames are walked in place; the incomplete frame it ends in
+    grows in one ``bytearray`` until a later recv completes it, and is
+    then walked as one ``bytes``: a frame split over k segments is
+    copied a bounded number of times, not k.
+    """
 
     def __init__(self, owner: "AsyncioTransport") -> None:
         self._owner = owner
-        self._buf = b""  # the incomplete frame a recv ended in
+        self._buf = bytearray()  # the incomplete frame a recv ended in
+        #: the bytes ``_buf`` must hold before a walk can take a frame
+        self._need = _LEN.size
+        #: did this cluster dial the connection?  Asked of the owner at
+        #: the first frame (every own connection exists by then)
+        self.own: bool | None = None
 
     # asyncio.Protocol interface (duck-typed; BaseProtocol methods that
     # we do not need are omitted and asyncio tolerates that only on
@@ -101,25 +116,32 @@ class _FrameReceiver:
         return False
 
     def data_received(self, data: bytes) -> None:
-        if self._buf:
-            data = self._buf + data
+        buf = self._buf
+        if buf:
+            buf += data
+            if len(buf) < self._need:
+                return  # still incomplete: nothing to walk
+            data = bytes(buf)
+            buf.clear()
         pos = 0
         size = len(data)
+        self._need = _LEN.size
         while size - pos >= _LEN.size:
             (length,) = _LEN.unpack_from(data, pos)
             if length > MAX_FRAME:
-                self._owner._reject(self._transport, NetworkError(
+                self._owner._reject(self, NetworkError(
                     f"tcp frame of {length} bytes exceeds MAX_FRAME"))
                 self._transport.close()
-                pos = size
-                break
+                return
             start = pos + _LEN.size
             end = start + length
             if end > size:
+                self._need = end - pos
                 break
-            self._owner._on_frame(self._transport, data, start, end)
+            self._owner._on_frame(self, data, start, end)
             pos = end
-        self._buf = data[pos:]
+        if pos < size:
+            buf += memoryview(data)[pos:]
 
 
 class AsyncioTransport(Transport):
@@ -252,7 +274,7 @@ class AsyncioTransport(Transport):
 
     # -- receive path ---------------------------------------------------
 
-    def _on_frame(self, source: Any, data: bytes, start: int,
+    def _on_frame(self, source: _FrameReceiver, data: bytes, start: int,
                   end: int) -> None:
         try:
             fmt = data[start]
@@ -261,6 +283,10 @@ class AsyncioTransport(Transport):
             if fmt != _FMT_CODEC:
                 raise NetworkError(f"unknown tcp frame format {fmt}")
             message = codec.decode_message(body)
+            if not self._dialed_here(source):
+                raise NetworkError(
+                    "tcp frame from a connection this cluster did not "
+                    f"dial ({source._transport.get_extra_info('peername')})")
         except Exception as exc:  # noqa: BLE001 - hostile bytes, any failure
             if not isinstance(exc, NetworkError):
                 exc = NetworkError(f"undecodable tcp frame: {exc!r}")
@@ -279,14 +305,23 @@ class AsyncioTransport(Transport):
         finally:
             self._in_flight -= 1
 
-    def _reject(self, source: Any, error: NetworkError) -> None:
+    def _dialed_here(self, source: _FrameReceiver) -> bool:
+        """Is ``source`` the far end of one of this cluster's own
+        connections?  Only a frame such a connection carries was counted
+        in flight, so only such a frame is delivered (DESIGN.md §6)."""
+        own = source.own
+        if own is None:
+            peer = source._transport.get_extra_info("peername")
+            own = source.own = any(conn.get_extra_info("sockname") == peer
+                                   for conn in self._conns.values())
+        return own
+
+    def _reject(self, source: _FrameReceiver, error: NetworkError) -> None:
         """A frame arrived that cannot be delivered: raise ``error``
-        from the scheduler's ``run()``.  Only a frame one of this
-        cluster's own connections carried was ever counted in flight."""
+        from the scheduler's ``run()``, and settle ``in_flight`` for a
+        frame one of this cluster's own connections carried."""
         self._frames_rejected += 1
-        peer = source.get_extra_info("peername")
-        if any(conn.get_extra_info("sockname") == peer
-               for conn in self._conns.values()):
+        if self._dialed_here(source):
             self._in_flight -= 1
         self.scheduler.call_soon(_raise, error)
 

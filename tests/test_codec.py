@@ -4,8 +4,9 @@ The codec's contract is strict: every :class:`~repro.net.message.Message`
 field survives the hop verbatim (ids included — decoding must not tick
 the receiver's module counters, or same-seed sharded digests would
 drift), common payload shapes round-trip through the shape registry,
-a value of any other type is refused at encode, and frames from a
-different codec revision fail loudly with :class:`CodecError`.
+the post path's payload dicts travel positionally and come back with
+their keys, a value of any other type is refused at encode, and frames
+from a different codec revision fail loudly with :class:`CodecError`.
 """
 
 from __future__ import annotations
@@ -203,13 +204,70 @@ class TestShapes:
                            user_data=(2, 7), raised_at=1.25,
                            delivered_at=1.5)
         block.durable_id = (2, 99)
+        block._resume_token = 41
         block.degraded = True
+        block._admission = (0, 3)
         out = roundtrip(Message(src=0, dst=1, mtype="x", payload=block))
         for slot in EventBlock.__slots__:
-            assert getattr(out.payload, slot) == getattr(block, slot), slot
+            if slot in RECEIVER_WRITTEN:
+                # set at delivery on the receiving node, never read before
+                assert getattr(out.payload, slot) is None, slot
+            else:
+                assert getattr(out.payload, slot) == getattr(block, slot), slot
         # decoding must not mint a new block id on the receiver
         follower = EventBlock("SCALE")
         assert follower.block_id == block.block_id + 1
+
+    @pytest.mark.parametrize("slot, odd", [
+        ("event", 7), ("raiser_node", "two"), ("target", ThreadId(1, 2)),
+        ("raised_at", 3), ("block_id", None), ("durable_id", (1, "x")),
+        ("durable_id", (1, 2, 3)), ("synchronous", 0), ("degraded", None),
+        ("_admission", False)])
+    def test_event_block_slot_of_another_type_travels_as_a_value(self, slot,
+                                                                 odd):
+        block = _golden_block()
+        setattr(block, slot, odd)
+        out = roundtrip(Message(src=0, dst=1, mtype="event.post-object",
+                                payload={"block": block, "oid": 12}))
+        got = getattr(out.payload["block"], slot)
+        assert got == odd and type(got) is type(odd)
+
+    def test_post_path_payloads_come_back_with_their_keys(self):
+        for mtype, payload in [
+                ("event.post-object", {"oid": 3, "block": EventBlock("E")}),
+                ("event.resume", {"error": None, "value": 2, "token": 9}),
+                ("rel.ack", {"cum": 4}), ("rel.ack", {"sel": (6,), "cum": 4}),
+                ("store.ack", {"acks": [((1, 2), "noticed"),
+                                        ((1, 3), "not-a-status")]})]:
+            out = roundtrip(Message(src=0, dst=1, mtype=mtype,
+                                    payload=payload)).payload
+            assert list(out) == [key for key, _, _ in
+                                 codec.PAYLOAD_SHAPES[mtype]
+                                 if key in payload], mtype
+            assert repr(sorted(out.items(), key=repr)) == repr(
+                sorted(payload.items(), key=repr)), mtype
+
+    @pytest.mark.parametrize("mtype, payload", [
+        ("event.post-object", {"block": 5, "oid": 3}),
+        ("event.post-object", {"block": EventBlock("E"), "oid": "3"}),
+        ("event.post-object", {"block": EventBlock("E")}),
+        ("event.post-object", {"block": EventBlock("E"), "oid": 3, "x": 1}),
+        ("event.resume", {"token": 1, "value": 2}),
+        ("rel.ack", {"cum": True}), ("rel.ack", {"cum": 1, "other": 2}),
+        ("store.ack", {"acks": (((1, 2), "noticed"),)}),
+        ("store.ack", {"acks": [((1, 2), "noticed"), ((1, 2.5), "noticed")]}),
+        ("store.ack", {"acks": [((1, 2), b"noticed")]}),
+        ("store.ack", {"acks": [((1, 2), "noticed", 0)]}),
+        ("store.ack", {"acks": [((1, 2), "noticed")], "more": []}),
+    ])
+    def test_a_payload_that_misfits_its_shape_travels_as_a_dict(
+            self, mtype, payload):
+        frame = encode_message(Message(src=0, dst=1, mtype=mtype,
+                                       payload=payload))
+        assert not frame[1] & codec._F_SHAPED
+        out = decode_message(frame).payload
+        assert list(out) == list(payload)
+        assert repr(out) == repr(payload)
 
     def test_shape_subclass_is_refused_not_truncated(self):
         message = Message(src=0, dst=1, mtype="x",
@@ -248,7 +306,8 @@ class TestShapes:
         assert str(out.payload["error"]) == text
 
     def test_error_frame_never_names_its_way_to_an_import(self):
-        # tag 17, then a dotted path where a class name belongs
+        # an unshaped payload (flags 0): tag 17, then a dotted path where
+        # a class name belongs
         frame = (bytes([VERSION, 0, 0, 2, 1, 17, 9]) + b"os.system"
                  + bytes([7, 1, 5, 2]) + b"id" + bytes([128, 1, 2]))
         error = decode_message(frame).payload
@@ -297,6 +356,53 @@ class TestErrors:
         for cut in (2, len(frame) // 2, len(frame) - 1):
             with pytest.raises(CodecError):
                 decode_message(frame[:cut])
+
+    def test_table_tags_past_their_table_rejected(self):
+        # a capability's transport: "dsm" is tag 2, and there is no 3
+        capability = bytearray.fromhex(GOLDEN["capability"])
+        at = capability.index(b"\x07Counter") - 1
+        assert capability[at] == 2
+        capability[at] = 3
+        with pytest.raises(CodecError, match="unknown transport tag 3"):
+            decode_message(bytes(capability))
+        capability[at] = 0  # no escape: Capability() checks the name
+        with pytest.raises(CodecError, match="unknown transport tag 0"):
+            decode_message(bytes(capability))
+        # an ack status: "delivered" is tag 1, 0 a string, 4 nothing
+        acks = bytearray.fromhex(GOLDEN["store_ack"])
+        assert acks[9] == 1  # after count 3, origin 2 and seq 300
+        acks[9] = 4
+        with pytest.raises(CodecError, match="unknown status tag 4"):
+            decode_message(bytes(acks))
+
+    def test_flags_a_payload_shape_does_not_have_rejected(self):
+        # presence bits without the shaped flag
+        frame = bytearray.fromhex(GOLDEN["rel"])
+        frame[1] |= 32
+        with pytest.raises(CodecError, match="envelope flags"):
+            decode_message(bytes(frame))
+        # the shaped flag on a type with no payload shape
+        frame = bytearray.fromhex(GOLDEN["string_dst"])
+        frame[1] |= codec._F_SHAPED
+        with pytest.raises(CodecError, match="locate.mcast, which has no"):
+            decode_message(bytes(frame))
+        # a second optional row for rel.ack, which has one
+        frame = bytearray.fromhex(GOLDEN["rel_ack_sel"])
+        frame[1] |= 64
+        with pytest.raises(CodecError, match="rel.ack: unknown payload"):
+            decode_message(bytes(frame))
+        # one optional row too many for event.post-object, which has none
+        frame = bytearray.fromhex(GOLDEN["post"])
+        frame[1] |= 32
+        with pytest.raises(CodecError, match="post-object: unknown payload"):
+            decode_message(bytes(frame))
+
+    def test_event_block_bitmap_past_its_slots_rejected(self):
+        frame = bytearray.fromhex(GOLDEN["post"])
+        assert frame[5:7] == b"\xff\x37"  # the bitmap, two varint bytes
+        frame[5:7] = b"\xff\xff\x7f"  # bits past every slot's two
+        with pytest.raises(CodecError, match="unknown event block slots"):
+            decode_message(bytes(frame))
 
     def test_string_cut_at_the_end_of_the_frame_rejected(self):
         # nothing is read after the gossip's last string, so only the
@@ -389,22 +495,34 @@ def golden_messages() -> dict[str, Message]:
                             "error": UndeliverableError(
                                 "resume undeliverable to node 2", 2)},
                            mtype="event.resume", size=96),
+        # the post path's positional payloads (VERSION 3)
+        "post": msg({"block": _golden_block(), "oid": 12}, size=128,
+                    rel=(2, 300)),
+        "store_ack": msg({"acks": [((2, 300), "delivered"),
+                                   ((2, 301), "quarantined"),
+                                   ((2, 302), "not-a-status")]},
+                         mtype="store.ack", size=80),
+        "rel_ack_sel": msg({"cum": 7, "sel": (9, 11)}, mtype="rel.ack",
+                           size=48),
+        "misfit": msg({"block": _golden_block(), "oid": 12, "extra": 1},
+                      size=128),
     }
 
 
 def golden_batch() -> list:
     messages = golden_messages()
-    return [(0.005, 0, messages["event_block"], 1),
+    return [(0.005, 0, messages["post"], 1),
             (0.0075, 1, messages["rel"], 300),
             (1e-3, 200, messages["string_dst"], 0)]
 
 
-#: encode_message() of golden_messages() at the commit before the codec
-#: was rebuilt for speed (PR 12) — the rebuilt encoder must emit these
-#: bytes exactly, and so must every later one while VERSION stays 2
-#: (VERSION 1 -> 2 changed the leading byte of each vector and nothing
-#: else; ``error_shape`` joined then, in place of the retired tag 16's)
-GOLDEN = {
+#: encode_message() of golden_messages() — every case but the four the
+#: post path's shapes added — while VERSION was 2 (VERSION 1 -> 2
+#: changed the leading byte of each vector and nothing else;
+#: ``error_shape`` joined then, in place of the retired tag 16's), and
+#: the batch of the event block, ``rel`` and ``string_dst``.  A VERSION
+#: 3 build refuses every one of them by its first byte.
+GOLDEN_V2 = {
     "capability": "02000002010a0e040364736d07436f756e7465728001d00f",
     "thread_id": "02000002010b0684028001d00f",
     "group_id": "02000002010c02088001d00f",
@@ -431,7 +549,7 @@ GOLDEN = {
                    "720702051e726573756d6520756e64656c6976657261626c6520"
                    "746f206e6f646520320304c001d00f",
 }
-GOLDEN_BATCH = (
+GOLDEN_V2_BATCH = (
     "02033f747ae147ae147b0002000002010f0509555345525f50494e470b04120304"
     "0a1802037270630453696e6b0109020504706f73740352050177043fd000000000"
     "00000e0b000607626c6f636b65640007010d0a04776f726b0222043ff800000000"
@@ -439,10 +557,91 @@ GOLDEN_BATCH = (
     "01d80402000201050178800180020082023f50624dd2f1a9fcc801000101096d63"
     "6173743a6772700c008001d00f")
 
+#: encode_message() of golden_messages() at VERSION 3 — the encoder
+#: must emit these bytes exactly, and a decoder read them back, for as
+#: long as VERSION stays 3
+GOLDEN = {
+    "capability": "03000002010a0e040207436f756e7465728001d00f",
+    "thread_id": "03000002010b0684028001d00f",
+    "group_id": "03000002010c02088001d00f",
+    "frame_info": "03000002010d120372756e00d8048001d00f",
+    "snapshot": "03000002010e0b02040772756e6e696e67030607020d02016100020d0401"
+                "6202048001d00f",
+    "event_block": "03000002010fff3709555345525f50494e47041802010453696e6b09"
+                   "020504706f73740352050177043fd00000000000003ff80000000000"
+                   "009a0104d8040b0412010e0b000607626c6f636b65640007010d0a04"
+                   "776f726b0222010702030003028004d00f",
+    "scalars": "0300000201070a0001020301038080808080808080808002044004000000"
+               "000000050368c3a9060200ff0802030208010304090105016b0701030680"
+               "01d00f",
+    "rel": "030200020105017880018002008202",
+    "ack": "0304000203008001d00fc03e",
+    "rel_ack_gossip": "030e000201030a8001d00f04020007020703030205077375737065"
+                      "63740306070303040505616c6976650300",
+    "string_dst": "030101096d636173743a6772700c008001d00f",
+    "inline_mtype": "03000002000e742e756e72656769737465726564080103028001d00f",
+    "error_shape": "03100002029a01001112556e64656c6976657261626c654572726f72"
+                   "0702051e726573756d6520756e64656c6976657261626c6520746f20"
+                   "6e6f646520320304c001d00f",
+    "post": "0312000201ff3709555345525f50494e47041802010453696e6b09020504706f"
+            "73740352050177043fd00000000000003ff80000000000009a0104d8040b0412"
+            "010e0b000607626c6f636b65640007010d0a04776f726b022201070203000302"
+            "188002d00f04d804",
+    "store_ack": "03100002040304d8040104da040304dc04000c6e6f742d612d73746174"
+                 "7573a001d00f",
+    "rel_ack_sel": "03300002030e07020312031660d00f",
+    "misfit": "030000020109030505626c6f636b0fff3709555345525f50494e4704180201"
+              "0453696e6b09020504706f73740352050177043fd00000000000003ff80000"
+              "000000009a0104d8040b0412010e0b000607626c6f636b65640007010d0a04"
+              "776f726b02220107020300030205036f696403180505657874726103028002"
+              "d00f",
+}
+GOLDEN_BATCH = (
+    "03033f747ae147ae147b000212000201ff3709555345525f50494e47041802010453696e"
+    "6b09020504706f73740352050177043fd00000000000003ff80000000000009a0104d804"
+    "0b0412010e0b000607626c6f636b65640007010d0a04776f726b02220107020300030218"
+    "8002d00f04d8043f7eb851eb851eb801d80402000201050178800180020082023f50624d"
+    "d2f1a9fcc801000101096d636173743a6772700c008001d00f")
+
+#: EventBlock slots the receiver writes before anything reads them: the
+#: codec does not send them, and a decoded block has them None
+RECEIVER_WRITTEN = ("delivered_at",)
+
+
+def assert_decoded_as(decoded: Message, expected: Message) -> None:
+    """Field equality of a decoded golden message; a block compares slot
+    by slot (receiver-written ones arrive None), an error by type and
+    args."""
+    assert type(decoded.payload) is type(expected.payload)
+    assert decoded.gossip == expected.gossip
+    payload, want = decoded.payload, expected.payload
+    if type(payload) is dict:
+        assert list(payload) == list(want)
+        payload, want = dict(payload), dict(want)
+    else:
+        payload, want = {None: payload}, {None: want}
+    for key, value in want.items():
+        got = payload.pop(key)
+        if type(value) is EventBlock:
+            for slot in EventBlock.__slots__:
+                assert getattr(got, slot) == (
+                    None if slot in RECEIVER_WRITTEN
+                    else getattr(value, slot)), slot
+        elif isinstance(value, BaseException):  # compare by identity
+            assert type(got) is type(value) and got.args == value.args
+        else:
+            assert got == value and type(got) is type(value), key
+    for field in ("src", "dst", "mtype", "size", "msg_id", "rel", "ack"):
+        assert getattr(decoded, field) == getattr(expected, field), field
+
 
 class TestGoldenVectors:
     def test_every_case_has_a_vector(self):
         assert set(golden_messages()) == set(GOLDEN)
+        assert set(GOLDEN_V2) < set(GOLDEN)
+
+    def test_the_codec_drops_exactly_the_receiver_written_slots(self):
+        assert codec._BLOCK_RECEIVER_SLOTS == RECEIVER_WRITTEN
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_encoder_emits_the_frozen_bytes(self, name):
@@ -450,28 +649,28 @@ class TestGoldenVectors:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_frozen_bytes_decode_to_the_message(self, name):
-        expected = golden_messages()[name]
-        decoded = decode_message(bytes.fromhex(GOLDEN[name]))
-        assert type(decoded.payload) is type(expected.payload)
-        assert decoded.gossip == expected.gossip
-        if name == "event_block":
-            for slot in EventBlock.__slots__:
-                assert (getattr(decoded.payload, slot)
-                        == getattr(expected.payload, slot)), slot
-            decoded.payload = expected.payload = None
-        if name == "error_shape":  # exceptions compare by identity
-            got = decoded.payload.pop("error")
-            want = expected.payload.pop("error")
-            assert type(got) is type(want) and got.args == want.args
-        assert_messages_equal(decoded, expected)
+        assert_decoded_as(decode_message(bytes.fromhex(GOLDEN[name])),
+                          golden_messages()[name])
 
     def test_batch_blob_is_frozen_both_ways(self):
         assert encode_batch(golden_batch()).hex() == GOLDEN_BATCH
         decoded = decode_batch(bytes.fromhex(GOLDEN_BATCH))
         assert [(at, seq, dst) for at, seq, _m, dst in decoded] \
             == [(at, seq, dst) for at, seq, _m, dst in golden_batch()]
+        for (*_, got, _dst), (*_, want, _) in zip(decoded, golden_batch()):
+            assert_decoded_as(got, want)
         # re-encoding what was decoded closes the loop on every field
         assert encode_batch(decoded).hex() == GOLDEN_BATCH
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_V2))
+    def test_version_2_vectors_are_refused_by_their_version(self, name):
+        with pytest.raises(CodecError, match=f"unknown codec version 2 "
+                           f"\\(this build speaks {VERSION}\\)"):
+            decode_message(bytes.fromhex(GOLDEN_V2[name]))
+
+    def test_the_version_2_batch_is_refused_by_its_version(self):
+        with pytest.raises(CodecError, match="unknown codec version 2"):
+            decode_batch(bytes.fromhex(GOLDEN_V2_BATCH))
 
 
 def _fuzz_post(i: int) -> Message:
@@ -542,10 +741,7 @@ class TestDecodeFuzz:
 
     def test_constructor_and_unicode_failures_are_codec_errors(self):
         capability = bytearray.fromhex(GOLDEN["capability"])
-        at = capability.index(b"dsm")
-        capability[at:at + 3] = b"xyz"  # Capability() rejects transport
-        with pytest.raises(CodecError):
-            decode_message(bytes(capability))
+        at = capability.index(b"Counter")
         capability[at:at + 3] = b"\xff\xfe\xfd"  # not utf-8
         with pytest.raises(CodecError):
             decode_message(bytes(capability))

@@ -3,8 +3,10 @@
 Every cross-shard post is encoded into a window batch on one side and
 decoded on the other, and every tcp post and ack is one envelope each
 way.  The codec writes and reads each registered shape in straight-line
-code compiled from its plan rows, so a post costs a handful of frames,
-not one or two per value as the generic writer and reader did.  These
+code compiled from its plan rows, and the post path's payload shapes
+(an event block among them) inside the envelope itself, so a post, an
+ack or a batch record costs no frame of its own, not one or two per
+value as the generic writer and reader did.  These
 tests count the Python frames (``sys.setprofile`` call events) that one
 ``encode_*`` / ``decode_*`` makes for the envelopes the E17 workloads
 move, warm (the first use compiles the codec), and hold each to a
@@ -67,13 +69,13 @@ GENERIC = {
     "10-post batch": (341, 423),
 }
 
-#: frames per (encode, decode) now: the public function, the envelope
-#: (the dict payload in place), the event block, the capability and a
-#: tuple each, and for a decode ``_decoding``
+#: frames per (encode, decode) now: the public function and the
+#: envelope (the payload shape in place), the batch record loop one more,
+#: and for a decode ``_decoding``
 BUDGET = {
-    "sharded post": (4, 5), "durable post": (5, 6),
-    "store.ack": (7, 8), "rel.ack": (2, 3),
-    "10-post batch": (32, 33),
+    "sharded post": (2, 3), "durable post": (2, 3),
+    "store.ack": (2, 3), "rel.ack": (2, 3),
+    "10-post batch": (12, 13),
 }
 
 
