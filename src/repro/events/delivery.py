@@ -25,8 +25,10 @@ from repro.events.presence import Presence
 from repro.events.route import Router
 from repro.events.settle import Settler
 from repro.events.supervise import HandlerSupervisor
+from repro.objects.capability import Capability
 from repro.sim.primitives import SimFuture
 from repro.threads import syscalls as sc
+from repro.threads.ids import GroupId, ThreadId
 from repro.threads.thread import DThread
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -39,6 +41,7 @@ class EventManager:
     def __init__(self, cluster: "Cluster") -> None:
         self.sim = cluster.sim
         self.tracer = cluster.tracer
+        self.event_names = cluster.names.events
         self.require_event = cluster.names.require_event
         #: observer hook ``(block, target) -> None`` invoked whenever a
         #: post is concluded as noticed (dead target, give-up, deadline,
@@ -117,15 +120,21 @@ class EventManager:
         way. Returns a future: recipient count (async) or the handler
         value (sync)."""
         future: SimFuture[Any] = SimFuture(self.sim)
-        self._raise(self._open(event, target, from_node, None, synchronous,
-                               user_data), future.settle)
+        block = self._open(event, target, from_node, None, synchronous,
+                           user_data)
+        if synchronous:
+            self._raise(block, future.settle)
+        else:
+            future.settle(self.route.route(block))
         return future
 
     def _open(self, event: str, target: Any, node: int, raiser_tid: Any,
               synchronous: bool, user_data: Any) -> EventBlock:
         """Validate one raise and build its event block."""
-        self.require_event(event)
-        target = self.route.normalize_target(target)
+        if event not in self.event_names:
+            self.require_event(event)  # raises UnknownEventError
+        if not isinstance(target, (ThreadId, GroupId, Capability)):
+            target = self.route.normalize_target(target)
         if "event" not in self.tracer.muted:
             self.tracer.emit(
                 "event", "raise", event=event,

@@ -231,7 +231,8 @@ class Executor:
                         decision: Decision, value: Any) -> None:
         # Handling concluded: the block is no longer at risk of dying
         # with the thread, and its poison tally (if any) is forgiven.
-        self.supervisor.clear_failures(block)
+        if self.supervisor.chain_failures:
+            self.supervisor.clear_failures(block)
         thread.delivering_block = None
         # The synchronous raiser is resumed when handling concludes,
         # whatever the fate of the target thread. (A no-op when the

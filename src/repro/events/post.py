@@ -44,6 +44,11 @@ MSG_POST_OBJECT = "event.post-object"
 #: before its raiser gets the §7.2 notice, when no ``post_deadline`` is set
 LOCATE_TIMEOUT = 1.0
 
+#: how an object post reaches ``Poster.post_object`` at its home node:
+#: inside its own raise there, by message, or already accepted (a
+#: poison retry, or the hop of a post that concludes on arrival)
+RAISED, ARRIVED, ACCEPTED = 0, 1, 2
+
 
 class Poster:
     """Thread and object posting for the whole cluster."""
@@ -169,34 +174,107 @@ class Poster:
     # object-targeted posts (§4.3)
     # ==================================================================
 
-    def post_object(self, from_node: int, block: EventBlock) -> None:
+    def post_object(self, node: int, block: EventBlock,
+                    stage: int = RAISED) -> None:
+        """Post ``block`` to its object from ``node``. Away from the
+        object's home this sends it there; at the home node it is
+        accepted (crash check, dedup), looked up and queued for the
+        master handler thread. ``stage`` says how it got there: inside
+        its own raise (``RAISED``), by message (``ARRIVED``), or past
+        acceptance already (``ACCEPTED``: the poison retry, the hop
+        below)."""
         cap = block.target
-        if from_node == cap.home:
-            # Arrives inside the raise: the master's FIFO queue orders it
-            # against every other post, so waking a parked master is the
-            # one hop it needs (_run_object_post keeps the one a post
-            # that concludes on arrival needs).
-            self._handle_object_post(cap.home, block, cap.oid, raising=True)
+        oid = cap.oid
+        if node != cap.home:
+            if block.degraded:
+                # Shed to fire-and-forget: one datagram, no
+                # retransmission — overload must not amplify traffic. It
+                # carries a copy, as any wire does; the origin keeps the
+                # block and its admission charge until the home node's
+                # one best-effort degrade.done confirms it, or the
+                # deadline notices it as unconfirmed.
+                sent = copy(block)
+                sent._admission = None
+                self.settle.unconfirmed[block.block_id] = block
+                self.kernels[node].transmit_unreliable(Message(
+                    src=node, dst=cap.home, mtype=MSG_POST_OBJECT, size=128,
+                    payload={"block": sent, "oid": oid}))
+                self.sim.call_after(self.degrade_deadline,
+                                    self._degrade_expired, block)
+                return
+            message = Message(src=node, dst=cap.home, mtype=MSG_POST_OBJECT,
+                              size=128, payload={"block": block, "oid": oid})
+            self.kernels[node].transmit(
+                message, lambda m: self._object_post_failed(block, cap))
             return
-        if block.degraded:
-            # Shed to fire-and-forget: one datagram, no retransmission —
-            # overload must not amplify traffic. It carries a copy, as
-            # any wire does; the origin keeps the block and its admission
-            # charge until the home node's one best-effort degrade.done
-            # confirms it, or the deadline notices it as unconfirmed.
-            sent = copy(block)
-            sent._admission = None
-            self.settle.unconfirmed[block.block_id] = block
-            self.kernels[from_node].transmit_unreliable(Message(
-                src=from_node, dst=cap.home, mtype=MSG_POST_OBJECT, size=128,
-                payload={"block": sent, "oid": cap.oid}))
-            self.sim.call_after(self.degrade_deadline, self._degrade_expired,
-                                block)
+        kernel = self.kernels[node]
+        if kernel.crashed:
+            # arrived in the delivery window of a crashing node, or it
+            # crashed between acceptance and a scheduled retry
             return
-        message = Message(src=from_node, dst=cap.home, mtype=MSG_POST_OBJECT,
-                          size=128, payload={"block": block, "oid": cap.oid})
-        self.kernels[from_node].transmit(
-            message, lambda m: self._object_post_failed(block, cap))
+        if stage != ACCEPTED:
+            if (block.durable_id is not None
+                    and not kernel.store.accept_post(block.durable_id)):
+                # Redelivered duplicate: already executed here (the
+                # applied set re-acked it) or already queued for
+                # execution.
+                return
+            if block.degraded and not self._accept_degraded(node, block):
+                return  # fabric-duplicated fire-and-forget datagram
+            if "event" not in self.tracer.muted:
+                self.tracer.emit("event", "deliver-object",
+                                 event=block.event, oid=oid, node=node)
+        objects = kernel.objects
+        obj = objects._objects.get(oid)
+        fn = None
+        if obj is not None:
+            # the routing table, probed here: a miss resolves and fills it
+            fn = objects._handler_cache.get((oid, block.event), obj)
+            if fn is obj:
+                fn = objects.object_handler_fn(obj, block.event)
+        if fn is None and stage == RAISED:
+            # A hop, not a call: this post concludes on arrival, and
+            # EventManager._raise sets wait.remaining only after route()
+            # returns — no post may conclude inside its own raise. The
+            # hop re-runs this lookup at the same instant.
+            self.sim.call_soon(self.post_object, node, block, ACCEPTED)
+            return
+        if obj is None:
+            # The object is gone for good (destroyed): the post is
+            # definitively processed — the ack stops the origin retrying.
+            self.settle.conclude(block, EXECUTED, None, UnknownObjectError(
+                f"object {oid} no longer exists"), node)
+            return
+        if fn is None:
+            self._object_default(node, obj, block)
+            return
+        supervisor = self.supervisor
+
+        def finished(value: Any, error: BaseException | None) -> None:
+            if error is None:
+                if supervisor.chain_failures:
+                    supervisor.clear_failures(block)
+                if block.event == names.DELETE:
+                    objects.destroy(oid)
+            elif isinstance(error, GeneratorExit):
+                # The node crashed mid-run — not a handler bug, so no
+                # poison tally. A durable post concludes executed (the
+                # applied marker suppresses its redelivery) and its
+                # raiser hears of the crash (Settler._resume).
+                if block.durable_id is None:
+                    self.lost_in_crash(block)
+                    return
+            elif not isinstance(error, HandlerTimeout):
+                # Poison policy for object handlers. Timeouts excluded:
+                # the cancelled handler may have half-executed, so a
+                # re-run could double its side effects. Retrying: no ack
+                # yet, the post is still in flight.
+                if supervisor.poisoned(block, error, node, self.post_object,
+                                       node, block, ACCEPTED, oid=oid):
+                    return
+            self.settle.conclude(block, EXECUTED, value, error, node)
+
+        objects.run_object_handler(obj, fn, block, finished)
 
     def _degrade_expired(self, block: EventBlock) -> None:
         if self.settle.unconfirmed.pop(block.block_id, None) is None:
@@ -239,9 +317,7 @@ class Poster:
                 f"node {cap.home}"), block.raiser_node or 0)
 
     def _on_post_object(self, message: Message) -> None:
-        body = message.payload
-        self._handle_object_post(int(message.dst), body["block"],
-                                 body["oid"])
+        self.post_object(int(message.dst), message.payload["block"], ARRIVED)
 
     def redeliver_entry(self, node: int, entry: "OutboxEntry") -> None:
         """Re-dispatch a pending outbox entry from its origin ``node``.
@@ -275,25 +351,6 @@ class Poster:
                            raised_at=self.sim.now)
         self.post_object(node, block)
 
-    def _handle_object_post(self, node: int, block: EventBlock, oid: int,
-                            raising: bool = False) -> None:
-        """A post reached its object's home ``node``: by message, or
-        ``raising`` there (inside its own raise)."""
-        kernel = self.kernels[node]
-        if kernel.crashed:
-            return  # arrived in the delivery window of a crashing node
-        if (block.durable_id is not None
-                and not kernel.store.accept_post(block.durable_id)):
-            # Redelivered duplicate: already executed here (the applied
-            # set re-acked it) or already queued for execution.
-            return
-        if block.degraded and not self._accept_degraded(node, block):
-            return  # fabric-duplicated fire-and-forget datagram
-        if "event" not in self.tracer.muted:
-            self.tracer.emit("event", "deliver-object", event=block.event,
-                             oid=oid, node=node)
-        self._run_object_post(node, block, oid, raising)
-
     def _accept_degraded(self, node: int, block: EventBlock) -> bool:
         """Receiver-side dedup for degraded posts: no rel header means
         the reliable channel cannot suppress fabric duplicates, so
@@ -308,59 +365,6 @@ class Poster:
         if len(seen) > self.dedup_window:
             del seen[next(iter(seen))]
         return True
-
-    def _run_object_post(self, node: int, block: EventBlock, oid: int,
-                         raising: bool = False) -> None:
-        """Execute one accepted object post (also the poison-retry
-        entry: a retry re-runs from here, past dedup)."""
-        kernel = self.kernels[node]
-        if kernel.crashed:
-            return  # crashed between acceptance and a scheduled retry
-        obj = kernel.objects.get(oid)
-        fn = (None if obj is None
-              else kernel.objects.object_handler_fn(obj, block.event))
-        if fn is None and raising:
-            # A hop, not a call: this post concludes on arrival, and
-            # EventManager._raise sets wait.remaining only after route()
-            # returns — no post may conclude inside its own raise. The
-            # hop re-runs this lookup at the same instant.
-            self.sim.call_soon(self._run_object_post, node, block, oid)
-            return
-        if obj is None:
-            # The object is gone for good (destroyed): the post is
-            # definitively processed — the ack stops the origin retrying.
-            self.settle.conclude(block, EXECUTED, None, UnknownObjectError(
-                f"object {oid} no longer exists"), node)
-            return
-        if fn is None:
-            self._object_default(node, obj, block)
-            return
-
-        def finished(value: Any, error: BaseException | None) -> None:
-            if error is None:
-                self.supervisor.clear_failures(block)
-                if block.event == names.DELETE:
-                    kernel.objects.destroy(oid)
-            elif isinstance(error, GeneratorExit):
-                # The node crashed mid-run — not a handler bug, so no
-                # poison tally. A durable post concludes executed (the
-                # applied marker suppresses its redelivery) and its
-                # raiser hears of the crash (Settler._resume).
-                if block.durable_id is None:
-                    self.lost_in_crash(block)
-                    return
-            elif not isinstance(error, HandlerTimeout):
-                # Poison policy for object handlers. Timeouts excluded:
-                # the cancelled handler may have half-executed, so a
-                # re-run could double its side effects. Retrying: no ack
-                # yet, the post is still in flight.
-                if self.supervisor.poisoned(block, error, node,
-                                            self._run_object_post, node,
-                                            block, oid, oid=oid):
-                    return
-            self.settle.conclude(block, EXECUTED, value, error, node)
-
-        kernel.objects.run_object_handler(obj, fn, block, finished)
 
     def _object_default(self, node: int, obj: "DistObject",
                         block: EventBlock) -> None:

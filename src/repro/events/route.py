@@ -17,7 +17,7 @@ from repro.events.block import EventBlock
 from repro.events.post import Poster
 from repro.events.settle import NOTICED, Settler
 from repro.objects.capability import Capability
-from repro.threads.ids import GroupId, ThreadId
+from repro.threads.ids import GroupId
 from repro.threads.thread import DThread
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -45,8 +45,8 @@ class Router:
         self.posts = 0
 
     def normalize_target(self, target: Any) -> Any:
-        if isinstance(target, (ThreadId, GroupId, Capability)):
-            return target
+        """The id or capability a raise addresses, for a ``target`` that
+        is not one already (``EventManager._open`` checks that first)."""
         if isinstance(target, DThread):
             return target.tid
         if isinstance(target, int):

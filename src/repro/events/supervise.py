@@ -118,8 +118,9 @@ class HandlerSupervisor:
         self.settle = settle
         self._breakers: dict[tuple[int, str], CircuitBreaker] = {}
         #: chain-failure tallies for the poison policy, keyed by the
-        #: block's durable id (stable across redelivery) or block id
-        self._chain_failures: dict[Any, int] = {}
+        #: block's durable id (stable across redelivery) or block id;
+        #: empty while no failed run awaits its retry
+        self.chain_failures: dict[Any, int] = {}
         self.counters = {name: 0 for name in self.COUNTERS}
 
     # -- watchdog -----------------------------------------------------
@@ -246,12 +247,12 @@ class HandlerSupervisor:
         if threshold is None:
             return None
         key = block.durable_id or block.block_id
-        count = self._chain_failures.get(key, 0) + 1
+        count = self.chain_failures.get(key, 0) + 1
         if count >= threshold:
-            self._chain_failures.pop(key, None)
+            self.chain_failures.pop(key, None)
             self.settle.conclude(block, QUARANTINED, count, error, node)
             return "quarantine"
-        self._chain_failures[key] = count
+        self.chain_failures[key] = count
         self.counters["chain_retries"] += 1
         if "supervise" not in self.tracer.muted:
             self.tracer.emit("supervise", "chain-retry", event=block.event,
@@ -267,10 +268,9 @@ class HandlerSupervisor:
         return "retry"
 
     def clear_failures(self, block: "EventBlock") -> None:
-        """A chain run succeeded: forget the block's failure tally."""
-        if self._chain_failures:
-            self._chain_failures.pop(block.durable_id or block.block_id,
-                                     None)
+        """A chain run succeeded: forget the block's failure tally (its
+        callers skip the call while ``chain_failures`` is empty)."""
+        self.chain_failures.pop(block.durable_id or block.block_id, None)
 
     def stats(self) -> dict[str, int]:
         open_breakers = sum(1 for b in self._breakers.values()

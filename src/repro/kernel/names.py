@@ -25,7 +25,8 @@ class NameService:
 
     def __init__(self) -> None:
         self._bindings: dict[str, Any] = {}
-        self._event_names: dict[str, dict] = {}
+        #: registered event names -> ``{"registrar", "system"}``
+        self.events: dict[str, dict] = {}
 
     # ------------------------------------------------------------------
     # object names
@@ -62,15 +63,15 @@ class NameService:
     def register_event(self, name: str, registrar: object = None,
                        system: bool = False) -> None:
         """Register an event name with the operating system."""
-        if name in self._event_names:
+        if name in self.events:
             raise EventNameInUseError(f"event {name!r} is already registered")
-        self._event_names[name] = {"registrar": registrar, "system": system}
+        self.events[name] = {"registrar": registrar, "system": system}
 
     def event_exists(self, name: str) -> bool:
-        return name in self._event_names
+        return name in self.events
 
     def require_event(self, name: str) -> dict:
-        info = self._event_names.get(name)
+        info = self.events.get(name)
         if info is None:
             raise UnknownEventError(
                 f"event {name!r} was never registered with the system")
@@ -80,4 +81,4 @@ class NameService:
         return self.require_event(name)["system"]
 
     def event_names(self) -> list[str]:
-        return sorted(self._event_names)
+        return sorted(self.events)

@@ -298,7 +298,9 @@ class InvocationEngine:
                        error: BaseException | None = None) -> Any:
         """The innermost frame left with ``value`` (or ``error``); True
         when a loop thread's ``frame_exit`` arranged its next frame."""
-        frame = thread.pop_frame()
+        frame = thread.frames.pop()  # DThread.pop_frame, inline
+        if frame is not thread.kept:
+            frame.ctx = None  # the frame dies by reference count
         if "invoke" not in self.cluster.tracer.muted:
             self.cluster.tracer.emit(
                 "invoke", "return" if error is None else "raise",

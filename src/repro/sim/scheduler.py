@@ -244,10 +244,6 @@ class Simulator:
         """The earliest timed entry, live or cancelled, left in place."""
         return self._queue[0] if self._queue else None
 
-    def _timed_due_now(self) -> bool:
-        """Whether a live timed entry is due at ``now`` (nothing moves)."""
-        return _live_at(self._queue, self.now)
-
     def _compact_timed(self) -> None:
         """Drop cancelled entries from the timed lane, in place."""
         queue = self._queue
@@ -264,11 +260,15 @@ class Simulator:
         callbacks in the same order, minus the hop. A pure query — it
         sheds no cancelled entry and re-bases no wheel, so every counter
         in :meth:`stats` other than the hops saved reads as before.
+        Only a lane head due at ``now`` costs a scan (it may be a
+        cancelled entry with live ones behind it).
         """
         ready = self._ready
         if ready and any(entry[3] is not None for entry in ready):
             return False
-        return not self._timed_due_now()
+        queue = self._queue
+        return not (queue and queue[0][0] <= self.now
+                    and _live_at(queue, self.now))
 
     # -- running ---------------------------------------------------------
 
@@ -531,15 +531,22 @@ class WheelSimulator(Simulator):
             heapq.heappop(tick_heap)
         return entry
 
-    def _timed_due_now(self) -> bool:
+    def nothing_due_now(self) -> bool:
+        ready = self._ready
+        if ready and any(entry[3] is not None for entry in ready):
+            return False
         # Everything earlier than `now` has been popped, so the first
         # tick bucket holds every wheel entry at `now`; after run(until)
         # jumped the clock past the horizon, entries at `now` spill.
         now = self.now
         tick_heap = self._tick_heap
-        if tick_heap and _live_at(self._buckets[tick_heap[0]], now):
-            return True
-        return _live_at(self._overflow, now)
+        if tick_heap:
+            bucket = self._buckets[tick_heap[0]]
+            if bucket[0][0] <= now and _live_at(bucket, now):
+                return False
+        overflow = self._overflow
+        return not (overflow and overflow[0][0] <= now
+                    and _live_at(overflow, now))
 
     def _compact_timed(self) -> None:
         buckets = self._buckets
@@ -557,10 +564,9 @@ class WheelSimulator(Simulator):
 
 
 def _live_at(heap: list, now: float) -> bool:
-    """Whether a ``(when, seq)`` heap of entries holds a live one due at
-    ``now`` — one comparison unless a cancelled entry heads it."""
-    if not heap or heap[0][0] > now:
-        return False
+    """Whether a ``(when, seq)`` heap of entries, headed by one due at
+    ``now``, holds a live one due then — no scan unless the head is
+    cancelled."""
     return heap[0][3] is not None or any(
         entry[3] is not None for entry in heap if entry[0] <= now)
 

@@ -347,6 +347,15 @@ class DThread:
                     self, frame, exc)
             else:
                 frame.steps += 1
+                if isinstance(syscall, sc.Compute):
+                    # CPU burn: continuation stays internal, state stays
+                    # RUNNING; events queued meanwhile are delivered at
+                    # the next yield.
+                    self.state = RUNNING
+                    sim = self.sim
+                    sim.call_at(sim.now + syscall.seconds, self._step, None,
+                                None, self._step_epoch)
+                    return
                 # Folded, not hopped: a recv that finds an item would
                 # schedule this driver again at this instant; with
                 # nothing else due, that hop is the next callback
@@ -373,12 +382,10 @@ class DThread:
     # ------------------------------------------------------------------
 
     def _dispatch(self, frame: Activation, syscall: Any) -> None:
+        """Serve every syscall but ``Compute``, which ``_step`` schedules
+        itself."""
         cluster = self.cluster
-        if isinstance(syscall, sc.Compute):
-            # CPU burn: continuation stays internal, state stays RUNNING;
-            # events queued meanwhile are delivered at the next yield.
-            self.schedule_step_after(syscall.seconds)
-        elif isinstance(syscall, sc.SleepFor):
+        if isinstance(syscall, sc.SleepFor):
             epoch = self.block("sleep")
             handle = self.sim.call_after(
                 syscall.seconds, self.resume_with, None, None, epoch)

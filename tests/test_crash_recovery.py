@@ -467,6 +467,32 @@ class TestCrashBeforeTheMasterTakesThePost:
         conclusions.check()
 
 
+class TestDurableThreadPostExecutedWhileItsOriginIsDown:
+    """ROADMAP 12(c)'s open double conclusion: a durable thread post
+    whose handler runs while its origin is down concludes ``executed``,
+    and then ``noticed`` by the origin's redelivery after recovery,
+    which cannot tell an executed post from a lost one."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP 12(c): the redelivery of a post executed while its "
+        "origin was down concludes it a second time, as noticed"))
+    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+    def test_concludes_once(self, scheduler, conclusions):
+        cluster = make_cluster(n_nodes=2, seed=1, scheduler=scheduler,
+                               durable_delivery=True)
+        cluster.register_event("PING")
+        seen = []
+        sink = cluster.create_object(Sink, node=1)
+        thread = cluster.spawn(sink, "absorb", seen, 10.0, 0.01, at=1)
+        cluster.sim.call_at(0.1, cluster.raise_event, "PING", thread.tid,
+                            0, "once")
+        cluster.sim.call_at(0.105, cluster.crash_node, 0)
+        cluster.sim.call_at(0.2, cluster.recover_node, 0)
+        cluster.run(until=2.0)
+        assert seen == ["once"]
+        conclusions.check()
+
+
 class TestRecovery:
     def test_recovered_node_serves_again(self):
         cluster = make_cluster(n_nodes=3)

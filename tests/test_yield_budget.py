@@ -10,7 +10,9 @@ step. Each request is a plain ``__slots__`` class built by its own
 ``__init__`` — a builder that only passes its argument on is the class
 itself — a future settles in one frame, and ``ctx.now`` is a C-level
 getter. These tests hold the frames per post on both scheduler backends
-(a busy master and a parked one), the absence of an instance
+(a busy master, a parked one, a durable post arriving by message) and
+per ``compute`` step of a thread-based handler, counted by
+``tests/frames.py``; and the absence of an instance
 ``__dict__``, every type's keyword construction, defaults and ``repr``,
 and the NaN rule of the three time validators.
 """
@@ -19,11 +21,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import Counter
 
 import pytest
 
-from repro import Capability, DistObject, entry, on_event
+from repro import Capability, DistObject, entry
 from repro.errors import KernelError, ProcessError
 from repro.events.handlers import HandlerContext
 from repro.kernel.timers import TimerService
@@ -31,96 +32,72 @@ from repro.sim import Channel, SimFuture, Simulator
 from repro.threads import syscalls as sc
 from repro.threads.attributes import TimerSpec
 from tests.conftest import make_cluster, run_to_result
-from tests.frames import FrameCensus
+from tests.frames import (
+    N,
+    arrived_post_frames,
+    chain_compute_frames,
+    parked_post_frames,
+    post_frames,
+)
 from tests.test_syscall_surface import SYSCALLS
 
-N = 256
-
 #: Python frames per home-node post, everything counted: raise_event →
-#: raise_external (one ``SimFuture.__init__``, one ``settle``) → open,
-#: route, post inside the raise; the master's step, the handler's two
-#: generator resumptions and ``Compute.__init__``; the frame's exit
-#: (``frame_returned``, ``pop_frame``, ``block``) and the master's
-#: ``frame_exit``, which concludes the post and starts the next; the
-#: wheel adds ``_place`` and its miss pop. 42 / 44 while every handler
-#: ran under ``_serve`` under ``_master_loop``, which took each post with
-#: a ``Recv``; 49 / 51 while the requests were frozen dataclasses
-#: (builder + generated ``__init__`` + ``__post_init__``), the future
-#: completed through ``settle`` → ``_complete`` → ``done`` and ``ctx.now``
-#: was a property frame.
-FRAME_BUDGET = {"heap": 35, "wheel": 37}
+#: raise_external (one ``SimFuture.__init__``, one ``settle`` with
+#: route's count) → ``_open`` (the event-name table and the target's
+#: type checked inline), route, and ``post_object``, which accepts, looks
+#: the handler up in the routing table and queues the post
+#: (``run_object_handler``), all inside the raise; the master's step,
+#: the handler's two generator resumptions, ``Compute.__init__`` and the
+#: ``call_at`` ``_step`` makes for it; the frame's exit
+#: (``frame_returned`` popping it inline) and the master's
+#: ``frame_exit``, which concludes the post and starts the next after
+#: one ``nothing_due_now``; the wheel adds ``_place`` and its miss pop.
+#: 35 / 37 while the raise went through ``_raise``, ``require_event`` and
+#: ``normalize_target``, the home-node post through ``_handle_object_post``,
+#: ``_run_object_post``, ``ObjectManager.get``, ``object_handler_fn`` and
+#: ``DistObject.oid``, the compute through ``_dispatch``,
+#: ``schedule_step_after`` and ``call_after``, the return through
+#: ``pop_frame`` and ``clear_failures``, and ``nothing_due_now`` through
+#: ``_timed_due_now`` and ``_live_at``; 42 / 44 while every handler ran
+#: under ``_serve`` under ``_master_loop``, which took each post with a
+#: ``Recv``; 49 / 51 while the requests were frozen dataclasses (builder
+#: + generated ``__init__`` + ``__post_init__``), the future completed
+#: through ``settle`` → ``_complete`` → ``done`` and ``ctx.now`` was a
+#: property frame.
+FRAME_BUDGET = {"heap": 20, "wheel": 22}
 
 #: the same, one post per millisecond, so each finds the master parked
 #: and wakes it with one scheduled step (the pump's own frame included):
-#: 49 / 52 with the ``Recv`` park and the channel hand-off
-PARKED_BUDGET = {"heap": 41, "wheel": 44}
+#: 41 / 44 with the relays above, 49 / 52 with the ``Recv`` park and the
+#: channel hand-off
+PARKED_BUDGET = {"heap": 28, "wheel": 31}
 
-#: frames the old objects paid and the new ones must not
+#: a durable post that arrives by message at its object's home node,
+#: from the arrival on: the reliable channel's accept and ack, the
+#: journal's ``post`` record, the handler, the applied marker and the
+#: owed ack's flush; 47 / 50 with the relays above
+ARRIVED_BUDGET = {"heap": 36, "wheel": 38}
+
+#: one ``compute`` step of a thread-based handler on its surrogate: the
+#: timed pop, ``_step``, the generator, ``Compute.__init__`` and
+#: ``call_at`` (the wheel adds ``_place`` and its miss pop); 8 / 10
+#: through ``_dispatch``, ``schedule_step_after`` and ``call_after``
+COMPUTE_BUDGET = {"heap": 5, "wheel": 7}
+
+#: frames the old objects and relays paid and the new ones must not
 GONE = {("syscalls.py", "__post_init__"), ("<string>", "__init__"),
         ("primitives.py", "_complete"), ("primitives.py", "done"),
         ("context.py", "now"), ("context.py", "compute"),
         ("context.py", "recv"), ("manager.py", "_master_loop"),
-        ("manager.py", "_serve"), ("primitives.py", "__len__")}
-
-
-class Sink(DistObject):
-    """E17's passive object: stamp the latency, burn a microsecond."""
-
-    def __init__(self):
-        super().__init__()
-        self.latencies = []
-
-    @on_event("POST")
-    def on_post(self, ctx, block):
-        self.latencies.append(ctx.now - block.raised_at)
-        yield ctx.compute(1e-6)
-
-
-def _warm_cluster(scheduler: str):
-    """A cluster with one ``Sink`` on node 0 whose master handler thread
-    one warm-up post has created."""
-    cluster = make_cluster(n_nodes=2, scheduler=scheduler)
-    cluster.tracer.mute("event", "object", "thread", "net", "store",
-                        "supervise", "invoke", "dsm", "rpc")
-    cluster.register_event("POST")
-    cap = cluster.create_object(Sink, node=0)
-    cluster.raise_event("POST", cap, from_node=0)
-    cluster.run(until=1.0)
-    return cluster, cap
-
-
-def _count_frames(cluster, cap, load) -> tuple[float, Counter]:
-    """Frames per post of ``load()`` and a run to 2.0 s, and their
-    census by ``(file, function)``."""
-    with FrameCensus() as frames:
-        load()
-        cluster.run(until=2.0)
-    assert len(cluster.get_object(cap).latencies) == N + 1
-    return sum(frames.values()) / N, frames
-
-
-def post_frames(scheduler: str) -> tuple[float, Counter]:
-    """Frames per post over N home-node posts raised in one instant."""
-    cluster, cap = _warm_cluster(scheduler)
-
-    def load():
-        for pid in range(N):
-            cluster.raise_event("POST", cap, from_node=0, user_data=pid)
-
-    return _count_frames(cluster, cap, load)
-
-
-def parked_post_frames(scheduler: str) -> tuple[float, Counter]:
-    """Frames per post over N home-node posts one millisecond apart,
-    each raised by a pump callback scheduled beforehand."""
-    cluster, cap = _warm_cluster(scheduler)
-
-    def pump(pid):
-        cluster.raise_event("POST", cap, from_node=0, user_data=pid)
-
-    for pid in range(N):
-        cluster.sim.call_at(1.0 + 1e-3 * pid, pump, pid)
-    return _count_frames(cluster, cap, lambda: None)
+        ("manager.py", "_serve"), ("primitives.py", "__len__"),
+        ("delivery.py", "_raise"), ("names.py", "require_event"),
+        ("route.py", "normalize_target"),
+        ("post.py", "_handle_object_post"), ("post.py", "_run_object_post"),
+        ("manager.py", "get"), ("manager.py", "object_handler_fn"),
+        ("base.py", "oid"), ("thread.py", "_dispatch"),
+        ("thread.py", "schedule_step_after"), ("scheduler.py", "call_after"),
+        ("thread.py", "pop_frame"), ("supervise.py", "clear_failures"),
+        ("scheduler.py", "_timed_due_now"), ("scheduler.py", "_live_at")}
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
@@ -138,6 +115,23 @@ def test_parked_master_post_frame_budget(scheduler):
     assert not GONE & set(frames), frames
     # the wake is one scheduled step, the only instant hop of the post
     assert frames["thread.py", "resume_with"] == N
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+def test_arrived_post_frame_budget(scheduler):
+    per_post, frames = arrived_post_frames(scheduler)
+    assert math.floor(per_post) == ARRIVED_BUDGET[scheduler], frames
+    assert frames["post.py", "post_object"] == N
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+def test_chain_compute_step_frame_budget(scheduler):
+    per_step, frames = chain_compute_frames(scheduler)
+    assert math.floor(per_step) == COMPUTE_BUDGET[scheduler], frames
+    # the notice's delivery arms two timers with call_after; no step does
+    assert not {("thread.py", "_dispatch"),
+                ("thread.py", "schedule_step_after")} & set(frames), frames
+    assert frames["scheduler.py", "call_after"] == 2, frames
 
 
 # ----------------------------------------------------------------------
