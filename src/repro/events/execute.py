@@ -107,7 +107,8 @@ class Executor:
                 or thread.state == TERMINATING):
             return
         thread.suspended_by_event = True
-        self.sim.call_after(CONTEXT_SWITCH_COST, self._next_notice, thread)
+        sim = self.sim
+        sim.call_at(sim.now + CONTEXT_SWITCH_COST, self._next_notice, thread)
 
     def _next_notice(self, thread: DThread) -> None:
         if not thread.alive or thread.state == TERMINATING:
@@ -138,8 +139,9 @@ class Executor:
         if thread.pending_notices:
             self.start_delivery(thread)
             return
-        stash = thread.take_stash()
+        stash = thread._stash
         if stash is not None:
+            thread._stash = None
             thread.schedule_step(*stash)
         # else: the thread keeps waiting for whatever it was blocked on.
 
@@ -254,19 +256,24 @@ class Executor:
 
     def _execute_registration(self, thread: DThread, walk: ChainWalk,
                               registration: HandlerRegistration) -> None:
-        walk.node = node = thread.current_node
+        frames = thread.frames
+        top = frames[-1] if frames else None  # no frame yet: at its root
+        walk.node = node = thread.tid.root if top is None else top.node
         block = walk.block
         if registration.context is HandlerContext.CURRENT:
+            memory = thread.attributes.per_thread_memory
             try:
-                fn = thread.attributes.per_thread_memory.procedure(
-                    registration.procedure)
+                # a miss asks procedure() for the error it raises
+                fn = (memory._procedures.get(registration.procedure)
+                      or memory.procedure(registration.procedure))
             except HandlerContextError as exc:
                 self._decided(thread, Decision.PROPAGATE, None, exc)
                 return
-            self.sim.call_after(
-                SURROGATE_COST, self._run_on_surrogate, thread, block, node,
-                self.supervisor.effective_deadline(registration),
-                thread.current_object, block, fn, block)
+            sim = self.sim
+            sim.call_at(
+                sim.now + SURROGATE_COST, self._run_on_surrogate, thread,
+                block, node, self.supervisor.effective_deadline(registration),
+                None if top is None else top.obj, block, fn, block)
             return
         # ATTACHING / BUDDY: unscheduled invocation of a handler method,
         # supervised (breaker admission, fast-fail, retry with backoff).
@@ -369,7 +376,10 @@ class Executor:
             # The owner died under this frame: nobody is left to park with.
             self.invoker.retire_surrogate(thread)
         block = walk.block
-        decision, value = self._outcome(thread, block, result, error)
+        if error is None and isinstance(result, Decision):
+            decision, value = result, None
+        else:
+            decision, value = self._outcome(thread, block, result, error)
         registration = walk.chain[walk.at]
         if registration.context is not HandlerContext.CURRENT:
             if isinstance(error, RETRYABLE_INVOKE_ERRORS):

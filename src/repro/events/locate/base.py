@@ -117,9 +117,11 @@ class BaseLocator:
         if from_node == to_node:
             self._arrived(to_node, tid, block, state, on_result)
             return
-        membership = self._membership(from_node)
-        if (to_node not in self.cluster.kernels
-                or membership is not None and membership.is_dead(to_node)):
+        kernels = self.cluster.kernels
+        kernel = kernels[from_node]
+        if (to_node not in kernels
+                or kernel.config.swim_interval is not None  # gossip is on
+                and kernel.membership.is_dead(to_node)):
             # Another shard's node — threads, and the origin's side of
             # this locate, live in one process — or confirmed dead by
             # gossip: do not spend a message the verdict cannot follow.
@@ -127,7 +129,7 @@ class BaseLocator:
             return
         state["hops"] += 1
         self._open[block.block_id] = (state, on_result)
-        self.cluster.kernels[from_node].transmit(Message(
+        kernel.transmit(Message(
             src=from_node, dst=to_node, mtype=self.POST, size=128,
             payload={"tid": tid, "block": block}), lost)
 

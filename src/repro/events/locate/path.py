@@ -15,7 +15,13 @@ from repro.threads.ids import ThreadId
 
 
 class PathLocator(BaseLocator):
-    """Walk TCB forwarding pointers from the thread's root node."""
+    """Walk TCB forwarding pointers from the thread's root node.
+
+    An unreachable next node (crashed) is treated like a stale pointer:
+    every hop's ``lost`` restarts from the root, and if the thread died
+    with that node the liveness check fails and the raiser gets its
+    §7.2 notice.
+    """
 
     name = LOCATE_PATH
     POST = MSG_PATH_POST
@@ -23,26 +29,32 @@ class PathLocator(BaseLocator):
     def post(self, from_node: int, tid: ThreadId, block: EventBlock,
              on_result: PostResult) -> None:
         state = {"hops": 0, "retries": LOCATE_RETRIES}
-        self._hop(from_node, tid.root, tid, block, state, on_result)
+        self._forward(from_node, tid.root, tid, block, state, on_result,
+                      lambda m: self._restart(from_node, tid, block, state,
+                                              on_result))
 
     def _hop(self, from_node: int, to_node: int, tid: ThreadId,
              block: EventBlock, state: dict, on_result: PostResult) -> None:
-        # An unreachable next node (crashed) is treated like a stale
-        # pointer. If the thread died with that node the liveness check
-        # fails and the raiser gets its §7.2 notice.
+        """A restart's walk from the root."""
         self._forward(from_node, to_node, tid, block, state, on_result,
                       lambda m: self._restart(from_node, tid, block, state,
                                               on_result))
 
     def _arrived(self, node: int, tid: ThreadId, block: EventBlock,
                  state: dict, on_result: PostResult) -> None:
-        if self._accept(node, tid, block):
-            on_result(True, state["hops"])
-            return
+        """One probe of ``node``'s TCB: the innermost frame takes the
+        notice, a forwarding pointer passes it on, anything else (no
+        TCB, or a thread that would not take it) restarts."""
         tcb = self.cluster.kernels[node].thread_table.get(tid)
-        if tcb is not None and tcb.next_node is not None:
-            self._hop(node, tcb.next_node, tid, block, state, on_result)
-            return
+        if tcb is not None:
+            if tcb.innermost and self.enqueue(node, tid, block):
+                on_result(True, state["hops"])
+                return
+            if tcb.next_node is not None:
+                self._forward(node, tcb.next_node, tid, block, state,
+                              on_result, lambda m: self._restart(
+                                  node, tid, block, state, on_result))
+                return
         self._restart(node, tid, block, state, on_result)
 
     def _restart(self, node: int, tid: ThreadId, block: EventBlock,

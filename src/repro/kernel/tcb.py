@@ -36,12 +36,12 @@ class ThreadTable:
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self._tcbs: dict[object, Tcb] = {}
+        #: ``get(tid)`` -> the TCB or None: the table's own ``dict.get``,
+        #: so a locator's probe costs no Python frame
+        self.get = self._tcbs.get
 
     def __contains__(self, tid: object) -> bool:
         return tid in self._tcbs
-
-    def get(self, tid: object) -> Tcb | None:
-        return self._tcbs.get(tid)
 
     def tids(self) -> list[object]:
         return list(self._tcbs)

@@ -41,6 +41,7 @@ from repro.threads.attributes import ThreadAttributes
 from repro.threads.context import Ctx
 from repro.threads.thread import (
     Activation,
+    BLOCKED,
     DThread,
     KIND_USER,
     RUNNING,
@@ -159,13 +160,15 @@ class InvocationEngine:
         act = thread.kept
         act.entry, act.obj, act.event_block, act.steps = (
             entry, obj, event_block, 0)
-        thread.push_frame(act)
+        thread.frames.append(act)  # it keeps its Ctx
         try:
             act.gen = gen_fn(act.ctx, *gen_args)
         except BaseException as exc:  # noqa: BLE001 - as its first step would
             self.frame_failed(thread, exc)
             return
-        thread.step_now()
+        thread.state = RUNNING  # a parked thread stops being parked
+        thread._wait = None
+        thread._step(None, None)
 
     def retire_surrogate(self, owner: DThread) -> None:
         """End the handler surrogate parked with ``owner``. One with a
@@ -313,7 +316,9 @@ class InvocationEngine:
                     return True
                 if (thread.alive and not thread.frames
                         and thread.state == RUNNING):  # not parked already
-                    thread.block("parked")
+                    thread.state = BLOCKED  # DThread.block("parked"), inline
+                    thread._wait_epoch += 1
+                    thread._wait = {"kind": "parked", "cancel": None}
                 return False
             self._complete_thread(thread, frame.node, value, error)
             return None

@@ -117,8 +117,9 @@ class ThreadAttributes:
         return bool(chain and chain.remove(reg_id))
 
     def handlers_for(self, event: str) -> list[HandlerRegistration]:
+        """Delivery order: most recently attached first (§4.2 LIFO)."""
         chain = self.handler_chains.get(event)
-        return chain.in_order() if chain else []
+        return [] if chain is None else chain._stack[::-1]
 
     # -- timers ------------------------------------------------------------
 

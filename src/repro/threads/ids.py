@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.errors import ThreadError
 
@@ -18,23 +19,39 @@ _TID_RE = re.compile(r"^T(\d+)\.(\d+)$")
 _GID_RE = re.compile(r"^G(\d+)\.(\d+)$")
 
 
-@dataclass(frozen=True, order=True)
-class ThreadId:
-    """Globally unique thread name: root node + per-root sequence number."""
+class ThreadId(tuple):
+    """Globally unique thread name: root node + per-root sequence number.
 
-    root: int
-    seq: int
-    #: ids key every per-thread table, so the hash is computed once
-    _hash: int = field(init=False, repr=False, compare=False)
+    A ``(root, seq)`` tuple, because ids key every per-thread table: the
+    hash and the comparisons run in C. It equals only another
+    ``ThreadId`` (never a bare tuple or a ``GroupId``) and hashes as its
+    ``(root, seq)`` tuple does, so set and dict order are those of the
+    fields.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.root, self.seq)))
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, root: int, seq: int) -> "ThreadId":
+        return tuple.__new__(cls, (root, seq))
+
+    root = property(itemgetter(0))
+    seq = property(itemgetter(1))
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ThreadId and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not (type(other) is ThreadId and tuple.__eq__(self, other))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"ThreadId(root={self[0]}, seq={self[1]})"
 
     def __str__(self) -> str:
-        return f"T{self.root}.{self.seq}"
+        return f"T{self[0]}.{self[1]}"
 
     @classmethod
     def parse(cls, text: str) -> "ThreadId":

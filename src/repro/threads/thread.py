@@ -201,11 +201,13 @@ class DThread:
         # One per notice: tuple.__new__ is what the named tuples' own
         # generated __new__ calls, minus a Python frame per shape.
         new = tuple.__new__
+        frames = self.frames
         return new(ThreadSnapshot, (
-            self.tid, self.state, self.current_node,
-            tuple([new(FrameInfo, (-1 if f.obj is None else f.obj.oid,
+            self.tid, self.state,
+            frames[-1].node if frames else self.tid.root,
+            tuple([new(FrameInfo, (-1 if f.obj is None else f.obj._oid,
                                    f.entry, f.node, f.steps))
-                   for f in self.frames])))
+                   for f in frames])))
 
     # ------------------------------------------------------------------
     # frame management (used by the invocation engine)
@@ -235,13 +237,6 @@ class DThread:
         """Arrange for the driver to resume the innermost frame."""
         self.state = RUNNING
         self.sim.call_soon(self._step, value, error, self._step_epoch)
-
-    def step_now(self) -> None:
-        """Start the innermost frame inside the running callback (a
-        parked loop thread stops being parked)."""
-        self.state = RUNNING
-        self._wait = None
-        self._step(None, None)
 
     def schedule_step_after(self, delay: float, value: Any = None,
                             error: BaseException | None = None) -> None:
@@ -281,10 +276,6 @@ class DThread:
             raise SimulationError(
                 f"{self.tid}: second continuation while suspended")
         self._stash = (value, error)
-
-    def take_stash(self) -> tuple[Any, BaseException | None] | None:
-        stash, self._stash = self._stash, None
-        return stash
 
     def block(self, kind: str, cancel: Any = None) -> int:
         """Record that the thread now waits for an external completion.

@@ -18,7 +18,9 @@ from repro import Cluster, ClusterConfig, Decision, DistObject, entry, on_event
 class FrameCensus(Counter):
     """The Python frames entered while its ``with`` block runs, keyed by
     ``(file name, function)``; ``where(code)``, when given, says which
-    code objects count. Its own frames never do.
+    code objects count. Its own frames never do, and neither does a
+    list, dict or set comprehension's: Python 3.12 inlines those
+    (PEP 709), so skipping them reads the same count on 3.10-3.13.
 
     ``stop`` ends the count early and takes any arguments, so the
     callback that marks the end of a measured path can be it. ``last``
@@ -33,7 +35,7 @@ class FrameCensus(Counter):
     def _profile(self, frame, event, arg) -> None:
         if event == "call":
             code = frame.f_code
-            if code not in _OWN and (
+            if code not in _OWN and code.co_name not in _INLINED and (
                     self._where is None or self._where(code)):
                 key = code.co_filename.rpartition("/")[2], code.co_name
                 self[key] += 1
@@ -52,6 +54,8 @@ class FrameCensus(Counter):
 
 #: the census's own frames that a profile sees start
 _OWN = frozenset((FrameCensus.__exit__.__code__, FrameCensus.stop.__code__))
+#: comprehensions that have no frame of their own from Python 3.12 on
+_INLINED = frozenset(("<listcomp>", "<dictcomp>", "<setcomp>"))
 
 # ----------------------------------------------------------------------
 # frames per post, on the paths the frame-budget tests pin
@@ -60,6 +64,9 @@ _OWN = frozenset((FrameCensus.__exit__.__code__, FrameCensus.stop.__code__))
 #: posts (or steps) per count: the run's tail, the master parking and
 #: ``run``'s own frames, is less than one of them
 N = 256
+#: every trace category the counted paths emit, off at the site
+MUTED = ("event", "object", "thread", "net", "store", "supervise", "invoke",
+         "dsm", "rpc")
 
 
 class Sink(DistObject):
@@ -80,8 +87,7 @@ def _warm_cluster(scheduler: str, origin: int = 0, **config):
     one warm-up post, raised on ``origin``, has created."""
     cluster = Cluster(ClusterConfig(n_nodes=2, scheduler=scheduler,
                                     **config))
-    cluster.tracer.mute("event", "object", "thread", "net", "store",
-                        "supervise", "invoke", "dsm", "rpc")
+    cluster.tracer.mute(*MUTED)
     cluster.register_event("POST")
     cap = cluster.create_object(Sink, node=0)
     cluster.raise_event("POST", cap, from_node=origin)
@@ -156,8 +162,7 @@ def chain_compute_frames(scheduler: str) -> tuple[float, Counter]:
     (``thread_chase``'s handlers compute once each; the surrogate a
     warm-up notice made serves this one)."""
     cluster = Cluster(ClusterConfig(n_nodes=1, scheduler=scheduler))
-    cluster.tracer.mute("event", "object", "thread", "net", "store",
-                        "supervise", "invoke", "dsm", "rpc")
+    cluster.tracer.mute(*MUTED)
     cluster.register_event("SPIN")
     thread = cluster.spawn(cluster.create_object(Spinner, node=0), "hold",
                            at=0)
@@ -171,9 +176,66 @@ def chain_compute_frames(scheduler: str) -> tuple[float, Counter]:
     return sum(frames.values()) / N, frames
 
 
+def _chase_inner(hctx, block):
+    yield hctx.compute(1e-6)
+    return Decision.PROPAGATE
+
+
+def _chase_outer(hctx, block):
+    yield hctx.compute(1e-6)
+    return Decision.RESUME
+
+
+class Hop(DistObject):
+    """One frame of a chased thread: attach a thread-based handler
+    (the outermost frame's resumes, the others propagate), then carry
+    the thread one node deeper, or sleep at the innermost frame."""
+
+    @entry
+    def descend(self, ctx, deeper, outermost=False):
+        yield ctx.attach_handler(
+            "CHASE", _chase_outer if outermost else _chase_inner)
+        if deeper:
+            yield ctx.invoke(deeper[0], "descend", deeper[1:])
+        else:
+            yield ctx.sleep(10.0)
+
+
+def chase_frames(scheduler: str) -> tuple[float, Counter]:
+    """Frames per notice over N notices one millisecond apart, each
+    raised on node 3 by a pump callback, to a thread rooted on node 0
+    that sleeps on node 2 with a frame on node 1 between: the §7.1
+    path locate (to the root, then along two forwarding pointers) and
+    a §6.1 chain of three thread-based handlers on the surrogate a
+    warm-up notice made (``thread_chase``'s path, one notice at a
+    time)."""
+    cluster = Cluster(ClusterConfig(n_nodes=4, scheduler=scheduler))
+    cluster.tracer.mute(*MUTED)
+    cluster.register_event("CHASE")
+    caps = [cluster.create_object(Hop, node=node) for node in (0, 1, 2)]
+    thread = cluster.spawn(caps[0], "descend", caps[1:], True, at=0)
+    cluster.run(until=0.5)
+    assert [frame.node for frame in thread.frames] == [0, 1, 2]
+    cluster.raise_event("CHASE", thread.tid, from_node=3)
+    cluster.run(until=1.0)
+
+    def pump(pid):
+        cluster.raise_event("CHASE", thread.tid, from_node=3, user_data=pid)
+
+    for pid in range(N):
+        cluster.sim.call_at(1.0 + 1e-3 * pid, pump, pid)
+    with FrameCensus() as frames:
+        cluster.run(until=2.0)
+    # each handler's generator is entered twice: its compute, its return
+    assert frames["frames.py", "_chase_outer"] == 2 * N, frames
+    assert frames["frames.py", "_chase_inner"] == 4 * N, frames
+    return sum(frames.values()) / N, frames
+
+
 #: name -> what it counts, for the census below and the budget tests
 PATHS = {"post": post_frames, "parked": parked_post_frames,
-         "arrived": arrived_post_frames, "compute": chain_compute_frames}
+         "arrived": arrived_post_frames, "compute": chain_compute_frames,
+         "chase": chase_frames}
 
 
 def main() -> None:

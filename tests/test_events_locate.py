@@ -7,7 +7,9 @@ import pytest
 from repro import Decision, DistObject, entry
 from repro.errors import DeadThreadError
 from repro.events.locate import MulticastRegistry
+from repro.events.locate.base import LOCATE_RETRIES
 from repro.threads.ids import ThreadId
+from repro.threads.thread import TERMINATING
 from tests.conftest import Sleeper, location_state, make_cluster
 
 
@@ -192,6 +194,110 @@ class TestPathLocatorSpecifics:
         cluster.run(until=cluster.now + 0.5)
         # 5 -> root(2) -> 3
         assert cluster.fabric.stats.count("locate.path") - before == 2
+
+
+class Visitor(DistObject):
+    """Computes on its node for a while, then returns to its caller."""
+
+    @entry
+    def visit(self, ctx, seconds, stamps):
+        stamps.append(ctx.now)
+        yield ctx.compute(seconds)
+
+
+class Returner(DistObject):
+    """Attach a PING handler that logs where it ran, visit another
+    node, come back and hold."""
+
+    @entry
+    def go(self, ctx, cap, stamps, log):
+        def ping(hctx, block):
+            log.append(hctx.node)
+            yield hctx.compute(1e-6)
+            return Decision.RESUME
+
+        yield ctx.attach_handler("PING", ping)
+        yield ctx.invoke(cap, "visit", 0.05, stamps)
+        yield ctx.sleep(1000.0)
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+class TestPathArrival:
+    """``PathLocator._arrived``'s three answers: the innermost frame takes
+    the notice, a forwarding pointer passes it on, anything else
+    restarts from the root."""
+
+    def test_stale_pointer_restarts_from_the_root_and_delivers(
+            self, scheduler, conclusions):
+        cluster = make_cluster(n_nodes=3, locator="path", scheduler=scheduler)
+        cluster.register_event("PING")
+        stamps, log = [], []
+        visitor = cluster.create_object(Visitor, node=1)
+        home = cluster.create_object(Returner, node=0)
+        thread = cluster.spawn(home, "go", visitor, stamps, log, at=0)
+        cluster.run(until=0.01)
+        assert [frame.node for frame in thread.frames] == [0, 1]
+        # Raised on the root half a latency before the visit returns:
+        # the root's pointer sends the notice to node 1, which the thread
+        # has left by the time it lands (the reply is still in flight).
+        returns_at = stamps[0] + 0.05
+        before = cluster.fabric.stats.count("locate.path")
+        cluster.sim.call_at(returns_at - 5e-4, lambda: cluster.raise_event(
+            "PING", thread.tid, from_node=0))
+        cluster.run(until=returns_at + 0.1)
+        assert log == [0]
+        # root -> 1 (stale), then 1 -> root after the retry delay
+        assert cluster.fabric.stats.count("locate.path") - before == 2
+        assert conclusions.count("executed") == 1
+        conclusions.check()
+
+    def test_terminating_thread_restarts_until_the_retries_run_out(
+            self, scheduler, conclusions):
+        cluster = make_cluster(n_nodes=3, locator="path", scheduler=scheduler)
+        sleeper = cluster.create_object(Sleeper, node=0)
+        far = cluster.create_object(Sleeper, node=1)
+        thread = cluster.spawn(sleeper, "hop_and_hold", [far], 1000.0, at=0)
+        cluster.run(until=0.5)
+        # Its termination under way (the state the unwinder holds while
+        # it crosses nodes): its innermost node refuses the notice, and
+        # it is still live, so each walk restarts.
+        thread.state = TERMINATING
+        before = cluster.fabric.stats.count("locate.path")
+        future = cluster.raise_and_wait("INTERRUPT", thread.tid,
+                                        from_node=2)
+        cluster.run(until=cluster.now + 1.0)
+        with pytest.raises(DeadThreadError):
+            future.result()
+        # 2 -> root -> 1, then root -> 1 again from 1 on every retry
+        assert (cluster.fabric.stats.count("locate.path") - before
+                == 2 * (1 + LOCATE_RETRIES))
+        assert conclusions.count("noticed") == 1
+        conclusions.check()
+
+    def test_a_confirmed_dead_next_hop_costs_no_message(
+            self, scheduler, conclusions):
+        cluster = make_cluster(n_nodes=4, locator="path", scheduler=scheduler,
+                               swim_interval=0.05)
+        sleeper = cluster.create_object(Sleeper, node=0)
+        far = cluster.create_object(Sleeper, node=1)
+        thread = cluster.spawn(sleeper, "hop_and_hold", [far], 1000.0, at=0)
+        cluster.run(until=0.5)
+        # Cut off, node 1 is confirmed dead by the others' gossip while
+        # it, and the thread on it, live on.
+        cluster.fabric.faults.partition({1}, {0, 2, 3})
+        cluster.run(until=cluster.now + 60 * 0.05)
+        assert cluster.kernels[0].membership.is_dead(1) and thread.alive
+        before = cluster.fabric.stats.count("locate.path")
+        future = cluster.raise_and_wait("INTERRUPT", thread.tid,
+                                        from_node=0)
+        cluster.run(until=cluster.now + 0.5)
+        with pytest.raises(DeadThreadError):
+            future.result()
+        # the root's pointer names a dead node on every walk: lost, never
+        # sent
+        assert cluster.fabric.stats.count("locate.path") == before
+        assert conclusions.count("noticed") == 1
+        conclusions.check()
 
 
 class TestMulticastMaintenance:

@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Decision, DistObject, entry, handler_entry, on_event
-from repro.errors import DeadThreadError
+from repro.errors import DeadThreadError, UnknownObjectError
+from repro.events.handlers import HandlerContext, HandlerRegistration
 from repro.events.locate import LocationHintTable
 from repro.net.message import Message
+from repro.objects.capability import Capability
+from repro.threads.attributes import ThreadAttributes
 from repro.threads.ids import GroupId, ThreadId
 from repro.threads.thread import KIND_KERNEL, KIND_SURROGATE
 from repro.transport.codec import decode_message, encode_message
@@ -495,6 +498,36 @@ def test_thread_exit_invalidates_exactly_the_holders():
     # node 0 held it from birth, node 1 learned it from the delivery
     assert [table.invalidations
             for table in locator.hints.values()][:2] == [2, 1]
+
+
+def test_notice_to_a_thread_with_no_frame_runs_at_its_root(conclusions):
+    """A thread whose first invocation failed (no such object) has no
+    frame when a notice queued before it started is delivered: its
+    handler runs at the thread's root, with no current object, and the
+    thread then fails as it would have."""
+    cluster = make_cluster(n_nodes=2)
+    cluster.register_event("EVT")
+    log = []
+
+    def handler(hctx, block):
+        log.append((hctx.node, hctx.real_tid))
+        yield hctx.compute(1e-3)
+        return Decision.RESUME
+
+    attributes = ThreadAttributes()  # as if inherited from a parent
+    attributes.per_thread_memory.install_procedure("handler", handler)
+    attributes.attach(HandlerRegistration(
+        event="EVT", context=HandlerContext.CURRENT, procedure="handler"))
+    thread = cluster.spawn(Capability(oid=10**6, home=1, transport="rpc"),
+                           "work", at=1, attributes=attributes)
+    cluster.raise_event("EVT", thread.tid, from_node=1)
+    cluster.run(until=1.0)
+    assert [node for node, _ in log] == [1]
+    assert log[0][1] != thread.tid  # on its surrogate
+    assert thread.state == "failed"
+    with pytest.raises(UnknownObjectError):
+        thread.completion.result()
+    conclusions.check()
 
 
 # ======================================================================

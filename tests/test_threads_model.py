@@ -1,13 +1,18 @@
 """Unit tests for thread ids, attributes, groups and handler chains."""
 
+import copy
+import pickle
+
 import pytest
 
+from repro import Cluster, ClusterConfig
 from repro.errors import EventError, GroupError, ThreadError
 from repro.events.handlers import (
     HandlerChain,
     HandlerContext,
     HandlerRegistration,
 )
+from repro.net.message import Message
 from repro.threads import (
     GroupId,
     GroupRegistry,
@@ -17,6 +22,8 @@ from repro.threads import (
     ThreadId,
     TimerSpec,
 )
+from repro.transport.codec import decode_message, encode_message
+from tests.conftest import Sleeper
 
 
 class TestIds:
@@ -42,6 +49,60 @@ class TestIds:
 
     def test_ids_ordered(self):
         assert ThreadId(0, 1) < ThreadId(0, 2) < ThreadId(1, 1)
+
+
+class TestThreadIdIsATuple:
+    """A ``ThreadId`` is a ``(root, seq)`` tuple that hashes in C and
+    equals nothing but another ``ThreadId``; the rest of what it was as
+    a frozen dataclass (order, str, repr, parse) is
+    ``test_surrogate_chain.py::test_id_hash_eq_order_pickle_codec``."""
+
+    def test_hash_is_the_field_tuples(self):
+        for root, seq in ((0, 1), (3, 7), (12, 130), (-1, 0)):
+            assert hash(ThreadId(root, seq)) == hash((root, seq))
+        # so a set of ids iterates as the field tuples' set does
+        tids = [ThreadId(r, s) for r in range(4) for s in range(1, 40, 7)]
+        assert [tuple(t) for t in set(tids)] == list(
+            {(t.root, t.seq) for t in tids})
+
+    def test_equal_only_to_a_thread_id(self):
+        tid = ThreadId(2, 7)
+        assert tid == ThreadId(root=2, seq=7)
+        assert not tid != ThreadId(2, 7)
+        for other in (GroupId(2, 7), (2, 7), [2, 7]):
+            assert tid != other and other != tid
+            assert not tid == other and not other == tid
+        assert {tid: "t", GroupId(2, 7): "g", (2, 7): "p"}[tid] == "t"
+        assert (2, 7) not in {tid} and tid not in {(2, 7)}
+
+    def test_copies_find_the_same_entry(self):
+        tid = ThreadId(4, 11)
+        table = {ThreadId(4, 11): "found", ThreadId(11, 4): "other"}
+        wire = encode_message(Message(src=0, dst=1, mtype="x", payload=tid))
+        for twin in (pickle.loads(pickle.dumps(tid)), copy.copy(tid),
+                     copy.deepcopy(tid), decode_message(wire).payload):
+            assert type(twin) is ThreadId
+            assert twin == tid and hash(twin) == hash(tid)
+            assert table[twin] == "found"
+
+    def test_no_instance_dict(self):
+        cluster = Cluster(ClusterConfig(n_nodes=2))
+        cap = cluster.create_object(Sleeper, node=1)
+        cluster.spawn(cap, "hold", 1.0, at=0)
+        cluster.run(until=0.5)
+        wire = encode_message(Message(src=0, dst=1, mtype="x",
+                                      payload=ThreadId(2, 3)))
+        tids = [ThreadId(0, 1), IdAllocator(3).new_tid(),
+                ThreadId.parse("T1.2"), decode_message(wire).payload,
+                *cluster.live_threads]
+        assert len(tids) == 5
+        for tid in tids:
+            assert type(tid) is ThreadId
+            assert not hasattr(tid, "__dict__")
+        with pytest.raises(AttributeError):
+            tids[0].extra = 1
+        with pytest.raises(AttributeError):
+            tids[0].root = 3
 
 
 class TestHandlerChain:

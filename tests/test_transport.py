@@ -10,6 +10,7 @@ path (sized by ``dedup_window``).
 
 from __future__ import annotations
 
+import os
 import pathlib
 import socket
 import struct
@@ -302,10 +303,15 @@ class TestTransportContract:
 
     def test_tcp_example_runs_reliable_and_durable(self):
         root = pathlib.Path(__file__).resolve().parent.parent
+        env = {"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"}
+        # a run that writes no bytecode keeps its child from writing any
+        # into src/ either
+        if "PYTHONDONTWRITEBYTECODE" in os.environ:
+            env["PYTHONDONTWRITEBYTECODE"] = os.environ[
+                "PYTHONDONTWRITEBYTECODE"]
         proc = subprocess.run(
             [sys.executable, str(root / "examples" / "tcp_cluster.py")],
-            capture_output=True, text=True, timeout=120,
-            env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"})
+            capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0, (
             f"tcp example failed:\n{proc.stdout}\n{proc.stderr}")
         assert "0 outbox entries left pending" in proc.stdout, proc.stdout

@@ -10,9 +10,10 @@ step. Each request is a plain ``__slots__`` class built by its own
 ``__init__`` — a builder that only passes its argument on is the class
 itself — a future settles in one frame, and ``ctx.now`` is a C-level
 getter. These tests hold the frames per post on both scheduler backends
-(a busy master, a parked one, a durable post arriving by message) and
-per ``compute`` step of a thread-based handler, counted by
-``tests/frames.py``; and the absence of an instance
+(a busy master, a parked one, a durable post arriving by message), per
+``compute`` step of a thread-based handler and per notice to a thread
+two nodes from its root, counted by ``tests/frames.py``; and the
+absence of an instance
 ``__dict__``, every type's keyword construction, defaults and ``repr``,
 and the NaN rule of the three time validators.
 """
@@ -36,6 +37,7 @@ from tests.frames import (
     N,
     arrived_post_frames,
     chain_compute_frames,
+    chase_frames,
     parked_post_frames,
     post_frames,
 )
@@ -68,9 +70,10 @@ FRAME_BUDGET = {"heap": 20, "wheel": 22}
 
 #: the same, one post per millisecond, so each finds the master parked
 #: and wakes it with one scheduled step (the pump's own frame included):
-#: 41 / 44 with the relays above, 49 / 52 with the ``Recv`` park and the
-#: channel hand-off
-PARKED_BUDGET = {"heap": 28, "wheel": 31}
+#: 28 / 31 while ``run_frame`` started the frame through ``push_frame``
+#: and ``step_now``, 41 / 44 with the relays above, 49 / 52 with the
+#: ``Recv`` park and the channel hand-off
+PARKED_BUDGET = {"heap": 27, "wheel": 30}
 
 #: a durable post that arrives by message at its object's home node,
 #: from the arrival on: the reliable channel's accept and ack, the
@@ -83,6 +86,20 @@ ARRIVED_BUDGET = {"heap": 36, "wheel": 38}
 #: ``call_at`` (the wheel adds ``_place`` and its miss pop); 8 / 10
 #: through ``_dispatch``, ``schedule_step_after`` and ``call_after``
 COMPUTE_BUDGET = {"heap": 5, "wheel": 7}
+
+#: a notice raised on node 3 to a thread rooted on node 0 that sleeps
+#: on node 2, one per millisecond (the pump's frame included): route
+#: and the local probe on node 3, the §7.1 path locate (three messages,
+#: each ``_forward`` -> transmit -> fabric -> ``on_message`` ->
+#: ``_arrived``, one TCB probe per node), the enqueue and the
+#: suspension, then three thread-based handlers on the surrogate (per
+#: run: ``_offer``, ``_execute_registration``, the ``SURROGATE_COST``
+#: timer, ``_run_on_surrogate``, ``run_frame``, the handler's two
+#: steps and its ``compute`` timer, ``frame_returned``,
+#: ``_handler_exited``, ``_decided``) and the conclusion; 178 / 197
+#: through the relays in ``CHASE_GONE`` (179 / 198 when the census also
+#: counted ``snapshot``'s list comprehension)
+CHASE_BUDGET = {"heap": 122, "wheel": 141}
 
 #: frames the old objects and relays paid and the new ones must not
 GONE = {("syscalls.py", "__post_init__"), ("<string>", "__init__"),
@@ -98,6 +115,22 @@ GONE = {("syscalls.py", "__post_init__"), ("<string>", "__init__"),
         ("thread.py", "schedule_step_after"), ("scheduler.py", "call_after"),
         ("thread.py", "pop_frame"), ("supervise.py", "clear_failures"),
         ("scheduler.py", "_timed_due_now"), ("scheduler.py", "_live_at")}
+
+#: the relays a notice to a chased thread paid and must not again: the
+#: locate hop's ``_hop``, ``_accept`` and membership check and its TCB
+#: probe's ``get``; the chain step's ``current_object``, ``procedure``,
+#: ``call_after``, ``push_frame``, ``step_now``, park (``block``),
+#: ``_outcome``, ``in_order`` and ``__len__``, ``take_stash`` and
+#: ``DistObject.oid``; and ``ThreadId.__hash__``
+CHASE_GONE = {("path.py", "_hop"), ("base.py", "_accept"),
+              ("base.py", "_membership"), ("membership.py", "enabled"),
+              ("tcb.py", "get"), ("thread.py", "current_object"),
+              ("perthread.py", "procedure"), ("scheduler.py", "call_after"),
+              ("thread.py", "push_frame"), ("thread.py", "step_now"),
+              ("thread.py", "block"), ("execute.py", "_outcome"),
+              ("handlers.py", "in_order"), ("handlers.py", "__len__"),
+              ("thread.py", "take_stash"), ("base.py", "oid"),
+              ("ids.py", "__hash__")}
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
@@ -128,10 +161,23 @@ def test_arrived_post_frame_budget(scheduler):
 def test_chain_compute_step_frame_budget(scheduler):
     per_step, frames = chain_compute_frames(scheduler)
     assert math.floor(per_step) == COMPUTE_BUDGET[scheduler], frames
-    # the notice's delivery arms two timers with call_after; no step does
+    # one timer per step, and the notice's delivery arms two (the
+    # suspension's and the surrogate's), all with call_at
     assert not {("thread.py", "_dispatch"),
-                ("thread.py", "schedule_step_after")} & set(frames), frames
-    assert frames["scheduler.py", "call_after"] == 2, frames
+                ("thread.py", "schedule_step_after"),
+                ("scheduler.py", "call_after")} & set(frames), frames
+    assert frames["scheduler.py", "call_at"] == N + 2, frames
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+def test_chased_thread_notice_frame_budget(scheduler):
+    per_notice, frames = chase_frames(scheduler)
+    assert math.floor(per_notice) == CHASE_BUDGET[scheduler], frames
+    assert not CHASE_GONE & set(frames), frames
+    # one TCB probe per node the locate visits, none a Python frame; the
+    # raise's local fast path on node 3 is the one innermost_here
+    assert frames["path.py", "_arrived"] == 3 * N, frames
+    assert frames["tcb.py", "innermost_here"] == N, frames
 
 
 # ----------------------------------------------------------------------
