@@ -147,7 +147,7 @@ def run_search(cluster, workers: int = 4, space: int = 400,
     gid = cluster.new_group()
     threads = []
     n = cluster.config.n_nodes
-    before_posts = cluster.events.posts
+    before_posts = cluster.metrics()["events.route.posts"]
     for i in range(workers):
         chunk = candidates[i * slice_size:(i + 1) * slice_size]
         threads.append(cluster.spawn(
@@ -157,8 +157,9 @@ def run_search(cluster, workers: int = 4, space: int = 400,
     probe = cluster.spawn(coordinator, "summary", at=0)
     cluster.run()
     summary = probe.completion.result()
+    raised = cluster.metrics()["events.route.posts"] - before_posts
     return SearchRunResult(best=summary["best"],
                            explored=summary["explored"],
                            pruned=summary["pruned"],
                            virtual_time=cluster.now,
-                           events_raised=cluster.events.posts - before_posts)
+                           events_raised=raised)

@@ -231,8 +231,9 @@ class ChaosReport:
     #: handler executions still wedged at end of run (must be 0 when the
     #: watchdog is armed; the unsupervised contrast rows show the hangs)
     hung_handlers: int = 0
-    #: supervisor / failure-detector / dead-letter counters
-    supervision: dict[str, int] = field(default_factory=dict)
+    #: the cluster's ``metrics()`` at the end of the run (supervisor,
+    #: dead-letter, admission and SWIM counters among them)
+    metrics: dict[str, int] = field(default_factory=dict)
     #: injected handler faults actually hit, by kind
     handler_fault_counts: dict[str, int] = field(default_factory=dict)
     #: one row per recovery replay (node, at, replayed, recovery_time,
@@ -242,8 +243,6 @@ class ChaosReport:
     #: (time, node, "leave"|"crash") per churn departure; the departures
     #: themselves are also logged in ``crashes`` (hashed by ``digest``)
     churn_events: list[tuple[float, int, str]] = field(default_factory=list)
-    #: cluster-wide membership counters (empty when SWIM is off)
-    membership: dict[str, int] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
 
     @property
@@ -563,6 +562,7 @@ def run_chaos(spec: ChaosSpec) -> ChaosReport:
     else:
         p99 = 0.0
 
+    metrics = cluster.metrics()
     durability = cluster.durability_stats()
     recoveries = sorted(
         (dict(row, node=kernel.node_id)
@@ -578,16 +578,13 @@ def run_chaos(spec: ChaosSpec) -> ChaosReport:
         partitions=partitions, reliability=cluster.reliability_stats(),
         fault_breakdown=faults.fault_breakdown(),
         message_stats=cluster.fabric.stats.snapshot(),
-        dead_targets=cluster.events.dead_targets,
+        dead_targets=metrics["events.post.dead_targets"],
         undeliverable=cluster.events.undeliverable,
         p99_latency=p99, virtual_time=cluster.now,
         durability=durability, recoveries=recoveries,
         quarantined=quarantined, hung_handlers=len(hung),
-        supervision=cluster.supervision_stats(),
-        handler_fault_counts=dict(fault_counts),
-        churn_events=churn_events,
-        membership=(cluster.membership_stats()
-                    if cluster.config.swim_interval is not None else {}))
+        metrics=metrics, handler_fault_counts=dict(fault_counts),
+        churn_events=churn_events)
     report.violations = _check_invariants(
         spec, executions, notices, probe_executions, len(target_nodes),
         durability, quarantined, hung)

@@ -181,8 +181,9 @@ def run_churn_row(n_nodes: int, seed: int = 7,
         "churn_events": len(report.churn_events),
         "leaves": sum(1 for _t, _n, kind in report.churn_events
                       if kind == "leave"),
-        "rejoins": report.membership.get("rejoins", 0),
-        "refutations": report.membership.get("refutations", 0),
+        "rejoins": report.metrics.get("kernel.membership.rejoins", 0),
+        "refutations": report.metrics.get("kernel.membership.refutations",
+                                          0),
         "digest": report.digest,
     }
 
@@ -304,7 +305,6 @@ def churn_scenario(ctx) -> Callable[[], dict]:
             "leaves": churned["leaves"],
             "converged": converged,
             "views": sorted(views.items()),
-            "membership": cluster.membership_stats(),
             "sha": hashlib.sha256(material.encode()).hexdigest(),
         }
 

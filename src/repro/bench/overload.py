@@ -232,7 +232,7 @@ def run_overload(spec: OverloadSpec, control: bool = True) -> dict[str, Any]:
     executed = sum(state["executions"].values())
     offered = len(schedule)
     capacity_posts = spec.capacity() * spec.duration
-    sup = cluster.supervision_stats()
+    metrics = cluster.metrics()
     rel = cluster.reliability_stats()
     store = cluster.durability_stats()
     if spec.durable:
@@ -249,10 +249,10 @@ def run_overload(spec: OverloadSpec, control: bool = True) -> dict[str, Any]:
         "p50_latency": round(percentile(latency, 0.50), 6),
         "p99_latency": round(percentile(latency, 0.99), 6),
         "drain_time": round(drain, 4),
-        "shed_dropped": sup.get("admission_shed_dropped", 0),
-        "shed_degraded": sup.get("admission_shed_degraded", 0),
-        "shed_deferred": sup.get("admission_shed_deferred", 0),
-        "gate_depth_hwm": sup.get("admission_gate_depth_hwm", 0),
+        "shed_dropped": metrics["events.admission.shed_dropped"],
+        "shed_degraded": metrics["events.admission.shed_degraded"],
+        "shed_deferred": metrics["events.admission.shed_deferred"],
+        "gate_depth_hwm": metrics["events.admission.depth_hwm"],
         "notices": sum(notices.values()),
         "inflight_hwm": rel.get("inflight_hwm", 0),
         "flow_parked": rel.get("flow_parked", 0),

@@ -216,7 +216,7 @@ def run_fanout_phase(spec: SoakSpec, deliveries: int) -> PhaseResult:
     cluster.run(until=t0 + raises * spec.gap + 2.0, max_events=None)
     elapsed = time.perf_counter() - wall
 
-    delivered = cluster.events.delivered
+    delivered = cluster.metrics()["events.execute.delivered"]
     assert delivered >= raises * group, \
         f"fanout phase lost deliveries: {delivered}/{raises * group}"
     latency = cluster.events.delivery_latencies.summary()

@@ -79,7 +79,7 @@ def run_handler_faults(spec: SuperviseSpec, supervised: bool,
                        durable: bool = False) -> dict[str, Any]:
     """Chaos with injected handler faults; supervised or bare."""
     report = run_chaos(_chaos_spec(spec, supervised, durable))
-    sup = report.supervision
+    metrics = report.metrics
     executed_once = sum(1 for n in report.executions.values() if n == 1)
     return {
         "posts": report.spec.posts,
@@ -90,9 +90,9 @@ def run_handler_faults(spec: SuperviseSpec, supervised: bool,
         "accounted_rate": round(report.accounted_rate, 4),
         "violations": len(report.violations),
         "faults_injected": dict(report.handler_fault_counts),
-        "handler_timeouts": sup.get("handler_timeouts", 0),
-        "chain_retries": sup.get("chain_retries", 0),
-        "dead_letters_held": sup.get("dead_letters_held", 0),
+        "handler_timeouts": metrics["events.supervise.handler_timeouts"],
+        "chain_retries": metrics["events.supervise.chain_retries"],
+        "dead_letters_held": metrics["events.supervise.held"],
         "virtual_time": round(report.virtual_time, 6),
     }
 
@@ -184,19 +184,20 @@ def run_buddy_breaker(spec: SuperviseSpec,
          f"posted {spec.buddy_posts}")
     assert all(n == 1 for n in handled.values()), \
         f"fallback ran a post twice: {handled}"
-    sup = cluster.supervision_stats()
+    metrics = cluster.metrics()
     latencies = [times[pid] - (t0 + pid * spec.buddy_gap)
                  for pid in range(spec.buddy_posts)]
     return {
         "posts": spec.buddy_posts,
         "buddy_served": served,
         "fallback_handled": fellback,
-        "fast_fails": sup.get("fast_fails", 0),
-        "handler_retries": sup.get("handler_retries", 0),
-        "breaker_opens": sup.get("breaker_opens", 0),
-        "breaker_skips": sup.get("breaker_skips", 0),
-        "breaker_closes": sup.get("breaker_closes", 0),
-        "membership_suspicions": sup.get("membership_suspicions", 0),
+        "fast_fails": metrics["events.supervise.fast_fails"],
+        "handler_retries": metrics["events.supervise.handler_retries"],
+        "breaker_opens": metrics["events.supervise.breaker_opens"],
+        "breaker_skips": metrics["events.supervise.breaker_skips"],
+        "breaker_closes": metrics["events.supervise.breaker_closes"],
+        "membership_suspicions": metrics.get(
+            "kernel.membership.suspicions", 0),
         # virtual post->handled latency: the stall supervision removes
         "mean_latency": round(sum(latencies) / len(latencies), 6),
         "max_latency": round(max(latencies), 6),

@@ -51,8 +51,8 @@ DROP = "drop"
 DEGRADE = "degrade"
 DEFER = "defer"
 
-#: Counter names every gate exposes (mirrors HandlerSupervisor.COUNTERS
-#: so cluster.supervision_stats() can aggregate them uniformly).
+#: Counter names every gate keeps (``events.admission`` in
+#: ``Cluster.metrics()``).
 GATE_COUNTERS = ("admitted", "shed_dropped", "shed_degraded",
                  "shed_deferred")
 
@@ -206,20 +206,5 @@ class Admission(dict):
             gate.release(charge[1])
 
 
-def admission_stats(admission: Admission | None) -> dict[str, int]:
-    """Cluster-wide admission counters plus live/high-water depth
-    (zeros when the gate is off; aggregated by
-    :meth:`Cluster.supervision_stats`)."""
-    totals = dict.fromkeys(
-        GATE_COUNTERS + ("gate_depth", "gate_depth_hwm", "shed_windows"), 0)
-    for gate in admission.values() if admission is not None else ():
-        for name in GATE_COUNTERS:
-            totals[name] += gate.counters[name]
-        totals["gate_depth"] += gate.depth
-        totals["gate_depth_hwm"] += gate.depth_hwm
-        totals["shed_windows"] += gate.shed_windows
-    return totals
-
-
 __all__ = ["ADMIT", "DROP", "DEGRADE", "DEFER", "GATE_COUNTERS",
-           "Admission", "AdmissionGate", "admission_stats"]
+           "Admission", "AdmissionGate"]

@@ -7,8 +7,8 @@ handler chain runs on a surrogate), ``settle`` (every post concludes
 exactly once; ``raise_and_wait`` raisers resume) and ``presence``
 (timers and location bookkeeping follow the thread).
 :class:`EventManager` builds them, offers the two ways an event enters
-the system, and carries the observer hooks and counters harnesses read;
-everything else is called on the owning stage.
+the system, and carries the two observer hooks harnesses set; everything
+else, counters included (``Cluster.metrics``), is on the owning stage.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ class EventManager:
         #: node, so accounting harnesses record it here, not by scanning
         #: queues at end of run
         self.on_quarantine: Any = None
-        #: observer hook ``(block, target, action) -> None`` invoked when
-        #: the admission gate sheds a post (action: drop/defer); the
-        #: overload bench uses it to account every shed post
-        self.on_shed: Any = None
         #: overload control: the per-node admission gates while the
         #: ``admission_high`` knob is on, else None (zero bookkeeping)
         config = cluster.config
@@ -75,23 +71,7 @@ class EventManager:
         #: per-delivery (event, raise->deliver virtual latency) samples
         self.delivery_latencies = self.execute.delivery_latencies
 
-    # -- counters for benchmarks and harnesses, each kept by its stage --
-
-    @property
-    def posts(self) -> int:
-        return self.route.posts
-
-    @property
-    def delivered(self) -> int:
-        return self.execute.delivered
-
-    @property
-    def handler_failures(self) -> int:
-        return self.execute.handler_failures
-
-    @property
-    def dead_targets(self) -> int:
-        return self.post.dead_targets
+    # -- the counter E17 reads here; every stage's is in Cluster.metrics --
 
     @property
     def undeliverable(self) -> int:

@@ -80,6 +80,11 @@ class BaseLocator:
     def node_crashed(self, node: int) -> None:
         """``node`` crashed: what it knew about locations was volatile."""
 
+    def counters(self) -> tuple[dict[str, int], ...]:
+        """One counter dict per table this strategy keeps, which
+        ``Cluster.metrics`` sums under ``events.locate``."""
+        return ()
+
     # -- helpers ---------------------------------------------------------
 
     def _membership(self, node: int):

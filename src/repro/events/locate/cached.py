@@ -179,6 +179,10 @@ class CachedLocator(BaseLocator):
         self.base.node_crashed(node)
         self.hints[node].clear()
 
+    def counters(self) -> tuple[dict[str, int], ...]:
+        return (*self.base.counters(),
+                *(table.stats() for table in self.hints.values()))
+
     def post(self, from_node: int, tid: ThreadId, block: EventBlock,
              on_result: PostResult) -> None:
         state = {"hops": 0, "forwards": LOCATE_RETRIES, "from_node": from_node}

@@ -88,3 +88,6 @@ class MulticastLocator(_ProbeLocator):
         # a dead node is no thread's location, now or after recovery
         for tid in self.groups.groups_of(node):
             self.groups.leave(tid, node)
+
+    def counters(self) -> tuple[dict[str, int], ...]:
+        return ({"joins": self.groups.joins, "leaves": self.groups.leaves},)

@@ -30,7 +30,6 @@ class Router:
 
     def __init__(self, cluster: "Cluster", events: "EventManager",
                  settle: Settler, post: Poster) -> None:
-        #: the coordinator: its ``on_shed`` hook is read at call time
         self.events = events
         self.sim = cluster.sim
         self.tracer = cluster.tracer
@@ -86,8 +85,6 @@ class Router:
                     self.tracer.emit("event", "shed", event=block.event,
                                      target=str(target), action=verdict,
                                      node=from_node)
-                if self.events.on_shed is not None:
-                    self.events.on_shed(block, target, verdict)
             if verdict == DROP:
                 # Rejected at the gate with a §7.2-style notice.
                 self.settle.conclude(block, NOTICED, None, OverloadShedError(

@@ -306,8 +306,6 @@ class DeadLetterQueue:
         self.kernel = kernel
         self._entries: dict[int, DeadLetter] = {}
         self._next_id = 0
-        self.quarantined = 0
-        self.requeued = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -327,7 +325,6 @@ class DeadLetterQueue:
                           error=repr(error) if error is not None else None,
                           failures=failures, at=self.kernel.sim.now)
         self._entries[dead.dl_id] = dead
-        self.quarantined += 1
         if "supervise" not in self.kernel.tracer.muted:
             self.kernel.tracer.emit("supervise", "dead-letter",
                                     node=self.kernel.node_id, dl_id=dead.dl_id,
@@ -345,7 +342,6 @@ class DeadLetterQueue:
         dead = self._entries.pop(dl_id, None)
         if dead is None:
             return None
-        self.requeued += 1
         if self.kernel.store.enabled:
             self.kernel.store.journal_dead_requeue(dl_id)
         return dead
@@ -392,7 +388,3 @@ class DeadLetterQueue:
         """Memory is gone; recovery replays the journal (durable mode)."""
         self._entries.clear()
         self._next_id = 0
-
-    def stats(self) -> dict[str, int]:
-        return {"quarantined": self.quarantined, "requeued": self.requeued,
-                "held": len(self._entries)}

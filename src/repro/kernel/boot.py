@@ -10,10 +10,10 @@ time.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable
+from typing import Any, Iterator
 
 from repro.errors import KernelError, UnknownThreadError
-from repro.events.admission import admission_stats
+from repro.events.admission import AdmissionGate
 from repro.events.delivery import EventManager
 from repro.events.names import seed_system_events
 from repro.kernel.config import ClusterConfig
@@ -35,16 +35,6 @@ from repro.threads.attributes import IoChannel, ThreadAttributes
 from repro.threads.groups import GroupRegistry
 from repro.threads.ids import GroupId, IdAllocator, ThreadId
 from repro.threads.thread import DThread
-
-
-def _sum_into(totals: dict[str, int], counters: Iterable[dict[str, int]],
-              prefix: str = "") -> dict[str, int]:
-    """Add every dict of ``counters`` into ``totals``, key by key."""
-    for stats in counters:
-        for key, value in stats.items():
-            key = prefix + key
-            totals[key] = totals.get(key, 0) + value
-    return totals
 
 
 class Cluster:
@@ -141,16 +131,6 @@ class Cluster:
         kernel.membership.leave()
         kernel.crash()
 
-    def membership_stats(self) -> dict[str, int]:
-        """Cluster-wide sums of the per-node SWIM membership counters."""
-        return _sum_into({}, (kernel.membership.stats()
-                              for kernel in self.kernels.values()))
-
-    def reliability_stats(self) -> dict[str, int]:
-        """Cluster-wide sums of the per-node reliable-channel counters."""
-        return _sum_into({}, (kernel.reliable.stats()
-                              for kernel in self.kernels.values()))
-
     def node_recovered(self, node: int) -> None:
         """A node finished recovery replay: surviving peers re-dispatch
         every outbox entry addressed to it (anything queued there at the
@@ -158,11 +138,6 @@ class Cluster:
         for kernel in self.kernels.values():
             if kernel.node_id != node and not kernel.crashed:
                 kernel.store.flush_to(node)
-
-    def durability_stats(self) -> dict[str, int]:
-        """Cluster-wide sums of the per-node store counters."""
-        return _sum_into({}, (kernel.store.stats()
-                              for kernel in self.kernels.values()))
 
     # ------------------------------------------------------------------
     # handler supervision (dead letters, breakers, failure detection)
@@ -193,22 +168,78 @@ class Cluster:
         self.events.route.requeue(node, dead)
         return True
 
-    def supervision_stats(self) -> dict[str, int]:
-        """Supervisor counters plus cluster-wide detector / dead-letter
-        sums and the admission gate's shed/defer/depth counters."""
-        totals = dict(self.events.supervisor.stats())
-        kernels = self.kernels.values()
-        _sum_into(totals, (kernel.membership.stats() for kernel in kernels
-                           if kernel.membership.enabled), "membership_")
-        _sum_into(totals, (kernel.dead_letters.stats() for kernel in kernels),
-                  "dead_letters_")
-        return _sum_into(totals, [admission_stats(self.events.admission)],
-                         "admission_")
+    # ------------------------------------------------------------------
+    # counters
+    # ------------------------------------------------------------------
+
+    def metrics(self) -> dict[str, int]:
+        """Every counter of this cluster's nodes, summed over the nodes
+        and keyed ``layer.module.metric`` (docs/API.md has the table):
+        the one place counters are added up across nodes."""
+        totals: dict[str, int] = {}
+        for layer, stats in self._counters():
+            for key, value in stats.items():
+                key = layer + key
+                totals[key] = totals.get(key, 0) + value
+        return totals
+
+    def _counters(self) -> Iterator[tuple[str, dict[str, int]]]:
+        """``(layer prefix, counter dict)`` for every component. A
+        scheduler's or transport's layer is the module defining its class;
+        its backend name and the realtime clock are no counters."""
+        for part in (self.sim, self.transport):
+            layer = type(part).__module__.removeprefix("repro.") + "."
+            yield layer, {key: value for key, value in part.stats().items()
+                          if key not in ("backend", "now")}
+        yield "net.fabric.", self.fabric.stats.snapshot()
+        events = self.events
+        yield "events.route.", {"posts": events.route.posts}
+        yield "events.post.", {"dead_targets": events.post.dead_targets}
+        yield "events.execute.", {
+            "delivered": events.execute.delivered,
+            "handler_failures": events.execute.handler_failures}
+        yield "events.settle.", {"undeliverable": events.settle.undeliverable}
+        yield "events.supervise.", events.supervisor.stats()
+        # An idle gate stands in while admission is off: its keys read 0.
+        for gate in (events.admission.values() if events.admission is not None
+                     else (AdmissionGate(0, 0, 0),)):
+            yield "events.admission.", gate.stats()
+        for stats in events.locator.counters():
+            yield "events.locate.", stats
+        yield "dsm.manager.", self.dsm.protocol_stats()
+        for kernel in self.kernels.values():
+            yield "net.reliable.", kernel.reliable.stats()
+            if kernel.membership.enabled:
+                yield "kernel.membership.", kernel.membership.stats()
+            yield "events.supervise.", {"held": len(kernel.dead_letters)}
+            store = kernel.store
+            yield "store.journal.", store.journal.stats()
+            yield "store.outbox.", store.outbox.stats()
+            yield "store.manager.", store.stats()
+
+    def _view(self, *layers: str) -> dict[str, int]:
+        """The :meth:`metrics` keys under ``layers``, layer name cut off."""
+        prefixes = tuple(layer + "." for layer in layers)
+        return {key.split(".", 2)[2]: value
+                for key, value in self.metrics().items()
+                if key.startswith(prefixes)}
+
+    def reliability_stats(self) -> dict[str, int]:
+        """Cluster-wide reliable-channel counters (``net.reliable``)."""
+        return self._view("net.reliable")
+
+    def durability_stats(self) -> dict[str, int]:
+        """Cluster-wide store counters (``store.journal``,
+        ``store.outbox`` and ``store.manager`` in one dict)."""
+        return self._view("store.journal", "store.outbox", "store.manager")
+
+    def message_stats(self) -> dict[str, int]:
+        """Fabric traffic (``net.fabric``): totals and ``type:<mtype>``."""
+        return self._view("net.fabric")
 
     def scheduler_stats(self) -> dict[str, Any]:
-        """Scheduler internals (:meth:`repro.sim.scheduler.Simulator.stats`)
-        in the same aggregate style as :meth:`supervision_stats`, so
-        benches report queue pressure alongside their own counters."""
+        """The scheduler's own :meth:`~repro.sim.scheduler.Simulator.stats`
+        (its counters are in :meth:`metrics`, beside its backend name)."""
         return self.sim.stats()
 
     # ------------------------------------------------------------------
@@ -234,8 +265,9 @@ class Cluster:
         self.transport.close()
 
     def transport_stats(self) -> dict[str, Any]:
-        """Backend counters from the transport port (frames moved,
-        bytes on the wire for tcp, cross-shard traffic for sharded)."""
+        """The transport port's own ``stats()``: frames moved, bytes on
+        the wire for tcp, cross-shard traffic for sharded (its counters
+        are in :meth:`metrics`, beside its backend name)."""
         return self.transport.stats()
 
     @property
@@ -328,9 +360,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
-
-    def message_stats(self) -> dict[str, int]:
-        return self.fabric.stats.snapshot()
 
     def ps(self, kinds: tuple[str, ...] = ("user",)) -> list[dict]:
         """Snapshot of live threads (like `ps` on the simulated cluster).

@@ -92,7 +92,3 @@ class CheckpointManager:
         self._since_checkpoint = 0
         self.taken += 1
         return dropped
-
-    def stats(self) -> dict[str, int]:
-        return {"checkpoints": self.taken,
-                "since_checkpoint": self._since_checkpoint}

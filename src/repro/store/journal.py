@@ -258,11 +258,3 @@ class ClusterStore:
         if journal is None:
             journal = self._journals[node_id] = NodeJournal(node_id)
         return journal
-
-    def stats(self) -> dict[str, int]:
-        """Cluster-wide sums of the per-journal counters."""
-        totals: dict[str, int] = {}
-        for journal in self._journals.values():
-            for key, value in journal.stats().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals

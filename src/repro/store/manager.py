@@ -533,8 +533,9 @@ class NodeStore:
     # ==================================================================
 
     def stats(self) -> dict[str, int]:
-        stats = {**self.journal.stats(), **self.outbox.stats(),
-                 "checkpoints": self.checkpoints.taken,
+        """This manager's own counters; its journal's and outbox's are
+        their ``stats()`` (``Cluster.durability_stats`` joins all three)."""
+        stats = {"checkpoints": self.checkpoints.taken,
                  "applied": len(self.applied),
                  "recoveries": len(self.recovery_log)}
         acks_owed = sum(len(acks) for acks in self._owed.values())

@@ -119,7 +119,7 @@ class TestDistributedCtrlC:
         assert root.completion.result() == "fast"
         press_ctrl_c(cluster, root.tid)  # dead target: no crash
         cluster.run()
-        assert cluster.events.dead_targets >= 1
+        assert cluster.metrics()["events.post.dead_targets"] >= 1
 
 
 class TestMonitoring:

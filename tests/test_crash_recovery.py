@@ -167,7 +167,7 @@ class TestDeadTargetNotices:
         cluster.raise_event("PING", thread.tid, from_node=0, user_data=1)
         cluster.run(until=t0 + cluster.config.post_deadline + 0.1)
         assert "PING" in noticed
-        assert cluster.events.dead_targets >= 1
+        assert cluster.metrics()["events.post.dead_targets"] >= 1
         assert seen == []
 
     def test_sync_raise_to_crashed_node_fails_bounded(self):
@@ -669,7 +669,7 @@ class TestStoreAcksAcrossCrashes:
         # of burning retransmits against a suspected node
         assert cluster.kernels[1].membership.is_failed(0)
         assert cluster.kernels[1].store.stats()["acks_owed"] == 1
-        assert cluster.kernels[1].store.stats()["flush_skips"] > 0
+        assert cluster.kernels[1].store.outbox.stats()["flush_skips"] > 0
         cluster.recover_node(0)
         cluster.run(until=cluster.now + 2.0)
         stats = cluster.durability_stats()

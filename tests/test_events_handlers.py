@@ -586,7 +586,8 @@ class TestFrameExceptionObjectHandler:
         assert log[0][1] == log[1][1] == str(objects._master.tid)
         assert objects._master.wait_kind == "parked"
         assert not objects._master.frames
-        assert cluster.events.handler_failures == (verdict == "raises")
+        assert (cluster.metrics()["events.execute.handler_failures"]
+                == (verdict == "raises"))
         cluster.raise_event("PING", cap, from_node=0)
         cluster.run(until=2.0)
         assert [step for step, _ in log][-1] == "ping"

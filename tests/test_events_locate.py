@@ -406,7 +406,8 @@ def _wander(locator, **cfg):
     cluster.raise_event("TERMINATE", thread.tid, from_node=3)
     cluster.run()
     assert thread.state == "terminated"
-    assert cluster.events.delivered == 13  # twelve PINGs, one TERMINATE
+    # twelve PINGs, one TERMINATE
+    assert cluster.metrics()["events.execute.delivered"] == 13
     tids = {ThreadId.parse(r.get("tid"))
             for r in cluster.tracer.select("thread", "create")}
     assert len(tids) > 2  # the thread and its surrogates
@@ -502,7 +503,7 @@ class TestCachedLocator:
         # speculative cached message is wasted.
         assert delta.get("type:locate.cached", 0) == 0
         assert delta.get("type:locate.path", 0) == 3
-        assert cluster.events.delivered == 1
+        assert cluster.metrics()["events.execute.delivered"] == 1
 
     def test_stale_hint_forwarded_along_tcb_pointer(self):
         cluster = make_cluster(n_nodes=4, locator="cached")
@@ -523,7 +524,7 @@ class TestCachedLocator:
         # next_node pointer to node 2 — no fallback round.
         assert delta.get("type:locate.cached", 0) == 2
         assert delta.get("type:locate.path", 0) == 0
-        assert cluster.events.delivered == 2
+        assert cluster.metrics()["events.execute.delivered"] == 2
         # The chase refreshed the hints at origin and at the stale node.
         assert cluster.events.locator.hints[0].peek(thread.tid) == 2
         assert cluster.events.locator.hints[1].peek(thread.tid) == 2
@@ -538,7 +539,7 @@ class TestCachedLocator:
         cluster.run(until=cluster.now + 0.5)
         delta = cluster.fabric.stats.delta_since(before)
         assert delta.get("type:locate.bcast", 0) == 5
-        assert cluster.events.delivered >= 1
+        assert cluster.metrics()["events.execute.delivered"] >= 1
 
     def test_dead_target_detected_and_notified(self):
         """§7.2 still holds behind the cache: posting to a dead thread
@@ -559,7 +560,7 @@ class TestCachedLocator:
         cluster.run()
         with pytest.raises(DeadThreadError):
             future.result()
-        assert cluster.events.dead_targets >= 1
+        assert cluster.metrics()["events.post.dead_targets"] >= 1
 
     def test_hint_table_is_bounded_lru(self):
         from repro.events.locate import LocationHintTable

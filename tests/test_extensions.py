@@ -110,7 +110,7 @@ class TestWatchdog:
         cluster.spawn(monitor, "start_watchdog", 0.1, at=1)
         cluster.run(until=3.0)
         assert thread.completion.result() == "healthy"
-        assert cluster.events.dead_targets == 0
+        assert cluster.metrics()["events.post.dead_targets"] == 0
 
     def test_stop_watchdog(self):
         cluster = make_cluster(n_nodes=2)

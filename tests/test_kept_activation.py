@@ -166,7 +166,7 @@ def _run(scenario):
         "thread": (thread.state, _fate(thread.completion)),
         "raiser": future and _fate(future), "surrogates": len(parked),
         "now": round(cluster.now, 9), "messages": cluster.message_stats(),
-        "failures": cluster.events.handler_failures,
+        "failures": cluster.metrics()["events.execute.handler_failures"],
         "scheduled": cluster.scheduler_stats()["scheduled"],
     }
 

@@ -136,9 +136,9 @@ class TestDetection:
                       if peer == victim]
             assert "suspect" in states
             assert states.index("suspect") < states.index("dead")
-        stats = cluster.membership_stats()
-        assert stats["suspicions"] >= 1
-        assert stats["confirms"] >= 3
+        stats = cluster.metrics()
+        assert stats["kernel.membership.suspicions"] >= 1
+        assert stats["kernel.membership.confirms"] >= 3
 
     def test_view_api_reflects_self_state(self):
         cluster = swim_cluster(n_nodes=3)
@@ -163,7 +163,7 @@ class TestDetection:
         assert victim.refutations >= 1
         for node in (0, 1, 3):
             assert cluster.kernels[node].membership.is_alive(2)
-        assert cluster.membership_stats()["view_suspect"] == 0
+        assert cluster.metrics()["kernel.membership.view_suspect"] == 0
 
     def test_recover_rejoins_with_higher_incarnation(self):
         cluster = swim_cluster()
@@ -178,9 +178,9 @@ class TestDetection:
         for node in (0, 1, 2):
             membership = cluster.kernels[node].membership
             assert membership.is_alive(victim), membership.stats()
-        stats = cluster.membership_stats()
-        assert stats["rejoins"] == 1
-        assert stats["resurrections"] >= 3
+        stats = cluster.metrics()
+        assert stats["kernel.membership.rejoins"] == 1
+        assert stats["kernel.membership.resurrections"] >= 3
 
     def test_graceful_leave_converges_without_suspicion_cycle(self):
         cluster = swim_cluster(n_nodes=5)
@@ -192,8 +192,8 @@ class TestDetection:
         run_periods(cluster, 8)
         for node in (0, 1, 3, 4):
             assert cluster.kernels[node].membership.is_dead(2)
-        stats = cluster.membership_stats()
-        assert stats["leaves"] == 1
+        stats = cluster.metrics()
+        assert stats["kernel.membership.leaves"] == 1
         cluster.recover_node(2)
         run_periods(cluster, 40)
         assert all(cluster.kernels[n].membership.is_alive(2)
@@ -226,7 +226,7 @@ class TestPiggyback:
             cluster.raise_event("PING", cap, from_node=0, user_data=i)
             run_periods(cluster, 2)
         assert carried, "no membership update rode an application message"
-        assert cluster.membership_stats()["updates_piggybacked"] > 0
+        assert cluster.metrics()["kernel.membership.updates_piggybacked"] > 0
 
     def test_indirect_probes_cover_a_severed_direct_link(self):
         cluster = swim_cluster(n_nodes=4)
@@ -236,7 +236,7 @@ class TestPiggyback:
         cluster.fabric.faults.partition({0}, {3})
         run_periods(cluster, 60)
         assert not cluster.kernels[0].membership.is_dead(3)
-        assert cluster.membership_stats()["ping_reqs_relayed"] >= 1
+        assert cluster.metrics()["kernel.membership.ping_reqs_relayed"] >= 1
 
 
 # ======================================================================
@@ -350,7 +350,7 @@ class TestKnobsOffUnchanged:
             assert kernel.membership._timer is None
             assert all(v == 0 for k, v in kernel.membership.stats().items()
                        if not k.startswith("view_"))
-        assert "membership_pings_sent" not in cluster.supervision_stats()
+        assert "kernel.membership.pings_sent" not in cluster.metrics()
 
     def test_no_gossip_field_without_swim(self):
         cluster = make_cluster(n_nodes=3, reliable_delivery=True)
@@ -372,7 +372,8 @@ class TestKnobsOffUnchanged:
     def test_chaos_defaults_digest_untouched_by_churn_knobs(self):
         spec = ChaosSpec(seed=11, posts=30)
         first = run_chaos(spec)
-        assert first.membership == {}
+        assert not any(key.startswith("kernel.membership.")
+                       for key in first.metrics)
         assert first.churn_events == []
         # Adding the *fields* at their defaults draws nothing extra from
         # the seeded stream: digest identical.
@@ -398,7 +399,7 @@ class TestChurnChaos:
         assert report.violations == []
         assert report.accounted_rate == 1.0
         assert report.churn_events
-        assert report.membership["rejoins"] >= 1
+        assert report.metrics["kernel.membership.rejoins"] >= 1
         assert report.digest == run_chaos(spec).digest
 
     def test_churn_off_leaves_no_trace(self):

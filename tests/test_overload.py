@@ -206,10 +206,10 @@ class TestSheddingPolicies:
         # Every post accounted: executed or shed-with-notice.
         assert sink.seen + len(noticed) == 20
         assert len(noticed) > 0
-        sup = cluster.supervision_stats()
-        assert sup["admission_shed_dropped"] == len(noticed)
-        assert sup["admission_gate_depth"] == 0  # all charges released
-        assert sup["admission_shed_windows"] >= 1
+        sup = cluster.metrics()
+        assert sup["events.admission.shed_dropped"] == len(noticed)
+        assert sup["events.admission.depth"] == 0  # all charges released
+        assert sup["events.admission.shed_windows"] >= 1
 
     def test_sync_raiser_gets_overload_error(self):
         cluster = _rig(admission_high=2, overload_policy="drop")
@@ -237,7 +237,7 @@ class TestSheddingPolicies:
         # post exactly-once and nobody needs a notice.
         assert cluster.get_object(cap).seen == 20
         assert not noticed
-        assert cluster.supervision_stats()["admission_shed_degraded"] > 0
+        assert cluster.metrics()["events.admission.shed_degraded"] > 0
 
     def test_degraded_post_on_a_real_wire_is_confirmed_not_noticed(
             self, serializing_wire, conclusions):
@@ -252,14 +252,14 @@ class TestSheddingPolicies:
             cluster.events.raise_external(EVT, cap, from_node=0,
                                           user_data=pid)
         cluster.run()
-        sup = cluster.supervision_stats()
-        assert sup["admission_shed_degraded"] > 0
+        sup = cluster.metrics()
+        assert sup["events.admission.shed_degraded"] > 0
         assert cluster.get_object(cap).seen == 12
         assert not noticed
-        assert sup["degrade_unconfirmed"] == 0
-        assert sup["admission_gate_depth"] == 0  # every charge went back
+        assert sup["events.supervise.degrade_unconfirmed"] == 0
+        assert sup["events.admission.depth"] == 0  # every charge went back
         assert (cluster.message_stats()["type:degrade.done"]
-                == sup["admission_shed_degraded"])
+                == sup["events.admission.shed_degraded"])
         conclusions.check()
 
     @pytest.mark.parametrize("wire", ["shared", "serializing"])
@@ -284,12 +284,13 @@ class TestSheddingPolicies:
             EVT, cap, from_node=0, user_data=pid, synchronous=pid == 5)
             for pid in range(8)]
         cluster.run()
-        sup = cluster.supervision_stats()
-        degraded = sup["admission_shed_degraded"]
+        sup = cluster.metrics()
+        degraded = sup["events.admission.shed_degraded"]
         assert degraded > 0
         assert cluster.get_object(cap).seen == 8  # every post ran once
-        assert len(errors) == sup["degrade_unconfirmed"] == degraded
-        assert sup["admission_gate_depth"] == 0  # released by the notice
+        assert (len(errors) == sup["events.supervise.degrade_unconfirmed"]
+                == degraded)
+        assert sup["events.admission.depth"] == 0  # released by the notice
         sync = futures[5]
         assert sync.done and not sync.failed  # resumed by the handler
 
@@ -310,13 +311,13 @@ class TestSheddingPolicies:
         cluster.crash_node(1)
         cluster.recover_node(1)
         cluster.run()
-        sup = cluster.supervision_stats()
-        degraded = sup["admission_shed_degraded"]
+        sup = cluster.metrics()
+        degraded = sup["events.admission.shed_degraded"]
         assert degraded > 0
         assert cluster.get_object(cap).seen == 1
         assert sorted(told) == list(range(1, 8))  # each once
-        assert sup["degrade_unconfirmed"] == degraded
-        assert sup["admission_gate_depth"] == 0
+        assert sup["events.supervise.degrade_unconfirmed"] == degraded
+        assert sup["events.admission.depth"] == 0
         conclusions.check()
 
     def test_post_deadline_fires_for_shed_posts(self):
@@ -356,7 +357,7 @@ class TestSheddingPolicies:
         assert store["pending"] == 0
         assert store["deferred"] > 0
         assert store["redelivered"] >= store["deferred"]
-        assert cluster.supervision_stats()["admission_shed_deferred"] > 0
+        assert cluster.metrics()["events.admission.shed_deferred"] > 0
 
     def test_crash_returns_the_charge_of_queued_posts(self):
         """Posts queued behind a slow handler on a node that crashes
@@ -374,7 +375,7 @@ class TestSheddingPolicies:
         cluster.run(until=cluster.now + 5.0)
         sink = cluster.get_object(cap)
         assert sink.seen == 1 and noticed == {1, 2, 3, 4, 5}
-        assert cluster.supervision_stats()["admission_gate_depth"] == 0
+        assert cluster.metrics()["events.admission.depth"] == 0
         for pid in range(10, 20):  # paced: two or three in flight
             cluster.events.raise_external(EVT, cap, from_node=0,
                                           user_data=pid)
@@ -521,7 +522,7 @@ class TestChaosOverload:
         assert report.violations == []
         assert report.accounted_rate == 1.0
         # Crash-window queue buildup actually tripped the gate.
-        assert report.supervision["admission_shed_dropped"] > 0
+        assert report.metrics["events.admission.shed_dropped"] > 0
 
     def test_durable_overload_with_crashes_loses_nothing(self):
         spec = ChaosSpec(posts=80, overload=2.0, durable=True,
@@ -546,14 +547,12 @@ class TestChaosOverload:
 # ======================================================================
 
 class TestStatsSurfacing:
-    def test_admission_counters_always_in_supervision_stats(self):
+    def test_admission_counters_always_in_metrics(self):
         cluster = _rig()
-        sup = cluster.supervision_stats()
-        for key in ("admission_admitted", "admission_shed_dropped",
-                    "admission_shed_degraded", "admission_shed_deferred",
-                    "admission_gate_depth", "admission_gate_depth_hwm",
-                    "admission_shed_windows"):
-            assert key in sup
+        sup = cluster.metrics()
+        for key in ("admitted", "shed_dropped", "shed_degraded",
+                    "shed_deferred", "depth", "depth_hwm", "shed_windows"):
+            assert "events.admission." + key in sup
 
     def test_outbox_stats_keys_gated_on_nonzero(self):
         cluster = _rig(durable_delivery=True)

@@ -342,7 +342,7 @@ def test_watchdog_cancelled_inside_its_own_expiry(scheduler):
     for post in range(3):
         cluster.raise_event("EVT", cap, from_node=0, user_data=post)
     cluster.run(until=1.0)
-    assert cluster.supervision_stats()["handler_timeouts"] == 3
+    assert cluster.metrics()["events.supervise.handler_timeouts"] == 3
     stats = cluster.scheduler_stats()
     # the three cancellations are the killed handlers' 100 s sleeps
     assert (stats["pending"], stats["cancellations"]) == (0, 3)

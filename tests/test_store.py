@@ -219,4 +219,4 @@ class TestClusterStore:
         assert store.journal(0) is j0
         assert store.journal(1) is not j0
         j0.append(REC_POST, entry_id=(0, 1))
-        assert store.stats()["appends"] == 1
+        assert j0.stats()["appends"] == 1

@@ -136,8 +136,8 @@ class TestWatchdog:
         cluster.raise_event("EVT", thread.tid, from_node=1)
         cluster.run(until=start + 1.0)
         assert thread.state == "blocked"  # resumed back into its sleep
-        stats = cluster.supervision_stats()
-        assert stats["handler_timeouts"] == 1
+        stats = cluster.metrics()
+        assert stats["events.supervise.handler_timeouts"] == 1
         # No HANDLER_TIMEOUT subscription: no extra notice was raised.
         assert not any(r.category == "event" and r.name == "deliver"
                        and r.get("event") == "HANDLER_TIMEOUT"
@@ -165,7 +165,7 @@ class TestWatchdog:
         cluster.raise_event("EVT", thread.tid, from_node=1, user_data="x")
         cluster.run(until=1.0)
         assert handled == ["x"]
-        assert cluster.supervision_stats()["handler_timeouts"] == 1
+        assert cluster.metrics()["events.supervise.handler_timeouts"] == 1
 
     def test_handler_timeout_event_delivered_to_subscriber(self):
         cluster = _rig(n_nodes=2, handler_deadline=0.05)
@@ -186,7 +186,7 @@ class TestWatchdog:
         cluster.raise_event("EVT", thread.tid, from_node=1)
         cluster.run(until=1.0)
         assert thread.state == "blocked"
-        assert cluster.supervision_stats()["handler_timeouts"] == 1
+        assert cluster.metrics()["events.supervise.handler_timeouts"] == 1
 
     def test_no_deadline_means_the_handler_hangs(self):
         """The pre-supervision contrast: without a watchdog the hung
@@ -198,7 +198,7 @@ class TestWatchdog:
         cluster.raise_event("EVT", thread.tid, from_node=1)
         cluster.run(until=2.0)
         assert thread.delivering_block is not None  # still mid-delivery
-        assert cluster.supervision_stats()["handler_timeouts"] == 0
+        assert cluster.metrics()["events.supervise.handler_timeouts"] == 0
 
     def test_object_handler_watchdog_unwedges_the_master(self):
         hits = []
@@ -218,7 +218,7 @@ class TestWatchdog:
         cluster.run(until=2.0)
         # Post 0 hung and was killed at the deadline; post 1 still ran.
         assert hits == [0, 1]
-        assert cluster.supervision_stats()["handler_timeouts"] >= 1
+        assert cluster.metrics()["events.supervise.handler_timeouts"] >= 1
 
 class Slow(DistObject):
     """EVT handler that runs for ``user_data`` virtual seconds."""
@@ -321,7 +321,7 @@ class TestObjectHandlerExitsOnce:
             ["RuntimeError"], [1], [2], ["flaky"]]
         assert [f.result() for f in futures] == ["flaky", 1, 2]
         assert cluster.kernels[0].objects.handler_threads_created == 1
-        assert cluster.supervision_stats()["chain_retries"] == 1
+        assert cluster.metrics()["events.supervise.chain_retries"] == 1
         assert conclusions.count("executed") == 3
         conclusions.check()
 
@@ -344,7 +344,7 @@ class TestObjectHandlerExitsOnce:
         objects = cluster.kernels[0].objects
         assert objects.handler_threads_created == 2
         assert not objects._master.frames
-        assert cluster.supervision_stats()["handler_timeouts"] == 1
+        assert cluster.metrics()["events.supervise.handler_timeouts"] == 1
         conclusions.check()
         assert cluster.quiescent()
 
@@ -368,7 +368,7 @@ class TestObjectHandlerExitsOnce:
         assert [f.result() for f in futures] == [0, 1, 2]
         with pytest.raises(DeadThreadError):
             terminate.result()
-        assert cluster.events.dead_targets == 1
+        assert cluster.metrics()["events.post.dead_targets"] == 1
         assert objects.handler_threads_created == 1
         assert objects._master.wait_kind == "parked"
         assert not objects._master.frames
@@ -399,7 +399,7 @@ class TestObjectHandlerExitsOnce:
         with pytest.raises(DeadThreadError):
             terminate.result()
         assert self._exits(handler_exits) == [[0], [1], [2]]
-        assert cluster.events.dead_targets == 1
+        assert cluster.metrics()["events.post.dead_targets"] == 1
         assert not cluster.kernels[0].objects._queue
         conclusions.check()
         assert cluster.quiescent()
@@ -426,7 +426,7 @@ class TestObjectHandlerExitsOnce:
         cluster.run(until=1.0)
         assert [f.result() for f in futures] == [0, 1, 2]
         assert self._exits(handler_exits) == [[0], [1], [2]]
-        assert cluster.events.dead_targets == 1
+        assert cluster.metrics()["events.post.dead_targets"] == 1
         assert not objects._queue
         assert objects.handler_threads_created == 1
         assert objects._master.wait_kind == "parked"
@@ -503,7 +503,7 @@ class TestObjectHandlerExitsOnce:
         with pytest.raises(HandlerTimeout):
             tied.result()
         assert after.result() == "slept 0.01"
-        assert cluster.supervision_stats()["handler_timeouts"] == 1
+        assert cluster.metrics()["events.supervise.handler_timeouts"] == 1
         conclusions.check()
 
     def test_watchdog_firing_behind_the_exit_in_one_instant_is_a_no_op(
@@ -539,7 +539,7 @@ class TestObjectHandlerExitsOnce:
         cluster.run(until=1.0)
         assert late == [0.01] and future.result() == "returned"
         assert self._exits(handler_exits) == [["returned"]]
-        assert cluster.supervision_stats()["handler_timeouts"] == 0
+        assert cluster.metrics()["events.supervise.handler_timeouts"] == 0
         master = cluster.kernels[0].objects._master
         assert master.alive and master.wait_kind == "parked"
         conclusions.check()
@@ -596,7 +596,7 @@ class TestResidentSurrogateWatchdog:
             (2, "start"), (2, "end")]
         first, hung, fresh = log[0][2], log[2][2], log[3][2]
         assert first == hung != fresh
-        assert cluster.supervision_stats()["handler_timeouts"] == 1
+        assert cluster.metrics()["events.supervise.handler_timeouts"] == 1
         assert seen == [{"event": "EVT", "deadline": 0.05}]  # raised once
         destroyed = cluster.tracer.select("thread", "destroy")
         assert [r.get("tid") for r in destroyed] == [str(hung)]
@@ -619,7 +619,7 @@ class TestResidentSurrogateWatchdog:
         assert [(pos, what) for pos, what, _ in log] == [
             (0, "start"), (0, "end"), (1, "start"), (1, "end")]
         assert len({real for _, _, real in log}) == 1
-        assert cluster.supervision_stats()["handler_timeouts"] == 0
+        assert cluster.metrics()["events.supervise.handler_timeouts"] == 0
         assert seen == []
         assert cancelled == 2  # both watchdogs disarmed at handler exit
         assert thread.state == "blocked"
@@ -673,7 +673,7 @@ class TestBuddySupervision:
         cluster.run(until=cluster.now + 3.0)
         assert handled == {0: 1}
         assert cluster.get_object(buddy).served == []
-        assert cluster.supervision_stats()["handler_retries"] == 2
+        assert cluster.metrics()["events.supervise.handler_retries"] == 2
 
     def test_breaker_opens_skips_and_closes_after_recovery(self):
         cluster, buddy, thread, handled = _buddy_rig(
@@ -684,11 +684,11 @@ class TestBuddySupervision:
             cluster.sim.call_at(t0 + 0.3 * (pid + 1), cluster.raise_event,
                                 "EVT", thread.tid, 0, pid)
         cluster.run(until=t0 + 1.1)
-        stats = cluster.supervision_stats()
+        stats = cluster.metrics()
         # Two give-ups opened the breaker; the third post was skipped
         # straight to the fallback without touching the network.
-        assert stats["breaker_opens"] == 1
-        assert stats["breaker_skips"] == 1
+        assert stats["events.supervise.breaker_opens"] == 1
+        assert stats["events.supervise.breaker_skips"] == 1
         assert handled == {0: 1, 1: 1, 2: 1}
         assert cluster.events.supervisor.breaker_state(
             buddy.oid, "EVT") == OPEN
@@ -696,9 +696,9 @@ class TestBuddySupervision:
         cluster.run(until=cluster.now + 1.5)  # past the reset window
         cluster.raise_event("EVT", thread.tid, from_node=0, user_data=3)
         cluster.run(until=cluster.now + 1.0)
-        stats = cluster.supervision_stats()
-        assert stats["breaker_half_opens"] == 1
-        assert stats["breaker_closes"] == 1
+        stats = cluster.metrics()
+        assert stats["events.supervise.breaker_half_opens"] == 1
+        assert stats["events.supervise.breaker_closes"] == 1
         assert cluster.events.supervisor.breaker_state(
             buddy.oid, "EVT") == CLOSED
         assert cluster.get_object(buddy).served == [3]
@@ -710,8 +710,8 @@ class TestBuddySupervision:
         start = cluster.now
         cluster.raise_event("EVT", thread.tid, from_node=0, user_data=0)
         cluster.run(until=start + 1.0)
-        stats = cluster.supervision_stats()
-        assert stats["fast_fails"] >= 1
+        stats = cluster.metrics()
+        assert stats["events.supervise.fast_fails"] >= 1
         assert handled == {0: 1}
 
     def test_breaker_skip_then_detach_leaves_a_clean_chain(self):
@@ -724,9 +724,9 @@ class TestBuddySupervision:
         cluster.run(until=cluster.now + 1.0)
         cluster.raise_event("EVT", thread.tid, from_node=0, user_data=1)
         cluster.run(until=cluster.now + 1.0)
-        stats = cluster.supervision_stats()
-        assert stats["breaker_opens"] == 1
-        assert stats["breaker_skips"] == 1
+        stats = cluster.metrics()
+        assert stats["events.supervise.breaker_opens"] == 1
+        assert stats["events.supervise.breaker_skips"] == 1
         # Detach the (skipped) buddy registration — top of the LIFO chain.
         popped = thread.attributes.detach_top("EVT")
         assert popped is not None and popped.context is HandlerContext.BUDDY
@@ -734,7 +734,7 @@ class TestBuddySupervision:
         cluster.run(until=cluster.now + 1.0)
         assert handled == {0: 1, 1: 1, 2: 1}
         # The buddy was never consulted again: no further skip counted.
-        assert cluster.supervision_stats()["breaker_skips"] == 1
+        assert cluster.metrics()["events.supervise.breaker_skips"] == 1
 
 
 # ======================================================================
@@ -745,30 +745,30 @@ class TestFailureDetector:
     def test_crash_suspect_recover_trust(self):
         cluster = make_cluster(n_nodes=3, swim_interval=0.02)
         cluster.run(until=0.3)
-        assert cluster.supervision_stats()["membership_suspicions"] == 0
+        assert cluster.metrics()["kernel.membership.suspicions"] == 0
         cluster.crash_node(1)
         cluster.run(until=0.8)
         assert cluster.kernels[0].membership.is_failed(1)
         assert cluster.kernels[2].membership.is_failed(1)
-        stats = cluster.supervision_stats()
-        assert stats["membership_suspicions"] >= 2
-        assert (stats["membership_view_suspect"]
-                + stats["membership_view_dead"]) >= 2
+        stats = cluster.metrics()
+        assert stats["kernel.membership.suspicions"] >= 2
+        assert (stats["kernel.membership.view_suspect"]
+                + stats["kernel.membership.view_dead"]) >= 2
         cluster.recover_node(1)
         cluster.run(until=1.5)
         assert not cluster.kernels[0].membership.is_failed(1)
         assert not cluster.kernels[2].membership.is_failed(1)
-        stats = cluster.supervision_stats()
-        assert stats["membership_resurrections"] >= 2
-        assert (stats["membership_view_suspect"]
-                + stats["membership_view_dead"]) == 0
+        stats = cluster.metrics()
+        assert stats["kernel.membership.resurrections"] >= 2
+        assert (stats["kernel.membership.view_suspect"]
+                + stats["kernel.membership.view_dead"]) == 0
 
     def test_disabled_detector_sends_nothing(self):
         cluster = make_cluster(n_nodes=3)
         cluster.run(until=0.5)
         assert cluster.fabric.stats.count_prefix("swim.") == 0
-        assert not any(key.startswith("membership_")
-                       for key in cluster.supervision_stats())
+        assert not any(key.startswith("kernel.membership.")
+                       for key in cluster.metrics())
 
 
 # ======================================================================
@@ -810,10 +810,10 @@ class TestDeadLetterQuarantine:
         assert dead[0].failures == 2
         assert dead[0].block.user_data == 42
         assert "poison pill" in dead[0].error
-        stats = cluster.supervision_stats()
-        assert stats["quarantined"] == 1
-        assert stats["chain_retries"] == 1
-        assert stats["dead_letters_held"] == 1
+        stats = cluster.metrics()
+        assert stats["events.supervise.quarantined"] == 1
+        assert stats["events.supervise.chain_retries"] == 1
+        assert stats["events.supervise.held"] == 1
         assert thread.state == "blocked"  # the thread itself moved on
 
     def test_sync_raiser_fails_with_quarantine_error(self):
@@ -835,10 +835,9 @@ class TestDeadLetterQuarantine:
         cluster.run(until=cluster.now + 1.0)
         assert handled == [7]
         assert cluster.dead_letters() == []
-        stats = cluster.supervision_stats()
-        assert stats["requeued"] == 1
-        assert stats["dead_letters_requeued"] == 1
-        assert stats["dead_letters_held"] == 0
+        stats = cluster.metrics()
+        assert stats["events.supervise.requeued"] == 1
+        assert stats["events.supervise.held"] == 0
         # Unknown ids are reported, not raised.
         assert not cluster.requeue_dead_letter(0, 999)
 
@@ -857,8 +856,8 @@ class TestDeadLetterQuarantine:
         (dead,) = cluster.dead_letters(0)
         assert dead.reason == "undeliverable"
         assert dead.block.user_data == "lost"
-        stats = cluster.supervision_stats()
-        assert stats["dead_letter_undeliverable"] == 1
+        stats = cluster.metrics()
+        assert stats["events.supervise.dead_letter_undeliverable"] == 1
         # After recovery the dead letter is requeueable and finally lands.
         cluster.recover_node(2)
         cluster.run(until=cluster.now + 0.5)
@@ -944,7 +943,7 @@ class TestHandlerFailureStat:
         cluster.run(until=0.1)
         cluster.raise_event("EVT", thread.tid, from_node=1)
         cluster.run(until=1.0)
-        assert cluster.events.handler_failures == 1
+        assert cluster.metrics()["events.execute.handler_failures"] == 1
         assert any(r.category == "event" and r.name == "handler-error"
                    for r in cluster.tracer.records)
         assert thread.state == "blocked"  # fell through to default RESUME
@@ -1145,12 +1144,12 @@ class TestKnobsOffUnchanged:
 
     def test_knobs_off_runs_show_zero_supervision_activity(self):
         report = run_chaos(ChaosSpec(seed=5, posts=40))
-        sup = report.supervision
+        sup = report.metrics
         for counter in ("handler_timeouts", "handler_retries",
                         "breaker_opens", "breaker_skips", "fast_fails",
                         "chain_retries", "quarantined", "requeued",
-                        "dead_letters_quarantined"):
-            assert sup[counter] == 0, (counter, sup)
+                        "dead_letter_undeliverable"):
+            assert sup["events.supervise." + counter] == 0, (counter, sup)
         # the detector is off: it reports nothing at all
-        assert not any(key.startswith("membership_") for key in sup)
+        assert not any(key.startswith("kernel.membership.") for key in sup)
         assert report.quarantined == set()

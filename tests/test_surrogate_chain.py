@@ -197,7 +197,7 @@ class TestOneSurrogatePerChain:
         cluster.run(until=1.0)
         assert [pos for pos, *_ in log] == [0, 1, 2]
         assert len({real for _, _, real, _ in log}) == 1
-        assert cluster.events.handler_failures == 1
+        assert cluster.metrics()["events.execute.handler_failures"] == 1
         assert len(_surrogate_lifecycle(cluster)[0]) == 1
         assert thread.state == "blocked"
 
@@ -265,7 +265,7 @@ class TestOwnerDiesMidChain:
         assert thread.state == "terminated"
         assert surrogate.alive and surrogate.frames
         cluster.run(until=cluster.now + 1.0)
-        assert cluster.events.dead_targets == 1
+        assert cluster.metrics()["events.post.dead_targets"] == 1
         with pytest.raises(DeadThreadError):
             future.result()
         # ... and its surrogate retires when that frame exits, with no
@@ -283,7 +283,7 @@ class TestOwnerDiesMidChain:
         cluster.crash_node(0)
         cluster.run(until=cluster.now + 1.0)
         assert not thread.alive
-        assert cluster.events.dead_targets == 1
+        assert cluster.metrics()["events.post.dead_targets"] == 1
         with pytest.raises(DeadThreadError):
             future.result()
         assert _live_surrogates(cluster) == []
@@ -324,14 +324,14 @@ def test_chain_retries_share_the_parked_surrogate():
                                 poison_threshold=3, handler_backoff=0.05)
     cluster.raise_event("EVT", thread.tid, from_node=1)
     cluster.run(until=cluster.now + 0.03)  # inside the first backoff
-    assert cluster.supervision_stats()["chain_retries"] == 1
+    assert cluster.metrics()["events.supervise.chain_retries"] == 1
     assert thread.delivering_block is not None
     surrogate = _parked_with(cluster, thread)  # parked through the backoff
     cluster.run(until=cluster.now + 1.0)
     assert [pos for pos, *_ in log] == [0, 0, 0]
     # every attempt ran on it (each on its own surrogate before)
     assert {real for _, _, real, _ in log} == {surrogate.tid}
-    assert cluster.supervision_stats()["quarantined"] == 1
+    assert cluster.metrics()["events.supervise.quarantined"] == 1
     assert _parked_with(cluster, thread) is surrogate
 
 
@@ -390,7 +390,7 @@ def test_post_to_a_surrogates_own_tid_is_a_dead_target(locator, parked,
     assert asynchronous.result() == 1  # routed to one recipient ...
     with pytest.raises(DeadThreadError):  # ... who is not there
         waited.result()
-    assert cluster.events.dead_targets == 2
+    assert cluster.metrics()["events.post.dead_targets"] == 2
     assert len(log) == 3 and not surrogate.pending_notices
     assert _parked_with(cluster, thread) is surrogate
     conclusions.check()
@@ -439,7 +439,7 @@ def test_post_to_an_object_loop_threads_own_tid_is_a_dead_target(
     assert asynchronous.result() == 1
     with pytest.raises(DeadThreadError):
         waited.result()
-    assert cluster.events.dead_targets == 2
+    assert cluster.metrics()["events.post.dead_targets"] == 2
     assert log == [0, 1] and not loop.pending_notices
     conclusions.check()
     assert conclusions.count("noticed") == 2

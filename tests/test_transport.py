@@ -540,6 +540,11 @@ class TestAsyncioTransport:
                 cluster.run(until=cluster.now + 0.1)
             assert cluster.get_object(cap).seen == 5
             assert cluster.transport_stats()["backend"] == "tcp"
+            # metrics() holds counters only: no wall-clock reading
+            metrics = cluster.metrics()
+            assert all(type(value) is int for value in metrics.values())
+            assert "transport.realtime.now" not in metrics
+            assert metrics["transport.tcp.frames_sent"] > 0
         finally:
             cluster.close()
 
