@@ -88,7 +88,7 @@ class Bank(DistObject):
 
 
 def main() -> None:
-    cluster = Cluster(ClusterConfig(n_nodes=4, trace_net=False))
+    cluster = Cluster(ClusterConfig(n_nodes=4))
     cluster.register_event("AUDIT")
     mgr = cluster.create_object(LockManager, node=3)
     bank = cluster.create_object(Bank, node=0, transport=TRANSPORT_DSM)

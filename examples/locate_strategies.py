@@ -20,8 +20,7 @@ def main() -> None:
           f"{posts} event posts\n")
     print(f"{'locator':<10} {'msgs/post':>10} {'latency/post (ms)':>18}")
     for locator in ("broadcast", "path", "multicast", "cached"):
-        cluster = Cluster(ClusterConfig(n_nodes=n_nodes, locator=locator,
-                                        trace_net=False))
+        cluster = Cluster(ClusterConfig(n_nodes=n_nodes, locator=locator))
         thread = deep_thread(cluster, depth=depth)
         before = cluster.fabric.stats.sent
         for _ in range(posts):

@@ -19,7 +19,7 @@ def main() -> None:
     print(f"{'mode':<14} {'best':>6} {'explored':>9} {'pruned':>7} "
           f"{'events':>7} {'vtime (ms)':>11}")
     for notify in (True, False):
-        cluster = Cluster(ClusterConfig(n_nodes=4, trace_net=False))
+        cluster = Cluster(ClusterConfig(n_nodes=4))
         result = run_search(cluster, workers=4, space=400, seed=7,
                             notify=notify)
         mode = "notify" if notify else "no-notify"

@@ -54,7 +54,7 @@ def main() -> None:
     cluster = Cluster(ClusterConfig(
         n_nodes=3, transport="tcp",
         reliable_delivery=True, durable_delivery=True,
-        link_latency=1e-3, trace_net=False))
+        link_latency=1e-3))
     try:
         cluster.register_event(PING)
         counters = [cluster.create_object(Counter, node=n)

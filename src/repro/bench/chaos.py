@@ -39,7 +39,7 @@ CHAOS_EVENT = "CHAOS"
 #: otherwise; ``post_deadline`` is the §7.2 backstop (a post unresolved
 #: after this long is undeliverable)
 BASE_CONFIG = {"reliable_delivery": True, "post_deadline": 1.5,
-               "rpc_default_timeout": 0.5, "trace_net": False}
+               "rpc_default_timeout": 0.5}
 
 
 class ChaosHandlerFault(Exception):
@@ -367,6 +367,7 @@ def run_chaos(spec: ChaosSpec) -> ChaosReport:
         **BASE_CONFIG, "n_nodes": spec.n_nodes, "seed": spec.seed,
         "locator": spec.locator, "durable_delivery": spec.durable,
         **spec.config}))
+    cluster.tracer.mute("net")  # E16's churn floor is messages per second
     cluster.register_event(CHAOS_EVENT)
     sim, faults = cluster.sim, cluster.fabric.faults
 

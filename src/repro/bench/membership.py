@@ -46,8 +46,7 @@ MEMBER_EVENT = "SCALE"  # reuse the ScaleSink handler event
 
 def _idle_cluster(n_nodes: int, interval: float, seed: int) -> Cluster:
     cluster = Cluster(ClusterConfig(n_nodes=n_nodes, seed=seed,
-                                    swim_interval=interval,
-                                    trace_net=False))
+                                    swim_interval=interval))
     cluster.tracer.mute(*MUTED_CATEGORIES)
     return cluster
 
@@ -327,7 +326,7 @@ def run_churn_sharded(n_nodes: int, shard_count: int, seed: int = 7,
     config = ClusterConfig(
         n_nodes=n_nodes, seed=seed, transport="sharded",
         shard_count=shard_count, link_latency=5e-3,
-        swim_interval=0.05, trace_net=False)
+        swim_interval=0.05)
     started = time.perf_counter()
     report = run_sharded(config, "repro.bench.membership:churn_scenario",
                          scenario_args=args, until=until)

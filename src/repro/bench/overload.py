@@ -46,7 +46,7 @@ OVERLOAD_EVENT = "OVERLOAD"
 
 #: what every overload cluster runs with unless ``OverloadSpec.config``
 #: says otherwise
-BASE_CONFIG = {"reliable_delivery": True, "trace_net": False}
+BASE_CONFIG = {"reliable_delivery": True}
 
 #: offered-load multiples for the knee sweep (1.0 = service capacity)
 KNEE_MULTIPLES = (0.5, 0.8, 1.2, 2.0, 3.0)

@@ -93,7 +93,7 @@ class ScaleSpec:
     remote_fraction: float = 0.3
     #: :class:`~repro.ClusterConfig` overrides laid over the scale base:
     #: ``link_latency=5e-3`` (the cross-node latency doubles as the
-    #: sharded lookahead window) and ``trace_net=False``
+    #: sharded lookahead window)
     config: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -102,8 +102,7 @@ class ScaleSpec:
 
     def cluster_config(self, **backend: Any) -> ClusterConfig:
         return ClusterConfig(**{
-            "n_nodes": self.n_nodes, "seed": self.seed,
-            "link_latency": 5e-3, "trace_net": False,
+            "n_nodes": self.n_nodes, "seed": self.seed, "link_latency": 5e-3,
             **backend, **self.config})
 
 
@@ -267,7 +266,7 @@ def run_tcp_smoke(n_nodes: int = 3, posts: int = 30,
     """The reliable+durable stack end to end on real loopback TCP."""
     cluster = Cluster(ClusterConfig(
         n_nodes=n_nodes, transport="tcp", reliable_delivery=True,
-        durable_delivery=True, link_latency=1e-3, trace_net=False))
+        durable_delivery=True, link_latency=1e-3))
     try:
         cluster.register_event(SCALE_EVENT)
         sinks = []

@@ -46,7 +46,7 @@ SOAK_EVENT = "SOAK"
 #: what every soak cluster runs with unless ``SoakSpec.config`` says
 #: otherwise: the acceptance criterion is stated for the wheel + slab +
 #: batched-routing path
-BASE_CONFIG = {"scheduler": "wheel", "trace_net": False}
+BASE_CONFIG = {"scheduler": "wheel"}
 
 
 @dataclass

@@ -89,6 +89,7 @@ class Executor:
         self.settle = settle
         self.handler_retries = cluster.config.handler_retries
         self.handler_backoff = cluster.config.handler_backoff
+        self.handler_deadline = cluster.config.handler_deadline
         #: notices whose handling began
         self.delivered = 0
         #: handler surrogates that raised (folded into PROPAGATE)
@@ -272,7 +273,7 @@ class Executor:
             sim = self.sim
             sim.call_at(
                 sim.now + SURROGATE_COST, self._run_on_surrogate, thread,
-                block, node, self.supervisor.effective_deadline(registration),
+                block, node, registration.deadline,
                 None if top is None else top.obj, block, fn, block)
             return
         # ATTACHING / BUDDY: unscheduled invocation of a handler method,
@@ -312,7 +313,7 @@ class Executor:
             return
         self.sim.call_after(
             SURROGATE_COST, self._run_on_surrogate, thread, block, node,
-            self.supervisor.effective_deadline(registration), None, None,
+            registration.deadline, None, None,
             _invoke_frame, obj.cap, registration.fn_name, block)
 
     def _invoke_failed(self, thread: DThread, error: BaseException) -> None:
@@ -346,7 +347,8 @@ class Executor:
         its kept activation (``InvocationEngine.run_frame``): the
         per-thread-memory handler's own, or ``_invoke_frame``. Its exit
         comes back through ``frame_exit``, bound once per surrogate, to
-        the owner's walk. The caller charges ``SURROGATE_COST``.
+        the owner's walk. The caller charges ``SURROGATE_COST``; a
+        ``deadline`` of None is the cluster's ``handler_deadline``.
         """
         entry = thread.walk.entry
         surrogate = thread.chain_surrogate
@@ -356,6 +358,7 @@ class Executor:
                     node, entry, KIND_SURROGATE, attributes=thread.attributes,
                     impersonate=thread.tid))
             surrogate.frame_exit = partial(self._handler_exited, thread)
+        deadline = self.handler_deadline if deadline is None else deadline
         if deadline is not None:
             thread.walk.watchdog = self.supervisor.watch(
                 surrogate, deadline, block, owner=thread)

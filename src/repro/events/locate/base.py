@@ -110,7 +110,8 @@ class BaseLocator:
 
     def _accept(self, node: int, tid: ThreadId, block: EventBlock) -> bool:
         """Hand the notice to the thread if its innermost frame is here."""
-        if not self.cluster.kernels[node].thread_table.innermost_here(tid):
+        tcb = self.cluster.kernels[node].thread_table.get(tid)
+        if tcb is None or not tcb.innermost:
             return False
         return self.enqueue(node, tid, block)
 

@@ -91,7 +91,8 @@ class Poster:
         # location protocol, no messages. This also makes raise-to-self
         # land at the raiser's next yield point (breakpoints, the
         # QUIT -> TERMINATE re-raise of the ^C protocol, ...).
-        if self.kernels[from_node].thread_table.innermost_here(tid):
+        tcb = self.kernels[from_node].thread_table.get(tid)
+        if tcb is not None and tcb.innermost:
             if self.enqueue_for_thread(from_node, tid, block):
                 if "event" not in self.tracer.muted:
                     self.tracer.emit("event", "routed", event=block.event,

@@ -38,7 +38,6 @@ from repro.events.block import EventBlock
 from repro.events.settle import QUARANTINED, Settler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.events.handlers import HandlerRegistration
     from repro.kernel.node import Kernel
     from repro.threads.thread import DThread
 
@@ -124,13 +123,6 @@ class HandlerSupervisor:
         self.counters = {name: 0 for name in self.COUNTERS}
 
     # -- watchdog -----------------------------------------------------
-
-    def effective_deadline(
-            self, registration: "HandlerRegistration") -> float | None:
-        """The watchdog deadline for one registration (None = no watchdog)."""
-        if registration.deadline is not None:
-            return registration.deadline
-        return self.config.handler_deadline
 
     def watch(self, thread: "DThread", deadline: float, block: EventBlock,
               owner: "DThread | None" = None, obj: Any = None) -> list:

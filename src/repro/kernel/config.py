@@ -119,8 +119,8 @@ class ClusterConfig:
     dsm_fields_per_page:
         How many object fields share one DSM page (false sharing knob).
     trace_net:
-        False starts the cluster with ``tracer.mute("net")`` (no
-        per-message trace records) and nothing more.
+        False is ``tracer.mute("net")`` at construction; kept only
+        because ``benchmarks/e17/workloads.py`` passes it.
     """
 
     n_nodes: int = 4

@@ -161,7 +161,7 @@ class Kernel:
             return
         self.crashed = True
         self.fabric.detach(self.node_id)
-        if self.tracer is not None and "kernel" not in self.tracer.muted:
+        if "kernel" not in self.tracer.muted:
             self.tracer.emit("kernel", "crash", node=self.node_id)
         # Kill every thread with a frame here (or rooted here while not
         # yet executing anywhere). Copy: destruction mutates the dict.
@@ -204,7 +204,7 @@ class Kernel:
         replayed, replay_time = self.store.recover()
         self.crashed = False
         self.fabric.attach(self.node_id, self.deliver)
-        if self.tracer is not None and "kernel" not in self.tracer.muted:
+        if "kernel" not in self.tracer.muted:
             self.tracer.emit("kernel", "recover", node=self.node_id,
                              replayed=replayed)
         if self.config.durable_delivery:

@@ -13,7 +13,7 @@ in the system's thread-control blocks".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import KernelError
 
@@ -26,8 +26,6 @@ class Tcb:
     frames: int = 0
     innermost: bool = False
     next_node: int | None = None
-    #: history of nodes this thread invoked into from here (diagnostics)
-    departures: list[int] = field(default_factory=list)
 
 
 class ThreadTable:
@@ -45,10 +43,6 @@ class ThreadTable:
 
     def tids(self) -> list[object]:
         return list(self._tcbs)
-
-    def innermost_here(self, tid: object) -> bool:
-        tcb = self._tcbs.get(tid)
-        return tcb is not None and tcb.innermost
 
     # ------------------------------------------------------------------
     # lifecycle transitions, called by the invocation engine
@@ -69,7 +63,6 @@ class ThreadTable:
         tcb = self._require(tid)
         tcb.innermost = False
         tcb.next_node = to_node
-        tcb.departures.append(to_node)
         return tcb
 
     def thread_returned_here(self, tid: object) -> Tcb:

@@ -42,8 +42,8 @@ class Fabric:
     faults:
         Fault plan (defaults to no faults).
     tracer:
-        Optional structured tracer; send/deliver/drop records are emitted
-        under the ``net`` category.
+        Structured tracer for the ``net`` send/deliver/drop records; by
+        default a private one with ``net`` muted.
     """
 
     def __init__(self, transport: Transport,
@@ -56,6 +56,9 @@ class Fabric:
         self.sim = transport.scheduler
         self.latency = latency or FixedLatency()
         self.faults = faults or FaultPlan()
+        if tracer is None:
+            tracer = Tracer(self.sim)
+            tracer.mute("net")
         self.tracer = tracer
         self.stats = TrafficStats()
         # the transport's endpoint registry itself: one dict probe per
@@ -130,7 +133,7 @@ class Fabric:
         by_type = stats.by_type
         by_type[message.mtype] = by_type.get(message.mtype, 0) + 1
         tracer = self.tracer
-        if tracer is not None and "net" not in tracer.muted:
+        if "net" not in tracer.muted:
             tracer.emit("net", "send", src=message.src, dst=dst,
                         mtype=message.mtype, msg_id=message.msg_id)
         if not routable:
@@ -170,7 +173,7 @@ class Fabric:
 
     def _drop(self, message: Message, dst: int) -> None:
         self.stats.dropped += 1
-        if self.tracer is not None and "net" not in self.tracer.muted:
+        if "net" not in self.tracer.muted:
             self.tracer.emit("net", "drop", src=message.src, dst=dst,
                              mtype=message.mtype, msg_id=message.msg_id)
 
@@ -186,7 +189,7 @@ class Fabric:
             return
         self.stats.delivered += 1
         tracer = self.tracer
-        if tracer is not None and "net" not in tracer.muted:
+        if "net" not in tracer.muted:
             tracer.emit("net", "deliver", src=message.src, dst=dst,
                         mtype=message.mtype, msg_id=message.msg_id)
         endpoint(message)

@@ -148,7 +148,7 @@ class TestSearchWorkload:
             assert candidate.lower_bound <= candidate.value
 
     def test_search_finds_the_optimum(self):
-        cluster = make_cluster(n_nodes=4, trace_net=False)
+        cluster = make_cluster(n_nodes=4)
         result = run_search(cluster, workers=4, space=200, seed=11)
         expected = min(c.value for c in generate_candidates(11, 200))
         assert result.best == expected
@@ -156,7 +156,7 @@ class TestSearchWorkload:
     def test_notification_reduces_exploration(self):
         explored = {}
         for notify in (True, False):
-            cluster = make_cluster(n_nodes=4, trace_net=False)
+            cluster = make_cluster(n_nodes=4)
             result = run_search(cluster, workers=4, space=300, seed=7,
                                 notify=notify)
             explored[notify] = result.explored
@@ -165,17 +165,17 @@ class TestSearchWorkload:
         assert explored[True] < explored[False]
 
     def test_single_worker_degenerate(self):
-        cluster = make_cluster(n_nodes=2, trace_net=False)
+        cluster = make_cluster(n_nodes=2)
         result = run_search(cluster, workers=1, space=100, seed=5)
         assert result.explored + result.pruned == 100
 
     def test_explored_plus_pruned_covers_space(self):
-        cluster = make_cluster(n_nodes=4, trace_net=False)
+        cluster = make_cluster(n_nodes=4)
         result = run_search(cluster, workers=4, space=200, seed=7)
         assert result.explored + result.pruned == 200
 
     def test_events_raised_only_when_notifying(self):
-        cluster = make_cluster(n_nodes=4, trace_net=False)
+        cluster = make_cluster(n_nodes=4)
         result = run_search(cluster, workers=4, space=200, seed=7,
                             notify=False)
         assert result.events_raised == 0

@@ -21,7 +21,7 @@ def _ctrl_c_fingerprint(seed):
 
 
 def _search_fingerprint(seed, notify=True):
-    cluster = Cluster(ClusterConfig(n_nodes=4, seed=seed, trace_net=False))
+    cluster = Cluster(ClusterConfig(n_nodes=4, seed=seed))
     result = run_search(cluster, workers=4, space=200, seed=seed,
                         notify=notify)
     return (result.best, result.explored, result.pruned,
@@ -46,7 +46,7 @@ def _cached_locator_fingerprint(seed):
 
 
 def _pager_fingerprint(seed):
-    cluster = Cluster(ClusterConfig(n_nodes=4, seed=seed, trace_net=False))
+    cluster = Cluster(ClusterConfig(n_nodes=4, seed=seed))
     result = run_pager_workload(cluster, faulters=3, keys_per_thread=2,
                                 writes=2, private_copies=True)
     return (result.vm_faults, result.page_transfers, result.merged_pages,

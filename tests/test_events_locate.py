@@ -178,8 +178,7 @@ class TestPathLocatorSpecifics:
         thread = _deep_thread(cluster, depth=4)
         cluster.raise_event("INTERRUPT", thread.tid, from_node=0)
         cluster.run(until=cluster.now + 0.5)
-        routed = [r for r in cluster.tracer.records
-                  if r.category == "event" and r.name == "routed"]
+        routed = cluster.tracer.select("event", "routed")
         assert routed
         # depth-4 thread: root(0) -> 4 hops along the chain
         assert routed[-1].get("hops") == 4

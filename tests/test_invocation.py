@@ -90,7 +90,7 @@ class TestTcbChains:
         assert cluster.kernels[0].thread_table.get(tid).next_node == 1
         assert cluster.kernels[1].thread_table.get(tid).next_node == 2
         assert cluster.kernels[2].thread_table.get(tid).next_node == 3
-        assert cluster.kernels[3].thread_table.innermost_here(tid)
+        assert cluster.kernels[3].thread_table.get(tid).innermost
         assert thread.current_node == 3
 
     def test_tcbs_cleaned_after_completion(self, cluster):
@@ -115,7 +115,7 @@ class TestTcbChains:
         prober = cluster.create_object(Prober, node=0)
         thread = cluster.spawn(prober, "probe", relay, echo, at=0)
         cluster.run(until=10.0)
-        assert cluster.kernels[0].thread_table.innermost_here(thread.tid)
+        assert cluster.kernels[0].thread_table.get(thread.tid).innermost
         assert thread.tid not in cluster.kernels[1].thread_table
         assert thread.tid not in cluster.kernels[2].thread_table
 

@@ -172,7 +172,7 @@ class TestThreadTable:
     def test_arrival_makes_innermost(self):
         table = ThreadTable(0)
         table.thread_arrived("t")
-        assert table.innermost_here("t")
+        assert table.get("t").innermost
         assert table.get("t").frames == 1
 
     def test_departure_sets_forwarding_pointer(self):
@@ -182,7 +182,6 @@ class TestThreadTable:
         tcb = table.get("t")
         assert not tcb.innermost
         assert tcb.next_node == 3
-        assert tcb.departures == [3]
 
     def test_return_clears_pointer(self):
         table = ThreadTable(0)

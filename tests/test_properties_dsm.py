@@ -67,7 +67,7 @@ class TestCoherenceProperties:
     @given(scripts)
     def test_random_access_patterns_stay_sequentially_consistent(
             self, per_thread_ops):
-        cluster = make_cluster(n_nodes=4, trace_net=False)
+        cluster = make_cluster(n_nodes=4)
         cap = cluster.create_object(SharedWord, node=0,
                                     transport=TRANSPORT_DSM)
         threads = [cluster.spawn(cap, "do_ops", ops, at=i % 4)
@@ -96,7 +96,7 @@ class TestCoherenceProperties:
     @settings(max_examples=15, deadline=None)
     @given(scripts)
     def test_reads_only_return_written_values(self, per_thread_ops):
-        cluster = make_cluster(n_nodes=3, trace_net=False)
+        cluster = make_cluster(n_nodes=3)
         cap = cluster.create_object(SharedWord, node=0,
                                     transport=TRANSPORT_DSM)
         written = {0}  # the field default

@@ -50,7 +50,7 @@ trees = st.recursive(
        n_nodes=st.integers(min_value=1, max_value=6),
        n_objects=st.integers(min_value=1, max_value=5))
 def test_call_trees_compute_model_value(tree, n_nodes, n_objects):
-    cluster = make_cluster(n_nodes=n_nodes, trace_net=False)
+    cluster = make_cluster(n_nodes=n_nodes)
     caps = [cluster.create_object(TreeNode, node=i % n_nodes)
             for i in range(n_objects)]
     thread = cluster.spawn(caps[0], "evaluate", tree, caps, at=0)
@@ -79,7 +79,7 @@ class Parker(DistObject):
 def test_forwarding_chain_matches_frames(plan, n_nodes):
     """At quiescence, walking next_node pointers from the root reaches the
     innermost node, and frame counts per node match the stack."""
-    cluster = make_cluster(n_nodes=n_nodes, trace_net=False)
+    cluster = make_cluster(n_nodes=n_nodes)
     caps = [cluster.create_object(Parker, node=(i % (n_nodes - 1)) + 1
                                   if n_nodes > 1 else 0)
             for i in range(6)]

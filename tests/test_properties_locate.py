@@ -50,8 +50,7 @@ class Wanderer(DistObject):
 )
 def test_post_always_reaches_live_thread(locator, n_nodes, plan,
                                          post_from, posts):
-    cluster = make_cluster(n_nodes=n_nodes, locator=locator,
-                           trace_net=False)
+    cluster = make_cluster(n_nodes=n_nodes, locator=locator)
     cluster.register_event("POKE")
     caps = [cluster.create_object(Wanderer, node=i % n_nodes)
             for i in range(8)]

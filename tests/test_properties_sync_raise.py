@@ -36,7 +36,7 @@ class Member(DistObject):
 )
 def test_group_sync_raise_collects_every_member(members, n_nodes,
                                                 services, raise_from):
-    cluster = make_cluster(n_nodes=n_nodes, trace_net=False)
+    cluster = make_cluster(n_nodes=n_nodes)
     cluster.register_event("PING")
     obj = cluster.create_object(Member, node=1 % n_nodes)
     gid = cluster.new_group()
@@ -68,7 +68,7 @@ def test_group_sync_raise_collects_every_member(members, n_nodes,
 @settings(max_examples=20, deadline=None)
 @given(service=st.floats(min_value=0.0, max_value=0.5, allow_nan=False))
 def test_sync_window_tracks_service_time(service):
-    cluster = make_cluster(n_nodes=3, trace_net=False)
+    cluster = make_cluster(n_nodes=3)
     cluster.register_event("PING")
     obj = cluster.create_object(Member, node=1)
     thread = cluster.spawn(obj, "wait_for_ping", "x", service, at=2)

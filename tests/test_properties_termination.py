@@ -58,8 +58,7 @@ worker_specs = st.lists(
     locator=st.sampled_from(["path", "broadcast", "multicast"]),
 )
 def test_ctrl_c_always_cleans_up(specs, n_nodes, worker_home, locator):
-    cluster = make_cluster(n_nodes=n_nodes, locator=locator,
-                           trace_net=False)
+    cluster = make_cluster(n_nodes=n_nodes, locator=locator)
     mgr = cluster.create_object(LockManager, node=n_nodes - 1)
     root_obj = cluster.create_object(RandomApp, node=0)
     worker_obj = cluster.create_object(RandomApp,

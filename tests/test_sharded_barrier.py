@@ -167,7 +167,7 @@ class TestWorkerTeardown:
                         reason="dying_scenario needs the inherited module")
     def test_dead_worker_raises_clear_error(self):
         config = ClusterConfig(n_nodes=4, transport="sharded",
-                               shard_count=2, trace_net=False)
+                               shard_count=2)
         with pytest.raises(NetworkError,
                            match=r"shard 1 .*(died|failed|exited)"):
             run_sharded(config, "tests.test_sharded_barrier:dying_scenario",
@@ -178,7 +178,7 @@ class TestWorkerTeardown:
                                "module")
     def test_unencodable_cross_shard_payload_fails_the_run(self):
         config = ClusterConfig(n_nodes=4, transport="sharded",
-                               shard_count=2, trace_net=False)
+                               shard_count=2)
         with pytest.raises(
                 NetworkError,
                 match=r"(?s)shard 0 failed.*CodecError: t\.cross: "

@@ -1,6 +1,7 @@
 """Unit tests for seeded RNG streams and the tracer."""
 
 from repro.sim import RngRegistry, Simulator, Tracer
+from repro.sim.trace import TRACE_CAPACITY
 
 
 class TestRngRegistry:
@@ -102,8 +103,32 @@ class TestTracer:
         tracer.mute("b")
         tracer.emit("a", "x")
         tracer.clear()
-        assert tracer.records == []
+        assert not tracer.records
         assert tracer.muted == {"b"}  # clear drops records, not switches
+
+    def test_ring_keeps_the_last_capacity_records(self):
+        sim, tracer = self._tracer()
+        for i in range(2 * TRACE_CAPACITY):
+            tracer.emit("a", "x", i=i)
+        assert len(tracer.records) == TRACE_CAPACITY
+        seqs = [r.seq for r in tracer.records]
+        assert seqs == list(range(TRACE_CAPACITY + 1,
+                                  2 * TRACE_CAPACITY + 1))
+        assert [r.get("i") for r in tracer.records] == [s - 1 for s in seqs]
+        # paging by cursor, from before the retained window: no gap
+        paged, cursor = [], 0
+        for _ in range(TRACE_CAPACITY // 4096):
+            page = tracer.select(after=cursor)[:4096]
+            paged += page
+            cursor = page[-1].seq
+        assert [r.seq for r in paged] == seqs
+        assert tracer.select(after=cursor) == []
+        assert tracer.select("a", after=seqs[-3], i=seqs[-1] - 1) == [
+            tracer.records[-1]]
+        tracer.clear()
+        tracer.emit("a", "y")
+        assert [r.seq for r in tracer.records] == [2 * TRACE_CAPACITY + 1]
+        assert tracer.select(after=cursor) == list(tracer.records)
 
     def test_repr_is_short(self):
         sim, tracer = self._tracer()

@@ -139,9 +139,8 @@ class TestWatchdog:
         stats = cluster.metrics()
         assert stats["events.supervise.handler_timeouts"] == 1
         # No HANDLER_TIMEOUT subscription: no extra notice was raised.
-        assert not any(r.category == "event" and r.name == "deliver"
-                       and r.get("event") == "HANDLER_TIMEOUT"
-                       for r in cluster.tracer.records)
+        assert not cluster.tracer.select("event", "deliver",
+                                         event="HANDLER_TIMEOUT")
 
     def test_timeout_propagates_to_the_next_handler(self):
         cluster = _rig(n_nodes=2, handler_deadline=0.05)
@@ -944,8 +943,7 @@ class TestHandlerFailureStat:
         cluster.raise_event("EVT", thread.tid, from_node=1)
         cluster.run(until=1.0)
         assert cluster.metrics()["events.execute.handler_failures"] == 1
-        assert any(r.category == "event" and r.name == "handler-error"
-                   for r in cluster.tracer.records)
+        assert cluster.tracer.select("event", "handler-error")
         assert thread.state == "blocked"  # fell through to default RESUME
 
 

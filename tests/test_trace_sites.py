@@ -21,6 +21,7 @@ import pytest
 
 import repro
 from repro import Decision, DistObject, entry, on_event
+from repro.bench.workloads import MUTED_CATEGORIES
 from repro.sim.trace import Tracer
 from repro.threads.ids import ThreadId
 from tests.conftest import make_cluster
@@ -57,17 +58,8 @@ def _emit_calls():
 
 
 def _guards(test: ast.expr, tracer: str, category: str) -> bool:
-    """``test`` is ``"<category>" not in <tracer>.muted``, optionally
-    behind ``… is not None and`` links (an optional tracer)."""
-    *front, last = test.values if (
-        isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And)
-    ) else [test]
-    for link in front:
-        if not (isinstance(link, ast.Compare)
-                and isinstance(link.ops[0], ast.IsNot)
-                and ast.unparse(link.comparators[0]) == "None"):
-            return False
-    return ast.unparse(last) == f"'{category}' not in {tracer}.muted"
+    """``test`` is exactly ``"<category>" not in <tracer>.muted``."""
+    return ast.unparse(test) == f"'{category}' not in {tracer}.muted"
 
 
 def test_every_emit_site_tests_the_switch_first():
@@ -87,6 +79,11 @@ def test_every_emit_site_tests_the_switch_first():
                         f"tracer's .muted")
     assert not bare, "unguarded emit sites:\n" + "\n".join(bare)
     assert _emit_calls(), "the walk found no emit site at all"
+
+
+def test_bench_mutes_exactly_the_categories_the_library_emits():
+    emitted = {call.args[0].value for _, _, call in _emit_calls()}
+    assert set(MUTED_CATEGORIES) == emitted
 
 
 # ----------------------------------------------------------------------
@@ -239,19 +236,28 @@ def test_switch_is_read_at_the_site_not_bound_at_build():
     def raise_at(when, pid):
         sim.call_at(t0 + when, cluster.raise_event, EVENT, thread.tid, 1, pid)
 
+    # the last seq stored before each raise's records, and at the end
+    marks = [tracer.records[-1].seq]
+
+    def mark():
+        marks.append(tracer.records[-1].seq)
+
     # one run() holds all three raises: the switch moves between them
     raise_at(0.0, 0)
     sim.call_at(t0 + 0.1, tracer.mute, "event", "net")
+    sim.call_at(t0 + 0.15, mark)
     raise_at(0.2, 1)
     sim.call_at(t0 + 0.3, tracer.unmute, "event")
+    sim.call_at(t0 + 0.35, mark)
     raise_at(0.4, 2)
     cluster.run(until=t0 + 1.0)
+    mark()
     assert [row[4] for row in log] == [0] * DEPTH + [1] * DEPTH \
         + [2] * DEPTH
 
     def during(pid, category):
-        lo = t0 + 0.2 * pid
-        return [r for r in tracer.select(category) if lo <= r.time < lo + 0.1]
+        return [r for r in tracer.select(category, after=marks[pid])
+                if r.seq <= marks[pid + 1]]
 
     assert len(during(0, "event")) == len(during(2, "event")) > 0
     assert during(1, "event") == []

@@ -472,8 +472,7 @@ class TestAsyncioTransport:
                                         reliable_delivery=True,
                                         retransmit_base=1e-3,
                                         max_retransmits=3,
-                                        link_latency=1e-4,
-                                        trace_net=False))
+                                        link_latency=1e-4))
         try:
             gave_up = []
             cluster.kernels[0].transmit(Message(
@@ -527,8 +526,7 @@ class TestAsyncioTransport:
 
         cluster = Cluster(ClusterConfig(n_nodes=2, transport="tcp",
                                         reliable_delivery=True,
-                                        link_latency=1e-4,
-                                        trace_net=False))
+                                        link_latency=1e-4))
         try:
             cluster.register_event("TCP_TEST")
             cap = cluster.create_object(Sink, node=1)
@@ -560,7 +558,7 @@ class ForeignError(Exception):
 def _tcp_cluster(**knobs):
     return Cluster(ClusterConfig(n_nodes=3, transport="tcp",
                                  reliable_delivery=True, link_latency=1e-3,
-                                 trace_net=False, **knobs))
+                                 **knobs))
 
 
 def _settle(cluster, *futures, budget=10.0):
@@ -796,8 +794,7 @@ class TestHostileSockets:
 
         cluster = Cluster(ClusterConfig(n_nodes=2, transport="tcp",
                                         reliable_delivery=True,
-                                        link_latency=1e-4,
-                                        trace_net=False))
+                                        link_latency=1e-4))
         cluster.register_event("TCP_TEST")
         cluster.sink_cap = cluster.create_object(Sink, node=1)
         yield cluster
