@@ -194,8 +194,10 @@ class Executor:
             # cancelled handler may have half-executed and a re-run
             # would double its side effects). Deliberate PROPAGATE
             # decisions and breaker skips are not failures.
+            frames = thread.frames  # thread.current_node, inline
             if self.supervisor.poisoned(
-                    block, last_error, thread.current_node,
+                    block, last_error,
+                    frames[-1].node if frames else thread.tid.root,
                     self._retry_chain, thread, block,
                     tid=str(thread.tid)) == "retry":
                 return
@@ -240,8 +242,9 @@ class Executor:
         # The synchronous raiser is resumed when handling concludes,
         # whatever the fate of the target thread. (A no-op when the
         # block was quarantined, or noticed because the thread died.)
+        frames = thread.frames  # thread.current_node, inline
         self.settle.conclude(block, EXECUTED, value, None,
-                             thread.current_node)
+                             frames[-1].node if frames else thread.tid.root)
         if decision is Decision.TERMINATE:
             thread.suspended_by_event = False
             self.invoker.terminate_thread(thread,

@@ -199,12 +199,12 @@ class Poster:
                 self.settle.unconfirmed[block.block_id] = block
                 self.kernels[node].transmit_unreliable(Message(
                     src=node, dst=cap.home, mtype=MSG_POST_OBJECT, size=128,
-                    payload={"block": sent, "oid": oid}))
+                    payload={"block": sent}))
                 self.sim.call_after(self.degrade_deadline,
                                     self._degrade_expired, block)
                 return
             message = Message(src=node, dst=cap.home, mtype=MSG_POST_OBJECT,
-                              size=128, payload={"block": block, "oid": oid})
+                              size=128, payload={"block": block})
             self.kernels[node].transmit(
                 message, lambda m: self._object_post_failed(block, cap))
             return

@@ -13,6 +13,7 @@ intervals buy shorter replay at the price of more checkpoint bytes).
 from __future__ import annotations
 
 import copy
+from math import inf
 from typing import TYPE_CHECKING, Any
 
 from repro.store.journal import NodeJournal, REC_CHECKPOINT
@@ -62,25 +63,22 @@ class CheckpointManager:
     (None disables automatic checkpointing; explicit :meth:`take` calls
     still work). Checkpoint records themselves do not count toward the
     interval, so ``interval=N`` means one checkpoint per N payload
-    records regardless of how large the state snapshot is.
+    records regardless of how large the state snapshot is. The store
+    tests ``journal.appends >= due_at`` inline after each journaled
+    operation, so a group-committed batch counts its records.
     """
 
     def __init__(self, journal: NodeJournal,
                  interval: int | None = None) -> None:
         self.journal = journal
         self.interval = interval
-        self._since_checkpoint = 0
         self.taken = 0
+        self._rearm()
 
-    def note_append(self, n: int = 1) -> bool:
-        """Count ``n`` payload appends; True when a checkpoint is due.
-
-        Group-committed batches pass their record count so the interval
-        keeps measuring journal growth, not commit units.
-        """
-        self._since_checkpoint += n
-        return (self.interval is not None
-                and self._since_checkpoint >= self.interval)
+    def _rearm(self) -> None:
+        """Due ``interval`` payload records after the last checkpoint."""
+        self.due_at = (inf if self.interval is None
+                       else self.journal.appends + self.interval)
 
     def take(self, state: dict[str, Any]) -> int:
         """Write a checkpoint covering ``state``; truncate the prefix.
@@ -89,6 +87,6 @@ class CheckpointManager:
         """
         record = self.journal.append(REC_CHECKPOINT, state=state)
         dropped = self.journal.truncate_before(record.lsn)
-        self._since_checkpoint = 0
+        self._rearm()
         self.taken += 1
         return dropped

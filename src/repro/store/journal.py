@@ -81,8 +81,9 @@ class JournalRecord:
     A ``__slots__`` class rather than a frozen dataclass: the durable
     path mints one of these per journaled operation (~3 per post), so
     the dataclass ``__init__`` indirection and per-instance dict were
-    measurable churn on the durable path. A record is never reused: one
-    a caller still holds after truncation keeps its fields.
+    measurable churn on the durable path (``NodeJournal.append`` skips
+    even this ``__init__``). A record is never reused: one a caller
+    still holds after truncation keeps its fields.
     """
 
     __slots__ = ("lsn", "rtype", "data", "size")
@@ -115,13 +116,10 @@ class NodeJournal:
         # and a checkpoint keeps only the short suffix after its own
         # record, so truncation copies little.
         self._records: deque[JournalRecord] = deque()
-        self._next_lsn = 1
         #: the newest ``checkpoint`` record, indexed at append time so
         #: recovery never scans for it
         self._checkpoint_rec: JournalRecord | None = None
-        #: records appended after the newest checkpoint, maintained at
-        #: append time so :meth:`tail` never scans the retained log
-        self._tail_len = 0
+        #: records appended, and so the newest LSN: LSNs run from 1
         self.appends = 0
         self.bytes_appended = 0
         #: commit units: one per :meth:`append`, one per whole
@@ -137,28 +135,29 @@ class NodeJournal:
     def __iter__(self) -> Iterator[JournalRecord]:
         return iter(self._records)
 
-    def _stamp(self, rtype: str, data: dict[str, Any]) -> JournalRecord:
+    def append(self, rtype: str, /, **data: Any) -> JournalRecord:
+        """Durably append one record as one commit; returns it with its
+        LSN assigned. The one place a record is stamped, with no
+        ``__init__`` frame: a durable post journals about three."""
         info = _RTYPE_INFO.get(rtype)
         if info is None:
             raise KernelError(f"unknown journal record type {rtype!r}")
         rtype, size = info
-        record = JournalRecord(self._next_lsn, rtype, data, size)
-        self._next_lsn += 1
+        record = object.__new__(JournalRecord)
+        record.lsn = self.appends = self.appends + 1
+        record.rtype = rtype
+        record.data = data
+        record.size = size
         self._records.append(record)
-        self.appends += 1
         self.bytes_appended += size
-        if rtype is REC_CHECKPOINT or rtype == REC_CHECKPOINT:
+        self.commits += 1
+        if rtype is REC_CHECKPOINT:  # the interned name (_RTYPE_INFO)
             self._checkpoint_rec = record
-            self._tail_len = 0
-        else:
-            self._tail_len += 1
         return record
 
-    def append(self, rtype: str, **data: Any) -> JournalRecord:
-        """Durably append one record; returns it with its LSN assigned."""
-        record = self._stamp(rtype, data)
-        self.commits += 1
-        return record
+    #: ``append`` for a batch's records, out of reach of a wrapper
+    #: installed on ``append`` (E17's tracer counts single appends)
+    _stamp = append
 
     def append_batch(
             self, ops: list[tuple[str, dict[str, Any]]]) -> list[JournalRecord]:
@@ -172,8 +171,8 @@ class NodeJournal:
         if not ops:
             return []
         stamp = self._stamp
-        records = [stamp(rtype, data) for rtype, data in ops]
-        self.commits += 1
+        records = [stamp(rtype, **data) for rtype, data in ops]
+        self.commits -= len(records) - 1  # each stamp counted one
         return records
 
     # ------------------------------------------------------------------
@@ -187,14 +186,14 @@ class NodeJournal:
     def tail(self) -> list[JournalRecord]:
         """Records after the newest checkpoint (the replay suffix).
 
-        Indexed at append time (``_tail_len``): appends are LSN-ordered,
-        so the suffix is exactly the newest ``_tail_len`` records —
-        O(tail), not the old O(retained) list comprehension over the
-        whole log.
+        LSNs are consecutive up to ``appends``, so the suffix is exactly
+        the newest ``appends - checkpoint.lsn`` records — O(tail), not
+        the old O(retained) list comprehension over the whole log.
         """
-        if self._checkpoint_rec is None:
+        checkpoint = self._checkpoint_rec
+        if checkpoint is None:
             return list(self._records)
-        count = self._tail_len
+        count = self.appends - checkpoint.lsn
         if not count:
             return []
         suffix = list(islice(reversed(self._records), count))

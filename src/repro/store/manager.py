@@ -113,8 +113,9 @@ class NodeStore:
         self.sim = kernel.sim
         self.journal = journal
         self.outbox = Outbox(journal)
-        self.checkpoints = CheckpointManager(
-            journal, kernel.config.checkpoint_interval)
+        self.checkpoints = CheckpointManager(  # off while durable is off
+            journal, kernel.config.checkpoint_interval if self.enabled
+            else None)
         #: receiver-side dedup: durable posts already executed here
         #: (journaled; this set is the in-memory cache of those records)
         self.applied: set[tuple[int, int]] = set()
@@ -150,7 +151,8 @@ class NodeStore:
         """Write-ahead: journal the post before its first send."""
         entry = self.outbox.record(block, kind, dst, self.sim.now)
         block.durable_id = entry.entry_id
-        self._after_append()
+        if self.journal.appends >= self.checkpoints.due_at:
+            self.checkpoint()
         return entry
 
     def journal_post_batch(
@@ -160,7 +162,8 @@ class NodeStore:
         entries = self.outbox.record_batch(posts, self.sim.now)
         for (block, _, _), entry in zip(posts, entries):
             block.durable_id = entry.entry_id
-        self._after_append(len(entries))
+        if self.journal.appends >= self.checkpoints.due_at:
+            self.checkpoint()
         return entries
 
     def resolve(self, entry_id: tuple[int, int], status: str) -> bool:
@@ -171,8 +174,8 @@ class NodeStore:
         """Retire every still-pending ``(entry_id, status)`` of ``acks``
         as one journal commit; returns how many that was."""
         retired = self.outbox.resolve_batch(acks)
-        if retired:
-            self._after_append(retired)
+        if self.journal.appends >= self.checkpoints.due_at:
+            self.checkpoint()
         return retired
 
     def on_give_up(self, entry_id: tuple[int, int]) -> None:
@@ -206,8 +209,10 @@ class NodeStore:
         requeues it) or currently queued for execution.
         """
         if entry_id in self.applied:
+            # (an applied entry is never in ``_enqueued``)
             quarantined = self.kernel.dead_letters.holds(entry_id)
-            self._owe_ack(entry_id, QUARANTINED if quarantined else DELIVERED)
+            self.post_executed(
+                entry_id, QUARANTINED if quarantined else DELIVERED)
             return False
         if entry_id in self._enqueued:
             return False
@@ -229,7 +234,8 @@ class NodeStore:
         self._applied_removed.discard(entry_id)
         self._enqueued.discard(entry_id)
         self.journal.append(REC_APPLIED, entry_id=entry_id)
-        self._after_append()
+        if self.journal.appends >= self.checkpoints.due_at:
+            self.checkpoint()
 
     def unmark_applied(self, entry_id: tuple[int, int]) -> None:
         """Retract the execution marker: the handler run *failed* and the
@@ -247,12 +253,23 @@ class NodeStore:
         self._applied_added.discard(entry_id)
         self._enqueued.add(entry_id)
         self.journal.append(REC_UNAPPLIED, entry_id=entry_id)
-        self._after_append()
+        if self.journal.appends >= self.checkpoints.due_at:
+            self.checkpoint()
 
-    def post_executed(self, entry_id: tuple[int, int]) -> None:
-        """The handler run completed: acknowledge to the origin."""
+    def post_executed(self, entry_id: tuple[int, int],
+                      status: str = DELIVERED) -> None:
+        """The post concluded here (``status``): owe its origin the ack.
+        The first of a window schedules the flush ``ack_delay`` later
+        (0: this instant)."""
         self._enqueued.discard(entry_id)
-        self._owe_ack(entry_id, DELIVERED)
+        origin = entry_id[0]
+        if origin == self.kernel.node_id:
+            self.resolve(entry_id, status)
+            return
+        self._owed.setdefault(origin, []).append((entry_id, status))
+        if origin not in self._ack_windows:
+            self._ack_windows[origin] = self.sim.call_after(
+                self.kernel.config.ack_delay, self._flush_acks, origin)
 
     def post_quarantined(self, entry_id: tuple[int, int]) -> None:
         """The post was dead-lettered here: ack so the origin stops
@@ -270,21 +287,9 @@ class NodeStore:
             self._applied_added.add(entry_id)
             self._applied_removed.discard(entry_id)
             self.journal.append(REC_APPLIED, entry_id=entry_id)
-            self._after_append()
-        self._enqueued.discard(entry_id)
-        self._owe_ack(entry_id, QUARANTINED)
-
-    def _owe_ack(self, entry_id: tuple[int, int], status: str) -> None:
-        """Put one ack on its origin's list; the first of a window
-        schedules the flush ``ack_delay`` later (0: this instant)."""
-        origin = entry_id[0]
-        if origin == self.kernel.node_id:
-            self.resolve(entry_id, status)
-            return
-        self._owed.setdefault(origin, []).append((entry_id, status))
-        if origin not in self._ack_windows:
-            self._ack_windows[origin] = self.sim.call_after(
-                self.kernel.config.ack_delay, self._flush_acks, origin)
+            if self.journal.appends >= self.checkpoints.due_at:
+                self.checkpoint()
+        self.post_executed(entry_id, QUARANTINED)
 
     def _flush_acks(self, origin: int) -> None:
         """Send everything owed to ``origin`` as one ``store.ack``."""
@@ -316,11 +321,13 @@ class NodeStore:
     def journal_registration(self, oid: int, event: str,
                              fn_name: str) -> None:
         self.journal.append(REC_REG, oid=oid, event=event, fn_name=fn_name)
-        self._after_append()
+        if self.journal.appends >= self.checkpoints.due_at:
+            self.checkpoint()
 
     def journal_unregistration(self, oid: int, event: str) -> None:
         self.journal.append(REC_UNREG, oid=oid, event=event)
-        self._after_append()
+        if self.journal.appends >= self.checkpoints.due_at:
+            self.checkpoint()
 
     # ==================================================================
     # dead-letter quarantine (journal hooks)
@@ -331,20 +338,18 @@ class NodeStore:
         self.journal.append(REC_DEAD, dl_id=dead.dl_id, block=dead.block,
                             reason=dead.reason, error=dead.error,
                             failures=dead.failures, at=dead.at)
-        self._after_append()
+        if self.journal.appends >= self.checkpoints.due_at:
+            self.checkpoint()
 
     def journal_dead_requeue(self, dl_id: int) -> None:
         """Durably record a dead letter leaving the queue (requeued)."""
         self.journal.append(REC_DEAD_REQUEUE, dl_id=dl_id)
-        self._after_append()
+        if self.journal.appends >= self.checkpoints.due_at:
+            self.checkpoint()
 
     # ==================================================================
     # checkpointing
     # ==================================================================
-
-    def _after_append(self, n: int = 1) -> None:
-        if self.enabled and self.checkpoints.note_append(n):
-            self.checkpoint()
 
     def checkpoint(self) -> int:
         """Snapshot durable state, journal it, truncate the prefix."""

@@ -112,8 +112,11 @@ class Outbox:
         """Journal a new post (write-ahead: call before the first send)."""
         self._next_seq += 1
         entry_id = (self.journal.node_id, self._next_seq)
-        entry = OutboxEntry(entry_id=entry_id, block=block, kind=kind,
-                            dst=dst, created_at=now)
+        entry = object.__new__(OutboxEntry)  # as clone(): no __init__
+        entry.entry_id, entry.block, entry.kind, entry.dst = (
+            entry_id, block, kind, dst)
+        entry.status, entry.created_at, entry.attempts = IN_FLIGHT, now, 1
+        entry.redeliveries = 0
         entry.lsn = self.journal.append(
             REC_POST, entry_id=entry_id, kind=kind, dst=dst,
             event=block.event, block=block).lsn

@@ -86,8 +86,9 @@ __all__ = [
 
 #: bump on any incompatible wire-format change (2: value tag 16, the
 #: per-value fallback to a general serializer, is retired; 3: payload
-#: shapes, the event block bitmap and table tags)
-VERSION = 3
+#: shapes, the event block bitmap and table tags; 4: ``event.post-object``
+#: drops its ``oid`` row, which no receiver read)
+VERSION = 4
 
 _DOUBLE = struct.Struct(">d")
 
@@ -175,7 +176,7 @@ _MTYPE_TAG = {name: i + 1 for i, name in enumerate(MTYPE_REGISTRY)}
 #: three optional rows: their presence bits are the envelope flags'
 #: top three.
 PAYLOAD_SHAPES = {
-    "event.post-object": (("block", "block", False), ("oid", "int", False)),
+    "event.post-object": (("block", "block", False),),
     "event.resume": (("token", "int", False), ("value", "rare", False),
                      ("error", "rare", False)),
     "rel.ack": (("cum", "int", False), ("sel", "rare", True)),

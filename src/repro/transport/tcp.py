@@ -14,7 +14,7 @@ Wire format — length-prefixed frames::
     4-byte big-endian frame length (at most MAX_FRAME)
     1-byte format:     0 (the only one; 1 and 2 are retired)
     uvarint dst node
-    body:              codec-encoded Message (codec VERSION 3)
+    body:              codec-encoded Message (codec VERSION 4)
 
 A frame is appended to its connection's outgoing buffer, and the frames
 a scheduler turn produces for a connection leave in a single ``write``

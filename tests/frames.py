@@ -140,6 +140,51 @@ def arrived_post_frames(scheduler: str) -> tuple[float, Counter]:
     return _count_frames(cluster, cap, lambda: None)
 
 
+class PrivateSink(DistObject):
+    """``Sink`` with its state underscored, as E17's sinks keep theirs:
+    a checkpoint deep-copies an object's public attributes only."""
+
+    def __init__(self):
+        super().__init__()
+        self._latencies = []
+
+    @on_event("POST")
+    def on_post(self, ctx, block):
+        self._latencies.append(ctx.now - block.raised_at)
+        yield ctx.compute(1e-6)
+
+
+#: E17's open-loop pump: this many posts raised every GAP seconds
+BURST, GAP = 16, 2e-3
+
+
+def durable_frames(scheduler: str) -> tuple[float, Counter]:
+    """Frames per post over N durable posts to a ``PrivateSink`` on
+    node 1, BURST raised on node 0 every GAP by a pump callback, run
+    until the outbox drains: the raise, the journal's ``post`` record,
+    the reliable send, the receive path of ``arrived`` and the ack's
+    commit back on node 0 (``durable_lossy``'s path, with no loss)."""
+    cluster = Cluster(ClusterConfig(n_nodes=2, scheduler=scheduler,
+                                    durable_delivery=True))
+    cluster.tracer.mute(*MUTED)
+    cluster.register_event("POST")
+    cap = cluster.create_object(PrivateSink, node=1)
+    cluster.raise_event("POST", cap, from_node=0)
+    cluster.run(until=1.0)
+
+    def pump(base):
+        for pid in range(base, base + BURST):
+            cluster.raise_event("POST", cap, from_node=0, user_data=pid)
+
+    for base in range(0, N, BURST):
+        cluster.sim.call_at(1.0 + GAP * (base // BURST), pump, base)
+    with FrameCensus() as frames:
+        cluster.run()
+    assert cluster.durability_stats()["pending"] == 0
+    assert len(cluster.get_object(cap)._latencies) == N + 1
+    return sum(frames.values()) / N, frames
+
+
 def _spin(hctx, block):
     for _ in range(N):
         yield hctx.compute(1e-6)
@@ -234,8 +279,8 @@ def chase_frames(scheduler: str) -> tuple[float, Counter]:
 
 #: name -> what it counts, for the census below and the budget tests
 PATHS = {"post": post_frames, "parked": parked_post_frames,
-         "arrived": arrived_post_frames, "compute": chain_compute_frames,
-         "chase": chase_frames}
+         "arrived": arrived_post_frames, "durable": durable_frames,
+         "compute": chain_compute_frames, "chase": chase_frames}
 
 
 def main() -> None:

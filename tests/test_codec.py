@@ -228,13 +228,13 @@ class TestShapes:
         block = _golden_block()
         setattr(block, slot, odd)
         out = roundtrip(Message(src=0, dst=1, mtype="event.post-object",
-                                payload={"block": block, "oid": 12}))
+                                payload={"block": block}))
         got = getattr(out.payload["block"], slot)
         assert got == odd and type(got) is type(odd)
 
     def test_post_path_payloads_come_back_with_their_keys(self):
         for mtype, payload in [
-                ("event.post-object", {"oid": 3, "block": EventBlock("E")}),
+                ("event.post-object", {"block": EventBlock("E")}),
                 ("event.resume", {"error": None, "value": 2, "token": 9}),
                 ("rel.ack", {"cum": 4}), ("rel.ack", {"sel": (6,), "cum": 4}),
                 ("store.ack", {"acks": [((1, 2), "noticed"),
@@ -248,10 +248,11 @@ class TestShapes:
                 sorted(payload.items(), key=repr)), mtype
 
     @pytest.mark.parametrize("mtype, payload", [
-        ("event.post-object", {"block": 5, "oid": 3}),
-        ("event.post-object", {"block": EventBlock("E"), "oid": "3"}),
-        ("event.post-object", {"block": EventBlock("E")}),
-        ("event.post-object", {"block": EventBlock("E"), "oid": 3, "x": 1}),
+        ("event.post-object", {"block": 5}),
+        # VERSION 3's payload: the ``oid`` row is gone
+        ("event.post-object", {"block": EventBlock("E"), "oid": 3}),
+        ("event.post-object", {}),
+        ("event.post-object", {"block": EventBlock("E"), "x": 1}),
         ("event.resume", {"token": 1, "value": 2}),
         ("rel.ack", {"cum": True}), ("rel.ack", {"cum": 1, "other": 2}),
         ("store.ack", {"acks": (((1, 2), "noticed"),)}),
@@ -495,9 +496,9 @@ def golden_messages() -> dict[str, Message]:
                             "error": UndeliverableError(
                                 "resume undeliverable to node 2", 2)},
                            mtype="event.resume", size=96),
-        # the post path's positional payloads (VERSION 3)
-        "post": msg({"block": _golden_block(), "oid": 12}, size=128,
-                    rel=(2, 300)),
+        # the post path's positional payloads (VERSION 3; VERSION 4
+        # dropped the post's ``oid``)
+        "post": msg({"block": _golden_block()}, size=128, rel=(2, 300)),
         "store_ack": msg({"acks": [((2, 300), "delivered"),
                                    ((2, 301), "quarantined"),
                                    ((2, 302), "not-a-status")]},
@@ -520,8 +521,8 @@ def golden_batch() -> list:
 #: post path's shapes added — while VERSION was 2 (VERSION 1 -> 2
 #: changed the leading byte of each vector and nothing else;
 #: ``error_shape`` joined then, in place of the retired tag 16's), and
-#: the batch of the event block, ``rel`` and ``string_dst``.  A VERSION
-#: 3 build refuses every one of them by its first byte.
+#: the batch of the event block, ``rel`` and ``string_dst``.  A later
+#: build refuses every one of them by its first byte.
 GOLDEN_V2 = {
     "capability": "02000002010a0e040364736d07436f756e7465728001d00f",
     "thread_id": "02000002010b0684028001d00f",
@@ -557,10 +558,10 @@ GOLDEN_V2_BATCH = (
     "01d80402000201050178800180020082023f50624dd2f1a9fcc801000101096d63"
     "6173743a6772700c008001d00f")
 
-#: encode_message() of golden_messages() at VERSION 3 — the encoder
-#: must emit these bytes exactly, and a decoder read them back, for as
-#: long as VERSION stays 3
-GOLDEN = {
+#: encode_message() of golden_messages() at VERSION 3, when the post
+#: still carried ``"oid": 12`` (``golden_batch()`` is GOLDEN_V3_BATCH).
+#: A VERSION 4 build refuses every one of them by its first byte.
+GOLDEN_V3 = {
     "capability": "03000002010a0e040207436f756e7465728001d00f",
     "thread_id": "03000002010b0684028001d00f",
     "group_id": "03000002010c02088001d00f",
@@ -596,12 +597,29 @@ GOLDEN = {
               "776f726b02220107020300030205036f696403180505657874726103028002"
               "d00f",
 }
-GOLDEN_BATCH = (
+GOLDEN_V3_BATCH = (
     "03033f747ae147ae147b000212000201ff3709555345525f50494e47041802010453696e"
     "6b09020504706f73740352050177043fd00000000000003ff80000000000009a0104d804"
     "0b0412010e0b000607626c6f636b65640007010d0a04776f726b02220107020300030218"
     "8002d00f04d8043f7eb851eb851eb801d80402000201050178800180020082023f50624d"
     "d2f1a9fcc801000101096d636173743a6772700c008001d00f")
+
+#: encode_message() of golden_messages() at VERSION 4 — the encoder
+#: must emit these bytes exactly, and a decoder read them back, for as
+#: long as VERSION stays 4.  VERSION 3 -> 4 changed the leading byte of
+#: each vector, and the post's payload lost its ``oid``: nothing else.
+GOLDEN = {name: "04" + vector[2:] for name, vector in GOLDEN_V3.items()}
+GOLDEN["post"] = (
+    "0412000201ff3709555345525f50494e47041802010453696e6b09020504706f73"
+    "740352050177043fd00000000000003ff80000000000009a0104d8040b0412010e"
+    "0b000607626c6f636b65640007010d0a04776f726b0222010702030003028002d0"
+    "0f04d804")
+GOLDEN_BATCH = (
+    "04033f747ae147ae147b000212000201ff3709555345525f50494e4704180201045369"
+    "6e6b09020504706f73740352050177043fd00000000000003ff80000000000009a0104"
+    "d8040b0412010e0b000607626c6f636b65640007010d0a04776f726b02220107020300"
+    "03028002d00f04d8043f7eb851eb851eb801d80402000201050178800180020082023f"
+    "50624dd2f1a9fcc801000101096d636173743a6772700c008001d00f")
 
 #: EventBlock slots the receiver writes before anything reads them: the
 #: codec does not send them, and a decoded block has them None
@@ -672,6 +690,32 @@ class TestGoldenVectors:
         with pytest.raises(CodecError, match="unknown codec version 2"):
             decode_batch(bytes.fromhex(GOLDEN_V2_BATCH))
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_V3))
+    def test_version_3_vectors_are_refused_by_their_version(self, name):
+        with pytest.raises(CodecError, match=f"unknown codec version 3 "
+                           f"\\(this build speaks {VERSION}\\)"):
+            decode_message(bytes.fromhex(GOLDEN_V3[name]))
+
+    def test_the_version_3_batch_is_refused_by_its_version(self):
+        with pytest.raises(CodecError, match="unknown codec version 3"):
+            decode_batch(bytes.fromhex(GOLDEN_V3_BATCH))
+
+    def test_a_version_3_decoder_refuses_the_post_it_would_misread(
+            self, monkeypatch):
+        """A VERSION 3 build reads an ``oid`` varint after the block: fed
+        the new post frame, it would take the size for the oid and
+        misread every field after it. The bumped first byte is what it
+        checks, and refuses, before it reads anything."""
+        frame = encode_message(golden_messages()["post"])
+        batch = encode_batch(golden_batch())
+        assert frame[0] == batch[0] == VERSION == 4
+        monkeypatch.setattr(codec, "VERSION", 3)
+        with pytest.raises(CodecError, match="unknown codec version 4 "
+                           r"\(this build speaks 3\)"):
+            decode_message(frame)
+        with pytest.raises(CodecError, match="unknown codec version 4"):
+            decode_batch(batch)
+
 
 def _fuzz_post(i: int) -> Message:
     """A journaled post whose ids all take two or three varint bytes."""
@@ -682,7 +726,7 @@ def _fuzz_post(i: int) -> Message:
     block.durable_id = (1, 9_000 + i)
     return Message(src=1, dst=2, mtype="event.post-object", size=128,
                    msg_id=150_000 + i, rel=(1, 9_000 + i), ack=300,
-                   payload={"block": block, "oid": 300 + i})
+                   payload={"block": block})
 
 
 #: the compiled codec's fast paths on the post path, for the fuzzer: a

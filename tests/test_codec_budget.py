@@ -36,8 +36,7 @@ def block(user_data: int, block_id: int, durable_id=None) -> EventBlock:
 def sharded_post(block_id: int = 40) -> Message:
     """A ``sharded_mix`` post: multi-byte user data and msg id."""
     return Message(src=33, dst=20, mtype="event.post-object", size=128,
-                   msg_id=5000, payload={"block": block(4000, block_id),
-                                         "oid": 21})
+                   msg_id=5000, payload={"block": block(4000, block_id)})
 
 
 #: name -> (envelope or batch records, encode, decode)
@@ -47,8 +46,7 @@ CASES = {
     # a tcp_closed post: reliable, journaled (durable_id), multi-byte ids
     "durable post": (Message(
         src=1, dst=2, mtype="event.post-object", size=128, msg_id=5000,
-        rel=(1, 900), payload={"block": block(25, 4000, (1, 900)),
-                               "oid": 3}),
+        rel=(1, 900), payload={"block": block(25, 4000, (1, 900))}),
         codec.encode_message, codec.decode_message),
     "store.ack": (Message(
         src=0, dst=2, mtype="store.ack", size=48, msg_id=5000, ack=7,

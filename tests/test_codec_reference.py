@@ -1,4 +1,4 @@
-"""The VERSION 3 codec carries what the VERSION 2 generic codec did.
+"""The VERSION 4 codec carries what the VERSION 2 generic codec did.
 
 ``repro.transport.codec`` writes the post path's payloads positionally,
 an event block as a presence bitmap and its set slots, and a
@@ -20,7 +20,7 @@ bytes at the value level: every type, float bits, exception type and
 args, every event block slot but the receiver-written ones
 (``RECEIVER_WRITTEN``, which arrive None), and every dict's key order
 but a shaped payload's own, which is the shape's.  On random bytes, on
-mutated VERSION 3 encodings and on mutated golden vectors of both
+mutated VERSION 4 encodings and on mutated golden vectors of all three
 versions, only ``CodecError`` may escape either decoder.
 
 The example budget is the hypothesis profile's (``tests/conftest.py``):
@@ -50,6 +50,8 @@ from tests.test_codec import (
     GOLDEN_BATCH,
     GOLDEN_V2,
     GOLDEN_V2_BATCH,
+    GOLDEN_V3,
+    GOLDEN_V3_BATCH,
     RECEIVER_WRITTEN,
 )
 
@@ -635,7 +637,7 @@ STATUSES = st.sampled_from(["delivered", "noticed", "quarantined"]) | TEXTS
 #: the post path's payloads, the keys in the shape's order or not, and
 #: ones that misfit their shape
 POSTS = st.one_of(
-    st.fixed_dictionaries({"block": blocks(), "oid": INTS}),
+    st.fixed_dictionaries({"block": blocks()}),
     st.fixed_dictionaries({"oid": INTS, "block": blocks()}),
     st.fixed_dictionaries({"acks": st.lists(
         st.tuples(st.tuples(INTS, INTS), STATUSES), max_size=4)}),
@@ -647,7 +649,7 @@ POSTS = st.one_of(
     st.fixed_dictionaries({"token": VALUES, "value": VALUES,
                            "error": st.none() | ERRORS}),
     st.fixed_dictionaries({"error": ERRORS, "token": INTS, "value": VALUES}),
-    st.fixed_dictionaries({"block": blocks(), "oid": INTS},
+    st.fixed_dictionaries({"block": blocks()},
                           optional={"cum": INTS, "acks": VALUES}))
 
 
@@ -783,8 +785,8 @@ def _carriers(value: Any) -> list[tuple[str, Any]]:
     return [("rpc.request", value), ("rpc.request", {"deep": [1, (value,)]}),
             ("rpc.request", {value: 1}),
             ("event.resume", {"token": value, "value": 1, "error": None}),
-            ("event.post-object", {"block": block, "oid": 3}),
-            ("event.post-object", {"block": other, "oid": 3}),
+            ("event.post-object", {"block": block}),
+            ("event.post-object", {"block": other}),
             ("store.ack", {"acks": [((1, 2), value)]})]
 
 
@@ -831,7 +833,8 @@ def mutated(draw, source) -> bytes:
 
 GOLDEN_BYTES = st.sampled_from(
     [bytes.fromhex(h) for h in (*GOLDEN.values(), GOLDEN_BATCH,
-                                *GOLDEN_V2.values(), GOLDEN_V2_BATCH)])
+                                *GOLDEN_V2.values(), GOLDEN_V2_BATCH,
+                                *GOLDEN_V3.values(), GOLDEN_V3_BATCH)])
 
 
 @settings(deadline=None)

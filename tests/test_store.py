@@ -187,13 +187,33 @@ class TestOutbox:
 
 
 class TestCheckpointManager:
+    @staticmethod
+    def due_after_each(journal, cm, records):
+        """``journal.appends >= cm.due_at`` (the store's inline test)
+        after each of ``records`` payload appends."""
+        due = []
+        for i in range(records):
+            journal.append(REC_POST, entry_id=(0, i + 1))
+            due.append(journal.appends >= cm.due_at)
+        return due
+
     def test_interval_counts_payload_appends_only(self):
         journal = make_journal()
         cm = CheckpointManager(journal, interval=3)
-        assert [cm.note_append() for _ in range(3)] == [False, False, True]
+        assert self.due_after_each(journal, cm, 3) == [False, False, True]
         cm.take({"n": 1})
-        # checkpoint reset the counter
-        assert cm.note_append() is False
+        # the checkpoint record itself does not count: due again after
+        # three more payload records
+        assert self.due_after_each(journal, cm, 3) == [False, False, True]
+
+    def test_a_batch_counts_its_records(self):
+        journal = make_journal()
+        cm = CheckpointManager(journal, interval=3)
+        journal.append_batch([(REC_POST, {"entry_id": (0, 1)}),
+                              (REC_POST, {"entry_id": (0, 2)})])
+        assert journal.appends < cm.due_at
+        journal.append_batch([(REC_ACK, {"entry_id": (0, 1)})])
+        assert journal.appends >= cm.due_at
 
     def test_take_truncates_covered_prefix(self):
         journal = make_journal()
@@ -208,8 +228,11 @@ class TestCheckpointManager:
         assert cm.taken == 1
 
     def test_disabled_interval_never_due(self):
-        cm = CheckpointManager(make_journal(), interval=None)
-        assert not any(cm.note_append() for _ in range(100))
+        journal = make_journal()
+        cm = CheckpointManager(journal, interval=None)
+        assert not any(self.due_after_each(journal, cm, 100))
+        cm.take({})  # an explicit checkpoint does not arm it
+        assert not any(self.due_after_each(journal, cm, 100))
 
 
 class TestClusterStore:

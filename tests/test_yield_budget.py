@@ -10,7 +10,8 @@ step. Each request is a plain ``__slots__`` class built by its own
 ``__init__`` — a builder that only passes its argument on is the class
 itself — a future settles in one frame, and ``ctx.now`` is a C-level
 getter. These tests hold the frames per post on both scheduler backends
-(a busy master, a parked one, a durable post arriving by message), per
+(a busy master, a parked one, a durable post arriving by message and
+one from its raise to its ack's commit), per
 ``compute`` step of a thread-based handler and per notice to a thread
 two nodes from its root, counted by ``tests/frames.py``; and the
 absence of an instance
@@ -34,10 +35,12 @@ from repro.threads import syscalls as sc
 from repro.threads.attributes import TimerSpec
 from tests.conftest import make_cluster, run_to_result
 from tests.frames import (
+    BURST,
     N,
     arrived_post_frames,
     chain_compute_frames,
     chase_frames,
+    durable_frames,
     parked_post_frames,
     post_frames,
 )
@@ -78,8 +81,18 @@ PARKED_BUDGET = {"heap": 27, "wheel": 30}
 #: a durable post that arrives by message at its object's home node,
 #: from the arrival on: the reliable channel's accept and ack, the
 #: journal's ``post`` record, the handler, the applied marker and the
-#: owed ack's flush; 47 / 50 with the relays above
-ARRIVED_BUDGET = {"heap": 36, "wheel": 38}
+#: owed ack's flush; 36 / 38 with the relays in ``DURABLE_GONE``, 47 /
+#: 50 with the relays above too
+ARRIVED_BUDGET = {"heap": 28, "wheel": 30}
+
+#: a durable post from its raise on node 0 to the commit of its ack
+#: there, BURST every GAP to a private-state sink on node 1: the raise,
+#: ``journal_post`` (``Outbox.record`` and the ``post`` record), the
+#: reliable send, the fabric hop, the receive path above, the ``ack``
+#: record of the ``store.ack`` batch and this post's share of the
+#: checkpoints and of the acks of both channels; 66 / 70 through the
+#: relays in ``DURABLE_GONE``
+DURABLE_BUDGET = {"heap": 48, "wheel": 52}
 
 #: one ``compute`` step of a thread-based handler on its surrogate: the
 #: timed pop, ``_step``, the generator, ``Compute.__init__`` and
@@ -99,8 +112,9 @@ COMPUTE_BUDGET = {"heap": 5, "wheel": 7}
 #: ``_handler_exited``, ``_decided``) and the conclusion; 178 / 197
 #: through the relays in ``CHASE_GONE`` (179 / 198 when the census also
 #: counted ``snapshot``'s list comprehension), 122 / 141 with the raise's
-#: ``innermost_here`` probe and each handler's ``effective_deadline``
-CHASE_BUDGET = {"heap": 118, "wheel": 137}
+#: ``innermost_here`` probe and each handler's ``effective_deadline``,
+#: 118 / 137 with the conclusion's ``current_node``
+CHASE_BUDGET = {"heap": 117, "wheel": 136}
 
 #: frames the old objects and relays paid and the new ones must not
 GONE = {("syscalls.py", "__post_init__"), ("<string>", "__init__"),
@@ -123,7 +137,8 @@ GONE = {("syscalls.py", "__post_init__"), ("<string>", "__init__"),
 #: ``call_after``, ``push_frame``, ``step_now``, park (``block``),
 #: ``_outcome``, ``in_order`` and ``__len__``, ``take_stash``,
 #: ``DistObject.oid`` and ``effective_deadline``; the raise's
-#: ``innermost_here``; and ``ThreadId.__hash__``
+#: ``innermost_here``; the conclusion's ``current_node``; and
+#: ``ThreadId.__hash__``
 CHASE_GONE = {("path.py", "_hop"), ("base.py", "_accept"),
               ("base.py", "_membership"), ("membership.py", "enabled"),
               ("tcb.py", "get"), ("thread.py", "current_object"),
@@ -133,7 +148,20 @@ CHASE_GONE = {("path.py", "_hop"), ("base.py", "_accept"),
               ("handlers.py", "in_order"), ("handlers.py", "__len__"),
               ("thread.py", "take_stash"), ("base.py", "oid"),
               ("supervise.py", "effective_deadline"),
-              ("tcb.py", "innermost_here"), ("ids.py", "__hash__")}
+              ("tcb.py", "innermost_here"), ("thread.py", "current_node"),
+              ("ids.py", "__hash__")}
+
+#: the relays a durable post paid and must not again: the journal's
+#: ``_stamp`` and ``JournalRecord.__init__`` per record; the checkpoint
+#: countdown's ``_after_append``, ``enabled`` and ``note_append`` per
+#: journaled operation; the owed ack's ``_owe_ack``; and the reliable
+#: channel's ``_peer``, ``_dispatch`` and ``_Pending.__init__`` per send
+#: (``OutboxEntry``'s dataclass ``__init__`` is counted below)
+DURABLE_GONE = {("journal.py", "_stamp"), ("journal.py", "__init__"),
+                ("manager.py", "_after_append"), ("manager.py", "enabled"),
+                ("checkpoint.py", "note_append"), ("manager.py", "_owe_ack"),
+                ("reliable.py", "_peer"), ("reliable.py", "_dispatch"),
+                ("reliable.py", "__init__")}
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
@@ -157,7 +185,22 @@ def test_parked_master_post_frame_budget(scheduler):
 def test_arrived_post_frame_budget(scheduler):
     per_post, frames = arrived_post_frames(scheduler)
     assert math.floor(per_post) == ARRIVED_BUDGET[scheduler], frames
+    assert not DURABLE_GONE & set(frames), frames
     assert frames["post.py", "post_object"] == N
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+def test_durable_post_frame_budget(scheduler):
+    per_post, frames = durable_frames(scheduler)
+    assert math.floor(per_post) == DURABLE_BUDGET[scheduler], frames
+    assert not DURABLE_GONE & set(frames), frames
+    # the only dataclass built is each message, so no OutboxEntry
+    assert frames["<string>", "__init__"] == frames["fabric.py", "send"]
+    # one stamp per record: a post, an applied marker and an ack each
+    assert frames["journal.py", "append"] >= 3 * N, frames
+    # an in-order arrival rides the open ack window inline: one window
+    # per burst each way reaches ``_schedule_ack``
+    assert frames["reliable.py", "_schedule_ack"] == 2 * N // BURST
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
