@@ -26,7 +26,7 @@ from repro.events.route import Router
 from repro.events.settle import Settler
 from repro.events.supervise import HandlerSupervisor
 from repro.objects.capability import Capability
-from repro.sim.primitives import SimFuture
+from repro.sim.primitives import RESOLVED, SimFuture
 from repro.threads import syscalls as sc
 from repro.threads.ids import GroupId, ThreadId
 from repro.threads.thread import DThread
@@ -99,13 +99,21 @@ class EventManager:
         a test harness, a device): the paper's ^C enters the system this
         way. Returns a future: recipient count (async) or the handler
         value (sync)."""
-        future: SimFuture[Any] = SimFuture(self.sim)
         block = self._open(event, target, from_node, None, synchronous,
                            user_data)
         if synchronous:
+            future: SimFuture[Any] = SimFuture(self.sim)
             self._raise(block, future.settle)
-        else:
-            future.settle(self.route.route(block))
+            return future
+        # Built resolved with the count, slot by slot: no ``__init__`` or
+        # ``settle`` frame per post. A done future never reads
+        # ``_callbacks``, so it shares the empty tuple.
+        future = object.__new__(SimFuture)
+        future._sim = self.sim
+        future._state = RESOLVED
+        future._value = self.route.route(block)
+        future._error = None
+        future._callbacks = ()
         return future
 
     def _open(self, event: str, target: Any, node: int, raiser_tid: Any,

@@ -90,6 +90,8 @@ class Cluster:
             kernel.objects = ObjectManager(kernel)
         self.invoker = InvocationEngine(self)
         self.events = EventManager(self)
+        #: ``raise_event`` with no relay frame (patch it on the instance)
+        self.raise_event = self.events.raise_external
         self.dsm = DsmManager(self)
         for kernel in self.kernels.values():
             kernel.invoker = self.invoker
@@ -342,7 +344,11 @@ class Cluster:
     def raise_event(self, event: str, target: Any, from_node: int = 0,
                     user_data: Any = None) -> SimFuture[Any]:
         """Asynchronous external raise; future resolves with recipient
-        count."""
+        count.
+
+        ``__init__`` binds ``events.raise_external`` over this method on
+        each cluster, so the raise pays no relay frame; the body is what
+        that call does."""
         return self.events.raise_external(event, target, from_node,
                                           user_data, synchronous=False)
 

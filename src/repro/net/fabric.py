@@ -107,11 +107,16 @@ class Fabric:
         """Send a point-to-point message (asynchronously, in virtual time).
 
         One function from the caller to the wire: every envelope pays
-        this path, so it is not split into relays.
+        this path, so it is not split into relays. An attached endpoint
+        is routable on every transport, so the registry's own dict is
+        probed first and ``transport.routable`` asked only on a miss (a
+        crashed node, another shard's node); the default
+        :class:`FixedLatency` is read as its two floats, any other model
+        is asked for each copy's delay.
         """
         dst = message.dst
         transport = self.transport
-        routable = transport.routable(dst)
+        routable = dst in self._endpoints or transport.routable(dst)
         if not routable and not transport.known(dst):
             raise UnknownNodeError(f"no node {dst!r} attached to fabric")
         dst = int(dst)
@@ -147,14 +152,20 @@ class Fabric:
             self._drop(message, dst)
             return
         latency = self.latency
-        transport.post(message, dst, latency.delay(message.src, dst, message))
+        fixed = type(latency) is FixedLatency
+        if fixed:
+            delay = latency.local if message.src == dst else latency.seconds
+        else:
+            delay = latency.delay(message.src, dst, message)
+        transport.post(message, dst, delay)
         for _ in range(copies - 1):
             # Each duplicated copy is a distinct envelope with its own
             # msg_id and its own top-level payload dict: a receiver that
             # mutates the payload must not corrupt the other copy. The
             # reliability header is shared so dedup still collapses them.
             copy = self._clone(message)
-            transport.post(copy, dst, latency.delay(copy.src, dst, copy))
+            transport.post(copy, dst, delay if fixed
+                           else latency.delay(copy.src, dst, copy))
 
     # ------------------------------------------------------------------
     # internals

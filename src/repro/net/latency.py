@@ -25,6 +25,9 @@ class LatencyModel(Protocol):
 class FixedLatency:
     """Every message takes exactly ``seconds``; local delivery may differ.
 
+    :meth:`repro.net.fabric.Fabric.send` reads ``local`` and ``seconds``
+    itself rather than calling :meth:`delay` (a subclass's is called).
+
     Parameters
     ----------
     seconds:

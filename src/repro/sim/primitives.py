@@ -6,7 +6,9 @@ out :class:`SimFuture` completions (RPC replies, thread completions, lock
 grants, page fetches); the thread driver in :mod:`repro.threads` waits on
 them and parks threads in a :class:`Channel`. A future is built per
 external raise, RPC call and thread, so it is a plain ``__slots__``
-class and settling it costs one frame.
+class and settling it costs one frame; an asynchronous external raise
+builds its future already resolved, with no frame at all
+(:meth:`repro.events.delivery.EventManager.raise_external`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from repro.sim.scheduler import Simulator
 T = TypeVar("T")
 
 _PENDING = "pending"
-_RESOLVED = "resolved"
+#: public for code that makes a future done slot by slot
+RESOLVED = "resolved"
 _FAILED = "failed"
 _CANCELLED = "cancelled"
 
@@ -91,7 +94,7 @@ class SimFuture(Generic[T]):
         effect) once done."""
         if self._state != _PENDING:
             return False
-        self._state = _RESOLVED if error is None else _FAILED
+        self._state = RESOLVED if error is None else _FAILED
         self._value = value
         self._error = error
         callbacks = self._callbacks

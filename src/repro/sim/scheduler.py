@@ -42,9 +42,12 @@ scheduled while the clock was earlier, so its ``seq`` is lower than
 anything in the lane; nothing scheduled during the instant can land in
 the timed lane at ``now``; and the clock never moves back, so every
 lane entry is at ``now``. Whether a timed entry is due at ``now`` is
-recorded by the heap's timed pop itself (is the next entry at the
-same instant?), so a clock move costs no miss pop; the wheel records
-"maybe" and pays the miss. ``now`` is a plain attribute that only the
+recorded by each backend's timed pop itself (is the next entry at the
+same instant?), so a clock move costs no miss pop. The record is exact
+on both: the wheel keeps every entry of one instant in one tick bucket,
+and the one "maybe" is the wheel's spill of an entry due at ``now``
+after ``run(until)`` jumped the clock past its horizon, which no pop
+saw. ``now`` is a plain attribute that only the
 loop and ``run(until)`` move. The wall-clock ``RealtimeScheduler``
 (:mod:`repro.transport.realtime`) has the same shape — timer heap plus
 ready list — and the same rule. :meth:`Simulator.nothing_due_now`
@@ -125,7 +128,8 @@ class Simulator:
         self._compactions = 0
         #: set by each timed pop: whether the next timed entry is at the
         #: popped one's instant (the drain reads it instead of popping
-        #: to find out; False can be trusted, True may be a miss)
+        #: to find out; False can be trusted, True may be a miss, and
+        #: only the wheel's spill at ``now`` sets it without a pop)
         self._next_due = False
 
     @property
@@ -433,9 +437,6 @@ class WheelSimulator(Simulator):
                          + self._slots) * self._tick
         self._spills = 0
         self._migrations = 0
-        #: the wheel never records: every clock move costs one miss pop,
-        #: whose re-base of the horizon the spill counters depend on
-        self._next_due = True
 
     # -- observability --------------------------------------------------
 
@@ -460,20 +461,31 @@ class WheelSimulator(Simulator):
         # The horizon test comes first: after run(until=...) has jumped
         # the clock past it, an entry at `now` spills like any other, so
         # whatever is in the lane is earlier than all of the overflow.
+        # No pop saw that entry, so it is the one "maybe" the drain's
+        # record takes (the next pop re-bases on it).
         if when >= self._horizon:
             entry = [float(when), seq, args, fn]
             heapq.heappush(self._overflow, entry)
             self._spills += 1
+            if when == now:
+                self._next_due = True
         elif when == now:
             entry = [now, seq, args, fn]
             self._ready.append(entry)
         else:
+            # _place, inline: nearly every timer takes this branch
             entry = [float(when), seq, args, fn]
-            self._place(entry)
+            key = floor(entry[0] / self._tick)
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                bucket = self._buckets[key] = []
+                heapq.heappush(self._tick_heap, key)
+            heapq.heappush(bucket, entry)
         return entry
 
     def _place(self, entry: list) -> None:
-        """Push an entry earlier than the horizon into its tick bucket."""
+        """Push an entry earlier than the horizon into its tick bucket
+        (a migration's; ``call_at`` does the same inline)."""
         key = floor(entry[0] / self._tick)
         bucket = self._buckets.get(key)
         if bucket is None:
@@ -526,7 +538,12 @@ class WheelSimulator(Simulator):
         if bucket[0][0] > limit:
             return None
         entry = heapq.heappop(bucket)
-        if not bucket:
+        if bucket:
+            # every entry at one instant is in one bucket: wheel entries
+            # lie below the horizon, overflow entries at or past it
+            self._next_due = bucket[0][0] == entry[0]
+        else:
+            self._next_due = False
             del self._buckets[key]
             heapq.heappop(tick_heap)
         return entry

@@ -294,7 +294,9 @@ class NodeStore:
     def _flush_acks(self, origin: int) -> None:
         """Send everything owed to ``origin`` as one ``store.ack``."""
         window = self._ack_windows.pop(origin, None)
-        if window is not None:
+        # spent (``window[3] is None``) when the window's own timer runs
+        # this, and cancelling a spent handle is a no-op frame
+        if window is not None and window[3] is not None:
             self.sim.cancel(window)
         acks = self._owed.pop(origin, None)
         if not acks:

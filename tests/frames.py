@@ -3,11 +3,13 @@
 Pytest-free, so the per-post census runs on any interpreter that can
 import ``repro``::
 
-    PYTHONPATH=src python -m tests.frames
+    PYTHONPATH=src python -m tests.frames               # every path
+    PYTHONPATH=src python -m tests.frames chase wheel   # one breakdown
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 from collections import Counter
 from typing import Any, Callable
@@ -24,7 +26,9 @@ class FrameCensus(Counter):
 
     ``stop`` ends the count early and takes any arguments, so the
     callback that marks the end of a measured path can be it. ``last``
-    is the key of the last frame counted.
+    is the key of the last frame counted. Entering collects garbage
+    first: an earlier cluster collected inside the count would close its
+    threads' generators there.
     """
 
     def __init__(self, where: Callable[[Any], bool] | None = None) -> None:
@@ -42,6 +46,7 @@ class FrameCensus(Counter):
                 self.last = key
 
     def __enter__(self) -> "FrameCensus":
+        gc.collect()
         sys.setprofile(self._profile)
         return self
 
@@ -283,18 +288,40 @@ PATHS = {"post": post_frames, "parked": parked_post_frames,
          "compute": chain_compute_frames, "chase": chase_frames}
 
 
-def main() -> None:
-    """Print each path's frames per post on both scheduler backends,
-    then the busy home-node post's census."""
+def breakdown(path: str, backend: str) -> None:
+    """Print one path's frames per post on one backend, function by
+    function: each entered at least once per two posts, then the rest
+    in one line."""
+    per_post, frames = PATHS[path](backend)
+    print(f"{path} {backend} {per_post:6.2f}")
+    rest = 0
+    for (where, function), calls in frames.most_common():
+        if 2 * calls >= N:
+            print(f"  {calls / N:5.2f}  {where}:{function}")
+        else:
+            rest += calls
+    print(f"  {rest / N:5.2f}  (the rest)")
+
+
+def main(argv: list[str]) -> None:
+    """With no arguments, print each path's frames per post on both
+    scheduler backends, then the busy home-node post's breakdown on the
+    heap; with ``PATH [BACKEND]``, that path's breakdown (heap by
+    default)."""
     print(f"python {sys.version.split()[0]}")
+    if argv:
+        path, backend = (argv + ["heap"])[:2]
+        if path not in PATHS or backend not in ("heap", "wheel"):
+            raise SystemExit(f"usage: python -m tests.frames "
+                             f"[{'|'.join(PATHS)} [heap|wheel]]")
+        breakdown(path, backend)
+        return
     for name, count in PATHS.items():
         per = {backend: count(backend)[0] for backend in ("heap", "wheel")}
         print(f"{name:8} " + "  ".join(
             f"{backend} {value:6.2f}" for backend, value in per.items()))
-    for (where, function), calls in post_frames("heap")[1].most_common():
-        if 2 * calls >= N:
-            print(f"  {calls / N:5.2f}  {where}:{function}")
+    breakdown("post", "heap")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -25,15 +25,16 @@ from tests.frames import FrameCensus
 SRC = Path(repro.__file__).resolve().parent
 CODEC = str(SRC / "transport" / "codec.py")
 
-#: Python frames under ``src/repro`` from ``Fabric.send`` to the endpoint:
-#: send, routable, copies, delay, post, call_at (+ the wheel's
-#: ``_place``), run, ``_drain``, one ``_pop_timed`` (the wheel's drain
-#: adds its miss pop at the new instant), the hook; the sharded wire adds
-#: its own ``post`` in front of the sim one
+#: Python frames under ``src/repro`` from ``Fabric.send`` to the endpoint,
+#: the same on both backends: send, copies, post, call_at, run,
+#: ``_drain``, one ``_pop_timed``, the hook; the sharded wire adds its own
+#: ``post`` in front of the sim one. 10 / 12 (heap / wheel) while the
+#: send asked ``transport.routable`` and ``FixedLatency.delay`` and the
+#: wheel pushed through ``_place`` and made a miss pop at the new instant
 FRAME_BUDGET = {
-    ("heap", "sim"): 10, ("wheel", "sim"): 12,
-    ("heap", "sharded"): 11, ("wheel", "sharded"): 13,
-    ("heap", "serializing"): 10, ("wheel", "serializing"): 12,
+    ("heap", "sim"): 8, ("wheel", "sim"): 8,
+    ("heap", "sharded"): 9, ("wheel", "sharded"): 9,
+    ("heap", "serializing"): 8, ("wheel", "serializing"): 8,
 }
 
 WIRES = ("sim", "sharded", "serializing")

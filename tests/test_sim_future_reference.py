@@ -11,6 +11,11 @@ drains run on both, each under its own ``Simulator``; every call's
 return value or raised exception type, the state after it, and the
 order, arguments and observations of every callback must be the same.
 
+An asynchronous external raise builds its future already resolved,
+slot by slot, with no ``__init__`` or ``settle`` frame; the same drawn
+sequences hold it to a slotted future resolved with the same count, on
+twin clusters.
+
 The example budget is the hypothesis profile's (``tests/conftest.py``):
 CI runs this file again under ``--hypothesis-profile=ci``.
 """
@@ -19,10 +24,13 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generic, TypeVar
 
+import pytest
 from hypothesis import given, strategies as st
 
+from repro import DistObject, on_event
 from repro.errors import SimulationError
 from repro.sim import SimFuture, Simulator
+from tests.conftest import make_cluster
 
 # ======================================================================
 # the reference: the dict-backed future, verbatim
@@ -149,10 +157,20 @@ def observe(fut: Any) -> tuple:
     return fut.done, fut.cancelled, fut.failed, fut._state, outcome
 
 
-def replay(cls: type, program: list[tuple]) -> list:
-    """Run ``program`` on a ``cls`` future; everything it observed."""
-    sim = Simulator()
-    fut = cls(sim)
+def fresh(cls: type) -> Callable[[], tuple[Simulator, Any]]:
+    """A new pending ``cls`` future on its own ``Simulator``."""
+    def make() -> tuple[Simulator, Any]:
+        sim = Simulator()
+        return sim, cls(sim)
+
+    return make
+
+
+def replay(make: Callable[[], tuple[Simulator, Any]],
+           program: list[tuple]) -> list:
+    """Run ``program`` on the future ``make()`` returns beside its
+    simulator; everything it observed."""
+    sim, fut = make()
     log: list = []
     seq = iter(range(10_000))
 
@@ -200,5 +218,60 @@ def replay(cls: type, program: list[tuple]) -> list:
 
 @given(st.lists(ops, max_size=12))
 def test_slotted_future_replays_the_reference(program):
-    assert replay(SimFuture, program) == replay(ReferenceFuture, program)
+    assert (replay(fresh(SimFuture), program)
+            == replay(fresh(ReferenceFuture), program))
+
+
+# ======================================================================
+# the future an asynchronous external raise returns
+# ======================================================================
+
+class Sink(DistObject):
+    @on_event("PING")
+    def on_ping(self, ctx, block):
+        yield ctx.compute(1e-6)
+
+
+def raised(reference: bool = False) -> tuple[Simulator, Any]:
+    """The future of one raise to a fresh cluster's ``Sink``, beside the
+    cluster's simulator; with ``reference``, a ``SimFuture`` built by
+    ``__init__`` and resolved with that raise's count instead."""
+    cluster = make_cluster(n_nodes=1)
+    cluster.register_event("PING")
+    cap = cluster.create_object(Sink, node=0)
+    future = cluster.raise_event("PING", cap)
+    if reference:
+        count = future.result()
+        future = SimFuture(cluster.sim)
+        future.resolve(count)
+    return cluster.sim, future
+
+
+@given(st.lists(ops, max_size=12))
+def test_the_raise_future_replays_a_resolved_slotted_future(program):
+    assert replay(raised, program) == replay(lambda: raised(True), program)
+
+
+def test_the_raise_future_is_built_resolved():
+    sim, future = raised()
+    assert type(future) is SimFuture
+    # every slot is set: a slot added to SimFuture must be set there too
+    for slot in SimFuture.__slots__:
+        getattr(future, slot)
+    assert future.done and future.result() == 1
+    assert not future.failed and not future.cancelled
+    assert future.cancel() is False
+    with pytest.raises(SimulationError):
+        future.resolve(2)
+    with pytest.raises(SimulationError):
+        future.fail(ValueError("late"))
+    assert future.result() == 1 and not future.failed
+    seen = []
+    scheduled = sim.stats()["scheduled"]
+    future.add_done_callback(lambda done: seen.append((done, sim.now)))
+    # not run inline: one call_soon at the current instant
+    assert seen == [] and sim.stats()["scheduled"] == scheduled + 1
+    now = sim.now
+    sim.run()
+    assert seen == [(future, now)]
 

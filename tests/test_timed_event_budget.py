@@ -5,7 +5,8 @@ scheduler callback, so the frames a callback costs are paid about
 eleven times per ``thread_chase`` post. ``call_at`` returns the
 ``[when, seq, args, fn]`` entry it queued (no handle object), the heap's
 timed pop records whether the next entry is at the same instant (no miss
-pop when the clock moves) and ``now`` is an attribute; these tests hold
+pop when the clock moves, on the heap and the wheel alike) and ``now``
+is an attribute; these tests hold
 the frame counts, ``scheduler.cancel(handle)`` on all three schedulers,
 and the two ``DThread`` accessors that became attributes.
 """
@@ -56,18 +57,14 @@ def after(sim, when, fn):
 
 N = len(TIMES)
 
-#: per schedule style and backend: the heap pays ``call_at`` and one
-#: ``_pop_timed`` per callback (``call_after`` adds its delegation); the
-#: wheel adds ``_place`` per push and a miss pop as the drain starts and
-#: after each of the three clock moves before the last callback
+#: per schedule style, the same on both backends: ``call_at`` and one
+#: ``_pop_timed`` per callback (``call_after`` adds its delegation). The
+#: wheel paid 2 more per callback while it pushed through ``_place`` and
+#: made a miss pop as the drain started and after each clock move
 FRAME_BUDGET = {
-    ("heap", "at"): {"call_at": N, "_pop_timed": N, "run": 1, "_drain": 1},
-    ("heap", "after"): {"call_after": N, "call_at": N, "_pop_timed": N,
-                        "run": 1, "_drain": 1},
-    ("wheel", "at"): {"call_at": N, "_place": N, "_pop_timed": N + 4,
-                      "run": 1, "_drain": 1},
-    ("wheel", "after"): {"call_after": N, "call_at": N, "_place": N,
-                         "_pop_timed": N + 4, "run": 1, "_drain": 1},
+    "at": {"call_at": N, "_pop_timed": N, "run": 1, "_drain": 1},
+    "after": {"call_after": N, "call_at": N, "_pop_timed": N, "run": 1,
+              "_drain": 1},
 }
 
 
@@ -76,7 +73,7 @@ FRAME_BUDGET = {
 def test_frames_per_timed_callback(backend, style):
     sim = Simulator() if backend == "heap" else WheelSimulator()
     frames = scheduler_frames(sim, at if style == "at" else after)
-    assert dict(frames) == FRAME_BUDGET[backend, style]
+    assert dict(frames) == FRAME_BUDGET[style]
 
 
 def test_the_handle_is_the_queued_entry():

@@ -2,21 +2,21 @@
 the request objects they build are.
 
 A home-node object post builds one ``SimFuture`` (the external raise's
-answer) and one request on the master handler thread (the handler's
-``compute``), and reads the clock twice (the delivery stamp and the
-handler's own ``ctx.now``). The handler's generator is the master's
-frame itself: when it ends, the master takes the next post in the same
-step. Each request is a plain ``__slots__`` class built by its own
-``__init__`` — a builder that only passes its argument on is the class
-itself — a future settles in one frame, and ``ctx.now`` is a C-level
-getter. These tests hold the frames per post on both scheduler backends
-(a busy master, a parked one, a durable post arriving by message and
-one from its raise to its ack's commit), per
-``compute`` step of a thread-based handler and per notice to a thread
-two nodes from its root, counted by ``tests/frames.py``; and the
-absence of an instance
-``__dict__``, every type's keyword construction, defaults and ``repr``,
-and the NaN rule of the three time validators.
+answer, built already resolved with no frame) and one request on the
+master handler thread (the handler's ``compute``), and reads the clock
+twice (the delivery stamp and the handler's own ``ctx.now``). The
+handler's generator is the master's frame itself: when it ends, the
+master takes the next post in the same step. Each request is a plain
+``__slots__`` class built by its own ``__init__`` — a ``ctx`` method
+that only passes its argument on is the class itself — a future
+settles in one frame, and ``ctx.now`` is a C-level getter. These tests
+hold the frames per post, the same on both scheduler backends (a busy
+master, a parked one, a durable post arriving by message and one from
+its raise to its ack's commit), per ``compute`` step of a thread-based
+handler and per notice to a thread two nodes from its root, counted by
+``tests/frames.py``; and the absence of an instance ``__dict__``, every
+type's keyword construction, defaults and ``repr``, and the NaN rule of
+the three time validators.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ from tests.conftest import make_cluster, run_to_result
 from tests.frames import (
     BURST,
     N,
+    PATHS,
     arrived_post_frames,
+    breakdown,
     chain_compute_frames,
     chase_frames,
     durable_frames,
@@ -46,18 +48,22 @@ from tests.frames import (
 )
 from tests.test_syscall_surface import SYSCALLS
 
-#: Python frames per home-node post, everything counted: raise_event →
-#: raise_external (one ``SimFuture.__init__``, one ``settle`` with
-#: route's count) → ``_open`` (the event-name table and the target's
-#: type checked inline), route, and ``post_object``, which accepts, looks
+#: Python frames per home-node post, everything counted, on either
+#: backend: ``raise_event`` (bound to ``raise_external`` itself, which
+#: builds its future resolved with route's count) → ``_open`` (the
+#: event-name table and the target's type checked inline), route, and
+#: ``post_object``, which accepts, looks
 #: the handler up in the routing table and queues the post
 #: (``run_object_handler``), all inside the raise; the master's step,
 #: the handler's two generator resumptions, ``Compute.__init__`` and the
 #: ``call_at`` ``_step`` makes for it; the frame's exit
 #: (``frame_returned`` popping it inline) and the master's
 #: ``frame_exit``, which concludes the post and starts the next after
-#: one ``nothing_due_now``; the wheel adds ``_place`` and its miss pop.
-#: 35 / 37 while the raise went through ``_raise``, ``require_event`` and
+#: one ``nothing_due_now``. 20 / 22 (heap / wheel) while ``raise_event``
+#: was a relay, the future was built by ``SimFuture.__init__`` and
+#: completed by ``settle``, and the wheel pushed through ``_place`` and
+#: made a miss pop after each clock move; 35 / 37 while the raise went
+#: through ``_raise``, ``require_event`` and
 #: ``normalize_target``, the home-node post through ``_handle_object_post``,
 #: ``_run_object_post``, ``ObjectManager.get``, ``object_handler_fn`` and
 #: ``DistObject.oid``, the compute through ``_dispatch``,
@@ -69,36 +75,42 @@ from tests.test_syscall_surface import SYSCALLS
 #: + generated ``__init__`` + ``__post_init__``), the future completed
 #: through ``settle`` → ``_complete`` → ``done`` and ``ctx.now`` was a
 #: property frame.
-FRAME_BUDGET = {"heap": 20, "wheel": 22}
+FRAME_BUDGET = {"heap": 17, "wheel": 17}
 
 #: the same, one post per millisecond, so each finds the master parked
 #: and wakes it with one scheduled step (the pump's own frame included):
-#: 28 / 31 while ``run_frame`` started the frame through ``push_frame``
+#: 27 / 30 with the raise's three relays and the wheel's two above, 28 /
+#: 31 while ``run_frame`` started the frame through ``push_frame``
 #: and ``step_now``, 41 / 44 with the relays above, 49 / 52 with the
 #: ``Recv`` park and the channel hand-off
-PARKED_BUDGET = {"heap": 27, "wheel": 30}
+PARKED_BUDGET = {"heap": 24, "wheel": 24}
 
 #: a durable post that arrives by message at its object's home node,
 #: from the arrival on: the reliable channel's accept and ack, the
 #: journal's ``post`` record, the handler, the applied marker and the
-#: owed ack's flush; 36 / 38 with the relays in ``DURABLE_GONE``, 47 /
-#: 50 with the relays above too
-ARRIVED_BUDGET = {"heap": 28, "wheel": 30}
+#: owed ack's flush; 28 / 30 with the wheel's relays above, 36 / 38
+#: with the relays in ``DURABLE_GONE`` too, 47 / 50 with the relays
+#: above too
+ARRIVED_BUDGET = {"heap": 28, "wheel": 28}
 
 #: a durable post from its raise on node 0 to the commit of its ack
 #: there, BURST every GAP to a private-state sink on node 1: the raise,
 #: ``journal_post`` (``Outbox.record`` and the ``post`` record), the
 #: reliable send, the fabric hop, the receive path above, the ``ack``
 #: record of the ``store.ack`` batch and this post's share of the
-#: checkpoints and of the acks of both channels; 66 / 70 through the
-#: relays in ``DURABLE_GONE``
-DURABLE_BUDGET = {"heap": 48, "wheel": 52}
+#: checkpoints and of the acks of both channels; 48 / 52 with the
+#: raise's and the wheel's relays above and the message hop's
+#: ``routable`` and ``delay`` (``Fabric.send`` probes its endpoint dict
+#: and reads ``FixedLatency``'s floats), 66 / 70 through the relays in
+#: ``DURABLE_GONE`` too
+DURABLE_BUDGET = {"heap": 43, "wheel": 43}
 
 #: one ``compute`` step of a thread-based handler on its surrogate: the
 #: timed pop, ``_step``, the generator, ``Compute.__init__`` and
-#: ``call_at`` (the wheel adds ``_place`` and its miss pop); 8 / 10
-#: through ``_dispatch``, ``schedule_step_after`` and ``call_after``
-COMPUTE_BUDGET = {"heap": 5, "wheel": 7}
+#: ``call_at``; 5 / 7 while the wheel added ``_place`` and its miss pop,
+#: 8 / 10 through ``_dispatch``, ``schedule_step_after`` and
+#: ``call_after``
+COMPUTE_BUDGET = {"heap": 5, "wheel": 5}
 
 #: a notice raised on node 3 to a thread rooted on node 0 that sleeps
 #: on node 2, one per millisecond (the pump's frame included): route
@@ -109,12 +121,14 @@ COMPUTE_BUDGET = {"heap": 5, "wheel": 7}
 #: run: ``_offer``, ``_execute_registration``, the ``SURROGATE_COST``
 #: timer, ``_run_on_surrogate``, ``run_frame``, the handler's two
 #: steps and its ``compute`` timer, ``frame_returned``,
-#: ``_handler_exited``, ``_decided``) and the conclusion; 178 / 197
+#: ``_handler_exited``, ``_decided``) and the conclusion; 117 / 136
+#: with the raise's three relays, the wheel's and each message's
+#: ``routable`` and ``delay`` (3 messages per notice), 178 / 197
 #: through the relays in ``CHASE_GONE`` (179 / 198 when the census also
 #: counted ``snapshot``'s list comprehension), 122 / 141 with the raise's
 #: ``innermost_here`` probe and each handler's ``effective_deadline``,
 #: 118 / 137 with the conclusion's ``current_node``
-CHASE_BUDGET = {"heap": 117, "wheel": 136}
+CHASE_BUDGET = {"heap": 108, "wheel": 108}
 
 #: frames the old objects and relays paid and the new ones must not
 GONE = {("syscalls.py", "__post_init__"), ("<string>", "__init__"),
@@ -129,7 +143,17 @@ GONE = {("syscalls.py", "__post_init__"), ("<string>", "__init__"),
         ("base.py", "oid"), ("thread.py", "_dispatch"),
         ("thread.py", "schedule_step_after"), ("scheduler.py", "call_after"),
         ("thread.py", "pop_frame"), ("supervise.py", "clear_failures"),
-        ("scheduler.py", "_timed_due_now"), ("scheduler.py", "_live_at")}
+        ("scheduler.py", "_timed_due_now"), ("scheduler.py", "_live_at"),
+        ("boot.py", "raise_event"), ("primitives.py", "__init__"),
+        ("primitives.py", "settle")}
+
+#: the wheel's bucket push, gone from every path (its miss pop would
+#: show in ``test_the_wheel_costs_what_the_heap_does``)
+WHEEL_GONE = {("scheduler.py", "_place")}
+
+#: the message hop's routing probe and latency call, which every locate
+#: message, reliable send and ack paid
+HOP_GONE = {("base.py", "routable"), ("latency.py", "delay")}
 
 #: the relays a notice to a chased thread paid and must not again: the
 #: locate hop's ``_hop``, ``_accept`` and membership check and its TCB
@@ -137,8 +161,8 @@ GONE = {("syscalls.py", "__post_init__"), ("<string>", "__init__"),
 #: ``call_after``, ``push_frame``, ``step_now``, park (``block``),
 #: ``_outcome``, ``in_order`` and ``__len__``, ``take_stash``,
 #: ``DistObject.oid`` and ``effective_deadline``; the raise's
-#: ``innermost_here``; the conclusion's ``current_node``; and
-#: ``ThreadId.__hash__``
+#: ``innermost_here``; the conclusion's ``current_node``;
+#: ``ThreadId.__hash__``; and each message's ``HOP_GONE``
 CHASE_GONE = {("path.py", "_hop"), ("base.py", "_accept"),
               ("base.py", "_membership"), ("membership.py", "enabled"),
               ("tcb.py", "get"), ("thread.py", "current_object"),
@@ -149,19 +173,20 @@ CHASE_GONE = {("path.py", "_hop"), ("base.py", "_accept"),
               ("thread.py", "take_stash"), ("base.py", "oid"),
               ("supervise.py", "effective_deadline"),
               ("tcb.py", "innermost_here"), ("thread.py", "current_node"),
-              ("ids.py", "__hash__")}
+              ("ids.py", "__hash__")} | HOP_GONE
 
 #: the relays a durable post paid and must not again: the journal's
 #: ``_stamp`` and ``JournalRecord.__init__`` per record; the checkpoint
 #: countdown's ``_after_append``, ``enabled`` and ``note_append`` per
 #: journaled operation; the owed ack's ``_owe_ack``; and the reliable
 #: channel's ``_peer``, ``_dispatch`` and ``_Pending.__init__`` per send
-#: (``OutboxEntry``'s dataclass ``__init__`` is counted below)
+#: (``OutboxEntry``'s dataclass ``__init__`` is counted below); and
+#: each message's ``HOP_GONE``
 DURABLE_GONE = {("journal.py", "_stamp"), ("journal.py", "__init__"),
                 ("manager.py", "_after_append"), ("manager.py", "enabled"),
                 ("checkpoint.py", "note_append"), ("manager.py", "_owe_ack"),
                 ("reliable.py", "_peer"), ("reliable.py", "_dispatch"),
-                ("reliable.py", "__init__")}
+                ("reliable.py", "__init__")} | HOP_GONE
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
@@ -223,6 +248,28 @@ def test_chased_thread_notice_frame_budget(scheduler):
     # one TCB probe per node the locate visits and one for the raise's
     # local fast path on node 3, none a Python frame
     assert frames["path.py", "_arrived"] == 3 * N, frames
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_the_wheel_costs_what_the_heap_does(path):
+    """Every pinned path enters the same functions the same number of
+    times on both backends, but for the run's tail: an empty wheel
+    looks at its overflow heap once more before the run ends."""
+    heap, wheel = (PATHS[path](backend)[1] for backend in ("heap", "wheel"))
+    assert not WHEEL_GONE & set(wheel), wheel
+    tail = ("scheduler.py", "_timed_head")
+    assert 0 <= wheel.pop(tail, 0) - heap.pop(tail, 0) <= 1
+    assert heap == wheel
+
+
+def test_the_census_prints_one_path_function_by_function(capsys):
+    """``python -m tests.frames compute wheel`` prints this."""
+    breakdown("compute", "wheel")
+    head, *lines, rest = capsys.readouterr().out.splitlines()
+    assert head.split()[:2] == ["compute", "wheel"]
+    assert math.floor(float(head.split()[2])) == COMPUTE_BUDGET["wheel"]
+    assert ["1.00", "thread.py:_step"] in [line.split() for line in lines]
+    assert rest.endswith("(the rest)")
 
 
 # ----------------------------------------------------------------------
