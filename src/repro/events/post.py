@@ -205,8 +205,7 @@ class Poster:
                 return
             message = Message(src=node, dst=cap.home, mtype=MSG_POST_OBJECT,
                               size=128, payload={"block": block})
-            self.kernels[node].transmit(
-                message, lambda m: self._object_post_failed(block, cap))
+            self.kernels[node].transmit(message, self._object_post_failed)
             return
         kernel = self.kernels[node]
         if kernel.crashed:
@@ -286,8 +285,13 @@ class Poster:
                 block.raiser_node or 0):
             self.supervisor.counters["degrade_unconfirmed"] += 1
 
-    def _object_post_failed(self, block: EventBlock, cap: Capability) -> None:
-        """A reliable object post exhausted its retransmission budget."""
+    def _object_post_failed(self, message: Message) -> None:
+        """A reliable object post exhausted its retransmission budget:
+        the reliable channel's give-up hook, one bound method for every
+        post (the message is the one sent, and a block's target is set
+        once, at its raise)."""
+        block = message.payload["block"]
+        cap = block.target
         if block.durable_id is not None:
             # Durable posts to persistent objects don't fail — they park
             # in the origin's outbox and the flush timer / the target's

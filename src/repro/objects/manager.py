@@ -57,9 +57,8 @@ class ObjectManager:
         #: master, or in per-event mode the thread made for it
         self._queue: deque[tuple] = deque()
         self._master: DThread | None = None
-        #: posts it started inline in this scheduler step (None before
-        #: its first step)
-        self._folds: int | None = None
+        #: the master has not taken a post yet (its first take is a fold)
+        self._fresh = False
         #: counters reported by experiment E3
         self.events_served = 0
         self.handler_threads_created = 0
@@ -246,7 +245,7 @@ class ObjectManager:
 
     def _new_master(self) -> None:
         # Created at first use: its creation cost is paid once (§7).
-        self._folds = None
+        self._fresh = True
         self._master = self._start_loop("obj-event-master")
         self._master.schedule_step()
 
@@ -294,22 +293,20 @@ class ObjectManager:
                 return False  # InvocationEngine.frame_returned parks it
             # The recv-fold rule of DThread._step: with nothing else due
             # at this instant the hop would be the next callback anyway.
-            # A run that yielded ended the callback it started in.
-            if thread.kept.steps:
-                self._folds = 0
-            if not (self._folds < RECV_FOLDS
+            # It spends the budget the runs' computes spend too: one per
+            # scheduler step.
+            if not (thread.folds < RECV_FOLDS
                     and kernel.sim.nothing_due_now()):
                 thread.schedule_step()
                 return True
-            self._folds += 1
-        elif master:
-            first = self._folds is None
-            self._folds = 0
-            if first:  # the master's first step takes its post as a fold
-                if not kernel.sim.nothing_due_now():
-                    thread.schedule_step()
-                    return True
-                self._folds = 1
+            thread.folds += 1
+        elif master and self._fresh:
+            self._fresh = False
+            # the master's first step takes its post as a fold
+            if not kernel.sim.nothing_due_now():
+                thread.schedule_step()
+                return True
+            thread.folds += 1
         obj, fn, block, on_exit = queue.popleft()
         act = thread.kept
         act.obj, act.event_block, act.steps = obj, block, 0

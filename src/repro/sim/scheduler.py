@@ -47,14 +47,23 @@ same instant?), so a clock move costs no miss pop. The record is exact
 on both: the wheel keeps every entry of one instant in one tick bucket,
 and the one "maybe" is the wheel's spill of an entry due at ``now``
 after ``run(until)`` jumped the clock past its horizon, which no pop
-saw. ``now`` is a plain attribute that only the
-loop and ``run(until)`` move. The wall-clock ``RealtimeScheduler``
+saw. ``now`` is a plain attribute that the loop, ``run(until)`` and
+:meth:`Simulator.advance_to` move. The wall-clock ``RealtimeScheduler``
 (:mod:`repro.transport.realtime`) has the same shape — timer heap plus
 ready list — and the same rule. :meth:`Simulator.nothing_due_now`
 reads that rule without popping: when no other live entry is due at
 ``now``, a same-instant hop the running callback would schedule to
 itself is the next callback either way, so the thread driver does its
-work inline (the realtime scheduler never says so).
+work inline. :meth:`Simulator.advance_to` carries the rule across
+virtual time: when no other live entry is due by a later instant the
+running drain may still reach (its ``until``), a wake-up the running
+callback would schedule there is the next callback either way, so the
+clock moves there and the callback carries on (on the wheel, a wake-up
+at or past the horizon counts the spill and the re-base the drain
+would have made). The realtime scheduler answers no to both. A callback
+together with what it carried on to counts as one event for ``step``
+and ``run(max_events=…)``; the thread driver bounds how far one
+carries on (``threads.thread.RECV_FOLDS``).
 
 Cancellation — ``scheduler.cancel(handle)`` on every backend — is lazy
 in both lanes (the entry stays queued with its callback and arguments
@@ -131,6 +140,9 @@ class Simulator:
         #: to find out; False can be trusted, True may be a miss, and
         #: only the wheel's spill at ``now`` sets it without a pop)
         self._next_due = False
+        #: the running drain's ``until`` (-inf outside a drain): how far
+        #: :meth:`advance_to` may move the clock
+        self._limit = -inf
 
     @property
     def events_processed(self) -> int:
@@ -274,6 +286,37 @@ class Simulator:
         return not (queue and queue[0][0] <= self.now
                     and _live_at(queue, self.now))
 
+    def advance_to(self, when: float) -> bool:
+        """Move the clock to ``when`` if the running callback's wake-up
+        there would be the next callback to run; say whether it did.
+
+        A callback about to schedule itself at ``when`` asks this: when
+        no live entry in either lane is due at or before ``when`` and
+        the running drain's ``until`` admits it, that wake-up would be
+        the very next callback, so the caller carries on at ``when``
+        instead — the same callbacks in the same order at the same
+        virtual times, minus the wake-up. On True the cancelled entries
+        the drain would have shed on its way there are shed, so
+        :meth:`stats` moves only by the callback saved; on False nothing
+        changes. Outside a drain the answer is False.
+        """
+        if not when <= self._limit:  # also refuses NaN
+            return False
+        ready = self._ready
+        if ready and any(entry[3] is not None for entry in ready):
+            return False
+        queue = self._queue
+        if queue and queue[0][0] <= when:
+            if queue[0][3] is not None or _live_at(queue, when):
+                return False
+            self._cancelled -= _shed(queue, when)
+        if ready:
+            self._cancelled -= len(ready)
+            ready.clear()
+        self.now = when
+        self._next_due = False
+        return True
+
     # -- running ---------------------------------------------------------
 
     def step(self) -> bool:
@@ -321,20 +364,21 @@ class Simulator:
         else:
             limit = until
         self._running = True
+        self._limit = limit
         try:
             ready = self._ready
             pop_timed = self._pop_timed
-            now = self.now
             processed = 0
             # Timed entries at `now` were scheduled while the clock was
             # earlier, so they precede the whole lane; none can be added
             # during the instant, so the record the last timed pop left
             # (or one miss, where it says "maybe") settles it until the
-            # clock moves.
+            # clock moves. A callback may move it too (advance_to), so
+            # `now` is read afresh, never kept in a local.
             due = self._next_due
             while True:
                 if due:
-                    entry = pop_timed(now)
+                    entry = pop_timed(self.now)
                     if entry is None:
                         due = False
                         continue
@@ -346,7 +390,7 @@ class Simulator:
                     if entry is None:
                         break
                     if entry[3] is not None:
-                        now = self.now = entry[0]
+                        self.now = entry[0]
                         due = self._next_due
                 fn = entry[3]
                 if fn is None:
@@ -359,11 +403,12 @@ class Simulator:
                 if processed == budget:
                     return True
             self.peek_next()  # shed cancelled heads past `until` as well
-            if until is not None and now < until:
+            if until is not None and self.now < until:
                 self.now = float(until)
             return False
         finally:
             self._running = False
+            self._limit = -inf
 
     def peek_next(self) -> float | None:
         """Virtual time of the next live callback without running it.
@@ -493,17 +538,15 @@ class WheelSimulator(Simulator):
             heapq.heappush(self._tick_heap, key)
         heapq.heappush(bucket, entry)
 
-    def _advance_horizon(self) -> None:
+    def _advance_horizon(self, first: float) -> None:
         """The wheel drained to the overflow heap: move the window.
 
-        Re-bases the near window at the earliest overflow entry and
-        migrates everything now inside it onto the wheel. Guaranteed to
-        make progress: the new horizon sits ``slots`` ticks past the
-        earliest entry.
+        Re-bases the near window at ``first``, the earliest live entry,
+        and migrates everything now inside it onto the wheel. Guaranteed
+        to make progress: the new horizon sits ``slots`` ticks past it.
         """
         overflow = self._overflow
-        base = floor(overflow[0][0] / self._tick)
-        self._horizon = (base + self._slots) * self._tick
+        self._horizon = (floor(first / self._tick) + self._slots) * self._tick
         while overflow and overflow[0][0] < self._horizon:
             entry = heapq.heappop(overflow)
             if entry[3] is None:
@@ -526,7 +569,7 @@ class WheelSimulator(Simulator):
                 heapq.heappop(overflow)
                 self._cancelled -= 1
             else:
-                self._advance_horizon()
+                self._advance_horizon(overflow[0][0])
 
     def _pop_timed(self, limit: float) -> list | None:
         tick_heap = self._tick_heap
@@ -565,6 +608,63 @@ class WheelSimulator(Simulator):
         return not (overflow and overflow[0][0] <= now
                     and _live_at(overflow, now))
 
+    def advance_to(self, when: float) -> bool:
+        if not when <= self._limit:  # also refuses NaN
+            return False
+        ready = self._ready
+        if ready and any(entry[3] is not None for entry in ready):
+            return False
+        tick_heap = self._tick_heap
+        head = self._buckets[tick_heap[0]][0] if tick_heap else None
+        wheel_due = head is not None and head[0] <= when
+        if wheel_due and (head[3] is not None or self._wheel_live(when)):
+            return False
+        # Below the horizon no overflow entry is due by `when`.
+        overflow = self._overflow
+        crossing = when >= self._horizon
+        overflow_due = crossing and overflow and overflow[0][0] <= when
+        if overflow_due and _live_at(overflow, when):
+            return False
+        if wheel_due:
+            self._shed_wheel(when)
+        if crossing:
+            # The wake-up would spill, and with nothing live before it
+            # the drain would re-base the window on it and migrate it
+            # back: count both and re-base here.
+            self._cancelled -= _shed(overflow, when)
+            self._spills += 1
+            self._migrations += 1
+            self._advance_horizon(when)
+        if ready:
+            self._cancelled -= len(ready)
+            ready.clear()
+        self.now = when
+        self._next_due = False
+        return True
+
+    def _wheel_live(self, when: float) -> bool:
+        """Whether a live wheel entry is due at or before ``when``."""
+        last = floor(when / self._tick)
+        buckets = self._buckets
+        return any(entry[3] is not None
+                   for key in self._tick_heap if key <= last
+                   for entry in buckets[key] if entry[0] <= when)
+
+    def _shed_wheel(self, when: float) -> None:
+        """Pop the (cancelled) wheel entries due at or before ``when``,
+        as the drain's timed pops would, without re-basing."""
+        tick_heap, buckets = self._tick_heap, self._buckets
+        while tick_heap:
+            key = tick_heap[0]
+            bucket = buckets[key]
+            if bucket[0][0] > when:
+                return
+            heapq.heappop(bucket)
+            self._cancelled -= 1
+            if not bucket:
+                del buckets[key]
+                heapq.heappop(tick_heap)
+
     def _compact_timed(self) -> None:
         buckets = self._buckets
         for key in list(buckets):
@@ -586,6 +686,16 @@ def _live_at(heap: list, now: float) -> bool:
     cancelled."""
     return heap[0][3] is not None or any(
         entry[3] is not None for entry in heap if entry[0] <= now)
+
+
+def _shed(heap: list, when: float) -> int:
+    """Pop the entries due at or before ``when`` off a ``(when, seq)``
+    heap, all of them cancelled, as the drain would; return how many."""
+    count = 0
+    while heap and heap[0][0] <= when:
+        heapq.heappop(heap)
+        count += 1
+    return count
 
 
 def make_simulator(scheduler: str = SCHEDULER_HEAP,

@@ -60,7 +60,9 @@ KIND_SURROGATE = "surrogate"
 #: Kernel threads serve object-based events (§7's master handler thread).
 KIND_KERNEL = "kernel"
 
-#: channel items one scheduled driver step may take inline (see _step)
+#: hops one scheduled driver step may fold (see _step): channel items
+#: taken, ``compute`` wake-ups run inline and, on the master handler
+#: thread, posts started inline, all from one budget
 RECV_FOLDS = 64
 
 
@@ -128,6 +130,9 @@ class DThread:
         self._wait_epoch = 0
         #: epoch guard for scheduled driver steps (bumped on abort/terminate)
         self._step_epoch = 0
+        #: hops folded in the scheduler step now running this thread
+        #: (``RECV_FOLDS`` when no scheduled step of its own runs it)
+        self.folds = RECV_FOLDS
         #: number of the thread-carrying message in flight; it moves when
         #: one leaves and again when it lands, so a duplicate or a message
         #: overtaken by an unwind names a hop that is already past
@@ -299,11 +304,14 @@ class DThread:
 
     def _step(self, value: Any, error: BaseException | None,
               step_epoch: int | None = None) -> None:
-        if step_epoch is not None and step_epoch != self._step_epoch:
-            return
         # Only a step the scheduler runs (it carries its epoch) is the
         # whole callback, so only it may fold its own next hop.
-        folds = 0 if step_epoch is not None else RECV_FOLDS
+        if step_epoch is None:
+            self.folds = RECV_FOLDS
+        elif step_epoch != self._step_epoch:
+            return
+        else:
+            self.folds = 0
         while True:
             if not self.alive or self.state == TERMINATING:
                 return
@@ -341,24 +349,32 @@ class DThread:
                 if isinstance(syscall, sc.Compute):
                     # CPU burn: continuation stays internal, state stays
                     # RUNNING; events queued meanwhile are delivered at
-                    # the next yield.
+                    # the next yield. Folded when nothing else is due by
+                    # its end: the wake-up would be the next callback,
+                    # so the loop carries on at that instant instead.
                     self.state = RUNNING
                     sim = self.sim
-                    sim.call_at(sim.now + syscall.seconds, self._step, None,
-                                None, self._step_epoch)
+                    when = sim.now + syscall.seconds
+                    if self.folds < RECV_FOLDS and sim.advance_to(when):
+                        self.folds += 1
+                        value = error = None
+                        continue
+                    sim.call_at(when, self._step, None, None,
+                                self._step_epoch)
                     return
                 # Folded, not hopped: a recv that finds an item would
                 # schedule this driver again at this instant; with
                 # nothing else due, that hop is the next callback
                 # anyway, so the loop takes the item here and re-checks
-                # what the hop's step would have checked. Bounded, so
-                # run(max_events=…) still catches a thread that feeds
-                # its own channel.
-                if (folds < RECV_FOLDS and isinstance(syscall, sc.Recv)
+                # what the hop's step would have checked. Both folds
+                # share one budget, so run(max_events=…) still catches
+                # a thread that feeds its own channel or never stops
+                # computing.
+                if (isinstance(syscall, sc.Recv) and self.folds < RECV_FOLDS
                         and len(syscall.channel) and not self.pending_notices
                         and self.state == RUNNING
                         and self.sim.nothing_due_now()):
-                    folds += 1
+                    self.folds += 1
                     value, error = syscall.channel.pop(), None
                     continue
                 self._dispatch(frame, syscall)

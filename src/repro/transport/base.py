@@ -31,8 +31,9 @@ things:
    schedule that hook as the arrival callback itself);
 3. **the clock** — :attr:`Transport.scheduler` exposes the
    ``Simulator``-shaped surface (``now``/``call_at``/``call_after``/
-   ``call_soon``/``run``/``pending``/``stats``) every other subsystem
-   schedules against.  On the sim backends this *is* the deterministic
+   ``call_soon``/``run``/``cancel``/``pending``/``stats``, and
+   the two fold queries ``nothing_due_now``/``advance_to``) every other
+   subsystem schedules against.  On the sim backends this *is* the deterministic
    :class:`~repro.sim.scheduler.Simulator`; on TCP it is a
    :class:`~repro.transport.realtime.RealtimeScheduler` over the
    asyncio loop.

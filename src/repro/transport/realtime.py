@@ -2,7 +2,8 @@
 
 Every subsystem in the library schedules against the ``Simulator``
 surface — ``now`` / ``call_at`` / ``call_after`` / ``call_soon`` /
-``run`` / ``cancel`` / ``pending`` / ``stats`` / ``nothing_due_now``.
+``run`` / ``cancel`` / ``pending`` / ``stats`` / ``nothing_due_now`` /
+``advance_to``.
 :class:`RealtimeScheduler` implements that surface with real time:
 ``now`` is seconds of
 wall-clock since the scheduler was built, and :meth:`run` actually
@@ -163,6 +164,11 @@ class RealtimeScheduler:
     def nothing_due_now(self) -> bool:
         """Always False: a frame may arrive at any wall instant, so no
         hop can be known to be the next callback."""
+        return False
+
+    def advance_to(self, when: float) -> bool:
+        """Always False: wall time is not the scheduler's to move, so a
+        wake-up is always scheduled."""
         return False
 
     def cancel(self, handle: list) -> None:

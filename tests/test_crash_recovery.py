@@ -468,13 +468,13 @@ class TestCrashBeforeTheMasterTakesThePost:
 
 
 class TestDurableThreadPostExecutedWhileItsOriginIsDown:
-    """ROADMAP 12(c)'s open double conclusion: a durable thread post
+    """ROADMAP item 13's open double conclusion: a durable thread post
     whose handler runs while its origin is down concludes ``executed``,
     and then ``noticed`` by the origin's redelivery after recovery,
     which cannot tell an executed post from a lost one."""
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP 12(c): the redelivery of a post executed while its "
+        "ROADMAP item 13: the redelivery of a post executed while its "
         "origin was down concludes it a second time, as noticed"))
     @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
     def test_concludes_once(self, scheduler, conclusions):

@@ -202,7 +202,7 @@ FROZEN = (
                                       'type:invoke.request': 1},
                          'now': 20.0,
                          'raiser': None,
-                         'scheduled': 27,
+                         'scheduled': 23,
                          'snapshots': [('T0.1', 'running', 0,
                                         [('Worker', 'work', 0, 5),
                                          ('Worker', 'fault', 0, 1)])],
@@ -228,7 +228,7 @@ FROZEN = (
                             'type:locate.path': 1},
                'now': 20.0,
                'raiser': None,
-               'scheduled': 27,
+               'scheduled': 25,
                'snapshots': [('T0.1', 'blocked', 0,
                               [('Worker', 'work', 0, 5)])],
                'surrogates': 1,
@@ -253,7 +253,7 @@ FROZEN = (
                                        'type:invoke.request': 1},
                           'now': 20.0,
                           'raiser': None,
-                          'scheduled': 29,
+                          'scheduled': 27,
                           'snapshots': [('T0.1', 'running', 0,
                                          [('Worker', 'work', 0, 5),
                                           ('Worker', 'fault', 0, 1)])],
@@ -279,7 +279,7 @@ FROZEN = (
                              'type:locate.path': 1},
                 'now': 20.0,
                 'raiser': None,
-                'scheduled': 27,
+                'scheduled': 25,
                 'snapshots': [('T0.1', 'blocked', 0,
                                [('Worker', 'work', 0, 5)])],
                 'surrogates': 1,
@@ -303,7 +303,7 @@ FROZEN = (
                                'type:locate.path': 1},
                   'now': 20.0,
                   'raiser': None,
-                  'scheduled': 27,
+                  'scheduled': 25,
                   'snapshots': [('T0.1', 'blocked', 0,
                                  [('Worker', 'work', 0, 5)])],
                   'surrogates': 1,

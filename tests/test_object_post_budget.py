@@ -3,13 +3,15 @@
 ``scheduler_stats()["scheduled"]`` is every callback the simulator was
 asked to run; its delta over a batch of posts is host-independent and
 repeats exactly, so the numbers here are equalities, not floors. A
-queued object post on the master handler thread costs one event, its
-handler's ``compute``: the home node queues it inside the raise, and the
-master takes the next post inside the step that finished the last one
-whenever nothing else is due at that instant. Waking a parked master is
-the only instant hop left. The same file pins what the fold must keep:
-post *k* is concluded, and whatever its conclusion queued at that
-instant has run, before handler *k+1* runs its first statement.
+queued object post on the master handler thread costs no event of its
+own: the home node queues it inside the raise, the handler's
+``compute`` wake-up runs inline whenever nothing else is due by its
+end, and the master takes the next post inside the step that finished
+the last one whenever nothing else is due at that instant, both within
+one fold budget per scheduler step. Waking a parked master is the only
+hop left. The same file pins what the fold must keep: post *k* is
+concluded, and whatever its conclusion queued at that instant has run,
+before handler *k+1* runs its first statement.
 """
 
 import pytest
@@ -81,7 +83,9 @@ def _object_posts(event: str, home: int = 0, **config) -> int:
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
 class TestHomeNodePost:
     def test_one_event_per_post_plus_one_wake(self, scheduler):
-        assert _object_posts("WORK", scheduler=scheduler) == N + 1
+        """The wake alone: each compute runs inline (N + 1 while each
+        was a wake-up of its own)."""
+        assert _object_posts("WORK", scheduler=scheduler) == 1
 
     def test_one_per_post_when_the_handler_yields_nothing(self, scheduler):
         """One per post, the first step of the thread made for it, is
@@ -100,12 +104,13 @@ class TestHomeNodePost:
         assert _object_posts("NOP", **per_event) == N
 
 
-@pytest.mark.parametrize("event, hops", [("WORK", 0), ("NOP", 2)])
-def test_the_fold_budget_is_one_scheduler_step(event, hops):
-    """The master takes at most ``RECV_FOLDS`` posts inline in one
-    scheduler step, so ``run(max_events=…)`` still bounds a callback;
-    a handler that yields ends the step it started in, so the count
-    starts over and a queue of computing handlers never hops."""
+@pytest.mark.parametrize("event", ["WORK", "NOP"])
+def test_the_fold_budget_is_one_scheduler_step(event):
+    """One scheduler step folds at most ``RECV_FOLDS`` hops, the
+    master's inline takes and its handlers' inline computes from one
+    budget, so ``run(max_events=…)`` still bounds a callback: of the
+    takes after the wake's and the computes, every ``RECV_FOLDS + 1``-th
+    is a scheduled callback, whatever the handlers yield."""
     cluster = make_cluster(n_nodes=1)
     for name in ("WORK", "NOP"):
         cluster.register_event(name)
@@ -119,16 +124,39 @@ def test_the_fold_budget_is_one_scheduler_step(event, hops):
     cluster.run(until=2.0)
     assert cluster.get_object(cap).hits == posts + 1
     computes = posts if event == "WORK" else 0
-    # the wake, the computes, and a hop per RECV_FOLDS + 1 posts taken
-    assert _scheduled(cluster) - before == 1 + computes + hops
+    # the wake, then a callback per RECV_FOLDS + 1 takes and computes
+    # (WORK: 132 while each compute was a wake-up of its own)
+    hops = (posts - 1 + computes) // (RECV_FOLDS + 1)
+    assert hops == (4 if event == "WORK" else 2)
+    assert _scheduled(cluster) - before == 1 + hops
+
+
+def test_a_handler_that_never_stops_computing_is_still_caught():
+    cluster = make_cluster(n_nodes=1)
+    cluster.register_event("SPIN")
+    spins = [0]
+
+    class Spinner(DistObject):
+        @on_event("SPIN")
+        def on_spin(self, ctx, block):
+            while True:
+                yield ctx.compute(1e-6)
+                spins[0] += 1
+
+    cap = cluster.create_object(Spinner, node=0)
+    cluster.raise_event("SPIN", cap, from_node=0)
+    with pytest.raises(SimulationError):
+        cluster.run(max_events=100)
+    assert 0 < spins[0] <= 100 * (RECV_FOLDS + 1)
 
 
 def test_remote_durable_post():
     """Sixteen journaled posts over the reliable channel, one instant:
     message transits, ack timers and one store.ack window for the batch,
-    plus one master wake and the sixteen computes — 56 and 40 while the
-    master hopped once per post to take its next one."""
-    assert _object_posts("WORK", home=1, durable_delivery=True) == 41
+    plus one master wake; the sixteen computes run inline — 41 while
+    each was a wake-up of its own, 56 and 40 while the master hopped
+    once per post to take its next one."""
+    assert _object_posts("WORK", home=1, durable_delivery=True) == 25
     assert _object_posts("NOP", home=1, durable_delivery=True) == 25
 
 
@@ -198,10 +226,68 @@ class TestNothingDueNow:
         assert not sim.nothing_due_now()
 
 
+@pytest.mark.parametrize("backend", [Simulator, WheelSimulator])
+class TestAdvanceTo:
+    @staticmethod
+    def _ask(sim, at, when, seen):
+        sim.call_at(at, lambda: seen.append((sim.advance_to(when), sim.now)))
+
+    def test_only_inside_a_drain(self, backend):
+        sim, seen = backend(), []
+        assert not sim.advance_to(1.0) and sim.now == 0.0
+        self._ask(sim, 1.0, 2.0, seen)
+        sim.run()
+        assert seen == [(True, 2.0)] and sim.now == 2.0
+        assert sim.stats()["executed"] == 1
+
+    def test_a_live_entry_due_by_then_keeps_the_wake_up(self, backend):
+        sim, seen = backend(), []
+        self._ask(sim, 1.0, 2.0, seen)
+        sim.call_at(2.0, seen.append, "due at the wake-up's instant")
+        self._ask(sim, 3.0, 3.5, seen)
+        sim.run()
+        assert seen == [(False, 1.0), "due at the wake-up's instant",
+                        (True, 3.5)]
+
+    def test_cancelled_entries_are_shed_on_the_way(self, backend):
+        sim, seen = backend(), []
+        self._ask(sim, 1.0, 2.0, seen)
+        for when in (1.5, 2.0):
+            sim.cancel(sim.call_at(when, seen.append, "never"))
+        sim.run()
+        assert seen == [(True, 2.0)]
+        assert sim.pending == 0 and sim.peek_next() is None
+
+    def test_the_drains_until_bounds_it(self, backend):
+        sim, seen = backend(), []
+        self._ask(sim, 1.0, 2.5, seen)
+        self._ask(sim, 3.0, 4.0, seen)
+        sim.run(until=2.0)
+        assert seen == [(False, 1.0)] and sim.now == 2.0
+        sim.run(until=4.0)
+        assert seen == [(False, 1.0), (True, 4.0)] and sim.now == 4.0
+
+    def test_a_wake_up_past_the_horizon_counts_its_spill(self, backend):
+        """On the wheel the saved wake-up would have spilled and been
+        migrated back by the drain's re-base: both are counted."""
+        sim, seen = backend(), []
+        self._ask(sim, 4.0, 4.5, seen)
+        sim.call_at(7.0, seen.append, "past the horizon")
+        sim.run()
+        assert seen == [(True, 4.5), "past the horizon"]
+        hopped = backend()
+        hopped.call_at(4.0, lambda: hopped.call_at(4.5, lambda: None))
+        hopped.call_at(7.0, lambda: None)
+        hopped.run()
+        for key in ("wheel_spills", "wheel_migrations", "overflow_pending"):
+            assert sim.stats()[key] == hopped.stats()[key]
+
+
 def test_the_wall_clock_never_folds():
     scheduler = RealtimeScheduler(poll=0.001)
     try:
         assert not scheduler.nothing_due_now()
+        assert not scheduler.advance_to(scheduler.now + 1.0)
     finally:
         scheduler.close()
 
@@ -236,8 +322,9 @@ def test_a_callback_queued_by_the_handler_keeps_the_hop(scheduler):
         cluster.raise_event("WORK", cap, from_node=0, user_data=k)
     cluster.run()
     assert log == [(kind, k) for k in range(N) for kind in ("start", "soon")]
-    # master creation, N computes, N call_soons, and N - 1 recv hops
-    assert _scheduled(cluster) - before == 1 + N + N + N - 1
+    # master creation, N call_soons, and N - 1 recv hops; each compute
+    # runs inline, nothing else being due by its end
+    assert _scheduled(cluster) - before == 1 + N + N - 1
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
@@ -263,8 +350,9 @@ def test_a_local_sync_raisers_arrive_keeps_the_hop(scheduler):
     cluster.run()
     assert log == list(range(N))
     assert [future.result() for future in futures] == list(range(N))
-    # master creation, N computes, N arrives, and N - 1 recv hops
-    assert _scheduled(cluster) - before == 1 + N + N + N - 1
+    # master creation, N arrives, and N - 1 recv hops; the computes run
+    # inline
+    assert _scheduled(cluster) - before == 1 + N + N - 1
 
 
 class Consumer(DistObject):

@@ -5,7 +5,8 @@ A home-node object post builds one ``SimFuture`` (the external raise's
 answer, built already resolved with no frame) and one request on the
 master handler thread (the handler's ``compute``), and reads the clock
 twice (the delivery stamp and the handler's own ``ctx.now``). The
-handler's generator is the master's frame itself: when it ends, the
+handler's generator is the master's frame itself: its ``compute``
+runs inline when nothing else is due by its end, and when it ends the
 master takes the next post in the same step. Each request is a plain
 ``__slots__`` class built by its own ``__init__`` — a ``ctx`` method
 that only passes its argument on is the class itself — a future
@@ -33,6 +34,7 @@ from repro.kernel.timers import TimerService
 from repro.sim import Channel, SimFuture, Simulator
 from repro.threads import syscalls as sc
 from repro.threads.attributes import TimerSpec
+from repro.threads.thread import RECV_FOLDS
 from tests.conftest import make_cluster, run_to_result
 from tests.frames import (
     BURST,
@@ -54,12 +56,14 @@ from tests.test_syscall_surface import SYSCALLS
 #: event-name table and the target's type checked inline), route, and
 #: ``post_object``, which accepts, looks
 #: the handler up in the routing table and queues the post
-#: (``run_object_handler``), all inside the raise; the master's step,
-#: the handler's two generator resumptions, ``Compute.__init__`` and the
-#: ``call_at`` ``_step`` makes for it; the frame's exit
-#: (``frame_returned`` popping it inline) and the master's
+#: (``run_object_handler``), all inside the raise; the handler's two
+#: generator resumptions, ``Compute.__init__`` and the ``advance_to``
+#: that lets the master's step carry on at the compute's end; the
+#: frame's exit (``frame_returned`` popping it inline) and the master's
 #: ``frame_exit``, which concludes the post and starts the next after
-#: one ``nothing_due_now``. 20 / 22 (heap / wheel) while ``raise_event``
+#: one ``nothing_due_now``; and a scheduled step per 32 posts, when the
+#: step's fold budget is spent. 17 while the compute was a ``call_at``,
+#: a timed pop and a new ``_step``; 20 / 22 (heap / wheel) while ``raise_event``
 #: was a relay, the future was built by ``SimFuture.__init__`` and
 #: completed by ``settle``, and the wheel pushed through ``_place`` and
 #: made a miss pop after each clock move; 35 / 37 while the raise went
@@ -75,42 +79,46 @@ from tests.test_syscall_surface import SYSCALLS
 #: + generated ``__init__`` + ``__post_init__``), the future completed
 #: through ``settle`` → ``_complete`` → ``done`` and ``ctx.now`` was a
 #: property frame.
-FRAME_BUDGET = {"heap": 17, "wheel": 17}
+FRAME_BUDGET = {"heap": 15, "wheel": 15}
 
 #: the same, one post per millisecond, so each finds the master parked
 #: and wakes it with one scheduled step (the pump's own frame included):
-#: 27 / 30 with the raise's three relays and the wheel's two above, 28 /
+#: 24 with the compute's wake-up scheduled, 27 / 30 with the raise's three relays and the wheel's two above, 28 /
 #: 31 while ``run_frame`` started the frame through ``push_frame``
 #: and ``step_now``, 41 / 44 with the relays above, 49 / 52 with the
 #: ``Recv`` park and the channel hand-off
-PARKED_BUDGET = {"heap": 24, "wheel": 24}
+PARKED_BUDGET = {"heap": 22, "wheel": 22}
 
 #: a durable post that arrives by message at its object's home node,
 #: from the arrival on: the reliable channel's accept and ack, the
 #: journal's ``post`` record, the handler, the applied marker and the
-#: owed ack's flush; 28 / 30 with the wheel's relays above, 36 / 38
+#: owed ack's flush; 28 with the compute's wake-up scheduled, 28 / 30
+#: with the wheel's relays above, 36 / 38
 #: with the relays in ``DURABLE_GONE`` too, 47 / 50 with the relays
 #: above too
-ARRIVED_BUDGET = {"heap": 28, "wheel": 28}
+ARRIVED_BUDGET = {"heap": 26, "wheel": 26}
 
 #: a durable post from its raise on node 0 to the commit of its ack
 #: there, BURST every GAP to a private-state sink on node 1: the raise,
 #: ``journal_post`` (``Outbox.record`` and the ``post`` record), the
 #: reliable send, the fabric hop, the receive path above, the ``ack``
 #: record of the ``store.ack`` batch and this post's share of the
-#: checkpoints and of the acks of both channels; 48 / 52 with the
+#: checkpoints and of the acks of both channels; 43 with the compute's
+#: wake-up scheduled, 48 / 52 with the
 #: raise's and the wheel's relays above and the message hop's
 #: ``routable`` and ``delay`` (``Fabric.send`` probes its endpoint dict
 #: and reads ``FixedLatency``'s floats), 66 / 70 through the relays in
 #: ``DURABLE_GONE`` too
-DURABLE_BUDGET = {"heap": 43, "wheel": 43}
+DURABLE_BUDGET = {"heap": 41, "wheel": 41}
 
 #: one ``compute`` step of a thread-based handler on its surrogate: the
-#: timed pop, ``_step``, the generator, ``Compute.__init__`` and
-#: ``call_at``; 5 / 7 while the wheel added ``_place`` and its miss pop,
+#: generator, ``Compute.__init__`` and ``advance_to``, the surrogate's
+#: scheduled step carrying on at the compute's end; 5 while each step
+#: was a timed pop, ``_step`` and ``call_at``, 5 / 7 while the wheel
+#: added ``_place`` and its miss pop,
 #: 8 / 10 through ``_dispatch``, ``schedule_step_after`` and
 #: ``call_after``
-COMPUTE_BUDGET = {"heap": 5, "wheel": 5}
+COMPUTE_BUDGET = {"heap": 3, "wheel": 3}
 
 #: a notice raised on node 3 to a thread rooted on node 0 that sleeps
 #: on node 2, one per millisecond (the pump's frame included): route
@@ -232,12 +240,16 @@ def test_durable_post_frame_budget(scheduler):
 def test_chain_compute_step_frame_budget(scheduler):
     per_step, frames = chain_compute_frames(scheduler)
     assert math.floor(per_step) == COMPUTE_BUDGET[scheduler], frames
-    # one timer per step, and the notice's delivery arms two (the
-    # suspension's and the surrogate's), all with call_at
+    # the notice's delivery arms two timers (the suspension's and the
+    # surrogate's) and the first step, run inside it, a third; each
+    # scheduled step then folds RECV_FOLDS computes and times the next
+    # (N + 2 timers while every compute was one), all with call_at
     assert not {("thread.py", "_dispatch"),
                 ("thread.py", "schedule_step_after"),
                 ("scheduler.py", "call_after")} & set(frames), frames
-    assert frames["scheduler.py", "call_at"] == N + 2, frames
+    timed = 1 + (N - 1) // (RECV_FOLDS + 1)
+    assert frames["scheduler.py", "call_at"] == 2 + timed, frames
+    assert frames["scheduler.py", "advance_to"] == N - timed, frames
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
@@ -268,7 +280,7 @@ def test_the_census_prints_one_path_function_by_function(capsys):
     head, *lines, rest = capsys.readouterr().out.splitlines()
     assert head.split()[:2] == ["compute", "wheel"]
     assert math.floor(float(head.split()[2])) == COMPUTE_BUDGET["wheel"]
-    assert ["1.00", "thread.py:_step"] in [line.split() for line in lines]
+    assert ["1.00", "syscalls.py:__init__"] in [line.split() for line in lines]
     assert rest.endswith("(the rest)")
 
 
