@@ -588,7 +588,7 @@ def run_chaos(spec: ChaosSpec) -> ChaosReport:
         churn_events=churn_events)
     report.violations = _check_invariants(
         spec, executions, notices, probe_executions, len(target_nodes),
-        durability, quarantined, hung)
+        durability, quarantined, hung) + list(map(str, cluster.audit()))
     return report
 
 

@@ -161,23 +161,28 @@ def read_ledger(name: str) -> dict[str, Any]:
 
 def write_ledger(name: str, exp: Experiment, full: Result,
                  quick: Result) -> pathlib.Path:
-    """Rewrite ``benchmarks/results/<name>.json`` — the single writer."""
+    """Rewrite ``benchmarks/results/<name>.json`` — the single writer.
+
+    A re-recording keeps the committed ``host`` and full ``wall``, the
+    reference of :func:`check_floor`; only a new wall key is this run's."""
     try:
         commit = subprocess.run(
             ["git", "describe", "--always", "--dirty"], cwd=REPO_ROOT,
             capture_output=True, text=True, check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         commit = "unknown"
-    payload = {
-        "experiment": name,
-        "commit": commit,
-        "host": {"cpus": os.cpu_count(),
-                 "python": platform.python_version(),
-                 "platform": platform.platform()},
-        "full": full.view(exp.full, wall=True),
-        "quick": quick.view(exp.quick),
-    }
     path = RESULTS_DIR / f"{name}.json"
+    host = {"cpus": os.cpu_count(), "python": platform.python_version(),
+            "platform": platform.platform()}
+    full_view = full.view(exp.full, wall=True)
+    if path.exists():
+        committed = read_ledger(name)
+        host, wall = committed["host"], committed["full"]["wall"]
+        full_view["wall"] = dict(wall, **{key: value for key, value
+                                          in full_view["wall"].items()
+                                          if key not in wall})
+    payload = {"experiment": name, "commit": commit, "host": host,
+               "full": full_view, "quick": quick.view(exp.quick)}
     path.write_text(json.dumps(payload, indent=1, ensure_ascii=False) + "\n",
                     encoding="utf-8")
     return path

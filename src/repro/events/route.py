@@ -5,6 +5,8 @@ group, or a passive object. This stage resolves the target, asks
 admission control for a verdict on the whole raise, builds the recipient
 blocks once, write-ahead journals them when delivery is durable, and
 posts each — or defers it to the outbox, or sheds it at the gate.
+Each recipient block is opened in the settle stage's open-post table
+before anything can conclude it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ class Router:
         self.settle = settle
         self.post = post
         self.durable = cluster.config.durable_delivery
+        #: the settle stage's open-post table, and the nodes this cluster
+        #: hosts when it is one shard of a sharded run (else None)
+        self.open = settle.open
+        self.shard = settle.shard
         #: raises routed (each counts once, whatever its fan-out)
         self.posts = 0
 
@@ -66,6 +72,10 @@ class Router:
         to_object = isinstance(target, Capability)
         members = (self.groups.sorted_members(target)
                    if isinstance(target, GroupId) else None)
+        shard = self.shard
+        if members is None and (shard is None or (
+                target.home if to_object else target[0]) in shard):
+            self.open[block.block_id] = block
         # Write-ahead journaling happens here — at the raise, before the
         # first send — so kernel-internal notices (TARGET_DEAD, ABORT,
         # timers) posted through the post stage directly stay undurable.
@@ -124,13 +134,16 @@ class Router:
         raiser_node, synchronous = block.raiser_node, block.synchronous
         user_data, raised_at = block.user_data, block.raised_at
         token = block.block_id
+        open_posts = self.open
         blocks = []
-        for _ in members:
+        for tid in members:
             member_block = EventBlock(
                 event=event, raiser_tid=raiser_tid, raiser_node=raiser_node,
                 target=target, synchronous=synchronous, user_data=user_data,
                 raised_at=raised_at)
             member_block._resume_token = token
+            if shard is None or tid[0] in shard:
+                open_posts[member_block.block_id] = member_block
             blocks.append(member_block)
         if admission is not None and not deferred:
             for member_block in blocks:

@@ -13,11 +13,19 @@ and reports undeliverable posts, dead-letters, and resumes a
 ``raise_and_wait`` raiser (whose wait table and resume message live
 here too), and confirms a degraded post back to its origin (the
 origin's table of posts awaiting that confirmation lives here as well).
+
+The stage also keeps the **open-post table** (``Settler.open``): the
+route stage inserts every recipient block it targets, keyed by block
+id, and :meth:`Settler.conclude` pops it at the block's first
+conclusion. :meth:`Settler.audit` (``Cluster.audit()``) reads what is
+left: a durable post concluded with no open entry (a redelivered copy
+of a post that had concluded already), and, once the scheduler has
+nothing pending, every open post that was never delivered.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from repro.errors import (
     EventQuarantinedError,
@@ -27,6 +35,7 @@ from repro.errors import (
 )
 from repro.events.block import SETTLED, EventBlock
 from repro.net.message import Message
+from repro.objects.capability import Capability
 from repro.store.outbox import NOTICED as ENTRY_NOTICED
 from repro.threads.ids import GroupId
 
@@ -40,6 +49,28 @@ MSG_DEGRADE_DONE = "degrade.done"
 EXECUTED = "executed"
 NOTICED = "noticed"
 QUARANTINED = "quarantined"
+
+
+class Violation(NamedTuple):
+    """One breach of the standing invariant, as :meth:`Settler.audit`
+    reports it."""
+
+    #: ``"concluded twice"`` or ``"open at idle"``
+    kind: str
+    block_id: int
+    event: str
+    target: Any
+    #: a double conclusion: its second outcome and node; an open post:
+    #: where it was last seen
+    stage: str
+    #: virtual seconds from the raise to the second conclusion or to the
+    #: audit
+    age: float
+
+    def __str__(self) -> str:
+        return (f"{self.kind}: block {self.block_id} ({self.event} -> "
+                f"{self.target}), {self.stage}, {self.age:.6g}s after "
+                f"its raise")
 
 
 class SyncWait:
@@ -80,6 +111,21 @@ class Settler:
         self.unconfirmed: dict[int, EventBlock] = {}
         #: posts that failed with a give-up, deadline, shed or crash loss
         self.undeliverable = 0
+        #: the open-post table: block id -> a recipient block the route
+        #: stage targeted, until its first conclusion (written by
+        #: ``route.py`` and this module only)
+        self.open: dict[int, EventBlock] = {}
+        #: first conclusions by outcome
+        self.outcomes = {EXECUTED: 0, NOTICED: 0, QUARANTINED: 0}
+        #: durable blocks concluded with no open entry:
+        #: ``(block, outcome, node, when)``
+        self.doubles: list[tuple[EventBlock, str, int, float]] = []
+        #: the nodes this cluster hosts when that is not all of them (a
+        #: sharded worker): a post to another shard concludes there, so
+        #: it is never opened here (matching it waits for the barrier)
+        local = cluster.local_node_ids
+        self.shard = (None if len(local) == cluster.config.n_nodes
+                      else frozenset(local))
         for kernel in cluster.kernels.values():
             kernel.register_message_handler(MSG_RESUME, self._on_resume)
             kernel.register_message_handler(MSG_DEGRADE_DONE,
@@ -111,6 +157,10 @@ class Settler:
         if charge is not None:
             self.admission.release(charge)
         durable_id = block.durable_id
+        if (self.open.pop(block.block_id, None) is None
+                and durable_id is not None and self.opened_here(block)):
+            self.doubles.append((block, outcome, node, self.sim.now))
+        self.outcomes[outcome] += 1
         if outcome == EXECUTED:
             if durable_id is not None:
                 kernel = self.kernels.get(node)
@@ -159,6 +209,54 @@ class Settler:
         if block.synchronous or error is not None:
             self._resume(block, value, error, node)
         return True
+
+    def opened_here(self, block: EventBlock) -> bool:
+        """Would the route stage have opened ``block`` in this table? On
+        a shard, only if it was raised here to an object homed here or a
+        thread rooted here (§7.1: a thread id encodes its root)."""
+        shard, target = self.shard, block.target
+        if shard is None:
+            return True
+        node = (target.home if isinstance(target, Capability)
+                else target[0] if isinstance(target, tuple) else None)
+        return block.raiser_node in shard and node in shard
+
+    def audit(self) -> list[Violation]:
+        """The standing invariant's breaches: ``Cluster.audit()``."""
+        found = [Violation("concluded twice", block.block_id, block.event,
+                           block.target, f"{outcome} again on node {node}",
+                           when - block.raised_at)
+                 for block, outcome, node, when in self.doubles]
+        if self.sim.pending:
+            return found
+        now = self.sim.now
+        for block in self.open.values():
+            if block.delivered_at is None:
+                found.append(Violation(
+                    "open at idle", block.block_id, block.event,
+                    block.target, self._stage(block), now - block.raised_at))
+        return found
+
+    def _stage(self, block: EventBlock) -> str:
+        """Where an undelivered open post was last seen."""
+        durable_id = block.durable_id
+        if durable_id is not None:
+            origin = self.kernels.get(durable_id[0])
+            entry = (origin.store.outbox.get(durable_id)
+                     if origin is not None else None)
+            if entry is not None:
+                return f"{entry.status} in node {durable_id[0]}'s outbox"
+        target = block.target
+        if isinstance(target, Capability):
+            home = self.kernels.get(target.home)
+            if home is not None and any(
+                    queued[2] is block for queued in home.objects._queue):
+                return f"queued at node {target.home}"
+            return f"in flight to node {target.home}"
+        for thread in self.cluster.live_threads.values():
+            if block in thread.pending_notices:
+                return f"queued for {thread.tid} on node {thread.current_node}"
+        return f"locating from node {block.raiser_node}"
 
     def _on_degrade_done(self, message: Message) -> None:
         """A degraded post was concluded at its home: its deadline will

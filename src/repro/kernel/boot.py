@@ -16,6 +16,7 @@ from repro.errors import KernelError, UnknownThreadError
 from repro.events.admission import AdmissionGate
 from repro.events.delivery import EventManager
 from repro.events.names import seed_system_events
+from repro.events.settle import Violation
 from repro.kernel.config import ClusterConfig
 from repro.kernel.names import NameService
 from repro.kernel.node import Kernel
@@ -200,7 +201,9 @@ class Cluster:
         yield "events.execute.", {
             "delivered": events.execute.delivered,
             "handler_failures": events.execute.handler_failures}
-        yield "events.settle.", {"undeliverable": events.settle.undeliverable}
+        settle = events.settle
+        yield "events.settle.", {"undeliverable": settle.undeliverable,
+                                 **settle.outcomes, "open": len(settle.open)}
         yield "events.supervise.", events.supervisor.stats()
         # An idle gate stands in while admission is off: its keys read 0.
         for gate in (events.admission.values() if events.admission is not None
@@ -218,6 +221,21 @@ class Cluster:
             yield "store.journal.", store.journal.stats()
             yield "store.outbox.", store.outbox.stats()
             yield "store.manager.", store.stats()
+
+    def audit(self) -> list[Violation]:
+        """Breaches of the standing invariant (every post is executed
+        exactly once, noticed or quarantined, never lost or hung), as
+        :class:`~repro.events.settle.Violation` rows; empty when it holds.
+
+        A durable post concluded twice is always one. Once the scheduler
+        has nothing pending, so is every routed post that is still open
+        and was never delivered, with its age, target and last known
+        stage. DESIGN.md §6 lists what is not: a delivered post whose
+        handler waits on the application, a degraded post both executed
+        and noticed as unconfirmed, and on ``sharded`` a post to another
+        shard (not matched per post yet).
+        """
+        return self.events.settle.audit()
 
     def _view(self, *layers: str) -> dict[str, int]:
         """The :meth:`metrics` keys under ``layers``, layer name cut off."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter
+import weakref
 
 import pytest
 from hypothesis import settings
@@ -15,6 +15,70 @@ from repro import Cluster, ClusterConfig, Decision, DistObject, entry, handler_e
 # with hypothesis's own `--hypothesis-profile=<name>`.
 settings.register_profile("default", max_examples=100)
 settings.register_profile("ci", max_examples=1000)
+
+
+# -- the standing invariant, audited on every cluster a test builds --------
+#
+# Every ``Cluster`` built while a test runs (its fixtures included) is
+# audited once: when it is freed during the test, or else at the end of
+# the test's call phase. A violation fails the test there with an
+# ``AssertionError``. Clusters are held weakly, so a property test's
+# thousand examples do not stay alive until the test ends.
+
+#: the running test's violations (None between tests) and its clusters
+_audit: dict = {"found": None, "clusters": weakref.WeakSet()}
+_cluster_init = Cluster.__init__
+
+
+def _audited_init(self, *args, **kwargs):
+    _cluster_init(self, *args, **kwargs)
+    if _audit["found"] is not None:
+        self._audit_into = _audit["found"]
+        _audit["clusters"].add(self)
+
+
+def _audit_on_free(self):
+    found = vars(self).pop("_audit_into", None)
+    if found is not None:
+        accepted = vars(self).get("_audit_accepted", ())
+        found.extend(violation for violation in self.audit()
+                     if violation[:2] not in accepted)
+
+
+def accept_violations(cluster) -> list:
+    """``cluster.audit()``, and the end-of-test audit then accepts those
+    violations (by kind and block): for a test that breaks the invariant
+    by design and asserts the exact violations itself."""
+    found = cluster.audit()
+    cluster._audit_accepted = {violation[:2] for violation in found}
+    return found
+
+
+Cluster.__init__ = _audited_init
+Cluster.__del__ = _audit_on_free
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    _audit["found"], _audit["clusters"] = [], weakref.WeakSet()
+    try:
+        return (yield)
+    finally:
+        _audit["found"] = None
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    result = yield
+    found = _audit["found"]
+    for built in list(_audit["clusters"]):
+        _audit_on_free(built)
+    if found:
+        raise AssertionError(
+            "the standing invariant does not hold: "
+            + "; ".join(map(str, found[:5]))
+            + (f" (and {len(found) - 5} more)" if len(found) > 5 else ""))
+    return result
 
 
 @pytest.fixture()
@@ -50,64 +114,6 @@ def serializing_wire(monkeypatch):
     monkeypatch.setattr(
         SimTransport, "post", lambda self, message, dst, delay: post(
             self, decode_message(encode_message(message)), dst, delay))
-
-
-class Conclusions:
-    """What ``Router.route`` opened and ``Settler.conclude`` closed."""
-
-    def __init__(self):
-        self.raised: list[int] = []
-        #: raised block id -> the recipients ``route`` targeted (1 when
-        #: not recorded)
-        self.recipients: dict[int, int] = {}
-        #: (block id, outcome) -> how often that conclusion was recorded
-        self.outcomes: Counter = Counter()
-        #: concluded block id -> the raise it answers, where that is
-        #: another block: a group raise's per-member copies
-        self.answers: dict[int, int] = {}
-
-    def count(self, outcome: str) -> int:
-        return sum(1 for _, seen in self.outcomes if seen == outcome)
-
-    def check(self) -> None:
-        """The standing invariant: every raised block concluded exactly
-        once — executed, noticed or quarantined, never two, never none;
-        a group raise once per member copy it targeted."""
-        per_block = Counter(block_id for block_id, _ in self.outcomes)
-        assert set(self.outcomes.values()) <= {1}, "a block concluded twice"
-        assert set(per_block.values()) <= {1}, "a block has two outcomes"
-        answered = Counter(self.answers.get(block_id, block_id)
-                           for block_id in per_block)
-        for block_id in self.raised:
-            assert answered[block_id] == self.recipients.get(block_id, 1), \
-                "a raised block never concluded"
-
-
-@pytest.fixture()
-def conclusions(monkeypatch):
-    """Count conclusions at the settle stage's funnel, from outside."""
-    from repro.events.route import Router
-    from repro.events.settle import Settler
-    seen = Conclusions()
-    route, conclude = Router.route, Settler.conclude
-
-    def counting_route(self, block):
-        seen.raised.append(block.block_id)
-        seen.recipients[block.block_id] = targeted = route(self, block)
-        return targeted
-
-    def counting_conclude(self, block, outcome, *args, **kwargs):
-        concluded = conclude(self, block, outcome, *args, **kwargs)
-        if concluded:
-            seen.outcomes[block.block_id, outcome] += 1
-            token = block._resume_token
-            if token is not None and token != block.block_id:
-                seen.answers[block.block_id] = token
-        return concluded
-
-    monkeypatch.setattr(Router, "route", counting_route)
-    monkeypatch.setattr(Settler, "conclude", counting_conclude)
-    return seen
 
 
 @pytest.fixture()

@@ -1,8 +1,10 @@
 """Tests for the benchmark harness, workloads and experiment plumbing."""
 
+import json
+
 import pytest
 
-from repro.bench.harness import Table, ratio
+from repro.bench.harness import Result, Table, ratio
 from repro.bench.workloads import (
     build_cluster,
     ctrl_c_app,
@@ -145,3 +147,28 @@ class TestExperimentSmoke:
         assert main(["nope"]) == 2
         assert main(["report", "e4"]) == 0
         assert "measured at" in capsys.readouterr().out
+
+
+class TestLedgerWriter:
+    def test_re_recording_keeps_the_committed_host_and_wall(
+            self, tmp_path, monkeypatch):
+        """``--write`` rewrites the deterministic sections, never the
+        reference the wall floors compare with."""
+        from repro.bench import harness
+        from repro.bench.experiments import ALL_EXPERIMENTS
+
+        committed = (harness.RESULTS_DIR / "e12.json").read_text(
+            encoding="utf-8")
+        monkeypatch.setattr(harness, "RESULTS_DIR", tmp_path)
+        (tmp_path / "e12.json").write_text(committed, encoding="utf-8")
+        old = harness.read_ledger("e12")
+        # what one fresh reading on a faster host looks like
+        fresh = Result(Table(title="t", columns=["a"]), wall={
+            **{key: value * 2 for key, value in old["full"]["wall"].items()},
+            "new.key": 1})
+        harness.write_ledger("e12", ALL_EXPERIMENTS["e12"], fresh,
+                             Result(Table(title="t", columns=["a"])))
+        new = harness.read_ledger("e12")
+        assert json.dumps(new["host"]) == json.dumps(old["host"])
+        assert json.dumps(new["full"]["wall"]) == json.dumps(
+            {**old["full"]["wall"], "new.key": 1})

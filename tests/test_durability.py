@@ -604,7 +604,7 @@ class TestDurableGroupRaise:
                              ids=["no-crash", "crash-mid-handler"])
     @pytest.mark.parametrize("sync", [True, False], ids=["sync", "async"])
     def test_one_commit_for_the_batch_and_every_post_resolves(
-            self, scheduler, crash, sync, conclusions):
+            self, scheduler, crash, sync):
         cluster = durable_cluster(n_nodes=3, scheduler=scheduler)
         cluster.register_event("EVT")
         gid = cluster.new_group()
@@ -632,4 +632,4 @@ class TestDurableGroupRaise:
             assert future.result() == [None, None, None]
         stats = cluster.durability_stats()
         assert stats["pending"] == 0 and stats["recorded"] == 3
-        conclusions.check()
+        assert cluster.metrics()["events.settle.open"] == 0

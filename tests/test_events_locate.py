@@ -227,7 +227,7 @@ class TestPathArrival:
     restarts from the root."""
 
     def test_stale_pointer_restarts_from_the_root_and_delivers(
-            self, scheduler, conclusions):
+            self, scheduler):
         cluster = make_cluster(n_nodes=3, locator="path", scheduler=scheduler)
         cluster.register_event("PING")
         stamps, log = [], []
@@ -247,11 +247,11 @@ class TestPathArrival:
         assert log == [0]
         # root -> 1 (stale), then 1 -> root after the retry delay
         assert cluster.fabric.stats.count("locate.path") - before == 2
-        assert conclusions.count("executed") == 1
-        conclusions.check()
+        assert cluster.metrics()["events.settle.executed"] == 1
+        assert cluster.metrics()["events.settle.open"] == 0
 
     def test_terminating_thread_restarts_until_the_retries_run_out(
-            self, scheduler, conclusions):
+            self, scheduler):
         cluster = make_cluster(n_nodes=3, locator="path", scheduler=scheduler)
         sleeper = cluster.create_object(Sleeper, node=0)
         far = cluster.create_object(Sleeper, node=1)
@@ -270,11 +270,11 @@ class TestPathArrival:
         # 2 -> root -> 1, then root -> 1 again from 1 on every retry
         assert (cluster.fabric.stats.count("locate.path") - before
                 == 2 * (1 + LOCATE_RETRIES))
-        assert conclusions.count("noticed") == 1
-        conclusions.check()
+        assert cluster.metrics()["events.settle.noticed"] == 1
+        assert cluster.metrics()["events.settle.open"] == 0
 
     def test_a_confirmed_dead_next_hop_costs_no_message(
-            self, scheduler, conclusions):
+            self, scheduler):
         cluster = make_cluster(n_nodes=4, locator="path", scheduler=scheduler,
                                swim_interval=0.05)
         sleeper = cluster.create_object(Sleeper, node=0)
@@ -295,8 +295,8 @@ class TestPathArrival:
         # the root's pointer names a dead node on every walk: lost, never
         # sent
         assert cluster.fabric.stats.count("locate.path") == before
-        assert conclusions.count("noticed") == 1
-        conclusions.check()
+        assert cluster.metrics()["events.settle.noticed"] == 1
+        assert cluster.metrics()["events.settle.open"] == 0
 
 
 class TestMulticastMaintenance:

@@ -27,6 +27,10 @@ step, on every journal:
   records since the last one to ``checkpoint_interval`` or past it;
 * nothing is journaled or checkpointed while ``durable_delivery`` is off.
 
+At the end the cluster's audit may report one kind of violation only: a
+non-durable post from node 0 still in flight when node 0 crashed, open
+at idle (DESIGN.md §6: a non-durable post dies with its origin).
+
 The example budget is the hypothesis profile's (``tests/conftest.py``):
 CI runs this file again under ``--hypothesis-profile=ci``.
 """
@@ -40,6 +44,7 @@ from hypothesis import given, settings, strategies as st
 from repro import Cluster, ClusterConfig
 from repro.store import CheckpointManager, NodeJournal, REC_CHECKPOINT
 from repro.store.journal import RECORD_SIZES
+from tests.conftest import accept_violations
 from tests.frames import MUTED, PrivateSink
 
 PAYLOAD = tuple(rtype for rtype in RECORD_SIZES if rtype != REC_CHECKPOINT)
@@ -195,6 +200,7 @@ def test_store_bookkeeping_on_a_crashing_cluster(durable, interval, steps):
                 assert kernel.store.checkpoints.taken == 0
                 assert kernel.store.checkpoints.due_at == inf
 
+    crashed_at = {node: [] for node in kernels}
     for op, node, arg in steps:
         if op == "post" and not kernels[node].crashed:
             for _ in range(arg):
@@ -202,6 +208,7 @@ def test_store_bookkeeping_on_a_crashing_cluster(durable, interval, steps):
         elif op == "run":
             cluster.run(until=cluster.now + arg)
         elif op == "crash":
+            crashed_at[node].append(cluster.now)
             cluster.crash_node(node)
         elif op == "recover":
             cluster.recover_node(node)
@@ -214,3 +221,12 @@ def test_store_bookkeeping_on_a_crashing_cluster(durable, interval, steps):
     if durable:
         # every journaled post was acknowledged, so none is pending
         assert cluster.durability_stats()["pending"] == 0
+    # A non-durable post still in its origin's reliable channel when that
+    # node crashes dies with it (DESIGN.md §6): never delivered, open at
+    # idle. A durable one is redelivered from the journal.
+    for violation in accept_violations(cluster):
+        block = cluster.events.settle.open[violation.block_id]
+        assert not durable and block.raiser_node == 0
+        assert (violation.kind, violation.stage) == ("open at idle",
+                                                     "in flight to node 1")
+        assert any(at >= block.raised_at for at in crashed_at[0])

@@ -108,7 +108,11 @@ class TestOneSum:
         assert _layer(metrics, "events.route") == {
             "posts": events.route.posts}
         assert _layer(metrics, "events.settle") == {
-            "undeliverable": events.undeliverable}
+            "undeliverable": events.undeliverable,
+            "executed": events.settle.outcomes["executed"],
+            "noticed": events.settle.outcomes["noticed"],
+            "quarantined": events.settle.outcomes["quarantined"],
+            "open": len(events.settle.open)}
 
     def test_views_are_projections_of_metrics(self, full_run):
         _report, cluster = full_run

@@ -306,7 +306,7 @@ class TestObjectHandlerExitsOnce:
 
     @pytest.mark.parametrize("backoff", [0.0, 1e-3])
     def test_poison_retry_queues_behind_the_posts_already_waiting(
-            self, backoff, handler_exits, conclusions):
+            self, backoff, handler_exits):
         cluster = _rig(n_nodes=1, poison_threshold=3, handler_backoff=backoff)
         runs = []
         cap = cluster.create_object(FailsOnce, runs, node=0)
@@ -321,11 +321,11 @@ class TestObjectHandlerExitsOnce:
         assert [f.result() for f in futures] == ["flaky", 1, 2]
         assert cluster.kernels[0].objects.handler_threads_created == 1
         assert cluster.metrics()["events.supervise.chain_retries"] == 1
-        assert conclusions.count("executed") == 3
-        conclusions.check()
+        assert cluster.metrics()["events.settle.executed"] == 3
+        assert cluster.metrics()["events.settle.open"] == 0
 
     def test_deadline_expiry_with_work_waiting_respawns_the_master(
-            self, handler_exits, conclusions):
+            self, handler_exits):
         cluster = _rig(n_nodes=1, handler_deadline=0.05)
         hits = []
         cap = cluster.create_object(Slow, hits, node=0)
@@ -344,12 +344,12 @@ class TestObjectHandlerExitsOnce:
         assert objects.handler_threads_created == 2
         assert not objects._master.frames
         assert cluster.metrics()["events.supervise.handler_timeouts"] == 1
-        conclusions.check()
+        assert cluster.metrics()["events.settle.open"] == 0
         assert cluster.quiescent()
 
     @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
     def test_terminate_at_the_master_is_a_dead_target(
-            self, scheduler, handler_exits, conclusions):
+            self, scheduler, handler_exits):
         """Only a user thread is an event target: a TERMINATE raised at
         the master's tid mid-run is §7.2's dead-target notice, and the
         run it hit and the posts behind it complete on the one master."""
@@ -371,12 +371,12 @@ class TestObjectHandlerExitsOnce:
         assert objects.handler_threads_created == 1
         assert objects._master.wait_kind == "parked"
         assert not objects._master.frames
-        conclusions.check()
+        assert cluster.metrics()["events.settle.open"] == 0
         assert cluster.quiescent()
 
     @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
     def test_terminate_at_a_per_event_thread_before_its_first_step(
-            self, scheduler, handler_exits, conclusions):
+            self, scheduler, handler_exits):
         """A per-event thread is made at post time and first stepped
         ``thread_create_cost`` later. A TERMINATE at it inside that
         window used to kill it with no frame, and the newest post then
@@ -400,12 +400,12 @@ class TestObjectHandlerExitsOnce:
         assert self._exits(handler_exits) == [[0], [1], [2]]
         assert cluster.metrics()["events.post.dead_targets"] == 1
         assert not cluster.kernels[0].objects._queue
-        conclusions.check()
+        assert cluster.metrics()["events.settle.open"] == 0
         assert cluster.quiescent()
 
     @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
     def test_terminate_reaching_the_master_in_its_hop(
-            self, scheduler, handler_exits, conclusions):
+            self, scheduler, handler_exits):
         """The notice lands while the master hops between two runs, with
         no frame: it used to die there and strand the posts behind the
         run it had just ended. The raise queued by the first handler is
@@ -429,13 +429,13 @@ class TestObjectHandlerExitsOnce:
         assert not objects._queue
         assert objects.handler_threads_created == 1
         assert objects._master.wait_kind == "parked"
-        conclusions.check()
+        assert cluster.metrics()["events.settle.open"] == 0
         assert cluster.quiescent()
 
     @pytest.mark.parametrize("mode", ["master", "per-event"])
     @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
     def test_a_page_fault_in_an_object_handler_ends_its_run(
-            self, scheduler, mode, handler_exits, conclusions):
+            self, scheduler, mode, handler_exits):
         """VM_FAULT is a notice to the faulting thread, and a loop thread
         is no event target: an object handler that touches an
         unmaterialised page gets ``PagerError`` at the access (its buddy
@@ -461,12 +461,12 @@ class TestObjectHandlerExitsOnce:
             assert objects._master.wait_kind == "parked"
         assert cluster.dsm.protocol_stats()["vm_faults"] == 1
         assert cluster.get_object(pager).faults_served == 0
-        conclusions.check()
+        assert cluster.metrics()["events.settle.open"] == 0
         assert cluster.quiescent()
 
     @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
     def test_a_timer_set_in_an_object_handler_reaches_no_one(
-            self, scheduler, handler_exits, conclusions):
+            self, scheduler, handler_exits):
         """A timer set by a handler is the master's, and its notice is
         refused as any other: a TERMINATE timer firing in a later run
         neither ends that run nor replaces the master."""
@@ -481,12 +481,12 @@ class TestObjectHandlerExitsOnce:
         objects = cluster.kernels[0].objects
         assert objects.handler_threads_created == 1
         assert objects._master.alive and not objects._master.armed_timers
-        conclusions.check()
+        assert cluster.metrics()["events.settle.open"] == 0
         assert cluster.quiescent()
 
     @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
     def test_handler_due_back_on_the_deadline_loses_the_tie_once(
-            self, scheduler, handler_exits, conclusions):
+            self, scheduler, handler_exits):
         """The handler's wake-up and its watchdog share an instant; the
         watchdog was armed first, so it fires first and the wake-up
         finds its thread gone: one exit, the timeout's."""
@@ -503,10 +503,10 @@ class TestObjectHandlerExitsOnce:
             tied.result()
         assert after.result() == "slept 0.01"
         assert cluster.metrics()["events.supervise.handler_timeouts"] == 1
-        conclusions.check()
+        assert cluster.metrics()["events.settle.open"] == 0
 
     def test_watchdog_firing_behind_the_exit_in_one_instant_is_a_no_op(
-            self, handler_exits, conclusions):
+            self, handler_exits):
         """The other order of that tie cannot be scheduled today (the
         exit cancels its watchdog), so it is driven by hand: the
         supervisor's watchdog callback, called in the instant the
@@ -541,7 +541,7 @@ class TestObjectHandlerExitsOnce:
         assert cluster.metrics()["events.supervise.handler_timeouts"] == 0
         master = cluster.kernels[0].objects._master
         assert master.alive and master.wait_kind == "parked"
-        conclusions.check()
+        assert cluster.metrics()["events.settle.open"] == 0
 
 
 class TimedChainApp(DistObject):

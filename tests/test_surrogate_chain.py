@@ -373,8 +373,7 @@ def test_ps_shows_it_parked_not_running():
                          ["path", "broadcast", "multicast", "cached"])
 @pytest.mark.parametrize("parked", [True, False],
                          ids=["parked", "mid-chain"])
-def test_post_to_a_surrogates_own_tid_is_a_dead_target(locator, parked,
-                                                       conclusions):
+def test_post_to_a_surrogates_own_tid_is_a_dead_target(locator, parked):
     """A surrogate is nobody's event target, retired or not: the raiser
     gets §7.2's notice, nothing is queued on it, no handler runs."""
     cluster, thread, log = _rig("current", locator=locator)
@@ -393,8 +392,8 @@ def test_post_to_a_surrogates_own_tid_is_a_dead_target(locator, parked,
     assert cluster.metrics()["events.post.dead_targets"] == 2
     assert len(log) == 3 and not surrogate.pending_notices
     assert _parked_with(cluster, thread) is surrogate
-    conclusions.check()
-    assert conclusions.count("noticed") == 2
+    assert cluster.metrics()["events.settle.open"] == 0
+    assert cluster.metrics()["events.settle.noticed"] == 2
 
 
 class Computes(DistObject):
@@ -415,7 +414,7 @@ class Computes(DistObject):
 @pytest.mark.parametrize("running", [False, True], ids=["idle", "mid-run"])
 @pytest.mark.parametrize("mode", ["master", "per-event"])
 def test_post_to_an_object_loop_threads_own_tid_is_a_dead_target(
-        locator, running, mode, conclusions):
+        locator, running, mode):
     """Neither is a chain surrogate: the master handler thread (idle:
     parked between runs) and a per-event thread (idle: made, not yet
     stepped) are no event target either, and their posts all run."""
@@ -441,8 +440,8 @@ def test_post_to_an_object_loop_threads_own_tid_is_a_dead_target(
         waited.result()
     assert cluster.metrics()["events.post.dead_targets"] == 2
     assert log == [0, 1] and not loop.pending_notices
-    conclusions.check()
-    assert conclusions.count("noticed") == 2
+    assert cluster.metrics()["events.settle.open"] == 0
+    assert cluster.metrics()["events.settle.noticed"] == 2
 
 
 # ======================================================================
@@ -500,7 +499,7 @@ def test_thread_exit_invalidates_exactly_the_holders():
             for table in locator.hints.values()][:2] == [2, 1]
 
 
-def test_notice_to_a_thread_with_no_frame_runs_at_its_root(conclusions):
+def test_notice_to_a_thread_with_no_frame_runs_at_its_root():
     """A thread whose first invocation failed (no such object) has no
     frame when a notice queued before it started is delivered: its
     handler runs at the thread's root, with no current object, and the
@@ -527,7 +526,7 @@ def test_notice_to_a_thread_with_no_frame_runs_at_its_root(conclusions):
     assert thread.state == "failed"
     with pytest.raises(UnknownObjectError):
         thread.completion.result()
-    conclusions.check()
+    assert cluster.metrics()["events.settle.open"] == 0
 
 
 # ======================================================================
