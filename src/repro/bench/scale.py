@@ -74,8 +74,7 @@ def sink_cap(n_nodes: int, shard_count: int, node: int) -> Capability:
         lo, hi = shard_bounds(n_nodes, shard_count, shard)
         if lo <= node < hi:
             break
-    return Capability(oid=node - lo + 1, home=node, transport="rpc",
-                      cls_name="ScaleSink")
+    return Capability(node - lo + 1, node, "rpc", "ScaleSink")
 
 
 @dataclass

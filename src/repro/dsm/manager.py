@@ -264,12 +264,11 @@ class DsmManager:
             "segment": segment, "page": page, "name": name, "value": value,
             "write": is_write})
         block = EventBlock(
-            event=event_names.VM_FAULT, raiser_tid=None, raiser_node=node,
-            target=thread.tid,
-            user_data={"oid": obj.oid, "segment": segment.segment_id,
-                       "page": page.page_id, "field": name,
-                       "write": is_write, "node": node, "tid": thread.tid},
-            raised_at=self.cluster.sim.now)
+            event_names.VM_FAULT, None, node, thread.tid, False,
+            {"oid": obj.oid, "segment": segment.segment_id,
+             "page": page.page_id, "field": name, "write": is_write,
+             "node": node, "tid": thread.tid},
+            self.cluster.sim.now)
         if "dsm" not in self.cluster.tracer.muted:
             self.cluster.tracer.emit("dsm", "vm-fault", node=node, oid=obj.oid,
                                      page=page.page_id, field=name,

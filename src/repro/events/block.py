@@ -60,7 +60,10 @@ class EventBlock:
     A ``__slots__`` class rather than a dataclass: one block (often
     several — fan-out copies, chain transforms, notices) is allocated
     per post, so the per-instance ``__dict__`` was measurable churn on
-    the hot path.
+    the hot path. For the same reason the library builds it with
+    positional arguments only (a keyword call builds a kwargs dict:
+    ``tests/test_positional_builds.py``), and ``__init__`` takes the
+    seven fields every raise sets first, ``snapshot`` last.
 
     Attributes
     ----------
@@ -104,9 +107,9 @@ class EventBlock:
     def __init__(self, event: str, raiser_tid: object = None,
                  raiser_node: int | None = None, target: object = None,
                  synchronous: bool = False, user_data: Any = None,
-                 snapshot: ThreadSnapshot | None = None,
                  raised_at: float = 0.0,
-                 delivered_at: float | None = None) -> None:
+                 delivered_at: float | None = None,
+                 snapshot: ThreadSnapshot | None = None) -> None:
         self.event = event
         self.raiser_tid = raiser_tid
         self.raiser_node = raiser_node
@@ -143,8 +146,6 @@ class EventBlock:
         an event propagated to an outer object "must be transformed to a
         form understandable" to it)."""
         return EventBlock(
-            event=event, raiser_tid=self.raiser_tid,
-            raiser_node=self.raiser_node, target=self.target,
-            synchronous=False,
-            user_data=self.user_data if user_data is None else user_data,
-            snapshot=self.snapshot, raised_at=self.raised_at)
+            event, self.raiser_tid, self.raiser_node, self.target, False,
+            self.user_data if user_data is None else user_data,
+            self.raised_at, None, self.snapshot)

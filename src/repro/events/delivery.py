@@ -128,10 +128,8 @@ class EventManager:
                 "event", "raise", event=event,
                 tid="<ext>" if raiser_tid is None else str(raiser_tid),
                 target=str(target), sync=synchronous, node=node)
-        return EventBlock(event=event, raiser_tid=raiser_tid,
-                          raiser_node=node, target=target,
-                          synchronous=synchronous, user_data=user_data,
-                          raised_at=self.sim.now)
+        return EventBlock(event, raiser_tid, node, target, synchronous,
+                          user_data, self.sim.now)
 
     def _raise(self, block: EventBlock,
                complete: Callable[[Any, Any], None]) -> None:

@@ -435,11 +435,9 @@ class Executor:
         if obj_handler is None and not chain:
             invoker.frame_failed(thread, exc)
             return
-        block = EventBlock(event=event, raiser_tid=None,
-                           raiser_node=frame.node, target=thread.tid,
-                           user_data=exc, raised_at=self.sim.now)
-        block.snapshot = thread.snapshot()
-        block.delivered_at = self.sim.now
+        now = self.sim.now
+        block = EventBlock(event, None, frame.node, thread.tid, False, exc,
+                           now, now, thread.snapshot())
         thread.suspended_by_event = True
         if "event" not in self.tracer.muted:
             self.tracer.emit("event", "exception", event=event,

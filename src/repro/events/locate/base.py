@@ -135,9 +135,8 @@ class BaseLocator:
             return
         state["hops"] += 1
         self._open[block.block_id] = (state, on_result)
-        kernel.transmit(Message(
-            src=from_node, dst=to_node, mtype=self.POST, size=128,
-            payload={"tid": tid, "block": block}), lost)
+        kernel.transmit(Message(from_node, to_node, self.POST,
+                                {"tid": tid, "block": block}, 128), lost)
 
     def on_message(self, message: Message) -> None:
         """A forwarded notice arrived (once: a network duplicate finds

@@ -57,8 +57,8 @@ class _ProbeLocator(BaseLocator):
         for node in targets:
             # an undeliverable probe counts as a not-found
             self.cluster.kernels[from_node].transmit(Message(
-                src=from_node, dst=node, mtype=self.POST, size=128,
-                payload={"tid": tid, "block": block, "round": round_}),
+                from_node, node, self.POST,
+                {"tid": tid, "block": block, "round": round_}, 128),
                 lambda m: self._tally(key, round_, False))
 
     def _retry_or_fail(self, tid: ThreadId, block: EventBlock, state: dict,
@@ -78,8 +78,8 @@ class _ProbeLocator(BaseLocator):
         found = self._accept(node, body["tid"], block)
         # the answer stands even if the reply is undeliverable
         self.cluster.kernels[node].transmit(Message(
-            src=node, dst=message.src, mtype=self.REPLY, size=64,
-            payload={"id": key, "round": round_, "found": found}),
+            node, message.src, self.REPLY,
+            {"id": key, "round": round_, "found": found}, 64),
             lambda m: self._tally(key, round_, found, replied=True))
 
     def on_reply(self, message: Message) -> None:

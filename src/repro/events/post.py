@@ -141,12 +141,10 @@ class Poster:
         raiser = self.live_threads.get(block.raiser_tid)
         if raiser is not None and raiser.attributes.handlers_for(
                 names.TARGET_DEAD):
-            notice = EventBlock(event=names.TARGET_DEAD, raiser_tid=None,
-                                raiser_node=block.raiser_node,
-                                target=raiser.tid,
-                                user_data={"event": block.event,
-                                           "dead_tid": tid},
-                                raised_at=self.sim.now)
+            notice = EventBlock(names.TARGET_DEAD, None, block.raiser_node,
+                                raiser.tid, False,
+                                {"event": block.event, "dead_tid": tid},
+                                self.sim.now)
             self.post_thread(node, raiser.tid, notice)
 
     def enqueue_for_thread(self, node: int, tid: ThreadId,
@@ -198,13 +196,12 @@ class Poster:
                 sent._admission = None
                 self.settle.unconfirmed[block.block_id] = block
                 self.kernels[node].transmit_unreliable(Message(
-                    src=node, dst=cap.home, mtype=MSG_POST_OBJECT, size=128,
-                    payload={"block": sent}))
+                    node, cap.home, MSG_POST_OBJECT, {"block": sent}, 128))
                 self.sim.call_after(self.degrade_deadline,
                                     self._degrade_expired, block)
                 return
-            message = Message(src=node, dst=cap.home, mtype=MSG_POST_OBJECT,
-                              size=128, payload={"block": block})
+            message = Message(node, cap.home, MSG_POST_OBJECT,
+                              {"block": block}, 128)
             self.kernels[node].transmit(message, self._object_post_failed)
             return
         kernel = self.kernels[node]
@@ -350,10 +347,8 @@ class Poster:
     def post_abort_notification(self, obj: "DistObject", thread: DThread,
                                 node: int) -> None:
         """Unwind-time ABORT notification to an object (§6.3)."""
-        block = EventBlock(event=names.ABORT, raiser_tid=thread.tid,
-                           raiser_node=node, target=obj.cap,
-                           user_data={"tid": thread.tid},
-                           raised_at=self.sim.now)
+        block = EventBlock(names.ABORT, thread.tid, node, obj.cap, False,
+                           {"tid": thread.tid}, self.sim.now)
         self.post_object(node, block)
 
     def _accept_degraded(self, node: int, block: EventBlock) -> bool:

@@ -60,9 +60,8 @@ class Presence:
         if not spec.recurring:
             thread.armed_timers.pop(spec.spec_id, None)
             thread.attributes.remove_timer(spec.spec_id)
-        block = EventBlock(event=spec.event, raiser_tid=None,
-                           raiser_node=node, target=thread.tid,
-                           user_data=spec.user_data, raised_at=self.sim.now)
+        block = EventBlock(spec.event, None, node, thread.tid, False,
+                           spec.user_data, self.sim.now)
         if "timer" not in self.tracer.muted:
             self.tracer.emit("timer", "fire", event=spec.event,
                              tid=str(thread.tid), node=node)

@@ -137,10 +137,8 @@ class Router:
         open_posts = self.open
         blocks = []
         for tid in members:
-            member_block = EventBlock(
-                event=event, raiser_tid=raiser_tid, raiser_node=raiser_node,
-                target=target, synchronous=synchronous, user_data=user_data,
-                raised_at=raised_at)
+            member_block = EventBlock(event, raiser_tid, raiser_node, target,
+                                      synchronous, user_data, raised_at)
             member_block._resume_token = token
             if shard is None or tid[0] in shard:
                 open_posts[member_block.block_id] = member_block
@@ -168,10 +166,8 @@ class Router:
         reusing them would get the retry silently swallowed.
         """
         old = dead.block
-        fresh = EventBlock(event=old.event, raiser_tid=None,
-                           raiser_node=node, target=old.target,
-                           synchronous=False, user_data=old.user_data,
-                           raised_at=self.sim.now)
+        fresh = EventBlock(old.event, None, node, old.target, False,
+                           old.user_data, self.sim.now)
         self.events.supervisor.counters["requeued"] += 1
         if "supervise" not in self.tracer.muted:
             self.tracer.emit("supervise", "requeue", event=old.event,

@@ -157,7 +157,11 @@ class Settler:
         if charge is not None:
             self.admission.release(charge)
         durable_id = block.durable_id
-        if (self.open.pop(block.block_id, None) is None
+        shard = self.shard
+        # A block raised on another shard was numbered there: its id may
+        # be that of a different post opened here.
+        if ((shard is None or block.raiser_node in shard)
+                and self.open.pop(block.block_id, None) is None
                 and durable_id is not None and self.opened_here(block)):
             self.doubles.append((block, outcome, node, self.sim.now))
         self.outcomes[outcome] += 1
@@ -204,8 +208,8 @@ class Settler:
             # The home node's copy of a fire-and-forget post: one
             # best-effort datagram back, unreliable like the post.
             self.kernels[node].transmit_unreliable(Message(
-                src=node, dst=block.raiser_node, mtype=MSG_DEGRADE_DONE,
-                size=32, payload={"block": block.block_id}))
+                node, block.raiser_node, MSG_DEGRADE_DONE,
+                {"block": block.block_id}, 32))
         if block.synchronous or error is not None:
             self._resume(block, value, error, node)
         return True
@@ -331,8 +335,8 @@ class Settler:
                 f"node {node} crashed under the handler of {block.event}"))
             return
         sender.transmit(Message(
-            src=node, dst=wait.node, mtype=MSG_RESUME, size=96,
-            payload={"token": token, "value": value, "error": error}),
+            node, wait.node, MSG_RESUME,
+            {"token": token, "value": value, "error": error}, 96),
             on_give_up=lambda m: self._arrive(
                 token, None, UndeliverableError(
                     f"resume for {block.event} undeliverable to "

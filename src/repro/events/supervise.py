@@ -161,11 +161,9 @@ class HandlerSupervisor:
                 node = owner.current_node
                 self.cluster.events.post.enqueue_for_thread(
                     node, owner.tid, EventBlock(
-                        event=names.HANDLER_TIMEOUT, raiser_tid=None,
-                        raiser_node=node, target=owner.tid,
-                        user_data={"event": block.event,
-                                   "deadline": deadline},
-                        raised_at=self.sim.now))
+                        names.HANDLER_TIMEOUT, None, node, owner.tid, False,
+                        {"event": block.event, "deadline": deadline},
+                        self.sim.now))
         self.cluster.invoker.destroy_thread_abrupt(
             thread, HandlerTimeout(f"{what} exceeded {deadline}s"))
 

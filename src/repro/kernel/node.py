@@ -111,8 +111,7 @@ class Kernel:
     def send(self, dst: int, mtype: str, payload: Any = None,
              size: int = 64) -> None:
         """Fire-and-forget message to another node."""
-        self.fabric.send(Message(src=self.node_id, dst=dst, mtype=mtype,
-                                 payload=payload, size=size))
+        self.fabric.send(Message(self.node_id, dst, mtype, payload, size))
 
     def transmit(self, message: Message,
                  on_give_up: Callable[[Message], None] | None = None) -> None:

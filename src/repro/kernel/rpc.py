@@ -104,9 +104,9 @@ class RpcEngine:
         fut: SimFuture[Any] = SimFuture(self.sim)
         self._outstanding[call_id] = _Call(fut, dst, service, timeout)
         self.kernel.transmit(Message(
-            src=self.node_id, dst=dst, mtype=MSG_REQUEST, size=size,
-            payload={"call_id": call_id, "service": service,
-                     "payload": payload, "reply_to": self.node_id}))
+            self.node_id, dst, MSG_REQUEST,
+            {"call_id": call_id, "service": service, "payload": payload,
+             "reply_to": self.node_id}, size))
         if timeout is not None:
             self.sim.call_after(timeout, self._expire, call_id)
         return fut
@@ -188,8 +188,8 @@ class RpcEngine:
         outcome = ({"result": result} if error is None
                    else {"error": error})
         self.kernel.transmit(Message(
-            src=self.node_id, dst=body["reply_to"], mtype=MSG_REPLY,
-            size=size, payload={"call_id": body["call_id"], **outcome}))
+            self.node_id, body["reply_to"], MSG_REPLY,
+            {"call_id": body["call_id"], **outcome}, size))
 
     def on_reply(self, message: Message) -> None:
         body = message.payload

@@ -175,12 +175,9 @@ class Fabric:
         payload = message.payload
         if isinstance(payload, dict):
             payload = dict(payload)
-        clone = Message(src=message.src, dst=message.dst,
-                        mtype=message.mtype, payload=payload,
-                        size=message.size, rel=message.rel,
-                        ack=message.ack, gossip=message.gossip)
-        clone.msg_id = next(self._msg_ids)
-        return clone
+        return Message(message.src, message.dst, message.mtype, payload,
+                       message.size, next(self._msg_ids), message.rel,
+                       message.ack, message.gossip)
 
     def _drop(self, message: Message, dst: int) -> None:
         self.stats.dropped += 1

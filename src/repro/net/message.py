@@ -20,7 +20,9 @@ class Message:
 
     ``slots=True``: envelopes are the highest-volume allocation in a
     run (every post, ack and probe is one), so the per-instance dict
-    was pure hot-path overhead.
+    was pure hot-path overhead. The library builds it positionally,
+    ``Message(src, dst, mtype, payload, size)``: a keyword call's
+    kwargs dict cost more than the ``__init__`` itself.
 
     Attributes
     ----------
@@ -76,5 +78,5 @@ class Message:
         """Build a response envelope going back to the sender."""
         if not isinstance(self.src, int):
             raise ValueError(f"cannot reply to non-node source {self.src!r}")
-        return Message(src=int(self.dst) if isinstance(self.dst, int) else -1,
-                       dst=self.src, mtype=mtype, payload=payload, size=size)
+        return Message(int(self.dst) if isinstance(self.dst, int) else -1,
+                       self.src, mtype, payload, size)

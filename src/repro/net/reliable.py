@@ -450,9 +450,8 @@ class ReliableChannel:
             sel = tuple(sorted(seen)[:SEL_ACK_LIMIT])
             payload["sel"] = sel
             size += 8 * len(sel)
-        self.fabric.send(Message(
-            src=self.node_id, dst=sender, mtype=MSG_REL_ACK, size=size,
-            payload=payload))
+        self.fabric.send(Message(self.node_id, sender, MSG_REL_ACK, payload,
+                                 size))
 
     # ------------------------------------------------------------------
     # lifecycle / reporting

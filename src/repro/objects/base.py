@@ -130,8 +130,10 @@ class DistObject:
 
     def __init__(self) -> None:
         self._oid = next(_oids)
-        self._home: int | None = None
-        self._transport: str | None = None
+        #: The placement, built once by ``_place`` (the executor reads
+        #: ``cap`` several times per handler run); None until then.
+        #: Private, so a checkpoint skips it.
+        self._cap: Capability | None = None
         #: DSM-backed field storage (only used under the DSM transport).
         self._dsm_segment: Any = None
 
@@ -145,29 +147,29 @@ class DistObject:
 
     @property
     def home(self) -> int:
-        if self._home is None:
+        if self._cap is None:
             raise ObjectError(f"object {type(self).__name__} is not placed yet")
-        return self._home
+        return self._cap.home
 
     @property
     def transport(self) -> str:
-        if self._transport is None:
+        if self._cap is None:
             raise ObjectError(f"object {type(self).__name__} is not placed yet")
-        return self._transport
+        return self._cap.transport
 
     @property
     def cap(self) -> Capability:
         """This object's capability."""
-        return Capability(oid=self._oid, home=self.home,
-                          transport=self.transport,
-                          cls_name=type(self).__name__)
+        cap = self._cap
+        if cap is None:
+            raise ObjectError(f"object {type(self).__name__} is not placed yet")
+        return cap
 
     def _place(self, home: int, transport: str) -> None:
-        if self._home is not None:
+        if self._cap is not None:
             raise ObjectError(f"object {self._oid} already placed on "
-                              f"node {self._home}")
-        self._home = home
-        self._transport = transport
+                              f"node {self._cap.home}")
+        self._cap = Capability(self._oid, home, transport, type(self).__name__)
 
     # ------------------------------------------------------------------
     # interface lookups used by the invocation and event engines
@@ -206,5 +208,5 @@ class DistObject:
         return sorted(self._object_handlers)
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostic only
-        where = self._home if self._home is not None else "?"
+        where = self._cap.home if self._cap is not None else "?"
         return f"<{type(self).__name__} oid={self._oid} home={where}>"

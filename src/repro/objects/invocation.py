@@ -204,9 +204,8 @@ class InvocationEngine:
                          syscall: sc.Invoke, node: int, is_remote: bool,
                          caller_node: int | None) -> Activation | None:
         """Push a frame and instantiate its generator; None on failure."""
-        act = Activation(obj=obj, entry=syscall.entry, gen=None, node=node,
-                         is_remote=is_remote, caller_node=caller_node,
-                         event_block=syscall.handler_block)
+        act = Activation(obj, syscall.entry, None, node, is_remote,
+                         caller_node, syscall.handler_block)
         thread.push_frame(act)
         try:
             if obj is None:  # destroyed while the request was in flight
@@ -263,8 +262,8 @@ class InvocationEngine:
         thread.hop += 1
         thread.carried = carried
         self.cluster.kernels[src].transmit(
-            Message(src=src, dst=dst, mtype=mtype, size=size,
-                    payload={"tid": thread.tid, "hop": thread.hop, **fields}),
+            Message(src, dst, mtype,
+                    {"tid": thread.tid, "hop": thread.hop, **fields}, size),
             on_give_up=lambda m: self.destroy_thread_abrupt(
                 thread, UndeliverableError(
                     f"{mtype} for {thread.tid} undeliverable to node {dst}")))

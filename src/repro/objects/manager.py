@@ -74,7 +74,7 @@ class ObjectManager:
             raise ObjectError(f"{cls!r} is not a DistObject subclass")
         transport = transport or TRANSPORT_RPC
         obj = cls(*args, **kwargs)
-        if obj._home is not None:
+        if obj._cap is not None:
             raise ObjectError(
                 f"{cls.__name__}.__init__ must not place the object itself")
         # re-key onto the cluster-local oid space for determinism

@@ -49,8 +49,7 @@ def restore_object(snapshot: dict[str, Any]) -> "DistObject":
     obj = cls.__new__(cls)
     DistObject.__init__(obj)
     obj._oid = snapshot["oid"]
-    obj._home = snapshot["home"]
-    obj._transport = snapshot["transport"]
+    obj._place(snapshot["home"], snapshot["transport"])
     for name, value in snapshot["state"].items():
         setattr(obj, name, copy.deepcopy(value))
     return obj

@@ -305,8 +305,8 @@ class NodeStore:
         # redelivers (applied-set dedup, re-ack); once its posts were
         # transport-acked nothing else would, hence the give-up hook.
         self.kernel.transmit(Message(
-            src=self.kernel.node_id, dst=origin, mtype=MSG_STORE_ACK,
-            size=32 + 16 * len(acks), payload={"acks": acks}),
+            self.kernel.node_id, origin, MSG_STORE_ACK, {"acks": acks},
+            32 + 16 * len(acks)),
             on_give_up=self._acks_gave_up)
 
     def _acks_gave_up(self, message: Message) -> None:

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import NoSuchEntryError, ObjectError
 from repro.objects import Capability, DistObject, entry, handler_entry, on_event
 from repro.objects.perthread import PerThreadMemory
+from repro.store.checkpoint import restore_object, snapshot_object
 from repro.errors import HandlerContextError
 
 
@@ -100,6 +101,8 @@ class TestPlacement:
         with pytest.raises(ObjectError):
             obj.home
         with pytest.raises(ObjectError):
+            obj.transport
+        with pytest.raises(ObjectError):
             obj.cap
 
     def test_place_once(self):
@@ -118,6 +121,19 @@ class TestPlacement:
         assert cap.home == 1
         assert cap.cls_name == "Sample"
         assert str(cap) == f"O{obj.oid}@1/rpc"
+
+    def test_capability_is_built_once_at_placement(self):
+        obj = Sample()
+        obj._place(1, "rpc")
+        assert obj.cap is obj.cap
+        assert obj.cap == Capability(obj.oid, 1, "rpc", "Sample")
+        assert "_cap" not in snapshot_object(obj)["state"]
+
+    def test_restored_object_has_its_capability(self):
+        obj = Sample()
+        obj._place(1, "rpc")
+        restored = restore_object(snapshot_object(obj))
+        assert restored.cap == obj.cap
 
     def test_capability_validates_transport(self):
         with pytest.raises(ObjectError):

@@ -65,6 +65,22 @@ def outcome_scenario(ctx):
     return outcome
 
 
+def audited_scenario(ctx):
+    """``posts_scenario`` that also reports the worker's own audit and
+    open-post gauge: the conftest hook audits only the clusters a test
+    builds in its own process."""
+    finish = posts_scenario(ctx)
+
+    def audited():
+        result = finish()
+        result["audit"] = ctx.cluster.audit()
+        result["open"] = ctx.cluster.metrics()["events.settle.open"]
+        result["pending"] = ctx.cluster.sim.pending
+        return result
+
+    return audited
+
+
 def dying_scenario(ctx):
     """Shard 1's worker dies silently mid-setup (teardown diagnostics)."""
     if ctx.shard_index == 1:
@@ -156,6 +172,32 @@ class TestBarrierDeterminism:
             runs[method] = run_scale_sharded(SMALL)
         assert runs["fork"]["digest"] == runs["spawn"]["digest"]
         assert runs["fork"]["windows"] == runs["spawn"]["windows"]
+
+
+# ----------------------------------------------------------------------
+# the standing invariant inside the shard workers
+# ----------------------------------------------------------------------
+
+class TestShardedAudit:
+    @pytest.mark.skipif(not FORK_AVAILABLE,
+                        reason="audited_scenario needs the inherited module")
+    @pytest.mark.parametrize("durable", [False, True],
+                             ids=["plain", "reliable+durable"])
+    def test_every_worker_ends_with_no_open_post(self, durable):
+        spec = replace(SMALL, remote_fraction=0.5, config={
+            "reliable_delivery": durable, "durable_delivery": durable})
+        report = run_sharded(
+            spec.cluster_config(transport="sharded",
+                                shard_count=spec.shard_count),
+            "tests.test_sharded_barrier:audited_scenario",
+            scenario_args=_scenario_args(spec))
+        assert report.cross_shard_messages > 0
+        assert (sum(r["executed"] for r in report.shard_results)
+                == spec.total_posts)
+        for result in report.shard_results:
+            assert result["pending"] == 0  # so the audit read the table
+            assert result["audit"] == []
+            assert result["open"] == 0
 
 
 # ----------------------------------------------------------------------
