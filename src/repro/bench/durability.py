@@ -14,41 +14,41 @@ two costs the paper's §5 message-count methodology makes measurable:
   every N appends and replay is O(N); never checkpoint and replay grows
   with the whole run.
 
-Both are swept here on top of the chaos harness (same seeded faults,
-same invariants: every journaled post executes exactly once, the outbox
+Both are swept here on chaos scenarios (same seeded faults, same
+invariants: every journaled post executes exactly once, the outbox
 drains).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any
 
 from repro import ClusterConfig
-from repro.bench.chaos import ChaosSpec, run_chaos
+from repro.bench import chaos
 from repro.bench.harness import Result, Table
+from repro.bench.scenario import run_scenario
 
 
-def measure_fault_free_overhead(base: ChaosSpec) -> dict[str, Any]:
+def measure_fault_free_overhead(base: dict[str, Any]) -> dict[str, Any]:
     """Journal appends per fabric message on a fault-free durable run.
 
     Same workload as the sweep but with no drops, no duplicates and no
     crashes: every append is pure write-ahead overhead, none is
     redelivery bookkeeping.
     """
-    spec = replace(base, durable=True, drop_rate=0.0, duplicate_rate=0.0,
-                   crash_period=None, partition_period=None)
-    report = run_chaos(spec)
-    messages = report.message_stats["sent"]
-    appends = report.durability["appends"]
+    outcome = run_scenario(chaos.scenario(**{
+        **base, "durable": True, "drop_rate": 0.0, "duplicate_rate": 0.0,
+        "crash_period": None, "partition_period": None}))
+    messages = outcome.message_stats["sent"]
+    appends = outcome.durability["appends"]
     return {
-        "posts": spec.posts,
+        "posts": outcome.posts,
         "messages_sent": messages,
         "journal_appends": appends,
         "appends_per_message": round(appends / messages, 4) if messages else 0.0,
-        "journal_bytes": report.durability["bytes_appended"],
-        "executed_once": report.executed_once,
-        "violations": report.violations,
+        "journal_bytes": outcome.durability["bytes_appended"],
+        "executed_once": outcome.executed_once,
+        "violations": outcome.violations,
     }
 
 
@@ -59,46 +59,51 @@ def _interval_label(interval: int | None) -> str:
 def run_durability_sweep(checkpoint_intervals: list[int | None],
                          **base: Any) -> Result:
     """D1: sweep checkpoint interval under the crash/recover chaos
-    scenario ``ChaosSpec(durable=True, **base)``, after one fault-free
-    overhead run.
+    scenario ``chaos.scenario(durable=True, **base)``, after one
+    fault-free overhead run.
 
     Every cell must satisfy the durable invariants (exactly-once
     execution, outbox drained); the columns expose how the checkpoint
     interval trades journal retention against recovery replay length.
     """
-    spec = ChaosSpec(**{**base, "durable": True})
+    base = {**base, "durable": True}
+    first = chaos.scenario(**base)
+    posts = len(first.arrivals[0].targets)
     result = Result(Table(
         title="Durability: recovery time vs checkpoint interval "
-              f"({spec.posts} posts, {spec.n_nodes} nodes, "
-              f"drop={spec.drop_rate}, crash_period={spec.crash_period})",
+              f"({posts} posts, {first.config['n_nodes']} nodes, "
+              f"drop={first.faults.drop}, "
+              f"crash_period={base.get('crash_period', 0.8)})",
         columns=["ckpt_interval", "posts", "executed_once", "redelivered",
                  "recoveries", "replayed_mean", "replayed_max",
                  "recovery_ms_mean", "recovery_ms_max", "appends",
                  "checkpoints", "retained_end", "pending_end"]),
-        detail={"fault_free_overhead": measure_fault_free_overhead(spec),
+        detail={"fault_free_overhead": measure_fault_free_overhead(base),
                 "violations": []})
+    config = base.get("config") or {}
     for interval in checkpoint_intervals:
         label = _interval_label(interval)
-        report = run_chaos(replace(spec, config={
-            **spec.config, "checkpoint_interval": interval}))
-        result.digests[f"ckpt={label}"] = report.digest
+        outcome = run_scenario(chaos.scenario(**{**base, "config": {
+            **config, "checkpoint_interval": interval}}))
+        result.digests[f"ckpt={label}"] = outcome.digest
         result.detail["violations"] += [
-            f"ckpt={label}: {v}" for v in report.violations]
-        replayed = [row["replayed"] for row in report.recoveries]
-        times_ms = [row["recovery_time"] * 1e3 for row in report.recoveries]
-        n = len(report.recoveries)
+            f"ckpt={label}: {v}" for v in outcome.violations]
+        replayed = [row["replayed"] for row in outcome.recoveries]
+        times_ms = [row["recovery_time"] * 1e3 for row in outcome.recoveries]
+        n = len(outcome.recoveries)
+        durability = outcome.durability
         result.table.add(
-            label, spec.posts, report.executed_once,
-            report.durability.get("redelivered", 0), n,
+            label, posts, outcome.executed_once,
+            durability.get("redelivered", 0), n,
             round(sum(replayed) / n, 2) if n else 0.0,
             max(replayed) if n else 0,
             round(sum(times_ms) / n, 4) if n else 0.0,
             round(max(times_ms), 4) if n else 0.0,
-            report.durability.get("appends", 0),
-            report.durability.get("checkpoints", 0),
-            report.durability.get("retained", 0),
-            report.durability.get("pending", 0))
-    replay_cost = spec.config.get("replay_cost", ClusterConfig.replay_cost)
+            durability.get("appends", 0),
+            durability.get("checkpoints", 0),
+            durability.get("retained", 0),
+            durability.get("pending", 0))
+    replay_cost = config.get("replay_cost", ClusterConfig.replay_cost)
     result.table.note("replayed = checkpoint + journal-tail records rolled "
                       "forward per recovery; recovery_ms charges replay_cost "
                       f"= {replay_cost * 1e3:.3g} ms per record")

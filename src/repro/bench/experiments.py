@@ -13,7 +13,7 @@ and are registered at the bottom of this file.
 
 from __future__ import annotations
 
-from repro import Decision, DistObject, entry
+from repro import Cluster, ClusterConfig, Decision, DistObject, entry
 from repro.apps.pager_app import run_pager_workload
 from repro.apps.termination import press_ctrl_c, termination_report
 from repro.baselines import SCENARIOS, run_all
@@ -23,18 +23,31 @@ from repro.bench.harness import Experiment, Result, Table, ratio
 from repro.bench.membership import check_e16, run_e16
 from repro.bench.overload import check_overload, run_overload_sweep
 from repro.bench.scale import check_e14, run_e14
+from repro.bench.scenario import OBJECT, Grid, Scenario, Sinks, run_scenario
 from repro.bench.soak import check_soak, run_soak
 from repro.bench.supervise import check_supervise, run_supervise_sweep
 from repro.bench.workloads import (
     bouncing_thread,
-    build_cluster,
     ctrl_c_app,
     deep_thread,
     lock_chain,
     measure_posts,
-    object_event_storm,
     transport_workload,
 )
+
+
+class Probe(DistObject):
+    """Raises ``event`` at ``target`` (T1, E9); returns how long the
+    raiser was blocked, virtual seconds."""
+
+    @entry
+    def fire(self, ctx, event, target, sync):
+        start = ctx.now
+        if sync:
+            yield ctx.raise_and_wait(event, target)
+        else:
+            yield ctx.raise_event(event, target)
+        return ctx.now - start
 
 
 # ---------------------------------------------------------------------------
@@ -51,16 +64,6 @@ def run_table1() -> Result:
         title="Table 1 (§5.3): raise-call addressing and blocking",
         columns=["call", "recipients (paper)", "recipients (measured)",
                  "raiser blocked", "raiser latency (ms)"])
-
-    class Probe(DistObject):
-        @entry
-        def fire(self, ctx, sync, target):
-            start = ctx.now
-            if sync:
-                yield ctx.raise_and_wait("T1EVT", target)
-            else:
-                yield ctx.raise_event("T1EVT", target)
-            return ctx.now - start
 
     class CountingSink(DistObject):
         def __init__(self, hits):
@@ -88,7 +91,7 @@ def run_table1() -> Result:
             return "object-ack"
 
     def rig():
-        cluster = build_cluster(n_nodes=4)
+        cluster = Cluster(ClusterConfig(n_nodes=4))
         cluster.register_event("T1EVT")
         hits: list[str] = []
         sink = cluster.create_object(CountingSink, hits, node=2)
@@ -115,7 +118,7 @@ def run_table1() -> Result:
         cluster, hits, sink, probe, victim, gid = rig()
         target = {"victim": victim.tid, "group": gid,
                   "object": sink}[target_kind]
-        thread = cluster.spawn(probe, "fire", sync, target, at=1)
+        thread = cluster.spawn(probe, "fire", "T1EVT", target, sync, at=1)
         cluster.run()
         latency = thread.completion.result()
         measured = sorted(set(hits))
@@ -157,7 +160,7 @@ def run_e2(cluster_sizes=(2, 4, 8, 16, 32), depths=(1, 4),
             for depth in depths:
                 if depth >= n:
                     continue
-                cluster = build_cluster(n_nodes=n, locator=locator)
+                cluster = Cluster(ClusterConfig(n_nodes=n, locator=locator))
                 thread = deep_thread(cluster, depth=depth)
                 joins = (cluster.events.locator.groups.joins
                          if locator == "multicast" else 0)
@@ -171,18 +174,18 @@ def run_e2(cluster_sizes=(2, 4, 8, 16, 32), depths=(1, 4),
         for depth in depths:
             if depth >= n:
                 continue
-            cluster = build_cluster(n_nodes=n, locator="cached")
+            cluster = Cluster(ClusterConfig(n_nodes=n, locator="cached"))
             thread = deep_thread(cluster, depth=depth)
             msgs, latency = measure_posts(cluster, thread, posts, warmup=1)
             table.add("cached (hot)", n, depth, msgs, latency * 1e3, 0)
-            cluster = build_cluster(n_nodes=n, locator="cached")
+            cluster = Cluster(ClusterConfig(n_nodes=n, locator="cached"))
             thread = deep_thread(cluster, depth=depth)
             msgs, latency = measure_posts(cluster, thread, 1)
             table.add("cached (cold)", n, depth, msgs, latency * 1e3, 0)
     for n in cluster_sizes:
         if n < 3:
             continue
-        cluster = build_cluster(n_nodes=n, locator="cached")
+        cluster = Cluster(ClusterConfig(n_nodes=n, locator="cached"))
         thread = bouncing_thread(cluster, dwell=0.05)
         msgs, latency = measure_posts(cluster, thread, posts, warmup=1)
         table.add("cached (migrating)", n, 1, msgs, latency * 1e3, 0)
@@ -262,6 +265,17 @@ def check_e2(result: Result) -> None:
 # E3 — §4.3/§7 master handler thread vs thread-per-event
 # ---------------------------------------------------------------------------
 
+def object_storm(mode: str, events: int,
+                 create_cost: float = 2e-4) -> Scenario:
+    """``events`` object events raised at once from node 0 at one
+    object on node 1, under execution ``mode``."""
+    return Scenario(
+        config={"n_nodes": 2, "object_event_mode": mode,
+                "thread_create_cost": create_cost},
+        sinks=Sinks(OBJECT, (1,)),
+        arrivals=(Grid(0, (0,) * events, 0.0, burst=events),))
+
+
 def run_e3(event_counts=(10, 50, 200),
            create_cost: float = 2e-4) -> Result:
     table = Table(
@@ -272,8 +286,9 @@ def run_e3(event_counts=(10, 50, 200),
                  "time/event (us)"])
     for mode in ("master", "per-event"):
         for events in event_counts:
-            cluster = object_event_storm(mode, events,
-                                         thread_create_cost=create_cost)
+            outcome = run_scenario(object_storm(mode, events, create_cost))
+            assert outcome.executed_once == events
+            cluster = outcome.cluster
             manager = cluster.kernels[1].objects
             table.add(mode, events, manager.handler_threads_created,
                       manager.handler_threads_created * create_cost * 1e3,
@@ -407,7 +422,7 @@ def run_e6(faulter_counts=(1, 2, 4, 8), n_nodes: int = 8) -> Result:
                  "page transfers", "merged pages", "virtual time (ms)"])
     for faulters in faulter_counts:
         for private in (False, True):
-            cluster = build_cluster(n_nodes=n_nodes)
+            cluster = Cluster(ClusterConfig(n_nodes=n_nodes))
             result = run_pager_workload(cluster, faulters=faulters,
                                         keys_per_thread=3, writes=2,
                                         private_copies=private)
@@ -541,16 +556,6 @@ def run_e9(service_times=(0.0, 1e-3, 1e-2, 1e-1)) -> Result:
         columns=["handler service time (ms)", "async window (ms)",
                  "sync window (ms)", "sync/async ratio"])
 
-    class Probe(DistObject):
-        @entry
-        def fire(self, ctx, target, sync):
-            start = ctx.now
-            if sync:
-                yield ctx.raise_and_wait("E9EVT", target)
-            else:
-                yield ctx.raise_event("E9EVT", target)
-            return ctx.now - start
-
     class Sink(DistObject):
         @entry
         def absorb(self, ctx, service):
@@ -562,7 +567,7 @@ def run_e9(service_times=(0.0, 1e-3, 1e-2, 1e-1)) -> Result:
             yield ctx.sleep(1e6)
 
     for service in service_times:
-        cluster = build_cluster(n_nodes=3)
+        cluster = Cluster(ClusterConfig(n_nodes=3))
         cluster.register_event("E9EVT")
         sink = cluster.create_object(Sink, node=2)
         probe = cluster.create_object(Probe, node=1)
@@ -570,7 +575,8 @@ def run_e9(service_times=(0.0, 1e-3, 1e-2, 1e-1)) -> Result:
         cluster.run(until=0.1)
         windows = {}
         for sync in (False, True):
-            thread = cluster.spawn(probe, "fire", victim.tid, sync, at=1)
+            thread = cluster.spawn(probe, "fire", "E9EVT", victim.tid, sync,
+                                   at=1)
             cluster.run(until=cluster.now + service + 1.0)
             windows[sync] = thread.completion.result()
         table.add(service * 1e3, windows[False] * 1e3, windows[True] * 1e3,
@@ -606,7 +612,7 @@ def run_ablations() -> Result:
     # 1. partial-result notification (§1): cooperative search
     from repro.apps.search import run_search
     for notify in (True, False):
-        cluster = build_cluster(n_nodes=4)
+        cluster = Cluster(ClusterConfig(n_nodes=4))
         result = run_search(cluster, workers=4, space=400, seed=7,
                             notify=notify)
         table.add("partial-result notification",
@@ -615,21 +621,11 @@ def run_ablations() -> Result:
 
     # 2. ABORT-on-unwind (§6.3): object cleanup notification
     for notify_abort in (True, False):
-        cluster = build_cluster(n_nodes=4,
-                                notify_abort_on_unwind=notify_abort)
-        from repro.bench.workloads import CtrlCWorkload
-        from repro.locks import LockManager
-        mgr = cluster.create_object(LockManager, node=3)
-        root_obj = cluster.create_object(CtrlCWorkload, node=0)
-        worker_obj = cluster.create_object(CtrlCWorkload, node=1)
-        gid = cluster.new_group()
-        root = cluster.spawn(root_obj, "main", worker_obj, mgr, 4, True,
-                             at=0, group=gid)
-        cluster.run(until=2.0)
-        press_ctrl_c(cluster, root.tid)
-        cluster.run()
-        aborts = (len(cluster.get_object(root_obj).aborted_tids)
-                  + len(cluster.get_object(worker_obj).aborted_tids))
+        rig = ctrl_c_app(4, n_nodes=4, notify_abort_on_unwind=notify_abort)
+        press_ctrl_c(rig.cluster, rig.root.tid)
+        rig.cluster.run()
+        aborts = sum(len(rig.cluster.get_object(obj).aborted_tids)
+                     for obj in (rig.root_obj, rig.worker_obj))
         table.add("ABORT on unwind",
                   "on" if notify_abort else "off",
                   "object ABORT deliveries", aborts)
@@ -661,7 +657,7 @@ def run_ablations() -> Result:
             return Decision.RESUME
 
     for use_current in (True, False):
-        cluster = build_cluster(n_nodes=4)
+        cluster = Cluster(ClusterConfig(n_nodes=4))
         cluster.register_event("A1EVT")
         home = cluster.create_object(FarHome, node=0)
         far = cluster.create_object(FarHome, node=3)
@@ -686,8 +682,8 @@ def run_ablations() -> Result:
                 yield ctx.write(name, i)
 
     for fields_per_page in (1, 2):
-        cluster = build_cluster(n_nodes=3,
-                                dsm_fields_per_page=fields_per_page)
+        cluster = Cluster(ClusterConfig(n_nodes=3,
+                                        dsm_fields_per_page=fields_per_page))
         cap = cluster.create_object(Pair, node=0, transport="dsm")
         cluster.spawn(cap, "write_field", "a", 20, at=1)
         cluster.spawn(cap, "write_field", "b", 20, at=2)

@@ -14,7 +14,7 @@ experiment measures the claim directly:
 * **convergence row** — crash 10% of the cluster in the same instant
   (correlated failure) and measure how long until every surviving
   node's view marks every victim dead;
-* **churn rows** — the chaos harness (:mod:`repro.bench.chaos`) with a
+* **churn rows** — a chaos scenario (:mod:`repro.bench.chaos`) with a
   scheduled join/leave/crash/recover churn riding on drops: every post
   must execute exactly once, surface a notice, or be quarantined;
 * **sharded churn row** — the same churn discipline on the
@@ -25,19 +25,15 @@ experiment measures the claim directly:
 
 from __future__ import annotations
 
-import hashlib
-import random
 import statistics
 import time
-from typing import Callable
 
 from repro import Cluster, ClusterConfig
-from repro.bench.chaos import ChaosSpec, ChurnSpec, run_chaos
+from repro.bench import chaos
 from repro.bench.harness import Result, Table
-from repro.bench.scale import ScaleSink, sink_cap
+from repro.bench.scale import run_posts
+from repro.bench.scenario import Scenario, run_scenario
 from repro.bench.workloads import MUTED_CATEGORIES
-
-MEMBER_EVENT = "SCALE"  # reuse the ScaleSink handler event
 
 
 # ----------------------------------------------------------------------
@@ -49,6 +45,30 @@ def _idle_cluster(n_nodes: int, interval: float, seed: int) -> Cluster:
                                     swim_interval=interval))
     cluster.tracer.mute(*MUTED_CATEGORIES)
     return cluster
+
+
+def _crash_and_watch(cluster: Cluster, victims: list[int], interval: float,
+                     budget_periods: int, step: float) -> tuple[float, list]:
+    """Crash ``victims`` in one instant and step the clock until every
+    other node's view marks each of them dead, which must happen within
+    ``budget_periods``; returns the crash time and the observers."""
+    t_crash = cluster.now
+    for node in victims:
+        cluster.crash_node(node)
+    observers = [kernel for kernel in cluster.kernels.values()
+                 if kernel.node_id not in victims]
+
+    def converged() -> bool:
+        return all(kernel.membership.is_dead(victim)
+                   for kernel in observers for victim in victims)
+
+    deadline = t_crash + budget_periods * interval
+    while cluster.now < deadline and not converged():
+        cluster.run(until=cluster.now + step)
+    assert converged(), (
+        f"n={len(cluster.kernels)}: views did not mark {len(victims)} "
+        f"crashed node(s) dead within {budget_periods} periods")
+    return t_crash, observers
 
 
 def run_detection_row(n_nodes: int, interval: float = 0.1,
@@ -66,19 +86,10 @@ def run_detection_row(n_nodes: int, interval: float = 0.1,
             / n_nodes / (window / interval))
 
     victim = n_nodes - 1
-    t_crash = cluster.now
-    cluster.crash_node(victim)
-    observers = [k for k in cluster.kernels.values()
-                 if k.node_id != victim]
-    deadline = t_crash + budget_periods * interval
-    step = interval / 4.0
-
+    t_crash, observers = _crash_and_watch(cluster, [victim], interval,
+                                          budget_periods, interval / 4.0)
     suspect_lat: list[float] = []
     confirm_lat: list[float] = []
-    while cluster.now < deadline:
-        cluster.run(until=cluster.now + step)
-        if all(k.membership.is_dead(victim) for k in observers):
-            break
     for kernel in observers:
         first: dict[str, float] = {}
         for t, peer, state, _inc in kernel.membership.transitions:
@@ -88,11 +99,6 @@ def run_detection_row(n_nodes: int, interval: float = 0.1,
             suspect_lat.append(first["suspect"] - t_crash)
         if "dead" in first:
             confirm_lat.append(first["dead"] - t_crash)
-    detected = sum(1 for k in observers if k.membership.is_dead(victim))
-
-    assert detected == len(observers), (
-        f"swim n={n_nodes}: only {detected}/{len(observers)} observers "
-        f"detected the crash within {budget_periods} periods")
     return {
         "mode": "swim", "nodes": n_nodes, "interval": interval,
         "msgs_per_node_per_period": load,
@@ -114,23 +120,8 @@ def run_convergence_row(n_nodes: int, fail_fraction: float = 0.1,
     cluster.run(until=warm)
     k = max(1, int(n_nodes * fail_fraction))
     victims = list(range(n_nodes - k, n_nodes))
-    t_crash = cluster.now
-    for node in victims:
-        cluster.crash_node(node)
-    survivors = [kernel for kernel in cluster.kernels.values()
-                 if kernel.node_id not in victims]
-    deadline = t_crash + budget_periods * interval
-    step = interval / 2.0
-    while cluster.now < deadline:
-        cluster.run(until=cluster.now + step)
-        if all(kernel.membership.is_dead(v)
-               for kernel in survivors for v in victims):
-            break
-    converged = all(kernel.membership.is_dead(v)
-                    for kernel in survivors for v in victims)
-    assert converged, (
-        f"n={n_nodes}: views did not converge on {k} correlated "
-        f"failures within {budget_periods} periods")
+    t_crash, survivors = _crash_and_watch(cluster, victims, interval,
+                                          budget_periods, interval / 2.0)
     last = 0.0
     for kernel in survivors:
         for t, peer, state, _inc in kernel.membership.transitions:
@@ -144,214 +135,85 @@ def run_convergence_row(n_nodes: int, fail_fraction: float = 0.1,
 
 
 # ----------------------------------------------------------------------
-# churn invariant rows (chaos harness, single-process sim)
+# churn invariant rows (chaos scenarios, single-process sim)
 # ----------------------------------------------------------------------
 
-def churn_spec(n_nodes: int, seed: int = 7,
-               scheduler: str = "heap") -> ChaosSpec:
+def churn_chaos(n_nodes: int, seed: int = 7,
+                   scheduler: str = "heap") -> Scenario:
     """The acceptance churn scenario: drops plus scheduled leave/crash
     churn at ``n_nodes`` with SWIM membership on."""
-    return ChaosSpec(
-        seed=seed, n_nodes=n_nodes, posts=150, drop_rate=0.05,
+    return chaos.scenario(
+        seed, n_nodes=n_nodes, posts=150, drop_rate=0.05,
         crash_period=None,
         config={"swim_interval": 0.05, "scheduler": scheduler},
-        churn=ChurnSpec(period=0.25, down_time=0.4,
-                        max_down=max(2, n_nodes // 16)),
+        churn_period=0.25, churn_down=0.4, max_down=max(2, n_nodes // 16),
         settle=12.0)
 
 
 def run_churn_row(n_nodes: int, seed: int = 7,
                   scheduler: str = "heap") -> dict:
     started = time.perf_counter()
-    report = run_chaos(churn_spec(n_nodes, seed, scheduler))
+    outcome = run_scenario(churn_chaos(n_nodes, seed, scheduler))
     wall = time.perf_counter() - started
-    assert not report.violations, (
-        f"churn n={n_nodes}: {report.violations[:3]}")
-    messages = report.message_stats.get("sent", 0)
+    assert not outcome.violations, (
+        f"churn n={n_nodes}: {outcome.violations[:3]}")
+    messages = outcome.message_stats.get("sent", 0)
     return {
         "nodes": n_nodes, "seed": seed, "scheduler": scheduler,
-        "posts": report.spec.posts,
+        "posts": outcome.posts,
         "messages": messages,
         "wall": {"seconds": wall,
                  "msgs_per_sec": messages / wall if wall else 0.0},
-        "executed_once": report.executed_once,
-        "noticed": len(report.notices),
-        "accounted": report.accounted_rate,
-        "churn_events": len(report.churn_events),
-        "leaves": sum(1 for _t, _n, kind in report.churn_events
+        "executed_once": outcome.executed_once,
+        "noticed": len(outcome.notices),
+        "accounted": outcome.accounted_rate,
+        "churn_events": len(outcome.churn_events),
+        "leaves": sum(1 for _t, _n, kind in outcome.churn_events
                       if kind == "leave"),
-        "rejoins": report.metrics.get("kernel.membership.rejoins", 0),
-        "refutations": report.metrics.get("kernel.membership.refutations",
-                                          0),
-        "digest": report.digest,
+        "rejoins": outcome.metrics.get("kernel.membership.rejoins", 0),
+        "refutations": outcome.metrics.get(
+            "kernel.membership.refutations", 0),
+        "digest": outcome.digest,
     }
 
 
 # ----------------------------------------------------------------------
-# sharded churn scenario (multi-process transport)
+# sharded churn (multi-process transport)
 # ----------------------------------------------------------------------
 
-def _churn_schedule(args: dict, n_nodes: int) -> list[tuple[float, int, str]]:
-    """The (time, node, kind) churn schedule, computed identically in
-    every worker from the seeded stream. Down-state is tracked
-    *statically* (a departure pins the node down for ``down_time``), so
-    no worker needs runtime knowledge of remotely-owned nodes."""
-    rng = random.Random(int(args["seed"]) ^ 0xC0FFEE)
-    churn_nodes = list(range(n_nodes // 2, n_nodes))
-    period = float(args["churn_period"])
-    down_time = float(args["down_time"])
-    leave_fraction = float(args["leave_fraction"])
-    start, end = float(args["churn_start"]), float(args["churn_end"])
-    up_at = dict.fromkeys(churn_nodes, 0.0)
-    events: list[tuple[float, int, str]] = []
-    t = start
-    while t < end:
-        node = rng.choice(churn_nodes)
-        kind = "leave" if rng.random() < leave_fraction else "crash"
-        if up_at[node] <= t:
-            events.append((round(t, 9), node, kind))
-            up_at[node] = t + down_time
-        t += period
-    return events
-
-
-def churn_scenario(ctx) -> Callable[[], dict]:
-    """Per-shard setup for the sharded churn run.
-
-    The low half of the node range is *stable*: each stable node raises
-    ``posts_per_node`` posts at uniformly-random stable sinks (the event
-    plane under test). The high half *churns* on the shared schedule —
-    graceful leaves and abrupt crashes, each rejoining ``down_time``
-    later with a bumped incarnation. Every worker computes the identical
-    schedule and applies the events for its own nodes; SWIM gossip is
-    the only thing that carries the news across shards.
-    """
-    cluster = ctx.cluster
-    args = ctx.args
-    n_nodes = ctx.n_nodes
-    stable = list(range(n_nodes // 2))
-    interval = float(args["interval"])
-    down_time = float(args["down_time"])
-    cluster.register_event(MEMBER_EVENT)
-    cluster.tracer.mute(*MUTED_CATEGORIES)
-    sinks = {}
-    for node in ctx.local_nodes:
-        # one sink per local node in ascending order: sink_cap's oid
-        # arithmetic needs the uniform layout even on churn nodes
-        cap = cluster.create_object(ScaleSink, node=node)
-        sinks[node] = cluster.get_object(cap)
-    raised = {"n": 0}
-    sim = cluster.sim
-
-    def make_pump(node: int, targets: list[int],
-                  phase: float) -> Callable[[int], None]:
-        def pump(i: int) -> None:
-            cap = sink_cap(n_nodes, ctx.shard_count, targets[i])
-            cluster.raise_event(MEMBER_EVENT, cap, from_node=node,
-                                user_data=(node, i))
-            raised["n"] += 1
-            if i + 1 < len(targets):
-                sim.call_at(phase + (i + 1) * interval, pump, i + 1)
-        return pump
-
-    for node in ctx.local_nodes:
-        if node not in stable:
-            continue
-        rng = random.Random(int(args["seed"]) * 100003 + node)
-        targets = [rng.choice(stable)
-                   for _ in range(int(args["posts_per_node"]))]
-        phase = interval * (node + 1) / (n_nodes + 1)
-        if targets:
-            sim.call_at(phase, make_pump(node, targets, phase), 0)
-
-    events = _churn_schedule(args, n_nodes)
-    churned = {"departures": 0, "leaves": 0}
-
-    def depart(node: int, kind: str) -> None:
-        churned["departures"] += 1
-        if kind == "leave":
-            churned["leaves"] += 1
-            cluster.leave_node(node)
-        else:
-            cluster.crash_node(node)
-        sim.call_after(down_time, cluster.recover_node, node)
-
-    for t, node, kind in events:
-        if node in set(ctx.local_nodes):
-            sim.call_at(t, depart, node, kind)
-
-    def finish() -> dict:
-        executed = sum(sinks[node].seen for node in ctx.local_nodes)
-        views = {}
-        converged = True
-        for node in ctx.local_nodes:
-            if node not in stable:
-                continue
-            view = cluster.kernels[node].membership.stats()
-            views[node] = (view["view_alive"], view["view_suspect"],
-                           view["view_dead"])
-            if view["view_suspect"] or view["view_dead"]:
-                converged = False
-        material = repr((
-            sorted((node, sinks[node].seen,
-                    sorted(sinks[node].by_source.items()))
-                   for node in ctx.local_nodes),
-            sorted(views.items())))
-        return {
-            "raised": raised["n"],
-            "executed": executed,
-            "departures": churned["departures"],
-            "leaves": churned["leaves"],
-            "converged": converged,
-            "views": sorted(views.items()),
-            "sha": hashlib.sha256(material.encode()).hexdigest(),
-        }
-
-    return finish
+#: the sharded churn row's schedule: one departure every ``period``
+#: between ``start`` and ``end``, each down for ``down_time``
+SHARDED_CHURN = {"period": 0.25, "down_time": 0.4, "leave_fraction": 0.5,
+                 "start": 0.3, "end": 2.3}
 
 
 def run_churn_sharded(n_nodes: int, shard_count: int, seed: int = 7,
                       posts_per_node: int = 60,
                       interval: float = 0.05) -> dict:
-    """The sharded churn row: stable-half posts under other-half churn."""
-    from repro.transport.sharded import run_sharded
-    args = {
-        "seed": seed, "posts_per_node": posts_per_node,
-        "interval": interval, "churn_period": 0.25, "down_time": 0.4,
-        "leave_fraction": 0.5, "churn_start": 0.3, "churn_end": 2.3,
-    }
+    """The sharded churn row: stable-half posts under other-half churn
+    (:func:`repro.bench.scale.posts` with ``churn``), with zero lost
+    posts and every stable view converged once churn ends."""
     post_end = posts_per_node * interval + 0.1
     settle = 4.0
-    until = max(post_end, args["churn_end"] + args["down_time"]) + settle
-    config = ClusterConfig(
-        n_nodes=n_nodes, seed=seed, transport="sharded",
-        shard_count=shard_count, link_latency=5e-3,
-        swim_interval=0.05)
+    until = max(post_end, SHARDED_CHURN["end"]
+                + SHARDED_CHURN["down_time"]) + settle
     started = time.perf_counter()
-    report = run_sharded(config, "repro.bench.membership:churn_scenario",
-                         scenario_args=args, until=until)
+    row = run_posts(n_nodes, shard_count, until=until, seed=seed,
+                    posts_per_node=posts_per_node, interval=interval,
+                    churn=SHARDED_CHURN)
     wall = time.perf_counter() - started
-    raised = sum(r["raised"] for r in report.shard_results)
-    executed = sum(r["executed"] for r in report.shard_results)
-    departures = sum(r["departures"] for r in report.shard_results)
-    assert executed == raised, (
-        f"sharded churn n={n_nodes}: lost posts ({executed}/{raised})")
-    assert all(r["converged"] for r in report.shard_results), (
-        f"sharded churn n={n_nodes}: stable views did not converge "
-        f"after churn (suspects or deads remain)")
-    assert departures > 0, "churn schedule produced no departures"
-    digest = hashlib.sha256(
-        repr([r["sha"] for r in report.shard_results]).encode()).hexdigest()
+    results = row["shard_results"]
     return {
         "nodes": n_nodes, "shards": shard_count, "seed": seed,
-        "raised": raised, "executed": executed,
-        "departures": departures,
-        "leaves": sum(r["leaves"] for r in report.shard_results),
-        "converged": True,
-        "cross_shard": report.cross_shard_messages,
-        "windows": report.windows,
+        "raised": row["raised"], "executed": row["executed"],
+        "departures": sum(r["departures"] for r in results),
+        "leaves": sum(r["leaves"] for r in results),
+        # every stable view clean (no suspects, no deads) after churn
+        "converged": all(r["converged"] for r in results),
+        "cross_shard": row["cross_shard"],
+        "windows": row["windows"],
         "wall": {"seconds": wall},
-        "digest": digest,
+        "digest": row["digest"],
     }
 
 
@@ -436,5 +298,7 @@ def check_e16(result: Result) -> None:
                 f"heap vs wheel churn digests diverged at "
                 f"n={row['nodes']}")
     for row in rows["sharded"]:
+        # zero lost posts, views converged, churn genuinely injected
         assert row["executed"] == row["raised"] and row["converged"], row
+        assert row["departures"] > 0, row
         assert row["cross_shard"] > 0, "churn run never crossed a shard"

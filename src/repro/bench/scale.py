@@ -27,153 +27,102 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro import Cluster, ClusterConfig, DistObject, on_event
+from repro import Cluster, ClusterConfig
 from repro.bench.harness import Result, Table
-from repro.bench.workloads import (
-    MUTED_CATEGORIES,
-    build_cluster,
-    deep_thread,
-    measure_posts,
+from repro.bench.scenario import (
+    OBJECT,
+    Faults,
+    Grid,
+    Scenario,
+    Sinks,
+    run_scenario,
+    run_shard,
+    shard_summary,
+    stage,
 )
-from repro.kernel.config import shard_bounds
-from repro.objects.capability import Capability
-
-SCALE_EVENT = "SCALE"
+from repro.bench.workloads import deep_thread, measure_posts
 
 
-class ScaleSink(DistObject):
-    """Passive per-node object absorbing scale posts."""
+# ----------------------------------------------------------------------
+# the per-shard post scenario (single-process AND sharded worker)
+# ----------------------------------------------------------------------
 
-    def __init__(self):
-        super().__init__()
-        self.seen = 0
-        self.by_source: dict[int, int] = {}
+def posts(n_nodes: int, seed: int = 0, posts_per_node: int = 200,
+          interval: float = 2e-3, remote_fraction: float = 0.3,
+          churn: dict[str, float] | None = None) -> Scenario:
+    """Mixed local/remote object posts, one sink per node.
 
-    @on_event(SCALE_EVENT)
-    def on_scale(self, ctx, block):
-        yield ctx.compute(1e-6)
-        self.seen += 1
-        src = block.raiser_node
-        self.by_source[src] = self.by_source.get(src, 0) + 1
-
-
-def sink_cap(n_nodes: int, shard_count: int, node: int) -> Capability:
-    """The capability of ``node``'s sink, computable from *any* shard.
-
-    Every worker creates exactly one :class:`ScaleSink` per local node
-    in ascending node order, and per-worker oid counters start at 1 —
-    so the sink of global node ``g`` has oid ``g - shard_lo + 1`` in
-    its owning worker's directory.  With ``shard_count == 1`` this
-    degenerates to ``g + 1``, matching the single-process run.
+    Every raiser node posts ``posts_per_node`` times, one per
+    ``interval``; raisers are staggered inside the interval so 128 nodes
+    do not all fire the same instant, and each draws its targets from
+    its own seeded stream. Without ``churn`` every node raises, a
+    ``remote_fraction`` of its posts at a uniformly random *other* node.
+    With ``churn`` (``period``, ``down_time``, ``leave_fraction``,
+    ``start``, ``end``) the low half of the node range is *stable* and
+    posts at random stable sinks, while the high half churns on
+    :func:`churn_schedule`: graceful leaves and abrupt crashes, each
+    rejoining ``down_time`` later with a bumped incarnation.
     """
-    lo = 0
-    for shard in range(shard_count):
-        lo, hi = shard_bounds(n_nodes, shard_count, shard)
-        if lo <= node < hi:
-            break
-    return Capability(node - lo + 1, node, "rpc", "ScaleSink")
-
-
-@dataclass
-class ScaleSpec:
-    """One scale workload configuration."""
-
-    seed: int = 0
-    n_nodes: int = 16
-    shard_count: int = 4
-    #: posts each node raises over the run
-    posts_per_node: int = 200
-    #: per-node raise interval, virtual seconds
-    interval: float = 2e-3
-    #: fraction of posts aimed at a uniformly-random *other* node
-    remote_fraction: float = 0.3
-    #: :class:`~repro.ClusterConfig` overrides laid over the scale base:
-    #: ``link_latency=5e-3`` (the cross-node latency doubles as the
-    #: sharded lookahead window)
-    config: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def total_posts(self) -> int:
-        return self.n_nodes * self.posts_per_node
-
-    def cluster_config(self, **backend: Any) -> ClusterConfig:
-        return ClusterConfig(**{
-            "n_nodes": self.n_nodes, "seed": self.seed, "link_latency": 5e-3,
-            **backend, **self.config})
-
-
-# ----------------------------------------------------------------------
-# the shared scenario (single-process AND per-shard worker)
-# ----------------------------------------------------------------------
-
-def _node_targets(spec_args: dict, node: int, n_nodes: int) -> list[int]:
-    """Deterministic target node per post for one raiser node."""
-    rng = random.Random(int(spec_args["seed"]) * 100003 + node)
-    remote_fraction = float(spec_args["remote_fraction"])
-    targets = []
-    for _ in range(int(spec_args["posts_per_node"])):
-        if n_nodes > 1 and rng.random() < remote_fraction:
-            other = rng.randrange(n_nodes - 1)
-            targets.append(other if other < node else other + 1)
+    raisers = range(n_nodes // 2) if churn else range(n_nodes)
+    grids = []
+    for node in raisers:
+        rng = random.Random(seed * 100003 + node)
+        if churn:
+            targets = [rng.choice(raisers) for _ in range(posts_per_node)]
         else:
-            targets.append(node)
-    return targets
+            targets = []
+            for _ in range(posts_per_node):
+                if n_nodes > 1 and rng.random() < remote_fraction:
+                    other = rng.randrange(n_nodes - 1)
+                    targets.append(other if other < node else other + 1)
+                else:
+                    targets.append(node)
+        grids.append(Grid(node, tuple(targets), interval,
+                          first=interval * (node + 1) / (n_nodes + 1)))
+    faults = Faults()
+    if churn:
+        faults = Faults(churn=tuple(
+            (t, node, kind, churn["down_time"])
+            for t, node, kind in churn_schedule(seed, n_nodes, churn)))
+    return Scenario(
+        # the cross-node latency doubles as the sharded lookahead window;
+        # churn needs SWIM to carry the news across shards
+        config={"n_nodes": n_nodes, "seed": seed, "link_latency": 5e-3,
+                **({"swim_interval": 0.05} if churn else {})},
+        sinks=Sinks(OBJECT, tuple(range(n_nodes))),
+        arrivals=tuple(grids), faults=faults)
 
 
-def posts_scenario(ctx) -> Callable[[], dict]:
-    """Per-shard setup for the mixed local/remote object-post workload.
+def churn_schedule(seed: int, n_nodes: int,
+                   churn: dict[str, float]) -> list[tuple[float, int, str]]:
+    """The (time, node, kind) churn schedule over the high half of the
+    nodes, computed identically in every worker from the seeded stream.
+    Down-state is tracked *statically* (a departure pins the node down
+    for ``down_time``), so no worker needs runtime knowledge of
+    remotely-owned nodes."""
+    rng = random.Random(int(seed) ^ 0xC0FFEE)
+    churn_nodes = list(range(n_nodes // 2, n_nodes))
+    period, down_time = churn["period"], churn["down_time"]
+    up_at = dict.fromkeys(churn_nodes, 0.0)
+    events: list[tuple[float, int, str]] = []
+    t = churn["start"]
+    while t < churn["end"]:
+        node = rng.choice(churn_nodes)
+        kind = ("leave" if rng.random() < churn["leave_fraction"]
+                else "crash")
+        if up_at[node] <= t:
+            events.append((round(t, 9), node, kind))
+            up_at[node] = t + down_time
+        t += period
+    return events
 
-    ``ctx`` is a :class:`repro.transport.sharded.ShardContext` (the
-    single-process run builds an identical one with one shard).
-    Required ``ctx.args``: seed, posts_per_node, interval,
-    remote_fraction.
-    """
-    cluster = ctx.cluster
-    args = ctx.args
-    interval = float(args["interval"])
-    cluster.register_event(SCALE_EVENT)
-    cluster.tracer.mute(*MUTED_CATEGORIES)
-    sinks = {}
-    for node in ctx.local_nodes:
-        cap = cluster.create_object(ScaleSink, node=node)
-        sinks[node] = cluster.get_object(cap)
-    raised = {"n": 0}
-    sim = cluster.sim
-    # one self-rescheduling pump per raiser node; raisers are staggered
-    # inside the interval so 128 nodes do not all fire the same instant
-    def make_pump(node: int, targets: list[int],
-                  phase: float) -> Callable[[int], None]:
-        def pump(i: int) -> None:
-            cap = sink_cap(ctx.n_nodes, ctx.shard_count, targets[i])
-            cluster.raise_event(SCALE_EVENT, cap, from_node=node,
-                                user_data=(node, i))
-            raised["n"] += 1
-            if i + 1 < len(targets):
-                sim.call_at(phase + (i + 1) * interval, pump, i + 1)
-        return pump
 
-    for node in ctx.local_nodes:
-        targets = _node_targets(args, node, ctx.n_nodes)
-        phase = interval * (node + 1) / (ctx.n_nodes + 1)
-        if targets:
-            sim.call_at(phase, make_pump(node, targets, phase), 0)
-
-    def finish() -> dict:
-        per_node = {node: sinks[node].seen for node in ctx.local_nodes}
-        material = repr(sorted(
-            (node, sinks[node].seen, sorted(sinks[node].by_source.items()))
-            for node in ctx.local_nodes))
-        return {
-            "raised": raised["n"],
-            "executed": sum(per_node.values()),
-            "per_node": per_node,
-            "sha": hashlib.sha256(material.encode()).hexdigest(),
-        }
-
-    return finish
+def shard_posts(ctx) -> Callable[[], dict]:
+    """Per-shard entry for :func:`~repro.transport.sharded.run_sharded`:
+    stages ``posts(ctx.n_nodes, **ctx.args)`` on this worker."""
+    return run_shard(ctx, posts(ctx.n_nodes, **ctx.args))
 
 
 def combine_digest(shard_results: list[dict]) -> str:
@@ -186,60 +135,44 @@ def combine_digest(shard_results: list[dict]) -> str:
 # runners
 # ----------------------------------------------------------------------
 
-def _scenario_args(spec: ScaleSpec) -> dict:
-    return {"seed": spec.seed, "posts_per_node": spec.posts_per_node,
-            "interval": spec.interval,
-            "remote_fraction": spec.remote_fraction}
-
-
-def run_scale_local(spec: ScaleSpec) -> dict:
-    """The workload on the single-process ``sim`` backend."""
-    from repro.transport.sharded import ShardContext
-    cluster = Cluster(spec.cluster_config())
-    ctx = ShardContext(cluster=cluster, shard_index=0, shard_count=1,
-                       n_nodes=spec.n_nodes,
-                       local_nodes=range(spec.n_nodes),
-                       args=_scenario_args(spec))
-    finish = posts_scenario(ctx)
-    started = time.perf_counter()
-    cluster.run(max_events=None)
-    wall = time.perf_counter() - started
-    result = finish()
-    return {
-        "backend": "sim", "nodes": spec.n_nodes, "shards": 1,
-        "raised": result["raised"], "executed": result["executed"],
-        "digest": combine_digest([result]),
-        "virtual_time": cluster.now,
-        "wall": {"seconds": wall,
-                 "posts_per_sec": result["raised"] / wall if wall else 0.0},
-    }
-
-
-def run_scale_sharded(spec: ScaleSpec) -> dict:
-    """The workload partitioned across ``spec.shard_count`` workers."""
+def run_posts(n_nodes: int, shard_count: int | None = None,
+              until: float | None = None, **args: Any) -> dict:
+    """``posts(n_nodes, **args)`` in process (``shard_count`` None) or
+    partitioned across ``shard_count`` worker processes under
+    conservative time-window synchronization; ``until`` bounds a
+    sharded run's virtual time. Returns the deterministic figures, with
+    the host's clock readings under ``"wall"``."""
     from repro.transport.sharded import run_sharded
-    config = spec.cluster_config(transport="sharded",
-                                 shard_count=spec.shard_count)
-    report = run_sharded(config, "repro.bench.scale:posts_scenario",
-                         scenario_args=_scenario_args(spec))
-    raised = sum(r["raised"] for r in report.shard_results)
-    executed = sum(r["executed"] for r in report.shard_results)
+    scenario = posts(n_nodes, **args)
+    if shard_count is None:
+        outcome = run_scenario(scenario)
+        wall = outcome.run_seconds
+        results = [shard_summary(outcome, range(n_nodes))]
+        row = {"backend": "sim", "nodes": n_nodes, "shards": 1,
+               "virtual_time": outcome.cluster.now}
+    else:
+        report = run_sharded(
+            ClusterConfig(**scenario.config, transport="sharded",
+                          shard_count=shard_count),
+            "repro.bench.scale:shard_posts", scenario_args=args,
+            until=until)
+        wall = report.wall_time
+        results = report.shard_results
+        row = {"backend": "sharded", "nodes": n_nodes,
+               "shards": shard_count, "virtual_time": report.virtual_time,
+               "windows": report.windows,
+               "cross_shard": report.cross_shard_messages}
+    raised = sum(r["raised"] for r in results)
     per_node: dict[int, int] = {}
-    for result in report.shard_results:
+    for result in results:
         per_node.update(result["per_node"])
-    return {
-        "per_node": per_node,
-        "backend": "sharded", "nodes": spec.n_nodes,
-        "shards": spec.shard_count,
-        "raised": raised, "executed": executed,
-        "digest": combine_digest(report.shard_results),
-        "virtual_time": report.virtual_time,
-        "windows": report.windows,
-        "cross_shard": report.cross_shard_messages,
-        "wall": {"seconds": report.wall_time,
-                 "posts_per_sec": raised / report.wall_time
-                 if report.wall_time else 0.0},
-    }
+    row.update(
+        raised=raised, executed=sum(r["executed"] for r in results),
+        per_node=per_node, shard_results=results,
+        digest=combine_digest(results),
+        wall={"seconds": wall,
+              "posts_per_sec": raised / wall if wall else 0.0})
+    return row
 
 
 def run_locator_rows(node_counts=(4, 16, 64, 128), posts: int = 10,
@@ -251,7 +184,7 @@ def run_locator_rows(node_counts=(4, 16, 64, 128), posts: int = 10,
         for n in node_counts:
             if depth >= n:
                 continue
-            cluster = build_cluster(n_nodes=n, locator=locator)
+            cluster = Cluster(ClusterConfig(n_nodes=n, locator=locator))
             thread = deep_thread(cluster, depth=depth)
             msgs, latency = measure_posts(cluster, thread, posts, warmup=2)
             rows.append({"locator": locator, "nodes": n,
@@ -262,26 +195,26 @@ def run_locator_rows(node_counts=(4, 16, 64, 128), posts: int = 10,
 
 def run_tcp_smoke(n_nodes: int = 3, posts: int = 30,
                   wall_budget: float = 20.0) -> dict:
-    """The reliable+durable stack end to end on real loopback TCP."""
-    cluster = Cluster(ClusterConfig(
-        n_nodes=n_nodes, transport="tcp", reliable_delivery=True,
-        durable_delivery=True, link_latency=1e-3))
+    """The reliable+durable stack end to end on real loopback TCP: post
+    ``i`` goes from node ``i % n_nodes`` to the sink on the next node."""
+    scenario = Scenario(
+        config={"n_nodes": n_nodes, "transport": "tcp",
+                "reliable_delivery": True, "durable_delivery": True,
+                "link_latency": 1e-3},
+        sinks=Sinks(OBJECT, tuple(range(n_nodes))),
+        arrivals=tuple(Grid(node, tuple((i + 1) % n_nodes for i in range(
+            node, posts, n_nodes)), 0.0, burst=posts)
+            for node in range(n_nodes)))
+    cluster = Cluster(ClusterConfig(**scenario.config))
     try:
-        cluster.register_event(SCALE_EVENT)
-        sinks = []
-        for node in range(n_nodes):
-            cap = cluster.create_object(ScaleSink, node=node)
-            sinks.append(cluster.get_object(cap))
+        outcome, start = stage(cluster, scenario, range(n_nodes))
         started = time.perf_counter()
-        for i in range(posts):
-            target = sinks[(i + 1) % n_nodes]
-            cluster.raise_event(SCALE_EVENT, target.cap,
-                                from_node=i % n_nodes, user_data=i)
+        start()
         deadline = started + wall_budget
-        while (sum(s.seen for s in sinks) < posts
+        while (sum(outcome.runs) < posts
                and time.perf_counter() < deadline):
             cluster.run(until=cluster.now + 0.25)
-        executed = sum(s.seen for s in sinks)
+        executed = sum(outcome.runs)
         wall = time.perf_counter() - started
         # frame and retransmit counts ride wall-clock timers on real
         # sockets, so only the post accounting is deterministic
@@ -313,17 +246,18 @@ def run_e14(sim_nodes=(4, 16, 64, 128),
     def record(row: dict) -> dict:
         result.take(f"{row['backend']}-{row['nodes']}/{row['shards']}", row)
         row.pop("per_node", None)  # hashed by the digest
+        row.pop("shard_results", None)
         result.table.add(row["backend"], row["nodes"], row["shards"],
                          row["raised"], row["executed"],
                          row.get("digest", "-")[:12])
         return row
 
     result.detail = {
-        "sim": [record(run_scale_local(ScaleSpec(
-            n_nodes=n, posts_per_node=posts_per_node))) for n in sim_nodes],
-        "sharded": [record(run_scale_sharded(ScaleSpec(
-            n_nodes=n, shard_count=shards, posts_per_node=posts_per_node)))
-            for n, shards in sharded],
+        "sim": [record(run_posts(n, posts_per_node=posts_per_node))
+                for n in sim_nodes],
+        "sharded": [record(run_posts(n, shards,
+                                     posts_per_node=posts_per_node))
+                    for n, shards in sharded],
         "locator": run_locator_rows(node_counts=locator_nodes,
                                     posts=locator_posts),
         "tcp": record(run_tcp_smoke(posts=tcp_posts)),

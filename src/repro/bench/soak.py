@@ -21,281 +21,161 @@ every future PR can check the speed trajectory; everything deterministic
 (post/delivery counts, simulator events, scheduler stats, virtual-time
 p99 delivery latency) is in the phase rows, which same-seed runs
 reproduce bit-for-bit across scheduler backends. For a custom size call
-``run_soak(posts=..., config={...})``.
+``run_soak(posts=..., config={...})``; one phase alone is
+``phase_row(phase, run_scenario(phase_scenario(phase, posts)))``.
 """
 
 from __future__ import annotations
 
 import random
-import time
-from collections import deque
-from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from repro import Cluster, ClusterConfig, DistObject, on_event
 from repro.bench.harness import Result, Table
-from repro.bench.workloads import (
-    MUTED_CATEGORIES,
-    EventSink,
-    percentile,
-    zipf_weights,
+from repro.bench.scenario import (
+    OBJECT,
+    SETUP,
+    Grid,
+    Outcome,
+    Scenario,
+    Sinks,
+    run_scenario,
 )
+from repro.bench.workloads import FANOUT, percentile, zipf_weights
 
-SOAK_EVENT = "SOAK"
-
-#: what every soak cluster runs with unless ``SoakSpec.config`` says
-#: otherwise: the acceptance criterion is stated for the wheel + slab +
+#: what every soak cluster runs with unless ``config`` says otherwise:
+#: the acceptance criterion is stated for the wheel + slab +
 #: batched-routing path
 BASE_CONFIG = {"scheduler": "wheel"}
 
-
-@dataclass
-class SoakSpec:
-    """One soak configuration; the phase split is fractions of ``posts``."""
-
-    seed: int = 0
-    #: total post budget across all three phases (the committed
-    #: full-size run uses 1M)
-    posts: int = 1_000_000
-    burst_frac: float = 0.80
-    fanout_frac: float = 0.15  # durable gets the remainder
-    #: Zipf object population for the burst/durable phases
-    objects: int = 64
-    zipf_s: float = 1.1
-    #: posts fired per burst instant
-    burst: int = 16
-    #: virtual seconds between burst instants
-    gap: float = 2e-3
-    #: members per fan-out group (fanout throughput counts deliveries)
-    group_size: int = 4
-    #: retained latency samples per phase (drop-oldest, deterministic)
-    latency_window: int = 4096
-    #: :class:`~repro.ClusterConfig` overrides laid over
-    #: :data:`BASE_CONFIG`
-    config: dict[str, Any] = field(default_factory=dict)
-
-    def phase_budget(self) -> dict[str, int]:
-        burst = int(self.posts * self.burst_frac)
-        fanout = int(self.posts * self.fanout_frac)
-        # fan-out counts member deliveries; round down to whole raises
-        fanout -= fanout % self.group_size
-        durable = self.posts - burst - fanout
-        return {"burst": burst, "fanout": fanout, "durable": durable}
+#: the phase split, as fractions of the post budget (durable gets the
+#: remainder)
+BURST_FRAC, FANOUT_FRAC = 0.80, 0.15
+#: Zipf object population for the burst/durable phases
+OBJECTS, ZIPF_S = 64, 1.1
+#: posts fired per burst instant, virtual seconds between instants
+BURST, GAP = 16, 2e-3
+#: members per fan-out group (fanout throughput counts deliveries)
+GROUP_SIZE = 4
+#: retained latency samples per phase (drop-oldest, deterministic)
+LATENCY_WINDOW = 4096
 
 
-class SoakSink(DistObject):
-    """Passive object absorbing soak posts; samples delivery latency."""
-
-    def __init__(self, samples: deque):
-        super().__init__()
-        self.seen = 0
-        self._samples = samples
-
-    @on_event(SOAK_EVENT)
-    def on_soak(self, ctx, block):
-        yield ctx.compute(1e-6)
-        self.seen += 1
-        self._samples.append(ctx.now - block.raised_at)
-        return None
-
-
-@dataclass
-class PhaseResult:
-    """One phase's figures: :meth:`row` is deterministic, ``elapsed``
-    and :attr:`posts_per_sec` are the host's wall clock."""
-
-    phase: str
-    posts: int
-    elapsed: float
-    sim_events: int
-    messages: int
-    p99_latency: float
-    scheduler_stats: dict[str, Any]
-    extra: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def posts_per_sec(self) -> float:
-        return self.posts / self.elapsed if self.elapsed else 0.0
-
-    def row(self) -> dict[str, Any]:
-        data = {
-            "phase": self.phase,
-            "posts": self.posts,
-            "sim_events_per_post": round(self.sim_events / self.posts, 2),
-            "msgs_per_post": round(self.messages / self.posts, 4),
-            "p99_latency": round(self.p99_latency, 6),
-            "wheel_spills": self.scheduler_stats.get("wheel_spills", 0),
-            "wheel_migrations": self.scheduler_stats.get(
-                "wheel_migrations", 0),
-            "compactions": self.scheduler_stats.get("compactions", 0),
-            "pending_at_end": self.scheduler_stats.get("pending", 0),
-        }
-        data.update(self.extra)
-        return data
-
-
-def _build(spec: SoakSpec, **phase: Any) -> Cluster:
-    cluster = Cluster(ClusterConfig(**{
-        **BASE_CONFIG, "seed": spec.seed, **phase, **spec.config}))
-    cluster.tracer.mute(*MUTED_CATEGORIES)
-    cluster.register_event(SOAK_EVENT)
-    return cluster
-
-
-def _zipf_targets(spec: SoakSpec, count: int, stream: str) -> list[int]:
+def _zipf_targets(seed: int, count: int, stream: str) -> list[int]:
     """``count`` Zipf-skewed object indices from a dedicated rng stream."""
     # seeding from a string hashes with sha512 inside Random — stable
     # across processes, unlike hash() of a str-containing tuple
-    rng = random.Random(f"{spec.seed}:{stream}:{spec.objects}")
-    return rng.choices(range(spec.objects),
-                       weights=zipf_weights(spec.objects, spec.zipf_s),
+    rng = random.Random(f"{seed}:{stream}:{OBJECTS}")
+    return rng.choices(range(OBJECTS), weights=zipf_weights(OBJECTS, ZIPF_S),
                        k=count)
 
 
-def run_burst_phase(spec: SoakSpec, posts: int) -> PhaseResult:
-    """Open-loop local object-post bursts over a Zipf population."""
-    cluster = _build(spec, n_nodes=2)
-    samples: deque = deque(maxlen=spec.latency_window)
-    caps = [cluster.create_object(SoakSink, samples, node=0)
-            for _ in range(spec.objects)]
-    targets = _zipf_targets(spec, posts, "burst")
-    sim, t0 = cluster.sim, cluster.now
-    raise_external = cluster.events.raise_external
-    burst, gap = spec.burst, spec.gap
+def phase_scenario(phase: str, posts: int, seed: int = 0,
+                   config: dict[str, Any] | None = None,
+                   burst: int = BURST) -> Scenario:
+    """One soak phase as a scenario; ``posts`` counts member deliveries
+    for ``fanout``.
 
-    # Self-rescheduling feeder: O(1) queue growth instead of a million
-    # pre-scheduled fire callbacks.
-    def pump(i: int) -> None:
-        base = i * burst
-        stop = min(base + burst, posts)
-        for pid in range(base, stop):
-            raise_external(SOAK_EVENT, caps[targets[pid]], from_node=0,
-                           user_data=pid)
-        if stop < posts:
-            sim.call_at(t0 + (i + 1) * gap, pump, i + 1)
-
-    sim.call_at(t0, pump, 0)
-    wall = time.perf_counter()
-    cluster.run(max_events=None)  # a 1M-post run legitimately needs >2M
-    elapsed = time.perf_counter() - wall
-
-    seen = sum(cluster.get_object(cap).seen for cap in caps)
-    assert seen == posts, f"burst phase lost posts: {seen}/{posts}"
-    return PhaseResult(
-        phase="burst", posts=posts, elapsed=elapsed,
-        sim_events=cluster.sim.events_processed,
-        messages=cluster.message_stats()["sent"],
-        p99_latency=percentile(samples, 0.99),
-        scheduler_stats=cluster.scheduler_stats())
-
-
-def run_fanout_phase(spec: SoakSpec, deliveries: int) -> PhaseResult:
-    """Group-multicast posts; throughput counts member deliveries."""
-    group = spec.group_size
-    raises = deliveries // group
-    cluster = _build(spec, n_nodes=group + 1)
-    gid = cluster.new_group()
-    sinks = [cluster.create_object(EventSink, node=node)
-             for node in range(1, group + 1)]
-    for node, cap in enumerate(sinks, start=1):
-        cluster.spawn(cap, "absorb", SOAK_EVENT, 1e9, at=node, group=gid)
-    cluster.run(until=cluster.now + 0.1)  # handlers attach
-
-    sim, t0 = cluster.sim, cluster.now
-    raise_external = cluster.events.raise_external
-    gap = spec.gap
-
-    def pump(i: int) -> None:
-        raise_external(SOAK_EVENT, gid, from_node=0, user_data=i)
-        if i + 1 < raises:
-            sim.call_at(t0 + (i + 1) * gap, pump, i + 1)
-
-    if raises:
-        sim.call_at(t0, pump, 0)
-    wall = time.perf_counter()
-    cluster.run(until=t0 + raises * spec.gap + 2.0, max_events=None)
-    elapsed = time.perf_counter() - wall
-
-    delivered = cluster.metrics()["events.execute.delivered"]
-    assert delivered >= raises * group, \
-        f"fanout phase lost deliveries: {delivered}/{raises * group}"
-    latency = cluster.events.delivery_latencies.summary()
-    return PhaseResult(
-        phase="fanout", posts=raises * group, elapsed=elapsed,
-        sim_events=cluster.sim.events_processed,
-        messages=cluster.message_stats()["sent"],
-        p99_latency=latency.get("p99", 0.0),
-        scheduler_stats=cluster.scheduler_stats(),
-        extra={"raises": raises, "group_size": group})
+    * ``burst`` — open-loop bursts of local object posts at a Zipf
+      population on node 0, the raiser's own node;
+    * ``fanout`` — one group post per instant from node 0 to member
+      threads on nodes 1..:data:`GROUP_SIZE`;
+    * ``durable`` — the burst shape, journaled, at an eighth of the
+      population on node 1.
+    """
+    if phase == "fanout":
+        nodes, sinks = GROUP_SIZE + 1, Sinks(
+            group=tuple(range(1, GROUP_SIZE + 1)))
+        grid = Grid(0, (FANOUT,) * (posts // GROUP_SIZE), GAP)
+    elif phase == "burst":
+        nodes, sinks = 2, Sinks(OBJECT, (0,) * OBJECTS)
+        grid = Grid(0, tuple(_zipf_targets(seed, posts, "burst")), GAP,
+                    burst=burst)
+    else:
+        objects = max(1, OBJECTS // 8)
+        nodes, sinks = 2, Sinks(OBJECT, (1,) * objects)
+        grid = Grid(0, tuple(t % objects for t in
+                             _zipf_targets(seed, posts, "durable")),
+                    GAP, burst=burst)
+    return Scenario(
+        config={**BASE_CONFIG, "seed": seed, "n_nodes": nodes,
+                "durable_delivery": phase == "durable", **(config or {})},
+        sinks=sinks, arrivals=(grid,),
+        # group members sleep for good: a fixed drain window instead
+        start=SETUP if phase == "fanout" else 0.0,
+        settle=2.0 if phase == "fanout" else None,
+        latency_window=LATENCY_WINDOW)
 
 
-def run_durable_phase(spec: SoakSpec, posts: int) -> PhaseResult:
-    """Remote durable posts: journal, reliable send, outbox resolution."""
-    cluster = _build(spec, n_nodes=2, durable_delivery=True)
-    samples: deque = deque(maxlen=spec.latency_window)
-    objects = max(1, spec.objects // 8)
-    caps = [cluster.create_object(SoakSink, samples, node=1)
-            for _ in range(objects)]
-    targets = [t % objects for t in _zipf_targets(spec, posts, "durable")]
-    sim, t0 = cluster.sim, cluster.now
-    raise_external = cluster.events.raise_external
-    burst, gap = spec.burst, spec.gap
-
-    def pump(i: int) -> None:
-        base = i * burst
-        stop = min(base + burst, posts)
-        for pid in range(base, stop):
-            raise_external(SOAK_EVENT, caps[targets[pid]], from_node=0,
-                           user_data=pid)
-        if stop < posts:
-            sim.call_at(t0 + (i + 1) * gap, pump, i + 1)
-
-    if posts:
-        sim.call_at(t0, pump, 0)
-    wall = time.perf_counter()
-    cluster.run(max_events=None)
-    elapsed = time.perf_counter() - wall
-
-    seen = sum(cluster.get_object(cap).seen for cap in caps)
-    assert seen == posts, f"durable phase lost posts: {seen}/{posts}"
-    store = cluster.durability_stats()
-    assert store.get("pending", 0) == 0, \
-        f"durable phase left {store['pending']} outbox entries pending"
-    return PhaseResult(
-        phase="durable", posts=posts, elapsed=elapsed,
-        sim_events=cluster.sim.events_processed,
-        messages=cluster.message_stats()["sent"],
-        p99_latency=percentile(samples, 0.99),
-        scheduler_stats=cluster.scheduler_stats(),
-        extra={"journal_commits": store.get("commits", 0),
-               "journal_appends": store.get("appends", 0)})
+def phase_row(phase: str, outcome: Outcome) -> dict[str, Any]:
+    """A soak phase's deterministic row, once its invariants hold: every
+    post ran (fanout: at least once per member), the outbox drained."""
+    cluster, posts = outcome.cluster, outcome.posts
+    p99 = percentile(outcome.latencies, 0.99)
+    extra: dict[str, Any] = {}
+    if phase == "fanout":
+        group = len(outcome.scenario.sinks.group)
+        delivered = outcome.metrics["events.execute.delivered"]
+        assert delivered >= posts * group, \
+            f"fanout phase lost deliveries: {delivered}/{posts * group}"
+        p99 = cluster.events.delivery_latencies.summary().get("p99", 0.0)
+        extra = {"raises": posts, "group_size": group}
+        posts *= group
+    else:
+        executed = sum(outcome.runs)
+        assert executed == posts, \
+            f"{phase} phase lost posts: {executed}/{posts}"
+    if phase == "durable":
+        store = outcome.durability
+        assert store.get("pending", 0) == 0, \
+            f"durable phase left {store['pending']} outbox entries pending"
+        extra = {"journal_commits": store.get("commits", 0),
+                 "journal_appends": store.get("appends", 0)}
+    stats = cluster.scheduler_stats()
+    return {
+        "phase": phase, "posts": posts,
+        "sim_events_per_post": round(cluster.sim.events_processed / posts,
+                                     2),
+        "msgs_per_post": round(cluster.message_stats()["sent"] / posts, 4),
+        "p99_latency": round(p99, 6),
+        "wheel_spills": stats.get("wheel_spills", 0),
+        "wheel_migrations": stats.get("wheel_migrations", 0),
+        "compactions": stats.get("compactions", 0),
+        "pending_at_end": stats.get("pending", 0), **extra}
 
 
-def run_soak(**spec: Any) -> Result:
-    """E12: run all three phases of ``SoakSpec(**spec)``."""
-    spec = SoakSpec(**spec)
-    budget = spec.phase_budget()
+def run_soak(posts: int = 1_000_000, seed: int = 0,
+             config: dict[str, Any] | None = None) -> Result:
+    """E12: the three phases over a ``posts`` budget."""
+    burst = int(posts * BURST_FRAC)
+    fanout = int(posts * FANOUT_FRAC)
+    # fan-out counts member deliveries; round down to whole raises
+    fanout -= fanout % GROUP_SIZE
+    budget = {"burst": burst, "fanout": fanout,
+              "durable": posts - burst - fanout}
+    spec = {"seed": seed, "posts": posts, "burst_frac": BURST_FRAC,
+            "fanout_frac": FANOUT_FRAC, "objects": OBJECTS, "zipf_s": ZIPF_S,
+            "burst": BURST, "gap": GAP, "group_size": GROUP_SIZE,
+            "latency_window": LATENCY_WINDOW, "config": config or {}}
     result = Result(Table(
-        title=f"Soak (E12): {spec.posts} posts, {spec.objects} "
-              f"Zipf(s={spec.zipf_s}) objects, burst={spec.burst}",
+        title=f"Soak (E12): {posts} posts, {OBJECTS} "
+              f"Zipf(s={ZIPF_S}) objects, burst={BURST}",
         columns=["phase", "posts", "sim_ev/post", "msgs/post", "p99_lat",
                  "spills", "migrations", "compactions"]),
-        detail={"phases": {}, "spec": asdict(spec)})
-    runners = [("burst", run_burst_phase), ("fanout", run_fanout_phase),
-               ("durable", run_durable_phase)]
+        detail={"phases": {}, "spec": spec})
     total_elapsed = 0.0
-    for phase, runner in runners:
-        outcome = runner(spec, budget[phase])
-        row = outcome.row()
-        result.detail["phases"][phase] = row
-        result.wall[f"{phase}_posts_per_sec"] = round(outcome.posts_per_sec, 1)
-        total_elapsed += outcome.elapsed
+    for phase, count in budget.items():
+        outcome = run_scenario(phase_scenario(phase, count, seed, config))
+        row = result.detail["phases"][phase] = phase_row(phase, outcome)
+        elapsed = outcome.run_seconds
+        result.wall[f"{phase}_posts_per_sec"] = round(
+            row["posts"] / elapsed if elapsed else 0.0, 1)
+        total_elapsed += elapsed
         result.table.add(phase, row["posts"], row["sim_events_per_post"],
                          row["msgs_per_post"], row["p99_latency"],
                          row["wheel_spills"], row["wheel_migrations"],
                          row["compactions"])
     result.wall["overall_posts_per_sec"] = (
-        round(spec.posts / total_elapsed, 1) if total_elapsed else 0.0)
+        round(posts / total_elapsed, 1) if total_elapsed else 0.0)
     result.table.note("burst: local object posts (no fabric); fanout: group "
                       "multicast counted in member deliveries; durable: "
                       "journaled remote posts over the reliable channel")

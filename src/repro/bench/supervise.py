@@ -7,7 +7,7 @@ Three workloads, each run with supervision **on** (``handler_deadline``,
 ``swim_interval`` set) and **off** (all defaults — the pre-PR 5
 behaviour):
 
-* ``handler-faults`` — the chaos harness with hang / transient-raise /
+* ``handler-faults`` — a chaos scenario with hang / transient-raise /
   poison faults injected into thread handlers, plus drops and periodic
   node crashes. Supervised runs must account every post (executed once,
   §7.2-noticed, or quarantined) with zero wedged handlers; the
@@ -32,10 +32,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro import Decision, DistObject, entry, handler_entry
-from repro.bench.chaos import ChaosSpec, run_chaos
+from repro import (
+    Cluster,
+    ClusterConfig,
+    Decision,
+    DistObject,
+    entry,
+    handler_entry,
+)
+from repro.bench import chaos
 from repro.bench.harness import Result, Table
-from repro.bench.workloads import build_cluster
+from repro.bench.scenario import Scenario, run_scenario
 
 #: the ``ClusterConfig`` overrides the "on" rows run with; the "off"
 #: rows run with none (all defaults — the pre-supervision behaviour)
@@ -63,10 +70,10 @@ class SuperviseSpec:
     rpc_timeout: float = 0.15
 
 
-def _chaos_spec(spec: SuperviseSpec, supervised: bool,
-                durable: bool) -> ChaosSpec:
-    return ChaosSpec(
-        seed=spec.seed, posts=spec.posts, durable=durable,
+def _chaos_scenario(spec: SuperviseSpec, supervised: bool,
+                    durable: bool) -> Scenario:
+    return chaos.scenario(
+        spec.seed, posts=spec.posts, durable=durable,
         drop_rate=spec.drop_rate, duplicate_rate=0.05,
         crash_period=spec.crash_period, down_time=spec.down_time,
         settle=10.0,
@@ -78,22 +85,21 @@ def _chaos_spec(spec: SuperviseSpec, supervised: bool,
 def run_handler_faults(spec: SuperviseSpec, supervised: bool,
                        durable: bool = False) -> dict[str, Any]:
     """Chaos with injected handler faults; supervised or bare."""
-    report = run_chaos(_chaos_spec(spec, supervised, durable))
-    metrics = report.metrics
-    executed_once = sum(1 for n in report.executions.values() if n == 1)
+    outcome = run_scenario(_chaos_scenario(spec, supervised, durable))
+    metrics = outcome.metrics
     return {
-        "posts": report.spec.posts,
-        "executed_once": executed_once,
-        "noticed": len(report.notices),
-        "quarantined": len(report.quarantined),
-        "hung_handlers": report.hung_handlers,
-        "accounted_rate": round(report.accounted_rate, 4),
-        "violations": len(report.violations),
-        "faults_injected": dict(report.handler_fault_counts),
+        "posts": outcome.posts,
+        "executed_once": outcome.executed_once,
+        "noticed": len(outcome.notices),
+        "quarantined": len(outcome.quarantined),
+        "hung_handlers": len(outcome.hung),
+        "accounted_rate": round(outcome.accounted_rate, 4),
+        "violations": len(outcome.violations),
+        "faults_injected": dict(outcome.fault_counts),
         "handler_timeouts": metrics["events.supervise.handler_timeouts"],
         "chain_retries": metrics["events.supervise.chain_retries"],
         "dead_letters_held": metrics["events.supervise.held"],
-        "virtual_time": round(report.virtual_time, 6),
+        "virtual_time": round(outcome.cluster.now, 6),
     }
 
 
@@ -155,9 +161,9 @@ def run_buddy_breaker(spec: SuperviseSpec,
     # a buddy invocation shipped into the dead node fails when the
     # channel's retransmission budget gives up. Supervision gets there
     # orders of magnitude sooner via SWIM suspicion + the breaker.
-    cluster = build_cluster(n_nodes=3, seed=spec.seed,
-                            reliable_delivery=True, max_retransmits=5,
-                            rpc_default_timeout=spec.rpc_timeout, **knobs)
+    cluster = Cluster(ClusterConfig(
+        n_nodes=3, seed=spec.seed, reliable_delivery=True,
+        max_retransmits=5, rpc_default_timeout=spec.rpc_timeout, **knobs))
     cluster.register_event(BUDDY_EVENT)
     times: dict[int, float] = {}
     monitor = cluster.create_object(BuddyMonitor, times, node=1)

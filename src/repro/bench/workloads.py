@@ -55,10 +55,6 @@ MUTED_CATEGORIES = ("dsm", "event", "invoke", "kernel", "membership", "net",
                     "object", "store", "supervise", "thread", "timer")
 
 
-def build_cluster(**overrides: Any) -> Cluster:
-    return Cluster(ClusterConfig(**overrides))
-
-
 # ---------------------------------------------------------------------------
 # migration workloads (E2)
 # ---------------------------------------------------------------------------
@@ -138,52 +134,6 @@ def bouncing_thread(cluster: Cluster, dwell: float = 0.05,
     return thread
 
 
-class EventSink(DistObject):
-    """A thread body that absorbs user events cheaply."""
-
-    @entry
-    def absorb(self, ctx, event, hold):
-        def on_event_(hctx, block):
-            yield hctx.compute(1e-6)
-            return Decision.RESUME
-
-        yield ctx.attach_handler(event, on_event_)
-        yield ctx.sleep(hold)
-        return "done"
-
-
-# ---------------------------------------------------------------------------
-# object event storms (E3)
-# ---------------------------------------------------------------------------
-
-class StormTarget(DistObject):
-    """Passive object absorbing a storm of user events."""
-
-    def __init__(self):
-        super().__init__()
-        self.seen = 0
-
-    @on_event("STORM")
-    def on_storm(self, ctx, block):
-        yield ctx.compute(1e-6)
-        self.seen += 1
-        return self.seen
-
-
-def object_event_storm(mode: str, events: int, n_nodes: int = 2,
-                       thread_create_cost: float = 2e-4) -> Cluster:
-    """Raise ``events`` object events under the given execution mode."""
-    cluster = build_cluster(n_nodes=n_nodes, object_event_mode=mode,
-                            thread_create_cost=thread_create_cost)
-    cluster.register_event("STORM")
-    cap = cluster.create_object(StormTarget, node=1)
-    for _ in range(events):
-        cluster.raise_event("STORM", cap, from_node=0)
-    cluster.run()
-    assert cluster.get_object(cap).seen == events
-    return cluster
-
-
 # ---------------------------------------------------------------------------
 # lock chains (E4)
 # ---------------------------------------------------------------------------
@@ -206,7 +156,7 @@ class LockChainRig:
 
 
 def lock_chain(locks: int, n_nodes: int = 4) -> LockChainRig:
-    cluster = build_cluster(n_nodes=n_nodes)
+    cluster = Cluster(ClusterConfig(n_nodes=n_nodes))
     mgr = cluster.create_object(LockManager, node=n_nodes - 1)
     grabber = cluster.create_object(LockGrabber, node=1)
     names = [f"lock-{i}" for i in range(locks)]
@@ -259,9 +209,9 @@ class CtrlCRig:
     worker_obj: Any
 
 
-def ctrl_c_app(workers: int, n_nodes: int = 8,
-               use_locks: bool = True) -> CtrlCRig:
-    cluster = build_cluster(n_nodes=n_nodes)
+def ctrl_c_app(workers: int, n_nodes: int = 8, use_locks: bool = True,
+               **config: Any) -> CtrlCRig:
+    cluster = Cluster(ClusterConfig(n_nodes=n_nodes, **config))
     mgr = cluster.create_object(LockManager, node=n_nodes - 1)
     root_obj = cluster.create_object(CtrlCWorkload, node=0)
     worker_obj = cluster.create_object(CtrlCWorkload, node=1)
@@ -315,7 +265,7 @@ class TransportRun:
 
 def transport_workload(transport: str, workers: int = 3,
                        rounds: int = 5, n_nodes: int = 4) -> TransportRun:
-    cluster = build_cluster(n_nodes=n_nodes)
+    cluster = Cluster(ClusterConfig(n_nodes=n_nodes))
     cluster.register_event("MARK")
     cap = cluster.create_object(SharedCounter, node=1, transport=transport)
     if transport == "rpc":
@@ -505,18 +455,17 @@ def _arrival_times(spec: WorkloadSpec) -> list[float]:
 
 
 def drive(cluster: Any, schedule: list[Arrival],
-          fire: Callable[[Arrival], None],
-          t0: float | None = None) -> float:
+          fire: Callable[[Arrival], None]) -> float:
     """Feed a schedule into a running cluster, open loop.
 
-    Schedules ``fire(arrival)`` at ``t0 + arrival.at`` for every
+    Schedules ``fire(arrival)`` at ``now + arrival.at`` for every
     arrival, using a self-rescheduling pump (one pending simulator
     callback at a time, the soak-feeder idiom) so a hundred-thousand-
     arrival schedule does not pre-populate the event queue. Returns the
     schedule's start time.
     """
     sim = cluster.sim
-    start = cluster.now if t0 is None else t0
+    start = cluster.now
     count = len(schedule)
 
     def pump(i: int) -> None:

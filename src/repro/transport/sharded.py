@@ -223,10 +223,11 @@ def _reset_process_counters() -> None:
 
     A forked worker inherits the parent's already-advanced counters
     (oids, block ids, timer spec ids, ...), which would shift every id the
-    shard allocates and break both the per-shard digests and
-    :func:`repro.bench.scale.sink_cap`'s oid arithmetic.  Resetting
-    them reproduces exactly what a spawned (freshly imported) worker
-    sees; under spawn this is a no-op by construction.
+    shard allocates and break both the per-shard digests and the oid
+    arithmetic :func:`repro.bench.scenario.run_shard` computes a remote
+    sink's capability with.  Resetting them reproduces exactly what a
+    spawned (freshly imported) worker sees; under spawn this is a no-op
+    by construction.
     """
     # import_module, not ``import a.b as c``: repro/__init__ rebinds the
     # ``events`` attribute (``names as events``), breaking getattr-chain

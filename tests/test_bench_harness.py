@@ -4,13 +4,14 @@ import json
 
 import pytest
 
+from repro import Cluster, ClusterConfig
+from repro.bench.experiments import object_storm
 from repro.bench.harness import Result, Table, ratio
+from repro.bench.scenario import run_scenario
 from repro.bench.workloads import (
-    build_cluster,
     ctrl_c_app,
     deep_thread,
     lock_chain,
-    object_event_storm,
     transport_workload,
 )
 from repro.errors import BenchmarkError
@@ -61,14 +62,14 @@ class TestTable:
 
 class TestWorkloadBuilders:
     def test_deep_thread_depth(self):
-        cluster = build_cluster(n_nodes=5)
+        cluster = Cluster(ClusterConfig(n_nodes=5))
         thread = deep_thread(cluster, depth=3)
         assert thread.alive
         assert len(thread.frames) == 3
         assert thread.current_node != 0
 
     def test_object_event_storm_counts(self):
-        cluster = object_event_storm("master", events=7)
+        cluster = run_scenario(object_storm("master", events=7)).cluster
         assert cluster.kernels[1].objects.events_served == 7
 
     def test_lock_chain_rig(self):

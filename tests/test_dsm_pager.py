@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Decision, DistObject, TRANSPORT_DSM, entry, handler_entry
-from repro.bench.chaos import hung_handlers
+from repro.bench.scenario import hung_handlers
 from repro.dsm import PagerServer, attach_pager
 from repro.errors import PagerError
 from tests.conftest import make_cluster

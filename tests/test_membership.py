@@ -8,13 +8,12 @@ schedules with drops never lose a durable post and never
 double-execute, on both scheduler backends).
 """
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Decision, DistObject, entry
-from repro.bench.chaos import ChaosSpec, ChurnSpec, run_chaos
+from repro.bench import chaos
+from repro.bench.scenario import run_scenario
 from repro.errors import KernelError
 from repro.kernel.config import ClusterConfig
 from repro.kernel.membership import ALIVE, DEAD, SUSPECT, Membership
@@ -370,15 +369,15 @@ class TestKnobsOffUnchanged:
         assert seen and all(g is None for g in seen)
 
     def test_chaos_defaults_digest_untouched_by_churn_knobs(self):
-        spec = ChaosSpec(seed=11, posts=30)
-        first = run_chaos(spec)
+        first = run_scenario(chaos.scenario(seed=11, posts=30))
         assert not any(key.startswith("kernel.membership.")
                        for key in first.metrics)
         assert first.churn_events == []
-        # Adding the *fields* at their defaults draws nothing extra from
+        # Adding the *knobs* at their defaults draws nothing extra from
         # the seeded stream: digest identical.
-        again = run_chaos(replace(spec, churn=None,
-                                  config={"swim_interval": None}))
+        again = run_scenario(chaos.scenario(
+            seed=11, posts=30, churn_period=None,
+            config={"swim_interval": None}))
         assert first.digest == again.digest
 
 
@@ -386,27 +385,26 @@ class TestKnobsOffUnchanged:
 # churn chaos: scheduled join/leave/crash/recover + drops
 # ======================================================================
 
-CHURN = ChurnSpec(period=0.3, down_time=0.4, max_down=2)
+CHURN = dict(churn_period=0.3, churn_down=0.4, max_down=2)
 
 
 class TestChurnChaos:
     def test_churn_invariant_and_determinism(self):
-        spec = ChaosSpec(seed=7, n_nodes=8, posts=60, drop_rate=0.05,
-                         crash_period=None,
-                         config={"swim_interval": INTERVAL},
-                         churn=CHURN, settle=12.0)
-        report = run_chaos(spec)
+        spec = chaos.scenario(seed=7, n_nodes=8, posts=60, drop_rate=0.05,
+                              crash_period=None,
+                              config={"swim_interval": INTERVAL},
+                              **CHURN, settle=12.0)
+        report = run_scenario(spec)
         assert report.violations == []
         assert report.accounted_rate == 1.0
         assert report.churn_events
         assert report.metrics["kernel.membership.rejoins"] >= 1
-        assert report.digest == run_chaos(spec).digest
+        assert report.digest == run_scenario(spec).digest
 
     def test_churn_off_leaves_no_trace(self):
-        spec = ChaosSpec(seed=7, n_nodes=8, posts=60, drop_rate=0.05,
-                         crash_period=None,
-                         config={"swim_interval": INTERVAL}, settle=12.0)
-        report = run_chaos(spec)
+        report = run_scenario(chaos.scenario(
+            seed=7, n_nodes=8, posts=60, drop_rate=0.05, crash_period=None,
+            config={"swim_interval": INTERVAL}, settle=12.0))
         assert report.churn_events == []
         assert report.violations == []
 
@@ -420,14 +418,12 @@ class TestChurnChaos:
         """Satellite: whatever the churn interleaving, a journaled post
         executes exactly once (or is quarantined) — never lost, never
         doubled — on both scheduler backends."""
-        spec = ChaosSpec(
+        report = run_scenario(chaos.scenario(
             seed=seed, n_nodes=6, posts=30, drop_rate=drop_rate,
             crash_period=None, durable=True,
             config={"swim_interval": INTERVAL, "scheduler": scheduler},
-            churn=ChurnSpec(period=0.35, down_time=0.45, max_down=2,
-                            leave_fraction=leave_fraction),
-            settle=15.0)
-        report = run_chaos(spec)
+            churn_period=0.35, churn_down=0.45, max_down=2,
+            leave_fraction=leave_fraction, settle=15.0))
         assert report.violations == [], report.violations[:3]
-        for pid in range(spec.posts):
+        for pid in range(30):
             assert report.executions.get(pid, 0) <= 1

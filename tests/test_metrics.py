@@ -3,12 +3,12 @@ only place counters are summed across nodes, and the views built on it."""
 
 import re
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
 from repro import Cluster, ClusterConfig
-from repro.bench.chaos import ChaosSpec, run_chaos
+from repro.bench import chaos
+from repro.bench.scenario import run_scenario
 from tests.conftest import Recorder
 from tests.test_supervise import PoisonApp, _rig
 
@@ -18,8 +18,8 @@ KEY = re.compile(r"^[a-z]+\.[a-z_]+\.[\w.:-]+$")
 #: locator, and poisoned handlers: every counter source has something
 FULL = {"swim_interval": 0.02, "handler_deadline": 0.05,
         "poison_threshold": 2, "handler_retries": 2, "admission_high": 6}
-SPEC = ChaosSpec(seed=5, posts=60, durable=True, locator="multicast",
-                 handler_faults={"poison": 0.1, "raise": 0.1}, config=FULL)
+SPEC = dict(seed=5, posts=60, durable=True, locator="multicast",
+            handler_faults={"poison": 0.1, "raise": 0.1}, config=FULL)
 
 #: what only the wheel keeps (the heap reads zero or leaves them out)
 WHEEL_ONLY = ("sim.scheduler.wheel_spills", "sim.scheduler.wheel_migrations",
@@ -42,21 +42,8 @@ def _summed(dicts):
 @pytest.fixture(scope="module")
 def full_run():
     """The chaos run with every source on, and its cluster at the end."""
-    import repro.bench.chaos as chaos
-
-    clusters = []
-    hung = chaos.hung_handlers
-
-    def keep(cluster):
-        clusters.append(cluster)
-        return hung(cluster)
-
-    chaos.hung_handlers = keep
-    try:
-        report = run_chaos(SPEC)
-    finally:
-        chaos.hung_handlers = hung
-    return report, clusters[0]
+    report = run_scenario(chaos.scenario(**SPEC))
+    return report, report.cluster
 
 
 class TestNames:
@@ -129,7 +116,8 @@ class TestOneSum:
 
     def test_heap_and_wheel_give_one_metrics(self, full_run):
         heap, _cluster = full_run
-        wheel = run_chaos(replace(SPEC, config=dict(FULL, scheduler="wheel")))
+        wheel = run_scenario(chaos.scenario(
+            **dict(SPEC, config=dict(FULL, scheduler="wheel"))))
         assert wheel.digest == heap.digest
         assert wheel.metrics["sim.scheduler.wheel_spills"] > 0
         strip = [{key: value for key, value in report.metrics.items()

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Cluster, DistObject, on_event
-from repro.bench.chaos import ChaosSpec, run_chaos
+from repro.bench import chaos
+from repro.bench.scenario import run_scenario
 from repro.bench.workloads import (
     FANOUT,
     WorkloadSpec,
@@ -510,38 +511,39 @@ class TestWorkloadGenerator:
 
 class TestChaosOverload:
     def test_knobs_off_digest_unchanged(self):
-        base = ChaosSpec(posts=40, settle=5.0)
-        explicit = ChaosSpec(posts=40, settle=5.0, overload=1.0,
-                             config={"overload_policy": "drop"})
-        assert run_chaos(base).digest == run_chaos(explicit).digest
+        base = chaos.scenario(posts=40, settle=5.0)
+        explicit = chaos.scenario(posts=40, settle=5.0, interval=0.02 / 1.0,
+                                  config={"overload_policy": "drop"})
+        assert run_scenario(base).digest == run_scenario(explicit).digest
 
     def test_overload_with_crashes_keeps_invariants(self):
-        spec = ChaosSpec(posts=80, overload=2.0,
-                         config=dict(admission_high=8, flow_credits=8,
-                                     overload_policy="drop"),
-                         crash_period=0.3, settle=10.0)
-        report = run_chaos(spec)
+        # twice the offered rate: the same posts in half the time
+        report = run_scenario(chaos.scenario(
+            posts=80, interval=0.02 / 2.0,
+            config=dict(admission_high=8, flow_credits=8,
+                        overload_policy="drop"),
+            crash_period=0.3, settle=10.0))
         assert report.violations == []
         assert report.accounted_rate == 1.0
         # Crash-window queue buildup actually tripped the gate.
         assert report.metrics["events.admission.shed_dropped"] > 0
 
     def test_durable_overload_with_crashes_loses_nothing(self):
-        spec = ChaosSpec(posts=80, overload=2.0, durable=True,
-                         config=dict(admission_high=8, flow_credits=8,
-                                     overload_policy="defer"),
-                         crash_period=0.3, settle=10.0)
-        report = run_chaos(spec)
+        report = run_scenario(chaos.scenario(
+            posts=80, interval=0.02 / 2.0, durable=True,
+            config=dict(admission_high=8, flow_credits=8,
+                        overload_policy="defer"),
+            crash_period=0.3, settle=10.0))
         assert report.violations == []
-        assert report.executed_once == spec.posts
+        assert report.executed_once == 80
         assert report.durability["pending"] == 0
 
     def test_overload_run_deterministic(self):
-        spec = ChaosSpec(posts=50, overload=2.0,
-                         config=dict(admission_high=8, flow_credits=4,
-                                     overload_policy="drop"),
-                         settle=8.0)
-        assert run_chaos(spec).digest == run_chaos(spec).digest
+        spec = chaos.scenario(posts=50, interval=0.02 / 2.0,
+                              config=dict(admission_high=8, flow_credits=4,
+                                          overload_policy="drop"),
+                              settle=8.0)
+        assert run_scenario(spec).digest == run_scenario(spec).digest
 
 
 # ======================================================================

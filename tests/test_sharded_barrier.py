@@ -14,19 +14,10 @@ import hashlib
 import math
 import multiprocessing
 import os
-from dataclasses import replace
 
 import pytest
 
-from repro.bench.scale import (
-    ScaleSpec,
-    _scenario_args,
-    combine_digest,
-    posts_scenario,
-    run_scale_local,
-    run_scale_sharded,
-    sink_cap,
-)
+from repro.bench.scale import combine_digest, posts, run_posts, shard_posts
 from repro.errors import NetworkError
 from repro.kernel.config import (
     ClusterConfig,
@@ -38,38 +29,27 @@ from repro.transport.sharded import ShardContext, run_sharded
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
+#: the scale post scenario on 8 nodes and 2 shards
+N_NODES, SHARDS = 8, 2
+
 #: small enough to keep each multi-process run under a second
-SMALL = ScaleSpec(n_nodes=8, shard_count=2, posts_per_node=15)
+SMALL = dict(posts_per_node=15)
 
 #: posts 20 windows apart: most conservative windows are quiescent
-SPARSE = ScaleSpec(n_nodes=8, shard_count=2, posts_per_node=10,
-                   interval=0.1)
+SPARSE = dict(posts_per_node=10, interval=0.1)
 
 
-def outcome_scenario(ctx):
-    """``posts_scenario`` that also reports each local sink's exact
-    ``(node, seen, by_source)`` row, so shards can be merged into the
-    single-process digest material."""
-    finish = posts_scenario(ctx)
-
-    def outcome():
-        result = finish()
-        result["outcome"] = []
-        for node in ctx.local_nodes:
-            sink = ctx.cluster.get_object(
-                sink_cap(ctx.n_nodes, ctx.shard_count, node))
-            result["outcome"].append(
-                (node, sink.seen, sorted(sink.by_source.items())))
-        return result
-
-    return outcome
+def _sharded(args, **knobs):
+    """The sharded cluster config of ``posts(N_NODES, **args)``."""
+    return ClusterConfig(**posts(N_NODES, **args).config, **knobs,
+                         transport="sharded", shard_count=SHARDS)
 
 
 def audited_scenario(ctx):
-    """``posts_scenario`` that also reports the worker's own audit and
+    """``shard_posts`` that also reports the worker's own audit and
     open-post gauge: the conftest hook audits only the clusters a test
     builds in its own process."""
-    finish = posts_scenario(ctx)
+    finish = shard_posts(ctx)
 
     def audited():
         result = finish()
@@ -134,30 +114,26 @@ class TestOwnerMap:
 # ----------------------------------------------------------------------
 
 class TestBarrierDeterminism:
-    @pytest.mark.skipif(not FORK_AVAILABLE,
-                        reason="outcome_scenario needs the inherited module")
-    @pytest.mark.parametrize("spec", [SMALL, SPARSE],
+    @pytest.mark.parametrize("args", [SMALL, SPARSE],
                              ids=["dense", "sparse"])
-    def test_sharded_equals_sim_reference(self, spec):
-        report = run_sharded(
-            spec.cluster_config(transport="sharded",
-                                shard_count=spec.shard_count),
-            "tests.test_sharded_barrier:outcome_scenario",
-            scenario_args=_scenario_args(spec))
-        reference = run_scale_local(replace(spec, shard_count=1))
-        # the per-node rows of every shard, merged, are exactly the
+    def test_sharded_equals_sim_reference(self, args):
+        report = run_sharded(_sharded(args), "repro.bench.scale:shard_posts",
+                             scenario_args=args)
+        reference = run_posts(N_NODES, **args)
+        # the per-sink rows of every shard, merged, are exactly the
         # material the one-process run hashes
-        merged = sorted(row for result in report.shard_results
-                        for row in result["outcome"])
+        merged = sorted(tuple(row) for result in report.shard_results
+                        for row in result["sinks"])
         sha = hashlib.sha256(repr(merged).encode()).hexdigest()
         assert combine_digest([{"sha": sha}]) == reference["digest"]
         assert (sum(r["executed"] for r in report.shard_results)
-                == reference["executed"] == spec.total_posts)
+                == reference["executed"]
+                == N_NODES * args["posts_per_node"])
         every_window = math.ceil(
             report.virtual_time
-            / spec.cluster_config().link_latency - 1e-9)
+            / posts(N_NODES, **args).config["link_latency"] - 1e-9)
         assert report.windows <= every_window
-        if spec is SPARSE:
+        if args is SPARSE:
             # quiescent windows were skipped, not barriered
             assert report.windows < every_window
 
@@ -169,7 +145,7 @@ class TestBarrierDeterminism:
         runs = {}
         for method in ("fork", "spawn"):
             monkeypatch.setattr(sharded, "_start_method", lambda m=method: m)
-            runs[method] = run_scale_sharded(SMALL)
+            runs[method] = run_posts(N_NODES, SHARDS, **SMALL)
         assert runs["fork"]["digest"] == runs["spawn"]["digest"]
         assert runs["fork"]["windows"] == runs["spawn"]["windows"]
 
@@ -184,16 +160,15 @@ class TestShardedAudit:
     @pytest.mark.parametrize("durable", [False, True],
                              ids=["plain", "reliable+durable"])
     def test_every_worker_ends_with_no_open_post(self, durable):
-        spec = replace(SMALL, remote_fraction=0.5, config={
-            "reliable_delivery": durable, "durable_delivery": durable})
+        args = dict(SMALL, remote_fraction=0.5)
         report = run_sharded(
-            spec.cluster_config(transport="sharded",
-                                shard_count=spec.shard_count),
+            _sharded(args, reliable_delivery=durable,
+                     durable_delivery=durable),
             "tests.test_sharded_barrier:audited_scenario",
-            scenario_args=_scenario_args(spec))
+            scenario_args=args)
         assert report.cross_shard_messages > 0
         assert (sum(r["executed"] for r in report.shard_results)
-                == spec.total_posts)
+                == N_NODES * args["posts_per_node"])
         for result in report.shard_results:
             assert result["pending"] == 0  # so the audit read the table
             assert result["audit"] == []

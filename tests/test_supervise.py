@@ -2,7 +2,6 @@
 breakers, dead-letter quarantine, the SWIM failure detector — and
 the knobs-off guarantee that none of it perturbs unsupervised runs."""
 
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -15,7 +14,8 @@ from repro import (
     handler_entry,
     on_event,
 )
-from repro.bench.chaos import ChaosSpec, hung_handlers, run_chaos
+from repro.bench import chaos
+from repro.bench.scenario import EVENT, hung_handlers, run_scenario
 from repro.dsm import PagerServer, attach_pager
 from repro.errors import (
     DeadThreadError,
@@ -1030,49 +1030,50 @@ class TestChaosWithHandlerFaults:
     post is executed exactly once, §7.2-noticed, or quarantined — never
     lost or hung — even with hang / raise / poison faults injected."""
 
-    BASE = ChaosSpec(seed=13, posts=60, drop_rate=0.1, duplicate_rate=0.05,
-                     crash_period=0.6, down_time=0.4, settle=10.0)
+    BASE = dict(seed=13, posts=60, drop_rate=0.1, duplicate_rate=0.05,
+                crash_period=0.6, down_time=0.4, settle=10.0)
     FAULTS = {"hang": 0.06, "raise": 0.06, "poison": 0.05}
     KNOBS = dict(handler_deadline=0.05, handler_retries=2,
                  breaker_threshold=3, poison_threshold=3,
                  swim_interval=0.02)
 
     def test_supervised_chaos_accounts_every_post(self):
-        spec = replace(self.BASE, handler_faults=self.FAULTS,
-                       config=self.KNOBS)
-        report = run_chaos(spec)
-        assert sum(report.handler_fault_counts.values()) > 0
+        report = run_scenario(chaos.scenario(**dict(
+            self.BASE, handler_faults=self.FAULTS, config=self.KNOBS)))
+        assert sum(report.fault_counts.values()) > 0
         assert report.violations == []
         assert report.accounted_rate == 1.0
         # every surrogate left is parked with a live owner on its node
-        assert report.hung_handlers == 0
+        assert len(report.hung) == 0
 
     def test_supervised_durable_chaos_exactly_once_or_quarantined(self):
-        spec = replace(self.BASE, posts=40, durable=True,
-                       handler_faults=self.FAULTS, config=self.KNOBS)
-        report = run_chaos(spec)
+        report = run_scenario(chaos.scenario(**dict(
+            self.BASE, posts=40, durable=True, handler_faults=self.FAULTS,
+            config=self.KNOBS)))
         assert report.violations == []
-        assert report.hung_handlers == 0
-        for pid in range(spec.posts):
+        assert len(report.hung) == 0
+        for pid in range(40):
             ran = report.executions.get(pid, 0)
             assert ran == 1 or (ran == 0 and pid in report.quarantined)
         assert report.durability["pending"] == 0
 
     def test_same_seed_determinism_with_supervision(self):
-        spec = replace(self.BASE, posts=40, handler_faults=self.FAULTS,
-                       config=self.KNOBS)
-        assert run_chaos(spec).digest == run_chaos(spec).digest
+        spec = chaos.scenario(**dict(self.BASE, posts=40,
+                                     handler_faults=self.FAULTS,
+                                     config=self.KNOBS))
+        assert run_scenario(spec).digest == run_scenario(spec).digest
 
     def test_a_hang_with_no_deadline_is_still_reported(self):
         """Parked surrogates are not hangs; one stuck in a frame is,
         and the violation says whose handler for which event."""
-        report = run_chaos(replace(self.BASE, crash_period=None,
-                                   handler_faults={"hang": 0.1}))
-        assert report.handler_fault_counts["hang"] == report.hung_handlers > 0
+        report = run_scenario(chaos.scenario(**dict(
+            self.BASE, crash_period=None, handler_faults={"hang": 0.1})))
+        hung = len(report.hung)
+        assert report.fault_counts["hang"] == hung > 0
         [wedged] = [v for v in report.violations if "wedged" in v]
-        assert wedged.startswith(f"{report.hung_handlers} handler execution")
-        assert wedged.count("surrogate T") == report.hung_handlers
-        assert wedged.count(" in handler:CHAOS") == report.hung_handlers
+        assert wedged.startswith(f"{hung} handler execution")
+        assert wedged.count("surrogate T") == hung
+        assert wedged.count(f" in handler:{EVENT}") == hung
 
     @pytest.mark.parametrize("mode", ["master", "per-event"])
     def test_a_wedged_object_handler_is_reported_by_the_one_rule(self,
@@ -1124,24 +1125,25 @@ class TestKnobsOffUnchanged:
     zero supervision activity, zero extra traffic."""
 
     def test_knobs_off_digest_is_stable(self):
-        spec = ChaosSpec(seed=5, posts=40)
-        first = run_chaos(spec)
-        again = run_chaos(spec)
+        spec = chaos.scenario(seed=5, posts=40)
+        first = run_scenario(spec)
+        again = run_scenario(spec)
         assert first.digest == again.digest
         # An empty fault map is the same run as no fault map at all (the
         # seeded fault stream is only drawn when faults are requested).
-        assert run_chaos(replace(spec, handler_faults={})).digest \
-            == first.digest
+        assert run_scenario(chaos.scenario(
+            seed=5, posts=40, handler_faults={})).digest == first.digest
 
     def test_knobs_off_durable_digest_is_stable(self):
-        spec = ChaosSpec(seed=9, posts=40, durable=True)
-        first = run_chaos(spec)
-        assert first.digest == run_chaos(spec).digest
-        assert run_chaos(replace(spec, handler_faults={})).digest \
-            == first.digest
+        spec = chaos.scenario(seed=9, posts=40, durable=True)
+        first = run_scenario(spec)
+        assert first.digest == run_scenario(spec).digest
+        assert run_scenario(chaos.scenario(
+            seed=9, posts=40, durable=True,
+            handler_faults={})).digest == first.digest
 
     def test_knobs_off_runs_show_zero_supervision_activity(self):
-        report = run_chaos(ChaosSpec(seed=5, posts=40))
+        report = run_scenario(chaos.scenario(seed=5, posts=40))
         sup = report.metrics
         for counter in ("handler_timeouts", "handler_retries",
                         "breaker_opens", "breaker_skips", "fast_fails",

@@ -20,7 +20,7 @@ from functools import partial
 from hypothesis import given, settings, strategies as st
 
 from repro import Decision, DistObject, entry, handler_entry
-from repro.bench.chaos import hung_handlers
+from repro.bench.scenario import hung_handlers
 from repro.sim import Channel
 from repro.threads.thread import KIND_SURROGATE, KIND_USER
 from tests.conftest import location_state, make_cluster

@@ -232,12 +232,11 @@ class TestShardSimTransport:
 
 class TestShardedEndToEnd:
     def test_small_sharded_run_is_deterministic(self):
-        from repro.bench.scale import ScaleSpec, run_scale_sharded
-        spec = ScaleSpec(n_nodes=8, shard_count=2, posts_per_node=10)
-        first = run_scale_sharded(spec)
-        second = run_scale_sharded(spec)
+        from repro.bench.scale import run_posts
+        first = run_posts(8, 2, posts_per_node=10)
+        second = run_posts(8, 2, posts_per_node=10)
         assert first["digest"] == second["digest"]
-        assert first["executed"] == first["raised"] == spec.total_posts
+        assert first["executed"] == first["raised"] == 8 * 10
         assert first["cross_shard"] > 0
         assert first["per_node"] == second["per_node"]
 
@@ -270,31 +269,26 @@ class TestTransportContract:
 
     @pytest.mark.parametrize("name", list(REFERENCE_DIGESTS))
     def test_sim_reproduces_frozen_digest(self, name):
-        from repro.bench.chaos import ChaosSpec, run_chaos
+        from repro.bench import chaos
+        from repro.bench.scenario import run_scenario
         want, spec = self.REFERENCE_DIGESTS[name]
-        report = run_chaos(ChaosSpec(**spec))
+        report = run_scenario(chaos.scenario(**spec))
         assert report.digest == want, (
             f"sim transport broke bit-identity: {name} digest "
             f"{report.digest} != frozen reference {want}")
         assert not report.violations, (name, report.violations)
 
     def test_sharded_matches_independent_ground_truth(self):
-        from repro.bench.scale import (
-            ScaleSpec,
-            _node_targets,
-            _scenario_args,
-            run_scale_sharded,
-        )
-        spec = ScaleSpec(n_nodes=16, shard_count=4, posts_per_node=50)
-        first = run_scale_sharded(spec)
-        assert first["digest"] == run_scale_sharded(spec)["digest"], \
-            "sharded same-seed runs diverged"
-        assert first["executed"] == first["raised"] == spec.total_posts, first
+        from repro.bench.scale import posts, run_posts
+        first = run_posts(16, 4, posts_per_node=50)
+        assert first["digest"] == run_posts(16, 4, posts_per_node=50)[
+            "digest"], "sharded same-seed runs diverged"
+        assert first["executed"] == first["raised"] == 16 * 50, first
         # independent ground truth: the deterministic target schedule
+        # (one sink per node, so a post's sink index is its node)
         expected = Counter()
-        args = _scenario_args(spec)
-        for node in range(spec.n_nodes):
-            for target in _node_targets(args, node, spec.n_nodes):
+        for grid in posts(16, posts_per_node=50).arrivals:
+            for target in grid.targets:
                 expected[target] += 1
         merged = Counter({int(k): v for k, v in first["per_node"].items()})
         assert merged == expected, (
@@ -983,8 +977,9 @@ class TestFrameReassembly:
 # ----------------------------------------------------------------------
 
 class _FakeBlock:
-    def __init__(self, block_id):
+    def __init__(self, block_id, raiser_node=0):
         self.block_id = block_id
+        self.raiser_node = raiser_node
 
 
 class TestDegradeDedupWindow:
@@ -1015,3 +1010,22 @@ class TestDegradeDedupWindow:
         # the same block id arriving at another node is that node's
         # first sighting — dedup memory is per receiver
         assert post._accept_degraded(2, _FakeBlock("a"))
+
+    def test_equal_block_ids_from_other_shards_are_both_accepted(self):
+        # Each shard worker numbers its block ids from 1: two degraded
+        # posts raised on different shards can carry the same id, and
+        # neither is a fabric duplicate of the other.
+        cluster = make_cluster(n_nodes=8, transport="sharded",
+                               shard_count=2, shard_index=0)
+        post = cluster.events.post
+        lo, hi = (shard_bounds(8, 2, shard)[0] for shard in (0, 1))
+        assert post._accept_degraded(1, _FakeBlock(1, raiser_node=lo))
+        assert post._accept_degraded(1, _FakeBlock(1, raiser_node=hi))
+
+    def test_same_raiser_same_id_is_still_a_duplicate(self):
+        cluster = make_cluster(n_nodes=8, transport="sharded",
+                               shard_count=2, shard_index=0)
+        post = cluster.events.post
+        hi = shard_bounds(8, 2, 1)[0]
+        assert post._accept_degraded(1, _FakeBlock(1, raiser_node=hi))
+        assert not post._accept_degraded(1, _FakeBlock(1, raiser_node=hi))

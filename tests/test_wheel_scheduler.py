@@ -13,8 +13,9 @@ import random
 
 import pytest
 
-from repro.bench.chaos import ChaosSpec, run_chaos
-from repro.bench.soak import SoakSpec, run_burst_phase
+from repro.bench import chaos
+from repro.bench.scenario import run_scenario
+from repro.bench.soak import phase_row, phase_scenario
 from repro.errors import KernelError, SimulationError
 from repro.kernel.config import ClusterConfig
 from repro.sim import Simulator, WheelSimulator, make_simulator
@@ -229,24 +230,26 @@ def test_wheel_matches_heap_firing_order(ops_seed):
 
 def test_chaos_digest_identical_heap_vs_wheel():
     base = dict(seed=11, posts=40, settle=8.0)
-    heap = run_chaos(ChaosSpec(config={"scheduler": "heap"}, **base))
-    wheel = run_chaos(ChaosSpec(config={"scheduler": "wheel"}, **base))
+    heap = run_scenario(chaos.scenario(config={"scheduler": "heap"}, **base))
+    wheel = run_scenario(chaos.scenario(config={"scheduler": "wheel"},
+                                        **base))
     assert heap.violations == [] and wheel.violations == []
     assert heap.digest == wheel.digest
 
 
 def test_durable_chaos_digest_identical_heap_vs_wheel():
     base = dict(seed=7, posts=30, settle=8.0, durable=True)
-    heap = run_chaos(ChaosSpec(config={"scheduler": "heap"}, **base))
-    wheel = run_chaos(ChaosSpec(config={"scheduler": "wheel"}, **base))
+    heap = run_scenario(chaos.scenario(config={"scheduler": "heap"}, **base))
+    wheel = run_scenario(chaos.scenario(config={"scheduler": "wheel"},
+                                        **base))
     assert heap.violations == [] and wheel.violations == []
     assert heap.digest == wheel.digest
 
 
 def test_fastpath_burst_identical_heap_vs_wheel():
     base = dict(seed=5, burst=4)
-    heap = run_burst_phase(
-        SoakSpec(config={"scheduler": "heap"}, **base), 80).row()
-    wheel = run_burst_phase(
-        SoakSpec(config={"scheduler": "wheel"}, **base), 80).row()
+    heap = phase_row("burst", run_scenario(phase_scenario(
+        "burst", 80, config={"scheduler": "heap"}, **base)))
+    wheel = phase_row("burst", run_scenario(phase_scenario(
+        "burst", 80, config={"scheduler": "wheel"}, **base)))
     assert heap == wheel
