@@ -79,7 +79,7 @@ class Poster:
             node: {} for node in cluster.kernels}
         for kernel in cluster.kernels.values():
             kernel.register_message_handler(MSG_POST_OBJECT,
-                                            self._on_post_object)
+                                            self.post_object)
 
     # ==================================================================
     # thread-targeted posts
@@ -174,7 +174,8 @@ class Poster:
     # object-targeted posts (§4.3)
     # ==================================================================
 
-    def post_object(self, node: int, block: EventBlock,
+    def post_object(self, node: "int | Message",
+                    block: EventBlock | None = None,
                     stage: int = RAISED) -> None:
         """Post ``block`` to its object from ``node``. Away from the
         object's home this sends it there; at the home node it is
@@ -182,7 +183,13 @@ class Poster:
         master handler thread. ``stage`` says how it got there: inside
         its own raise (``RAISED``), by message (``ARRIVED``), or past
         acceptance already (``ACCEPTED``: the poison retry, the hop
-        below)."""
+        below). It is also the kernels' handler of the
+        ``event.post-object`` message, which passes the message alone:
+        the post ``ARRIVED`` at the message's destination."""
+        if block is None:
+            block = node.payload["block"]
+            node = int(node.dst)
+            stage = ARRIVED
         cap = block.target
         oid = cap.oid
         if node != cap.home:
@@ -318,9 +325,6 @@ class Poster:
             self.settle.conclude(block, NOTICED, None, UndeliverableError(
                 f"{block.event} to object {cap.oid} lost in the crash of "
                 f"node {cap.home}"), block.raiser_node or 0)
-
-    def _on_post_object(self, message: Message) -> None:
-        self.post_object(int(message.dst), message.payload["block"], ARRIVED)
 
     def redeliver_entry(self, node: int, entry: "OutboxEntry") -> None:
         """Re-dispatch a pending outbox entry from its origin ``node``.

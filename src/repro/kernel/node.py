@@ -51,6 +51,7 @@ class Kernel:
             ack_delay=cluster.config.ack_delay,
             flow_credits=cluster.config.flow_credits)
         self.crashed = False
+        self._arm_transmit()
         self.timers = TimerService(cluster.sim, node_id)
         self.thread_table = ThreadTable(node_id)
         # The journal lives in the *cluster* store: it is the simulated
@@ -122,13 +123,25 @@ class Kernel:
         With it on, point-to-point remote messages are retransmitted
         until acked; ``on_give_up`` fires if the budget runs out. A
         crashed kernel sends nothing.
+
+        A live kernel's ``transmit`` is the sender itself, bound on the
+        instance by :meth:`_arm_transmit` (at construction and recovery),
+        so a send pays no relay frame; :meth:`crash` unbinds it, and this
+        method, which sends nothing, is what is left.
         """
-        if self.crashed:
-            return
+
+    def _arm_transmit(self) -> None:
+        """Bind ``transmit`` to the live sender: the reliable channel's
+        ``send``, or one fabric datagram."""
         if self.config.reliable_delivery:
-            self.reliable.send(message, on_give_up)
+            self.transmit = self.reliable.send
         else:
-            self.fabric.send(message)
+            self.transmit = self._send_datagram
+
+    def _send_datagram(self, message: Message,
+                       on_give_up: Callable[[Message], None] | None = None
+                       ) -> None:
+        self.fabric.send(message)
 
     def transmit_unreliable(self, message: Message) -> None:
         """Fire-and-forget send that bypasses the reliable channel.
@@ -159,6 +172,7 @@ class Kernel:
         if self.crashed:
             return
         self.crashed = True
+        del self.transmit  # the class's: a crashed kernel sends nothing
         self.fabric.detach(self.node_id)
         if "kernel" not in self.tracer.muted:
             self.tracer.emit("kernel", "crash", node=self.node_id)
@@ -202,6 +216,7 @@ class Kernel:
             return
         replayed, replay_time = self.store.recover()
         self.crashed = False
+        self._arm_transmit()
         self.fabric.attach(self.node_id, self.deliver)
         if "kernel" not in self.tracer.muted:
             self.tracer.emit("kernel", "recover", node=self.node_id,

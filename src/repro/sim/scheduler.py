@@ -65,6 +65,20 @@ together with what it carried on to counts as one event for ``step``
 and ``run(max_events=…)``; the thread driver bounds how far one
 carries on (``threads.thread.RECV_FOLDS``).
 
+An entry may carry more than one call. :meth:`Simulator.ride` adds a
+call to a pending entry that is the last one scheduled, so the added
+call is the one the next ``call_at`` at that instant would have queued
+right behind it (the sim transport's messages due at one instant, see
+:mod:`repro.transport.simlocal`); the entry then runs its calls in
+order as one callback. While calls of the running entry remain, a live
+placeholder at the head of the instant lane says so, so
+``nothing_due_now`` and ``advance_to`` answer no exactly as they would
+to the separate entries; and a call that raises leaves the rest queued
+ahead of everything else due at that instant, where separate entries
+would have been. Only the ``scheduled`` and ``executed`` counts see the
+difference. A fired entry's arguments are emptied as it runs, so a
+caller that keeps its last entry to ride on keeps no payload alive.
+
 Cancellation — ``scheduler.cancel(handle)`` on every backend — is lazy
 in both lanes (the entry stays queued with its callback and arguments
 nulled, and both are rebuilt once the dead outnumber the live); the
@@ -233,6 +247,22 @@ class Simulator:
             heapq.heappush(self._queue, entry)
         return entry
 
+    def ride(self, entry: list, fn: Callable[..., Any], *args: Any) -> None:
+        """Add ``fn(*args)`` to ``entry``, behind the calls it carries.
+
+        The caller has checked that ``entry`` is pending, is the last
+        entry scheduled, and is due at the instant ``fn`` would be
+        scheduled at: the call then runs exactly where a ``call_at`` of
+        its own would have queued it, without an entry, a push or a pop
+        of its own. The entry's calls stay opaque ``(fn, args)`` pairs,
+        whatever a wrapper of ``call_at`` put in the entry's first.
+        """
+        if entry[3] is _run_calls:
+            entry[2][1].append((fn, args))
+        else:
+            entry[2] = (self, [(entry[3], entry[2]), (fn, args)])
+            entry[3] = _run_calls
+
     def call_after(self, delay: float, fn: Callable[..., Any], *args: Any) -> list:
         """Schedule ``fn(*args)`` after ``delay`` seconds of virtual time."""
         if not delay >= 0:
@@ -242,6 +272,22 @@ class Simulator:
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> list:
         """Schedule ``fn(*args)`` at the current instant, after queued work."""
         return self.call_at(self.now, fn, *args)
+
+    def _requeue(self, entry: list) -> None:
+        """Queue ``entry``, due at ``now`` with sequence number -1, as a
+        callback that runs before any other due now: the calls of a
+        shared entry left when one of them raised. The timed lane is
+        taken first at an instant, and -1 sorts before every entry
+        there; a callback runs below the wheel's horizon (the pop that
+        reached it re-based the window), so the entry goes on the
+        wheel."""
+        self._scheduled += 1
+        self._place(entry)
+        self._next_due = True
+
+    def _place(self, entry: list) -> None:
+        """Push an entry onto the timed lane."""
+        heapq.heappush(self._queue, entry)
 
     # -- per-backend view of the timed lane ------------------------------
 
@@ -397,8 +443,10 @@ class Simulator:
                     self._cancelled -= 1
                     continue
                 entry[3] = None  # spent: a late cancel() is a no-op
+                args = entry[2]
+                entry[2] = ()  # pins no payload (the sim wire keeps it)
                 self._events_processed += 1
-                fn(*entry[2])
+                fn(*args)
                 processed += 1
                 if processed == budget:
                     return True
@@ -530,7 +578,8 @@ class WheelSimulator(Simulator):
 
     def _place(self, entry: list) -> None:
         """Push an entry earlier than the horizon into its tick bucket
-        (a migration's; ``call_at`` does the same inline)."""
+        (a migration's or a requeue's; ``call_at`` does the same
+        inline)."""
         key = floor(entry[0] / self._tick)
         bucket = self._buckets.get(key)
         if bucket is None:
@@ -678,6 +727,30 @@ class WheelSimulator(Simulator):
         overflow = self._overflow
         overflow[:] = [e for e in overflow if e[3] is not None]
         heapq.heapify(overflow)
+
+
+def _run_calls(sim: Simulator, calls: list) -> None:
+    """The callback of an entry :meth:`Simulator.ride` added calls to:
+    make them in order. Until the last one, a live placeholder heads the
+    instant lane, since the calls still to make are due now; if a call
+    raises, the calls not made become an entry due now, ahead of every
+    other (:meth:`Simulator._requeue`). A function, not a method: a
+    scheduler that held its own bound method would be a reference
+    cycle, and so would the whole cluster."""
+    ready = sim._ready
+    last = calls.pop()
+    ready.appendleft([sim.now, -1, (), _run_calls])
+    calls = iter(calls)
+    try:
+        for fn, args in calls:
+            fn(*args)
+    except BaseException:
+        ready.popleft()
+        sim._requeue([sim.now, -1, (sim, [*calls, last]), _run_calls])
+        raise
+    ready.popleft()
+    fn, args = last
+    fn(*args)
 
 
 def _live_at(heap: list, now: float) -> bool:

@@ -84,7 +84,7 @@ class CheckpointManager:
 
         Returns the number of truncated records.
         """
-        record = self.journal.append(REC_CHECKPOINT, state=state)
+        record = self.journal.append(REC_CHECKPOINT, {"state": state})
         dropped = self.journal.truncate_before(record.lsn)
         self._rearm()
         self.taken += 1

@@ -135,10 +135,12 @@ class NodeJournal:
     def __iter__(self) -> Iterator[JournalRecord]:
         return iter(self._records)
 
-    def append(self, rtype: str, /, **data: Any) -> JournalRecord:
+    def append(self, rtype: str, data: dict[str, Any], /) -> JournalRecord:
         """Durably append one record as one commit; returns it with its
-        LSN assigned. The one place a record is stamped, with no
-        ``__init__`` frame: a durable post journals about three."""
+        LSN assigned. ``data`` is the record's own dict (the caller's
+        literal, not a copy). One of the two places a record is stamped,
+        with no ``__init__`` frame: a durable post journals about
+        three."""
         info = _RTYPE_INFO.get(rtype)
         if info is None:
             raise KernelError(f"unknown journal record type {rtype!r}")
@@ -155,10 +157,6 @@ class NodeJournal:
             self._checkpoint_rec = record
         return record
 
-    #: ``append`` for a batch's records, out of reach of a wrapper
-    #: installed on ``append`` (E17's tracer counts single appends)
-    _stamp = append
-
     def append_batch(
             self, ops: list[tuple[str, dict[str, Any]]]) -> list[JournalRecord]:
         """Append ``(rtype, data)`` records as **one commit unit**.
@@ -167,12 +165,35 @@ class NodeJournal:
         durability (all-or-nothing on the simulated medium), but the
         whole batch costs a single commit — the analogue of one fsync
         for a batch of writes. An empty batch is a no-op, not a commit.
+        Each record is stamped here as :meth:`append` stamps one, out of
+        reach of a wrapper installed on ``append`` (E17's tracer counts
+        single appends), and none is appended unless every type is
+        known.
         """
         if not ops:
             return []
-        stamp = self._stamp
-        records = [stamp(rtype, **data) for rtype, data in ops]
-        self.commits -= len(records) - 1  # each stamp counted one
+        lsn, stamped, records, checkpoint = self.appends, 0, [], None
+        for rtype, data in ops:
+            info = _RTYPE_INFO.get(rtype)
+            if info is None:
+                raise KernelError(f"unknown journal record type {rtype!r}")
+            rtype, size = info
+            record = object.__new__(JournalRecord)
+            lsn += 1
+            record.lsn = lsn
+            record.rtype = rtype
+            record.data = data
+            record.size = size
+            records.append(record)
+            stamped += size
+            if rtype is REC_CHECKPOINT:
+                checkpoint = record
+        self.appends = lsn
+        self._records.extend(records)
+        self.bytes_appended += stamped
+        self.commits += 1
+        if checkpoint is not None:
+            self._checkpoint_rec = checkpoint
         return records
 
     # ------------------------------------------------------------------

@@ -233,7 +233,7 @@ class NodeStore:
         self._applied_added.add(entry_id)
         self._applied_removed.discard(entry_id)
         self._enqueued.discard(entry_id)
-        self.journal.append(REC_APPLIED, entry_id=entry_id)
+        self.journal.append(REC_APPLIED, {"entry_id": entry_id})
         if self.journal.appends >= self.checkpoints.due_at:
             self.checkpoint()
 
@@ -252,7 +252,7 @@ class NodeStore:
         self._applied_removed.add(entry_id)
         self._applied_added.discard(entry_id)
         self._enqueued.add(entry_id)
-        self.journal.append(REC_UNAPPLIED, entry_id=entry_id)
+        self.journal.append(REC_UNAPPLIED, {"entry_id": entry_id})
         if self.journal.appends >= self.checkpoints.due_at:
             self.checkpoint()
 
@@ -286,7 +286,7 @@ class NodeStore:
             self.applied.add(entry_id)
             self._applied_added.add(entry_id)
             self._applied_removed.discard(entry_id)
-            self.journal.append(REC_APPLIED, entry_id=entry_id)
+            self.journal.append(REC_APPLIED, {"entry_id": entry_id})
             if self.journal.appends >= self.checkpoints.due_at:
                 self.checkpoint()
         self.post_executed(entry_id, QUARANTINED)
@@ -322,12 +322,13 @@ class NodeStore:
 
     def journal_registration(self, oid: int, event: str,
                              fn_name: str) -> None:
-        self.journal.append(REC_REG, oid=oid, event=event, fn_name=fn_name)
+        self.journal.append(REC_REG, {"oid": oid, "event": event,
+                                      "fn_name": fn_name})
         if self.journal.appends >= self.checkpoints.due_at:
             self.checkpoint()
 
     def journal_unregistration(self, oid: int, event: str) -> None:
-        self.journal.append(REC_UNREG, oid=oid, event=event)
+        self.journal.append(REC_UNREG, {"oid": oid, "event": event})
         if self.journal.appends >= self.checkpoints.due_at:
             self.checkpoint()
 
@@ -337,15 +338,15 @@ class NodeStore:
 
     def journal_dead_letter(self, dead) -> None:
         """Durably record a block entering the dead-letter queue."""
-        self.journal.append(REC_DEAD, dl_id=dead.dl_id, block=dead.block,
-                            reason=dead.reason, error=dead.error,
-                            failures=dead.failures, at=dead.at)
+        self.journal.append(REC_DEAD, {
+            "dl_id": dead.dl_id, "block": dead.block, "reason": dead.reason,
+            "error": dead.error, "failures": dead.failures, "at": dead.at})
         if self.journal.appends >= self.checkpoints.due_at:
             self.checkpoint()
 
     def journal_dead_requeue(self, dl_id: int) -> None:
         """Durably record a dead letter leaving the queue (requeued)."""
-        self.journal.append(REC_DEAD_REQUEUE, dl_id=dl_id)
+        self.journal.append(REC_DEAD_REQUEUE, {"dl_id": dl_id})
         if self.journal.appends >= self.checkpoints.due_at:
             self.checkpoint()
 

@@ -117,9 +117,9 @@ class Outbox:
             entry_id, block, kind, dst)
         entry.status, entry.created_at, entry.attempts = IN_FLIGHT, now, 1
         entry.redeliveries = 0
-        entry.lsn = self.journal.append(
-            REC_POST, entry_id=entry_id, kind=kind, dst=dst,
-            event=block.event, block=block).lsn
+        entry.lsn = self.journal.append(REC_POST, {
+            "entry_id": entry_id, "kind": kind, "dst": dst,
+            "event": block.event, "block": block}).lsn
         self._pending[entry_id] = entry
         self.recorded += 1
         return entry

@@ -5,6 +5,10 @@ import ``repro``::
 
     PYTHONPATH=src python -m tests.frames               # every path
     PYTHONPATH=src python -m tests.frames chase wheel   # one breakdown
+
+Each path is read in two units: Python frames per post, and scheduler
+callbacks per post (the ``executed`` count the same window ran; a
+callback whose entry carries several messages counts once).
 """
 
 from __future__ import annotations
@@ -26,15 +30,20 @@ class FrameCensus(Counter):
 
     ``stop`` ends the count early and takes any arguments, so the
     callback that marks the end of a measured path can be it. ``last``
-    is the key of the last frame counted. Entering collects garbage
-    first: an earlier cluster collected inside the count would close its
-    threads' generators there.
+    is the key of the last frame counted. Given the scheduler ``sim``,
+    ``callbacks`` is how many callbacks it ran meanwhile. Entering
+    collects garbage first: an earlier cluster collected inside the
+    count would close its threads' generators there.
     """
 
-    def __init__(self, where: Callable[[Any], bool] | None = None) -> None:
+    def __init__(self, where: Callable[[Any], bool] | None = None,
+                 sim: Any = None) -> None:
         super().__init__()
         self._where = where
         self.last: tuple[str, str] | None = None
+        self._sim = sim
+        self._start: int | None = None
+        self.callbacks = 0
 
     def _profile(self, frame, event, arg) -> None:
         if event == "call":
@@ -47,14 +56,19 @@ class FrameCensus(Counter):
 
     def __enter__(self) -> "FrameCensus":
         gc.collect()
+        if self._sim is not None:
+            self._start = self._sim.events_processed
         sys.setprofile(self._profile)
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        sys.setprofile(None)
+        self.stop()
 
     def stop(self, *_: Any) -> None:
         sys.setprofile(None)
+        if self._start is not None:
+            self.callbacks = self._sim.events_processed - self._start
+            self._start = None
 
 
 #: the census's own frames that a profile sees start
@@ -103,7 +117,7 @@ def _warm_cluster(scheduler: str, origin: int = 0, **config):
 def _count_frames(cluster, cap, load) -> tuple[float, Counter]:
     """Frames per post of ``load()`` and a run to 2.0 s, and their
     census by ``(file, function)``."""
-    with FrameCensus() as frames:
+    with FrameCensus(sim=cluster.sim) as frames:
         load()
         cluster.run(until=2.0)
     assert len(cluster.get_object(cap).latencies) == N + 1
@@ -183,7 +197,7 @@ def durable_frames(scheduler: str) -> tuple[float, Counter]:
 
     for base in range(0, N, BURST):
         cluster.sim.call_at(1.0 + GAP * (base // BURST), pump, base)
-    with FrameCensus() as frames:
+    with FrameCensus(sim=cluster.sim) as frames:
         cluster.run()
     assert cluster.durability_stats()["pending"] == 0
     assert len(cluster.get_object(cap)._latencies) == N + 1
@@ -219,7 +233,7 @@ def chain_compute_frames(scheduler: str) -> tuple[float, Counter]:
     cluster.run(until=0.5)
     cluster.raise_event("SPIN", thread.tid)
     cluster.run(until=1.0)
-    with FrameCensus() as frames:
+    with FrameCensus(sim=cluster.sim) as frames:
         cluster.raise_event("SPIN", thread.tid)
         cluster.run(until=2.0)
     assert frames["frames.py", "_spin"] == N + 1
@@ -274,7 +288,7 @@ def chase_frames(scheduler: str) -> tuple[float, Counter]:
 
     for pid in range(N):
         cluster.sim.call_at(1.0 + 1e-3 * pid, pump, pid)
-    with FrameCensus() as frames:
+    with FrameCensus(sim=cluster.sim) as frames:
         cluster.run(until=2.0)
     # each handler's generator is entered twice: its compute, its return
     assert frames["frames.py", "_chase_outer"] == 2 * N, frames
@@ -289,11 +303,12 @@ PATHS = {"post": post_frames, "parked": parked_post_frames,
 
 
 def breakdown(path: str, backend: str) -> None:
-    """Print one path's frames per post on one backend, function by
-    function: each entered at least once per two posts, then the rest
-    in one line."""
+    """Print one path's frames and scheduler callbacks per post on one
+    backend, then its frames function by function: each entered at
+    least once per two posts, then the rest in one line."""
     per_post, frames = PATHS[path](backend)
-    print(f"{path} {backend} {per_post:6.2f}")
+    print(f"{path} {backend} {per_post:6.2f} frames "
+          f"{frames.callbacks / N:5.2f} callbacks per post")
     rest = 0
     for (where, function), calls in frames.most_common():
         if 2 * calls >= N:
@@ -304,10 +319,10 @@ def breakdown(path: str, backend: str) -> None:
 
 
 def main(argv: list[str]) -> None:
-    """With no arguments, print each path's frames per post on both
-    scheduler backends, then the busy home-node post's breakdown on the
-    heap; with ``PATH [BACKEND]``, that path's breakdown (heap by
-    default)."""
+    """With no arguments, print each path's frames and scheduler
+    callbacks per post on both scheduler backends, then the busy
+    home-node post's breakdown on the heap; with ``PATH [BACKEND]``,
+    that path's breakdown (heap by default)."""
     print(f"python {sys.version.split()[0]}")
     if argv:
         path, backend = (argv + ["heap"])[:2]
@@ -316,10 +331,12 @@ def main(argv: list[str]) -> None:
                              f"[{'|'.join(PATHS)} [heap|wheel]]")
         breakdown(path, backend)
         return
+    print(f"{'':8} frames / callbacks per post")
     for name, count in PATHS.items():
-        per = {backend: count(backend)[0] for backend in ("heap", "wheel")}
+        per = {backend: count(backend) for backend in ("heap", "wheel")}
         print(f"{name:8} " + "  ".join(
-            f"{backend} {value:6.2f}" for backend, value in per.items()))
+            f"{backend} {value:6.2f} / {frames.callbacks / N:4.2f}"
+            for backend, (value, frames) in per.items()))
     breakdown("post", "heap")
 
 

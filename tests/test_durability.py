@@ -401,9 +401,12 @@ class TestAckBatches:
 
     def burst(self, n=8, reliable=True, **overrides):
         cluster = durable_cluster(n_nodes=2, **overrides)
-        # ClusterConfig turns the channel on with durable_delivery;
-        # kernels read the flag per send, so a test can turn it back off
+        # ClusterConfig turns the channel on with durable_delivery; a
+        # kernel binds its sender from the flag (Kernel._arm_transmit),
+        # so a test that turns it back off re-arms the kernels
         cluster.config.reliable_delivery = reliable
+        for kernel in cluster.kernels.values():
+            kernel._arm_transmit()
         cluster.register_event("PING")
         counter = cluster.create_object(Counter, node=1)
         for i in range(n):

@@ -1,8 +1,9 @@
 """The journal's counters and the checkpoint countdown, as a property.
 
 ``NodeJournal.append`` stamps a record inline (no ``_stamp`` relay, no
-``JournalRecord.__init__``) and ``append_batch`` stamps each of its
-records through it; the store tests ``journal.appends >=
+``JournalRecord.__init__``, no keyword call: the record's data dict is
+passed positionally) and ``append_batch`` stamps each of its records
+the same way, inline; the store tests ``journal.appends >=
 checkpoints.due_at`` inline after each journaled operation instead of
 counting through ``_after_append`` and ``note_append``. The reference
 below counts from the arguments of the public calls alone: every
@@ -80,7 +81,7 @@ def watch(journal: NodeJournal, interval: int | None) -> Reference:
     def payload_starts():
         assert interval is None or ref.since < interval, "checkpoint missed"
 
-    def counted_append(rtype, /, **data):
+    def counted_append(rtype, data, /):
         if rtype == REC_CHECKPOINT:
             assert interval is not None and ref.since >= interval, (
                 "checkpoint early")
@@ -88,7 +89,7 @@ def watch(journal: NodeJournal, interval: int | None) -> Reference:
             payload_starts()
         ref.note(rtype)
         ref.commits += 1
-        return append(rtype, **data)
+        return append(rtype, data)
 
     def counted_batch(ops):
         payload_starts()
@@ -137,7 +138,7 @@ def test_journal_counters_and_countdown(interval, ops):
     ref = Reference()
     for step, (op, arg) in enumerate(ops):
         if op == "append":
-            journal.append(arg, entry_id=(0, step))
+            journal.append(arg, {"entry_id": (0, step)})
             ref.note(arg)
             ref.commits += 1
         elif op == "batch":

@@ -153,11 +153,17 @@ def test_a_handler_that_never_stops_computing_is_still_caught():
 def test_remote_durable_post():
     """Sixteen journaled posts over the reliable channel, one instant:
     message transits, ack timers and one store.ack window for the batch,
-    plus one master wake; the sixteen computes run inline — 41 while
-    each was a wake-up of its own, 56 and 40 while the master hopped
+    plus one master wake; the sixteen computes run inline, and messages
+    due at one instant share one scheduler entry (the sixteen posts
+    ride on the first one's; with no compute, the ``store.ack`` window
+    closes in the instant the channel sends its ``rel.ack``, and rides
+    on it; ``python -m tests.frames`` reads the same on its ``arrived``
+    and ``durable`` paths as callbacks per post) — 25
+    each while each message had an entry of its own, 41 while each
+    compute was a wake-up of its own, 56 and 40 while the master hopped
     once per post to take its next one."""
-    assert _object_posts("WORK", home=1, durable_delivery=True) == 25
-    assert _object_posts("NOP", home=1, durable_delivery=True) == 25
+    assert _object_posts("WORK", home=1, durable_delivery=True) == 11
+    assert _object_posts("NOP", home=1, durable_delivery=True) == 10
 
 
 def test_thread_notice_costs_what_it_did():

@@ -9,8 +9,10 @@ the other nodes, durable delivery on or off, no handler faults. Its
 experiment applies: no post runs more often than it may, every post is
 executed, noticed or quarantined (a durable post to an object: executed
 or quarantined), every probe after the heal runs once, nothing is left
-wedged and ``audit()`` reports nothing. One known defect is carved out
-of the property by name and pinned as a strict xfail below.
+wedged and ``audit()`` reports nothing. The durable outbox, which
+``Outcome.violations`` checks for object sinks only, must drain for
+thread and group sinks too. Two known defects are carved out of the
+property by name and each pinned as a strict xfail below.
 """
 
 import pytest
@@ -22,6 +24,7 @@ from repro.bench.scenario import (
     OBJECT,
     SETUP,
     SINK_KINDS,
+    THREAD,
     Faults,
     Grid,
     Scenario,
@@ -92,16 +95,52 @@ def rerun_after_crash(outcome) -> set[str]:
     crashed = {node for _at, node, _down in scenario.faults.crashes}
     return {f"post {pid}: handler executed {ran} times (duplicate run)"
             for pid, ran in enumerate(outcome.runs[:outcome.posts])
-            if ran == 2 and scenario.sinks.nodes[
-                outcome.targets[pid]] in crashed}
+            if ran == 2 and outcome.targets[pid] != FANOUT
+            and scenario.sinks.nodes[outcome.targets[pid]] in crashed}
+
+
+def _outbox_line(pending: int) -> str:
+    return (f"outbox not drained: {pending} journaled posts still pending "
+            f"at end of run")
+
+
+def outbox_left(outcome) -> list[str]:
+    """The outbox check ``Outcome.violations`` makes for object sinks,
+    for the durable runs it skips: thread sinks and group-only sinks."""
+    scenario = outcome.scenario
+    pending = outcome.durability.get("pending", 0)
+    sinks = scenario.sinks
+    if (scenario.config["durable_delivery"] and pending
+            and (sinks.kind == THREAD or not sinks.nodes)):
+        return [_outbox_line(pending)]
+    return []
+
+
+def stranded_thread_post(outcome) -> set[str]:
+    """The known defect pinned below, as the outbox line it leaves: a
+    durable post to a thread (a sink thread or a group member) that ran
+    shortly before its node crashed keeps its origin's outbox entry
+    pending for good. Carved out only where a thread's node crashed and
+    no more entries are pending than posts ran."""
+    scenario = outcome.scenario
+    sinks = scenario.sinks
+    crashed = {node for _at, node, _down in scenario.faults.crashes}
+    pending = outcome.durability.get("pending", 0)
+    threads = set(sinks.group) | (set(sinks.nodes) if sinks.kind == THREAD
+                                  else set())
+    if not (crashed & threads and pending
+            and pending <= sum(outcome.runs[:outcome.posts])):
+        return set()
+    return {_outbox_line(pending)}
 
 
 @settings(deadline=None)
 @given(scenario=scenarios())
 def test_every_post_is_accounted(scenario):
     outcome = run_scenario(scenario)
-    violations = [v for v in outcome.violations
-                  if v not in rerun_after_crash(outcome)]
+    known = rerun_after_crash(outcome) | stranded_thread_post(outcome)
+    violations = [v for v in outcome.violations + outbox_left(outcome)
+                  if v not in known]
     assert violations == [], violations[:3]
     assert outcome.raised == outcome.posts
 
@@ -123,3 +162,32 @@ RERUN = Scenario(
 def test_object_post_runs_once_across_a_receiver_crash():
     outcome = run_scenario(RERUN)
     assert outcome.runs[0] == 1, outcome.violations
+
+
+#: the minimal draw of the stranded thread post: node 1 runs post 0 on
+#: its sink thread and crashes about a millisecond later
+STRANDED = Scenario(
+    config={**BASE_CONFIG, "n_nodes": 2, "seed": 0,
+            "durable_delivery": True},
+    sinks=Sinks(THREAD, (1,)),
+    arrivals=(Grid(0, (0,), 0.01, pump=False),),
+    faults=Faults(crashes=((0.001953125, 1, 0.05),)),
+    start=SETUP, settle=6.0, probe=True)
+
+
+def test_the_widened_check_sees_the_stranded_thread_post():
+    """``Outcome.violations`` reports nothing for this draw; the
+    property's own outbox check does, and the carve-out names it."""
+    outcome = run_scenario(STRANDED)
+    assert outcome.violations == []
+    assert outcome.runs[0] == 1
+    assert set(outbox_left(outcome)) == stranded_thread_post(outcome) == {
+        _outbox_line(1)}
+
+
+@pytest.mark.xfail(strict=True, reason="a durable thread post that ran "
+                   "just before its node crashed stays pending in the "
+                   "origin's outbox")
+def test_durable_thread_post_resolves_across_a_receiver_crash():
+    outcome = run_scenario(STRANDED)
+    assert outcome.durability["pending"] == 0, outcome.violations

@@ -33,8 +33,8 @@ def make_block(event="PING"):
 class TestNodeJournal:
     def test_appends_are_lsn_ordered(self):
         journal = make_journal()
-        r1 = journal.append(REC_POST, entry_id=(0, 1))
-        r2 = journal.append(REC_ACK, entry_id=(0, 1), status=DELIVERED)
+        r1 = journal.append(REC_POST, {"entry_id": (0, 1)})
+        r2 = journal.append(REC_ACK, {"entry_id": (0, 1), "status": DELIVERED})
         assert (r1.lsn, r2.lsn) == (1, 2)
         assert [r.rtype for r in journal] == [REC_POST, REC_ACK]
         assert journal.appends == 2
@@ -43,22 +43,31 @@ class TestNodeJournal:
 
     def test_unknown_record_type_rejected(self):
         with pytest.raises(KernelError):
-            make_journal().append("scribble")
+            make_journal().append("scribble", {})
+
+    def test_a_batch_with_an_unknown_record_type_appends_nothing(self):
+        journal = make_journal()
+        with pytest.raises(KernelError):
+            journal.append_batch([(REC_POST, {"entry_id": (0, 1)}),
+                                  ("scribble", {})])
+        assert (len(journal), journal.appends, journal.commits,
+                journal.bytes_appended) == (0, 0, 0, 0)
 
     def test_replay_without_checkpoint_returns_everything(self):
         journal = make_journal()
-        journal.append(REC_POST, entry_id=(0, 1))
-        journal.append(REC_REG, oid=1, event="PING", fn_name="on_ping")
+        journal.append(REC_POST, {"entry_id": (0, 1)})
+        journal.append(REC_REG,
+                       {"oid": 1, "event": "PING", "fn_name": "on_ping"})
         state, tail = journal.replay()
         assert state is None
         assert [r.rtype for r in tail] == [REC_POST, REC_REG]
 
     def test_checkpoint_splits_replay_at_newest(self):
         journal = make_journal()
-        journal.append(REC_POST, entry_id=(0, 1))
-        journal.append(REC_CHECKPOINT, state={"mark": "old"})
-        journal.append(REC_CHECKPOINT, state={"mark": "new"})
-        journal.append(REC_POST, entry_id=(0, 2))
+        journal.append(REC_POST, {"entry_id": (0, 1)})
+        journal.append(REC_CHECKPOINT, {"state": {"mark": "old"}})
+        journal.append(REC_CHECKPOINT, {"state": {"mark": "new"}})
+        journal.append(REC_POST, {"entry_id": (0, 2)})
         state, tail = journal.replay()
         assert state == {"mark": "new"}
         assert [r.rtype for r in tail] == [REC_POST]
@@ -67,14 +76,14 @@ class TestNodeJournal:
     def test_truncate_before_drops_prefix_only(self):
         journal = make_journal()
         for i in range(5):
-            journal.append(REC_POST, entry_id=(0, i + 1))
+            journal.append(REC_POST, {"entry_id": (0, i + 1)})
         dropped = journal.truncate_before(4)
         assert dropped == 3
         assert [r.lsn for r in journal] == [4, 5]
         assert journal.truncations == 1
         assert journal.records_truncated == 3
         # lsn counter keeps climbing after truncation
-        assert journal.append(REC_POST, entry_id=(0, 9)).lsn == 6
+        assert journal.append(REC_POST, {"entry_id": (0, 9)}).lsn == 6
         # below the head: nothing to drop, and no truncation counted
         assert journal.truncate_before(4) == 0
         assert journal.truncations == 1
@@ -82,10 +91,10 @@ class TestNodeJournal:
 
     def test_truncated_record_keeps_its_fields(self):
         journal = make_journal()
-        held = journal.append(REC_POST, entry_id=(0, 1))
-        journal.append(REC_CHECKPOINT, state={})
+        held = journal.append(REC_POST, {"entry_id": (0, 1)})
+        journal.append(REC_CHECKPOINT, {"state": {}})
         assert journal.truncate_before(2) == 1
-        journal.append(REC_ACK, entry_id=(0, 1), status="delivered")
+        journal.append(REC_ACK, {"entry_id": (0, 1), "status": "delivered"})
         assert (held.lsn, held.rtype, held.data) == (
             1, REC_POST, {"entry_id": (0, 1)})
 
@@ -98,7 +107,7 @@ class TestJournalGroupCommit:
         assert [r.lsn for r in records] == [1, 2, 3]
         assert journal.appends == 3
         assert journal.commits == 1
-        journal.append(REC_ACK, entry_id=(0, 1))
+        journal.append(REC_ACK, {"entry_id": (0, 1)})
         assert journal.appends == 4
         assert journal.commits == 2
         assert journal.append_batch([]) == []
@@ -108,9 +117,9 @@ class TestJournalGroupCommit:
     def test_indexed_latest_checkpoint_and_o1_truncate(self):
         journal = NodeJournal(0)
         for i in range(5):
-            journal.append(REC_POST, entry_id=(0, i))
+            journal.append(REC_POST, {"entry_id": (0, i)})
         assert journal.latest_checkpoint() is None
-        ckpt = journal.append(REC_CHECKPOINT, state={"n": 5})
+        ckpt = journal.append(REC_CHECKPOINT, {"state": {"n": 5}})
         assert journal.latest_checkpoint() is ckpt
         dropped = journal.truncate_before(ckpt.lsn)
         assert dropped == 5
@@ -118,9 +127,9 @@ class TestJournalGroupCommit:
         assert [r.lsn for r in journal] == [ckpt.lsn]
         assert journal.latest_checkpoint() is ckpt
         assert journal.tail() == []
-        later = journal.append(REC_POST, entry_id=(0, 9))
+        later = journal.append(REC_POST, {"entry_id": (0, 9)})
         assert journal.tail() == [later]
-        newer = journal.append(REC_CHECKPOINT, state={"n": 6})
+        newer = journal.append(REC_CHECKPOINT, {"state": {"n": 6}})
         assert journal.latest_checkpoint() is newer
 
 
@@ -193,7 +202,7 @@ class TestCheckpointManager:
         after each of ``records`` payload appends."""
         due = []
         for i in range(records):
-            journal.append(REC_POST, entry_id=(0, i + 1))
+            journal.append(REC_POST, {"entry_id": (0, i + 1)})
             due.append(journal.appends >= cm.due_at)
         return due
 
@@ -219,7 +228,7 @@ class TestCheckpointManager:
         journal = make_journal()
         cm = CheckpointManager(journal, interval=None)
         for i in range(4):
-            journal.append(REC_POST, entry_id=(0, i + 1))
+            journal.append(REC_POST, {"entry_id": (0, i + 1)})
         dropped = cm.take({"snapshot": True})
         assert dropped == 4
         state, tail = journal.replay()
@@ -241,5 +250,5 @@ class TestClusterStore:
         j0 = store.journal(0)
         assert store.journal(0) is j0
         assert store.journal(1) is not j0
-        j0.append(REC_POST, entry_id=(0, 1))
+        j0.append(REC_POST, {"entry_id": (0, 1)})
         assert j0.stats()["appends"] == 1

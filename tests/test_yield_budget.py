@@ -92,24 +92,37 @@ PARKED_BUDGET = {"heap": 22, "wheel": 22}
 #: a durable post that arrives by message at its object's home node,
 #: from the arrival on: the reliable channel's accept and ack, the
 #: journal's ``post`` record, the handler, the applied marker and the
-#: owed ack's flush; 28 with the compute's wake-up scheduled, 28 / 30
-#: with the wheel's relays above, 36 / 38
+#: owed ack's flush; 25 while the arrival passed through
+#: ``_on_post_object`` and ``append_batch`` stamped each ``ack`` record
+#: through ``append``, 26 while each of the burst's messages took a
+#: scheduler entry of its own (a ``call_at`` and a timed pop; they now
+#: ride on one, ``Simulator.ride``), 28 with the compute's wake-up
+#: scheduled, 28 / 30 with the wheel's relays above, 36 / 38
 #: with the relays in ``DURABLE_GONE`` too, 47 / 50 with the relays
 #: above too
-ARRIVED_BUDGET = {"heap": 26, "wheel": 26}
+ARRIVED_BUDGET = {"heap": 23, "wheel": 23}
+
+#: scheduler callbacks over the N posts of the two message-borne
+#: durable paths, the census's second unit (``python -m tests.frames``
+#: prints them per post: 0.06 and 0.52); 270 and 371 (1.05 and 1.45 per
+#: post) while each message took a scheduler entry of its own
+CALLBACK_BUDGET = {"arrived": 16, "durable": 132}
 
 #: a durable post from its raise on node 0 to the commit of its ack
 #: there, BURST every GAP to a private-state sink on node 1: the raise,
 #: ``journal_post`` (``Outbox.record`` and the ``post`` record), the
 #: reliable send, the fabric hop, the receive path above, the ``ack``
 #: record of the ``store.ack`` batch and this post's share of the
-#: checkpoints and of the acks of both channels; 43 with the compute's
+#: checkpoints and of the acks of both channels; 40 with the relays
+#: ``Kernel.transmit`` and ``_on_post_object`` and ``append_batch``'s
+#: stamps through ``append``, 41 while each message of a burst took a
+#: scheduler entry of its own, 43 with the compute's
 #: wake-up scheduled, 48 / 52 with the
 #: raise's and the wheel's relays above and the message hop's
 #: ``routable`` and ``delay`` (``Fabric.send`` probes its endpoint dict
 #: and reads ``FixedLatency``'s floats), 66 / 70 through the relays in
 #: ``DURABLE_GONE`` too
-DURABLE_BUDGET = {"heap": 41, "wheel": 41}
+DURABLE_BUDGET = {"heap": 37, "wheel": 37}
 
 #: one ``compute`` step of a thread-based handler on its surrogate: the
 #: generator, ``Compute.__init__`` and ``advance_to``, the surrogate's
@@ -135,8 +148,9 @@ COMPUTE_BUDGET = {"heap": 3, "wheel": 3}
 #: through the relays in ``CHASE_GONE`` (179 / 198 when the census also
 #: counted ``snapshot``'s list comprehension), 122 / 141 with the raise's
 #: ``innermost_here`` probe and each handler's ``effective_deadline``,
-#: 118 / 137 with the conclusion's ``current_node``
-CHASE_BUDGET = {"heap": 108, "wheel": 108}
+#: 118 / 137 with the conclusion's ``current_node``, 108 while each
+#: message took a scheduler entry of its own (108.02; a few now ride)
+CHASE_BUDGET = {"heap": 107, "wheel": 107}
 
 #: frames the old objects and relays paid and the new ones must not
 GONE = {("syscalls.py", "__post_init__"), ("<string>", "__init__"),
@@ -186,15 +200,18 @@ CHASE_GONE = {("path.py", "_hop"), ("base.py", "_accept"),
 #: the relays a durable post paid and must not again: the journal's
 #: ``_stamp`` and ``JournalRecord.__init__`` per record; the checkpoint
 #: countdown's ``_after_append``, ``enabled`` and ``note_append`` per
-#: journaled operation; the owed ack's ``_owe_ack``; and the reliable
+#: journaled operation; the owed ack's ``_owe_ack``; the reliable
 #: channel's ``_peer``, ``_dispatch`` and ``_Pending.__init__`` per send
-#: (``OutboxEntry``'s dataclass ``__init__`` is counted below); and
-#: each message's ``HOP_GONE``
+#: (``OutboxEntry``'s dataclass ``__init__`` is counted below); the
+#: kernel's ``transmit`` in front of the reliable send and the
+#: ``event.post-object`` handler's ``_on_post_object`` in front of
+#: ``post_object``; and each message's ``HOP_GONE``
 DURABLE_GONE = {("journal.py", "_stamp"), ("journal.py", "__init__"),
                 ("manager.py", "_after_append"), ("manager.py", "enabled"),
                 ("checkpoint.py", "note_append"), ("manager.py", "_owe_ack"),
                 ("reliable.py", "_peer"), ("reliable.py", "_dispatch"),
-                ("reliable.py", "__init__")} | HOP_GONE
+                ("reliable.py", "__init__"), ("node.py", "transmit"),
+                ("post.py", "_on_post_object")} | HOP_GONE
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
@@ -218,6 +235,7 @@ def test_parked_master_post_frame_budget(scheduler):
 def test_arrived_post_frame_budget(scheduler):
     per_post, frames = arrived_post_frames(scheduler)
     assert math.floor(per_post) == ARRIVED_BUDGET[scheduler], frames
+    assert frames.callbacks <= CALLBACK_BUDGET["arrived"]
     assert not DURABLE_GONE & set(frames), frames
     assert frames["post.py", "post_object"] == N
 
@@ -226,11 +244,18 @@ def test_arrived_post_frame_budget(scheduler):
 def test_durable_post_frame_budget(scheduler):
     per_post, frames = durable_frames(scheduler)
     assert math.floor(per_post) == DURABLE_BUDGET[scheduler], frames
+    assert frames.callbacks <= CALLBACK_BUDGET["durable"]
     assert not DURABLE_GONE & set(frames), frames
     # the only dataclass built is each message, so no OutboxEntry
     assert frames["<string>", "__init__"] == frames["fabric.py", "send"]
-    # one stamp per record: a post, an applied marker and an ack each
-    assert frames["journal.py", "append"] >= 3 * N, frames
+    # one ``append`` per post and applied record; each ``store.ack``
+    # batch's ``ack`` records are stamped inside one ``append_batch``
+    assert frames["journal.py", "append"] >= 2 * N, frames
+    assert frames["journal.py", "append_batch"] <= 2 * N // BURST, frames
+    # a burst's messages share scheduler entries: under one timed pop
+    # per post, and one ``ride`` per message that joined an entry
+    assert frames["scheduler.py", "_pop_timed"] < N, frames
+    assert frames["scheduler.py", "ride"] > N // 2, frames
     # an in-order arrival rides the open ack window inline: one window
     # per burst each way reaches ``_schedule_ack``
     assert frames["reliable.py", "_schedule_ack"] == 2 * N // BURST
@@ -280,6 +305,9 @@ def test_the_census_prints_one_path_function_by_function(capsys):
     head, *lines, rest = capsys.readouterr().out.splitlines()
     assert head.split()[:2] == ["compute", "wheel"]
     assert math.floor(float(head.split()[2])) == COMPUTE_BUDGET["wheel"]
+    # and the second unit: the one notice's few callbacks over N steps
+    assert head.split()[3:] == ["frames", "0.02", "callbacks", "per",
+                                "post"]
     assert ["1.00", "syscalls.py:__init__"] in [line.split() for line in lines]
     assert rest.endswith("(the rest)")
 
