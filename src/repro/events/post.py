@@ -72,10 +72,9 @@ class Poster:
         self.dead_targets = 0
         #: receiver-side dedup for degraded (fire-and-forget) object
         #: posts, per node: without a rel header the channel cannot
-        #: suppress fabric duplicates, so recent degraded (raiser node,
-        #: block id) pairs are remembered here instead (bounded by
-        #: ``dedup_window``)
-        self._degraded_seen: dict[int, dict[tuple[int, int], None]] = {
+        #: suppress fabric duplicates, so recent degraded block ids are
+        #: remembered here instead (bounded by ``dedup_window``)
+        self._degraded_seen: dict[int, dict[int, None]] = {
             node: {} for node in cluster.kernels}
         for kernel in cluster.kernels.values():
             kernel.register_message_handler(MSG_POST_OBJECT,
@@ -359,13 +358,13 @@ class Poster:
     def _accept_degraded(self, node: int, block: EventBlock) -> bool:
         """Receiver-side dedup for degraded posts: no rel header means
         the reliable channel cannot suppress fabric duplicates, so
-        recent degraded posts are remembered per node, by raiser node
-        and block id (each shard worker numbers its block ids from 1).
+        recent degraded posts are remembered per node, by block id (one
+        post's name in the whole cluster, sharded runs included).
 
         The window is the channel's ``dedup_window`` (an undersized
         window re-admits a late fabric duplicate as a fresh post)."""
         seen = self._degraded_seen[node]
-        key = (block.raiser_node, block.block_id)
+        key = block.block_id
         if key in seen:
             return False
         seen[key] = None

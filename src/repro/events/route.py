@@ -42,10 +42,8 @@ class Router:
         self.settle = settle
         self.post = post
         self.durable = cluster.config.durable_delivery
-        #: the settle stage's open-post table, and the nodes this cluster
-        #: hosts when it is one shard of a sharded run (else None)
+        #: the settle stage's open-post table
         self.open = settle.open
-        self.shard = settle.shard
         #: raises routed (each counts once, whatever its fan-out)
         self.posts = 0
 
@@ -72,9 +70,7 @@ class Router:
         to_object = isinstance(target, Capability)
         members = (self.groups.sorted_members(target)
                    if isinstance(target, GroupId) else None)
-        shard = self.shard
-        if members is None and (shard is None or (
-                target.home if to_object else target[0]) in shard):
+        if members is None:
             self.open[block.block_id] = block
         # Write-ahead journaling happens here — at the raise, before the
         # first send — so kernel-internal notices (TARGET_DEAD, ABORT,
@@ -140,8 +136,7 @@ class Router:
             member_block = EventBlock(event, raiser_tid, raiser_node, target,
                                       synchronous, user_data, raised_at)
             member_block._resume_token = token
-            if shard is None or tid[0] in shard:
-                open_posts[member_block.block_id] = member_block
+            open_posts[member_block.block_id] = member_block
             blocks.append(member_block)
         if admission is not None and not deferred:
             for member_block in blocks:

@@ -17,10 +17,13 @@ origin's table of posts awaiting that confirmation lives here as well).
 The stage also keeps the **open-post table** (``Settler.open``): the
 route stage inserts every recipient block it targets, keyed by block
 id, and :meth:`Settler.conclude` pops it at the block's first
-conclusion. :meth:`Settler.audit` (``Cluster.audit()``) reads what is
-left: a durable post concluded with no open entry (a redelivered copy
-of a post that had concluded already), and, once the scheduler has
-nothing pending, every open post that was never delivered.
+conclusion (a block raised on another shard's node is popped there by
+:meth:`Settler.match_foreign`, once the barrier has carried its
+conclusion home). :meth:`Settler.audit` (``Cluster.audit()``) reads
+what is left: a durable post concluded with no open entry (a
+redelivered copy of a post that had concluded already), and, once the
+scheduler has nothing pending, every open post that was never
+delivered.
 """
 
 from __future__ import annotations
@@ -117,15 +120,12 @@ class Settler:
         self.open: dict[int, EventBlock] = {}
         #: first conclusions by outcome
         self.outcomes = {EXECUTED: 0, NOTICED: 0, QUARANTINED: 0}
-        #: durable blocks concluded with no open entry:
-        #: ``(block, outcome, node, when)``
-        self.doubles: list[tuple[EventBlock, str, int, float]] = []
-        #: the nodes this cluster hosts when that is not all of them (a
-        #: sharded worker): a post to another shard concludes there, so
-        #: it is never opened here (matching it waits for the barrier)
-        local = cluster.local_node_ids
-        self.shard = (None if len(local) == cluster.config.n_nodes
-                      else frozenset(local))
+        #: durable blocks concluded with no open entry
+        self.doubles: list[Violation] = []
+        #: conclusions of blocks raised on another shard's node, for the
+        #: barrier to carry home: ``(raiser node, block id, the double
+        #: it is if no entry is open there, None if not durable)``
+        self.foreign: list[tuple[int, int, Violation | None]] = []
         for kernel in cluster.kernels.values():
             kernel.register_message_handler(MSG_RESUME, self._on_resume)
             kernel.register_message_handler(MSG_DEGRADE_DONE,
@@ -157,13 +157,16 @@ class Settler:
         if charge is not None:
             self.admission.release(charge)
         durable_id = block.durable_id
-        shard = self.shard
-        # A block raised on another shard was numbered there: its id may
-        # be that of a different post opened here.
-        if ((shard is None or block.raiser_node in shard)
-                and self.open.pop(block.block_id, None) is None
-                and durable_id is not None and self.opened_here(block)):
-            self.doubles.append((block, outcome, node, self.sim.now))
+        if self.open.pop(block.block_id, None) is None:
+            double = None if durable_id is None else Violation(
+                "concluded twice", block.block_id, block.event, block.target,
+                f"{outcome} again on node {node}",
+                self.sim.now - block.raised_at)
+            if block.raiser_node not in self.kernels:
+                self.foreign.append((block.raiser_node, block.block_id,
+                                     double))
+            elif double is not None:
+                self.doubles.append(double)
         self.outcomes[outcome] += 1
         if outcome == EXECUTED:
             if durable_id is not None:
@@ -214,23 +217,17 @@ class Settler:
             self._resume(block, value, error, node)
         return True
 
-    def opened_here(self, block: EventBlock) -> bool:
-        """Would the route stage have opened ``block`` in this table? On
-        a shard, only if it was raised here to an object homed here or a
-        thread rooted here (§7.1: a thread id encodes its root)."""
-        shard, target = self.shard, block.target
-        if shard is None:
-            return True
-        node = (target.home if isinstance(target, Capability)
-                else target[0] if isinstance(target, tuple) else None)
-        return block.raiser_node in shard and node in shard
+    def match_foreign(self, rows: list[tuple]) -> None:
+        """Close the entries of posts raised here and concluded on
+        another shard (its :attr:`foreign` rows, carried by the barrier):
+        a durable one with no entry left is a double, as in one process."""
+        for _raiser, block_id, double in rows:
+            if self.open.pop(block_id, None) is None and double is not None:
+                self.doubles.append(double)
 
     def audit(self) -> list[Violation]:
         """The standing invariant's breaches: ``Cluster.audit()``."""
-        found = [Violation("concluded twice", block.block_id, block.event,
-                           block.target, f"{outcome} again on node {node}",
-                           when - block.raised_at)
-                 for block, outcome, node, when in self.doubles]
+        found = list(self.doubles)
         if self.sim.pending:
             return found
         now = self.sim.now

@@ -231,9 +231,9 @@ class Cluster:
         has nothing pending, so is every routed post that is still open
         and was never delivered, with its age, target and last known
         stage. DESIGN.md §6 lists what is not: a delivered post whose
-        handler waits on the application, a degraded post both executed
-        and noticed as unconfirmed, and on ``sharded`` a post to another
-        shard (not matched per post yet).
+        handler waits on the application, and a degraded post both
+        executed and noticed as unconfirmed (on ``sharded``, conclusions
+        reach the raiser's shard through the barrier).
         """
         return self.events.settle.audit()
 

@@ -132,16 +132,9 @@ class Kernel:
 
     def _arm_transmit(self) -> None:
         """Bind ``transmit`` to the live sender: the reliable channel's
-        ``send``, or one fabric datagram."""
-        if self.config.reliable_delivery:
-            self.transmit = self.reliable.send
-        else:
-            self.transmit = self._send_datagram
-
-    def _send_datagram(self, message: Message,
-                       on_give_up: Callable[[Message], None] | None = None
-                       ) -> None:
-        self.fabric.send(message)
+        ``send``, or the fabric's (one datagram, no give-up)."""
+        self.transmit = (self.reliable.send if self.config.reliable_delivery
+                         else self.fabric.send)
 
     def transmit_unreliable(self, message: Message) -> None:
         """Fire-and-forget send that bypasses the reliable channel.

@@ -103,8 +103,12 @@ class Fabric:
     # sending
     # ------------------------------------------------------------------
 
-    def send(self, message: Message) -> None:
+    def send(self, message: Message,
+             on_give_up: Callable[[Message], None] | None = None) -> None:
         """Send a point-to-point message (asynchronously, in virtual time).
+
+        ``on_give_up`` is never called (a datagram never gives up): it
+        lets a kernel bind its ``transmit`` here.
 
         One function from the caller to the wire: every envelope pays
         this path, so it is not split into relays. An attached endpoint

@@ -19,7 +19,10 @@ time-window** protocol:
   batch before the next window runs.  Arrivals are injected in sorted
   ``(deliver_time, source_shard, send_seq)`` order, so the destination
   simulator allocates sequence numbers deterministically — same-seed
-  sharded runs are bit-identical, just like the single-process ones.
+  sharded runs are bit-identical, just like the single-process ones;
+* the barrier reply also returns the shard's conclusions of posts
+  raised on other shards, which the parent routes to the raiser's shard
+  with its next command, to close their open-post entries there.
 
 Messages cross the process boundary over multiprocessing pipes (the
 parent is the hub), encoded by the compact wire codec
@@ -218,39 +221,45 @@ def _start_method() -> str:
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
-def _reset_process_counters() -> None:
-    """Reset every module-level id counter to its import-time state.
+PROCESS_COUNTERS = (  # every module-level id counter
+    ("repro.objects.base", "_oids"),
+    ("repro.events.handlers", "_reg_ids"),
+    ("repro.events.handlers", "_proc_names"),
+    ("repro.events.block", "_block_ids"),
+    ("repro.threads.attributes", "_timer_spec_ids"),
+    ("repro.dsm.manager", "_segment_ids"),
+    ("repro.baselines.unix_signals", "_pids"),
+    ("repro.baselines.mach_exceptions", "_task_ids"),
+)
+
+
+def _reset_process_counters(shard: int, shards: int) -> None:
+    """Reset every module-level id counter to its import-time state, and
+    give shard ``shard`` of ``shards`` its own block-id sequence.
 
     A forked worker inherits the parent's already-advanced counters
     (oids, block ids, timer spec ids, ...), which would shift every id the
     shard allocates and break both the per-shard digests and the oid
     arithmetic :func:`repro.bench.scenario.run_shard` computes a remote
     sink's capability with.  Resetting them reproduces exactly what a
-    spawned (freshly imported) worker sees; under spawn this is a no-op
-    by construction.
+    spawned (freshly imported) worker sees, but for block ids: a block
+    id names one post in the whole run, so shard *k* of *K* counts
+    ``k+1, k+1+K, ...`` (one shard counts from 1, as one process does).
     """
     # import_module, not ``import a.b as c``: repro/__init__ rebinds the
     # ``events`` attribute (``names as events``), breaking getattr-chain
     # binding for repro.events.* submodules
-    counters = (
-        ("repro.objects.base", "_oids"),
-        ("repro.events.handlers", "_reg_ids"),
-        ("repro.events.handlers", "_proc_names"),
-        ("repro.events.block", "_block_ids"),
-        ("repro.threads.attributes", "_timer_spec_ids"),
-        ("repro.dsm.manager", "_segment_ids"),
-        ("repro.baselines.unix_signals", "_pids"),
-        ("repro.baselines.mach_exceptions", "_task_ids"),
-    )
-    for module_name, counter in counters:
+    for module_name, counter in PROCESS_COUNTERS:
         setattr(import_module(module_name), counter, itertools.count(1))
+    import_module("repro.events.block")._block_ids = itertools.count(
+        shard + 1, shards)
 
 
 def _shard_worker(conn: Any, config_kwargs: dict, shard_index: int,
                   scenario_path: str, scenario_args: dict) -> None:
     """Worker main: build one shard's cluster, obey barrier commands."""
     try:
-        _reset_process_counters()
+        _reset_process_counters(shard_index, config_kwargs["shard_count"])
         from repro.kernel.boot import Cluster
         config = ClusterConfig(**{**config_kwargs,
                                   "shard_index": shard_index})
@@ -264,11 +273,13 @@ def _shard_worker(conn: Any, config_kwargs: dict, shard_index: int,
         finish = resolve_scenario(scenario_path)(ctx)
         owner_of = shard_owner_map(config.n_nodes, config.shard_count)
         sim = cluster.sim
+        settle = cluster.events.settle
         while True:
             cmd = conn.recv()
             tag = cmd[0]
             if tag == "win":
-                _, window_end, blobs = cmd
+                _, window_end, blobs, conclusions = cmd
+                settle.match_foreign(conclusions)
                 # One blob per source shard; merge every source's
                 # records in (deliver_time, src shard, send seq) order —
                 # injection order decides the destination simulator's
@@ -290,9 +301,11 @@ def _shard_worker(conn: Any, config_kwargs: dict, shard_index: int,
                 outbound = {
                     dst_shard: (len(records), codec.encode_batch(records))
                     for dst_shard, records in by_dst_shard.items()}
+                foreign, settle.foreign = settle.foreign, []
                 conn.send(("done", outbound, sim.pending,
-                           sim.peek_next()))
+                           sim.peek_next(), foreign))
             elif tag == "finish":
+                settle.match_foreign(cmd[1])
                 conn.send(("result", finish(), transport.stats(),
                            cluster.message_stats()))
             elif tag == "exit":
@@ -362,6 +375,7 @@ def run_sharded(config: ClusterConfig, scenario: str,
         raise NetworkError("leave shard_index unset; the runner assigns it")
     window = config.link_latency
     shard_count = config.shard_count
+    owner_of = shard_owner_map(config.n_nodes, shard_count)
     kwargs = _config_kwargs(config)
     ctx = mp.get_context(_start_method())
     conns, workers = [], []
@@ -411,8 +425,10 @@ def run_sharded(config: ClusterConfig, scenario: str,
         final_index = (None if until is None
                        else math.ceil(until / window - 1e-12))
 
-        #: per destination shard: one (src_shard, blob) per source
+        #: per destination shard: one (src_shard, blob) per source, and
+        #: the conclusions of the posts it raised
         inbound: list[list] = [[] for _ in range(shard_count)]
+        concluded: list[list] = [[] for _ in range(shard_count)]
         windows = 0
         window_index = 0
         virtual_time = 0.0
@@ -425,13 +441,17 @@ def run_sharded(config: ClusterConfig, scenario: str,
             window_index += 1
             window_end = window_index * window
             for shard in range(shard_count):
-                send(shard, ("win", window_end, inbound[shard]))
+                send(shard, ("win", window_end, inbound[shard],
+                             concluded[shard]))
             inbound = [[] for _ in range(shard_count)]
+            concluded = [[] for _ in range(shard_count)]
             in_flight = 0
             pending_total = 0
             next_times = []
             for shard in range(shard_count):
-                _tag, outbound, pending, next_time = recv(shard)
+                _tag, outbound, pending, next_time, foreign = recv(shard)
+                for row in foreign:
+                    concluded[owner_of[row[0]]].append(row)
                 pending_total += pending
                 if next_time is not None:
                     next_times.append(next_time)
@@ -465,7 +485,7 @@ def run_sharded(config: ClusterConfig, scenario: str,
 
         shard_results, transport_stats, message_stats = [], [], []
         for shard in range(shard_count):
-            send(shard, ("finish",))
+            send(shard, ("finish", concluded[shard]))
             _tag, result, tstats, mstats = recv(shard)
             shard_results.append(result)
             transport_stats.append(tstats)

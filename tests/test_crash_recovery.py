@@ -13,6 +13,7 @@ from repro.errors import (
 from repro.apps import DebuggerServer
 from repro.events.settle import EXECUTED
 from repro.net.message import Message
+from repro.sim.primitives import SimFuture
 from repro.store import MSG_STORE_ACK
 from repro.transport.codec import decode_message, encode_message
 from tests.conftest import Echo, Sleeper, accept_violations, make_cluster
@@ -48,6 +49,15 @@ class SlowObject(DistObject):
     def on_ping(self, ctx, block):
         yield ctx.compute(0.05)
         return block.user_data
+
+
+class Stuck(DistObject):
+    """Passive object whose PING handler waits on a future no one
+    settles: the master holds it, and later posts queue behind it."""
+
+    @on_event("PING")
+    def on_ping(self, ctx, block):
+        yield ctx.wait(SimFuture(ctx._thread.sim))
 
 
 def reliable_cluster(**overrides):
@@ -527,6 +537,31 @@ def _durable_copy_concluded_twice():
                       1.0)]
 
 
+def _durable_copy_concluded_on_another_shard():
+    """The same copy concluded on the target's shard of a sharded run:
+    its conclusion row reaches the raiser's shard through the barrier
+    (``Settler.match_foreign``), which finds no open entry."""
+    cluster = durable_cluster(n_nodes=2)
+    cluster.register_event("PING")
+    cap = cluster.create_object(SlowObject, node=1)
+    cluster.raise_event("PING", cap, from_node=0)
+    [entry] = cluster.kernels[0].store.outbox.pending()
+    wire = Message(src=0, dst=1, mtype="event.post-object", size=128,
+                   payload={"block": entry.block})
+    copy = decode_message(encode_message(wire)).payload["block"]
+    cluster.run()
+    shard = durable_cluster(n_nodes=2, transport="sharded", shard_count=2,
+                            shard_index=1)
+    shard.sim.call_at(1.0, shard.events.settle.conclude, copy, EXECUTED,
+                      None, None, 1)
+    shard.run(until=1.0)  # its ack to node 0 waits on a barrier for good
+    rows = shard.events.settle.foreign
+    assert [row[:2] for row in rows] == [(0, copy.block_id)]
+    cluster.events.settle.match_foreign(rows)
+    return cluster, [("concluded twice", cap, "executed again on node 1",
+                      1.0)]
+
+
 def _handler_waits_on_the_debugger():
     """A breakpoint's post is delivered and its buddy handler holds the
     thread until the debugger resumes it: open at idle, not lost."""
@@ -564,6 +599,60 @@ def _degraded_post_executed_and_unconfirmed():
     return cluster, []
 
 
+def _parked_in_the_outbox():
+    """A durable post to a node that stays down: the reliable channel
+    gives up and the outbox parks it; with no flush timer nothing runs
+    again."""
+    cluster = durable_cluster(n_nodes=2, outbox_flush_interval=None)
+    cluster.register_event("PING")
+    cap = cluster.create_object(Stuck, node=1)
+    cluster.crash_node(1)
+    cluster.raise_event("PING", cap, from_node=0)
+    cluster.run()
+    return cluster
+
+
+def _queued_behind_a_waiting_handler():
+    """The master runs the first post's handler, which never ends; the
+    second post waits in the home node's queue."""
+    cluster = make_cluster(n_nodes=2)
+    cluster.register_event("PING")
+    cap = cluster.create_object(Stuck, node=1)
+    for _ in range(2):
+        cluster.raise_event("PING", cap, from_node=1)
+    cluster.run()
+    return cluster
+
+
+def _queued_for_a_suspended_thread():
+    """A thread held at a breakpoint by the debugger's handler: a later
+    notice waits in its queue."""
+    cluster = make_cluster(n_nodes=3)
+    cluster.register_event("BREAKPOINT")
+    cluster.register_event("PING")
+    debugger = cluster.create_object(DebuggerServer, node=2)
+    app = cluster.create_object(Debuggee, node=1)
+    thread = cluster.spawn(app, "run", debugger, ["bp1"], at=0)
+    cluster.run()
+    cluster.raise_event("PING", thread.tid, from_node=2)
+    cluster.run()
+    return cluster
+
+
+def _lost_on_the_way_to_a_thread():
+    """A notice to a thread on another node over a link that drops
+    everything: no node ever holds it."""
+    cluster = make_cluster(n_nodes=3)
+    cluster.register_event("PING")
+    sleeper = cluster.create_object(Sleeper, node=1)
+    thread = cluster.spawn(sleeper, "hold", 1.0, at=1)
+    cluster.run(until=0.1)
+    cluster.fabric.faults.drop_rate = 1.0
+    cluster.raise_event("PING", thread.tid, from_node=0)
+    cluster.run()
+    return cluster
+
+
 class TestAudit:
     """``Cluster.audit()`` reports a post open at idle with its target,
     stage and age, and a durable post concluded twice; a handler that
@@ -572,9 +661,11 @@ class TestAudit:
 
     @pytest.mark.parametrize("scenario", [
         _lost_on_a_lossy_link, _durable_copy_concluded_twice,
+        _durable_copy_concluded_on_another_shard,
         _handler_waits_on_the_debugger,
         _degraded_post_executed_and_unconfirmed],
-        ids=["lost", "double", "handler-waits", "degraded"])
+        ids=["lost", "double", "double-across-shards", "handler-waits",
+             "degraded"])
     def test_what_the_audit_reports(self, scenario):
         cluster, expected = scenario()
         assert cluster.quiescent()
@@ -583,6 +674,19 @@ class TestAudit:
                  pytest.approx(violation.age)) for violation in found] \
             == expected
         assert all(violation.event == "PING" for violation in found)
+
+    @pytest.mark.parametrize("scenario,stage", [
+        (_parked_in_the_outbox, "parked in node 0's outbox"),
+        (_queued_behind_a_waiting_handler, "queued at node 1"),
+        (_queued_for_a_suspended_thread, "queued for T0.1 on node 1"),
+        (_lost_on_the_way_to_a_thread, "locating from node 0")],
+        ids=["outbox", "object-queue", "thread-queue", "locating"])
+    def test_where_an_undelivered_post_was_last_seen(self, scenario, stage):
+        cluster = scenario()
+        assert cluster.sim.pending == 0
+        [violation] = accept_violations(cluster)
+        assert (violation.kind, violation.event, violation.stage) \
+            == ("open at idle", "PING", stage)
 
 
 class TestRecovery:

@@ -14,11 +14,13 @@ import hashlib
 import math
 import multiprocessing
 import os
+from importlib import import_module
 
 import pytest
 
 from repro.bench.scale import combine_digest, posts, run_posts, shard_posts
 from repro.errors import NetworkError
+from repro.events.block import EventBlock
 from repro.kernel.config import (
     ClusterConfig,
     shard_bounds,
@@ -59,6 +61,15 @@ def audited_scenario(ctx):
         return result
 
     return audited
+
+
+def lossy_audited_scenario(ctx):
+    """``audited_scenario`` on which shard 0's fabric drops every
+    message: each post shard 0 raises at another node is lost, on its
+    own shard or across the barrier."""
+    if ctx.shard_index == 0:
+        ctx.cluster.fabric.faults.drop_rate = 1.0
+    return audited_scenario(ctx)
 
 
 def dying_scenario(ctx):
@@ -150,6 +161,23 @@ class TestBarrierDeterminism:
         assert runs["fork"]["windows"] == runs["spawn"]["windows"]
 
 
+class TestBlockIds:
+    @pytest.fixture
+    def restored_counters(self, monkeypatch):
+        """The process's id counters come back after the test."""
+        for module_name, counter in sharded.PROCESS_COUNTERS:
+            module = import_module(module_name)
+            monkeypatch.setattr(module, counter, getattr(module, counter))
+
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_each_shard_numbers_blocks_in_its_own_residue_class(
+            self, restored_counters, shards):
+        for shard in range(shards):
+            sharded._reset_process_counters(shard, shards)
+            ids = [EventBlock("E").block_id for _ in range(4)]
+            assert ids == [shard + 1 + shards * i for i in range(4)]
+
+
 # ----------------------------------------------------------------------
 # the standing invariant inside the shard workers
 # ----------------------------------------------------------------------
@@ -173,6 +201,33 @@ class TestShardedAudit:
             assert result["pending"] == 0  # so the audit read the table
             assert result["audit"] == []
             assert result["open"] == 0
+
+    @pytest.mark.skipif(not FORK_AVAILABLE,
+                        reason="lossy_audited_scenario needs the inherited "
+                               "module")
+    def test_a_lost_cross_shard_post_is_open_on_its_raisers_shard(self):
+        # A post is opened on the shard that raised it, wherever its
+        # target lives, so shard 0's audit lists every post it raised at
+        # another node: the ones to its own nodes and the ones that
+        # never crossed the barrier. Shard 1's posts to shard 0 ran
+        # there, and their conclusions came back with the barrier.
+        args = dict(SMALL, remote_fraction=0.5)
+        report = run_sharded(
+            _sharded(args), "tests.test_sharded_barrier:lossy_audited_scenario",
+            scenario_args=args)
+        lo, hi = shard_bounds(N_NODES, SHARDS, 0)
+        lost = sorted(target for grid in posts(N_NODES, **args).arrivals
+                      if lo <= grid.node < hi
+                      for target in grid.targets if target != grid.node)
+        assert sum(target >= hi for target in lost) > 0  # cross-shard
+        shard0, shard1 = report.shard_results
+        assert shard0["pending"] == 0
+        assert len(lost) == len(shard0["audit"]) == shard0["open"] == 34
+        assert sorted(row.target.home for row in shard0["audit"]) == lost
+        for row in shard0["audit"]:
+            assert row.kind == "open at idle"
+            assert row.stage == f"in flight to node {row.target.home}"
+        assert shard1["audit"] == [] and shard1["open"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -1011,17 +1011,6 @@ class TestDegradeDedupWindow:
         # first sighting — dedup memory is per receiver
         assert post._accept_degraded(2, _FakeBlock("a"))
 
-    def test_equal_block_ids_from_other_shards_are_both_accepted(self):
-        # Each shard worker numbers its block ids from 1: two degraded
-        # posts raised on different shards can carry the same id, and
-        # neither is a fabric duplicate of the other.
-        cluster = make_cluster(n_nodes=8, transport="sharded",
-                               shard_count=2, shard_index=0)
-        post = cluster.events.post
-        lo, hi = (shard_bounds(8, 2, shard)[0] for shard in (0, 1))
-        assert post._accept_degraded(1, _FakeBlock(1, raiser_node=lo))
-        assert post._accept_degraded(1, _FakeBlock(1, raiser_node=hi))
-
     def test_same_raiser_same_id_is_still_a_duplicate(self):
         cluster = make_cluster(n_nodes=8, transport="sharded",
                                shard_count=2, shard_index=0)

@@ -149,8 +149,10 @@ COMPUTE_BUDGET = {"heap": 3, "wheel": 3}
 #: counted ``snapshot``'s list comprehension), 122 / 141 with the raise's
 #: ``innermost_here`` probe and each handler's ``effective_deadline``,
 #: 118 / 137 with the conclusion's ``current_node``, 108 while each
-#: message took a scheduler entry of its own (108.02; a few now ride)
-CHASE_BUDGET = {"heap": 107, "wheel": 107}
+#: message took a scheduler entry of its own (108.02; a few now ride),
+#: 107 while ``Kernel.transmit`` relayed each datagram through
+#: ``_send_datagram`` (107.98)
+CHASE_BUDGET = {"heap": 104, "wheel": 104}
 
 #: frames the old objects and relays paid and the new ones must not
 GONE = {("syscalls.py", "__post_init__"), ("<string>", "__init__"),
@@ -184,7 +186,8 @@ HOP_GONE = {("base.py", "routable"), ("latency.py", "delay")}
 #: ``_outcome``, ``in_order`` and ``__len__``, ``take_stash``,
 #: ``DistObject.oid`` and ``effective_deadline``; the raise's
 #: ``innermost_here``; the conclusion's ``current_node``;
-#: ``ThreadId.__hash__``; and each message's ``HOP_GONE``
+#: ``ThreadId.__hash__``; the kernel's datagram relay
+#: ``_send_datagram``; and each message's ``HOP_GONE``
 CHASE_GONE = {("path.py", "_hop"), ("base.py", "_accept"),
               ("base.py", "_membership"), ("membership.py", "enabled"),
               ("tcb.py", "get"), ("thread.py", "current_object"),
@@ -195,7 +198,8 @@ CHASE_GONE = {("path.py", "_hop"), ("base.py", "_accept"),
               ("thread.py", "take_stash"), ("base.py", "oid"),
               ("supervise.py", "effective_deadline"),
               ("tcb.py", "innermost_here"), ("thread.py", "current_node"),
-              ("ids.py", "__hash__")} | HOP_GONE
+              ("ids.py", "__hash__"),
+              ("node.py", "_send_datagram")} | HOP_GONE
 
 #: the relays a durable post paid and must not again: the journal's
 #: ``_stamp`` and ``JournalRecord.__init__`` per record; the checkpoint
