@@ -31,7 +31,13 @@ from repro.kernel.config import (
 )
 from repro.objects.base import DistObject
 from repro.objects.capability import Capability
-from repro.threads.thread import BLOCKED, DThread, KIND_KERNEL, RECV_FOLDS
+from repro.threads.thread import (
+    BLOCKED,
+    DThread,
+    KIND_KERNEL,
+    RECV_FOLDS,
+    RUNNING,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.node import Kernel
@@ -241,7 +247,14 @@ class ObjectManager:
         if master is None or not master.alive:
             self._new_master()
         elif master.state == BLOCKED and not master.frames:
-            master.resume_with()  # parked: between runs, with no hop
+            # Parked: between runs, with no hop. DThread.resume_with and
+            # schedule_step, inline: a parked master is alive, has no
+            # wait epoch to match and is no event's target.
+            master._wait = None
+            master.state = RUNNING
+            sim = self.kernel.sim
+            sim.call_at(sim.now, master._step, None, None,
+                        master._step_epoch)
 
     def _new_master(self) -> None:
         # Created at first use: its creation cost is paid once (§7).

@@ -9,6 +9,23 @@ import ``repro``::
 Each path is read in two units: Python frames per post, and scheduler
 callbacks per post (the ``executed`` count the same window ran; a
 callback whose entry carries several messages counts once).
+
+Which row each E17 workload (``benchmarks/e17``) pays per post, from
+how often its posts find the object's master handler thread parked
+(seed 13):
+
+- ``local_burst``: ``post``; one post of each 16-post burst wakes the
+  master (999 wakes in 16,000 posts), the rest find it busy.
+- ``sharded_mix``: ``parked``, since its 64 raisers are staggered
+  across each 2 ms gap and a post arrives alone (about 7,170 wakes in
+  7,200 posts per worker at half size), plus ``arrived`` for its 30 %
+  remote posts.
+- ``durable_lossy``: ``arrived`` and ``durable``; about 7 % of its
+  posts wake the master.
+- ``thread_chase``: ``chase``.
+- ``tcp_closed``: ``arrived``, plus one scheduled step per post (a
+  wake, or the hop at the run's end) and one compute timer, because
+  the realtime scheduler never folds.
 """
 
 from __future__ import annotations

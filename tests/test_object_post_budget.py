@@ -11,17 +11,21 @@ the last one whenever nothing else is due at that instant, both within
 one fold budget per scheduler step. Waking a parked master is the only
 hop left. The same file pins what the fold must keep: post *k* is
 concluded, and whatever its conclusion queued at that instant has run,
-before handler *k+1* runs its first statement.
+before handler *k+1* runs its first statement. The last section holds
+the wake itself, one ``call_at`` made by ``run_object_handler``, to its
+edges: two posts in one callback, a crash right after it, and the
+wall-clock scheduler.
 """
 
 import pytest
 
 from repro import Decision, DistObject, entry, on_event
 from repro.errors import SimulationError
+from repro.objects.manager import ObjectManager
 from repro.sim import Simulator
 from repro.sim.primitives import Channel
 from repro.sim.scheduler import WheelSimulator
-from repro.threads.thread import RECV_FOLDS
+from repro.threads.thread import BLOCKED, RECV_FOLDS, RUNNING
 from repro.transport.realtime import RealtimeScheduler
 from tests.conftest import make_cluster
 
@@ -477,3 +481,108 @@ def test_post_k_concludes_before_handler_k_plus_one_starts():
     assert [f.result() for f in raisers if not f.failed] == [
         k * 10 for k in range(N) if k % 4 != 3]
     assert cluster.durability_stats()["pending"] == 0
+
+
+# ----------------------------------------------------------------------
+# the parked master's wake: one call_at from run_object_handler
+# ----------------------------------------------------------------------
+
+def _parked_master(n_nodes=1, home=0, **config):
+    """A cluster whose ``Target`` on ``home`` has a master handler
+    thread that served one post and is parked."""
+    cluster = make_cluster(n_nodes=n_nodes, **config)
+    cluster.register_event("WORK")
+    cap = cluster.create_object(Target, node=home)
+    cluster.raise_event("WORK", cap, from_node=home)
+    cluster.run(until=1.0)
+    master = cluster.kernels[home].objects._master
+    assert master.state == BLOCKED and not master.frames
+    return cluster, cap, master
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+class TestParkedWake:
+    def test_two_posts_in_one_callback_schedule_one_wake(self, scheduler):
+        """The first post wakes the master and leaves it running, so
+        the second only joins the queue."""
+        cluster, cap, master = _parked_master(scheduler=scheduler)
+        wakes = []
+
+        def raise_two():
+            before = _scheduled(cluster)
+            for k in range(2):
+                cluster.raise_event("WORK", cap, from_node=0, user_data=k)
+                assert master.state == RUNNING
+            wakes.append(_scheduled(cluster) - before)
+
+        cluster.sim.call_at(1.5, raise_two)
+        cluster.run(until=2.0)
+        assert wakes == [1]
+        assert cluster.get_object(cap).hits == 3
+        assert master.state == BLOCKED and not master.frames
+        assert cluster.kernels[0].objects.handler_threads_created == 1
+
+    def test_a_crash_after_the_wake_notices_the_post_once(self, scheduler):
+        """The node crashes in the callback that raised the post: the
+        queue is lost and its post noticed (DESIGN.md §6), and the wake
+        step, still scheduled, finds a dead master and does nothing."""
+        cluster, cap, master = _parked_master(n_nodes=2, scheduler=scheduler)
+        objects = cluster.kernels[0].objects
+        before = cluster.metrics()
+
+        def raise_then_crash():
+            cluster.raise_event("WORK", cap, from_node=0)
+            assert master.state == RUNNING and len(objects._queue) == 1
+            cluster.crash_node(0)
+
+        cluster.sim.call_at(1.5, raise_then_crash)
+        executed = cluster.sim.events_processed
+        cluster.run(until=2.0)
+        after = cluster.metrics()
+        # the pump and the stale wake step ran
+        assert cluster.sim.events_processed - executed == 2
+        assert not master.alive and objects._master is master
+        assert objects.handler_threads_created == 1
+        assert cluster.get_object(cap).hits == 1
+        settled = {key: after[key] - before[key] for key in (
+            "events.settle.executed", "events.settle.noticed")}
+        assert settled == {"events.settle.executed": 0,
+                           "events.settle.noticed": 1}
+        assert after["events.settle.open"] == 0
+        assert cluster.audit() == []
+
+
+def test_a_parked_remote_master_wakes_on_the_wall_clock(monkeypatch):
+    """On ``tcp`` the wake's ``call_at(now)`` lands in the realtime
+    scheduler's ready lane: a post arriving by socket at a parked
+    master runs on the master that served the one before."""
+    found = []
+    run = ObjectManager.run_object_handler
+
+    def recording(self, *args):
+        master = self._master
+        found.append(master is not None and master.state == BLOCKED
+                     and not master.frames)
+        run(self, *args)
+
+    monkeypatch.setattr(ObjectManager, "run_object_handler", recording)
+    cluster = make_cluster(n_nodes=2, transport="tcp", link_latency=1e-4)
+    try:
+        cluster.register_event("WORK")
+        cap = cluster.create_object(Target, node=1)
+        target = cluster.get_object(cap)
+        objects = cluster.kernels[1].objects
+        for hits in (1, 2):
+            cluster.raise_event("WORK", cap, from_node=0)
+            deadline = cluster.now + 10.0
+            while cluster.now < deadline and not (
+                    target.hits == hits and objects._master.state == BLOCKED
+                    and not objects._master.frames):
+                cluster.run(until=cluster.now + 0.01)
+            assert target.hits == hits
+        # the first post made the master, the second found it parked
+        assert found == [False, True]
+        assert objects.handler_threads_created == 1
+        assert objects.events_served == 2
+    finally:
+        cluster.close()
