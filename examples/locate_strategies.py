@@ -23,12 +23,17 @@ def main() -> None:
         cluster = Cluster(ClusterConfig(n_nodes=n_nodes, locator=locator))
         thread = deep_thread(cluster, depth=depth)
         before = cluster.fabric.stats.sent
+        last_seq = cluster.tracer.records[-1].seq
+        raised = []
         for _ in range(posts):
+            raised.append(cluster.now)
             cluster.raise_event("INTERRUPT", thread.tid, from_node=0)
             cluster.run(until=cluster.now + 0.2)
         msgs = (cluster.fabric.stats.sent - before) / posts
-        samples = cluster.events.delivery_latencies.last(posts)
-        latency = sum(l for _, l in samples) / len(samples)
+        # raise -> deliver: each post's "event/deliver" trace record
+        delivered = cluster.tracer.select("event", "deliver", after=last_seq)
+        assert len(delivered) == posts
+        latency = sum(r.time - at for r, at in zip(delivered, raised)) / posts
         print(f"{locator:<10} {msgs:>10.1f} {latency * 1e3:>18.2f}")
     print("\nbroadcast scales with cluster size (wasteful, §7.1); "
           "path with migration depth; multicast with group membership; "

@@ -30,6 +30,7 @@ from repro.bench.workloads import (
     WorkloadSpec,
     build_schedule,
     drive,
+    percentile,
 )
 from repro.errors import BenchmarkError
 from repro.kernel.config import shard_bounds
@@ -147,6 +148,8 @@ class Outcome:
         #: FANOUT post id -> its raise's future (the recipient count)
         self.reach: dict[int, Any] = {}
         self.raised = 0
+        #: raise->deliver virtual seconds of each handler run, read off
+        #: its event block as the run starts
         self.latencies: deque = deque(maxlen=scenario.latency_window)
         #: when the last handler run finished; runs finished by the end
         #: of the arrival window
@@ -221,14 +224,8 @@ class Outcome:
 
     @property
     def p99_latency(self) -> float:
-        """Nearest-rank p99 raise->deliver virtual latency of the posts,
-        as the cluster recorded it."""
-        ordered = sorted(v for label, v in self.cluster.events
-                         .delivery_latencies if label == EVENT)
-        if not ordered:
-            return 0.0
-        return ordered[max(0, min(len(ordered) - 1,
-                                  int(round(0.99 * (len(ordered) - 1)))))]
+        """Nearest-rank p99 of :attr:`latencies`."""
+        return percentile(self.latencies, 0.99)
 
     @property
     def digest(self) -> str:
@@ -295,6 +292,7 @@ def _post_handler() -> Callable:
 
     def on_post(self, ctx, block):
         outcome = self._outcome
+        outcome.latencies.append(block.delivered_at - block.raised_at)
         pid = block.user_data
         hang = outcome.handler_faults and _inject(outcome, pid)
         # Recorded first: a crash mid-handler still counts the run.
@@ -303,7 +301,6 @@ def _post_handler() -> Callable:
             yield ctx.sleep(HOLD)
         yield ctx.compute(self.compute)
         now = ctx.now
-        outcome.latencies.append(now - block.raised_at)
         outcome.last_done = now
         if now <= outcome.window_end:
             outcome.in_window += 1

@@ -40,7 +40,7 @@ from repro.bench.scenario import (
     Sinks,
     run_scenario,
 )
-from repro.bench.workloads import FANOUT, percentile, zipf_weights
+from repro.bench.workloads import FANOUT, zipf_weights
 
 #: what every soak cluster runs with unless ``config`` says otherwise:
 #: the acceptance criterion is stated for the wheel + slab +
@@ -110,14 +110,12 @@ def phase_row(phase: str, outcome: Outcome) -> dict[str, Any]:
     """A soak phase's deterministic row, once its invariants hold: every
     post ran (fanout: at least once per member), the outbox drained."""
     cluster, posts = outcome.cluster, outcome.posts
-    p99 = percentile(outcome.latencies, 0.99)
     extra: dict[str, Any] = {}
     if phase == "fanout":
         group = len(outcome.scenario.sinks.group)
         delivered = outcome.metrics["events.execute.delivered"]
         assert delivered >= posts * group, \
             f"fanout phase lost deliveries: {delivered}/{posts * group}"
-        p99 = cluster.events.delivery_latencies.summary().get("p99", 0.0)
         extra = {"raises": posts, "group_size": group}
         posts *= group
     else:
@@ -136,7 +134,7 @@ def phase_row(phase: str, outcome: Outcome) -> dict[str, Any]:
         "sim_events_per_post": round(cluster.sim.events_processed / posts,
                                      2),
         "msgs_per_post": round(cluster.message_stats()["sent"] / posts, 4),
-        "p99_latency": round(p99, 6),
+        "p99_latency": round(outcome.p99_latency, 6),
         "wheel_spills": stats.get("wheel_spills", 0),
         "wheel_migrations": stats.get("wheel_migrations", 0),
         "compactions": stats.get("compactions", 0),

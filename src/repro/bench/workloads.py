@@ -90,20 +90,31 @@ def measure_posts(cluster: Cluster, thread, posts: int,
     ``warmup`` posts run (and are excluded) first, so steady-state
     strategies like the hint cache are measured hot. Only ``locate.*``
     messages are counted, so a target that keeps migrating during the
-    measurement is not charged for its own invoke/reply traffic.
+    measurement is not charged for its own invoke/reply traffic. A
+    post's latency is its raise's ``cluster.now`` to its ``event`` /
+    ``deliver`` trace record, so the tracer must keep ``event`` on.
     """
     for _ in range(warmup):
         cluster.raise_event("INTERRUPT", thread.tid, from_node=0)
         cluster.run(until=cluster.now + 0.2)
     before_msgs = cluster.fabric.stats.count_prefix("locate.")
+    tracer = cluster.tracer
+    after = tracer.records[-1].seq if tracer.records else 0
+    raised = []
     for _ in range(posts):
+        raised.append(cluster.now)
         cluster.raise_event("INTERRUPT", thread.tid, from_node=0)
         cluster.run(until=cluster.now + 0.2)
     assert thread.alive, "posting must not kill the target"
     msgs = (cluster.fabric.stats.count_prefix("locate.")
             - before_msgs) / posts
-    samples = cluster.events.delivery_latencies.last(posts)
-    latency = sum(lat for _, lat in samples) / max(1, len(samples))
+    delivered = tracer.select("event", "deliver", after=after,
+                              tid=str(thread.tid))
+    if len(delivered) != posts:
+        raise BenchmarkError(f"{posts} posts left {len(delivered)} event/"
+                             f"deliver trace records (is 'event' muted?)")
+    latency = sum(record.time - at
+                  for record, at in zip(delivered, raised)) / posts
     return msgs, latency
 
 
@@ -365,11 +376,12 @@ def zipf_weights(n: int, s: float) -> list[float]:
 
 
 def percentile(samples: Iterable[float], frac: float) -> float:
-    """Nearest-rank ``frac`` quantile of ``samples`` (0.0 when empty)."""
+    """Nearest-rank ``frac`` quantile of ``samples``, the one at rank
+    ``round(frac * (n - 1))`` (0.0 when empty)."""
     ordered = sorted(samples)
     if not ordered:
         return 0.0
-    return ordered[min(len(ordered) - 1, int(len(ordered) * frac))]
+    return ordered[round(frac * (len(ordered) - 1))]
 
 
 def rate_at(spec: WorkloadSpec, t: float) -> float:

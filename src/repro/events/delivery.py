@@ -68,8 +68,6 @@ class EventManager:
         self.presence = Presence(cluster, self.post)
         #: the configured §7.1 location strategy
         self.locator = self.post.locator
-        #: per-delivery (event, raise->deliver virtual latency) samples
-        self.delivery_latencies = self.execute.delivery_latencies
 
     # -- the counter E17 reads here; every stage's is in Cluster.metrics --
 

@@ -30,7 +30,6 @@ from repro.events.block import EventBlock
 from repro.events.handlers import Decision, HandlerContext, HandlerRegistration
 from repro.events.settle import EXECUTED, Settler
 from repro.events.supervise import HandlerSupervisor
-from repro.net.stats import LatencyReservoir
 from repro.threads import syscalls as sc
 from repro.threads.thread import (
     DThread,
@@ -94,9 +93,6 @@ class Executor:
         self.delivered = 0
         #: handler surrogates that raised (folded into PROPAGATE)
         self.handler_failures = 0
-        #: per-delivery (event, raise->deliver virtual latency) samples —
-        #: a bounded reservoir so long runs stop accumulating memory
-        self.delivery_latencies = LatencyReservoir()
 
     # ==================================================================
     # suspension and the notice queue
@@ -124,8 +120,6 @@ class Executor:
         block.delivered_at = self.sim.now
         block.snapshot = thread.snapshot()
         self.delivered += 1
-        self.delivery_latencies.record(
-            block.event, block.delivered_at - block.raised_at)
         if "event" not in self.tracer.muted:
             self.tracer.emit("event", "deliver", event=block.event,
                              tid=str(thread.tid), node=thread.current_node)

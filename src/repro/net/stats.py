@@ -7,9 +7,7 @@ calls broadcast location "communication intensive and wasteful" (§7.1).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
 
 
 @dataclass
@@ -52,74 +50,3 @@ class TrafficStats:
     def reset(self) -> None:
         self.sent = self.delivered = self.dropped = self.bytes_sent = 0
         self.by_type.clear()
-
-
-class LatencyReservoir:
-    """Bounded reservoir of labelled latency samples.
-
-    Long benchmark runs record one sample per delivery; an unbounded list
-    grows without limit. This keeps running aggregates (count, mean) over
-    *everything* ever recorded plus a most-recent window of ``capacity``
-    samples for percentiles and per-post inspection. The window policy is
-    deterministic (drop-oldest), so identically-seeded runs stay
-    bit-identical.
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("reservoir capacity must be >= 1")
-        self.capacity = capacity
-        self._window: deque[tuple[Any, float]] = deque(maxlen=capacity)
-        self._count = 0
-        self._total = 0.0
-
-    def __len__(self) -> int:
-        """Samples currently retained (<= capacity)."""
-        return len(self._window)
-
-    def __iter__(self):
-        return iter(self._window)
-
-    def record(self, label: Any, value: float) -> None:
-        self._count += 1
-        self._total += value
-        self._window.append((label, value))
-
-    def last(self, n: int) -> list[tuple[Any, float]]:
-        """The most recent ``min(n, retained)`` samples, oldest first."""
-        if n <= 0:
-            return []
-        window = list(self._window)
-        return window[-n:]
-
-    @property
-    def count(self) -> int:
-        """Total samples ever recorded (not just retained)."""
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        """Running mean over every sample ever recorded."""
-        return self._total / self._count if self._count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile (0..100) over the retained window."""
-        if not self._window:
-            return 0.0
-        values = sorted(v for _, v in self._window)
-        rank = max(0, min(len(values) - 1,
-                          int(round(q / 100.0 * (len(values) - 1)))))
-        return values[rank]
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(50)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(99)
-
-    def summary(self) -> dict[str, float]:
-        return {"count": self.count, "mean": self.mean,
-                "p50": self.p50, "p99": self.p99,
-                "retained": len(self._window)}

@@ -7,11 +7,21 @@ import pytest
 from repro import Cluster, ClusterConfig
 from repro.bench.experiments import object_storm
 from repro.bench.harness import Result, Table, ratio
-from repro.bench.scenario import run_scenario
+from repro.bench.scenario import (
+    DURABLE,
+    OBJECT,
+    SETUP,
+    THREAD,
+    Grid,
+    Scenario,
+    Sinks,
+    run_scenario,
+)
 from repro.bench.workloads import (
     ctrl_c_app,
     deep_thread,
     lock_chain,
+    measure_posts,
     transport_workload,
 )
 from repro.errors import BenchmarkError
@@ -86,6 +96,32 @@ class TestWorkloadBuilders:
         run = transport_workload("rpc", workers=2, rounds=2)
         assert set(run.per_thread_traces) == {"w0", "w1"}
         assert run.final_total >= 2
+
+
+class TestLatency:
+    """Every reader takes raise->deliver from the post's own block or
+    its trace records; the library keeps no samples."""
+
+    @pytest.mark.parametrize("kind", [OBJECT, DURABLE, THREAD])
+    def test_p99_is_raise_to_deliver_on_every_sink(self, kind):
+        compute = 5e-3
+        outcome = run_scenario(Scenario(
+            config={"n_nodes": 2, "seed": 0,
+                    "durable_delivery": kind == DURABLE},
+            sinks=Sinks(kind, (1,), compute=compute),
+            arrivals=(Grid(0, (0, 0, 0), 0.01),), start=SETUP, settle=1.0))
+        assert outcome.runs == [1, 1, 1]
+        assert len(outcome.latencies) == 3
+        # one link hop (plus a thread's context switch), no handler time
+        assert 0 < outcome.p99_latency < compute
+        assert outcome.p99_latency == max(outcome.latencies)
+
+    def test_measure_posts_needs_the_event_trace(self):
+        cluster = Cluster(ClusterConfig(n_nodes=5))
+        thread = deep_thread(cluster, depth=3)
+        cluster.tracer.mute("event")
+        with pytest.raises(BenchmarkError, match="event/deliver"):
+            measure_posts(cluster, thread, 2)
 
 
 class TestMatrixLatency:

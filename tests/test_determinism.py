@@ -41,8 +41,7 @@ def _cached_locator_fingerprint(seed):
     hint_stats = {node: table.stats()
                   for node, table in cluster.events.locator.hints.items()}
     return (cluster.now, cluster.fabric.stats.snapshot(),
-            cluster.tracer.signature(), hint_stats,
-            cluster.events.delivery_latencies.summary())
+            cluster.tracer.signature(), hint_stats)
 
 
 def _pager_fingerprint(seed):

@@ -177,6 +177,35 @@ class TestRedelivery:
         assert obj.seen == ["x"]
         assert len(cluster.kernels[0].store.outbox) == 0
 
+    def test_origin_crashed_again_before_replay_time_redelivers_later(self):
+        """An origin that crashes again inside its replay delay skips
+        that recovery's redelivery; the next recovery still runs every
+        parked post once and drains the outbox."""
+        cluster = durable_cluster(n_nodes=2)
+        cluster.register_event("PING")
+        counter = cluster.create_object(Counter, node=1)
+        cluster.run()
+        cluster.crash_node(1)
+        for i in range(5):
+            cluster.raise_event("PING", counter, from_node=0, user_data=i)
+        cluster.run(until=cluster.now + 0.1)
+        recovered = []
+        cluster.node_recovered = recovered.append
+        cluster.crash_node(0)
+        cluster.recover_node(0)
+        replay = cluster.kernels[0].store.recovery_log[-1]["recovery_time"]
+        assert replay > 0
+        cluster.crash_node(0)
+        cluster.run(until=cluster.now + 10 * replay)
+        assert recovered == []  # the first recovery's redelivery returned
+        del cluster.node_recovered
+        cluster.recover_node(0)
+        cluster.recover_node(1)
+        cluster.run(until=cluster.now + 3.0)
+        obj = cluster.get_object(counter)
+        assert sorted(obj.seen) == list(range(5))
+        assert len(cluster.kernels[0].store.outbox) == 0
+
 
 class TestExactlyOnce:
     def test_duplicate_redelivery_is_suppressed_by_applied_set(self):

@@ -90,7 +90,6 @@ def observed(outcome) -> dict:
         "notices": sorted(outcome.notices.items()),
         "quarantined": sorted(outcome.quarantined),
         "latencies": list(outcome.latencies),
-        "delivery_latencies": list(cluster.events.delivery_latencies),
         "last_done": outcome.last_done,
         "now": cluster.now,
         "crashes": outcome.crashes,

@@ -259,59 +259,3 @@ class TestStatsAndTrace:
         assert reply.dst == 3
         assert reply.payload == "ok"
 
-
-class TestLatencyReservoir:
-    def test_empty_reservoir(self):
-        from repro.net.stats import LatencyReservoir
-
-        res = LatencyReservoir(capacity=8)
-        assert res.count == 0
-        assert res.mean == 0.0
-        assert res.p50 == 0.0
-        assert res.last(3) == []
-        assert res.summary() == {"count": 0, "mean": 0.0, "p50": 0.0,
-                                 "p99": 0.0, "retained": 0}
-
-    def test_running_aggregates_survive_eviction(self):
-        from repro.net.stats import LatencyReservoir
-
-        res = LatencyReservoir(capacity=4)
-        for i in range(10):
-            res.record("EVT", float(i))
-        # count/mean cover everything ever recorded ...
-        assert res.count == 10
-        assert res.mean == sum(range(10)) / 10
-        # ... the window keeps only the newest `capacity` samples.
-        assert len(res) == 4
-        assert res.last(2) == [("EVT", 8.0), ("EVT", 9.0)]
-        assert res.p50 == 8.0  # nearest rank over [6, 7, 8, 9]
-        assert res.p99 == 9.0
-
-    def test_exactly_capacity_samples_keeps_everything(self):
-        """At exactly ``capacity`` samples nothing has been evicted:
-        the window, the aggregates and the percentiles all see every
-        sample — and the very next record evicts only the oldest."""
-        from repro.net.stats import LatencyReservoir
-
-        res = LatencyReservoir(capacity=5)
-        for i in range(5):
-            res.record("EVT", float(i))
-        assert len(res) == res.capacity == 5
-        assert res.count == 5
-        assert res.last(5) == [("EVT", float(i)) for i in range(5)]
-        assert res.mean == 2.0
-        assert res.p50 == 2.0  # nearest rank over the full [0..4]
-        assert res.p99 == 4.0
-        assert res.summary()["retained"] == 5
-        res.record("EVT", 5.0)
-        assert len(res) == 5  # still bounded
-        assert res.count == 6  # aggregates keep counting
-        assert res.last(5)[0] == ("EVT", 1.0)  # only the oldest left
-
-    def test_capacity_validated(self):
-        import pytest
-
-        from repro.net.stats import LatencyReservoir
-
-        with pytest.raises(ValueError):
-            LatencyReservoir(capacity=0)
